@@ -18,12 +18,6 @@ import numpy as np
 INT64_SAFE = 1 << 62
 
 
-def as_int_array(values) -> np.ndarray:
-    """Build an int64 or object array from nested Python ints, exactly."""
-    arr = np.array(values, dtype=object)
-    return demote(arr)
-
-
 def max_abs(arr: np.ndarray) -> int:
     """Largest absolute entry as a Python int (0 for empty arrays)."""
     if arr.size == 0:

@@ -16,7 +16,7 @@ because scaling an element does not change the span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,29 +87,3 @@ def closure(generators: Sequence[RationalMatrix]) -> AlgebraBasis:
     )
     return AlgebraBasis(n, matrices, tuple(provenance), span)
 
-
-def matrix_span_dim(matrices: Iterable[RationalMatrix]) -> int:
-    """Dimension of the linear span of the given equal-shaped matrices."""
-    span = None
-    for m in matrices:
-        if span is None:
-            span = EchelonSpan(m.nrows * m.ncols)
-        span.add(m.num.ravel())
-    return 0 if span is None else span.dim
-
-
-def matrix_span_basis(matrices: Iterable[RationalMatrix]) -> list[RationalMatrix]:
-    """Canonical reduced basis (as matrices) of the span of the inputs."""
-    span = None
-    shape = None
-    for m in matrices:
-        if span is None:
-            span = EchelonSpan(m.nrows * m.ncols)
-            shape = m.shape
-        span.add(m.num.ravel())
-    if span is None:
-        return []
-    return [
-        RationalMatrix(row.reshape(shape).copy(), 1, _canonical=True)
-        for row in span.rows
-    ]

@@ -205,11 +205,3 @@ class EchelonSpan:
                     e2 = {k: f / g2 for k, f in e2.items()}
                 self._exprs[idx2] = {k: f for k, f in e2.items() if f != 0}
         return idx, None
-
-
-def span_dim(vectors, width: int) -> int:
-    """Dimension of the rational span of the given integer vectors."""
-    span = EchelonSpan(width)
-    for v in vectors:
-        span.add(v)
-    return span.dim

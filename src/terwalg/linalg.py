@@ -6,10 +6,10 @@ gcd of all numerators and the denominator is 1.  That canonical form makes
 value equality structural equality and keeps results bit-reproducible.  No
 floating point is used anywhere.
 
-rref and kernel_basis are textbook Gauss-Jordan over Fractions with a fixed
-pivot rule (leftmost column first, topmost eligible row, full reduction), so
-their output is deterministic.  rank and min_poly run on the integer echelon
-engine, which is exact and much faster on large matrices.
+Every elimination here runs on the one integer echelon engine (echelon.py):
+rank counts its rows, rref reads the unique reduced row echelon form off its
+rows, kernel_basis and inverse are thin layers over rref, and min_poly finds
+the first dependency among matrix powers with its tracked mode.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from ._intops import (
     exact_mul_elementwise,
     exact_scale,
     exact_sub,
+    to_object,
 )
 from .echelon import EchelonSpan
 from .polys import RationalPoly
@@ -235,35 +236,25 @@ class RationalMatrix:
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    """Reduced row echelon form with the fixed textbook pivot rule.
+    """Reduced row echelon form, read off the integer echelon engine.
+
+    The engine stores primitive integer multiples of the reduced echelon rows
+    of the row space, each with a positive leading entry that is its pivot.
+    Ordering them by pivot and dividing each by its pivot entry gives the
+    reduced row echelon form, which is unique.
 
     Returns:
         (rref matrix, pivot column indices).
     """
-    rows = m.dense_rows()
-    nrows, ncols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return RationalMatrix.from_rows(rows), tuple(pivots)
+    span = EchelonSpan(m.ncols)
+    for row in m.num:
+        span.add(row)
+    led = sorted((int(np.flatnonzero(row)[0]), row) for row in span.rows)
+    den = lcm(*(int(row[p]) for p, row in led))
+    num = np.zeros(m.shape, dtype=object)
+    for k, (p, row) in enumerate(led):
+        num[k] = to_object(row) * (den // int(row[p]))
+    return RationalMatrix(num, den), tuple(p for p, _ in led)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -281,7 +272,6 @@ def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     and the whole vector rescaled so its first nonzero entry is positive.
     """
     reduced, pivots = rref(m)
-    rows = reduced.dense_rows()
     ncols = m.ncols
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -289,7 +279,7 @@ def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for r_idx, p_col in enumerate(pivots):
-            v[p_col] = -rows[r_idx][f]
+            v[p_col] = -reduced[r_idx, f]
         for entry in v:
             if entry != 0:
                 if entry < 0:
@@ -300,17 +290,15 @@ def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
 
 
 def inverse(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse of a small square matrix via Gauss-Jordan."""
+    """Exact inverse of a square matrix: the right half of rref([num | den I])."""
     if m.nrows != m.ncols:
         raise ValueError("square matrix expected")
     n = m.nrows
-    left = m.dense_rows()
-    aug = [left[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    reduced, pivots = rref(RationalMatrix.from_rows(aug))
+    right = exact_scale(np.eye(n, dtype=np.int64), m.den)
+    reduced, pivots = rref(RationalMatrix(np.hstack([m.num, right])))
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    rows = reduced.dense_rows()
-    return RationalMatrix.from_rows([row[n:] for row in rows])
+    return RationalMatrix(reduced.num[:, n:], reduced.den)
 
 
 def min_poly(m: RationalMatrix, identity: RationalMatrix | None = None) -> RationalPoly:

@@ -415,9 +415,12 @@ class TripleProductReport:
 def check_triple_products(ctx: TerwContext) -> TripleProductReport:
     """Zero-ness of E_h* A_i E_j* and E_h A_i* E_j over all triples.
 
-    For every (h, i, j) the vanishing of both products must agree with
-    p^h_{ij} = 0, with the Krein parameter being 0, and (for hypercubes)
-    with (h, i, j) being outside the permissible set.
+    For every (h, i, j), E_h* A_i E_j* must vanish exactly when p^h_{ij} = 0
+    and E_h A_i* E_j exactly when the Krein parameter q^h_{ij} = 0.  The two
+    zero patterns coincide only for formally self-dual graphs, so for
+    hypercubes all flags, including (h, i, j) lying outside the permissible
+    set, must agree.  A mismatch records all flags in the order primal,
+    dual, p, Krein (and not permissible for hypercubes).
     """
     d = ctx.d
     dist = ctx.dist.dist
@@ -439,7 +442,10 @@ def check_triple_products(ctx: TerwContext) -> TripleProductReport:
                 flags = [primal_zero, dual_zero, p_zero, krein_zero]
                 if ctx.is_hypercube:
                     flags.append(not permissible(d, h, i, j))
-                if any(f != flags[0] for f in flags):
+                    ok = all(f == flags[0] for f in flags)
+                else:
+                    ok = primal_zero == p_zero and dual_zero == krein_zero
+                if not ok:
                     mismatches.append((h, i, j, tuple(flags)))
     return TripleProductReport(d, (d + 1) ** 3, tuple(mismatches))
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from terwalg.closure import closure, matrix_span_basis, matrix_span_dim
+from terwalg.closure import closure
+from terwalg.echelon import EchelonSpan
 from terwalg.graphs import DistanceData, distance_matrix, hypercube
 from terwalg.linalg import RationalMatrix
 
@@ -83,8 +84,11 @@ def test_matrix_span_dim_of_distance_matrices():
     g = hypercube(3)
     dd = DistanceData.compute(g)
     mats = [distance_matrix(g, dd, i) for i in range(4)]
-    assert matrix_span_dim(mats) == 4
-    basis = matrix_span_basis(mats)
+    span = EchelonSpan(g.n * g.n)
+    for m in mats:
+        span.add(m.num.ravel())
+    assert span.dim == 4
+    basis = [RationalMatrix(row.reshape(g.n, g.n), 1) for row in span.rows]
     assert len(basis) == 4
     for m in basis:
         assert m.den == 1

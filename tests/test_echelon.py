@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from terwalg.echelon import EchelonSpan, span_dim
+from terwalg.echelon import EchelonSpan
+from terwalg.linalg import RationalMatrix, rank
 
 
 def test_dimension_counting():
@@ -101,5 +102,5 @@ def test_tracked_dependency_expression():
 
 
 def test_span_dim_helper():
-    assert span_dim([[1, 1], [2, 2], [0, 1]], 2) == 2
-    assert span_dim([], 5) == 0
+    assert rank(RationalMatrix([[1, 1], [2, 2], [0, 1]])) == 2
+    assert rank(RationalMatrix(np.zeros((0, 5), dtype=np.int64))) == 0

@@ -139,6 +139,115 @@ def test_inverse():
         inverse(RationalMatrix.ones(2, 2))
 
 
+def _gauss_jordan(rows):
+    """Textbook Fraction Gauss-Jordan: leftmost pivot column, topmost row."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return rows, tuple(pivots)
+
+
+def _oracle_kernel(rows):
+    reduced, pivots = _gauss_jordan(rows)
+    ncols = len(rows[0])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r_idx, p_col in enumerate(pivots):
+            v[p_col] = -reduced[r_idx][f]
+        lead = next(x for x in v if x != 0)
+        basis.append(tuple(-x for x in v) if lead < 0 else tuple(v))
+    return basis
+
+
+def _oracle_inverse(rows):
+    n = len(rows)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    reduced, pivots = _gauss_jordan(aug)
+    if pivots != tuple(range(n)):
+        return None
+    return [row[n:] for row in reduced]
+
+
+def _random_matrix(rng, nr, nc, bits, rank_cap=None):
+    """Seeded integer matrix, optionally a product that caps the rank."""
+    def entry():
+        return rng.randint(-(1 << bits), 1 << bits)
+
+    if rank_cap is None:
+        num = [[entry() for _ in range(nc)] for _ in range(nr)]
+    else:
+        left = [[rng.randint(-3, 3) for _ in range(rank_cap)] for _ in range(nr)]
+        right = [[entry() for _ in range(nc)] for _ in range(rank_cap)]
+        num = [
+            [sum(left[i][k] * right[k][j] for k in range(rank_cap)) for j in range(nc)]
+            for i in range(nr)
+        ]
+    den = rng.choice([1, 1, 2, 6, 35, (1 << 61) - 1])
+    return RationalMatrix(np.array(num, dtype=object), den)
+
+
+def _differential_cases():
+    rng = random.Random(2024)
+    cases = []
+    for _ in range(60):
+        nr = rng.randint(1, 7)
+        nc = rng.randint(1, 7)
+        bits = rng.choice([2, 8, 40, 70])
+        cap = rng.choice([None, None, 1, 2, 3])
+        cases.append(_random_matrix(rng, nr, nc, bits, cap))
+    return cases
+
+
+def test_rref_and_kernel_match_gauss_jordan():
+    cases = _differential_cases()
+    assert any(m.num.dtype == object for m in cases)  # the object path runs
+    assert any(rank(m) < min(m.shape) for m in cases)
+    for m in cases:
+        rows, pivots = _gauss_jordan(m.dense_rows())
+        reduced, got_pivots = rref(m)
+        assert got_pivots == pivots
+        assert reduced.dense_rows() == rows
+        assert reduced == RationalMatrix.from_rows(rows)
+        assert kernel_basis(m) == _oracle_kernel(m.dense_rows())
+
+
+def test_inverse_matches_gauss_jordan():
+    rng = random.Random(7)
+    singular = 0
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        bits = rng.choice([2, 8, 40, 70])
+        m = _random_matrix(rng, n, n, bits, rng.choice([None, None, None, n - 1 or None]))
+        expect = _oracle_inverse(m.dense_rows())
+        if expect is None:
+            singular += 1
+            with pytest.raises(ValueError):
+                inverse(m)
+            continue
+        inv = inverse(m)
+        assert inv == RationalMatrix.from_rows(expect)
+        assert m @ inv == RationalMatrix.identity(n)
+    assert singular > 0
+
+
 def test_min_poly_identity():
     assert min_poly(RationalMatrix.identity(3)) == RationalPoly((-1, 1))
 

@@ -1,9 +1,12 @@
 """Tests for algebra contexts and their identity checks."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+from terwalg.cli import main
 from terwalg.graphs import Graph
 from terwalg.linalg import RationalMatrix
 from terwalg.subconstituent import (
@@ -20,6 +23,14 @@ from terwalg.subconstituent import (
 
 def cycle(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+# Kneser graph K(5,2): vertices are the 2-subsets of {0..4} in lexicographic
+# order ({0,1}, {0,2}, ..., {3,4}), adjacent when disjoint.
+PETERSEN_EDGES = [
+    (0, 7), (0, 8), (0, 9), (1, 5), (1, 6), (1, 9), (2, 4), (2, 6),
+    (2, 8), (3, 4), (3, 5), (3, 7), (4, 9), (5, 8), (6, 7),
+]
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +142,25 @@ def test_polynomial_images_require_hypercube():
     ctx = build_context(cycle(6))
     with pytest.raises(ValueError):
         check_polynomial_images(ctx)
+
+
+def test_general_path_petersen_triple_products():
+    # Petersen is not formally self-dual: the primal and dual zero patterns
+    # differ, and each must match its own parameter table.
+    ctx = build_context(Graph.from_edges(10, PETERSEN_EDGES))
+    assert ctx.d == 2
+    assert [int(t) for t in ctx.theta] == [3, 1, -2]
+    assert check_triple_products(ctx).passed
+    assert int(ctx.p_table[1, 1, 1]) == 0
+    assert ctx.krein[1][1][1] != 0
+    assert not (ctx.E[1] @ ctx.A_star[1] @ ctx.E[1]).is_zero()
+    assert (ctx.E_star[1] @ ctx.A @ ctx.E_star[1]).is_zero()
+
+
+def test_graph_command_petersen(tmp_path):
+    path = tmp_path / "petersen.txt"
+    lines = ["10 15"] + [f"{u} {v}" for u, v in PETERSEN_EDGES]
+    path.write_text("\n".join(lines) + "\n")
+    result = CliRunner().invoke(main, ["graph", "--file", str(path), "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert all(c["pass"] for c in json.loads(result.output)["checks"])
