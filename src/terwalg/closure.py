@@ -81,9 +81,10 @@ def closure(generators: Sequence[RationalMatrix]) -> AlgebraBasis:
                 provenance.append(("product", gi, pos))
         pos += 1
 
+    # Read-only views of the final span rows; nothing is added to the span
+    # after this point, so the rows are never replaced under the views.
     matrices = tuple(
-        RationalMatrix(row.reshape(n, n).copy(), 1, _canonical=True)
-        for row in span.rows
+        RationalMatrix(row.reshape(n, n), 1, _canonical=True) for row in span.rows
     )
     return AlgebraBasis(n, matrices, tuple(provenance), span)
 

@@ -310,7 +310,7 @@ def complement_algebra(ctx, t: AlgebraBasis, u0: RationalMatrix) -> CompressedAl
         c = exact_matmul(exact_matmul(w, b.num), w)
         span.add(c.ravel())
     for row in span.rows:
-        mats.append(RationalMatrix(row.reshape(n, n).copy(), 1, _canonical=True))
+        mats.append(RationalMatrix(row.reshape(n, n), 1, _canonical=True))
     gens = tuple(comp @ g @ comp for g in ctx.generators())
     return CompressedAlgebra(tuple(mats), comp, gens)
 

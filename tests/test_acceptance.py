@@ -5,7 +5,7 @@ comparison is bit-exact; the only non-equality assertions are the wall-clock
 budgets, which are generous (measured times are well under a tenth of each
 budget on a laptop).
 
-The d=8 extension of the dimension criterion takes about two minutes and is
+The d=8 extension of the dimension criterion takes about ten seconds and is
 opt-in: set TERWALG_ACCEPT_D8=1 to include it.
 """
 
@@ -83,7 +83,7 @@ def test_criterion_01_dimension_formula(prepared):
 
 @pytest.mark.skipif(
     os.environ.get("TERWALG_ACCEPT_D8") != "1",
-    reason="set TERWALG_ACCEPT_D8=1 to run the d=8 closure (about two minutes)",
+    reason="set TERWALG_ACCEPT_D8=1 to run the d=8 closure (about ten seconds)",
 )
 def test_criterion_01_optional_d8():
     start = time.monotonic()

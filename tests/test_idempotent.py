@@ -1,9 +1,12 @@
 """Tests for the primary central idempotent."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from terwalg.closure import AlgebraBasis
 from terwalg.idempotent import compute_u0, verify_peel, verify_u0
 from terwalg.linalg import RationalMatrix
 from terwalg.subconstituent import build_context, build_hypercube_context
@@ -88,6 +91,57 @@ def test_report_dict_shape(suite):
         "absorbs",
     }
     assert d["absorbs"] == [True, True, True, True]
+
+
+def _literally_central(u0, matrices):
+    return all(u0 @ b == b @ u0 for b in matrices)
+
+
+def test_centrality_checks_every_basis_element(suite):
+    # A random element appended after the genuine basis commutes with
+    # neither generator's products, so a check reduced to A and A* (or to a
+    # prefix of the basis) would still report central=True.
+    data, _ = suite
+    for d in (2, 3, 4):
+        ctx, basis = data[d]
+        u0, _dual = compute_u0(ctx)
+        rng = random.Random(d)
+        rogue = RationalMatrix(
+            np.array(
+                [[rng.randint(-5, 5) for _ in range(ctx.n)] for _ in range(ctx.n)],
+                dtype=np.int64,
+            ),
+            rng.randint(1, 7),
+        )
+        widened = AlgebraBasis(
+            basis.side,
+            basis.matrices + (rogue,),
+            basis.provenance + (("seed",),),
+            basis.span,
+        )
+        assert verify_u0(ctx, basis).central is True
+        assert _literally_central(u0, basis.matrices)
+        rep = verify_u0(ctx, widened)
+        assert rep.central is False
+        assert not _literally_central(u0, widened.matrices)
+        assert not rep.passed
+
+
+def test_centrality_holds_for_diagonal_and_dense_elements(suite):
+    # Elements of T that are diagonal (E_i*) or dense (E_i) commute with U0,
+    # whichever kernel path their products take.
+    data, _ = suite
+    ctx, basis = data[4]
+    u0, _dual = compute_u0(ctx)
+    extra = ctx.E_star + ctx.E + ctx.A_star
+    widened = AlgebraBasis(
+        basis.side,
+        basis.matrices + extra,
+        basis.provenance + (("seed",),) * len(extra),
+        basis.span,
+    )
+    assert _literally_central(u0, extra)
+    assert verify_u0(ctx, widened).central is True
 
 
 def test_verify_peel():

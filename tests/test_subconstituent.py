@@ -1,8 +1,11 @@
 """Tests for algebra contexts and their identity checks."""
 
+import dataclasses
 import json
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -17,12 +20,25 @@ from terwalg.subconstituent import (
     check_relator_images,
     check_section_identities,
     check_triple_products,
+    dual_triple_zeros,
     triple_span_dim,
+    VerificationError,
 )
 
 
 def cycle(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def johnson(v, k):
+    """Johnson graph J(v, k): k-subsets, adjacent when they share k-1 points."""
+    verts = list(combinations(range(v), k))
+    edges = [
+        (a, b)
+        for (a, sa), (b, sb) in combinations(enumerate(verts), 2)
+        if len(set(sa) & set(sb)) == k - 1
+    ]
+    return Graph.from_edges(len(verts), edges)
 
 
 # Kneser graph K(5,2): vertices are the 2-subsets of {0..4} in lexicographic
@@ -164,3 +180,61 @@ def test_graph_command_petersen(tmp_path):
     result = CliRunner().invoke(main, ["graph", "--file", str(path), "--format", "json"])
     assert result.exit_code == 0, result.output
     assert all(c["pass"] for c in json.loads(result.output)["checks"])
+
+
+def _literal_dual_zeros(ctx):
+    """Zero pattern of E_h A_i* E_j from the two literal dense products."""
+    d = ctx.d
+    nums = [e.num for e in ctx.E]
+    stars = [a.num for a in ctx.A_star]
+    big_e = max(int(np.abs(m).max()) for m in nums)
+    big_star = max(int(np.abs(m).max()) for m in stars)
+    # Plain int64 products are exact below this bound.
+    assert ctx.n**2 * big_e**2 * big_star < 2**63
+    zeros = np.zeros((d + 1,) * 3, dtype=bool)
+    for h in range(d + 1):
+        for i in range(d + 1):
+            left = nums[h] @ stars[i]
+            for j in range(d + 1):
+                zeros[h, i, j] = not (left @ nums[j]).any()
+    return zeros
+
+
+def _differential_contexts():
+    for d in range(1, 6):
+        for x in (0, (1 << d) - 1):
+            yield f"cube d={d} x={x}", build_hypercube_context(d, x)
+    yield "petersen", build_context(Graph.from_edges(10, PETERSEN_EDGES), 3)
+    yield "J(6,3)", build_context(johnson(6, 3), 7)
+
+
+def test_dual_triple_zeros_match_literal_products():
+    for name, ctx in _differential_contexts():
+        zeros = dual_triple_zeros(ctx)
+        assert zeros.shape == (ctx.d + 1,) * 3, name
+        assert np.array_equal(zeros, _literal_dual_zeros(ctx)), name
+
+
+def test_differential_graphs_are_not_formally_self_dual():
+    # The zero patterns of p and of Krein differ, so the dual flags are
+    # checked against their own table and not a copy of the primal one.
+    for g in (Graph.from_edges(10, PETERSEN_EDGES), johnson(6, 3)):
+        ctx = build_context(g)
+        d = ctx.d
+        krein_zero = np.array(
+            [[[ctx.krein[h][i][j] == 0 for j in range(d + 1)] for i in range(d + 1)]
+             for h in range(d + 1)]
+        )
+        assert not np.array_equal(ctx.p_table == 0, krein_zero)
+        assert np.array_equal(dual_triple_zeros(ctx), krein_zero)
+
+
+def test_triple_products_reject_dual_matrix_not_constant_on_sphere(contexts):
+    ctx = contexts[3]
+    diag = list(ctx.A_star[2].num.diagonal())
+    y = int(ctx.spheres[1][0])  # sphere S_1 has three vertices
+    diag[y] += 1
+    bad_star = ctx.A_star[:2] + (RationalMatrix.diagonal(diag),) + ctx.A_star[3:]
+    bad = dataclasses.replace(ctx, A_star=bad_star)
+    with pytest.raises(VerificationError, match="A\\*_2 is not constant on sphere S_1"):
+        check_triple_products(bad)
