@@ -1,5 +1,14 @@
-"""Tests for the guarded integer kernels, chiefly exact_matmul's dispatch."""
+"""Tests for the guarded integer kernels, chiefly exact_matmul's dispatch.
 
+exact_matmul has a gather path for square factors with few nonzeros per row
+(the diagonal is its r <= 1 case) and a dense path.  The fixed cases below
+pin each branch of the gather; the property tests compare both paths with
+the dense product on Python ints, and the last tests rerun whole reports
+with the gather switched off.
+"""
+
+import itertools
+import json
 import random
 
 import numpy as np
@@ -7,7 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from terwalg import _intops
 from terwalg._intops import INT64_SAFE, exact_matmul
+from terwalg.graphs import parse_graph_file
+from terwalg.verify import build_graph_report, run_verification
 
 
 def reference(a, b):
@@ -141,3 +153,237 @@ def _maybe_int64(m):
 def test_dispatch_matches_dense_product(pair):
     a, b = pair
     assert_exact(a, b)
+
+
+# -- the gather path ----------------------------------------------------------
+
+
+def cube_adjacency(d):
+    """Adjacency matrix of Q_d: d ones in every row."""
+    n = 1 << d
+    a = np.zeros((n, n), dtype=np.int64)
+    for k in range(d):
+        a[np.arange(n), np.arange(n) ^ (1 << k)] = 1
+    return a
+
+
+def gathers(a, b):
+    """Whether exact_matmul(a, b) takes the gather path."""
+    return _intops._gather_product(a, b) is not None
+
+
+def test_regular_unit_rows_gather_without_multiply():
+    rng = random.Random(7)
+    a = cube_adjacency(5)
+    cols, vals, unit = _intops._row_structure(a)
+    assert cols.shape == (32, 5) and unit
+    b = dense(rng, 32, 32)
+    assert gathers(a, b) and gathers(b, a)
+    assert_exact(a, b)
+    assert_exact(b, a)
+    assert_exact(a, a)
+
+
+def test_uneven_rows_are_padded_and_still_multiplied():
+    # 0/1 rows of different lengths: padded slots gather row 0, so the
+    # multiply must stay even though every stored value is 1.
+    rng = random.Random(8)
+    a = cube_adjacency(5)
+    a[0] = 0
+    a[3, :] = 0
+    a[3, 7] = 1
+    a[9, 30] = 0
+    cols, vals, unit = _intops._row_structure(a)
+    assert cols.shape == (32, 5) and not unit
+    b = dense(rng, 32, 6, lo=1, hi=9)  # row 0 has no zero to hide a bad pad
+    assert gathers(a, b)
+    got = assert_exact(a, b)
+    assert not got[0].any()
+    assert_exact(dense(rng, 6, 32, lo=1, hi=9), a)
+    assert_exact(a.T.copy(), b)
+
+
+def test_signed_adjacency_minus_theta_identity():
+    rng = random.Random(9)
+    a = cube_adjacency(5) - 3 * np.eye(32, dtype=np.int64)
+    assert not _intops._row_structure(a)[2]
+    b = dense(rng, 32, 32)
+    assert gathers(a, b) and gathers(b, a)
+    assert_exact(a, b)
+    assert_exact(b, a)
+
+
+def skew_sparse(n, rng):
+    """A square matrix with three nonzeros per row and per column, not symmetric."""
+    m = np.zeros((n, n), dtype=np.int64)
+    for shift, lo in ((1, 1), (5, -7), (n - 2, 2)):
+        m[np.arange(n), (np.arange(n) + shift) % n] = [rng.randint(lo, 9) or 1 for _ in range(n)]
+    return m
+
+
+def test_sparse_right_factor():
+    rng = random.Random(10)
+    s = skew_sparse(32, rng)
+    assert not np.array_equal(s, s.T)
+    for rows in (1, 5, 32, 40):
+        a = dense(rng, rows, 32)
+        assert gathers(a, s)
+        assert_exact(a, s)
+    # A diagonal on the right scales columns, not rows.
+    got = assert_exact(dense(rng, 3, 4), diag([1, 2, 3, 4]))
+    assert got.shape == (3, 4)
+
+
+def test_vectors_on_either_side():
+    rng = random.Random(11)
+    for s in (cube_adjacency(5), skew_sparse(32, rng)):
+        v = np.array([rng.randint(-9, 9) for _ in range(32)], dtype=np.int64)
+        assert gathers(s, v) and gathers(v, s)
+        assert assert_exact(s, v).shape == (32,)
+        assert assert_exact(v, s).shape == (32,)
+
+
+def test_object_operands_gather_and_demote():
+    rng = random.Random(12)
+    a = cube_adjacency(5)
+    s = skew_sparse(32, rng)
+    b = dense(rng, 32, 32)
+    small = assert_exact(a.astype(object), b)
+    assert small.dtype == np.int64  # fits, so the object result is demoted
+    assert gathers(a.astype(object), b)
+    huge = b.astype(object) * (1 << 70)
+    assert assert_exact(a, huge).dtype == object
+    assert assert_exact(huge, s.astype(object)).dtype == object
+    assert assert_exact(s.astype(object) * (1 << 64), b[:, 0]).dtype == object
+
+
+def test_gather_threshold_boundary():
+    # Eight nonzeros per row: 4·8 = 32 gathers at side 32; side 31 is dense.
+    rng = random.Random(13)
+    for n, expect in ((32, True), (31, False)):
+        m = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            m[i, rng.sample(range(n), 8)] = [rng.randint(1, 9) for _ in range(8)]
+        b = dense(rng, n, n)
+        assert gathers(m, b) is expect
+        assert gathers(b, m.T.copy()) is expect
+        assert_exact(m, b)
+        assert_exact(b, m.T.copy())
+    # At most one nonzero per row always gathers, whatever the side.
+    perm = np.eye(3, dtype=np.int64)[[2, 0, 1]] * 5
+    assert gathers(perm, dense(rng, 3, 3))
+    assert_exact(perm, dense(rng, 3, 3))
+
+
+def test_bound_uses_row_count_not_side(monkeypatch):
+    # 32·2**58 = 2**63 would fail a side-based bound; 5·2**58 < 2**62 holds,
+    # so the product never leaves int64 (an object detour would be demoted
+    # back, so it is caught here instead of by the result's dtype).
+    def no_object(arr):
+        raise AssertionError("object path taken")
+
+    monkeypatch.setattr(_intops, "to_object", no_object)
+    a = cube_adjacency(5)
+    b = np.full((32, 4), 1 << 58, dtype=np.int64)
+    b[::3] = -(1 << 58) + 17
+    assert 32 * (1 << 58) >= INT64_SAFE > 5 * (1 << 58)
+    got = assert_exact(a, b)
+    assert got.dtype == np.int64
+    got = assert_exact(b.T.copy(), a)
+    assert got.dtype == np.int64
+
+
+def test_bound_crossing_row_count_goes_to_object():
+    # One entry is below INT64_SAFE, but five of them in a row sum past 2**63.
+    a = cube_adjacency(5)
+    b = np.full((32, 3), (1 << 61) + 5, dtype=np.int64)
+    got = assert_exact(a, b)
+    assert got.dtype == object
+    assert int(got[0, 0]) == 5 * ((1 << 61) + 5)
+    got = assert_exact(b.T.copy(), a)
+    assert got.dtype == object
+    got = assert_exact(diag([3] * 32), b)
+    assert got.dtype == object
+
+
+@st.composite
+def sparse_operands(draw):
+    """A square factor of side 8-40 with row density up to 1/2, and a partner."""
+    n = draw(st.integers(8, 40))
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5]))
+    rng = random.Random(draw(st.integers(0, 1 << 30)))
+    magnitude = draw(st.sampled_from([9, 1 << 31, 1 << 61, 1 << 80]))
+    values = draw(st.sampled_from(["unit", "signed"]))
+
+    def entry():
+        if values == "unit":
+            return 1
+        return rng.choice([-1, 1]) * rng.randint(1, magnitude)
+
+    sparse = [[entry() if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["square", "wide", "vector"]))
+    cols = {"square": n, "wide": draw(st.integers(1, 12)), "vector": None}[shape]
+    other_rows = [
+        [rng.randint(-magnitude, magnitude) for _ in range(cols or 1)] for _ in range(n)
+    ]
+    sparse = np.array(sparse, dtype=object)
+    other = np.array(other_rows, dtype=object)
+    if cols is None:
+        other = other[:, 0]
+    if draw(st.booleans()):
+        sparse, other = _maybe_int64(sparse), _maybe_int64(other)
+    if draw(st.booleans()):
+        return sparse, other
+    return other.T.copy(), sparse.T.copy()
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_operands())
+def test_gather_matches_dense_product(pair):
+    a, b = pair
+    assert_exact(a, b)
+
+
+# -- whole reports with the gather switched off --------------------------------
+
+
+def _kneser_5_2_edges():
+    pairs = list(itertools.combinations(range(5), 2))
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(len(pairs)), 2)
+        if not set(pairs[i]) & set(pairs[j])
+    ]
+
+
+def _edge_list_text(n, edges):
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def _reports():
+    q4 = [(u, u ^ (1 << k)) for u in range(16) for k in range(4) if u < u ^ (1 << k)]
+    graphs = [
+        parse_graph_file(_edge_list_text(10, _kneser_5_2_edges())),
+        parse_graph_file(_edge_list_text(16, q4)),
+    ]
+    texts = [run_verification(5, vertex=3).to_json()]
+    for g in graphs:
+        data, all_ok = build_graph_report(g, 3)
+        texts.append(json.dumps(data, sort_keys=True, indent=2) + f"\n{all_ok}\n")
+    return texts
+
+
+def test_reports_identical_without_the_gather(monkeypatch):
+    taken = []
+    real = _intops._gather_product
+
+    def counting(a, b):
+        out = real(a, b)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(_intops, "_gather_product", counting)
+    with_gather = _reports()
+    assert sum(taken) > 100  # the gather really ran
+    monkeypatch.setattr(_intops, "_gather_product", lambda a, b: None)
+    assert _reports() == with_gather
