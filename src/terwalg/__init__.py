@@ -19,7 +19,7 @@ from .hypercube import (
     permissible_set,
     spectrum_poly,
 )
-from .idempotent import U0Report, compute_u0, verify_peel, verify_u0
+from .idempotent import U0Report, compute_u0, verify_u0
 from .linalg import RationalMatrix, kernel_basis, min_poly, rank, rref
 from .poly_identities import PhiImageReport, verify_phi_factorial, verify_phi_images
 from .polys import RationalPoly
@@ -38,7 +38,6 @@ from .wedderburn import (
     BlockDecomposition,
     block_sizes,
     center_basis,
-    compare_complement_blocks,
     decompose,
     split_center,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "check_section_identities",
     "check_triple_products",
     "closure",
-    "compare_complement_blocks",
     "compute_u0",
     "decompose",
     "hypercube",
@@ -83,7 +81,6 @@ __all__ = [
     "spectrum_poly",
     "split_center",
     "triple_span_dim",
-    "verify_peel",
     "verify_phi_factorial",
     "verify_phi_images",
     "verify_u0",

@@ -222,14 +222,3 @@ def verify_u0(
         absorbs_Ed_star=absorbs[3],
         peel_identity=peel,
     )
-
-
-def verify_peel(d: int) -> bool:
-    """dim T_d - (d+1)^2 = dim T_{d-2}, both sides by fresh closures."""
-    if d < 2:
-        raise ValueError("peel identity requires d >= 2")
-    from .subconstituent import build_hypercube_context
-
-    big = build_hypercube_context(d).algebra_basis().dim
-    small = build_hypercube_context(d - 2).algebra_basis().dim
-    return big - (d + 1) ** 2 == small

@@ -71,11 +71,6 @@ class VerificationReport:
             return "pass"
         return "fail"
 
-    def check_names(self) -> list[str]:
-        names = [c.name for r in self.results for c in r.checks]
-        names.extend(c.name for c in self.global_checks)
-        return names
-
     def as_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,

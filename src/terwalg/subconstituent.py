@@ -4,9 +4,9 @@ A TerwContext fixes a distance-regular graph and a base vertex x and holds
 exact matrices for everything the algebra is built from: distance matrices
 A_i, primitive idempotents E_i, dual idempotents E_i* (0/1 diagonal
 indicators of the distance spheres around x), and dual distance matrices
-A_i* with (A_i*)_yy = |X| (E_i)_{x,y}.  All defining identities are verified
-exactly at construction; the check_* functions re-run them (and more) as
-named checks for reporting.
+A_i* with (A_i*)_yy = |X| (E_i)_{x,y}.  Construction verifies every defining
+identity exactly, once, and keeps the named outcomes on the context as
+section_checks; reports read them there and do not re-run them.
 
 The hypercube fast path builds E_i from the self-dual eigenmatrix formula
 E_i = |X|^(-1) sum_j q_i(j) A_j; the general path builds spectral projectors
@@ -16,7 +16,7 @@ adjacency eigenvalues to be rational (they are then integers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -61,6 +61,7 @@ class TerwContext:
     krein: tuple[tuple[tuple[Fraction, ...], ...], ...]
     spheres: tuple[np.ndarray, ...]
     params: HypercubeParams | None
+    section_checks: tuple[Check, ...] = ()
 
     @property
     def dual_adjacency(self) -> RationalMatrix:
@@ -117,20 +118,11 @@ def _compute_krein(E: Sequence[RationalMatrix], dist: np.ndarray, d: int):
     return tuple(tuple(tuple(row) for row in layer) for layer in krein)
 
 
-def _verify_construction(ctx: TerwContext):
-    """Exact checks of every defining identity; raises on failure."""
-    failures = [c for c in check_section_identities(ctx) if not c.passed]
-    if failures:
-        raise VerificationError(
-            "construction identities failed: "
-            + "; ".join(f"{c.name} ({c.witness})" for c in failures)
-        )
-
-
 def _assemble(
     graph: Graph,
     dd: DistanceData,
     x: int,
+    A_dist: tuple[RationalMatrix, ...],
     E: list[RationalMatrix],
     P: list[list[Fraction]],
     Q: list[list[Fraction]],
@@ -138,9 +130,13 @@ def _assemble(
     params: HypercubeParams | None,
     is_cube: bool,
 ) -> TerwContext:
+    """The context with its section identities checked and stored.
+
+    Raises:
+        VerificationError: naming every section identity that fails.
+    """
     d = dd.diameter
     n = graph.n
-    A_dist = tuple(distance_matrix(graph, dd, i) for i in range(d + 1))
     A = A_dist[1] if d >= 1 else RationalMatrix.zeros(n, n)
     spheres = tuple(np.nonzero(dd.dist[x] == i)[0] for i in range(d + 1))
 
@@ -192,8 +188,14 @@ def _assemble(
         spheres=spheres,
         params=params,
     )
-    _verify_construction(ctx)
-    return ctx
+    checks = tuple(check_section_identities(ctx))
+    failures = [c for c in checks if not c.passed]
+    if failures:
+        raise VerificationError(
+            "construction identities failed: "
+            + "; ".join(f"{c.name} ({c.witness})" for c in failures)
+        )
+    return replace(ctx, section_checks=checks)
 
 
 def build_hypercube_context(d: int, x: int = 0) -> TerwContext:
@@ -204,7 +206,7 @@ def build_hypercube_context(d: int, x: int = 0) -> TerwContext:
     dd = DistanceData.compute(g)
     params = HypercubeParams.build(d)
     n = g.n
-    A_dist_num = [(dd.dist == i).astype(np.int64) for i in range(d + 1)]
+    A_dist = tuple(distance_matrix(g, dd, i) for i in range(d + 1))
 
     # Self-dual eigenmatrix formula: E_i = |X|^(-1) sum_j q_i(j) A_j with
     # q_i(j) = p_i(j) = P[j][i], which is an integer for hypercubes.
@@ -216,9 +218,9 @@ def build_hypercube_context(d: int, x: int = 0) -> TerwContext:
             q = P[j][i]
             if q.denominator != 1:
                 raise VerificationError(f"eigenmatrix entry {q} is not an integer")
-            acc = acc + int(q) * A_dist_num[j]  # |entries| <= 2^d, safe
+            acc = acc + int(q) * A_dist[j].num  # |entries| <= 2^d, safe
         E.append(RationalMatrix(acc, n))
-    return _assemble(g, dd, x, E, P, P, params.p_table, params, True)
+    return _assemble(g, dd, x, A_dist, E, P, P, params.p_table, params, True)
 
 
 def build_context(g: Graph, x: int = 0, dd: DistanceData | None = None) -> TerwContext:
@@ -242,7 +244,8 @@ def build_context(g: Graph, x: int = 0, dd: DistanceData | None = None) -> TerwC
     p_table = result
     d = dd.diameter
     n = g.n
-    A = distance_matrix(g, dd, 1) if d >= 1 else RationalMatrix.zeros(n, n)
+    A_dist = tuple(distance_matrix(g, dd, j) for j in range(d + 1))
+    A = A_dist[1] if d >= 1 else RationalMatrix.zeros(n, n)
 
     mp = min_poly(A)
     valency_bound = max(len(nb) for nb in g.neighbors)
@@ -275,7 +278,6 @@ def build_context(g: Graph, x: int = 0, dd: DistanceData | None = None) -> TerwC
 
     # P[i][j] = p_j(i), read off from A_j E_i = p_j(i) E_i and fully verified.
     P: list[list[Fraction]] = [[Fraction(0)] * (d + 1) for _ in range(d + 1)]
-    A_dist = [distance_matrix(g, dd, j) for j in range(d + 1)]
     for i in range(d + 1):
         pos = np.argwhere(E[i].num)[0]
         u, v = int(pos[0]), int(pos[1])
@@ -289,7 +291,7 @@ def build_context(g: Graph, x: int = 0, dd: DistanceData | None = None) -> TerwC
             P[i][j] = coeff
     Qm = inverse(RationalMatrix.from_rows(P)) * n
     Q = Qm.dense_rows()
-    return _assemble(g, dd, x, E, P, Q, p_table, None, False)
+    return _assemble(g, dd, x, A_dist, E, P, Q, p_table, None, False)
 
 
 # -- named identity checks -------------------------------------------------

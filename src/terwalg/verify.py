@@ -38,7 +38,6 @@ from .subconstituent import (
     check_krein_self_dual,
     check_polynomial_images,
     check_relator_images,
-    check_section_identities,
     check_triple_products,
     triple_span_dim,
 )
@@ -95,7 +94,7 @@ def _diameter_record(
     basis = prep.basis
     dec = prep.dec
     d = ctx.d
-    checks: list[Check] = list(check_section_identities(ctx))
+    checks: list[Check] = list(ctx.section_checks)
 
     ok, table = is_distance_regular(ctx.graph, ctx.dist)
     brute_ok = bool(ok) and (table == ctx.p_table).all()
@@ -368,13 +367,12 @@ def build_graph_report(g: Graph, vertex: int = 0) -> tuple[dict, bool]:
     """Distance-regular graph report plus an overall pass flag.
 
     The triple-product check runs against the graph's own parameter
-    tables; Krein entries may be proper fractions here.
+    tables; Krein entries may be proper fractions here.  The section
+    identities come from the context, which exists only if they all hold.
     """
     ctx = build_context(g, vertex)
     basis = ctx.algebra_basis()
     tp = check_triple_products(ctx)
-    section = check_section_identities(ctx)
-    all_ok = tp.passed and all(c.passed for c in section)
     data = {
         "num_vertices": ctx.n,
         "diameter": ctx.d,
@@ -389,7 +387,7 @@ def build_graph_report(g: Graph, vertex: int = 0) -> tuple[dict, bool]:
         "Q": _matrix2_json(ctx.Q),
         "dim_T": basis.dim,
         "triple_span_dim": triple_span_dim(ctx),
-        "checks": [c.as_dict() for c in section]
+        "checks": [c.as_dict() for c in ctx.section_checks]
         + [
             {
                 "name": "triple_products_match_parameter_zeros",
@@ -397,4 +395,4 @@ def build_graph_report(g: Graph, vertex: int = 0) -> tuple[dict, bool]:
             }
         ],
     }
-    return data, all_ok
+    return data, tp.passed

@@ -313,29 +313,3 @@ def complement_algebra(ctx, t: AlgebraBasis, u0: RationalMatrix) -> CompressedAl
         mats.append(RationalMatrix(row.reshape(n, n), 1, _canonical=True))
     gens = tuple(comp @ g @ comp for g in ctx.generators())
     return CompressedAlgebra(tuple(mats), comp, gens)
-
-
-def compare_complement_blocks(d: int) -> bool:
-    """Does (I - U0) T_d (I - U0) have the block multiset of T_{d-2}?
-
-    Raises:
-        ValueError: if d < 2 or either decomposition is inconclusive.
-    """
-    if d < 2:
-        raise ValueError("complement comparison requires d >= 2")
-    from .idempotent import compute_u0
-    from .subconstituent import build_hypercube_context
-
-    ctx = build_hypercube_context(d)
-    t = ctx.algebra_basis()
-    u0, _ = compute_u0(ctx)
-    corner = complement_algebra(ctx, t, u0)
-    dec_corner = decompose(corner.matrices, corner.generators, corner.identity)
-
-    small = build_hypercube_context(d - 2)
-    t_small = small.algebra_basis()
-    dec_small = decompose(t_small, small.generators())
-
-    if dec_corner.status != SPLIT or dec_small.status != SPLIT:
-        raise ValueError("inconclusive split while comparing complement blocks")
-    return dec_corner.multiset == dec_small.multiset

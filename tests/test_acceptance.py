@@ -30,7 +30,7 @@ from terwalg.subconstituent import (
     check_triple_products,
 )
 from terwalg.verify import expected_blocks, expected_dimension
-from terwalg.wedderburn import SPLIT, compare_complement_blocks, decompose
+from terwalg.wedderburn import SPLIT, complement_algebra, decompose
 
 DMAX = 7
 EXPECTED_DIMS = [1, 4, 10, 20, 35, 56, 84, 120]
@@ -199,10 +199,14 @@ def test_criterion_09_peeling(prepared):
     )
     complement_ok = True
     for d in range(2, 7):
-        try:
-            complement_ok = complement_ok and compare_complement_blocks(d)
-        except ValueError:  # an inconclusive split fails this criterion
-            complement_ok = False
+        ctx, basis = prepared.ctx[d], prepared.basis[d]
+        corner = complement_algebra(ctx, basis, prepared.u0[d].U0)
+        dec = decompose(corner.matrices, corner.generators, corner.identity)
+        small = prepared.dec[d - 2]
+        # An inconclusive split on either side fails this criterion.
+        complement_ok = complement_ok and (
+            dec.status == small.status == SPLIT and dec.multiset == small.multiset
+        )
     ok = peel_ok and complement_ok
     criterion(
         9,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from terwalg.closure import AlgebraBasis
-from terwalg.idempotent import compute_u0, verify_peel, verify_u0
+from terwalg.idempotent import compute_u0, verify_u0
 from terwalg.linalg import RationalMatrix
 from terwalg.subconstituent import build_context, build_hypercube_context
 from terwalg.graphs import Graph
@@ -142,14 +142,6 @@ def test_centrality_holds_for_diagonal_and_dense_elements(suite):
     )
     assert _literally_central(u0, extra)
     assert verify_u0(ctx, widened).central is True
-
-
-def test_verify_peel():
-    assert verify_peel(2)
-    assert verify_peel(3)
-    assert verify_peel(5)
-    with pytest.raises(ValueError):
-        verify_peel(1)
 
 
 def test_u0_requires_hypercube():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from terwalg import subconstituent
 from terwalg.cli import main
 from terwalg.graphs import Graph
 from terwalg.linalg import RationalMatrix
 from terwalg.subconstituent import (
+    _assemble,
     build_context,
     build_hypercube_context,
     check_krein_self_dual,
@@ -24,6 +27,7 @@ from terwalg.subconstituent import (
     triple_span_dim,
     VerificationError,
 )
+from terwalg.verify import build_graph_report, run_verification
 
 
 def cycle(n):
@@ -82,6 +86,53 @@ def test_section_identities(contexts):
     for d in range(0, 5):
         checks = check_section_identities(contexts[d])
         assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+        assert contexts[d].section_checks == tuple(checks)
+
+
+def test_section_identities_run_once_per_context(monkeypatch):
+    # Wrap check_section_identities wherever terwalg binds it and record
+    # the diameter of every context it is called on.
+    seen = []
+    original = subconstituent.check_section_identities
+
+    def counted(ctx):
+        seen.append(ctx.d)
+        return original(ctx)
+
+    for name, module in list(sys.modules.items()):
+        if name == "terwalg" or name.startswith("terwalg."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+
+    report = run_verification(3)
+    assert report.overall == "pass"
+    assert sorted(seen) == [0, 1, 2, 3]
+
+    seen.clear()
+    data, ok = build_graph_report(Graph.from_edges(10, PETERSEN_EDGES))
+    assert ok
+    assert seen == [2]
+    assert [c["name"] for c in data["checks"]][:2] == [
+        "distance_matrices_partition",
+        "distance_zero_is_identity",
+    ]
+
+
+def test_construction_rejects_failed_identity(contexts):
+    ctx = contexts[3]
+    E = list(ctx.E)
+    E[1], E[2] = E[2], E[1]
+    P = [list(row) for row in ctx.P]
+    with pytest.raises(VerificationError) as info:
+        _assemble(
+            ctx.graph, ctx.dist, ctx.x, ctx.A_dist, E, P, P,
+            ctx.p_table, ctx.params, True,
+        )
+    message = str(info.value)
+    assert message.startswith("construction identities failed: ")
+    assert "adjacency_spectral_decomposition (None)" in message
+    assert "idempotents_sum_to_identity" not in message
 
 
 def test_triple_products(contexts):

@@ -16,7 +16,6 @@ from terwalg.wedderburn import (
     _integer_roots,
     block_sizes,
     center_basis,
-    compare_complement_blocks,
     complement_algebra,
     decompose,
     split_center,
@@ -142,20 +141,15 @@ def test_complement_algebra_dimension(suite):
 
 
 def test_complement_split_relative_to_corner_identity(suite):
-    ctx, basis = suite[4]
-    u0, _dual = compute_u0(ctx)
-    corner = complement_algebra(ctx, basis, u0)
-    dec = decompose(corner.matrices, corner.generators, corner.identity)
-    assert dec.status == SPLIT
-    assert dec.multiset == EXPECTED_BLOCKS[2]
-    acc = RationalMatrix.zeros(ctx.n, ctx.n)
-    for z in dec.central_idempotents:
-        acc = acc + z
-    assert acc == corner.identity  # partition of the corner unit, not of I
-
-
-def test_compare_complement_blocks():
+    # The complement of U0 in T_d has the block multiset of T_(d-2).
     for d in (2, 3, 4):
-        assert compare_complement_blocks(d)
-    with pytest.raises(ValueError):
-        compare_complement_blocks(1)
+        ctx, basis = suite[d]
+        u0, _dual = compute_u0(ctx)
+        corner = complement_algebra(ctx, basis, u0)
+        dec = decompose(corner.matrices, corner.generators, corner.identity)
+        assert dec.status == SPLIT
+        assert dec.multiset == EXPECTED_BLOCKS[d - 2], f"d={d}"
+        acc = RationalMatrix.zeros(ctx.n, ctx.n)
+        for z in dec.central_idempotents:
+            acc = acc + z
+        assert acc == corner.identity  # partition of the corner unit, not of I
