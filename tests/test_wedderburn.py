@@ -140,16 +140,31 @@ def test_complement_algebra_dimension(suite):
         assert corner.identity == RationalMatrix.identity(ctx.n) - u0
 
 
+def _corner_decomposition(suite, d):
+    ctx, basis = suite[d]
+    u0, _dual = compute_u0(ctx)
+    corner = complement_algebra(ctx, basis, u0)
+    return corner, decompose(corner.matrices, corner.generators, corner.identity)
+
+
 def test_complement_split_relative_to_corner_identity(suite):
     # The complement of U0 in T_d has the block multiset of T_(d-2).
     for d in (2, 3, 4):
-        ctx, basis = suite[d]
-        u0, _dual = compute_u0(ctx)
-        corner = complement_algebra(ctx, basis, u0)
-        dec = decompose(corner.matrices, corner.generators, corner.identity)
+        ctx, _basis = suite[d]
+        corner, dec = _corner_decomposition(suite, d)
         assert dec.status == SPLIT
         assert dec.multiset == EXPECTED_BLOCKS[d - 2], f"d={d}"
         acc = RationalMatrix.zeros(ctx.n, ctx.n)
         for z in dec.central_idempotents:
             acc = acc + z
         assert acc == corner.identity  # partition of the corner unit, not of I
+
+
+def test_compare_complement_blocks(suite):
+    # Compared with the decomposition of T_(d-2) itself, not the table.
+    for d in (2, 3, 4):
+        _corner, dec = _corner_decomposition(suite, d)
+        small_ctx, small_basis = suite[d - 2]
+        dec_small = decompose(small_basis, small_ctx.generators())
+        assert dec.status == SPLIT and dec_small.status == SPLIT
+        assert dec.multiset == dec_small.multiset, f"d={d}"
