@@ -19,6 +19,3 @@ class Check:
             out["witness"] = self.witness
         return out
 
-
-def all_passed(checks: list[Check]) -> bool:
-    return all(c.passed for c in checks)

@@ -153,34 +153,6 @@ def distance_matrix(g: Graph, dd: DistanceData, i: int) -> RationalMatrix:
     return RationalMatrix(arr, 1, _canonical=True)
 
 
-def brute_force_p(g: Graph, dd: DistanceData, h: int, i: int, j: int) -> int:
-    """Count z with d(x,z)=i and d(y,z)=j, checked constant over all (x,y)
-    at distance h.
-
-    Raises:
-        ValueError: when no pair is at distance h, or when the count is not
-            constant (the witness pairs and counts are in the message).
-    """
-    mask = dd.dist == h
-    if not mask.any():
-        raise ValueError(f"no pair of vertices at distance {h}")
-    bi = (dd.dist == i).astype(np.int64)
-    bj = (dd.dist == j).astype(np.int64)
-    counts = bi @ bj.T  # entries bounded by n, far below int64 limits
-    vals = counts[mask]
-    first = int(vals[0])
-    if not bool((vals == first).all()):
-        pairs = np.argwhere(mask)
-        base = tuple(int(t) for t in pairs[0])
-        bad_idx = int(np.argmax(vals != first))
-        bad = tuple(int(t) for t in pairs[bad_idx])
-        raise ValueError(
-            f"count not constant for (h,i,j)=({h},{i},{j}): "
-            f"pair {base} gives {first}, pair {bad} gives {int(vals[bad_idx])}"
-        )
-    return first
-
-
 def is_distance_regular(g: Graph, dd: DistanceData):
     """Brute-force distance-regularity check.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,19 +111,6 @@ class RationalMatrix:
         arr = np.zeros((n, n), dtype=object)
         for i, v in enumerate(vals):
             arr[i, i] = int(v * den)
-        return cls(arr, den)
-
-    @classmethod
-    def from_entries(
-        cls, nrows: int, ncols: int, entries: Mapping[tuple[int, int], Fraction | int]
-    ) -> "RationalMatrix":
-        den = 1
-        vals = {k: Fraction(v) for k, v in entries.items()}
-        for v in vals.values():
-            den = lcm(den, v.denominator)
-        arr = np.zeros((nrows, ncols), dtype=object)
-        for (i, j), v in vals.items():
-            arr[i, j] = int(v * den)
         return cls(arr, den)
 
     # -- views -------------------------------------------------------------

@@ -81,9 +81,6 @@ class RationalPoly:
             raise ValueError("negative exponent")
         return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":

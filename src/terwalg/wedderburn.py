@@ -1,14 +1,19 @@
 """Block structure of the algebra: center, central idempotents, block sizes.
 
-The center is cut out of the algebra span by the exact linear system
-c A = A c, c A* = A* c (commuting with the generators is enough).  A
-deterministic probe element of the center is split via its minimal
-polynomial; when that polynomial factors into distinct integer roots, the
-Lagrange interpolation idempotents are the primitive central idempotents
-and each block size n_r is recovered as the integer square root of
-dim span{B z_r}.  A probe that fails to split after three weight schedules
-yields status "inconclusive" with the offending polynomial attached; that
-is a result, not an error.
+The algebra comes as a reduced echelon basis b_1..b_m of its flattened
+matrices, so an element of it is zero exactly when its m pivot entries are.
+Commutators [b_k, g] and products b_k z_r lie in the algebra, so the center
+(the kernel of c -> c g - g c over the generators g) and the block
+dimensions dim span{b_k z_r} are read in these pivot coordinates, not at
+width n^2.  A deterministic probe element of the center is split via its
+minimal polynomial; when that polynomial factors into distinct integer
+roots, the Lagrange interpolation idempotents are the primitive central
+idempotents, each block rank is the trace of its idempotent, and each block
+size n_r is the integer square root of dim span{b_k z_r}.  A dense
+certificate then requires each idempotent to commute with the generators.
+A probe that fails to split after three weight schedules, or a split that
+fails the certificate, yields status "inconclusive" with the offending
+polynomial attached; that is a result, not an error.
 
 All of this works relative to an arbitrary identity element, so the same
 code decomposes both the full algebra (identity I) and the compressed
@@ -18,7 +23,7 @@ complement algebra (I - U0) T (I - U0) (identity I - U0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -67,30 +72,36 @@ def _basis_matrices(t) -> tuple[RationalMatrix, ...]:
     return tuple(t)
 
 
+def _pivots(mats: Sequence[RationalMatrix]) -> np.ndarray:
+    """Flat position of each basis element's pivot, its first nonzero entry."""
+    return np.array([np.flatnonzero(b.num)[0] for b in mats], dtype=np.int64)
+
+
 def center_basis(t, generators: Sequence[RationalMatrix]) -> list[RationalMatrix]:
     """Echelonized basis of {c in span(t) : c g = g c for all generators}.
 
-    The commutator constraints are reduced exactly through their integer
-    Gram matrix; a rational vector is in the kernel of the stacked
-    commutator map iff it is in the kernel of the Gram matrix, because the
-    Gram form is a sum of squares.
+    Precondition: t is a reduced echelon basis of a closed algebra that
+    contains the generators.  Then every commutator [b_k, g] lies in the
+    algebra and is zero exactly when its pivot entries are, so the center
+    coefficients are the kernel of the 2m x m matrix whose column k holds
+    the pivot entries of [b_k, g] for each generator g.  On a span that is
+    not closed the result may be wrong; decompose's certificate catches a
+    false split.
     """
     mats = _basis_matrices(t)
-    m = len(mats)
-    if m == 0:
+    if not mats:
         return []
     n = mats[0].nrows
+    piv = _pivots(mats)
     gen_nums = [g.num for g in generators]
-    rows = []
+    cols = []
     for b in mats:
         parts = []
         for gn in gen_nums:
             comm = exact_sub(exact_matmul(b.num, gn), exact_matmul(gn, b.num))
-            parts.append(comm.ravel())
-        rows.append(np.concatenate(parts))
-    stacked = np.stack(rows)
-    gram = exact_matmul(stacked, stacked.T)
-    alphas = kernel_basis(RationalMatrix(gram, 1))
+            parts.append(comm.ravel()[piv])
+        cols.append(np.concatenate(parts))
+    alphas = kernel_basis(RationalMatrix(np.stack(cols, axis=1)))
     center = []
     for alpha in alphas:
         acc = RationalMatrix.zeros(n, n)
@@ -182,7 +193,8 @@ def split_center(
             idems.append(z)
         if not _idempotents_valid(idems, identity):
             continue
-        ranks = tuple(rank(z) for z in idems)
+        # Each z is an exact idempotent, so its rank is its trace.
+        ranks = tuple(int(z.trace()) for z in idems)
         return BlockDecomposition(
             center_dim=m,
             central_idempotents=tuple(idems),
@@ -220,7 +232,11 @@ def _idempotents_valid(
 
 
 def block_sizes(t, dec: BlockDecomposition) -> BlockDecomposition:
-    """Fill in block sizes: n_r = isqrt of dim span{B z_r}.
+    """Fill in block sizes: n_r = isqrt of dim span{b_k z_r}.
+
+    Every b_k z_r lies in the algebra, so the span's dimension is the rank
+    of the m x m matrix of pivot entries of the products (same precondition
+    as center_basis).
 
     Raises:
         ValueError: if the decomposition is not split or some block
@@ -229,27 +245,16 @@ def block_sizes(t, dec: BlockDecomposition) -> BlockDecomposition:
     if dec.status != SPLIT:
         raise ValueError("cannot take block sizes of an inconclusive split")
     mats = _basis_matrices(t)
-    n = mats[0].nrows
+    piv = _pivots(mats)
     sizes = []
     for z in dec.central_idempotents:
-        span = EchelonSpan(n * n)
-        for b in mats:
-            span.add(exact_matmul(b.num, z.num).ravel())
-        nr = math.isqrt(span.dim)
-        if nr * nr != span.dim:
-            raise ValueError(
-                f"block dimension {span.dim} is not a perfect square"
-            )
+        coords = np.stack([exact_matmul(b.num, z.num).ravel()[piv] for b in mats])
+        dim = rank(RationalMatrix(coords))
+        nr = math.isqrt(dim)
+        if nr * nr != dim:
+            raise ValueError(f"block dimension {dim} is not a perfect square")
         sizes.append(nr)
-    return BlockDecomposition(
-        center_dim=dec.center_dim,
-        central_idempotents=dec.central_idempotents,
-        eigenvalues=dec.eigenvalues,
-        block_sizes=tuple(sizes),
-        block_ranks=dec.block_ranks,
-        status=SPLIT,
-        probe_min_poly=dec.probe_min_poly,
-    )
+    return replace(dec, block_sizes=tuple(sizes))
 
 
 def decompose(
@@ -268,14 +273,13 @@ def decompose(
     for z in dec.central_idempotents:
         for g in generators:
             if z @ g != g @ z:
-                return BlockDecomposition(
-                    center_dim=dec.center_dim,
+                return replace(
+                    dec,
                     central_idempotents=(),
                     eigenvalues=(),
                     block_sizes=(),
                     block_ranks=(),
                     status=INCONCLUSIVE,
-                    probe_min_poly=dec.probe_min_poly,
                 )
     return dec
 

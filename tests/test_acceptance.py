@@ -5,8 +5,8 @@ comparison is bit-exact; the only non-equality assertions are the wall-clock
 budgets, which are generous (measured times are well under a tenth of each
 budget on a laptop).
 
-The d=8 extension of the dimension criterion takes about ten seconds and is
-opt-in: set TERWALG_ACCEPT_D8=1 to include it.
+The d=8 extensions of the dimension and Wedderburn criteria take about ten
+and fifteen seconds and are opt-in: set TERWALG_ACCEPT_D8=1 to include them.
 """
 
 import json
@@ -16,11 +16,10 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from terwalg.checks import all_passed
 from terwalg.cli import main
 from terwalg.graphs import is_distance_regular
 from terwalg.hypercube import check_shift_lemma_down, check_shift_lemma_up
-from terwalg.idempotent import verify_u0
+from terwalg.idempotent import compute_u0, verify_u0
 from terwalg.poly_identities import verify_phi_factorial, verify_phi_images
 from terwalg.subconstituent import (
     build_hypercube_context,
@@ -148,7 +147,7 @@ def test_criterion_06_self_duality(prepared):
     checks = [check_krein_self_dual(prepared.ctx[d]) for d in range(1, 6)]
     criterion(
         6,
-        all_passed(checks),
+        all(c.passed for c in checks),
         "for d=1..5 the exactly computed Krein table equals the "
         "intersection-number table entrywise",
     )
@@ -163,7 +162,7 @@ def test_criterion_07_polynomial_layer(prepared):
     ]
     factorial_ok = verify_phi_factorial(32)
     elapsed = time.monotonic() - start
-    ok = all_passed(checks) and factorial_ok and elapsed < 5.0
+    ok = all(c.passed for c in checks) and factorial_ok and elapsed < 5.0
     criterion(
         7,
         ok,
@@ -180,7 +179,9 @@ def test_criterion_08_descent_shift_relators(prepared):
         for d in range(2, 17)
     )
     relators_ok = all(
-        all_passed(check_relator_images(prepared.ctx[d])) for d in range(2, DMAX + 1)
+        c.passed
+        for d in range(2, DMAX + 1)
+        for c in check_relator_images(prepared.ctx[d])
     )
     ok = images_ok and shifts_ok and relators_ok
     criterion(
@@ -228,6 +229,31 @@ def test_criterion_10_wedderburn_blocks(prepared):
         ok,
         "for d=1..6 the Wedderburn block multiset is {d+1-2r} and the "
         "center has dimension floor(d/2)+1",
+    )
+
+
+@pytest.mark.skipif(
+    os.environ.get("TERWALG_ACCEPT_D8") != "1",
+    reason="set TERWALG_ACCEPT_D8=1 to run the d=8 split (about fifteen seconds)",
+)
+def test_criterion_10_optional_d8():
+    ctx = build_hypercube_context(8)
+    basis = ctx.algebra_basis()
+    dec = decompose(basis, ctx.generators())
+    corner = complement_algebra(ctx, basis, compute_u0(ctx)[0])
+    corner_dec = decompose(corner.matrices, corner.generators, corner.identity)
+    ok = (
+        dec.status == corner_dec.status == SPLIT
+        and dec.center_dim == 5
+        and dec.multiset == expected_blocks(8) == (9, 7, 5, 3, 1)
+        and corner_dec.multiset == expected_blocks(6) == (7, 5, 3, 1)
+    )
+    criterion(
+        10,
+        ok,
+        "at d=8 the center has dimension 5, the blocks are (9, 7, 5, 3, 1), "
+        f"and the U0 complement splits as (7, 5, 3, 1): got {dec.multiset}, "
+        f"corner {corner_dec.multiset}",
     )
 
 

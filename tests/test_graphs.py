@@ -6,7 +6,6 @@ import pytest
 from terwalg.graphs import (
     DistanceData,
     Graph,
-    brute_force_p,
     distance_matrix,
     hypercube,
     is_distance_regular,
@@ -97,26 +96,6 @@ def test_distance_matrix_entries():
     a1 = distance_matrix(g, dd, 1)
     assert a1[0, 1] == 1 and a1[0, 3] == 0
     assert distance_matrix(g, dd, 5).is_zero()
-
-
-def test_brute_force_p_values():
-    g = hypercube(3)
-    dd = DistanceData.compute(g)
-    assert brute_force_p(g, dd, 2, 1, 1) == 2
-    g4 = hypercube(4)
-    dd4 = DistanceData.compute(g4)
-    assert brute_force_p(g4, dd4, 1, 1, 1) == 0  # bipartite: no triangles
-    assert brute_force_p(g4, dd4, 2, 2, 2) == 4
-    with pytest.raises(ValueError, match="no pair"):
-        brute_force_p(g, dd, 7, 0, 0)
-
-
-def test_brute_force_p_non_constant():
-    # (0,1,1) counts the degree of x, which varies on a path.
-    g = path(4)
-    dd = DistanceData.compute(g)
-    with pytest.raises(ValueError, match="not constant"):
-        brute_force_p(g, dd, 0, 1, 1)
 
 
 def test_is_distance_regular_hypercube():

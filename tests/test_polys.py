@@ -38,7 +38,7 @@ def test_from_roots():
     # (z-1)(z+1) = z^2 - 1
     p = RationalPoly.from_roots([1, -1])
     assert p == RationalPoly((-1, 0, 1))
-    assert p.is_monic()
+    assert p.coeffs[-1] == 1
     assert RationalPoly.from_roots([]) == RationalPoly.one()
 
 
@@ -97,7 +97,7 @@ def test_coeff_accessor():
 def test_monic():
     p = RationalPoly((2, 4))
     assert p.monic() == RationalPoly((Fraction(1, 2), 1))
-    assert p.monic().is_monic()
+    assert p.monic().coeffs[-1] == 1
 
 
 def test_deflate_root():

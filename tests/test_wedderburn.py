@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from terwalg._intops import exact_matmul, exact_sub
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import compute_u0
-from terwalg.linalg import RationalMatrix
+from terwalg.linalg import RationalMatrix, kernel_basis, rank
 from terwalg.polys import RationalPoly
 from terwalg.subconstituent import build_hypercube_context
 from terwalg.wedderburn import (
@@ -38,6 +40,87 @@ def suite():
         ctx = build_hypercube_context(d)
         data[d] = (ctx, ctx.algebra_basis())
     return data
+
+
+def _gram_center_basis(mats, generators):
+    """Reference center: the kernel of the Gram matrix of the full commutators.
+
+    A rational vector is in the kernel of the stacked commutator map iff it
+    is in the kernel of its Gram matrix, because the Gram form is a sum of
+    squares.  This works at width n^2 and needs no closure assumption.
+    """
+    n = mats[0].nrows
+    rows = []
+    for b in mats:
+        parts = []
+        for g in generators:
+            comm = exact_sub(exact_matmul(b.num, g.num), exact_matmul(g.num, b.num))
+            parts.append(comm.ravel())
+        rows.append(np.concatenate(parts))
+    stacked = np.stack(rows)
+    gram = exact_matmul(stacked, stacked.T)
+    center = []
+    for alpha in kernel_basis(RationalMatrix(gram, 1)):
+        acc = RationalMatrix.zeros(n, n)
+        for coeff, b in zip(alpha, mats):
+            if coeff:
+                acc = acc + b * coeff
+        center.append(acc)
+    return center
+
+
+def test_center_matches_gram_reference(suite):
+    # kernel_basis depends only on the row space, and the pivot matrix and
+    # the Gram matrix have the same kernel, so the two centers must be equal,
+    # not just span-equal.
+    for d in range(0, 6):
+        ctx, basis = suite[d]
+        got = center_basis(basis, ctx.generators())
+        assert got == _gram_center_basis(basis.matrices, ctx.generators()), f"d={d}"
+
+
+def test_corner_center_matches_gram_reference(suite):
+    for d in range(2, 6):
+        corner, _dec = _corner_decomposition(suite, d)
+        got = center_basis(corner.matrices, corner.generators)
+        want = _gram_center_basis(corner.matrices, corner.generators)
+        assert got == want, f"corner d={d}"
+
+
+def _assert_block_data_dense(mats, dec):
+    assert dec.status == SPLIT
+    n = mats[0].nrows
+    for z, size, rk in zip(dec.central_idempotents, dec.block_sizes, dec.block_ranks):
+        assert rk == rank(z)
+        span = EchelonSpan(n * n)
+        for b in mats:
+            span.add(exact_matmul(b.num, z.num).ravel())
+        assert span.dim == size * size
+
+
+def test_block_data_matches_dense_spans(suite):
+    # Block ranks against an elimination of each idempotent, and block sizes
+    # against dim span{b z} taken at width n^2.
+    for d in range(0, 6):
+        ctx, basis = suite[d]
+        _assert_block_data_dense(basis.matrices, decompose(basis, ctx.generators()))
+    for d in range(2, 6):
+        corner, dec = _corner_decomposition(suite, d)
+        _assert_block_data_dense(corner.matrices, dec)
+
+
+def test_unclosed_span_is_not_split(suite):
+    # span{I, E*_0 + E*_3} is not closed under A.  The pivot test wrongly
+    # finds it central and its probe splits cleanly; only the dense
+    # certificate in decompose keeps this from becoming a false split.
+    ctx, _basis = suite[3]
+    n = ctx.n
+    span = EchelonSpan(n * n)
+    span.add(RationalMatrix.identity(n).num.ravel())
+    span.add((ctx.E_star[0] + ctx.E_star[3]).num.ravel())
+    mats = [RationalMatrix(row.reshape(n, n), 1) for row in span.rows]
+    assert split_center(center_basis(mats, ctx.generators())).status == SPLIT
+    assert decompose(mats, ctx.generators()).status == INCONCLUSIVE
 
 
 def test_center_dimensions(suite):
