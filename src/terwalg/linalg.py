@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ._intops import (
+    INT64_SAFE,
     content,
     demote,
     exact_add,
@@ -103,14 +104,14 @@ class RationalMatrix:
 
     @classmethod
     def diagonal(cls, values: Sequence[Fraction | int]) -> "RationalMatrix":
+        """Diagonal matrix, int64 unless some numerator needs object."""
         vals = [Fraction(v) for v in values]
-        den = 1
-        for v in vals:
-            den = lcm(den, v.denominator)
-        n = len(vals)
-        arr = np.zeros((n, n), dtype=object)
-        for i, v in enumerate(vals):
-            arr[i, i] = int(v * den)
+        den = lcm(1, *(v.denominator for v in vals))
+        nums = [int(v * den) for v in vals]
+        n = len(nums)
+        fits = max(map(abs, nums), default=0) < INT64_SAFE
+        arr = np.zeros((n, n), dtype=np.int64 if fits else object)
+        arr[np.arange(n), np.arange(n)] = nums
         return cls(arr, den)
 
     # -- views -------------------------------------------------------------

@@ -12,17 +12,36 @@ The hypercube fast path builds E_i from the self-dual eigenmatrix formula
 E_i = |X|^(-1) sum_j q_i(j) A_j; the general path builds spectral projectors
 prod_{j != i} (A - theta_j I) / (theta_i - theta_j) and requires all
 adjacency eigenvalues to be rational (they are then integers).
+
+The section identities and the triple-product zeros are checked without
+dense n x n products on a context that passes:
+
+- Orthogonality of the E_i has a spectral certificate.  Distinct theta_i,
+  sum_i E_i = I and A E_i = theta_i E_i = E_i A for every i imply
+  E_i E_j = delta_ij E_i.  The products with A are gathered (d nonzeros per
+  row).  Only a failed certificate falls back to the dense pairwise
+  products, which decide the verdict and its witness.
+- The Krein expansion of every E_i o E_j is one stacked product per i of
+  the (d+1) x (d+1) coefficient table with the (d+1) x n^2 stack of E_h
+  numerators.
+- E_h* A_i E_j* vanishes exactly when no pair in S_h x S_j is at distance
+  i, which one bincount per sphere block decides.
+- For symmetric idempotents E_h, E_j (idempotence is verified at
+  construction) and diagonal A_i* = diag(a_i),
+  ||E_h A_i* E_j||_F^2 = a_i^T (E_h o E_j) a_i, so E_h A_i* E_j = 0 exactly
+  when that sum of squares is 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
 
-from ._intops import exact_matmul
+from ._intops import exact_matmul, exact_mul_elementwise, exact_scale
 from .checks import Check
 from .closure import AlgebraBasis, closure
 from .echelon import EchelonSpan
@@ -313,19 +332,36 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     esum = RationalMatrix.zeros(n, n)
     for Ei in ctx.E:
         esum = esum + Ei
-    checks.append(Check("idempotents_sum_to_identity", esum == ident))
+    sums_to_identity = esum == ident
+    checks.append(Check("idempotents_sum_to_identity", sums_to_identity))
 
-    ortho = True
+    # Spectral certificate for E_i E_j = delta_ij E_i.  If the theta_i are
+    # distinct, sum_j E_j = I and A E_i = theta_i E_i = E_i A for every i,
+    # then E_i A E_j equals both theta_i E_i E_j and theta_j E_i E_j, so
+    # E_i E_j = 0 for i != j, and E_i = E_i sum_j E_j = E_i^2.  A has d
+    # nonzeros per row, so its products are gathered, not dense.  Only when
+    # the certificate fails do the (d+1)^2 dense products decide the verdict
+    # and name the first failing pair.
+    ortho = (
+        sums_to_identity
+        and len(set(ctx.theta)) == d + 1
+        and all(
+            ctx.A @ Ei == Ei * t and Ei @ ctx.A == Ei * t
+            for Ei, t in zip(ctx.E, ctx.theta)
+        )
+    )
     witness = None
-    for i in range(d + 1):
-        for j in range(d + 1):
-            expect = ctx.E[i] if i == j else RationalMatrix.zeros(n, n)
-            if ctx.E[i] @ ctx.E[j] != expect:
-                ortho = False
-                witness = f"E_{i} E_{j}"
+    if not ortho:
+        ortho = True
+        for i in range(d + 1):
+            for j in range(d + 1):
+                expect = ctx.E[i] if i == j else RationalMatrix.zeros(n, n)
+                if ctx.E[i] @ ctx.E[j] != expect:
+                    ortho = False
+                    witness = f"E_{i} E_{j}"
+                    break
+            if not ortho:
                 break
-        if not ortho:
-            break
     checks.append(Check("idempotents_orthogonal", ortho, witness))
 
     spec = RationalMatrix.zeros(n, n)
@@ -383,15 +419,23 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
         Check("dual_adjacency_spectral_decomposition", dspec == ctx.dual_adjacency)
     )
 
-    # Krein expansion of every Hadamard product, re-verified at matrix level.
+    # Krein expansion of every Hadamard product, re-verified at matrix level
+    # with one stacked product per i.  Row h of stack is den_e E_h, so row j
+    # of table @ stack is table.den den_e |X|^(-1) sum_h q^h_ij E_h, and
+    # stack_i o stack_j is den_e^2 E_i o E_j; both sides are scaled to
+    # table.den den_e^2 and compared as integers.
+    den_e = lcm(*(Eh.den for Eh in ctx.E))
+    stack = np.stack([exact_scale(Eh.num, den_e // Eh.den).ravel() for Eh in ctx.E])
     krein_ok = True
     witness = None
     for i in range(d + 1):
+        table = RationalMatrix.from_rows(
+            [[ctx.krein[h][i][j] / n for h in range(d + 1)] for j in range(d + 1)]
+        )
+        expansion = exact_scale(exact_matmul(table.num, stack), den_e)
+        left = exact_scale(stack[i], table.den)
         for j in range(d + 1):
-            acc = RationalMatrix.zeros(n, n)
-            for h in range(d + 1):
-                acc = acc + ctx.E[h] * (ctx.krein[h][i][j] * Fraction(1, n))
-            if ctx.E[i].hadamard(ctx.E[j]) != acc:
+            if not np.array_equal(exact_mul_elementwise(left, stack[j]), expansion[j]):
                 krein_ok = False
                 witness = f"E_{i} o E_{j}"
                 break
@@ -417,19 +461,25 @@ class TripleProductReport:
 def dual_triple_zeros(ctx: TerwContext) -> np.ndarray:
     """zeros[h, i, j] is True exactly when E_h A_i* E_j = 0.
 
-    A_i* = sum_k theta*_i(k) E_k*, so E_h A_i* E_j is the combination
-    sum_k theta*_i(k) E_h[:, S_k] E_j[S_k, :] of the d+1 sphere-block
-    products of the pair (h, j).  The spheres S_k partition the vertices, so
-    those blocks together cost one dense product, and one small product of
-    the value table theta*_i(k) with the stacked blocks gives every i at
-    once.  The result is the integer numerator of each E_h A_i* E_j up to a
-    positive factor, computed exactly.
+    Precondition: every E_h is idempotent.  A context exists only after
+    construction has verified that (idempotents_orthogonal), so this holds
+    on every context.  Let E_h and E_j be symmetric idempotents and
+    A_i* = diag(a_i).  Then
+
+        ||E_h A_i* E_j||_F^2 = tr(E_j A_i* E_h A_i*) = a_i^T (E_h o E_j) a_i,
+
+    a sum of squares that is 0 exactly when the triple product is.  For each
+    unordered pair {h, j} one Hadamard product and two thin products (n x
+    (d+1), then (d+1) x (d+1)) give that value for every i, exactly, on the
+    integer numerators; the positive denominators do not change which
+    values are 0.  E_j A_i* E_h is the transpose of E_h A_i* E_j, so the
+    pair (j, h) takes the flags of (h, j).
 
     Raises:
-        VerificationError: if some A_i* is not constant on a sphere S_k.
+        VerificationError: if some E_h is not symmetric or some A_i* is not
+            constant on a sphere S_k.
     """
     d = ctx.d
-    n = ctx.n
     diags = np.array([a.num.diagonal() for a in ctx.A_star])
     values = diags[:, [int(s[0]) for s in ctx.spheres]]  # theta*_i(k), scaled
     bad = np.argwhere(diags != values[:, ctx.dist.dist[ctx.x]])
@@ -437,16 +487,28 @@ def dual_triple_zeros(ctx: TerwContext) -> np.ndarray:
         i, y = (int(v) for v in bad[0])
         k = int(ctx.dist.dist[ctx.x, y])
         raise VerificationError(f"A*_{i} is not constant on sphere S_{k}")
+    for h, Eh in enumerate(ctx.E):
+        if not np.array_equal(Eh.num, Eh.num.T):
+            raise VerificationError(f"E_{h} is not symmetric")
     zeros = np.zeros((d + 1,) * 3, dtype=bool)
     for h in range(d + 1):
-        left = [ctx.E[h].num[:, s] for s in ctx.spheres]
-        for j in range(d + 1):
-            right = [ctx.E[j].num[s, :] for s in ctx.spheres]
-            # One (h, j) pair at a time: holding all (d+1)^3 blocks at once
-            # would take (d+1)^3 n^2 integers (about 380 MB at d = 8).
-            blocks = np.stack([exact_matmul(lb, rb) for lb, rb in zip(left, right)])
-            combined = exact_matmul(values, blocks.reshape(d + 1, n * n))
-            zeros[h, :, j] = np.count_nonzero(combined, axis=1) == 0
+        for j in range(h, d + 1):
+            had = exact_mul_elementwise(ctx.E[h].num, ctx.E[j].num)
+            norms = exact_matmul(diags, exact_matmul(had, diags.T)).diagonal()
+            zeros[h, :, j] = zeros[j, :, h] = norms == 0
+    return zeros
+
+
+def _primal_triple_zeros(ctx: TerwContext) -> np.ndarray:
+    """zeros[h, i, j] is True exactly when E_h* A_i E_j* = 0, that is, when
+    no vertex of S_h is at distance i from a vertex of S_j."""
+    d = ctx.d
+    dist = ctx.dist.dist
+    zeros = np.zeros((d + 1,) * 3, dtype=bool)
+    for h, sph_h in enumerate(ctx.spheres):
+        for j, sph_j in enumerate(ctx.spheres):
+            block = dist[np.ix_(sph_h, sph_j)]
+            zeros[h, :, j] = np.bincount(block.ravel(), minlength=d + 1) == 0
     return zeros
 
 
@@ -458,21 +520,18 @@ def check_triple_products(ctx: TerwContext) -> TripleProductReport:
     zero patterns coincide only for formally self-dual graphs, so for
     hypercubes all flags, including (h, i, j) lying outside the permissible
     set, must agree.  A mismatch records all flags in the order primal,
-    dual, p, Krein (and not permissible for hypercubes).  The dual flags
-    come from dual_triple_zeros.
+    dual, p, Krein (and not permissible for hypercubes).  The primal flags
+    count the distances in each sphere block; the dual flags come from
+    dual_triple_zeros.
     """
     d = ctx.d
-    dist = ctx.dist.dist
+    primal_zeros = _primal_triple_zeros(ctx)
     dual_zeros = dual_triple_zeros(ctx)
     mismatches = []
     for h in range(d + 1):
-        sph_h = ctx.spheres[h]
         for i in range(d + 1):
             for j in range(d + 1):
-                sph_j = ctx.spheres[j]
-                primal_zero = not bool(
-                    (dist[np.ix_(sph_h, sph_j)] == i).any()
-                )
+                primal_zero = bool(primal_zeros[h, i, j])
                 dual_zero = bool(dual_zeros[h, i, j])
                 p_zero = int(ctx.p_table[h, i, j]) == 0
                 krein_zero = ctx.krein[h][i][j] == 0

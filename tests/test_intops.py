@@ -10,6 +10,7 @@ with the gather switched off.
 import itertools
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -387,3 +388,31 @@ def test_reports_identical_without_the_gather(monkeypatch):
     assert sum(taken) > 100  # the gather really ran
     monkeypatch.setattr(_intops, "_gather_product", lambda a, b: None)
     assert _reports() == with_gather
+
+
+def _object_path_reports():
+    petersen = parse_graph_file(_edge_list_text(10, _kneser_5_2_edges()))
+    data, all_ok = build_graph_report(petersen, 3)
+    graph_text = json.dumps(data, sort_keys=True, indent=2) + f"\n{all_ok}\n"
+    return [run_verification(4, vertex=5).to_json(), graph_text]
+
+
+def test_reports_identical_on_the_object_path(monkeypatch):
+    # Lower the int64 bound at every terwalg binding so that products,
+    # Hadamard products and eliminations past 2^12 take the object path.
+    expected = _object_path_reports()
+    converted = []
+    real_to_object = _intops.to_object
+
+    def counting(arr):
+        converted.append(arr.dtype != object)
+        return real_to_object(arr)
+
+    for name, module in list(sys.modules.items()):
+        if name == "terwalg" or name.startswith("terwalg."):
+            if hasattr(module, "INT64_SAFE"):
+                monkeypatch.setattr(module, "INT64_SAFE", 1 << 12)
+            if getattr(module, "to_object", None) is real_to_object:
+                monkeypatch.setattr(module, "to_object", counting)
+    assert _object_path_reports() == expected
+    assert sum(converted) > 100  # int64 arrays really crossed to object

@@ -61,6 +61,29 @@ def test_diagonal_and_entries():
     assert m.transpose() == m
 
 
+@pytest.mark.parametrize(
+    "values, dtype",
+    [
+        ([0, 3, -7, 0], np.int64),
+        ([Fraction(1, 2), Fraction(-2, 3), 4, 0], np.int64),
+        ([6, 4, 10], np.int64),  # gcd 2 with denominator 1: nothing cancels
+        ([Fraction(2, 4), Fraction(6, 8)], np.int64),
+        ([2**62 - 1, -(2**62 - 1)], np.int64),
+        ([2**64 + 1, 3, Fraction(1, 3)], object),
+        ([-(2**70), Fraction(5, 7)], object),
+        ([], np.int64),
+    ],
+)
+def test_diagonal_matches_from_rows(values, dtype):
+    n = len(values)
+    m = RationalMatrix.diagonal(values)
+    assert m.num.dtype == dtype
+    assert m.shape == (n, n)
+    if n:
+        rows = [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        assert m == RationalMatrix.from_rows(rows)
+
+
 def test_arithmetic():
     i2 = RationalMatrix.identity(2)
     j2 = RationalMatrix.ones(2, 2)

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from terwalg import subconstituent
+from terwalg.checks import Check
 from terwalg.cli import main
 from terwalg.graphs import Graph
 from terwalg.linalg import RationalMatrix
@@ -289,3 +290,138 @@ def test_triple_products_reject_dual_matrix_not_constant_on_sphere(contexts):
     bad = dataclasses.replace(ctx, A_star=bad_star)
     with pytest.raises(VerificationError, match="A\\*_2 is not constant on sphere S_1"):
         check_triple_products(bad)
+
+
+# -- dense oracles for the section identities and triple-product flags --------
+
+
+def _oracle_orthogonal(ctx):
+    """idempotents_orthogonal from all (d+1)^2 dense products E_i E_j."""
+    zero = RationalMatrix.zeros(ctx.n, ctx.n)
+    for i, Ei in enumerate(ctx.E):
+        for j, Ej in enumerate(ctx.E):
+            if Ei @ Ej != (Ei if i == j else zero):
+                return Check("idempotents_orthogonal", False, f"E_{i} E_{j}")
+    return Check("idempotents_orthogonal", True)
+
+
+def _oracle_krein(ctx):
+    """krein_expansion_of_hadamard_products, one RationalMatrix sum per (i, j)."""
+    n = ctx.n
+    for i, Ei in enumerate(ctx.E):
+        for j, Ej in enumerate(ctx.E):
+            acc = RationalMatrix.zeros(n, n)
+            for h, Eh in enumerate(ctx.E):
+                acc = acc + Eh * (ctx.krein[h][i][j] * Fraction(1, n))
+            if Ei.hadamard(Ej) != acc:
+                return Check(
+                    "krein_expansion_of_hadamard_products", False, f"E_{i} o E_{j}"
+                )
+    return Check("krein_expansion_of_hadamard_products", True)
+
+
+def _oracle_primal_zeros(ctx):
+    """Zero pattern of E_h* A_i E_j*, one sphere-block comparison per triple."""
+    d = ctx.d
+    dist = ctx.dist.dist
+    zeros = np.zeros((d + 1,) * 3, dtype=bool)
+    for h, sph_h in enumerate(ctx.spheres):
+        for i in range(d + 1):
+            for j, sph_j in enumerate(ctx.spheres):
+                zeros[h, i, j] = not (dist[np.ix_(sph_h, sph_j)] == i).any()
+    return zeros
+
+
+def _assert_matches_oracles(ctx, name):
+    checks = {c.name: c for c in check_section_identities(ctx)}
+    assert checks["idempotents_orthogonal"] == _oracle_orthogonal(ctx), name
+    assert checks["krein_expansion_of_hadamard_products"] == _oracle_krein(ctx), name
+    return checks
+
+
+def _with_E(ctx, h, Eh):
+    return dataclasses.replace(ctx, E=ctx.E[:h] + (Eh,) + ctx.E[h + 1:])
+
+
+def _negative_bases():
+    yield "cube d=3", build_hypercube_context(3, 5)
+    yield "petersen", build_context(Graph.from_edges(10, PETERSEN_EDGES), 3)
+
+
+def test_section_identities_match_dense_oracles():
+    for name, ctx in _differential_contexts():
+        checks = _assert_matches_oracles(ctx, name)
+        assert all(c.passed for c in checks.values()), name
+
+
+def test_triple_product_flags_match_oracles():
+    for name, ctx in _differential_contexts():
+        assert np.array_equal(
+            subconstituent._primal_triple_zeros(ctx), _oracle_primal_zeros(ctx)
+        ), name
+        assert np.array_equal(dual_triple_zeros(ctx), _literal_dual_zeros(ctx)), name
+
+
+def test_swapped_idempotents_are_orthogonal_but_mislabelled():
+    for name, ctx in _negative_bases():
+        E = list(ctx.E)
+        E[1], E[2] = E[2], E[1]
+        checks = _assert_matches_oracles(dataclasses.replace(ctx, E=tuple(E)), name)
+        assert checks["idempotents_orthogonal"].passed, name
+        assert not checks["adjacency_spectral_decomposition"].passed, name
+
+
+def test_perturbed_idempotent_matches_oracles():
+    # A symmetric +-1 change to one numerator entry pair of E_h, on and off
+    # the diagonal, for every h.
+    for name, ctx in _negative_bases():
+        for h, Eh in enumerate(ctx.E):
+            for (y, z), delta in (((0, 1), 1), ((2, 2), -1), ((1, ctx.n - 1), -1)):
+                num = Eh.num.copy()
+                num[y, z] += delta
+                if y != z:
+                    num[z, y] += delta
+                bad = _with_E(ctx, h, RationalMatrix(num, Eh.den))
+                checks = _assert_matches_oracles(bad, f"{name} h={h} ({y},{z})")
+                assert not checks["idempotents_orthogonal"].passed
+                assert not checks["krein_expansion_of_hadamard_products"].passed
+
+
+def test_scaled_idempotent_is_not_orthogonal():
+    # 2 E_h still satisfies A (2 E_h) = theta_h (2 E_h) on both sides; only
+    # the failed sum identity keeps the spectral certificate from accepting.
+    for name, ctx in _negative_bases():
+        for h, Eh in enumerate(ctx.E):
+            checks = _assert_matches_oracles(_with_E(ctx, h, Eh * 2), f"{name} h={h}")
+            assert not checks["idempotents_sum_to_identity"].passed
+            assert checks["idempotents_orthogonal"].witness == f"E_{h} E_{h}"
+
+
+def test_dual_triple_zeros_reject_non_symmetric_idempotent():
+    for name, ctx in _negative_bases():
+        num = ctx.E[1].num.copy()
+        num[0, 1] += 1
+        bad = _with_E(ctx, 1, RationalMatrix(num, ctx.E[1].den))
+        with pytest.raises(VerificationError, match="E_1 is not symmetric"):
+            dual_triple_zeros(bad)
+        with pytest.raises(VerificationError, match="E_1 is not symmetric"):
+            check_triple_products(bad)
+
+
+def test_checks_identical_on_the_object_path(monkeypatch):
+    # With the int64 bound at 1 every nonzero product, Hadamard product and
+    # scaling in the checks crosses to object arithmetic.
+    cases = list(_differential_contexts())
+    expected = [
+        (check_section_identities(ctx), dual_triple_zeros(ctx), check_triple_products(ctx))
+        for _, ctx in cases
+    ]
+    for name, module in list(sys.modules.items()):
+        if (name == "terwalg" or name.startswith("terwalg.")) and hasattr(
+            module, "INT64_SAFE"
+        ):
+            monkeypatch.setattr(module, "INT64_SAFE", 1)
+    for (name, ctx), (checks, dual, report) in zip(cases, expected):
+        assert check_section_identities(ctx) == checks, name
+        assert np.array_equal(dual_triple_zeros(ctx), dual), name
+        assert check_triple_products(ctx) == report, name
