@@ -190,7 +190,9 @@ class EchelonSpan:
                 new = a * to_object(r2) - b * to_object(v)
             else:
                 new = a * r2 - b * v
-            g2 = content(new)
+            # v is zero at r2's pivot, so new is a * pv2 there and its content
+            # divides a * pv2: when that is 1 the full-width gcd is skipped.
+            g2 = 1 if a * self._pivvals[idx2] == 1 else content(new)
             if g2 > 1:
                 new = new // g2
             new = demote(new)

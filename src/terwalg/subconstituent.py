@@ -102,15 +102,19 @@ class TerwContext:
         return RationalMatrix.zeros(self.n, self.n)
 
 
-def _distance_profile(m: RationalMatrix, dist: np.ndarray, diameter: int):
+def _distance_profile(m: RationalMatrix, classes: Sequence[np.ndarray]):
     """Value of a distance-class-constant matrix on each class.
+
+    Args:
+        classes: flat indices of the entries at distance a, for each a.
 
     Raises:
         VerificationError: if the matrix is not constant on some class.
     """
     prof = []
-    for a in range(diameter + 1):
-        vals = m.num[dist == a]
+    flat = m.num.ravel()
+    for a, idx in enumerate(classes):
+        vals = flat[idx]
         first = int(vals[0])
         if not bool((vals == first).all()):
             raise VerificationError(f"matrix not constant on distance class {a}")
@@ -121,7 +125,9 @@ def _distance_profile(m: RationalMatrix, dist: np.ndarray, diameter: int):
 def _compute_krein(E: Sequence[RationalMatrix], dist: np.ndarray, d: int):
     """Solve E_i o E_j = |X|^(-1) sum_h krein[h][i][j] E_h exactly."""
     n = E[0].nrows
-    prof_E = [_distance_profile(E[h], dist, d) for h in range(d + 1)]
+    flat_dist = dist.ravel()
+    classes = [np.flatnonzero(flat_dist == a) for a in range(d + 1)]
+    prof_E = [_distance_profile(E[h], classes) for h in range(d + 1)]
     # System matrix: column h is E_h's distance profile.
     sys_rows = [[prof_E[h][a] for h in range(d + 1)] for a in range(d + 1)]
     inv_sys = inverse(RationalMatrix.from_rows(sys_rows))
@@ -129,7 +135,7 @@ def _compute_krein(E: Sequence[RationalMatrix], dist: np.ndarray, d: int):
     for i in range(d + 1):
         for j in range(d + 1):
             had = E[i].hadamard(E[j])
-            prof = _distance_profile(had, dist, d)
+            prof = _distance_profile(had, classes)
             rhs = RationalMatrix.from_rows([[v] for v in prof])
             coeffs = inv_sys @ rhs
             for h in range(d + 1):

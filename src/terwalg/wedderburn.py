@@ -1,23 +1,46 @@
 """Block structure of the algebra: center, central idempotents, block sizes.
 
-The algebra comes as a reduced echelon basis b_1..b_m of its flattened
-matrices, so an element of it is zero exactly when its m pivot entries are.
-Commutators [b_k, g] and products b_k z_r lie in the algebra, so the center
-(the kernel of c -> c g - g c over the generators g) and the block
-dimensions dim span{b_k z_r} are read in these pivot coordinates, not at
-width n^2.  A deterministic probe element of the center is split via its
-minimal polynomial; when that polynomial factors into distinct integer
-roots, the Lagrange interpolation idempotents are the primitive central
-idempotents, each block rank is the trace of its idempotent, and each block
-size n_r is the integer square root of dim span{b_k z_r}.  A dense
-certificate then requires each idempotent to commute with the generators.
-A probe that fails to split after three weight schedules, or a split that
-fails the certificate, yields status "inconclusive" with the offending
-polynomial attached; that is a result, not an error.
+Everything here works in the pivot coordinates of the algebra's reduced
+echelon basis b_1..b_m.  The pivot of b_j is its first nonzero entry, at
+matrix position (R_j, C_j) with value pv_j, and every other basis element is
+zero there, so an element c of the span has coordinates c[R_j, C_j] / pv_j
+and is zero exactly when its m pivot entries are.  Precondition: the span is
+closed under multiplication and contains the generators and the unit e.  Then
+every product the split needs lies in the span and is read through its
+pivot entries alone, never formed at n x n:
+
+- One pivot-entry kernel.  Entry j of g b_k is sum_t g[R_j, t] b_k[t, C_j]
+  and entry j of b_k g is sum_t b_k[R_j, t] g[t, C_j], taken for every k
+  from the m x n slices g[R, :] or g[:, C]: O(m n) per basis element, dense
+  g or not.  The center is the kernel of the 2m x m matrix of pivot entries
+  of the commutators [b_k, A] and [b_k, A*], and the block dimension
+  dim span{b_k z_r} is the rank of the m x m matrix of pivot entries of
+  b_k z_r.
+- The left-regular probe.  A deterministic probe p of the center acts on
+  coordinates by L_p = D^-1 (pivot entries of p b_l), D = diag(pv).  Since
+  e b = b on the span and coordinates are injective, q(L_p) = 0 exactly when
+  q(p) = 0, so min_poly(L_p) (m x m) is the minimal polynomial of p relative
+  to e.  When it factors into distinct integer roots, the Lagrange
+  idempotents prod (L_p - mu) / (lambda - mu) coords(e) are formed as
+  coordinate vectors and materialized once each as sum_k c_k b_k over a
+  common denominator.  Each block rank is the trace of its idempotent, and
+  each block size n_r is the integer square root of dim span{b_k z_r}.
+- The corner.  The complement algebra (I - U0) T (I - U0) is spanned by
+  W B W with W = L (I - U0) = L I - S^T M S, the verified factorization of
+  idempotent.u0_factorization; W B W expands into products with the thin
+  sphere indicator S, O((d+1) n^2) per basis element.
+
+On a span that is not closed the pivot reads can be wrong, so the split is
+guarded by dense checks on the materialized idempotents: they must be
+orthogonal idempotents summing to e, and each must commute with the
+generators.  A probe that fails to split after three weight schedules, or a
+split that fails the certificate, yields status "inconclusive" with the
+offending polynomial attached; that is a result, not an error.
 
 All of this works relative to an arbitrary identity element, so the same
 code decomposes both the full algebra (identity I) and the compressed
-complement algebra (I - U0) T (I - U0) (identity I - U0).
+complement algebra (I - U0) T (I - U0) (identity I - U0), whose pivot values
+need not be 1.
 """
 
 from __future__ import annotations
@@ -29,9 +52,20 @@ from typing import Sequence
 
 import numpy as np
 
-from ._intops import exact_matmul, exact_sub
+from ._intops import (
+    INT64_SAFE,
+    content,
+    demote,
+    exact_matmul,
+    exact_mul_elementwise,
+    exact_scale,
+    exact_sub,
+    max_abs,
+    to_object,
+)
 from .closure import AlgebraBasis
 from .echelon import EchelonSpan
+from .idempotent import u0_factorization
 from .linalg import RationalMatrix, kernel_basis, min_poly, rank
 from .polys import RationalPoly
 
@@ -66,15 +100,117 @@ class BlockDecomposition:
         return list(self.multiset)
 
 
-def _basis_matrices(t) -> tuple[RationalMatrix, ...]:
+class _PivotBasis:
+    """A reduced echelon basis with its pivots and entry bounds, read once.
+
+    The basis elements are integer matrices (denominator 1), as the echelon
+    engine stores them.
+    """
+
+    def __init__(self, mats: Sequence[RationalMatrix]):
+        self.matrices = tuple(mats)
+        if any(b.den != 1 for b in self.matrices):
+            raise ValueError("basis elements must be integer matrices")
+        self.n = self.matrices[0].nrows if self.matrices else 0
+        nums = [b.num for b in self.matrices]
+        piv = np.array([np.flatnonzero(b)[0] for b in nums], dtype=np.intp)
+        self.rows, self.cols = np.divmod(piv, self.n)
+        self.pivvals = [int(b.flat[p]) for b, p in zip(nums, piv)]
+        self.pivlcm = math.lcm(1, *self.pivvals)
+        self.maxes = [max_abs(b) for b in nums]
+        self._bmax = max(self.maxes, default=0)
+        self._object = any(b.dtype == object for b in nums)
+
+    @property
+    def dim(self) -> int:
+        return len(self.matrices)
+
+    def _pivot_products(self, gs: np.ndarray, slice_of) -> np.ndarray:
+        """Column k: sum_t gs[j, t] * slice_of(b_k)[j, t] for every j.
+
+        Each entry sums n products, so n * max|gs| * max|b| bounds it; past
+        INT64_SAFE the sums run on Python ints and the result is demoted.
+        """
+        fits = (
+            not self._object
+            and gs.dtype != object
+            and self.n * max_abs(gs) * self._bmax < INT64_SAFE
+        )
+        if not fits:
+            gs = to_object(gs)
+        cols = []
+        for b in self.matrices:
+            bs = slice_of(b.num)
+            cols.append(np.einsum("jt,jt->j", gs, bs if fits else to_object(bs)))
+        out = np.stack(cols, axis=1)
+        return out if fits else demote(out)
+
+    def left(self, g: np.ndarray) -> np.ndarray:
+        """m x m array whose column k holds the pivot entries of g b_k.
+
+        Entry j is sum_t g[R_j, t] b_k[t, C_j]: the m x n slices g[R, :] and
+        b_k[:, C]^T, O(m n) per basis element whatever the structure of g.
+        """
+        return self._pivot_products(g[self.rows, :], lambda b: b[:, self.cols].T)
+
+    def right(self, g: np.ndarray) -> np.ndarray:
+        """m x m array whose column k holds the pivot entries of b_k g.
+
+        Entry j is sum_t b_k[R_j, t] g[t, C_j], from b_k[R, :] and g[:, C]^T.
+        """
+        return self._pivot_products(g[:, self.cols].T, lambda b: b[self.rows, :])
+
+    def left_regular(self, p: np.ndarray) -> RationalMatrix:
+        """Matrix of c -> p c in the coordinates of the basis: D^-1 left(p).
+
+        D = diag(pv) is kept: a basis whose pivot values are not all 1 (the
+        U0 corner's) has coordinates c[R_j, C_j] / pv_j, not c[R_j, C_j].
+        """
+        scale = [[self.pivlcm // v] for v in self.pivvals]
+        scale = demote(np.array(scale, dtype=object))
+        return RationalMatrix(exact_mul_elementwise(self.left(p), scale), self.pivlcm)
+
+    def coordinates(self, c: RationalMatrix) -> tuple[np.ndarray, int]:
+        """Coordinates of an element of the span as (integer vector, den)."""
+        entries = c.num[self.rows, self.cols]
+        num = [int(x) * (self.pivlcm // v) for x, v in zip(entries, self.pivvals)]
+        return demote(np.array(num, dtype=object)), c.den * self.pivlcm
+
+    def combine(self, coeffs: Sequence, den: int = 1) -> RationalMatrix:
+        """The element (sum_k coeffs[k] b_k) / den, canonicalized once."""
+        return _combination(
+            [int(c) for c in coeffs], [b.num for b in self.matrices], self.maxes, den
+        )
+
+    def combine_fractions(self, coeffs: Sequence[Fraction]) -> RationalMatrix:
+        """The element sum_k coeffs[k] b_k for rational coefficients."""
+        den = math.lcm(1, *(Fraction(c).denominator for c in coeffs))
+        return self.combine([c * den for c in coeffs], den)
+
+
+def _combination(
+    coeffs: Sequence[int], nums: Sequence[np.ndarray], maxes: Sequence[int], den: int
+) -> RationalMatrix:
+    """(sum_k coeffs[k] nums[k]) / den as one canonical RationalMatrix.
+
+    The sum runs in int64 when sum_k |coeffs[k]| max|nums[k]| allows it and
+    on Python ints otherwise; RationalMatrix demotes the result.
+    """
+    bound = sum(abs(c) * mx for c, mx in zip(coeffs, maxes))
+    obj = bound >= INT64_SAFE or any(a.dtype == object for a in nums)
+    acc = np.zeros(nums[0].shape, dtype=object if obj else np.int64)
+    for c, a in zip(coeffs, nums):
+        if c:
+            acc += c * (to_object(a) if obj else a)
+    return RationalMatrix(acc, den)
+
+
+def _pivot_basis(t) -> _PivotBasis:
+    if isinstance(t, _PivotBasis):
+        return t
     if isinstance(t, AlgebraBasis):
-        return t.matrices
-    return tuple(t)
-
-
-def _pivots(mats: Sequence[RationalMatrix]) -> np.ndarray:
-    """Flat position of each basis element's pivot, its first nonzero entry."""
-    return np.array([np.flatnonzero(b.num)[0] for b in mats], dtype=np.int64)
+        return _PivotBasis(t.matrices)
+    return _PivotBasis(tuple(t))
 
 
 def center_basis(t, generators: Sequence[RationalMatrix]) -> list[RationalMatrix]:
@@ -88,28 +224,12 @@ def center_basis(t, generators: Sequence[RationalMatrix]) -> list[RationalMatrix
     not closed the result may be wrong; decompose's certificate catches a
     false split.
     """
-    mats = _basis_matrices(t)
-    if not mats:
+    pb = _pivot_basis(t)
+    if not pb.dim:
         return []
-    n = mats[0].nrows
-    piv = _pivots(mats)
-    gen_nums = [g.num for g in generators]
-    cols = []
-    for b in mats:
-        parts = []
-        for gn in gen_nums:
-            comm = exact_sub(exact_matmul(b.num, gn), exact_matmul(gn, b.num))
-            parts.append(comm.ravel()[piv])
-        cols.append(np.concatenate(parts))
-    alphas = kernel_basis(RationalMatrix(np.stack(cols, axis=1)))
-    center = []
-    for alpha in alphas:
-        acc = RationalMatrix.zeros(n, n)
-        for coeff, b in zip(alpha, mats):
-            if coeff:
-                acc = acc + b * coeff
-        center.append(acc)
-    return center
+    parts = [exact_sub(pb.right(g.num), pb.left(g.num)) for g in generators]
+    alphas = kernel_basis(RationalMatrix(np.concatenate(parts)))
+    return [pb.combine_fractions(alpha) for alpha in alphas]
 
 
 def _integer_roots(p: RationalPoly) -> list[int] | None:
@@ -127,14 +247,26 @@ def _integer_roots(p: RationalPoly) -> list[int] | None:
         roots.append(0)
         if q.eval_scalar(0) == 0:
             return None  # repeated root at 0
+    # With q = x^k + a1 x^(k-1) + a2 x^(k-2) + ..., the squares of the roots
+    # sum to a1^2 - 2 a2, so if q splits over the integers every root r has
+    # |r| <= isqrt(a1^2 - 2 a2), and only divisors of c0 that small can be
+    # roots.  A negative sum of squares means some root is not real.
+    k = q.degree or 0
+    a1 = int(q.coeffs[k - 1]) if k >= 1 else 0
+    a2 = int(q.coeffs[k - 2]) if k >= 2 else 0
+    squares = a1 * a1 - 2 * a2
+    if squares < 0:
+        return None
+    bound = math.isqrt(squares)
     c0 = abs(int(q.eval_scalar(0)))
     candidates = set()
     if c0:
-        t = 1
-        while t * t <= c0 and t <= ROOT_SEARCH_CAP:
+        limit = min(math.isqrt(c0), bound, ROOT_SEARCH_CAP)
+        for t in range(1, limit + 1):
             if c0 % t == 0:
-                candidates.update((t, -t, c0 // t, -(c0 // t)))
-            t += 1
+                candidates.update((t, -t))
+                if c0 // t <= bound:
+                    candidates.update((c0 // t, -(c0 // t)))
     for cand in sorted(candidates):
         if q.eval_scalar(cand) == 0:
             q, rem = q.deflate(cand)
@@ -148,12 +280,40 @@ def _integer_roots(p: RationalPoly) -> list[int] | None:
     return sorted(roots)
 
 
+def _lagrange_coordinates(
+    lp: RationalMatrix, roots: Sequence[int], lam: int, x: np.ndarray, den: int
+) -> tuple[np.ndarray, int]:
+    """Coordinates of prod_{mu != lam} (p - mu e) / (lam - mu) times x / den.
+
+    lp = num / lp.den is the left-regular matrix of p; the vector stays an
+    integer numerator over one denominator, reduced by their gcd each step.
+    """
+    for mu in roots:
+        if mu == lam:
+            continue
+        x = exact_sub(exact_matmul(lp.num, x), exact_scale(x, mu * lp.den))
+        den *= lp.den * (lam - mu)
+        g = math.gcd(content(x), den)
+        if g > 1:
+            x = demote(x // g)
+            den //= g
+    return x, den
+
+
 def split_center(
-    center: Sequence[RationalMatrix], identity: RationalMatrix | None = None
+    t, center: Sequence[RationalMatrix], identity: RationalMatrix | None = None
 ) -> BlockDecomposition:
     """Split a commutative semisimple algebra into primitive idempotents.
 
+    The probe p = sum_k w^k c_k is read through its left-regular matrix L_p
+    in the coordinates of t.  On a closed span with unit e, q(L_p) = 0
+    exactly when q(p) = q(p) e = 0, so min_poly(L_p) is the minimal
+    polynomial of p relative to e; each Lagrange idempotent is formed as a
+    coordinate vector and materialized once.
+
     Args:
+        t: reduced echelon basis of the algebra (same precondition as
+            center_basis).
         center: basis of the center, as produced by center_basis.
         identity: identity element of the algebra; defaults to I of the
             ambient size.  The complement algebra passes I - U0 here.
@@ -162,35 +322,32 @@ def split_center(
     m = len(center)
     if m == 0:
         raise ValueError("center basis is empty")
-    n = center[0].nrows
+    pb = _pivot_basis(t)
     if identity is None:
-        identity = RationalMatrix.identity(n)
+        identity = RationalMatrix.identity(pb.n)
+    e, e_den = pb.coordinates(identity)
+    lcd = math.lcm(*(c.den for c in center))
+    nums = [c.num for c in center]
+    maxes = [max_abs(c) for c in nums]
 
     last_poly = None
     for base in (m + 1, m + 2, 2 * m + 3):
-        probe = RationalMatrix.zeros(n, n)
-        w = 1
-        for ck in center:
-            probe = probe + ck * w
-            w *= base
+        weights = [base**k * (lcd // c.den) for k, c in enumerate(center)]
+        probe = _combination(weights, nums, maxes, lcd)
         # Drop the denominator: scaling the probe scales its eigenvalues by
         # an integer and leaves the Lagrange idempotents unchanged.
-        probe_int = RationalMatrix(probe.num, 1)
-        mp = min_poly(probe_int, identity=identity)
+        lp = pb.left_regular(probe.num)
+        mp = min_poly(lp)
         last_poly = mp
         if mp.degree != m:
             continue
         roots = _integer_roots(mp)
         if roots is None:
             continue
-        idems = []
-        for lam in roots:
-            z = identity
-            for mu in roots:
-                if mu == lam:
-                    continue
-                z = z @ (probe_int - identity * mu) * Fraction(1, lam - mu)
-            idems.append(z)
+        idems = [
+            pb.combine(*_lagrange_coordinates(lp, roots, lam, e, e_den))
+            for lam in roots
+        ]
         if not _idempotents_valid(idems, identity):
             continue
         # Each z is an exact idempotent, so its rank is its trace.
@@ -244,12 +401,10 @@ def block_sizes(t, dec: BlockDecomposition) -> BlockDecomposition:
     """
     if dec.status != SPLIT:
         raise ValueError("cannot take block sizes of an inconclusive split")
-    mats = _basis_matrices(t)
-    piv = _pivots(mats)
+    pb = _pivot_basis(t)
     sizes = []
     for z in dec.central_idempotents:
-        coords = np.stack([exact_matmul(b.num, z.num).ravel()[piv] for b in mats])
-        dim = rank(RationalMatrix(coords))
+        dim = rank(RationalMatrix(pb.right(z.num)))
         nr = math.isqrt(dim)
         if nr * nr != dim:
             raise ValueError(f"block dimension {dim} is not a perfect square")
@@ -263,13 +418,15 @@ def decompose(
     identity: RationalMatrix | None = None,
 ) -> BlockDecomposition:
     """center_basis + split_center + block_sizes in one call."""
-    center = center_basis(t, generators)
-    dec = split_center(center, identity=identity)
+    pb = _pivot_basis(t)
+    center = center_basis(pb, generators)
+    dec = split_center(pb, center, identity=identity)
     if dec.status != SPLIT:
         return dec
-    dec = block_sizes(t, dec)
-    # The primitive idempotents are central, so they must commute with the
-    # generators; a failure here downgrades the result to inconclusive.
+    dec = block_sizes(pb, dec)
+    # The pivot reads above assume a closed span.  The primitive idempotents
+    # are central, so they must commute with the generators; this dense
+    # certificate downgrades a false split to inconclusive.
     for z in dec.central_idempotents:
         for g in generators:
             if z @ g != g @ z:
@@ -297,23 +454,54 @@ class CompressedAlgebra:
         return len(self.matrices)
 
 
+def _compressor(s: np.ndarray, m: np.ndarray, big: int):
+    """x -> big^2 (I - U0) x (I - U0) for integer x, given big U0 = S^T M S.
+
+    With W = big (I - U0) = big I - S^T M S,
+    W x W = big^2 x - big S^T (M S x) - big (x S^T M) S + S^T (M S x S^T M) S.
+    S is the sphere indicator matrix, so every vertex v lies in exactly one
+    sphere label[v]: S^T Y is the row gather Y[label] and Y S the column
+    gather Y[:, label].  The products left, S x, x S^T and (M S x) S^T, cost
+    O((d+1) n^2) in all, where a dense W x W costs two n^3 products.
+    """
+    st = s.T
+    mcol = m[:, None]
+    label = np.argmax(s, axis=0)
+
+    def compress(x: np.ndarray) -> np.ndarray:
+        msx = exact_mul_elementwise(mcol, exact_matmul(x.T, st).T)  # M S x
+        xstm = exact_mul_elementwise(exact_matmul(x, st), m)  # x S^T M
+        core = exact_mul_elementwise(exact_matmul(msx, st), m)  # M S x S^T M
+        terms = [x, msx, xstm, core]
+        bound = big * big * max_abs(x) + big * (max_abs(msx) + max_abs(xstm))
+        if bound + max_abs(core) >= INT64_SAFE or any(a.dtype == object for a in terms):
+            x, msx, xstm, core = map(to_object, terms)
+        out = big * big * x - big * msx[label] - big * xstm[:, label]
+        return demote(out + core[label][:, label])
+
+    return compress
+
+
 def complement_algebra(ctx, t: AlgebraBasis, u0: RationalMatrix) -> CompressedAlgebra:
     """Basis, identity, and generators of (I - U0) T (I - U0).
 
     Compression of a spanning set spans the corner, so the basis comes from
-    echelonizing {W B W} with W an integer multiple of I - U0 (the scalar
-    does not move the span).
+    echelonizing {W B W} with W = L (I - U0), where L U0 = S^T M S is the
+    verified factorization of idempotent.u0_factorization (the scalar L does
+    not move the span).  W B W is formed through the thin factor S.
     """
     n = ctx.n
-    ident = RationalMatrix.identity(n)
-    comp = ident - u0
-    w = comp.num  # integer numerator of den * (I - U0)
+    s, m = u0_factorization(ctx, u0)
+    big = math.lcm(*ctx.valencies)  # the L of u0_factorization
+    compress = _compressor(s, m, big)
     span = EchelonSpan(n * n)
-    mats = []
     for b in t.matrices:
-        c = exact_matmul(exact_matmul(w, b.num), w)
-        span.add(c.ravel())
-    for row in span.rows:
-        mats.append(RationalMatrix(row.reshape(n, n), 1, _canonical=True))
-    gens = tuple(comp @ g @ comp for g in ctx.generators())
-    return CompressedAlgebra(tuple(mats), comp, gens)
+        span.add(compress(b.num).ravel())
+    mats = tuple(
+        RationalMatrix(row.reshape(n, n), 1, _canonical=True) for row in span.rows
+    )
+    gens = tuple(
+        RationalMatrix(compress(g.num), big * big * g.den) for g in ctx.generators()
+    )
+    comp = RationalMatrix.identity(n) - u0
+    return CompressedAlgebra(mats, comp, gens)

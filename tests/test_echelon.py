@@ -1,9 +1,12 @@
 """Tests for the integer echelon span engine."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terwalg.echelon import EchelonSpan
 from terwalg.linalg import RationalMatrix, rank
@@ -104,3 +107,86 @@ def test_tracked_dependency_expression():
 def test_span_dim_helper():
     assert rank(RationalMatrix([[1, 1], [2, 2], [0, 1]])) == 2
     assert rank(RationalMatrix(np.zeros((0, 5), dtype=np.int64))) == 0
+
+
+def _fraction_rref(rows, width):
+    """Nonzero rows of the reduced row echelon form, by Gauss-Jordan."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    out = []
+    col = 0
+    while mat and col < width:
+        pick = next((r for r in mat if r[col] != 0), None)
+        if pick is None:
+            col += 1
+            continue
+        mat.remove(pick)
+        pick = [v / pick[col] for v in pick]
+        mat = [[a - r[col] * b for a, b in zip(r, pick)] for r in mat]
+        out = [[a - r[col] * b for a, b in zip(r, pick)] for r in out]
+        out.append(pick)
+        col += 1
+    return out
+
+
+entry = st.one_of(
+    st.integers(-3, 3), st.integers(-(1 << 62), 1 << 62), st.sampled_from([0, 1])
+)
+
+
+@st.composite
+def integer_rows(draw):
+    """Random rows with entries up to 2^62, plus small combinations of them."""
+    width = draw(st.integers(1, 6))
+    base = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=5))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 3)) if base else 0):
+        k = len(base)
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        rows.append([sum(c * r[i] for c, r in zip(coeffs, base)) for i in range(width)])
+    return width, draw(st.permutations(rows))
+
+
+def _span_rows(width, rows):
+    span = EchelonSpan(width)
+    for row in rows:
+        span.add(row)
+    return [[int(v) for v in row] for row in span.rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_rows())
+def test_rows_match_fraction_rref(case):
+    width, rows = case
+    stored = _span_rows(width, rows)
+    pivots = []
+    for row in stored:
+        assert math.gcd(*row) == 1  # primitive
+        piv = next(i for i, v in enumerate(row) if v)
+        assert row[piv] > 0
+        pivots.append(piv)
+    for row in stored:  # every pivot is cleared from the other rows
+        assert sum(1 for p in pivots if row[p]) == 1
+    got = sorted(
+        (pivots[k], [Fraction(v, row[pivots[k]]) for v in row])
+        for k, row in enumerate(stored)
+    )
+    assert [r for _, r in got] == _fraction_rref(rows, width)
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_rows())
+def test_rows_match_sympy_rref(case):
+    sympy = pytest.importorskip("sympy")
+    width, rows = case
+    if not rows:
+        return
+    reduced, pivots = sympy.Matrix(rows).rref()
+    want = [
+        [Fraction(int(v.p), int(v.q)) for v in reduced.row(k)]
+        for k in range(len(pivots))
+    ]
+    stored = _span_rows(width, rows)
+    got = sorted(
+        [Fraction(v, next(x for x in row if x)) for v in row] for row in stored
+    )
+    assert got == sorted(want)

@@ -1,21 +1,27 @@
 """Tests for center computation and block decomposition."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from terwalg import wedderburn
 from terwalg._intops import exact_matmul, exact_sub
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import compute_u0
-from terwalg.linalg import RationalMatrix, kernel_basis, rank
+from terwalg.linalg import RationalMatrix, kernel_basis, min_poly, rank
 from terwalg.polys import RationalPoly
 from terwalg.subconstituent import build_hypercube_context
 from terwalg.wedderburn import (
     INCONCLUSIVE,
     SPLIT,
     BlockDecomposition,
+    _idempotents_valid,
     _integer_roots,
+    _PivotBasis,
     block_sizes,
     center_basis,
     complement_algebra,
@@ -119,7 +125,7 @@ def test_unclosed_span_is_not_split(suite):
     span.add(RationalMatrix.identity(n).num.ravel())
     span.add((ctx.E_star[0] + ctx.E_star[3]).num.ravel())
     mats = [RationalMatrix(row.reshape(n, n), 1) for row in span.rows]
-    assert split_center(center_basis(mats, ctx.generators())).status == SPLIT
+    assert split_center(mats, center_basis(mats, ctx.generators())).status == SPLIT
     assert decompose(mats, ctx.generators()).status == INCONCLUSIVE
 
 
@@ -142,7 +148,7 @@ def test_center_contains_identity(suite):
 
 def test_split_single_block(suite):
     ctx, basis = suite[1]
-    dec = split_center(center_basis(basis, ctx.generators()))
+    dec = split_center(basis, center_basis(basis, ctx.generators()))
     assert dec.status == SPLIT
     assert dec.central_idempotents == (RationalMatrix.identity(2),)
     filled = block_sizes(basis, dec)
@@ -207,11 +213,52 @@ def test_integer_roots():
     assert _integer_roots(RationalPoly((-2, 0, 1))) is None  # irrational
     assert _integer_roots(RationalPoly.from_roots([1, 1])) is None  # repeated
     assert _integer_roots(RationalPoly((Fraction(1, 2), 1))) is None
+    assert _integer_roots(RationalPoly((1, 0, 1))) is None  # a1^2 - 2 a2 < 0
+    # A root far above sqrt(c0) is found as the cofactor of a small divisor.
+    assert _integer_roots(RationalPoly.from_roots([1, 10**7])) == [1, 10**7]
 
 
-def test_empty_center_rejected():
+def _brute_integer_roots(p):
+    """Split into distinct integers, by testing every divisor of the trailing
+    nonzero coefficient: a monic degree-k polynomial with k distinct integer
+    roots is their product."""
+    if any(c.denominator != 1 for c in p.coeffs):
+        return None
+    coeffs = [int(c) for c in p.coeffs]
+    trailing = abs(next(c for c in coeffs if c))
+    candidates = {0}
+    for t in range(1, math.isqrt(trailing) + 1):
+        if trailing % t == 0:
+            candidates.update((t, -t, trailing // t, -(trailing // t)))
+    roots = sorted(r for r in candidates if p.eval_scalar(r) == 0)
+    return roots if len(roots) == p.degree else None
+
+
+small_roots = st.lists(st.integers(-40, 40), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        small_roots.map(lambda r: RationalPoly.from_roots(sorted(set(r)))),
+        small_roots.map(lambda r: RationalPoly.from_roots(r + r[:1])),
+        st.tuples(small_roots, st.integers(1, 50)).map(
+            lambda rs: RationalPoly.from_roots(sorted(set(rs[0])))
+            + RationalPoly((rs[1],))
+        ),
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5).map(
+            lambda c: RationalPoly(tuple(c) + (1,))
+        ),
+    )
+)
+def test_integer_roots_match_brute_force(p):
+    # Split, repeated-root and (mostly) irreducible monic polynomials.
+    assert _integer_roots(p) == _brute_integer_roots(p)
+
+
+def test_empty_center_rejected(suite):
     with pytest.raises(ValueError):
-        split_center([])
+        split_center(suite[1][1], [])
 
 
 def test_complement_algebra_dimension(suite):
@@ -251,3 +298,130 @@ def test_compare_complement_blocks(suite):
         dec_small = decompose(small_basis, small_ctx.generators())
         assert dec.status == SPLIT and dec_small.status == SPLIT
         assert dec.multiset == dec_small.multiset, f"d={d}"
+
+
+# -- dense oracles ----------------------------------------------------------
+# Reference implementations that form every element at n x n: pivot entries
+# read off full products, the split with min_poly at width n^2 and dense
+# Lagrange products, and the corner compressed as W B W with two dense
+# products.  They need no closed-span assumption for the products they read.
+
+
+def _dense_pivot_entries(mats, g, side):
+    """m x m: column k holds the pivot entries of g b_k ("left") or b_k g."""
+    piv = [np.flatnonzero(b.num)[0] for b in mats]
+    cols = []
+    for b in mats:
+        prod = exact_matmul(g, b.num) if side == "left" else exact_matmul(b.num, g)
+        cols.append(prod.ravel()[piv])
+    return np.stack(cols, axis=1)
+
+
+def _dense_split_center(center, identity=None):
+    m = len(center)
+    n = center[0].nrows
+    if identity is None:
+        identity = RationalMatrix.identity(n)
+    last_poly = None
+    for base in (m + 1, m + 2, 2 * m + 3):
+        probe = RationalMatrix.zeros(n, n)
+        w = 1
+        for ck in center:
+            probe = probe + ck * w
+            w *= base
+        probe_int = RationalMatrix(probe.num, 1)
+        mp = min_poly(probe_int, identity=identity)
+        last_poly = mp
+        if mp.degree != m:
+            continue
+        roots = _integer_roots(mp)
+        if roots is None:
+            continue
+        idems = []
+        for lam in roots:
+            z = identity
+            for mu in roots:
+                if mu != lam:
+                    z = z @ (probe_int - identity * mu) * Fraction(1, lam - mu)
+            idems.append(z)
+        if not _idempotents_valid(idems, identity):
+            continue
+        ranks = tuple(int(z.trace()) for z in idems)
+        return SPLIT, mp, tuple(roots), tuple(idems), ranks
+    return INCONCLUSIVE, last_poly, (), (), ()
+
+
+def _dense_corner(ctx, t, u0):
+    n = ctx.n
+    comp = RationalMatrix.identity(n) - u0
+    span = EchelonSpan(n * n)
+    for b in t.matrices:
+        span.add(exact_matmul(exact_matmul(comp.num, b.num), comp.num).ravel())
+    mats = tuple(RationalMatrix(row.reshape(n, n), 1) for row in span.rows)
+    return mats, tuple(comp @ g @ comp for g in ctx.generators())
+
+
+def _algebras(suite):
+    """(name, basis matrices, generators, identity) for T_d and its corners."""
+    for d in range(0, 6):
+        ctx, basis = suite[d]
+        yield f"T_{d}", basis.matrices, ctx.generators(), None
+    for d in range(2, 6):
+        corner, _dec = _corner_decomposition(suite, d)
+        yield f"corner_{d}", corner.matrices, corner.generators, corner.identity
+
+
+def test_pivot_kernel_matches_dense_products(suite):
+    for name, mats, gens, identity in _algebras(suite):
+        pb = _PivotBasis(mats)
+        dec = decompose(mats, gens, identity)
+        for g in list(gens) + list(dec.central_idempotents):
+            for side in ("left", "right"):
+                got = getattr(pb, side)(g.num)
+                assert np.array_equal(got, _dense_pivot_entries(mats, g.num, side)), (
+                    name,
+                    side,
+                )
+
+
+def test_pivot_kernel_object_path(suite, monkeypatch):
+    # With the int64 bound at 1 every pivot product runs on Python ints; the
+    # demoted result must be the same int64 array.
+    ctx, basis = suite[4]
+    pb = _PivotBasis(basis.matrices)
+    gens = ctx.generators()
+    expected = [(pb.left(g.num), pb.right(g.num)) for g in gens]
+    monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
+    for g, (left, right) in zip(gens, expected):
+        got_left, got_right = pb.left(g.num), pb.right(g.num)
+        assert got_left.dtype == got_right.dtype == np.int64
+        assert np.array_equal(got_left, left) and np.array_equal(got_right, right)
+
+
+def test_corner_pivot_values_are_not_all_one(suite):
+    # The coordinates divide by the pivot values D; the corners exercise it.
+    corner, _dec = _corner_decomposition(suite, 3)
+    assert set(_PivotBasis(corner.matrices).pivvals) != {1}
+
+
+def test_split_matches_dense_oracle(suite):
+    for name, mats, gens, identity in _algebras(suite):
+        center = center_basis(mats, gens)
+        dec = split_center(mats, center, identity)
+        status, mp, roots, idems, ranks = _dense_split_center(center, identity)
+        assert dec.status == status == SPLIT, name
+        assert dec.center_dim == len(center)
+        assert dec.probe_min_poly == mp, name
+        assert dec.eigenvalues == roots, name
+        assert dec.central_idempotents == idems, name
+        assert dec.block_ranks == ranks, name
+
+
+def test_corner_matches_dense_compression(suite):
+    for d in range(2, 6):
+        ctx, basis = suite[d]
+        u0, _dual = compute_u0(ctx)
+        corner = complement_algebra(ctx, basis, u0)
+        mats, gens = _dense_corner(ctx, basis, u0)
+        assert corner.matrices == mats, f"d={d}"
+        assert corner.generators == gens, f"d={d}"
