@@ -1,16 +1,31 @@
-"""Unital matrix algebra closure under a fixed deterministic schedule.
+"""Unital matrix algebra closure, one class block at a time.
 
-Starting from the identity, every basis element is left-multiplied by each
-generator in a fixed order (generators in the order given, basis in insertion
-order); residuals that are independent join the basis and are queued in turn.
-Each basis element is processed exactly once per generator, which makes the
-span closed under left multiplication by every generator and hence equal to
-the full unital algebra the generators generate.  The echelon engine keeps
-the final row set canonical, so the resulting basis does not depend on
-anything but the generators themselves.
+The coordinates 0..n-1 are split into the joint value classes S_1..S_c of
+the diagonal generators: two coordinates share a class when every diagonal
+generator has the same diagonal entry at both.  The class projections P_h
+(the 0/1 diagonal indicators of S_h) are polynomials in the diagonal
+generators, so they lie in the algebra T, sum to I and are orthogonal
+idempotents.  Hence T is the direct sum of its blocks P_h T P_j, and an
+n x n matrix lies in T exactly when each of its blocks does.  Conversely T is
+generated by the P_h and the non-diagonal generators, since every diagonal
+generator is a combination of the P_h.
 
-Matrices are vectorized row-major; denominators are dropped before reduction
-because scaling an element does not change the span.
+The closure runs on blocks.  The seeds are the P_h, in class order.  Every
+basis piece X of block (h, j) is left-multiplied by each non-diagonal
+generator g in the order given, and each row block P_h' g X = g[S_h', S_h] X
+is reduced in the echelon span of block (h', j), at width |S_h'| |S_j|;
+independent residuals join the basis and are queued in turn.  A diagonal
+generator acts on a block as a scalar, so it is never multiplied, and
+P_h' X is X or 0.  The pieces are therefore closed under left multiplication
+by every P_h and every generator, and span T.  With no diagonal generator
+there is one class and this is the plain closure from the identity.
+
+The supports of different blocks are disjoint, and a block's coordinates in
+row-major order are its entries' order in the row-major n x n matrix, so the
+union of the blocks' reduced echelon rows is the reduced echelon basis of T
+at width n^2: the row set depends only on the generators.  Denominators are
+dropped before reduction because scaling an element does not change the
+span.
 """
 
 from __future__ import annotations
@@ -24,7 +39,73 @@ from ._intops import exact_matmul
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix
 
-Provenance = tuple  # ("seed",) or ("product", generator index, parent index)
+# ("seed",) for a class projection, or ("product", generator index, parent
+# index): the row block of generator times parent that holds the element.
+Provenance = tuple
+
+
+class BlockSpans:
+    """Reduced echelon spans of the blocks P_h X P_j of n x n matrices.
+
+    Block (h, j) holds the entries in rows classes[h] and columns classes[j],
+    flattened row-major; each class is an ascending array of coordinates.
+    Elements are numbered in the order they were inserted, across blocks.
+    """
+
+    def __init__(self, n: int, classes: Sequence[np.ndarray]):
+        self.n = n
+        self.classes = tuple(classes)
+        self._spans: dict[tuple[int, int], EchelonSpan] = {}
+        self._elements: list[tuple[int, int, int]] = []  # (h, j, row index)
+
+    @property
+    def dim(self) -> int:
+        return len(self._elements)
+
+    def add(self, h: int, j: int, block: np.ndarray) -> int | None:
+        """Reduce an integer |S_h| x |S_j| block in the span of block (h, j).
+
+        Returns:
+            The new element's number, or None when it was already spanned.
+        """
+        span = self._spans.get((h, j))
+        if span is None:
+            width = len(self.classes[h]) * len(self.classes[j])
+            span = self._spans[(h, j)] = EchelonSpan(width)
+        idx = span.add(block.ravel())
+        if idx is None:
+            return None
+        self._elements.append((h, j, idx))
+        return len(self._elements) - 1
+
+    def element(self, k: int) -> tuple[int, int, np.ndarray]:
+        """(h, j, current reduced block) of element k (do not mutate)."""
+        h, j, idx = self._elements[k]
+        block = self._spans[(h, j)].row(idx)
+        return h, j, block.reshape(len(self.classes[h]), len(self.classes[j]))
+
+    def matrices(self) -> tuple[RationalMatrix, ...]:
+        """Every element as a dense integer n x n matrix, in insertion order."""
+        out = []
+        for k in range(self.dim):
+            h, j, block = self.element(k)
+            dense = np.zeros((self.n, self.n), dtype=block.dtype)
+            dense[np.ix_(self.classes[h], self.classes[j])] = block
+            out.append(RationalMatrix(dense, 1, _canonical=True))
+        return tuple(out)
+
+    def contains(self, m: np.ndarray) -> bool:
+        """Exact membership of an integer n x n matrix, block by block."""
+        for h, rows in enumerate(self.classes):
+            for j, cols in enumerate(self.classes):
+                block = m[np.ix_(rows, cols)]
+                span = self._spans.get((h, j))
+                if span is None:
+                    if np.any(block):
+                        return False
+                elif not span.contains(block.ravel()):
+                    return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -34,7 +115,7 @@ class AlgebraBasis:
     side: int
     matrices: tuple[RationalMatrix, ...]
     provenance: tuple[Provenance, ...]
-    span: EchelonSpan
+    span: BlockSpans
 
     @property
     def dim(self) -> int:
@@ -42,7 +123,24 @@ class AlgebraBasis:
 
     def contains(self, m: RationalMatrix) -> bool:
         """Exact membership of a matrix in the span."""
-        return self.span.contains(m.num.ravel())
+        return self.span.contains(m.num)
+
+
+def _is_diagonal(a: np.ndarray) -> bool:
+    return not np.any(a[~np.eye(a.shape[0], dtype=bool)])
+
+
+def joint_classes(n: int, diagonals: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Classes of coordinates on which every given diagonal agrees.
+
+    Each class is an ascending array; classes are ordered by their smallest
+    coordinate.  With no diagonals there is one class, 0..n-1.
+    """
+    keys = list(zip(*(d.tolist() for d in diagonals))) if diagonals else [()] * n
+    members: dict[tuple, list[int]] = {}
+    for v, key in enumerate(keys):
+        members.setdefault(key, []).append(v)
+    return tuple(np.array(vs, dtype=np.intp) for vs in members.values())
 
 
 def closure(generators: Sequence[RationalMatrix]) -> AlgebraBasis:
@@ -53,7 +151,9 @@ def closure(generators: Sequence[RationalMatrix]) -> AlgebraBasis:
 
     Returns:
         AlgebraBasis whose span contains the identity and is closed under
-        multiplication by every generator.
+        multiplication by every generator.  Its first elements are the class
+        projections, one ("seed",) each; every later one is a block of a
+        product, see the module docstring.
     """
     if not generators:
         raise ValueError("at least one generator expected")
@@ -61,30 +161,45 @@ def closure(generators: Sequence[RationalMatrix]) -> AlgebraBasis:
     for g in generators:
         if g.shape != (n, n):
             raise ValueError(f"generator shape {g.shape} differs from ({n}, {n})")
-    span = EchelonSpan(n * n)
-    snapshots: list[np.ndarray] = []
+    diagonal = [_is_diagonal(g.num) for g in generators]
+    classes = joint_classes(
+        n, [g.num.diagonal() for g, diag in zip(generators, diagonal) if diag]
+    )
+    # For each non-diagonal generator and source class h, its nonzero row
+    # blocks g[S_h', S_h] with their target class h'.
+    actions = []
+    for gi, (g, diag) in enumerate(zip(generators, diagonal)):
+        if diag:
+            continue
+        by_source = []
+        for cols in classes:
+            targets = []
+            for h2, rows in enumerate(classes):
+                block = g.num[np.ix_(rows, cols)]
+                if np.any(block):
+                    targets.append((h2, block))
+            by_source.append(targets)
+        actions.append((gi, by_source))
+
+    spans = BlockSpans(n, classes)
+    # Each element is multiplied as it was inserted, copied before later
+    # insertions reduce its stored row.
+    pieces: list[tuple[int, int, np.ndarray]] = []
     provenance: list[Provenance] = []
+    for h, cls in enumerate(classes):
+        k = spans.add(h, h, np.eye(len(cls), dtype=np.int64))
+        pieces.append((h, h, spans.element(k)[2].copy()))
+        provenance.append(("seed",))
 
-    idx = span.add(np.eye(n, dtype=np.int64).ravel())
-    snapshots.append(span.row(idx).copy())
-    provenance.append(("seed",))
-
-    gen_nums = [g.num for g in generators]
     pos = 0
-    while pos < len(snapshots):
-        parent = snapshots[pos].reshape(n, n)
-        for gi, gnum in enumerate(gen_nums):
-            candidate = exact_matmul(gnum, parent)
-            idx = span.add(candidate.ravel())
-            if idx is not None:
-                snapshots.append(span.row(idx).copy())
-                provenance.append(("product", gi, pos))
+    while pos < len(pieces):
+        h, j, x = pieces[pos]
+        for gi, by_source in actions:
+            for h2, block in by_source[h]:
+                k = spans.add(h2, j, exact_matmul(block, x))
+                if k is not None:
+                    pieces.append((h2, j, spans.element(k)[2].copy()))
+                    provenance.append(("product", gi, pos))
         pos += 1
 
-    # Read-only views of the final span rows; nothing is added to the span
-    # after this point, so the rows are never replaced under the views.
-    matrices = tuple(
-        RationalMatrix(row.reshape(n, n), 1, _canonical=True) for row in span.rows
-    )
-    return AlgebraBasis(n, matrices, tuple(provenance), span)
-
+    return AlgebraBasis(n, spans.matrices(), tuple(provenance), spans)

@@ -163,18 +163,26 @@ def is_distance_regular(g: Graph, dd: DistanceData):
     """
     diam = dd.diameter
     table = np.zeros((diam + 1, diam + 1, diam + 1), dtype=np.int64)
+    # counts(i, j)[y, z] = |{w : dist(y, w) = i, dist(z, w) = j}| = (M_i M_j^T)[y, z]
+    # with M_i the 0/1 distance-i mask.  The masks are symmetric, so
+    # counts(j, i) = counts(i, j)^T: only i <= j is multiplied, and (j, i)
+    # is read through the transpose view.
     cache: dict[tuple[int, int], np.ndarray] = {}
     masks = [dd.dist == h for h in range(diam + 1)]
+
+    def counts(i: int, j: int) -> np.ndarray:
+        if i > j:
+            return counts(j, i).T
+        if (i, j) not in cache:
+            cache[(i, j)] = masks[i].astype(np.int64) @ masks[j].astype(np.int64).T
+        return cache[(i, j)]
+
     for h in range(diam + 1):
         mask = masks[h]
         pairs = None
         for i in range(diam + 1):
             for j in range(diam + 1):
-                if (i, j) not in cache:
-                    bi = masks[i].astype(np.int64)
-                    bj = masks[j].astype(np.int64)
-                    cache[(i, j)] = bi @ bj.T
-                vals = cache[(i, j)][mask]
+                vals = counts(i, j)[mask]
                 first = int(vals[0])
                 if not bool((vals == first).all()):
                     if pairs is None:

@@ -43,8 +43,7 @@ import numpy as np
 
 from ._intops import exact_matmul, exact_mul_elementwise, exact_scale
 from .checks import Check
-from .closure import AlgebraBasis, closure
-from .echelon import EchelonSpan
+from .closure import AlgebraBasis, BlockSpans, closure
 from .graphs import DistanceData, Graph, distance_matrix, hypercube, is_distance_regular
 from .hypercube import HypercubeParams, permissible
 from .linalg import RationalMatrix, inverse, min_poly, poly_eval_matrix
@@ -553,20 +552,18 @@ def check_triple_products(ctx: TerwContext) -> TripleProductReport:
 
 
 def triple_span_dim(ctx: TerwContext) -> int:
-    """Dimension of span{E_h* A_i E_j*} over all (d+1)^3 triples."""
-    n = ctx.n
-    span = EchelonSpan(n * n)
-    for h in range(ctx.d + 1):
-        rows = ctx.spheres[h]
-        for i in range(ctx.d + 1):
-            Ai = ctx.A_dist[i].num
-            for j in range(ctx.d + 1):
-                cols = ctx.spheres[j]
-                block = np.zeros((n, n), dtype=np.int64)
-                sub = np.ix_(rows, cols)
-                block[sub] = Ai[sub]
-                span.add(block.ravel())
-    return span.dim
+    """Dimension of span{E_h* A_i E_j*} over all (d+1)^3 triples.
+
+    E_h* A_i E_j* is zero outside the sphere block S_h x S_j, so each is
+    reduced as that block, A_i[S_h, S_j], in the span of block (h, j).
+    """
+    spans = BlockSpans(ctx.n, ctx.spheres)
+    for h, rows in enumerate(ctx.spheres):
+        for j, cols in enumerate(ctx.spheres):
+            block = np.ix_(rows, cols)
+            for Ai in ctx.A_dist:
+                spans.add(h, j, Ai.num[block])
+    return spans.dim
 
 
 def check_krein_self_dual(ctx: TerwContext) -> Check:

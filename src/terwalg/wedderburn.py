@@ -27,8 +27,10 @@ pivot entries alone, never formed at n x n:
   each block size n_r is the integer square root of dim span{b_k z_r}.
 - The corner.  The complement algebra (I - U0) T (I - U0) is spanned by
   W B W with W = L (I - U0) = L I - S^T M S, the verified factorization of
-  idempotent.u0_factorization; W B W expands into products with the thin
-  sphere indicator S, O((d+1) n^2) per basis element.
+  idempotent.u0_factorization.  W is block-diagonal by spheres, so W B W
+  stays in the block E*_h T E*_j of B; it expands into products with the
+  thin sphere indicator S, O((d+1) |S_h| |S_j|) per basis element, and is
+  reduced in that block's span (closure.BlockSpans).
 
 On a span that is not closed the pivot reads can be wrong, so the split is
 guarded by dense checks on the materialized idempotents: they must be
@@ -63,8 +65,7 @@ from ._intops import (
     max_abs,
     to_object,
 )
-from .closure import AlgebraBasis
-from .echelon import EchelonSpan
+from .closure import AlgebraBasis, BlockSpans
 from .idempotent import u0_factorization
 from .linalg import RationalMatrix, kernel_basis, min_poly, rank
 from .polys import RationalPoly
@@ -455,29 +456,34 @@ class CompressedAlgebra:
 
 
 def _compressor(s: np.ndarray, m: np.ndarray, big: int):
-    """x -> big^2 (I - U0) x (I - U0) for integer x, given big U0 = S^T M S.
+    """(x, rows, cols) -> the (rows, cols) block of big^2 (I - U0) X (I - U0).
 
+    X is the n x n matrix that is x on rows x cols and zero elsewhere, and
+    big U0 = S^T M S.  Each of rows and cols must be a union of spheres.
     With W = big (I - U0) = big I - S^T M S,
-    W x W = big^2 x - big S^T (M S x) - big (x S^T M) S + S^T (M S x S^T M) S.
+    W X W = big^2 X - big S^T (M S X) - big (X S^T M) S + S^T (M S X S^T M) S.
     S is the sphere indicator matrix, so every vertex v lies in exactly one
     sphere label[v]: S^T Y is the row gather Y[label] and Y S the column
-    gather Y[:, label].  The products left, S x, x S^T and (M S x) S^T, cost
-    O((d+1) n^2) in all, where a dense W x W costs two n^3 products.
+    gather Y[:, label].  W is block-diagonal by spheres, so W X W is again
+    zero outside rows x cols, and its block costs O((d+1) |rows| |cols|),
+    where a dense W X W costs two n^3 products.
     """
     st = s.T
     mcol = m[:, None]
     label = np.argmax(s, axis=0)
 
-    def compress(x: np.ndarray) -> np.ndarray:
-        msx = exact_mul_elementwise(mcol, exact_matmul(x.T, st).T)  # M S x
-        xstm = exact_mul_elementwise(exact_matmul(x, st), m)  # x S^T M
-        core = exact_mul_elementwise(exact_matmul(msx, st), m)  # M S x S^T M
+    def compress(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        sr, sc = st[rows], st[cols]
+        msx = exact_mul_elementwise(mcol, exact_matmul(x.T, sr).T)  # M S X
+        xstm = exact_mul_elementwise(exact_matmul(x, sc), m)  # X S^T M
+        core = exact_mul_elementwise(exact_matmul(msx, sc), m)  # M S X S^T M
         terms = [x, msx, xstm, core]
         bound = big * big * max_abs(x) + big * (max_abs(msx) + max_abs(xstm))
         if bound + max_abs(core) >= INT64_SAFE or any(a.dtype == object for a in terms):
             x, msx, xstm, core = map(to_object, terms)
-        out = big * big * x - big * msx[label] - big * xstm[:, label]
-        return demote(out + core[label][:, label])
+        lr, lc = label[rows], label[cols]
+        out = big * big * x - big * msx[lr] - big * xstm[:, lc]
+        return demote(out + core[lr][:, lc])
 
     return compress
 
@@ -488,20 +494,30 @@ def complement_algebra(ctx, t: AlgebraBasis, u0: RationalMatrix) -> CompressedAl
     Compression of a spanning set spans the corner, so the basis comes from
     echelonizing {W B W} with W = L (I - U0), where L U0 = S^T M S is the
     verified factorization of idempotent.u0_factorization (the scalar L does
-    not move the span).  W B W is formed through the thin factor S.
+    not move the span).  W is block-diagonal by spheres and the classes of
+    T's blocks are unions of spheres, so W B W stays in the block of B and
+    is formed and reduced there, through the thin factor S.
+
+    Raises:
+        ValueError: if a class of t's blocks is not a union of spheres.
     """
     n = ctx.n
     s, m = u0_factorization(ctx, u0)
     big = math.lcm(*ctx.valencies)  # the L of u0_factorization
     compress = _compressor(s, m, big)
-    span = EchelonSpan(n * n)
-    for b in t.matrices:
-        span.add(compress(b.num).ravel())
-    mats = tuple(
-        RationalMatrix(row.reshape(n, n), 1, _canonical=True) for row in span.rows
-    )
+    classes = t.span.classes
+    for cls in classes:
+        counts = s[:, cls].sum(axis=1)
+        if np.any((counts != 0) & (counts != s.sum(axis=1))):
+            raise ValueError("a block class of the basis is not a union of spheres")
+    span = BlockSpans(n, classes)
+    for k in range(t.span.dim):
+        h, j, x = t.span.element(k)
+        span.add(h, j, compress(x, classes[h], classes[j]))
+    everything = np.arange(n)
     gens = tuple(
-        RationalMatrix(compress(g.num), big * big * g.den) for g in ctx.generators()
+        RationalMatrix(compress(g.num, everything, everything), big * big * g.den)
+        for g in ctx.generators()
     )
     comp = RationalMatrix.identity(n) - u0
-    return CompressedAlgebra(mats, comp, gens)
+    return CompressedAlgebra(span.matrices(), comp, gens)

@@ -1,12 +1,17 @@
 """Tests for the matrix algebra closure."""
 
+import sys
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
-from terwalg.closure import closure
+from terwalg._intops import exact_matmul
+from terwalg.closure import closure, joint_classes
 from terwalg.echelon import EchelonSpan
-from terwalg.graphs import DistanceData, distance_matrix, hypercube
+from terwalg.graphs import DistanceData, Graph, distance_matrix, hypercube
 from terwalg.linalg import RationalMatrix
+from terwalg.subconstituent import build_context, build_hypercube_context
 
 
 def cube_generators(d):
@@ -49,14 +54,17 @@ def test_closure_basis_matrices_are_integer_primitive():
 
 
 def test_closure_provenance():
-    a, astar = cube_generators(1)
-    basis = closure([a, astar])
-    assert basis.provenance[0] == ("seed",)
-    for tag in basis.provenance[1:]:
-        kind, gen_idx, parent_idx = tag
-        assert kind == "product"
-        assert 0 <= gen_idx < 2
-        assert 0 <= parent_idx < basis.dim
+    # One seed per class of A* (the d+1 spheres), then products of the
+    # non-diagonal generator A (index 0) with earlier elements.
+    for d in (1, 3):
+        a, astar = cube_generators(d)
+        basis = closure([a, astar])
+        assert basis.provenance[: d + 1] == (("seed",),) * (d + 1)
+        for k, tag in enumerate(basis.provenance[d + 1 :], start=d + 1):
+            kind, gen_idx, parent_idx = tag
+            assert kind == "product"
+            assert gen_idx == 0
+            assert 0 <= parent_idx < k
 
 
 def test_closure_of_identity_like_generator():
@@ -102,3 +110,142 @@ def test_closure_deterministic():
     for m1, m2 in zip(b1.matrices, b2.matrices):
         assert m1 == m2
     assert b1.provenance == b2.provenance
+
+
+# -- the block closure against the sequential closure at width n^2 ----------
+
+
+def sequential_closure(generators):
+    """Reference: the closure from I at width n^2, one product at a time.
+
+    Every basis element is left-multiplied by every generator, diagonal or
+    not, and reduced against the whole span.  Returns the span.
+    """
+    n = generators[0].nrows
+    span = EchelonSpan(n * n)
+    span.add(np.eye(n, dtype=np.int64).ravel())
+    queue = [span.row(0).copy()]
+    pos = 0
+    while pos < len(queue):
+        parent = queue[pos].reshape(n, n)
+        for g in generators:
+            idx = span.add(exact_matmul(g.num, parent).ravel())
+            if idx is not None:
+                queue.append(span.row(idx).copy())
+        pos += 1
+    return span
+
+
+def _row_set(rows):
+    return sorted(tuple(int(v) for v in np.asarray(r).ravel()) for r in rows)
+
+
+def kneser_petersen():
+    pairs = list(combinations(range(5), 2))
+    edges = [
+        (a, b)
+        for a, b in combinations(range(10), 2)
+        if not set(pairs[a]) & set(pairs[b])
+    ]
+    return Graph.from_edges(10, edges)
+
+
+def hamming(d, q):
+    words = list(product(range(q), repeat=d))
+    edges = [
+        (a, b)
+        for a, b in combinations(range(len(words)), 2)
+        if sum(x != y for x, y in zip(words[a], words[b])) == 1
+    ]
+    return Graph.from_edges(len(words), edges)
+
+
+def two_diagonal_generators():
+    """A 6-cycle with two diagonals whose joint classes split both."""
+    cycle = np.zeros((6, 6), dtype=np.int64)
+    for v in range(6):
+        cycle[v, (v + 1) % 6] = cycle[(v + 1) % 6, v] = 1
+    d1 = RationalMatrix.diagonal([0, 0, 1, 1, 0, 1])
+    d2 = RationalMatrix.diagonal([0, 1, 0, 1, 1, 0])
+    return [d1, RationalMatrix(cycle), d2]
+
+
+def generator_sets():
+    for d in range(0, 6):
+        for x in sorted({0, 5 % (1 << d)}):
+            yield f"Q_{d} x={x}", build_hypercube_context(d, x).generators()
+    yield "petersen", build_context(kneser_petersen(), 3).generators()
+    yield "H(3,3)", build_context(hamming(3, 3), 5).generators()
+    ctx = build_hypercube_context(3)
+    yield "Q_3 A only", [ctx.A]
+    yield "Q_3 A and A_2", [ctx.A, ctx.A_dist[2]]
+    yield "6-cycle, two diagonals", two_diagonal_generators()
+
+
+def test_block_closure_matches_sequential_closure():
+    for name, gens in generator_sets():
+        basis = closure(gens)
+        oracle = sequential_closure(gens)
+        assert basis.dim == oracle.dim, name
+        assert _row_set(m.num for m in basis.matrices) == _row_set(oracle.rows), name
+
+
+def test_joint_classes_are_finer_than_each_diagonal():
+    d1, _cycle, d2 = two_diagonal_generators()
+    diagonals = [d1.num.diagonal(), d2.num.diagonal()]
+    classes = joint_classes(6, diagonals)
+    assert [c.tolist() for c in classes] == [[0], [1, 4], [2, 5], [3]]
+    assert len(joint_classes(6, diagonals[:1])) == 2
+    assert len(joint_classes(6, diagonals[1:])) == 2
+    assert [c.tolist() for c in joint_classes(3, [])] == [[0, 1, 2]]
+    assert closure(two_diagonal_generators()).provenance[:4] == (("seed",),) * 4
+
+
+def test_contains_rejects_a_changed_entry():
+    # T(x) of Q_3 is invariant under the stabilizer of x, so a single
+    # changed entry leaves it unless both coordinates are fixed points.
+    ctx = build_hypercube_context(3, 5)
+    basis = ctx.algebra_basis()
+    oracle = sequential_closure(ctx.generators())
+    rejected = 0
+    for m in basis.matrices:
+        assert basis.contains(m)
+        bad = m.num.copy()
+        r, c = np.argwhere(bad)[-1]
+        bad[r, c] += 1
+        expected = oracle.contains(bad.ravel())
+        assert basis.contains(RationalMatrix(bad)) == expected
+        rejected += not expected
+    assert rejected >= basis.dim - 4  # only the four corner blocks are 1 x 1
+
+
+def test_contains_checks_entries_outside_every_block():
+    # Q_2 with A* alone: the blocks are the spheres' diagonal blocks, and an
+    # entry between two spheres lies in no block span.
+    _a, astar = cube_generators(2)
+    basis = closure([astar])
+    assert basis.dim == 3
+    off = np.zeros((4, 4), dtype=np.int64)
+    off[0, 3] = 1
+    assert not basis.contains(RationalMatrix(off))
+    assert basis.contains(astar)
+
+
+def test_block_closure_on_the_object_path(monkeypatch):
+    # With the int64 bound at 1 every product and elimination runs on
+    # Python ints; the rows must be the same integers.
+    cases = [
+        ("Q_3 x=5", build_hypercube_context(3, 5).generators()),
+        ("petersen", build_context(kneser_petersen(), 3).generators()),
+    ]
+    expected = [_row_set(m.num for m in closure(gens).matrices) for _, gens in cases]
+    for name, module in list(sys.modules.items()):
+        if (name == "terwalg" or name.startswith("terwalg.")) and hasattr(
+            module, "INT64_SAFE"
+        ):
+            monkeypatch.setattr(module, "INT64_SAFE", 1)
+    for (name, gens), want in zip(cases, expected):
+        basis = closure(gens)
+        assert _row_set(m.num for m in basis.matrices) == want, name
+        assert any(m.num.dtype == object for m in basis.matrices), name
+        assert all(basis.contains(m) for m in basis.matrices), name

@@ -1,5 +1,7 @@
 """Tests for graph construction, distances, and distance-regularity."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,68 @@ def test_path_is_not_distance_regular():
     bj = (dd.dist == j).astype(int)
     counts = bi @ bj.T
     assert counts[pair_a] == count_a and counts[pair_b] == count_b
+
+
+def _all_pairs_distance_regular(dd):
+    """Reference: every (h, i, j) from its own product M_i M_j^T."""
+    diam = dd.diameter
+    masks = [dd.dist == h for h in range(diam + 1)]
+    table = np.zeros((diam + 1,) * 3, dtype=np.int64)
+    for h in range(diam + 1):
+        pairs = np.argwhere(masks[h])
+        for i in range(diam + 1):
+            for j in range(diam + 1):
+                counts = masks[i].astype(np.int64) @ masks[j].astype(np.int64).T
+                vals = counts[masks[h]]
+                bad = np.flatnonzero(vals != vals[0])
+                if bad.size:
+                    k = int(bad[0])
+                    return False, (
+                        h, i, j, tuple(int(t) for t in pairs[0]), int(vals[0]),
+                        tuple(int(t) for t in pairs[k]), int(vals[k]),
+                    )
+                table[h, i, j] = vals[0]
+    return True, table
+
+
+def kneser(v, k):
+    subsets = list(combinations(range(v), k))
+    edges = [
+        (a, b)
+        for a, b in combinations(range(len(subsets)), 2)
+        if not set(subsets[a]) & set(subsets[b])
+    ]
+    return Graph.from_edges(len(subsets), edges)
+
+
+def test_distance_regularity_matches_all_pairs_oracle():
+    # Only i <= j is multiplied; the table and the witness must be those of
+    # the product taken for every (i, j).
+    prism = Graph.from_edges(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    )
+    house = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
+    graphs = {
+        "Q_3": hypercube(3),
+        "Q_4": hypercube(4),
+        "C_6": cycle(6),
+        "C_7": cycle(7),
+        "petersen": kneser(5, 2),
+        "P_4": path(4),
+        "P_5": path(5),
+        "prism": prism,
+        "house": house,
+    }
+    verdicts = {}
+    for name, g in graphs.items():
+        dd = DistanceData.compute(g)
+        ok, result = is_distance_regular(g, dd)
+        want_ok, want = _all_pairs_distance_regular(dd)
+        assert ok == want_ok, name
+        if ok:
+            assert np.array_equal(result, want), name
+        else:
+            assert result == want, name
+        verdicts[name] = ok
+    failing = [name for name, ok in verdicts.items() if not ok]
+    assert failing == ["P_4", "P_5", "prism", "house"]

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from terwalg import subconstituent
 from terwalg.checks import Check
+from terwalg.echelon import EchelonSpan
 from terwalg.cli import main
 from terwalg.graphs import Graph
 from terwalg.linalg import RationalMatrix
@@ -258,6 +259,22 @@ def _differential_contexts():
             yield f"cube d={d} x={x}", build_hypercube_context(d, x)
     yield "petersen", build_context(Graph.from_edges(10, PETERSEN_EDGES), 3)
     yield "J(6,3)", build_context(johnson(6, 3), 7)
+
+
+def _dense_triple_span_dim(ctx):
+    """Reference: each E_h* A_i E_j* as an n x n matrix, at width n^2."""
+    n = ctx.n
+    span = EchelonSpan(n * n)
+    for Eh in ctx.E_star:
+        for Ai in ctx.A_dist:
+            for Ej in ctx.E_star:
+                span.add((Eh @ Ai @ Ej).num.ravel())
+    return span.dim
+
+
+def test_triple_span_dim_matches_dense_span():
+    for name, ctx in _differential_contexts():
+        assert triple_span_dim(ctx) == _dense_triple_span_dim(ctx), name
 
 
 def test_dual_triple_zeros_match_literal_products():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from terwalg import wedderburn
 from terwalg._intops import exact_matmul, exact_sub
+from terwalg.closure import closure
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import compute_u0
 from terwalg.linalg import RationalMatrix, kernel_basis, min_poly, rank
@@ -418,10 +419,25 @@ def test_split_matches_dense_oracle(suite):
 
 
 def test_corner_matches_dense_compression(suite):
+    # Each W B W is reduced in its sphere block; the basis must be the
+    # width-n^2 one, in the same insertion order.
     for d in range(2, 6):
-        ctx, basis = suite[d]
-        u0, _dual = compute_u0(ctx)
-        corner = complement_algebra(ctx, basis, u0)
-        mats, gens = _dense_corner(ctx, basis, u0)
-        assert corner.matrices == mats, f"d={d}"
-        assert corner.generators == gens, f"d={d}"
+        for x in (0, (1 << d) - 1):
+            ctx = build_hypercube_context(d, x) if x else suite[d][0]
+            basis = ctx.algebra_basis() if x else suite[d][1]
+            u0, _dual = compute_u0(ctx)
+            corner = complement_algebra(ctx, basis, u0)
+            mats, gens = _dense_corner(ctx, basis, u0)
+            assert corner.matrices == mats, f"d={d} x={x}"
+            assert corner.generators == gens, f"d={d} x={x}"
+
+
+def test_corner_rejects_blocks_that_split_a_sphere(suite):
+    # W = L (I - U0) mixes the vertices of a sphere, so a basis whose block
+    # classes cut a sphere cannot be compressed block by block.
+    ctx, _basis = suite[3]
+    v = int(ctx.spheres[1][0])
+    unit = RationalMatrix.diagonal([int(y == v) for y in range(ctx.n)])
+    basis = closure(ctx.generators() + [unit])
+    with pytest.raises(ValueError, match="union of spheres"):
+        complement_algebra(ctx, basis, compute_u0(ctx)[0])
