@@ -31,6 +31,7 @@ span.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -110,16 +111,26 @@ class BlockSpans:
 
 @dataclass(frozen=True)
 class AlgebraBasis:
-    """Echelonized basis of a matrix algebra, in insertion order."""
+    """Echelonized basis of a matrix algebra, held as its block spans.
 
-    side: int
-    matrices: tuple[RationalMatrix, ...]
+    The dense n x n view `matrices` is built on first access.
+    """
+
     provenance: tuple[Provenance, ...]
     span: BlockSpans
 
     @property
+    def side(self) -> int:
+        return self.span.n
+
+    @property
     def dim(self) -> int:
-        return len(self.matrices)
+        return self.span.dim
+
+    @cached_property
+    def matrices(self) -> tuple[RationalMatrix, ...]:
+        """Every basis element as a dense integer matrix, in insertion order."""
+        return self.span.matrices()
 
     def contains(self, m: RationalMatrix) -> bool:
         """Exact membership of a matrix in the span."""
@@ -202,4 +213,4 @@ def closure(generators: Sequence[RationalMatrix]) -> AlgebraBasis:
                     provenance.append(("product", gi, pos))
         pos += 1
 
-    return AlgebraBasis(n, spans.matrices(), tuple(provenance), spans)
+    return AlgebraBasis(tuple(provenance), spans)

@@ -2,8 +2,9 @@
 
 Vertices are 0..n-1.  Hypercube vertices are bitmasks: bit b set means
 coordinate b is -1, and two vertices are adjacent iff their xor is a power of
-two.  Distances are always realized by breadth-first search so the closed
-formulas elsewhere can be checked against an independent oracle.
+two.  Distances are always realized by breadth-first search, run from all
+sources at once, so the closed formulas elsewhere can be checked against an
+independent oracle.
 
 The brute-force intersection counts here are the ground truth that the
 closed-form hypercube parameters are tested against.
@@ -11,8 +12,8 @@ closed-form hypercube parameters are tested against.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,7 +61,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         g = cls(n, tuple(tuple(sorted(s)) for s in adj))
-        seen = _bfs(g.neighbors, 0)
+        seen = _distances(g.neighbors, [0])[0]
         if -1 in seen:
             missing = int(np.argmax(seen == -1))
             raise ValueError(f"graph is not connected: vertex {missing} unreachable from 0")
@@ -117,18 +118,57 @@ def parse_graph_file(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _bfs(neighbors: Sequence[Sequence[int]], src: int) -> np.ndarray:
-    dist = np.full(len(neighbors), -1, dtype=np.int64)
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in neighbors[u]:
-            if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
+def _neighbour_table(neighbors: Sequence[Sequence[int]]) -> np.ndarray:
+    """n x k table whose row v lists v's neighbours, k the largest degree.
+
+    A row with fewer than k neighbours is padded with v itself.
+    """
+    n = len(neighbors)
+    deg = np.fromiter(map(len, neighbors), dtype=np.intp, count=n)
+    k = int(deg.max())
+    table = np.repeat(np.arange(n, dtype=np.intp), k).reshape(n, k)
+    flat = chain.from_iterable(neighbors)
+    table[np.arange(k) < deg[:, None]] = np.fromiter(flat, dtype=np.intp)
+    return table
+
+
+def _distances(
+    neighbors: Sequence[Sequence[int]], sources: Sequence[int]
+) -> np.ndarray:
+    """Breadth-first distances from every source at once; -1 if unreachable.
+
+    Row r of the result holds the distances from sources[r].  The BFS runs
+    level by level for all sources together.  The frontier is the flat
+    indices r n + v of the pairs (r, v) first reached at the current level,
+    so a level costs O(frontier size · k), whatever the diameter, and all
+    levels together cost O(len(sources) · n · k).  For each neighbour slot
+    s the candidates are the pairs (r, table[v, s]), kept when still
+    unreached; a padded slot gives (r, v), which is reached, so it is
+    always dropped.  A pair two frontier pairs reach in the same slot is
+    deduplicated by writing a distinct negative tag per candidate and
+    keeping the candidates whose tag survived.
+    """
+    n = len(neighbors)
+    table = _neighbour_table(neighbors).T.copy()  # row s: slot s of every v
+    dist = np.full(len(sources) * n, -1, dtype=np.int64)
+    rows = np.arange(len(sources), dtype=np.intp)
+    frontier = rows * n + np.asarray(sources, dtype=np.intp)
+    dist[frontier] = 0
+    level = 0
+    while frontier.size:
+        level += 1
+        v = frontier % n
+        found = [frontier[:0]]  # a vertex of degree 0 has no slot
+        for slot in table:
+            cand = frontier + (slot[v] - v)
+            cand = cand[dist[cand] < 0]
+            tag = -2 - np.arange(cand.size)
+            dist[cand] = tag
+            cand = cand[dist[cand] == tag]
+            dist[cand] = level
+            found.append(cand)
+        frontier = np.concatenate(found)
+    return dist.reshape(len(sources), n)
 
 
 @dataclass(frozen=True)
@@ -140,9 +180,7 @@ class DistanceData:
 
     @classmethod
     def compute(cls, g: Graph) -> "DistanceData":
-        table = np.empty((g.n, g.n), dtype=np.int64)
-        for src in range(g.n):
-            table[src] = _bfs(g.neighbors, src)
+        table = _distances(g.neighbors, range(g.n))
         table.flags.writeable = False
         return cls(table, int(table.max()))
 

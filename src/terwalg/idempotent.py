@@ -5,33 +5,61 @@ U0 is defined by two formulas that must agree exactly:
     U0 = |X| sum_i k_i^(-1)  E_i* E_0 E_i*
        = |X| sum_i k_i*^(-1) E_i  E_0* E_i
 
-It is a central idempotent of the subconstituent algebra, absorbs the
-extremal idempotents E_0, E_d, E_0*, E_d*, has rank d+1, and generates a
-two-sided ideal of dimension (d+1)^2.  Peeling that ideal off the algebra
-for the d-cube leaves the dimension of the algebra for the (d-2)-cube.
+For the d-cube this is U0 = sum_h k_h^(-1) J_{S_h}: one all-ones block per
+sphere S_h around x, scaled by the sphere size k_h.  U0 is a central
+idempotent of the subconstituent algebra T, absorbs the extremal
+idempotents E_0, E_d, E_0*, E_d*, has rank d+1, and generates a two-sided
+ideal of dimension (d+1)^2.  Peeling that ideal off T for the d-cube leaves
+the dimension of the algebra for the (d-2)-cube.
 
-U0 has the rank factorization S^T D S, with S the 0/1 sphere indicator
-matrix and D the diagonal of reciprocal sphere sizes.  verify_u0 checks the
-factorization against U0 once and then uses it twice: centrality is tested
-against every basis element through S and S^T, which costs O((d+1) n^2) per
-element instead of two dense n x n products, and the ideal dimension is the
-rank of {B S^T}.
+Both formulas are evaluated literally and compared.  U0 is then checked
+against its rank factorization L U0 = S^T M S, with S the 0/1 sphere
+indicator matrix, L = lcm(k_h) and M = diag(m), m_h = L / k_h, and every
+other property is read from S, m and the closure's block pieces: each basis
+element of T is a piece X in one block, rows S_sigma(h) and columns
+S_sigma(j), where sigma maps the closure's classes (the spheres) to sphere
+indices.  No check forms an n x n product:
+
+- Centrality: L U0 B is m_sigma(h) colsum(X) copied down the block's rows
+  and L B U0 is m_sigma(j) rowsum(X) copied across its columns, so B
+  commutes with U0 exactly when all these entries are one common value.
+- Ideal dimension: right-multiplication by M S is injective, so
+  dim span{B U0} = dim span{B S^T}.  B S^T is rowsum(X) in rows S_sigma(h)
+  of column sigma(j); blocks have disjoint supports, so the dimension is
+  the sum over blocks of the rank of their row-sum vectors.
+- Idempotence: S has full row rank, so U0^2 = U0 exactly when
+  M (S S^T) M = L M.
+- Absorption: L U0 E = S^T (M S E) is the (d+1) x n product M S E
+  gathered by sphere, compared with L E.
+
+rank(U0) is taken densely, as an independent check of the factorization.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
-from ._intops import exact_matmul, exact_mul_elementwise
+from ._intops import (
+    INT64_SAFE,
+    demote,
+    exact_matmul,
+    exact_mul_elementwise,
+    exact_scale,
+    max_abs,
+    to_object,
+)
 from .closure import AlgebraBasis
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix, rank
 from .subconstituent import TerwContext, VerificationError
+
+# (h, j, X): the block of the closure's classes h, j that holds X.
+Piece = tuple[int, int, np.ndarray]
 
 
 def compute_u0(ctx: TerwContext) -> tuple[RationalMatrix, RationalMatrix]:
@@ -89,36 +117,98 @@ def u0_factorization(
     return s, m
 
 
-def is_central(
-    s: np.ndarray, m: np.ndarray, matrices: Iterable[RationalMatrix]
-) -> bool:
-    """Does U0 = S^T D S commute with every matrix given?
+def sphere_of_classes(s: np.ndarray, classes: Sequence[np.ndarray]) -> tuple[int, ...]:
+    """The map sigma from block classes to spheres: classes[h] is S_sigma(h).
 
-    Each test compares the integers S^T (L D) (S B) and (B S^T) (L D) S,
-    which are L times U0 B and B U0 (the denominator of B is common to both
-    sides), in O((d+1) n^2) operations instead of two dense products.
+    Args:
+        s: the sphere indicator matrix.
+
+    Raises:
+        ValueError: if a class is not exactly one sphere.
     """
-    st = s.T
-    for b in matrices:
-        sb = exact_mul_elementwise(m[:, None], exact_matmul(s, b.num))
-        bst = exact_mul_elementwise(exact_matmul(b.num, st), m[None, :])
-        if not np.array_equal(exact_matmul(st, sb), exact_matmul(bst, s)):
+    label = np.argmax(s, axis=0)
+    sizes = s.sum(axis=1)
+    sigma = tuple(int(label[cls[0]]) for cls in classes)
+    for cls, i in zip(classes, sigma):
+        if len(cls) != sizes[i] or np.any(label[cls] != i):
+            raise ValueError("a block class of the basis is not exactly one sphere")
+    return sigma
+
+
+def _line_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row sums, column sums) of an integer block, exactly.
+
+    Every sum has at most max(x.shape) terms, so max(x.shape) max|x| bounds
+    it; past INT64_SAFE the sums run on Python ints and are demoted.
+    """
+    if x.dtype != object and max(x.shape) * max_abs(x) < INT64_SAFE:
+        return x.sum(axis=1), x.sum(axis=0)
+    x = to_object(x)
+    return demote(x.sum(axis=1)), demote(x.sum(axis=0))
+
+
+def is_central(pieces: Iterable[Piece], sigma: Sequence[int], m: np.ndarray) -> bool:
+    """Does U0 commute with every block piece given?
+
+    A piece (h, j, X) is the n x n matrix B that is X on rows S_sigma(h) and
+    columns S_sigma(j) and zero elsewhere.  With L U0 = S^T diag(m) S, the
+    matrix L U0 B is m_sigma(h) colsum(X) copied down the block's rows and
+    L B U0 is m_sigma(j) rowsum(X) copied across its columns; both vanish
+    outside the block.  So B commutes with U0 exactly when all these
+    entries are one common value, in O(|S_h| |S_j|) per piece.
+    """
+    for h, j, x in pieces:
+        rows, cols = _line_sums(x)
+        left = exact_scale(cols, int(m[sigma[h]]))  # a row of L U0 B
+        right = exact_scale(rows, int(m[sigma[j]]))  # a column of L B U0
+        value = left[0]
+        if not (np.all(left == value) and np.all(right == value)):
             return False
     return True
 
 
-def ideal_dimension(t: AlgebraBasis, s: np.ndarray) -> int:
-    """dim span{B U0 : B in the algebra basis}, given S from u0_factorization.
+def ideal_dimension(pieces: Iterable[Piece]) -> int:
+    """dim span{B U0} over the pieces B of an algebra basis.
 
     Since U0 = S^T D S with D the invertible diagonal of reciprocal sphere
-    sizes, right-multiplication by D S is injective and the span of
-    {B S^T} has the same dimension.
+    sizes and S of full row rank, right-multiplication by D S is injective,
+    so the span of {B S^T} has the same dimension.  For a piece in block
+    (h, j), B S^T is rowsum(X) in rows S_sigma(h) of column sigma(j).  When
+    the classes are distinct spheres these supports are disjoint across
+    blocks, so the dimension is the sum over blocks of the rank of their
+    row-sum vectors.
     """
-    span = EchelonSpan(s.size)
-    st = s.T
-    for b in t.matrices:
-        span.add(exact_matmul(b.num, st).ravel())
-    return span.dim
+    spans: dict[tuple[int, int], EchelonSpan] = {}
+    for h, j, x in pieces:
+        span = spans.get((h, j))
+        if span is None:
+            span = spans[(h, j)] = EchelonSpan(x.shape[0])
+        span.add(_line_sums(x)[0])
+    return sum(span.dim for span in spans.values())
+
+
+def is_idempotent(s: np.ndarray, m: np.ndarray, big: int) -> bool:
+    """Is U0 = S^T M S / big idempotent, M = diag(m)?
+
+    U0^2 = S^T M (S S^T) M S / big^2, and S has full row rank (its rows are
+    the indicators of disjoint nonempty spheres), so U0^2 = U0 exactly when
+    M (S S^T) M = big M: a (d+1) x (d+1) comparison.
+    """
+    ms = exact_mul_elementwise(m[:, None], exact_matmul(s, s.T))
+    mssm = exact_mul_elementwise(ms, m)
+    return np.array_equal(mssm, exact_scale(np.diag(m), big))
+
+
+def absorbs(s: np.ndarray, m: np.ndarray, big: int, e: RationalMatrix) -> bool:
+    """Is U0 E = E, with big U0 = S^T diag(m) S?
+
+    big U0 E = S^T (M S E) is the (d+1) x n product M S E gathered by
+    sphere: row v of it is row label(v) of M S E.  The denominator of E is
+    common to both sides.
+    """
+    mse = exact_mul_elementwise(m[:, None], exact_matmul(s, e.num))
+    label = np.argmax(s, axis=0)
+    return np.array_equal(mse[label], exact_scale(e.num, big))
 
 
 @dataclass(frozen=True)
@@ -185,25 +275,27 @@ def verify_u0(
 ) -> U0Report:
     """Run every U0 check against a computed algebra basis.
 
+    The checks read the basis's block pieces and the verified factorization
+    L U0 = S^T diag(m) S; none forms an n x n product (module docstring).
+
     Args:
         dim_smaller: known dimension of the algebra two diameters down; when
             given, the peel identity dim T - (d+1)^2 = dim_smaller is
             checked, otherwise it is recorded as vacuously true.
+
+    Raises:
+        ValueError: if a block class of t is not exactly one sphere.
+        VerificationError: if U0 does not match its rank factorization.
     """
     primal, dual = compute_u0(ctx)
     formulas_agree = primal == dual
     u0 = primal
-    idempotent = u0 @ u0 == u0
     s, m = u0_factorization(ctx, u0)
-    central = is_central(s, m, t.matrices)
-    rank_u0 = rank(u0)
-    dim_ideal = ideal_dimension(t, s)
-    absorbs = [
-        u0 @ ctx.E[0] == ctx.E[0],
-        u0 @ ctx.E[ctx.d] == ctx.E[ctx.d],
-        u0 @ ctx.E_star[0] == ctx.E_star[0],
-        u0 @ ctx.E_star[ctx.d] == ctx.E_star[ctx.d],
-    ]
+    sigma = sphere_of_classes(s, t.span.classes)
+    big = lcm(*ctx.valencies)  # the L of u0_factorization
+    pieces = [t.span.element(k) for k in range(t.span.dim)]
+    ends = (ctx.E[0], ctx.E[ctx.d], ctx.E_star[0], ctx.E_star[ctx.d])
+    absorbed = [absorbs(s, m, big, e) for e in ends]
     if dim_smaller is None:
         peel = True
     else:
@@ -212,13 +304,13 @@ def verify_u0(
         d=ctx.d,
         U0=u0,
         formulas_agree=formulas_agree,
-        idempotent=idempotent,
-        central=central,
-        rank_U0=rank_u0,
-        dim_T_u0=dim_ideal,
-        absorbs_E0=absorbs[0],
-        absorbs_Ed=absorbs[1],
-        absorbs_E0_star=absorbs[2],
-        absorbs_Ed_star=absorbs[3],
+        idempotent=is_idempotent(s, m, big),
+        central=is_central(pieces, sigma, m),
+        rank_U0=rank(u0),
+        dim_T_u0=ideal_dimension(pieces),
+        absorbs_E0=absorbed[0],
+        absorbs_Ed=absorbed[1],
+        absorbs_E0_star=absorbed[2],
+        absorbs_Ed_star=absorbed[3],
         peel_identity=peel,
     )

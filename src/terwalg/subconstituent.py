@@ -122,7 +122,11 @@ def _distance_profile(m: RationalMatrix, classes: Sequence[np.ndarray]):
 
 
 def _compute_krein(E: Sequence[RationalMatrix], dist: np.ndarray, d: int):
-    """Solve E_i o E_j = |X|^(-1) sum_h krein[h][i][j] E_h exactly."""
+    """Solve E_i o E_j = |X|^(-1) sum_h krein[h][i][j] E_h exactly.
+
+    E_i o E_j = E_j o E_i, so only i <= j is solved and q^h_ji = q^h_ij is
+    mirrored; the matrix-level Krein check compares every (i, j).
+    """
     n = E[0].nrows
     flat_dist = dist.ravel()
     classes = [np.flatnonzero(flat_dist == a) for a in range(d + 1)]
@@ -132,13 +136,13 @@ def _compute_krein(E: Sequence[RationalMatrix], dist: np.ndarray, d: int):
     inv_sys = inverse(RationalMatrix.from_rows(sys_rows))
     krein = [[[Fraction(0)] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for i in range(d + 1):
-        for j in range(d + 1):
+        for j in range(i, d + 1):
             had = E[i].hadamard(E[j])
             prof = _distance_profile(had, classes)
             rhs = RationalMatrix.from_rows([[v] for v in prof])
             coeffs = inv_sys @ rhs
             for h in range(d + 1):
-                krein[h][i][j] = coeffs[h, 0] * n
+                krein[h][i][j] = krein[h][j][i] = coeffs[h, 0] * n
     return tuple(tuple(tuple(row) for row in layer) for layer in krein)
 
 

@@ -1,9 +1,15 @@
 """Tests for graph construction, distances, and distance-regularity."""
 
+import importlib.util
+import sys
+from collections import deque
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terwalg.graphs import (
     DistanceData,
@@ -194,3 +200,99 @@ def test_distance_regularity_matches_all_pairs_oracle():
         verdicts[name] = ok
     failing = [name for name, ok in verdicts.items() if not ok]
     assert failing == ["P_4", "P_5", "prism", "house"]
+
+
+def _bfs(neighbors, src):
+    """Reference: one single-source BFS with a queue."""
+    dist = np.full(len(neighbors), -1, dtype=np.int64)
+    dist[src] = 0
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for w in neighbors[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def _per_source_table(g):
+    return np.stack([_bfs(g.neighbors, src) for src in range(g.n)])
+
+
+def _assert_table_matches_oracle(g):
+    dd = DistanceData.compute(g)
+    want = _per_source_table(g)
+    assert dd.dist.dtype == want.dtype
+    assert np.array_equal(dd.dist, want)
+    assert dd.diameter == int(want.max())
+    assert not dd.dist.flags.writeable
+
+
+def _benchmark_families():
+    # The distance-regular graphs of the benchmark, built from their
+    # combinatorial definitions without terwalg.
+    path_ = Path(__file__).resolve().parents[1] / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_families", path_)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return [
+        mod.hypercube_family(7),
+        mod.folded_cube_family(4),
+        mod.johnson_family(9, 4),
+        mod.hamming_family(3, 5),
+        mod.hamming_family(4, 3),
+        mod.petersen_family(),
+    ]
+
+
+def test_distances_match_per_source_bfs_on_benchmark_families():
+    for fam in _benchmark_families():
+        g = Graph.from_edges(fam.n, fam.edges)
+        _assert_table_matches_oracle(g)
+        assert DistanceData.compute(g).diameter == fam.diameter, fam.name
+
+
+def test_distances_match_per_source_bfs_on_cubes():
+    for d in range(0, 9):
+        _assert_table_matches_oracle(hypercube(d))
+
+
+def test_distances_match_per_source_bfs_on_paths_and_cycles():
+    for n in (1, 2, 3, 10, 33):
+        _assert_table_matches_oracle(path(n))
+    for n in (3, 4, 9, 20):
+        _assert_table_matches_oracle(cycle(n))
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree plus random chords, so degrees are uneven."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    edges = set()
+    for v in range(1, n):
+        u = draw(st.integers(min_value=0, max_value=v - 1))
+        edges.add((u, v))
+    if n >= 2:
+        pairs = st.tuples(
+            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=0, max_value=n - 1),
+        )
+        for u, v in draw(st.lists(pairs, max_size=3 * n)):
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, sorted(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs())
+def test_distances_match_per_source_bfs_on_irregular_graphs(g):
+    _assert_table_matches_oracle(g)
+
+
+def test_disconnected_graph_names_first_unreachable_vertex():
+    with pytest.raises(ValueError, match="vertex 3 unreachable"):
+        Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    with pytest.raises(ValueError, match="vertex 1 unreachable"):
+        Graph.from_edges(2, [])

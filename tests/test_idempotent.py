@@ -1,13 +1,26 @@
 """Tests for the primary central idempotent."""
 
 import random
+import sys
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
-from terwalg.closure import AlgebraBasis
-from terwalg.idempotent import compute_u0, verify_u0
+from terwalg import idempotent
+from terwalg.closure import AlgebraBasis, BlockSpans
+from terwalg.echelon import EchelonSpan
+from terwalg.idempotent import (
+    absorbs,
+    compute_u0,
+    ideal_dimension,
+    is_central,
+    is_idempotent,
+    sphere_of_classes,
+    u0_factorization,
+    verify_u0,
+)
 from terwalg.linalg import RationalMatrix
 from terwalg.subconstituent import build_context, build_hypercube_context
 from terwalg.graphs import Graph
@@ -97,10 +110,46 @@ def _literally_central(u0, matrices):
     return all(u0 @ b == b @ u0 for b in matrices)
 
 
+def _blocks(basis, mtx):
+    """The nonzero class blocks of an n x n matrix, as (h, j, X) pieces."""
+    classes = basis.span.classes
+    out = []
+    for h, rows in enumerate(classes):
+        for j, cols in enumerate(classes):
+            block = mtx.num[np.ix_(rows, cols)]
+            if np.any(block):
+                out.append((h, j, block))
+    return out
+
+
+def _with_pieces(basis, before=(), after=()):
+    """A basis whose block spans take the given pieces, then basis, then more.
+
+    The pieces enter the span as elements unless they are already spanned,
+    so verify_u0 checks them along with the basis.
+    """
+    span = BlockSpans(basis.side, basis.span.classes)
+    pieces = list(before)
+    pieces += [basis.span.element(k) for k in range(basis.dim)]
+    pieces += list(after)
+    for h, j, x in pieces:
+        span.add(h, j, x)
+    return AlgebraBasis(("seed",) * span.dim, span)
+
+
+def _dense(basis, piece):
+    h, j, x = piece
+    classes = basis.span.classes
+    out = np.zeros((basis.side, basis.side), dtype=np.int64)
+    out[np.ix_(classes[h], classes[j])] = x
+    return RationalMatrix(out)
+
+
 def test_centrality_checks_every_basis_element(suite):
-    # A random element appended after the genuine basis commutes with
-    # neither generator's products, so a check reduced to A and A* (or to a
-    # prefix of the basis) would still report central=True.
+    # A random element added after the genuine basis commutes with neither
+    # generator's products, so a check reduced to A and A* (or to a prefix
+    # of the basis) would still report central=True.  Its nonzero sphere
+    # blocks join the verified span.
     data, _ = suite
     for d in (2, 3, 4):
         ctx, basis = data[d]
@@ -113,12 +162,8 @@ def test_centrality_checks_every_basis_element(suite):
             ),
             rng.randint(1, 7),
         )
-        widened = AlgebraBasis(
-            basis.side,
-            basis.matrices + (rogue,),
-            basis.provenance + (("seed",),),
-            basis.span,
-        )
+        widened = _with_pieces(basis, after=_blocks(basis, rogue))
+        assert widened.dim > basis.dim
         assert verify_u0(ctx, basis).central is True
         assert _literally_central(u0, basis.matrices)
         rep = verify_u0(ctx, widened)
@@ -128,20 +173,142 @@ def test_centrality_checks_every_basis_element(suite):
 
 
 def test_centrality_holds_for_diagonal_and_dense_elements(suite):
-    # Elements of T that are diagonal (E_i*) or dense (E_i) commute with U0,
-    # whichever kernel path their products take.
+    # Elements of T that are diagonal (E_i*) or dense (E_i) commute with U0;
+    # their sphere blocks enter the span before the basis, as elements.
     data, _ = suite
     ctx, basis = data[4]
     u0, _dual = compute_u0(ctx)
+    s, m = u0_factorization(ctx, u0)
+    sigma = sphere_of_classes(s, basis.span.classes)
     extra = ctx.E_star + ctx.E + ctx.A_star
-    widened = AlgebraBasis(
-        basis.side,
-        basis.matrices + extra,
-        basis.provenance + (("seed",),) * len(extra),
-        basis.span,
-    )
     assert _literally_central(u0, extra)
+    pieces = [p for mtx in extra for p in _blocks(basis, mtx)]
+    assert is_central(pieces, sigma, m)
+    widened = _with_pieces(basis, before=pieces)
+    assert widened.dim == basis.dim
     assert verify_u0(ctx, widened).central is True
+
+
+def _oracle_cases():
+    for d in range(0, 7):
+        for vertex in sorted({0, 5, (1 << d) - 1}):
+            if vertex < 1 << d:
+                yield d, vertex
+
+
+@pytest.fixture(scope="module")
+def oracle_suite():
+    out = []
+    for d, vertex in _oracle_cases():
+        ctx = build_hypercube_context(d, vertex)
+        out.append((ctx, ctx.algebra_basis()))
+    return out
+
+
+def _probe_pieces(basis, rng):
+    """Each basis piece, a random change of it, and a first-row block.
+
+    The first-row block (ones in its first row, zero elsewhere) has constant
+    column sums but, below a single row, row sums that differ.
+    """
+    seen = set()
+    for k in range(basis.dim):
+        h, j, x = basis.span.element(k)
+        yield h, j, x
+        rows, cols = x.shape
+        bump = np.array(
+            [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)],
+            dtype=np.int64,
+        )
+        yield h, j, x + bump
+        if (h, j) not in seen:
+            seen.add((h, j))
+            row = np.zeros(x.shape, dtype=np.int64)
+            row[0] = 1
+            yield h, j, row
+            yield h, j, np.ones(x.shape, dtype=np.int64)
+
+
+def test_block_centrality_matches_dense_products(oracle_suite):
+    rng = random.Random(10)
+    for ctx, basis in oracle_suite:
+        u0, _dual = compute_u0(ctx)
+        s, m = u0_factorization(ctx, u0)
+        sigma = sphere_of_classes(s, basis.span.classes)
+        verdicts = []
+        for piece in _probe_pieces(basis, rng):
+            want = _literally_central(u0, [_dense(basis, piece)])
+            assert is_central([piece], sigma, m) == want, (ctx.d, ctx.x, piece)
+            verdicts.append(want)
+        if ctx.d >= 2:  # below, every block is 1 x 1 and every m_h is 1
+            assert True in verdicts and False in verdicts
+
+
+def test_block_ideal_dimension_matches_dense_span(oracle_suite):
+    for ctx, basis in oracle_suite:
+        u0, _dual = compute_u0(ctx)
+        s, _m = u0_factorization(ctx, u0)
+        span = EchelonSpan(ctx.n * (ctx.d + 1))
+        for b in basis.matrices:
+            span.add((b.num @ s.T).ravel())
+        pieces = [basis.span.element(k) for k in range(basis.dim)]
+        assert ideal_dimension(pieces) == span.dim == (ctx.d + 1) ** 2
+        rep = verify_u0(ctx, basis)
+        assert rep.passed, (ctx.d, ctx.x)
+        assert rep.idempotent == (u0 @ u0 == u0)
+        assert rep.absorbs_all
+
+
+def test_idempotence_and_absorption_match_dense_products(suite):
+    data, _ = suite
+    for d in range(0, 5):
+        ctx, _basis = data[d]
+        u0, _dual = compute_u0(ctx)
+        s, m = u0_factorization(ctx, u0)
+        big = lcm(*ctx.valencies)
+        assert is_idempotent(s, m, big)
+        assert not is_idempotent(s, 2 * m, big)
+        for e in ctx.E + ctx.E_star + ctx.A_star:
+            assert absorbs(s, m, big, e) == (u0 @ e == e), d
+
+
+def test_u0_rejects_classes_that_are_not_spheres(suite):
+    data, _ = suite
+    ctx, basis = data[3]
+    spheres = [np.asarray(sph) for sph in ctx.spheres]
+    split = spheres[:1] + [spheres[1][:1], spheres[1][1:]] + spheres[2:]
+    merged = [np.sort(np.concatenate(spheres[:2]))] + spheres[2:]
+    for classes in (split, merged):
+        span = BlockSpans(ctx.n, classes)
+        for h, rows in enumerate(classes):
+            span.add(h, h, np.eye(len(rows), dtype=np.int64))
+        t = AlgebraBasis(("seed",) * span.dim, span)
+        with pytest.raises(ValueError, match="not exactly one sphere"):
+            verify_u0(ctx, t)
+
+
+def test_u0_checks_identical_on_the_object_path(suite, monkeypatch):
+    data, dims = suite
+    expected = {
+        d: verify_u0(ctx, basis, dims.get(d - 2)) for d, (ctx, basis) in data.items()
+    }
+    converted = []
+    real_to_object = idempotent.to_object
+
+    def counting(arr):
+        converted.append(arr.dtype != object)
+        return real_to_object(arr)
+
+    for name, module in list(sys.modules.items()):
+        if name == "terwalg" or name.startswith("terwalg."):
+            if hasattr(module, "INT64_SAFE"):
+                monkeypatch.setattr(module, "INT64_SAFE", 1)
+    monkeypatch.setattr(idempotent, "to_object", counting)
+    for d, (ctx, basis) in data.items():
+        rep = verify_u0(ctx, basis, dims.get(d - 2))
+        assert rep == expected[d], d
+        assert rep.passed
+    assert any(converted)  # the line sums really ran on Python ints
 
 
 def test_u0_requires_hypercube():
