@@ -6,8 +6,9 @@ two.  Distances are always realized by breadth-first search, run from all
 sources at once, so the closed formulas elsewhere can be checked against an
 independent oracle.
 
-The brute-force intersection counts here are the ground truth that the
-closed-form hypercube parameters are tested against.
+The intersection numbers counted here, from the intersection array the
+graph itself shows, are the ground truth that the closed-form hypercube
+parameters are tested against.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._intops import exact_matmul
 from .linalg import RationalMatrix
 
 MAX_VERTICES = 1 << 12  # all-pairs distance table is the memory bound
@@ -192,7 +194,19 @@ def distance_matrix(g: Graph, dd: DistanceData, i: int) -> RationalMatrix:
 
 
 def is_distance_regular(g: Graph, dd: DistanceData):
-    """Brute-force distance-regularity check.
+    """Distance-regularity from the counted intersection array.
+
+    (A M_i)[y, z] = |{w ~ y : dist(w, z) = i}| for the 0/1 distance-i mask
+    M_i, and A is row-sparse, so the d+1 products A M_i are gathered.  The
+    graph is distance-regular exactly when, on every class dist(y, z) = h,
+    the counts for i = h-1, h, h+1 are constants c_h, a_h, b_h (Brouwer,
+    Cohen and Neumaier, Distance-Regular Graphs, 1989, section 4.1); every
+    other count there is 0 by the triangle inequality.  Then
+    p^h_ij = (B_i)[h, j], where B_1 is the tridiagonal intersection matrix
+    and A A_j = b_(j-1) A_(j-1) + a_j A_j + c_(j+1) A_(j+1) gives
+    B_(j+1) = (B_1 B_j - a_j B_j - b_(j-1) B_(j-1)) / c_(j+1).  A class on
+    which a count is not constant falls back to the dense count, which
+    names the witness.
 
     Returns:
         (True, table) with table[h][i][j] the intersection numbers, or
@@ -200,13 +214,38 @@ def is_distance_regular(g: Graph, dd: DistanceData):
         count_b) for the lexicographically first failing triple.
     """
     diam = dd.diameter
-    table = np.zeros((diam + 1, diam + 1, diam + 1), dtype=np.int64)
-    # counts(i, j)[y, z] = |{w : dist(y, w) = i, dist(z, w) = j}| = (M_i M_j^T)[y, z]
-    # with M_i the 0/1 distance-i mask.  The masks are symmetric, so
-    # counts(j, i) = counts(i, j)^T: only i <= j is multiplied, and (j, i)
-    # is read through the transpose view.
+    size = diam + 1
+    adjacency = (dd.dist == 1).astype(np.int64)
+    masks = [dd.dist == h for h in range(size)]
+    b1 = np.zeros((size, size), dtype=np.int64)  # b1[h, i] = p^h_1i
+    for i in range(size):
+        counts = exact_matmul(adjacency, masks[i].astype(np.int64))
+        for h in range(max(i - 1, 0), min(i + 1, diam) + 1):
+            vals = counts[masks[h]]
+            if not bool((vals == vals[0]).all()):
+                return False, _dense_witness(masks)
+            b1[h, i] = vals[0]
+    # Every p^h_ij is at most n <= MAX_VERTICES, so int64 holds k n exactly.
+    mats = [np.eye(size, dtype=np.int64), b1]
+    for j in range(1, diam):
+        step = b1 @ mats[j] - b1[j, j] * mats[j] - b1[j - 1, j] * mats[j - 1]
+        mats.append(step // b1[j + 1, j])
+    table = np.stack(mats[:size], axis=1)
+    table.flags.writeable = False
+    return True, table
+
+
+def _dense_witness(masks: Sequence[np.ndarray]) -> tuple:
+    """The lexicographically first (h, i, j) whose count is not constant.
+
+    counts(i, j)[y, z] = |{w : dist(y, w) = i, dist(z, w) = j}| =
+    (M_i M_j^T)[y, z].  The masks are symmetric, so counts(j, i) =
+    counts(i, j)^T: only i <= j is multiplied, and (j, i) is read through
+    the transpose view.  The caller has found a class with a non-constant
+    count, so some triple fails.
+    """
+    size = len(masks)
     cache: dict[tuple[int, int], np.ndarray] = {}
-    masks = [dd.dist == h for h in range(diam + 1)]
 
     def counts(i: int, j: int) -> np.ndarray:
         if i > j:
@@ -215,18 +254,15 @@ def is_distance_regular(g: Graph, dd: DistanceData):
             cache[(i, j)] = masks[i].astype(np.int64) @ masks[j].astype(np.int64).T
         return cache[(i, j)]
 
-    for h in range(diam + 1):
-        mask = masks[h]
-        pairs = None
-        for i in range(diam + 1):
-            for j in range(diam + 1):
-                vals = counts(i, j)[mask]
+    for h in range(size):
+        for i in range(size):
+            for j in range(size):
+                vals = counts(i, j)[masks[h]]
                 first = int(vals[0])
                 if not bool((vals == first).all()):
-                    if pairs is None:
-                        pairs = np.argwhere(mask)
+                    pairs = np.argwhere(masks[h])
                     bad_idx = int(np.argmax(vals != first))
-                    witness = (
+                    return (
                         h,
                         i,
                         j,
@@ -235,7 +271,4 @@ def is_distance_regular(g: Graph, dd: DistanceData):
                         tuple(int(t) for t in pairs[bad_idx]),
                         int(vals[bad_idx]),
                     )
-                    return False, witness
-                table[h, i, j] = first
-    table.flags.writeable = False
-    return True, table
+    raise AssertionError("every intersection count is constant")

@@ -8,10 +8,16 @@ A_i* with (A_i*)_yy = |X| (E_i)_{x,y}.  Construction verifies every defining
 identity exactly, once, and keeps the named outcomes on the context as
 section_checks; reports read them there and do not re-run them.
 
-The hypercube fast path builds E_i from the self-dual eigenmatrix formula
-E_i = |X|^(-1) sum_j q_i(j) A_j; the general path builds spectral projectors
-prod_{j != i} (A - theta_j I) / (theta_i - theta_j) and requires all
-adjacency eigenvalues to be rational (they are then integers).
+Both paths build E_i = |X|^(-1) sum_j Q[j][i] A_j from the dual eigenmatrix
+Q.  The hypercube path reads Q = P from the closed forms (the cube is
+self-dual).  The general path works from the intersection array that
+is_distance_regular counts: the eigenvalues theta_i are the roots of the
+minimal polynomial of the (d+1) x (d+1) intersection matrix B_1, which is
+that of A; P[i][j] = v_j(theta_i) by the three-term recurrence; and
+Q = |X| P^(-1).  It requires all adjacency eigenvalues to be rational (they
+are then integers).  Construction certifies the result: distinct theta_i,
+sum_i E_i = I and A E_i = theta_i E_i = E_i A make the E_i the spectral
+idempotents of A, and then A_j = v_j(A) gives A_j E_i = P[i][j] E_i.
 
 The section identities and the triple-product zeros are checked without
 dense n x n products on a context that passes:
@@ -22,8 +28,8 @@ dense n x n products on a context that passes:
   row).  Only a failed certificate falls back to the dense pairwise
   products, which decide the verdict and its witness.
 - The Krein expansion of every E_i o E_j is one stacked product per i of
-  the (d+1) x (d+1) coefficient table with the (d+1) x n^2 stack of E_h
-  numerators.
+  the coefficient table with the (d+1) x n^2 stack of E_h numerators.  A
+  table symmetric in (i, j) needs only the pairs with i <= j.
 - E_h* A_i E_j* vanishes exactly when no pair in S_h x S_j is at distance
   i, which one bincount per sphere block decides.
 - For symmetric idempotents E_h, E_j (idempotence is verified at
@@ -41,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._intops import exact_matmul, exact_mul_elementwise, exact_scale
+from ._intops import INT64_SAFE, exact_matmul, exact_mul_elementwise, exact_scale
 from .checks import Check
 from .closure import AlgebraBasis, BlockSpans, closure
 from .graphs import DistanceData, Graph, distance_matrix, hypercube, is_distance_regular
@@ -146,6 +152,31 @@ def _compute_krein(E: Sequence[RationalMatrix], dist: np.ndarray, d: int):
     return tuple(tuple(tuple(row) for row in layer) for layer in krein)
 
 
+def _idempotents_from_eigenmatrix(
+    dist: np.ndarray, Q: Sequence[Sequence[Fraction]]
+) -> list[RationalMatrix]:
+    """E_i = |X|^(-1) sum_j Q[j][i] A_j, for every i.
+
+    The A_j have disjoint supports, so (E_i)_yz = Q[dist(y, z)][i] / |X|:
+    column i of Q, over a common denominator, is gathered through the
+    distance table.
+    """
+    n = dist.shape[0]
+    E = []
+    for i in range(len(Q)):
+        col = [Fraction(row[i]) for row in Q]
+        den = lcm(*(q.denominator for q in col))
+        nums = [q.numerator * (den // q.denominator) for q in col]
+        dtype = np.int64 if max(map(abs, nums)) < INT64_SAFE else object
+        E.append(RationalMatrix(np.array(nums, dtype=dtype)[dist], n * den))
+    return E
+
+
+def _dual_distance_matrix(Ei: RationalMatrix, x: int) -> RationalMatrix:
+    """A_i* = diag(|X| (E_i)_{x,y}), from the integer numerators of row x."""
+    return RationalMatrix(np.diag(exact_scale(Ei.num[x], Ei.nrows)), Ei.den)
+
+
 def _assemble(
     graph: Graph,
     dd: DistanceData,
@@ -173,12 +204,7 @@ def _assemble(
         diag = (dd.dist[x] == i).astype(np.int64)
         E_star.append(RationalMatrix(np.diag(diag), 1, _canonical=True))
 
-    A_star = []
-    for i in range(d + 1):
-        # (A_i*)_yy = |X| (E_i)_{x,y}, taken from the actual E_i row.
-        row = E[i].num[x]
-        diag_vals = [Fraction(int(v) * n, E[i].den) for v in row]
-        A_star.append(RationalMatrix.diagonal(diag_vals))
+    A_star = [_dual_distance_matrix(Ei, x) for Ei in E]
 
     valencies = tuple(int(len(s)) for s in spheres)
     dual_valencies = []
@@ -233,21 +259,11 @@ def build_hypercube_context(d: int, x: int = 0) -> TerwContext:
         raise ValueError(f"vertex {x} out of range for {g.n} vertices")
     dd = DistanceData.compute(g)
     params = HypercubeParams.build(d)
-    n = g.n
     A_dist = tuple(distance_matrix(g, dd, i) for i in range(d + 1))
 
-    # Self-dual eigenmatrix formula: E_i = |X|^(-1) sum_j q_i(j) A_j with
-    # q_i(j) = p_i(j) = P[j][i], which is an integer for hypercubes.
+    # Self-dual eigenmatrix formula: q_i(j) = p_i(j), so Q = P.
     P = [list(row) for row in params.P]
-    E = []
-    for i in range(d + 1):
-        acc = np.zeros((n, n), dtype=np.int64)
-        for j in range(d + 1):
-            q = P[j][i]
-            if q.denominator != 1:
-                raise VerificationError(f"eigenmatrix entry {q} is not an integer")
-            acc = acc + int(q) * A_dist[j].num  # |entries| <= 2^d, safe
-        E.append(RationalMatrix(acc, n))
+    E = _idempotents_from_eigenmatrix(dd.dist, P)
     return _assemble(g, dd, x, A_dist, E, P, P, params.p_table, params, True)
 
 
@@ -273,9 +289,12 @@ def build_context(g: Graph, x: int = 0, dd: DistanceData | None = None) -> TerwC
     d = dd.diameter
     n = g.n
     A_dist = tuple(distance_matrix(g, dd, j) for j in range(d + 1))
-    A = A_dist[1] if d >= 1 else RationalMatrix.zeros(n, n)
 
-    mp = min_poly(A)
+    # B_1[h, j] = p^h_1j is the matrix of multiplication by A on the basis
+    # A_0..A_d of the Bose-Mesner algebra.  That representation is faithful,
+    # so min_poly(B_1) is the minimal polynomial of A.
+    b1 = p_table[:, 1, :] if d >= 1 else np.zeros((1, 1), dtype=np.int64)
+    mp = min_poly(RationalMatrix(b1))
     valency_bound = max(len(nb) for nb in g.neighbors)
     roots = [t for t in range(-valency_bound, valency_bound + 1) if mp.eval_scalar(t) == 0]
     q = mp
@@ -294,31 +313,21 @@ def build_context(g: Graph, x: int = 0, dd: DistanceData | None = None) -> TerwC
             f"expected {d + 1} distinct eigenvalues, found {len(theta)}"
         )
 
-    ident = RationalMatrix.identity(n)
-    E = []
-    for i, th_i in enumerate(theta):
-        proj = ident
-        for j, th_j in enumerate(theta):
-            if j == i:
-                continue
-            proj = proj @ (A - ident * th_j) * Fraction(1, th_i - th_j)
-        E.append(proj)
-
-    # P[i][j] = p_j(i), read off from A_j E_i = p_j(i) E_i and fully verified.
-    P: list[list[Fraction]] = [[Fraction(0)] * (d + 1) for _ in range(d + 1)]
-    for i in range(d + 1):
-        pos = np.argwhere(E[i].num)[0]
-        u, v = int(pos[0]), int(pos[1])
-        for j in range(d + 1):
-            prod = A_dist[j] @ E[i]
-            coeff = prod[u, v] / E[i][u, v]
-            if prod != E[i] * coeff:
-                raise VerificationError(
-                    f"A_{j} E_{i} is not a scalar multiple of E_{i}"
-                )
-            P[i][j] = coeff
-    Qm = inverse(RationalMatrix.from_rows(P)) * n
-    Q = Qm.dense_rows()
+    # P[i][j] = v_j(theta_i), where A_j = v_j(A) by the three-term
+    # recurrence A A_j = b_(j-1) A_(j-1) + a_j A_j + c_(j+1) A_(j+1).
+    # _assemble certifies that the E_i built from Q = |X| P^(-1) are the
+    # spectral idempotents of A, so A_j E_i = v_j(theta_i) E_i.
+    a = [int(t) for t in b1.diagonal()]
+    b = [int(t) for t in b1.diagonal(1)]
+    c = [0] + [int(t) for t in b1.diagonal(-1)]
+    P: list[list[Fraction]] = []
+    for th in theta:
+        v = [Fraction(1), Fraction(th)][: d + 1]
+        for j in range(1, d):
+            v.append(((th - a[j]) * v[j] - b[j - 1] * v[j - 1]) / c[j + 1])
+        P.append(v)
+    Q = (inverse(RationalMatrix.from_rows(P)) * n).dense_rows()
+    E = _idempotents_from_eigenmatrix(dd.dist, Q)
     return _assemble(g, dd, x, A_dist, E, P, Q, p_table, None, False)
 
 
@@ -412,10 +421,7 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     dual_diag_ok = True
     witness = None
     for i in range(d + 1):
-        expect = RationalMatrix.diagonal(
-            [Fraction(int(v) * n, ctx.E[i].den) for v in ctx.E[i].num[ctx.x]]
-        )
-        if ctx.A_star[i] != expect:
+        if ctx.A_star[i] != _dual_distance_matrix(ctx.E[i], ctx.x):
             dual_diag_ok = False
             witness = f"A*_{i}"
             break
@@ -432,19 +438,28 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     # with one stacked product per i.  Row h of stack is den_e E_h, so row j
     # of table @ stack is table.den den_e |X|^(-1) sum_h q^h_ij E_h, and
     # stack_i o stack_j is den_e^2 E_i o E_j; both sides are scaled to
-    # table.den den_e^2 and compared as integers.
+    # table.den den_e^2 and compared as integers.  E_i o E_j = E_j o E_i, so
+    # when the table is symmetric in (i, j) a pair (i, j) with i > j fails
+    # exactly when (j, i) does, which comes first: only j >= i is formed.
     den_e = lcm(*(Eh.den for Eh in ctx.E))
     stack = np.stack([exact_scale(Eh.num, den_e // Eh.den).ravel() for Eh in ctx.E])
+    symmetric = all(
+        ctx.krein[h][i][j] == ctx.krein[h][j][i]
+        for h in range(d + 1)
+        for i in range(d + 1)
+        for j in range(i)
+    )
     krein_ok = True
     witness = None
     for i in range(d + 1):
+        cols = range(i if symmetric else 0, d + 1)
         table = RationalMatrix.from_rows(
-            [[ctx.krein[h][i][j] / n for h in range(d + 1)] for j in range(d + 1)]
+            [[ctx.krein[h][i][j] / n for h in range(d + 1)] for j in cols]
         )
         expansion = exact_scale(exact_matmul(table.num, stack), den_e)
         left = exact_scale(stack[i], table.den)
-        for j in range(d + 1):
-            if not np.array_equal(exact_mul_elementwise(left, stack[j]), expansion[j]):
+        for row, j in enumerate(cols):
+            if not np.array_equal(exact_mul_elementwise(left, stack[j]), expansion[row]):
                 krein_ok = False
                 witness = f"E_{i} o E_{j}"
                 break

@@ -3,7 +3,7 @@
 import importlib.util
 import sys
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from terwalg import graphs
 from terwalg.graphs import (
     DistanceData,
     Graph,
@@ -107,11 +108,14 @@ def test_distance_matrix_entries():
 
 
 def test_is_distance_regular_hypercube():
-    g = hypercube(3)
-    dd = DistanceData.compute(g)
-    ok, table = is_distance_regular(g, dd)
-    assert ok
-    assert (table == intersection_table(3)).all()
+    for d in range(0, 9):
+        g = hypercube(d)
+        dd = DistanceData.compute(g)
+        ok, table = is_distance_regular(g, dd)
+        assert ok
+        assert table.shape == (d + 1,) * 3
+        assert (table == intersection_table(d)).all(), d
+        assert not table.flags.writeable
 
 
 def test_is_distance_regular_cycle():
@@ -169,9 +173,30 @@ def kneser(v, k):
     return Graph.from_edges(len(subsets), edges)
 
 
+def johnson(v, k):
+    verts = list(combinations(range(v), k))
+    edges = [
+        (a, b)
+        for a, b in combinations(range(len(verts)), 2)
+        if len(set(verts[a]) & set(verts[b])) == k - 1
+    ]
+    return Graph.from_edges(len(verts), edges)
+
+
+def hamming(d, q):
+    verts = list(product(range(q), repeat=d))
+    edges = [
+        (a, b)
+        for a, b in combinations(range(len(verts)), 2)
+        if sum(s != t for s, t in zip(verts[a], verts[b])) == 1
+    ]
+    return Graph.from_edges(len(verts), edges)
+
+
 def test_distance_regularity_matches_all_pairs_oracle():
-    # Only i <= j is multiplied; the table and the witness must be those of
-    # the product taken for every (i, j).
+    # The table from the counted intersection array, and the witness of the
+    # dense fallback, must be those of the product M_i M_j^T taken for
+    # every (i, j).
     prism = Graph.from_edges(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
     )
@@ -182,6 +207,8 @@ def test_distance_regularity_matches_all_pairs_oracle():
         "C_6": cycle(6),
         "C_7": cycle(7),
         "petersen": kneser(5, 2),
+        "J(6,3)": johnson(6, 3),
+        "H(3,3)": hamming(3, 3),
         "P_4": path(4),
         "P_5": path(5),
         "prism": prism,
@@ -200,6 +227,31 @@ def test_distance_regularity_matches_all_pairs_oracle():
         verdicts[name] = ok
     failing = [name for name, ok in verdicts.items() if not ok]
     assert failing == ["P_4", "P_5", "prism", "house"]
+
+
+def test_distance_regularity_matches_intersection_arrays_of_benchmark_families():
+    # The families' tables come from their intersection arrays alone.
+    for fam in _benchmark_families():
+        g = Graph.from_edges(fam.n, fam.edges)
+        ok, table = is_distance_regular(g, DistanceData.compute(g))
+        assert ok, fam.name
+        assert table.tolist() == fam.p_table(), fam.name
+
+
+def test_dense_count_runs_only_for_a_witness(monkeypatch):
+    calls = []
+    original = graphs._dense_witness
+
+    def counted(masks):
+        calls.append(len(masks))
+        return original(masks)
+
+    monkeypatch.setattr(graphs, "_dense_witness", counted)
+    for g in (hypercube(6), kneser(5, 2), johnson(6, 3)):
+        assert is_distance_regular(g, DistanceData.compute(g))[0]
+    assert not calls
+    assert not is_distance_regular(path(4), DistanceData.compute(path(4)))[0]
+    assert calls == [4]  # diameter 3
 
 
 def _bfs(neighbors, src):

@@ -4,7 +4,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ from terwalg import subconstituent
 from terwalg.checks import Check
 from terwalg.echelon import EchelonSpan
 from terwalg.cli import main
-from terwalg.graphs import Graph
-from terwalg.linalg import RationalMatrix
+from terwalg.graphs import DistanceData, Graph, distance_matrix, hypercube
+from terwalg.linalg import RationalMatrix, inverse, min_poly
 from terwalg.subconstituent import (
     _assemble,
     build_context,
@@ -442,3 +442,179 @@ def test_checks_identical_on_the_object_path(monkeypatch):
         assert check_section_identities(ctx) == checks, name
         assert np.array_equal(dual_triple_zeros(ctx), dual), name
         assert check_triple_products(ctx) == report, name
+
+
+# -- the spectral-projector construction, kept as an oracle -------------------
+
+
+def hamming(d, q):
+    """Hamming graph H(d, q): words over q letters, adjacent at distance 1."""
+    verts = list(product(range(q), repeat=d))
+    edges = [
+        (a, b)
+        for (a, sa), (b, sb) in combinations(enumerate(verts), 2)
+        if sum(s != t for s, t in zip(sa, sb)) == 1
+    ]
+    return Graph.from_edges(len(verts), edges)
+
+
+def folded_cube(d):
+    """The d-cube with antipodes identified: (d-1)-bit words, adjacent when
+    they differ in one bit or in all of them."""
+    n = 1 << (d - 1)
+    flips = [1 << b for b in range(d - 1)] + [n - 1]
+    edges = {(min(u, u ^ f), max(u, u ^ f)) for u in range(n) for f in flips}
+    return Graph.from_edges(n, sorted(edges))
+
+
+def _dense_distance_regularity(dd):
+    """(True, p_table) or (False, witness) from the products M_i M_j^T."""
+    size = dd.diameter + 1
+    masks = [(dd.dist == h).astype(np.int64) for h in range(size)]
+    table = np.zeros((size,) * 3, dtype=np.int64)
+    for h in range(size):
+        pairs = np.argwhere(masks[h])
+        for i in range(size):
+            for j in range(size):
+                vals = (masks[i] @ masks[j].T)[masks[h] == 1]
+                bad = np.flatnonzero(vals != vals[0])
+                if bad.size:
+                    k = int(bad[0])
+                    return False, (
+                        h, i, j, tuple(int(t) for t in pairs[0]), int(vals[0]),
+                        tuple(int(t) for t in pairs[k]), int(vals[k]),
+                    )
+                table[h, i, j] = vals[0]
+    return True, table
+
+
+def _projector_context(g, x):
+    """The context from the spectral projectors of A.
+
+    E_i = prod_(j != i) (A - theta_j I) / (theta_i - theta_j) with theta the
+    integer roots of min_poly(A), and P[i][j] read off A_j E_i = P[i][j] E_i.
+    """
+    dd = DistanceData.compute(g)
+    ok, result = _dense_distance_regularity(dd)
+    if not ok:
+        h, i, j, pair_a, count_a, pair_b, count_b = result
+        raise ValueError(
+            f"graph is not distance-regular: (h,i,j)=({h},{i},{j}) gives "
+            f"{count_a} for pair {pair_a} but {count_b} for pair {pair_b}"
+        )
+    d = dd.diameter
+    n = g.n
+    A_dist = tuple(distance_matrix(g, dd, j) for j in range(d + 1))
+    A = A_dist[1] if d >= 1 else RationalMatrix.zeros(n, n)
+    mp = min_poly(A)
+    k = max(len(nb) for nb in g.neighbors)
+    theta = [t for t in range(k, -k - 1, -1) if mp.eval_scalar(t) == 0]
+    if len(theta) != mp.degree:
+        raise ValueError(
+            "adjacency matrix has an irrational eigenvalue: minimal polynomial "
+            f"{mp} does not split over the integers"
+        )
+    ident = RationalMatrix.identity(n)
+    E = []
+    for i, th_i in enumerate(theta):
+        proj = ident
+        for j, th_j in enumerate(theta):
+            if j != i:
+                proj = proj @ (A - ident * th_j) * Fraction(1, th_i - th_j)
+        E.append(proj)
+    P = []
+    for Ei in E:
+        u, v = (int(t) for t in np.argwhere(Ei.num)[0])
+        row = []
+        for Aj in A_dist:
+            prod = Aj @ Ei
+            coeff = prod[u, v] / Ei[u, v]
+            assert prod == Ei * coeff
+            row.append(coeff)
+        P.append(row)
+    Q = (inverse(RationalMatrix.from_rows(P)) * n).dense_rows()
+    return _assemble(g, dd, x, A_dist, E, P, Q, result, None, False)
+
+
+def _oracle_graphs():
+    yield "C_6", cycle(6), 2
+    yield "K_4", Graph.from_edges(4, list(combinations(range(4), 2))), 3
+    yield "Q_3", hypercube(3), 5
+    yield "Q_4", hypercube(4), 9
+    yield "petersen", Graph.from_edges(10, PETERSEN_EDGES), 3
+    yield "H(3,3)", hamming(3, 3), 13
+    yield "J(6,3)", johnson(6, 3), 7
+    yield "folded 5-cube", folded_cube(5), 6
+
+
+def _rejected_graphs():
+    fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    heawood = [(p, 7 + i) for i, line in enumerate(fano) for p in line]
+    yield "P_4", Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    yield "prism", Graph.from_edges(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    )
+    yield "house", Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
+    yield "C_5", cycle(5)
+    yield "C_7", cycle(7)
+    yield "heawood", Graph.from_edges(14, heawood)
+
+
+def test_build_context_matches_spectral_projector_oracle():
+    for name, g, x in _oracle_graphs():
+        ctx = build_context(g, x)
+        want = _projector_context(g, x)
+        assert np.array_equal(ctx.p_table, want.p_table), name
+        assert ctx.theta == want.theta, name
+        assert ctx.P == want.P, name
+        assert ctx.Q == want.Q, name
+        assert ctx.E == want.E, name
+        assert ctx.A_star == want.A_star, name
+        assert ctx.krein == want.krein, name
+        assert ctx.section_checks == want.section_checks, name
+        assert all(c.passed for c in ctx.section_checks), name
+
+
+def test_build_context_errors_match_spectral_projector_oracle():
+    for name, g in _rejected_graphs():
+        with pytest.raises(ValueError) as got:
+            build_context(g)
+        with pytest.raises(ValueError) as want:
+            _projector_context(g, 0)
+        assert str(got.value) == str(want.value), name
+    assert "irrational" in str(got.value)
+
+
+def test_dual_distance_matrices_match_fraction_diagonals():
+    for name, ctx in _differential_contexts():
+        for Ei, Ai_star in zip(ctx.E, ctx.A_star):
+            row = [Fraction(int(v) * ctx.n, Ei.den) for v in Ei.num[ctx.x]]
+            assert Ai_star == RationalMatrix.diagonal(row), name
+
+
+def _with_krein(ctx, entries):
+    krein = [[list(row) for row in layer] for layer in ctx.krein]
+    for h, i, j in entries:
+        krein[h][i][j] += 1
+    return dataclasses.replace(
+        ctx, krein=tuple(tuple(tuple(row) for row in layer) for layer in krein)
+    )
+
+
+def test_tampered_krein_table_matches_oracle():
+    # The check forms E_i o E_j only for i <= j once the table is symmetric
+    # in (i, j).  A one-sided change breaks the symmetry, so the whole table
+    # is read and a change at i > j is still found.
+    for name, ctx in _negative_bases():
+        d = ctx.d
+        cases = (
+            ([(0, 1, 0)], "E_1 o E_0"),
+            ([(1, 0, 1)], "E_0 o E_1"),
+            ([(d, 2, 1)], "E_2 o E_1"),
+            ([(d, 2, 1), (d, 1, 2)], "E_1 o E_2"),
+        )
+        for entries, witness in cases:
+            checks = _assert_matches_oracles(_with_krein(ctx, entries), f"{name} {entries}")
+            got = checks["krein_expansion_of_hadamard_products"]
+            assert not got.passed
+            assert got.witness == witness
