@@ -201,7 +201,8 @@ def exact_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def exact_scale(a: np.ndarray, k: int) -> np.ndarray:
     if k == 0:
         return np.zeros(a.shape, dtype=np.int64)
-    if a.dtype != object and abs(k) * max_abs(a) < INT64_SAFE:
+    # k itself must fit: numpy cannot take a wider k even when a is zero.
+    if a.dtype != object and abs(k) < INT64_SAFE and abs(k) * max_abs(a) < INT64_SAFE:
         return a * k
     return demote(to_object(a) * k)
 

@@ -15,7 +15,7 @@ import click
 
 from . import __version__
 from .graphs import parse_graph_file
-from .poly_identities import verify_phi_factorial, verify_phi_images
+from .poly_identities import Families
 from .verify import build_graph_report, build_parameter_report, run_verification
 
 
@@ -155,21 +155,18 @@ def graph(path: str, vertex: int, fmt: str):
 @click.option("--max-d", type=click.IntRange(1, 64), default=32, show_default=True)
 def poly(max_d: int):
     """Check the polynomial identities up to MAX_D."""
-    ok = verify_phi_factorial(max_d)
+    families = Families.build(max_d)
+    ok = families.factorial_holds(max_d)
     click.echo(f"{'PASS' if ok else 'FAIL'} spectrum_polynomial_factorial_identity")
-    images_ok = True
-    for d in range(2, max_d + 1):
-        rep = verify_phi_images(d)
-        if not rep.passed:
-            images_ok = False
-            click.echo(
-                f"FAIL krawtchouk_descent_identities d={d} "
-                f"indices {rep.failing_indices()}"
-            )
-            break
-    if images_ok:
+    rep = families.descent_failure(max_d)
+    if rep is None:
         click.echo("PASS krawtchouk_descent_identities")
-    sys.exit(0 if ok and images_ok else 1)
+    else:
+        click.echo(
+            f"FAIL krawtchouk_descent_identities d={rep.d} "
+            f"indices {rep.failing_indices()}"
+        )
+    sys.exit(0 if ok and rep is None else 1)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ F_0 = 1, F_1 = z and the three-term recurrence z F_i = (i+1) F_{i+1} +
 (d-i+1) F_{i-1}, the spectrum polynomial with roots d - 2i, the eigenmatrix,
 and the permissible index set P_d characterizing nonzero intersection
 numbers.  The two shift lemmas relating P_d and P_{d-2} are verified by
-exhaustive enumeration against the predicate itself.
+exhaustive enumeration, testing membership in P_d and P_{d-2} held as sets.
 """
 
 from __future__ import annotations
@@ -106,13 +106,18 @@ def permissible(d: int, h: int, i: int, j: int) -> bool:
 
 
 def permissible_set(d: int) -> list[tuple[int, int, int]]:
-    """All of P_d in lexicographic order."""
+    """All of P_d in lexicographic order.
+
+    For fixed (h, i) the triples of P_d are exactly the j with
+    |h - i| <= j <= min(h + i, 2d - h - i) and j = h + i mod 2 (the
+    triangle inequality, the sum bound and the parity in one range), so
+    the set is enumerated directly; every such j is at most d.
+    """
     return [
         (h, i, j)
         for h in range(d + 1)
         for i in range(d + 1)
-        for j in range(d + 1)
-        if permissible(d, h, i, j)
+        for j in range(abs(h - i), min(h + i, 2 * d - h - i) + 1, 2)
     ]
 
 
@@ -130,56 +135,64 @@ def check_permissible_equivalence(d: int):
     return True, None
 
 
-def _in_shifted(d: int, h: int, i: int, j: int) -> bool:
-    """Permissibility in P_d with out-of-range indices counting as excluded."""
-    if not (0 <= h <= d and 0 <= i <= d and 0 <= j <= d):
-        return False
-    return permissible(d, h, i, j)
+def _triples(d: int, given: frozenset | None) -> frozenset:
+    return frozenset(permissible_set(d)) if given is None else given
 
 
-def check_shift_lemma_down(d: int):
+def check_shift_lemma_down(
+    d: int, p_d: frozenset | None = None, p_small: frozenset | None = None
+):
     """Excluded triples push down: (h,i,j) not in P_d implies both
     (h-1,i,j-1) and (h-1,i-2,j-1) are not in P_{d-2}.
+
+    p_d and p_small are P_d and P_{d-2} as sets of triples, built here when
+    not given.  A triple with an index outside 0..d-2 is simply absent from
+    P_{d-2}, so it counts as excluded.
 
     Returns:
         (True, None) or (False, witness triple).
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
+    p_d = _triples(d, p_d)
+    p_small = _triples(d - 2, p_small)
     for h in range(d + 1):
         for i in range(d + 1):
             for j in range(d + 1):
-                if permissible(d, h, i, j):
+                if (h, i, j) in p_d:
                     continue
-                if _in_shifted(d - 2, h - 1, i, j - 1):
-                    return False, (h, i, j)
-                if _in_shifted(d - 2, h - 1, i - 2, j - 1):
+                if (h - 1, i, j - 1) in p_small or (h - 1, i - 2, j - 1) in p_small:
                     return False, (h, i, j)
     return True, None
 
 
-def check_shift_lemma_up(d: int):
+def check_shift_lemma_up(
+    d: int, p_d: frozenset | None = None, p_small: frozenset | None = None
+):
     """Excluded triples push up: (h,i,j) not in P_{d-2} implies that
     (h+1,i-2r,j+1) avoids P_d for every 0 <= r <= floor(i/2), or that
     (h+1,i+2r,j+1) avoids P_d for every 1 <= r <= floor((d-i)/2).
+
+    p_d and p_small are P_d and P_{d-2} as in check_shift_lemma_down.
 
     Returns:
         (True, None) or (False, witness triple).
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
+    p_d = _triples(d, p_d)
+    p_small = _triples(d - 2, p_small)
     dm2 = d - 2
     for h in range(dm2 + 1):
         for i in range(dm2 + 1):
             for j in range(dm2 + 1):
-                if permissible(dm2, h, i, j):
+                if (h, i, j) in p_small:
                     continue
                 down_ok = all(
-                    not _in_shifted(d, h + 1, i - 2 * r, j + 1)
-                    for r in range(i // 2 + 1)
+                    (h + 1, i - 2 * r, j + 1) not in p_d for r in range(i // 2 + 1)
                 )
                 up_ok = all(
-                    not _in_shifted(d, h + 1, i + 2 * r, j + 1)
+                    (h + 1, i + 2 * r, j + 1) not in p_d
                     for r in range(1, (d - i) // 2 + 1)
                 )
                 if not (down_ok or up_ok):

@@ -60,9 +60,13 @@ class RationalMatrix:
         if not _canonical:
             if den < 0:
                 arr, den = -arr, -den
-            g = gcd(content(arr), den)
+            c = content(arr)
+            g = gcd(c, den)
             if g > 1:
-                arr = arr // g
+                # A zero array is left as it is: its g is den, which may be
+                # past int64, where numpy cannot divide an int64 array by it.
+                if c:
+                    arr = arr // g
                 den //= g
             arr = demote(arr)
         arr.flags.writeable = False
@@ -326,14 +330,21 @@ def min_poly(m: RationalMatrix, identity: RationalMatrix | None = None) -> Ratio
 
 
 def poly_eval_matrix(p: RationalPoly, m: RationalMatrix) -> RationalMatrix:
-    """Exact Horner evaluation of p at a square matrix."""
+    """Exact Horner evaluation of p at a square matrix.
+
+    Runs on integers: with p = (sum_k c_k z^k) / den and m = M / e, the
+    recurrence H = H M + c_k e^(deg-k) I, started at H = c_deg I, ends at
+    H = den e^deg p(m), so the denominator is applied once at the end.
+    """
     if m.nrows != m.ncols:
         raise ValueError("square matrix expected")
     n = m.nrows
     if p.is_zero():
         return RationalMatrix.zeros(n, n)
-    ident = RationalMatrix.identity(n)
-    acc = ident * p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc @ m + ident * c
-    return acc
+    eye = np.eye(n, dtype=np.int64)
+    acc = exact_scale(eye, p.num[-1])
+    epow = 1
+    for c in reversed(p.num[:-1]):
+        epow *= m.den
+        acc = exact_add(exact_matmul(acc, m.num), exact_scale(eye, c * epow))
+    return RationalMatrix(acc, p.den * epow)

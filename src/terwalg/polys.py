@@ -1,13 +1,20 @@
 """Univariate polynomials with exact rational coefficients.
 
-Coefficients are stored low degree first as a tuple of Fractions with no
-trailing zeros, so equal polynomials compare equal structurally.  The zero
-polynomial has an empty coefficient tuple and degree None.
+A polynomial is stored the way RationalMatrix stores a matrix: a tuple of
+integer numerators ``num`` (low degree first) over one positive denominator
+``den``, in canonical form.  The numerator tuple has no trailing zeros, the
+gcd of all numerators and the denominator is 1, and the zero polynomial is
+``((), 1)`` with degree None.  The coefficient of z**k is num[k] / den, and
+structural equality of (num, den) is value equality.
+
+Arithmetic runs on plain Python ints and normalizes once per result; the
+``coeffs`` property gives the same coefficients as a tuple of Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -22,13 +29,33 @@ def _coerce(value) -> Fraction:
 class RationalPoly:
     """Immutable polynomial over the rationals."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Sequence[Fraction | int] = ()):
         cs = [_coerce(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(1, *(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, num: list[int], den: int):
+        """Store num / den (den > 0) in canonical form."""
+        while num and num[-1] == 0:
+            num.pop()
+        if not num:
+            den = 1
+        else:
+            g = gcd(den, *num)
+            if g > 1:
+                num = [c // g for c in num]
+                den //= g
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _make(cls, num: list[int], den: int) -> "RationalPoly":
+        """num / den from integer numerators; den must be positive."""
+        p = cls.__new__(cls)
+        p._set(num, den)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoly is immutable")
@@ -37,15 +64,15 @@ class RationalPoly:
 
     @classmethod
     def zero(cls) -> "RationalPoly":
-        return cls(())
+        return cls._make([], 1)
 
     @classmethod
     def one(cls) -> "RationalPoly":
-        return cls((1,))
+        return cls._make([1], 1)
 
     @classmethod
     def x(cls) -> "RationalPoly":
-        return cls((0, 1))
+        return cls._make([0, 1], 1)
 
     @classmethod
     def constant(cls, c) -> "RationalPoly":
@@ -56,66 +83,79 @@ class RationalPoly:
         """Monic polynomial with the given roots (with multiplicity)."""
         p = cls.one()
         for r in roots:
-            p = p * cls((-_coerce(r), 1))
+            r = _coerce(r)
+            p = p * cls._make([-r.numerator, r.denominator], r.denominator)
         return p
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, low degree first."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.num) - 1 if self.num else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of z**k (zero beyond the stored degree)."""
         if k < 0:
             raise ValueError("negative exponent")
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[k], self.den) if k < len(self.num) else Fraction(0)
 
     # -- arithmetic --------------------------------------------------------
+
+    def _combine(self, other: "RationalPoly", sign: int) -> "RationalPoly":
+        """self + sign * other over the common denominator."""
+        d = lcm(self.den, other.den)
+        sa, sb = d // self.den, sign * (d // other.den)
+        a = [c * sa for c in self.num] if sa != 1 else list(self.num)
+        b = other.num
+        if len(a) < len(b):
+            a.extend([0] * (len(b) - len(a)))
+        for i, c in enumerate(b):
+            a[i] += c * sb
+        return RationalPoly._make(a, d)
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPoly(out)
+        return self._combine(other, 1)
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly([-c for c in self.coeffs])
+        return RationalPoly._make([-c for c in self.num], self.den)
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalPoly([c * other for c in self.coeffs])
+            p, q = other.numerator, other.denominator
+            return RationalPoly._make([c * p for c in self.num], self.den * q)
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self.num, other.num
+        if not a or not b:
             return RationalPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPoly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return RationalPoly._make(out, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -123,17 +163,39 @@ class RationalPoly:
         return NotImplemented
 
     def monic(self) -> "RationalPoly":
-        return self * (1 / self.leading)
+        # Coefficient k of the monic polynomial is num[k] / num[-1].
+        if not self.num:
+            raise ValueError("zero polynomial has no leading coefficient")
+        lead = self.num[-1]
+        if lead < 0:
+            return RationalPoly._make([-c for c in self.num], -lead)
+        return RationalPoly._make(list(self.num), lead)
 
     # -- evaluation and division ------------------------------------------
+
+    def _horner(self, v: Fraction) -> tuple[list[int], int]:
+        """Integer Horner at v = p/q over the homogenized numerators.
+
+        Returns (hs, q**deg).  hs holds one integer partial sum H_k for each
+        k = deg down to 0, where H_k is den * q**(deg-k) times the value at
+        v of sum_{j >= k} coeff_j z**(j-k); the last, H_0, is
+        den * q**deg times the value of the polynomial at v.
+        """
+        p, q = v.numerator, v.denominator
+        acc, qpow, out = 0, 1, []
+        for c in reversed(self.num):
+            acc = acc * p + c * qpow
+            out.append(acc)
+            qpow *= q
+        return out, qpow // q
 
     def eval_scalar(self, v: Fraction | int) -> Fraction:
         """Horner evaluation at an exact rational point."""
         v = _coerce(v)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        if not self.num:
+            return Fraction(0)
+        hs, qdeg = self._horner(v)
+        return Fraction(hs[-1], self.den * qdeg)
 
     def deflate(self, root: Fraction | int) -> tuple["RationalPoly", Fraction]:
         """Synthetic division by (z - root).
@@ -142,33 +204,44 @@ class RationalPoly:
             (quotient, remainder); remainder == 0 iff root is a root.
         """
         root = _coerce(root)
-        if self.is_zero():
+        if not self.num:
             return RationalPoly.zero(), Fraction(0)
-        acc = Fraction(0)
-        out = []
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        rem = out.pop()
-        return RationalPoly(list(reversed(out))), rem
+        hs, qdeg = self._horner(root)
+        rem = Fraction(hs.pop(), self.den * qdeg)
+        if not hs:
+            return RationalPoly.zero(), rem
+        # Quotient coefficient j is H_(j+1) / (den * q**(deg-1-j)); over the
+        # common denominator den * q**(deg-1) its numerator is H_(j+1) * q**j.
+        q = root.denominator
+        num = []
+        qpow = 1
+        for h in reversed(hs):
+            num.append(h * qpow)
+            qpow *= q
+        return RationalPoly._make(num, self.den * (qdeg // q)), rem
 
     # -- comparison and display -------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalPoly) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, RationalPoly)
+            and self.num == other.num
+            and self.den == other.den
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"RationalPoly({self})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c == 0:
                 continue
             if k == 0:

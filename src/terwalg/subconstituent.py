@@ -30,6 +30,9 @@ dense n x n products on a context that passes:
 - The Krein expansion of every E_i o E_j is one stacked product per i of
   the coefficient table with the (d+1) x n^2 stack of E_h numerators.  A
   table symmetric in (i, j) needs only the pairs with i <= j.
+- The dual idempotents E_i* are diagonal, so their pairwise products are
+  read off the diagonals: disjoint supports for i != j, 0/1 entries for
+  i = j.  A non-diagonal E_i* falls back to the dense products.
 - E_h* A_i E_j* vanishes exactly when no pair in S_h x S_j is at distance
   i, which one bincount per sphere block decides.
 - For symmetric idempotents E_h, E_j (idempotence is verified at
@@ -334,6 +337,34 @@ def build_context(g: Graph, x: int = 0, dd: DistanceData | None = None) -> TerwC
 # -- named identity checks -------------------------------------------------
 
 
+def _dual_orthogonality_witness(e_star: Sequence[RationalMatrix]) -> str | None:
+    """The first pair (i, j), row by row, with E*_i E*_j != delta_ij E*_i.
+
+    When every E*_i is diagonal, E*_i E*_j is diagonal with entries the
+    products of the two diagonals: for i != j it vanishes exactly when the
+    supports are disjoint, and E*_i E*_i = E*_i exactly when every nonzero
+    diagonal entry of E*_i is 1.  Otherwise the dense products decide.
+
+    Returns:
+        None, or the witness "E*_i E*_j".
+    """
+    diags = [e.num.diagonal() for e in e_star]
+    if all(np.count_nonzero(e.num) == np.count_nonzero(v) for e, v in zip(e_star, diags)):
+        support = np.array([v != 0 for v in diags], dtype=np.int64)
+        failed = (support @ support.T) != 0
+        for i, (e, v) in enumerate(zip(e_star, diags)):
+            failed[i, i] = bool((v[v != 0] != e.den).any())
+        bad = np.argwhere(failed)
+        return f"E*_{bad[0][0]} E*_{bad[0][1]}" if bad.size else None
+    n = e_star[0].nrows
+    for i, ei in enumerate(e_star):
+        for j, ej in enumerate(e_star):
+            expect = ei if i == j else RationalMatrix.zeros(n, n)
+            if ei @ ej != expect:
+                return f"E*_{i} E*_{j}"
+    return None
+
+
 def check_section_identities(ctx: TerwContext) -> list[Check]:
     """The fundamental identities of both Bose-Mesner algebras, exactly."""
     checks = []
@@ -405,18 +436,8 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
         dsum = dsum + Ei
     checks.append(Check("dual_idempotents_sum_to_identity", dsum == ident))
 
-    dual_ortho = True
-    witness = None
-    for i in range(d + 1):
-        for j in range(d + 1):
-            expect = ctx.E_star[i] if i == j else RationalMatrix.zeros(n, n)
-            if ctx.E_star[i] @ ctx.E_star[j] != expect:
-                dual_ortho = False
-                witness = f"E*_{i} E*_{j}"
-                break
-        if not dual_ortho:
-            break
-    checks.append(Check("dual_idempotents_orthogonal", dual_ortho, witness))
+    witness = _dual_orthogonality_witness(ctx.E_star)
+    checks.append(Check("dual_idempotents_orthogonal", witness is None, witness))
 
     dual_diag_ok = True
     witness = None

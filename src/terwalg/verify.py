@@ -29,7 +29,7 @@ from .hypercube import (
     permissible_set,
 )
 from .idempotent import verify_u0
-from .poly_identities import verify_phi_factorial, verify_phi_images
+from .poly_identities import Families
 from .report import DiameterRecord, VerificationReport
 from .subconstituent import (
     TerwContext,
@@ -237,7 +237,11 @@ def _diameter_record(
 
 
 def global_checks() -> tuple[Check, ...]:
-    """Range-wide enumeration and polynomial checks, independent of max_d."""
+    """Range-wide enumeration and polynomial checks, independent of max_d.
+
+    Each Krawtchouk family, spectrum polynomial and permissible set P_d is
+    built once for the whole range and shared by the checks that read it.
+    """
     checks = []
     perm_ok = True
     witness = None
@@ -251,33 +255,29 @@ def global_checks() -> tuple[Check, ...]:
         Check("permissible_triples_match_nonzero_intersection_numbers", perm_ok, witness)
     )
 
-    img_ok = True
-    witness = None
-    for d in range(2, PHI_IMAGE_MAX_D + 1):
-        rep = verify_phi_images(d)
-        if not rep.passed:
-            img_ok = False
-            witness = f"d={d} indices {rep.failing_indices()}"
-            break
-    checks.append(Check("krawtchouk_descent_identities", img_ok, witness))
+    families = Families.build(max(PHI_IMAGE_MAX_D, PHI_FACTORIAL_MAX_D))
+    rep = families.descent_failure(PHI_IMAGE_MAX_D)
+    witness = None if rep is None else f"d={rep.d} indices {rep.failing_indices()}"
+    checks.append(Check("krawtchouk_descent_identities", rep is None, witness))
 
     checks.append(
         Check(
             "spectrum_polynomial_factorial_identity",
-            verify_phi_factorial(PHI_FACTORIAL_MAX_D),
+            families.factorial_holds(PHI_FACTORIAL_MAX_D),
         )
     )
 
+    triples = [frozenset(permissible_set(d)) for d in range(SHIFT_LEMMA_MAX_D + 1)]
     down_ok = True
     up_ok = True
     down_witness = None
     up_witness = None
     for d in range(2, SHIFT_LEMMA_MAX_D + 1):
-        ok, bad = check_shift_lemma_down(d)
+        ok, bad = check_shift_lemma_down(d, triples[d], triples[d - 2])
         if not ok and down_ok:
             down_ok = False
             down_witness = f"d={d} triple {bad}"
-        ok, bad = check_shift_lemma_up(d)
+        ok, bad = check_shift_lemma_up(d, triples[d], triples[d - 2])
         if not ok and up_ok:
             up_ok = False
             up_witness = f"d={d} triple {bad}"

@@ -239,7 +239,8 @@ def _integer_roots(p: RationalPoly) -> list[int] | None:
     Returns None when the polynomial has a non-integer coefficient, a
     repeated root, or fails to split within the trial-division cap.
     """
-    if any(c.denominator != 1 for c in p.coeffs):
+    # In canonical form den is 1 exactly when every coefficient is an integer.
+    if p.den != 1:
         return None
     roots = []
     q = p
@@ -253,8 +254,8 @@ def _integer_roots(p: RationalPoly) -> list[int] | None:
     # |r| <= isqrt(a1^2 - 2 a2), and only divisors of c0 that small can be
     # roots.  A negative sum of squares means some root is not real.
     k = q.degree or 0
-    a1 = int(q.coeffs[k - 1]) if k >= 1 else 0
-    a2 = int(q.coeffs[k - 2]) if k >= 2 else 0
+    a1 = q.num[k - 1] if k >= 1 else 0
+    a2 = q.num[k - 2] if k >= 2 else 0
     squares = a1 * a1 - 2 * a2
     if squares < 0:
         return None

@@ -182,7 +182,7 @@ def test_graph_file_matches_builtin_hypercube(runner, tmp_path):
 
 
 def test_poly_command(runner):
-    result = runner.invoke(main, ["poly", "--max-d", "32"])
+    result = runner.invoke(main, ["poly", "--max-d", "64"])
     assert result.exit_code == 0
     assert "PASS spectrum_polynomial_factorial_identity" in result.output
     assert "PASS krawtchouk_descent_identities" in result.output

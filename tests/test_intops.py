@@ -116,6 +116,15 @@ def test_products_across_the_int64_bound_stay_exact():
     assert_exact(d4.astype(object) * (1 << 40), m)
 
 
+def test_scale_by_a_factor_past_int64():
+    # A zero int64 array once went to numpy with the wide factor and raised.
+    for a in (np.zeros((2, 3), dtype=np.int64), np.array([[0, 1], [-2, 0]])):
+        for k in (INT64_SAFE, -(2**70), 2**63 + 5):
+            got = _intops.exact_scale(a, k)
+            assert [int(v) for v in got.flat] == [int(v) * k for v in a.flat]
+    assert _intops.exact_scale(np.zeros(2, dtype=np.int64), 2**70).dtype == np.int64
+
+
 def test_small_products_stay_int64():
     rng = random.Random(6)
     assert exact_matmul(diag([1, 2, 3]), dense(rng, 3, 3)).dtype == np.int64

@@ -313,8 +313,56 @@ def test_min_poly_with_fractions():
     assert min_poly(m) == RationalPoly.from_roots([Fraction(1, 2), Fraction(1, 3)])
 
 
+def test_zero_matrix_over_a_denominator_past_int64():
+    for den in (2**63 + 5, -(2**70)):
+        z = RationalMatrix(np.zeros((2, 2), dtype=np.int64), den)
+        assert z.den == 1 and z.is_zero() and z == RationalMatrix.zeros(2, 2)
+    m = RationalMatrix(np.array([[0, 2], [4, 0]]), 2**64)
+    assert m.den == 2**63 and m[0, 1] == Fraction(1, 2**63)
+
+
 def test_poly_eval_matrix():
     a = RationalMatrix(np.array([[0, 1], [1, 0]]))
     assert poly_eval_matrix(RationalPoly((0, 0, 1)), a) == RationalMatrix.identity(2)
     assert poly_eval_matrix(RationalPoly.zero(), a).is_zero()
     assert poly_eval_matrix(RationalPoly.one(), a) == RationalMatrix.identity(2)
+
+
+def _fraction_horner(p, m):
+    """Reference: Horner over RationalMatrix with one Fraction-scaled
+    identity per coefficient."""
+    ident = RationalMatrix.identity(m.nrows)
+    if p.is_zero():
+        return RationalMatrix.zeros(m.nrows, m.nrows)
+    acc = ident * p.coeffs[-1]
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc @ m + ident * c
+    return acc
+
+
+def test_poly_eval_matrix_matches_fraction_horner():
+    rng = random.Random(11)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        scale = rng.choice([1, 2**20, 2**40])
+        den = rng.choice([1, 3, 2**31, 2**63 + 5])
+        num = np.array(
+            [[rng.randint(-scale, scale) for _ in range(n)] for _ in range(n)],
+            dtype=object,
+        )
+        coeffs = [
+            Fraction(rng.randint(-(2**70), 2**70), rng.choice([1, 7, 2**65]))
+            for _ in range(rng.randint(0, 5))
+        ]
+        cases.append((RationalPoly(coeffs), RationalMatrix(num, den)))
+    # Hypercube adjacency, where every product is gathered in int64.
+    g = hypercube(4)
+    a = distance_matrix(g, DistanceData.compute(g), 1)
+    cases += [(RationalPoly.from_roots([4, 2, 0, -2]), a), (RationalPoly((-1, 3)), a)]
+    object_results = 0
+    for p, m in cases:
+        got = poly_eval_matrix(p, m)
+        assert got == _fraction_horner(p, m), (p, m)
+        object_results += got.num.dtype == object
+    assert object_results  # the int64 guards sent some cases to Python ints

@@ -322,6 +322,16 @@ def _oracle_orthogonal(ctx):
     return Check("idempotents_orthogonal", True)
 
 
+def _oracle_dual_orthogonal(ctx):
+    """dual_idempotents_orthogonal from all (d+1)^2 dense products E*_i E*_j."""
+    zero = RationalMatrix.zeros(ctx.n, ctx.n)
+    for i, Ei in enumerate(ctx.E_star):
+        for j, Ej in enumerate(ctx.E_star):
+            if Ei @ Ej != (Ei if i == j else zero):
+                return Check("dual_idempotents_orthogonal", False, f"E*_{i} E*_{j}")
+    return Check("dual_idempotents_orthogonal", True)
+
+
 def _oracle_krein(ctx):
     """krein_expansion_of_hadamard_products, one RationalMatrix sum per (i, j)."""
     n = ctx.n
@@ -353,6 +363,7 @@ def _assert_matches_oracles(ctx, name):
     checks = {c.name: c for c in check_section_identities(ctx)}
     assert checks["idempotents_orthogonal"] == _oracle_orthogonal(ctx), name
     assert checks["krein_expansion_of_hadamard_products"] == _oracle_krein(ctx), name
+    assert checks["dual_idempotents_orthogonal"] == _oracle_dual_orthogonal(ctx), name
     return checks
 
 
@@ -412,6 +423,53 @@ def test_scaled_idempotent_is_not_orthogonal():
             checks = _assert_matches_oracles(_with_E(ctx, h, Eh * 2), f"{name} h={h}")
             assert not checks["idempotents_sum_to_identity"].passed
             assert checks["idempotents_orthogonal"].witness == f"E_{h} E_{h}"
+
+
+def _with_E_star(ctx, h, Eh):
+    return dataclasses.replace(ctx, E_star=ctx.E_star[:h] + (Eh,) + ctx.E_star[h + 1:])
+
+
+def _tampered_dual_idempotents(ctx):
+    """Changed E*_h, each with the name of the change."""
+    n = ctx.n
+    for h, Eh in enumerate(ctx.E_star):
+        yield f"2 E*_{h}", _with_E_star(ctx, h, Eh * 2)
+        yield f"E*_{h} / 2", _with_E_star(ctx, h, Eh * Fraction(1, 2))
+        # One more diagonal 1, on a vertex of the next sphere: overlaps E*_(h+1).
+        y = int(ctx.spheres[(h + 1) % len(ctx.spheres)][0])
+        num = Eh.num.copy()
+        num[y, y] = 1
+        yield f"E*_{h} + e_{y}", _with_E_star(ctx, h, RationalMatrix(num))
+        # A symmetric off-diagonal pair: not diagonal, so the dense path decides.
+        z = int(ctx.spheres[h][0])
+        num = Eh.num.copy()
+        num[z, (z + 1) % n] += 1
+        num[(z + 1) % n, z] += 1
+        yield f"E*_{h} off-diagonal", _with_E_star(ctx, h, RationalMatrix(num))
+    E = list(ctx.E_star)
+    E[0], E[-1] = E[-1], E[0]
+    yield "swapped E*_0, E*_d", dataclasses.replace(ctx, E_star=tuple(E))
+
+
+def test_tampered_dual_idempotents_match_dense_oracle():
+    for name, ctx in _negative_bases():
+        for change, bad in _tampered_dual_idempotents(ctx):
+            checks = _assert_matches_oracles(bad, f"{name}: {change}")
+            verdict = checks["dual_idempotents_orthogonal"]
+            assert verdict.passed == change.startswith("swapped"), (name, change)
+
+
+def test_dual_orthogonality_reads_only_diagonals(monkeypatch):
+    # Diagonal E*_i form no n x n product: a RationalMatrix product raises.
+    ctx = build_hypercube_context(4, 3)
+
+    def refuse(self, other):
+        raise AssertionError("dense product formed")
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", refuse)
+    assert subconstituent._dual_orthogonality_witness(ctx.E_star) is None
+    bad = ctx.E_star[:2] + (ctx.E_star[2] * 2,) + ctx.E_star[3:]
+    assert subconstituent._dual_orthogonality_witness(bad) == "E*_2 E*_2"
 
 
 def test_dual_triple_zeros_reject_non_symmetric_idempotent():
