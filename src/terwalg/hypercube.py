@@ -106,18 +106,13 @@ def permissible(d: int, h: int, i: int, j: int) -> bool:
 
 
 def permissible_set(d: int) -> list[tuple[int, int, int]]:
-    """All of P_d in lexicographic order.
-
-    For fixed (h, i) the triples of P_d are exactly the j with
-    |h - i| <= j <= min(h + i, 2d - h - i) and j = h + i mod 2 (the
-    triangle inequality, the sum bound and the parity in one range), so
-    the set is enumerated directly; every such j is at most d.
-    """
+    """All of P_d in lexicographic order."""
     return [
         (h, i, j)
         for h in range(d + 1)
         for i in range(d + 1)
-        for j in range(abs(h - i), min(h + i, 2 * d - h - i) + 1, 2)
+        for j in range(d + 1)
+        if permissible(d, h, i, j)
     ]
 
 
@@ -135,27 +130,19 @@ def check_permissible_equivalence(d: int):
     return True, None
 
 
-def _triples(d: int, given: frozenset | None) -> frozenset:
-    return frozenset(permissible_set(d)) if given is None else given
-
-
-def check_shift_lemma_down(
-    d: int, p_d: frozenset | None = None, p_small: frozenset | None = None
-):
+def check_shift_lemma_down(d: int, p_d: frozenset, p_small: frozenset):
     """Excluded triples push down: (h,i,j) not in P_d implies both
     (h-1,i,j-1) and (h-1,i-2,j-1) are not in P_{d-2}.
 
-    p_d and p_small are P_d and P_{d-2} as sets of triples, built here when
-    not given.  A triple with an index outside 0..d-2 is simply absent from
-    P_{d-2}, so it counts as excluded.
+    p_d and p_small are P_d and P_{d-2} as sets of triples, built by the
+    caller from permissible_set.  A triple with an index outside 0..d-2 is
+    simply absent from P_{d-2}, so it counts as excluded.
 
     Returns:
         (True, None) or (False, witness triple).
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    p_d = _triples(d, p_d)
-    p_small = _triples(d - 2, p_small)
     for h in range(d + 1):
         for i in range(d + 1):
             for j in range(d + 1):
@@ -166,9 +153,7 @@ def check_shift_lemma_down(
     return True, None
 
 
-def check_shift_lemma_up(
-    d: int, p_d: frozenset | None = None, p_small: frozenset | None = None
-):
+def check_shift_lemma_up(d: int, p_d: frozenset, p_small: frozenset):
     """Excluded triples push up: (h,i,j) not in P_{d-2} implies that
     (h+1,i-2r,j+1) avoids P_d for every 0 <= r <= floor(i/2), or that
     (h+1,i+2r,j+1) avoids P_d for every 1 <= r <= floor((d-i)/2).
@@ -180,8 +165,6 @@ def check_shift_lemma_up(
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    p_d = _triples(d, p_d)
-    p_small = _triples(d - 2, p_small)
     dm2 = d - 2
     for h in range(dm2 + 1):
         for i in range(dm2 + 1):

@@ -18,7 +18,11 @@ from click.testing import CliRunner
 
 from terwalg.cli import main
 from terwalg.graphs import is_distance_regular
-from terwalg.hypercube import check_shift_lemma_down, check_shift_lemma_up
+from terwalg.hypercube import (
+    check_shift_lemma_down,
+    check_shift_lemma_up,
+    permissible_set,
+)
 from terwalg.idempotent import compute_u0, verify_u0
 from terwalg.poly_identities import verify_phi_factorial, verify_phi_images
 from terwalg.subconstituent import (
@@ -174,8 +178,10 @@ def test_criterion_07_polynomial_layer(prepared):
 
 def test_criterion_08_descent_shift_relators(prepared):
     images_ok = all(verify_phi_images(d).passed for d in range(2, 33))
+    triples = [frozenset(permissible_set(d)) for d in range(17)]
     shifts_ok = all(
-        check_shift_lemma_down(d)[0] and check_shift_lemma_up(d)[0]
+        check_shift_lemma_down(d, triples[d], triples[d - 2])[0]
+        and check_shift_lemma_up(d, triples[d], triples[d - 2])[0]
         for d in range(2, 17)
     )
     relators_ok = all(

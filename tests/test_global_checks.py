@@ -111,21 +111,11 @@ def test_global_checks_match_per_call_oracle():
 
 
 def test_shift_lemmas_match_predicate_loops():
+    triples = [frozenset(hypercube.permissible_set(d)) for d in range(17)]
     for d in range(2, 17):
-        assert hypercube.check_shift_lemma_down(d) == oracle_shift_down(d), d
-        assert hypercube.check_shift_lemma_up(d) == oracle_shift_up(d), d
-
-
-def test_permissible_set_matches_predicate():
-    for d in range(0, 17):
-        brute = [
-            (h, i, j)
-            for h in range(d + 1)
-            for i in range(d + 1)
-            for j in range(d + 1)
-            if hypercube.permissible(d, h, i, j)
-        ]
-        assert hypercube.permissible_set(d) == brute, d
+        p_d, p_small = triples[d], triples[d - 2]
+        assert hypercube.check_shift_lemma_down(d, p_d, p_small) == oracle_shift_down(d)
+        assert hypercube.check_shift_lemma_up(d, p_d, p_small) == oracle_shift_up(d)
 
 
 # -- tampered inputs: both paths must name the same witness --------------------
@@ -155,24 +145,16 @@ def _tamper_spectrum(monkeypatch, d0):
 
 
 def _tamper_triples(monkeypatch, d0, triple):
-    """Flip the membership of one triple in P_d0, for both the predicate
-    (read by the oracle and the equivalence check) and the set builder
-    (read by global_checks)."""
-    real_pred = hypercube.permissible
-    real_set = hypercube.permissible_set
+    """Flip the membership of one triple in P_d0.  The predicate is read by
+    the oracle, the equivalence check and permissible_set, so global_checks
+    sees the changed P_d0 too."""
+    real = hypercube.permissible
 
     def pred(d, h, i, j):
-        ok = real_pred(d, h, i, j)
+        ok = real(d, h, i, j)
         return ok != (d == d0 and (h, i, j) == triple)
 
-    def pset(d):
-        out = set(real_set(d))
-        if d == d0:
-            out ^= {triple}
-        return sorted(out)
-
     monkeypatch.setattr(hypercube, "permissible", pred)
-    monkeypatch.setattr(verify, "permissible_set", pset)
 
 
 @pytest.mark.parametrize(

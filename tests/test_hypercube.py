@@ -134,10 +134,11 @@ def test_permissible_predicate():
 
 
 def test_shift_lemmas():
+    triples = [frozenset(permissible_set(d)) for d in range(17)]
     for d in range(2, 17):
-        ok, witness = check_shift_lemma_down(d)
+        ok, witness = check_shift_lemma_down(d, triples[d], triples[d - 2])
         assert ok, f"down d={d}: {witness}"
-        ok, witness = check_shift_lemma_up(d)
+        ok, witness = check_shift_lemma_up(d, triples[d], triples[d - 2])
         assert ok, f"up d={d}: {witness}"
 
 

@@ -323,7 +323,11 @@ def _oracle_orthogonal(ctx):
 
 
 def _oracle_dual_orthogonal(ctx):
-    """dual_idempotents_orthogonal from all (d+1)^2 dense products E*_i E*_j."""
+    """dual_idempotents_orthogonal: every E*_i diagonal, then all (d+1)^2
+    dense products E*_i E*_j."""
+    for i, Ei in enumerate(ctx.E_star):
+        if not np.array_equal(Ei.num, np.diag(np.diagonal(Ei.num))):
+            return Check("dual_idempotents_orthogonal", False, f"E*_{i} not diagonal")
     zero = RationalMatrix.zeros(ctx.n, ctx.n)
     for i, Ei in enumerate(ctx.E_star):
         for j, Ej in enumerate(ctx.E_star):
@@ -440,7 +444,7 @@ def _tampered_dual_idempotents(ctx):
         num = Eh.num.copy()
         num[y, y] = 1
         yield f"E*_{h} + e_{y}", _with_E_star(ctx, h, RationalMatrix(num))
-        # A symmetric off-diagonal pair: not diagonal, so the dense path decides.
+        # A symmetric off-diagonal pair: not diagonal, so the check fails.
         z = int(ctx.spheres[h][0])
         num = Eh.num.copy()
         num[z, (z + 1) % n] += 1
@@ -457,6 +461,9 @@ def test_tampered_dual_idempotents_match_dense_oracle():
             checks = _assert_matches_oracles(bad, f"{name}: {change}")
             verdict = checks["dual_idempotents_orthogonal"]
             assert verdict.passed == change.startswith("swapped"), (name, change)
+            if change.endswith("off-diagonal"):
+                h = change.split()[0]
+                assert verdict.witness == f"{h} not diagonal", (name, change)
 
 
 def test_dual_orthogonality_reads_only_diagonals(monkeypatch):
