@@ -9,12 +9,22 @@ structural equality of (num, den) is value equality.
 
 Arithmetic runs on plain Python ints and normalizes once per result; the
 ``coeffs`` property gives the same coefficients as a tuple of Fractions.
+
+integer_roots is the package's one root finder (the Wedderburn probe and the
+graph eigenvalues).  If p = z^k + a1 z^(k-1) + a2 z^(k-2) + ... is a product
+of distinct (z - r), r integer, the squares of its roots sum to a1^2 - 2 a2,
+so all lie in [-B, B], B = isqrt(a1^2 - 2 a2).  By Sturm's theorem p has
+V(lo) - V(hi) distinct real roots in (lo, hi], V(t) being the sign variations
+of its Sturm sequence at t, zeros dropped.  (-B-1, B] must hold all k
+roots; it is bisected on integers to unit width, and (t-1, t] must hold
+exactly one root, with p(t) = 0.  A repeated root leaves the sequence at
+most k terms, too few to count k roots.  No search bound can cut this short.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 
@@ -171,54 +181,23 @@ class RationalPoly:
             return RationalPoly._make([-c for c in self.num], -lead)
         return RationalPoly._make(list(self.num), lead)
 
-    # -- evaluation and division ------------------------------------------
-
-    def _horner(self, v: Fraction) -> tuple[list[int], int]:
-        """Integer Horner at v = p/q over the homogenized numerators.
-
-        Returns (hs, q**deg).  hs holds one integer partial sum H_k for each
-        k = deg down to 0, where H_k is den * q**(deg-k) times the value at
-        v of sum_{j >= k} coeff_j z**(j-k); the last, H_0, is
-        den * q**deg times the value of the polynomial at v.
-        """
-        p, q = v.numerator, v.denominator
-        acc, qpow, out = 0, 1, []
-        for c in reversed(self.num):
-            acc = acc * p + c * qpow
-            out.append(acc)
-            qpow *= q
-        return out, qpow // q
+    # -- evaluation --------------------------------------------------------
 
     def eval_scalar(self, v: Fraction | int) -> Fraction:
-        """Horner evaluation at an exact rational point."""
+        """Horner evaluation at an exact rational point.
+
+        At v = p/q the integer Horner pass over the homogenized numerators
+        ends at den * q**deg times the value.
+        """
         v = _coerce(v)
         if not self.num:
             return Fraction(0)
-        hs, qdeg = self._horner(v)
-        return Fraction(hs[-1], self.den * qdeg)
-
-    def deflate(self, root: Fraction | int) -> tuple["RationalPoly", Fraction]:
-        """Synthetic division by (z - root).
-
-        Returns:
-            (quotient, remainder); remainder == 0 iff root is a root.
-        """
-        root = _coerce(root)
-        if not self.num:
-            return RationalPoly.zero(), Fraction(0)
-        hs, qdeg = self._horner(root)
-        rem = Fraction(hs.pop(), self.den * qdeg)
-        if not hs:
-            return RationalPoly.zero(), rem
-        # Quotient coefficient j is H_(j+1) / (den * q**(deg-1-j)); over the
-        # common denominator den * q**(deg-1) its numerator is H_(j+1) * q**j.
-        q = root.denominator
-        num = []
-        qpow = 1
-        for h in reversed(hs):
-            num.append(h * qpow)
+        p, q = v.numerator, v.denominator
+        acc, qpow = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * qpow
             qpow *= q
-        return RationalPoly._make(num, self.den * (qdeg // q)), rem
+        return Fraction(acc, self.den * (qpow // q))
 
     # -- comparison and display -------------------------------------------
 
@@ -254,3 +233,76 @@ class RationalPoly:
             else:
                 parts.append((" + " if c > 0 else " - ") + body)
         return "".join(parts)
+
+
+# -- integer roots ---------------------------------------------------------
+
+
+def _value(f: Sequence[int], t: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = acc * t + c
+    return acc
+
+
+def _sturm_sequence(f: list[int]) -> list[list[int]]:
+    """Sturm sequence of f (integers, low degree first): f, f', then each
+    -prem(f_(i-2), f_(i-1)) over its content.  The pseudo-division scales by
+    |lc(f_(i-1))|, so each term is a positive multiple of Sturm's."""
+    seq = [f, [k * c for k, c in enumerate(f)][1:]]
+    while True:
+        r, b = list(seq[-2]), seq[-1]
+        s = abs(b[-1])
+        sign = 1 if b[-1] > 0 else -1
+        while len(r) >= len(b):
+            c, shift = sign * r[-1], len(r) - len(b)
+            r = [s * x for x in r]
+            for i, y in enumerate(b):
+                r[shift + i] -= c * y
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            return seq
+        g = gcd(*r)
+        seq.append([-x // g for x in r])
+
+
+def integer_roots(p: RationalPoly) -> list[int] | None:
+    """The roots of p in ascending order if p = prod (z - r) over distinct
+    integers r, else None: p is not monic with integer coefficients, has a
+    repeated root, or has a root that is not an integer.  The method is in
+    the module docstring.
+    """
+    if p.den != 1 or not p.num or p.num[-1] != 1:
+        return None
+    f = list(p.num)
+    k = len(f) - 1
+    if k == 0:
+        return []
+    squares = f[k - 1] ** 2 - 2 * (f[k - 2] if k >= 2 else 0)
+    if squares < 0:
+        return None
+    seq = _sturm_sequence(f)
+
+    def variations(t: int) -> int:
+        signs = [v > 0 for v in (_value(g, t) for g in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    lo, hi = -isqrt(squares) - 1, isqrt(squares)
+    vlo, vhi = variations(lo), variations(hi)
+    if vlo - vhi != k:
+        return None
+    roots, stack = [], [(lo, vlo, hi, vhi)]
+    while stack:
+        lo, vlo, hi, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if vlo - vhi > 1 or _value(f, hi):
+                return None
+            roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        vmid = variations(mid)
+        stack += [(mid, vmid, hi, vhi), (lo, vlo, mid, vmid)]
+    return roots

@@ -13,11 +13,12 @@ Q.  The hypercube path reads Q = P from the closed forms (the cube is
 self-dual).  The general path works from the intersection array that
 is_distance_regular counts: the eigenvalues theta_i are the roots of the
 minimal polynomial of the (d+1) x (d+1) intersection matrix B_1, which is
-that of A; P[i][j] = v_j(theta_i) by the three-term recurrence; and
-Q = |X| P^(-1).  It requires all adjacency eigenvalues to be rational (they
-are then integers).  Construction certifies the result: distinct theta_i,
-sum_i E_i = I and A E_i = theta_i E_i = E_i A make the E_i the spectral
-idempotents of A, and then A_j = v_j(A) gives A_j E_i = P[i][j] E_i.
+that of A, isolated exactly by polys.integer_roots; P[i][j] = v_j(theta_i)
+by the three-term recurrence; and Q = |X| P^(-1).  It requires all adjacency
+eigenvalues to be rational (they are then integers).  Construction
+certifies the result: distinct theta_i, sum_i E_i = I and
+A E_i = theta_i E_i = E_i A make the E_i the spectral idempotents of A, and
+then A_j = v_j(A) gives A_j E_i = P[i][j] E_i.
 
 The section identities and the triple-product zeros are checked without
 dense n x n products on a context that passes:
@@ -56,7 +57,7 @@ from .closure import AlgebraBasis, BlockSpans, closure
 from .graphs import DistanceData, Graph, distance_matrix, hypercube, is_distance_regular
 from .hypercube import HypercubeParams, permissible
 from .linalg import RationalMatrix, inverse, min_poly, poly_eval_matrix
-from .polys import RationalPoly
+from .polys import integer_roots
 
 
 class VerificationError(Exception):
@@ -295,17 +296,13 @@ def build_context(g: Graph, x: int = 0, dd: DistanceData | None = None) -> TerwC
 
     # B_1[h, j] = p^h_1j is the matrix of multiplication by A on the basis
     # A_0..A_d of the Bose-Mesner algebra.  That representation is faithful,
-    # so min_poly(B_1) is the minimal polynomial of A.
+    # so min_poly(B_1) is the minimal polynomial of A.  A is symmetric, so its
+    # roots are distinct, and integer_roots finds them all unless one is
+    # irrational.
     b1 = p_table[:, 1, :] if d >= 1 else np.zeros((1, 1), dtype=np.int64)
     mp = min_poly(RationalMatrix(b1))
-    valency_bound = max(len(nb) for nb in g.neighbors)
-    roots = [t for t in range(-valency_bound, valency_bound + 1) if mp.eval_scalar(t) == 0]
-    q = mp
-    for r in roots:
-        q, rem = q.deflate(r)
-        if rem != 0:
-            raise ValueError("minimal polynomial deflation failed")
-    if q.degree != 0:
+    roots = integer_roots(mp)
+    if roots is None:
         raise ValueError(
             "adjacency matrix has an irrational eigenvalue: minimal polynomial "
             f"{mp} does not split over the integers"

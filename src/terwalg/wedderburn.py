@@ -20,9 +20,10 @@ pivot entries alone, never formed at n x n:
   coordinates by L_p = D^-1 (pivot entries of p b_l), D = diag(pv).  Since
   e b = b on the span and coordinates are injective, q(L_p) = 0 exactly when
   q(p) = 0, so min_poly(L_p) (m x m) is the minimal polynomial of p relative
-  to e.  When it factors into distinct integer roots, the Lagrange
-  idempotents prod (L_p - mu) / (lambda - mu) coords(e) are formed as
-  coordinate vectors and materialized once each as sum_k c_k b_k over a
+  to e.  When it factors into distinct integer roots (polys.integer_roots
+  isolates them exactly by Sturm sequences, with no search bound), the
+  Lagrange idempotents prod (L_p - mu) / (lambda - mu) coords(e) are formed
+  as coordinate vectors and materialized once each as sum_k c_k b_k over a
   common denominator.  Each block rank is the trace of its idempotent, and
   each block size n_r is the integer square root of dim span{b_k z_r}.
 - The corner.  The complement algebra (I - U0) T (I - U0) is spanned by
@@ -68,11 +69,7 @@ from ._intops import (
 from .closure import AlgebraBasis, BlockSpans
 from .idempotent import u0_factorization
 from .linalg import RationalMatrix, kernel_basis, min_poly, rank
-from .polys import RationalPoly
-
-# Trial division for integer roots stops here; a probe whose constant term
-# has only larger factor pairs is treated as unsplit rather than stalling.
-ROOT_SEARCH_CAP = 10**6
+from .polys import RationalPoly, integer_roots
 
 SPLIT = "split"
 INCONCLUSIVE = "inconclusive"
@@ -233,55 +230,6 @@ def center_basis(t, generators: Sequence[RationalMatrix]) -> list[RationalMatrix
     return [pb.combine_fractions(alpha) for alpha in alphas]
 
 
-def _integer_roots(p: RationalPoly) -> list[int] | None:
-    """All roots of a monic polynomial if it splits into distinct integers.
-
-    Returns None when the polynomial has a non-integer coefficient, a
-    repeated root, or fails to split within the trial-division cap.
-    """
-    # In canonical form den is 1 exactly when every coefficient is an integer.
-    if p.den != 1:
-        return None
-    roots = []
-    q = p
-    if q.degree is not None and q.degree > 0 and q.eval_scalar(0) == 0:
-        q, rem = q.deflate(0)
-        roots.append(0)
-        if q.eval_scalar(0) == 0:
-            return None  # repeated root at 0
-    # With q = x^k + a1 x^(k-1) + a2 x^(k-2) + ..., the squares of the roots
-    # sum to a1^2 - 2 a2, so if q splits over the integers every root r has
-    # |r| <= isqrt(a1^2 - 2 a2), and only divisors of c0 that small can be
-    # roots.  A negative sum of squares means some root is not real.
-    k = q.degree or 0
-    a1 = q.num[k - 1] if k >= 1 else 0
-    a2 = q.num[k - 2] if k >= 2 else 0
-    squares = a1 * a1 - 2 * a2
-    if squares < 0:
-        return None
-    bound = math.isqrt(squares)
-    c0 = abs(int(q.eval_scalar(0)))
-    candidates = set()
-    if c0:
-        limit = min(math.isqrt(c0), bound, ROOT_SEARCH_CAP)
-        for t in range(1, limit + 1):
-            if c0 % t == 0:
-                candidates.update((t, -t))
-                if c0 // t <= bound:
-                    candidates.update((c0 // t, -(c0 // t)))
-    for cand in sorted(candidates):
-        if q.eval_scalar(cand) == 0:
-            q, rem = q.deflate(cand)
-            if rem != 0:
-                return None
-            roots.append(cand)
-            if q.eval_scalar(cand) == 0:
-                return None  # repeated root
-    if q.degree != 0:
-        return None
-    return sorted(roots)
-
-
 def _lagrange_coordinates(
     lp: RationalMatrix, roots: Sequence[int], lam: int, x: np.ndarray, den: int
 ) -> tuple[np.ndarray, int]:
@@ -343,7 +291,7 @@ def split_center(
         last_poly = mp
         if mp.degree != m:
             continue
-        roots = _integer_roots(mp)
+        roots = integer_roots(mp)
         if roots is None:
             continue
         idems = [

@@ -1,13 +1,14 @@
 """Tests for exact rational polynomials."""
 
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terwalg.polys import RationalPoly
+from terwalg.polys import RationalPoly, integer_roots
 
 
 def test_trailing_zeros_trimmed():
@@ -103,17 +104,6 @@ def test_monic():
     assert p.monic().coeffs[-1] == 1
 
 
-def test_deflate_root():
-    p = RationalPoly((-1, 0, 1))  # z^2 - 1
-    q, rem = p.deflate(1)
-    assert rem == 0
-    assert q == RationalPoly((1, 1))
-    q, rem = p.deflate(2)
-    assert rem == 3
-    q, rem = RationalPoly.zero().deflate(5)
-    assert q.is_zero() and rem == 0
-
-
 def test_equality_and_hash():
     a = RationalPoly((1, 2))
     b = RationalPoly((Fraction(1), Fraction(2)))
@@ -182,18 +172,6 @@ def oracle_mul(a, b):
 
 def oracle_eval(a, v):
     return sum((c * Fraction(v) ** k for k, c in enumerate(a)), Fraction(0))
-
-
-def oracle_deflate(a, r):
-    if not a:
-        return [], Fraction(0)
-    acc = Fraction(0)
-    out = []
-    for c in reversed(a):
-        acc = acc * r + c
-        out.append(acc)
-    rem = out.pop()
-    return trim(list(reversed(out))), rem
 
 
 def oracle_str(a):
@@ -272,19 +250,11 @@ def test_arithmetic_matches_oracle(xs, ys, s):
 
 @settings(max_examples=200, deadline=None)
 @given(coeff_lists, rationals)
-def test_evaluation_and_deflation_match_oracle(cs, v):
+def test_evaluation_matches_oracle(cs, v):
     p = RationalPoly(cs)
     want = trim(cs)
     value = p.eval_scalar(v)
     assert type(value) is Fraction and value == oracle_eval(want, v)
-    q, rem = p.deflate(v)
-    want_q, want_rem = oracle_deflate(want, Fraction(v))
-    assert_canonical(q, want_q)
-    assert type(rem) is Fraction and rem == want_rem
-    # A root deflates with remainder zero and the quotient times (z - v) is p.
-    rooted = p * RationalPoly((-Fraction(v), 1))
-    q, rem = rooted.deflate(v)
-    assert rem == 0 and q == p
 
 
 @settings(max_examples=200, deadline=None)
@@ -300,3 +270,128 @@ def test_equality_hash_and_str_follow_values(xs, ys):
     assert (same.num, same.den) == (a.num, a.den)
     assert str(a) == oracle_str(fa)
     assert repr(a) == f"RationalPoly({oracle_str(fa)})"
+
+
+# -- integer roots -----------------------------------------------------------
+
+# The probe of the d=10 Wedderburn split (weight base 7): its minimal
+# polynomial z^6 - 31257600 z^5 + ... has six integer roots up to 2.1e7.
+D10_PROBE_ROOTS = [60, 4260, 113460, 1409580, 8305560, 21424680]
+D10_PROBE_POLY = RationalPoly(
+    (
+        7274055691053813127659264000000,
+        -123012273283373942046259200000,
+        29650132760918439342240000,
+        -276735590130692736000,
+        223519255322400,
+        -31257600,
+        1,
+    )
+)
+
+
+def test_integer_roots():
+    split = RationalPoly.from_roots
+    assert integer_roots(split([1, 2])) == [1, 2]
+    assert integer_roots(split([0, -3, 7])) == [-3, 0, 7]
+    assert integer_roots(RationalPoly.one()) == []
+    assert integer_roots(RationalPoly.x()) == [0]
+    # Repeated roots, also at 0.
+    assert integer_roots(split([1, 1])) is None
+    assert integer_roots(split([0, 0])) is None
+    assert integer_roots(split([0, 0, 4])) is None
+    # Irrational and non-real pairs (a1^2 - 2 a2 < 0 for z^2 + 1).
+    assert integer_roots(RationalPoly((-5, 0, 1))) is None
+    assert integer_roots(RationalPoly((1, 0, 1))) is None
+    # sqrt(5) shares the unit interval (2, 3] with the root 3; the roots
+    # (9 -+ sqrt(17)) / 2 of z^2 - 9z + 16 share (2, 3] and (6, 7] with 3, 7.
+    assert integer_roots(split([3]) * RationalPoly((-5, 0, 1))) is None
+    assert integer_roots(split([3, 7]) * RationalPoly((16, -9, 1))) is None
+    # Not a product of monic integer linear factors.
+    assert integer_roots(RationalPoly((Fraction(1, 2), 1))) is None
+    assert integer_roots(RationalPoly((-2, 2))) is None
+    assert integer_roots(RationalPoly.zero()) is None
+    # Roots far above 10**6, up to 2**40.
+    assert integer_roots(split([1, 10**7])) == [1, 10**7]
+    big = [-(2**40), -(2**40) + 1, 3, 2**39 + 7, 2**40]
+    assert integer_roots(split(big)) == big
+
+
+def test_integer_roots_of_d10_probe():
+    assert D10_PROBE_POLY == RationalPoly.from_roots(D10_PROBE_ROOTS)
+    assert integer_roots(D10_PROBE_POLY) == D10_PROBE_ROOTS
+    assert integer_roots(D10_PROBE_POLY + RationalPoly.one()) is None
+
+
+def test_integer_roots_recover_random_large_roots():
+    rng = random.Random(2023)
+    for _ in range(100):
+        size = rng.randint(1, 12)
+        roots = sorted({rng.randrange(-(2**40), 2**40) for _ in range(size)})
+        assert integer_roots(RationalPoly.from_roots(roots)) == roots
+
+
+def _brute_integer_roots(p):
+    """Split into distinct integers, by testing every divisor of the trailing
+    nonzero coefficient: a monic degree-k polynomial with k distinct integer
+    roots is their product.  Only usable while that coefficient is small."""
+    if any(c.denominator != 1 for c in p.coeffs):
+        return None
+    coeffs = [int(c) for c in p.coeffs]
+    trailing = abs(next(c for c in coeffs if c))
+    candidates = {0}
+    for t in range(1, isqrt(trailing) + 1):
+        if trailing % t == 0:
+            candidates.update((t, -t, trailing // t, -(trailing // t)))
+    roots = sorted(r for r in candidates if p.eval_scalar(r) == 0)
+    return roots if len(roots) == p.degree else None
+
+
+small_roots = st.lists(st.integers(-40, 40), min_size=1, max_size=5)
+distinct_split = small_roots.map(lambda r: RationalPoly.from_roots(sorted(set(r))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        distinct_split,
+        small_roots.map(lambda r: RationalPoly.from_roots(r + r[:1])),
+        st.tuples(distinct_split, st.integers(1, 50)).map(
+            lambda t: t[0] + RationalPoly((t[1],))
+        ),
+        st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=5).map(
+            lambda c: RationalPoly(tuple(c) + (1,))
+        ),
+        # A split part times z^2 + b z + c: real, irrational, non-real or
+        # split quadratics, some sharing a unit interval with a root.
+        st.tuples(distinct_split, st.integers(-30, 30), st.integers(-30, 30)).map(
+            lambda t: t[0] * RationalPoly((t[2], t[1], 1))
+        ),
+        # Roots at 0, simple or repeated.
+        st.tuples(distinct_split, st.integers(1, 3)).map(
+            lambda t: t[0] * RationalPoly.from_roots([0] * t[1])
+        ),
+    )
+)
+def test_integer_roots_match_brute_force(p):
+    assert integer_roots(p) == _brute_integer_roots(p)
+
+
+def test_integer_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    rng = random.Random(7)
+    for _ in range(80):
+        roots = [rng.randrange(-(2**40), 2**40) for _ in range(rng.randint(1, 7))]
+        p = RationalPoly.from_roots(roots + roots[: rng.choice((0, 0, 1))])
+        kind = rng.randrange(3)
+        if kind == 1:
+            p = p + RationalPoly((rng.randint(1, 2**20),))
+        elif kind == 2:
+            p = p * RationalPoly((rng.randint(-99, 99), rng.randint(-20, 20), 1))
+        _, factors = sympy.Poly(p.num[::-1], z, domain="ZZ").factor_list()
+        if all(f.degree() == 1 and mult == 1 for f, mult in factors):
+            want = sorted(int(-f.TC()) for f, _ in factors)
+        else:
+            want = None
+        assert integer_roots(p) == want, p

@@ -1,12 +1,9 @@
 """Tests for center computation and block decomposition."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from terwalg import wedderburn
 from terwalg._intops import exact_matmul, exact_sub
@@ -14,14 +11,13 @@ from terwalg.closure import closure
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import compute_u0
 from terwalg.linalg import RationalMatrix, kernel_basis, min_poly, rank
-from terwalg.polys import RationalPoly
+from terwalg.polys import integer_roots
 from terwalg.subconstituent import build_hypercube_context
 from terwalg.wedderburn import (
     INCONCLUSIVE,
     SPLIT,
     BlockDecomposition,
     _idempotents_valid,
-    _integer_roots,
     _PivotBasis,
     block_sizes,
     center_basis,
@@ -156,6 +152,26 @@ def test_split_single_block(suite):
     assert filled.block_sizes == (2,)
 
 
+def test_split_with_probe_eigenvalues_past_10_to_the_6():
+    # The diagonal algebra spanned by e_kk, with center c_k = (10^7 + k) e_kk.
+    # The first probe (weights 7^k) has the eigenvalues 7^k (10^7 + k), from
+    # 10,000,000 to 168,070,084,035, all above 10^6.
+    m = 6
+    basis = []
+    for k in range(m):
+        e = np.zeros((m, m), dtype=np.int64)
+        e[k, k] = 1
+        basis.append(RationalMatrix(e))
+    center = [b * (10**7 + k) for k, b in enumerate(basis)]
+    dec = split_center(basis, center)
+    assert dec.status == SPLIT
+    assert dec.eigenvalues == tuple(7**k * (10**7 + k) for k in range(m))
+    assert dec.eigenvalues[0] == 10_000_000
+    assert dec.eigenvalues[-1] == 168_070_084_035
+    assert dec.central_idempotents == tuple(basis)
+    assert dec.block_ranks == (1,) * m
+
+
 def test_decompose_expected_blocks(suite):
     for d in range(0, 6):
         ctx, basis = suite[d]
@@ -206,55 +222,6 @@ def test_block_sizes_requires_split(suite):
     with pytest.raises(ValueError):
         block_sizes(basis, dec)
     assert dec.blocks_json() == "inconclusive"
-
-
-def test_integer_roots():
-    assert _integer_roots(RationalPoly.from_roots([1, 2])) == [1, 2]
-    assert _integer_roots(RationalPoly.from_roots([0, -3, 7])) == [-3, 0, 7]
-    assert _integer_roots(RationalPoly((-2, 0, 1))) is None  # irrational
-    assert _integer_roots(RationalPoly.from_roots([1, 1])) is None  # repeated
-    assert _integer_roots(RationalPoly((Fraction(1, 2), 1))) is None
-    assert _integer_roots(RationalPoly((1, 0, 1))) is None  # a1^2 - 2 a2 < 0
-    # A root far above sqrt(c0) is found as the cofactor of a small divisor.
-    assert _integer_roots(RationalPoly.from_roots([1, 10**7])) == [1, 10**7]
-
-
-def _brute_integer_roots(p):
-    """Split into distinct integers, by testing every divisor of the trailing
-    nonzero coefficient: a monic degree-k polynomial with k distinct integer
-    roots is their product."""
-    if any(c.denominator != 1 for c in p.coeffs):
-        return None
-    coeffs = [int(c) for c in p.coeffs]
-    trailing = abs(next(c for c in coeffs if c))
-    candidates = {0}
-    for t in range(1, math.isqrt(trailing) + 1):
-        if trailing % t == 0:
-            candidates.update((t, -t, trailing // t, -(trailing // t)))
-    roots = sorted(r for r in candidates if p.eval_scalar(r) == 0)
-    return roots if len(roots) == p.degree else None
-
-
-small_roots = st.lists(st.integers(-40, 40), min_size=1, max_size=5)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.one_of(
-        small_roots.map(lambda r: RationalPoly.from_roots(sorted(set(r)))),
-        small_roots.map(lambda r: RationalPoly.from_roots(r + r[:1])),
-        st.tuples(small_roots, st.integers(1, 50)).map(
-            lambda rs: RationalPoly.from_roots(sorted(set(rs[0])))
-            + RationalPoly((rs[1],))
-        ),
-        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5).map(
-            lambda c: RationalPoly(tuple(c) + (1,))
-        ),
-    )
-)
-def test_integer_roots_match_brute_force(p):
-    # Split, repeated-root and (mostly) irreducible monic polynomials.
-    assert _integer_roots(p) == _brute_integer_roots(p)
 
 
 def test_empty_center_rejected(suite):
@@ -335,7 +302,7 @@ def _dense_split_center(center, identity=None):
         last_poly = mp
         if mp.degree != m:
             continue
-        roots = _integer_roots(mp)
+        roots = integer_roots(mp)
         if roots is None:
             continue
         idems = []
