@@ -8,7 +8,10 @@ independent oracle.
 
 The intersection numbers counted here, from the intersection array the
 graph itself shows, are the ground truth that the closed-form hypercube
-parameters are tested against.
+parameters are tested against.  A graph that is not distance-regular is
+named by the first count p^h_1i of that array that is not constant, with i
+ascending and then h = i-1, i, i+1, and two pairs at distance h whose
+counts differ.
 """
 
 from __future__ import annotations
@@ -204,14 +207,14 @@ def is_distance_regular(g: Graph, dd: DistanceData):
     other count there is 0 by the triangle inequality.  Then
     p^h_ij = (B_i)[h, j], where B_1 is the tridiagonal intersection matrix
     and A A_j = b_(j-1) A_(j-1) + a_j A_j + c_(j+1) A_(j+1) gives
-    B_(j+1) = (B_1 B_j - a_j B_j - b_(j-1) B_(j-1)) / c_(j+1).  A class on
-    which a count is not constant falls back to the dense count, which
-    names the witness.
+    B_(j+1) = (B_1 B_j - a_j B_j - b_(j-1) B_(j-1)) / c_(j+1).
 
     Returns:
         (True, table) with table[h][i][j] the intersection numbers, or
-        (False, witness) where witness = (h, i, j, pair_a, count_a, pair_b,
-        count_b) for the lexicographically first failing triple.
+        (False, witness) where witness = (h, 1, i, pair_a, count_a, pair_b,
+        count_b) for the first count p^h_1i found not constant, with i
+        ascending and then h = i-1, i, i+1: pair_a is the first pair (row
+        by row) at distance h, and pair_b the first whose count differs.
     """
     diam = dd.diameter
     size = diam + 1
@@ -222,8 +225,14 @@ def is_distance_regular(g: Graph, dd: DistanceData):
         counts = exact_matmul(adjacency, masks[i].astype(np.int64))
         for h in range(max(i - 1, 0), min(i + 1, diam) + 1):
             vals = counts[masks[h]]
-            if not bool((vals == vals[0]).all()):
-                return False, _dense_witness(masks)
+            bad = np.flatnonzero(vals != vals[0])
+            if bad.size:
+                pairs = np.argwhere(masks[h])
+                k = int(bad[0])
+                return False, (
+                    h, 1, i, tuple(int(t) for t in pairs[0]), int(vals[0]),
+                    tuple(int(t) for t in pairs[k]), int(vals[k]),
+                )
             b1[h, i] = vals[0]
     # Every p^h_ij is at most n <= MAX_VERTICES, so int64 holds k n exactly.
     mats = [np.eye(size, dtype=np.int64), b1]
@@ -233,42 +242,3 @@ def is_distance_regular(g: Graph, dd: DistanceData):
     table = np.stack(mats[:size], axis=1)
     table.flags.writeable = False
     return True, table
-
-
-def _dense_witness(masks: Sequence[np.ndarray]) -> tuple:
-    """The lexicographically first (h, i, j) whose count is not constant.
-
-    counts(i, j)[y, z] = |{w : dist(y, w) = i, dist(z, w) = j}| =
-    (M_i M_j^T)[y, z].  The masks are symmetric, so counts(j, i) =
-    counts(i, j)^T: only i <= j is multiplied, and (j, i) is read through
-    the transpose view.  The caller has found a class with a non-constant
-    count, so some triple fails.
-    """
-    size = len(masks)
-    cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def counts(i: int, j: int) -> np.ndarray:
-        if i > j:
-            return counts(j, i).T
-        if (i, j) not in cache:
-            cache[(i, j)] = masks[i].astype(np.int64) @ masks[j].astype(np.int64).T
-        return cache[(i, j)]
-
-    for h in range(size):
-        for i in range(size):
-            for j in range(size):
-                vals = counts(i, j)[masks[h]]
-                first = int(vals[0])
-                if not bool((vals == first).all()):
-                    pairs = np.argwhere(masks[h])
-                    bad_idx = int(np.argmax(vals != first))
-                    return (
-                        h,
-                        i,
-                        j,
-                        tuple(int(t) for t in pairs[0]),
-                        first,
-                        tuple(int(t) for t in pairs[bad_idx]),
-                        int(vals[bad_idx]),
-                    )
-    raise AssertionError("every intersection count is constant")

@@ -136,19 +136,9 @@ class RationalMatrix:
         i, j = key
         return Fraction(int(self.num[i, j]), self.den)
 
-    def entries(self) -> dict[tuple[int, int], Fraction]:
-        """Sparse view: nonzero entries in row-major order."""
-        out = {}
-        for i, j in zip(*np.nonzero(self.num)):
-            out[(int(i), int(j))] = Fraction(int(self.num[i, j]), self.den)
-        return out
-
     def dense_rows(self) -> list[list[Fraction]]:
         d = self.den
         return [[Fraction(int(v), d) for v in row] for row in self.num]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(int(v), self.den) for v in self.num[i])
 
     def is_zero(self) -> bool:
         return not np.any(self.num)

@@ -18,7 +18,10 @@ by the three-term recurrence; and Q = |X| P^(-1).  It requires all adjacency
 eigenvalues to be rational (they are then integers).  Construction
 certifies the result: distinct theta_i, sum_i E_i = I and
 A E_i = theta_i E_i = E_i A make the E_i the spectral idempotents of A, and
-then A_j = v_j(A) gives A_j E_i = P[i][j] E_i.
+then A_j = v_j(A) gives A_j E_i = P[i][j] E_i.  The Krein parameters are
+read off Q too, q^h_ij = sum_a (Q^(-1))[h][a] Q[a][i] Q[a][j], and the
+matrix-level check krein_expansion_of_hadamard_products certifies that
+table against the E_h.
 
 The section identities and the triple-product zeros are checked without
 dense n x n products on a context that passes:
@@ -73,7 +76,6 @@ class TerwContext:
     x: int
     d: int
     n: int
-    is_hypercube: bool
     A: RationalMatrix
     A_dist: tuple[RationalMatrix, ...]
     E: tuple[RationalMatrix, ...]
@@ -90,6 +92,10 @@ class TerwContext:
     spheres: tuple[np.ndarray, ...]
     params: HypercubeParams | None
     section_checks: tuple[Check, ...] = ()
+
+    @property
+    def is_hypercube(self) -> bool:
+        return self.params is not None
 
     @property
     def dual_adjacency(self) -> RationalMatrix:
@@ -111,48 +117,25 @@ class TerwContext:
         return RationalMatrix.zeros(self.n, self.n)
 
 
-def _distance_profile(m: RationalMatrix, classes: Sequence[np.ndarray]):
-    """Value of a distance-class-constant matrix on each class.
+def _krein_table(Q: Sequence[Sequence[Fraction]]):
+    """q^h_ij = sum_a (Q^(-1))[h][a] Q[a][i] Q[a][j], for every (h, i, j).
 
-    Args:
-        classes: flat indices of the entries at distance a, for each a.
-
-    Raises:
-        VerificationError: if the matrix is not constant on some class.
+    E_i = |X|^(-1) sum_a Q[a][i] A_a and the A_a are disjoint 0/1 matrices,
+    so E_i o E_j = |X|^(-2) sum_a Q[a][i] Q[a][j] A_a.  With
+    A_a = sum_h P[h][a] E_h and P = |X| Q^(-1) this is
+    |X|^(-1) sum_h q^h_ij E_h.  The table is symmetric in (i, j), so only
+    i <= j is formed and mirrored.
     """
-    prof = []
-    flat = m.num.ravel()
-    for a, idx in enumerate(classes):
-        vals = flat[idx]
-        first = int(vals[0])
-        if not bool((vals == first).all()):
-            raise VerificationError(f"matrix not constant on distance class {a}")
-        prof.append(Fraction(first, m.den))
-    return prof
-
-
-def _compute_krein(E: Sequence[RationalMatrix], dist: np.ndarray, d: int):
-    """Solve E_i o E_j = |X|^(-1) sum_h krein[h][i][j] E_h exactly.
-
-    E_i o E_j = E_j o E_i, so only i <= j is solved and q^h_ji = q^h_ij is
-    mirrored; the matrix-level Krein check compares every (i, j).
-    """
-    n = E[0].nrows
-    flat_dist = dist.ravel()
-    classes = [np.flatnonzero(flat_dist == a) for a in range(d + 1)]
-    prof_E = [_distance_profile(E[h], classes) for h in range(d + 1)]
-    # System matrix: column h is E_h's distance profile.
-    sys_rows = [[prof_E[h][a] for h in range(d + 1)] for a in range(d + 1)]
-    inv_sys = inverse(RationalMatrix.from_rows(sys_rows))
-    krein = [[[Fraction(0)] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            had = E[i].hadamard(E[j])
-            prof = _distance_profile(had, classes)
-            rhs = RationalMatrix.from_rows([[v] for v in prof])
-            coeffs = inv_sys @ rhs
-            for h in range(d + 1):
-                krein[h][i][j] = krein[h][j][i] = coeffs[h, 0] * n
+    size = len(Q)
+    pairs = [(i, j) for i in range(size) for j in range(i, size)]
+    products = RationalMatrix.from_rows(
+        [[Q[a][i] * Q[a][j] for i, j in pairs] for a in range(size)]
+    )
+    coeffs = (inverse(RationalMatrix.from_rows(Q)) @ products).dense_rows()
+    krein = [[[Fraction(0)] * size for _ in range(size)] for _ in range(size)]
+    for h in range(size):
+        for col, (i, j) in enumerate(pairs):
+            krein[h][i][j] = krein[h][j][i] = coeffs[h][col]
     return tuple(tuple(tuple(row) for row in layer) for layer in krein)
 
 
@@ -191,7 +174,6 @@ def _assemble(
     Q: list[list[Fraction]],
     p_table: np.ndarray,
     params: HypercubeParams | None,
-    is_cube: bool,
 ) -> TerwContext:
     """The context with its section identities checked and stored.
 
@@ -221,15 +203,12 @@ def _assemble(
     theta = tuple(P[i][1] if d >= 1 else Fraction(0) for i in range(d + 1))
     theta_star = tuple(Q[i][1] if d >= 1 else Fraction(0) for i in range(d + 1))
 
-    krein = _compute_krein(E, dd.dist, d)
-
     ctx = TerwContext(
         graph=graph,
         dist=dd,
         x=x,
         d=d,
         n=n,
-        is_hypercube=is_cube,
         A=A,
         A_dist=A_dist,
         E=tuple(E),
@@ -242,7 +221,7 @@ def _assemble(
         P=tuple(tuple(row) for row in P),
         Q=tuple(tuple(row) for row in Q),
         p_table=p_table,
-        krein=krein,
+        krein=_krein_table(Q),
         spheres=spheres,
         params=params,
     )
@@ -268,10 +247,10 @@ def build_hypercube_context(d: int, x: int = 0) -> TerwContext:
     # Self-dual eigenmatrix formula: q_i(j) = p_i(j), so Q = P.
     P = [list(row) for row in params.P]
     E = _idempotents_from_eigenmatrix(dd.dist, P)
-    return _assemble(g, dd, x, A_dist, E, P, P, params.p_table, params, True)
+    return _assemble(g, dd, x, A_dist, E, P, P, params.p_table, params)
 
 
-def build_context(g: Graph, x: int = 0, dd: DistanceData | None = None) -> TerwContext:
+def build_context(g: Graph, x: int = 0) -> TerwContext:
     """Context for a general distance-regular graph with rational spectrum.
 
     Raises:
@@ -280,8 +259,7 @@ def build_context(g: Graph, x: int = 0, dd: DistanceData | None = None) -> TerwC
     """
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range for {g.n} vertices")
-    if dd is None:
-        dd = DistanceData.compute(g)
+    dd = DistanceData.compute(g)
     ok, result = is_distance_regular(g, dd)
     if not ok:
         h, i, j, pair_a, count_a, pair_b, count_b = result
@@ -328,7 +306,7 @@ def build_context(g: Graph, x: int = 0, dd: DistanceData | None = None) -> TerwC
         P.append(v)
     Q = (inverse(RationalMatrix.from_rows(P)) * n).dense_rows()
     E = _idempotents_from_eigenmatrix(dd.dist, Q)
-    return _assemble(g, dd, x, A_dist, E, P, Q, p_table, None, False)
+    return _assemble(g, dd, x, A_dist, E, P, Q, p_table, None)
 
 
 # -- named identity checks -------------------------------------------------

@@ -132,7 +132,7 @@ def test_path_is_not_distance_regular():
     ok, witness = is_distance_regular(g, dd)
     assert not ok
     h, i, j, pair_a, count_a, pair_b, count_b = witness
-    # Lexicographically first failing triple, with differing counts.
+    # The degrees p^0_11 are the first count of the array that fails.
     assert (h, i, j) == (0, 1, 1)
     assert count_a != count_b
     bi = (dd.dist == i).astype(int)
@@ -142,25 +142,49 @@ def test_path_is_not_distance_regular():
 
 
 def _all_pairs_distance_regular(dd):
-    """Reference: every (h, i, j) from its own product M_i M_j^T."""
+    """Reference: every (h, i, j) from its own product M_i M_j^T.
+
+    Returns:
+        (True, table), or (False, None) if some count is not constant.
+    """
     diam = dd.diameter
     masks = [dd.dist == h for h in range(diam + 1)]
     table = np.zeros((diam + 1,) * 3, dtype=np.int64)
     for h in range(diam + 1):
-        pairs = np.argwhere(masks[h])
         for i in range(diam + 1):
             for j in range(diam + 1):
                 counts = masks[i].astype(np.int64) @ masks[j].astype(np.int64).T
                 vals = counts[masks[h]]
-                bad = np.flatnonzero(vals != vals[0])
-                if bad.size:
-                    k = int(bad[0])
-                    return False, (
-                        h, i, j, tuple(int(t) for t in pairs[0]), int(vals[0]),
-                        tuple(int(t) for t in pairs[k]), int(vals[k]),
-                    )
+                if (vals != vals[0]).any():
+                    return False, None
                 table[h, i, j] = vals[0]
     return True, table
+
+
+def _assert_witness_holds(dd, witness):
+    """Both pairs lie at distance h, and |{w : d(y, w) = 1, d(z, w) = i}|
+    is the reported count for each pair, counted over every w, and the
+    counts differ."""
+    h, one, i, pair_a, count_a, pair_b, count_b = witness
+    assert one == 1
+    dist = dd.dist
+    for (y, z), count in ((pair_a, count_a), (pair_b, count_b)):
+        assert dist[y, z] == h
+        assert sum(dist[y, w] == 1 and dist[z, w] == i for w in range(len(dist))) == count
+    assert count_a != count_b
+
+
+def circulant(n, jumps):
+    edges = {(min(v, (v + s) % n), max(v, (v + s) % n)) for v in range(n) for s in jumps}
+    return Graph.from_edges(n, sorted(edges))
+
+
+def torus(a, b):
+    edges = []
+    for r, c in product(range(a), range(b)):
+        edges.append((r * b + c, r * b + (c + 1) % b))
+        edges.append((r * b + c, ((r + 1) % a) * b + c))
+    return Graph.from_edges(a * b, edges)
 
 
 def kneser(v, k):
@@ -194,9 +218,9 @@ def hamming(d, q):
 
 
 def test_distance_regularity_matches_all_pairs_oracle():
-    # The table from the counted intersection array, and the witness of the
-    # dense fallback, must be those of the product M_i M_j^T taken for
-    # every (i, j).
+    # The verdict and table from the counted intersection array must be
+    # those of the product M_i M_j^T taken for every (i, j), and a witness
+    # must hold when its counts are taken vertex by vertex.
     prism = Graph.from_edges(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
     )
@@ -223,7 +247,7 @@ def test_distance_regularity_matches_all_pairs_oracle():
         if ok:
             assert np.array_equal(result, want), name
         else:
-            assert result == want, name
+            _assert_witness_holds(dd, result)
         verdicts[name] = ok
     failing = [name for name, ok in verdicts.items() if not ok]
     assert failing == ["P_4", "P_5", "prism", "house"]
@@ -238,20 +262,45 @@ def test_distance_regularity_matches_intersection_arrays_of_benchmark_families()
         assert table.tolist() == fam.p_table(), fam.name
 
 
-def test_dense_count_runs_only_for_a_witness(monkeypatch):
+def test_non_distance_regular_graph_takes_at_most_d_plus_one_products(monkeypatch):
+    # The witness is the first failing count of the array, so the products
+    # stop at the one that found it: the i of the witness is the last.
     calls = []
-    original = graphs._dense_witness
+    original = graphs.exact_matmul
 
-    def counted(masks):
-        calls.append(len(masks))
-        return original(masks)
+    def counted(a, b):
+        calls.append(a.shape)
+        return original(a, b)
 
-    monkeypatch.setattr(graphs, "_dense_witness", counted)
+    monkeypatch.setattr(graphs, "exact_matmul", counted)
+    rejected = (
+        path(4),
+        path(5),
+        circulant(10, (2, 5)),
+        circulant(12, (1, 5)),
+        torus(6, 6),
+        torus(5, 7),
+    )
+    for g in rejected:
+        dd = DistanceData.compute(g)
+        calls.clear()
+        ok, witness = is_distance_regular(g, dd)
+        assert not ok
+        assert len(calls) <= dd.diameter + 1
+        assert len(calls) == witness[2] + 1, witness
+        _assert_witness_holds(dd, witness)
     for g in (hypercube(6), kneser(5, 2), johnson(6, 3)):
-        assert is_distance_regular(g, DistanceData.compute(g))[0]
-    assert not calls
-    assert not is_distance_regular(path(4), DistanceData.compute(path(4)))[0]
-    assert calls == [4]  # diameter 3
+        dd = DistanceData.compute(g)
+        calls.clear()
+        assert is_distance_regular(g, dd)[0]
+        assert len(calls) == dd.diameter + 1
+
+
+def test_circulant_witness_pin():
+    g = circulant(10, (2, 5))
+    ok, witness = is_distance_regular(g, DistanceData.compute(g))
+    assert not ok
+    assert witness == (2, 1, 1, (0, 3), 2, (0, 4), 1)
 
 
 def _bfs(neighbors, src):

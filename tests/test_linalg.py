@@ -57,7 +57,7 @@ def test_from_rows_clears_denominators():
 
 def test_diagonal_and_entries():
     m = RationalMatrix.diagonal([1, Fraction(-1, 2)])
-    assert m.entries() == {(0, 0): Fraction(1), (1, 1): Fraction(-1, 2)}
+    assert m.dense_rows() == [[1, 0], [0, Fraction(-1, 2)]]
     assert m.transpose() == m
 
 

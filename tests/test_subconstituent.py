@@ -5,6 +5,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ def test_construction_rejects_failed_identity(contexts):
     with pytest.raises(VerificationError) as info:
         _assemble(
             ctx.graph, ctx.dist, ctx.x, ctx.A_dist, E, P, P,
-            ctx.p_table, ctx.params, True,
+            ctx.p_table, ctx.params,
         )
     message = str(info.value)
     assert message.startswith("construction identities failed: ")
@@ -533,22 +534,34 @@ def folded_cube(d):
 
 
 def _dense_distance_regularity(dd):
-    """(True, p_table) or (False, witness) from the products M_i M_j^T."""
+    """(True, p_table) from the products M_i M_j^T, or (False, witness).
+
+    The witness names the first count p^h_1i = (M_1 M_i^T)[y, z] that is not
+    constant on the class h, with i ascending and then h = i-1, i, i+1.
+    When those counts are all constant the graph is distance-regular, so
+    every other count is constant too.
+    """
     size = dd.diameter + 1
     masks = [(dd.dist == h).astype(np.int64) for h in range(size)]
+    adjacency = (dd.dist == 1).astype(np.int64)
+    for i in range(size):
+        counts = adjacency @ masks[i].T
+        for h in range(max(i - 1, 0), min(i + 1, size - 1) + 1):
+            vals = counts[masks[h] == 1]
+            bad = np.flatnonzero(vals != vals[0])
+            if bad.size:
+                pairs = np.argwhere(masks[h])
+                k = int(bad[0])
+                return False, (
+                    h, 1, i, tuple(int(t) for t in pairs[0]), int(vals[0]),
+                    tuple(int(t) for t in pairs[k]), int(vals[k]),
+                )
     table = np.zeros((size,) * 3, dtype=np.int64)
     for h in range(size):
-        pairs = np.argwhere(masks[h])
         for i in range(size):
             for j in range(size):
                 vals = (masks[i] @ masks[j].T)[masks[h] == 1]
-                bad = np.flatnonzero(vals != vals[0])
-                if bad.size:
-                    k = int(bad[0])
-                    return False, (
-                        h, i, j, tuple(int(t) for t in pairs[0]), int(vals[0]),
-                        tuple(int(t) for t in pairs[k]), int(vals[k]),
-                    )
+                assert (vals == vals[0]).all(), (h, i, j)
                 table[h, i, j] = vals[0]
     return True, table
 
@@ -598,7 +611,7 @@ def _projector_context(g, x):
             row.append(coeff)
         P.append(row)
     Q = (inverse(RationalMatrix.from_rows(P)) * n).dense_rows()
-    return _assemble(g, dd, x, A_dist, E, P, Q, result, None, False)
+    return _assemble(g, dd, x, A_dist, E, P, Q, result, None)
 
 
 def _oracle_graphs():
@@ -638,6 +651,64 @@ def test_build_context_matches_spectral_projector_oracle():
         assert ctx.krein == want.krein, name
         assert ctx.section_checks == want.section_checks, name
         assert all(c.passed for c in ctx.section_checks), name
+
+
+# Reference Krein table, solved from the n x n Hadamard products E_i o E_j
+# one distance class at a time.
+
+def _distance_profile(m: RationalMatrix, classes: Sequence[np.ndarray]):
+    """Value of a distance-class-constant matrix on each class.
+
+    Args:
+        classes: flat indices of the entries at distance a, for each a.
+
+    Raises:
+        VerificationError: if the matrix is not constant on some class.
+    """
+    prof = []
+    flat = m.num.ravel()
+    for a, idx in enumerate(classes):
+        vals = flat[idx]
+        first = int(vals[0])
+        if not bool((vals == first).all()):
+            raise VerificationError(f"matrix not constant on distance class {a}")
+        prof.append(Fraction(first, m.den))
+    return prof
+
+
+def _compute_krein(E: Sequence[RationalMatrix], dist: np.ndarray, d: int):
+    """Solve E_i o E_j = |X|^(-1) sum_h krein[h][i][j] E_h exactly.
+
+    E_i o E_j = E_j o E_i, so only i <= j is solved and q^h_ji = q^h_ij is
+    mirrored; the matrix-level Krein check compares every (i, j).
+    """
+    n = E[0].nrows
+    flat_dist = dist.ravel()
+    classes = [np.flatnonzero(flat_dist == a) for a in range(d + 1)]
+    prof_E = [_distance_profile(E[h], classes) for h in range(d + 1)]
+    # System matrix: column h is E_h's distance profile.
+    sys_rows = [[prof_E[h][a] for h in range(d + 1)] for a in range(d + 1)]
+    inv_sys = inverse(RationalMatrix.from_rows(sys_rows))
+    krein = [[[Fraction(0)] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            had = E[i].hadamard(E[j])
+            prof = _distance_profile(had, classes)
+            rhs = RationalMatrix.from_rows([[v] for v in prof])
+            coeffs = inv_sys @ rhs
+            for h in range(d + 1):
+                krein[h][i][j] = krein[h][j][i] = coeffs[h, 0] * n
+    return tuple(tuple(tuple(row) for row in layer) for layer in krein)
+
+
+def test_krein_table_matches_hadamard_product_oracle():
+    for d in range(1, 7):
+        for x in (0, (1 << d) - 1):
+            ctx = build_hypercube_context(d, x)
+            assert ctx.krein == _compute_krein(ctx.E, ctx.dist.dist, d), (d, x)
+    for name, g, x in _oracle_graphs():
+        ctx = build_context(g, x)
+        assert ctx.krein == _compute_krein(ctx.E, ctx.dist.dist, ctx.d), name
 
 
 def test_build_context_errors_match_spectral_projector_oracle():
