@@ -23,15 +23,17 @@ there is one class and this is the plain closure from the identity.
 The supports of different blocks are disjoint, and a block's coordinates in
 row-major order are its entries' order in the row-major n x n matrix, so the
 union of the blocks' reduced echelon rows is the reduced echelon basis of T
-at width n^2: the row set depends only on the generators.  Denominators are
-dropped before reduction because scaling an element does not change the
-span.
+at width n^2: the row set depends only on the generators.  In particular
+the first nonzero entry of a piece in block row-major order, mapped through
+its classes, is the element's first nonzero entry in the n x n matrix: its
+pivot.  The pieces are the only form in which the basis is kept.
+Denominators are dropped before reduction because scaling an element does
+not change the span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -85,16 +87,6 @@ class BlockSpans:
         block = self._spans[(h, j)].row(idx)
         return h, j, block.reshape(len(self.classes[h]), len(self.classes[j]))
 
-    def matrices(self) -> tuple[RationalMatrix, ...]:
-        """Every element as a dense integer n x n matrix, in insertion order."""
-        out = []
-        for k in range(self.dim):
-            h, j, block = self.element(k)
-            dense = np.zeros((self.n, self.n), dtype=block.dtype)
-            dense[np.ix_(self.classes[h], self.classes[j])] = block
-            out.append(RationalMatrix(dense, 1, _canonical=True))
-        return tuple(out)
-
     def contains(self, m: np.ndarray) -> bool:
         """Exact membership of an integer n x n matrix, block by block."""
         for h, rows in enumerate(self.classes):
@@ -111,10 +103,7 @@ class BlockSpans:
 
 @dataclass(frozen=True)
 class AlgebraBasis:
-    """Echelonized basis of a matrix algebra, held as its block spans.
-
-    The dense n x n view `matrices` is built on first access.
-    """
+    """Echelonized basis of a matrix algebra, held as its block spans."""
 
     provenance: tuple[Provenance, ...]
     span: BlockSpans
@@ -126,11 +115,6 @@ class AlgebraBasis:
     @property
     def dim(self) -> int:
         return self.span.dim
-
-    @cached_property
-    def matrices(self) -> tuple[RationalMatrix, ...]:
-        """Every basis element as a dense integer matrix, in insertion order."""
-        return self.span.matrices()
 
     def contains(self, m: RationalMatrix) -> bool:
         """Exact membership of a matrix in the span."""

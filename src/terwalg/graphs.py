@@ -219,9 +219,13 @@ def is_distance_regular(g: Graph, dd: DistanceData):
     diam = dd.diameter
     size = diam + 1
     adjacency = (dd.dist == 1).astype(np.int64)
-    masks = [dd.dist == h for h in range(size)]
+    masks = {}  # the distance-h masks for h = i-1, i, i+1 only
     b1 = np.zeros((size, size), dtype=np.int64)  # b1[h, i] = p^h_1i
     for i in range(size):
+        masks.pop(i - 2, None)
+        for h in range(max(i - 1, 0), min(i + 1, diam) + 1):
+            if h not in masks:
+                masks[h] = dd.dist == h
         counts = exact_matmul(adjacency, masks[i].astype(np.int64))
         for h in range(max(i - 1, 0), min(i + 1, diam) + 1):
             vals = counts[masks[h]]

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from ._intops import (
-    INT64_SAFE,
     content,
     demote,
     exact_add,
@@ -105,18 +104,6 @@ class RationalMatrix:
                 den = lcm(den, v.denominator)
         num = [[int(v * den) for v in row] for row in data]
         return cls(np.array(num, dtype=object), den)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[Fraction | int]) -> "RationalMatrix":
-        """Diagonal matrix, int64 unless some numerator needs object."""
-        vals = [Fraction(v) for v in values]
-        den = lcm(1, *(v.denominator for v in vals))
-        nums = [int(v * den) for v in vals]
-        n = len(nums)
-        fits = max(map(abs, nums), default=0) < INT64_SAFE
-        arr = np.zeros((n, n), dtype=np.int64 if fits else object)
-        arr[np.arange(n), np.arange(n)] = nums
-        return cls(arr, den)
 
     # -- views -------------------------------------------------------------
 

@@ -85,10 +85,6 @@ class RationalPoly:
         return cls._make([0, 1], 1)
 
     @classmethod
-    def constant(cls, c) -> "RationalPoly":
-        return cls((c,))
-
-    @classmethod
     def from_roots(cls, roots: Iterable[Fraction | int]) -> "RationalPoly":
         """Monic polynomial with the given roots (with multiplicity)."""
         p = cls.one()
@@ -111,18 +107,6 @@ class RationalPoly:
 
     def is_zero(self) -> bool:
         return not self.num
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.num:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.num[-1], self.den)
-
-    def coeff(self, k: int) -> Fraction:
-        """Coefficient of z**k (zero beyond the stored degree)."""
-        if k < 0:
-            raise ValueError("negative exponent")
-        return Fraction(self.num[k], self.den) if k < len(self.num) else Fraction(0)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -208,7 +208,7 @@ def _diameter_record(
                 None if comp_dim_ok else f"complement dim {corner.dim}",
             )
         )
-        dec_corner = decompose(corner.matrices, corner.generators, corner.identity)
+        dec_corner = decompose(corner.span, corner.generators, corner.identity)
         comp_ok = (
             dec_corner.status == SPLIT
             and blocks_smaller is not None

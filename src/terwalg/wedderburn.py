@@ -1,18 +1,22 @@
 """Block structure of the algebra: center, central idempotents, block sizes.
 
 Everything here works in the pivot coordinates of the algebra's reduced
-echelon basis b_1..b_m.  The pivot of b_j is its first nonzero entry, at
+echelon basis b_1..b_m, held as the block pieces of closure.BlockSpans: b_k
+is an integer piece X_k on rows S_h x columns S_j and zero elsewhere, and no
+b_k is formed at n x n.  The pivot of b_j is its first nonzero entry, at
 matrix position (R_j, C_j) with value pv_j, and every other basis element is
 zero there, so an element c of the span has coordinates c[R_j, C_j] / pv_j
 and is zero exactly when its m pivot entries are.  Precondition: the span is
 closed under multiplication and contains the generators and the unit e.  Then
 every product the split needs lies in the span and is read through its
-pivot entries alone, never formed at n x n:
+pivot entries alone.  Only the generators, the identity, the center elements
+and the central idempotents are dense n x n matrices:
 
-- One pivot-entry kernel.  Entry j of g b_k is sum_t g[R_j, t] b_k[t, C_j]
-  and entry j of b_k g is sum_t b_k[R_j, t] g[t, C_j], taken for every k
-  from the m x n slices g[R, :] or g[:, C]: O(m n) per basis element, dense
-  g or not.  The center is the kernel of the 2m x m matrix of pivot entries
+- One pivot-entry kernel.  g b_k vanishes outside columns S_j, so its pivot
+  entries are zero except at the pivots with C_i in S_j, where they are
+  sum_{t in S_h} g[R_i, t] X_k[t, C_i]; b_k g vanishes outside rows S_h and
+  has sum_{t in S_j} X_k[R_i, t] g[t, C_i] at the pivots with R_i in S_h.
+  The center is the kernel of the 2m x m matrix of pivot entries
   of the commutators [b_k, A] and [b_k, A*], and the block dimension
   dim span{b_k z_r} is the rank of the m x m matrix of pivot entries of
   b_k z_r.
@@ -24,8 +28,10 @@ pivot entries alone, never formed at n x n:
   isolates them exactly by Sturm sequences, with no search bound), the
   Lagrange idempotents prod (L_p - mu) / (lambda - mu) coords(e) are formed
   as coordinate vectors and materialized once each as sum_k c_k b_k over a
-  common denominator.  Each block rank is the trace of its idempotent, and
-  each block size n_r is the integer square root of dim span{b_k z_r}.
+  common denominator, the pieces added into one n x n matrix (combine);
+  the probe is combined the same way from the center elements' coordinates.
+  Each block rank is the trace of its idempotent, and each block size n_r
+  is the integer square root of dim span{b_k z_r}.
 - The corner.  The complement algebra (I - U0) T (I - U0) is spanned by
   W B W with W = L (I - U0) = L I - S^T M S, the verified factorization of
   idempotent.u0_factorization.  W is block-diagonal by spheres, so W B W
@@ -35,10 +41,11 @@ pivot entries alone, never formed at n x n:
 
 On a span that is not closed the pivot reads can be wrong, so the split is
 guarded by dense checks on the materialized idempotents: they must be
-orthogonal idempotents summing to e, and each must commute with the
-generators.  A probe that fails to split after three weight schedules, or a
-split that fails the certificate, yields status "inconclusive" with the
-offending polynomial attached; that is a result, not an error.
+idempotents summing to the idempotent e, which makes them orthogonal (see
+_idempotents_valid), and each must commute with the generators.  A probe
+that fails to split after three weight schedules, or a split that fails the
+certificate, yields status "inconclusive" with the offending polynomial
+attached; that is a result, not an error.
 
 All of this works relative to an arbitrary identity element, so the same
 code decomposes both the full algebra (identity I) and the compressed
@@ -99,64 +106,74 @@ class BlockDecomposition:
 
 
 class _PivotBasis:
-    """A reduced echelon basis with its pivots and entry bounds, read once.
+    """A reduced echelon basis held as its block pieces, with pivots and bounds.
 
-    The basis elements are integer matrices (denominator 1), as the echelon
-    engine stores them.
+    b_k is the piece X_k of block (h_k, j_k).  Its pivot is the first nonzero
+    of X_k in block row-major order, at (R, C) = (S_h[r], S_j[c]): the first
+    nonzero of b_k, since the classes are ascending (see closure).
     """
 
-    def __init__(self, mats: Sequence[RationalMatrix]):
-        self.matrices = tuple(mats)
-        if any(b.den != 1 for b in self.matrices):
-            raise ValueError("basis elements must be integer matrices")
-        self.n = self.matrices[0].nrows if self.matrices else 0
-        nums = [b.num for b in self.matrices]
-        piv = np.array([np.flatnonzero(b)[0] for b in nums], dtype=np.intp)
-        self.rows, self.cols = np.divmod(piv, self.n)
-        self.pivvals = [int(b.flat[p]) for b, p in zip(nums, piv)]
+    def __init__(self, span: BlockSpans):
+        self.n = span.n
+        self.classes = span.classes
+        self.pieces = [span.element(k) for k in range(span.dim)]
+        rows, cols, local, self.pivvals = [], [], [], []
+        for h, j, x in self.pieces:
+            r, c = divmod(int(np.flatnonzero(x)[0]), x.shape[1])
+            rows.append(self.classes[h][r])
+            cols.append(self.classes[j][c])
+            local.append((h, j, r, c))
+            self.pivvals.append(int(x[r, c]))
+        self.rows = np.array(rows, dtype=np.intp)
+        self.cols = np.array(cols, dtype=np.intp)
+        # Pivot k lies in the classes (h_k, j_k) of its piece, at offsets
+        # (r_k, c_k) inside them; _in_rows[h] lists the pivots in rows S_h.
+        hs, js, self._r, self._c = np.array(local, dtype=np.intp).reshape(-1, 4).T
+        self._in_rows = [np.flatnonzero(hs == h) for h in range(len(self.classes))]
+        self._in_cols = [np.flatnonzero(js == j) for j in range(len(self.classes))]
         self.pivlcm = math.lcm(1, *self.pivvals)
-        self.maxes = [max_abs(b) for b in nums]
+        self.maxes = [max_abs(x) for _, _, x in self.pieces]
         self._bmax = max(self.maxes, default=0)
-        self._object = any(b.dtype == object for b in nums)
+        self._object = any(x.dtype == object for _, _, x in self.pieces)
 
     @property
     def dim(self) -> int:
-        return len(self.matrices)
+        return len(self.pieces)
 
-    def _pivot_products(self, gs: np.ndarray, slice_of) -> np.ndarray:
-        """Column k: sum_t gs[j, t] * slice_of(b_k)[j, t] for every j.
+    def _pivot_products(self, g: np.ndarray, left: bool) -> np.ndarray:
+        """m x m array whose column k holds the pivot entries of g b_k or b_k g.
 
-        Each entry sums n products, so n * max|gs| * max|b| bounds it; past
-        INT64_SAFE the sums run on Python ints and the result is demoted.
+        Only the pivots in the columns (rows) of b_k's block are filled, see
+        the module docstring.  Each entry sums at most n products, so
+        n * max|g| * max|X| bounds it; past INT64_SAFE the sums run on
+        Python ints and the result is demoted.
         """
         fits = (
             not self._object
-            and gs.dtype != object
-            and self.n * max_abs(gs) * self._bmax < INT64_SAFE
+            and g.dtype != object
+            and self.n * max_abs(g) * self._bmax < INT64_SAFE
         )
         if not fits:
-            gs = to_object(gs)
-        cols = []
-        for b in self.matrices:
-            bs = slice_of(b.num)
-            cols.append(np.einsum("jt,jt->j", gs, bs if fits else to_object(bs)))
-        out = np.stack(cols, axis=1)
+            g = to_object(g)
+        out = np.zeros((self.dim, self.dim), dtype=np.int64 if fits else object)
+        for k, (h, j, x) in enumerate(self.pieces):
+            x = x if fits else to_object(x)
+            if left:
+                sel = self._in_cols[j]
+                a, b = g[np.ix_(self.rows[sel], self.classes[h])], x[:, self._c[sel]]
+            else:
+                sel = self._in_rows[h]
+                a, b = x[self._r[sel], :], g[np.ix_(self.classes[j], self.cols[sel])]
+            out[sel, k] = np.einsum("it,ti->i", a, b)
         return out if fits else demote(out)
 
     def left(self, g: np.ndarray) -> np.ndarray:
-        """m x m array whose column k holds the pivot entries of g b_k.
-
-        Entry j is sum_t g[R_j, t] b_k[t, C_j]: the m x n slices g[R, :] and
-        b_k[:, C]^T, O(m n) per basis element whatever the structure of g.
-        """
-        return self._pivot_products(g[self.rows, :], lambda b: b[:, self.cols].T)
+        """m x m array whose column k holds the pivot entries of g b_k."""
+        return self._pivot_products(g, left=True)
 
     def right(self, g: np.ndarray) -> np.ndarray:
-        """m x m array whose column k holds the pivot entries of b_k g.
-
-        Entry j is sum_t b_k[R_j, t] g[t, C_j], from b_k[R, :] and g[:, C]^T.
-        """
-        return self._pivot_products(g[:, self.cols].T, lambda b: b[self.rows, :])
+        """m x m array whose column k holds the pivot entries of b_k g."""
+        return self._pivot_products(g, left=False)
 
     def left_regular(self, p: np.ndarray) -> RationalMatrix:
         """Matrix of c -> p c in the coordinates of the basis: D^-1 left(p).
@@ -175,10 +192,20 @@ class _PivotBasis:
         return demote(np.array(num, dtype=object)), c.den * self.pivlcm
 
     def combine(self, coeffs: Sequence, den: int = 1) -> RationalMatrix:
-        """The element (sum_k coeffs[k] b_k) / den, canonicalized once."""
-        return _combination(
-            [int(c) for c in coeffs], [b.num for b in self.matrices], self.maxes, den
-        )
+        """The element (sum_k coeffs[k] b_k) / den, canonicalized once.
+
+        The pieces are added into one n x n accumulator, in int64 when
+        sum_k |coeffs[k]| max|X_k| allows it and on Python ints otherwise.
+        """
+        coeffs = [int(c) for c in coeffs]
+        bound = sum(abs(c) * mx for c, mx in zip(coeffs, self.maxes))
+        obj = self._object or bound >= INT64_SAFE
+        acc = np.zeros((self.n, self.n), dtype=object if obj else np.int64)
+        for c, (h, j, x) in zip(coeffs, self.pieces):
+            if c:
+                block = np.ix_(self.classes[h], self.classes[j])
+                acc[block] += c * (to_object(x) if obj else x)
+        return RationalMatrix(acc, den)
 
     def combine_fractions(self, coeffs: Sequence[Fraction]) -> RationalMatrix:
         """The element sum_k coeffs[k] b_k for rational coefficients."""
@@ -186,41 +213,22 @@ class _PivotBasis:
         return self.combine([c * den for c in coeffs], den)
 
 
-def _combination(
-    coeffs: Sequence[int], nums: Sequence[np.ndarray], maxes: Sequence[int], den: int
-) -> RationalMatrix:
-    """(sum_k coeffs[k] nums[k]) / den as one canonical RationalMatrix.
-
-    The sum runs in int64 when sum_k |coeffs[k]| max|nums[k]| allows it and
-    on Python ints otherwise; RationalMatrix demotes the result.
-    """
-    bound = sum(abs(c) * mx for c, mx in zip(coeffs, maxes))
-    obj = bound >= INT64_SAFE or any(a.dtype == object for a in nums)
-    acc = np.zeros(nums[0].shape, dtype=object if obj else np.int64)
-    for c, a in zip(coeffs, nums):
-        if c:
-            acc += c * (to_object(a) if obj else a)
-    return RationalMatrix(acc, den)
-
-
 def _pivot_basis(t) -> _PivotBasis:
     if isinstance(t, _PivotBasis):
         return t
-    if isinstance(t, AlgebraBasis):
-        return _PivotBasis(t.matrices)
-    return _PivotBasis(tuple(t))
+    return _PivotBasis(t.span if isinstance(t, AlgebraBasis) else t)
 
 
 def center_basis(t, generators: Sequence[RationalMatrix]) -> list[RationalMatrix]:
     """Echelonized basis of {c in span(t) : c g = g c for all generators}.
 
-    Precondition: t is a reduced echelon basis of a closed algebra that
-    contains the generators.  Then every commutator [b_k, g] lies in the
-    algebra and is zero exactly when its pivot entries are, so the center
-    coefficients are the kernel of the 2m x m matrix whose column k holds
-    the pivot entries of [b_k, g] for each generator g.  On a span that is
-    not closed the result may be wrong; decompose's certificate catches a
-    false split.
+    Precondition: t, an AlgebraBasis or a closure.BlockSpans, spans a closed
+    algebra that contains the generators.  Then every commutator [b_k, g]
+    lies in the algebra and is zero exactly when its pivot entries are, so
+    the center coefficients are the kernel of the 2m x m matrix whose column
+    k holds the pivot entries of [b_k, g] for each generator g.  On a span
+    that is not closed the result may be wrong; decompose's certificate
+    catches a false split.
     """
     pb = _pivot_basis(t)
     if not pb.dim:
@@ -262,8 +270,8 @@ def split_center(
     coordinate vector and materialized once.
 
     Args:
-        t: reduced echelon basis of the algebra (same precondition as
-            center_basis).
+        t: AlgebraBasis or closure.BlockSpans of the algebra (same
+            precondition as center_basis).
         center: basis of the center, as produced by center_basis.
         identity: identity element of the algebra; defaults to I of the
             ambient size.  The complement algebra passes I - U0 here.
@@ -276,14 +284,14 @@ def split_center(
     if identity is None:
         identity = RationalMatrix.identity(pb.n)
     e, e_den = pb.coordinates(identity)
-    lcd = math.lcm(*(c.den for c in center))
-    nums = [c.num for c in center]
-    maxes = [max_abs(c) for c in nums]
+    coords = [pb.coordinates(c) for c in center]
+    lcd = math.lcm(*(den for _, den in coords))
 
     last_poly = None
     for base in (m + 1, m + 2, 2 * m + 3):
-        weights = [base**k * (lcd // c.den) for k, c in enumerate(center)]
-        probe = _combination(weights, nums, maxes, lcd)
+        weights = [base**k * (lcd // den) for k, (_, den) in enumerate(coords)]
+        coeffs = sum(w * to_object(x) for w, (x, _) in zip(weights, coords))
+        probe = pb.combine(coeffs, lcd)
         # Drop the denominator: scaling the probe scales its eigenvalues by
         # an integer and leaves the Lagrange idempotents unchanged.
         lp = pb.left_regular(probe.num)
@@ -325,16 +333,23 @@ def split_center(
 def _idempotents_valid(
     idems: Sequence[RationalMatrix], identity: RationalMatrix
 ) -> bool:
-    n = identity.nrows
-    zero = RationalMatrix.zeros(n, n)
-    acc = zero
-    for i, zi in enumerate(idems):
-        if zi @ zi != zi:
+    """Whether the z_r are orthogonal idempotents summing to e = identity.
+
+    Only e^2 = e, z_r^2 = z_r and sum z_r = e are checked; orthogonality
+    follows.  Over Q an idempotent's rank is its trace, so
+    rank(e) = tr(e) = sum tr(z_r) = sum rank(z_r) >= dim sum Im(z_r) >= rank(e),
+    the last step because e = sum z_r maps into sum Im(z_r).  Hence Im(e) is
+    the direct sum of the Im(z_r).  For w = z_s v, w lies in Im(e), so
+    w = e w = sum_r z_r w with z_r w in Im(z_r), and also w = z_s w; the sum
+    is direct, so z_r w = z_r z_s v = 0 for r != s.
+    """
+    if identity @ identity != identity:
+        return False
+    acc = RationalMatrix.zeros(identity.nrows, identity.ncols)
+    for z in idems:
+        if z @ z != z:
             return False
-        for j, zj in enumerate(idems):
-            if i != j and zi @ zj != zero:
-                return False
-        acc = acc + zi
+        acc = acc + z
     return acc == identity
 
 
@@ -395,13 +410,13 @@ def decompose(
 class CompressedAlgebra:
     """The complement corner (I - U0) T (I - U0) with its own identity."""
 
-    matrices: tuple[RationalMatrix, ...]
+    span: BlockSpans
     identity: RationalMatrix
     generators: tuple[RationalMatrix, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.matrices)
+        return self.span.dim
 
 
 def _compressor(s: np.ndarray, m: np.ndarray, big: int):
@@ -469,4 +484,4 @@ def complement_algebra(ctx, t: AlgebraBasis, u0: RationalMatrix) -> CompressedAl
         for g in ctx.generators()
     )
     comp = RationalMatrix.identity(n) - u0
-    return CompressedAlgebra(span.matrices(), comp, gens)
+    return CompressedAlgebra(span, comp, gens)

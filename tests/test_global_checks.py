@@ -128,7 +128,7 @@ def _tamper_family(monkeypatch, d0, index, delta):
     def patched(d):
         fs = real(d)
         if d == d0:
-            fs[index] = fs[index] + RationalPoly.constant(delta)
+            fs[index] = fs[index] + RationalPoly((delta,))
         return fs
 
     monkeypatch.setattr(poly_identities, "krawtchouk_polys", patched)

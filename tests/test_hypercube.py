@@ -64,7 +64,7 @@ def test_krawtchouk_family():
     assert fs[2] == RationalPoly((Fraction(-3, 2), 0, Fraction(1, 2)))
     for i, f in enumerate(fs):
         assert f.degree == i
-        assert f.leading == Fraction(1, [1, 1, 2, 6, 24][i])
+        assert f.coeffs[-1] == Fraction(1, [1, 1, 2, 6, 24][i])
 
 
 def test_krawtchouk_three_term_recurrence():

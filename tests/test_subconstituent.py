@@ -74,7 +74,7 @@ def test_frozen_small_matrices(contexts):
     half = Fraction(1, 2)
     assert ctx.E[0].dense_rows() == [[half, half], [half, half]]
     assert ctx.E[1].dense_rows() == [[half, -half], [-half, half]]
-    assert ctx.dual_adjacency == RationalMatrix.diagonal([1, -1])
+    assert ctx.dual_adjacency == RationalMatrix(np.diag([1, -1]))
 
 
 def test_eigenvalue_sequences(contexts):
@@ -304,7 +304,7 @@ def test_triple_products_reject_dual_matrix_not_constant_on_sphere(contexts):
     diag = list(ctx.A_star[2].num.diagonal())
     y = int(ctx.spheres[1][0])  # sphere S_1 has three vertices
     diag[y] += 1
-    bad_star = ctx.A_star[:2] + (RationalMatrix.diagonal(diag),) + ctx.A_star[3:]
+    bad_star = ctx.A_star[:2] + (RationalMatrix(np.diag(diag)),) + ctx.A_star[3:]
     bad = dataclasses.replace(ctx, A_star=bad_star)
     with pytest.raises(VerificationError, match="A\\*_2 is not constant on sphere S_1"):
         check_triple_products(bad)
@@ -724,8 +724,8 @@ def test_build_context_errors_match_spectral_projector_oracle():
 def test_dual_distance_matrices_match_fraction_diagonals():
     for name, ctx in _differential_contexts():
         for Ei, Ai_star in zip(ctx.E, ctx.A_star):
-            row = [Fraction(int(v) * ctx.n, Ei.den) for v in Ei.num[ctx.x]]
-            assert Ai_star == RationalMatrix.diagonal(row), name
+            row = [int(v) * ctx.n for v in Ei.num[ctx.x]]
+            assert Ai_star == RationalMatrix(np.diag(row), Ei.den), name
 
 
 def _with_krein(ctx, entries):

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from dense_views import densify
 
 from terwalg import wedderburn
 from terwalg._intops import exact_matmul, exact_sub
-from terwalg.closure import closure
+from terwalg.closure import BlockSpans, closure
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import compute_u0
 from terwalg.linalg import RationalMatrix, kernel_basis, min_poly, rank
@@ -79,14 +80,14 @@ def test_center_matches_gram_reference(suite):
     for d in range(0, 6):
         ctx, basis = suite[d]
         got = center_basis(basis, ctx.generators())
-        assert got == _gram_center_basis(basis.matrices, ctx.generators()), f"d={d}"
+        assert got == _gram_center_basis(densify(basis), ctx.generators()), f"d={d}"
 
 
 def test_corner_center_matches_gram_reference(suite):
     for d in range(2, 6):
         corner, _dec = _corner_decomposition(suite, d)
-        got = center_basis(corner.matrices, corner.generators)
-        want = _gram_center_basis(corner.matrices, corner.generators)
+        got = center_basis(corner.span, corner.generators)
+        want = _gram_center_basis(densify(corner), corner.generators)
         assert got == want, f"corner d={d}"
 
 
@@ -106,10 +107,10 @@ def test_block_data_matches_dense_spans(suite):
     # against dim span{b z} taken at width n^2.
     for d in range(0, 6):
         ctx, basis = suite[d]
-        _assert_block_data_dense(basis.matrices, decompose(basis, ctx.generators()))
+        _assert_block_data_dense(densify(basis), decompose(basis, ctx.generators()))
     for d in range(2, 6):
         corner, dec = _corner_decomposition(suite, d)
-        _assert_block_data_dense(corner.matrices, dec)
+        _assert_block_data_dense(densify(corner), dec)
 
 
 def test_unclosed_span_is_not_split(suite):
@@ -118,12 +119,11 @@ def test_unclosed_span_is_not_split(suite):
     # certificate in decompose keeps this from becoming a false split.
     ctx, _basis = suite[3]
     n = ctx.n
-    span = EchelonSpan(n * n)
-    span.add(RationalMatrix.identity(n).num.ravel())
-    span.add((ctx.E_star[0] + ctx.E_star[3]).num.ravel())
-    mats = [RationalMatrix(row.reshape(n, n), 1) for row in span.rows]
-    assert split_center(mats, center_basis(mats, ctx.generators())).status == SPLIT
-    assert decompose(mats, ctx.generators()).status == INCONCLUSIVE
+    span = BlockSpans(n, (np.arange(n),))
+    span.add(0, 0, RationalMatrix.identity(n).num)
+    span.add(0, 0, (ctx.E_star[0] + ctx.E_star[3]).num)
+    assert split_center(span, center_basis(span, ctx.generators())).status == SPLIT
+    assert decompose(span, ctx.generators()).status == INCONCLUSIVE
 
 
 def test_center_dimensions(suite):
@@ -157,13 +157,15 @@ def test_split_with_probe_eigenvalues_past_10_to_the_6():
     # The first probe (weights 7^k) has the eigenvalues 7^k (10^7 + k), from
     # 10,000,000 to 168,070,084,035, all above 10^6.
     m = 6
+    span = BlockSpans(m, (np.arange(m),))
     basis = []
     for k in range(m):
         e = np.zeros((m, m), dtype=np.int64)
         e[k, k] = 1
+        span.add(0, 0, e)
         basis.append(RationalMatrix(e))
     center = [b * (10**7 + k) for k, b in enumerate(basis)]
-    dec = split_center(basis, center)
+    dec = split_center(span, center)
     assert dec.status == SPLIT
     assert dec.eigenvalues == tuple(7**k * (10**7 + k) for k in range(m))
     assert dec.eigenvalues[0] == 10_000_000
@@ -197,6 +199,43 @@ def test_idempotents_form_partition_of_unity(suite):
             assert zi @ g == g @ zi
         acc = acc + zi
     assert acc == RationalMatrix.identity(ctx.n)
+
+
+def test_idempotent_guard_rejects_bad_partitions():
+    # Each case fails exactly one of e^2 = e, z_r^2 = z_r, sum z_r = e; the
+    # last one is orthogonal nowhere but sums to e = 2I, which is no
+    # idempotent.
+    eye = RationalMatrix.identity(3)
+    p0 = RationalMatrix(np.diag([1, 0, 0]))
+    p1 = RationalMatrix(np.diag([0, 1, 1]))
+    half = RationalMatrix(np.diag([1, 0, 0]), 2)
+    cases = [
+        ([half, p1 + half], eye),  # z_1 = z_1^2 fails
+        ([p0, p0], eye),  # the sum is not e
+        ([eye, eye], eye * 2),  # e^2 != e
+    ]
+    assert _idempotents_valid([p0, p1], eye)
+    assert _pairwise_idempotents_valid([p0, p1], eye)
+    for idems, identity in cases:
+        assert not _idempotents_valid(idems, identity)
+        assert not _pairwise_idempotents_valid(idems, identity)
+
+
+def test_idempotent_guard_agrees_with_pairwise_check(suite):
+    for name, span, gens, identity in _algebras(suite):
+        dec = decompose(span, gens, identity)
+        e = RationalMatrix.identity(span.n) if identity is None else identity
+        idems = list(dec.central_idempotents)
+        assert _idempotents_valid(idems, e) and _pairwise_idempotents_valid(idems, e)
+        if len(idems) > 1:
+            # Merge two blocks: z_1 + z_2 is an idempotent, and replacing
+            # z_2 by z_1 keeps every square but breaks the sum.
+            merged = [idems[0] + idems[1]] + idems[2:]
+            assert _idempotents_valid(merged, e), name
+            assert _pairwise_idempotents_valid(merged, e), name
+            doubled = [idems[0], idems[0]] + idems[2:]
+            assert not _idempotents_valid(doubled, e), name
+            assert not _pairwise_idempotents_valid(doubled, e), name
 
 
 def test_eigenvalues_sorted_and_deterministic(suite):
@@ -242,7 +281,7 @@ def _corner_decomposition(suite, d):
     ctx, basis = suite[d]
     u0, _dual = compute_u0(ctx)
     corner = complement_algebra(ctx, basis, u0)
-    return corner, decompose(corner.matrices, corner.generators, corner.identity)
+    return corner, decompose(corner.span, corner.generators, corner.identity)
 
 
 def test_complement_split_relative_to_corner_identity(suite):
@@ -312,7 +351,7 @@ def _dense_split_center(center, identity=None):
                 if mu != lam:
                     z = z @ (probe_int - identity * mu) * Fraction(1, lam - mu)
             idems.append(z)
-        if not _idempotents_valid(idems, identity):
+        if not _pairwise_idempotents_valid(idems, identity):
             continue
         ranks = tuple(int(z.trace()) for z in idems)
         return SPLIT, mp, tuple(roots), tuple(idems), ranks
@@ -323,26 +362,79 @@ def _dense_corner(ctx, t, u0):
     n = ctx.n
     comp = RationalMatrix.identity(n) - u0
     span = EchelonSpan(n * n)
-    for b in t.matrices:
+    for b in densify(t):
         span.add(exact_matmul(exact_matmul(comp.num, b.num), comp.num).ravel())
     mats = tuple(RationalMatrix(row.reshape(n, n), 1) for row in span.rows)
     return mats, tuple(comp @ g @ comp for g in ctx.generators())
 
 
+def _pairwise_idempotents_valid(idems, identity):
+    """The pairwise reference: z_r^2 = z_r, z_r z_s = 0 for r != s, sum = e."""
+    n = identity.nrows
+    zero = RationalMatrix.zeros(n, n)
+    acc = zero
+    for i, zi in enumerate(idems):
+        if zi @ zi != zi:
+            return False
+        for j, zj in enumerate(idems):
+            if i != j and zi @ zj != zero:
+                return False
+        acc = acc + zi
+    return acc == identity
+
+
 def _algebras(suite):
-    """(name, basis matrices, generators, identity) for T_d and its corners."""
+    """(name, block spans, generators, identity) for T_d and its corners."""
     for d in range(0, 6):
         ctx, basis = suite[d]
-        yield f"T_{d}", basis.matrices, ctx.generators(), None
+        yield f"T_{d}", basis.span, ctx.generators(), None
     for d in range(2, 6):
         corner, _dec = _corner_decomposition(suite, d)
-        yield f"corner_{d}", corner.matrices, corner.generators, corner.identity
+        yield f"corner_{d}", corner.span, corner.generators, corner.identity
+
+
+def test_pivots_match_dense_row_major_read(suite):
+    # The pivot of a piece, read in block row-major order and mapped
+    # through its classes, is the first nonzero of the dense element.
+    spans = []
+    for d in range(0, 6):
+        for x in sorted({0, 5 % (1 << d), (1 << d) - 1}):
+            ctx = build_hypercube_context(d, x)
+            basis = ctx.algebra_basis()
+            spans.append((f"T_{d} x={x}", basis.span))
+            if d >= 2:
+                corner = complement_algebra(ctx, basis, compute_u0(ctx)[0])
+                spans.append((f"corner_{d} x={x}", corner.span))
+    for name, span in spans:
+        pb = _PivotBasis(span)
+        mats = densify(span)
+        piv = [int(np.flatnonzero(b.num)[0]) for b in mats]
+        rows, cols = np.divmod(np.array(piv, dtype=np.intp), span.n)
+        assert np.array_equal(pb.rows, rows), name
+        assert np.array_equal(pb.cols, cols), name
+        assert pb.pivvals == [int(b.num.flat[p]) for b, p in zip(mats, piv)], name
+
+
+def test_combine_matches_dense_sum(suite, monkeypatch):
+    # The second pass, with the int64 bound at 1, adds on Python ints.
+    cases = []
+    for name, span, _gens, _identity in _algebras(suite):
+        coeffs = [(-1) ** k * (k + 2) for k in range(span.dim)]
+        want = RationalMatrix.zeros(span.n, span.n)
+        for c, b in zip(coeffs, densify(span)):
+            want = want + b * Fraction(c, 3)
+        cases.append((name, _PivotBasis(span), coeffs, want))
+    for safe in (wedderburn.INT64_SAFE, 1):
+        monkeypatch.setattr(wedderburn, "INT64_SAFE", safe)
+        for name, pb, coeffs, want in cases:
+            assert pb.combine(coeffs, 3) == want, (name, safe)
 
 
 def test_pivot_kernel_matches_dense_products(suite):
-    for name, mats, gens, identity in _algebras(suite):
-        pb = _PivotBasis(mats)
-        dec = decompose(mats, gens, identity)
+    for name, span, gens, identity in _algebras(suite):
+        pb = _PivotBasis(span)
+        mats = densify(span)
+        dec = decompose(span, gens, identity)
         for g in list(gens) + list(dec.central_idempotents):
             for side in ("left", "right"):
                 got = getattr(pb, side)(g.num)
@@ -356,7 +448,7 @@ def test_pivot_kernel_object_path(suite, monkeypatch):
     # With the int64 bound at 1 every pivot product runs on Python ints; the
     # demoted result must be the same int64 array.
     ctx, basis = suite[4]
-    pb = _PivotBasis(basis.matrices)
+    pb = _PivotBasis(basis.span)
     gens = ctx.generators()
     expected = [(pb.left(g.num), pb.right(g.num)) for g in gens]
     monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
@@ -369,13 +461,13 @@ def test_pivot_kernel_object_path(suite, monkeypatch):
 def test_corner_pivot_values_are_not_all_one(suite):
     # The coordinates divide by the pivot values D; the corners exercise it.
     corner, _dec = _corner_decomposition(suite, 3)
-    assert set(_PivotBasis(corner.matrices).pivvals) != {1}
+    assert set(_PivotBasis(corner.span).pivvals) != {1}
 
 
 def test_split_matches_dense_oracle(suite):
-    for name, mats, gens, identity in _algebras(suite):
-        center = center_basis(mats, gens)
-        dec = split_center(mats, center, identity)
+    for name, span, gens, identity in _algebras(suite):
+        center = center_basis(span, gens)
+        dec = split_center(span, center, identity)
         status, mp, roots, idems, ranks = _dense_split_center(center, identity)
         assert dec.status == status == SPLIT, name
         assert dec.center_dim == len(center)
@@ -395,7 +487,7 @@ def test_corner_matches_dense_compression(suite):
             u0, _dual = compute_u0(ctx)
             corner = complement_algebra(ctx, basis, u0)
             mats, gens = _dense_corner(ctx, basis, u0)
-            assert corner.matrices == mats, f"d={d} x={x}"
+            assert densify(corner) == mats, f"d={d} x={x}"
             assert corner.generators == gens, f"d={d} x={x}"
 
 
@@ -404,7 +496,7 @@ def test_corner_rejects_blocks_that_split_a_sphere(suite):
     # classes cut a sphere cannot be compressed block by block.
     ctx, _basis = suite[3]
     v = int(ctx.spheres[1][0])
-    unit = RationalMatrix.diagonal([int(y == v) for y in range(ctx.n)])
+    unit = RationalMatrix(np.diag([int(y == v) for y in range(ctx.n)]))
     basis = closure(ctx.generators() + [unit])
     with pytest.raises(ValueError, match="union of spheres"):
         complement_algebra(ctx, basis, compute_u0(ctx)[0])
