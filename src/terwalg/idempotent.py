@@ -94,7 +94,7 @@ def sphere_indicator_matrix(ctx: TerwContext) -> np.ndarray:
 
 def u0_factorization(
     ctx: TerwContext, u0: RationalMatrix
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """The verified rank factorization L U0 = S^T diag(m) S.
 
     S is the sphere indicator matrix, L = lcm(k_i) and m_i = L / k_i, so
@@ -102,7 +102,7 @@ def u0_factorization(
     sphere sizes.
 
     Returns:
-        (S, m) as integer arrays.
+        (S, m, L), with S and m integer arrays.
 
     Raises:
         VerificationError: if S^T D S differs from U0.
@@ -114,7 +114,7 @@ def u0_factorization(
     lhs = s_mat.transpose() @ RationalMatrix(np.diag(m), big) @ s_mat
     if lhs != u0:
         raise VerificationError("U0 does not match its rank factorization")
-    return s, m
+    return s, m, big
 
 
 def sphere_of_classes(s: np.ndarray, classes: Sequence[np.ndarray]) -> tuple[int, ...]:
@@ -290,9 +290,8 @@ def verify_u0(
     primal, dual = compute_u0(ctx)
     formulas_agree = primal == dual
     u0 = primal
-    s, m = u0_factorization(ctx, u0)
+    s, m, big = u0_factorization(ctx, u0)
     sigma = sphere_of_classes(s, t.span.classes)
-    big = lcm(*ctx.valencies)  # the L of u0_factorization
     pieces = [t.span.element(k) for k in range(t.span.dim)]
     ends = (ctx.E[0], ctx.E[ctx.d], ctx.E_star[0], ctx.E_star[ctx.d])
     absorbed = [absorbs(s, m, big, e) for e in ends]

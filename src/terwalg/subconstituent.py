@@ -58,7 +58,7 @@ from ._intops import INT64_SAFE, exact_matmul, exact_mul_elementwise, exact_scal
 from .checks import Check
 from .closure import AlgebraBasis, BlockSpans, closure
 from .graphs import DistanceData, Graph, distance_matrix, hypercube, is_distance_regular
-from .hypercube import HypercubeParams, permissible
+from .hypercube import HypercubeParams, permissible, spectrum_poly
 from .linalg import RationalMatrix, inverse, min_poly, poly_eval_matrix
 from .polys import integer_roots
 
@@ -110,11 +110,6 @@ class TerwContext:
 
     def algebra_basis(self) -> AlgebraBasis:
         return closure(self.generators())
-
-    def distance_or_zero(self, i: int) -> RationalMatrix:
-        if 0 <= i <= self.d:
-            return self.A_dist[i]
-        return RationalMatrix.zeros(self.n, self.n)
 
 
 def _krein_table(Q: Sequence[Sequence[Fraction]]):
@@ -598,70 +593,53 @@ def check_polynomial_images(ctx: TerwContext) -> list[Check]:
 
     F_i(A) = A_i and F_i(A*) = A_i* for 0 <= i <= d+1 (index d+1 gives the
     zero matrix), and the common minimal polynomial of A and A* is the
-    spectrum polynomial.
+    spectrum polynomial.  Each generator's F_i are read off one set of its
+    powers.
     """
     if ctx.params is None:
         raise ValueError("polynomial images are defined for hypercube contexts")
-    checks = []
-    fs = ctx.params.F
-    a_ok = True
-    witness = None
-    for i, f in enumerate(fs):
-        if poly_eval_matrix(f, ctx.A) != ctx.distance_or_zero(i):
-            a_ok = False
-            witness = f"F_{i}(A)"
-            break
-    checks.append(Check("krawtchouk_images_of_adjacency", a_ok, witness))
-
-    astar = ctx.dual_adjacency
-    dual_ok = True
-    witness = None
-    for i, f in enumerate(fs):
-        expect = ctx.A_star[i] if i <= ctx.d else RationalMatrix.zeros(ctx.n, ctx.n)
-        if poly_eval_matrix(f, astar) != expect:
-            dual_ok = False
-            witness = f"F_{i}(A*)"
-            break
-    checks.append(Check("krawtchouk_images_of_dual_adjacency", dual_ok, witness))
-
-    phi = ctx.params.phi
-    mp_a = min_poly(ctx.A)
-    mp_astar = min_poly(astar)
-    checks.append(
-        Check(
-            "minimal_polynomial_of_adjacency",
-            mp_a == phi,
-            None if mp_a == phi else f"{mp_a} != {phi}",
-        )
-    )
-    checks.append(
-        Check(
-            "minimal_polynomial_of_dual_adjacency",
-            mp_astar == phi,
-            None if mp_astar == phi else f"{mp_astar} != {phi}",
-        )
-    )
-    return checks
+    fs, phi = ctx.params.F, ctx.params.phi
+    zero = RationalMatrix.zeros(ctx.n, ctx.n)
+    images, minimal = [], []
+    for g, label, name, expected in (
+        (ctx.A, "A", "adjacency", ctx.A_dist),
+        (ctx.dual_adjacency, "A*", "dual_adjacency", ctx.A_star),
+    ):
+        expected = list(expected) + [zero] * (len(fs) - len(expected))
+        pairs = zip(poly_eval_matrix(fs, g), expected)
+        bad = next((i for i, (got, want) in enumerate(pairs) if got != want), None)
+        witness = None if bad is None else f"F_{bad}({label})"
+        images.append(Check(f"krawtchouk_images_of_{name}", bad is None, witness))
+        mp = min_poly(g)
+        witness = None if mp == phi else f"{mp} != {phi}"
+        minimal.append(Check(f"minimal_polynomial_of_{name}", mp == phi, witness))
+    return images + minimal
 
 
 def check_relator_images(ctx: TerwContext) -> list[Check]:
     """The two relator identities for d >= 2: the diameter-(d-2) spectrum
-    polynomial evaluated at A (resp. A*) annihilates I - E_0 - E_d (resp.
-    I - E_0* - E_d*)."""
+    polynomial phi evaluated at A (resp. A*) annihilates I - E_0 - E_d (resp.
+    I - E_0* - E_d*).
+
+    No product with the idempotents is formed.  A context exists only if
+    A = sum_i theta_i E_i with E_i E_j = delta_ij E_i, so A E_i = theta_i E_i
+    and phi(A) (I - E_0 - E_d) = phi(A) - phi(theta_0) E_0 - phi(theta_d) E_d.
+    The dual side is the same with A*, theta*_i and E*_i.
+    """
     if ctx.params is None:
         raise ValueError("relator images are defined for hypercube contexts")
     if ctx.d < 2:
         raise ValueError("relator images require d >= 2")
-    from .hypercube import spectrum_poly
-
-    n = ctx.n
-    ident = RationalMatrix.identity(n)
-    phi_small = spectrum_poly(ctx.d - 2)
-    mid = ident - ctx.E[0] - ctx.E[ctx.d]
-    mid_star = ident - ctx.E_star[0] - ctx.E_star[ctx.d]
-    primal = poly_eval_matrix(phi_small, ctx.A) @ mid
-    dual = poly_eval_matrix(phi_small, ctx.dual_adjacency) @ mid_star
-    return [
-        Check("relator_annihilates_middle_idempotents", primal.is_zero()),
-        Check("dual_relator_annihilates_middle_dual_idempotents", dual.is_zero()),
-    ]
+    phi = spectrum_poly(ctx.d - 2)
+    names = (
+        "relator_annihilates_middle_idempotents",
+        "dual_relator_annihilates_middle_dual_idempotents",
+    )
+    sides = zip(ctx.generators(), (ctx.E, ctx.E_star), (ctx.theta, ctx.theta_star))
+    checks = []
+    for name, (g, e, theta) in zip(names, sides):
+        (image,) = poly_eval_matrix([phi], g)
+        for i in (0, ctx.d):
+            image = image - e[i] * phi.eval_scalar(theta[i])
+        checks.append(Check(name, image.is_zero()))
+    return checks

@@ -208,19 +208,18 @@ def _diameter_record(
                 None if comp_dim_ok else f"complement dim {corner.dim}",
             )
         )
-        dec_corner = decompose(corner.span, corner.generators, corner.identity)
-        comp_ok = (
-            dec_corner.status == SPLIT
-            and blocks_smaller is not None
-            and dec_corner.multiset == blocks_smaller
-        )
+        # Splitting the corner on A and A* needs U0 central (wedderburn).
+        if u0rep.central:
+            comp = decompose(corner.span, ctx.generators(), corner.identity)
+            comp_ok = comp.status == SPLIT and comp.multiset == blocks_smaller
+            witness = f"complement {comp.blocks_json()} vs {blocks_smaller}"
+        else:
+            comp_ok, witness = False, "U0 not central"
         checks.append(
             Check(
                 "complement_blocks_match_smaller_cube",
-                bool(comp_ok),
-                None
-                if comp_ok
-                else f"complement {dec_corner.blocks_json()} vs {blocks_smaller}",
+                comp_ok,
+                None if comp_ok else witness,
             )
         )
 
@@ -288,8 +287,8 @@ def global_checks() -> tuple[Check, ...]:
 
 def run_verification(max_d: int, vertex: int = 0, threads: int = 1) -> VerificationReport:
     """Full verification for d = 1..max_d plus the range-wide checks."""
-    if not 1 <= max_d <= 8:
-        raise ValueError("max_d must be between 1 and 8")
+    if not 1 <= max_d <= 9:
+        raise ValueError("max_d must be between 1 and 9")
     if threads < 1:
         raise ValueError("threads must be positive")
     prepared = {d: _prepare(d, vertex) for d in range(0, max_d + 1)}

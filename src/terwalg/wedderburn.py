@@ -33,11 +33,21 @@ and the central idempotents are dense n x n matrices:
   Each block rank is the trace of its idempotent, and each block size n_r
   is the integer square root of dim span{b_k z_r}.
 - The corner.  The complement algebra (I - U0) T (I - U0) is spanned by
-  W B W with W = L (I - U0) = L I - S^T M S, the verified factorization of
-  idempotent.u0_factorization.  W is block-diagonal by spheres, so W B W
-  stays in the block E*_h T E*_j of B; it expands into products with the
-  thin sphere indicator S, O((d+1) |S_h| |S_j|) per basis element, and is
-  reduced in that block's span (closure.BlockSpans).
+  W B W with W = L (I - U0), where L U0 = S^T M S is the verified
+  factorization of idempotent.u0_factorization.  On a sphere S_a, L U0 is
+  m_a J, and each class of T's blocks is one sphere, so W B W stays in the
+  block E*_a T E*_b of B and is formed from the row and column sums of its
+  piece in O(|S_a| |S_b|) (_compress), then reduced in that block's span.
+  The corner is split on T's own generators A and A*.  If U0 is an
+  idempotent that commutes with g, then so is e = I - U0, and every c of
+  the corner has c = e c e, so (e g e) c = e g c = g e c = g c and
+  c (e g e) = c g e = c e g = c g.  Hence every pivot entry and
+  commutator the split and its guard read is the same for g as for e g e;
+  and e A e, e A* e and e generate the corner, since c -> e c is a
+  homomorphism of T onto it when U0 is central in T.  verify_u0
+  certifies that U0 commutes with T, which holds A and A*, and the caller
+  splits the corner only when it does.  If U0 is not idempotent, neither
+  is e, and the idempotent guard rejects every split.
 
 On a span that is not closed the pivot reads can be wrong, so the split is
 guarded by dense checks on the materialized idempotents: they must be
@@ -74,7 +84,7 @@ from ._intops import (
     to_object,
 )
 from .closure import AlgebraBasis, BlockSpans
-from .idempotent import u0_factorization
+from .idempotent import _line_sums, sphere_of_classes, u0_factorization
 from .linalg import RationalMatrix, kernel_basis, min_poly, rank
 from .polys import RationalPoly, integer_roots
 
@@ -412,76 +422,49 @@ class CompressedAlgebra:
 
     span: BlockSpans
     identity: RationalMatrix
-    generators: tuple[RationalMatrix, ...]
 
     @property
     def dim(self) -> int:
         return self.span.dim
 
 
-def _compressor(s: np.ndarray, m: np.ndarray, big: int):
-    """(x, rows, cols) -> the (rows, cols) block of big^2 (I - U0) X (I - U0).
+def _compress(x: np.ndarray, big: int, ma: int, mb: int) -> np.ndarray:
+    """The block of W X W, W = big (I - U0), for a piece X on S_a x S_b.
 
-    X is the n x n matrix that is x on rows x cols and zero elsewhere, and
-    big U0 = S^T M S.  Each of rows and cols must be a union of spheres.
-    With W = big (I - U0) = big I - S^T M S,
-    W X W = big^2 X - big S^T (M S X) - big (X S^T M) S + S^T (M S X S^T M) S.
-    S is the sphere indicator matrix, so every vertex v lies in exactly one
-    sphere label[v]: S^T Y is the row gather Y[label] and Y S the column
-    gather Y[:, label].  W is block-diagonal by spheres, so W X W is again
-    zero outside rows x cols, and its block costs O((d+1) |rows| |cols|),
-    where a dense W X W costs two n^3 products.
+    On S_a, big U0 is m_a J with m_a = big / |S_a|, so
+    W X W = big^2 X - big m_b rowsum(X) 1^T - big m_a 1 colsum(X)^T
+            + m_a m_b sum(X) J.
+    Since m_a |S_a| = m_b |S_b| = big, each term is at most big^2 max|X|,
+    so 4 big^2 max|X| bounds every entry; past INT64_SAFE the terms run on
+    Python ints and the result is demoted.
     """
-    st = s.T
-    mcol = m[:, None]
-    label = np.argmax(s, axis=0)
-
-    def compress(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        sr, sc = st[rows], st[cols]
-        msx = exact_mul_elementwise(mcol, exact_matmul(x.T, sr).T)  # M S X
-        xstm = exact_mul_elementwise(exact_matmul(x, sc), m)  # X S^T M
-        core = exact_mul_elementwise(exact_matmul(msx, sc), m)  # M S X S^T M
-        terms = [x, msx, xstm, core]
-        bound = big * big * max_abs(x) + big * (max_abs(msx) + max_abs(xstm))
-        if bound + max_abs(core) >= INT64_SAFE or any(a.dtype == object for a in terms):
-            x, msx, xstm, core = map(to_object, terms)
-        lr, lc = label[rows], label[cols]
-        out = big * big * x - big * msx[lr] - big * xstm[:, lc]
-        return demote(out + core[lr][:, lc])
-
-    return compress
+    fits = x.dtype != object and 4 * big * big * max_abs(x) < INT64_SAFE
+    rows, cols = _line_sums(x)
+    if not fits:
+        x, rows, cols = to_object(x), to_object(rows), to_object(cols)
+    out = big * big * x - (big * mb) * rows[:, None] - (big * ma) * cols
+    out = out + ma * mb * rows.sum()
+    return out if fits else demote(out)
 
 
 def complement_algebra(ctx, t: AlgebraBasis, u0: RationalMatrix) -> CompressedAlgebra:
-    """Basis, identity, and generators of (I - U0) T (I - U0).
+    """Basis and identity of (I - U0) T (I - U0).
 
     Compression of a spanning set spans the corner, so the basis comes from
     echelonizing {W B W} with W = L (I - U0), where L U0 = S^T M S is the
     verified factorization of idempotent.u0_factorization (the scalar L does
-    not move the span).  W is block-diagonal by spheres and the classes of
-    T's blocks are unions of spheres, so W B W stays in the block of B and
-    is formed and reduced there, through the thin factor S.
+    not move the span).  Each class of T's blocks is one sphere, so W B W
+    stays in the block of B and is formed there from the line sums of its
+    piece (_compress) and reduced in that block's span.
 
     Raises:
-        ValueError: if a class of t's blocks is not a union of spheres.
+        ValueError: if a class of t's blocks is not exactly one sphere.
     """
-    n = ctx.n
-    s, m = u0_factorization(ctx, u0)
-    big = math.lcm(*ctx.valencies)  # the L of u0_factorization
-    compress = _compressor(s, m, big)
+    s, m, big = u0_factorization(ctx, u0)
     classes = t.span.classes
-    for cls in classes:
-        counts = s[:, cls].sum(axis=1)
-        if np.any((counts != 0) & (counts != s.sum(axis=1))):
-            raise ValueError("a block class of the basis is not a union of spheres")
-    span = BlockSpans(n, classes)
+    sigma = sphere_of_classes(s, classes)
+    span = BlockSpans(ctx.n, classes)
     for k in range(t.span.dim):
         h, j, x = t.span.element(k)
-        span.add(h, j, compress(x, classes[h], classes[j]))
-    everything = np.arange(n)
-    gens = tuple(
-        RationalMatrix(compress(g.num, everything, everything), big * big * g.den)
-        for g in ctx.generators()
-    )
-    comp = RationalMatrix.identity(n) - u0
-    return CompressedAlgebra(span, comp, gens)
+        span.add(h, j, _compress(x, big, int(m[sigma[h]]), int(m[sigma[j]])))
+    return CompressedAlgebra(span, RationalMatrix.identity(ctx.n) - u0)

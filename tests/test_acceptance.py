@@ -208,7 +208,7 @@ def test_criterion_09_peeling(prepared):
     for d in range(2, 7):
         ctx, basis = prepared.ctx[d], prepared.basis[d]
         corner = complement_algebra(ctx, basis, prepared.u0[d].U0)
-        dec = decompose(corner.span, corner.generators, corner.identity)
+        dec = decompose(corner.span, ctx.generators(), corner.identity)
         small = prepared.dec[d - 2]
         # An inconclusive split on either side fails this criterion.
         complement_ok = complement_ok and (
@@ -247,7 +247,7 @@ def test_criterion_10_optional_d8():
     basis = ctx.algebra_basis()
     dec = decompose(basis, ctx.generators())
     corner = complement_algebra(ctx, basis, compute_u0(ctx)[0])
-    corner_dec = decompose(corner.span, corner.generators, corner.identity)
+    corner_dec = decompose(corner.span, ctx.generators(), corner.identity)
     ok = (
         dec.status == corner_dec.status == SPLIT
         and dec.center_dim == 5

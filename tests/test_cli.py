@@ -48,8 +48,8 @@ def test_verify_rejects_max_d_zero(runner):
     assert result.exit_code == 2
 
 
-def test_verify_rejects_max_d_nine(runner):
-    result = runner.invoke(main, ["verify", "--max-d", "9"])
+def test_verify_rejects_max_d_ten(runner):
+    result = runner.invoke(main, ["verify", "--max-d", "10"])
     assert result.exit_code == 2
 
 
@@ -115,7 +115,7 @@ def test_report_u0_identity_d1(runner):
 
 def test_report_usage_bounds(runner):
     assert runner.invoke(main, ["report", "--d", "0"]).exit_code == 2
-    assert runner.invoke(main, ["report", "--d", "9"]).exit_code == 2
+    assert runner.invoke(main, ["report", "--d", "10"]).exit_code == 2
     assert runner.invoke(main, ["report"]).exit_code == 2
 
 

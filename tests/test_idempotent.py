@@ -179,7 +179,7 @@ def test_centrality_holds_for_diagonal_and_dense_elements(suite):
     data, _ = suite
     ctx, basis = data[4]
     u0, _dual = compute_u0(ctx)
-    s, m = u0_factorization(ctx, u0)
+    s, m, _big = u0_factorization(ctx, u0)
     sigma = sphere_of_classes(s, basis.span.classes)
     extra = ctx.E_star + ctx.E + ctx.A_star
     assert _literally_central(u0, extra)
@@ -234,7 +234,7 @@ def test_block_centrality_matches_dense_products(oracle_suite):
     rng = random.Random(10)
     for ctx, basis in oracle_suite:
         u0, _dual = compute_u0(ctx)
-        s, m = u0_factorization(ctx, u0)
+        s, m, _big = u0_factorization(ctx, u0)
         sigma = sphere_of_classes(s, basis.span.classes)
         verdicts = []
         for piece in _probe_pieces(basis, rng):
@@ -248,7 +248,7 @@ def test_block_centrality_matches_dense_products(oracle_suite):
 def test_block_ideal_dimension_matches_dense_span(oracle_suite):
     for ctx, basis in oracle_suite:
         u0, _dual = compute_u0(ctx)
-        s, _m = u0_factorization(ctx, u0)
+        s, _m, _big = u0_factorization(ctx, u0)
         span = EchelonSpan(ctx.n * (ctx.d + 1))
         for b in densify(basis):
             span.add((b.num @ s.T).ravel())
@@ -265,7 +265,7 @@ def test_idempotence_and_absorption_match_dense_products(suite):
     for d in range(0, 5):
         ctx, _basis = data[d]
         u0, _dual = compute_u0(ctx)
-        s, m = u0_factorization(ctx, u0)
+        s, m, _big = u0_factorization(ctx, u0)
         big = lcm(*ctx.valencies)
         assert is_idempotent(s, m, big)
         assert not is_idempotent(s, 2 * m, big)

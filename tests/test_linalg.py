@@ -295,7 +295,7 @@ def test_min_poly_annihilates_seeded_matrices():
         )
         p = min_poly(m)
         assert p.coeffs[-1] == 1
-        assert poly_eval_matrix(p, m).is_zero()
+        assert poly_eval_matrix([p], m)[0].is_zero()
         # Minimality: dropping to any strictly smaller degree must fail,
         # which for a monic annihilator means no monic annihilator of
         # degree deg-1 exists among deflations by its own roots.
@@ -326,9 +326,12 @@ def test_zero_matrix_over_a_denominator_past_int64():
 
 def test_poly_eval_matrix():
     a = RationalMatrix(np.array([[0, 1], [1, 0]]))
-    assert poly_eval_matrix(RationalPoly((0, 0, 1)), a) == RationalMatrix.identity(2)
-    assert poly_eval_matrix(RationalPoly.zero(), a).is_zero()
-    assert poly_eval_matrix(RationalPoly.one(), a) == RationalMatrix.identity(2)
+    polys = [RationalPoly((0, 0, 1)), RationalPoly.zero(), RationalPoly.one()]
+    square, zero, one = poly_eval_matrix(polys, a)
+    assert square == one == RationalMatrix.identity(2)
+    assert zero.is_zero()
+    assert poly_eval_matrix([], a) == []
+    assert poly_eval_matrix([RationalPoly.zero()], a)[0].is_zero()
 
 
 def _fraction_horner(p, m):
@@ -364,8 +367,13 @@ def test_poly_eval_matrix_matches_fraction_horner():
     a = distance_matrix(g, DistanceData.compute(g), 1)
     cases += [(RationalPoly.from_roots([4, 2, 0, -2]), a), (RationalPoly((-1, 3)), a)]
     object_results = 0
+    previous = RationalPoly.zero()
     for p, m in cases:
-        got = poly_eval_matrix(p, m)
+        # The previous case's polynomial, mostly of another degree, is read
+        # off the same powers.
+        got, other = poly_eval_matrix([p, previous], m)
         assert got == _fraction_horner(p, m), (p, m)
+        assert other == _fraction_horner(previous, m), (previous, m)
         object_results += got.num.dtype == object
+        previous = p
     assert object_results  # the int64 guards sent some cases to Python ints

@@ -16,7 +16,8 @@ from terwalg.checks import Check
 from terwalg.echelon import EchelonSpan
 from terwalg.cli import main
 from terwalg.graphs import DistanceData, Graph, distance_matrix, hypercube
-from terwalg.linalg import RationalMatrix, inverse, min_poly
+from terwalg.hypercube import spectrum_poly
+from terwalg.linalg import RationalMatrix, inverse, min_poly, poly_eval_matrix
 from terwalg.subconstituent import (
     _assemble,
     build_context,
@@ -173,6 +174,57 @@ def test_relator_images(contexts):
         assert all(c.passed for c in checks)
     with pytest.raises(ValueError):
         check_relator_images(contexts[1])
+
+
+def _tampered(ctx, field, i):
+    """ctx with entry (0, 0) of the matrix field[i] raised by one."""
+    mats = list(getattr(ctx, field))
+    num = mats[i].num.astype(object)
+    num[0, 0] += mats[i].den
+    mats[i] = RationalMatrix(num, mats[i].den)
+    return dataclasses.replace(ctx, **{field: tuple(mats)})
+
+
+def _relator_products(ctx):
+    """Oracle: whether phi_(d-2)(g) (I - e_0 - e_d) vanishes, as a dense
+    product, for (g, e) = (A, E) and (A*, E*)."""
+    phi = spectrum_poly(ctx.d - 2)
+    ident = RationalMatrix.identity(ctx.n)
+    out = []
+    for g, e in ((ctx.A, ctx.E), (ctx.dual_adjacency, ctx.E_star)):
+        (image,) = poly_eval_matrix([phi], g)
+        out.append((image @ (ident - e[0] - e[ctx.d])).is_zero())
+    return out
+
+
+def test_polynomial_images_fail_on_tampered_context(contexts):
+    for d in range(2, 5):
+        ctx = contexts[d]
+        for field, name, label in (
+            ("A_dist", "krawtchouk_images_of_adjacency", "A"),
+            ("A_star", "krawtchouk_images_of_dual_adjacency", "A*"),
+        ):
+            for i in range(d + 1):
+                checks = check_polynomial_images(_tampered(ctx, field, i))
+                check = next(c for c in checks if c.name == name)
+                assert not check.passed, (d, field, i)
+                # Tampering A*_1 tampers A* itself, so F_1(A*) still matches
+                # and a higher F_i(A*) is the witness.
+                if (field, i) != ("A_star", 1):
+                    assert check.witness == f"F_{i}({label})", (d, field, i)
+
+
+def test_relator_images_match_dense_products(contexts):
+    # Each tampered idempotent fails its own relator and leaves the other.
+    for d in range(2, 5):
+        ctx = contexts[d]
+        cases = [(ctx, [True, True])]
+        for i in (0, d):
+            cases.append((_tampered(ctx, "E", i), [False, True]))
+            cases.append((_tampered(ctx, "E_star", i), [True, False]))
+        for case, expected in cases:
+            got = [c.passed for c in check_relator_images(case)]
+            assert got == _relator_products(case) == expected, d
 
 
 def test_vertex_choice_is_immaterial(contexts):

@@ -1,16 +1,18 @@
 """Tests for center computation and block decomposition."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from dense_views import densify
 
-from terwalg import wedderburn
+from terwalg import idempotent, verify, wedderburn
 from terwalg._intops import exact_matmul, exact_sub
+from terwalg.checks import Check
 from terwalg.closure import BlockSpans, closure
 from terwalg.echelon import EchelonSpan
-from terwalg.idempotent import compute_u0
+from terwalg.idempotent import compute_u0, sphere_of_classes, u0_factorization
 from terwalg.linalg import RationalMatrix, kernel_basis, min_poly, rank
 from terwalg.polys import integer_roots
 from terwalg.subconstituent import build_hypercube_context
@@ -85,9 +87,10 @@ def test_center_matches_gram_reference(suite):
 
 def test_corner_center_matches_gram_reference(suite):
     for d in range(2, 6):
+        ctx, _basis = suite[d]
         corner, _dec = _corner_decomposition(suite, d)
-        got = center_basis(corner.span, corner.generators)
-        want = _gram_center_basis(densify(corner), corner.generators)
+        got = center_basis(corner.span, ctx.generators())
+        want = _gram_center_basis(densify(corner), ctx.generators())
         assert got == want, f"corner d={d}"
 
 
@@ -281,7 +284,7 @@ def _corner_decomposition(suite, d):
     ctx, basis = suite[d]
     u0, _dual = compute_u0(ctx)
     corner = complement_algebra(ctx, basis, u0)
-    return corner, decompose(corner.span, corner.generators, corner.identity)
+    return corner, decompose(corner.span, ctx.generators(), corner.identity)
 
 
 def test_complement_split_relative_to_corner_identity(suite):
@@ -310,8 +313,9 @@ def test_compare_complement_blocks(suite):
 # -- dense oracles ----------------------------------------------------------
 # Reference implementations that form every element at n x n: pivot entries
 # read off full products, the split with min_poly at width n^2 and dense
-# Lagrange products, and the corner compressed as W B W with two dense
-# products.  They need no closed-span assumption for the products they read.
+# Lagrange products, and the corner and its generators compressed with two
+# dense products each.  They need no closed-span assumption for the products
+# they read.
 
 
 def _dense_pivot_entries(mats, g, side):
@@ -364,8 +368,12 @@ def _dense_corner(ctx, t, u0):
     span = EchelonSpan(n * n)
     for b in densify(t):
         span.add(exact_matmul(exact_matmul(comp.num, b.num), comp.num).ravel())
-    mats = tuple(RationalMatrix(row.reshape(n, n), 1) for row in span.rows)
-    return mats, tuple(comp @ g @ comp for g in ctx.generators())
+    return tuple(RationalMatrix(row.reshape(n, n), 1) for row in span.rows)
+
+
+def _compressed_generators(ctx, u0):
+    comp = RationalMatrix.identity(ctx.n) - u0
+    return tuple(comp @ g @ comp for g in ctx.generators())
 
 
 def _pairwise_idempotents_valid(idems, identity):
@@ -390,7 +398,7 @@ def _algebras(suite):
         yield f"T_{d}", basis.span, ctx.generators(), None
     for d in range(2, 6):
         corner, _dec = _corner_decomposition(suite, d)
-        yield f"corner_{d}", corner.span, corner.generators, corner.identity
+        yield f"corner_{d}", corner.span, suite[d][0].generators(), corner.identity
 
 
 def test_pivots_match_dense_row_major_read(suite):
@@ -486,9 +494,70 @@ def test_corner_matches_dense_compression(suite):
             basis = ctx.algebra_basis() if x else suite[d][1]
             u0, _dual = compute_u0(ctx)
             corner = complement_algebra(ctx, basis, u0)
-            mats, gens = _dense_corner(ctx, basis, u0)
-            assert densify(corner) == mats, f"d={d} x={x}"
-            assert corner.generators == gens, f"d={d} x={x}"
+            assert densify(corner) == _dense_corner(ctx, basis, u0), f"d={d} x={x}"
+
+
+def test_corner_split_on_generators_matches_compressed_generators():
+    # U0 is central, so the corner splits on A and A* exactly as on the
+    # dense compressed generators (I - U0) g (I - U0), field by field.
+    for d in range(2, 8):
+        for x in sorted({0, 5 % (1 << d), (1 << d) - 1}):
+            ctx = build_hypercube_context(d, x)
+            u0, _dual = compute_u0(ctx)
+            corner = complement_algebra(ctx, ctx.algebra_basis(), u0)
+            got = decompose(corner.span, ctx.generators(), corner.identity)
+            gens = _compressed_generators(ctx, u0)
+            want = decompose(corner.span, gens, corner.identity)
+            assert got.status == SPLIT and got == want, f"d={d} x={x}"
+
+
+def test_compression_object_path(suite, monkeypatch):
+    # With the int64 bounds at 1 the line sums and every term of W X W run
+    # on Python ints; the demoted blocks must be the same int64 arrays.
+    ctx, basis = suite[4]
+    s, m, big = u0_factorization(ctx, compute_u0(ctx)[0])
+    sigma = sphere_of_classes(s, basis.span.classes)
+    args = []
+    for k in range(basis.dim):
+        h, j, x = basis.span.element(k)
+        args.append((x, big, int(m[sigma[h]]), int(m[sigma[j]])))
+    expected = [wedderburn._compress(*a) for a in args]
+    monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
+    monkeypatch.setattr(idempotent, "INT64_SAFE", 1)
+    for a, want in zip(args, expected):
+        got = wedderburn._compress(*a)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_corner_is_not_split_unless_u0_is_central(monkeypatch):
+    prep = verify._prepare(4, 0)
+    calls = []
+
+    def recording_decompose(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(verify, "decompose", recording_decompose)
+    record = verify._diameter_record(prep, 10, (3, 1))
+    checks = {c.name: c for c in record.checks}
+    assert checks["complement_blocks_match_smaller_cube"].passed
+    [(_span, gens, _identity)] = calls
+    assert list(gens) == prep.ctx.generators()
+
+    real_u0 = verify.verify_u0
+    monkeypatch.setattr(
+        verify,
+        "verify_u0",
+        lambda *a, **k: dataclasses.replace(real_u0(*a, **k), central=False),
+    )
+    calls.clear()
+    record = verify._diameter_record(prep, 10, (3, 1))
+    checks = {c.name: c for c in record.checks}
+    assert not calls
+    assert checks["complement_blocks_match_smaller_cube"] == Check(
+        "complement_blocks_match_smaller_cube", False, "U0 not central"
+    )
 
 
 def test_corner_rejects_blocks_that_split_a_sphere(suite):
@@ -498,5 +567,5 @@ def test_corner_rejects_blocks_that_split_a_sphere(suite):
     v = int(ctx.spheres[1][0])
     unit = RationalMatrix(np.diag([int(y == v) for y in range(ctx.n)]))
     basis = closure(ctx.generators() + [unit])
-    with pytest.raises(ValueError, match="union of spheres"):
+    with pytest.raises(ValueError, match="not exactly one sphere"):
         complement_algebra(ctx, basis, compute_u0(ctx)[0])
