@@ -29,7 +29,6 @@ from .subconstituent import (
     build_context,
     build_hypercube_context,
     check_polynomial_images,
-    check_relator_images,
     check_section_identities,
     check_triple_products,
     triple_span_dim,
@@ -61,7 +60,6 @@ __all__ = [
     "build_hypercube_context",
     "center_basis",
     "check_polynomial_images",
-    "check_relator_images",
     "check_section_identities",
     "check_triple_products",
     "closure",

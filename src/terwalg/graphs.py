@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._intops import exact_matmul
 from .linalg import RationalMatrix
 
 MAX_VERTICES = 1 << 12  # all-pairs distance table is the memory bound
@@ -196,17 +195,34 @@ def distance_matrix(g: Graph, dd: DistanceData, i: int) -> RationalMatrix:
     return RationalMatrix(arr, 1, _canonical=True)
 
 
+def _neighbour_counts(table, padded, mask, out, rows) -> None:
+    """out[y, z] = |{w ~ y : mask[w, z]}|, one gathered mask row per slot.
+
+    padded[s] lists the vertices whose slot s is padding; rows is an
+    n x n boolean buffer.
+    """
+    out.fill(0)
+    for s, skip in enumerate(padded):
+        # Every index is in range; mode="clip" spares the buffered copy
+        # np.take makes for out= under mode="raise".
+        np.take(mask, table[:, s], axis=0, out=rows, mode="clip")
+        rows[skip] = False
+        out += rows
+
+
 def is_distance_regular(g: Graph, dd: DistanceData):
     """Distance-regularity from the counted intersection array.
 
-    (A M_i)[y, z] = |{w ~ y : dist(w, z) = i}| for the 0/1 distance-i mask
-    M_i, and A is row-sparse, so the d+1 products A M_i are gathered.  The
-    graph is distance-regular exactly when, on every class dist(y, z) = h,
-    the counts for i = h-1, h, h+1 are constants c_h, a_h, b_h (Brouwer,
-    Cohen and Neumaier, Distance-Regular Graphs, 1989, section 4.1); every
-    other count there is 0 by the triangle inequality.  Then
-    p^h_ij = (B_i)[h, j], where B_1 is the tridiagonal intersection matrix
-    and A A_j = b_(j-1) A_(j-1) + a_j A_j + c_(j+1) A_(j+1) gives
+    counts[y, z] = |{w ~ y : dist(w, z) = i}| is the sum, over the neighbour
+    slots s of y, of row table[y, s] of the boolean mask dist == i, so the
+    counts for one i are k gathered mask rows added into a small-int array
+    (a count is at most the largest degree k).  The graph is
+    distance-regular exactly when, on every class dist(y, z) = h, the counts
+    for i = h-1, h, h+1 are constants c_h, a_h, b_h (Brouwer, Cohen and
+    Neumaier, Distance-Regular Graphs, 1989, section 4.1); every other count
+    there is 0 by the triangle inequality.  Then p^h_ij = (B_i)[h, j], where
+    B_1 is the tridiagonal intersection matrix and
+    A A_j = b_(j-1) A_(j-1) + a_j A_j + c_(j+1) A_(j+1) gives
     B_(j+1) = (B_1 B_j - a_j B_j - b_(j-1) B_(j-1)) / c_(j+1).
 
     Returns:
@@ -218,7 +234,12 @@ def is_distance_regular(g: Graph, dd: DistanceData):
     """
     diam = dd.diameter
     size = diam + 1
-    adjacency = (dd.dist == 1).astype(np.int64)
+    table = _neighbour_table(g.neighbors)
+    deg = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=g.n)
+    # A slot past a vertex's degree holds the vertex itself: masked out.
+    padded = [np.flatnonzero(deg <= s) for s in range(table.shape[1])]
+    counts = np.empty(dd.dist.shape, dtype=np.min_scalar_type(table.shape[1]))
+    rows = np.empty(dd.dist.shape, dtype=bool)
     masks = {}  # the distance-h masks for h = i-1, i, i+1 only
     b1 = np.zeros((size, size), dtype=np.int64)  # b1[h, i] = p^h_1i
     for i in range(size):
@@ -226,7 +247,7 @@ def is_distance_regular(g: Graph, dd: DistanceData):
         for h in range(max(i - 1, 0), min(i + 1, diam) + 1):
             if h not in masks:
                 masks[h] = dd.dist == h
-        counts = exact_matmul(adjacency, masks[i].astype(np.int64))
+        _neighbour_counts(table, padded, masks[i], counts, rows)
         for h in range(max(i - 1, 0), min(i + 1, diam) + 1):
             vals = counts[masks[h]]
             bad = np.flatnonzero(vals != vals[0])

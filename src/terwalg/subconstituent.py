@@ -17,32 +17,61 @@ that of A, isolated exactly by polys.integer_roots; P[i][j] = v_j(theta_i)
 by the three-term recurrence; and Q = |X| P^(-1).  It requires all adjacency
 eigenvalues to be rational (they are then integers).  Construction
 certifies the result: distinct theta_i, sum_i E_i = I and
-A E_i = theta_i E_i = E_i A make the E_i the spectral idempotents of A, and
+A E_i = theta_i E_i make the E_i the spectral idempotents of A, and
 then A_j = v_j(A) gives A_j E_i = P[i][j] E_i.  The Krein parameters are
 read off Q too, q^h_ij = sum_a (Q^(-1))[h][a] Q[a][i] Q[a][j], and the
 matrix-level check krein_expansion_of_hadamard_products certifies that
 table against the E_h.
 
-The section identities and the triple-product zeros are checked without
-dense n x n products on a context that passes:
+The section identities and the triple-product zeros are checked on
+(d+1)-sized integer tables; only O((d+1) n^2) work touches n x n data.
 
+- Class values, certified.  Let A_a be the 0/1 matrix of the class
+  dist(y, z) = a of the BFS distance array.  A matrix M is certified when
+  M = v[dist] for the vector v = M[x, r] read off row x, with r_a a vertex of
+  the sphere S_a; one gather and one comparison decide it.  The classes
+  partition X x X, and every class 0..d occurs in row x (no sphere is
+  empty), so two certified matrices are equal exactly when their vectors
+  are, and a linear combination of certified matrices is certified with
+  the same combination of vectors.  {dist == 0} is tested to be exactly
+  the diagonal, so I is certified with vector (1, 0, ..., 0), and J with
+  the all-ones vector.  Hence, when every A_i and E_i and A are certified,
+  sum_i A_i = J, A_0 = I, sum_i E_i = I, sum_i theta_i E_i = A and
+  E_0 = J/|X| are identities between (d+1)-vectors.  A matrix that fails
+  certification sends the identities it enters to its integer numerators
+  over one common denominator, still with no RationalMatrix per term.
+- The diagonal identities sum_i E_i* = I, sum_i theta*_i E_i* = A* and
+  A_i* = diag(|X| row x of E_i) are read off the diagonals, once a
+  count_nonzero test shows each matrix diagonal.
 - Orthogonality of the E_i has a spectral certificate.  Distinct theta_i,
-  sum_i E_i = I and A E_i = theta_i E_i = E_i A for every i imply
-  E_i E_j = delta_ij E_i.  The products with A are gathered (d nonzeros per
-  row).  Only a failed certificate falls back to the dense pairwise
+  sum_i E_i = I and A E_i = theta_i E_i for every i imply
+  E_i E_j = delta_ij E_i, and then E_i A = theta_i E_i as well, so no
+  product E_i A is formed.  A E_i is one gathered product (d nonzeros per
+  row of A).  Only a failed certificate falls back to the dense pairwise
   products, which decide the verdict and its witness.
-- The Krein expansion of every E_i o E_j is one stacked product per i of
-  the coefficient table with the (d+1) x n^2 stack of E_h numerators.  A
-  table symmetric in (i, j) needs only the pairs with i <= j.
+- The Krein expansion E_i o E_j = |X|^(-1) sum_h q^h_ij E_h of certified
+  E_h = V[h][dist] / den is the table identity
+  |X| V[i][a] V[j][a] = den sum_h q^h_ij V[h][a], one product of the
+  coefficient table with V.  A table symmetric in (i, j) needs only the
+  pairs with i <= j.  The one dense path kept beside it: when some E_h is
+  not certified (only a tampered context), one stacked product per i of
+  the coefficient table with the (d+1) x n^2 stack of E_h numerators
+  decides, as it did before the class tables.
 - The dual idempotents E_i* are diagonal, so their pairwise products are
   read off the diagonals: disjoint supports for i != j, 0/1 entries for
   i = j.  A non-diagonal E_i* fails the orthogonality check.
-- E_h* A_i E_j* vanishes exactly when no pair in S_h x S_j is at distance
-  i, which one bincount per sphere block decides.
+- One bincount over the key (dist(x, y), dist(y, z), dist(x, z)) counts
+  N[k, a, l] = #{y in S_k, z in S_l : dist(y, z) = a}.  E_h* A_a E_l*
+  vanishes exactly when N[h, a, l] = 0.
 - For symmetric idempotents E_h, E_j (idempotence is verified at
   construction) and diagonal A_i* = diag(a_i),
   ||E_h A_i* E_j||_F^2 = a_i^T (E_h o E_j) a_i, so E_h A_i* E_j = 0 exactly
-  when that sum of squares is 0.
+  when that sum of squares is 0.  An E_h constant on the distance classes
+  of a symmetric distance array is symmetric, so only the others are
+  transposed.  With a_i constant, theta*_i(k), on each sphere S_k and
+  E_h o E_j = sum_a V[h][a] V[j][a] A_a / den^2, the sum is
+  sum_a V[h][a] V[j][a] sum_(k,l) theta*_i(k) theta*_i(l) N[k, a, l], up to
+  a positive factor.
 """
 
 from __future__ import annotations
@@ -54,7 +83,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ._intops import INT64_SAFE, exact_matmul, exact_mul_elementwise, exact_scale
+from ._intops import (
+    INT64_SAFE,
+    demote,
+    exact_matmul,
+    exact_mul_elementwise,
+    exact_scale,
+    exact_sub,
+)
 from .checks import Check
 from .closure import AlgebraBasis, BlockSpans, closure
 from .graphs import DistanceData, Graph, distance_matrix, hypercube, is_distance_regular
@@ -331,61 +367,205 @@ def _dual_orthogonality_witness(e_star: Sequence[RationalMatrix]) -> str | None:
     return f"E*_{bad[0][0]} E*_{bad[0][1]}" if bad.size else None
 
 
+def _class_representatives(ctx: TerwContext) -> list[int] | None:
+    """One vertex r_a of each sphere S_a, if class values certify identities.
+
+    That needs every sphere to be nonempty and {dist == 0} to be exactly the
+    diagonal.  Otherwise None.
+    """
+    dist = ctx.dist.dist
+    if any(s.size == 0 for s in ctx.spheres):
+        return None
+    if np.count_nonzero(dist == 0) != ctx.n or np.any(dist.diagonal()):
+        return None
+    return [int(s[0]) for s in ctx.spheres]
+
+
+def _class_values(m: RationalMatrix, dist: np.ndarray, x: int, reps) -> np.ndarray | None:
+    """Numerators of m on each distance class, read off row x, if m = v[dist].
+
+    Returns None when m is not constant on some class.
+    """
+    v = m.num[x, reps]
+    return v if np.array_equal(m.num, v[dist]) else None
+
+
+def _diagonal(m: RationalMatrix) -> np.ndarray | None:
+    """The diagonal numerators of m, or None when m has an off-diagonal entry."""
+    v = m.num.diagonal()
+    return v if np.count_nonzero(m.num) == np.count_nonzero(v) else None
+
+
+def _identity_holds(coeffs, mats, views, target, target_view) -> bool:
+    """Whether sum_k coeffs[k] mats[k] equals the target, exactly.
+
+    views[k] holds the numerators of mats[k] on the classes (or on the
+    diagonal), None when it is not certified; target_view is the target's
+    (num, den) there, or None.  When every view is known the identity is
+    checked on them; otherwise on the full numerators of mats and of the
+    matrix target() builds.  Everything is scaled to one common
+    denominator and compared as integers.
+    """
+    if target_view is None or any(v is None for v in views):
+        t = target()
+        views, target_view = [m.num for m in mats], (t.num, t.den)
+    coeffs = [Fraction(c) for c in coeffs]
+    num_t, den_t = target_view
+    common = lcm(den_t, *(m.den * c.denominator for c, m in zip(coeffs, mats)))
+    acc = exact_scale(num_t, common // den_t)
+    for c, v, m in zip(coeffs, views, mats):
+        if c:
+            acc = exact_sub(acc, exact_scale(v, c.numerator * (common // (m.den * c.denominator))))
+    return not np.any(acc)
+
+
+def _eigen_product_holds(a: RationalMatrix, e: RationalMatrix, t) -> bool:
+    """A E = t E, from one gathered product (A is row-sparse)."""
+    t = Fraction(t)
+    want = exact_scale(e.num, t.numerator * a.den)
+    return np.array_equal(exact_scale(exact_matmul(a.num, e.num), t.denominator), want)
+
+
+def _orthogonality_witness(ctx: TerwContext) -> str | None:
+    """The first pair (i, j) with E_i E_j != delta_ij E_i, from the (d+1)^2
+    dense products."""
+    zero = RationalMatrix.zeros(ctx.n, ctx.n)
+    for i, Ei in enumerate(ctx.E):
+        for j, Ej in enumerate(ctx.E):
+            if Ei @ Ej != (Ei if i == j else zero):
+                return f"E_{i} E_{j}"
+    return None
+
+
+def _krein_table_witness(ctx: TerwContext, values, pairs) -> str | None:
+    """The first pair (i, j) whose Krein expansion fails, on class values.
+
+    values[h] holds the numerators of the certified E_h on the classes.
+    Over the common denominator den, E_h = V[h][dist] / den, and
+    E_i o E_j = |X|^(-1) sum_h q^h_ij E_h reads
+    |X| V[i][a] V[j][a] = den sum_h q^h_ij V[h][a] for every class a.
+    """
+    n = ctx.n
+    size = ctx.d + 1
+    den = lcm(*(Eh.den for Eh in ctx.E))
+    V = np.stack([exact_scale(v, den // Eh.den) for v, Eh in zip(values, ctx.E)])
+    table = RationalMatrix.from_rows(
+        [[ctx.krein[h][i][j] for h in range(size)] for i, j in pairs]
+    )
+    rows, cols = zip(*pairs)
+    left = exact_scale(exact_mul_elementwise(V[list(rows)], V[list(cols)]), n * table.den)
+    right = exact_scale(exact_matmul(table.num, V), den)
+    for k, (i, j) in enumerate(pairs):
+        if not np.array_equal(left[k], right[k]):
+            return f"E_{i} o E_{j}"
+    return None
+
+
+def _krein_dense_witness(ctx: TerwContext, pairs) -> str | None:
+    """The first pair (i, j) whose Krein expansion fails, at matrix level.
+
+    The failure path for an E_h that is not certified.  Row h of stack is
+    den_e E_h, so row j of table @ stack is table.den den_e |X|^(-1)
+    sum_h q^h_ij E_h, and stack_i o stack_j is den_e^2 E_i o E_j; both
+    sides are scaled to table.den den_e^2 and compared as integers, one
+    stacked product per i.
+    """
+    n = ctx.n
+    size = ctx.d + 1
+    den_e = lcm(*(Eh.den for Eh in ctx.E))
+    stack = np.stack([exact_scale(Eh.num, den_e // Eh.den).ravel() for Eh in ctx.E])
+    for i in range(size):
+        cols = [j for k, j in pairs if k == i]
+        table = RationalMatrix.from_rows(
+            [[ctx.krein[h][i][j] / n for h in range(size)] for j in cols]
+        )
+        expansion = exact_scale(exact_matmul(table.num, stack), den_e)
+        left = exact_scale(stack[i], table.den)
+        for row, j in enumerate(cols):
+            if not np.array_equal(exact_mul_elementwise(left, stack[j]), expansion[row]):
+                return f"E_{i} o E_{j}"
+    return None
+
+
 def check_section_identities(ctx: TerwContext) -> list[Check]:
-    """The fundamental identities of both Bose-Mesner algebras, exactly."""
+    """The fundamental identities of both Bose-Mesner algebras, exactly.
+
+    Each identity runs on class values, or on diagonals, when every matrix
+    in it is certified (see the module docstring), and on the integer
+    numerators otherwise.
+    """
     checks = []
     n = ctx.n
     d = ctx.d
-    ident = RationalMatrix.identity(n)
+    size = d + 1
+    dist = ctx.dist.dist
+    reps = _class_representatives(ctx)
 
-    acc = RationalMatrix.zeros(n, n)
-    for Ai in ctx.A_dist:
-        acc = acc + Ai
-    checks.append(Check("distance_matrices_partition", acc == RationalMatrix.ones(n, n)))
-    checks.append(Check("distance_zero_is_identity", ctx.A_dist[0] == ident))
+    def values(m):
+        return None if reps is None else _class_values(m, dist, ctx.x, reps)
 
-    esum = RationalMatrix.zeros(n, n)
-    for Ei in ctx.E:
-        esum = esum + Ei
-    sums_to_identity = esum == ident
+    a_vals = [values(Ai) for Ai in ctx.A_dist]
+    e_vals = [values(Ei) for Ei in ctx.E]
+    adj_vals = values(ctx.A)
+    # The class values of J and I, and the targets as dense matrices.
+    ones = np.ones(size, dtype=np.int64)
+    unit = np.eye(1, size, dtype=np.int64)[0]
+
+    def J():
+        return RationalMatrix.ones(n, n)
+
+    def I():
+        return RationalMatrix.identity(n)
+
+    def view(vals, m):
+        return None if vals is None else (vals, m.den)
+
+    unit_coeffs = [1] * size
+    checks.append(
+        Check(
+            "distance_matrices_partition",
+            _identity_holds(unit_coeffs, ctx.A_dist, a_vals, J, (ones, 1)),
+        )
+    )
+    checks.append(
+        Check(
+            "distance_zero_is_identity",
+            _identity_holds([1], ctx.A_dist[:1], a_vals[:1], I, (unit, 1)),
+        )
+    )
+    sums_to_identity = _identity_holds(unit_coeffs, ctx.E, e_vals, I, (unit, 1))
     checks.append(Check("idempotents_sum_to_identity", sums_to_identity))
 
     # Spectral certificate for E_i E_j = delta_ij E_i.  If the theta_i are
-    # distinct, sum_j E_j = I and A E_i = theta_i E_i = E_i A for every i,
-    # then E_i A E_j equals both theta_i E_i E_j and theta_j E_i E_j, so
-    # E_i E_j = 0 for i != j, and E_i = E_i sum_j E_j = E_i^2.  A has d
-    # nonzeros per row, so its products are gathered, not dense.  Only when
-    # the certificate fails do the (d+1)^2 dense products decide the verdict
+    # distinct, sum_j E_j = I and A E_i = theta_i E_i for every i, then the
+    # columns of E_i lie in the theta_i-eigenspace V_i of A.  Eigenspaces of
+    # distinct eigenvalues are independent and sum_j E_j v = v, so E_i v is
+    # the V_i-component of v: E_i E_j = delta_ij E_i.  Only when the
+    # certificate fails do the (d+1)^2 dense products decide the verdict
     # and name the first failing pair.
     ortho = (
         sums_to_identity
-        and len(set(ctx.theta)) == d + 1
-        and all(
-            ctx.A @ Ei == Ei * t and Ei @ ctx.A == Ei * t
-            for Ei, t in zip(ctx.E, ctx.theta)
-        )
+        and len(set(ctx.theta)) == size
+        and all(_eigen_product_holds(ctx.A, Ei, t) for Ei, t in zip(ctx.E, ctx.theta))
     )
-    witness = None
-    if not ortho:
-        ortho = True
-        for i in range(d + 1):
-            for j in range(d + 1):
-                expect = ctx.E[i] if i == j else RationalMatrix.zeros(n, n)
-                if ctx.E[i] @ ctx.E[j] != expect:
-                    ortho = False
-                    witness = f"E_{i} E_{j}"
-                    break
-            if not ortho:
-                break
-    checks.append(Check("idempotents_orthogonal", ortho, witness))
-
-    spec = RationalMatrix.zeros(n, n)
-    for i in range(d + 1):
-        spec = spec + ctx.E[i] * ctx.theta[i]
-    checks.append(Check("adjacency_spectral_decomposition", spec == ctx.A))
+    witness = None if ortho else _orthogonality_witness(ctx)
+    checks.append(Check("idempotents_orthogonal", witness is None, witness))
 
     checks.append(
-        Check("rank_one_idempotent_is_all_ones", ctx.E[0] == RationalMatrix.ones(n, n) * Fraction(1, n))
+        Check(
+            "adjacency_spectral_decomposition",
+            _identity_holds(
+                ctx.theta, ctx.E, e_vals, lambda: ctx.A, view(adj_vals, ctx.A)
+            ),
+        )
+    )
+    checks.append(
+        Check(
+            "rank_one_idempotent_is_all_ones",
+            _identity_holds(
+                [1], ctx.E[:1], e_vals[:1], lambda: J() * Fraction(1, n), (ones, n)
+            ),
+        )
     )
 
     Pm = RationalMatrix.from_rows([list(r) for r in ctx.P])
@@ -393,66 +573,63 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     checks.append(
         Check(
             "eigenmatrices_inverse_pair",
-            Pm @ (Qm * Fraction(1, n)) == RationalMatrix.identity(d + 1),
+            Pm @ (Qm * Fraction(1, n)) == RationalMatrix.identity(size),
         )
     )
 
-    dsum = RationalMatrix.zeros(n, n)
-    for Ei in ctx.E_star:
-        dsum = dsum + Ei
-    checks.append(Check("dual_idempotents_sum_to_identity", dsum == ident))
+    star_diags = [_diagonal(Ei) for Ei in ctx.E_star]
+    checks.append(
+        Check(
+            "dual_idempotents_sum_to_identity",
+            _identity_holds(
+                unit_coeffs, ctx.E_star, star_diags, I, (np.ones(n, dtype=np.int64), 1)
+            ),
+        )
+    )
 
     witness = _dual_orthogonality_witness(ctx.E_star)
     checks.append(Check("dual_idempotents_orthogonal", witness is None, witness))
 
-    dual_diag_ok = True
+    # A_i* = diag(|X| (E_i)_{x,y}): a diagonal A_i* with
+    # diag(A_i*) den(E_i) = |X| den(A_i*) row x of E_i.
     witness = None
-    for i in range(d + 1):
-        if ctx.A_star[i] != _dual_distance_matrix(ctx.E[i], ctx.x):
-            dual_diag_ok = False
+    for i, (Ai, Ei) in enumerate(zip(ctx.A_star, ctx.E)):
+        diag = _diagonal(Ai)
+        if diag is None or not np.array_equal(
+            exact_scale(diag, Ei.den), exact_scale(Ei.num[ctx.x], n * Ai.den)
+        ):
             witness = f"A*_{i}"
             break
-    checks.append(Check("dual_distance_diagonal_from_idempotent_row", dual_diag_ok, witness))
-
-    dspec = RationalMatrix.zeros(n, n)
-    for i in range(d + 1):
-        dspec = dspec + ctx.E_star[i] * ctx.theta_star[i]
     checks.append(
-        Check("dual_adjacency_spectral_decomposition", dspec == ctx.dual_adjacency)
+        Check("dual_distance_diagonal_from_idempotent_row", witness is None, witness)
     )
 
-    # Krein expansion of every Hadamard product, re-verified at matrix level
-    # with one stacked product per i.  Row h of stack is den_e E_h, so row j
-    # of table @ stack is table.den den_e |X|^(-1) sum_h q^h_ij E_h, and
-    # stack_i o stack_j is den_e^2 E_i o E_j; both sides are scaled to
-    # table.den den_e^2 and compared as integers.  E_i o E_j = E_j o E_i, so
-    # when the table is symmetric in (i, j) a pair (i, j) with i > j fails
-    # exactly when (j, i) does, which comes first: only j >= i is formed.
-    den_e = lcm(*(Eh.den for Eh in ctx.E))
-    stack = np.stack([exact_scale(Eh.num, den_e // Eh.den).ravel() for Eh in ctx.E])
+    dual_adj = ctx.dual_adjacency
+    checks.append(
+        Check(
+            "dual_adjacency_spectral_decomposition",
+            _identity_holds(
+                ctx.theta_star, ctx.E_star, star_diags, lambda: dual_adj,
+                view(_diagonal(dual_adj), dual_adj),
+            ),
+        )
+    )
+
+    # E_i o E_j = E_j o E_i, so when the table is symmetric in (i, j) a pair
+    # (i, j) with i > j fails exactly when (j, i) does, which comes first:
+    # only j >= i is checked.
     symmetric = all(
         ctx.krein[h][i][j] == ctx.krein[h][j][i]
-        for h in range(d + 1)
-        for i in range(d + 1)
+        for h in range(size)
+        for i in range(size)
         for j in range(i)
     )
-    krein_ok = True
-    witness = None
-    for i in range(d + 1):
-        cols = range(i if symmetric else 0, d + 1)
-        table = RationalMatrix.from_rows(
-            [[ctx.krein[h][i][j] / n for h in range(d + 1)] for j in cols]
-        )
-        expansion = exact_scale(exact_matmul(table.num, stack), den_e)
-        left = exact_scale(stack[i], table.den)
-        for row, j in enumerate(cols):
-            if not np.array_equal(exact_mul_elementwise(left, stack[j]), expansion[row]):
-                krein_ok = False
-                witness = f"E_{i} o E_{j}"
-                break
-        if not krein_ok:
-            break
-    checks.append(Check("krein_expansion_of_hadamard_products", krein_ok, witness))
+    pairs = [(i, j) for i in range(size) for j in range(i if symmetric else 0, size)]
+    if all(v is not None for v in e_vals):
+        witness = _krein_table_witness(ctx, e_vals, pairs)
+    else:
+        witness = _krein_dense_witness(ctx, pairs)
+    checks.append(Check("krein_expansion_of_hadamard_products", witness is None, witness))
     return checks
 
 
@@ -469,7 +646,26 @@ class TripleProductReport:
         return not self.mismatches
 
 
-def dual_triple_zeros(ctx: TerwContext) -> np.ndarray:
+def _triple_counts(ctx: TerwContext) -> np.ndarray:
+    """N[k, a, l] = #{y in S_k, z in S_l : dist(y, z) = a}, for all k, a, l.
+
+    One bincount over the n^2 keys (dist(x, y), dist(y, z), dist(x, z)).
+    """
+    size = ctx.d + 1
+    dist = ctx.dist.dist
+    row = dist[ctx.x]
+    key = (row[:, None] * size + dist) * size + row
+    counts = np.bincount(key.ravel(), minlength=size**3)
+    return counts.reshape(size, size, size)
+
+
+def _int_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise a b of two small integer tables, on Python ints."""
+    prods = [u * v for u, v in zip(a.ravel().tolist(), b.ravel().tolist())]
+    return demote(np.array(prods, dtype=object).reshape(a.shape))
+
+
+def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.ndarray:
     """zeros[h, i, j] is True exactly when E_h A_i* E_j = 0.
 
     Precondition: every E_h is idempotent.  A context exists only after
@@ -479,48 +675,57 @@ def dual_triple_zeros(ctx: TerwContext) -> np.ndarray:
 
         ||E_h A_i* E_j||_F^2 = tr(E_j A_i* E_h A_i*) = a_i^T (E_h o E_j) a_i,
 
-    a sum of squares that is 0 exactly when the triple product is.  For each
-    unordered pair {h, j} one Hadamard product and two thin products (n x
-    (d+1), then (d+1) x (d+1)) give that value for every i, exactly, on the
-    integer numerators; the positive denominators do not change which
-    values are 0.  E_j A_i* E_h is the transpose of E_h A_i* E_j, so the
-    pair (j, h) takes the flags of (h, j).
+    a sum of squares that is 0 exactly when the triple product is.  With
+    a_i(y) = theta*_i(k) on the sphere S_k and E_h = V[h][dist] / den_h,
+    a_i^T (E_h o E_j) a_i is a positive multiple of
+    sum_a V[h][a] V[j][a] W[i][a], where
+    W[i][a] = sum_(k,l) theta*_i(k) theta*_i(l) N[k, a, l] and N is
+    _triple_counts (passed in as counts, or counted here).  Both sums are
+    guarded products of (d+1)-sized integer tables; the positive
+    denominators do not change which values are 0.
 
     Raises:
-        VerificationError: if some E_h is not symmetric or some A_i* is not
-            constant on a sphere S_k.
+        VerificationError: if some A_i* is not constant on a sphere S_k, or
+            some E_h is not symmetric, or a symmetric E_h is not constant
+            on distance classes.
     """
-    d = ctx.d
+    size = ctx.d + 1
+    dist = ctx.dist.dist
+    reps = [int(s[0]) for s in ctx.spheres]
     diags = np.array([a.num.diagonal() for a in ctx.A_star])
-    values = diags[:, [int(s[0]) for s in ctx.spheres]]  # theta*_i(k), scaled
-    bad = np.argwhere(diags != values[:, ctx.dist.dist[ctx.x]])
+    values = diags[:, reps]  # theta*_i(k), scaled
+    bad = np.argwhere(diags != values[:, dist[ctx.x]])
     if bad.size:
         i, y = (int(v) for v in bad[0])
-        k = int(ctx.dist.dist[ctx.x, y])
+        k = int(dist[ctx.x, y])
         raise VerificationError(f"A*_{i} is not constant on sphere S_{k}")
-    for h, Eh in enumerate(ctx.E):
-        if not np.array_equal(Eh.num, Eh.num.T):
+    classes = [_class_values(Eh, dist, ctx.x, reps) for Eh in ctx.E]
+    # A class function of a symmetric distance array is symmetric.
+    symmetric_dist = np.array_equal(dist, dist.T)
+    for h, (Eh, v) in enumerate(zip(ctx.E, classes)):
+        if (v is None or not symmetric_dist) and not np.array_equal(Eh.num, Eh.num.T):
             raise VerificationError(f"E_{h} is not symmetric")
-    zeros = np.zeros((d + 1,) * 3, dtype=bool)
-    for h in range(d + 1):
-        for j in range(h, d + 1):
-            had = exact_mul_elementwise(ctx.E[h].num, ctx.E[j].num)
-            norms = exact_matmul(diags, exact_matmul(had, diags.T)).diagonal()
-            zeros[h, :, j] = zeros[j, :, h] = norms == 0
-    return zeros
+    for h, v in enumerate(classes):
+        if v is None:
+            raise VerificationError(f"E_{h} is not constant on distance classes")
+    N = _triple_counts(ctx) if counts is None else counts
+    # theta_pairs[i, (k, l)] = theta*_i(k) theta*_i(l); N_kl[(k, l), a] = N[k, a, l].
+    theta_pairs = _int_products(
+        np.repeat(values, size, axis=1), np.tile(values, (1, size))
+    )
+    W = exact_matmul(theta_pairs, N.transpose(0, 2, 1).reshape(size * size, size))
+    # class_pairs[(h, j), a] = V[h][a] V[j][a]; norms[(h, j), i].
+    V = np.array(classes)
+    class_pairs = _int_products(np.repeat(V, size, axis=0), np.tile(V, (size, 1)))
+    norms = exact_matmul(class_pairs, W.T)
+    return (norms == 0).reshape(size, size, size).transpose(0, 2, 1)
 
 
-def _primal_triple_zeros(ctx: TerwContext) -> np.ndarray:
+def _primal_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.ndarray:
     """zeros[h, i, j] is True exactly when E_h* A_i E_j* = 0, that is, when
-    no vertex of S_h is at distance i from a vertex of S_j."""
-    d = ctx.d
-    dist = ctx.dist.dist
-    zeros = np.zeros((d + 1,) * 3, dtype=bool)
-    for h, sph_h in enumerate(ctx.spheres):
-        for j, sph_j in enumerate(ctx.spheres):
-            block = dist[np.ix_(sph_h, sph_j)]
-            zeros[h, :, j] = np.bincount(block.ravel(), minlength=d + 1) == 0
-    return zeros
+    no vertex of S_h is at distance i from a vertex of S_j: N[h, i, j] = 0
+    for the counts of _triple_counts."""
+    return (_triple_counts(ctx) if counts is None else counts) == 0
 
 
 def check_triple_products(ctx: TerwContext) -> TripleProductReport:
@@ -531,13 +736,15 @@ def check_triple_products(ctx: TerwContext) -> TripleProductReport:
     zero patterns coincide only for formally self-dual graphs, so for
     hypercubes all flags, including (h, i, j) lying outside the permissible
     set, must agree.  A mismatch records all flags in the order primal,
-    dual, p, Krein (and not permissible for hypercubes).  The primal flags
-    count the distances in each sphere block; the dual flags come from
-    dual_triple_zeros.
+    dual, p, Krein (and not permissible for hypercubes).  Both flag arrays
+    are read off one count table N[k, a, l] (_triple_counts): the primal
+    flags are its zeros, and dual_triple_zeros contracts it with the class
+    values.
     """
     d = ctx.d
-    primal_zeros = _primal_triple_zeros(ctx)
-    dual_zeros = dual_triple_zeros(ctx)
+    counts = _triple_counts(ctx)
+    primal_zeros = _primal_triple_zeros(ctx, counts)
+    dual_zeros = dual_triple_zeros(ctx, counts)
     mismatches = []
     for h in range(d + 1):
         for i in range(d + 1):
@@ -593,53 +800,51 @@ def check_polynomial_images(ctx: TerwContext) -> list[Check]:
 
     F_i(A) = A_i and F_i(A*) = A_i* for 0 <= i <= d+1 (index d+1 gives the
     zero matrix), and the common minimal polynomial of A and A* is the
-    spectrum polynomial.  Each generator's F_i are read off one set of its
-    powers.
-    """
-    if ctx.params is None:
-        raise ValueError("polynomial images are defined for hypercube contexts")
-    fs, phi = ctx.params.F, ctx.params.phi
-    zero = RationalMatrix.zeros(ctx.n, ctx.n)
-    images, minimal = [], []
-    for g, label, name, expected in (
-        (ctx.A, "A", "adjacency", ctx.A_dist),
-        (ctx.dual_adjacency, "A*", "dual_adjacency", ctx.A_star),
-    ):
-        expected = list(expected) + [zero] * (len(fs) - len(expected))
-        pairs = zip(poly_eval_matrix(fs, g), expected)
-        bad = next((i for i, (got, want) in enumerate(pairs) if got != want), None)
-        witness = None if bad is None else f"F_{bad}({label})"
-        images.append(Check(f"krawtchouk_images_of_{name}", bad is None, witness))
-        mp = min_poly(g)
-        witness = None if mp == phi else f"{mp} != {phi}"
-        minimal.append(Check(f"minimal_polynomial_of_{name}", mp == phi, witness))
-    return images + minimal
+    spectrum polynomial.  For d >= 2 the two relator identities follow: the
+    diameter-(d-2) spectrum polynomial phi evaluated at A (resp. A*)
+    annihilates I - E_0 - E_d (resp. I - E_0* - E_d*).  Each generator's
+    F_i and phi are read off one set of its powers.
 
-
-def check_relator_images(ctx: TerwContext) -> list[Check]:
-    """The two relator identities for d >= 2: the diameter-(d-2) spectrum
-    polynomial phi evaluated at A (resp. A*) annihilates I - E_0 - E_d (resp.
-    I - E_0* - E_d*).
-
-    No product with the idempotents is formed.  A context exists only if
-    A = sum_i theta_i E_i with E_i E_j = delta_ij E_i, so A E_i = theta_i E_i
-    and phi(A) (I - E_0 - E_d) = phi(A) - phi(theta_0) E_0 - phi(theta_d) E_d.
+    No product with the idempotents is formed for the relators.  A context
+    exists only if A = sum_i theta_i E_i with E_i E_j = delta_ij E_i, so
+    A E_i = theta_i E_i and
+    phi(A) (I - E_0 - E_d) = phi(A) - phi(theta_0) E_0 - phi(theta_d) E_d.
     The dual side is the same with A*, theta*_i and E*_i.
     """
     if ctx.params is None:
-        raise ValueError("relator images are defined for hypercube contexts")
-    if ctx.d < 2:
-        raise ValueError("relator images require d >= 2")
-    phi = spectrum_poly(ctx.d - 2)
-    names = (
-        "relator_annihilates_middle_idempotents",
-        "dual_relator_annihilates_middle_dual_idempotents",
-    )
-    sides = zip(ctx.generators(), (ctx.E, ctx.E_star), (ctx.theta, ctx.theta_star))
-    checks = []
-    for name, (g, e, theta) in zip(names, sides):
-        (image,) = poly_eval_matrix([phi], g)
-        for i in (0, ctx.d):
-            image = image - e[i] * phi.eval_scalar(theta[i])
-        checks.append(Check(name, image.is_zero()))
-    return checks
+        raise ValueError("polynomial images are defined for hypercube contexts")
+    d = ctx.d
+    fs, phi = ctx.params.F, ctx.params.phi
+    relator = spectrum_poly(d - 2) if d >= 2 else None
+    zero = RationalMatrix.zeros(ctx.n, ctx.n)
+    images, minimal, relators = [], [], []
+    for g, label, name, expected, e, theta, relator_name in (
+        (
+            ctx.A, "A", "adjacency", ctx.A_dist, ctx.E, ctx.theta,
+            "relator_annihilates_middle_idempotents",
+        ),
+        (
+            ctx.dual_adjacency, "A*", "dual_adjacency", ctx.A_star, ctx.E_star,
+            ctx.theta_star, "dual_relator_annihilates_middle_dual_idempotents",
+        ),
+    ):
+        expected = list(expected) + [zero] * (len(fs) - len(expected))
+        values = poly_eval_matrix(list(fs) + ([] if relator is None else [relator]), g)
+        pairs = zip(values, expected)
+        bad = next((i for i, (got, want) in enumerate(pairs) if got != want), None)
+        witness = None if bad is None else f"F_{bad}({label})"
+        images.append(Check(f"krawtchouk_images_of_{name}", bad is None, witness))
+        if relator is not None:
+            image = (
+                values[-1]
+                - e[0] * relator.eval_scalar(theta[0])
+                - e[d] * relator.eval_scalar(theta[d])
+            )
+            relators.append(Check(relator_name, image.is_zero()))
+            del image
+        # min_poly forms its own powers; the values are not needed there.
+        del values, pairs
+        mp = min_poly(g)
+        witness = None if mp == phi else f"{mp} != {phi}"
+        minimal.append(Check(f"minimal_polynomial_of_{name}", mp == phi, witness))
+    return images + minimal + relators

@@ -37,7 +37,6 @@ from .subconstituent import (
     build_hypercube_context,
     check_krein_self_dual,
     check_polynomial_images,
-    check_relator_images,
     check_triple_products,
     triple_span_dim,
 )
@@ -115,8 +114,6 @@ def _diameter_record(
 
     checks.append(check_krein_self_dual(ctx))
     checks.extend(check_polynomial_images(ctx))
-    if d >= 2:
-        checks.extend(check_relator_images(ctx))
 
     exp_dim = expected_dimension(d)
     checks.append(

@@ -1,0 +1,232 @@
+"""The section checks, triple-zero flags and relator images as the dense
+matrix computations that the class-table code replaced, kept as oracles.
+
+check_section_identities sums and compares n x n RationalMatrix terms;
+dual_triple_zeros forms one n x n Hadamard product per pair {h, j};
+_primal_triple_zeros runs one bincount per sphere block; and
+check_relator_images evaluates phi_(d-2) on its own set of powers.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+import numpy as np
+
+from terwalg._intops import exact_matmul, exact_mul_elementwise, exact_scale
+from terwalg.checks import Check
+from terwalg.hypercube import spectrum_poly
+from terwalg.linalg import RationalMatrix, poly_eval_matrix
+from terwalg.subconstituent import (
+    TerwContext,
+    VerificationError,
+    _dual_distance_matrix,
+    _dual_orthogonality_witness,
+)
+
+
+def check_section_identities(ctx: TerwContext) -> list[Check]:
+    """The fundamental identities of both Bose-Mesner algebras, exactly."""
+    checks = []
+    n = ctx.n
+    d = ctx.d
+    ident = RationalMatrix.identity(n)
+
+    acc = RationalMatrix.zeros(n, n)
+    for Ai in ctx.A_dist:
+        acc = acc + Ai
+    checks.append(Check("distance_matrices_partition", acc == RationalMatrix.ones(n, n)))
+    checks.append(Check("distance_zero_is_identity", ctx.A_dist[0] == ident))
+
+    esum = RationalMatrix.zeros(n, n)
+    for Ei in ctx.E:
+        esum = esum + Ei
+    sums_to_identity = esum == ident
+    checks.append(Check("idempotents_sum_to_identity", sums_to_identity))
+
+    # Spectral certificate for E_i E_j = delta_ij E_i.  If the theta_i are
+    # distinct, sum_j E_j = I and A E_i = theta_i E_i = E_i A for every i,
+    # then E_i A E_j equals both theta_i E_i E_j and theta_j E_i E_j, so
+    # E_i E_j = 0 for i != j, and E_i = E_i sum_j E_j = E_i^2.  A has d
+    # nonzeros per row, so its products are gathered, not dense.  Only when
+    # the certificate fails do the (d+1)^2 dense products decide the verdict
+    # and name the first failing pair.
+    ortho = (
+        sums_to_identity
+        and len(set(ctx.theta)) == d + 1
+        and all(
+            ctx.A @ Ei == Ei * t and Ei @ ctx.A == Ei * t
+            for Ei, t in zip(ctx.E, ctx.theta)
+        )
+    )
+    witness = None
+    if not ortho:
+        ortho = True
+        for i in range(d + 1):
+            for j in range(d + 1):
+                expect = ctx.E[i] if i == j else RationalMatrix.zeros(n, n)
+                if ctx.E[i] @ ctx.E[j] != expect:
+                    ortho = False
+                    witness = f"E_{i} E_{j}"
+                    break
+            if not ortho:
+                break
+    checks.append(Check("idempotents_orthogonal", ortho, witness))
+
+    spec = RationalMatrix.zeros(n, n)
+    for i in range(d + 1):
+        spec = spec + ctx.E[i] * ctx.theta[i]
+    checks.append(Check("adjacency_spectral_decomposition", spec == ctx.A))
+
+    checks.append(
+        Check("rank_one_idempotent_is_all_ones", ctx.E[0] == RationalMatrix.ones(n, n) * Fraction(1, n))
+    )
+
+    Pm = RationalMatrix.from_rows([list(r) for r in ctx.P])
+    Qm = RationalMatrix.from_rows([list(r) for r in ctx.Q])
+    checks.append(
+        Check(
+            "eigenmatrices_inverse_pair",
+            Pm @ (Qm * Fraction(1, n)) == RationalMatrix.identity(d + 1),
+        )
+    )
+
+    dsum = RationalMatrix.zeros(n, n)
+    for Ei in ctx.E_star:
+        dsum = dsum + Ei
+    checks.append(Check("dual_idempotents_sum_to_identity", dsum == ident))
+
+    witness = _dual_orthogonality_witness(ctx.E_star)
+    checks.append(Check("dual_idempotents_orthogonal", witness is None, witness))
+
+    dual_diag_ok = True
+    witness = None
+    for i in range(d + 1):
+        if ctx.A_star[i] != _dual_distance_matrix(ctx.E[i], ctx.x):
+            dual_diag_ok = False
+            witness = f"A*_{i}"
+            break
+    checks.append(Check("dual_distance_diagonal_from_idempotent_row", dual_diag_ok, witness))
+
+    dspec = RationalMatrix.zeros(n, n)
+    for i in range(d + 1):
+        dspec = dspec + ctx.E_star[i] * ctx.theta_star[i]
+    checks.append(
+        Check("dual_adjacency_spectral_decomposition", dspec == ctx.dual_adjacency)
+    )
+
+    # Krein expansion of every Hadamard product, re-verified at matrix level
+    # with one stacked product per i.  Row h of stack is den_e E_h, so row j
+    # of table @ stack is table.den den_e |X|^(-1) sum_h q^h_ij E_h, and
+    # stack_i o stack_j is den_e^2 E_i o E_j; both sides are scaled to
+    # table.den den_e^2 and compared as integers.  E_i o E_j = E_j o E_i, so
+    # when the table is symmetric in (i, j) a pair (i, j) with i > j fails
+    # exactly when (j, i) does, which comes first: only j >= i is formed.
+    den_e = lcm(*(Eh.den for Eh in ctx.E))
+    stack = np.stack([exact_scale(Eh.num, den_e // Eh.den).ravel() for Eh in ctx.E])
+    symmetric = all(
+        ctx.krein[h][i][j] == ctx.krein[h][j][i]
+        for h in range(d + 1)
+        for i in range(d + 1)
+        for j in range(i)
+    )
+    krein_ok = True
+    witness = None
+    for i in range(d + 1):
+        cols = range(i if symmetric else 0, d + 1)
+        table = RationalMatrix.from_rows(
+            [[ctx.krein[h][i][j] / n for h in range(d + 1)] for j in cols]
+        )
+        expansion = exact_scale(exact_matmul(table.num, stack), den_e)
+        left = exact_scale(stack[i], table.den)
+        for row, j in enumerate(cols):
+            if not np.array_equal(exact_mul_elementwise(left, stack[j]), expansion[row]):
+                krein_ok = False
+                witness = f"E_{i} o E_{j}"
+                break
+        if not krein_ok:
+            break
+    checks.append(Check("krein_expansion_of_hadamard_products", krein_ok, witness))
+    return checks
+
+
+def dual_triple_zeros(ctx: TerwContext) -> np.ndarray:
+    """zeros[h, i, j] is True exactly when E_h A_i* E_j = 0.
+
+    Precondition: every E_h is idempotent.  A context exists only after
+    construction has verified that (idempotents_orthogonal), so this holds
+    on every context.  Let E_h and E_j be symmetric idempotents and
+    A_i* = diag(a_i).  Then
+
+        ||E_h A_i* E_j||_F^2 = tr(E_j A_i* E_h A_i*) = a_i^T (E_h o E_j) a_i,
+
+    a sum of squares that is 0 exactly when the triple product is.  For each
+    unordered pair {h, j} one Hadamard product and two thin products (n x
+    (d+1), then (d+1) x (d+1)) give that value for every i, exactly, on the
+    integer numerators; the positive denominators do not change which
+    values are 0.  E_j A_i* E_h is the transpose of E_h A_i* E_j, so the
+    pair (j, h) takes the flags of (h, j).
+
+    Raises:
+        VerificationError: if some E_h is not symmetric or some A_i* is not
+            constant on a sphere S_k.
+    """
+    d = ctx.d
+    diags = np.array([a.num.diagonal() for a in ctx.A_star])
+    values = diags[:, [int(s[0]) for s in ctx.spheres]]  # theta*_i(k), scaled
+    bad = np.argwhere(diags != values[:, ctx.dist.dist[ctx.x]])
+    if bad.size:
+        i, y = (int(v) for v in bad[0])
+        k = int(ctx.dist.dist[ctx.x, y])
+        raise VerificationError(f"A*_{i} is not constant on sphere S_{k}")
+    for h, Eh in enumerate(ctx.E):
+        if not np.array_equal(Eh.num, Eh.num.T):
+            raise VerificationError(f"E_{h} is not symmetric")
+    zeros = np.zeros((d + 1,) * 3, dtype=bool)
+    for h in range(d + 1):
+        for j in range(h, d + 1):
+            had = exact_mul_elementwise(ctx.E[h].num, ctx.E[j].num)
+            norms = exact_matmul(diags, exact_matmul(had, diags.T)).diagonal()
+            zeros[h, :, j] = zeros[j, :, h] = norms == 0
+    return zeros
+
+
+def _primal_triple_zeros(ctx: TerwContext) -> np.ndarray:
+    """zeros[h, i, j] is True exactly when E_h* A_i E_j* = 0, that is, when
+    no vertex of S_h is at distance i from a vertex of S_j."""
+    d = ctx.d
+    dist = ctx.dist.dist
+    zeros = np.zeros((d + 1,) * 3, dtype=bool)
+    for h, sph_h in enumerate(ctx.spheres):
+        for j, sph_j in enumerate(ctx.spheres):
+            block = dist[np.ix_(sph_h, sph_j)]
+            zeros[h, :, j] = np.bincount(block.ravel(), minlength=d + 1) == 0
+    return zeros
+
+
+def check_relator_images(ctx: TerwContext) -> list[Check]:
+    """The two relator identities for d >= 2: the diameter-(d-2) spectrum
+    polynomial phi evaluated at A (resp. A*) annihilates I - E_0 - E_d (resp.
+    I - E_0* - E_d*).
+
+    No product with the idempotents is formed.  A context exists only if
+    A = sum_i theta_i E_i with E_i E_j = delta_ij E_i, so A E_i = theta_i E_i
+    and phi(A) (I - E_0 - E_d) = phi(A) - phi(theta_0) E_0 - phi(theta_d) E_d.
+    The dual side is the same with A*, theta*_i and E*_i.
+    """
+    if ctx.params is None:
+        raise ValueError("relator images are defined for hypercube contexts")
+    if ctx.d < 2:
+        raise ValueError("relator images require d >= 2")
+    phi = spectrum_poly(ctx.d - 2)
+    names = (
+        "relator_annihilates_middle_idempotents",
+        "dual_relator_annihilates_middle_dual_idempotents",
+    )
+    sides = zip(ctx.generators(), (ctx.E, ctx.E_star), (ctx.theta, ctx.theta_star))
+    checks = []
+    for name, (g, e, theta) in zip(names, sides):
+        (image,) = poly_eval_matrix([phi], g)
+        for i in (0, ctx.d):
+            image = image - e[i] * phi.eval_scalar(theta[i])
+        checks.append(Check(name, image.is_zero()))
+    return checks

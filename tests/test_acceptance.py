@@ -29,7 +29,6 @@ from terwalg.subconstituent import (
     build_hypercube_context,
     check_krein_self_dual,
     check_polynomial_images,
-    check_relator_images,
     check_triple_products,
 )
 from terwalg.verify import expected_blocks, expected_dimension
@@ -184,11 +183,11 @@ def test_criterion_08_descent_shift_relators(prepared):
         and check_shift_lemma_up(d, triples[d], triples[d - 2])[0]
         for d in range(2, 17)
     )
-    relators_ok = all(
-        c.passed
+    relators = [
+        [c for c in check_polynomial_images(prepared.ctx[d]) if "relator" in c.name]
         for d in range(2, DMAX + 1)
-        for c in check_relator_images(prepared.ctx[d])
-    )
+    ]
+    relators_ok = all(len(r) == 2 and all(c.passed for c in r) for r in relators)
     ok = images_ok and shifts_ok and relators_ok
     criterion(
         8,

@@ -263,16 +263,16 @@ def test_distance_regularity_matches_intersection_arrays_of_benchmark_families()
 
 
 def test_non_distance_regular_graph_takes_at_most_d_plus_one_products(monkeypatch):
-    # The witness is the first failing count of the array, so the products
-    # stop at the one that found it: the i of the witness is the last.
+    # The witness is the first failing count of the array, so the count
+    # arrays stop at the one that found it: the i of the witness is the last.
     calls = []
-    original = graphs.exact_matmul
+    original = graphs._neighbour_counts
 
-    def counted(a, b):
-        calls.append(a.shape)
-        return original(a, b)
+    def counted(table, padded, mask, out, rows):
+        calls.append(mask.shape)
+        return original(table, padded, mask, out, rows)
 
-    monkeypatch.setattr(graphs, "exact_matmul", counted)
+    monkeypatch.setattr(graphs, "_neighbour_counts", counted)
     rejected = (
         path(4),
         path(5),

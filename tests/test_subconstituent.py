@@ -5,6 +5,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -15,7 +16,13 @@ from terwalg import subconstituent
 from terwalg.checks import Check
 from terwalg.echelon import EchelonSpan
 from terwalg.cli import main
-from terwalg.graphs import DistanceData, Graph, distance_matrix, hypercube
+from terwalg.graphs import (
+    DistanceData,
+    Graph,
+    distance_matrix,
+    hypercube,
+    parse_graph_file,
+)
 from terwalg.hypercube import spectrum_poly
 from terwalg.linalg import RationalMatrix, inverse, min_poly, poly_eval_matrix
 from terwalg.subconstituent import (
@@ -24,7 +31,6 @@ from terwalg.subconstituent import (
     build_hypercube_context,
     check_krein_self_dual,
     check_polynomial_images,
-    check_relator_images,
     check_section_identities,
     check_triple_products,
     dual_triple_zeros,
@@ -32,6 +38,8 @@ from terwalg.subconstituent import (
     VerificationError,
 )
 from terwalg.verify import build_graph_report, run_verification
+
+import section_oracles
 
 
 def cycle(n):
@@ -168,12 +176,55 @@ def test_polynomial_images(contexts):
         assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
 
 
+RELATOR_CHECKS = (
+    "relator_annihilates_middle_idempotents",
+    "dual_relator_annihilates_middle_dual_idempotents",
+)
+
+
+def _relator_checks(ctx):
+    """The relator checks among the polynomial-layer checks."""
+    return [c for c in check_polynomial_images(ctx) if c.name in RELATOR_CHECKS]
+
+
 def test_relator_images(contexts):
+    # Read off the powers that the F_i images use; the separate evaluation
+    # of phi_(d-2) is the oracle.
     for d in range(2, 5):
-        checks = check_relator_images(contexts[d])
+        checks = _relator_checks(contexts[d])
+        assert [c.name for c in checks] == list(RELATOR_CHECKS)
         assert all(c.passed for c in checks)
+        assert checks == section_oracles.check_relator_images(contexts[d])
+    assert _relator_checks(contexts[1]) == []
     with pytest.raises(ValueError):
-        check_relator_images(contexts[1])
+        section_oracles.check_relator_images(contexts[1])
+
+
+def test_polynomial_images_check_order(contexts):
+    names = [c.name for c in check_polynomial_images(contexts[3])]
+    assert names == [
+        "krawtchouk_images_of_adjacency",
+        "krawtchouk_images_of_dual_adjacency",
+        "minimal_polynomial_of_adjacency",
+        "minimal_polynomial_of_dual_adjacency",
+        *RELATOR_CHECKS,
+    ]
+
+
+def test_polynomial_images_form_each_generators_powers_once(contexts, monkeypatch):
+    calls = []
+    original = subconstituent.poly_eval_matrix
+
+    def counted(ps, m):
+        calls.append(len(ps))
+        return original(ps, m)
+
+    monkeypatch.setattr(subconstituent, "poly_eval_matrix", counted)
+    for d in range(0, 5):
+        calls.clear()
+        check_polynomial_images(contexts[d])
+        extra = 1 if d >= 2 else 0
+        assert calls == [d + 2 + extra] * 2, d
 
 
 def _tampered(ctx, field, i):
@@ -223,8 +274,9 @@ def test_relator_images_match_dense_products(contexts):
             cases.append((_tampered(ctx, "E", i), [False, True]))
             cases.append((_tampered(ctx, "E_star", i), [True, False]))
         for case, expected in cases:
-            got = [c.passed for c in check_relator_images(case)]
-            assert got == _relator_products(case) == expected, d
+            got = [c.passed for c in _relator_checks(case)]
+            oracle = [c.passed for c in section_oracles.check_relator_images(case)]
+            assert got == oracle == _relator_products(case) == expected, d
 
 
 def test_vertex_choice_is_immaterial(contexts):
@@ -800,9 +852,152 @@ def test_tampered_krein_table_matches_oracle():
             ([(1, 0, 1)], "E_0 o E_1"),
             ([(d, 2, 1)], "E_2 o E_1"),
             ([(d, 2, 1), (d, 1, 2)], "E_1 o E_2"),
+            ([(0, d, d)], f"E_{d} o E_{d}"),
         )
         for entries, witness in cases:
             checks = _assert_matches_oracles(_with_krein(ctx, entries), f"{name} {entries}")
             got = checks["krein_expansion_of_hadamard_products"]
             assert not got.passed
             assert got.witness == witness
+
+
+# -- class tables against the dense section checks they replaced -------------
+
+
+def _benchmark_graph_contexts(monkeypatch):
+    """Contexts of the drg-graphs workload's six relabelled graphs."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    for item in workloads.graph_items(7):
+        g = parse_graph_file(item["text"])
+        yield item["family"].name, build_context(g, item["vertex"])
+
+
+def _table_contexts(monkeypatch):
+    for d in range(0, 8):
+        for x in sorted({0, (1 << d) - 1}):
+            yield f"cube d={d} x={x}", build_hypercube_context(d, x)
+    for name, g, x in _oracle_graphs():
+        yield name, build_context(g, x)
+    yield from _benchmark_graph_contexts(monkeypatch)
+
+
+def _assert_matches_dense_code(ctx, name):
+    """Every section check, witness included, and both triple-zero arrays
+    equal the dense code's."""
+    checks = check_section_identities(ctx)
+    assert checks == section_oracles.check_section_identities(ctx), name
+    assert np.array_equal(
+        subconstituent._primal_triple_zeros(ctx), section_oracles._primal_triple_zeros(ctx)
+    ), name
+    assert np.array_equal(
+        dual_triple_zeros(ctx), section_oracles.dual_triple_zeros(ctx)
+    ), name
+    return {c.name: c for c in checks}
+
+
+def test_class_tables_match_dense_section_checks(monkeypatch):
+    for name, ctx in _table_contexts(monkeypatch):
+        checks = _assert_matches_dense_code(ctx, name)
+        assert all(c.passed for c in checks.values()), name
+
+
+def _with_class_value(ctx, h, a, delta):
+    """ctx with E_h still constant on distance classes, its value on the
+    class a changed by delta / den."""
+    Eh = ctx.E[h]
+    v = Eh.num[ctx.x, [int(s[0]) for s in ctx.spheres]].astype(object)
+    v[a] += delta
+    return _with_E(ctx, h, RationalMatrix(v[ctx.dist.dist], Eh.den))
+
+
+def test_class_value_tamper_takes_the_table_failure_branch(monkeypatch):
+    # A tampered E_h that is still a class function keeps the Krein check on
+    # the class tables: the dense stacked product must not run.
+    def refuse(ctx, pairs):
+        raise AssertionError("dense Krein path taken")
+
+    monkeypatch.setattr(subconstituent, "_krein_dense_witness", refuse)
+    for name, ctx in _negative_bases():
+        for h in range(ctx.d + 1):
+            for a in range(ctx.d + 1):
+                bad = _with_class_value(ctx, h, a, 1)
+                checks = _assert_matches_dense_code(bad, f"{name} h={h} a={a}")
+                assert not checks["idempotents_sum_to_identity"].passed
+                assert not checks["krein_expansion_of_hadamard_products"].passed
+
+
+def _tampered_fields(ctx):
+    """One-entry and whole-class changes of every matrix the checks read."""
+    for field in ("A_dist", "E", "E_star", "A_star"):
+        for i in range(ctx.d + 1):
+            yield f"{field}[{i}] entry", _tampered(ctx, field, i)
+    for i, Ai in enumerate(ctx.A_dist):
+        v = np.array([1 if a == i else 0 for a in range(ctx.d + 1)])
+        v[-1] += 1
+        moved = ctx.A_dist[:i] + (RationalMatrix(v[ctx.dist.dist]),) + ctx.A_dist[i + 1:]
+        yield f"A_{i} on class {ctx.d}", dataclasses.replace(ctx, A_dist=moved)
+    yield "A scaled", dataclasses.replace(ctx, A=ctx.A * 2)
+    for h in range(ctx.d):
+        # The sum stays I, but A (E_(h+1) - E_h) != theta_(h+1) (E_(h+1) - E_h).
+        moved = _with_E(ctx, h, ctx.E[h] * 2)
+        yield f"E_{h} moved into E_{h + 1}", _with_E(moved, h + 1, ctx.E[h + 1] - ctx.E[h])
+
+
+def test_tampered_contexts_match_dense_section_checks():
+    for name, ctx in _negative_bases():
+        for change, bad in _tampered_fields(ctx):
+            checks = check_section_identities(bad)
+            assert checks == section_oracles.check_section_identities(bad), (name, change)
+            assert not all(c.passed for c in checks), (name, change)
+
+
+def test_uncertified_contexts_match_dense_section_checks(monkeypatch):
+    # Without class representatives every identity runs on the numerators.
+    monkeypatch.setattr(subconstituent, "_class_representatives", lambda ctx: None)
+    for name, ctx in _differential_contexts():
+        checks = check_section_identities(ctx)
+        assert checks == section_oracles.check_section_identities(ctx), name
+        assert all(c.passed for c in checks), name
+    for name, ctx in _negative_bases():
+        for change, bad in _tampered_fields(ctx):
+            got = check_section_identities(bad)
+            assert got == section_oracles.check_section_identities(bad), (name, change)
+
+
+def test_dual_triple_zeros_reject_symmetric_non_class_idempotent():
+    for name, ctx in _negative_bases():
+        num = ctx.E[1].num.copy()
+        num[0, 1] += 1
+        num[1, 0] += 1
+        bad = _with_E(ctx, 1, RationalMatrix(num, ctx.E[1].den))
+        message = "E_1 is not constant on distance classes"
+        with pytest.raises(VerificationError, match=message):
+            dual_triple_zeros(bad)
+        with pytest.raises(VerificationError, match=message):
+            check_triple_products(bad)
+
+
+def test_triple_counts_are_valency_times_intersection_numbers(monkeypatch):
+    # N[k, a, l] = #{y in S_k, z in S_l : dist(y, z) = a} = k_k p^k_al.
+    cubes = (build_hypercube_context(d, (1 << d) - 1) for d in range(0, 8))
+    named = [(f"cube d={c.d}", c) for c in cubes]
+    for name, ctx in named + list(_benchmark_graph_contexts(monkeypatch)):
+        counts = subconstituent._triple_counts(ctx)
+        want = np.array(ctx.valencies)[:, None, None] * ctx.p_table
+        assert np.array_equal(counts, want), name
+
+
+def test_triple_products_form_no_dense_hadamard_product(monkeypatch):
+    cases = list(_differential_contexts())
+    original = subconstituent.exact_mul_elementwise
+
+    def refuse_2d(a, b):
+        if np.ndim(a) == 2 or np.ndim(b) == 2:
+            raise AssertionError("n x n Hadamard product formed")
+        return original(a, b)
+
+    monkeypatch.setattr(subconstituent, "exact_mul_elementwise", refuse_2d)
+    for name, ctx in cases:
+        assert check_triple_products(ctx).passed, name
