@@ -29,6 +29,12 @@ its classes, is the element's first nonzero entry in the n x n matrix: its
 pivot.  The pieces are the only form in which the basis is kept.
 Denominators are dropped before reduction because scaling an element does
 not change the span.
+
+The loop proves that the span is closed under left multiplication by every
+generator and contains I, so it is the unital algebra T itself: closed
+under multiplication, with unit I.  closure() records that on the span as
+its closedness certificate (BlockSpans.closed_unit = I), which lets
+wedderburn check idempotents on pivot entries instead of n x n products.
 """
 
 from __future__ import annotations
@@ -53,6 +59,11 @@ class BlockSpans:
     Block (h, j) holds the entries in rows classes[h] and columns classes[j],
     flattened row-major; each class is an ascending array of coordinates.
     Elements are numbered in the order they were inserted, across blocks.
+
+    closed_unit is the closedness certificate: None, or a unit e such that
+    the span is known to be closed under multiplication and to contain e.
+    Only closure() and wedderburn.complement_algebra set it, each after
+    proving it; inserting a new element clears it.
     """
 
     def __init__(self, n: int, classes: Sequence[np.ndarray]):
@@ -60,6 +71,7 @@ class BlockSpans:
         self.classes = tuple(classes)
         self._spans: dict[tuple[int, int], EchelonSpan] = {}
         self._elements: list[tuple[int, int, int]] = []  # (h, j, row index)
+        self.closed_unit: RationalMatrix | None = None
 
     @property
     def dim(self) -> int:
@@ -78,6 +90,7 @@ class BlockSpans:
         idx = span.add(block.ravel())
         if idx is None:
             return None
+        self.closed_unit = None
         self._elements.append((h, j, idx))
         return len(self._elements) - 1
 
@@ -146,9 +159,9 @@ def closure(generators: Sequence[RationalMatrix]) -> AlgebraBasis:
 
     Returns:
         AlgebraBasis whose span contains the identity and is closed under
-        multiplication by every generator.  Its first elements are the class
-        projections, one ("seed",) each; every later one is a block of a
-        product, see the module docstring.
+        multiplication by every generator, certified by span.closed_unit = I.
+        Its first elements are the class projections, one ("seed",) each;
+        every later one is a block of a product, see the module docstring.
     """
     if not generators:
         raise ValueError("at least one generator expected")
@@ -197,4 +210,5 @@ def closure(generators: Sequence[RationalMatrix]) -> AlgebraBasis:
                     provenance.append(("product", gi, pos))
         pos += 1
 
+    spans.closed_unit = RationalMatrix.identity(n)
     return AlgebraBasis(tuple(provenance), spans)

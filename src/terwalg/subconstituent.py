@@ -78,13 +78,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
 
 from ._intops import (
     INT64_SAFE,
+    content,
     demote,
     exact_matmul,
     exact_mul_elementwise,
@@ -96,7 +97,7 @@ from .closure import AlgebraBasis, BlockSpans, closure
 from .graphs import DistanceData, Graph, distance_matrix, hypercube, is_distance_regular
 from .hypercube import HypercubeParams, permissible, spectrum_poly
 from .linalg import RationalMatrix, inverse, min_poly, poly_eval_matrix
-from .polys import integer_roots
+from .polys import RationalPoly, integer_roots
 
 
 class VerificationError(Exception):
@@ -170,6 +171,23 @@ def _krein_table(Q: Sequence[Sequence[Fraction]]):
     return tuple(tuple(tuple(row) for row in layer) for layer in krein)
 
 
+def _lowest_terms(values: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """values / den with gcd(content(values), den) divided out, demoted.
+
+    A matrix whose nonzero entries are exactly these values over den has
+    the same content, so placing the result into it gives the canonical
+    RationalMatrix numerators and denominator without a gcd over the
+    matrix.
+    """
+    c = content(values)
+    g = gcd(c, den)
+    if g > 1:
+        if c:
+            values = values // g
+        den //= g
+    return demote(values), den
+
+
 def _idempotents_from_eigenmatrix(
     dist: np.ndarray, Q: Sequence[Sequence[Fraction]]
 ) -> list[RationalMatrix]:
@@ -177,7 +195,9 @@ def _idempotents_from_eigenmatrix(
 
     The A_j have disjoint supports, so (E_i)_yz = Q[dist(y, z)][i] / |X|:
     column i of Q, over a common denominator, is gathered through the
-    distance table.
+    distance table.  Every class 0..d occurs in it, so the gcd of E_i's
+    numerators is the gcd of its d+1 class values, and the matrix is built
+    in lowest terms.
     """
     n = dist.shape[0]
     E = []
@@ -186,13 +206,16 @@ def _idempotents_from_eigenmatrix(
         den = lcm(*(q.denominator for q in col))
         nums = [q.numerator * (den // q.denominator) for q in col]
         dtype = np.int64 if max(map(abs, nums)) < INT64_SAFE else object
-        E.append(RationalMatrix(np.array(nums, dtype=dtype)[dist], n * den))
+        values, den = _lowest_terms(np.array(nums, dtype=dtype), n * den)
+        E.append(RationalMatrix(values[dist], den, _canonical=True))
     return E
 
 
 def _dual_distance_matrix(Ei: RationalMatrix, x: int) -> RationalMatrix:
-    """A_i* = diag(|X| (E_i)_{x,y}), from the integer numerators of row x."""
-    return RationalMatrix(np.diag(exact_scale(Ei.num[x], Ei.nrows)), Ei.den)
+    """A_i* = diag(|X| (E_i)_{x,y}), from the integer numerators of row x,
+    in lowest terms by the gcd of the n diagonal entries."""
+    diag, den = _lowest_terms(exact_scale(Ei.num[x], Ei.nrows), Ei.den)
+    return RationalMatrix(np.diag(diag), den, _canonical=True)
 
 
 def _assemble(
@@ -795,6 +818,13 @@ def check_krein_self_dual(ctx: TerwContext) -> Check:
     return Check("krein_table_equals_intersection_table", True)
 
 
+def _spectral_min_poly(theta: Sequence[Fraction], ranks: Sequence[int]) -> RationalPoly:
+    """prod (z - theta_i) over the distinct theta_i with ranks[i] != 0: the
+    minimal polynomial of sum_i theta_i F_i for orthogonal idempotents F_i
+    summing to I with tr F_i = ranks[i] (see check_polynomial_images)."""
+    return RationalPoly.from_roots(sorted({t for t, r in zip(theta, ranks) if r}))
+
+
 def check_polynomial_images(ctx: TerwContext) -> list[Check]:
     """Polynomial layer at matrix level, on a hypercube context.
 
@@ -810,6 +840,17 @@ def check_polynomial_images(ctx: TerwContext) -> list[Check]:
     A E_i = theta_i E_i and
     phi(A) (I - E_0 - E_d) = phi(A) - phi(theta_0) E_0 - phi(theta_d) E_d.
     The dual side is the same with A*, theta*_i and E*_i.
+
+    Nor is a minimal polynomial found from matrix powers.  A context exists
+    only if A = sum_i theta_i E_i, with the E_i orthogonal idempotents that
+    sum to I, and likewise A* = sum_i theta*_i E*_i.  For any polynomial q,
+    q(A) = sum_i q(theta_i) E_i, and q(A) E_j = q(theta_j) E_j; so q(A) = 0
+    exactly when q(theta_j) = 0 for every j with E_j != 0.  An idempotent
+    is nonzero exactly when its trace, its rank, is: tr E_i is the
+    multiplicity dual_valencies[i] and tr E*_i the sphere size
+    valencies[i].  Hence the minimal polynomial of A is the product of
+    (z - theta_i) over the distinct theta_i with E_i != 0, and the same for
+    A*; each is compared with phi.
     """
     if ctx.params is None:
         raise ValueError("polynomial images are defined for hypercube contexts")
@@ -818,14 +859,15 @@ def check_polynomial_images(ctx: TerwContext) -> list[Check]:
     relator = spectrum_poly(d - 2) if d >= 2 else None
     zero = RationalMatrix.zeros(ctx.n, ctx.n)
     images, minimal, relators = [], [], []
-    for g, label, name, expected, e, theta, relator_name in (
+    for g, label, name, expected, e, theta, ranks, relator_name in (
         (
             ctx.A, "A", "adjacency", ctx.A_dist, ctx.E, ctx.theta,
-            "relator_annihilates_middle_idempotents",
+            ctx.dual_valencies, "relator_annihilates_middle_idempotents",
         ),
         (
             ctx.dual_adjacency, "A*", "dual_adjacency", ctx.A_star, ctx.E_star,
-            ctx.theta_star, "dual_relator_annihilates_middle_dual_idempotents",
+            ctx.theta_star, ctx.valencies,
+            "dual_relator_annihilates_middle_dual_idempotents",
         ),
     ):
         expected = list(expected) + [zero] * (len(fs) - len(expected))
@@ -842,9 +884,8 @@ def check_polynomial_images(ctx: TerwContext) -> list[Check]:
             )
             relators.append(Check(relator_name, image.is_zero()))
             del image
-        # min_poly forms its own powers; the values are not needed there.
         del values, pairs
-        mp = min_poly(g)
+        mp = _spectral_min_poly(theta, ranks)
         witness = None if mp == phi else f"{mp} != {phi}"
         minimal.append(Check(f"minimal_polynomial_of_{name}", mp == phi, witness))
     return images + minimal + relators

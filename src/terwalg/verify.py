@@ -196,7 +196,7 @@ def _diameter_record(
         )
 
     if d >= 2:
-        corner = complement_algebra(ctx, basis, u0rep.U0)
+        corner = complement_algebra(ctx, basis, u0rep)
         comp_dim_ok = corner.dim == basis.dim - (d + 1) ** 2
         checks.append(
             Check(

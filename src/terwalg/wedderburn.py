@@ -12,14 +12,40 @@ every product the split needs lies in the span and is read through its
 pivot entries alone.  Only the generators, the identity, the center elements
 and the central idempotents are dense n x n matrices:
 
-- One pivot-entry kernel.  g b_k vanishes outside columns S_j, so its pivot
-  entries are zero except at the pivots with C_i in S_j, where they are
+- The center, filtered by class-diagonal generators.  Call a generator g
+  class-diagonal when it is diagonal and constant, g_h, on every class S_h
+  of the span, as A* is on the spheres.  For b_k in block (h, j),
+  b_k g = g_j b_k and g b_k = g_h b_k, so [b_k, g] = (g_j - g_h) b_k.  The
+  pivot entries of b_k are pv_k at pivot k and zero at every other pivot,
+  so g's row block of the commutator matrix is diagonal, with the nonzero
+  (g_j - g_h) pv_k exactly in the columns k with g_h != g_j.  Each such
+  column is the only nonzero of its own row, so every kernel vector has
+  alpha_k = 0 there, and g's rows impose nothing else.  The kernel is
+  therefore the kernel of the other generators' rows restricted to the
+  kept columns, padded with zeros.  The center basis is unchanged too:
+  kernel_basis returns, for each free column f, the unique kernel vector
+  that is 1 at f and 0 at the other free columns, and the free columns are
+  the non-pivot columns of the row space.  That row space is
+  span{e_k : k dropped} plus the kept-column row space, two subspaces on
+  disjoint coordinates, so its pivot columns are the dropped columns plus
+  the kept-column pivots, and the free columns are the same in both
+  problems.  The filter needs no closure assumption.  A generator that is
+  not class-diagonal contributes the pivot entries of [b_k, g] for the kept
+  columns: g b_k vanishes outside columns S_j, so its pivot entries are zero
+  except at the pivots with C_i in S_j, where they are
   sum_{t in S_h} g[R_i, t] X_k[t, C_i]; b_k g vanishes outside rows S_h and
   has sum_{t in S_j} X_k[R_i, t] g[t, C_i] at the pivots with R_i in S_h.
-  The center is the kernel of the 2m x m matrix of pivot entries
-  of the commutators [b_k, A] and [b_k, A*], and the block dimension
-  dim span{b_k z_r} is the rank of the m x m matrix of pivot entries of
-  b_k z_r.
+  On the spheres of T(x), A* keeps only the columns of the diagonal blocks
+  E*_h T E*_h, so the kernel runs on an m x m' matrix of A's rows, m' =
+  sum_h dim E*_h T E*_h, not on a 2m x m one.
+- Block sizes by trace.  If z in the span has z^2 = z, then R_z: b -> b z
+  maps the closed span into itself and R_z^2 = R_z, so
+  dim span{b_k z} = rank R_z = tr R_z.  Column k of R_z in coordinates is
+  the coordinate vector of b_k z, so
+  tr R_z = sum_k (b_k z)[R_k, C_k] / pv_k, and
+  (b_k z)[R_k, C_k] = sum_{t in S_j} X_k[r_k, t] z[S_j[t], C_k] is one dot
+  product of length |S_j|.  The block size n_r is the integer square root
+  of tr R_{z_r}.
 - The left-regular probe.  A deterministic probe p of the center acts on
   coordinates by L_p = D^-1 (pivot entries of p b_l), D = diag(pv).  Since
   e b = b on the span and coordinates are injective, q(L_p) = 0 exactly when
@@ -30,8 +56,7 @@ and the central idempotents are dense n x n matrices:
   as coordinate vectors and materialized once each as sum_k c_k b_k over a
   common denominator, the pieces added into one n x n matrix (combine);
   the probe is combined the same way from the center elements' coordinates.
-  Each block rank is the trace of its idempotent, and each block size n_r
-  is the integer square root of dim span{b_k z_r}.
+  Each block rank is the trace of its idempotent.
 - The corner.  The complement algebra (I - U0) T (I - U0) is spanned by
   W B W with W = L (I - U0), where L U0 = S^T M S is the verified
   factorization of idempotent.u0_factorization.  On a sphere S_a, L U0 is
@@ -49,12 +74,34 @@ and the central idempotents are dense n x n matrices:
   splits the corner only when it does.  If U0 is not idempotent, neither
   is e, and the idempotent guard rejects every split.
 
-On a span that is not closed the pivot reads can be wrong, so the split is
-guarded by dense checks on the materialized idempotents: they must be
-idempotents summing to the idempotent e, which makes them orthogonal (see
-_idempotents_valid), and each must commute with the generators.  A probe
-that fails to split after three weight schedules, or a split that fails the
-certificate, yields status "inconclusive" with the offending polynomial
+The idempotent guard.  The materialized idempotents must be idempotents
+summing to the idempotent e, which makes them orthogonal (see
+_idempotents_valid).  How that is checked depends on the span's closedness
+certificate, BlockSpans.closed_unit:
+
+- Certified spans.  closure() sets the certificate to I: its loop proves
+  the span closed under every generator, starting from I.
+  complement_algebra sets it to e = I - U0 on the corner, and only when
+  verify_u0 found U0 central in T and idempotent and T itself is certified
+  with unit I.  The corner is spanned by the W B W = L^2 e B e, and e
+  commutes with T, so e B e = e^2 B = e B and
+  (e A e)(e B e) = e A B e, which lies in the corner because A B lies in
+  T; and e = e I e lies in it too.  On a span that is closed and
+  contains e, the elements e^2, z_r^2 and sum z_r lie in the span with e
+  and z_r, and an element of the span is fixed by its m pivot entries.  So
+  e^2 = e and z_r^2 = z_r are checked on the m entries
+  z[R_k, :] z[:, C_k], O(m n) each, and sum z_r = e on the pivot entries.
+- Uncertified spans (a hand-built BlockSpans, or a corner whose U0 was not
+  found central and idempotent) keep the dense guard _idempotents_valid,
+  which forms the n x n products z_r^2.  On a span that is not closed the
+  pivot reads can be wrong; the dense guard, and the dense commutation
+  certificate in decompose (each idempotent must commute with the
+  generators), turn a false split into status "inconclusive".  decompose
+  runs that certificate before block_sizes, whose trace read also assumes
+  a closed span, so a false split cannot raise there.
+
+A probe that fails to split after three weight schedules, or a split that
+fails a guard, yields status "inconclusive" with the offending polynomial
 attached; that is a result, not an error.
 
 All of this works relative to an arbitrary identity element, so the same
@@ -84,8 +131,8 @@ from ._intops import (
     to_object,
 )
 from .closure import AlgebraBasis, BlockSpans
-from .idempotent import _line_sums, sphere_of_classes, u0_factorization
-from .linalg import RationalMatrix, kernel_basis, min_poly, rank
+from .idempotent import U0Report, _line_sums, sphere_of_classes, u0_factorization
+from .linalg import RationalMatrix, kernel_basis, min_poly
 from .polys import RationalPoly, integer_roots
 
 SPLIT = "split"
@@ -138,26 +185,31 @@ class _PivotBasis:
         self.cols = np.array(cols, dtype=np.intp)
         # Pivot k lies in the classes (h_k, j_k) of its piece, at offsets
         # (r_k, c_k) inside them; _in_rows[h] lists the pivots in rows S_h.
-        hs, js, self._r, self._c = np.array(local, dtype=np.intp).reshape(-1, 4).T
-        self._in_rows = [np.flatnonzero(hs == h) for h in range(len(self.classes))]
-        self._in_cols = [np.flatnonzero(js == j) for j in range(len(self.classes))]
+        self._h, self._j, self._r, self._c = (
+            np.array(local, dtype=np.intp).reshape(-1, 4).T
+        )
+        self._in_rows = [np.flatnonzero(self._h == h) for h in range(len(self.classes))]
+        self._in_cols = [np.flatnonzero(self._j == j) for j in range(len(self.classes))]
         self.pivlcm = math.lcm(1, *self.pivvals)
         self.maxes = [max_abs(x) for _, _, x in self.pieces]
         self._bmax = max(self.maxes, default=0)
         self._object = any(x.dtype == object for _, _, x in self.pieces)
+        self.closed_unit = span.closed_unit
 
     @property
     def dim(self) -> int:
         return len(self.pieces)
 
-    def _pivot_products(self, g: np.ndarray, left: bool) -> np.ndarray:
-        """m x m array whose column k holds the pivot entries of g b_k or b_k g.
+    def _pivot_products(self, g: np.ndarray, left: bool, ks=None) -> np.ndarray:
+        """m x len(ks) array whose column c holds the pivot entries of g b_k
+        or b_k g, for k = ks[c] (every k when ks is None).
 
         Only the pivots in the columns (rows) of b_k's block are filled, see
         the module docstring.  Each entry sums at most n products, so
         n * max|g| * max|X| bounds it; past INT64_SAFE the sums run on
         Python ints and the result is demoted.
         """
+        ks = range(self.dim) if ks is None else ks
         fits = (
             not self._object
             and g.dtype != object
@@ -165,8 +217,9 @@ class _PivotBasis:
         )
         if not fits:
             g = to_object(g)
-        out = np.zeros((self.dim, self.dim), dtype=np.int64 if fits else object)
-        for k, (h, j, x) in enumerate(self.pieces):
+        out = np.zeros((self.dim, len(ks)), dtype=np.int64 if fits else object)
+        for c, k in enumerate(ks):
+            h, j, x = self.pieces[k]
             x = x if fits else to_object(x)
             if left:
                 sel = self._in_cols[j]
@@ -174,16 +227,68 @@ class _PivotBasis:
             else:
                 sel = self._in_rows[h]
                 a, b = x[self._r[sel], :], g[np.ix_(self.classes[j], self.cols[sel])]
-            out[sel, k] = np.einsum("it,ti->i", a, b)
+            out[sel, c] = np.einsum("it,ti->i", a, b)
         return out if fits else demote(out)
 
-    def left(self, g: np.ndarray) -> np.ndarray:
-        """m x m array whose column k holds the pivot entries of g b_k."""
-        return self._pivot_products(g, left=True)
+    def left(self, g: np.ndarray, ks=None) -> np.ndarray:
+        """Column c holds the pivot entries of g b_k, k = ks[c]."""
+        return self._pivot_products(g, left=True, ks=ks)
 
-    def right(self, g: np.ndarray) -> np.ndarray:
-        """m x m array whose column k holds the pivot entries of b_k g."""
-        return self._pivot_products(g, left=False)
+    def right(self, g: np.ndarray, ks=None) -> np.ndarray:
+        """Column c holds the pivot entries of b_k g, k = ks[c]."""
+        return self._pivot_products(g, left=False, ks=ks)
+
+    def class_values(self, g: np.ndarray) -> np.ndarray | None:
+        """g's value on each class, if g is diagonal and constant on every
+        class; None otherwise."""
+        diag = g.diagonal()
+        if np.count_nonzero(g) != np.count_nonzero(diag):
+            return None
+        vals = np.array([diag[c[0]] for c in self.classes], dtype=g.dtype)
+        if not all(np.all(diag[c] == v) for c, v in zip(self.classes, vals)):
+            return None
+        return vals
+
+    def pivot_trace(self, z: RationalMatrix) -> Fraction:
+        """sum_k (b_k z)[R_k, C_k] / pv_k: the trace of b -> b z in coordinates.
+
+        Entry k is one dot product of length |S_j| (module docstring), so
+        n * max|z| * max|X| bounds it; past INT64_SAFE it runs on Python
+        ints.
+        """
+        fits = (
+            not self._object
+            and z.num.dtype != object
+            and self.n * max_abs(z.num) * self._bmax < INT64_SAFE
+        )
+        g = z.num if fits else to_object(z.num)
+        total = 0
+        for k, (_h, j, x) in enumerate(self.pieces):
+            row = x[self._r[k]] if fits else to_object(x[self._r[k]])
+            entry = row @ g[self.classes[j], self.cols[k]]
+            total += int(entry) * (self.pivlcm // self.pivvals[k])
+        return Fraction(total, self.pivlcm * z.den)
+
+    def pivot_entries(self, z: RationalMatrix) -> np.ndarray:
+        """The m pivot entries of z's numerator."""
+        return z.num[self.rows, self.cols]
+
+    def square_pivot_entries(self, z: RationalMatrix) -> np.ndarray:
+        """The m pivot entries z.num[R_k, :] z.num[:, C_k] of z.num^2.
+
+        Each sums n products, so n * max|z|^2 bounds it; past INT64_SAFE
+        the sums run on Python ints and the result is demoted.
+        """
+        a, b = z.num[self.rows, :], z.num[:, self.cols]
+        fits = z.num.dtype != object and self.n * max_abs(z.num) ** 2 < INT64_SAFE
+        if not fits:
+            a, b = to_object(a), to_object(b)
+        out = np.einsum("kt,tk->k", a, b)
+        return out if fits else demote(out)
+
+    def certifies(self, identity: RationalMatrix) -> bool:
+        """Whether the span is certified closed with unit identity."""
+        return self.closed_unit is not None and self.closed_unit == identity
 
     def left_regular(self, p: np.ndarray) -> RationalMatrix:
         """Matrix of c -> p c in the coordinates of the basis: D^-1 left(p).
@@ -197,7 +302,7 @@ class _PivotBasis:
 
     def coordinates(self, c: RationalMatrix) -> tuple[np.ndarray, int]:
         """Coordinates of an element of the span as (integer vector, den)."""
-        entries = c.num[self.rows, self.cols]
+        entries = self.pivot_entries(c)
         num = [int(x) * (self.pivlcm // v) for x, v in zip(entries, self.pivvals)]
         return demote(np.array(num, dtype=object)), c.den * self.pivlcm
 
@@ -234,18 +339,37 @@ def center_basis(t, generators: Sequence[RationalMatrix]) -> list[RationalMatrix
 
     Precondition: t, an AlgebraBasis or a closure.BlockSpans, spans a closed
     algebra that contains the generators.  Then every commutator [b_k, g]
-    lies in the algebra and is zero exactly when its pivot entries are, so
-    the center coefficients are the kernel of the 2m x m matrix whose column
-    k holds the pivot entries of [b_k, g] for each generator g.  On a span
-    that is not closed the result may be wrong; decompose's certificate
-    catches a false split.
+    lies in the algebra and is zero exactly when its pivot entries are.  A
+    class-diagonal generator only drops the columns of the blocks (h, j) on
+    which its class values differ; the others give the pivot entries of
+    [b_k, g] on the kept columns, and the center coefficients are their
+    kernel padded with zeros (module docstring).  On a span that is not
+    closed the result may be wrong; decompose's certificate catches a false
+    split.
     """
     pb = _pivot_basis(t)
     if not pb.dim:
         return []
-    parts = [exact_sub(pb.right(g.num), pb.left(g.num)) for g in generators]
-    alphas = kernel_basis(RationalMatrix(np.concatenate(parts)))
-    return [pb.combine_fractions(alpha) for alpha in alphas]
+    keep = np.ones(pb.dim, dtype=bool)
+    generic = []
+    for g in generators:
+        vals = pb.class_values(g.num)
+        if vals is None:
+            generic.append(g)
+        else:
+            keep &= vals[pb._h] == vals[pb._j]
+    kept = np.flatnonzero(keep)
+    if not len(kept):
+        return []
+    parts = [exact_sub(pb.right(g.num, kept), pb.left(g.num, kept)) for g in generic]
+    rows = np.concatenate(parts) if parts else np.zeros((0, len(kept)), dtype=np.int64)
+    center = []
+    for beta in kernel_basis(RationalMatrix(rows)):
+        alpha = [Fraction(0)] * pb.dim
+        for k, b in zip(kept, beta):
+            alpha[k] = b
+        center.append(pb.combine_fractions(alpha))
+    return center
 
 
 def _lagrange_coordinates(
@@ -316,7 +440,11 @@ def split_center(
             pb.combine(*_lagrange_coordinates(lp, roots, lam, e, e_den))
             for lam in roots
         ]
-        if not _idempotents_valid(idems, identity):
+        if pb.certifies(identity):
+            valid = _pivot_idempotents_valid(pb, idems, identity)
+        else:
+            valid = _idempotents_valid(idems, identity)
+        if not valid:
             continue
         # Each z is an exact idempotent, so its rank is its trace.
         ranks = tuple(int(z.trace()) for z in idems)
@@ -363,12 +491,32 @@ def _idempotents_valid(
     return acc == identity
 
 
+def _pivot_idempotents_valid(
+    pb: _PivotBasis, idems: Sequence[RationalMatrix], identity: RationalMatrix
+) -> bool:
+    """_idempotents_valid on the pivot entries of a certified span.
+
+    The span is closed and contains e = identity (pb.certifies(identity))
+    and each z_r, so e^2, z_r^2 and sum z_r lie in it, and each identity
+    holds exactly when it holds on the m pivot entries (module docstring).
+    """
+    for z in (identity, *idems):
+        square = pb.square_pivot_entries(z)
+        if not np.array_equal(square, exact_scale(pb.pivot_entries(z), z.den)):
+            return False
+    common = math.lcm(identity.den, *(z.den for z in idems))
+    acc = exact_scale(pb.pivot_entries(identity), common // identity.den)
+    for z in idems:
+        acc = exact_sub(acc, exact_scale(pb.pivot_entries(z), common // z.den))
+    return not np.any(acc)
+
+
 def block_sizes(t, dec: BlockDecomposition) -> BlockDecomposition:
     """Fill in block sizes: n_r = isqrt of dim span{b_k z_r}.
 
-    Every b_k z_r lies in the algebra, so the span's dimension is the rank
-    of the m x m matrix of pivot entries of the products (same precondition
-    as center_basis).
+    Every b_k z_r lies in the algebra and z_r is idempotent, so the span's
+    dimension is the trace of b -> b z_r, read off m pivot entries (same
+    precondition as center_basis; see the module docstring).
 
     Raises:
         ValueError: if the decomposition is not split or some block
@@ -379,9 +527,9 @@ def block_sizes(t, dec: BlockDecomposition) -> BlockDecomposition:
     pb = _pivot_basis(t)
     sizes = []
     for z in dec.central_idempotents:
-        dim = rank(RationalMatrix(pb.right(z.num)))
-        nr = math.isqrt(dim)
-        if nr * nr != dim:
+        dim = pb.pivot_trace(z)
+        nr = math.isqrt(max(dim.numerator, 0))
+        if dim.denominator != 1 or nr * nr != dim:
             raise ValueError(f"block dimension {dim} is not a perfect square")
         sizes.append(nr)
     return replace(dec, block_sizes=tuple(sizes))
@@ -398,10 +546,10 @@ def decompose(
     dec = split_center(pb, center, identity=identity)
     if dec.status != SPLIT:
         return dec
-    dec = block_sizes(pb, dec)
     # The pivot reads above assume a closed span.  The primitive idempotents
     # are central, so they must commute with the generators; this dense
-    # certificate downgrades a false split to inconclusive.
+    # certificate downgrades a false split to inconclusive before
+    # block_sizes reads a trace that also assumes closure.
     for z in dec.central_idempotents:
         for g in generators:
             if z @ g != g @ z:
@@ -409,11 +557,10 @@ def decompose(
                     dec,
                     central_idempotents=(),
                     eigenvalues=(),
-                    block_sizes=(),
                     block_ranks=(),
                     status=INCONCLUSIVE,
                 )
-    return dec
+    return block_sizes(pb, dec)
 
 
 @dataclass(frozen=True)
@@ -447,7 +594,9 @@ def _compress(x: np.ndarray, big: int, ma: int, mb: int) -> np.ndarray:
     return out if fits else demote(out)
 
 
-def complement_algebra(ctx, t: AlgebraBasis, u0: RationalMatrix) -> CompressedAlgebra:
+def complement_algebra(
+    ctx, t: AlgebraBasis, u0: RationalMatrix | U0Report
+) -> CompressedAlgebra:
     """Basis and identity of (I - U0) T (I - U0).
 
     Compression of a spanning set spans the corner, so the basis comes from
@@ -457,9 +606,15 @@ def complement_algebra(ctx, t: AlgebraBasis, u0: RationalMatrix) -> CompressedAl
     stays in the block of B and is formed there from the line sums of its
     piece (_compress) and reduced in that block's span.
 
+    u0 is U0 itself, or the U0Report that verify_u0 made for t.  The corner
+    is certified closed with unit I - U0 (module docstring) only when that
+    report found U0 central and idempotent and t is certified with unit I.
+
     Raises:
         ValueError: if a class of t's blocks is not exactly one sphere.
     """
+    rep = u0 if isinstance(u0, U0Report) else None
+    u0 = u0.U0 if rep is not None else u0
     s, m, big = u0_factorization(ctx, u0)
     classes = t.span.classes
     sigma = sphere_of_classes(s, classes)
@@ -467,4 +622,13 @@ def complement_algebra(ctx, t: AlgebraBasis, u0: RationalMatrix) -> CompressedAl
     for k in range(t.span.dim):
         h, j, x = t.span.element(k)
         span.add(h, j, _compress(x, big, int(m[sigma[h]]), int(m[sigma[j]])))
-    return CompressedAlgebra(span, RationalMatrix.identity(ctx.n) - u0)
+    ident = RationalMatrix.identity(ctx.n)
+    identity = ident - u0
+    if (
+        rep is not None
+        and rep.central
+        and rep.idempotent
+        and t.span.closed_unit == ident
+    ):
+        span.closed_unit = identity
+    return CompressedAlgebra(span, identity)

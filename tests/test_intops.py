@@ -403,7 +403,7 @@ def _object_path_reports():
     petersen = parse_graph_file(_edge_list_text(10, _kneser_5_2_edges()))
     data, all_ok = build_graph_report(petersen, 3)
     graph_text = json.dumps(data, sort_keys=True, indent=2) + f"\n{all_ok}\n"
-    return [run_verification(4, vertex=5).to_json(), graph_text]
+    return [run_verification(5, vertex=5).to_json(), graph_text]
 
 
 def test_reports_identical_on_the_object_path(monkeypatch):

@@ -265,6 +265,76 @@ def test_polynomial_images_fail_on_tampered_context(contexts):
                     assert check.witness == f"F_{i}({label})", (d, field, i)
 
 
+def _minimal_checks(ctx):
+    names = ("minimal_polynomial_of_adjacency", "minimal_polynomial_of_dual_adjacency")
+    return [c for c in check_polynomial_images(ctx) if c.name in names]
+
+
+def _min_poly_oracle(ctx):
+    """The minimal-polynomial checks as min_poly of A and A* at width n^2."""
+    phi = ctx.params.phi
+    out = []
+    for g, name in ((ctx.A, "adjacency"), (ctx.dual_adjacency, "dual_adjacency")):
+        mp = min_poly(g)
+        witness = None if mp == phi else f"{mp} != {phi}"
+        out.append(Check(f"minimal_polynomial_of_{name}", mp == phi, witness))
+    return out
+
+
+def _respectral(ctx, theta, theta_star):
+    """ctx with new eigenvalues, and A = sum theta_i E_i and
+    A* = sum theta*_i E*_i rebuilt from them, so the spectral premise holds."""
+    zero = RationalMatrix.zeros(ctx.n, ctx.n)
+    a = sum((e * t for e, t in zip(ctx.E, theta)), zero)
+    a_star = sum((e * t for e, t in zip(ctx.E_star, theta_star)), zero)
+    stars = list(ctx.A_star)
+    stars[1] = a_star
+    return dataclasses.replace(
+        ctx, A=a, theta=tuple(theta), theta_star=tuple(theta_star), A_star=tuple(stars)
+    )
+
+
+def test_minimal_polynomials_match_min_poly_oracle(contexts):
+    cases = [(f"d={d}", contexts[d]) for d in range(0, 5)]
+    cases += [(f"d=5 x={x}", build_hypercube_context(5, x)) for x in (0, 31)]
+    for name, ctx in cases:
+        assert _minimal_checks(ctx) == _min_poly_oracle(ctx), name
+    # Tampered spectra: one eigenvalue moved, and two made equal, so the
+    # minimal polynomial has one factor fewer.
+    for d in range(1, 5):
+        ctx = contexts[d]
+        theta, theta_star = list(ctx.theta), list(ctx.theta_star)
+        moved = [theta[0] + 1] + theta[1:]
+        merged = [theta[1]] + theta[1:]
+        for new, new_star in (
+            (moved, theta_star), (theta, moved), (merged, theta_star), (theta, merged)
+        ):
+            case = _respectral(ctx, new, new_star)
+            got = _minimal_checks(case)
+            assert got == _min_poly_oracle(case), (d, new, new_star)
+            assert [c.passed for c in got] == [new == theta, new_star == theta_star]
+
+
+def test_idempotents_and_dual_distance_matrices_are_canonical(monkeypatch):
+    # Built in lowest terms from d+1 class values (E_i) or n diagonal
+    # entries (A*_i): equal, dtype included, to the canonicalized matrices
+    # that the n^2 gcd gave.
+    cases = [(f"cube d={d}", build_hypercube_context(d, (1 << d) - 1)) for d in range(0, 8)]
+    cases += [(name, build_context(g, x)) for name, g, x in _oracle_graphs()]
+    cases += list(_benchmark_graph_contexts(monkeypatch))
+    for name, ctx in cases:
+        dist = ctx.dist.dist
+        for i, (Ei, Ai_star) in enumerate(zip(ctx.E, ctx.A_star)):
+            col = [Fraction(row[i]) for row in ctx.Q]
+            den = np.lcm.reduce([q.denominator for q in col])
+            nums = np.array([int(q * den) for q in col], dtype=object)
+            want_e = RationalMatrix(nums[dist], ctx.n * int(den))
+            want_star = RationalMatrix(np.diag(Ei.num[ctx.x] * ctx.n), Ei.den)
+            for got, want in ((Ei, want_e), (Ai_star, want_star)):
+                assert got == want, (name, i)
+                assert got.num.dtype == want.num.dtype, (name, i)
+
+
 def test_relator_images_match_dense_products(contexts):
     # Each tampered idempotent fails its own relator and leaves the other.
     for d in range(2, 5):

@@ -1,13 +1,15 @@
 """Tests for center computation and block decomposition."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from dense_views import densify
+from test_subconstituent import _oracle_graphs
 
-from terwalg import idempotent, verify, wedderburn
+from terwalg import _intops, idempotent, verify, wedderburn
 from terwalg._intops import exact_matmul, exact_sub
 from terwalg.checks import Check
 from terwalg.closure import BlockSpans, closure
@@ -15,12 +17,13 @@ from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import compute_u0, sphere_of_classes, u0_factorization
 from terwalg.linalg import RationalMatrix, kernel_basis, min_poly, rank
 from terwalg.polys import integer_roots
-from terwalg.subconstituent import build_hypercube_context
+from terwalg.subconstituent import build_context, build_hypercube_context
 from terwalg.wedderburn import (
     INCONCLUSIVE,
     SPLIT,
     BlockDecomposition,
     _idempotents_valid,
+    _pivot_idempotents_valid,
     _PivotBasis,
     block_sizes,
     center_basis,
@@ -569,3 +572,216 @@ def test_corner_rejects_blocks_that_split_a_sphere(suite):
     basis = closure(ctx.generators() + [unit])
     with pytest.raises(ValueError, match="not exactly one sphere"):
         complement_algebra(ctx, basis, compute_u0(ctx)[0])
+
+
+# -- the full pivot kernel, rank block sizes and dense guard, as oracles -----
+# The forms these replaced: the center from the 2m x m pivot entries of
+# every generator's commutators, block dimensions as the rank of the m x m
+# pivot entries of b_k z, and the idempotent guard on n x n products.
+
+
+def _full_center_basis(span, generators):
+    pb = _PivotBasis(span)
+    if not pb.dim:
+        return []
+    parts = [exact_sub(pb.right(g.num), pb.left(g.num)) for g in generators]
+    alphas = kernel_basis(RationalMatrix(np.concatenate(parts)))
+    return [pb.combine_fractions(alpha) for alpha in alphas]
+
+
+def _rank_block_dimensions(pb, dec):
+    return [rank(RationalMatrix(pb.right(z.num))) for z in dec.central_idempotents]
+
+
+def _oracle_decompose(span, generators, identity=None):
+    """decompose with the full kernel, the dense guard and rank block sizes."""
+    pb = _PivotBasis(span)
+    pb.closed_unit = None  # no certificate: the dense guard decides
+    dec = split_center(pb, _full_center_basis(span, generators), identity)
+    if dec.status != SPLIT:
+        return dec
+    for z in dec.central_idempotents:
+        for g in generators:
+            if z @ g != g @ z:
+                return dataclasses.replace(
+                    dec,
+                    central_idempotents=(),
+                    eigenvalues=(),
+                    block_ranks=(),
+                    status=INCONCLUSIVE,
+                )
+    sizes = []
+    for dim in _rank_block_dimensions(pb, dec):
+        assert math.isqrt(dim) ** 2 == dim
+        sizes.append(math.isqrt(dim))
+    return dataclasses.replace(dec, block_sizes=tuple(sizes))
+
+
+@pytest.fixture(scope="module")
+def differential_algebras():
+    """(name, span, generators, identity) for T and its corner at d <= 7 and
+    vertices 0, 5, 2^d - 1, and for T of the oracle graphs."""
+    out = []
+    for d in range(0, 8):
+        for x in sorted({0, 5 % (1 << d), (1 << d) - 1}):
+            ctx = build_hypercube_context(d, x)
+            basis = ctx.algebra_basis()
+            out.append((f"T_{d} x={x}", basis.span, ctx.generators(), None))
+            if d >= 2:
+                rep = idempotent.verify_u0(ctx, basis)
+                corner = complement_algebra(ctx, basis, rep)
+                out.append(
+                    (f"corner_{d} x={x}", corner.span, ctx.generators(), corner.identity)
+                )
+    for name, g, x in _oracle_graphs():
+        ctx = build_context(g, x)
+        out.append((f"T({name})", ctx.algebra_basis().span, ctx.generators(), None))
+    return out
+
+
+def test_split_matches_full_kernel_rank_and_dense_guard(differential_algebras):
+    # Center bases, idempotents, ranks and block sizes, field by field.
+    for name, span, gens, identity in differential_algebras:
+        got_center = center_basis(span, gens)
+        assert got_center == _full_center_basis(span, gens), name
+        dec = decompose(span, gens, identity)
+        assert dec == _oracle_decompose(span, gens, identity), name
+        if dec.status == SPLIT:
+            pb = _PivotBasis(span)
+            traces = [pb.pivot_trace(z) for z in dec.central_idempotents]
+            assert traces == _rank_block_dimensions(pb, dec), name
+
+
+def test_class_filter_keeps_only_diagonal_sphere_blocks(suite):
+    # On T(x), A* separates the spheres, so the filter keeps exactly the
+    # pieces of the blocks E*_h T E*_h; A is not class-diagonal, nor is A*
+    # on a span with one class.
+    ctx, basis = suite[4]
+    pb = _PivotBasis(basis.span)
+    vals = pb.class_values(ctx.dual_adjacency.num)
+    assert np.array_equal(vals[pb._h] == vals[pb._j], pb._h == pb._j)
+    assert pb.class_values(ctx.A.num) is None
+    one = _PivotBasis(BlockSpans(ctx.n, (np.arange(ctx.n),)))
+    assert one.class_values(ctx.dual_adjacency.num) is None
+
+
+def test_pivot_guard_matches_dense_guard(differential_algebras):
+    for name, span, gens, identity in differential_algebras:
+        pb = _PivotBasis(span)
+        e = RationalMatrix.identity(span.n) if identity is None else identity
+        assert pb.certifies(e), name
+        dec = decompose(span, gens, identity)
+        idems = list(dec.central_idempotents)
+        cases = [idems]
+        if len(idems) > 1:
+            cases.append([idems[0] + idems[1]] + idems[2:])  # still valid
+            cases.append([idems[0], idems[0]] + idems[2:])  # the sum fails
+        for case in cases:
+            want = _idempotents_valid(case, e)
+            assert _pivot_idempotents_valid(pb, case, e) == want, name
+            assert _pairwise_idempotents_valid(case, e) == want, name
+
+
+def test_pivot_guard_rejects_tampered_idempotents(differential_algebras):
+    # z_r + eps b_k lies in the certified span but is no idempotent.  With
+    # eps b_k taken back from another z_s the sum is still e, so only the
+    # squares can reject it.
+    eps = Fraction(1, 7)
+    for name, span, gens, identity in differential_algebras[:12]:
+        pb = _PivotBasis(span)
+        e = RationalMatrix.identity(span.n) if identity is None else identity
+        idems = list(decompose(span, gens, identity).central_idempotents)
+        mats = densify(span)
+        for k in sorted({0, len(mats) // 2, len(mats) - 1}):
+            bump = mats[k] * eps
+            tampered = [idems[0] + bump] + idems[1:]
+            assert not _pivot_idempotents_valid(pb, tampered, e), (name, k)
+            assert not _idempotents_valid(tampered, e), (name, k)
+            if len(idems) > 1:
+                balanced = [idems[0] + bump, idems[1] - bump] + idems[2:]
+                assert not _pivot_idempotents_valid(pb, balanced, e), (name, k)
+                assert not _idempotents_valid(balanced, e), (name, k)
+        # A unit that is not idempotent fails on its own square.
+        doubled = [z * 2 for z in idems]
+        assert not _pivot_idempotents_valid(pb, doubled, e * 2), name
+
+
+def test_closure_certificate_is_set_by_closure_only(suite):
+    ctx, basis = suite[3]
+    assert basis.span.closed_unit == RationalMatrix.identity(ctx.n)
+    span = BlockSpans(ctx.n, basis.span.classes)
+    span.add(0, 0, np.eye(1, dtype=np.int64))
+    assert span.closed_unit is None
+    # A new element voids the certificate; a spanned one does not.
+    copy = closure(ctx.generators()).span
+    h, j, x = copy.element(3)
+    assert copy.add(h, j, x * 2) is None
+    assert copy.closed_unit is not None
+    unit_entry = np.zeros((3, 3), dtype=np.int64)
+    unit_entry[0, 1] = 1  # E*_1 T E*_1 is span{I, J} on the 3-cube
+    assert copy.add(1, 1, unit_entry) is not None
+    assert copy.closed_unit is None
+
+
+def test_corner_certificate_needs_a_central_idempotent_u0(suite):
+    ctx, basis = suite[4]
+    rep = idempotent.verify_u0(ctx, basis)
+    assert rep.central and rep.idempotent
+    corner = complement_algebra(ctx, basis, rep)
+    assert corner.span.closed_unit == corner.identity
+    uncertified = [
+        complement_algebra(ctx, basis, rep.U0),
+        complement_algebra(ctx, basis, dataclasses.replace(rep, central=False)),
+        complement_algebra(ctx, basis, dataclasses.replace(rep, idempotent=False)),
+    ]
+    for other in uncertified:
+        assert other.span.closed_unit is None
+        assert densify(other) == densify(corner)
+
+
+def test_only_uncertified_spans_take_the_dense_guard(suite, monkeypatch):
+    calls = []
+    dense = wedderburn._idempotents_valid
+
+    def recording(idems, identity):
+        calls.append(identity.nrows)
+        return dense(idems, identity)
+
+    monkeypatch.setattr(wedderburn, "_idempotents_valid", recording)
+    ctx, basis = suite[4]
+    rep = idempotent.verify_u0(ctx, basis)
+    certified = decompose(basis, ctx.generators())
+    corner = complement_algebra(ctx, basis, rep)
+    certified_corner = decompose(corner.span, ctx.generators(), corner.identity)
+    assert not calls
+    bare = complement_algebra(ctx, basis, rep.U0)
+    assert decompose(bare.span, ctx.generators(), bare.identity) == certified_corner
+    assert calls
+    calls.clear()
+    # A certificate for another unit does not cover the split.
+    assert decompose(basis, ctx.generators(), RationalMatrix.identity(ctx.n)) == certified
+    assert not calls
+    pb = _PivotBasis(basis.span)
+    pb.closed_unit = corner.identity
+    assert decompose(pb, ctx.generators()) == certified
+    assert calls
+
+
+def test_object_path_split_at_d5(monkeypatch):
+    # With the int64 bounds at 1 every pivot product, trace, guard and
+    # combination runs on Python ints; the split must not change.
+    ctx = build_hypercube_context(5, 0)
+    basis = ctx.algebra_basis()
+    corner = complement_algebra(ctx, basis, idempotent.verify_u0(ctx, basis))
+    cases = [(basis.span, None), (corner.span, corner.identity)]
+    expected = [decompose(span, ctx.generators(), identity) for span, identity in cases]
+    monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
+    monkeypatch.setattr(_intops, "INT64_SAFE", 1)
+    for (span, identity), want in zip(cases, expected):
+        got = decompose(span, ctx.generators(), identity)
+        assert got.status == SPLIT
+        assert got.block_sizes == want.block_sizes
+        assert got.block_ranks == want.block_ranks
+        assert got.central_idempotents == want.central_idempotents
+        assert got == want
+        assert all(z.num.dtype == object for z in got.central_idempotents)
