@@ -33,8 +33,8 @@ not change the span.
 The loop proves that the span is closed under left multiplication by every
 generator and contains I, so it is the unital algebra T itself: closed
 under multiplication, with unit I.  closure() records that on the span as
-its closedness certificate (BlockSpans.closed_unit = I), which lets
-wedderburn check idempotents on pivot entries instead of n x n products.
+its closedness certificate (BlockSpans.closed_unit = I); wedderburn
+splits only a span that carries one, and checks it on pivot entries.
 """
 
 from __future__ import annotations

@@ -71,38 +71,40 @@ and the central idempotents are dense n x n matrices:
   and e A e, e A* e and e generate the corner, since c -> e c is a
   homomorphism of T onto it when U0 is central in T.  verify_u0
   certifies that U0 commutes with T, which holds A and A*, and the caller
-  splits the corner only when it does.  If U0 is not idempotent, neither
-  is e, and the idempotent guard rejects every split.
+  splits the corner only when it does.
 
-The idempotent guard.  The materialized idempotents must be idempotents
-summing to the idempotent e, which makes them orthogonal (see
-_idempotents_valid).  How that is checked depends on the span's closedness
-certificate, BlockSpans.closed_unit:
+The closedness certificate.  Only a span certified closed with unit e
+(BlockSpans.closed_unit == e, the identity the split is asked for) is
+split; any other span yields status "inconclusive" and no idempotents.
+closure() sets the certificate to I: its loop proves the span closed under
+every generator, starting from I.  complement_algebra sets it to
+e = I - U0 on the corner, and only when verify_u0 found U0 central in T and
+idempotent and T itself is certified with unit I.  The corner is spanned
+by the W B W = L^2 e B e, and e commutes with T, so e B e = e^2 B = e B
+and (e A e)(e B e) = e A B e, which lies in the corner because A B lies in
+T; and e = e I e lies in it too.
 
-- Certified spans.  closure() sets the certificate to I: its loop proves
-  the span closed under every generator, starting from I.
-  complement_algebra sets it to e = I - U0 on the corner, and only when
-  verify_u0 found U0 central in T and idempotent and T itself is certified
-  with unit I.  The corner is spanned by the W B W = L^2 e B e, and e
-  commutes with T, so e B e = e^2 B = e B and
-  (e A e)(e B e) = e A B e, which lies in the corner because A B lies in
-  T; and e = e I e lies in it too.  On a span that is closed and
-  contains e, the elements e^2, z_r^2 and sum z_r lie in the span with e
-  and z_r, and an element of the span is fixed by its m pivot entries.  So
-  e^2 = e and z_r^2 = z_r are checked on the m entries
-  z[R_k, :] z[:, C_k], O(m n) each, and sum z_r = e on the pivot entries.
-- Uncertified spans (a hand-built BlockSpans, or a corner whose U0 was not
-  found central and idempotent) keep the dense guard _idempotents_valid,
-  which forms the n x n products z_r^2.  On a span that is not closed the
-  pivot reads can be wrong; the dense guard, and the dense commutation
-  certificate in decompose (each idempotent must commute with the
-  generators), turn a false split into status "inconclusive".  decompose
-  runs that certificate before block_sizes, whose trace read also assumes
-  a closed span, so a false split cannot raise there.
+On a certified span no n x n product is needed to trust the split.  Let
+the span be closed with unit e and hold every generator g, or, on the
+corner, hold e g e (shown above).  Then every commutator [b_k, g] lies in
+the span: on T, b_k g and g b_k are products in a closed span; on the
+corner, e g = g e and b_k = e b_k e give b_k g = b_k (e g e) and
+g b_k = (e g e) b_k.  So center_basis, which reads [b_k, g] on its pivot
+entries, returns exactly the elements of the span that commute with every
+g: the exact center.  The probe is one of them, and every Lagrange
+idempotent is a polynomial in the probe whose constant term is a multiple
+of e, which commutes with g too (e = I on T; e g = g e on the corner).  So
+every central idempotent commutes with A and A*, and no n x n product
+checks it.  The idempotent guard (_pivot_idempotents_valid) checks
+e^2 = e, z_r^2 = z_r and sum z_r = e: these elements lie in the span with
+e and z_r, and an element of the span is fixed by its m pivot entries, so
+each identity is read on the m entries z[R_k, :] z[:, C_k], O(m n) each.
+block_sizes' trace read assumes the same closed span, which the split has
+already required.
 
 A probe that fails to split after three weight schedules, or a split that
-fails a guard, yields status "inconclusive" with the offending polynomial
-attached; that is a result, not an error.
+fails the guard, yields status "inconclusive" with the offending
+polynomial attached; that is a result, not an error.
 
 All of this works relative to an arbitrary identity element, so the same
 code decomposes both the full algebra (identity I) and the compressed
@@ -344,8 +346,8 @@ def center_basis(t, generators: Sequence[RationalMatrix]) -> list[RationalMatrix
     which its class values differ; the others give the pivot entries of
     [b_k, g] on the kept columns, and the center coefficients are their
     kernel padded with zeros (module docstring).  On a span that is not
-    closed the result may be wrong; decompose's certificate catches a false
-    split.
+    closed the result may be wrong; split_center does not split such a
+    span.
     """
     pb = _pivot_basis(t)
     if not pb.dim:
@@ -401,7 +403,8 @@ def split_center(
     in the coordinates of t.  On a closed span with unit e, q(L_p) = 0
     exactly when q(p) = q(p) e = 0, so min_poly(L_p) is the minimal
     polynomial of p relative to e; each Lagrange idempotent is formed as a
-    coordinate vector and materialized once.
+    coordinate vector and materialized once.  A span that is not certified
+    closed with unit identity is not split (module docstring).
 
     Args:
         t: AlgebraBasis or closure.BlockSpans of the algebra (same
@@ -417,6 +420,8 @@ def split_center(
     pb = _pivot_basis(t)
     if identity is None:
         identity = RationalMatrix.identity(pb.n)
+    if not pb.certifies(identity):
+        return _inconclusive(m, None)
     e, e_den = pb.coordinates(identity)
     coords = [pb.coordinates(c) for c in center]
     lcd = math.lcm(*(den for _, den in coords))
@@ -440,11 +445,7 @@ def split_center(
             pb.combine(*_lagrange_coordinates(lp, roots, lam, e, e_den))
             for lam in roots
         ]
-        if pb.certifies(identity):
-            valid = _pivot_idempotents_valid(pb, idems, identity)
-        else:
-            valid = _idempotents_valid(idems, identity)
-        if not valid:
+        if not _pivot_idempotents_valid(pb, idems, identity):
             continue
         # Each z is an exact idempotent, so its rank is its trace.
         ranks = tuple(int(z.trace()) for z in idems)
@@ -457,6 +458,10 @@ def split_center(
             status=SPLIT,
             probe_min_poly=mp,
         )
+    return _inconclusive(m, last_poly)
+
+
+def _inconclusive(m: int, probe_min_poly: RationalPoly | None) -> BlockDecomposition:
     return BlockDecomposition(
         center_dim=m,
         central_idempotents=(),
@@ -464,14 +469,18 @@ def split_center(
         block_sizes=(),
         block_ranks=(),
         status=INCONCLUSIVE,
-        probe_min_poly=last_poly,
+        probe_min_poly=probe_min_poly,
     )
 
 
-def _idempotents_valid(
-    idems: Sequence[RationalMatrix], identity: RationalMatrix
+def _pivot_idempotents_valid(
+    pb: _PivotBasis, idems: Sequence[RationalMatrix], identity: RationalMatrix
 ) -> bool:
     """Whether the z_r are orthogonal idempotents summing to e = identity.
+
+    The span is closed and contains e = identity (pb.certifies(identity))
+    and each z_r, so e^2, z_r^2 and sum z_r lie in it, and each identity
+    holds exactly when it holds on the m pivot entries (module docstring).
 
     Only e^2 = e, z_r^2 = z_r and sum z_r = e are checked; orthogonality
     follows.  Over Q an idempotent's rank is its trace, so
@@ -480,25 +489,6 @@ def _idempotents_valid(
     the direct sum of the Im(z_r).  For w = z_s v, w lies in Im(e), so
     w = e w = sum_r z_r w with z_r w in Im(z_r), and also w = z_s w; the sum
     is direct, so z_r w = z_r z_s v = 0 for r != s.
-    """
-    if identity @ identity != identity:
-        return False
-    acc = RationalMatrix.zeros(identity.nrows, identity.ncols)
-    for z in idems:
-        if z @ z != z:
-            return False
-        acc = acc + z
-    return acc == identity
-
-
-def _pivot_idempotents_valid(
-    pb: _PivotBasis, idems: Sequence[RationalMatrix], identity: RationalMatrix
-) -> bool:
-    """_idempotents_valid on the pivot entries of a certified span.
-
-    The span is closed and contains e = identity (pb.certifies(identity))
-    and each z_r, so e^2, z_r^2 and sum z_r lie in it, and each identity
-    holds exactly when it holds on the m pivot entries (module docstring).
     """
     for z in (identity, *idems):
         square = pb.square_pivot_entries(z)
@@ -540,26 +530,18 @@ def decompose(
     generators: Sequence[RationalMatrix],
     identity: RationalMatrix | None = None,
 ) -> BlockDecomposition:
-    """center_basis + split_center + block_sizes in one call."""
+    """center_basis + split_center + block_sizes in one call.
+
+    Precondition: the span of t holds every generator g, or, on the U0
+    corner, every (I - U0) g (I - U0).  On a span certified closed with
+    unit identity the split is then exact and its idempotents commute with
+    the generators (module docstring); any other span is not split.
+    """
     pb = _pivot_basis(t)
     center = center_basis(pb, generators)
     dec = split_center(pb, center, identity=identity)
     if dec.status != SPLIT:
         return dec
-    # The pivot reads above assume a closed span.  The primitive idempotents
-    # are central, so they must commute with the generators; this dense
-    # certificate downgrades a false split to inconclusive before
-    # block_sizes reads a trace that also assumes closure.
-    for z in dec.central_idempotents:
-        for g in generators:
-            if z @ g != g @ z:
-                return replace(
-                    dec,
-                    central_idempotents=(),
-                    eigenvalues=(),
-                    block_ranks=(),
-                    status=INCONCLUSIVE,
-                )
     return block_sizes(pb, dec)
 
 
@@ -594,9 +576,7 @@ def _compress(x: np.ndarray, big: int, ma: int, mb: int) -> np.ndarray:
     return out if fits else demote(out)
 
 
-def complement_algebra(
-    ctx, t: AlgebraBasis, u0: RationalMatrix | U0Report
-) -> CompressedAlgebra:
+def complement_algebra(ctx, t: AlgebraBasis, rep: U0Report) -> CompressedAlgebra:
     """Basis and identity of (I - U0) T (I - U0).
 
     Compression of a spanning set spans the corner, so the basis comes from
@@ -606,15 +586,14 @@ def complement_algebra(
     stays in the block of B and is formed there from the line sums of its
     piece (_compress) and reduced in that block's span.
 
-    u0 is U0 itself, or the U0Report that verify_u0 made for t.  The corner
-    is certified closed with unit I - U0 (module docstring) only when that
-    report found U0 central and idempotent and t is certified with unit I.
+    rep is the U0Report that verify_u0 made for t.  The corner is certified
+    closed with unit I - U0 (module docstring) only when that report found
+    U0 central and idempotent and t is certified with unit I.
 
     Raises:
         ValueError: if a class of t's blocks is not exactly one sphere.
     """
-    rep = u0 if isinstance(u0, U0Report) else None
-    u0 = u0.U0 if rep is not None else u0
+    u0 = rep.U0
     s, m, big = u0_factorization(ctx, u0)
     classes = t.span.classes
     sigma = sphere_of_classes(s, classes)
@@ -624,11 +603,6 @@ def complement_algebra(
         span.add(h, j, _compress(x, big, int(m[sigma[h]]), int(m[sigma[j]])))
     ident = RationalMatrix.identity(ctx.n)
     identity = ident - u0
-    if (
-        rep is not None
-        and rep.central
-        and rep.idempotent
-        and t.span.closed_unit == ident
-    ):
+    if rep.central and rep.idempotent and t.span.closed_unit == ident:
         span.closed_unit = identity
     return CompressedAlgebra(span, identity)

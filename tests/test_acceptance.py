@@ -23,7 +23,7 @@ from terwalg.hypercube import (
     check_shift_lemma_up,
     permissible_set,
 )
-from terwalg.idempotent import compute_u0, verify_u0
+from terwalg.idempotent import verify_u0
 from terwalg.poly_identities import verify_phi_factorial, verify_phi_images
 from terwalg.subconstituent import (
     build_hypercube_context,
@@ -206,7 +206,7 @@ def test_criterion_09_peeling(prepared):
     complement_ok = True
     for d in range(2, 7):
         ctx, basis = prepared.ctx[d], prepared.basis[d]
-        corner = complement_algebra(ctx, basis, prepared.u0[d].U0)
+        corner = complement_algebra(ctx, basis, prepared.u0[d])
         dec = decompose(corner.span, ctx.generators(), corner.identity)
         small = prepared.dec[d - 2]
         # An inconclusive split on either side fails this criterion.
@@ -245,7 +245,7 @@ def test_criterion_10_optional_d8():
     ctx = build_hypercube_context(8)
     basis = ctx.algebra_basis()
     dec = decompose(basis, ctx.generators())
-    corner = complement_algebra(ctx, basis, compute_u0(ctx)[0])
+    corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
     corner_dec = decompose(corner.span, ctx.generators(), corner.identity)
     ok = (
         dec.status == corner_dec.status == SPLIT

@@ -6,6 +6,8 @@ from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terwalg.graphs import DistanceData, distance_matrix, hypercube
 from terwalg.linalg import (
@@ -296,10 +298,110 @@ def test_min_poly_annihilates_seeded_matrices():
         p = min_poly(m)
         assert p.coeffs[-1] == 1
         assert poly_eval_matrix([p], m)[0].is_zero()
-        # Minimality: dropping to any strictly smaller degree must fail,
-        # which for a monic annihilator means no monic annihilator of
-        # degree deg-1 exists among deflations by its own roots.
-        assert p.degree >= 1
+        # Minimality: the reference finds the first power spanned by the
+        # lower ones, so no monic annihilator of smaller degree exists.
+        assert p == _fraction_min_poly(m)
+
+
+def _fraction_min_poly(m):
+    """Reference minimal polynomial by Fraction Gauss-Jordan elimination.
+
+    The powers I, M, M^2, ... are flattened to Fraction vectors.  The first
+    power M^k that I..M^(k-1) span gives the monic annihilator of least
+    degree, z^k - sum_j c_j z^j, where the c_j solve
+    sum_j c_j vec(M^j) = vec(M^k); the lower powers are independent, so the
+    solution is unique.
+    """
+    n = m.nrows
+    rows = m.dense_rows()
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    vecs = []
+    for _ in range(n + 1):
+        target = [x for row in power for x in row]
+        coeffs = _solve_in_span(vecs, target)
+        if coeffs is not None:
+            return RationalPoly([-c for c in coeffs] + [1])
+        vecs.append(target)
+        power = [
+            [sum(power[i][t] * rows[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    raise AssertionError("no dependency among the first n + 1 powers")
+
+
+def _solve_in_span(vecs, target):
+    """c with sum_j c_j vecs[j] == target, or None if target is not spanned.
+
+    The vecs are independent, so after _gauss_jordan of [vecs | target] the
+    rhs column is a pivot exactly when target is not spanned, and otherwise
+    row j holds c_j.
+    """
+    k = len(vecs)
+    aug = [[v[r] for v in vecs] + [target[r]] for r in range(len(target))]
+    reduced, pivots = _gauss_jordan(aug)
+    if k in pivots:
+        return None
+    assert pivots == tuple(range(k))
+    return [reduced[j][k] for j in range(k)]
+
+
+# Numerators within a few units of 0, +-2^31 and +-2^62 (all inside int64),
+# so the powers leave int64 at once and min_poly runs on Python ints.
+_NEAR_LIMITS = st.builds(
+    lambda base, off: base + off,
+    st.sampled_from([0, 2**31, -(2**31), 2**62, -(2**62)]),
+    st.integers(-3, 3),
+)
+_NEAR_31 = st.builds(
+    lambda sign, off: sign * 2**31 + off,
+    st.sampled_from([1, -1]),
+    st.integers(-3, 3),
+)
+
+
+@st.composite
+def _matrices_near_limits(draw):
+    """Small square RationalMatrix values whose numerators are near the
+    int64 limits, including shapes whose minimal polynomial is shorter than
+    the characteristic one: repeated diagonals, a Jordan block and rank one."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["dense", "diagonal", "jordan", "rank_one"]))
+    if kind == "dense":
+        num = [[draw(_NEAR_LIMITS) for _ in range(n)] for _ in range(n)]
+    elif kind == "diagonal":
+        values = draw(st.lists(_NEAR_LIMITS, min_size=1, max_size=2))
+        diag = [draw(st.sampled_from(values)) for _ in range(n)]
+        num = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    elif kind == "jordan":
+        lam = draw(_NEAR_LIMITS)
+        num = [[lam * (i == j) + (j == i + 1) for j in range(n)] for i in range(n)]
+    else:
+        # (2^31 + 3)^2 < 2^63, so u v^T stays in int64.
+        u = [draw(_NEAR_31) for _ in range(n)]
+        v = [draw(_NEAR_31) for _ in range(n)]
+        num = [[a * b for b in v] for a in u]
+    den = draw(st.sampled_from([1, 3, 2**31 + 11]))
+    return RationalMatrix(np.array(num, dtype=np.int64), den)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_matrices_near_limits())
+def test_min_poly_matches_fraction_reference_near_int64_limits(m):
+    p = min_poly(m)
+    assert p == _fraction_min_poly(m)
+    assert poly_eval_matrix([p], m)[0].is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices_near_limits())
+def test_min_poly_divides_sympy_charpoly(m):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    rows = [[sympy.Rational(str(x)) for x in r] for r in m.dense_rows()]
+    charpoly = sympy.Poly(sympy.Matrix(rows).charpoly(z).all_coeffs(), z, domain="QQ")
+    coeffs = [sympy.Rational(str(c)) for c in min_poly(m).coeffs]
+    minpoly = sympy.Poly(coeffs[::-1], z, domain="QQ")
+    assert charpoly.rem(minpoly).is_zero
 
 
 def test_relative_min_poly():

@@ -14,7 +14,12 @@ from terwalg._intops import exact_matmul, exact_sub
 from terwalg.checks import Check
 from terwalg.closure import BlockSpans, closure
 from terwalg.echelon import EchelonSpan
-from terwalg.idempotent import compute_u0, sphere_of_classes, u0_factorization
+from terwalg.idempotent import (
+    compute_u0,
+    sphere_of_classes,
+    u0_factorization,
+    verify_u0,
+)
 from terwalg.linalg import RationalMatrix, kernel_basis, min_poly, rank
 from terwalg.polys import integer_roots
 from terwalg.subconstituent import build_context, build_hypercube_context
@@ -22,7 +27,6 @@ from terwalg.wedderburn import (
     INCONCLUSIVE,
     SPLIT,
     BlockDecomposition,
-    _idempotents_valid,
     _pivot_idempotents_valid,
     _PivotBasis,
     block_sizes,
@@ -121,15 +125,18 @@ def test_block_data_matches_dense_spans(suite):
 
 def test_unclosed_span_is_not_split(suite):
     # span{I, E*_0 + E*_3} is not closed under A.  The pivot test wrongly
-    # finds it central and its probe splits cleanly; only the dense
-    # certificate in decompose keeps this from becoming a false split.
+    # finds it central, and its probe would split cleanly; the span carries
+    # no closedness certificate, so neither call splits it.
     ctx, _basis = suite[3]
     n = ctx.n
     span = BlockSpans(n, (np.arange(n),))
     span.add(0, 0, RationalMatrix.identity(n).num)
     span.add(0, 0, (ctx.E_star[0] + ctx.E_star[3]).num)
-    assert split_center(span, center_basis(span, ctx.generators())).status == SPLIT
-    assert decompose(span, ctx.generators()).status == INCONCLUSIVE
+    center = center_basis(span, ctx.generators())
+    assert len(center) == 2
+    for dec in (split_center(span, center), decompose(span, ctx.generators())):
+        assert dec.status == INCONCLUSIVE
+        assert dec.central_idempotents == dec.eigenvalues == dec.block_ranks == ()
 
 
 def test_center_dimensions(suite):
@@ -159,17 +166,14 @@ def test_split_single_block(suite):
 
 
 def test_split_with_probe_eigenvalues_past_10_to_the_6():
-    # The diagonal algebra spanned by e_kk, with center c_k = (10^7 + k) e_kk.
-    # The first probe (weights 7^k) has the eigenvalues 7^k (10^7 + k), from
+    # The diagonal algebra spanned by e_kk, generated by one diagonal matrix
+    # with distinct entries, with center c_k = (10^7 + k) e_kk.  The first
+    # probe (weights 7^k) has the eigenvalues 7^k (10^7 + k), from
     # 10,000,000 to 168,070,084,035, all above 10^6.
     m = 6
-    span = BlockSpans(m, (np.arange(m),))
-    basis = []
-    for k in range(m):
-        e = np.zeros((m, m), dtype=np.int64)
-        e[k, k] = 1
-        span.add(0, 0, e)
-        basis.append(RationalMatrix(e))
+    span = closure([RationalMatrix(np.diag(np.arange(m)))]).span
+    basis = list(densify(span))
+    assert basis == [RationalMatrix(np.diag(row)) for row in np.eye(m, dtype=np.int64)]
     center = [b * (10**7 + k) for k, b in enumerate(basis)]
     dec = split_center(span, center)
     assert dec.status == SPLIT
@@ -210,8 +214,10 @@ def test_idempotents_form_partition_of_unity(suite):
 def test_idempotent_guard_rejects_bad_partitions():
     # Each case fails exactly one of e^2 = e, z_r^2 = z_r, sum z_r = e; the
     # last one is orthogonal nowhere but sums to e = 2I, which is no
-    # idempotent.
+    # idempotent.  Every matrix is diagonal, so it lies in the certified
+    # span of the diagonal units, where the pivot guard must agree.
     eye = RationalMatrix.identity(3)
+    pb = _PivotBasis(closure([RationalMatrix(np.diag([0, 1, 2]))]).span)
     p0 = RationalMatrix(np.diag([1, 0, 0]))
     p1 = RationalMatrix(np.diag([0, 1, 1]))
     half = RationalMatrix(np.diag([1, 0, 0]), 2)
@@ -222,9 +228,11 @@ def test_idempotent_guard_rejects_bad_partitions():
     ]
     assert _idempotents_valid([p0, p1], eye)
     assert _pairwise_idempotents_valid([p0, p1], eye)
+    assert _pivot_idempotents_valid(pb, [p0, p1], eye)
     for idems, identity in cases:
         assert not _idempotents_valid(idems, identity)
         assert not _pairwise_idempotents_valid(idems, identity)
+        assert not _pivot_idempotents_valid(pb, idems, identity)
 
 
 def test_idempotent_guard_agrees_with_pairwise_check(suite):
@@ -277,16 +285,15 @@ def test_empty_center_rejected(suite):
 def test_complement_algebra_dimension(suite):
     for d in (2, 3, 4):
         ctx, basis = suite[d]
-        u0, _dual = compute_u0(ctx)
-        corner = complement_algebra(ctx, basis, u0)
+        rep = verify_u0(ctx, basis)
+        corner = complement_algebra(ctx, basis, rep)
         assert corner.dim == basis.dim - (d + 1) ** 2
-        assert corner.identity == RationalMatrix.identity(ctx.n) - u0
+        assert corner.identity == RationalMatrix.identity(ctx.n) - rep.U0
 
 
 def _corner_decomposition(suite, d):
     ctx, basis = suite[d]
-    u0, _dual = compute_u0(ctx)
-    corner = complement_algebra(ctx, basis, u0)
+    corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
     return corner, decompose(corner.span, ctx.generators(), corner.identity)
 
 
@@ -394,6 +401,21 @@ def _pairwise_idempotents_valid(idems, identity):
     return acc == identity
 
 
+def _idempotents_valid(idems, identity):
+    """The dense guard: e^2 = e, z_r^2 = z_r and sum z_r = e on n x n products.
+
+    Orthogonality follows (see wedderburn._pivot_idempotents_valid).
+    """
+    if identity @ identity != identity:
+        return False
+    acc = RationalMatrix.zeros(identity.nrows, identity.ncols)
+    for z in idems:
+        if z @ z != z:
+            return False
+        acc = acc + z
+    return acc == identity
+
+
 def _algebras(suite):
     """(name, block spans, generators, identity) for T_d and its corners."""
     for d in range(0, 6):
@@ -414,7 +436,7 @@ def test_pivots_match_dense_row_major_read(suite):
             basis = ctx.algebra_basis()
             spans.append((f"T_{d} x={x}", basis.span))
             if d >= 2:
-                corner = complement_algebra(ctx, basis, compute_u0(ctx)[0])
+                corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
                 spans.append((f"corner_{d} x={x}", corner.span))
     for name, span in spans:
         pb = _PivotBasis(span)
@@ -495,9 +517,9 @@ def test_corner_matches_dense_compression(suite):
         for x in (0, (1 << d) - 1):
             ctx = build_hypercube_context(d, x) if x else suite[d][0]
             basis = ctx.algebra_basis() if x else suite[d][1]
-            u0, _dual = compute_u0(ctx)
-            corner = complement_algebra(ctx, basis, u0)
-            assert densify(corner) == _dense_corner(ctx, basis, u0), f"d={d} x={x}"
+            rep = verify_u0(ctx, basis)
+            corner = complement_algebra(ctx, basis, rep)
+            assert densify(corner) == _dense_corner(ctx, basis, rep.U0), f"d={d} x={x}"
 
 
 def test_corner_split_on_generators_matches_compressed_generators():
@@ -506,10 +528,11 @@ def test_corner_split_on_generators_matches_compressed_generators():
     for d in range(2, 8):
         for x in sorted({0, 5 % (1 << d), (1 << d) - 1}):
             ctx = build_hypercube_context(d, x)
-            u0, _dual = compute_u0(ctx)
-            corner = complement_algebra(ctx, ctx.algebra_basis(), u0)
+            basis = ctx.algebra_basis()
+            rep = verify_u0(ctx, basis)
+            corner = complement_algebra(ctx, basis, rep)
             got = decompose(corner.span, ctx.generators(), corner.identity)
-            gens = _compressed_generators(ctx, u0)
+            gens = _compressed_generators(ctx, rep.U0)
             want = decompose(corner.span, gens, corner.identity)
             assert got.status == SPLIT and got == want, f"d={d} x={x}"
 
@@ -538,46 +561,58 @@ def test_corner_is_not_split_unless_u0_is_central(monkeypatch):
     calls = []
 
     def recording_decompose(*args):
-        calls.append(args)
-        return decompose(*args)
+        dec = decompose(*args)
+        calls.append((args, dec))
+        return dec
 
     monkeypatch.setattr(verify, "decompose", recording_decompose)
     record = verify._diameter_record(prep, 10, (3, 1))
     checks = {c.name: c for c in record.checks}
     assert checks["complement_blocks_match_smaller_cube"].passed
-    [(_span, gens, _identity)] = calls
+    [((_span, gens, _identity), _dec)] = calls
     assert list(gens) == prep.ctx.generators()
 
+    # A U0 not found central is not split at all.  One found central but not
+    # idempotent gives an uncertified corner, which decompose does not split.
     real_u0 = verify.verify_u0
-    monkeypatch.setattr(
-        verify,
-        "verify_u0",
-        lambda *a, **k: dataclasses.replace(real_u0(*a, **k), central=False),
-    )
-    calls.clear()
-    record = verify._diameter_record(prep, 10, (3, 1))
-    checks = {c.name: c for c in record.checks}
-    assert not calls
-    assert checks["complement_blocks_match_smaller_cube"] == Check(
-        "complement_blocks_match_smaller_cube", False, "U0 not central"
-    )
+    for flag, statuses, witness in (
+        ("central", [], "U0 not central"),
+        ("idempotent", [INCONCLUSIVE], "complement inconclusive vs (3, 1)"),
+    ):
+        monkeypatch.setattr(
+            verify,
+            "verify_u0",
+            lambda *a, flag=flag, **k: dataclasses.replace(
+                real_u0(*a, **k), **{flag: False}
+            ),
+        )
+        calls.clear()
+        record = verify._diameter_record(prep, 10, (3, 1))
+        checks = {c.name: c for c in record.checks}
+        assert [dec.status for _args, dec in calls] == statuses, flag
+        assert checks["complement_blocks_match_smaller_cube"] == Check(
+            "complement_blocks_match_smaller_cube", False, witness
+        ), flag
 
 
 def test_corner_rejects_blocks_that_split_a_sphere(suite):
     # W = L (I - U0) mixes the vertices of a sphere, so a basis whose block
-    # classes cut a sphere cannot be compressed block by block.
-    ctx, _basis = suite[3]
+    # classes cut a sphere cannot be compressed block by block.  (verify_u0
+    # rejects that basis too, so the report comes from T's own basis.)
+    ctx, basis = suite[3]
+    rep = verify_u0(ctx, basis)
     v = int(ctx.spheres[1][0])
     unit = RationalMatrix(np.diag([int(y == v) for y in range(ctx.n)]))
-    basis = closure(ctx.generators() + [unit])
+    cut = closure(ctx.generators() + [unit])
     with pytest.raises(ValueError, match="not exactly one sphere"):
-        complement_algebra(ctx, basis, compute_u0(ctx)[0])
+        complement_algebra(ctx, cut, rep)
 
 
-# -- the full pivot kernel, rank block sizes and dense guard, as oracles -----
+# -- the full pivot kernel, rank block sizes and dense split, as oracles ----
 # The forms these replaced: the center from the 2m x m pivot entries of
 # every generator's commutators, block dimensions as the rank of the m x m
-# pivot entries of b_k z, and the idempotent guard on n x n products.
+# pivot entries of b_k z, and the split with its idempotent guard and the
+# commutation check z g = g z on n x n products.
 
 
 def _full_center_basis(span, generators):
@@ -594,24 +629,26 @@ def _rank_block_dimensions(pb, dec):
 
 
 def _oracle_decompose(span, generators, identity=None):
-    """decompose with the full kernel, the dense guard and rank block sizes."""
-    pb = _PivotBasis(span)
-    pb.closed_unit = None  # no certificate: the dense guard decides
-    dec = split_center(pb, _full_center_basis(span, generators), identity)
-    if dec.status != SPLIT:
+    """decompose with the full kernel, the dense split, the dense
+    commutation check and rank block sizes; no closedness certificate is
+    read."""
+    center = _full_center_basis(span, generators)
+    status, mp, roots, idems, ranks = _dense_split_center(center, identity)
+    if status == SPLIT and any(z @ g != g @ z for z in idems for g in generators):
+        status, roots, idems, ranks = INCONCLUSIVE, (), (), ()
+    dec = BlockDecomposition(
+        center_dim=len(center),
+        central_idempotents=idems,
+        eigenvalues=roots,
+        block_sizes=(),
+        block_ranks=ranks,
+        status=status,
+        probe_min_poly=mp,
+    )
+    if status != SPLIT:
         return dec
-    for z in dec.central_idempotents:
-        for g in generators:
-            if z @ g != g @ z:
-                return dataclasses.replace(
-                    dec,
-                    central_idempotents=(),
-                    eigenvalues=(),
-                    block_ranks=(),
-                    status=INCONCLUSIVE,
-                )
     sizes = []
-    for dim in _rank_block_dimensions(pb, dec):
+    for dim in _rank_block_dimensions(_PivotBasis(span), dec):
         assert math.isqrt(dim) ** 2 == dim
         sizes.append(math.isqrt(dim))
     return dataclasses.replace(dec, block_sizes=tuple(sizes))
@@ -628,7 +665,7 @@ def differential_algebras():
             basis = ctx.algebra_basis()
             out.append((f"T_{d} x={x}", basis.span, ctx.generators(), None))
             if d >= 2:
-                rep = idempotent.verify_u0(ctx, basis)
+                rep = verify_u0(ctx, basis)
                 corner = complement_algebra(ctx, basis, rep)
                 out.append(
                     (f"corner_{d} x={x}", corner.span, ctx.generators(), corner.identity)
@@ -725,12 +762,11 @@ def test_closure_certificate_is_set_by_closure_only(suite):
 
 def test_corner_certificate_needs_a_central_idempotent_u0(suite):
     ctx, basis = suite[4]
-    rep = idempotent.verify_u0(ctx, basis)
+    rep = verify_u0(ctx, basis)
     assert rep.central and rep.idempotent
     corner = complement_algebra(ctx, basis, rep)
     assert corner.span.closed_unit == corner.identity
     uncertified = [
-        complement_algebra(ctx, basis, rep.U0),
         complement_algebra(ctx, basis, dataclasses.replace(rep, central=False)),
         complement_algebra(ctx, basis, dataclasses.replace(rep, idempotent=False)),
     ]
@@ -739,32 +775,32 @@ def test_corner_certificate_needs_a_central_idempotent_u0(suite):
         assert densify(other) == densify(corner)
 
 
-def test_only_uncertified_spans_take_the_dense_guard(suite, monkeypatch):
-    calls = []
-    dense = wedderburn._idempotents_valid
-
-    def recording(idems, identity):
-        calls.append(identity.nrows)
-        return dense(idems, identity)
-
-    monkeypatch.setattr(wedderburn, "_idempotents_valid", recording)
+def test_uncertified_spans_are_not_split(suite):
+    # Each span below is closed (it is T or its corner), but carries no
+    # certificate for the unit it is split with, so it is not split.
     ctx, basis = suite[4]
-    rep = idempotent.verify_u0(ctx, basis)
-    certified = decompose(basis, ctx.generators())
+    gens = ctx.generators()
+    rep = verify_u0(ctx, basis)
     corner = complement_algebra(ctx, basis, rep)
-    certified_corner = decompose(corner.span, ctx.generators(), corner.identity)
-    assert not calls
-    bare = complement_algebra(ctx, basis, rep.U0)
-    assert decompose(bare.span, ctx.generators(), bare.identity) == certified_corner
-    assert calls
-    calls.clear()
+    assert decompose(corner.span, gens, corner.identity).status == SPLIT
+    cases = []
+    for flag in ("central", "idempotent"):
+        flagged = dataclasses.replace(rep, **{flag: False})
+        other = complement_algebra(ctx, basis, flagged)
+        cases.append((flag, _PivotBasis(other.span), other.identity))
+    bare = _PivotBasis(basis.span)
+    bare.closed_unit = None
+    cases.append(("no certificate", bare, None))
     # A certificate for another unit does not cover the split.
-    assert decompose(basis, ctx.generators(), RationalMatrix.identity(ctx.n)) == certified
-    assert not calls
-    pb = _PivotBasis(basis.span)
-    pb.closed_unit = corner.identity
-    assert decompose(pb, ctx.generators()) == certified
-    assert calls
+    other_unit = _PivotBasis(basis.span)
+    other_unit.closed_unit = corner.identity
+    cases.append(("another unit", other_unit, None))
+    for name, pb, identity in cases:
+        center = center_basis(pb, gens)
+        for dec in (split_center(pb, center, identity), decompose(pb, gens, identity)):
+            assert dec.status == INCONCLUSIVE, name
+            assert dec.central_idempotents == dec.block_ranks == (), name
+            assert dec.probe_min_poly is None, name
 
 
 def test_object_path_split_at_d5(monkeypatch):
@@ -772,7 +808,7 @@ def test_object_path_split_at_d5(monkeypatch):
     # combination runs on Python ints; the split must not change.
     ctx = build_hypercube_context(5, 0)
     basis = ctx.algebra_basis()
-    corner = complement_algebra(ctx, basis, idempotent.verify_u0(ctx, basis))
+    corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
     cases = [(basis.span, None), (corner.span, corner.identity)]
     expected = [decompose(span, ctx.generators(), identity) for span, identity in cases]
     monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
