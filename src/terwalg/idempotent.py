@@ -12,13 +12,34 @@ idempotents E_0, E_d, E_0*, E_d*, has rank d+1, and generates a two-sided
 ideal of dimension (d+1)^2.  Peeling that ideal off T for the d-cube leaves
 the dimension of the algebra for the (d-2)-cube.
 
-Both formulas are evaluated literally and compared.  U0 is then checked
-against its rank factorization L U0 = S^T M S, with S the 0/1 sphere
-indicator matrix, L = lcm(k_h) and M = diag(m), m_h = L / k_h, and every
-other property is read from S, m and the closure's block pieces: each basis
-element of T is a piece X in one block, rows S_sigma(h) and columns
-S_sigma(j), where sigma maps the closure's classes (the spheres) to sphere
-indices.  No check forms an n x n product:
+Both formulas are evaluated exactly, with no product of two n x n
+matrices, and compared.
+Each triple product has a diagonal factor, and nothing else is assumed of
+the context: not distance-regularity, not 0/1 entries.
+
+- Primal.  For a diagonal D_i = diag(e_i), (D_i M D_i)[u, v] =
+  e_i[u] M[u, v] e_i[v].  So with c_i = |X| / k_i,
+  sum_i c_i E_i* E_0 E_i* = E_0 o W, W = D^T diag(c) D, where D is the
+  (d+1) x n stack of the e_i and o is the entrywise product: one
+  (n x (d+1)) ((d+1) x n) product and one entrywise product.
+- Dual.  For F = diag(f), (M F M)[u, v] = sum_y M[u, y] f_y M[y, v], and
+  only y in supp f contribute.  So with c*_i = |X| / k*_i,
+  sum_i c*_i E_i E_0* E_i = L R, where L stacks the columns
+  c*_i f_y E_i[:, y] and R the rows E_i[y, :], over i and y in supp f.
+  In a real context supp f = {x}, so L R is an (n x (d+1)) ((d+1) x n)
+  product.
+
+The coefficients, the denominators of the E_i* or E_i and that of E_0 or
+E_0* are put over one common denominator, so each side is an integer
+array canonicalized once.  A non-diagonal E_i* is refused; construction
+already refuses such a context.
+
+U0 is then checked against its rank factorization L U0 = S^T M S, with S
+the 0/1 sphere indicator matrix, L = lcm(k_h) and M = diag(m),
+m_h = L / k_h, and every other property is read from S, m and the
+closure's block pieces: each basis element of T is a piece X in one block,
+rows S_sigma(h) and columns S_sigma(j), where sigma maps the closure's
+classes (the spheres) to sphere indices.  No check forms an n x n product:
 
 - Centrality: L U0 B is m_sigma(h) colsum(X) copied down the block's rows
   and L B U0 is m_sigma(j) rowsum(X) copied across its columns, so B
@@ -56,31 +77,73 @@ from ._intops import (
 from .closure import AlgebraBasis
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix, rank
-from .subconstituent import TerwContext, VerificationError
+from .subconstituent import TerwContext, VerificationError, _diagonal
 
 # (h, j, X): the block of the closure's classes h, j that holds X.
 Piece = tuple[int, int, np.ndarray]
 
 
+def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """(w, L) with coeffs[i] = w[i] / L and L the lcm of the denominators."""
+    big = lcm(*(c.denominator for c in coeffs))
+    w = [c.numerator * (big // c.denominator) for c in coeffs]
+    return demote(np.array(w, dtype=object)), big
+
+
 def compute_u0(ctx: TerwContext) -> tuple[RationalMatrix, RationalMatrix]:
-    """Both defining formulas for U0, evaluated literally.
+    """Both defining formulas for U0, each read through its diagonal factor.
+
+    With D the (d+1) x n stack of the E_i* diagonals, the primal sum is
+    E_0 o (D^T diag(c) D); with f the diagonal of E_0* and F its support,
+    the dual sum is one product of the columns E_i[:, F] c*_i f_F stacked
+    over i with the rows E_i[F, :] (module docstring).  Each is exact and
+    canonicalized once.
 
     Returns:
         (via_dual_idempotents, via_idempotents); the caller compares them.
 
     Raises:
         ValueError: if the context is not a hypercube context.
+        VerificationError: if some E_i* is not diagonal.
     """
     if not ctx.is_hypercube:
         raise ValueError("U0 is defined for hypercube contexts")
     n = ctx.n
-    primal = RationalMatrix.zeros(n, n)
-    dual = RationalMatrix.zeros(n, n)
-    for i in range(ctx.d + 1):
-        term = ctx.E_star[i] @ ctx.E[0] @ ctx.E_star[i]
-        primal = primal + term * Fraction(n, ctx.valencies[i])
-        term = ctx.E[i] @ ctx.E_star[0] @ ctx.E[i]
-        dual = dual + term * Fraction(n, ctx.dual_valencies[i])
+    diags = []
+    for i, es in enumerate(ctx.E_star):
+        diag = _diagonal(es)
+        if diag is None:
+            raise VerificationError(f"E*_{i} is not diagonal")
+        diags.append(diag)
+
+    # Primal: (E_i* E_0 E_i*)[u, v] = e_i[u] E_0[u, v] e_i[v].
+    coeffs = [
+        Fraction(n, k) / es.den**2 for k, es in zip(ctx.valencies, ctx.E_star)
+    ]
+    w, big = _over_common_denominator(coeffs)
+    stack = np.stack(diags)
+    weights = exact_matmul(exact_mul_elementwise(stack, w[:, None]).T, stack)
+    e0 = ctx.E[0]
+    primal = RationalMatrix(exact_mul_elementwise(e0.num, weights), e0.den * big)
+
+    # Dual: (E_i E_0* E_i)[u, v] = sum over y in supp f of
+    # E_i[u, y] f_y E_i[y, v].
+    f = diags[0]
+    support = np.flatnonzero(f)
+    coeffs = [
+        Fraction(n, k) / (e.den**2 * ctx.E_star[0].den)
+        for k, e in zip(ctx.dual_valencies, ctx.E)
+    ]
+    w, big = _over_common_denominator(coeffs)
+    left = np.concatenate(
+        [
+            exact_mul_elementwise(e.num[:, support], exact_scale(f[support], int(wi)))
+            for e, wi in zip(ctx.E, w)
+        ],
+        axis=1,
+    )
+    right = np.concatenate([e.num[support] for e in ctx.E], axis=0)
+    dual = RationalMatrix(exact_matmul(left, right), big)
     return primal, dual
 
 
@@ -128,11 +191,13 @@ def sphere_of_classes(s: np.ndarray, classes: Sequence[np.ndarray]) -> tuple[int
     """
     label = np.argmax(s, axis=0)
     sizes = s.sum(axis=1)
-    sigma = tuple(int(label[cls[0]]) for cls in classes)
-    for cls, i in zip(classes, sigma):
-        if len(cls) != sizes[i] or np.any(label[cls] != i):
+    sigma = []
+    for cls in classes:
+        i = int(label[cls[0]]) if len(cls) else None
+        if i is None or len(cls) != sizes[i] or np.any(label[cls] != i):
             raise ValueError("a block class of the basis is not exactly one sphere")
-    return sigma
+        sigma.append(i)
+    return tuple(sigma)
 
 
 def _line_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,9 +220,12 @@ def is_central(pieces: Iterable[Piece], sigma: Sequence[int], m: np.ndarray) -> 
     matrix L U0 B is m_sigma(h) colsum(X) copied down the block's rows and
     L B U0 is m_sigma(j) rowsum(X) copied across its columns; both vanish
     outside the block.  So B commutes with U0 exactly when all these
-    entries are one common value, in O(|S_h| |S_j|) per piece.
+    entries are one common value, in O(|S_h| |S_j|) per piece.  A piece
+    with no rows or no columns is the zero matrix, which commutes.
     """
     for h, j, x in pieces:
+        if x.size == 0:
+            continue
         rows, cols = _line_sums(x)
         left = exact_scale(cols, int(m[sigma[h]]))  # a row of L U0 B
         right = exact_scale(rows, int(m[sigma[j]]))  # a column of L B U0
@@ -285,7 +353,8 @@ def verify_u0(
 
     Raises:
         ValueError: if a block class of t is not exactly one sphere.
-        VerificationError: if U0 does not match its rank factorization.
+        VerificationError: if some E_i* is not diagonal, or U0 does not match
+            its rank factorization.
     """
     primal, dual = compute_u0(ctx)
     formulas_agree = primal == dual

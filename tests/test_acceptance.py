@@ -5,12 +5,11 @@ comparison is bit-exact; the only non-equality assertions are the wall-clock
 budgets, which are generous (measured times are well under a tenth of each
 budget on a laptop).
 
-The d=8 extensions of the dimension and Wedderburn criteria take about ten
-and fifteen seconds and are opt-in: set TERWALG_ACCEPT_D8=1 to include them.
+The d=8 extensions of the dimension and Wedderburn criteria run with the
+rest; together they take well under a second.
 """
 
 import json
-import os
 import time
 
 import pytest
@@ -83,10 +82,6 @@ def test_criterion_01_dimension_formula(prepared):
     )
 
 
-@pytest.mark.skipif(
-    os.environ.get("TERWALG_ACCEPT_D8") != "1",
-    reason="set TERWALG_ACCEPT_D8=1 to run the d=8 closure (about ten seconds)",
-)
 def test_criterion_01_optional_d8():
     start = time.monotonic()
     dim = build_hypercube_context(8).algebra_basis().dim
@@ -237,10 +232,6 @@ def test_criterion_10_wedderburn_blocks(prepared):
     )
 
 
-@pytest.mark.skipif(
-    os.environ.get("TERWALG_ACCEPT_D8") != "1",
-    reason="set TERWALG_ACCEPT_D8=1 to run the d=8 split (about fifteen seconds)",
-)
 def test_criterion_10_optional_d8():
     ctx = build_hypercube_context(8)
     basis = ctx.algebra_basis()

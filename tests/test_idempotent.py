@@ -1,5 +1,6 @@
 """Tests for the primary central idempotent."""
 
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -23,7 +24,11 @@ from terwalg.idempotent import (
     verify_u0,
 )
 from terwalg.linalg import RationalMatrix
-from terwalg.subconstituent import build_context, build_hypercube_context
+from terwalg.subconstituent import (
+    VerificationError,
+    build_context,
+    build_hypercube_context,
+)
 from terwalg.graphs import Graph
 
 
@@ -63,6 +68,109 @@ def test_u0_frozen_matrix_d2(suite):
         ]
     )
     assert primal == expected and dual == expected
+
+
+def _literal_u0(ctx):
+    """Both defining formulas summed term by term: the reference for compute_u0."""
+    n = ctx.n
+    primal = RationalMatrix.zeros(n, n)
+    dual = RationalMatrix.zeros(n, n)
+    for i in range(ctx.d + 1):
+        term = ctx.E_star[i] @ ctx.E[0] @ ctx.E_star[i]
+        primal = primal + term * Fraction(n, ctx.valencies[i])
+        term = ctx.E[i] @ ctx.E_star[0] @ ctx.E[i]
+        dual = dual + term * Fraction(n, ctx.dual_valencies[i])
+    return primal, dual
+
+
+def _same(got, want):
+    """Equal as rational matrices, numerator dtype included."""
+    return got == want and got.num.dtype == want.num.dtype
+
+
+def _parity_cases():
+    for d in range(0, 9):
+        for vertex in sorted({0, 5, (1 << d) - 1}):
+            if vertex < 1 << d:
+                yield d, vertex
+
+
+@pytest.mark.parametrize("d, vertex", list(_parity_cases()))
+def test_u0_formulas_match_literal_sums(d, vertex):
+    ctx = build_hypercube_context(d, vertex)
+    got, want = compute_u0(ctx), _literal_u0(ctx)
+    assert _same(got[0], want[0]) and _same(got[1], want[1])
+    assert got[0] == got[1]
+
+
+def _diag(values, den=1):
+    return RationalMatrix(np.diag(np.asarray(values, dtype=np.int64)), den)
+
+
+def _tampered_contexts(ctx):
+    """Contexts with one of E_0, E_0*, E_i* or E_i changed, by name.
+
+    Each change is made at i = 0, which the dual formula reads as E_0*, and
+    at i = d.  The entry of 2 sits at vertex x + 1, so on E_0* it widens
+    the support to two vertices.
+    """
+    d, n = ctx.d, ctx.n
+    e0 = ctx.E[0]
+    moved = e0.num.copy()
+    moved[ctx.dist.dist == d] += 1
+    yield "E_0 class value moved", dataclasses.replace(
+        ctx, E=(RationalMatrix(moved, e0.den),) + ctx.E[1:]
+    )
+    star = list(ctx.E_star)
+    star[0] = _diag(np.eye(n, dtype=np.int64)[(ctx.x + 1) % n])
+    yield "E*_0 moved", dataclasses.replace(ctx, E_star=tuple(star))
+    for i in sorted({0, d}):
+        diag = ctx.E_star[i].num.diagonal().copy()
+        diag[(ctx.x + 1) % n] = 2
+        star = list(ctx.E_star)
+        star[i] = _diag(diag)
+        yield f"E*_{i} entry 2", dataclasses.replace(ctx, E_star=tuple(star))
+        star[i] = ctx.E_star[i] * Fraction(1, 3)
+        yield f"E*_{i} over 3", dataclasses.replace(ctx, E_star=tuple(star))
+        idem = list(ctx.E)
+        idem[i] = ctx.E[i] * Fraction(5, 2)
+        yield f"E_{i} scaled", dataclasses.replace(ctx, E=tuple(idem))
+
+
+@pytest.mark.parametrize("d, vertex", [(1, 1), (2, 0), (3, 5), (4, 5), (5, 31)])
+def test_tampered_u0_formulas_match_literal_sums(d, vertex):
+    ctx = build_hypercube_context(d, vertex)
+    verdicts = set()
+    for name, bad in _tampered_contexts(ctx):
+        got, want = compute_u0(bad), _literal_u0(bad)
+        assert _same(got[0], want[0]) and _same(got[1], want[1]), name
+        assert (got[0] == got[1]) == (want[0] == want[1]), name
+        verdicts.add(want[0] == want[1])
+    assert False in verdicts
+
+
+def test_u0_refuses_non_diagonal_dual_idempotent(suite):
+    data, _ = suite
+    ctx, _basis = data[3]
+    num = ctx.E_star[2].num.copy()
+    num[0, 1] = 1
+    star = list(ctx.E_star)
+    star[2] = RationalMatrix(num)
+    with pytest.raises(VerificationError, match=r"E\*_2 is not diagonal"):
+        compute_u0(dataclasses.replace(ctx, E_star=tuple(star)))
+
+
+def test_u0_formulas_form_no_rational_matrix_product(monkeypatch):
+    ctxs = [build_hypercube_context(d, (1 << d) - 1) for d in (0, 2, 5, 7)]
+    want = [_literal_u0(ctx) for ctx in ctxs]
+
+    def refuse(self, other):
+        raise AssertionError("compute_u0 formed a RationalMatrix product")
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", refuse)
+    for ctx, (primal, dual) in zip(ctxs, want):
+        got = compute_u0(ctx)
+        assert _same(got[0], primal) and _same(got[1], dual)
 
 
 def test_reports_pass(suite):
@@ -288,11 +396,33 @@ def test_u0_rejects_classes_that_are_not_spheres(suite):
             verify_u0(ctx, t)
 
 
+def test_empty_class_is_not_a_sphere(suite):
+    data, _ = suite
+    ctx, _basis = data[2]
+    s = idempotent.sphere_indicator_matrix(ctx)
+    classes = [np.asarray(sph) for sph in ctx.spheres] + [np.array([], dtype=np.intp)]
+    with pytest.raises(ValueError, match="not exactly one sphere"):
+        sphere_of_classes(s, classes)
+
+
+def test_empty_piece_is_central(suite):
+    data, _ = suite
+    ctx, basis = data[3]
+    u0, _dual = compute_u0(ctx)
+    s, m, _big = u0_factorization(ctx, u0)
+    sigma = sphere_of_classes(s, basis.span.classes)
+    for shape in ((3, 0), (0, 3), (0, 0)):
+        assert is_central([(1, 2, np.zeros(shape, dtype=np.int64))], sigma, m)
+    first = basis.span.element(0)
+    assert is_central([(1, 2, np.zeros((3, 0), dtype=np.int64)), first], sigma, m)
+
+
 def test_u0_checks_identical_on_the_object_path(suite, monkeypatch):
     data, dims = suite
     expected = {
         d: verify_u0(ctx, basis, dims.get(d - 2)) for d, (ctx, basis) in data.items()
     }
+    formulas = {d: compute_u0(ctx) for d, (ctx, _basis) in data.items()}
     converted = []
     real_to_object = idempotent.to_object
 
@@ -309,6 +439,7 @@ def test_u0_checks_identical_on_the_object_path(suite, monkeypatch):
         rep = verify_u0(ctx, basis, dims.get(d - 2))
         assert rep == expected[d], d
         assert rep.passed
+        assert compute_u0(ctx) == formulas[d], d
     assert any(converted)  # the line sums really ran on Python ints
 
 
