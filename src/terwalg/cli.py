@@ -48,10 +48,9 @@ def main():
     show_default=True,
 )
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-@click.option("--threads", type=click.IntRange(1, 64), default=1, show_default=True)
-def verify(max_d: int, vertex: int, fmt: str, out: str | None, threads: int):
+def verify(max_d: int, vertex: int, fmt: str, out: str | None):
     """Run every check for d = 1..MAX_D plus the range-wide suites."""
-    report = run_verification(max_d, vertex=vertex, threads=threads)
+    report = run_verification(max_d, vertex=vertex)
     text = report.to_json() if fmt == "json" else report.to_text()
     _emit(text, out)
     sys.exit(0 if report.overall == "pass" else 1)

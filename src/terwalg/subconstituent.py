@@ -93,7 +93,7 @@ from ._intops import (
     exact_sub,
 )
 from .checks import Check
-from .closure import AlgebraBasis, BlockSpans, closure
+from .closure import AlgebraBasis, closure
 from .graphs import DistanceData, Graph, distance_matrix, hypercube, is_distance_regular
 from .hypercube import HypercubeParams, permissible, spectrum_poly
 from .linalg import RationalMatrix, inverse, min_poly, poly_eval_matrix
@@ -790,16 +790,14 @@ def check_triple_products(ctx: TerwContext) -> TripleProductReport:
 def triple_span_dim(ctx: TerwContext) -> int:
     """Dimension of span{E_h* A_i E_j*} over all (d+1)^3 triples.
 
-    E_h* A_i E_j* is zero outside the sphere block S_h x S_j, so each is
-    reduced as that block, A_i[S_h, S_j], in the span of block (h, j).
+    E_h* A_i E_j* is the 0/1 matrix whose support is the set of
+    (y, z) in S_h x S_j with dist(y, z) = i.  That support is nonempty
+    exactly when N[h, i, j] != 0 (_triple_counts).  Distinct triples have
+    disjoint supports: two triples differ in the block S_h x S_j or, within
+    one block, in the distance i.  So the nonzero products are linearly
+    independent, and the dimension is the number of nonzero counts.
     """
-    spans = BlockSpans(ctx.n, ctx.spheres)
-    for h, rows in enumerate(ctx.spheres):
-        for j, cols in enumerate(ctx.spheres):
-            block = np.ix_(rows, cols)
-            for Ai in ctx.A_dist:
-                spans.add(h, j, Ai.num[block])
-    return spans.dim
+    return int(np.count_nonzero(_triple_counts(ctx)))
 
 
 def check_krein_self_dual(ctx: TerwContext) -> Check:

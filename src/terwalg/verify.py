@@ -5,16 +5,16 @@ the algebra context, all named identity checks, the closure dimension, the
 primary idempotent suite, and the block decomposition, then attaches the
 range-wide polynomial and enumeration checks.
 
-Cross-diameter facts (dimension and block multiset of the cube two
-diameters down) are precomputed sequentially; the remaining per-diameter
-work is pure and runs in a thread pool when requested.  The assembled
-report depends only on the computed facts, so its bytes are identical for
-every thread count.
+The diameters run one at a time, in increasing order.  The record for d
+reads only two facts from the cube two diameters down: dim T and the block
+multiset, for the dimension peel and the U0 complement.  Those facts of the
+last two diameters are all that crosses from one diameter to the next; the
+context, basis and split of d are dropped once its record is written, so
+the peak memory is that of the largest diameter, not of the whole range.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,7 +64,7 @@ def expected_blocks(d: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Sequentially precomputed artifacts for one diameter."""
+    """The context, closure basis and block split of one diameter."""
 
     ctx: TerwContext
     basis: AlgebraBasis
@@ -286,28 +286,18 @@ def run_verification(max_d: int, vertex: int = 0, threads: int = 1) -> Verificat
     """Full verification for d = 1..max_d plus the range-wide checks."""
     if not 1 <= max_d <= 9:
         raise ValueError("max_d must be between 1 and 9")
-    if threads < 1:
-        raise ValueError("threads must be positive")
-    prepared = {d: _prepare(d, vertex) for d in range(0, max_d + 1)}
-    dims = {d: p.basis.dim for d, p in prepared.items()}
-    blocks = {
-        d: p.dec.multiset if p.dec.status == SPLIT else None
-        for d, p in prepared.items()
-    }
-
-    def job(d: int) -> DiameterRecord:
-        return _diameter_record(
-            prepared[d],
-            dims.get(d - 2),
-            blocks.get(d - 2),
-        )
-
-    ds = list(range(1, max_d + 1))
-    if threads == 1:
-        records = [job(d) for d in ds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(job, ds))
+    # threads stays only because the benchmark harness (perfbench) passes threads=1.
+    if threads != 1:
+        raise ValueError("threads must be 1")
+    records = []
+    facts = [(None, None), (None, None)]  # (dim T, blocks or None) at d-2, d-1
+    for d in range(max_d + 1):
+        prep = _prepare(d, vertex)
+        if d:
+            records.append(_diameter_record(prep, *facts[0]))
+        blocks = prep.dec.multiset if prep.dec.status == SPLIT else None
+        facts = [facts[1], (prep.basis.dim, blocks)]
+        del prep  # only the facts cross diameters
     return VerificationReport(
         version=__version__,
         results=tuple(records),

@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
+import gc
 import json
 import re
+import weakref
 
 import pytest
 from click.testing import CliRunner
 
+from terwalg import verify
 from terwalg.cli import main
 from terwalg.graphs import hypercube
 from terwalg.report import VerificationReport
@@ -51,6 +54,34 @@ def test_verify_rejects_max_d_zero(runner):
 def test_verify_rejects_max_d_ten(runner):
     result = runner.invoke(main, ["verify", "--max-d", "10"])
     assert result.exit_code == 2
+
+
+def test_verify_has_no_threads_option(runner):
+    result = runner.invoke(main, ["verify", "--max-d", "2", "--threads", "2"])
+    assert result.exit_code == 2
+
+
+def test_run_verification_accepts_only_one_thread():
+    with pytest.raises(ValueError, match="threads must be 1"):
+        verify.run_verification(3, threads=2)
+
+
+def test_verification_holds_one_diameter_at_a_time(monkeypatch):
+    # Before each diameter is prepared, no earlier context may be alive.
+    real_prepare = verify._prepare
+    contexts = []
+    alive = []
+
+    def counting_prepare(d, vertex):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in contexts))
+        prep = real_prepare(d, vertex)
+        contexts.append(weakref.ref(prep.ctx))
+        return prep
+
+    monkeypatch.setattr(verify, "_prepare", counting_prepare)
+    assert verify.run_verification(6, vertex=5).overall == "pass"
+    assert alive == [0] * 7
 
 
 def test_verify_out_file_and_round_trip(runner, tmp_path):

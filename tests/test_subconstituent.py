@@ -448,7 +448,12 @@ def _dense_triple_span_dim(ctx):
 
 
 def test_triple_span_dim_matches_dense_span():
-    for name, ctx in _differential_contexts():
+    cubes = [
+        (f"cube d={d} x={x}", build_hypercube_context(d, x))
+        for d in range(1, 7)
+        for x in (1, (1 << d) - 2)
+    ]
+    for name, ctx in [*_differential_contexts(), *cubes]:
         assert triple_span_dim(ctx) == _dense_triple_span_dim(ctx), name
 
 
