@@ -69,6 +69,8 @@ def verify(max_d: int, vertex: int, fmt: str, out: str | None):
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def report(d: int, vertex: int, fmt: str, out: str | None):
     """Emit parameter tables, dimension, and block data for one cube."""
+    if vertex >= 1 << d:
+        raise click.UsageError(f"vertex {vertex} out of range for {1 << d} vertices")
     data = build_parameter_report(d, vertex)
     if fmt == "json":
         _emit(_dump_json(data), out)

@@ -48,10 +48,6 @@ from ._intops import exact_matmul
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix
 
-# ("seed",) for a class projection, or ("product", generator index, parent
-# index): the row block of generator times parent that holds the element.
-Provenance = tuple
-
 
 class BlockSpans:
     """Reduced echelon spans of the blocks P_h X P_j of n x n matrices.
@@ -118,7 +114,6 @@ class BlockSpans:
 class AlgebraBasis:
     """Echelonized basis of a matrix algebra, held as its block spans."""
 
-    provenance: tuple[Provenance, ...]
     span: BlockSpans
 
     @property
@@ -160,8 +155,8 @@ def closure(generators: Sequence[RationalMatrix]) -> AlgebraBasis:
     Returns:
         AlgebraBasis whose span contains the identity and is closed under
         multiplication by every generator, certified by span.closed_unit = I.
-        Its first elements are the class projections, one ("seed",) each;
-        every later one is a block of a product, see the module docstring.
+        Its first elements are the class projections; every later one is a
+        block of a product, see the module docstring.
     """
     if not generators:
         raise ValueError("at least one generator expected")
@@ -176,7 +171,7 @@ def closure(generators: Sequence[RationalMatrix]) -> AlgebraBasis:
     # For each non-diagonal generator and source class h, its nonzero row
     # blocks g[S_h', S_h] with their target class h'.
     actions = []
-    for gi, (g, diag) in enumerate(zip(generators, diagonal)):
+    for g, diag in zip(generators, diagonal):
         if diag:
             continue
         by_source = []
@@ -187,28 +182,25 @@ def closure(generators: Sequence[RationalMatrix]) -> AlgebraBasis:
                 if np.any(block):
                     targets.append((h2, block))
             by_source.append(targets)
-        actions.append((gi, by_source))
+        actions.append(by_source)
 
     spans = BlockSpans(n, classes)
     # Each element is multiplied as it was inserted, copied before later
     # insertions reduce its stored row.
     pieces: list[tuple[int, int, np.ndarray]] = []
-    provenance: list[Provenance] = []
     for h, cls in enumerate(classes):
         k = spans.add(h, h, np.eye(len(cls), dtype=np.int64))
         pieces.append((h, h, spans.element(k)[2].copy()))
-        provenance.append(("seed",))
 
     pos = 0
     while pos < len(pieces):
         h, j, x = pieces[pos]
-        for gi, by_source in actions:
+        for by_source in actions:
             for h2, block in by_source[h]:
                 k = spans.add(h2, j, exact_matmul(block, x))
                 if k is not None:
                     pieces.append((h2, j, spans.element(k)[2].copy()))
-                    provenance.append(("product", gi, pos))
         pos += 1
 
     spans.closed_unit = RationalMatrix.identity(n)
-    return AlgebraBasis(tuple(provenance), spans)
+    return AlgebraBasis(spans)

@@ -31,8 +31,8 @@ the context: not distance-regularity, not 0/1 entries.
 
 The coefficients, the denominators of the E_i* or E_i and that of E_0 or
 E_0* are put over one common denominator, so each side is an integer
-array canonicalized once.  A non-diagonal E_i* is refused; construction
-already refuses such a context.
+array canonicalized once.  The context holds each E_i* as its diagonal
+e_i, which is all either formula reads of it.
 
 U0 is then checked against its rank factorization L U0 = S^T M S, with S
 the 0/1 sphere indicator matrix, L = lcm(k_h) and M = diag(m),
@@ -77,7 +77,7 @@ from ._intops import (
 from .closure import AlgebraBasis
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix, rank
-from .subconstituent import TerwContext, VerificationError, _diagonal
+from .subconstituent import TerwContext, VerificationError, diagonal_matrix
 
 # (h, j, X): the block of the closure's classes h, j that holds X.
 Piece = tuple[int, int, np.ndarray]
@@ -104,17 +104,11 @@ def compute_u0(ctx: TerwContext) -> tuple[RationalMatrix, RationalMatrix]:
 
     Raises:
         ValueError: if the context is not a hypercube context.
-        VerificationError: if some E_i* is not diagonal.
     """
     if not ctx.is_hypercube:
         raise ValueError("U0 is defined for hypercube contexts")
     n = ctx.n
-    diags = []
-    for i, es in enumerate(ctx.E_star):
-        diag = _diagonal(es)
-        if diag is None:
-            raise VerificationError(f"E*_{i} is not diagonal")
-        diags.append(diag)
+    diags = [es.num[0] for es in ctx.E_star]
 
     # Primal: (E_i* E_0 E_i*)[u, v] = e_i[u] E_0[u, v] e_i[v].
     coeffs = [
@@ -353,8 +347,7 @@ def verify_u0(
 
     Raises:
         ValueError: if a block class of t is not exactly one sphere.
-        VerificationError: if some E_i* is not diagonal, or U0 does not match
-            its rank factorization.
+        VerificationError: if U0 does not match its rank factorization.
     """
     primal, dual = compute_u0(ctx)
     formulas_agree = primal == dual
@@ -362,8 +355,9 @@ def verify_u0(
     s, m, big = u0_factorization(ctx, u0)
     sigma = sphere_of_classes(s, t.span.classes)
     pieces = [t.span.element(k) for k in range(t.span.dim)]
-    ends = (ctx.E[0], ctx.E[ctx.d], ctx.E_star[0], ctx.E_star[ctx.d])
-    absorbed = [absorbs(s, m, big, e) for e in ends]
+    absorbed = [absorbs(s, m, big, e) for e in (ctx.E[0], ctx.E[ctx.d])]
+    star_ends = (ctx.E_star[0], ctx.E_star[ctx.d])
+    absorbed += [absorbs(s, m, big, diagonal_matrix(e)) for e in star_ends]
     if dim_smaller is None:
         peel = True
     else:

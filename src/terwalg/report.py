@@ -2,7 +2,7 @@
 
 Records hold only JSON-ready values (ints, bools, strings, lists, dicts) so
 that serialization round-trips losslessly and two runs that compute the
-same facts emit byte-identical output regardless of thread count.
+same facts emit byte-identical output.
 """
 
 from __future__ import annotations

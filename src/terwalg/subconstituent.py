@@ -4,9 +4,11 @@ A TerwContext fixes a distance-regular graph and a base vertex x and holds
 exact matrices for everything the algebra is built from: distance matrices
 A_i, primitive idempotents E_i, dual idempotents E_i* (0/1 diagonal
 indicators of the distance spheres around x), and dual distance matrices
-A_i* with (A_i*)_yy = |X| (E_i)_{x,y}.  Construction verifies every defining
-identity exactly, once, and keeps the named outcomes on the context as
-section_checks; reports read them there and do not re-run them.
+A_i* with (A_i*)_yy = |X| (E_i)_{x,y}.  The E_i* and A_i* are diagonal by
+definition, so each is held as its diagonal only (see TerwContext).
+Construction verifies every defining identity exactly, once, and keeps the
+named outcomes on the context as section_checks; reports read them there
+and do not re-run them.
 
 Both paths build E_i = |X|^(-1) sum_j Q[j][i] A_j from the dual eigenmatrix
 Q.  The hypercube path reads Q = P from the closed forms (the cube is
@@ -41,8 +43,8 @@ The section identities and the triple-product zeros are checked on
   certification sends the identities it enters to its integer numerators
   over one common denominator, still with no RationalMatrix per term.
 - The diagonal identities sum_i E_i* = I, sum_i theta*_i E_i* = A* and
-  A_i* = diag(|X| row x of E_i) are read off the diagonals, once a
-  count_nonzero test shows each matrix diagonal.
+  A_i* = diag(|X| row x of E_i) are identities between the held
+  diagonals: n-vectors, with no n x n matrix.
 - Orthogonality of the E_i has a spectral certificate.  Distinct theta_i,
   sum_i E_i = I and A E_i = theta_i E_i for every i imply
   E_i E_j = delta_ij E_i, and then E_i A = theta_i E_i as well, so no
@@ -59,7 +61,7 @@ The section identities and the triple-product zeros are checked on
   decides, as it did before the class tables.
 - The dual idempotents E_i* are diagonal, so their pairwise products are
   read off the diagonals: disjoint supports for i != j, 0/1 entries for
-  i = j.  A non-diagonal E_i* fails the orthogonality check.
+  i = j.
 - One bincount over the key (dist(x, y), dist(y, z), dist(x, z)) counts
   N[k, a, l] = #{y in S_k, z in S_l : dist(y, z) = a}.  E_h* A_a E_l*
   vanishes exactly when N[h, a, l] = 0.
@@ -104,9 +106,20 @@ class VerificationError(Exception):
     """An exact identity that must hold failed to hold."""
 
 
+def diagonal_matrix(row: RationalMatrix) -> RationalMatrix:
+    """The n x n diagonal matrix whose diagonal is the 1 x n row."""
+    return RationalMatrix(np.diag(row.num[0]), row.den, _canonical=True)
+
+
 @dataclass(frozen=True)
 class TerwContext:
-    """All exact matrices attached to one (graph, base vertex) pair."""
+    """All exact matrices attached to one (graph, base vertex) pair.
+
+    A, A_dist and E are dense n x n matrices.  Every E_star[i] and
+    A_star[i] is diagonal, and is held as its diagonal: a 1 x n
+    RationalMatrix in the same canonical form, so equality, scaling and
+    the denominator are those of the n x n matrix.
+    """
 
     graph: Graph
     dist: DistanceData
@@ -135,11 +148,15 @@ class TerwContext:
         return self.params is not None
 
     @property
+    def dual_adjacency_row(self) -> RationalMatrix:
+        """The diagonal of A* = A_1*, or the zero row when d = 0."""
+        return self.A_star[1] if self.d >= 1 else RationalMatrix.zeros(1, self.n)
+
+    @property
     def dual_adjacency(self) -> RationalMatrix:
-        """A* = A_1*, or the zero matrix in the degenerate diameter-0 case."""
-        if self.d >= 1:
-            return self.A_star[1]
-        return RationalMatrix.zeros(self.n, self.n)
+        """A* as a dense n x n matrix, built on each call for the consumers
+        that take dense generators (closure, decompose)."""
+        return diagonal_matrix(self.dual_adjacency_row)
 
     def generators(self) -> list[RationalMatrix]:
         """The algebra generators: adjacency and dual adjacency."""
@@ -212,10 +229,10 @@ def _idempotents_from_eigenmatrix(
 
 
 def _dual_distance_matrix(Ei: RationalMatrix, x: int) -> RationalMatrix:
-    """A_i* = diag(|X| (E_i)_{x,y}), from the integer numerators of row x,
-    in lowest terms by the gcd of the n diagonal entries."""
+    """The diagonal |X| (E_i)_{x,y} of A_i*, from the integer numerators of
+    row x, in lowest terms by the gcd of the n entries."""
     diag, den = _lowest_terms(exact_scale(Ei.num[x], Ei.nrows), Ei.den)
-    return RationalMatrix(np.diag(diag), den, _canonical=True)
+    return RationalMatrix(diag[None], den, _canonical=True)
 
 
 def _assemble(
@@ -239,11 +256,8 @@ def _assemble(
     A = A_dist[1] if d >= 1 else RationalMatrix.zeros(n, n)
     spheres = tuple(np.nonzero(dd.dist[x] == i)[0] for i in range(d + 1))
 
-    E_star = []
-    for i in range(d + 1):
-        diag = (dd.dist[x] == i).astype(np.int64)
-        E_star.append(RationalMatrix(np.diag(diag), 1, _canonical=True))
-
+    rows = (dd.dist[x] == np.arange(d + 1)[:, None]).astype(np.int64)
+    E_star = [RationalMatrix(row[None], 1, _canonical=True) for row in rows]
     A_star = [_dual_distance_matrix(Ei, x) for Ei in E]
 
     valencies = tuple(int(len(s)) for s in spheres)
@@ -369,19 +383,15 @@ def build_context(g: Graph, x: int = 0) -> TerwContext:
 def _dual_orthogonality_witness(e_star: Sequence[RationalMatrix]) -> str | None:
     """The first failure of E*_i E*_j = delta_ij E*_i, read off the diagonals.
 
-    Every E*_i must be diagonal; the first that is not is the witness.  For
-    diagonal E*_i, E*_i E*_j is diagonal with entries the products of the
-    two diagonals: for i != j it vanishes exactly when the supports are
-    disjoint, and E*_i E*_i = E*_i exactly when every nonzero diagonal entry
-    of E*_i is 1.  The first failing pair (i, j), row by row, is the witness.
+    E*_i E*_j is diagonal with entries the products of the two diagonals:
+    for i != j it vanishes exactly when the supports are disjoint, and
+    E*_i E*_i = E*_i exactly when every nonzero diagonal entry of E*_i is 1.
+    The first failing pair (i, j), row by row, is the witness.
 
     Returns:
-        None, "E*_i not diagonal", or "E*_i E*_j".
+        None, or "E*_i E*_j".
     """
-    diags = [e.num.diagonal() for e in e_star]
-    for i, (e, v) in enumerate(zip(e_star, diags)):
-        if np.count_nonzero(e.num) != np.count_nonzero(v):
-            return f"E*_{i} not diagonal"
+    diags = [e.num[0] for e in e_star]
     support = np.array([v != 0 for v in diags], dtype=np.int64)
     failed = (support @ support.T) != 0
     for i, (e, v) in enumerate(zip(e_star, diags)):
@@ -413,21 +423,15 @@ def _class_values(m: RationalMatrix, dist: np.ndarray, x: int, reps) -> np.ndarr
     return v if np.array_equal(m.num, v[dist]) else None
 
 
-def _diagonal(m: RationalMatrix) -> np.ndarray | None:
-    """The diagonal numerators of m, or None when m has an off-diagonal entry."""
-    v = m.num.diagonal()
-    return v if np.count_nonzero(m.num) == np.count_nonzero(v) else None
-
-
 def _identity_holds(coeffs, mats, views, target, target_view) -> bool:
     """Whether sum_k coeffs[k] mats[k] equals the target, exactly.
 
-    views[k] holds the numerators of mats[k] on the classes (or on the
+    views[k] holds the numerators of mats[k] on the classes (or the held
     diagonal), None when it is not certified; target_view is the target's
     (num, den) there, or None.  When every view is known the identity is
-    checked on them; otherwise on the full numerators of mats and of the
-    matrix target() builds.  Everything is scaled to one common
-    denominator and compared as integers.
+    checked on them, and target may be None; otherwise on the full
+    numerators of mats and of the matrix target() builds.  Everything is
+    scaled to one common denominator and compared as integers.
     """
     if target_view is None or any(v is None for v in views):
         t = target()
@@ -540,9 +544,6 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     def I():
         return RationalMatrix.identity(n)
 
-    def view(vals, m):
-        return None if vals is None else (vals, m.den)
-
     unit_coeffs = [1] * size
     checks.append(
         Check(
@@ -578,7 +579,8 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
         Check(
             "adjacency_spectral_decomposition",
             _identity_holds(
-                ctx.theta, ctx.E, e_vals, lambda: ctx.A, view(adj_vals, ctx.A)
+                ctx.theta, ctx.E, e_vals, lambda: ctx.A,
+                None if adj_vals is None else (adj_vals, ctx.A.den),
             ),
         )
     )
@@ -600,12 +602,12 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
         )
     )
 
-    star_diags = [_diagonal(Ei) for Ei in ctx.E_star]
+    star_diags = [Ei.num[0] for Ei in ctx.E_star]
     checks.append(
         Check(
             "dual_idempotents_sum_to_identity",
             _identity_holds(
-                unit_coeffs, ctx.E_star, star_diags, I, (np.ones(n, dtype=np.int64), 1)
+                unit_coeffs, ctx.E_star, star_diags, None, (np.ones(n, dtype=np.int64), 1)
             ),
         )
     )
@@ -613,13 +615,12 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     witness = _dual_orthogonality_witness(ctx.E_star)
     checks.append(Check("dual_idempotents_orthogonal", witness is None, witness))
 
-    # A_i* = diag(|X| (E_i)_{x,y}): a diagonal A_i* with
-    # diag(A_i*) den(E_i) = |X| den(A_i*) row x of E_i.
+    # A_i* = diag(|X| (E_i)_{x,y}): diag(A_i*) den(E_i) = |X| den(A_i*) row x
+    # of E_i.
     witness = None
     for i, (Ai, Ei) in enumerate(zip(ctx.A_star, ctx.E)):
-        diag = _diagonal(Ai)
-        if diag is None or not np.array_equal(
-            exact_scale(diag, Ei.den), exact_scale(Ei.num[ctx.x], n * Ai.den)
+        if not np.array_equal(
+            exact_scale(Ai.num[0], Ei.den), exact_scale(Ei.num[ctx.x], n * Ai.den)
         ):
             witness = f"A*_{i}"
             break
@@ -627,13 +628,12 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
         Check("dual_distance_diagonal_from_idempotent_row", witness is None, witness)
     )
 
-    dual_adj = ctx.dual_adjacency
+    dual_adj = ctx.dual_adjacency_row
     checks.append(
         Check(
             "dual_adjacency_spectral_decomposition",
             _identity_holds(
-                ctx.theta_star, ctx.E_star, star_diags, lambda: dual_adj,
-                view(_diagonal(dual_adj), dual_adj),
+                ctx.theta_star, ctx.E_star, star_diags, None, (dual_adj.num[0], dual_adj.den)
             ),
         )
     )
@@ -715,7 +715,7 @@ def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.
     size = ctx.d + 1
     dist = ctx.dist.dist
     reps = [int(s[0]) for s in ctx.spheres]
-    diags = np.array([a.num.diagonal() for a in ctx.A_star])
+    diags = np.array([a.num[0] for a in ctx.A_star])
     values = diags[:, reps]  # theta*_i(k), scaled
     bad = np.argwhere(diags != values[:, dist[ctx.x]])
     if bad.size:
@@ -823,6 +823,19 @@ def _spectral_min_poly(theta: Sequence[Fraction], ranks: Sequence[int]) -> Ratio
     return RationalPoly.from_roots(sorted({t for t, r in zip(theta, ranks) if r}))
 
 
+def _poly_eval_diagonal(polys: Sequence[RationalPoly], a: RationalMatrix) -> list[RationalMatrix]:
+    """q(diag(a)) = diag(q(a_y)) for each q, as 1 x n rows, for the row a.
+
+    Each q is evaluated once per distinct entry of a, with eval_scalar, and
+    the values are gathered back.  Every distinct entry occurs in a, so the
+    gathered row has the content of the distinct values and stays canonical.
+    """
+    keys, where = np.unique(a.num[0], return_inverse=True)
+    points = [Fraction(int(k), a.den) for k in keys]
+    values = [RationalMatrix.from_rows([[q.eval_scalar(t) for t in points]]) for q in polys]
+    return [RationalMatrix(v.num[:, where], v.den, _canonical=True) for v in values]
+
+
 def check_polynomial_images(ctx: TerwContext) -> list[Check]:
     """Polynomial layer at matrix level, on a hypercube context.
 
@@ -830,8 +843,11 @@ def check_polynomial_images(ctx: TerwContext) -> list[Check]:
     zero matrix), and the common minimal polynomial of A and A* is the
     spectrum polynomial.  For d >= 2 the two relator identities follow: the
     diameter-(d-2) spectrum polynomial phi evaluated at A (resp. A*)
-    annihilates I - E_0 - E_d (resp. I - E_0* - E_d*).  Each generator's
-    F_i and phi are read off one set of its powers.
+    annihilates I - E_0 - E_d (resp. I - E_0* - E_d*).  A's F_i and phi are
+    read off one set of its powers.  A* is diagonal, so q(A*) is q applied
+    to each diagonal entry: F_i and phi are evaluated once per distinct
+    entry of A*, and the A_i* and E*_i are compared as diagonals.  That
+    needs nothing of the spectrum.
 
     No product with the idempotents is formed for the relators.  A context
     exists only if A = sum_i theta_i E_i with E_i E_j = delta_ij E_i, so
@@ -855,21 +871,23 @@ def check_polynomial_images(ctx: TerwContext) -> list[Check]:
     d = ctx.d
     fs, phi = ctx.params.F, ctx.params.phi
     relator = spectrum_poly(d - 2) if d >= 2 else None
-    zero = RationalMatrix.zeros(ctx.n, ctx.n)
+    polys = list(fs) + ([] if relator is None else [relator])
     images, minimal, relators = [], [], []
-    for g, label, name, expected, e, theta, ranks, relator_name in (
+    for evaluate, label, name, expected, e, theta, ranks, relator_name in (
         (
-            ctx.A, "A", "adjacency", ctx.A_dist, ctx.E, ctx.theta,
-            ctx.dual_valencies, "relator_annihilates_middle_idempotents",
+            lambda: poly_eval_matrix(polys, ctx.A), "A", "adjacency", ctx.A_dist,
+            ctx.E, ctx.theta, ctx.dual_valencies,
+            "relator_annihilates_middle_idempotents",
         ),
         (
-            ctx.dual_adjacency, "A*", "dual_adjacency", ctx.A_star, ctx.E_star,
-            ctx.theta_star, ctx.valencies,
+            lambda: _poly_eval_diagonal(polys, ctx.dual_adjacency_row), "A*",
+            "dual_adjacency", ctx.A_star, ctx.E_star, ctx.theta_star, ctx.valencies,
             "dual_relator_annihilates_middle_dual_idempotents",
         ),
     ):
+        zero = RationalMatrix.zeros(*expected[0].shape)
         expected = list(expected) + [zero] * (len(fs) - len(expected))
-        values = poly_eval_matrix(list(fs) + ([] if relator is None else [relator]), g)
+        values = evaluate()
         pairs = zip(values, expected)
         bad = next((i for i, (got, want) in enumerate(pairs) if got != want), None)
         witness = None if bad is None else f"F_{bad}({label})"

@@ -71,8 +71,8 @@ class _Prepared:
     dec: BlockDecomposition
 
 
-def _prepare(d: int, vertex: int) -> _Prepared:
-    ctx = build_hypercube_context(d, vertex % (1 << d) if d else 0)
+def _prepare(d: int, x: int) -> _Prepared:
+    ctx = build_hypercube_context(d, x)
     basis = ctx.algebra_basis()
     dec = decompose(basis, ctx.generators())
     return _Prepared(ctx, basis, dec)
@@ -292,7 +292,7 @@ def run_verification(max_d: int, vertex: int = 0, threads: int = 1) -> Verificat
     records = []
     facts = [(None, None), (None, None)]  # (dim T, blocks or None) at d-2, d-1
     for d in range(max_d + 1):
-        prep = _prepare(d, vertex)
+        prep = _prepare(d, vertex % (1 << d))
         if d:
             records.append(_diameter_record(prep, *facts[0]))
         blocks = prep.dec.multiset if prep.dec.status == SPLIT else None
@@ -323,7 +323,11 @@ def _matrix2_json(rows) -> list:
 
 
 def build_parameter_report(d: int, vertex: int = 0) -> dict:
-    """Parameter tables, dimension, u0 summary, and blocks for one cube."""
+    """Parameter tables, dimension, u0 summary, and blocks for one cube.
+
+    Raises:
+        ValueError: if vertex is not a vertex of the d-cube, 0 <= vertex < 2^d.
+    """
     prep = _prepare(d, vertex)
     ctx = prep.ctx
     u0rep = verify_u0(ctx, prep.basis)

@@ -1,4 +1,5 @@
-"""Dense n x n views of block pieces, for the reference checks in the tests."""
+"""Dense n x n views of block pieces and of the diagonals a context holds,
+for the reference checks in the tests."""
 
 import numpy as np
 
@@ -19,3 +20,9 @@ def densify(basis) -> tuple[RationalMatrix, ...]:
         dense[np.ix_(span.classes[h], span.classes[j])] = block
         out.append(RationalMatrix(dense, 1, _canonical=True))
     return tuple(out)
+
+
+def dense_diagonal(row: RationalMatrix) -> RationalMatrix:
+    """The n x n diagonal matrix of a held diagonal (a 1 x n row), such as
+    TerwContext.E_star[i] or A_star[i], canonicalized on its own."""
+    return RationalMatrix(np.diag(row.num[0]), row.den)

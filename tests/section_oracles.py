@@ -1,10 +1,13 @@
-"""The section checks, triple-zero flags and relator images as the dense
+"""The section checks, triple-zero flags and polynomial images as the dense
 matrix computations that the class-table code replaced, kept as oracles.
 
 check_section_identities sums and compares n x n RationalMatrix terms;
 dual_triple_zeros forms one n x n Hadamard product per pair {h, j};
-_primal_triple_zeros runs one bincount per sphere block; and
-check_relator_images evaluates phi_(d-2) on its own set of powers.
+_primal_triple_zeros runs one bincount per sphere block;
+check_relator_images evaluates phi_(d-2) on its own set of powers; and
+check_dual_polynomial_images evaluates the F_i and phi_(d-2) on the dense
+diagonal matrix A*.  The context holds each E_i* and A_i* as its diagonal;
+every oracle here works on the dense n x n matrix (dense_views).
 """
 
 from fractions import Fraction
@@ -16,12 +19,9 @@ from terwalg._intops import exact_matmul, exact_mul_elementwise, exact_scale
 from terwalg.checks import Check
 from terwalg.hypercube import spectrum_poly
 from terwalg.linalg import RationalMatrix, poly_eval_matrix
-from terwalg.subconstituent import (
-    TerwContext,
-    VerificationError,
-    _dual_distance_matrix,
-    _dual_orthogonality_witness,
-)
+from terwalg.subconstituent import TerwContext, VerificationError
+
+from dense_views import dense_diagonal
 
 
 def check_section_identities(ctx: TerwContext) -> list[Check]:
@@ -90,18 +90,25 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
         )
     )
 
+    e_star = [dense_diagonal(Ei) for Ei in ctx.E_star]
     dsum = RationalMatrix.zeros(n, n)
-    for Ei in ctx.E_star:
+    for Ei in e_star:
         dsum = dsum + Ei
     checks.append(Check("dual_idempotents_sum_to_identity", dsum == ident))
 
-    witness = _dual_orthogonality_witness(ctx.E_star)
+    witness = None
+    for i in range(d + 1):
+        for j in range(d + 1):
+            expect = e_star[i] if i == j else RationalMatrix.zeros(n, n)
+            if witness is None and e_star[i] @ e_star[j] != expect:
+                witness = f"E*_{i} E*_{j}"
     checks.append(Check("dual_idempotents_orthogonal", witness is None, witness))
 
     dual_diag_ok = True
     witness = None
     for i in range(d + 1):
-        if ctx.A_star[i] != _dual_distance_matrix(ctx.E[i], ctx.x):
+        want = RationalMatrix(np.diag(ctx.E[i].num[ctx.x]), ctx.E[i].den) * n
+        if dense_diagonal(ctx.A_star[i]) != want:
             dual_diag_ok = False
             witness = f"A*_{i}"
             break
@@ -109,7 +116,7 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
 
     dspec = RationalMatrix.zeros(n, n)
     for i in range(d + 1):
-        dspec = dspec + ctx.E_star[i] * ctx.theta_star[i]
+        dspec = dspec + e_star[i] * ctx.theta_star[i]
     checks.append(
         Check("dual_adjacency_spectral_decomposition", dspec == ctx.dual_adjacency)
     )
@@ -171,7 +178,7 @@ def dual_triple_zeros(ctx: TerwContext) -> np.ndarray:
             constant on a sphere S_k.
     """
     d = ctx.d
-    diags = np.array([a.num.diagonal() for a in ctx.A_star])
+    diags = np.array([dense_diagonal(a).num.diagonal() for a in ctx.A_star])
     values = diags[:, [int(s[0]) for s in ctx.spheres]]  # theta*_i(k), scaled
     bad = np.argwhere(diags != values[:, ctx.dist.dist[ctx.x]])
     if bad.size:
@@ -222,11 +229,38 @@ def check_relator_images(ctx: TerwContext) -> list[Check]:
         "relator_annihilates_middle_idempotents",
         "dual_relator_annihilates_middle_dual_idempotents",
     )
-    sides = zip(ctx.generators(), (ctx.E, ctx.E_star), (ctx.theta, ctx.theta_star))
+    e_star = tuple(dense_diagonal(e) for e in ctx.E_star)
+    sides = zip(ctx.generators(), (ctx.E, e_star), (ctx.theta, ctx.theta_star))
     checks = []
     for name, (g, e, theta) in zip(names, sides):
         (image,) = poly_eval_matrix([phi], g)
         for i in (0, ctx.d):
             image = image - e[i] * phi.eval_scalar(theta[i])
         checks.append(Check(name, image.is_zero()))
+    return checks
+
+
+def check_dual_polynomial_images(ctx: TerwContext) -> list[Check]:
+    """The dual half of check_polynomial_images, on dense n x n matrices.
+
+    F_i(A*) = A_i* for 0 <= i <= d+1 (index d+1 gives the zero matrix), with
+    the F_i and phi_(d-2) evaluated by poly_eval_matrix on np.diag(A*), and
+    for d >= 2 the dense relator image phi(A*) - phi(theta*_0) E_0* -
+    phi(theta*_d) E_d*.
+    """
+    d = ctx.d
+    fs = list(ctx.params.F)
+    relator = [spectrum_poly(d - 2)] if d >= 2 else []
+    values = poly_eval_matrix(fs + relator, dense_diagonal(ctx.A_star[1]))
+    expected = [dense_diagonal(a) for a in ctx.A_star]
+    expected += [RationalMatrix.zeros(ctx.n, ctx.n)] * (len(fs) - len(expected))
+    pairs = enumerate(zip(values, expected))
+    bad = next((i for i, (got, want) in pairs if got != want), None)
+    witness = None if bad is None else f"F_{bad}(A*)"
+    checks = [Check("krawtchouk_images_of_dual_adjacency", bad is None, witness)]
+    for phi in relator:
+        image = values[-1]
+        for i in (0, d):
+            image = image - dense_diagonal(ctx.E_star[i]) * phi.eval_scalar(ctx.theta_star[i])
+        checks.append(Check("dual_relator_annihilates_middle_dual_idempotents", image.is_zero()))
     return checks

@@ -150,6 +150,20 @@ def test_report_usage_bounds(runner):
     assert runner.invoke(main, ["report"]).exit_code == 2
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_report_vertex_range(runner, d):
+    # The last vertex of the d-cube is reported; the next is a usage error
+    # that names the range, not a report for vertex 0.
+    last = runner.invoke(main, ["report", "--d", str(d), "--vertex", str(2**d - 1)])
+    assert last.exit_code == 0
+    assert f"base vertex {2**d - 1}" in last.output
+    past = runner.invoke(main, ["report", "--d", str(d), "--vertex", str(2**d)])
+    assert past.exit_code == 2
+    assert f"out of range for {2**d} vertices" in past.output
+    with pytest.raises(ValueError, match="out of range"):
+        verify.build_parameter_report(d, 2**d)
+
+
 def test_graph_six_cycle(runner, tmp_path):
     path = tmp_path / "c6.txt"
     path.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")

@@ -56,18 +56,32 @@ def test_closure_basis_matrices_are_integer_primitive():
         assert x.dtype == np.int64 and content(x) == 1
 
 
+def _starts_with_class_projections(basis) -> bool:
+    """The first c elements sit in the diagonal blocks (h, h), in class
+    order, and the span holds every class projection P_h.
+
+    span.element gives an element's current reduced block, which later
+    insertions may have reduced away from P_h itself.
+    """
+    span = basis.span
+    for h, cls in enumerate(span.classes):
+        projection = np.zeros((span.n, span.n), dtype=np.int64)
+        projection[cls, cls] = 1
+        if span.element(h)[:2] != (h, h) or not span.contains(projection):
+            return False
+    return True
+
+
 def test_closure_provenance():
-    # One seed per class of A* (the d+1 spheres), then products of the
-    # non-diagonal generator A (index 0) with earlier elements.
+    # One seed per class of A* (the d+1 spheres), then blocks of products.
+    # No cube element reduces a seed, so the seeds are the projections.
     for d in (1, 3):
         a, astar = cube_generators(d)
         basis = closure([a, astar])
-        assert basis.provenance[: d + 1] == (("seed",),) * (d + 1)
-        for k, tag in enumerate(basis.provenance[d + 1 :], start=d + 1):
-            kind, gen_idx, parent_idx = tag
-            assert kind == "product"
-            assert gen_idx == 0
-            assert 0 <= parent_idx < k
+        assert len(basis.span.classes) == d + 1
+        assert _starts_with_class_projections(basis)
+        for h, cls in enumerate(basis.span.classes):
+            assert np.array_equal(basis.span.element(h)[2], np.eye(len(cls)))
 
 
 def test_closure_of_identity_like_generator():
@@ -110,9 +124,9 @@ def test_closure_deterministic():
     b1 = closure([a, astar])
     b2 = closure([a, astar])
     assert b1.dim == b2.dim
-    for m1, m2 in zip(densify(b1), densify(b2)):
-        assert m1 == m2
-    assert b1.provenance == b2.provenance
+    for k in range(b1.dim):
+        (h1, j1, x1), (h2, j2, x2) = b1.span.element(k), b2.span.element(k)
+        assert (h1, j1) == (h2, j2) and np.array_equal(x1, x2)
 
 
 # -- the block closure against the sequential closure at width n^2 ----------
@@ -201,7 +215,7 @@ def test_joint_classes_are_finer_than_each_diagonal():
     assert len(joint_classes(6, diagonals[:1])) == 2
     assert len(joint_classes(6, diagonals[1:])) == 2
     assert [c.tolist() for c in joint_classes(3, [])] == [[0, 1, 2]]
-    assert closure(two_diagonal_generators()).provenance[:4] == (("seed",),) * 4
+    assert _starts_with_class_projections(closure(two_diagonal_generators()))
 
 
 def test_contains_rejects_a_changed_entry():

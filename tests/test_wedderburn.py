@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from dense_views import densify
+from dense_views import dense_diagonal, densify
 from test_subconstituent import _oracle_graphs
 
 from terwalg import _intops, idempotent, verify, wedderburn
@@ -131,7 +131,7 @@ def test_unclosed_span_is_not_split(suite):
     n = ctx.n
     span = BlockSpans(n, (np.arange(n),))
     span.add(0, 0, RationalMatrix.identity(n).num)
-    span.add(0, 0, (ctx.E_star[0] + ctx.E_star[3]).num)
+    span.add(0, 0, dense_diagonal(ctx.E_star[0] + ctx.E_star[3]).num)
     center = center_basis(span, ctx.generators())
     assert len(center) == 2
     for dec in (split_center(span, center), decompose(span, ctx.generators())):
