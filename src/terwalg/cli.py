@@ -38,7 +38,7 @@ def main():
 
 
 @main.command()
-@click.option("--max-d", type=click.IntRange(1, 9), default=6, show_default=True)
+@click.option("--max-d", type=click.IntRange(1, 10), default=6, show_default=True)
 @click.option("--vertex", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option(
     "--format",
@@ -57,7 +57,7 @@ def verify(max_d: int, vertex: int, fmt: str, out: str | None):
 
 
 @main.command()
-@click.option("--d", "d", type=click.IntRange(1, 9), required=True)
+@click.option("--d", "d", type=click.IntRange(1, 10), required=True)
 @click.option("--vertex", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option(
     "--format",

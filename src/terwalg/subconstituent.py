@@ -25,8 +25,9 @@ read off Q too, q^h_ij = sum_a (Q^(-1))[h][a] Q[a][i] Q[a][j], and the
 matrix-level check krein_expansion_of_hadamard_products certifies that
 table against the E_h.
 
-The section identities and the triple-product zeros are checked on
-(d+1)-sized integer tables; only O((d+1) n^2) work touches n x n data.
+The section identities, the triple-product zeros and the polynomial images
+are checked on (d+1)-sized integer tables or on diagonals; only
+O((d+1) n^2) work touches n x n data.
 
 - Class values, certified.  Let A_a be the 0/1 matrix of the class
   dist(y, z) = a of the BFS distance array.  A matrix M is certified when
@@ -74,6 +75,12 @@ The section identities and the triple-product zeros are checked on
   E_h o E_j = sum_a V[h][a] V[j][a] A_a / den^2, the sum is
   sum_a V[h][a] V[j][a] sum_(k,l) theta*_i(k) theta*_i(l) N[k, a, l], up to
   a positive factor.
+- The polynomial images F_i(A) = A_i and F_i(A*) = A_i* and the two
+  relators are identities between the spectral idempotents and a target:
+  q(M) = sum_j q(theta_j) F_j for (M, F) = (A, E) and (A*, E*) (proof in
+  check_polynomial_images).  Each is one _identity_holds call, on the class
+  values of the E_j and A_i or on the held diagonals; no power of A or A*
+  is formed.
 """
 
 from __future__ import annotations
@@ -98,7 +105,7 @@ from .checks import Check
 from .closure import AlgebraBasis, closure
 from .graphs import DistanceData, Graph, distance_matrix, hypercube, is_distance_regular
 from .hypercube import HypercubeParams, permissible, spectrum_poly
-from .linalg import RationalMatrix, inverse, min_poly, poly_eval_matrix
+from .linalg import RationalMatrix, inverse, min_poly
 from .polys import RationalPoly, integer_roots
 
 
@@ -423,6 +430,14 @@ def _class_values(m: RationalMatrix, dist: np.ndarray, x: int, reps) -> np.ndarr
     return v if np.array_equal(m.num, v[dist]) else None
 
 
+def _class_view(ctx: TerwContext):
+    """The reader m -> _class_values(m, ...) of ctx: None for every m when
+    ctx has no class representatives (_class_representatives)."""
+    dist = ctx.dist.dist
+    reps = _class_representatives(ctx)
+    return lambda m: None if reps is None else _class_values(m, dist, ctx.x, reps)
+
+
 def _identity_holds(coeffs, mats, views, target, target_view) -> bool:
     """Whether sum_k coeffs[k] mats[k] equals the target, exactly.
 
@@ -525,12 +540,7 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     n = ctx.n
     d = ctx.d
     size = d + 1
-    dist = ctx.dist.dist
-    reps = _class_representatives(ctx)
-
-    def values(m):
-        return None if reps is None else _class_values(m, dist, ctx.x, reps)
-
+    values = _class_view(ctx)
     a_vals = [values(Ai) for Ai in ctx.A_dist]
     e_vals = [values(Ei) for Ei in ctx.E]
     adj_vals = values(ctx.A)
@@ -823,19 +833,6 @@ def _spectral_min_poly(theta: Sequence[Fraction], ranks: Sequence[int]) -> Ratio
     return RationalPoly.from_roots(sorted({t for t, r in zip(theta, ranks) if r}))
 
 
-def _poly_eval_diagonal(polys: Sequence[RationalPoly], a: RationalMatrix) -> list[RationalMatrix]:
-    """q(diag(a)) = diag(q(a_y)) for each q, as 1 x n rows, for the row a.
-
-    Each q is evaluated once per distinct entry of a, with eval_scalar, and
-    the values are gathered back.  Every distinct entry occurs in a, so the
-    gathered row has the content of the distinct values and stays canonical.
-    """
-    keys, where = np.unique(a.num[0], return_inverse=True)
-    points = [Fraction(int(k), a.den) for k in keys]
-    values = [RationalMatrix.from_rows([[q.eval_scalar(t) for t in points]]) for q in polys]
-    return [RationalMatrix(v.num[:, where], v.den, _canonical=True) for v in values]
-
-
 def check_polynomial_images(ctx: TerwContext) -> list[Check]:
     """Polynomial layer at matrix level, on a hypercube context.
 
@@ -843,64 +840,72 @@ def check_polynomial_images(ctx: TerwContext) -> list[Check]:
     zero matrix), and the common minimal polynomial of A and A* is the
     spectrum polynomial.  For d >= 2 the two relator identities follow: the
     diameter-(d-2) spectrum polynomial phi evaluated at A (resp. A*)
-    annihilates I - E_0 - E_d (resp. I - E_0* - E_d*).  A's F_i and phi are
-    read off one set of its powers.  A* is diagonal, so q(A*) is q applied
-    to each diagonal entry: F_i and phi are evaluated once per distinct
-    entry of A*, and the A_i* and E*_i are compared as diagonals.  That
-    needs nothing of the spectrum.
+    annihilates I - E_0 - E_d (resp. I - E_0* - E_d*).
 
-    No product with the idempotents is formed for the relators.  A context
-    exists only if A = sum_i theta_i E_i with E_i E_j = delta_ij E_i, so
-    A E_i = theta_i E_i and
-    phi(A) (I - E_0 - E_d) = phi(A) - phi(theta_0) E_0 - phi(theta_d) E_d.
-    The dual side is the same with A*, theta*_i and E*_i.
+    Every check reads the spectral decompositions, not A or A*.  A context
+    exists only if construction certified M = sum_j theta_j F_j, with the
+    F_j orthogonal idempotents summing to I: for (M, F) = (A, E) by
+    idempotents_sum_to_identity, idempotents_orthogonal and
+    adjacency_spectral_decomposition, and for (M, F) = (A*, E*) by
+    dual_idempotents_sum_to_identity, dual_idempotents_orthogonal and
+    dual_adjacency_spectral_decomposition.  Then M^0 = I = sum_j F_j, and
+    M^k = sum_j theta_j^k F_j gives
+    M^(k+1) = sum_(j,l) theta_j^k theta_l F_j F_l = sum_j theta_j^(k+1) F_j,
+    so by linearity q(M) = sum_j q(theta_j) F_j for every polynomial q.
 
-    Nor is a minimal polynomial found from matrix powers.  A context exists
-    only if A = sum_i theta_i E_i, with the E_i orthogonal idempotents that
-    sum to I, and likewise A* = sum_i theta*_i E*_i.  For any polynomial q,
-    q(A) = sum_i q(theta_i) E_i, and q(A) E_j = q(theta_j) E_j; so q(A) = 0
-    exactly when q(theta_j) = 0 for every j with E_j != 0.  An idempotent
-    is nonzero exactly when its trace, its rank, is: tr E_i is the
-    multiplicity dual_valencies[i] and tr E*_i the sphere size
-    valencies[i].  Hence the minimal polynomial of A is the product of
-    (z - theta_i) over the distinct theta_i with E_i != 0, and the same for
-    A*; each is compared with phi.
+    - F_i(M) = target_i is the identity sum_j F_i(theta_j) F_j = target_i,
+      checked by _identity_holds on the certified class values of the E_j
+      and A_i (on A's side) or on the held diagonals (on A*'s side); a
+      matrix that is not certified sends it to the integer numerators.  No
+      power or product of n x n matrices is formed.
+    - I - F_0 - F_d = sum_(j not in {0, d}) F_j, so the relator image is
+      phi(M) (I - F_0 - F_d) = sum_(j not in {0, d}) phi(theta_j) F_j: the
+      same identity with the coefficients at 0 and d set to zero and a zero
+      target.  F_0 and F_d enter it with coefficient zero, so it does not
+      read them; a context whose F_0 or F_d breaks sum_j F_j = I is
+      rejected at construction.
+    - Nor is a minimal polynomial found from matrix powers.
+      q(M) F_j = q(theta_j) F_j, so q(M) = 0 exactly when q(theta_j) = 0
+      for every j with F_j != 0.  An idempotent is nonzero exactly when its
+      trace, its rank, is: tr E_i is the multiplicity dual_valencies[i] and
+      tr E*_i the sphere size valencies[i].  Hence the minimal polynomial
+      of M is the product of (z - theta_j) over the distinct theta_j with
+      F_j != 0; each is compared with phi.
     """
     if ctx.params is None:
         raise ValueError("polynomial images are defined for hypercube contexts")
     d = ctx.d
     fs, phi = ctx.params.F, ctx.params.phi
     relator = spectrum_poly(d - 2) if d >= 2 else None
-    polys = list(fs) + ([] if relator is None else [relator])
+    view = _class_view(ctx)
     images, minimal, relators = [], [], []
-    for evaluate, label, name, expected, e, theta, ranks, relator_name in (
+    for label, name, idem, read, targets, theta, ranks, relator_name in (
         (
-            lambda: poly_eval_matrix(polys, ctx.A), "A", "adjacency", ctx.A_dist,
-            ctx.E, ctx.theta, ctx.dual_valencies,
+            "A", "adjacency", ctx.E, view, ctx.A_dist, ctx.theta, ctx.dual_valencies,
             "relator_annihilates_middle_idempotents",
         ),
         (
-            lambda: _poly_eval_diagonal(polys, ctx.dual_adjacency_row), "A*",
-            "dual_adjacency", ctx.A_star, ctx.E_star, ctx.theta_star, ctx.valencies,
+            "A*", "dual_adjacency", ctx.E_star, lambda m: m.num[0], ctx.A_star,
+            ctx.theta_star, ctx.valencies,
             "dual_relator_annihilates_middle_dual_idempotents",
         ),
     ):
-        zero = RationalMatrix.zeros(*expected[0].shape)
-        expected = list(expected) + [zero] * (len(fs) - len(expected))
-        values = evaluate()
-        pairs = zip(values, expected)
-        bad = next((i for i, (got, want) in enumerate(pairs) if got != want), None)
+        views = [read(f) for f in idem]
+        zero = RationalMatrix.zeros(*targets[0].shape)
+        targets = list(targets) + [zero] * (len(fs) - len(targets))
+
+        def image_is(q, target, skip=()):
+            """sum_(j not in skip) q(theta_j) F_j == target."""
+            coeffs = [0 if j in skip else q.eval_scalar(t) for j, t in enumerate(theta)]
+            v = read(target)
+            target_view = None if v is None else (v, target.den)
+            return _identity_holds(coeffs, idem, views, lambda: target, target_view)
+
+        bad = next((i for i, (f, t) in enumerate(zip(fs, targets)) if not image_is(f, t)), None)
         witness = None if bad is None else f"F_{bad}({label})"
         images.append(Check(f"krawtchouk_images_of_{name}", bad is None, witness))
         if relator is not None:
-            image = (
-                values[-1]
-                - e[0] * relator.eval_scalar(theta[0])
-                - e[d] * relator.eval_scalar(theta[d])
-            )
-            relators.append(Check(relator_name, image.is_zero()))
-            del image
-        del values, pairs
+            relators.append(Check(relator_name, image_is(relator, zero, skip=(0, d))))
         mp = _spectral_min_poly(theta, ranks)
         witness = None if mp == phi else f"{mp} != {phi}"
         minimal.append(Check(f"minimal_polynomial_of_{name}", mp == phi, witness))

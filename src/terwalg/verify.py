@@ -284,8 +284,8 @@ def global_checks() -> tuple[Check, ...]:
 
 def run_verification(max_d: int, vertex: int = 0, threads: int = 1) -> VerificationReport:
     """Full verification for d = 1..max_d plus the range-wide checks."""
-    if not 1 <= max_d <= 9:
-        raise ValueError("max_d must be between 1 and 9")
+    if not 1 <= max_d <= 10:
+        raise ValueError("max_d must be between 1 and 10")
     # threads stays only because the benchmark harness (perfbench) passes threads=1.
     if threads != 1:
         raise ValueError("threads must be 1")

@@ -3,11 +3,11 @@ matrix computations that the class-table code replaced, kept as oracles.
 
 check_section_identities sums and compares n x n RationalMatrix terms;
 dual_triple_zeros forms one n x n Hadamard product per pair {h, j};
-_primal_triple_zeros runs one bincount per sphere block;
-check_relator_images evaluates phi_(d-2) on its own set of powers; and
-check_dual_polynomial_images evaluates the F_i and phi_(d-2) on the dense
-diagonal matrix A*.  The context holds each E_i* and A_i* as its diagonal;
-every oracle here works on the dense n x n matrix (dense_views).
+_primal_triple_zeros runs one bincount per sphere block; and
+check_polynomial_images_dense evaluates the F_i and phi_(d-2) on the n x n
+powers of A and of the dense diagonal matrix A*.  The context holds each
+E_i* and A_i* as its diagonal; every oracle here works on the dense n x n
+matrix (dense_views).
 """
 
 from fractions import Fraction
@@ -210,57 +210,39 @@ def _primal_triple_zeros(ctx: TerwContext) -> np.ndarray:
     return zeros
 
 
-def check_relator_images(ctx: TerwContext) -> list[Check]:
-    """The two relator identities for d >= 2: the diameter-(d-2) spectrum
-    polynomial phi evaluated at A (resp. A*) annihilates I - E_0 - E_d (resp.
-    I - E_0* - E_d*).
+def check_polynomial_images_dense(ctx: TerwContext) -> list[Check]:
+    """The Krawtchouk and relator checks of check_polynomial_images, on dense
+    n x n matrices, both halves.
 
-    No product with the idempotents is formed.  A context exists only if
-    A = sum_i theta_i E_i with E_i E_j = delta_ij E_i, so A E_i = theta_i E_i
-    and phi(A) (I - E_0 - E_d) = phi(A) - phi(theta_0) E_0 - phi(theta_d) E_d.
-    The dual side is the same with A*, theta*_i and E*_i.
-    """
-    if ctx.params is None:
-        raise ValueError("relator images are defined for hypercube contexts")
-    if ctx.d < 2:
-        raise ValueError("relator images require d >= 2")
-    phi = spectrum_poly(ctx.d - 2)
-    names = (
-        "relator_annihilates_middle_idempotents",
-        "dual_relator_annihilates_middle_dual_idempotents",
-    )
-    e_star = tuple(dense_diagonal(e) for e in ctx.E_star)
-    sides = zip(ctx.generators(), (ctx.E, e_star), (ctx.theta, ctx.theta_star))
-    checks = []
-    for name, (g, e, theta) in zip(names, sides):
-        (image,) = poly_eval_matrix([phi], g)
-        for i in (0, ctx.d):
-            image = image - e[i] * phi.eval_scalar(theta[i])
-        checks.append(Check(name, image.is_zero()))
-    return checks
-
-
-def check_dual_polynomial_images(ctx: TerwContext) -> list[Check]:
-    """The dual half of check_polynomial_images, on dense n x n matrices.
-
-    F_i(A*) = A_i* for 0 <= i <= d+1 (index d+1 gives the zero matrix), with
-    the F_i and phi_(d-2) evaluated by poly_eval_matrix on np.diag(A*), and
-    for d >= 2 the dense relator image phi(A*) - phi(theta*_0) E_0* -
-    phi(theta*_d) E_d*.
+    F_i(M) = M_i for 0 <= i <= d+1 (index d+1 gives the zero matrix), with
+    the F_i and phi_(d-2) evaluated by poly_eval_matrix on M = A and on the
+    dense np.diag(A*), and for d >= 2 the literal product
+    phi(M) (I - F_0 - F_d), with (M_i, F) = (A_i, E) and (A_i*, E*).  The
+    checks come in the order of check_polynomial_images: both Krawtchouk
+    checks, then both relators.
     """
     d = ctx.d
+    n = ctx.n
     fs = list(ctx.params.F)
     relator = [spectrum_poly(d - 2)] if d >= 2 else []
-    values = poly_eval_matrix(fs + relator, dense_diagonal(ctx.A_star[1]))
-    expected = [dense_diagonal(a) for a in ctx.A_star]
-    expected += [RationalMatrix.zeros(ctx.n, ctx.n)] * (len(fs) - len(expected))
-    pairs = enumerate(zip(values, expected))
-    bad = next((i for i, (got, want) in pairs if got != want), None)
-    witness = None if bad is None else f"F_{bad}(A*)"
-    checks = [Check("krawtchouk_images_of_dual_adjacency", bad is None, witness)]
-    for phi in relator:
-        image = values[-1]
-        for i in (0, d):
-            image = image - dense_diagonal(ctx.E_star[i]) * phi.eval_scalar(ctx.theta_star[i])
-        checks.append(Check("dual_relator_annihilates_middle_dual_idempotents", image.is_zero()))
-    return checks
+    ident = RationalMatrix.identity(n)
+    zero = RationalMatrix.zeros(n, n)
+    e_star = [dense_diagonal(e) for e in ctx.E_star]
+    a_star = [dense_diagonal(a) for a in ctx.A_star]
+    images, relators = [], []
+    for label, name, m, expected, idem, relator_name in (
+        ("A", "adjacency", ctx.A, list(ctx.A_dist), ctx.E,
+         "relator_annihilates_middle_idempotents"),
+        ("A*", "dual_adjacency", ctx.dual_adjacency, a_star, e_star,
+         "dual_relator_annihilates_middle_dual_idempotents"),
+    ):
+        values = poly_eval_matrix(fs + relator, m)
+        expected += [zero] * (len(fs) - len(expected))
+        pairs = enumerate(zip(values, expected))
+        bad = next((i for i, (got, want) in pairs if got != want), None)
+        witness = None if bad is None else f"F_{bad}({label})"
+        images.append(Check(f"krawtchouk_images_of_{name}", bad is None, witness))
+        if relator:
+            image = values[-1] @ (ident - idem[0] - idem[d])
+            relators.append(Check(relator_name, image.is_zero()))
+    return images + relators

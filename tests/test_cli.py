@@ -51,9 +51,11 @@ def test_verify_rejects_max_d_zero(runner):
     assert result.exit_code == 2
 
 
-def test_verify_rejects_max_d_ten(runner):
-    result = runner.invoke(main, ["verify", "--max-d", "10"])
+def test_verify_rejects_max_d_eleven(runner):
+    result = runner.invoke(main, ["verify", "--max-d", "11"])
     assert result.exit_code == 2
+    with pytest.raises(ValueError, match="between 1 and 10"):
+        verify.run_verification(11)
 
 
 def test_verify_has_no_threads_option(runner):
@@ -146,7 +148,7 @@ def test_report_u0_identity_d1(runner):
 
 def test_report_usage_bounds(runner):
     assert runner.invoke(main, ["report", "--d", "0"]).exit_code == 2
-    assert runner.invoke(main, ["report", "--d", "10"]).exit_code == 2
+    assert runner.invoke(main, ["report", "--d", "11"]).exit_code == 2
     assert runner.invoke(main, ["report"]).exit_code == 2
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from terwalg import subconstituent
+from terwalg import _intops, linalg, subconstituent
 from terwalg.checks import Check
 from terwalg.echelon import EchelonSpan
 from terwalg.cli import main
@@ -23,8 +23,7 @@ from terwalg.graphs import (
     hypercube,
     parse_graph_file,
 )
-from terwalg.hypercube import spectrum_poly
-from terwalg.linalg import RationalMatrix, inverse, min_poly, poly_eval_matrix
+from terwalg.linalg import RationalMatrix, inverse, min_poly
 from terwalg.subconstituent import (
     _assemble,
     build_context,
@@ -194,22 +193,21 @@ RELATOR_CHECKS = (
 )
 
 
-def _relator_checks(ctx):
+def _relator_checks(checks):
     """The relator checks among the polynomial-layer checks."""
-    return [c for c in check_polynomial_images(ctx) if c.name in RELATOR_CHECKS]
+    return [c for c in checks if c.name in RELATOR_CHECKS]
 
 
 def test_relator_images(contexts):
-    # Read off the powers that the F_i images use; the separate evaluation
-    # of phi_(d-2) is the oracle.
+    # Read off the spectral decompositions; the literal dense product
+    # phi_(d-2)(M) (I - F_0 - F_d) is the oracle.
     for d in range(2, 5):
-        checks = _relator_checks(contexts[d])
+        checks = _relator_checks(check_polynomial_images(contexts[d]))
         assert [c.name for c in checks] == list(RELATOR_CHECKS)
         assert all(c.passed for c in checks)
-        assert checks == section_oracles.check_relator_images(contexts[d])
-    assert _relator_checks(contexts[1]) == []
-    with pytest.raises(ValueError):
-        section_oracles.check_relator_images(contexts[1])
+        assert checks == _relator_checks(section_oracles.check_polynomial_images_dense(contexts[d]))
+    assert _relator_checks(check_polynomial_images(contexts[1])) == []
+    assert _relator_checks(section_oracles.check_polynomial_images_dense(contexts[1])) == []
 
 
 def test_polynomial_images_check_order(contexts):
@@ -223,22 +221,21 @@ def test_polynomial_images_check_order(contexts):
     ]
 
 
-def test_polynomial_images_form_each_generators_powers_once(contexts, monkeypatch):
-    # A's powers are formed once; A* is diagonal, so none of its powers is
-    # formed: poly_eval_matrix is never called on it.
-    calls = []
-    original = subconstituent.poly_eval_matrix
+def test_polynomial_images_form_no_matrix_product(monkeypatch):
+    # q(M) = sum_j q(theta_j) F_j: no power of A or A* and no product of
+    # matrices is formed.
+    cases = [build_hypercube_context(d, (1 << d) - 1) for d in range(0, 7)]
+    want = [check_polynomial_images(ctx) for ctx in cases]
 
-    def counted(ps, m):
-        calls.append((len(ps), m))
-        return original(ps, m)
+    def refuse(*args, **kwargs):
+        raise AssertionError("matrix product formed")
 
-    monkeypatch.setattr(subconstituent, "poly_eval_matrix", counted)
-    for d in range(0, 5):
-        calls.clear()
-        check_polynomial_images(contexts[d])
-        extra = 1 if d >= 2 else 0
-        assert calls == [(d + 2 + extra, contexts[d].A)], d
+    monkeypatch.setattr(linalg, "poly_eval_matrix", refuse)
+    monkeypatch.setattr(RationalMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(subconstituent, "exact_matmul", refuse)
+    for ctx, checks in zip(cases, want):
+        assert check_polynomial_images(ctx) == checks, ctx.d
+        assert all(c.passed for c in checks), ctx.d
 
 
 def _tampered(ctx, field, i):
@@ -248,19 +245,6 @@ def _tampered(ctx, field, i):
     num[0, 0] += mats[i].den
     mats[i] = RationalMatrix(num, mats[i].den)
     return dataclasses.replace(ctx, **{field: tuple(mats)})
-
-
-def _relator_products(ctx):
-    """Oracle: whether phi_(d-2)(g) (I - e_0 - e_d) vanishes, as a dense
-    product, for (g, e) = (A, E) and (A*, E*)."""
-    phi = spectrum_poly(ctx.d - 2)
-    ident = RationalMatrix.identity(ctx.n)
-    out = []
-    e_star = [dense_diagonal(e) for e in ctx.E_star]
-    for g, e in ((ctx.A, ctx.E), (ctx.dual_adjacency, e_star)):
-        (image,) = poly_eval_matrix([phi], g)
-        out.append((image @ (ident - e[0] - e[ctx.d])).is_zero())
-    return out
 
 
 def test_polynomial_images_fail_on_tampered_context(contexts):
@@ -274,39 +258,113 @@ def test_polynomial_images_fail_on_tampered_context(contexts):
                 checks = check_polynomial_images(_tampered(ctx, field, i))
                 check = next(c for c in checks if c.name == name)
                 assert not check.passed, (d, field, i)
-                # Tampering A*_1 tampers A* itself, so F_1(A*) still matches
-                # and a higher F_i(A*) is the witness.
-                if (field, i) != ("A_star", 1):
-                    assert check.witness == f"F_{i}({label})", (d, field, i)
+                assert check.witness == f"F_{i}({label})", (d, field, i)
 
 
-DUAL_POLYNOMIAL_CHECKS = (
+def test_polynomial_images_fall_back_to_numerators_off_class_structure(monkeypatch):
+    # An A_i with one entry raised is no class function: its identity runs
+    # on the full numerators, and verdict and witness still match the oracle.
+    fallbacks = []
+    real = subconstituent._identity_holds
+
+    def spied(coeffs, mats, views, target, target_view):
+        fallbacks.append(target_view is None or any(v is None for v in views))
+        return real(coeffs, mats, views, target, target_view)
+
+    monkeypatch.setattr(subconstituent, "_identity_holds", spied)
+    for d in range(1, 6):
+        ctx = build_hypercube_context(d, (1 << d) - 1)
+        for i in range(d + 1):
+            case = _tampered(ctx, "A_dist", i)
+            fallbacks.clear()
+            got = _images_and_relators(case)
+            assert fallbacks[: i + 1] == [False] * i + [True], (d, i)
+            assert got == section_oracles.check_polynomial_images_dense(case), (d, i)
+            assert got[0].witness == f"F_{i}(A)", (d, i)
+
+
+def test_polynomial_images_identical_on_the_object_path(monkeypatch):
+    # With the int64 bound at 1 every nonzero scaling and difference in the
+    # identities crosses to object arithmetic.
+    cases = [build_hypercube_context(d, 1) for d in range(2, 7)]
+    expected = [check_polynomial_images(ctx) for ctx in cases]
+    converted = []
+    real_to_object = _intops.to_object
+
+    def counting(arr):
+        converted.append(arr.dtype != object)
+        return real_to_object(arr)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "terwalg" or name.startswith("terwalg.")) and hasattr(
+            module, "INT64_SAFE"
+        ):
+            monkeypatch.setattr(module, "INT64_SAFE", 1)
+    monkeypatch.setattr(_intops, "to_object", counting)
+    for ctx, checks in zip(cases, expected):
+        assert check_polynomial_images(ctx) == checks, ctx.d
+        assert all(c.passed for c in checks), ctx.d
+    assert any(converted)
+
+
+IMAGE_AND_RELATOR_CHECKS = (
+    "krawtchouk_images_of_adjacency",
     "krawtchouk_images_of_dual_adjacency",
-    "dual_relator_annihilates_middle_dual_idempotents",
+    *RELATOR_CHECKS,
 )
 
 
-def _tampered_dual_distance(ctx):
-    """One diagonal entry of each A*_i raised by one, and A*_1 scaled by 2."""
-    for i in range(ctx.d + 1):
-        yield f"A*_{i} entry", _tampered(ctx, "A_star", i)
-    stars = list(ctx.A_star)
-    stars[1] = stars[1] * 2
-    yield "2 A*_1", dataclasses.replace(ctx, A_star=tuple(stars))
+def _images_and_relators(ctx):
+    """The checks of check_polynomial_images that the dense oracle forms."""
+    return [c for c in check_polynomial_images(ctx) if c.name in IMAGE_AND_RELATOR_CHECKS]
 
 
-def test_dual_polynomial_images_match_dense_evaluation():
-    # The per-entry evaluation on the diagonal of A* against poly_eval_matrix
-    # on the dense np.diag(A*), verdicts and witnesses alike.
+def _respectraled(ctx):
+    """ctx with one eigenvalue of A or of A* moved (by 1/2, so the rebuilt
+    generator is not integral) or merged, and the generator rebuilt from it,
+    so the spectral premise still holds."""
+    theta, theta_star = list(ctx.theta), list(ctx.theta_star)
+    for label, old in (("theta", theta), ("theta*", theta_star)):
+        moved = [old[0] + Fraction(1, 2)] + old[1:]
+        merged = [old[1]] + old[1:]
+        for change, new in (("moved", moved), ("merged", merged)):
+            spectra = (new, theta_star) if label == "theta" else (theta, new)
+            yield f"{label}_0 {change}", _respectral(ctx, *spectra)
+
+
+def test_polynomial_images_match_dense_evaluation():
+    # The spectral evaluation q(M) = sum_j q(theta_j) F_j of both halves
+    # against poly_eval_matrix on the dense A and np.diag(A*), verdicts and
+    # witnesses alike.
     for d in range(1, 8):
         for x in (0, (1 << d) - 1):
             ctx = build_hypercube_context(d, x)
-            for change, case in [("as built", ctx), *_tampered_dual_distance(ctx)]:
-                checks = check_polynomial_images(case)
-                got = [c for c in checks if c.name in DUAL_POLYNOMIAL_CHECKS]
-                want = section_oracles.check_dual_polynomial_images(case)
-                assert got == want, (d, x, change)
-                assert got[0].passed == (change == "as built"), (d, x, change)
+            tampers = [
+                (f"{field}[{i}] entry", _tampered(ctx, field, i))
+                for field in ("A_dist", "A_star")
+                for i in range(d + 1)
+                if i != 1
+            ]
+            respectraled = list(_respectraled(ctx)) if d <= 4 else []
+            for change, case in [("as built", ctx), *tampers, *respectraled]:
+                got = _images_and_relators(case)
+                assert got == section_oracles.check_polynomial_images_dense(case), (d, x, change)
+                if change == "as built" or "entry" in change:
+                    assert all(c.passed for c in got) == (change == "as built"), (d, x, change)
+            # Tampering A*_1 tampers the generator A* itself and breaks
+            # A* = sum theta*_j E*_j: both fail, the spectral check at F_1(A*)
+            # (the untampered A* against the tampered A*_1), the dense one
+            # at a higher F_i.
+            stars = list(ctx.A_star)
+            stars[1] = stars[1] * 2
+            doubled = dataclasses.replace(ctx, A_star=tuple(stars))
+            for change, case in (("A*_1 entry", _tampered(ctx, "A_star", 1)), ("2 A*_1", doubled)):
+                got = _images_and_relators(case)[1]
+                want = section_oracles.check_polynomial_images_dense(case)[1]
+                assert not got.passed and not want.passed, (d, x, change)
+                assert got.witness == "F_1(A*)", (d, x, change)
+                if change == "A*_1 entry":
+                    assert want.witness == "F_2(A*)", (d, x, change)
 
 
 def _minimal_checks(ctx):
@@ -379,17 +437,25 @@ def test_idempotents_and_dual_distance_matrices_are_canonical(monkeypatch):
 
 
 def test_relator_images_match_dense_products(contexts):
-    # Each tampered idempotent fails its own relator and leaves the other.
+    # A middle eigenvalue moved fails its own relator and leaves the other;
+    # theta_0 moved leaves both: phi(M) (I - F_0 - F_d) does not see it.
     for d in range(2, 5):
         ctx = contexts[d]
+        theta, theta_star = list(ctx.theta), list(ctx.theta_star)
+        middle = d // 2
         cases = [(ctx, [True, True])]
-        for i in (0, d):
-            cases.append((_tampered(ctx, "E", i), [False, True]))
-            cases.append((_tampered(ctx, "E_star", i), [True, False]))
+        for side, old in enumerate((theta, theta_star)):
+            for j, expected in ((middle, False), (0, True)):
+                new = old[:j] + [old[j] + 1] + old[j + 1:]
+                spectra = (new, theta_star) if side == 0 else (theta, new)
+                want = [True, True]
+                want[side] = expected
+                cases.append((_respectral(ctx, *spectra), want))
         for case, expected in cases:
-            got = [c.passed for c in _relator_checks(case)]
-            oracle = [c.passed for c in section_oracles.check_relator_images(case)]
-            assert got == oracle == _relator_products(case) == expected, d
+            got = _relator_checks(check_polynomial_images(case))
+            oracle = _relator_checks(section_oracles.check_polynomial_images_dense(case))
+            assert got == oracle, d
+            assert [c.passed for c in got] == expected, d
 
 
 def test_vertex_choice_is_immaterial(contexts):
