@@ -22,8 +22,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import RationalMatrix
-
 MAX_VERTICES = 1 << 12  # all-pairs distance table is the memory bound
 
 
@@ -187,12 +185,6 @@ class DistanceData:
         table = _distances(g.neighbors, range(g.n))
         table.flags.writeable = False
         return cls(table, int(table.max()))
-
-
-def distance_matrix(g: Graph, dd: DistanceData, i: int) -> RationalMatrix:
-    """0/1 distance-i matrix; zero matrix when i is out of range."""
-    arr = (dd.dist == i).astype(np.int64)
-    return RationalMatrix(arr, 1, _canonical=True)
 
 
 def _neighbour_counts(table, padded, mask, out, rows) -> None:

@@ -117,7 +117,7 @@ def compute_u0(ctx: TerwContext) -> tuple[RationalMatrix, RationalMatrix]:
     w, big = _over_common_denominator(coeffs)
     stack = np.stack(diags)
     weights = exact_matmul(exact_mul_elementwise(stack, w[:, None]).T, stack)
-    e0 = ctx.E[0]
+    e0 = ctx.class_matrix(ctx.E[0])
     primal = RationalMatrix(exact_mul_elementwise(e0.num, weights), e0.den * big)
 
     # Dual: (E_i E_0* E_i)[u, v] = sum over y in supp f of
@@ -131,12 +131,14 @@ def compute_u0(ctx: TerwContext) -> tuple[RationalMatrix, RationalMatrix]:
     w, big = _over_common_denominator(coeffs)
     left = np.concatenate(
         [
-            exact_mul_elementwise(e.num[:, support], exact_scale(f[support], int(wi)))
+            exact_mul_elementwise(
+                ctx.class_entries(e, np.s_[:, support]), exact_scale(f[support], int(wi))
+            )
             for e, wi in zip(ctx.E, w)
         ],
         axis=1,
     )
-    right = np.concatenate([e.num[support] for e in ctx.E], axis=0)
+    right = np.concatenate([ctx.class_entries(e, support) for e in ctx.E], axis=0)
     dual = RationalMatrix(exact_matmul(left, right), big)
     return primal, dual
 
@@ -355,7 +357,7 @@ def verify_u0(
     s, m, big = u0_factorization(ctx, u0)
     sigma = sphere_of_classes(s, t.span.classes)
     pieces = [t.span.element(k) for k in range(t.span.dim)]
-    absorbed = [absorbs(s, m, big, e) for e in (ctx.E[0], ctx.E[ctx.d])]
+    absorbed = [absorbs(s, m, big, ctx.class_matrix(e)) for e in (ctx.E[0], ctx.E[ctx.d])]
     star_ends = (ctx.E_star[0], ctx.E_star[ctx.d])
     absorbed += [absorbs(s, m, big, diagonal_matrix(e)) for e in star_ends]
     if dim_smaller is None:

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from ._intops import (
-    INT64_SAFE,
     content,
     demote,
     exact_add,
@@ -29,7 +28,6 @@ from ._intops import (
     exact_mul_elementwise,
     exact_scale,
     exact_sub,
-    max_abs,
     to_object,
 )
 from .echelon import EchelonSpan
@@ -306,37 +304,3 @@ def min_poly(m: RationalMatrix, identity: RationalMatrix | None = None) -> Ratio
             return RationalPoly([c / lead for c in coeffs])
         power = power @ m
     raise ArithmeticError("no dependency found; matrix powers misbehaved")
-
-
-def poly_eval_matrix(
-    ps: Sequence[RationalPoly], m: RationalMatrix
-) -> list[RationalMatrix]:
-    """Exact values p(m) for every p in ps, read off one set of powers.
-
-    Runs on integers: with m = M / e, K the largest degree in ps and
-    p = (sum_k c_k z^k) / den, den e^K p(m) = sum_k c_k e^(K-k) M^k, so
-    M^0..M^K are formed once (K products) and each p(m) is an integer
-    combination of them with one denominator.  The combination is summed in
-    int64 when sum_k |c_k e^(K-k)| max|M^k| allows it and on Python ints
-    otherwise.
-    """
-    if m.nrows != m.ncols:
-        raise ValueError("square matrix expected")
-    n = m.nrows
-    top = max((p.degree for p in ps if not p.is_zero()), default=0)
-    powers = [np.eye(n, dtype=np.int64)]
-    for _ in range(top):
-        powers.append(exact_matmul(powers[-1], m.num))
-    # A zero power still counts 1, so the bound also holds each c_k.
-    maxes = [max(max_abs(q), 1) for q in powers]
-    obj = any(q.dtype == object for q in powers)
-    out = []
-    for p in ps:
-        coeffs = [c * m.den ** (top - k) for k, c in enumerate(p.num)]
-        fits = not obj and sum(abs(c) * mx for c, mx in zip(coeffs, maxes)) < INT64_SAFE
-        acc = np.zeros((n, n), dtype=np.int64 if fits else object)
-        for c, q in zip(coeffs, powers):
-            if c:
-                acc += c * (q if fits else to_object(q))
-        out.append(RationalMatrix(acc, p.den * m.den**top))
-    return out

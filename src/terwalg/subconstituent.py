@@ -1,11 +1,12 @@
 """Subconstituent (Terwilliger) algebra contexts and their identity checks.
 
 A TerwContext fixes a distance-regular graph and a base vertex x and holds
-exact matrices for everything the algebra is built from: distance matrices
-A_i, primitive idempotents E_i, dual idempotents E_i* (0/1 diagonal
-indicators of the distance spheres around x), and dual distance matrices
-A_i* with (A_i*)_yy = |X| (E_i)_{x,y}.  The E_i* and A_i* are diagonal by
-definition, so each is held as its diagonal only (see TerwContext).
+exact data for everything the algebra is built from: the distance matrices
+A_i = [dist = i], the primitive idempotents E_i, the dual idempotents E_i*
+(0/1 diagonal indicators of the distance spheres around x) and the dual
+distance matrices A_i* with (A_i*)_yy = |X| (E_i)_{x,y}.  No n x n matrix
+is held: the A_i are read off the distance array, each E_i is held as its
+class row and each E_i* and A_i* as its diagonal (see TerwContext).
 Construction verifies every defining identity exactly, once, and keeps the
 named outcomes on the context as section_checks; reports read them there
 and do not re-run them.
@@ -22,79 +23,83 @@ certifies the result: distinct theta_i, sum_i E_i = I and
 A E_i = theta_i E_i make the E_i the spectral idempotents of A, and
 then A_j = v_j(A) gives A_j E_i = P[i][j] E_i.  The Krein parameters are
 read off Q too, q^h_ij = sum_a (Q^(-1))[h][a] Q[a][i] Q[a][j], and the
-matrix-level check krein_expansion_of_hadamard_products certifies that
-table against the E_h.
+check krein_expansion_of_hadamard_products certifies that table against
+the E_h.
 
-The section identities, the triple-product zeros and the polynomial images
-are checked on (d+1)-sized integer tables or on diagonals; only
-O((d+1) n^2) work touches n x n data.
+The Bose-Mesner algebra as class rows.  Let dist be the breadth-first
+distance array of the graph (DistanceData.compute), d its largest entry and
+A_a = [dist = a] for a = 0..d.  A class
+row v, a 1 x (d+1) RationalMatrix, stands for the n x n matrix
+v[dist] = sum_a v[a] A_a, in that matrix's own canonical form.
+Construction certifies, once, what makes every identity between such
+matrices an identity between their rows:
 
-- Class values, certified.  Let A_a be the 0/1 matrix of the class
-  dist(y, z) = a of the BFS distance array.  A matrix M is certified when
-  M = v[dist] for the vector v = M[x, r] read off row x, with r_a a vertex of
-  the sphere S_a; one gather and one comparison decide it.  The classes
-  partition X x X, and every class 0..d occurs in row x (no sphere is
-  empty), so two certified matrices are equal exactly when their vectors
-  are, and a linear combination of certified matrices is certified with
-  the same combination of vectors.  {dist == 0} is tested to be exactly
-  the diagonal, so I is certified with vector (1, 0, ..., 0), and J with
-  the all-ones vector.  Hence, when every A_i and E_i and A are certified,
-  sum_i A_i = J, A_0 = I, sum_i E_i = I, sum_i theta_i E_i = A and
-  E_0 = J/|X| are identities between (d+1)-vectors.  A matrix that fails
-  certification sends the identities it enters to its integer numerators
-  over one common denominator, still with no RationalMatrix per term.
-- The diagonal identities sum_i E_i* = I, sum_i theta*_i E_i* = A* and
-  A_i* = diag(|X| row x of E_i) are identities between the held
-  diagonals: n-vectors, with no n x n matrix.
-- Orthogonality of the E_i has a spectral certificate.  Distinct theta_i,
-  sum_i E_i = I and A E_i = theta_i E_i for every i imply
-  E_i E_j = delta_ij E_i, and then E_i A = theta_i E_i as well, so no
-  product E_i A is formed.  A E_i is one gathered product (d nonzeros per
-  row of A).  Only a failed certificate falls back to the dense pairwise
-  products, which decide the verdict and its witness.
-- The Krein expansion E_i o E_j = |X|^(-1) sum_h q^h_ij E_h of certified
-  E_h = V[h][dist] / den is the table identity
-  |X| V[i][a] V[j][a] = den sum_h q^h_ij V[h][a], one product of the
-  coefficient table with V.  A table symmetric in (i, j) needs only the
-  pairs with i <= j.  The one dense path kept beside it: when some E_h is
-  not certified (only a tampered context), one stacked product per i of
-  the coefficient table with the (d+1) x n^2 stack of E_h numerators
-  decides, as it did before the class tables.
-- The dual idempotents E_i* are diagonal, so their pairwise products are
-  read off the diagonals: disjoint supports for i != j, 0/1 entries for
-  i = j.
+- The distance array.  dist is symmetric, {dist = 0} is exactly the
+  diagonal, and every sphere S_a around x is nonempty, so every class
+  a = 0..d occurs, in row x.
+- The counted table.  is_distance_regular counts the intersection array
+  on the graph and derives every p^h_ij from it, so that
+  A_i A_j = sum_h p^h_ij A_h (Brouwer, Cohen and Neumaier, Distance-Regular
+  Graphs, 1989, section 4.1).  The context holds that counted table as
+  p_table.  On the hypercube path the closed-form table is compared with
+  it, as the last section check, intersection_numbers_match_brute_force.
+
+Then, for M = u[dist] and N = v[dist]:
+
+- Faithfulness.  The A_a are disjoint, nonzero, 0/1 and sum to J, so
+  M = N exactly when u = v, and the canonical form of M is that of u (the
+  numerators of M are those of u, each occurring).  Linear combinations of
+  matrices are those of their rows.
+- I = e_0[dist], because {dist = 0} is the diagonal; J = 1[dist];
+  A = A_1 = e_1[dist]; and A_i is the unit row e_i.
+- M N = sum_(a,b) u[a] v[b] A_a A_b = sum_h (sum_(a,b) u[a] v[b] p^h_ab) A_h,
+  so (M N)[h] = sum_(a,b) u[a] v[b] p^h_ab: a product is one contraction
+  with the table.
+- M o N = (u o v)[dist]; M is symmetric, since dist is; tr M = n u[0]; and
+  row y of M is u[dist[y]].
+
+So the section identities sum_i A_i = J, A_0 = I, sum_i E_i = I,
+E_i E_j = delta_ij E_i, sum_i theta_i E_i = A, E_0 = J/|X| and the Krein
+expansion E_i o E_j = |X|^(-1) sum_h q^h_ij E_h are identities between
+(d+1)-vectors, and the multiplicity of theta_i is tr E_i = n E_i[0].  With
+V the (d+1) x (d+1) stack of the E_i rows over one denominator den, the
+products E_i E_j for all (i, j) are two products of (d+1)-sized tables,
+and the Krein expansion reads |X| V[i][a] V[j][a] = den sum_h q^h_ij V[h][a].
+The first failing pair names the witness, as it would on the n x n
+matrices.  Only the consumers that take n x n matrices (closure, the split,
+U0) build them, on demand, through TerwContext.class_matrix and
+class_entries.
+
+- The diagonal identities sum_i E_i* = I, sum_i theta*_i E_i* = A*,
+  E*_i E*_j = delta_ij E*_i and A_i* = diag(|X| row x of E_i) are
+  identities between the held diagonals: n-vectors, with no n x n matrix.
 - One bincount over the key (dist(x, y), dist(y, z), dist(x, z)) counts
   N[k, a, l] = #{y in S_k, z in S_l : dist(y, z) = a}.  E_h* A_a E_l*
   vanishes exactly when N[h, a, l] = 0.
-- For symmetric idempotents E_h, E_j (idempotence is verified at
-  construction) and diagonal A_i* = diag(a_i),
+- For symmetric idempotents E_h, E_j and diagonal A_i* = diag(a_i),
   ||E_h A_i* E_j||_F^2 = a_i^T (E_h o E_j) a_i, so E_h A_i* E_j = 0 exactly
-  when that sum of squares is 0.  An E_h constant on the distance classes
-  of a symmetric distance array is symmetric, so only the others are
-  transposed.  With a_i constant, theta*_i(k), on each sphere S_k and
-  E_h o E_j = sum_a V[h][a] V[j][a] A_a / den^2, the sum is
+  when that sum of squares is 0.  With a_i constant, theta*_i(k), on each
+  sphere S_k and E_h o E_j = sum_a V[h][a] V[j][a] A_a / den^2, the sum is
   sum_a V[h][a] V[j][a] sum_(k,l) theta*_i(k) theta*_i(l) N[k, a, l], up to
   a positive factor.
 - The polynomial images F_i(A) = A_i and F_i(A*) = A_i* and the two
   relators are identities between the spectral idempotents and a target:
   q(M) = sum_j q(theta_j) F_j for (M, F) = (A, E) and (A*, E*) (proof in
   check_polynomial_images).  Each is one _identity_holds call, on the class
-  values of the E_j and A_i or on the held diagonals; no power of A or A*
-  is formed.
+  rows of the E_j against the unit rows of the A_i, or on the held
+  diagonals; no power of A or A* is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 import numpy as np
 
 from ._intops import (
-    INT64_SAFE,
-    content,
     demote,
     exact_matmul,
     exact_mul_elementwise,
@@ -103,7 +108,7 @@ from ._intops import (
 )
 from .checks import Check
 from .closure import AlgebraBasis, closure
-from .graphs import DistanceData, Graph, distance_matrix, hypercube, is_distance_regular
+from .graphs import DistanceData, Graph, hypercube, is_distance_regular
 from .hypercube import HypercubeParams, permissible, spectrum_poly
 from .linalg import RationalMatrix, inverse, min_poly
 from .polys import RationalPoly, integer_roots
@@ -118,14 +123,24 @@ def diagonal_matrix(row: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(np.diag(row.num[0]), row.den, _canonical=True)
 
 
+def _distance_row(i: int, size: int) -> RationalMatrix:
+    """The class row of A_i = [dist = i]: the unit row e_i, or the zero row
+    when i >= size."""
+    return RationalMatrix(np.eye(1, size, i, dtype=np.int64), 1, _canonical=True)
+
+
 @dataclass(frozen=True)
 class TerwContext:
-    """All exact matrices attached to one (graph, base vertex) pair.
+    """All exact data attached to one (graph, base vertex) pair.
 
-    A, A_dist and E are dense n x n matrices.  Every E_star[i] and
-    A_star[i] is diagonal, and is held as its diagonal: a 1 x n
-    RationalMatrix in the same canonical form, so equality, scaling and
-    the denominator are those of the n x n matrix.
+    The only n x n array is the distance array dist.dist.  Every E[i] is
+    the class row of E_i: a 1 x (d+1) RationalMatrix whose entry a is the
+    value of E_i on the class dist = a, in the canonical form of the n x n
+    matrix (the module docstring says why that form is the same).  Every
+    E_star[i] and A_star[i] is diagonal, and is held as its diagonal: a
+    1 x n RationalMatrix in the same canonical form.  So equality, scaling
+    and the denominator are those of the n x n matrix.  p_table holds the
+    intersection numbers counted on the graph.
     """
 
     graph: Graph
@@ -133,8 +148,6 @@ class TerwContext:
     x: int
     d: int
     n: int
-    A: RationalMatrix
-    A_dist: tuple[RationalMatrix, ...]
     E: tuple[RationalMatrix, ...]
     E_star: tuple[RationalMatrix, ...]
     A_star: tuple[RationalMatrix, ...]
@@ -153,6 +166,21 @@ class TerwContext:
     @property
     def is_hypercube(self) -> bool:
         return self.params is not None
+
+    def class_entries(self, row: RationalMatrix, index=...) -> np.ndarray:
+        """Numerators, over row.den, of the entries at index of the n x n
+        matrix with class row row: entry (y, z) is row[dist(y, z)]."""
+        return row.num[0][self.dist.dist[index]]
+
+    def class_matrix(self, row: RationalMatrix) -> RationalMatrix:
+        """The n x n matrix with class row row, built on each call for the
+        consumers that take dense matrices."""
+        return RationalMatrix(self.class_entries(row), row.den, _canonical=True)
+
+    @property
+    def A(self) -> RationalMatrix:
+        """The adjacency matrix A = [dist = 1], built on each call."""
+        return self.class_matrix(_distance_row(1, self.d + 1))
 
     @property
     def dual_adjacency_row(self) -> RationalMatrix:
@@ -195,58 +223,47 @@ def _krein_table(Q: Sequence[Sequence[Fraction]]):
     return tuple(tuple(tuple(row) for row in layer) for layer in krein)
 
 
-def _lowest_terms(values: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    """values / den with gcd(content(values), den) divided out, demoted.
+def _idempotent_rows(Q: Sequence[Sequence[Fraction]], n: int) -> list[RationalMatrix]:
+    """The class rows of E_i = |X|^(-1) sum_a Q[a][i] A_a: entry a is
+    Q[a][i] / |X|, for every i."""
+    return [
+        RationalMatrix.from_rows([[Fraction(row[i]) / n for row in Q]])
+        for i in range(len(Q))
+    ]
 
-    A matrix whose nonzero entries are exactly these values over den has
-    the same content, so placing the result into it gives the canonical
-    RationalMatrix numerators and denominator without a gcd over the
-    matrix.
+
+def _intersection_numbers(g: Graph, dd: DistanceData, x: int) -> np.ndarray:
+    """The intersection numbers counted on g, once the distance array is
+    checked fit to stand for the classes A_a (module docstring).
+
+    Raises:
+        VerificationError: if dist is not symmetric, {dist = 0} is not the
+            diagonal, or a sphere around x is empty.
+        ValueError: if the graph is not distance-regular (witness included).
     """
-    c = content(values)
-    g = gcd(c, den)
-    if g > 1:
-        if c:
-            values = values // g
-        den //= g
-    return demote(values), den
-
-
-def _idempotents_from_eigenmatrix(
-    dist: np.ndarray, Q: Sequence[Sequence[Fraction]]
-) -> list[RationalMatrix]:
-    """E_i = |X|^(-1) sum_j Q[j][i] A_j, for every i.
-
-    The A_j have disjoint supports, so (E_i)_yz = Q[dist(y, z)][i] / |X|:
-    column i of Q, over a common denominator, is gathered through the
-    distance table.  Every class 0..d occurs in it, so the gcd of E_i's
-    numerators is the gcd of its d+1 class values, and the matrix is built
-    in lowest terms.
-    """
-    n = dist.shape[0]
-    E = []
-    for i in range(len(Q)):
-        col = [Fraction(row[i]) for row in Q]
-        den = lcm(*(q.denominator for q in col))
-        nums = [q.numerator * (den // q.denominator) for q in col]
-        dtype = np.int64 if max(map(abs, nums)) < INT64_SAFE else object
-        values, den = _lowest_terms(np.array(nums, dtype=dtype), n * den)
-        E.append(RationalMatrix(values[dist], den, _canonical=True))
-    return E
-
-
-def _dual_distance_matrix(Ei: RationalMatrix, x: int) -> RationalMatrix:
-    """The diagonal |X| (E_i)_{x,y} of A_i*, from the integer numerators of
-    row x, in lowest terms by the gcd of the n entries."""
-    diag, den = _lowest_terms(exact_scale(Ei.num[x], Ei.nrows), Ei.den)
-    return RationalMatrix(diag[None], den, _canonical=True)
+    dist = dd.dist
+    if not np.array_equal(dist, dist.T):
+        raise VerificationError("distance array is not symmetric")
+    if dist.diagonal().any() or np.count_nonzero(dist == 0) != g.n:
+        raise VerificationError("distance-0 class is not the diagonal")
+    sizes = np.bincount(dist[x], minlength=dd.diameter + 1)
+    if not sizes.all():
+        a = int(np.flatnonzero(sizes == 0)[0])
+        raise VerificationError(f"sphere S_{a} around vertex {x} is empty")
+    ok, result = is_distance_regular(g, dd)
+    if not ok:
+        h, i, j, pair_a, count_a, pair_b, count_b = result
+        raise ValueError(
+            f"graph is not distance-regular: (h,i,j)=({h},{i},{j}) gives "
+            f"{count_a} for pair {pair_a} but {count_b} for pair {pair_b}"
+        )
+    return result
 
 
 def _assemble(
     graph: Graph,
     dd: DistanceData,
     x: int,
-    A_dist: tuple[RationalMatrix, ...],
     E: list[RationalMatrix],
     P: list[list[Fraction]],
     Q: list[list[Fraction]],
@@ -255,22 +272,26 @@ def _assemble(
 ) -> TerwContext:
     """The context with its section identities checked and stored.
 
+    E holds the class rows of the E_i and p_table the counted intersection
+    numbers.
+
     Raises:
         VerificationError: naming every section identity that fails.
     """
     d = dd.diameter
     n = graph.n
-    A = A_dist[1] if d >= 1 else RationalMatrix.zeros(n, n)
-    spheres = tuple(np.nonzero(dd.dist[x] == i)[0] for i in range(d + 1))
+    row_x = dd.dist[x]
+    spheres = tuple(np.flatnonzero(row_x == i) for i in range(d + 1))
 
-    rows = (dd.dist[x] == np.arange(d + 1)[:, None]).astype(np.int64)
+    rows = (row_x == np.arange(d + 1)[:, None]).astype(np.int64)
     E_star = [RationalMatrix(row[None], 1, _canonical=True) for row in rows]
-    A_star = [_dual_distance_matrix(Ei, x) for Ei in E]
+    # A_i* = diag(|X| row x of E_i), and row x of E_i is E_i[dist[x]].
+    A_star = [RationalMatrix(exact_scale(Ei.num[0][row_x], n)[None], Ei.den) for Ei in E]
 
     valencies = tuple(int(len(s)) for s in spheres)
     dual_valencies = []
-    for i in range(d + 1):
-        t = E[i].trace()
+    for i, Ei in enumerate(E):
+        t = Fraction(n * int(Ei.num[0, 0]), Ei.den)  # tr E_i = n E_i[0]
         if t.denominator != 1:
             raise VerificationError(f"rank of idempotent E_{i} is not an integer: {t}")
         dual_valencies.append(int(t))
@@ -284,8 +305,6 @@ def _assemble(
         x=x,
         d=d,
         n=n,
-        A=A,
-        A_dist=A_dist,
         E=tuple(E),
         E_star=tuple(E_star),
         A_star=tuple(A_star),
@@ -316,13 +335,12 @@ def build_hypercube_context(d: int, x: int = 0) -> TerwContext:
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range for {g.n} vertices")
     dd = DistanceData.compute(g)
+    p_table = _intersection_numbers(g, dd, x)
     params = HypercubeParams.build(d)
-    A_dist = tuple(distance_matrix(g, dd, i) for i in range(d + 1))
 
     # Self-dual eigenmatrix formula: q_i(j) = p_i(j), so Q = P.
     P = [list(row) for row in params.P]
-    E = _idempotents_from_eigenmatrix(dd.dist, P)
-    return _assemble(g, dd, x, A_dist, E, P, P, params.p_table, params)
+    return _assemble(g, dd, x, _idempotent_rows(P, g.n), P, P, p_table, params)
 
 
 def build_context(g: Graph, x: int = 0) -> TerwContext:
@@ -335,17 +353,9 @@ def build_context(g: Graph, x: int = 0) -> TerwContext:
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range for {g.n} vertices")
     dd = DistanceData.compute(g)
-    ok, result = is_distance_regular(g, dd)
-    if not ok:
-        h, i, j, pair_a, count_a, pair_b, count_b = result
-        raise ValueError(
-            f"graph is not distance-regular: (h,i,j)=({h},{i},{j}) gives "
-            f"{count_a} for pair {pair_a} but {count_b} for pair {pair_b}"
-        )
-    p_table = result
+    p_table = _intersection_numbers(g, dd, x)
     d = dd.diameter
     n = g.n
-    A_dist = tuple(distance_matrix(g, dd, j) for j in range(d + 1))
 
     # B_1[h, j] = p^h_1j is the matrix of multiplication by A on the basis
     # A_0..A_d of the Bose-Mesner algebra.  That representation is faithful,
@@ -380,8 +390,7 @@ def build_context(g: Graph, x: int = 0) -> TerwContext:
             v.append(((th - a[j]) * v[j] - b[j - 1] * v[j - 1]) / c[j + 1])
         P.append(v)
     Q = (inverse(RationalMatrix.from_rows(P)) * n).dense_rows()
-    E = _idempotents_from_eigenmatrix(dd.dist, Q)
-    return _assemble(g, dd, x, A_dist, E, P, Q, p_table, None)
+    return _assemble(g, dd, x, _idempotent_rows(Q, n), P, Q, p_table, None)
 
 
 # -- named identity checks -------------------------------------------------
@@ -407,95 +416,58 @@ def _dual_orthogonality_witness(e_star: Sequence[RationalMatrix]) -> str | None:
     return f"E*_{bad[0][0]} E*_{bad[0][1]}" if bad.size else None
 
 
-def _class_representatives(ctx: TerwContext) -> list[int] | None:
-    """One vertex r_a of each sphere S_a, if class values certify identities.
-
-    That needs every sphere to be nonempty and {dist == 0} to be exactly the
-    diagonal.  Otherwise None.
-    """
-    dist = ctx.dist.dist
-    if any(s.size == 0 for s in ctx.spheres):
-        return None
-    if np.count_nonzero(dist == 0) != ctx.n or np.any(dist.diagonal()):
-        return None
-    return [int(s[0]) for s in ctx.spheres]
-
-
-def _class_values(m: RationalMatrix, dist: np.ndarray, x: int, reps) -> np.ndarray | None:
-    """Numerators of m on each distance class, read off row x, if m = v[dist].
-
-    Returns None when m is not constant on some class.
-    """
-    v = m.num[x, reps]
-    return v if np.array_equal(m.num, v[dist]) else None
-
-
-def _class_view(ctx: TerwContext):
-    """The reader m -> _class_values(m, ...) of ctx: None for every m when
-    ctx has no class representatives (_class_representatives)."""
-    dist = ctx.dist.dist
-    reps = _class_representatives(ctx)
-    return lambda m: None if reps is None else _class_values(m, dist, ctx.x, reps)
-
-
-def _identity_holds(coeffs, mats, views, target, target_view) -> bool:
-    """Whether sum_k coeffs[k] mats[k] equals the target, exactly.
-
-    views[k] holds the numerators of mats[k] on the classes (or the held
-    diagonal), None when it is not certified; target_view is the target's
-    (num, den) there, or None.  When every view is known the identity is
-    checked on them, and target may be None; otherwise on the full
-    numerators of mats and of the matrix target() builds.  Everything is
-    scaled to one common denominator and compared as integers.
-    """
-    if target_view is None or any(v is None for v in views):
-        t = target()
-        views, target_view = [m.num for m in mats], (t.num, t.den)
+def _identity_holds(coeffs, rows: Sequence[RationalMatrix], target: RationalMatrix) -> bool:
+    """Whether sum_k coeffs[k] rows[k] equals target, exactly: every term is
+    scaled to one common denominator and compared as integers."""
     coeffs = [Fraction(c) for c in coeffs]
-    num_t, den_t = target_view
-    common = lcm(den_t, *(m.den * c.denominator for c, m in zip(coeffs, mats)))
-    acc = exact_scale(num_t, common // den_t)
-    for c, v, m in zip(coeffs, views, mats):
+    common = lcm(target.den, *(m.den * c.denominator for c, m in zip(coeffs, rows)))
+    acc = exact_scale(target.num, common // target.den)
+    for c, m in zip(coeffs, rows):
         if c:
-            acc = exact_sub(acc, exact_scale(v, c.numerator * (common // (m.den * c.denominator))))
+            scale = c.numerator * (common // (m.den * c.denominator))
+            acc = exact_sub(acc, exact_scale(m.num, scale))
     return not np.any(acc)
 
 
-def _eigen_product_holds(a: RationalMatrix, e: RationalMatrix, t) -> bool:
-    """A E = t E, from one gathered product (A is row-sparse)."""
-    t = Fraction(t)
-    want = exact_scale(e.num, t.numerator * a.den)
-    return np.array_equal(exact_scale(exact_matmul(a.num, e.num), t.denominator), want)
+def _idempotent_table(E: Sequence[RationalMatrix]) -> tuple[np.ndarray, int]:
+    """(V, den) with E_i = V[i][dist] / den: the class rows over one
+    common denominator."""
+    den = lcm(*(e.den for e in E))
+    return np.stack([exact_scale(e.num[0], den // e.den) for e in E]), den
 
 
-def _orthogonality_witness(ctx: TerwContext) -> str | None:
-    """The first pair (i, j) with E_i E_j != delta_ij E_i, from the (d+1)^2
-    dense products."""
-    zero = RationalMatrix.zeros(ctx.n, ctx.n)
-    for i, Ei in enumerate(ctx.E):
-        for j, Ej in enumerate(ctx.E):
-            if Ei @ Ej != (Ei if i == j else zero):
-                return f"E_{i} E_{j}"
-    return None
+def _product_witness(V: np.ndarray, den: int, p_table: np.ndarray) -> str | None:
+    """The first pair (i, j), row by row, with E_i E_j != delta_ij E_i, for
+    E_i = V[i][dist] / den.
+
+    (E_i E_j)[h] = sum_(a,b) V[i][a] V[j][b] p^h_ab / den^2 (module
+    docstring): W[(h, a), j] = sum_b p^h_ab V[j][b] and then one product
+    with V give every pair, compared with delta_ij den V[i].
+    """
+    size = len(V)
+    W = exact_matmul(p_table.reshape(size * size, size), V.T)
+    W = W.reshape(size, size, size).transpose(1, 0, 2).reshape(size, size * size)
+    products = exact_matmul(V, W).reshape(size, size, size).transpose(0, 2, 1)
+    scaled = exact_scale(V, den)
+    expected = np.zeros(products.shape, dtype=scaled.dtype)  # [i, j, h]
+    expected[np.arange(size), np.arange(size)] = scaled
+    bad = np.argwhere((products != expected).any(axis=2))
+    return f"E_{bad[0][0]} E_{bad[0][1]}" if bad.size else None
 
 
-def _krein_table_witness(ctx: TerwContext, values, pairs) -> str | None:
-    """The first pair (i, j) whose Krein expansion fails, on class values.
+def _krein_witness(ctx: TerwContext, V: np.ndarray, den: int, pairs) -> str | None:
+    """The first pair (i, j) whose Krein expansion fails, for
+    E_h = V[h][dist] / den.
 
-    values[h] holds the numerators of the certified E_h on the classes.
-    Over the common denominator den, E_h = V[h][dist] / den, and
     E_i o E_j = |X|^(-1) sum_h q^h_ij E_h reads
     |X| V[i][a] V[j][a] = den sum_h q^h_ij V[h][a] for every class a.
     """
-    n = ctx.n
     size = ctx.d + 1
-    den = lcm(*(Eh.den for Eh in ctx.E))
-    V = np.stack([exact_scale(v, den // Eh.den) for v, Eh in zip(values, ctx.E)])
     table = RationalMatrix.from_rows(
         [[ctx.krein[h][i][j] for h in range(size)] for i, j in pairs]
     )
     rows, cols = zip(*pairs)
-    left = exact_scale(exact_mul_elementwise(V[list(rows)], V[list(cols)]), n * table.den)
+    left = exact_scale(exact_mul_elementwise(V[list(rows)], V[list(cols)]), ctx.n * table.den)
     right = exact_scale(exact_matmul(table.num, V), den)
     for k, (i, j) in enumerate(pairs):
         if not np.array_equal(left[k], right[k]):
@@ -503,103 +475,47 @@ def _krein_table_witness(ctx: TerwContext, values, pairs) -> str | None:
     return None
 
 
-def _krein_dense_witness(ctx: TerwContext, pairs) -> str | None:
-    """The first pair (i, j) whose Krein expansion fails, at matrix level.
-
-    The failure path for an E_h that is not certified.  Row h of stack is
-    den_e E_h, so row j of table @ stack is table.den den_e |X|^(-1)
-    sum_h q^h_ij E_h, and stack_i o stack_j is den_e^2 E_i o E_j; both
-    sides are scaled to table.den den_e^2 and compared as integers, one
-    stacked product per i.
-    """
-    n = ctx.n
-    size = ctx.d + 1
-    den_e = lcm(*(Eh.den for Eh in ctx.E))
-    stack = np.stack([exact_scale(Eh.num, den_e // Eh.den).ravel() for Eh in ctx.E])
-    for i in range(size):
-        cols = [j for k, j in pairs if k == i]
-        table = RationalMatrix.from_rows(
-            [[ctx.krein[h][i][j] / n for h in range(size)] for j in cols]
-        )
-        expansion = exact_scale(exact_matmul(table.num, stack), den_e)
-        left = exact_scale(stack[i], table.den)
-        for row, j in enumerate(cols):
-            if not np.array_equal(exact_mul_elementwise(left, stack[j]), expansion[row]):
-                return f"E_{i} o E_{j}"
-    return None
-
-
 def check_section_identities(ctx: TerwContext) -> list[Check]:
     """The fundamental identities of both Bose-Mesner algebras, exactly.
 
-    Each identity runs on class values, or on diagonals, when every matrix
-    in it is certified (see the module docstring), and on the integer
-    numerators otherwise.
+    Each identity runs on the class rows or on the held diagonals (see the
+    module docstring).  A hypercube context adds, last, the comparison of
+    the closed-form intersection numbers with the counted p_table.
     """
     checks = []
     n = ctx.n
     d = ctx.d
     size = d + 1
-    values = _class_view(ctx)
-    a_vals = [values(Ai) for Ai in ctx.A_dist]
-    e_vals = [values(Ei) for Ei in ctx.E]
-    adj_vals = values(ctx.A)
-    # The class values of J and I, and the targets as dense matrices.
-    ones = np.ones(size, dtype=np.int64)
-    unit = np.eye(1, size, dtype=np.int64)[0]
-
-    def J():
-        return RationalMatrix.ones(n, n)
-
-    def I():
-        return RationalMatrix.identity(n)
-
     unit_coeffs = [1] * size
+    distance_rows = [_distance_row(i, size) for i in range(size)]
+    ident = _distance_row(0, size)  # {dist = 0} is the diagonal
+    ones = RationalMatrix.ones(1, size)
+
+    # The A_i are the unit rows, so these two hold once construction has
+    # checked the distance array; the reports still name them.
     checks.append(
         Check(
             "distance_matrices_partition",
-            _identity_holds(unit_coeffs, ctx.A_dist, a_vals, J, (ones, 1)),
+            _identity_holds(unit_coeffs, distance_rows, ones),
         )
     )
+    checks.append(Check("distance_zero_is_identity", distance_rows[0] == ident))
     checks.append(
-        Check(
-            "distance_zero_is_identity",
-            _identity_holds([1], ctx.A_dist[:1], a_vals[:1], I, (unit, 1)),
-        )
+        Check("idempotents_sum_to_identity", _identity_holds(unit_coeffs, ctx.E, ident))
     )
-    sums_to_identity = _identity_holds(unit_coeffs, ctx.E, e_vals, I, (unit, 1))
-    checks.append(Check("idempotents_sum_to_identity", sums_to_identity))
-
-    # Spectral certificate for E_i E_j = delta_ij E_i.  If the theta_i are
-    # distinct, sum_j E_j = I and A E_i = theta_i E_i for every i, then the
-    # columns of E_i lie in the theta_i-eigenspace V_i of A.  Eigenspaces of
-    # distinct eigenvalues are independent and sum_j E_j v = v, so E_i v is
-    # the V_i-component of v: E_i E_j = delta_ij E_i.  Only when the
-    # certificate fails do the (d+1)^2 dense products decide the verdict
-    # and name the first failing pair.
-    ortho = (
-        sums_to_identity
-        and len(set(ctx.theta)) == size
-        and all(_eigen_product_holds(ctx.A, Ei, t) for Ei, t in zip(ctx.E, ctx.theta))
-    )
-    witness = None if ortho else _orthogonality_witness(ctx)
+    V, den = _idempotent_table(ctx.E)
+    witness = _product_witness(V, den, ctx.p_table)
     checks.append(Check("idempotents_orthogonal", witness is None, witness))
-
     checks.append(
         Check(
             "adjacency_spectral_decomposition",
-            _identity_holds(
-                ctx.theta, ctx.E, e_vals, lambda: ctx.A,
-                None if adj_vals is None else (adj_vals, ctx.A.den),
-            ),
+            _identity_holds(ctx.theta, ctx.E, _distance_row(1, size)),
         )
     )
     checks.append(
         Check(
             "rank_one_idempotent_is_all_ones",
-            _identity_holds(
-                [1], ctx.E[:1], e_vals[:1], lambda: J() * Fraction(1, n), (ones, n)
-            ),
+            _identity_holds([1], ctx.E[:1], ones * Fraction(1, n)),
         )
     )
 
@@ -612,13 +528,10 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
         )
     )
 
-    star_diags = [Ei.num[0] for Ei in ctx.E_star]
     checks.append(
         Check(
             "dual_idempotents_sum_to_identity",
-            _identity_holds(
-                unit_coeffs, ctx.E_star, star_diags, None, (np.ones(n, dtype=np.int64), 1)
-            ),
+            _identity_holds(unit_coeffs, ctx.E_star, RationalMatrix.ones(1, n)),
         )
     )
 
@@ -629,22 +542,18 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     # of E_i.
     witness = None
     for i, (Ai, Ei) in enumerate(zip(ctx.A_star, ctx.E)):
-        if not np.array_equal(
-            exact_scale(Ai.num[0], Ei.den), exact_scale(Ei.num[ctx.x], n * Ai.den)
-        ):
+        row = ctx.class_entries(Ei, ctx.x)
+        if not np.array_equal(exact_scale(Ai.num[0], Ei.den), exact_scale(row, n * Ai.den)):
             witness = f"A*_{i}"
             break
     checks.append(
         Check("dual_distance_diagonal_from_idempotent_row", witness is None, witness)
     )
 
-    dual_adj = ctx.dual_adjacency_row
     checks.append(
         Check(
             "dual_adjacency_spectral_decomposition",
-            _identity_holds(
-                ctx.theta_star, ctx.E_star, star_diags, None, (dual_adj.num[0], dual_adj.den)
-            ),
+            _identity_holds(ctx.theta_star, ctx.E_star, ctx.dual_adjacency_row),
         )
     )
 
@@ -658,11 +567,18 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
         for j in range(i)
     )
     pairs = [(i, j) for i in range(size) for j in range(i if symmetric else 0, size)]
-    if all(v is not None for v in e_vals):
-        witness = _krein_table_witness(ctx, e_vals, pairs)
-    else:
-        witness = _krein_dense_witness(ctx, pairs)
+    witness = _krein_witness(ctx, V, den, pairs)
     checks.append(Check("krein_expansion_of_hadamard_products", witness is None, witness))
+
+    if ctx.params is not None:
+        match = np.array_equal(ctx.params.p_table, ctx.p_table)
+        checks.append(
+            Check(
+                "intersection_numbers_match_brute_force",
+                match,
+                None if match else "closed form disagrees with counted table",
+            )
+        )
     return checks
 
 
@@ -701,26 +617,24 @@ def _int_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.ndarray:
     """zeros[h, i, j] is True exactly when E_h A_i* E_j = 0.
 
-    Precondition: every E_h is idempotent.  A context exists only after
-    construction has verified that (idempotents_orthogonal), so this holds
-    on every context.  Let E_h and E_j be symmetric idempotents and
-    A_i* = diag(a_i).  Then
+    Precondition: every E_h is a symmetric idempotent.  A context exists
+    only after construction has verified idempotence
+    (idempotents_orthogonal) and that dist is symmetric, so that every
+    E_h = V[h][dist] / den is symmetric.  Let A_i* = diag(a_i).  Then
 
         ||E_h A_i* E_j||_F^2 = tr(E_j A_i* E_h A_i*) = a_i^T (E_h o E_j) a_i,
 
     a sum of squares that is 0 exactly when the triple product is.  With
-    a_i(y) = theta*_i(k) on the sphere S_k and E_h = V[h][dist] / den_h,
-    a_i^T (E_h o E_j) a_i is a positive multiple of
-    sum_a V[h][a] V[j][a] W[i][a], where
+    a_i(y) = theta*_i(k) on the sphere S_k, a_i^T (E_h o E_j) a_i is a
+    positive multiple of sum_a V[h][a] V[j][a] W[i][a] for the class rows
+    V[h] of the E_h (each over its own denominator), where
     W[i][a] = sum_(k,l) theta*_i(k) theta*_i(l) N[k, a, l] and N is
     _triple_counts (passed in as counts, or counted here).  Both sums are
     guarded products of (d+1)-sized integer tables; the positive
     denominators do not change which values are 0.
 
     Raises:
-        VerificationError: if some A_i* is not constant on a sphere S_k, or
-            some E_h is not symmetric, or a symmetric E_h is not constant
-            on distance classes.
+        VerificationError: if some A_i* is not constant on a sphere S_k.
     """
     size = ctx.d + 1
     dist = ctx.dist.dist
@@ -732,15 +646,6 @@ def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.
         i, y = (int(v) for v in bad[0])
         k = int(dist[ctx.x, y])
         raise VerificationError(f"A*_{i} is not constant on sphere S_{k}")
-    classes = [_class_values(Eh, dist, ctx.x, reps) for Eh in ctx.E]
-    # A class function of a symmetric distance array is symmetric.
-    symmetric_dist = np.array_equal(dist, dist.T)
-    for h, (Eh, v) in enumerate(zip(ctx.E, classes)):
-        if (v is None or not symmetric_dist) and not np.array_equal(Eh.num, Eh.num.T):
-            raise VerificationError(f"E_{h} is not symmetric")
-    for h, v in enumerate(classes):
-        if v is None:
-            raise VerificationError(f"E_{h} is not constant on distance classes")
     N = _triple_counts(ctx) if counts is None else counts
     # theta_pairs[i, (k, l)] = theta*_i(k) theta*_i(l); N_kl[(k, l), a] = N[k, a, l].
     theta_pairs = _int_products(
@@ -748,7 +653,7 @@ def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.
     )
     W = exact_matmul(theta_pairs, N.transpose(0, 2, 1).reshape(size * size, size))
     # class_pairs[(h, j), a] = V[h][a] V[j][a]; norms[(h, j), i].
-    V = np.array(classes)
+    V = np.array([Eh.num[0] for Eh in ctx.E])
     class_pairs = _int_products(np.repeat(V, size, axis=0), np.tile(V, (size, 1)))
     norms = exact_matmul(class_pairs, W.T)
     return (norms == 0).reshape(size, size, size).transpose(0, 2, 1)
@@ -854,10 +759,10 @@ def check_polynomial_images(ctx: TerwContext) -> list[Check]:
     so by linearity q(M) = sum_j q(theta_j) F_j for every polynomial q.
 
     - F_i(M) = target_i is the identity sum_j F_i(theta_j) F_j = target_i,
-      checked by _identity_holds on the certified class values of the E_j
-      and A_i (on A's side) or on the held diagonals (on A*'s side); a
-      matrix that is not certified sends it to the integer numerators.  No
-      power or product of n x n matrices is formed.
+      checked by _identity_holds on the class rows of the E_j against the
+      unit row of A_i (A_(d+1) = 0 has the zero row), or on the held
+      diagonals on A*'s side.  No power or product of n x n matrices is
+      formed.
     - I - F_0 - F_d = sum_(j not in {0, d}) F_j, so the relator image is
       phi(M) (I - F_0 - F_d) = sum_(j not in {0, d}) phi(theta_j) F_j: the
       same identity with the coefficients at 0 and d set to zero and a zero
@@ -877,34 +782,30 @@ def check_polynomial_images(ctx: TerwContext) -> list[Check]:
     d = ctx.d
     fs, phi = ctx.params.F, ctx.params.phi
     relator = spectrum_poly(d - 2) if d >= 2 else None
-    view = _class_view(ctx)
+    size = d + 1
+    stars = list(ctx.A_star) + [RationalMatrix.zeros(1, ctx.n)] * (len(fs) - size)
     images, minimal, relators = [], [], []
-    for label, name, idem, read, targets, theta, ranks, relator_name in (
+    for label, name, idem, targets, theta, ranks, relator_name in (
         (
-            "A", "adjacency", ctx.E, view, ctx.A_dist, ctx.theta, ctx.dual_valencies,
-            "relator_annihilates_middle_idempotents",
+            "A", "adjacency", ctx.E, [_distance_row(i, size) for i in range(len(fs))],
+            ctx.theta, ctx.dual_valencies, "relator_annihilates_middle_idempotents",
         ),
         (
-            "A*", "dual_adjacency", ctx.E_star, lambda m: m.num[0], ctx.A_star,
-            ctx.theta_star, ctx.valencies,
+            "A*", "dual_adjacency", ctx.E_star, stars, ctx.theta_star, ctx.valencies,
             "dual_relator_annihilates_middle_dual_idempotents",
         ),
     ):
-        views = [read(f) for f in idem]
-        zero = RationalMatrix.zeros(*targets[0].shape)
-        targets = list(targets) + [zero] * (len(fs) - len(targets))
 
         def image_is(q, target, skip=()):
             """sum_(j not in skip) q(theta_j) F_j == target."""
             coeffs = [0 if j in skip else q.eval_scalar(t) for j, t in enumerate(theta)]
-            v = read(target)
-            target_view = None if v is None else (v, target.den)
-            return _identity_holds(coeffs, idem, views, lambda: target, target_view)
+            return _identity_holds(coeffs, idem, target)
 
         bad = next((i for i, (f, t) in enumerate(zip(fs, targets)) if not image_is(f, t)), None)
         witness = None if bad is None else f"F_{bad}({label})"
         images.append(Check(f"krawtchouk_images_of_{name}", bad is None, witness))
         if relator is not None:
+            zero = RationalMatrix.zeros(*idem[0].shape)
             relators.append(Check(relator_name, image_is(relator, zero, skip=(0, d))))
         mp = _spectral_min_poly(theta, ranks)
         witness = None if mp == phi else f"{mp} != {phi}"

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import __version__
 from .checks import Check
 from .closure import AlgebraBasis
-from .graphs import Graph, is_distance_regular
+from .graphs import Graph
 from .hypercube import (
     check_permissible_equivalence,
     check_shift_lemma_down,
@@ -94,16 +94,6 @@ def _diameter_record(
     dec = prep.dec
     d = ctx.d
     checks: list[Check] = list(ctx.section_checks)
-
-    ok, table = is_distance_regular(ctx.graph, ctx.dist)
-    brute_ok = bool(ok) and (table == ctx.p_table).all()
-    checks.append(
-        Check(
-            "intersection_numbers_match_brute_force",
-            bool(brute_ok),
-            None if brute_ok else "closed form disagrees with counted table",
-        )
-    )
 
     tp = check_triple_products(ctx)
     witness = None

@@ -1,9 +1,14 @@
-"""Dense n x n views of block pieces and of the diagonals a context holds,
-for the reference checks in the tests."""
+"""Dense n x n views of block pieces, class rows and held diagonals, and the
+dense helpers the reference checks in the tests are built from."""
+
+from typing import Sequence
 
 import numpy as np
 
+from terwalg._intops import INT64_SAFE, exact_matmul, max_abs, to_object
+from terwalg.graphs import DistanceData, Graph
 from terwalg.linalg import RationalMatrix
+from terwalg.polys import RationalPoly
 
 
 def densify(basis) -> tuple[RationalMatrix, ...]:
@@ -26,3 +31,54 @@ def dense_diagonal(row: RationalMatrix) -> RationalMatrix:
     """The n x n diagonal matrix of a held diagonal (a 1 x n row), such as
     TerwContext.E_star[i] or A_star[i], canonicalized on its own."""
     return RationalMatrix(np.diag(row.num[0]), row.den)
+
+
+def dense_class_matrix(ctx, row: RationalMatrix) -> RationalMatrix:
+    """The n x n matrix of a class row (such as TerwContext.E[i]): entry
+    (y, z) is row[dist(y, z)], canonicalized on its own."""
+    return RationalMatrix(row.num[0][ctx.dist.dist], row.den)
+
+
+def dense_idempotents(ctx) -> list[RationalMatrix]:
+    """Every E_i of a context as a dense n x n matrix."""
+    return [dense_class_matrix(ctx, e) for e in ctx.E]
+
+
+def distance_matrix(g: Graph, dd: DistanceData, i: int) -> RationalMatrix:
+    """0/1 distance-i matrix; zero matrix when i is out of range."""
+    arr = (dd.dist == i).astype(np.int64)
+    return RationalMatrix(arr, 1, _canonical=True)
+
+
+def poly_eval_matrix(
+    ps: Sequence[RationalPoly], m: RationalMatrix
+) -> list[RationalMatrix]:
+    """Exact values p(m) for every p in ps, read off one set of powers.
+
+    Runs on integers: with m = M / e, K the largest degree in ps and
+    p = (sum_k c_k z^k) / den, den e^K p(m) = sum_k c_k e^(K-k) M^k, so
+    M^0..M^K are formed once (K products) and each p(m) is an integer
+    combination of them with one denominator.  The combination is summed in
+    int64 when sum_k |c_k e^(K-k)| max|M^k| allows it and on Python ints
+    otherwise.
+    """
+    if m.nrows != m.ncols:
+        raise ValueError("square matrix expected")
+    n = m.nrows
+    top = max((p.degree for p in ps if not p.is_zero()), default=0)
+    powers = [np.eye(n, dtype=np.int64)]
+    for _ in range(top):
+        powers.append(exact_matmul(powers[-1], m.num))
+    # A zero power still counts 1, so the bound also holds each c_k.
+    maxes = [max(max_abs(q), 1) for q in powers]
+    obj = any(q.dtype == object for q in powers)
+    out = []
+    for p in ps:
+        coeffs = [c * m.den ** (top - k) for k, c in enumerate(p.num)]
+        fits = not obj and sum(abs(c) * mx for c, mx in zip(coeffs, maxes)) < INT64_SAFE
+        acc = np.zeros((n, n), dtype=np.int64 if fits else object)
+        for c, q in zip(coeffs, powers):
+            if c:
+                acc += c * (q if fits else to_object(q))
+        out.append(RationalMatrix(acc, p.den * m.den**top))
+    return out

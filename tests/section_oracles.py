@@ -6,8 +6,10 @@ dual_triple_zeros forms one n x n Hadamard product per pair {h, j};
 _primal_triple_zeros runs one bincount per sphere block; and
 check_polynomial_images_dense evaluates the F_i and phi_(d-2) on the n x n
 powers of A and of the dense diagonal matrix A*.  The context holds each
-E_i* and A_i* as its diagonal; every oracle here works on the dense n x n
-matrix (dense_views).
+E_i as its class row and each E_i* and A_i* as its diagonal, and reads the
+A_i off the distance array; every oracle here works on the dense n x n
+matrices (dense_views), and counts the intersection numbers from dense
+products of the distance matrices.
 """
 
 from fractions import Fraction
@@ -18,10 +20,49 @@ import numpy as np
 from terwalg._intops import exact_matmul, exact_mul_elementwise, exact_scale
 from terwalg.checks import Check
 from terwalg.hypercube import spectrum_poly
-from terwalg.linalg import RationalMatrix, poly_eval_matrix
+from terwalg.linalg import RationalMatrix
 from terwalg.subconstituent import TerwContext, VerificationError
 
-from dense_views import dense_diagonal
+from dense_views import dense_diagonal, dense_idempotents, distance_matrix, poly_eval_matrix
+
+
+def distance_matrices(ctx: TerwContext) -> list[RationalMatrix]:
+    """The dense A_0, ..., A_d of a context."""
+    return [distance_matrix(ctx.graph, ctx.dist, i) for i in range(ctx.d + 1)]
+
+
+def dense_distance_regularity(dd):
+    """(True, p_table) from the products M_i M_j^T, or (False, witness).
+
+    The witness names the first count p^h_1i = (M_1 M_i^T)[y, z] that is not
+    constant on the class h, with i ascending and then h = i-1, i, i+1.
+    When those counts are all constant the graph is distance-regular, so
+    every other count is constant too.
+    """
+    size = dd.diameter + 1
+    masks = [(dd.dist == h).astype(np.int64) for h in range(size)]
+    adjacency = (dd.dist == 1).astype(np.int64)
+    for i in range(size):
+        counts = adjacency @ masks[i].T
+        for h in range(max(i - 1, 0), min(i + 1, size - 1) + 1):
+            vals = counts[masks[h] == 1]
+            bad = np.flatnonzero(vals != vals[0])
+            if bad.size:
+                pairs = np.argwhere(masks[h])
+                k = int(bad[0])
+                return False, (
+                    h, 1, i, tuple(int(t) for t in pairs[0]), int(vals[0]),
+                    tuple(int(t) for t in pairs[k]), int(vals[k]),
+                )
+    table = np.zeros((size,) * 3, dtype=np.int64)
+    for i in range(size):
+        for j in range(size):
+            product = masks[i] @ masks[j].T
+            for h in range(size):
+                vals = product[masks[h] == 1]
+                assert (vals == vals[0]).all(), (h, i, j)
+                table[h, i, j] = vals[0]
+    return True, table
 
 
 def check_section_identities(ctx: TerwContext) -> list[Check]:
@@ -30,15 +71,18 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     n = ctx.n
     d = ctx.d
     ident = RationalMatrix.identity(n)
+    A_dist = distance_matrices(ctx)
+    A = distance_matrix(ctx.graph, ctx.dist, 1)
+    E = dense_idempotents(ctx)
 
     acc = RationalMatrix.zeros(n, n)
-    for Ai in ctx.A_dist:
+    for Ai in A_dist:
         acc = acc + Ai
     checks.append(Check("distance_matrices_partition", acc == RationalMatrix.ones(n, n)))
-    checks.append(Check("distance_zero_is_identity", ctx.A_dist[0] == ident))
+    checks.append(Check("distance_zero_is_identity", A_dist[0] == ident))
 
     esum = RationalMatrix.zeros(n, n)
-    for Ei in ctx.E:
+    for Ei in E:
         esum = esum + Ei
     sums_to_identity = esum == ident
     checks.append(Check("idempotents_sum_to_identity", sums_to_identity))
@@ -54,8 +98,8 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
         sums_to_identity
         and len(set(ctx.theta)) == d + 1
         and all(
-            ctx.A @ Ei == Ei * t and Ei @ ctx.A == Ei * t
-            for Ei, t in zip(ctx.E, ctx.theta)
+            A @ Ei == Ei * t and Ei @ A == Ei * t
+            for Ei, t in zip(E, ctx.theta)
         )
     )
     witness = None
@@ -63,8 +107,8 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
         ortho = True
         for i in range(d + 1):
             for j in range(d + 1):
-                expect = ctx.E[i] if i == j else RationalMatrix.zeros(n, n)
-                if ctx.E[i] @ ctx.E[j] != expect:
+                expect = E[i] if i == j else RationalMatrix.zeros(n, n)
+                if E[i] @ E[j] != expect:
                     ortho = False
                     witness = f"E_{i} E_{j}"
                     break
@@ -74,11 +118,11 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
 
     spec = RationalMatrix.zeros(n, n)
     for i in range(d + 1):
-        spec = spec + ctx.E[i] * ctx.theta[i]
-    checks.append(Check("adjacency_spectral_decomposition", spec == ctx.A))
+        spec = spec + E[i] * ctx.theta[i]
+    checks.append(Check("adjacency_spectral_decomposition", spec == A))
 
     checks.append(
-        Check("rank_one_idempotent_is_all_ones", ctx.E[0] == RationalMatrix.ones(n, n) * Fraction(1, n))
+        Check("rank_one_idempotent_is_all_ones", E[0] == RationalMatrix.ones(n, n) * Fraction(1, n))
     )
 
     Pm = RationalMatrix.from_rows([list(r) for r in ctx.P])
@@ -107,7 +151,7 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     dual_diag_ok = True
     witness = None
     for i in range(d + 1):
-        want = RationalMatrix(np.diag(ctx.E[i].num[ctx.x]), ctx.E[i].den) * n
+        want = RationalMatrix(np.diag(E[i].num[ctx.x]), E[i].den) * n
         if dense_diagonal(ctx.A_star[i]) != want:
             dual_diag_ok = False
             witness = f"A*_{i}"
@@ -128,8 +172,8 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     # table.den den_e^2 and compared as integers.  E_i o E_j = E_j o E_i, so
     # when the table is symmetric in (i, j) a pair (i, j) with i > j fails
     # exactly when (j, i) does, which comes first: only j >= i is formed.
-    den_e = lcm(*(Eh.den for Eh in ctx.E))
-    stack = np.stack([exact_scale(Eh.num, den_e // Eh.den).ravel() for Eh in ctx.E])
+    den_e = lcm(*(Eh.den for Eh in E))
+    stack = np.stack([exact_scale(Eh.num, den_e // Eh.den).ravel() for Eh in E])
     symmetric = all(
         ctx.krein[h][i][j] == ctx.krein[h][j][i]
         for h in range(d + 1)
@@ -153,6 +197,12 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
         if not krein_ok:
             break
     checks.append(Check("krein_expansion_of_hadamard_products", krein_ok, witness))
+
+    if ctx.params is not None:
+        regular, table = dense_distance_regularity(ctx.dist)
+        match = regular and np.array_equal(table, ctx.params.p_table)
+        witness = None if match else "closed form disagrees with counted table"
+        checks.append(Check("intersection_numbers_match_brute_force", match, witness))
     return checks
 
 
@@ -185,13 +235,14 @@ def dual_triple_zeros(ctx: TerwContext) -> np.ndarray:
         i, y = (int(v) for v in bad[0])
         k = int(ctx.dist.dist[ctx.x, y])
         raise VerificationError(f"A*_{i} is not constant on sphere S_{k}")
-    for h, Eh in enumerate(ctx.E):
+    E = dense_idempotents(ctx)
+    for h, Eh in enumerate(E):
         if not np.array_equal(Eh.num, Eh.num.T):
             raise VerificationError(f"E_{h} is not symmetric")
     zeros = np.zeros((d + 1,) * 3, dtype=bool)
     for h in range(d + 1):
         for j in range(h, d + 1):
-            had = exact_mul_elementwise(ctx.E[h].num, ctx.E[j].num)
+            had = exact_mul_elementwise(E[h].num, E[j].num)
             norms = exact_matmul(diags, exact_matmul(had, diags.T)).diagonal()
             zeros[h, :, j] = zeros[j, :, h] = norms == 0
     return zeros
@@ -210,16 +261,18 @@ def _primal_triple_zeros(ctx: TerwContext) -> np.ndarray:
     return zeros
 
 
-def check_polynomial_images_dense(ctx: TerwContext) -> list[Check]:
+def check_polynomial_images_dense(ctx: TerwContext, adjacency=None) -> list[Check]:
     """The Krawtchouk and relator checks of check_polynomial_images, on dense
     n x n matrices, both halves.
 
     F_i(M) = M_i for 0 <= i <= d+1 (index d+1 gives the zero matrix), with
     the F_i and phi_(d-2) evaluated by poly_eval_matrix on M = A and on the
     dense np.diag(A*), and for d >= 2 the literal product
-    phi(M) (I - F_0 - F_d), with (M_i, F) = (A_i, E) and (A_i*, E*).  The
-    checks come in the order of check_polynomial_images: both Krawtchouk
-    checks, then both relators.
+    phi(M) (I - F_0 - F_d), with (M_i, F) = (A_i, E) and (A_i*, E*).  A is
+    [dist = 1] unless adjacency gives another matrix (such as
+    sum theta_i E_i for a context whose theta was changed).  The checks come
+    in the order of check_polynomial_images: both Krawtchouk checks, then
+    both relators.
     """
     d = ctx.d
     n = ctx.n
@@ -227,11 +280,13 @@ def check_polynomial_images_dense(ctx: TerwContext) -> list[Check]:
     relator = [spectrum_poly(d - 2)] if d >= 2 else []
     ident = RationalMatrix.identity(n)
     zero = RationalMatrix.zeros(n, n)
+    if adjacency is None:
+        adjacency = distance_matrix(ctx.graph, ctx.dist, 1)
     e_star = [dense_diagonal(e) for e in ctx.E_star]
     a_star = [dense_diagonal(a) for a in ctx.A_star]
     images, relators = [], []
     for label, name, m, expected, idem, relator_name in (
-        ("A", "adjacency", ctx.A, list(ctx.A_dist), ctx.E,
+        ("A", "adjacency", adjacency, distance_matrices(ctx), dense_idempotents(ctx),
          "relator_annihilates_middle_idempotents"),
         ("A*", "dual_adjacency", ctx.dual_adjacency, a_star, e_star,
          "dual_relator_annihilates_middle_dual_idempotents"),

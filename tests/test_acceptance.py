@@ -133,7 +133,7 @@ def test_criterion_05_intersection_numbers(prepared):
     for d in range(1, 7):
         ctx = prepared.ctx[d]
         regular, table = is_distance_regular(ctx.graph, ctx.dist)
-        ok = ok and bool(regular) and (table == ctx.p_table).all()
+        ok = ok and bool(regular) and (table == ctx.params.p_table).all()
     criterion(
         5,
         bool(ok),

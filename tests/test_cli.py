@@ -206,6 +206,20 @@ def test_graph_malformed_file(runner, tmp_path):
     assert "line 2" in result.output
 
 
+def test_graph_vertex_cap(runner, tmp_path):
+    # One vertex past the cap is refused before any distance is computed;
+    # at the cap the file is read, and this one fails as disconnected.
+    path = tmp_path / "big.txt"
+    path.write_text("4097 0\n")
+    result = runner.invoke(main, ["graph", "--file", str(path)])
+    assert result.exit_code == 1
+    assert "vertex count 4097 exceeds cap 4096" in result.output
+    path.write_text("4096 0\n")
+    result = runner.invoke(main, ["graph", "--file", str(path)])
+    assert result.exit_code == 1
+    assert "graph is not connected" in result.output
+
+
 def test_graph_vertex_out_of_range(runner, tmp_path):
     path = tmp_path / "c6.txt"
     path.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")

@@ -5,12 +5,12 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from dense_views import densify
+from dense_views import densify, distance_matrix
 
 from terwalg._intops import content, exact_matmul
 from terwalg.closure import closure, joint_classes
 from terwalg.echelon import EchelonSpan
-from terwalg.graphs import DistanceData, Graph, distance_matrix, hypercube
+from terwalg.graphs import DistanceData, Graph, hypercube
 from terwalg.linalg import RationalMatrix
 from terwalg.subconstituent import build_context, build_hypercube_context
 
@@ -195,7 +195,7 @@ def generator_sets():
     yield "H(3,3)", build_context(hamming(3, 3), 5).generators()
     ctx = build_hypercube_context(3)
     yield "Q_3 A only", [ctx.A]
-    yield "Q_3 A and A_2", [ctx.A, ctx.A_dist[2]]
+    yield "Q_3 A and A_2", [ctx.A, distance_matrix(ctx.graph, ctx.dist, 2)]
     yield "6-cycle, two diagonals", two_diagonal_generators()
 
 

@@ -15,12 +15,13 @@ from terwalg import graphs
 from terwalg.graphs import (
     DistanceData,
     Graph,
-    distance_matrix,
     hypercube,
     is_distance_regular,
     parse_graph_file,
 )
 from terwalg.hypercube import intersection_table
+
+from dense_views import distance_matrix
 
 
 def cycle(n):

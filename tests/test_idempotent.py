@@ -8,7 +8,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from dense_views import dense_diagonal, densify
+from dense_views import dense_diagonal, dense_idempotents, densify
 
 from terwalg import idempotent
 from terwalg.closure import AlgebraBasis, BlockSpans
@@ -72,10 +72,11 @@ def _literal_u0(ctx):
     primal = RationalMatrix.zeros(n, n)
     dual = RationalMatrix.zeros(n, n)
     e_star = [dense_diagonal(e) for e in ctx.E_star]
+    E = dense_idempotents(ctx)
     for i in range(ctx.d + 1):
-        term = e_star[i] @ ctx.E[0] @ e_star[i]
+        term = e_star[i] @ E[0] @ e_star[i]
         primal = primal + term * Fraction(n, ctx.valencies[i])
-        term = ctx.E[i] @ e_star[0] @ ctx.E[i]
+        term = E[i] @ e_star[0] @ E[i]
         dual = dual + term * Fraction(n, ctx.dual_valencies[i])
     return primal, dual
 
@@ -115,7 +116,7 @@ def _tampered_contexts(ctx):
     d, n = ctx.d, ctx.n
     e0 = ctx.E[0]
     moved = e0.num.copy()
-    moved[ctx.dist.dist == d] += 1
+    moved[0, d] += 1
     yield "E_0 class value moved", dataclasses.replace(
         ctx, E=(RationalMatrix(moved, e0.den),) + ctx.E[1:]
     )
@@ -182,7 +183,8 @@ def test_absorption_d2(suite):
     data, _ = suite
     ctx, _basis = data[2]
     u0, _dual = compute_u0(ctx)
-    assert u0 @ ctx.E[2] == ctx.E[2]
+    e2 = dense_idempotents(ctx)[2]
+    assert u0 @ e2 == e2
     e2_star = dense_diagonal(ctx.E_star[2])
     assert u0 @ e2_star == e2_star
 
@@ -277,7 +279,7 @@ def test_centrality_holds_for_diagonal_and_dense_elements(suite):
     u0, _dual = compute_u0(ctx)
     s, m, _big = u0_factorization(ctx, u0)
     sigma = sphere_of_classes(s, basis.span.classes)
-    extra = [dense_diagonal(e) for e in ctx.E_star] + list(ctx.E)
+    extra = [dense_diagonal(e) for e in ctx.E_star] + dense_idempotents(ctx)
     extra += [dense_diagonal(a) for a in ctx.A_star]
     assert _literally_central(u0, extra)
     pieces = [p for mtx in extra for p in _blocks(basis, mtx)]
@@ -367,7 +369,7 @@ def test_idempotence_and_absorption_match_dense_products(suite):
         assert is_idempotent(s, m, big)
         assert not is_idempotent(s, 2 * m, big)
         stars = [dense_diagonal(e) for e in ctx.E_star + ctx.A_star]
-        for e in list(ctx.E) + stars:
+        for e in dense_idempotents(ctx) + stars:
             assert absorbs(s, m, big, e) == (u0 @ e == e), d
 
 

@@ -9,17 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terwalg.graphs import DistanceData, distance_matrix, hypercube
+from terwalg.graphs import DistanceData, hypercube
 from terwalg.linalg import (
     RationalMatrix,
     inverse,
     kernel_basis,
     min_poly,
-    poly_eval_matrix,
     rank,
     rref,
 )
 from terwalg.polys import RationalPoly
+
+from dense_views import distance_matrix, poly_eval_matrix
 
 
 def test_canonical_form():

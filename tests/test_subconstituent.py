@@ -12,17 +12,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from terwalg import _intops, linalg, subconstituent
+from terwalg import _intops, subconstituent
 from terwalg.checks import Check
 from terwalg.echelon import EchelonSpan
 from terwalg.cli import main
 from terwalg.graphs import (
     DistanceData,
     Graph,
-    distance_matrix,
     hypercube,
     parse_graph_file,
 )
+from terwalg.hypercube import HypercubeParams
 from terwalg.linalg import RationalMatrix, inverse, min_poly
 from terwalg.subconstituent import (
     _assemble,
@@ -39,7 +39,7 @@ from terwalg.subconstituent import (
 from terwalg.verify import build_graph_report, run_verification
 
 import section_oracles
-from dense_views import dense_diagonal
+from dense_views import dense_class_matrix, dense_diagonal, dense_idempotents, distance_matrix
 
 
 def cycle(n):
@@ -81,8 +81,10 @@ def test_degenerate_diameter_zero(contexts):
 def test_frozen_small_matrices(contexts):
     ctx = contexts[1]
     half = Fraction(1, 2)
-    assert ctx.E[0].dense_rows() == [[half, half], [half, half]]
-    assert ctx.E[1].dense_rows() == [[half, -half], [-half, half]]
+    assert ctx.E[0].dense_rows() == [[half, half]]
+    assert ctx.E[1].dense_rows() == [[half, -half]]
+    assert ctx.class_matrix(ctx.E[0]).dense_rows() == [[half, half], [half, half]]
+    assert ctx.class_matrix(ctx.E[1]).dense_rows() == [[half, -half], [-half, half]]
     assert ctx.dual_adjacency == RationalMatrix(np.diag([1, -1]))
     assert ctx.A_star[1] == RationalMatrix([[1, -1]])
     assert ctx.E_star[1] == RationalMatrix([[0, 1]])
@@ -95,6 +97,22 @@ def test_dual_side_is_held_as_diagonals(contexts):
             assert m.shape == (1, ctx.n)
         assert ctx.dual_adjacency == dense_diagonal(ctx.dual_adjacency_row)
         assert ctx.generators()[1] == ctx.dual_adjacency
+
+
+def test_idempotents_are_held_as_class_rows(contexts):
+    # Every E_i is a 1 x (d+1) class row, and no field holds an n x n
+    # matrix: A and every E_i are built from dist on request.
+    for ctx in contexts.values():
+        for e in ctx.E:
+            assert e.shape == (1, ctx.d + 1)
+            assert ctx.class_matrix(e) == dense_class_matrix(ctx, e)
+        assert ctx.A == distance_matrix(ctx.graph, ctx.dist, 1)
+        held = []
+        for field in dataclasses.fields(ctx):
+            value = getattr(ctx, field.name)
+            held += value if isinstance(value, tuple) else [value]
+        assert all(m.nrows == 1 for m in held if isinstance(m, RationalMatrix))
+        assert "A_dist" not in {field.name for field in dataclasses.fields(ctx)}
 
 
 def test_eigenvalue_sequences(contexts):
@@ -148,10 +166,7 @@ def test_construction_rejects_failed_identity(contexts):
     E[1], E[2] = E[2], E[1]
     P = [list(row) for row in ctx.P]
     with pytest.raises(VerificationError) as info:
-        _assemble(
-            ctx.graph, ctx.dist, ctx.x, ctx.A_dist, E, P, P,
-            ctx.p_table, ctx.params,
-        )
+        _assemble(ctx.graph, ctx.dist, ctx.x, E, P, P, ctx.p_table, ctx.params)
     message = str(info.value)
     assert message.startswith("construction identities failed: ")
     assert "adjacency_spectral_decomposition (None)" in message
@@ -230,7 +245,6 @@ def test_polynomial_images_form_no_matrix_product(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("matrix product formed")
 
-    monkeypatch.setattr(linalg, "poly_eval_matrix", refuse)
     monkeypatch.setattr(RationalMatrix, "__matmul__", refuse)
     monkeypatch.setattr(subconstituent, "exact_matmul", refuse)
     for ctx, checks in zip(cases, want):
@@ -239,7 +253,8 @@ def test_polynomial_images_form_no_matrix_product(monkeypatch):
 
 
 def _tampered(ctx, field, i):
-    """ctx with entry (0, 0) of the matrix field[i] raised by one."""
+    """ctx with entry (0, 0) of the row field[i] raised by one: the class-0
+    value of a class row, the vertex-0 entry of a held diagonal."""
     mats = list(getattr(ctx, field))
     num = mats[i].num.astype(object)
     num[0, 0] += mats[i].den
@@ -250,37 +265,16 @@ def _tampered(ctx, field, i):
 def test_polynomial_images_fail_on_tampered_context(contexts):
     for d in range(2, 5):
         ctx = contexts[d]
-        for field, name, label in (
-            ("A_dist", "krawtchouk_images_of_adjacency", "A"),
-            ("A_star", "krawtchouk_images_of_dual_adjacency", "A*"),
-        ):
-            for i in range(d + 1):
-                checks = check_polynomial_images(_tampered(ctx, field, i))
-                check = next(c for c in checks if c.name == name)
-                assert not check.passed, (d, field, i)
-                assert check.witness == f"F_{i}({label})", (d, field, i)
-
-
-def test_polynomial_images_fall_back_to_numerators_off_class_structure(monkeypatch):
-    # An A_i with one entry raised is no class function: its identity runs
-    # on the full numerators, and verdict and witness still match the oracle.
-    fallbacks = []
-    real = subconstituent._identity_holds
-
-    def spied(coeffs, mats, views, target, target_view):
-        fallbacks.append(target_view is None or any(v is None for v in views))
-        return real(coeffs, mats, views, target, target_view)
-
-    monkeypatch.setattr(subconstituent, "_identity_holds", spied)
-    for d in range(1, 6):
-        ctx = build_hypercube_context(d, (1 << d) - 1)
         for i in range(d + 1):
-            case = _tampered(ctx, "A_dist", i)
-            fallbacks.clear()
-            got = _images_and_relators(case)
-            assert fallbacks[: i + 1] == [False] * i + [True], (d, i)
-            assert got == section_oracles.check_polynomial_images_dense(case), (d, i)
-            assert got[0].witness == f"F_{i}(A)", (d, i)
+            checks = check_polynomial_images(_tampered(ctx, "A_star", i))
+            check = next(c for c in checks if c.name == "krawtchouk_images_of_dual_adjacency")
+            assert not check.passed, (d, i)
+            assert check.witness == f"F_{i}(A*)", (d, i)
+            # A shifted class row of E_i breaks sum_j E_j = I = F_0(A).
+            checks = check_polynomial_images(_tampered(ctx, "E", i))
+            check = next(c for c in checks if c.name == "krawtchouk_images_of_adjacency")
+            assert not check.passed, (d, i)
+            assert check.witness == "F_0(A)", (d, i)
 
 
 def test_polynomial_images_identical_on_the_object_path(monkeypatch):
@@ -321,8 +315,8 @@ def _images_and_relators(ctx):
 
 def _respectraled(ctx):
     """ctx with one eigenvalue of A or of A* moved (by 1/2, so the rebuilt
-    generator is not integral) or merged, and the generator rebuilt from it,
-    so the spectral premise still holds."""
+    generator is not integral) or merged, and A* rebuilt from it, so the
+    spectral premise still holds (for A, see _spectral_adjacency)."""
     theta, theta_star = list(ctx.theta), list(ctx.theta_star)
     for label, old in (("theta", theta), ("theta*", theta_star)):
         moved = [old[0] + Fraction(1, 2)] + old[1:]
@@ -335,20 +329,22 @@ def _respectraled(ctx):
 def test_polynomial_images_match_dense_evaluation():
     # The spectral evaluation q(M) = sum_j q(theta_j) F_j of both halves
     # against poly_eval_matrix on the dense A and np.diag(A*), verdicts and
-    # witnesses alike.
+    # witnesses alike.  A context with a changed theta is evaluated at
+    # M = sum theta_j E_j.
     for d in range(1, 8):
         for x in (0, (1 << d) - 1):
             ctx = build_hypercube_context(d, x)
             tampers = [
-                (f"{field}[{i}] entry", _tampered(ctx, field, i))
-                for field in ("A_dist", "A_star")
+                (f"A_star[{i}] entry", _tampered(ctx, "A_star", i))
                 for i in range(d + 1)
                 if i != 1
             ]
             respectraled = list(_respectraled(ctx)) if d <= 4 else []
             for change, case in [("as built", ctx), *tampers, *respectraled]:
                 got = _images_and_relators(case)
-                assert got == section_oracles.check_polynomial_images_dense(case), (d, x, change)
+                adjacency = _spectral_adjacency(case) if change.startswith("theta") else None
+                want = section_oracles.check_polynomial_images_dense(case, adjacency)
+                assert got == want, (d, x, change)
                 if change == "as built" or "entry" in change:
                     assert all(c.passed for c in got) == (change == "as built"), (d, x, change)
             # Tampering A*_1 tampers the generator A* itself and breaks
@@ -372,11 +368,12 @@ def _minimal_checks(ctx):
     return [c for c in check_polynomial_images(ctx) if c.name in names]
 
 
-def _min_poly_oracle(ctx):
-    """The minimal-polynomial checks as min_poly of A and A* at width n^2."""
+def _min_poly_oracle(ctx, adjacency):
+    """The minimal-polynomial checks as min_poly of the given A and of A*
+    at width n^2."""
     phi = ctx.params.phi
     out = []
-    for g, name in ((ctx.A, "adjacency"), (ctx.dual_adjacency, "dual_adjacency")):
+    for g, name in ((adjacency, "adjacency"), (ctx.dual_adjacency, "dual_adjacency")):
         mp = min_poly(g)
         witness = None if mp == phi else f"{mp} != {phi}"
         out.append(Check(f"minimal_polynomial_of_{name}", mp == phi, witness))
@@ -384,22 +381,28 @@ def _min_poly_oracle(ctx):
 
 
 def _respectral(ctx, theta, theta_star):
-    """ctx with new eigenvalues, and A = sum theta_i E_i and
-    A* = sum theta*_i E*_i rebuilt from them, so the spectral premise holds."""
-    a = sum((e * t for e, t in zip(ctx.E, theta)), RationalMatrix.zeros(ctx.n, ctx.n))
+    """ctx with new eigenvalues, and A* = sum theta*_i E*_i rebuilt from
+    them.  The context reads A off dist; the dense oracles take
+    _spectral_adjacency(ctx) in its place, so the spectral premise holds."""
     a_star = sum((e * t for e, t in zip(ctx.E_star, theta_star)), RationalMatrix.zeros(1, ctx.n))
     stars = list(ctx.A_star)
     stars[1] = a_star
     return dataclasses.replace(
-        ctx, A=a, theta=tuple(theta), theta_star=tuple(theta_star), A_star=tuple(stars)
+        ctx, theta=tuple(theta), theta_star=tuple(theta_star), A_star=tuple(stars)
     )
+
+
+def _spectral_adjacency(ctx):
+    """sum theta_i E_i as a dense n x n matrix."""
+    terms = zip(dense_idempotents(ctx), ctx.theta)
+    return sum((e * t for e, t in terms), RationalMatrix.zeros(ctx.n, ctx.n))
 
 
 def test_minimal_polynomials_match_min_poly_oracle(contexts):
     cases = [(f"d={d}", contexts[d]) for d in range(0, 5)]
     cases += [(f"d=5 x={x}", build_hypercube_context(5, x)) for x in (0, 31)]
     for name, ctx in cases:
-        assert _minimal_checks(ctx) == _min_poly_oracle(ctx), name
+        assert _minimal_checks(ctx) == _min_poly_oracle(ctx, ctx.A), name
     # Tampered spectra: one eigenvalue moved, and two made equal, so the
     # minimal polynomial has one factor fewer.
     for d in range(1, 5):
@@ -412,14 +415,14 @@ def test_minimal_polynomials_match_min_poly_oracle(contexts):
         ):
             case = _respectral(ctx, new, new_star)
             got = _minimal_checks(case)
-            assert got == _min_poly_oracle(case), (d, new, new_star)
+            assert got == _min_poly_oracle(case, _spectral_adjacency(case)), (d, new, new_star)
             assert [c.passed for c in got] == [new == theta, new_star == theta_star]
 
 
 def test_idempotents_and_dual_distance_matrices_are_canonical(monkeypatch):
     # Built in lowest terms from d+1 class values (E_i) or n diagonal
-    # entries (A*_i): equal, dtype included, to the canonicalized matrices
-    # that the n^2 gcd gave.
+    # entries (A*_i): equal, dtype included, to the canonicalized rows and
+    # matrices that the n^2 gcd gave.
     cases = [(f"cube d={d}", build_hypercube_context(d, (1 << d) - 1)) for d in range(0, 8)]
     cases += [(name, build_context(g, x)) for name, g, x in _oracle_graphs()]
     cases += list(_benchmark_graph_contexts(monkeypatch))
@@ -427,11 +430,15 @@ def test_idempotents_and_dual_distance_matrices_are_canonical(monkeypatch):
         dist = ctx.dist.dist
         for i, (Ei, Ai_star) in enumerate(zip(ctx.E, ctx.A_star)):
             col = [Fraction(row[i]) for row in ctx.Q]
-            den = np.lcm.reduce([q.denominator for q in col])
-            nums = np.array([int(q * den) for q in col], dtype=object)
-            want_e = RationalMatrix(nums[dist], ctx.n * int(den))
-            want_star = RationalMatrix(Ei.num[ctx.x][None] * ctx.n, Ei.den)
-            for got, want in ((Ei, want_e), (Ai_star, want_star)):
+            common = int(np.lcm.reduce([q.denominator for q in col]))
+            nums = np.array([int(q * common) for q in col], dtype=object)
+            den = ctx.n * common
+            want_row = RationalMatrix(nums[None], den)
+            want_e = RationalMatrix(nums[dist], den)
+            want_star = RationalMatrix(nums[dist[ctx.x]][None] * ctx.n, den)
+            for got, want in (
+                (Ei, want_row), (ctx.class_matrix(Ei), want_e), (Ai_star, want_star)
+            ):
                 assert got == want, (name, i)
                 assert got.num.dtype == want.num.dtype, (name, i)
 
@@ -453,7 +460,8 @@ def test_relator_images_match_dense_products(contexts):
                 cases.append((_respectral(ctx, *spectra), want))
         for case, expected in cases:
             got = _relator_checks(check_polynomial_images(case))
-            oracle = _relator_checks(section_oracles.check_polynomial_images_dense(case))
+            dense = section_oracles.check_polynomial_images_dense(case, _spectral_adjacency(case))
+            oracle = _relator_checks(dense)
             assert got == oracle, d
             assert [c.passed for c in got] == expected, d
 
@@ -506,7 +514,8 @@ def test_general_path_petersen_triple_products():
     assert check_triple_products(ctx).passed
     assert int(ctx.p_table[1, 1, 1]) == 0
     assert ctx.krein[1][1][1] != 0
-    assert not (ctx.E[1] @ dense_diagonal(ctx.A_star[1]) @ ctx.E[1]).is_zero()
+    e1 = dense_class_matrix(ctx, ctx.E[1])
+    assert not (e1 @ dense_diagonal(ctx.A_star[1]) @ e1).is_zero()
     e1_star = dense_diagonal(ctx.E_star[1])
     assert (e1_star @ ctx.A @ e1_star).is_zero()
 
@@ -523,7 +532,7 @@ def test_graph_command_petersen(tmp_path):
 def _literal_dual_zeros(ctx):
     """Zero pattern of E_h A_i* E_j from the two literal dense products."""
     d = ctx.d
-    nums = [e.num for e in ctx.E]
+    nums = [e.num for e in dense_idempotents(ctx)]
     stars = [dense_diagonal(a).num for a in ctx.A_star]
     big_e = max(int(np.abs(m).max()) for m in nums)
     big_star = max(int(np.abs(m).max()) for m in stars)
@@ -552,7 +561,7 @@ def _dense_triple_span_dim(ctx):
     span = EchelonSpan(n * n)
     e_star = [dense_diagonal(e) for e in ctx.E_star]
     for Eh in e_star:
-        for Ai in ctx.A_dist:
+        for Ai in section_oracles.distance_matrices(ctx):
             for Ej in e_star:
                 span.add((Eh @ Ai @ Ej).num.ravel())
     return span.dim
@@ -606,8 +615,9 @@ def test_triple_products_reject_dual_matrix_not_constant_on_sphere(contexts):
 def _oracle_orthogonal(ctx):
     """idempotents_orthogonal from all (d+1)^2 dense products E_i E_j."""
     zero = RationalMatrix.zeros(ctx.n, ctx.n)
-    for i, Ei in enumerate(ctx.E):
-        for j, Ej in enumerate(ctx.E):
+    E = dense_idempotents(ctx)
+    for i, Ei in enumerate(E):
+        for j, Ej in enumerate(E):
             if Ei @ Ej != (Ei if i == j else zero):
                 return Check("idempotents_orthogonal", False, f"E_{i} E_{j}")
     return Check("idempotents_orthogonal", True)
@@ -627,10 +637,11 @@ def _oracle_dual_orthogonal(ctx):
 def _oracle_krein(ctx):
     """krein_expansion_of_hadamard_products, one RationalMatrix sum per (i, j)."""
     n = ctx.n
-    for i, Ei in enumerate(ctx.E):
-        for j, Ej in enumerate(ctx.E):
+    E = dense_idempotents(ctx)
+    for i, Ei in enumerate(E):
+        for j, Ej in enumerate(E):
             acc = RationalMatrix.zeros(n, n)
-            for h, Eh in enumerate(ctx.E):
+            for h, Eh in enumerate(E):
                 acc = acc + Eh * (ctx.krein[h][i][j] * Fraction(1, n))
             if Ei.hadamard(Ej) != acc:
                 return Check(
@@ -692,24 +703,20 @@ def test_swapped_idempotents_are_orthogonal_but_mislabelled():
 
 
 def test_perturbed_idempotent_matches_oracles():
-    # A symmetric +-1 change to one numerator entry pair of E_h, on and off
-    # the diagonal, for every h.
+    # A +-1 change to one class value of E_h, on the diagonal class 0 and
+    # off it, for every h.
     for name, ctx in _negative_bases():
-        for h, Eh in enumerate(ctx.E):
-            for (y, z), delta in (((0, 1), 1), ((2, 2), -1), ((1, ctx.n - 1), -1)):
-                num = Eh.num.copy()
-                num[y, z] += delta
-                if y != z:
-                    num[z, y] += delta
-                bad = _with_E(ctx, h, RationalMatrix(num, Eh.den))
-                checks = _assert_matches_oracles(bad, f"{name} h={h} ({y},{z})")
+        for h in range(ctx.d + 1):
+            for a, delta in ((0, -1), (1, 1), (ctx.d, -1)):
+                bad = _with_class_value(ctx, h, a, delta)
+                checks = _assert_matches_oracles(bad, f"{name} h={h} a={a}")
                 assert not checks["idempotents_orthogonal"].passed
                 assert not checks["krein_expansion_of_hadamard_products"].passed
 
 
 def test_scaled_idempotent_is_not_orthogonal():
-    # 2 E_h still satisfies A (2 E_h) = theta_h (2 E_h) on both sides; only
-    # the failed sum identity keeps the spectral certificate from accepting.
+    # 2 E_h still satisfies A (2 E_h) = theta_h (2 E_h) on both sides and is
+    # orthogonal to every other E_i, but (2 E_h)^2 = 4 E_h.
     for name, ctx in _negative_bases():
         for h, Eh in enumerate(ctx.E):
             checks = _assert_matches_oracles(_with_E(ctx, h, Eh * 2), f"{name} h={h}")
@@ -757,17 +764,6 @@ def test_dual_orthogonality_reads_only_diagonals(monkeypatch):
     assert subconstituent._dual_orthogonality_witness(bad) == "E*_2 E*_2"
 
 
-def test_dual_triple_zeros_reject_non_symmetric_idempotent():
-    for name, ctx in _negative_bases():
-        num = ctx.E[1].num.copy()
-        num[0, 1] += 1
-        bad = _with_E(ctx, 1, RationalMatrix(num, ctx.E[1].den))
-        with pytest.raises(VerificationError, match="E_1 is not symmetric"):
-            dual_triple_zeros(bad)
-        with pytest.raises(VerificationError, match="E_1 is not symmetric"):
-            check_triple_products(bad)
-
-
 def test_checks_identical_on_the_object_path(monkeypatch):
     # With the int64 bound at 1 every nonzero product, Hadamard product and
     # scaling in the checks crosses to object arithmetic.
@@ -810,47 +806,16 @@ def folded_cube(d):
     return Graph.from_edges(n, sorted(edges))
 
 
-def _dense_distance_regularity(dd):
-    """(True, p_table) from the products M_i M_j^T, or (False, witness).
-
-    The witness names the first count p^h_1i = (M_1 M_i^T)[y, z] that is not
-    constant on the class h, with i ascending and then h = i-1, i, i+1.
-    When those counts are all constant the graph is distance-regular, so
-    every other count is constant too.
-    """
-    size = dd.diameter + 1
-    masks = [(dd.dist == h).astype(np.int64) for h in range(size)]
-    adjacency = (dd.dist == 1).astype(np.int64)
-    for i in range(size):
-        counts = adjacency @ masks[i].T
-        for h in range(max(i - 1, 0), min(i + 1, size - 1) + 1):
-            vals = counts[masks[h] == 1]
-            bad = np.flatnonzero(vals != vals[0])
-            if bad.size:
-                pairs = np.argwhere(masks[h])
-                k = int(bad[0])
-                return False, (
-                    h, 1, i, tuple(int(t) for t in pairs[0]), int(vals[0]),
-                    tuple(int(t) for t in pairs[k]), int(vals[k]),
-                )
-    table = np.zeros((size,) * 3, dtype=np.int64)
-    for h in range(size):
-        for i in range(size):
-            for j in range(size):
-                vals = (masks[i] @ masks[j].T)[masks[h] == 1]
-                assert (vals == vals[0]).all(), (h, i, j)
-                table[h, i, j] = vals[0]
-    return True, table
-
-
 def _projector_context(g, x):
     """The context from the spectral projectors of A.
 
     E_i = prod_(j != i) (A - theta_j I) / (theta_i - theta_j) with theta the
     integer roots of min_poly(A), and P[i][j] read off A_j E_i = P[i][j] E_i.
+    Each E_i is asserted to be a class function before its class row is
+    read off row x.
     """
     dd = DistanceData.compute(g)
-    ok, result = _dense_distance_regularity(dd)
+    ok, result = section_oracles.dense_distance_regularity(dd)
     if not ok:
         h, i, j, pair_a, count_a, pair_b, count_b = result
         raise ValueError(
@@ -888,7 +853,13 @@ def _projector_context(g, x):
             row.append(coeff)
         P.append(row)
     Q = (inverse(RationalMatrix.from_rows(P)) * n).dense_rows()
-    return _assemble(g, dd, x, A_dist, E, P, Q, result, None)
+    reps = [int(np.flatnonzero(dd.dist[x] == a)[0]) for a in range(d + 1)]
+    rows = []
+    for Ei in E:
+        v = Ei.num[x, reps]
+        assert np.array_equal(Ei.num, v[dd.dist]), "projector is not a class function"
+        rows.append(RationalMatrix(v[None], Ei.den))
+    return _assemble(g, dd, x, rows, P, Q, result, None)
 
 
 def _oracle_graphs():
@@ -982,10 +953,10 @@ def test_krein_table_matches_hadamard_product_oracle():
     for d in range(1, 7):
         for x in (0, (1 << d) - 1):
             ctx = build_hypercube_context(d, x)
-            assert ctx.krein == _compute_krein(ctx.E, ctx.dist.dist, d), (d, x)
+            assert ctx.krein == _compute_krein(dense_idempotents(ctx), ctx.dist.dist, d), (d, x)
     for name, g, x in _oracle_graphs():
         ctx = build_context(g, x)
-        assert ctx.krein == _compute_krein(ctx.E, ctx.dist.dist, ctx.d), name
+        assert ctx.krein == _compute_krein(dense_idempotents(ctx), ctx.dist.dist, ctx.d), name
 
 
 def test_build_context_errors_match_spectral_projector_oracle():
@@ -1000,7 +971,7 @@ def test_build_context_errors_match_spectral_projector_oracle():
 
 def test_dual_distance_matrices_match_fraction_diagonals():
     for name, ctx in _differential_contexts():
-        for Ei, Ai_star in zip(ctx.E, ctx.A_star):
+        for Ei, Ai_star in zip(dense_idempotents(ctx), ctx.A_star):
             row = [int(v) * ctx.n for v in Ei.num[ctx.x]]
             assert Ai_star == RationalMatrix([row], Ei.den), name
 
@@ -1077,21 +1048,16 @@ def test_class_tables_match_dense_section_checks(monkeypatch):
 
 
 def _with_class_value(ctx, h, a, delta):
-    """ctx with E_h still constant on distance classes, its value on the
-    class a changed by delta / den."""
+    """ctx with the value of E_h on the class a changed by delta / den."""
     Eh = ctx.E[h]
-    v = Eh.num[ctx.x, [int(s[0]) for s in ctx.spheres]].astype(object)
+    v = Eh.num[0].astype(object)
     v[a] += delta
-    return _with_E(ctx, h, RationalMatrix(v[ctx.dist.dist], Eh.den))
+    return _with_E(ctx, h, RationalMatrix(v[None], Eh.den))
 
 
-def test_class_value_tamper_takes_the_table_failure_branch(monkeypatch):
-    # A tampered E_h that is still a class function keeps the Krein check on
-    # the class tables: the dense stacked product must not run.
-    def refuse(ctx, pairs):
-        raise AssertionError("dense Krein path taken")
-
-    monkeypatch.setattr(subconstituent, "_krein_dense_witness", refuse)
+def test_class_value_tamper_takes_the_table_failure_branch():
+    # A changed class value fails on the class tables, with the verdicts and
+    # witnesses of the dense code.
     for name, ctx in _negative_bases():
         for h in range(ctx.d + 1):
             for a in range(ctx.d + 1):
@@ -1102,20 +1068,23 @@ def test_class_value_tamper_takes_the_table_failure_branch(monkeypatch):
 
 
 def _tampered_fields(ctx):
-    """One-entry and whole-class changes of every matrix the checks read."""
-    for field in ("A_dist", "E", "E_star", "A_star"):
+    """Shifted, scaled, swapped and moved rows of every kind the checks
+    read, and a changed theta."""
+    for field in ("E", "E_star", "A_star"):
         for i in range(ctx.d + 1):
             yield f"{field}[{i}] entry", _tampered(ctx, field, i)
-    for i, Ai in enumerate(ctx.A_dist):
-        v = np.array([1 if a == i else 0 for a in range(ctx.d + 1)])
-        v[-1] += 1
-        moved = ctx.A_dist[:i] + (RationalMatrix(v[ctx.dist.dist]),) + ctx.A_dist[i + 1:]
-        yield f"A_{i} on class {ctx.d}", dataclasses.replace(ctx, A_dist=moved)
-    yield "A scaled", dataclasses.replace(ctx, A=ctx.A * 2)
     for h in range(ctx.d):
         # The sum stays I, but A (E_(h+1) - E_h) != theta_(h+1) (E_(h+1) - E_h).
         moved = _with_E(ctx, h, ctx.E[h] * 2)
         yield f"E_{h} moved into E_{h + 1}", _with_E(moved, h + 1, ctx.E[h + 1] - ctx.E[h])
+    yield "2 E_1", _with_E(ctx, 1, ctx.E[1] * 2)
+    E = list(ctx.E)
+    E[1], E[2] = E[2], E[1]
+    yield "E_1, E_2 swapped", dataclasses.replace(ctx, E=tuple(E))
+    stars = list(ctx.A_star)
+    stars[1], stars[2] = stars[2], stars[1]
+    yield "A*_1, A*_2 swapped", dataclasses.replace(ctx, A_star=tuple(stars))
+    yield "theta_0 moved", dataclasses.replace(ctx, theta=(ctx.theta[0] + 1,) + ctx.theta[1:])
 
 
 def test_tampered_contexts_match_dense_section_checks():
@@ -1126,30 +1095,78 @@ def test_tampered_contexts_match_dense_section_checks():
             assert not all(c.passed for c in checks), (name, change)
 
 
-def test_uncertified_contexts_match_dense_section_checks(monkeypatch):
-    # Without class representatives every identity runs on the numerators.
-    monkeypatch.setattr(subconstituent, "_class_representatives", lambda ctx: None)
-    for name, ctx in _differential_contexts():
-        checks = check_section_identities(ctx)
-        assert checks == section_oracles.check_section_identities(ctx), name
-        assert all(c.passed for c in checks), name
-    for name, ctx in _negative_bases():
-        for change, bad in _tampered_fields(ctx):
-            got = check_section_identities(bad)
-            assert got == section_oracles.check_section_identities(bad), (name, change)
+# -- the construction certificate --------------------------------------------
 
 
-def test_dual_triple_zeros_reject_symmetric_non_class_idempotent():
-    for name, ctx in _negative_bases():
-        num = ctx.E[1].num.copy()
-        num[0, 1] += 1
-        num[1, 0] += 1
-        bad = _with_E(ctx, 1, RationalMatrix(num, ctx.E[1].den))
-        message = "E_1 is not constant on distance classes"
+def _with_distances(monkeypatch, table):
+    """Make DistanceData.compute return the given distance array."""
+    table = np.array(table)
+    table.flags.writeable = False
+    dd = DistanceData(table, int(table.max()))
+    monkeypatch.setattr(DistanceData, "compute", classmethod(lambda cls, g: dd))
+
+
+def _cube_distances(d):
+    return DistanceData.compute(hypercube(d)).dist.copy()
+
+
+def test_construction_rejects_an_asymmetric_distance_array(monkeypatch):
+    dist = _cube_distances(3)
+    dist[1, 2] = 3  # dist(2, 1) stays 2
+    _with_distances(monkeypatch, dist)
+    for build in (lambda: build_hypercube_context(3), lambda: build_context(hypercube(3))):
+        with pytest.raises(VerificationError, match="^distance array is not symmetric$"):
+            build()
+
+
+def test_construction_rejects_an_off_diagonal_zero_distance(monkeypatch):
+    dist = _cube_distances(3)
+    dist[1, 2] = dist[2, 1] = 0
+    _with_distances(monkeypatch, dist)
+    for build in (lambda: build_hypercube_context(3), lambda: build_context(hypercube(3))):
+        with pytest.raises(VerificationError, match="^distance-0 class is not the diagonal$"):
+            build()
+
+
+def test_construction_rejects_an_empty_sphere(monkeypatch):
+    # No vertex at distance 3 from 0, though other pairs keep diameter 3.
+    dist = _cube_distances(3)
+    dist[0, 7] = dist[7, 0] = 2
+    _with_distances(monkeypatch, dist)
+    message = "^sphere S_3 around vertex 0 is empty$"
+    for build in (lambda: build_hypercube_context(3), lambda: build_context(hypercube(3))):
         with pytest.raises(VerificationError, match=message):
-            dual_triple_zeros(bad)
-        with pytest.raises(VerificationError, match=message):
-            check_triple_products(bad)
+            build()
+    # Around vertex 1, every sphere is nonempty: the counted table rejects it.
+    with pytest.raises(ValueError, match="not distance-regular"):
+        build_context(hypercube(3), 1)
+
+
+def test_construction_rejects_a_closed_form_table_that_disagrees(monkeypatch):
+    real = HypercubeParams.build
+
+    def wrong(d):
+        params = real(d)
+        table = params.p_table.copy()
+        table[1, 1, 2] += 1
+        return dataclasses.replace(params, p_table=table)
+
+    monkeypatch.setattr(HypercubeParams, "build", staticmethod(wrong))
+    with pytest.raises(VerificationError) as info:
+        build_hypercube_context(3)
+    assert str(info.value) == (
+        "construction identities failed: intersection_numbers_match_brute_force "
+        "(closed form disagrees with counted table)"
+    )
+
+
+def test_intersection_numbers_are_the_last_hypercube_section_check(contexts):
+    for ctx in contexts.values():
+        last = ctx.section_checks[-1]
+        assert last == Check("intersection_numbers_match_brute_force", True)
+    petersen = build_context(Graph.from_edges(10, PETERSEN_EDGES))
+    names = [c.name for c in petersen.section_checks]
+    assert "intersection_numbers_match_brute_force" not in names
 
 
 def test_triple_counts_are_valency_times_intersection_numbers(monkeypatch):

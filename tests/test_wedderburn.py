@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -821,3 +822,37 @@ def test_object_path_split_at_d5(monkeypatch):
         assert got.central_idempotents == want.central_idempotents
         assert got == want
         assert all(z.num.dtype == object for z in got.central_idempotents)
+
+
+def test_object_path_split_at_d8(monkeypatch):
+    # With the int64 bound lowered to 2^20 at every terwalg binding, the
+    # real d=8 splits of T and of the U0 corner cross to Python ints where
+    # their entries grow; status, blocks, ranks, idempotents and the probe
+    # polynomial must not change.
+    ctx = build_hypercube_context(8, 0)
+    basis = ctx.algebra_basis()
+    corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
+    generators = ctx.generators()
+    cases = [(basis.span, None), (corner.span, corner.identity)]
+    expected = [decompose(span, generators, identity) for span, identity in cases]
+    converted = []
+    real_to_object = _intops.to_object
+
+    def counting(arr):
+        converted.append(arr.dtype != object)
+        return real_to_object(arr)
+
+    for name, module in list(sys.modules.items()):
+        if name == "terwalg" or name.startswith("terwalg."):
+            if hasattr(module, "INT64_SAFE"):
+                monkeypatch.setattr(module, "INT64_SAFE", 1 << 20)
+            if getattr(module, "to_object", None) is real_to_object:
+                monkeypatch.setattr(module, "to_object", counting)
+    for (span, identity), want in zip(cases, expected):
+        got = decompose(span, generators, identity)
+        assert got.status == want.status == SPLIT
+        assert got.multiset == want.multiset
+        assert got.block_ranks == want.block_ranks
+        assert got.central_idempotents == want.central_idempotents
+        assert got.probe_min_poly == want.probe_min_poly
+    assert sum(converted) > 0  # int64 arrays really crossed to object
