@@ -9,7 +9,8 @@ floating point is used anywhere.
 Every elimination here runs on the one integer echelon engine (echelon.py):
 rank counts its rows, rref reads the unique reduced row echelon form off its
 rows, kernel_basis and inverse are thin layers over rref, and min_poly finds
-the first dependency among matrix powers with its tracked mode.
+the first dependency among the Krylov vectors v, m v, m**2 v, ... with its
+tracked mode, at the width n of v.
 """
 
 from __future__ import annotations
@@ -270,37 +271,38 @@ def inverse(m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(reduced.num[:, n:], reduced.den)
 
 
-def min_poly(m: RationalMatrix, identity: RationalMatrix | None = None) -> RationalPoly:
-    """Monic minimal polynomial, found at the first linear dependency.
+def min_poly(m: RationalMatrix, v) -> RationalPoly:
+    """Monic polynomial q of least degree with q(m) v == 0.
 
-    Powers identity, m, m**2, ... are vectorized and fed to the tracked
+    The Krylov vectors v, m v, m**2 v, ... are fed at width n to the tracked
     echelon engine; the first dependency yields the coefficients exactly.
-    With the identity argument this computes the minimal polynomial of m
-    relative to a different algebra unit (used for compressed subalgebras);
-    the default is the ordinary minimal polynomial.
+    Each vector is kept as an integer numerator reduced by its content, with
+    a Fraction scale recording what was divided out.  When v is cyclic (its
+    Krylov vectors span the whole space), q is the minimal polynomial of m.
 
-    Returns:
-        Monic RationalPoly p of least degree with p(m) == 0, where the
-        constant term multiplies the given identity.
+    Args:
+        m: square matrix.
+        v: nonzero integer vector of length m.nrows; scaling it leaves q
+            unchanged.
     """
-    if m.nrows != m.ncols:
-        raise ValueError("square matrix expected")
-    n = m.nrows
-    ident = RationalMatrix.identity(n) if identity is None else identity
-    if ident.is_zero():
-        raise ValueError("zero identity element")
-    span = EchelonSpan(n * n, track=True)
-    power = ident
-    dens: list[int] = []
-    for t in range(n + 2):
-        dens.append(power.den)
-        idx, expr = span.add_tracked(power.num.ravel())
+    w = demote(np.array(v, dtype=object))
+    if m.shape != w.shape * 2:
+        raise ValueError(f"n x n matrix and length-n vector expected, got {m.shape}, {w.shape}")
+    g = content(w)
+    if g == 0:
+        raise ValueError("zero vector")
+    span = EchelonSpan(m.nrows, track=True)
+    scales = [Fraction(g)]
+    while True:
+        # m**t v == scales[t] * w with w integer and primitive.
+        w = demote(w // g)
+        idx, expr = span.add_tracked(w)
         if idx is None:
-            # sum_j expr[j] * num_j == 0 with num_j == dens[j] * m**j.
-            coeffs = [Fraction(0)] * (t + 1)
+            # sum_j expr[j] * w_j == 0 with w_j == m**j v / scales[j].
+            coeffs = [Fraction(0)] * len(scales)
             for j, f in expr.items():
-                coeffs[j] = f * dens[j]
-            lead = coeffs[t]
-            return RationalPoly([c / lead for c in coeffs])
-        power = power @ m
-    raise ArithmeticError("no dependency found; matrix powers misbehaved")
+                coeffs[j] = f / scales[j]
+            return RationalPoly([c / coeffs[-1] for c in coeffs])
+        w = exact_matmul(m.num, w)
+        g = content(w) or 1
+        scales.append(scales[-1] * g / m.den)

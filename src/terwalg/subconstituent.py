@@ -16,9 +16,10 @@ Q.  The hypercube path reads Q = P from the closed forms (the cube is
 self-dual).  The general path works from the intersection array that
 is_distance_regular counts: the eigenvalues theta_i are the roots of the
 minimal polynomial of the (d+1) x (d+1) intersection matrix B_1, which is
-that of A, isolated exactly by polys.integer_roots; P[i][j] = v_j(theta_i)
-by the three-term recurrence; and Q = |X| P^(-1).  It requires all adjacency
-eigenvalues to be rational (they are then integers).  Construction
+that of A, found as the annihilator of the cyclic vector e_0 and isolated
+exactly by polys.integer_roots; P[i][j] = v_j(theta_i) by the three-term
+recurrence; and Q = |X| P^(-1).  It requires all adjacency eigenvalues to
+be rational (they are then integers).  Construction
 certifies the result: distinct theta_i, sum_i E_i = I and
 A E_i = theta_i E_i make the E_i the spectral idempotents of A, and
 then A_j = v_j(A) gives A_j E_i = P[i][j] E_i.  The Krein parameters are
@@ -359,11 +360,14 @@ def build_context(g: Graph, x: int = 0) -> TerwContext:
 
     # B_1[h, j] = p^h_1j is the matrix of multiplication by A on the basis
     # A_0..A_d of the Bose-Mesner algebra.  That representation is faithful,
-    # so min_poly(B_1) is the minimal polynomial of A.  A is symmetric, so its
-    # roots are distinct, and integer_roots finds them all unless one is
-    # irrational.
+    # so the minimal polynomial of B_1 is that of A.  B_1[j+1, j] = c_(j+1)
+    # != 0 and B_1 is zero below that subdiagonal, so for k <= d, B_1^k e_0
+    # has support {0..k} with a nonzero last entry: e_0 is cyclic, and its
+    # annihilator min_poly(B_1, e_0) is the minimal polynomial of B_1.  A is
+    # symmetric, so its roots are distinct, and integer_roots finds them all
+    # unless one is irrational.
     b1 = p_table[:, 1, :] if d >= 1 else np.zeros((1, 1), dtype=np.int64)
-    mp = min_poly(RationalMatrix(b1))
+    mp = min_poly(RationalMatrix(b1), [1] + [0] * d)
     roots = integer_roots(mp)
     if roots is None:
         raise ValueError(

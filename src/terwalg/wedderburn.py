@@ -47,14 +47,16 @@ and the central idempotents are dense n x n matrices:
   product of length |S_j|.  The block size n_r is the integer square root
   of tr R_{z_r}.
 - The left-regular probe.  A deterministic probe p of the center acts on
-  coordinates by L_p = D^-1 (pivot entries of p b_l), D = diag(pv).  Since
-  e b = b on the span and coordinates are injective, q(L_p) = 0 exactly when
-  q(p) = 0, so min_poly(L_p) (m x m) is the minimal polynomial of p relative
-  to e.  When it factors into distinct integer roots (polys.integer_roots
-  isolates them exactly by Sturm sequences, with no search bound), the
-  Lagrange idempotents prod (L_p - mu) / (lambda - mu) coords(e) are formed
-  as coordinate vectors and materialized once each as sum_k c_k b_k over a
-  common denominator, the pieces added into one n x n matrix (combine);
+  coordinates by L_p = D^-1 (pivot entries of p b_l), D = diag(pv).  Then
+  q(L_p) coords(e) = coords(q(p) e), coordinates are injective, and
+  p e = p, so q(L_p) coords(e) = 0 exactly when q(p) = 0:
+  min_poly(L_p, coords(e)), on Krylov vectors of width m, is the minimal
+  polynomial of p relative to e.  When it factors into distinct integer
+  roots (polys.integer_roots isolates them exactly by Sturm sequences, with
+  no search bound), the Lagrange idempotents
+  prod (L_p - mu) / (lambda - mu) coords(e) are formed as coordinate
+  vectors and materialized once each as sum_k c_k b_k over a common
+  denominator, the pieces added into one n x n matrix (combine);
   the probe is combined the same way from the center elements' coordinates.
   Each block rank is the trace of its idempotent.
 - The corner.  The complement algebra (I - U0) T (I - U0) is spanned by
@@ -400,11 +402,12 @@ def split_center(
     """Split a commutative semisimple algebra into primitive idempotents.
 
     The probe p = sum_k w^k c_k is read through its left-regular matrix L_p
-    in the coordinates of t.  On a closed span with unit e, q(L_p) = 0
-    exactly when q(p) = q(p) e = 0, so min_poly(L_p) is the minimal
-    polynomial of p relative to e; each Lagrange idempotent is formed as a
-    coordinate vector and materialized once.  A span that is not certified
-    closed with unit identity is not split (module docstring).
+    in the coordinates of t.  On a closed span with unit e,
+    q(L_p) coords(e) = coords(q(p) e), coordinates are injective, and
+    p e = p, so min_poly(L_p, coords(e)) is the minimal polynomial of p
+    relative to e; each Lagrange idempotent is formed as a coordinate vector
+    and materialized once.  A span that is not certified closed with unit
+    identity is not split (module docstring).
 
     Args:
         t: AlgebraBasis or closure.BlockSpans of the algebra (same
@@ -434,7 +437,7 @@ def split_center(
         # Drop the denominator: scaling the probe scales its eigenvalues by
         # an integer and leaves the Lagrange idempotents unchanged.
         lp = pb.left_regular(probe.num)
-        mp = min_poly(lp)
+        mp = min_poly(lp, e)
         last_poly = mp
         if mp.degree != m:
             continue

@@ -1,11 +1,13 @@
 """Dense n x n views of block pieces, class rows and held diagonals, and the
 dense helpers the reference checks in the tests are built from."""
 
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from terwalg._intops import INT64_SAFE, exact_matmul, max_abs, to_object
+from terwalg.echelon import EchelonSpan
 from terwalg.graphs import DistanceData, Graph
 from terwalg.linalg import RationalMatrix
 from terwalg.polys import RationalPoly
@@ -82,3 +84,39 @@ def poly_eval_matrix(
                 acc += c * (q if fits else to_object(q))
         out.append(RationalMatrix(acc, p.den * m.den**top))
     return out
+
+
+def matrix_min_poly(m: RationalMatrix, identity: RationalMatrix | None = None) -> RationalPoly:
+    """Monic minimal polynomial, found at the first linear dependency.
+
+    Powers identity, m, m**2, ... are vectorized and fed to the tracked
+    echelon engine; the first dependency yields the coefficients exactly.
+    With the identity argument this computes the minimal polynomial of m
+    relative to a different algebra unit (used for compressed subalgebras);
+    the default is the ordinary minimal polynomial.
+
+    Returns:
+        Monic RationalPoly p of least degree with p(m) == 0, where the
+        constant term multiplies the given identity.
+    """
+    if m.nrows != m.ncols:
+        raise ValueError("square matrix expected")
+    n = m.nrows
+    ident = RationalMatrix.identity(n) if identity is None else identity
+    if ident.is_zero():
+        raise ValueError("zero identity element")
+    span = EchelonSpan(n * n, track=True)
+    power = ident
+    dens: list[int] = []
+    for t in range(n + 2):
+        dens.append(power.den)
+        idx, expr = span.add_tracked(power.num.ravel())
+        if idx is None:
+            # sum_j expr[j] * num_j == 0 with num_j == dens[j] * m**j.
+            coeffs = [Fraction(0)] * (t + 1)
+            for j, f in expr.items():
+                coeffs[j] = f * dens[j]
+            lead = coeffs[t]
+            return RationalPoly([c / lead for c in coeffs])
+        power = power @ m
+    raise ArithmeticError("no dependency found; matrix powers misbehaved")

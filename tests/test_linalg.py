@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from terwalg._intops import to_object
 from terwalg.graphs import DistanceData, hypercube
 from terwalg.linalg import (
     RationalMatrix,
@@ -20,7 +21,7 @@ from terwalg.linalg import (
 )
 from terwalg.polys import RationalPoly
 
-from dense_views import distance_matrix, poly_eval_matrix
+from dense_views import distance_matrix, matrix_min_poly, poly_eval_matrix
 
 
 def test_canonical_form():
@@ -270,7 +271,7 @@ def test_inverse_matches_gauss_jordan():
 
 
 def test_min_poly_identity():
-    assert min_poly(RationalMatrix.identity(3)) == RationalPoly((-1, 1))
+    assert matrix_min_poly(RationalMatrix.identity(3)) == RationalPoly((-1, 1))
 
 
 def test_min_poly_of_cube_adjacency():
@@ -278,12 +279,12 @@ def test_min_poly_of_cube_adjacency():
     dd = DistanceData.compute(g)
     a = distance_matrix(g, dd, 1)
     # spectrum {2, 0, -2} so the minimal polynomial is z^3 - 4z
-    assert min_poly(a) == RationalPoly((0, -4, 0, 1))
+    assert matrix_min_poly(a) == RationalPoly((0, -4, 0, 1))
 
 
 def test_min_poly_of_diagonal():
     m = RationalMatrix(np.diag([0, 1, 1, 2]))
-    assert min_poly(m) == RationalPoly.from_roots([0, 1, 2])
+    assert matrix_min_poly(m) == RationalPoly.from_roots([0, 1, 2])
 
 
 def test_min_poly_annihilates_seeded_matrices():
@@ -296,7 +297,7 @@ def test_min_poly_annihilates_seeded_matrices():
                 dtype=np.int64,
             )
         )
-        p = min_poly(m)
+        p = matrix_min_poly(m)
         assert p.coeffs[-1] == 1
         assert poly_eval_matrix([p], m)[0].is_zero()
         # Minimality: the reference finds the first power spanned by the
@@ -347,7 +348,7 @@ def _solve_in_span(vecs, target):
 
 
 # Numerators within a few units of 0, +-2^31 and +-2^62 (all inside int64),
-# so the powers leave int64 at once and min_poly runs on Python ints.
+# so the powers leave int64 at once and matrix_min_poly runs on Python ints.
 _NEAR_LIMITS = st.builds(
     lambda base, off: base + off,
     st.sampled_from([0, 2**31, -(2**31), 2**62, -(2**62)]),
@@ -388,7 +389,7 @@ def _matrices_near_limits(draw):
 @settings(max_examples=120, deadline=None)
 @given(_matrices_near_limits())
 def test_min_poly_matches_fraction_reference_near_int64_limits(m):
-    p = min_poly(m)
+    p = matrix_min_poly(m)
     assert p == _fraction_min_poly(m)
     assert poly_eval_matrix([p], m)[0].is_zero()
 
@@ -400,7 +401,7 @@ def test_min_poly_divides_sympy_charpoly(m):
     z = sympy.Symbol("z")
     rows = [[sympy.Rational(str(x)) for x in r] for r in m.dense_rows()]
     charpoly = sympy.Poly(sympy.Matrix(rows).charpoly(z).all_coeffs(), z, domain="QQ")
-    coeffs = [sympy.Rational(str(c)) for c in min_poly(m).coeffs]
+    coeffs = [sympy.Rational(str(c)) for c in matrix_min_poly(m).coeffs]
     minpoly = sympy.Poly(coeffs[::-1], z, domain="QQ")
     assert charpoly.rem(minpoly).is_zero
 
@@ -409,14 +410,14 @@ def test_relative_min_poly():
     m = RationalMatrix(np.diag([2, 0]))
     corner_identity = RationalMatrix(np.diag([1, 0]))
     # Relative to the corner unit, m acts as the scalar 2.
-    assert min_poly(m, identity=corner_identity) == RationalPoly((-2, 1))
+    assert matrix_min_poly(m, identity=corner_identity) == RationalPoly((-2, 1))
     with pytest.raises(ValueError):
-        min_poly(m, identity=RationalMatrix.zeros(2, 2))
+        matrix_min_poly(m, identity=RationalMatrix.zeros(2, 2))
 
 
 def test_min_poly_with_fractions():
     m = RationalMatrix(np.diag([3, 2]), 6)
-    assert min_poly(m) == RationalPoly.from_roots([Fraction(1, 2), Fraction(1, 3)])
+    assert matrix_min_poly(m) == RationalPoly.from_roots([Fraction(1, 2), Fraction(1, 3)])
 
 
 def test_zero_matrix_over_a_denominator_past_int64():
@@ -480,3 +481,84 @@ def test_poly_eval_matrix_matches_fraction_horner():
         object_results += got.num.dtype == object
         previous = p
     assert object_results  # the int64 guards sent some cases to Python ints
+
+
+# -- the Krylov kernel: min_poly(m, v) -------------------------------------
+
+
+def _column(v):
+    return RationalMatrix(np.array([[int(x)] for x in v], dtype=object))
+
+
+def _krylov_rows(m, v, k):
+    """v, m v, ..., m^(k-1) v as the k rows of a RationalMatrix."""
+    col = _column(v)
+    rows = []
+    for _ in range(k):
+        rows.append([col[i, 0] for i in range(m.nrows)])
+        col = m @ col
+    return RationalMatrix.from_rows(rows)
+
+
+@st.composite
+def _vectors_near_limits(draw, n):
+    """Nonzero integer vectors of length n with entries near 0, +-2^31, +-2^62."""
+    v = draw(st.lists(_NEAR_LIMITS, min_size=n, max_size=n).filter(any))
+    return np.array(v, dtype=np.int64)
+
+
+def _assert_least_annihilator(m, v, q):
+    """q is monic, q(m) v = 0 and v, m v, ..., m^(deg q - 1) v are
+    independent, so no monic polynomial of lower degree annihilates v."""
+    assert q.coeffs[-1] == 1
+    assert (poly_eval_matrix([q], m)[0] @ _column(v)).is_zero()
+    assert rank(_krylov_rows(m, v, q.degree)) == q.degree
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_min_poly_of_vector_near_int64_limits(data):
+    m = data.draw(_matrices_near_limits())
+    v = data.draw(_vectors_near_limits(m.nrows))
+    q = min_poly(m, v)
+    _assert_least_annihilator(m, v, q)
+    # q divides the minimal polynomial, so the two are equal exactly when
+    # their degrees are (always when v is cyclic).
+    full = matrix_min_poly(m)
+    assert q.degree <= full.degree
+    if q.degree == full.degree:
+        assert q == full
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_min_poly_of_vector_object_entries(data):
+    # big's numerators are past int64, so every Krylov product runs on
+    # Python ints; v passed as an object vector past int64 gives the same q.
+    m = data.draw(_matrices_near_limits())
+    big = RationalMatrix(to_object(m.num) * (2**64 + 1), m.den)
+    v = data.draw(_vectors_near_limits(m.nrows))
+    q = min_poly(big, v)
+    _assert_least_annihilator(big, v, q)
+    assert q == min_poly(big, to_object(v) * (2**70 + 3))
+
+
+def test_min_poly_of_non_cyclic_vector():
+    m = RationalMatrix(np.diag([1, 2, 3]))
+    assert min_poly(m, [1, 0, 1]) == RationalPoly.from_roots([1, 3])
+    assert min_poly(m, [1, 1, 1]) == matrix_min_poly(m)
+    assert min_poly(RationalMatrix(np.diag([3, 2]), 6), [1, 1]) == RationalPoly.from_roots(
+        [Fraction(1, 2), Fraction(1, 3)]
+    )
+    nilpotent = RationalMatrix(np.array([[0, 0], [1, 0]]))
+    assert min_poly(nilpotent, [1, 0]) == RationalPoly((0, 0, 1))
+    assert min_poly(nilpotent, [0, 5]) == RationalPoly((0, 1))
+
+
+def test_min_poly_rejects_bad_input():
+    with pytest.raises(ValueError, match="zero vector"):
+        min_poly(RationalMatrix.identity(2), [0, 0])
+    with pytest.raises(ValueError, match="n x n"):
+        min_poly(RationalMatrix.zeros(2, 3), [1, 1])
+    with pytest.raises(ValueError, match="n x n"):
+        min_poly(RationalMatrix.identity(2), [1, 1, 1])

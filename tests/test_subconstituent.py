@@ -39,7 +39,14 @@ from terwalg.subconstituent import (
 from terwalg.verify import build_graph_report, run_verification
 
 import section_oracles
-from dense_views import dense_class_matrix, dense_diagonal, dense_idempotents, distance_matrix
+import test_graphs
+from dense_views import (
+    dense_class_matrix,
+    dense_diagonal,
+    dense_idempotents,
+    distance_matrix,
+    matrix_min_poly,
+)
 
 
 def cycle(n):
@@ -369,12 +376,12 @@ def _minimal_checks(ctx):
 
 
 def _min_poly_oracle(ctx, adjacency):
-    """The minimal-polynomial checks as min_poly of the given A and of A*
-    at width n^2."""
+    """The minimal-polynomial checks as matrix_min_poly of the given A and
+    of A* at width n^2."""
     phi = ctx.params.phi
     out = []
     for g, name in ((adjacency, "adjacency"), (ctx.dual_adjacency, "dual_adjacency")):
-        mp = min_poly(g)
+        mp = matrix_min_poly(g)
         witness = None if mp == phi else f"{mp} != {phi}"
         out.append(Check(f"minimal_polynomial_of_{name}", mp == phi, witness))
     return out
@@ -497,6 +504,40 @@ def test_general_path_rejects_non_distance_regular():
 def test_general_path_rejects_irrational_spectrum():
     with pytest.raises(ValueError, match="irrational"):
         build_context(cycle(5))
+
+
+def _b1(g):
+    """The counted intersection matrix B_1[h, j] = p^h_1j, as build_context
+    reads it, and the diameter."""
+    dd = DistanceData.compute(g)
+    p = subconstituent._intersection_numbers(g, dd, 0)
+    b1 = p[:, 1, :] if dd.diameter >= 1 else np.zeros((1, 1), dtype=np.int64)
+    return RationalMatrix(b1), dd.diameter
+
+
+def test_e0_is_a_cyclic_vector_of_b1():
+    # B_1[j+1, j] = c_(j+1) != 0, so the annihilator of e_0 is the minimal
+    # polynomial of B_1, of degree d + 1.
+    cases = [
+        ("Petersen", test_graphs.kneser(5, 2)),
+        ("H(3,3)", test_graphs.hamming(3, 3)),
+        ("C_6", test_graphs.cycle(6)),
+        ("J(6,3)", test_graphs.johnson(6, 3)),
+    ]
+    cases += [(f"Q_{d}", hypercube(d)) for d in range(7)]
+    for name, g in cases:
+        b1, d = _b1(g)
+        mp = min_poly(b1, [1] + [0] * d)
+        assert mp == matrix_min_poly(b1), name
+        assert mp.degree == d + 1, name
+    for name, g in (("C_5", test_graphs.cycle(5)), ("C_7", test_graphs.cycle(7))):
+        b1, d = _b1(g)
+        with pytest.raises(ValueError) as got:
+            build_context(g)
+        assert str(got.value) == (
+            "adjacency matrix has an irrational eigenvalue: minimal polynomial "
+            f"{matrix_min_poly(b1)} does not split over the integers"
+        ), name
 
 
 def test_polynomial_images_require_hypercube():
@@ -810,7 +851,8 @@ def _projector_context(g, x):
     """The context from the spectral projectors of A.
 
     E_i = prod_(j != i) (A - theta_j I) / (theta_i - theta_j) with theta the
-    integer roots of min_poly(A), and P[i][j] read off A_j E_i = P[i][j] E_i.
+    integer roots of matrix_min_poly(A), and P[i][j] read off
+    A_j E_i = P[i][j] E_i.
     Each E_i is asserted to be a class function before its class row is
     read off row x.
     """
@@ -826,7 +868,7 @@ def _projector_context(g, x):
     n = g.n
     A_dist = tuple(distance_matrix(g, dd, j) for j in range(d + 1))
     A = A_dist[1] if d >= 1 else RationalMatrix.zeros(n, n)
-    mp = min_poly(A)
+    mp = matrix_min_poly(A)
     k = max(len(nb) for nb in g.neighbors)
     theta = [t for t in range(k, -k - 1, -1) if mp.eval_scalar(t) == 0]
     if len(theta) != mp.degree:

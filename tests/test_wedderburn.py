@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from dense_views import dense_diagonal, densify
+from dense_views import dense_diagonal, densify, matrix_min_poly
 from test_subconstituent import _oracle_graphs
 
 from terwalg import _intops, idempotent, verify, wedderburn
@@ -21,7 +21,7 @@ from terwalg.idempotent import (
     u0_factorization,
     verify_u0,
 )
-from terwalg.linalg import RationalMatrix, kernel_basis, min_poly, rank
+from terwalg.linalg import RationalMatrix, kernel_basis, rank
 from terwalg.polys import integer_roots
 from terwalg.subconstituent import build_context, build_hypercube_context
 from terwalg.wedderburn import (
@@ -323,10 +323,10 @@ def test_compare_complement_blocks(suite):
 
 # -- dense oracles ----------------------------------------------------------
 # Reference implementations that form every element at n x n: pivot entries
-# read off full products, the split with min_poly at width n^2 and dense
-# Lagrange products, and the corner and its generators compressed with two
-# dense products each.  They need no closed-span assumption for the products
-# they read.
+# read off full products, the split with matrix_min_poly at width n^2 and
+# dense Lagrange products, and the corner and its generators compressed with
+# two dense products each.  They need no closed-span assumption for the
+# products they read.
 
 
 def _dense_pivot_entries(mats, g, side):
@@ -352,7 +352,7 @@ def _dense_split_center(center, identity=None):
             probe = probe + ck * w
             w *= base
         probe_int = RationalMatrix(probe.num, 1)
-        mp = min_poly(probe_int, identity=identity)
+        mp = matrix_min_poly(probe_int, identity=identity)
         last_poly = mp
         if mp.degree != m:
             continue
@@ -828,19 +828,29 @@ def test_object_path_split_at_d8(monkeypatch):
     # With the int64 bound lowered to 2^20 at every terwalg binding, the
     # real d=8 splits of T and of the U0 corner cross to Python ints where
     # their entries grow; status, blocks, ranks, idempotents and the probe
-    # polynomial must not change.
+    # polynomial must not change.  The probe's min_poly is among the code
+    # that crosses.
     ctx = build_hypercube_context(8, 0)
     basis = ctx.algebra_basis()
     corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
     generators = ctx.generators()
     cases = [(basis.span, None), (corner.span, corner.identity)]
     expected = [decompose(span, generators, identity) for span, identity in cases]
-    converted = []
+    converted = []  # (int64 array converted, inside min_poly)
+    in_min_poly = []
     real_to_object = _intops.to_object
+    real_min_poly = wedderburn.min_poly
 
     def counting(arr):
-        converted.append(arr.dtype != object)
+        converted.append((arr.dtype != object, bool(in_min_poly)))
         return real_to_object(arr)
+
+    def marked_min_poly(*args):
+        in_min_poly.append(True)
+        try:
+            return real_min_poly(*args)
+        finally:
+            in_min_poly.pop()
 
     for name, module in list(sys.modules.items()):
         if name == "terwalg" or name.startswith("terwalg."):
@@ -848,6 +858,7 @@ def test_object_path_split_at_d8(monkeypatch):
                 monkeypatch.setattr(module, "INT64_SAFE", 1 << 20)
             if getattr(module, "to_object", None) is real_to_object:
                 monkeypatch.setattr(module, "to_object", counting)
+    monkeypatch.setattr(wedderburn, "min_poly", marked_min_poly)
     for (span, identity), want in zip(cases, expected):
         got = decompose(span, generators, identity)
         assert got.status == want.status == SPLIT
@@ -855,4 +866,6 @@ def test_object_path_split_at_d8(monkeypatch):
         assert got.block_ranks == want.block_ranks
         assert got.central_idempotents == want.central_idempotents
         assert got.probe_min_poly == want.probe_min_poly
-    assert sum(converted) > 0  # int64 arrays really crossed to object
+    # int64 arrays really crossed to object, in min_poly too.
+    assert sum(crossed for crossed, _ in converted) > 0
+    assert sum(crossed for crossed, inside in converted if inside) > 0
