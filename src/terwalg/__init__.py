@@ -16,6 +16,7 @@ from .hypercube import (
     intersection_number,
     krawtchouk_polys,
     permissible,
+    permissible_mask,
     permissible_set,
     spectrum_poly,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "min_poly",
     "parse_graph_file",
     "permissible",
+    "permissible_mask",
     "permissible_set",
     "rank",
     "rref",

@@ -45,6 +45,19 @@ def to_object(arr: np.ndarray) -> np.ndarray:
     return arr if arr.dtype == object else arr.astype(object)
 
 
+def python_ints(arr: np.ndarray) -> np.ndarray:
+    """An object array with its numpy integer scalars made Python ints.
+
+    A numpy scalar keeps its fixed width inside an object array, so
+    arithmetic on it wraps or raises where a Python int grows.  Input
+    that holds none is returned as it is.
+    """
+    if arr.dtype != object or not any(isinstance(v, np.integer) for v in arr.flat):
+        return arr
+    out = [int(v) if isinstance(v, np.integer) else v for v in arr.flat]
+    return np.array(out, dtype=object).reshape(arr.shape)
+
+
 def demote(arr: np.ndarray, known_max: int | None = None) -> np.ndarray:
     """Convert an object array back to int64 when all entries fit."""
     if arr.dtype != object:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._intops import INT64_SAFE, content, demote, max_abs, to_object
+from ._intops import INT64_SAFE, content, demote, max_abs, python_ints, to_object
 
 
 class EchelonSpan:
@@ -87,7 +87,7 @@ class EchelonSpan:
     def _prepare(self, vec) -> tuple[np.ndarray, int]:
         if isinstance(vec, np.ndarray):
             if vec.dtype == object:
-                v = demote(vec.ravel().copy())
+                v = demote(python_ints(vec.ravel().copy()))
             elif vec.dtype.kind == "i" or (vec.dtype.kind == "u" and vec.itemsize < 8):
                 v = vec.ravel().astype(np.int64)
             elif vec.dtype.kind == "u":
@@ -99,7 +99,7 @@ class EchelonSpan:
             for x in v.flat[:1]:
                 if not isinstance(x, (int, np.integer)):
                     raise TypeError("integer vector expected")
-            v = demote(v)
+            v = demote(python_ints(v))
         if v.shape[0] != self.width:
             raise ValueError(f"vector length {v.shape[0]} != width {self.width}")
         return v, max_abs(v)

@@ -29,6 +29,7 @@ from ._intops import (
     exact_mul_elementwise,
     exact_scale,
     exact_sub,
+    python_ints,
     to_object,
 )
 from .echelon import EchelonSpan
@@ -42,8 +43,12 @@ class RationalMatrix:
 
     def __init__(self, num, den: int = 1, *, _canonical: bool = False):
         if isinstance(num, np.ndarray):
-            if num.dtype == object or num.dtype.kind == "i":
-                arr = num if _canonical else np.array(num, dtype=num.dtype)
+            if _canonical and (num.dtype == object or num.dtype.kind == "i"):
+                arr = num
+            elif num.dtype == object:
+                arr = python_ints(np.array(num, dtype=object))
+            elif num.dtype.kind == "i":
+                arr = np.array(num, dtype=num.dtype)
             elif num.dtype.kind == "u":
                 arr = num.astype(object)
             else:
@@ -52,6 +57,7 @@ class RationalMatrix:
             arr = np.array(num, dtype=object)
             if arr.size and not isinstance(arr.flat[0], (int, np.integer)):
                 raise TypeError("integer numerators expected; use from_rows for Fractions")
+            arr = python_ints(arr)
         if arr.ndim != 2:
             raise ValueError(f"2-dimensional array expected, got shape {arr.shape}")
         den = int(den)
@@ -285,7 +291,7 @@ def min_poly(m: RationalMatrix, v) -> RationalPoly:
         v: nonzero integer vector of length m.nrows; scaling it leaves q
             unchanged.
     """
-    w = demote(np.array(v, dtype=object))
+    w = demote(python_ints(np.array(v, dtype=object)))
     if m.shape != w.shape * 2:
         raise ValueError(f"n x n matrix and length-n vector expected, got {m.shape}, {w.shape}")
     g = content(w)

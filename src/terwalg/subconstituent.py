@@ -110,7 +110,7 @@ from ._intops import (
 from .checks import Check
 from .closure import AlgebraBasis, closure
 from .graphs import DistanceData, Graph, hypercube, is_distance_regular
-from .hypercube import HypercubeParams, permissible, spectrum_poly
+from .hypercube import HypercubeParams, permissible_mask, spectrum_poly
 from .linalg import RationalMatrix, inverse, min_poly
 from .polys import RationalPoly, integer_roots
 
@@ -678,15 +678,16 @@ def check_triple_products(ctx: TerwContext) -> TripleProductReport:
     zero patterns coincide only for formally self-dual graphs, so for
     hypercubes all flags, including (h, i, j) lying outside the permissible
     set, must agree.  A mismatch records all flags in the order primal,
-    dual, p, Krein (and not permissible for hypercubes).  Both flag arrays
-    are read off one count table N[k, a, l] (_triple_counts): the primal
-    flags are its zeros, and dual_triple_zeros contracts it with the class
-    values.
+    dual, p, Krein (and, for hypercubes, outside P_d by permissible_mask).
+    Both flag arrays are read off one count table N[k, a, l]
+    (_triple_counts): the primal flags are its zeros, and dual_triple_zeros
+    contracts it with the class values.
     """
     d = ctx.d
     counts = _triple_counts(ctx)
     primal_zeros = _primal_triple_zeros(ctx, counts)
     dual_zeros = dual_triple_zeros(ctx, counts)
+    excluded = ~permissible_mask(d) if ctx.is_hypercube else None
     mismatches = []
     for h in range(d + 1):
         for i in range(d + 1):
@@ -697,7 +698,7 @@ def check_triple_products(ctx: TerwContext) -> TripleProductReport:
                 krein_zero = ctx.krein[h][i][j] == 0
                 flags = [primal_zero, dual_zero, p_zero, krein_zero]
                 if ctx.is_hypercube:
-                    flags.append(not permissible(d, h, i, j))
+                    flags.append(bool(excluded[h, i, j]))
                     ok = all(f == flags[0] for f in flags)
                 else:
                     ok = primal_zero == p_zero and dual_zero == krein_zero

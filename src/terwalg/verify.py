@@ -26,6 +26,7 @@ from .hypercube import (
     check_permissible_equivalence,
     check_shift_lemma_down,
     check_shift_lemma_up,
+    permissible_mask,
     permissible_set,
 )
 from .idempotent import verify_u0
@@ -225,8 +226,13 @@ def _diameter_record(
 def global_checks() -> tuple[Check, ...]:
     """Range-wide enumeration and polynomial checks, independent of max_d.
 
-    Each Krawtchouk family, spectrum polynomial and permissible set P_d is
-    built once for the whole range and shared by the checks that read it.
+    Each Krawtchouk family and spectrum polynomial is built once for the
+    whole range, on integers, and shared by the checks that read it.  Each
+    permissible set P_d is one boolean mask (permissible_mask), built once
+    and read by both shift lemmas, which compare whole masks at once; the
+    equivalence with the nonzero intersection numbers compares the mask
+    with the table.  Every witness is the first failing triple in
+    lexicographic order, the one a loop over all triples would name.
     """
     checks = []
     perm_ok = True
@@ -253,17 +259,17 @@ def global_checks() -> tuple[Check, ...]:
         )
     )
 
-    triples = [frozenset(permissible_set(d)) for d in range(SHIFT_LEMMA_MAX_D + 1)]
+    masks = [permissible_mask(d) for d in range(SHIFT_LEMMA_MAX_D + 1)]
     down_ok = True
     up_ok = True
     down_witness = None
     up_witness = None
     for d in range(2, SHIFT_LEMMA_MAX_D + 1):
-        ok, bad = check_shift_lemma_down(d, triples[d], triples[d - 2])
+        ok, bad = check_shift_lemma_down(d, masks[d], masks[d - 2])
         if not ok and down_ok:
             down_ok = False
             down_witness = f"d={d} triple {bad}"
-        ok, bad = check_shift_lemma_up(d, triples[d], triples[d - 2])
+        ok, bad = check_shift_lemma_up(d, masks[d], masks[d - 2])
         if not ok and up_ok:
             up_ok = False
             up_witness = f"d={d} triple {bad}"

@@ -120,3 +120,16 @@ def matrix_min_poly(m: RationalMatrix, identity: RationalMatrix | None = None) -
             return RationalPoly([c / lead for c in coeffs])
         power = power @ m
     raise ArithmeticError("no dependency found; matrix powers misbehaved")
+
+
+def fraction_krawtchouk_polys(d: int) -> list[RationalPoly]:
+    """The family F_0..F_{d+1} by the Fraction form of the recurrence,
+    z F_i = (i+1) F_{i+1} + (d-i+1) F_{i-1}, one RationalPoly per step."""
+    if d < 0:
+        raise ValueError(f"d must be nonnegative, got {d}")
+    z = RationalPoly.x()
+    fs = [RationalPoly.one(), z]
+    for i in range(1, d + 1):
+        nxt = (z * fs[i] - (d - i + 1) * fs[i - 1]) * Fraction(1, i + 1)
+        fs.append(nxt)
+    return fs[: d + 2]

@@ -21,7 +21,7 @@ from terwalg.graphs import is_distance_regular
 from terwalg.hypercube import (
     check_shift_lemma_down,
     check_shift_lemma_up,
-    permissible_set,
+    permissible_mask,
 )
 from terwalg.idempotent import verify_u0
 from terwalg.poly_identities import verify_phi_factorial, verify_phi_images
@@ -173,10 +173,10 @@ def test_criterion_07_polynomial_layer(prepared):
 
 def test_criterion_08_descent_shift_relators(prepared):
     images_ok = all(verify_phi_images(d).passed for d in range(2, 33))
-    triples = [frozenset(permissible_set(d)) for d in range(17)]
+    masks = [permissible_mask(d) for d in range(17)]
     shifts_ok = all(
-        check_shift_lemma_down(d, triples[d], triples[d - 2])[0]
-        and check_shift_lemma_up(d, triples[d], triples[d - 2])[0]
+        check_shift_lemma_down(d, masks[d], masks[d - 2])[0]
+        and check_shift_lemma_up(d, masks[d], masks[d - 2])[0]
         for d in range(2, 17)
     )
     relators = [

@@ -190,3 +190,17 @@ def test_rows_match_sympy_rref(case):
         [Fraction(v, next(x for x in row if x)) for v in row] for row in stored
     )
     assert got == sorted(want)
+
+
+def test_numpy_integer_entries_become_python_ints():
+    # A numpy scalar past INT64_SAFE is not demoted; kept as it is inside an
+    # object row, it meets multipliers past int64 in the reduction.
+    big = np.int64(2**62)
+    for first in ([big, np.int64(1)], np.array([big, np.int64(1)], dtype=object)):
+        span = EchelonSpan(2, track=True)
+        assert span.add(first) is not None
+        assert all(type(v) is int for row in span.rows for v in row)
+        idx, expr = span.add_tracked(np.array([3 * 2**62 + 1, 2], dtype=object))
+        assert idx is not None and expr is None
+        assert span.dim == 2
+        assert span.contains(np.array([0, 1], dtype=object))

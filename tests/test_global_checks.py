@@ -1,12 +1,12 @@
 """The range-wide checks against the per-call path they replaced.
 
 verify.global_checks builds every Krawtchouk family, spectrum polynomial and
-permissible set P_d once and shares them.  The oracle here is the older
+permissible mask P_d once and shares them.  The oracle here is the older
 per-call path: one verify_phi_images(d) per d (each building its own
-families), verify_phi_factorial over the range, and the shift lemmas as
-loops over the permissible() predicate with out-of-range indices excluded.
-Both must return equal Check tuples, also after one family member or one
-P_d is changed.
+families), verify_phi_factorial over the range, and the permissible
+equivalence and the shift lemmas as loops over the scalar permissible()
+predicate with out-of-range indices excluded.  Both must return equal Check
+tuples, also after one family member or one P_d is changed.
 """
 
 from fractions import Fraction
@@ -18,6 +18,7 @@ from terwalg import hypercube, poly_identities, verify
 from terwalg.checks import Check
 from terwalg.cli import main
 from terwalg.polys import RationalPoly
+from terwalg.subconstituent import build_hypercube_context, check_triple_products
 
 
 def _in_shifted(d, h, i, j):
@@ -60,12 +61,22 @@ def oracle_shift_up(d):
     return True, None
 
 
+def oracle_permissible_equivalence(d):
+    for h in range(d + 1):
+        for i in range(d + 1):
+            for j in range(d + 1):
+                nonzero = hypercube.intersection_number(d, h, i, j) != 0
+                if nonzero != hypercube.permissible(d, h, i, j):
+                    return False, (h, i, j)
+    return True, None
+
+
 def oracle_global_checks():
     checks = []
     perm_ok = True
     witness = None
     for d in range(1, verify.PERMISSIBLE_MAX_D + 1):
-        ok, bad = hypercube.check_permissible_equivalence(d)
+        ok, bad = oracle_permissible_equivalence(d)
         if not ok:
             perm_ok = False
             witness = f"d={d} triple {bad}"
@@ -111,11 +122,21 @@ def test_global_checks_match_per_call_oracle():
 
 
 def test_shift_lemmas_match_predicate_loops():
-    triples = [frozenset(hypercube.permissible_set(d)) for d in range(17)]
+    masks = [hypercube.permissible_mask(d) for d in range(17)]
     for d in range(2, 17):
-        p_d, p_small = triples[d], triples[d - 2]
+        p_d, p_small = masks[d], masks[d - 2]
         assert hypercube.check_shift_lemma_down(d, p_d, p_small) == oracle_shift_down(d)
         assert hypercube.check_shift_lemma_up(d, p_d, p_small) == oracle_shift_up(d)
+
+
+def test_global_checks_do_not_call_the_scalar_predicate(monkeypatch):
+    def scalar(*args):
+        raise AssertionError(f"permissible{args} called")
+
+    monkeypatch.setattr(hypercube, "permissible", scalar)
+    assert all(c.passed for c in verify.global_checks())
+    assert hypercube.permissible_set(2)[-1] == (2, 2, 0)
+    assert check_triple_products(build_hypercube_context(3)).passed
 
 
 # -- tampered inputs: both paths must name the same witness --------------------
@@ -145,16 +166,27 @@ def _tamper_spectrum(monkeypatch, d0):
 
 
 def _tamper_triples(monkeypatch, d0, triple):
-    """Flip the membership of one triple in P_d0.  The predicate is read by
-    the oracle, the equivalence check and permissible_set, so global_checks
-    sees the changed P_d0 too."""
+    """Flip the membership of one triple in P_d0, both in the predicate and
+    in the mask.  The predicate is read by the oracle; the mask by the
+    equivalence check and by the shift lemmas of global_checks, through
+    the binding in verify."""
     real = hypercube.permissible
+    real_mask = hypercube.permissible_mask
 
     def pred(d, h, i, j):
         ok = real(d, h, i, j)
         return ok != (d == d0 and (h, i, j) == triple)
 
+    def mask(d):
+        m = real_mask(d)
+        if d == d0:
+            m = m.copy()
+            m[triple] = not m[triple]
+        return m
+
     monkeypatch.setattr(hypercube, "permissible", pred)
+    monkeypatch.setattr(hypercube, "permissible_mask", mask)
+    monkeypatch.setattr(verify, "permissible_mask", mask)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ permissible-set combinatorics."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from terwalg.hypercube import (
@@ -17,11 +18,14 @@ from terwalg.hypercube import (
     intersection_table,
     krawtchouk_polys,
     permissible,
+    permissible_mask,
     permissible_set,
     spectrum_poly,
     valency,
 )
 from terwalg.polys import RationalPoly
+
+from dense_views import fraction_krawtchouk_polys
 
 
 def test_guarded_binom():
@@ -44,6 +48,17 @@ def test_intersection_number_closed_form():
     assert intersection_number(3, 3, 1, 1) == 0  # violates triangle bound
     with pytest.raises(ValueError):
         intersection_number(3, 4, 0, 0)
+
+
+def test_intersection_table_matches_closed_form():
+    for d in range(17):
+        table = intersection_table(d)
+        assert table.dtype == np.int64 and table.shape == (d + 1,) * 3
+        assert not table.flags.writeable
+        for h in range(d + 1):
+            for i in range(d + 1):
+                for j in range(d + 1):
+                    assert int(table[h, i, j]) == intersection_number(d, h, i, j)
 
 
 def test_intersection_table_row_sums():
@@ -74,6 +89,28 @@ def test_krawtchouk_three_term_recurrence():
     z = RationalPoly.x()
     for i in range(1, d + 1):
         assert z * fs[i] == (i + 1) * fs[i + 1] + (d - i + 1) * fs[i - 1]
+
+
+def test_krawtchouk_family_matches_fraction_recurrence():
+    for d in range(65):
+        got = [(f.num, f.den) for f in krawtchouk_polys(d)]
+        assert got == [(f.num, f.den) for f in fraction_krawtchouk_polys(d)], d
+
+
+def test_spectrum_poly_matches_from_roots():
+    for d in range(65):
+        want = RationalPoly.from_roots([d - 2 * i for i in range(d + 1)])
+        got = spectrum_poly(d)
+        assert (got.num, got.den) == (want.num, want.den), d
+
+
+def test_negative_diameter_rejected():
+    builders = (
+        krawtchouk_polys, spectrum_poly, intersection_table, permissible_mask, permissible_set
+    )
+    for f in builders:
+        with pytest.raises(ValueError):
+            f(-1)
 
 
 def test_spectrum_poly():
@@ -120,6 +157,23 @@ def test_permissible_set_d2():
     ]
 
 
+def test_permissible_mask_matches_predicate():
+    for d in range(17):
+        mask = permissible_mask(d)
+        assert mask.dtype == bool and mask.shape == (d + 1,) * 3
+        assert not mask.flags.writeable
+        loop = []
+        for h in range(d + 1):
+            for i in range(d + 1):
+                for j in range(d + 1):
+                    assert mask[h, i, j] == permissible(d, h, i, j)
+                    if permissible(d, h, i, j):
+                        loop.append((h, i, j))
+        got = permissible_set(d)
+        assert got == loop
+        assert all(type(v) is int for t in got for v in t)
+
+
 def test_permissible_matches_nonzero_intersection_numbers():
     for d in range(1, 9):
         ok, witness = check_permissible_equivalence(d)
@@ -134,12 +188,18 @@ def test_permissible_predicate():
 
 
 def test_shift_lemmas():
-    triples = [frozenset(permissible_set(d)) for d in range(17)]
+    masks = [permissible_mask(d) for d in range(17)]
     for d in range(2, 17):
-        ok, witness = check_shift_lemma_down(d, triples[d], triples[d - 2])
+        ok, witness = check_shift_lemma_down(d, masks[d], masks[d - 2])
         assert ok, f"down d={d}: {witness}"
-        ok, witness = check_shift_lemma_up(d, triples[d], triples[d - 2])
+        ok, witness = check_shift_lemma_up(d, masks[d], masks[d - 2])
         assert ok, f"up d={d}: {witness}"
+
+
+def test_shift_lemmas_reject_small_d():
+    for check in (check_shift_lemma_down, check_shift_lemma_up):
+        with pytest.raises(ValueError, match="at least 2"):
+            check(1, permissible_mask(1), permissible_mask(0))
 
 
 def test_params_bundle():

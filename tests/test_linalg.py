@@ -562,3 +562,19 @@ def test_min_poly_rejects_bad_input():
         min_poly(RationalMatrix.zeros(2, 3), [1, 1])
     with pytest.raises(ValueError, match="n x n"):
         min_poly(RationalMatrix.identity(2), [1, 1, 1])
+
+
+def test_numpy_integer_entries_become_python_ints():
+    # A numpy scalar past INT64_SAFE is not demoted; kept as it is inside an
+    # object array, its arithmetic would wrap at 2**63.
+    rows = [[np.int64(2**62), np.int64(1)], [np.int64(0), np.int64(3)]]
+    for num in (rows, np.array(rows, dtype=object)):
+        m = RationalMatrix(num)
+        assert all(type(v) is int for v in m.num.flat)
+        assert (m + m)[0, 0] == 2**63
+        assert (m @ m)[0, 0] == 2**124
+    m = RationalMatrix([[3, 1], [0, 2]])
+    want = RationalPoly((6, -5, 1))
+    v = [np.int64(2**62), np.int64(1)]
+    assert min_poly(m, v) == want
+    assert min_poly(m, np.array(v, dtype=object)) == want
