@@ -10,7 +10,9 @@ __version__ = "0.1.0"
 
 from .checks import Check
 from .closure import AlgebraBasis, closure
-from .graphs import DistanceData, Graph, hypercube, is_distance_regular, parse_graph_file
+
+# Loading the submodule .hypercube binds the package attribute "hypercube"
+# to it, so the graph constructor of that name is imported after it.
 from .hypercube import (
     HypercubeParams,
     intersection_number,
@@ -20,6 +22,7 @@ from .hypercube import (
     permissible_set,
     spectrum_poly,
 )
+from .graphs import DistanceData, Graph, hypercube, is_distance_regular, parse_graph_file
 from .idempotent import U0Report, compute_u0, verify_u0
 from .linalg import RationalMatrix, kernel_basis, min_poly, rank, rref
 from .poly_identities import PhiImageReport, verify_phi_factorial, verify_phi_images

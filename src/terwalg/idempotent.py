@@ -3,43 +3,67 @@
 U0 is defined by two formulas that must agree exactly:
 
     U0 = |X| sum_i k_i^(-1)  E_i* E_0 E_i*
-       = |X| sum_i k_i*^(-1) E_i  E_0* E_i
+       = |X| sum_i k*_i^(-1) E_i  E_0* E_i
 
-For the d-cube this is U0 = sum_h k_h^(-1) J_{S_h}: one all-ones block per
-sphere S_h around x, scaled by the sphere size k_h.  U0 is a central
-idempotent of the subconstituent algebra T, absorbs the extremal
-idempotents E_0, E_d, E_0*, E_d*, has rank d+1, and generates a two-sided
-ideal of dimension (d+1)^2.  Peeling that ideal off T for the d-cube leaves
-the dimension of the algebra for the (d-2)-cube.
+with k_i the sphere sizes (valencies) and k*_i the multiplicities (dual
+valencies).  For the d-cube this is U0 = sum_h k_h^(-1) J_{S_h}: one
+all-ones block per sphere S_h around x, scaled by the sphere size k_h.  U0
+is a central idempotent of the subconstituent algebra T, absorbs the
+extremal idempotents E_0, E_d, E_0*, E_d*, has rank d+1, and generates a
+two-sided ideal of dimension (d+1)^2.  Peeling that ideal off T for the
+d-cube leaves the dimension of the algebra for the (d-2)-cube.
 
-Both formulas are evaluated exactly, with no product of two n x n
-matrices, and compared.
-Each triple product has a diagonal factor, and nothing else is assumed of
-the context: not distance-regularity, not 0/1 entries.
+Triple tables.  U0 is held, and every check on it runs, on (d+1)^3 integer
+tables; no n x n matrix is formed.  A table T over a denominator stands for
 
-- Primal.  For a diagonal D_i = diag(e_i), (D_i M D_i)[u, v] =
-  e_i[u] M[u, v] e_i[v].  So with c_i = |X| / k_i,
-  sum_i c_i E_i* E_0 E_i* = E_0 o W, W = D^T diag(c) D, where D is the
-  (d+1) x n stack of the e_i and o is the entrywise product: one
-  (n x (d+1)) ((d+1) x n) product and one entrywise product.
-- Dual.  For F = diag(f), (M F M)[u, v] = sum_y M[u, y] f_y M[y, v], and
-  only y in supp f contribute.  So with c*_i = |X| / k*_i,
-  sum_i c*_i E_i E_0* E_i = L R, where L stacks the columns
-  c*_i f_y E_i[:, y] and R the rows E_i[y, :], over i and y in supp f.
-  In a real context supp f = {x}, so L R is an (n x (d+1)) ((d+1) x n)
-  product.
+    [T] = sum_(h,a,j) T[h, a, j] E_h* A_a E_j*,
 
-The coefficients, the denominators of the E_i* or E_i and that of E_0 or
-E_0* are put over one common denominator, so each side is an integer
-array canonicalized once.  The context holds each E_i* as its diagonal
-e_i, which is all either formula reads of it.
+whose entry (u, v), for u in S_h, v in S_j and dist(u, v) = a, is
+T[h, a, j].  Precondition: every E_h* is the 0/1 indicator diagonal of the
+sphere S_h.  compute_u0 checks it on the held diagonals and raises a
+VerificationError naming the first h that fails.  Then E_h* A_a E_j* is the
+0/1 matrix supported on {(u, v) in S_h x S_j : dist(u, v) = a}.  Distinct
+triples have disjoint supports, and the support of (h, a, j) is nonempty
+exactly when N[h, a, j] = k_h p^h_aj is, for the intersection numbers
+p_table counted on the graph (subconstituent._triple_counts).  So
+[T] = [T'] exactly when T and T' agree wherever p^h_aj != 0, the support:
+table equality on the support is matrix equality.  Each check below is
+such an equality, read off the tables, p_table and the valencies.
 
-U0 is then checked against its rank factorization L U0 = S^T M S, with S
-the 0/1 sphere indicator matrix, L = lcm(k_h) and M = diag(m),
-m_h = L / k_h, and every other property is read from S, m and the
-closure's block pieces: each basis element of T is a piece X in one block,
-rows S_sigma(h) and columns S_sigma(j), where sigma maps the closure's
-classes (the spheres) to sphere indices.  No check forms an n x n product:
+- The two formulas.  E_i* E_0 E_i* = sum_a E_0[a] E_i* A_a E_i*, so the
+  primal sum is the table delta_hj (|X| / k_h) E_0[a].  E_0* is e_x e_x^T,
+  and E_i[u, x] = E_i[dist(x, u)] since dist is symmetric, so
+  (E_i E_0* E_i)[u, v] = E_i[u, x] E_i[x, v] = E_i[h] E_i[j] for u in S_h
+  and v in S_j, whatever dist(u, v): the dual sum is the table
+  sum_i (|X| / k*_i) E_i[h] E_i[j], the same for every a.  Both are put
+  over one common denominator and compared on the support.
+- The factorization.  With L = lcm(k_h), m_h = L / k_h, S the 0/1 sphere
+  indicator matrix and M = diag(m), S^T M S / L is k_h^(-1) J on each
+  S_h x S_h and zero elsewhere: the table delta_hj / k_h.  The primal table
+  must equal it, which verifies L U0 = S^T M S.
+- Rank.  U0 = S^T C S for the (d+1) x (d+1) sphere table C, the value of
+  U0 on each block S_h x S_j, read from the table at one supported a per
+  block.  S has full row rank (its rows are disjoint nonempty spheres), so
+  rank U0 = rank C.
+- Idempotence.  L^2 U0^2 = S^T M (S S^T) M S with S S^T = diag(k), and S
+  has full row rank, so U0^2 = U0 exactly when M diag(k) M = L M: every
+  m_h k_h = L.
+- The identity.  U0 = I exactly when every k_h = 1: then each J_{S_h} is
+  E_h* and they sum to I; a sphere with k_h > 1 gives U0 an off-diagonal
+  entry k_h^(-1).
+- Absorption.  For E = [T], u in S_h and v in S_l,
+  (U0 E)[u, v] = k_h^(-1) sum_(w in S_h) E[w, v]
+              = k_h^(-1) sum_b T[h, b, l] p^l_hb,
+  since p^l_hb vertices w of S_h lie at distance b from v (the pair (x, v)
+  is at distance l).  That does not depend on dist(u, v) = a, so U0 E = E
+  exactly when k_h T[h, a, l] = sum_b T[h, b, l] p^l_hb on the support.  A
+  class row e is the table e[a], and a diagonal that is c_h on each sphere
+  S_h is sum_h c_h E_h* A_0 E_h*, the table delta_hl delta_a0 c_h.
+
+The remaining checks read U0 as S^T M S / L together with the closure's
+block pieces: each basis element of T is a piece X in one block, rows
+S_sigma(h) and columns S_sigma(j), where sigma maps the closure's classes
+(the spheres) to sphere indices.
 
 - Centrality: L U0 B is m_sigma(h) colsum(X) copied down the block's rows
   and L B U0 is m_sigma(j) rowsum(X) copied across its columns, so B
@@ -48,12 +72,6 @@ classes (the spheres) to sphere indices.  No check forms an n x n product:
   dim span{B U0} = dim span{B S^T}.  B S^T is rowsum(X) in rows S_sigma(h)
   of column sigma(j); blocks have disjoint supports, so the dimension is
   the sum over blocks of the rank of their row-sum vectors.
-- Idempotence: S has full row rank, so U0^2 = U0 exactly when
-  M (S S^T) M = L M.
-- Absorption: L U0 E = S^T (M S E) is the (d+1) x n product M S E
-  gathered by sphere, compared with L E.
-
-rank(U0) is taken densely, as an independent check of the factorization.
 """
 
 from __future__ import annotations
@@ -77,7 +95,7 @@ from ._intops import (
 from .closure import AlgebraBasis
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix, rank
-from .subconstituent import TerwContext, VerificationError, diagonal_matrix
+from .subconstituent import TerwContext, VerificationError
 
 # (h, j, X): the block of the closure's classes h, j that holds X.
 Piece = tuple[int, int, np.ndarray]
@@ -90,107 +108,70 @@ def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[np.ndarray, in
     return demote(np.array(w, dtype=object)), big
 
 
-def compute_u0(ctx: TerwContext) -> tuple[RationalMatrix, RationalMatrix]:
-    """Both defining formulas for U0, each read through its diagonal factor.
+def _equal_on_support(ctx: TerwContext, left: np.ndarray, right: np.ndarray) -> bool:
+    """Do two triple tables, over one denominator, stand for the same matrix?
 
-    With D the (d+1) x n stack of the E_i* diagonals, the primal sum is
-    E_0 o (D^T diag(c) D); with f the diagonal of E_0* and F its support,
-    the dual sum is one product of the columns E_i[:, F] c*_i f_F stacked
-    over i with the rows E_i[F, :] (module docstring).  Each is exact and
-    canonicalized once.
+    They do exactly when they agree wherever p^h_aj != 0 (module
+    docstring); either may be any shape that broadcasts to (d+1)^3.
+    """
+    support = ctx.p_table != 0
+    left = np.broadcast_to(left, support.shape)[support]
+    return bool(np.array_equal(left, np.broadcast_to(right, support.shape)[support]))
+
+
+def compute_u0(ctx: TerwContext) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both defining formulas for U0 as triple tables (module docstring).
 
     Returns:
-        (via_dual_idempotents, via_idempotents); the caller compares them.
+        (primal, dual, den): the (d+1)^3 integer tables of
+        |X| sum_i k_i^(-1) E_i* E_0 E_i* and |X| sum_i k*_i^(-1) E_i E_0* E_i,
+        both over den; u0_formulas_agree compares them.
 
     Raises:
         ValueError: if the context is not a hypercube context.
+        VerificationError: if some E_i* is not the 0/1 indicator of S_i.
     """
     if not ctx.is_hypercube:
         raise ValueError("U0 is defined for hypercube contexts")
-    n = ctx.n
-    diags = [es.num[0] for es in ctx.E_star]
+    label = ctx.dist.dist[ctx.x]  # label[y] = dist(x, y): y lies in S_label[y]
+    for i, es in enumerate(ctx.E_star):
+        if es.den != 1 or not np.array_equal(es.num[0], label == i):
+            raise VerificationError(f"E*_{i} is not the 0/1 indicator of sphere S_{i}")
+    n, size = ctx.n, ctx.d + 1
 
-    # Primal: (E_i* E_0 E_i*)[u, v] = e_i[u] E_0[u, v] e_i[v].
-    coeffs = [
-        Fraction(n, k) / es.den**2 for k, es in zip(ctx.valencies, ctx.E_star)
-    ]
-    w, big = _over_common_denominator(coeffs)
-    stack = np.stack(diags)
-    weights = exact_matmul(exact_mul_elementwise(stack, w[:, None]).T, stack)
-    e0 = ctx.class_matrix(ctx.E[0])
-    primal = RationalMatrix(exact_mul_elementwise(e0.num, weights), e0.den * big)
+    # Primal: delta_hj (|X| / k_h) E_0[a], as w_h E_0.num[a] over big.
+    e0 = ctx.E[0]
+    w, primal_den = _over_common_denominator([Fraction(n, k * e0.den) for k in ctx.valencies])
+    primal = exact_mul_elementwise(w[:, None], e0.num)
+    primal = exact_mul_elementwise(primal[:, :, None], np.eye(size, dtype=np.int64)[:, None, :])
 
-    # Dual: (E_i E_0* E_i)[u, v] = sum over y in supp f of
-    # E_i[u, y] f_y E_i[y, v].
-    f = diags[0]
-    support = np.flatnonzero(f)
-    coeffs = [
-        Fraction(n, k) / (e.den**2 * ctx.E_star[0].den)
-        for k, e in zip(ctx.dual_valencies, ctx.E)
-    ]
-    w, big = _over_common_denominator(coeffs)
-    left = np.concatenate(
-        [
-            exact_mul_elementwise(
-                ctx.class_entries(e, np.s_[:, support]), exact_scale(f[support], int(wi))
-            )
-            for e, wi in zip(ctx.E, w)
-        ],
-        axis=1,
-    )
-    right = np.concatenate([ctx.class_entries(e, support) for e in ctx.E], axis=0)
-    dual = RationalMatrix(exact_matmul(left, right), big)
-    return primal, dual
+    # Dual: sum_i (|X| / k*_i) E_i[h] E_i[j] = (V^T diag(w) V)[h, j] over big.
+    V = np.array([e.num[0] for e in ctx.E])
+    coeffs = [Fraction(n, k * e.den**2) for k, e in zip(ctx.dual_valencies, ctx.E)]
+    w, dual_den = _over_common_denominator(coeffs)
+    dual = exact_matmul(exact_mul_elementwise(V.T, w), V)
+    dual = np.repeat(dual[:, None, :], size, axis=1)
+
+    den = lcm(primal_den, dual_den)
+    return exact_scale(primal, den // primal_den), exact_scale(dual, den // dual_den), den
 
 
-def sphere_indicator_matrix(ctx: TerwContext) -> np.ndarray:
-    """Rows are the 0/1 indicators of the distance spheres around x."""
-    s = np.zeros((ctx.d + 1, ctx.n), dtype=np.int64)
-    for i, sphere in enumerate(ctx.spheres):
-        s[i, sphere] = 1
-    return s
+def u0_formulas_agree(ctx: TerwContext, primal: np.ndarray, dual: np.ndarray) -> bool:
+    """Do the two tables of compute_u0 stand for the same matrix?"""
+    return _equal_on_support(ctx, primal, dual)
 
 
-def u0_factorization(
-    ctx: TerwContext, u0: RationalMatrix
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The verified rank factorization L U0 = S^T diag(m) S.
-
-    S is the sphere indicator matrix, L = lcm(k_i) and m_i = L / k_i, so
-    diag(m) is the integer multiple L D of the diagonal D of reciprocal
-    sphere sizes.
-
-    Returns:
-        (S, m, L), with S and m integer arrays.
-
-    Raises:
-        VerificationError: if S^T D S differs from U0.
-    """
-    s = sphere_indicator_matrix(ctx)
-    big = lcm(*ctx.valencies)
-    m = np.array([big // k for k in ctx.valencies], dtype=np.int64)
-    s_mat = RationalMatrix(s, 1, _canonical=True)
-    lhs = s_mat.transpose() @ RationalMatrix(np.diag(m), big) @ s_mat
-    if lhs != u0:
-        raise VerificationError("U0 does not match its rank factorization")
-    return s, m, big
-
-
-def sphere_of_classes(s: np.ndarray, classes: Sequence[np.ndarray]) -> tuple[int, ...]:
+def sphere_of_classes(ctx: TerwContext, classes: Sequence[np.ndarray]) -> tuple[int, ...]:
     """The map sigma from block classes to spheres: classes[h] is S_sigma(h).
-
-    Args:
-        s: the sphere indicator matrix.
 
     Raises:
         ValueError: if a class is not exactly one sphere.
     """
-    label = np.argmax(s, axis=0)
-    sizes = s.sum(axis=1)
+    label = ctx.dist.dist[ctx.x]
     sigma = []
     for cls in classes:
         i = int(label[cls[0]]) if len(cls) else None
-        if i is None or len(cls) != sizes[i] or np.any(label[cls] != i):
+        if i is None or len(cls) != ctx.valencies[i] or np.any(label[cls] != i):
             raise ValueError("a block class of the basis is not exactly one sphere")
         sigma.append(i)
     return tuple(sigma)
@@ -208,7 +189,7 @@ def _line_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return demote(x.sum(axis=1)), demote(x.sum(axis=0))
 
 
-def is_central(pieces: Iterable[Piece], sigma: Sequence[int], m: np.ndarray) -> bool:
+def is_central(pieces: Iterable[Piece], sigma: Sequence[int], m: Sequence[int]) -> bool:
     """Does U0 commute with every block piece given?
 
     A piece (h, j, X) is the n x n matrix B that is X on rows S_sigma(h) and
@@ -223,8 +204,8 @@ def is_central(pieces: Iterable[Piece], sigma: Sequence[int], m: np.ndarray) -> 
         if x.size == 0:
             continue
         rows, cols = _line_sums(x)
-        left = exact_scale(cols, int(m[sigma[h]]))  # a row of L U0 B
-        right = exact_scale(rows, int(m[sigma[j]]))  # a column of L B U0
+        left = exact_scale(cols, m[sigma[h]])  # a row of L U0 B
+        right = exact_scale(rows, m[sigma[j]])  # a column of L B U0
         value = left[0]
         if not (np.all(left == value) and np.all(right == value)):
             return False
@@ -251,36 +232,65 @@ def ideal_dimension(pieces: Iterable[Piece]) -> int:
     return sum(span.dim for span in spans.values())
 
 
-def is_idempotent(s: np.ndarray, m: np.ndarray, big: int) -> bool:
-    """Is U0 = S^T M S / big idempotent, M = diag(m)?
+def is_idempotent(k: Sequence[int], m: Sequence[int], big: int) -> bool:
+    """Is U0 = S^T diag(m) S / big idempotent, for sphere sizes k?
 
-    U0^2 = S^T M (S S^T) M S / big^2, and S has full row rank (its rows are
-    the indicators of disjoint nonempty spheres), so U0^2 = U0 exactly when
-    M (S S^T) M = big M: a (d+1) x (d+1) comparison.
+    S S^T = diag(k) and S has full row rank, so U0^2 = U0 exactly when
+    every m_h k_h = big (module docstring).
     """
-    ms = exact_mul_elementwise(m[:, None], exact_matmul(s, s.T))
-    mssm = exact_mul_elementwise(ms, m)
-    return np.array_equal(mssm, exact_scale(np.diag(m), big))
+    return all(mh * kh == big for mh, kh in zip(m, k))
 
 
-def absorbs(s: np.ndarray, m: np.ndarray, big: int, e: RationalMatrix) -> bool:
-    """Is U0 E = E, with big U0 = S^T diag(m) S?
+def class_table(ctx: TerwContext, row: RationalMatrix) -> np.ndarray:
+    """The triple table, over row.den, of the matrix with class row row:
+    entry (h, a, j) is row[a]."""
+    return np.broadcast_to(row.num[0][None, :, None], (ctx.d + 1,) * 3)
 
-    big U0 E = S^T (M S E) is the (d+1) x n product M S E gathered by
-    sphere: row v of it is row label(v) of M S E.  The denominator of E is
-    common to both sides.
+
+def diagonal_table(ctx: TerwContext, row: RationalMatrix) -> np.ndarray:
+    """The triple table, over row.den, of the diagonal held as row: entry
+    (h, 0, h) is its value on S_h, and every other entry is 0.
+
+    Raises:
+        VerificationError: if the diagonal is not constant on some sphere.
     """
-    mse = exact_mul_elementwise(m[:, None], exact_matmul(s, e.num))
-    label = np.argmax(s, axis=0)
-    return np.array_equal(mse[label], exact_scale(e.num, big))
+    values = row.num[0][[int(s[0]) for s in ctx.spheres]]
+    label = ctx.dist.dist[ctx.x]
+    bad = np.flatnonzero(row.num[0] != values[label])
+    if bad.size:
+        raise VerificationError(f"diagonal is not constant on sphere S_{label[bad[0]]}")
+    size = ctx.d + 1
+    table = np.zeros((size,) * 3, dtype=values.dtype)
+    table[np.arange(size), 0, np.arange(size)] = values
+    return table
+
+
+def absorbs(ctx: TerwContext, table: np.ndarray) -> bool:
+    """Is U0 E = E, for the E with the given triple table?
+
+    U0 E = E exactly when k_h T[h, a, l] = sum_b T[h, b, l] p^l_hb on the
+    support (module docstring).  Each sum has d+1 terms, so (d+1) max|term|
+    bounds it; past INT64_SAFE the terms run on Python ints.  The
+    denominator of E is common to both sides.
+    """
+    terms = exact_mul_elementwise(table, ctx.p_table.transpose(1, 2, 0))  # [h, b, l]
+    if terms.dtype != object and (ctx.d + 1) * max_abs(terms) >= INT64_SAFE:
+        terms = to_object(terms)
+    averaged = demote(terms.sum(axis=1))[:, None, :]  # [h, ., l]
+    scaled = exact_mul_elementwise(table, np.array(ctx.valencies)[:, None, None])
+    return _equal_on_support(ctx, scaled, averaged)
 
 
 @dataclass(frozen=True)
 class U0Report:
-    """Outcome of every U0 property check for one context."""
+    """Outcome of every U0 property check for one context.
+
+    m and L are the verified factorization L U0 = S^T diag(m) S.
+    """
 
     d: int
-    U0: RationalMatrix
+    m: tuple[int, ...]
+    L: int
     formulas_agree: bool
     idempotent: bool
     central: bool
@@ -294,7 +304,8 @@ class U0Report:
 
     @property
     def is_identity(self) -> bool:
-        return self.U0 == RationalMatrix.identity(self.U0.nrows)
+        """U0 = I: every sphere size k_h = L / m_h is 1."""
+        return all(mh == self.L for mh in self.m)
 
     @property
     def absorbs_all(self) -> bool:
@@ -339,8 +350,9 @@ def verify_u0(
 ) -> U0Report:
     """Run every U0 check against a computed algebra basis.
 
-    The checks read the basis's block pieces and the verified factorization
-    L U0 = S^T diag(m) S; none forms an n x n product (module docstring).
+    The checks read the triple tables of compute_u0, p_table, the valencies
+    and the basis's block pieces; none forms an n x n matrix (module
+    docstring).
 
     Args:
         dim_smaller: known dimension of the algebra two diameters down; when
@@ -349,32 +361,37 @@ def verify_u0(
 
     Raises:
         ValueError: if a block class of t is not exactly one sphere.
-        VerificationError: if U0 does not match its rank factorization.
+        VerificationError: if some E_i* is not the indicator of S_i, or U0
+            does not match its rank factorization.
     """
-    primal, dual = compute_u0(ctx)
-    formulas_agree = primal == dual
-    u0 = primal
-    s, m, big = u0_factorization(ctx, u0)
-    sigma = sphere_of_classes(s, t.span.classes)
-    pieces = [t.span.element(k) for k in range(t.span.dim)]
-    absorbed = [absorbs(s, m, big, ctx.class_matrix(e)) for e in (ctx.E[0], ctx.E[ctx.d])]
-    star_ends = (ctx.E_star[0], ctx.E_star[ctx.d])
-    absorbed += [absorbs(s, m, big, diagonal_matrix(e)) for e in star_ends]
-    if dim_smaller is None:
-        peel = True
-    else:
-        peel = t.dim - (ctx.d + 1) ** 2 == dim_smaller
+    primal, dual, den = compute_u0(ctx)
+    size = ctx.d + 1
+    # k_h primal[h, a, j] = delta_hj den on the support: L U0 = S^T M S.
+    scaled = exact_mul_elementwise(primal, np.array(ctx.valencies)[:, None, None])
+    delta = np.eye(size, dtype=np.int64)[:, None, :]
+    if not _equal_on_support(ctx, scaled, exact_scale(delta, den)):
+        raise VerificationError("U0 does not match its rank factorization")
+    big = lcm(*ctx.valencies)
+    m = tuple(big // kh for kh in ctx.valencies)
+    first = (ctx.p_table != 0).argmax(axis=1)  # a supported a for each block (h, j)
+    sphere_table = np.take_along_axis(primal, first[:, None, :], axis=1)[:, 0, :]
+    sigma = sphere_of_classes(ctx, t.span.classes)
+    pieces = [t.span.element(i) for i in range(t.span.dim)]
+    ends = (0, ctx.d)
+    absorbed = [absorbs(ctx, class_table(ctx, ctx.E[i])) for i in ends]
+    absorbed += [absorbs(ctx, diagonal_table(ctx, ctx.E_star[i])) for i in ends]
     return U0Report(
         d=ctx.d,
-        U0=u0,
-        formulas_agree=formulas_agree,
-        idempotent=is_idempotent(s, m, big),
+        m=m,
+        L=big,
+        formulas_agree=u0_formulas_agree(ctx, primal, dual),
+        idempotent=is_idempotent(ctx.valencies, m, big),
         central=is_central(pieces, sigma, m),
-        rank_U0=rank(u0),
+        rank_U0=rank(RationalMatrix(sphere_table, den)),
         dim_T_u0=ideal_dimension(pieces),
         absorbs_E0=absorbed[0],
         absorbs_Ed=absorbed[1],
         absorbs_E0_star=absorbed[2],
         absorbs_Ed_star=absorbed[3],
-        peel_identity=peel,
+        peel_identity=dim_smaller is None or t.dim - size**2 == dim_smaller,
     )

@@ -67,9 +67,9 @@ V the (d+1) x (d+1) stack of the E_i rows over one denominator den, the
 products E_i E_j for all (i, j) are two products of (d+1)-sized tables,
 and the Krein expansion reads |X| V[i][a] V[j][a] = den sum_h q^h_ij V[h][a].
 The first failing pair names the witness, as it would on the n x n
-matrices.  Only the consumers that take n x n matrices (closure, the split,
-U0) build them, on demand, through TerwContext.class_matrix and
-class_entries.
+matrices.  Only the consumers that take n x n matrices (closure and the
+split) build them, on demand, through TerwContext.class_matrix; U0 is held
+as a (d+1)^3 table over the same classes (idempotent).
 
 - The diagonal identities sum_i E_i* = I, sum_i theta*_i E_i* = A*,
   E*_i E*_j = delta_ij E*_i and A_i* = diag(|X| row x of E_i) are

@@ -60,11 +60,14 @@ and the central idempotents are dense n x n matrices:
   the probe is combined the same way from the center elements' coordinates.
   Each block rank is the trace of its idempotent.
 - The corner.  The complement algebra (I - U0) T (I - U0) is spanned by
-  W B W with W = L (I - U0), where L U0 = S^T M S is the verified
-  factorization of idempotent.u0_factorization.  On a sphere S_a, L U0 is
-  m_a J, and each class of T's blocks is one sphere, so W B W stays in the
-  block E*_a T E*_b of B and is formed from the row and column sums of its
-  piece in O(|S_a| |S_b|) (_compress), then reduced in that block's span.
+  W B W with W = L (I - U0), where L U0 = S^T M S, M = diag(m), is the
+  factorization that idempotent.verify_u0 verifies on U0's triple table and
+  keeps on its report as (m, L).  On a sphere S_a, L U0 is m_a J, and each
+  class of T's blocks is one sphere, so W B W stays in the block
+  E*_a T E*_b of B and is formed from the row and column sums of its piece
+  in O(|S_a| |S_b|) (_compress), then reduced in that block's span.  The
+  corner's identity I - U0 is the one n x n matrix formed, once, from the
+  spheres and (m, L).
   The corner is split on T's own generators A and A*.  If U0 is an
   idempotent that commutes with g, then so is e = I - U0, and every c of
   the corner has c = e c e, so (e g e) c = e g c = g e c = g c and
@@ -135,7 +138,7 @@ from ._intops import (
     to_object,
 )
 from .closure import AlgebraBasis, BlockSpans
-from .idempotent import U0Report, _line_sums, sphere_of_classes, u0_factorization
+from .idempotent import U0Report, _line_sums, sphere_of_classes
 from .linalg import RationalMatrix, kernel_basis, min_poly
 from .polys import RationalPoly, integer_roots
 
@@ -583,11 +586,13 @@ def complement_algebra(ctx, t: AlgebraBasis, rep: U0Report) -> CompressedAlgebra
     """Basis and identity of (I - U0) T (I - U0).
 
     Compression of a spanning set spans the corner, so the basis comes from
-    echelonizing {W B W} with W = L (I - U0), where L U0 = S^T M S is the
-    verified factorization of idempotent.u0_factorization (the scalar L does
-    not move the span).  Each class of T's blocks is one sphere, so W B W
-    stays in the block of B and is formed there from the line sums of its
-    piece (_compress) and reduced in that block's span.
+    echelonizing {W B W} with W = L (I - U0), where L U0 = S^T diag(m) S is
+    the factorization that verify_u0 verified and rep holds as (m, L) (the
+    scalar L does not move the span).  Each class of t's blocks is one
+    sphere, so W B W stays in the block of B and is formed there from the
+    line sums of its piece (_compress) and reduced in that block's span.
+    The identity I - U0 is built once from the spheres: on S_h x S_h it is
+    I - J / k_h, with k_h = L / m_h, and it is zero off those blocks.
 
     rep is the U0Report that verify_u0 made for t.  The corner is certified
     closed with unit I - U0 (module docstring) only when that report found
@@ -596,16 +601,17 @@ def complement_algebra(ctx, t: AlgebraBasis, rep: U0Report) -> CompressedAlgebra
     Raises:
         ValueError: if a class of t's blocks is not exactly one sphere.
     """
-    u0 = rep.U0
-    s, m, big = u0_factorization(ctx, u0)
+    m, big = rep.m, rep.L
     classes = t.span.classes
-    sigma = sphere_of_classes(s, classes)
+    sigma = sphere_of_classes(ctx, classes)
     span = BlockSpans(ctx.n, classes)
     for k in range(t.span.dim):
         h, j, x = t.span.element(k)
-        span.add(h, j, _compress(x, big, int(m[sigma[h]]), int(m[sigma[j]])))
-    ident = RationalMatrix.identity(ctx.n)
-    identity = ident - u0
-    if rep.central and rep.idempotent and t.span.closed_unit == ident:
+        span.add(h, j, _compress(x, big, m[sigma[h]], m[sigma[j]]))
+    label = ctx.dist.dist[ctx.x]
+    num = np.where(label[:, None] == label, -np.array(m)[label][:, None], 0)
+    num[np.diag_indices(ctx.n)] += big
+    identity = RationalMatrix(num, big)
+    if rep.central and rep.idempotent and t.span.closed_unit == RationalMatrix.identity(ctx.n):
         span.closed_unit = identity
     return CompressedAlgebra(span, identity)

@@ -46,6 +46,31 @@ def dense_idempotents(ctx) -> list[RationalMatrix]:
     return [dense_class_matrix(ctx, e) for e in ctx.E]
 
 
+def dense_triple_table(ctx, table, den: int = 1) -> RationalMatrix:
+    """The n x n matrix sum T[h, a, j] E_h* A_a E_j* / den of a triple table:
+    entry (u, v) is T[dist(x, u), dist(u, v), dist(x, v)] / den."""
+    dist = ctx.dist.dist
+    label = dist[ctx.x]
+    return RationalMatrix(np.asarray(table)[label[:, None], dist, label[None, :]], den)
+
+
+def sphere_indicator_matrix(ctx) -> np.ndarray:
+    """Rows are the 0/1 indicators of the distance spheres around x."""
+    s = np.zeros((ctx.d + 1, ctx.n), dtype=np.int64)
+    for i, sphere in enumerate(ctx.spheres):
+        s[i, sphere] = 1
+    return s
+
+
+def dense_u0(ctx) -> RationalMatrix:
+    """U0 = sum_h k_h^(-1) J_{S_h} as a dense n x n matrix, summed sphere by
+    sphere from the indicator outer products."""
+    out = RationalMatrix.zeros(ctx.n, ctx.n)
+    for row in sphere_indicator_matrix(ctx):
+        out = out + RationalMatrix(np.outer(row, row), int(row.sum()))
+    return out
+
+
 def distance_matrix(g: Graph, dd: DistanceData, i: int) -> RationalMatrix:
     """0/1 distance-i matrix; zero matrix when i is out of range."""
     arr = (dd.dist == i).astype(np.int64)

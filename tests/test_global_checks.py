@@ -9,16 +9,21 @@ predicate with out-of-range indices excluded.  Both must return equal Check
 tuples, also after one family member or one P_d is changed.
 """
 
+import importlib
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from terwalg import hypercube, poly_identities, verify
+from terwalg import poly_identities, verify
 from terwalg.checks import Check
 from terwalg.cli import main
 from terwalg.polys import RationalPoly
 from terwalg.subconstituent import build_hypercube_context, check_triple_products
+
+# The package attribute terwalg.hypercube is the graph constructor, so the
+# module of that name is taken from the import system.
+hypercube = importlib.import_module("terwalg.hypercube")
 
 
 def _in_shifted(d, h, i, j):

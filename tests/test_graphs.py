@@ -24,6 +24,17 @@ from terwalg.hypercube import intersection_table
 from dense_views import distance_matrix
 
 
+def test_package_exports_the_hypercube_constructor():
+    import terwalg
+
+    assert terwalg.hypercube is hypercube
+    namespace = {}
+    exec("from terwalg import *", namespace)
+    assert namespace["hypercube"] is hypercube
+    assert namespace["hypercube"](3).n == 8
+    assert terwalg.hypercube(3).n == 8
+
+
 def cycle(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 

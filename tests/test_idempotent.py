@@ -8,23 +8,37 @@ from math import lcm
 
 import numpy as np
 import pytest
-from dense_views import dense_diagonal, dense_idempotents, densify
+from dense_views import (
+    dense_diagonal,
+    dense_idempotents,
+    dense_triple_table,
+    dense_u0,
+    densify,
+    sphere_indicator_matrix,
+)
 
-from terwalg import idempotent
+from terwalg import idempotent, linalg, wedderburn
 from terwalg.closure import AlgebraBasis, BlockSpans
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import (
     absorbs,
+    class_table,
     compute_u0,
+    diagonal_table,
     ideal_dimension,
     is_central,
     is_idempotent,
     sphere_of_classes,
-    u0_factorization,
+    u0_formulas_agree,
     verify_u0,
 )
 from terwalg.linalg import RationalMatrix
-from terwalg.subconstituent import build_context, build_hypercube_context
+from terwalg.subconstituent import (
+    TerwContext,
+    VerificationError,
+    build_context,
+    build_hypercube_context,
+)
 from terwalg.graphs import Graph
 
 
@@ -40,11 +54,17 @@ def suite():
     return data, dims
 
 
+def _dense_formulas(ctx):
+    """Both tables of compute_u0 as dense n x n matrices."""
+    primal, dual, den = compute_u0(ctx)
+    return dense_triple_table(ctx, primal, den), dense_triple_table(ctx, dual, den)
+
+
 def test_both_formulas_identity_for_small_d(suite):
     data, _ = suite
     for d in (0, 1):
         ctx, _basis = data[d]
-        primal, dual = compute_u0(ctx)
+        primal, dual = _dense_formulas(ctx)
         ident = RationalMatrix.identity(ctx.n)
         assert primal == ident and dual == ident
 
@@ -53,7 +73,7 @@ def test_u0_frozen_matrix_d2(suite):
     # Spheres around vertex 0 are {0}, {1,2}, {3}.
     data, _ = suite
     ctx, _basis = data[2]
-    primal, dual = compute_u0(ctx)
+    primal, dual = _dense_formulas(ctx)
     half = Fraction(1, 2)
     expected = RationalMatrix.from_rows(
         [
@@ -95,10 +115,12 @@ def _parity_cases():
 
 @pytest.mark.parametrize("d, vertex", list(_parity_cases()))
 def test_u0_formulas_match_literal_sums(d, vertex):
+    # The tables, expanded entry by entry to n x n, are the literal sums.
     ctx = build_hypercube_context(d, vertex)
-    got, want = compute_u0(ctx), _literal_u0(ctx)
+    got, want = _dense_formulas(ctx), _literal_u0(ctx)
     assert _same(got[0], want[0]) and _same(got[1], want[1])
     assert got[0] == got[1]
+    assert u0_formulas_agree(ctx, *compute_u0(ctx)[:2])
 
 
 def _diag(values, den=1):
@@ -111,7 +133,8 @@ def _tampered_contexts(ctx):
 
     Each change is made at i = 0, which the dual formula reads as E_0*, and
     at i = d.  The entry of 2 sits at vertex x + 1, so on E_0* it widens
-    the support to two vertices.
+    the support to two vertices.  Every change to an E_i* breaks the
+    precondition that it is the 0/1 indicator of S_i.
     """
     d, n = ctx.d, ctx.n
     e0 = ctx.E[0]
@@ -141,9 +164,17 @@ def test_tampered_u0_formulas_match_literal_sums(d, vertex):
     ctx = build_hypercube_context(d, vertex)
     verdicts = set()
     for name, bad in _tampered_contexts(ctx):
-        got, want = compute_u0(bad), _literal_u0(bad)
+        star = name.split()[0]
+        if star.startswith("E*_"):
+            i = star[3:]
+            message = rf"E\*_{i} is not the 0/1 indicator of sphere S_{i}$"
+            with pytest.raises(VerificationError, match=message):
+                compute_u0(bad)
+            continue
+        got, want = _dense_formulas(bad), _literal_u0(bad)
         assert _same(got[0], want[0]) and _same(got[1], want[1]), name
-        assert (got[0] == got[1]) == (want[0] == want[1]), name
+        agree = u0_formulas_agree(bad, *compute_u0(bad)[:2])
+        assert agree == (got[0] == got[1]) == (want[0] == want[1]), name
         verdicts.add(want[0] == want[1])
     assert False in verdicts
 
@@ -157,7 +188,7 @@ def test_u0_formulas_form_no_rational_matrix_product(monkeypatch):
 
     monkeypatch.setattr(RationalMatrix, "__matmul__", refuse)
     for ctx, (primal, dual) in zip(ctxs, want):
-        got = compute_u0(ctx)
+        got = _dense_formulas(ctx)
         assert _same(got[0], primal) and _same(got[1], dual)
 
 
@@ -182,11 +213,13 @@ def test_ideal_dimension_frozen_d3(suite):
 def test_absorption_d2(suite):
     data, _ = suite
     ctx, _basis = data[2]
-    u0, _dual = compute_u0(ctx)
+    u0 = dense_u0(ctx)
     e2 = dense_idempotents(ctx)[2]
     assert u0 @ e2 == e2
+    assert absorbs(ctx, class_table(ctx, ctx.E[2]))
     e2_star = dense_diagonal(ctx.E_star[2])
     assert u0 @ e2_star == e2_star
+    assert absorbs(ctx, diagonal_table(ctx, ctx.E_star[2]))
 
 
 def test_report_dict_shape(suite):
@@ -252,7 +285,7 @@ def test_centrality_checks_every_basis_element(suite):
     data, _ = suite
     for d in (2, 3, 4):
         ctx, basis = data[d]
-        u0, _dual = compute_u0(ctx)
+        u0 = dense_u0(ctx)
         rng = random.Random(d)
         rogue = RationalMatrix(
             np.array(
@@ -276,9 +309,9 @@ def test_centrality_holds_for_diagonal_and_dense_elements(suite):
     # their sphere blocks enter the span before the basis, as elements.
     data, _ = suite
     ctx, basis = data[4]
-    u0, _dual = compute_u0(ctx)
-    s, m, _big = u0_factorization(ctx, u0)
-    sigma = sphere_of_classes(s, basis.span.classes)
+    u0 = dense_u0(ctx)
+    m = verify_u0(ctx, basis).m
+    sigma = sphere_of_classes(ctx, basis.span.classes)
     extra = [dense_diagonal(e) for e in ctx.E_star] + dense_idempotents(ctx)
     extra += [dense_diagonal(a) for a in ctx.A_star]
     assert _literally_central(u0, extra)
@@ -332,9 +365,9 @@ def _probe_pieces(basis, rng):
 def test_block_centrality_matches_dense_products(oracle_suite):
     rng = random.Random(10)
     for ctx, basis in oracle_suite:
-        u0, _dual = compute_u0(ctx)
-        s, m, _big = u0_factorization(ctx, u0)
-        sigma = sphere_of_classes(s, basis.span.classes)
+        u0 = dense_u0(ctx)
+        m = verify_u0(ctx, basis).m
+        sigma = sphere_of_classes(ctx, basis.span.classes)
         verdicts = []
         for piece in _probe_pieces(basis, rng):
             want = _literally_central(u0, [_dense(basis, piece)])
@@ -346,8 +379,8 @@ def test_block_centrality_matches_dense_products(oracle_suite):
 
 def test_block_ideal_dimension_matches_dense_span(oracle_suite):
     for ctx, basis in oracle_suite:
-        u0, _dual = compute_u0(ctx)
-        s, _m, _big = u0_factorization(ctx, u0)
+        u0 = dense_u0(ctx)
+        s = sphere_indicator_matrix(ctx)
         span = EchelonSpan(ctx.n * (ctx.d + 1))
         for b in densify(basis):
             span.add((b.num @ s.T).ravel())
@@ -356,21 +389,40 @@ def test_block_ideal_dimension_matches_dense_span(oracle_suite):
         rep = verify_u0(ctx, basis)
         assert rep.passed, (ctx.d, ctx.x)
         assert rep.idempotent == (u0 @ u0 == u0)
+        assert rep.rank_U0 == linalg.rank(u0)
+        assert rep.is_identity == (u0 == RationalMatrix.identity(ctx.n))
         assert rep.absorbs_all
 
 
-def test_idempotence_and_absorption_match_dense_products(suite):
+def test_idempotence_and_absorption_match_dense_products():
+    # Table absorption against the dense U0 @ E == E for every E_i, E_i*
+    # and A_i*; at d >= 2 both verdicts occur.
+    for d in range(0, 6):
+        for vertex in sorted({0, 5 % (1 << d), (1 << d) - 1}):
+            ctx = build_hypercube_context(d, vertex)
+            u0 = dense_u0(ctx)
+            big = lcm(*ctx.valencies)
+            m = [big // k for k in ctx.valencies]
+            assert is_idempotent(ctx.valencies, m, big)
+            assert not is_idempotent(ctx.valencies, [2 * mh for mh in m], big)
+            cases = [(dense_idempotents(ctx)[i], class_table(ctx, e)) for i, e in enumerate(ctx.E)]
+            for e in ctx.E_star + ctx.A_star:
+                cases.append((dense_diagonal(e), diagonal_table(ctx, e)))
+            verdicts = set()
+            for dense, table in cases:
+                want = u0 @ dense == dense
+                assert absorbs(ctx, table) == want, (d, vertex)
+                verdicts.add(want)
+            assert verdicts == ({True, False} if d >= 2 else {True}), (d, vertex)
+
+
+def test_diagonal_table_needs_a_sphere_constant_diagonal(suite):
     data, _ = suite
-    for d in range(0, 5):
-        ctx, _basis = data[d]
-        u0, _dual = compute_u0(ctx)
-        s, m, _big = u0_factorization(ctx, u0)
-        big = lcm(*ctx.valencies)
-        assert is_idempotent(s, m, big)
-        assert not is_idempotent(s, 2 * m, big)
-        stars = [dense_diagonal(e) for e in ctx.E_star + ctx.A_star]
-        for e in dense_idempotents(ctx) + stars:
-            assert absorbs(s, m, big, e) == (u0 @ e == e), d
+    ctx, _basis = data[3]
+    diag = np.zeros(ctx.n, dtype=np.int64)
+    diag[ctx.spheres[2][0]] = 1
+    with pytest.raises(VerificationError, match="not constant on sphere S_2"):
+        diagonal_table(ctx, RationalMatrix(diag[None]))
 
 
 def test_u0_rejects_classes_that_are_not_spheres(suite):
@@ -391,18 +443,16 @@ def test_u0_rejects_classes_that_are_not_spheres(suite):
 def test_empty_class_is_not_a_sphere(suite):
     data, _ = suite
     ctx, _basis = data[2]
-    s = idempotent.sphere_indicator_matrix(ctx)
     classes = [np.asarray(sph) for sph in ctx.spheres] + [np.array([], dtype=np.intp)]
     with pytest.raises(ValueError, match="not exactly one sphere"):
-        sphere_of_classes(s, classes)
+        sphere_of_classes(ctx, classes)
 
 
 def test_empty_piece_is_central(suite):
     data, _ = suite
     ctx, basis = data[3]
-    u0, _dual = compute_u0(ctx)
-    s, m, _big = u0_factorization(ctx, u0)
-    sigma = sphere_of_classes(s, basis.span.classes)
+    m = verify_u0(ctx, basis).m
+    sigma = sphere_of_classes(ctx, basis.span.classes)
     for shape in ((3, 0), (0, 3), (0, 0)):
         assert is_central([(1, 2, np.zeros(shape, dtype=np.int64))], sigma, m)
     first = basis.span.element(0)
@@ -431,7 +481,10 @@ def test_u0_checks_identical_on_the_object_path(suite, monkeypatch):
         rep = verify_u0(ctx, basis, dims.get(d - 2))
         assert rep == expected[d], d
         assert rep.passed
-        assert compute_u0(ctx) == formulas[d], d
+        primal, dual, den = compute_u0(ctx)
+        assert den == formulas[d][2], d
+        assert np.array_equal(primal, formulas[d][0]), d
+        assert np.array_equal(dual, formulas[d][1]), d
     assert any(converted)  # the line sums really ran on Python ints
 
 
@@ -440,3 +493,49 @@ def test_u0_requires_hypercube():
     ctx = build_context(g)
     with pytest.raises(ValueError):
         compute_u0(ctx)
+
+
+def _corner(ctx, basis):
+    return wedderburn.complement_algebra(ctx, basis, verify_u0(ctx, basis))
+
+
+def test_u0_path_forms_no_n_wide_matrix(suite, monkeypatch):
+    # verify_u0 and complement_algebra read the triple tables and the block
+    # pieces: no dense class matrix or diagonal, no product with an n-wide
+    # operand, and rank only of the (d+1) x (d+1) sphere table.
+    data, _ = suite
+    cases = [data[d] for d in (2, 3, 4)]
+    cases += [(ctx, ctx.algebra_basis()) for ctx in [build_hypercube_context(6, 37)]]
+    expected = [(verify_u0(ctx, basis), _corner(ctx, basis)) for ctx, basis in cases]
+    n_now = [0]
+    ranked = []
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an n x n class matrix or diagonal was formed")
+
+    real_matmul = idempotent.exact_matmul
+    real_rank = linalg.rank
+
+    def narrow_matmul(a, b):
+        assert n_now[0] not in a.shape + b.shape, (a.shape, b.shape)
+        return real_matmul(a, b)
+
+    def recording_rank(m):
+        ranked.append(m.shape)
+        return real_rank(m)
+
+    monkeypatch.setattr(TerwContext, "class_matrix", refuse)
+    for name, module in list(sys.modules.items()):
+        if name == "terwalg" or name.startswith("terwalg."):
+            for attr, fake in (("diagonal_matrix", refuse), ("exact_matmul", narrow_matmul)):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, fake)
+    monkeypatch.setattr(idempotent, "rank", recording_rank)
+    for (ctx, basis), (rep, corner) in zip(cases, expected):
+        n_now[0] = ctx.n
+        ranked.clear()
+        got = verify_u0(ctx, basis)
+        assert got == rep
+        assert ranked == [(ctx.d + 1, ctx.d + 1)]
+        again = wedderburn.complement_algebra(ctx, basis, got)
+        assert densify(again) == densify(corner) and again.identity == corner.identity

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from dense_views import dense_diagonal, densify, matrix_min_poly
+from dense_views import dense_diagonal, dense_u0, densify, matrix_min_poly
 from test_subconstituent import _oracle_graphs
 
 from terwalg import _intops, idempotent, verify, wedderburn
@@ -15,12 +15,7 @@ from terwalg._intops import exact_matmul, exact_sub
 from terwalg.checks import Check
 from terwalg.closure import BlockSpans, closure
 from terwalg.echelon import EchelonSpan
-from terwalg.idempotent import (
-    compute_u0,
-    sphere_of_classes,
-    u0_factorization,
-    verify_u0,
-)
+from terwalg.idempotent import sphere_of_classes, verify_u0
 from terwalg.linalg import RationalMatrix, kernel_basis, rank
 from terwalg.polys import integer_roots
 from terwalg.subconstituent import build_context, build_hypercube_context
@@ -289,7 +284,7 @@ def test_complement_algebra_dimension(suite):
         rep = verify_u0(ctx, basis)
         corner = complement_algebra(ctx, basis, rep)
         assert corner.dim == basis.dim - (d + 1) ** 2
-        assert corner.identity == RationalMatrix.identity(ctx.n) - rep.U0
+        assert corner.identity == RationalMatrix.identity(ctx.n) - dense_u0(ctx)
 
 
 def _corner_decomposition(suite, d):
@@ -520,7 +515,7 @@ def test_corner_matches_dense_compression(suite):
             basis = ctx.algebra_basis() if x else suite[d][1]
             rep = verify_u0(ctx, basis)
             corner = complement_algebra(ctx, basis, rep)
-            assert densify(corner) == _dense_corner(ctx, basis, rep.U0), f"d={d} x={x}"
+            assert densify(corner) == _dense_corner(ctx, basis, dense_u0(ctx)), f"d={d} x={x}"
 
 
 def test_corner_split_on_generators_matches_compressed_generators():
@@ -533,7 +528,7 @@ def test_corner_split_on_generators_matches_compressed_generators():
             rep = verify_u0(ctx, basis)
             corner = complement_algebra(ctx, basis, rep)
             got = decompose(corner.span, ctx.generators(), corner.identity)
-            gens = _compressed_generators(ctx, rep.U0)
+            gens = _compressed_generators(ctx, dense_u0(ctx))
             want = decompose(corner.span, gens, corner.identity)
             assert got.status == SPLIT and got == want, f"d={d} x={x}"
 
@@ -542,8 +537,9 @@ def test_compression_object_path(suite, monkeypatch):
     # With the int64 bounds at 1 the line sums and every term of W X W run
     # on Python ints; the demoted blocks must be the same int64 arrays.
     ctx, basis = suite[4]
-    s, m, big = u0_factorization(ctx, compute_u0(ctx)[0])
-    sigma = sphere_of_classes(s, basis.span.classes)
+    rep = verify_u0(ctx, basis)
+    m, big = rep.m, rep.L
+    sigma = sphere_of_classes(ctx, basis.span.classes)
     args = []
     for k in range(basis.dim):
         h, j, x = basis.span.element(k)
