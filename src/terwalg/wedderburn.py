@@ -9,8 +9,24 @@ zero there, so an element c of the span has coordinates c[R_j, C_j] / pv_j
 and is zero exactly when its m pivot entries are.  Precondition: the span is
 closed under multiplication and contains the generators and the unit e.  Then
 every product the split needs lies in the span and is read through its
-pivot entries alone.  Only the generators, the identity, the center elements
-and the central idempotents are dense n x n matrices:
+pivot entries alone.
+
+Every element the split makes (the center basis, the probe, the central
+idempotents) is held as integer coordinates (c, den), the element
+z = sum_k c_k b_k / den.  b_k is the only basis element that is nonzero at
+pivot k, so z's pivot entries are c_k pv_k / den.  Every operand (a
+generator, the identity, the probe, an idempotent) is read only through its
+frame, its m pivot rows z[R, :] and m pivot columns z[:, C]: a pivot entry
+of g b_k or b_k g takes one pivot row or column of g (below), a pivot entry
+of z^2 is z[R_k, :] z[:, C_k], and a block-size trace reads the pivot
+columns.  A dense operand's frame is g[R, :], g[:, C].  A coordinate
+vector's is summed from the pieces: piece k of block (h, j) adds
+c_k X_k[r_i, :] to each pivot row R_i in S_h, at columns S_j, and
+c_k X_k[:, c_i] to each pivot column C_i in S_j, at rows S_h; each entry is
+at most sum_k |c_k| max|X_k|, which picks int64 or Python ints.  So no
+n x n matrix is formed here: the generators and the identity are the dense
+matrices the caller passes (I, when none is passed, is recognized on the
+closedness certificate below), and the frames are m x n.
 
 - The center, filtered by class-diagonal generators.  Call a generator g
   class-diagonal when it is diagonal and constant, g_h, on every class S_h
@@ -33,8 +49,9 @@ and the central idempotents are dense n x n matrices:
   not class-diagonal contributes the pivot entries of [b_k, g] for the kept
   columns: g b_k vanishes outside columns S_j, so its pivot entries are zero
   except at the pivots with C_i in S_j, where they are
-  sum_{t in S_h} g[R_i, t] X_k[t, C_i]; b_k g vanishes outside rows S_h and
-  has sum_{t in S_j} X_k[R_i, t] g[t, C_i] at the pivots with R_i in S_h.
+  sum_{t in S_h} g[R_i, t] X_k[t, C_i], read from g's pivot row R_i; b_k g
+  vanishes outside rows S_h and has sum_{t in S_j} X_k[R_i, t] g[t, C_i],
+  read from g's pivot column C_i, at the pivots with R_i in S_h.
   On the spheres of T(x), A* keeps only the columns of the diagonal blocks
   E*_h T E*_h, so the kernel runs on an m x m' matrix of A's rows, m' =
   sum_h dim E*_h T E*_h, not on a 2m x m one.
@@ -44,10 +61,12 @@ and the central idempotents are dense n x n matrices:
   the coordinate vector of b_k z, so
   tr R_z = sum_k (b_k z)[R_k, C_k] / pv_k, and
   (b_k z)[R_k, C_k] = sum_{t in S_j} X_k[r_k, t] z[S_j[t], C_k] is one dot
-  product of length |S_j|.  The block size n_r is the integer square root
-  of tr R_{z_r}.
-- The left-regular probe.  A deterministic probe p of the center acts on
-  coordinates by L_p = D^-1 (pivot entries of p b_l), D = diag(pv).  Then
+  product of length |S_j| with z's pivot column C_k.  The block size n_r is
+  the integer square root of tr R_{z_r}.
+- The left-regular probe.  A deterministic probe p of the center, an
+  integer combination of the center basis held as coordinates, acts on
+  coordinates by L_p = D^-1 (pivot entries of p b_l), D = diag(pv), read
+  from p's pivot rows.  Then
   q(L_p) coords(e) = coords(q(p) e), coordinates are injective, and
   p e = p, so q(L_p) coords(e) = 0 exactly when q(p) = 0:
   min_poly(L_p, coords(e)), on Krylov vectors of width m, is the minimal
@@ -55,10 +74,9 @@ and the central idempotents are dense n x n matrices:
   roots (polys.integer_roots isolates them exactly by Sturm sequences, with
   no search bound), the Lagrange idempotents
   prod (L_p - mu) / (lambda - mu) coords(e) are formed as coordinate
-  vectors and materialized once each as sum_k c_k b_k over a common
-  denominator, the pieces added into one n x n matrix (combine);
-  the probe is combined the same way from the center elements' coordinates.
-  Each block rank is the trace of its idempotent.
+  vectors and kept as (c, den).  Each block rank is the trace of its
+  idempotent, sum_k c_k tr(b_k) / den, where tr(b_k) = tr(X_k) for a piece
+  of a diagonal block (h, h) and 0 off them (S_h and S_j are disjoint).
 - The corner.  The complement algebra (I - U0) T (I - U0) is spanned by
   W B W with W = L (I - U0), where L U0 = S^T M S, M = diag(m), is the
   factorization that idempotent.verify_u0 verifies on U0's triple table and
@@ -102,8 +120,11 @@ of e, which commutes with g too (e = I on T; e g = g e on the corner).  So
 every central idempotent commutes with A and A*, and no n x n product
 checks it.  The idempotent guard (_pivot_idempotents_valid) checks
 e^2 = e, z_r^2 = z_r and sum z_r = e: these elements lie in the span with
-e and z_r, and an element of the span is fixed by its m pivot entries, so
-each identity is read on the m entries z[R_k, :] z[:, C_k], O(m n) each.
+e and z_r, and an element of the span is fixed by its m pivot entries.  So
+each square is compared on the real products at the pivots, the m entries
+z[R_k, :] z[:, C_k] of frame rows times frame columns, O(m n) each, against
+den times z's pivot entries; and the sum is an equality of coordinate
+vectors, e's read at its pivots.
 block_sizes' trace read assumes the same closed span, which the split has
 already required.
 
@@ -146,12 +167,20 @@ SPLIT = "split"
 INCONCLUSIVE = "inconclusive"
 
 
+Coords = tuple[tuple[int, ...], int]
+
+
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Center and block data of one semisimple algebra."""
+    """Center and block data of one semisimple algebra.
+
+    Each central idempotent is held as its coordinates (c, den) over the
+    basis b_1..b_m of the split algebra: z = sum_k c_k b_k / den, with c a
+    tuple of m Python ints, den > 0 and gcd(c, den) = 1.
+    """
 
     center_dim: int
-    central_idempotents: tuple[RationalMatrix, ...]
+    central_idempotents: tuple[Coords, ...]
     eigenvalues: tuple[int, ...]
     block_sizes: tuple[int, ...]
     block_ranks: tuple[int, ...]
@@ -199,6 +228,8 @@ class _PivotBasis:
         self._in_cols = [np.flatnonzero(self._j == j) for j in range(len(self.classes))]
         self.pivlcm = math.lcm(1, *self.pivvals)
         self.maxes = [max_abs(x) for _, _, x in self.pieces]
+        # tr b_k: a piece off the diagonal blocks has no diagonal entry.
+        self.traces = [int(np.trace(x)) if h == j else 0 for h, j, x in self.pieces]
         self._bmax = max(self.maxes, default=0)
         self._object = any(x.dtype == object for _, _, x in self.pieces)
         self.closed_unit = span.closed_unit
@@ -207,43 +238,76 @@ class _PivotBasis:
     def dim(self) -> int:
         return len(self.pieces)
 
-    def _pivot_products(self, g: np.ndarray, left: bool, ks=None) -> np.ndarray:
+    def frame(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """(rows, cols, piv, den): the numerators of z's m pivot rows z[R, :],
+        m pivot columns z[:, C] and m pivot entries, over den.
+
+        z is a dense RationalMatrix or coordinates (c, den), the element
+        sum_k c_k b_k / den.  Piece k, in block (h, j), adds c_k X_k[r_i, :]
+        to each pivot row R_i in S_h and c_k X_k[:, c_i] to each pivot column
+        C_i in S_j, and its pivot entry is c_k pv_k.  Every entry is at most
+        sum_k |c_k| max|X_k|; past INT64_SAFE the frame is summed on Python
+        ints.
+        """
+        if isinstance(z, RationalMatrix):
+            return z.num[self.rows], z.num[:, self.cols], z.num[self.rows, self.cols], z.den
+        c, den = [int(v) for v in z[0]], z[1]
+        bound = sum(abs(v) * mx for v, mx in zip(c, self.maxes))
+        obj = self._object or bound >= INT64_SAFE
+        rows = np.zeros((self.dim, self.n), dtype=object if obj else np.int64)
+        cols = np.zeros((self.n, self.dim), dtype=rows.dtype)
+        lift = to_object if obj else np.asarray
+        for v, (h, j, x) in zip(c, self.pieces):
+            if v:
+                sel = self._in_rows[h]
+                rows[np.ix_(sel, self.classes[j])] += v * lift(x[self._r[sel]])
+                sel = self._in_cols[j]
+                cols[np.ix_(self.classes[h], sel)] += v * lift(x[:, self._c[sel]])
+        piv = demote(np.array([v * p for v, p in zip(c, self.pivvals)], dtype=object))
+        return rows, cols, piv, den
+
+    def _fits(self, part: np.ndarray) -> bool:
+        """Whether sums of n products of part's entries with the pieces' stay
+        in int64: int64 data and n * max|part| * max|X| under INT64_SAFE."""
+        bound = self.n * max_abs(part) * self._bmax
+        return not self._object and part.dtype != object and bound < INT64_SAFE
+
+    def _pivot_products(self, part: np.ndarray, left: bool, ks=None) -> np.ndarray:
         """m x len(ks) array whose column c holds the pivot entries of g b_k
-        or b_k g, for k = ks[c] (every k when ks is None).
+        or b_k g, for k = ks[c] (every k when ks is None), read from g's
+        frame: part is its pivot rows (left) or its pivot columns (right).
 
         Only the pivots in the columns (rows) of b_k's block are filled, see
         the module docstring.  Each entry sums at most n products, so
-        n * max|g| * max|X| bounds it; past INT64_SAFE the sums run on
+        n * max|part| * max|X| bounds it; past INT64_SAFE the sums run on
         Python ints and the result is demoted.
         """
         ks = range(self.dim) if ks is None else ks
-        fits = (
-            not self._object
-            and g.dtype != object
-            and self.n * max_abs(g) * self._bmax < INT64_SAFE
-        )
+        fits = self._fits(part)
         if not fits:
-            g = to_object(g)
+            part = to_object(part)
         out = np.zeros((self.dim, len(ks)), dtype=np.int64 if fits else object)
         for c, k in enumerate(ks):
             h, j, x = self.pieces[k]
             x = x if fits else to_object(x)
             if left:
                 sel = self._in_cols[j]
-                a, b = g[np.ix_(self.rows[sel], self.classes[h])], x[:, self._c[sel]]
+                a, b = part[np.ix_(sel, self.classes[h])], x[:, self._c[sel]]
             else:
                 sel = self._in_rows[h]
-                a, b = x[self._r[sel], :], g[np.ix_(self.classes[j], self.cols[sel])]
+                a, b = x[self._r[sel], :], part[np.ix_(self.classes[j], sel)]
             out[sel, c] = np.einsum("it,ti->i", a, b)
         return out if fits else demote(out)
 
-    def left(self, g: np.ndarray, ks=None) -> np.ndarray:
-        """Column c holds the pivot entries of g b_k, k = ks[c]."""
-        return self._pivot_products(g, left=True, ks=ks)
+    def left(self, rows: np.ndarray, ks=None) -> np.ndarray:
+        """Column c holds the pivot entries of g b_k, k = ks[c], for g with
+        pivot rows rows."""
+        return self._pivot_products(rows, left=True, ks=ks)
 
-    def right(self, g: np.ndarray, ks=None) -> np.ndarray:
-        """Column c holds the pivot entries of b_k g, k = ks[c]."""
-        return self._pivot_products(g, left=False, ks=ks)
+    def right(self, cols: np.ndarray, ks=None) -> np.ndarray:
+        """Column c holds the pivot entries of b_k g, k = ks[c], for g with
+        pivot columns cols."""
+        return self._pivot_products(cols, left=False, ks=ks)
 
     def class_values(self, g: np.ndarray) -> np.ndarray | None:
         """g's value on each class, if g is diagonal and constant on every
@@ -256,83 +320,69 @@ class _PivotBasis:
             return None
         return vals
 
-    def pivot_trace(self, z: RationalMatrix) -> Fraction:
-        """sum_k (b_k z)[R_k, C_k] / pv_k: the trace of b -> b z in coordinates.
+    def pivot_trace(self, cols: np.ndarray, den: int) -> Fraction:
+        """sum_k (b_k z)[R_k, C_k] / pv_k: the trace of b -> b z in coordinates,
+        for z with pivot columns cols / den.
 
         Entry k is one dot product of length |S_j| (module docstring), so
-        n * max|z| * max|X| bounds it; past INT64_SAFE it runs on Python
+        n * max|cols| * max|X| bounds it; past INT64_SAFE it runs on Python
         ints.
         """
-        fits = (
-            not self._object
-            and z.num.dtype != object
-            and self.n * max_abs(z.num) * self._bmax < INT64_SAFE
-        )
-        g = z.num if fits else to_object(z.num)
+        fits = self._fits(cols)
+        g = cols if fits else to_object(cols)
         total = 0
         for k, (_h, j, x) in enumerate(self.pieces):
             row = x[self._r[k]] if fits else to_object(x[self._r[k]])
-            entry = row @ g[self.classes[j], self.cols[k]]
-            total += int(entry) * (self.pivlcm // self.pivvals[k])
-        return Fraction(total, self.pivlcm * z.den)
+            total += int(row @ g[self.classes[j], k]) * (self.pivlcm // self.pivvals[k])
+        return Fraction(total, self.pivlcm * den)
 
-    def pivot_entries(self, z: RationalMatrix) -> np.ndarray:
-        """The m pivot entries of z's numerator."""
-        return z.num[self.rows, self.cols]
+    def square_pivot_entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The m pivot entries rows[k, :] cols[:, k] of the square of the
+        numerator with pivot rows rows and pivot columns cols.
 
-    def square_pivot_entries(self, z: RationalMatrix) -> np.ndarray:
-        """The m pivot entries z.num[R_k, :] z.num[:, C_k] of z.num^2.
-
-        Each sums n products, so n * max|z|^2 bounds it; past INT64_SAFE
-        the sums run on Python ints and the result is demoted.
+        Each sums n products, so n * max|rows| * max|cols| bounds it; past
+        INT64_SAFE the sums run on Python ints and the result is demoted.
         """
-        a, b = z.num[self.rows, :], z.num[:, self.cols]
-        fits = z.num.dtype != object and self.n * max_abs(z.num) ** 2 < INT64_SAFE
+        fits = (
+            rows.dtype != object
+            and cols.dtype != object
+            and self.n * max_abs(rows) * max_abs(cols) < INT64_SAFE
+        )
         if not fits:
-            a, b = to_object(a), to_object(b)
-        out = np.einsum("kt,tk->k", a, b)
+            rows, cols = to_object(rows), to_object(cols)
+        out = np.einsum("kt,tk->k", rows, cols)
         return out if fits else demote(out)
 
-    def certifies(self, identity: RationalMatrix) -> bool:
-        """Whether the span is certified closed with unit identity."""
-        return self.closed_unit is not None and self.closed_unit == identity
+    def certified_unit(self, identity: RationalMatrix | None) -> RationalMatrix | None:
+        """The unit the span is certified closed with, if it is identity (I
+        when identity is None), and None otherwise.
 
-    def left_regular(self, p: np.ndarray) -> RationalMatrix:
-        """Matrix of c -> p c in the coordinates of the basis: D^-1 left(p).
+        I is recognized on the certificate itself (den 1, n nonzeros, a
+        diagonal of ones), so no identity matrix is formed for it.
+        """
+        u = self.closed_unit
+        if u is None or identity is not None:
+            return identity if u is not None and u == identity else None
+        eye = u.den == 1 and np.count_nonzero(u.num) == self.n
+        return u if eye and bool(np.all(u.num.diagonal() == 1)) else None
+
+    def left_regular(self, rows: np.ndarray) -> RationalMatrix:
+        """Matrix of c -> p c in the coordinates of the basis: D^-1 left(p),
+        for p with pivot rows rows.
 
         D = diag(pv) is kept: a basis whose pivot values are not all 1 (the
         U0 corner's) has coordinates c[R_j, C_j] / pv_j, not c[R_j, C_j].
         """
         scale = [[self.pivlcm // v] for v in self.pivvals]
         scale = demote(np.array(scale, dtype=object))
-        return RationalMatrix(exact_mul_elementwise(self.left(p), scale), self.pivlcm)
+        return RationalMatrix(exact_mul_elementwise(self.left(rows), scale), self.pivlcm)
 
     def coordinates(self, c: RationalMatrix) -> tuple[np.ndarray, int]:
-        """Coordinates of an element of the span as (integer vector, den)."""
-        entries = self.pivot_entries(c)
+        """Coordinates of a dense element of the span, read at its m pivots,
+        as (integer vector, den)."""
+        entries = c.num[self.rows, self.cols]
         num = [int(x) * (self.pivlcm // v) for x, v in zip(entries, self.pivvals)]
         return demote(np.array(num, dtype=object)), c.den * self.pivlcm
-
-    def combine(self, coeffs: Sequence, den: int = 1) -> RationalMatrix:
-        """The element (sum_k coeffs[k] b_k) / den, canonicalized once.
-
-        The pieces are added into one n x n accumulator, in int64 when
-        sum_k |coeffs[k]| max|X_k| allows it and on Python ints otherwise.
-        """
-        coeffs = [int(c) for c in coeffs]
-        bound = sum(abs(c) * mx for c, mx in zip(coeffs, self.maxes))
-        obj = self._object or bound >= INT64_SAFE
-        acc = np.zeros((self.n, self.n), dtype=object if obj else np.int64)
-        for c, (h, j, x) in zip(coeffs, self.pieces):
-            if c:
-                block = np.ix_(self.classes[h], self.classes[j])
-                acc[block] += c * (to_object(x) if obj else x)
-        return RationalMatrix(acc, den)
-
-    def combine_fractions(self, coeffs: Sequence[Fraction]) -> RationalMatrix:
-        """The element sum_k coeffs[k] b_k for rational coefficients."""
-        den = math.lcm(1, *(Fraction(c).denominator for c in coeffs))
-        return self.combine([c * den for c in coeffs], den)
 
 
 def _pivot_basis(t) -> _PivotBasis:
@@ -341,16 +391,20 @@ def _pivot_basis(t) -> _PivotBasis:
     return _PivotBasis(t.span if isinstance(t, AlgebraBasis) else t)
 
 
-def center_basis(t, generators: Sequence[RationalMatrix]) -> list[RationalMatrix]:
-    """Echelonized basis of {c in span(t) : c g = g c for all generators}.
+def center_basis(
+    t, generators: Sequence[RationalMatrix]
+) -> list[tuple[np.ndarray, int]]:
+    """Echelonized basis of {c in span(t) : c g = g c for all generators}, as
+    coordinates (c, den) over the basis of t.
 
     Precondition: t, an AlgebraBasis or a closure.BlockSpans, spans a closed
     algebra that contains the generators.  Then every commutator [b_k, g]
     lies in the algebra and is zero exactly when its pivot entries are.  A
     class-diagonal generator only drops the columns of the blocks (h, j) on
     which its class values differ; the others give the pivot entries of
-    [b_k, g] on the kept columns, and the center coefficients are their
-    kernel padded with zeros (module docstring).  On a span that is not
+    [b_k, g] on the kept columns, read from g's frame, and the center
+    coordinates are their kernel vectors padded with zeros, each over its
+    least common denominator (module docstring).  On a span that is not
     closed the result may be wrong; split_center does not split such a
     span.
     """
@@ -362,84 +416,84 @@ def center_basis(t, generators: Sequence[RationalMatrix]) -> list[RationalMatrix
     for g in generators:
         vals = pb.class_values(g.num)
         if vals is None:
-            generic.append(g)
+            generic.append(pb.frame(g))
         else:
             keep &= vals[pb._h] == vals[pb._j]
     kept = np.flatnonzero(keep)
     if not len(kept):
         return []
-    parts = [exact_sub(pb.right(g.num, kept), pb.left(g.num, kept)) for g in generic]
+    parts = [exact_sub(pb.right(cols, kept), pb.left(rows, kept)) for rows, cols, *_ in generic]
     rows = np.concatenate(parts) if parts else np.zeros((0, len(kept)), dtype=np.int64)
     center = []
     for beta in kernel_basis(RationalMatrix(rows)):
-        alpha = [Fraction(0)] * pb.dim
-        for k, b in zip(kept, beta):
-            alpha[k] = b
-        center.append(pb.combine_fractions(alpha))
+        den = math.lcm(1, *(b.denominator for b in beta))
+        alpha = np.zeros(pb.dim, dtype=object)
+        alpha[kept] = [int(b * den) for b in beta]
+        center.append((demote(alpha), den))
     return center
 
 
 def _lagrange_coordinates(
     lp: RationalMatrix, roots: Sequence[int], lam: int, x: np.ndarray, den: int
-) -> tuple[np.ndarray, int]:
+) -> Coords:
     """Coordinates of prod_{mu != lam} (p - mu e) / (lam - mu) times x / den.
 
     lp = num / lp.den is the left-regular matrix of p; the vector stays an
-    integer numerator over one denominator, reduced by their gcd each step.
+    integer numerator over one denominator, reduced by their gcd, with the
+    sign of den, at each step; roots holds lam, so the result is reduced.
     """
     for mu in roots:
-        if mu == lam:
-            continue
-        x = exact_sub(exact_matmul(lp.num, x), exact_scale(x, mu * lp.den))
-        den *= lp.den * (lam - mu)
-        g = math.gcd(content(x), den)
-        if g > 1:
-            x = demote(x // g)
-            den //= g
-    return x, den
+        if mu != lam:
+            x = exact_sub(exact_matmul(lp.num, x), exact_scale(x, mu * lp.den))
+            den *= lp.den * (lam - mu)
+        g = math.gcd(content(x), den) * (1 if den > 0 else -1)
+        x, den = demote(x // g), den // g
+    return tuple(int(v) for v in x), den
 
 
 def split_center(
-    t, center: Sequence[RationalMatrix], identity: RationalMatrix | None = None
+    t, center: Sequence[tuple[np.ndarray, int]], identity: RationalMatrix | None = None
 ) -> BlockDecomposition:
     """Split a commutative semisimple algebra into primitive idempotents.
 
-    The probe p = sum_k w^k c_k is read through its left-regular matrix L_p
-    in the coordinates of t.  On a closed span with unit e,
-    q(L_p) coords(e) = coords(q(p) e), coordinates are injective, and
-    p e = p, so min_poly(L_p, coords(e)) is the minimal polynomial of p
-    relative to e; each Lagrange idempotent is formed as a coordinate vector
-    and materialized once.  A span that is not certified closed with unit
-    identity is not split (module docstring).
+    The probe p = sum_k w^k c_k, times the least common denominator of its
+    coordinates, is read through its left-regular matrix L_p in the
+    coordinates of t, built from the pivot rows of p's frame.  On a closed
+    span with unit e, q(L_p) coords(e) = coords(q(p) e), coordinates are
+    injective, and p e = p, so min_poly(L_p, coords(e)) is the minimal
+    polynomial of p relative to e; each Lagrange idempotent is its
+    coordinate vector, and its rank is its trace, sum_k c_k tr(b_k) / den.
+    A span that is not certified closed with unit identity is not split
+    (module docstring).
 
     Args:
         t: AlgebraBasis or closure.BlockSpans of the algebra (same
             precondition as center_basis).
-        center: basis of the center, as produced by center_basis.
+        center: basis of the center as coordinates (c, den), as produced by
+            center_basis.
         identity: identity element of the algebra; defaults to I of the
-            ambient size.  The complement algebra passes I - U0 here.
+            ambient size, recognized on the span's certificate without
+            forming it.  The complement algebra passes I - U0 here.
     """
     center = list(center)
     m = len(center)
     if m == 0:
         raise ValueError("center basis is empty")
     pb = _pivot_basis(t)
+    identity = pb.certified_unit(identity)
     if identity is None:
-        identity = RationalMatrix.identity(pb.n)
-    if not pb.certifies(identity):
         return _inconclusive(m, None)
     e, e_den = pb.coordinates(identity)
-    coords = [pb.coordinates(c) for c in center]
-    lcd = math.lcm(*(den for _, den in coords))
+    lcd = math.lcm(*(den for _, den in center))
 
     last_poly = None
     for base in (m + 1, m + 2, 2 * m + 3):
-        weights = [base**k * (lcd // den) for k, (_, den) in enumerate(coords)]
-        coeffs = sum(w * to_object(x) for w, (x, _) in zip(weights, coords))
-        probe = pb.combine(coeffs, lcd)
-        # Drop the denominator: scaling the probe scales its eigenvalues by
-        # an integer and leaves the Lagrange idempotents unchanged.
-        lp = pb.left_regular(probe.num)
+        coeffs = sum(base**k * (lcd // den) * to_object(c) for k, (c, den) in enumerate(center))
+        # coeffs / lcd are the probe's coordinates.  Drop their least common
+        # denominator: scaling the probe scales its eigenvalues by an
+        # integer and leaves the Lagrange idempotents unchanged.
+        probe = (coeffs // math.gcd(lcd, *coeffs), 1)
+        lp = pb.left_regular(pb.frame(probe)[0])
         mp = min_poly(lp, e)
         last_poly = mp
         if mp.degree != m:
@@ -447,14 +501,11 @@ def split_center(
         roots = integer_roots(mp)
         if roots is None:
             continue
-        idems = [
-            pb.combine(*_lagrange_coordinates(lp, roots, lam, e, e_den))
-            for lam in roots
-        ]
+        idems = [_lagrange_coordinates(lp, roots, lam, e, e_den) for lam in roots]
         if not _pivot_idempotents_valid(pb, idems, identity):
             continue
         # Each z is an exact idempotent, so its rank is its trace.
-        ranks = tuple(int(z.trace()) for z in idems)
+        ranks = tuple(sum(v * tr for v, tr in zip(c, pb.traces)) // den for c, den in idems)
         return BlockDecomposition(
             center_dim=m,
             central_idempotents=tuple(idems),
@@ -480,13 +531,16 @@ def _inconclusive(m: int, probe_min_poly: RationalPoly | None) -> BlockDecomposi
 
 
 def _pivot_idempotents_valid(
-    pb: _PivotBasis, idems: Sequence[RationalMatrix], identity: RationalMatrix
+    pb: _PivotBasis, idems: Sequence[Coords], identity: RationalMatrix
 ) -> bool:
-    """Whether the z_r are orthogonal idempotents summing to e = identity.
+    """Whether the z_r, given as coordinates, are orthogonal idempotents
+    summing to e = identity.
 
-    The span is closed and contains e = identity (pb.certifies(identity))
-    and each z_r, so e^2, z_r^2 and sum z_r lie in it, and each identity
-    holds exactly when it holds on the m pivot entries (module docstring).
+    The span is closed and contains e = identity (pb.certified_unit) and
+    each z_r, so e^2 and z_r^2 lie in it, and each square identity holds
+    exactly when it holds at the m pivots: rows[k, :] cols[:, k] of each
+    frame against den times its pivot entries (module docstring).  The sum
+    is compared in coordinates, which fix an element of the span.
 
     Only e^2 = e, z_r^2 = z_r and sum z_r = e are checked; orthogonality
     follows.  Over Q an idempotent's rank is its trace, so
@@ -497,13 +551,14 @@ def _pivot_idempotents_valid(
     is direct, so z_r w = z_r z_s v = 0 for r != s.
     """
     for z in (identity, *idems):
-        square = pb.square_pivot_entries(z)
-        if not np.array_equal(square, exact_scale(pb.pivot_entries(z), z.den)):
+        rows, cols, piv, den = pb.frame(z)
+        if not np.array_equal(pb.square_pivot_entries(rows, cols), exact_scale(piv, den)):
             return False
-    common = math.lcm(identity.den, *(z.den for z in idems))
-    acc = exact_scale(pb.pivot_entries(identity), common // identity.den)
-    for z in idems:
-        acc = exact_sub(acc, exact_scale(pb.pivot_entries(z), common // z.den))
+    e, e_den = pb.coordinates(identity)
+    common = math.lcm(e_den, *(den for _, den in idems))
+    acc = exact_scale(e, common // e_den)
+    for c, den in idems:
+        acc = exact_sub(acc, exact_scale(np.array(c, dtype=object), common // den))
     return not np.any(acc)
 
 
@@ -511,8 +566,9 @@ def block_sizes(t, dec: BlockDecomposition) -> BlockDecomposition:
     """Fill in block sizes: n_r = isqrt of dim span{b_k z_r}.
 
     Every b_k z_r lies in the algebra and z_r is idempotent, so the span's
-    dimension is the trace of b -> b z_r, read off m pivot entries (same
-    precondition as center_basis; see the module docstring).
+    dimension is the trace of b -> b z_r, read off m pivot entries of the
+    pivot columns of z_r's frame (same precondition as center_basis; see
+    the module docstring).
 
     Raises:
         ValueError: if the decomposition is not split or some block
@@ -523,7 +579,8 @@ def block_sizes(t, dec: BlockDecomposition) -> BlockDecomposition:
     pb = _pivot_basis(t)
     sizes = []
     for z in dec.central_idempotents:
-        dim = pb.pivot_trace(z)
+        _rows, cols, _piv, den = pb.frame(z)
+        dim = pb.pivot_trace(cols, den)
         nr = math.isqrt(max(dim.numerator, 0))
         if dim.denominator != 1 or nr * nr != dim:
             raise ValueError(f"block dimension {dim} is not a perfect square")

@@ -1,12 +1,14 @@
-"""Dense n x n views of block pieces, class rows and held diagonals, and the
-dense helpers the reference checks in the tests are built from."""
+"""Dense n x n views of block pieces, class rows, held diagonals and
+coordinate vectors, and the dense helpers the reference checks in the tests
+are built from."""
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from terwalg._intops import INT64_SAFE, exact_matmul, max_abs, to_object
+from terwalg._intops import INT64_SAFE, exact_matmul, exact_scale, exact_sub, max_abs, to_object
 from terwalg.echelon import EchelonSpan
 from terwalg.graphs import DistanceData, Graph
 from terwalg.linalg import RationalMatrix
@@ -27,6 +29,45 @@ def densify(basis) -> tuple[RationalMatrix, ...]:
         dense[np.ix_(span.classes[h], span.classes[j])] = block
         out.append(RationalMatrix(dense, 1, _canonical=True))
     return tuple(out)
+
+
+def combine(pb, coeffs: Sequence, den: int = 1) -> RationalMatrix:
+    """The element (sum_k coeffs[k] b_k) / den of a wedderburn._PivotBasis,
+    canonicalized once.
+
+    The pieces are added into one n x n accumulator, in int64 when
+    sum_k |coeffs[k]| max|X_k| allows it and on Python ints otherwise.
+    """
+    coeffs = [int(c) for c in coeffs]
+    bound = sum(abs(c) * mx for c, mx in zip(coeffs, pb.maxes))
+    obj = pb._object or bound >= INT64_SAFE
+    acc = np.zeros((pb.n, pb.n), dtype=object if obj else np.int64)
+    for c, (h, j, x) in zip(coeffs, pb.pieces):
+        if c:
+            block = np.ix_(pb.classes[h], pb.classes[j])
+            acc[block] += c * (to_object(x) if obj else x)
+    return RationalMatrix(acc, den)
+
+
+def dense_pivot_idempotents_valid(
+    pb, idems: Sequence[RationalMatrix], identity: RationalMatrix
+) -> bool:
+    """The pivot guard read on dense elements of a wedderburn._PivotBasis:
+    e^2 = e and z_r^2 = z_r on the m pivot entries of the full n x n
+    squares, and sum z_r = e on the pivot entries."""
+
+    def pivots(z):
+        return z.num[pb.rows, pb.cols]
+
+    for z in (identity, *idems):
+        square = exact_matmul(z.num, z.num)[pb.rows, pb.cols]
+        if not np.array_equal(square, exact_scale(pivots(z), z.den)):
+            return False
+    common = math.lcm(identity.den, *(z.den for z in idems))
+    acc = exact_scale(pivots(identity), common // identity.den)
+    for z in idems:
+        acc = exact_sub(acc, exact_scale(pivots(z), common // z.den))
+    return not np.any(acc)
 
 
 def dense_diagonal(row: RationalMatrix) -> RationalMatrix:

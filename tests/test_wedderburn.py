@@ -5,13 +5,21 @@ import math
 import sys
 from fractions import Fraction
 
+import dense_views
 import numpy as np
 import pytest
-from dense_views import dense_diagonal, dense_u0, densify, matrix_min_poly
+from dense_views import (
+    combine,
+    dense_diagonal,
+    dense_pivot_idempotents_valid,
+    dense_u0,
+    densify,
+    matrix_min_poly,
+)
 from test_subconstituent import _oracle_graphs
 
 from terwalg import _intops, idempotent, verify, wedderburn
-from terwalg._intops import exact_matmul, exact_sub
+from terwalg._intops import INT64_SAFE, exact_matmul, exact_scale, exact_sub
 from terwalg.checks import Check
 from terwalg.closure import BlockSpans, closure
 from terwalg.echelon import EchelonSpan
@@ -51,6 +59,33 @@ def suite():
     return data
 
 
+def _dense_all(span, zs):
+    """The dense n x n matrices of coordinates (c, den) over span's basis."""
+    pb = _PivotBasis(span)
+    return [combine(pb, *z) for z in zs]
+
+
+def _fractions(z):
+    c, den = z
+    return [Fraction(int(v), den) for v in c]
+
+
+def _coords(fracs):
+    """Canonical coordinates (c, den) of a list of Fractions."""
+    den = math.lcm(1, *(f.denominator for f in fracs))
+    return tuple(int(f * den) for f in fracs), den
+
+
+def _as_tuples(center):
+    return [(tuple(int(v) for v in c), den) for c, den in center]
+
+
+def _dense_coordinates(pb, z):
+    """Coordinates of a dense element of the span, z[R_k, C_k] / pv_k."""
+    entries = z.num[pb.rows, pb.cols]
+    return _coords([Fraction(int(v), z.den * p) for v, p in zip(entries, pb.pivvals)])
+
+
 def _gram_center_basis(mats, generators):
     """Reference center: the kernel of the Gram matrix of the full commutators.
 
@@ -84,7 +119,7 @@ def test_center_matches_gram_reference(suite):
     # not just span-equal.
     for d in range(0, 6):
         ctx, basis = suite[d]
-        got = center_basis(basis, ctx.generators())
+        got = _dense_all(basis.span, center_basis(basis, ctx.generators()))
         assert got == _gram_center_basis(densify(basis), ctx.generators()), f"d={d}"
 
 
@@ -92,15 +127,17 @@ def test_corner_center_matches_gram_reference(suite):
     for d in range(2, 6):
         ctx, _basis = suite[d]
         corner, _dec = _corner_decomposition(suite, d)
-        got = center_basis(corner.span, ctx.generators())
+        got = _dense_all(corner.span, center_basis(corner.span, ctx.generators()))
         want = _gram_center_basis(densify(corner), ctx.generators())
         assert got == want, f"corner d={d}"
 
 
-def _assert_block_data_dense(mats, dec):
+def _assert_block_data_dense(span, dec):
     assert dec.status == SPLIT
+    mats = densify(span)
     n = mats[0].nrows
-    for z, size, rk in zip(dec.central_idempotents, dec.block_sizes, dec.block_ranks):
+    idems = _dense_all(span, dec.central_idempotents)
+    for z, size, rk in zip(idems, dec.block_sizes, dec.block_ranks):
         assert rk == rank(z)
         span = EchelonSpan(n * n)
         for b in mats:
@@ -113,10 +150,10 @@ def test_block_data_matches_dense_spans(suite):
     # against dim span{b z} taken at width n^2.
     for d in range(0, 6):
         ctx, basis = suite[d]
-        _assert_block_data_dense(densify(basis), decompose(basis, ctx.generators()))
+        _assert_block_data_dense(basis.span, decompose(basis, ctx.generators()))
     for d in range(2, 6):
         corner, dec = _corner_decomposition(suite, d)
-        _assert_block_data_dense(densify(corner), dec)
+        _assert_block_data_dense(corner.span, dec)
 
 
 def test_unclosed_span_is_not_split(suite):
@@ -147,7 +184,7 @@ def test_center_contains_identity(suite):
         ctx, basis = suite[d]
         center = center_basis(basis, ctx.generators())
         span = EchelonSpan(ctx.n * ctx.n)
-        for c in center:
+        for c in _dense_all(basis.span, center):
             span.add(c.num.ravel())
         assert span.contains(RationalMatrix.identity(ctx.n).num.ravel())
 
@@ -156,7 +193,7 @@ def test_split_single_block(suite):
     ctx, basis = suite[1]
     dec = split_center(basis, center_basis(basis, ctx.generators()))
     assert dec.status == SPLIT
-    assert dec.central_idempotents == (RationalMatrix.identity(2),)
+    assert _dense_all(basis.span, dec.central_idempotents) == [RationalMatrix.identity(2)]
     filled = block_sizes(basis, dec)
     assert filled.block_sizes == (2,)
 
@@ -170,13 +207,15 @@ def test_split_with_probe_eigenvalues_past_10_to_the_6():
     span = closure([RationalMatrix(np.diag(np.arange(m)))]).span
     basis = list(densify(span))
     assert basis == [RationalMatrix(np.diag(row)) for row in np.eye(m, dtype=np.int64)]
-    center = [b * (10**7 + k) for k, b in enumerate(basis)]
+    units = np.eye(m, dtype=np.int64)
+    center = [(units[k] * (10**7 + k), 1) for k in range(m)]
+    assert _dense_all(span, center) == [b * (10**7 + k) for k, b in enumerate(basis)]
     dec = split_center(span, center)
     assert dec.status == SPLIT
     assert dec.eigenvalues == tuple(7**k * (10**7 + k) for k in range(m))
     assert dec.eigenvalues[0] == 10_000_000
     assert dec.eigenvalues[-1] == 168_070_084_035
-    assert dec.central_idempotents == tuple(basis)
+    assert _dense_all(span, dec.central_idempotents) == basis
     assert dec.block_ranks == (1,) * m
 
 
@@ -194,11 +233,12 @@ def test_decompose_expected_blocks(suite):
 def test_idempotents_form_partition_of_unity(suite):
     ctx, basis = suite[4]
     dec = decompose(basis, ctx.generators())
+    idems = _dense_all(basis.span, dec.central_idempotents)
     zero = RationalMatrix.zeros(ctx.n, ctx.n)
     acc = zero
-    for i, zi in enumerate(dec.central_idempotents):
+    for i, zi in enumerate(idems):
         assert zi @ zi == zi
-        for j, zj in enumerate(dec.central_idempotents):
+        for j, zj in enumerate(idems):
             if i != j:
                 assert zi @ zj == zero
         for g in ctx.generators():
@@ -212,8 +252,11 @@ def test_idempotent_guard_rejects_bad_partitions():
     # last one is orthogonal nowhere but sums to e = 2I, which is no
     # idempotent.  Every matrix is diagonal, so it lies in the certified
     # span of the diagonal units, where the pivot guard must agree.
+    # The pivot guard reads the z_r as coordinates; the coordinate tampers
+    # of _guard_tampers must be rejected as the dense guards reject them.
     eye = RationalMatrix.identity(3)
-    pb = _PivotBasis(closure([RationalMatrix(np.diag([0, 1, 2]))]).span)
+    span = closure([RationalMatrix(np.diag([0, 1, 2]))]).span
+    pb = _PivotBasis(span)
     p0 = RationalMatrix(np.diag([1, 0, 0]))
     p1 = RationalMatrix(np.diag([0, 1, 1]))
     half = RationalMatrix(np.diag([1, 0, 0]), 2)
@@ -222,20 +265,32 @@ def test_idempotent_guard_rejects_bad_partitions():
         ([p0, p0], eye),  # the sum is not e
         ([eye, eye], eye * 2),  # e^2 != e
     ]
+
+    def coords(mats):
+        return [_dense_coordinates(pb, z) for z in mats]
+
     assert _idempotents_valid([p0, p1], eye)
     assert _pairwise_idempotents_valid([p0, p1], eye)
-    assert _pivot_idempotents_valid(pb, [p0, p1], eye)
+    assert _pivot_idempotents_valid(pb, coords([p0, p1]), eye)
+    assert dense_pivot_idempotents_valid(pb, [p0, p1], eye)
     for idems, identity in cases:
+        assert _dense_all(span, coords(idems)) == idems
         assert not _idempotents_valid(idems, identity)
         assert not _pairwise_idempotents_valid(idems, identity)
-        assert not _pivot_idempotents_valid(pb, idems, identity)
+        assert not _pivot_idempotents_valid(pb, coords(idems), identity)
+        assert not dense_pivot_idempotents_valid(pb, idems, identity)
+    for name, case, identity in _guard_tampers(pb, coords([p0, p1]), eye):
+        dense = _dense_all(span, case)
+        want = dense_pivot_idempotents_valid(pb, dense, identity)
+        assert not want and not _idempotents_valid(dense, identity), name
+        assert _pivot_idempotents_valid(pb, case, identity) == want, name
 
 
 def test_idempotent_guard_agrees_with_pairwise_check(suite):
     for name, span, gens, identity in _algebras(suite):
         dec = decompose(span, gens, identity)
         e = RationalMatrix.identity(span.n) if identity is None else identity
-        idems = list(dec.central_idempotents)
+        idems = _dense_all(span, dec.central_idempotents)
         assert _idempotents_valid(idems, e) and _pairwise_idempotents_valid(idems, e)
         if len(idems) > 1:
             # Merge two blocks: z_1 + z_2 is an idempotent, and replacing
@@ -301,7 +356,7 @@ def test_complement_split_relative_to_corner_identity(suite):
         assert dec.status == SPLIT
         assert dec.multiset == EXPECTED_BLOCKS[d - 2], f"d={d}"
         acc = RationalMatrix.zeros(ctx.n, ctx.n)
-        for z in dec.central_idempotents:
+        for z in _dense_all(corner.span, dec.central_idempotents):
             acc = acc + z
         assert acc == corner.identity  # partition of the corner unit, not of I
 
@@ -397,6 +452,26 @@ def _pairwise_idempotents_valid(idems, identity):
     return acc == identity
 
 
+def _guard_tampers(pb, idems, identity):
+    """(name, idempotents, identity) cases made from a valid split by moving
+    its coordinates, each of which the guard must reject: one coordinate of
+    z_0 moved by +-1 (the sum fails), two idempotents swapped with one
+    doubled, one dropped, and e itself moved by a basis element."""
+    cases = []
+    for k in sorted({0, pb.dim // 2, pb.dim - 1}):
+        c, den = idems[0]
+        for step in (1, -1):
+            moved = tuple(c[:k]) + (c[k] + step,) + tuple(c[k + 1 :])
+            cases.append((f"c_{k} {step:+d}", [(moved, den)] + idems[1:], identity))
+        unit = [int(i == k) for i in range(pb.dim)]
+        cases.append((f"e + b_{k}", idems, identity + combine(pb, unit)))
+    if len(idems) > 1:
+        doubled = _coords([2 * f for f in _fractions(idems[1])])
+        cases.append(("swapped, one doubled", [doubled, idems[0]] + idems[2:], identity))
+    cases.append(("z_0 dropped", idems[1:], identity))
+    return cases
+
+
 def _idempotents_valid(idems, identity):
     """The dense guard: e^2 = e, z_r^2 = z_r and sum z_r = e on n x n products.
 
@@ -445,7 +520,8 @@ def test_pivots_match_dense_row_major_read(suite):
 
 
 def test_combine_matches_dense_sum(suite, monkeypatch):
-    # The second pass, with the int64 bound at 1, adds on Python ints.
+    # The densifying oracle itself.  The second pass, with the int64 bound
+    # at 1, adds on Python ints.
     cases = []
     for name, span, _gens, _identity in _algebras(suite):
         coeffs = [(-1) ** k * (k + 2) for k in range(span.dim)]
@@ -453,10 +529,10 @@ def test_combine_matches_dense_sum(suite, monkeypatch):
         for c, b in zip(coeffs, densify(span)):
             want = want + b * Fraction(c, 3)
         cases.append((name, _PivotBasis(span), coeffs, want))
-    for safe in (wedderburn.INT64_SAFE, 1):
-        monkeypatch.setattr(wedderburn, "INT64_SAFE", safe)
+    for safe in (dense_views.INT64_SAFE, 1):
+        monkeypatch.setattr(dense_views, "INT64_SAFE", safe)
         for name, pb, coeffs, want in cases:
-            assert pb.combine(coeffs, 3) == want, (name, safe)
+            assert combine(pb, coeffs, 3) == want, (name, safe)
 
 
 def test_pivot_kernel_matches_dense_products(suite):
@@ -464,13 +540,16 @@ def test_pivot_kernel_matches_dense_products(suite):
         pb = _PivotBasis(span)
         mats = densify(span)
         dec = decompose(span, gens, identity)
-        for g in list(gens) + list(dec.central_idempotents):
-            for side in ("left", "right"):
-                got = getattr(pb, side)(g.num)
-                assert np.array_equal(got, _dense_pivot_entries(mats, g.num, side)), (
-                    name,
-                    side,
-                )
+        for z in list(gens) + list(dec.central_idempotents):
+            rows, cols, _piv, den = pb.frame(z)
+            dense = z if isinstance(z, RationalMatrix) else combine(pb, *z)
+            for side, part in (("left", rows), ("right", cols)):
+                got = getattr(pb, side)(part)
+                want = _dense_pivot_entries(mats, dense.num, side)
+                # got / den and want / dense.den are the same pivot entries.
+                assert np.array_equal(
+                    exact_scale(got, dense.den), exact_scale(want, den)
+                ), (name, side)
 
 
 def test_pivot_kernel_object_path(suite, monkeypatch):
@@ -479,10 +558,11 @@ def test_pivot_kernel_object_path(suite, monkeypatch):
     ctx, basis = suite[4]
     pb = _PivotBasis(basis.span)
     gens = ctx.generators()
-    expected = [(pb.left(g.num), pb.right(g.num)) for g in gens]
+    frames = [pb.frame(g) for g in gens]
+    expected = [(pb.left(rows), pb.right(cols)) for rows, cols, _, _ in frames]
     monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
-    for g, (left, right) in zip(gens, expected):
-        got_left, got_right = pb.left(g.num), pb.right(g.num)
+    for (rows, cols, _, _), (left, right) in zip(frames, expected):
+        got_left, got_right = pb.left(rows), pb.right(cols)
         assert got_left.dtype == got_right.dtype == np.int64
         assert np.array_equal(got_left, left) and np.array_equal(got_right, right)
 
@@ -497,12 +577,13 @@ def test_split_matches_dense_oracle(suite):
     for name, span, gens, identity in _algebras(suite):
         center = center_basis(span, gens)
         dec = split_center(span, center, identity)
-        status, mp, roots, idems, ranks = _dense_split_center(center, identity)
+        dense_center = _dense_all(span, center)
+        status, mp, roots, idems, ranks = _dense_split_center(dense_center, identity)
         assert dec.status == status == SPLIT, name
         assert dec.center_dim == len(center)
         assert dec.probe_min_poly == mp, name
         assert dec.eigenvalues == roots, name
-        assert dec.central_idempotents == idems, name
+        assert tuple(_dense_all(span, dec.central_idempotents)) == idems, name
         assert dec.block_ranks == ranks, name
 
 
@@ -616,26 +697,31 @@ def _full_center_basis(span, generators):
     pb = _PivotBasis(span)
     if not pb.dim:
         return []
-    parts = [exact_sub(pb.right(g.num), pb.left(g.num)) for g in generators]
+    parts = []
+    for g in generators:
+        rows, cols, _, _ = pb.frame(g)
+        parts.append(exact_sub(pb.right(cols), pb.left(rows)))
     alphas = kernel_basis(RationalMatrix(np.concatenate(parts)))
-    return [pb.combine_fractions(alpha) for alpha in alphas]
+    return [_coords(alpha) for alpha in alphas]
 
 
-def _rank_block_dimensions(pb, dec):
-    return [rank(RationalMatrix(pb.right(z.num))) for z in dec.central_idempotents]
+def _rank_block_dimensions(pb, idems):
+    """Rank of the m x m pivot entries of b_k z for each dense z."""
+    return [rank(RationalMatrix(pb.right(pb.frame(z)[1]))) for z in idems]
 
 
 def _oracle_decompose(span, generators, identity=None):
     """decompose with the full kernel, the dense split, the dense
     commutation check and rank block sizes; no closedness certificate is
     read."""
+    pb = _PivotBasis(span)
     center = _full_center_basis(span, generators)
-    status, mp, roots, idems, ranks = _dense_split_center(center, identity)
+    status, mp, roots, idems, ranks = _dense_split_center(_dense_all(span, center), identity)
     if status == SPLIT and any(z @ g != g @ z for z in idems for g in generators):
         status, roots, idems, ranks = INCONCLUSIVE, (), (), ()
     dec = BlockDecomposition(
         center_dim=len(center),
-        central_idempotents=idems,
+        central_idempotents=tuple(_dense_coordinates(pb, z) for z in idems),
         eigenvalues=roots,
         block_sizes=(),
         block_ranks=ranks,
@@ -645,7 +731,7 @@ def _oracle_decompose(span, generators, identity=None):
     if status != SPLIT:
         return dec
     sizes = []
-    for dim in _rank_block_dimensions(_PivotBasis(span), dec):
+    for dim in _rank_block_dimensions(pb, idems):
         assert math.isqrt(dim) ** 2 == dim
         sizes.append(math.isqrt(dim))
     return dataclasses.replace(dec, block_sizes=tuple(sizes))
@@ -677,13 +763,14 @@ def test_split_matches_full_kernel_rank_and_dense_guard(differential_algebras):
     # Center bases, idempotents, ranks and block sizes, field by field.
     for name, span, gens, identity in differential_algebras:
         got_center = center_basis(span, gens)
-        assert got_center == _full_center_basis(span, gens), name
+        assert _as_tuples(got_center) == _full_center_basis(span, gens), name
         dec = decompose(span, gens, identity)
         assert dec == _oracle_decompose(span, gens, identity), name
         if dec.status == SPLIT:
             pb = _PivotBasis(span)
-            traces = [pb.pivot_trace(z) for z in dec.central_idempotents]
-            assert traces == _rank_block_dimensions(pb, dec), name
+            traces = [pb.pivot_trace(pb.frame(z)[1], z[1]) for z in dec.central_idempotents]
+            idems = _dense_all(span, dec.central_idempotents)
+            assert traces == _rank_block_dimensions(pb, idems), name
 
 
 def test_class_filter_keeps_only_diagonal_sphere_blocks(suite):
@@ -703,41 +790,49 @@ def test_pivot_guard_matches_dense_guard(differential_algebras):
     for name, span, gens, identity in differential_algebras:
         pb = _PivotBasis(span)
         e = RationalMatrix.identity(span.n) if identity is None else identity
-        assert pb.certifies(e), name
+        assert pb.certified_unit(identity) == e, name
         dec = decompose(span, gens, identity)
         idems = list(dec.central_idempotents)
         cases = [idems]
         if len(idems) > 1:
-            cases.append([idems[0] + idems[1]] + idems[2:])  # still valid
+            merged = _coords([a + b for a, b in zip(*map(_fractions, idems[:2]))])
+            cases.append([merged] + idems[2:])  # still valid
             cases.append([idems[0], idems[0]] + idems[2:])  # the sum fails
         for case in cases:
-            want = _idempotents_valid(case, e)
+            dense = _dense_all(span, case)
+            want = _idempotents_valid(dense, e)
             assert _pivot_idempotents_valid(pb, case, e) == want, name
-            assert _pairwise_idempotents_valid(case, e) == want, name
+            assert dense_pivot_idempotents_valid(pb, dense, e) == want, name
+            assert _pairwise_idempotents_valid(dense, e) == want, name
 
 
 def test_pivot_guard_rejects_tampered_idempotents(differential_algebras):
     # z_r + eps b_k lies in the certified span but is no idempotent.  With
     # eps b_k taken back from another z_s the sum is still e, so only the
-    # squares can reject it.
+    # squares can reject it.  Every tamper is made on coordinates, and the
+    # pivot guard's verdict must be the dense pivot guard's.
     eps = Fraction(1, 7)
     for name, span, gens, identity in differential_algebras[:12]:
         pb = _PivotBasis(span)
         e = RationalMatrix.identity(span.n) if identity is None else identity
         idems = list(decompose(span, gens, identity).central_idempotents)
-        mats = densify(span)
-        for k in sorted({0, len(mats) // 2, len(mats) - 1}):
-            bump = mats[k] * eps
-            tampered = [idems[0] + bump] + idems[1:]
-            assert not _pivot_idempotents_valid(pb, tampered, e), (name, k)
-            assert not _idempotents_valid(tampered, e), (name, k)
+        cases = []
+        for k in sorted({0, pb.dim // 2, pb.dim - 1}):
+            bump = [eps * (i == k) for i in range(pb.dim)]
+            z0 = _coords([a + b for a, b in zip(_fractions(idems[0]), bump)])
+            cases.append((f"z_0 + b_{k}/7", [z0] + idems[1:], e))
             if len(idems) > 1:
-                balanced = [idems[0] + bump, idems[1] - bump] + idems[2:]
-                assert not _pivot_idempotents_valid(pb, balanced, e), (name, k)
-                assert not _idempotents_valid(balanced, e), (name, k)
+                z1 = _coords([a - b for a, b in zip(_fractions(idems[1]), bump)])
+                cases.append((f"balanced b_{k}/7", [z0, z1] + idems[2:], e))
         # A unit that is not idempotent fails on its own square.
-        doubled = [z * 2 for z in idems]
-        assert not _pivot_idempotents_valid(pb, doubled, e * 2), name
+        doubled = [_coords([2 * f for f in _fractions(z)]) for z in idems]
+        cases.append(("doubled", doubled, e * 2))
+        cases += _guard_tampers(pb, idems, e)
+        for case_name, case, ident in cases:
+            dense = _dense_all(span, case)
+            want = dense_pivot_idempotents_valid(pb, dense, ident)
+            assert not want and not _idempotents_valid(dense, ident), (name, case_name)
+            assert _pivot_idempotents_valid(pb, case, ident) == want, (name, case_name)
 
 
 def test_closure_certificate_is_set_by_closure_only(suite):
@@ -802,7 +897,7 @@ def test_uncertified_spans_are_not_split(suite):
 
 def test_object_path_split_at_d5(monkeypatch):
     # With the int64 bounds at 1 every pivot product, trace, guard and
-    # combination runs on Python ints; the split must not change.
+    # frame runs on Python ints; the split must not change.
     ctx = build_hypercube_context(5, 0)
     basis = ctx.algebra_basis()
     corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
@@ -817,15 +912,16 @@ def test_object_path_split_at_d5(monkeypatch):
         assert got.block_ranks == want.block_ranks
         assert got.central_idempotents == want.central_idempotents
         assert got == want
-        assert all(z.num.dtype == object for z in got.central_idempotents)
+        pb = _PivotBasis(span)
+        assert all(pb.frame(z)[0].dtype == object for z in got.central_idempotents)
 
 
 def test_object_path_split_at_d8(monkeypatch):
     # With the int64 bound lowered to 2^20 at every terwalg binding, the
     # real d=8 splits of T and of the U0 corner cross to Python ints where
     # their entries grow; status, blocks, ranks, idempotents and the probe
-    # polynomial must not change.  The probe's min_poly is among the code
-    # that crosses.
+    # polynomial must not change.  The probe's min_poly and the frames of
+    # coordinate vectors are among the code that crosses.
     ctx = build_hypercube_context(8, 0)
     basis = ctx.algebra_basis()
     corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
@@ -834,8 +930,10 @@ def test_object_path_split_at_d8(monkeypatch):
     expected = [decompose(span, generators, identity) for span, identity in cases]
     converted = []  # (int64 array converted, inside min_poly)
     in_min_poly = []
+    object_frames = []  # per frame of a coordinate vector: built on Python ints
     real_to_object = _intops.to_object
     real_min_poly = wedderburn.min_poly
+    real_frame = wedderburn._PivotBasis.frame
 
     def counting(arr):
         converted.append((arr.dtype != object, bool(in_min_poly)))
@@ -848,13 +946,24 @@ def test_object_path_split_at_d8(monkeypatch):
         finally:
             in_min_poly.pop()
 
+    def recording_frame(pb, z):
+        out = real_frame(pb, z)
+        if not isinstance(z, RationalMatrix):
+            object_frames.append(out[0].dtype == object)
+        return out
+
     for name, module in list(sys.modules.items()):
         if name == "terwalg" or name.startswith("terwalg."):
             if hasattr(module, "INT64_SAFE"):
                 monkeypatch.setattr(module, "INT64_SAFE", 1 << 20)
             if getattr(module, "to_object", None) is real_to_object:
                 monkeypatch.setattr(module, "to_object", counting)
+    # The frame builder reads the bound at wedderburn's binding, set lower
+    # still: the frame of the corner's probe (a bound near 2^18 at d=8)
+    # crosses there, T's probe and the idempotents (under 2^16) do not.
+    monkeypatch.setattr(wedderburn, "INT64_SAFE", 1 << 16)
     monkeypatch.setattr(wedderburn, "min_poly", marked_min_poly)
+    monkeypatch.setattr(wedderburn._PivotBasis, "frame", recording_frame)
     for (span, identity), want in zip(cases, expected):
         got = decompose(span, generators, identity)
         assert got.status == want.status == SPLIT
@@ -865,3 +974,90 @@ def test_object_path_split_at_d8(monkeypatch):
     # int64 arrays really crossed to object, in min_poly too.
     assert sum(crossed for crossed, _ in converted) > 0
     assert sum(crossed for crossed, inside in converted if inside) > 0
+    # Some frames of coordinate vectors were summed on Python ints, some not.
+    assert any(object_frames) and not all(object_frames)
+
+
+def test_frame_matches_dense_rows_and_columns_across_the_int64_bound(suite):
+    # Coordinates c with sum_k |c_k| max|X_k| just under INT64_SAFE give an
+    # int64 frame, just over it an object frame holding Python ints only;
+    # both must be the pivot rows and columns of the densified element.
+    for name, span, _gens, _identity in _algebras(suite):
+        pb = _PivotBasis(span)
+        total = sum(pb.maxes)
+        under = (INT64_SAFE - 1) // total
+        for t in (under, under + 1):
+            c = [(-1) ** k * t for k in range(pb.dim)]
+            bound = sum(abs(v) * mx for v, mx in zip(c, pb.maxes))
+            assert (bound < INT64_SAFE) == (t == under), name
+            rows, cols, piv, den = pb.frame((c, 1))
+            assert den == 1
+            assert (rows.dtype == object) == (cols.dtype == object) == (t != under), name
+            dense = combine(pb, c)
+            assert np.array_equal(rows, dense.num[pb.rows]), (name, t)
+            assert np.array_equal(cols, dense.num[:, pb.cols]), (name, t)
+            assert np.array_equal(piv, dense.num[pb.rows, pb.cols]), (name, t)
+            for arr in (rows, cols, piv):
+                if arr.dtype == object:
+                    assert not any(isinstance(v, np.integer) for v in arr.flat), (name, t)
+
+
+def test_split_holds_no_n_by_n_element(monkeypatch):
+    # With every numpy constructor, _intops helper and RationalMatrix that
+    # the split reaches refusing an n x n result, decompose of T and of the
+    # U0 corner must run unchanged: the split reads its operands through
+    # their frames and holds its own elements as coordinates.
+    cases = []
+    for d in (6, 8):
+        for x in (0, 5):
+            ctx = build_hypercube_context(d, x)
+            basis = ctx.algebra_basis()
+            corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
+            gens = ctx.generators()
+            cases += [(basis.span, gens, None), (corner.span, gens, corner.identity)]
+    expected = [decompose(*case) for case in cases]
+    side = [0]
+
+    def refuse_square(out):
+        if isinstance(out, np.ndarray) and out.shape == (side[0], side[0]):
+            raise AssertionError(f"an {side[0]} x {side[0]} array was formed")
+        return out
+
+    def checked(fn):
+        return lambda *args, **kwargs: refuse_square(fn(*args, **kwargs))
+
+    class CheckedNumpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if callable(attr) and not isinstance(attr, type):
+                return checked(attr)
+            return attr
+
+    real_init = RationalMatrix.__init__
+
+    def checked_init(self, num, den=1, **kwargs):
+        real_init(self, num, den, **kwargs)
+        refuse_square(self.num)
+
+    monkeypatch.setattr(wedderburn, "np", CheckedNumpy())
+    for name in ("exact_matmul", "exact_sub", "exact_scale", "exact_mul_elementwise",
+                 "to_object", "demote"):
+        monkeypatch.setattr(wedderburn, name, checked(getattr(wedderburn, name)))
+    monkeypatch.setattr(RationalMatrix, "__init__", checked_init)
+    for (span, gens, identity), want in zip(cases, expected):
+        side[0] = span.n
+        with pytest.raises(AssertionError):
+            wedderburn.np.zeros((span.n, span.n))
+        with pytest.raises(AssertionError):
+            RationalMatrix.identity(span.n)
+        got = decompose(span, gens, identity)
+        assert got.status == want.status == SPLIT
+        assert got.multiset == want.multiset
+        assert got.block_ranks == want.block_ranks
+        assert got.eigenvalues == want.eigenvalues
+        assert got.probe_min_poly == want.probe_min_poly
+        assert got.central_idempotents == want.central_idempotents
+        assert got == want
+        for c, den in got.central_idempotents:
+            assert isinstance(c, tuple) and len(c) == span.dim
+            assert all(type(v) is int for v in c) and type(den) is int and den > 0
