@@ -9,7 +9,7 @@ identities exactly, with no floating point anywhere.
 __version__ = "0.1.0"
 
 from .checks import Check
-from .closure import AlgebraBasis, closure
+from .closure import BlockSpans, closure
 
 # Loading the submodule .hypercube binds the package attribute "hypercube"
 # to it, so the graph constructor of that name is imported after it.
@@ -46,8 +46,8 @@ from .wedderburn import (
 )
 
 __all__ = [
-    "AlgebraBasis",
     "BlockDecomposition",
+    "BlockSpans",
     "Check",
     "DiameterRecord",
     "DistanceData",

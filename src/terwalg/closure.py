@@ -33,13 +33,26 @@ not change the span.
 The loop proves that the span is closed under left multiplication by every
 generator and contains I, so it is the unital algebra T itself: closed
 under multiplication, with unit I.  closure() records that on the span as
-its closedness certificate (BlockSpans.closed_unit = I); wedderburn
-splits only a span that carries one, and checks it on pivot entries.
+its closedness certificate, BlockSpans.closed_unit = the unit table of I;
+wedderburn splits only a span that carries one, and checks it on pivot
+entries.
+
+A unit is held as a class table (u, den) over the span's classes: the
+matrix e = I - sum_h (u_h / den) J_{S_h}, with J_{S_h} the all-ones block
+on S_h x S_h, u a tuple of Python ints, den > 0 and gcd(u, den) = 1.  The
+table of an e is unique, so two units are equal exactly when their tables
+are; unit_table brings a table to that form, and every unit is made by
+it.  I is ((0,) * c, 1); the U0 corner's unit I - U0 is
+(m_sigma(h) for each class h, L), from L U0 = sum_a m_a J_{S_a}
+(idempotent.verify_u0).  No unit is formed at n x n: the split reads one
+at the pivots of its basis (wedderburn._PivotBasis.unit_coordinates),
+e[R_k, C_k] = [R_k = C_k] - [h_k = j_k] u_{h_k} / den, since e is I plus
+a constant on each diagonal block S_h x S_h and zero off them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +60,22 @@ import numpy as np
 from ._intops import exact_matmul
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix
+
+# (u, den): the unit I - sum_h (u_h / den) J_{S_h} (module docstring).
+Unit = tuple[tuple[int, ...], int]
+
+
+def unit_table(u, den: int) -> Unit:
+    """The unit table of I - sum_h (u_h / den) J_{S_h}, for integer u_h and
+    den != 0, in lowest terms: den > 0 and gcd(u, den) = 1."""
+    u = [int(v) for v in u]
+    g = math.gcd(den, *u) * (1 if den > 0 else -1)
+    return tuple(v // g for v in u), den // g
+
+
+def identity_unit(classes: int) -> Unit:
+    """The unit table of I over a span with the given number of classes."""
+    return unit_table((0,) * classes, 1)
 
 
 class BlockSpans:
@@ -56,10 +85,11 @@ class BlockSpans:
     flattened row-major; each class is an ascending array of coordinates.
     Elements are numbered in the order they were inserted, across blocks.
 
-    closed_unit is the closedness certificate: None, or a unit e such that
-    the span is known to be closed under multiplication and to contain e.
-    Only closure() and wedderburn.complement_algebra set it, each after
-    proving it; inserting a new element clears it.
+    closed_unit is the closedness certificate: None, or the unit table of
+    an e such that the span is known to be closed under multiplication and
+    to contain e (module docstring).  Only closure() and
+    wedderburn.complement_algebra set it, each after proving it; inserting
+    a new element clears it.
     """
 
     def __init__(self, n: int, classes: Sequence[np.ndarray]):
@@ -67,7 +97,7 @@ class BlockSpans:
         self.classes = tuple(classes)
         self._spans: dict[tuple[int, int], EchelonSpan] = {}
         self._elements: list[tuple[int, int, int]] = []  # (h, j, row index)
-        self.closed_unit: RationalMatrix | None = None
+        self.closed_unit: Unit | None = None
 
     @property
     def dim(self) -> int:
@@ -96,41 +126,10 @@ class BlockSpans:
         block = self._spans[(h, j)].row(idx)
         return h, j, block.reshape(len(self.classes[h]), len(self.classes[j]))
 
-    def contains(self, m: np.ndarray) -> bool:
-        """Exact membership of an integer n x n matrix, block by block."""
-        for h, rows in enumerate(self.classes):
-            for j, cols in enumerate(self.classes):
-                block = m[np.ix_(rows, cols)]
-                span = self._spans.get((h, j))
-                if span is None:
-                    if np.any(block):
-                        return False
-                elif not span.contains(block.ravel()):
-                    return False
-        return True
 
-
-@dataclass(frozen=True)
-class AlgebraBasis:
-    """Echelonized basis of a matrix algebra, held as its block spans."""
-
-    span: BlockSpans
-
-    @property
-    def side(self) -> int:
-        return self.span.n
-
-    @property
-    def dim(self) -> int:
-        return self.span.dim
-
-    def contains(self, m: RationalMatrix) -> bool:
-        """Exact membership of a matrix in the span."""
-        return self.span.contains(m.num)
-
-
-def _is_diagonal(a: np.ndarray) -> bool:
-    return not np.any(a[~np.eye(a.shape[0], dtype=bool)])
+def is_diagonal(a: np.ndarray) -> bool:
+    """Whether a square array has no nonzero off its diagonal."""
+    return np.count_nonzero(a) == np.count_nonzero(a.diagonal())
 
 
 def joint_classes(n: int, diagonals: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -146,15 +145,16 @@ def joint_classes(n: int, diagonals: Sequence[np.ndarray]) -> tuple[np.ndarray, 
     return tuple(np.array(vs, dtype=np.intp) for vs in members.values())
 
 
-def closure(generators: Sequence[RationalMatrix]) -> AlgebraBasis:
+def closure(generators: Sequence[RationalMatrix]) -> BlockSpans:
     """Basis of the unital algebra generated by the given square matrices.
 
     Args:
         generators: square matrices of one common size.
 
     Returns:
-        AlgebraBasis whose span contains the identity and is closed under
-        multiplication by every generator, certified by span.closed_unit = I.
+        BlockSpans that contain the identity and are closed under
+        multiplication by every generator, certified by closed_unit = the
+        unit table of I.
         Its first elements are the class projections; every later one is a
         block of a product, see the module docstring.
     """
@@ -164,7 +164,7 @@ def closure(generators: Sequence[RationalMatrix]) -> AlgebraBasis:
     for g in generators:
         if g.shape != (n, n):
             raise ValueError(f"generator shape {g.shape} differs from ({n}, {n})")
-    diagonal = [_is_diagonal(g.num) for g in generators]
+    diagonal = [is_diagonal(g.num) for g in generators]
     classes = joint_classes(
         n, [g.num.diagonal() for g, diag in zip(generators, diagonal) if diag]
     )
@@ -202,5 +202,5 @@ def closure(generators: Sequence[RationalMatrix]) -> AlgebraBasis:
                     pieces.append((h2, j, spans.element(k)[2].copy()))
         pos += 1
 
-    spans.closed_unit = RationalMatrix.identity(n)
-    return AlgebraBasis(spans)
+    spans.closed_unit = identity_unit(len(classes))
+    return spans

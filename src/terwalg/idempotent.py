@@ -92,7 +92,7 @@ from ._intops import (
     max_abs,
     to_object,
 )
-from .closure import AlgebraBasis
+from .closure import BlockSpans
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix, rank
 from .subconstituent import TerwContext, VerificationError
@@ -346,7 +346,7 @@ class U0Report:
 
 
 def verify_u0(
-    ctx: TerwContext, t: AlgebraBasis, dim_smaller: int | None = None
+    ctx: TerwContext, t: BlockSpans, dim_smaller: int | None = None
 ) -> U0Report:
     """Run every U0 check against a computed algebra basis.
 
@@ -375,8 +375,8 @@ def verify_u0(
     m = tuple(big // kh for kh in ctx.valencies)
     first = (ctx.p_table != 0).argmax(axis=1)  # a supported a for each block (h, j)
     sphere_table = np.take_along_axis(primal, first[:, None, :], axis=1)[:, 0, :]
-    sigma = sphere_of_classes(ctx, t.span.classes)
-    pieces = [t.span.element(i) for i in range(t.span.dim)]
+    sigma = sphere_of_classes(ctx, t.classes)
+    pieces = [t.element(i) for i in range(t.dim)]
     ends = (0, ctx.d)
     absorbed = [absorbs(ctx, class_table(ctx, ctx.E[i])) for i in ends]
     absorbed += [absorbs(ctx, diagonal_table(ctx, ctx.E_star[i])) for i in ends]

@@ -108,7 +108,7 @@ from ._intops import (
     exact_sub,
 )
 from .checks import Check
-from .closure import AlgebraBasis, closure
+from .closure import BlockSpans, closure
 from .graphs import DistanceData, Graph, hypercube, is_distance_regular
 from .hypercube import HypercubeParams, permissible_mask, spectrum_poly
 from .linalg import RationalMatrix, inverse, min_poly
@@ -198,7 +198,7 @@ class TerwContext:
         """The algebra generators: adjacency and dual adjacency."""
         return [self.A, self.dual_adjacency]
 
-    def algebra_basis(self) -> AlgebraBasis:
+    def algebra_basis(self) -> BlockSpans:
         return closure(self.generators())
 
 

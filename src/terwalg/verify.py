@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import __version__
 from .checks import Check
-from .closure import AlgebraBasis
+from .closure import BlockSpans
 from .graphs import Graph
 from .hypercube import (
     check_permissible_equivalence,
@@ -68,7 +68,7 @@ class _Prepared:
     """The context, closure basis and block split of one diameter."""
 
     ctx: TerwContext
-    basis: AlgebraBasis
+    basis: BlockSpans
     dec: BlockDecomposition
 
 

@@ -14,19 +14,25 @@ pivot entries alone.
 Every element the split makes (the center basis, the probe, the central
 idempotents) is held as integer coordinates (c, den), the element
 z = sum_k c_k b_k / den.  b_k is the only basis element that is nonzero at
-pivot k, so z's pivot entries are c_k pv_k / den.  Every operand (a
-generator, the identity, the probe, an idempotent) is read only through its
+pivot k, so z's pivot entries are c_k pv_k / den.  The unit e is passed as
+its class table (u, den), e = I - sum_h (u_h / den) J_{S_h} (closure.Unit),
+and read into coordinates at the pivots alone
+(_PivotBasis.unit_coordinates): e is I plus a constant on each diagonal
+block S_h x S_h and zero off them, so
+e[R_k, C_k] = [R_k = C_k] - [h_k = j_k] u_{h_k} / den.  Every operand (a
+generator, the unit, the probe, an idempotent) is read only through its
 frame, its m pivot rows z[R, :] and m pivot columns z[:, C]: a pivot entry
 of g b_k or b_k g takes one pivot row or column of g (below), a pivot entry
 of z^2 is z[R_k, :] z[:, C_k], and a block-size trace reads the pivot
-columns.  A dense operand's frame is g[R, :], g[:, C].  A coordinate
-vector's is summed from the pieces: piece k of block (h, j) adds
-c_k X_k[r_i, :] to each pivot row R_i in S_h, at columns S_j, and
-c_k X_k[:, c_i] to each pivot column C_i in S_j, at rows S_h; each entry is
-at most sum_k |c_k| max|X_k|, which picks int64 or Python ints.  So no
-n x n matrix is formed here: the generators and the identity are the dense
-matrices the caller passes (I, when none is passed, is recognized on the
-closedness certificate below), and the frames are m x n.
+columns.  A dense matrix reaches the split only as a generator, and its
+frame is g[R, :], g[:, C].  A coordinate vector's is summed from the
+pieces: piece k of block (h, j) adds c_k X_k[r_i, :] to each pivot row R_i
+in S_h, at columns S_j, and c_k X_k[:, c_i] to each pivot column C_i in
+S_j, at rows S_h; each entry is at most sum_k |c_k| max|X_k|, which picks
+int64 or Python ints.  Each half is built only where it is read: the
+probe's rows, an idempotent's columns for its block size, both for the
+guard.  So no n x n matrix is formed here: the generators are the dense
+matrices the caller passes, and the frames are m x n.
 
 - The center, filtered by class-diagonal generators.  Call a generator g
   class-diagonal when it is diagonal and constant, g_h, on every class S_h
@@ -84,8 +90,8 @@ closedness certificate below), and the frames are m x n.
   class of T's blocks is one sphere, so W B W stays in the block
   E*_a T E*_b of B and is formed from the row and column sums of its piece
   in O(|S_a| |S_b|) (_compress), then reduced in that block's span.  The
-  corner's identity I - U0 is the one n x n matrix formed, once, from the
-  spheres and (m, L).
+  corner's identity I - U0 is its unit table (m_sigma(h) for each class h,
+  L), so the corner forms no n x n array either.
   The corner is split on T's own generators A and A*.  If U0 is an
   idempotent that commutes with g, then so is e = I - U0, and every c of
   the corner has c = e c e, so (e g e) c = e g c = g e c = g c and
@@ -97,12 +103,13 @@ closedness certificate below), and the frames are m x n.
   splits the corner only when it does.
 
 The closedness certificate.  Only a span certified closed with unit e
-(BlockSpans.closed_unit == e, the identity the split is asked for) is
-split; any other span yields status "inconclusive" and no idempotents.
-closure() sets the certificate to I: its loop proves the span closed under
-every generator, starting from I.  complement_algebra sets it to
-e = I - U0 on the corner, and only when verify_u0 found U0 central in T and
-idempotent and T itself is certified with unit I.  The corner is spanned
+(BlockSpans.closed_unit equal, as a unit table, to the identity the split
+is asked for) is split; any other span yields status "inconclusive" and no
+idempotents.  closure() sets the certificate to the table of I: its loop
+proves the span closed under every generator, starting from I.
+complement_algebra sets it to the table of e = I - U0 on the corner, and
+only when verify_u0 found U0 central in T and idempotent and T itself is
+certified with unit I.  The corner is spanned
 by the W B W = L^2 e B e, and e commutes with T, so e B e = e^2 B = e B
 and (e A e)(e B e) = e A B e, which lies in the corner because A B lies in
 T; and e = e I e lies in it too.
@@ -124,7 +131,7 @@ e and z_r, and an element of the span is fixed by its m pivot entries.  So
 each square is compared on the real products at the pivots, the m entries
 z[R_k, :] z[:, C_k] of frame rows times frame columns, O(m n) each, against
 den times z's pivot entries; and the sum is an equality of coordinate
-vectors, e's read at its pivots.
+vectors, e's read from its unit table at the pivots.
 block_sizes' trace read assumes the same closed span, which the split has
 already required.
 
@@ -158,7 +165,7 @@ from ._intops import (
     max_abs,
     to_object,
 )
-from .closure import AlgebraBasis, BlockSpans
+from .closure import BlockSpans, Unit, identity_unit, is_diagonal, unit_table
 from .idempotent import U0Report, _line_sums, sphere_of_classes
 from .linalg import RationalMatrix, kernel_basis, min_poly
 from .polys import RationalPoly, integer_roots
@@ -238,33 +245,54 @@ class _PivotBasis:
     def dim(self) -> int:
         return len(self.pieces)
 
-    def frame(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """(rows, cols, piv, den): the numerators of z's m pivot rows z[R, :],
-        m pivot columns z[:, C] and m pivot entries, over den.
+    def unit_coordinates(self, unit: Unit) -> tuple[np.ndarray, int]:
+        """Coordinates (c, den) of a unit table (closure.Unit), read at the
+        pivots alone: c_k / den = e[R_k, C_k] / pv_k, with
+        e[R_k, C_k] = [R_k = C_k] - [h_k = j_k] u_{h_k} / den."""
+        u, den = unit
+        pivots = zip(self.rows.tolist(), self.cols.tolist(), self._h.tolist(), self._j.tolist())
+        num = [
+            (den * (r == c) - (h == j) * u[h]) * (self.pivlcm // v)
+            for (r, c, h, j), v in zip(pivots, self.pivvals)
+        ]
+        return demote(np.array(num, dtype=object)), den * self.pivlcm
 
-        z is a dense RationalMatrix or coordinates (c, den), the element
-        sum_k c_k b_k / den.  Piece k, in block (h, j), adds c_k X_k[r_i, :]
-        to each pivot row R_i in S_h and c_k X_k[:, c_i] to each pivot column
-        C_i in S_j, and its pivot entry is c_k pv_k.  Every entry is at most
-        sum_k |c_k| max|X_k|; past INT64_SAFE the frame is summed on Python
-        ints.
+    def frame_rows(self, c) -> np.ndarray:
+        """The m pivot rows z[R, :] of z = sum_k c_k b_k, for integer c.
+
+        Piece k, in block (h, j), adds c_k X_k[r_i, :] to each pivot row R_i
+        in S_h, at columns S_j.
         """
-        if isinstance(z, RationalMatrix):
-            return z.num[self.rows], z.num[:, self.cols], z.num[self.rows, self.cols], z.den
-        c, den = [int(v) for v in z[0]], z[1]
+        return self._frame(c, rows=True)
+
+    def frame_cols(self, c) -> np.ndarray:
+        """The m pivot columns z[:, C] of z = sum_k c_k b_k, for integer c.
+
+        Piece k, in block (h, j), adds c_k X_k[:, c_i] to each pivot column
+        C_i in S_j, at rows S_h.
+        """
+        return self._frame(c, rows=False)
+
+    def _frame(self, c, rows: bool) -> np.ndarray:
+        """One half of the frame (frame_rows, frame_cols).  Every entry is at
+        most sum_k |c_k| max|X_k|; past INT64_SAFE it is summed on Python
+        ints."""
+        c = [int(v) for v in c]
         bound = sum(abs(v) * mx for v, mx in zip(c, self.maxes))
         obj = self._object or bound >= INT64_SAFE
-        rows = np.zeros((self.dim, self.n), dtype=object if obj else np.int64)
-        cols = np.zeros((self.n, self.dim), dtype=rows.dtype)
         lift = to_object if obj else np.asarray
+        shape = (self.dim, self.n) if rows else (self.n, self.dim)
+        out = np.zeros(shape, dtype=object if obj else np.int64)
         for v, (h, j, x) in zip(c, self.pieces):
-            if v:
+            if not v:
+                continue
+            if rows:
                 sel = self._in_rows[h]
-                rows[np.ix_(sel, self.classes[j])] += v * lift(x[self._r[sel]])
+                out[np.ix_(sel, self.classes[j])] += v * lift(x[self._r[sel]])
+            else:
                 sel = self._in_cols[j]
-                cols[np.ix_(self.classes[h], sel)] += v * lift(x[:, self._c[sel]])
-        piv = demote(np.array([v * p for v, p in zip(c, self.pivvals)], dtype=object))
-        return rows, cols, piv, den
+                out[np.ix_(self.classes[h], sel)] += v * lift(x[:, self._c[sel]])
+        return out
 
     def _fits(self, part: np.ndarray) -> bool:
         """Whether sums of n products of part's entries with the pieces' stay
@@ -312,9 +340,9 @@ class _PivotBasis:
     def class_values(self, g: np.ndarray) -> np.ndarray | None:
         """g's value on each class, if g is diagonal and constant on every
         class; None otherwise."""
-        diag = g.diagonal()
-        if np.count_nonzero(g) != np.count_nonzero(diag):
+        if not is_diagonal(g):
             return None
+        diag = g.diagonal()
         vals = np.array([diag[c[0]] for c in self.classes], dtype=g.dtype)
         if not all(np.all(diag[c] == v) for c, v in zip(self.classes, vals)):
             return None
@@ -353,19 +381,6 @@ class _PivotBasis:
         out = np.einsum("kt,tk->k", rows, cols)
         return out if fits else demote(out)
 
-    def certified_unit(self, identity: RationalMatrix | None) -> RationalMatrix | None:
-        """The unit the span is certified closed with, if it is identity (I
-        when identity is None), and None otherwise.
-
-        I is recognized on the certificate itself (den 1, n nonzeros, a
-        diagonal of ones), so no identity matrix is formed for it.
-        """
-        u = self.closed_unit
-        if u is None or identity is not None:
-            return identity if u is not None and u == identity else None
-        eye = u.den == 1 and np.count_nonzero(u.num) == self.n
-        return u if eye and bool(np.all(u.num.diagonal() == 1)) else None
-
     def left_regular(self, rows: np.ndarray) -> RationalMatrix:
         """Matrix of c -> p c in the coordinates of the basis: D^-1 left(p),
         for p with pivot rows rows.
@@ -377,18 +392,11 @@ class _PivotBasis:
         scale = demote(np.array(scale, dtype=object))
         return RationalMatrix(exact_mul_elementwise(self.left(rows), scale), self.pivlcm)
 
-    def coordinates(self, c: RationalMatrix) -> tuple[np.ndarray, int]:
-        """Coordinates of a dense element of the span, read at its m pivots,
-        as (integer vector, den)."""
-        entries = c.num[self.rows, self.cols]
-        num = [int(x) * (self.pivlcm // v) for x, v in zip(entries, self.pivvals)]
-        return demote(np.array(num, dtype=object)), c.den * self.pivlcm
-
 
 def _pivot_basis(t) -> _PivotBasis:
     if isinstance(t, _PivotBasis):
         return t
-    return _PivotBasis(t.span if isinstance(t, AlgebraBasis) else t)
+    return _PivotBasis(t)
 
 
 def center_basis(
@@ -397,14 +405,15 @@ def center_basis(
     """Echelonized basis of {c in span(t) : c g = g c for all generators}, as
     coordinates (c, den) over the basis of t.
 
-    Precondition: t, an AlgebraBasis or a closure.BlockSpans, spans a closed
-    algebra that contains the generators.  Then every commutator [b_k, g]
-    lies in the algebra and is zero exactly when its pivot entries are.  A
+    Precondition: t, a closure.BlockSpans, spans a closed algebra that
+    contains the generators.  Then every commutator [b_k, g] lies in the
+    algebra and is zero exactly when its pivot entries are.  A
     class-diagonal generator only drops the columns of the blocks (h, j) on
     which its class values differ; the others give the pivot entries of
-    [b_k, g] on the kept columns, read from g's frame, and the center
-    coordinates are their kernel vectors padded with zeros, each over its
-    least common denominator (module docstring).  On a span that is not
+    [b_k, g] on the kept columns, read from g's pivot rows g[R, :] and
+    pivot columns g[:, C], and the center coordinates are their kernel
+    vectors padded with zeros, each over its least common denominator
+    (module docstring).  On a span that is not
     closed the result may be wrong; split_center does not split such a
     span.
     """
@@ -416,13 +425,13 @@ def center_basis(
     for g in generators:
         vals = pb.class_values(g.num)
         if vals is None:
-            generic.append(pb.frame(g))
+            generic.append(g.num)
         else:
             keep &= vals[pb._h] == vals[pb._j]
     kept = np.flatnonzero(keep)
     if not len(kept):
         return []
-    parts = [exact_sub(pb.right(cols, kept), pb.left(rows, kept)) for rows, cols, *_ in generic]
+    parts = [exact_sub(pb.right(g[:, pb.cols], kept), pb.left(g[pb.rows], kept)) for g in generic]
     rows = np.concatenate(parts) if parts else np.zeros((0, len(kept)), dtype=np.int64)
     center = []
     for beta in kernel_basis(RationalMatrix(rows)):
@@ -452,38 +461,40 @@ def _lagrange_coordinates(
 
 
 def split_center(
-    t, center: Sequence[tuple[np.ndarray, int]], identity: RationalMatrix | None = None
+    t, center: Sequence[tuple[np.ndarray, int]], identity: Unit | None = None
 ) -> BlockDecomposition:
     """Split a commutative semisimple algebra into primitive idempotents.
 
     The probe p = sum_k w^k c_k, times the least common denominator of its
     coordinates, is read through its left-regular matrix L_p in the
-    coordinates of t, built from the pivot rows of p's frame.  On a closed
-    span with unit e, q(L_p) coords(e) = coords(q(p) e), coordinates are
-    injective, and p e = p, so min_poly(L_p, coords(e)) is the minimal
-    polynomial of p relative to e; each Lagrange idempotent is its
-    coordinate vector, and its rank is its trace, sum_k c_k tr(b_k) / den.
+    coordinates of t, built from p's pivot rows.  On a closed span with
+    unit e, q(L_p) coords(e) = coords(q(p) e), coordinates are injective,
+    and p e = p, so min_poly(L_p, coords(e)) is the minimal polynomial of
+    p relative to e; each Lagrange idempotent is its coordinate vector, and
+    its rank is its trace, sum_k c_k tr(b_k) / den.
     A span that is not certified closed with unit identity is not split
-    (module docstring).
+    (module docstring); the unit's coordinates are read at the pivots
+    (_PivotBasis.unit_coordinates).
 
     Args:
-        t: AlgebraBasis or closure.BlockSpans of the algebra (same
-            precondition as center_basis).
+        t: closure.BlockSpans of the algebra (same precondition as
+            center_basis).
         center: basis of the center as coordinates (c, den), as produced by
             center_basis.
-        identity: identity element of the algebra; defaults to I of the
-            ambient size, recognized on the span's certificate without
-            forming it.  The complement algebra passes I - U0 here.
+        identity: unit table (closure.Unit) of the algebra's identity
+            element, compared with the span's certificate; None means I.
+            The complement algebra passes I - U0 here.
     """
     center = list(center)
     m = len(center)
     if m == 0:
         raise ValueError("center basis is empty")
     pb = _pivot_basis(t)
-    identity = pb.certified_unit(identity)
     if identity is None:
+        identity = identity_unit(len(pb.classes))
+    if pb.closed_unit != identity:
         return _inconclusive(m, None)
-    e, e_den = pb.coordinates(identity)
+    e, e_den = pb.unit_coordinates(identity)
     lcd = math.lcm(*(den for _, den in center))
 
     last_poly = None
@@ -492,8 +503,7 @@ def split_center(
         # coeffs / lcd are the probe's coordinates.  Drop their least common
         # denominator: scaling the probe scales its eigenvalues by an
         # integer and leaves the Lagrange idempotents unchanged.
-        probe = (coeffs // math.gcd(lcd, *coeffs), 1)
-        lp = pb.left_regular(pb.frame(probe)[0])
+        lp = pb.left_regular(pb.frame_rows(coeffs // math.gcd(lcd, *coeffs)))
         mp = min_poly(lp, e)
         last_poly = mp
         if mp.degree != m:
@@ -502,7 +512,7 @@ def split_center(
         if roots is None:
             continue
         idems = [_lagrange_coordinates(lp, roots, lam, e, e_den) for lam in roots]
-        if not _pivot_idempotents_valid(pb, idems, identity):
+        if not _pivot_idempotents_valid(pb, idems, (e, e_den)):
             continue
         # Each z is an exact idempotent, so its rank is its trace.
         ranks = tuple(sum(v * tr for v, tr in zip(c, pb.traces)) // den for c, den in idems)
@@ -531,16 +541,16 @@ def _inconclusive(m: int, probe_min_poly: RationalPoly | None) -> BlockDecomposi
 
 
 def _pivot_idempotents_valid(
-    pb: _PivotBasis, idems: Sequence[Coords], identity: RationalMatrix
+    pb: _PivotBasis, idems: Sequence[Coords], e: tuple[np.ndarray, int]
 ) -> bool:
-    """Whether the z_r, given as coordinates, are orthogonal idempotents
-    summing to e = identity.
+    """Whether the z_r are orthogonal idempotents summing to e; e and every
+    z_r are given as coordinates (c, den).
 
-    The span is closed and contains e = identity (pb.certified_unit) and
-    each z_r, so e^2 and z_r^2 lie in it, and each square identity holds
-    exactly when it holds at the m pivots: rows[k, :] cols[:, k] of each
-    frame against den times its pivot entries (module docstring).  The sum
-    is compared in coordinates, which fix an element of the span.
+    The span is closed and contains e (its certificate) and each z_r, so
+    e^2 and z_r^2 lie in it, and each square identity holds exactly when it
+    holds at the m pivots: rows[k, :] cols[:, k] of each frame against den
+    times its pivot entries c_k pv_k (module docstring).  The sum is
+    compared in coordinates, which fix an element of the span.
 
     Only e^2 = e, z_r^2 = z_r and sum z_r = e are checked; orthogonality
     follows.  Over Q an idempotent's rank is its trace, so
@@ -550,13 +560,14 @@ def _pivot_idempotents_valid(
     w = e w = sum_r z_r w with z_r w in Im(z_r), and also w = z_s w; the sum
     is direct, so z_r w = z_r z_s v = 0 for r != s.
     """
-    for z in (identity, *idems):
-        rows, cols, piv, den = pb.frame(z)
-        if not np.array_equal(pb.square_pivot_entries(rows, cols), exact_scale(piv, den)):
+    for c, den in (e, *idems):
+        piv = demote(np.array([int(v) * p for v, p in zip(c, pb.pivvals)], dtype=object))
+        square = pb.square_pivot_entries(pb.frame_rows(c), pb.frame_cols(c))
+        if not np.array_equal(square, exact_scale(piv, den)):
             return False
-    e, e_den = pb.coordinates(identity)
+    e_num, e_den = e
     common = math.lcm(e_den, *(den for _, den in idems))
-    acc = exact_scale(e, common // e_den)
+    acc = exact_scale(np.array(e_num, dtype=object), common // e_den)
     for c, den in idems:
         acc = exact_sub(acc, exact_scale(np.array(c, dtype=object), common // den))
     return not np.any(acc)
@@ -566,9 +577,9 @@ def block_sizes(t, dec: BlockDecomposition) -> BlockDecomposition:
     """Fill in block sizes: n_r = isqrt of dim span{b_k z_r}.
 
     Every b_k z_r lies in the algebra and z_r is idempotent, so the span's
-    dimension is the trace of b -> b z_r, read off m pivot entries of the
-    pivot columns of z_r's frame (same precondition as center_basis; see
-    the module docstring).
+    dimension is the trace of b -> b z_r, read off m pivot entries of z_r's
+    pivot columns, the only half of its frame built here (same
+    precondition as center_basis; see the module docstring).
 
     Raises:
         ValueError: if the decomposition is not split or some block
@@ -578,9 +589,8 @@ def block_sizes(t, dec: BlockDecomposition) -> BlockDecomposition:
         raise ValueError("cannot take block sizes of an inconclusive split")
     pb = _pivot_basis(t)
     sizes = []
-    for z in dec.central_idempotents:
-        _rows, cols, _piv, den = pb.frame(z)
-        dim = pb.pivot_trace(cols, den)
+    for c, den in dec.central_idempotents:
+        dim = pb.pivot_trace(pb.frame_cols(c), den)
         nr = math.isqrt(max(dim.numerator, 0))
         if dim.denominator != 1 or nr * nr != dim:
             raise ValueError(f"block dimension {dim} is not a perfect square")
@@ -591,14 +601,15 @@ def block_sizes(t, dec: BlockDecomposition) -> BlockDecomposition:
 def decompose(
     t,
     generators: Sequence[RationalMatrix],
-    identity: RationalMatrix | None = None,
+    identity: Unit | None = None,
 ) -> BlockDecomposition:
     """center_basis + split_center + block_sizes in one call.
 
     Precondition: the span of t holds every generator g, or, on the U0
     corner, every (I - U0) g (I - U0).  On a span certified closed with
-    unit identity the split is then exact and its idempotents commute with
-    the generators (module docstring); any other span is not split.
+    unit identity, a unit table (None means I), the split is then exact
+    and its idempotents commute with the generators (module docstring); any
+    other span is not split.
     """
     pb = _pivot_basis(t)
     center = center_basis(pb, generators)
@@ -610,10 +621,11 @@ def decompose(
 
 @dataclass(frozen=True)
 class CompressedAlgebra:
-    """The complement corner (I - U0) T (I - U0) with its own identity."""
+    """The complement corner (I - U0) T (I - U0) with its own identity,
+    held as its unit table (closure.Unit) over the span's classes."""
 
     span: BlockSpans
-    identity: RationalMatrix
+    identity: Unit
 
     @property
     def dim(self) -> int:
@@ -639,7 +651,7 @@ def _compress(x: np.ndarray, big: int, ma: int, mb: int) -> np.ndarray:
     return out if fits else demote(out)
 
 
-def complement_algebra(ctx, t: AlgebraBasis, rep: U0Report) -> CompressedAlgebra:
+def complement_algebra(ctx, t: BlockSpans, rep: U0Report) -> CompressedAlgebra:
     """Basis and identity of (I - U0) T (I - U0).
 
     Compression of a spanning set spans the corner, so the basis comes from
@@ -648,8 +660,9 @@ def complement_algebra(ctx, t: AlgebraBasis, rep: U0Report) -> CompressedAlgebra
     scalar L does not move the span).  Each class of t's blocks is one
     sphere, so W B W stays in the block of B and is formed there from the
     line sums of its piece (_compress) and reduced in that block's span.
-    The identity I - U0 is built once from the spheres: on S_h x S_h it is
-    I - J / k_h, with k_h = L / m_h, and it is zero off those blocks.
+    The identity I - U0 is I - J / k_h on S_h x S_h, with k_h = L / m_h,
+    and zero off those blocks: it is held as its unit table
+    (m_sigma(h) for each class h, L), and no n x n array is formed.
 
     rep is the U0Report that verify_u0 made for t.  The corner is certified
     closed with unit I - U0 (module docstring) only when that report found
@@ -659,16 +672,12 @@ def complement_algebra(ctx, t: AlgebraBasis, rep: U0Report) -> CompressedAlgebra
         ValueError: if a class of t's blocks is not exactly one sphere.
     """
     m, big = rep.m, rep.L
-    classes = t.span.classes
-    sigma = sphere_of_classes(ctx, classes)
-    span = BlockSpans(ctx.n, classes)
-    for k in range(t.span.dim):
-        h, j, x = t.span.element(k)
+    sigma = sphere_of_classes(ctx, t.classes)
+    span = BlockSpans(ctx.n, t.classes)
+    for k in range(t.dim):
+        h, j, x = t.element(k)
         span.add(h, j, _compress(x, big, m[sigma[h]], m[sigma[j]]))
-    label = ctx.dist.dist[ctx.x]
-    num = np.where(label[:, None] == label, -np.array(m)[label][:, None], 0)
-    num[np.diag_indices(ctx.n)] += big
-    identity = RationalMatrix(num, big)
-    if rep.central and rep.idempotent and t.span.closed_unit == RationalMatrix.identity(ctx.n):
+    identity = unit_table((m[a] for a in sigma), big)
+    if rep.central and rep.idempotent and t.closed_unit == identity_unit(len(t.classes)):
         span.closed_unit = identity
     return CompressedAlgebra(span, identity)

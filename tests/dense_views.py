@@ -18,8 +18,8 @@ from terwalg.polys import RationalPoly
 def densify(basis) -> tuple[RationalMatrix, ...]:
     """Every element as a dense integer n x n matrix, in insertion order.
 
-    basis is a closure.BlockSpans, or an object holding one as `span` (an
-    AlgebraBasis or a CompressedAlgebra).
+    basis is a closure.BlockSpans, or an object holding one as `span` (a
+    wedderburn.CompressedAlgebra).
     """
     span = getattr(basis, "span", basis)
     out = []
@@ -29,6 +29,22 @@ def densify(basis) -> tuple[RationalMatrix, ...]:
         dense[np.ix_(span.classes[h], span.classes[j])] = block
         out.append(RationalMatrix(dense, 1, _canonical=True))
     return tuple(out)
+
+
+def contains(span, m) -> bool:
+    """Exact membership of an n x n matrix (a RationalMatrix or an integer
+    array) in a closure.BlockSpans, block by block."""
+    num = m.num if isinstance(m, RationalMatrix) else m
+    for h, rows in enumerate(span.classes):
+        for j, cols in enumerate(span.classes):
+            block = num[np.ix_(rows, cols)]
+            echelon = span._spans.get((h, j))
+            if echelon is None:
+                if np.any(block):
+                    return False
+            elif not echelon.contains(block.ravel()):
+                return False
+    return True
 
 
 def combine(pb, coeffs: Sequence, den: int = 1) -> RationalMatrix:
@@ -110,6 +126,18 @@ def dense_u0(ctx) -> RationalMatrix:
     for row in sphere_indicator_matrix(ctx):
         out = out + RationalMatrix(np.outer(row, row), int(row.sum()))
     return out
+
+
+def dense_unit(span, unit=None) -> RationalMatrix:
+    """The n x n matrix e = I - sum_h (u_h / den) J_{S_h} of a unit table
+    unit = (u, den) (closure.Unit) over span's classes; None is I."""
+    if unit is None:
+        return RationalMatrix.identity(span.n)
+    u, den = unit
+    num = np.eye(span.n, dtype=np.int64) * den
+    for h, cls in enumerate(span.classes):
+        num[np.ix_(cls, cls)] -= u[h]
+    return RationalMatrix(num, den)
 
 
 def distance_matrix(g: Graph, dd: DistanceData, i: int) -> RationalMatrix:

@@ -18,7 +18,7 @@ from dense_views import (
 )
 
 from terwalg import idempotent, linalg, wedderburn
-from terwalg.closure import AlgebraBasis, BlockSpans
+from terwalg.closure import BlockSpans
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import (
     absorbs,
@@ -244,7 +244,7 @@ def _literally_central(u0, matrices):
 
 def _blocks(basis, mtx):
     """The nonzero class blocks of an n x n matrix, as (h, j, X) pieces."""
-    classes = basis.span.classes
+    classes = basis.classes
     out = []
     for h, rows in enumerate(classes):
         for j, cols in enumerate(classes):
@@ -260,19 +260,19 @@ def _with_pieces(basis, before=(), after=()):
     The pieces enter the span as elements unless they are already spanned,
     so verify_u0 checks them along with the basis.
     """
-    span = BlockSpans(basis.side, basis.span.classes)
+    span = BlockSpans(basis.n, basis.classes)
     pieces = list(before)
-    pieces += [basis.span.element(k) for k in range(basis.dim)]
+    pieces += [basis.element(k) for k in range(basis.dim)]
     pieces += list(after)
     for h, j, x in pieces:
         span.add(h, j, x)
-    return AlgebraBasis(span)
+    return span
 
 
 def _dense(basis, piece):
     h, j, x = piece
-    classes = basis.span.classes
-    out = np.zeros((basis.side, basis.side), dtype=np.int64)
+    classes = basis.classes
+    out = np.zeros((basis.n, basis.n), dtype=np.int64)
     out[np.ix_(classes[h], classes[j])] = x
     return RationalMatrix(out)
 
@@ -311,7 +311,7 @@ def test_centrality_holds_for_diagonal_and_dense_elements(suite):
     ctx, basis = data[4]
     u0 = dense_u0(ctx)
     m = verify_u0(ctx, basis).m
-    sigma = sphere_of_classes(ctx, basis.span.classes)
+    sigma = sphere_of_classes(ctx, basis.classes)
     extra = [dense_diagonal(e) for e in ctx.E_star] + dense_idempotents(ctx)
     extra += [dense_diagonal(a) for a in ctx.A_star]
     assert _literally_central(u0, extra)
@@ -346,7 +346,7 @@ def _probe_pieces(basis, rng):
     """
     seen = set()
     for k in range(basis.dim):
-        h, j, x = basis.span.element(k)
+        h, j, x = basis.element(k)
         yield h, j, x
         rows, cols = x.shape
         bump = np.array(
@@ -367,7 +367,7 @@ def test_block_centrality_matches_dense_products(oracle_suite):
     for ctx, basis in oracle_suite:
         u0 = dense_u0(ctx)
         m = verify_u0(ctx, basis).m
-        sigma = sphere_of_classes(ctx, basis.span.classes)
+        sigma = sphere_of_classes(ctx, basis.classes)
         verdicts = []
         for piece in _probe_pieces(basis, rng):
             want = _literally_central(u0, [_dense(basis, piece)])
@@ -384,7 +384,7 @@ def test_block_ideal_dimension_matches_dense_span(oracle_suite):
         span = EchelonSpan(ctx.n * (ctx.d + 1))
         for b in densify(basis):
             span.add((b.num @ s.T).ravel())
-        pieces = [basis.span.element(k) for k in range(basis.dim)]
+        pieces = [basis.element(k) for k in range(basis.dim)]
         assert ideal_dimension(pieces) == span.dim == (ctx.d + 1) ** 2
         rep = verify_u0(ctx, basis)
         assert rep.passed, (ctx.d, ctx.x)
@@ -435,9 +435,8 @@ def test_u0_rejects_classes_that_are_not_spheres(suite):
         span = BlockSpans(ctx.n, classes)
         for h, rows in enumerate(classes):
             span.add(h, h, np.eye(len(rows), dtype=np.int64))
-        t = AlgebraBasis(span)
         with pytest.raises(ValueError, match="not exactly one sphere"):
-            verify_u0(ctx, t)
+            verify_u0(ctx, span)
 
 
 def test_empty_class_is_not_a_sphere(suite):
@@ -452,10 +451,10 @@ def test_empty_piece_is_central(suite):
     data, _ = suite
     ctx, basis = data[3]
     m = verify_u0(ctx, basis).m
-    sigma = sphere_of_classes(ctx, basis.span.classes)
+    sigma = sphere_of_classes(ctx, basis.classes)
     for shape in ((3, 0), (0, 3), (0, 0)):
         assert is_central([(1, 2, np.zeros(shape, dtype=np.int64))], sigma, m)
-    first = basis.span.element(0)
+    first = basis.element(0)
     assert is_central([(1, 2, np.zeros((3, 0), dtype=np.int64)), first], sigma, m)
 
 

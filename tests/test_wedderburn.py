@@ -13,15 +13,16 @@ from dense_views import (
     dense_diagonal,
     dense_pivot_idempotents_valid,
     dense_u0,
+    dense_unit,
     densify,
     matrix_min_poly,
 )
 from test_subconstituent import _oracle_graphs
 
-from terwalg import _intops, idempotent, verify, wedderburn
+from terwalg import _intops, echelon, idempotent, verify, wedderburn
 from terwalg._intops import INT64_SAFE, exact_matmul, exact_scale, exact_sub
 from terwalg.checks import Check
-from terwalg.closure import BlockSpans, closure
+from terwalg.closure import BlockSpans, closure, identity_unit, unit_table
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import sphere_of_classes, verify_u0
 from terwalg.linalg import RationalMatrix, kernel_basis, rank
@@ -86,6 +87,14 @@ def _dense_coordinates(pb, z):
     return _coords([Fraction(int(v), z.den * p) for v, p in zip(entries, pb.pivvals)])
 
 
+def _frame(pb, z):
+    """(pivot rows, pivot columns, den) of a dense matrix, read off it, or
+    of coordinates (c, den), summed from the pieces."""
+    if isinstance(z, RationalMatrix):
+        return z.num[pb.rows], z.num[:, pb.cols], z.den
+    return pb.frame_rows(z[0]), pb.frame_cols(z[0]), z[1]
+
+
 def _gram_center_basis(mats, generators):
     """Reference center: the kernel of the Gram matrix of the full commutators.
 
@@ -119,7 +128,7 @@ def test_center_matches_gram_reference(suite):
     # not just span-equal.
     for d in range(0, 6):
         ctx, basis = suite[d]
-        got = _dense_all(basis.span, center_basis(basis, ctx.generators()))
+        got = _dense_all(basis, center_basis(basis, ctx.generators()))
         assert got == _gram_center_basis(densify(basis), ctx.generators()), f"d={d}"
 
 
@@ -150,7 +159,7 @@ def test_block_data_matches_dense_spans(suite):
     # against dim span{b z} taken at width n^2.
     for d in range(0, 6):
         ctx, basis = suite[d]
-        _assert_block_data_dense(basis.span, decompose(basis, ctx.generators()))
+        _assert_block_data_dense(basis, decompose(basis, ctx.generators()))
     for d in range(2, 6):
         corner, dec = _corner_decomposition(suite, d)
         _assert_block_data_dense(corner.span, dec)
@@ -184,7 +193,7 @@ def test_center_contains_identity(suite):
         ctx, basis = suite[d]
         center = center_basis(basis, ctx.generators())
         span = EchelonSpan(ctx.n * ctx.n)
-        for c in _dense_all(basis.span, center):
+        for c in _dense_all(basis, center):
             span.add(c.num.ravel())
         assert span.contains(RationalMatrix.identity(ctx.n).num.ravel())
 
@@ -193,7 +202,7 @@ def test_split_single_block(suite):
     ctx, basis = suite[1]
     dec = split_center(basis, center_basis(basis, ctx.generators()))
     assert dec.status == SPLIT
-    assert _dense_all(basis.span, dec.central_idempotents) == [RationalMatrix.identity(2)]
+    assert _dense_all(basis, dec.central_idempotents) == [RationalMatrix.identity(2)]
     filled = block_sizes(basis, dec)
     assert filled.block_sizes == (2,)
 
@@ -204,7 +213,7 @@ def test_split_with_probe_eigenvalues_past_10_to_the_6():
     # probe (weights 7^k) has the eigenvalues 7^k (10^7 + k), from
     # 10,000,000 to 168,070,084,035, all above 10^6.
     m = 6
-    span = closure([RationalMatrix(np.diag(np.arange(m)))]).span
+    span = closure([RationalMatrix(np.diag(np.arange(m)))])
     basis = list(densify(span))
     assert basis == [RationalMatrix(np.diag(row)) for row in np.eye(m, dtype=np.int64)]
     units = np.eye(m, dtype=np.int64)
@@ -233,7 +242,7 @@ def test_decompose_expected_blocks(suite):
 def test_idempotents_form_partition_of_unity(suite):
     ctx, basis = suite[4]
     dec = decompose(basis, ctx.generators())
-    idems = _dense_all(basis.span, dec.central_idempotents)
+    idems = _dense_all(basis, dec.central_idempotents)
     zero = RationalMatrix.zeros(ctx.n, ctx.n)
     acc = zero
     for i, zi in enumerate(idems):
@@ -255,7 +264,7 @@ def test_idempotent_guard_rejects_bad_partitions():
     # The pivot guard reads the z_r as coordinates; the coordinate tampers
     # of _guard_tampers must be rejected as the dense guards reject them.
     eye = RationalMatrix.identity(3)
-    span = closure([RationalMatrix(np.diag([0, 1, 2]))]).span
+    span = closure([RationalMatrix(np.diag([0, 1, 2]))])
     pb = _PivotBasis(span)
     p0 = RationalMatrix(np.diag([1, 0, 0]))
     p1 = RationalMatrix(np.diag([0, 1, 1]))
@@ -269,27 +278,28 @@ def test_idempotent_guard_rejects_bad_partitions():
     def coords(mats):
         return [_dense_coordinates(pb, z) for z in mats]
 
+    unit = _dense_coordinates(pb, eye)
     assert _idempotents_valid([p0, p1], eye)
     assert _pairwise_idempotents_valid([p0, p1], eye)
-    assert _pivot_idempotents_valid(pb, coords([p0, p1]), eye)
+    assert _pivot_idempotents_valid(pb, coords([p0, p1]), unit)
     assert dense_pivot_idempotents_valid(pb, [p0, p1], eye)
     for idems, identity in cases:
         assert _dense_all(span, coords(idems)) == idems
         assert not _idempotents_valid(idems, identity)
         assert not _pairwise_idempotents_valid(idems, identity)
-        assert not _pivot_idempotents_valid(pb, coords(idems), identity)
+        assert not _pivot_idempotents_valid(pb, coords(idems), _dense_coordinates(pb, identity))
         assert not dense_pivot_idempotents_valid(pb, idems, identity)
-    for name, case, identity in _guard_tampers(pb, coords([p0, p1]), eye):
-        dense = _dense_all(span, case)
-        want = dense_pivot_idempotents_valid(pb, dense, identity)
-        assert not want and not _idempotents_valid(dense, identity), name
+    for name, case, identity in _guard_tampers(pb, coords([p0, p1]), unit):
+        dense, e = _dense_all(span, case), combine(pb, *identity)
+        want = dense_pivot_idempotents_valid(pb, dense, e)
+        assert not want and not _idempotents_valid(dense, e), name
         assert _pivot_idempotents_valid(pb, case, identity) == want, name
 
 
 def test_idempotent_guard_agrees_with_pairwise_check(suite):
     for name, span, gens, identity in _algebras(suite):
         dec = decompose(span, gens, identity)
-        e = RationalMatrix.identity(span.n) if identity is None else identity
+        e = dense_unit(span, identity)
         idems = _dense_all(span, dec.central_idempotents)
         assert _idempotents_valid(idems, e) and _pairwise_idempotents_valid(idems, e)
         if len(idems) > 1:
@@ -339,7 +349,8 @@ def test_complement_algebra_dimension(suite):
         rep = verify_u0(ctx, basis)
         corner = complement_algebra(ctx, basis, rep)
         assert corner.dim == basis.dim - (d + 1) ** 2
-        assert corner.identity == RationalMatrix.identity(ctx.n) - dense_u0(ctx)
+        dense = RationalMatrix.identity(ctx.n) - dense_u0(ctx)
+        assert dense_unit(corner.span, corner.identity) == dense
 
 
 def _corner_decomposition(suite, d):
@@ -358,7 +369,8 @@ def test_complement_split_relative_to_corner_identity(suite):
         acc = RationalMatrix.zeros(ctx.n, ctx.n)
         for z in _dense_all(corner.span, dec.central_idempotents):
             acc = acc + z
-        assert acc == corner.identity  # partition of the corner unit, not of I
+        # A partition of the corner unit, not of I.
+        assert acc == dense_unit(corner.span, corner.identity)
 
 
 def test_compare_complement_blocks(suite):
@@ -456,15 +468,16 @@ def _guard_tampers(pb, idems, identity):
     """(name, idempotents, identity) cases made from a valid split by moving
     its coordinates, each of which the guard must reject: one coordinate of
     z_0 moved by +-1 (the sum fails), two idempotents swapped with one
-    doubled, one dropped, and e itself moved by a basis element."""
+    doubled, one dropped, and e itself moved by a basis element.  identity
+    is e's coordinates (c, den), as the guard takes it."""
     cases = []
     for k in sorted({0, pb.dim // 2, pb.dim - 1}):
         c, den = idems[0]
         for step in (1, -1):
             moved = tuple(c[:k]) + (c[k] + step,) + tuple(c[k + 1 :])
             cases.append((f"c_{k} {step:+d}", [(moved, den)] + idems[1:], identity))
-        unit = [int(i == k) for i in range(pb.dim)]
-        cases.append((f"e + b_{k}", idems, identity + combine(pb, unit)))
+        moved = _coords([f + (i == k) for i, f in enumerate(_fractions(identity))])
+        cases.append((f"e + b_{k}", idems, moved))
     if len(idems) > 1:
         doubled = _coords([2 * f for f in _fractions(idems[1])])
         cases.append(("swapped, one doubled", [doubled, idems[0]] + idems[2:], identity))
@@ -491,7 +504,7 @@ def _algebras(suite):
     """(name, block spans, generators, identity) for T_d and its corners."""
     for d in range(0, 6):
         ctx, basis = suite[d]
-        yield f"T_{d}", basis.span, ctx.generators(), None
+        yield f"T_{d}", basis, ctx.generators(), None
     for d in range(2, 6):
         corner, _dec = _corner_decomposition(suite, d)
         yield f"corner_{d}", corner.span, suite[d][0].generators(), corner.identity
@@ -505,7 +518,7 @@ def test_pivots_match_dense_row_major_read(suite):
         for x in sorted({0, 5 % (1 << d), (1 << d) - 1}):
             ctx = build_hypercube_context(d, x)
             basis = ctx.algebra_basis()
-            spans.append((f"T_{d} x={x}", basis.span))
+            spans.append((f"T_{d} x={x}", basis))
             if d >= 2:
                 corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
                 spans.append((f"corner_{d} x={x}", corner.span))
@@ -541,7 +554,7 @@ def test_pivot_kernel_matches_dense_products(suite):
         mats = densify(span)
         dec = decompose(span, gens, identity)
         for z in list(gens) + list(dec.central_idempotents):
-            rows, cols, _piv, den = pb.frame(z)
+            rows, cols, den = _frame(pb, z)
             dense = z if isinstance(z, RationalMatrix) else combine(pb, *z)
             for side, part in (("left", rows), ("right", cols)):
                 got = getattr(pb, side)(part)
@@ -556,12 +569,12 @@ def test_pivot_kernel_object_path(suite, monkeypatch):
     # With the int64 bound at 1 every pivot product runs on Python ints; the
     # demoted result must be the same int64 array.
     ctx, basis = suite[4]
-    pb = _PivotBasis(basis.span)
+    pb = _PivotBasis(basis)
     gens = ctx.generators()
-    frames = [pb.frame(g) for g in gens]
-    expected = [(pb.left(rows), pb.right(cols)) for rows, cols, _, _ in frames]
+    frames = [_frame(pb, g) for g in gens]
+    expected = [(pb.left(rows), pb.right(cols)) for rows, cols, _ in frames]
     monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
-    for (rows, cols, _, _), (left, right) in zip(frames, expected):
+    for (rows, cols, _), (left, right) in zip(frames, expected):
         got_left, got_right = pb.left(rows), pb.right(cols)
         assert got_left.dtype == got_right.dtype == np.int64
         assert np.array_equal(got_left, left) and np.array_equal(got_right, right)
@@ -578,7 +591,9 @@ def test_split_matches_dense_oracle(suite):
         center = center_basis(span, gens)
         dec = split_center(span, center, identity)
         dense_center = _dense_all(span, center)
-        status, mp, roots, idems, ranks = _dense_split_center(dense_center, identity)
+        status, mp, roots, idems, ranks = _dense_split_center(
+            dense_center, dense_unit(span, identity)
+        )
         assert dec.status == status == SPLIT, name
         assert dec.center_dim == len(center)
         assert dec.probe_min_poly == mp, name
@@ -620,10 +635,10 @@ def test_compression_object_path(suite, monkeypatch):
     ctx, basis = suite[4]
     rep = verify_u0(ctx, basis)
     m, big = rep.m, rep.L
-    sigma = sphere_of_classes(ctx, basis.span.classes)
+    sigma = sphere_of_classes(ctx, basis.classes)
     args = []
     for k in range(basis.dim):
-        h, j, x = basis.span.element(k)
+        h, j, x = basis.element(k)
         args.append((x, big, int(m[sigma[h]]), int(m[sigma[j]])))
     expected = [wedderburn._compress(*a) for a in args]
     monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
@@ -699,7 +714,7 @@ def _full_center_basis(span, generators):
         return []
     parts = []
     for g in generators:
-        rows, cols, _, _ = pb.frame(g)
+        rows, cols, _ = _frame(pb, g)
         parts.append(exact_sub(pb.right(cols), pb.left(rows)))
     alphas = kernel_basis(RationalMatrix(np.concatenate(parts)))
     return [_coords(alpha) for alpha in alphas]
@@ -707,7 +722,7 @@ def _full_center_basis(span, generators):
 
 def _rank_block_dimensions(pb, idems):
     """Rank of the m x m pivot entries of b_k z for each dense z."""
-    return [rank(RationalMatrix(pb.right(pb.frame(z)[1]))) for z in idems]
+    return [rank(RationalMatrix(pb.right(_frame(pb, z)[1]))) for z in idems]
 
 
 def _oracle_decompose(span, generators, identity=None):
@@ -716,7 +731,9 @@ def _oracle_decompose(span, generators, identity=None):
     read."""
     pb = _PivotBasis(span)
     center = _full_center_basis(span, generators)
-    status, mp, roots, idems, ranks = _dense_split_center(_dense_all(span, center), identity)
+    status, mp, roots, idems, ranks = _dense_split_center(
+        _dense_all(span, center), dense_unit(span, identity)
+    )
     if status == SPLIT and any(z @ g != g @ z for z in idems for g in generators):
         status, roots, idems, ranks = INCONCLUSIVE, (), (), ()
     dec = BlockDecomposition(
@@ -746,7 +763,7 @@ def differential_algebras():
         for x in sorted({0, 5 % (1 << d), (1 << d) - 1}):
             ctx = build_hypercube_context(d, x)
             basis = ctx.algebra_basis()
-            out.append((f"T_{d} x={x}", basis.span, ctx.generators(), None))
+            out.append((f"T_{d} x={x}", basis, ctx.generators(), None))
             if d >= 2:
                 rep = verify_u0(ctx, basis)
                 corner = complement_algebra(ctx, basis, rep)
@@ -755,7 +772,7 @@ def differential_algebras():
                 )
     for name, g, x in _oracle_graphs():
         ctx = build_context(g, x)
-        out.append((f"T({name})", ctx.algebra_basis().span, ctx.generators(), None))
+        out.append((f"T({name})", ctx.algebra_basis(), ctx.generators(), None))
     return out
 
 
@@ -768,7 +785,7 @@ def test_split_matches_full_kernel_rank_and_dense_guard(differential_algebras):
         assert dec == _oracle_decompose(span, gens, identity), name
         if dec.status == SPLIT:
             pb = _PivotBasis(span)
-            traces = [pb.pivot_trace(pb.frame(z)[1], z[1]) for z in dec.central_idempotents]
+            traces = [pb.pivot_trace(pb.frame_cols(c), den) for c, den in dec.central_idempotents]
             idems = _dense_all(span, dec.central_idempotents)
             assert traces == _rank_block_dimensions(pb, idems), name
 
@@ -778,7 +795,7 @@ def test_class_filter_keeps_only_diagonal_sphere_blocks(suite):
     # pieces of the blocks E*_h T E*_h; A is not class-diagonal, nor is A*
     # on a span with one class.
     ctx, basis = suite[4]
-    pb = _PivotBasis(basis.span)
+    pb = _PivotBasis(basis)
     vals = pb.class_values(ctx.dual_adjacency.num)
     assert np.array_equal(vals[pb._h] == vals[pb._j], pb._h == pb._j)
     assert pb.class_values(ctx.A.num) is None
@@ -789,8 +806,9 @@ def test_class_filter_keeps_only_diagonal_sphere_blocks(suite):
 def test_pivot_guard_matches_dense_guard(differential_algebras):
     for name, span, gens, identity in differential_algebras:
         pb = _PivotBasis(span)
-        e = RationalMatrix.identity(span.n) if identity is None else identity
-        assert pb.certified_unit(identity) == e, name
+        unit = identity_unit(len(span.classes)) if identity is None else identity
+        assert pb.closed_unit == unit, name
+        e, dense_e = pb.unit_coordinates(unit), dense_unit(span, unit)
         dec = decompose(span, gens, identity)
         idems = list(dec.central_idempotents)
         cases = [idems]
@@ -800,10 +818,10 @@ def test_pivot_guard_matches_dense_guard(differential_algebras):
             cases.append([idems[0], idems[0]] + idems[2:])  # the sum fails
         for case in cases:
             dense = _dense_all(span, case)
-            want = _idempotents_valid(dense, e)
+            want = _idempotents_valid(dense, dense_e)
             assert _pivot_idempotents_valid(pb, case, e) == want, name
-            assert dense_pivot_idempotents_valid(pb, dense, e) == want, name
-            assert _pairwise_idempotents_valid(dense, e) == want, name
+            assert dense_pivot_idempotents_valid(pb, dense, dense_e) == want, name
+            assert _pairwise_idempotents_valid(dense, dense_e) == want, name
 
 
 def test_pivot_guard_rejects_tampered_idempotents(differential_algebras):
@@ -814,7 +832,7 @@ def test_pivot_guard_rejects_tampered_idempotents(differential_algebras):
     eps = Fraction(1, 7)
     for name, span, gens, identity in differential_algebras[:12]:
         pb = _PivotBasis(span)
-        e = RationalMatrix.identity(span.n) if identity is None else identity
+        e = _coords(_fractions(pb.unit_coordinates(span.closed_unit)))
         idems = list(decompose(span, gens, identity).central_idempotents)
         cases = []
         for k in sorted({0, pb.dim // 2, pb.dim - 1}):
@@ -826,23 +844,23 @@ def test_pivot_guard_rejects_tampered_idempotents(differential_algebras):
                 cases.append((f"balanced b_{k}/7", [z0, z1] + idems[2:], e))
         # A unit that is not idempotent fails on its own square.
         doubled = [_coords([2 * f for f in _fractions(z)]) for z in idems]
-        cases.append(("doubled", doubled, e * 2))
+        cases.append(("doubled", doubled, _coords([2 * f for f in _fractions(e)])))
         cases += _guard_tampers(pb, idems, e)
         for case_name, case, ident in cases:
-            dense = _dense_all(span, case)
-            want = dense_pivot_idempotents_valid(pb, dense, ident)
-            assert not want and not _idempotents_valid(dense, ident), (name, case_name)
+            dense, dense_e = _dense_all(span, case), combine(pb, *ident)
+            want = dense_pivot_idempotents_valid(pb, dense, dense_e)
+            assert not want and not _idempotents_valid(dense, dense_e), (name, case_name)
             assert _pivot_idempotents_valid(pb, case, ident) == want, (name, case_name)
 
 
 def test_closure_certificate_is_set_by_closure_only(suite):
     ctx, basis = suite[3]
-    assert basis.span.closed_unit == RationalMatrix.identity(ctx.n)
-    span = BlockSpans(ctx.n, basis.span.classes)
+    assert basis.closed_unit == ((0,) * (ctx.d + 1), 1)
+    span = BlockSpans(ctx.n, basis.classes)
     span.add(0, 0, np.eye(1, dtype=np.int64))
     assert span.closed_unit is None
     # A new element voids the certificate; a spanned one does not.
-    copy = closure(ctx.generators()).span
+    copy = closure(ctx.generators())
     h, j, x = copy.element(3)
     assert copy.add(h, j, x * 2) is None
     assert copy.closed_unit is not None
@@ -865,26 +883,40 @@ def test_corner_certificate_needs_a_central_idempotent_u0(suite):
     for other in uncertified:
         assert other.span.closed_unit is None
         assert densify(other) == densify(corner)
+    # A new element voids the corner's certificate too: E*_0 of the corner
+    # is zero, since I - U0 vanishes on the one vertex of S_0.
+    assert corner.span.add(0, 0, np.ones((1, 1), dtype=np.int64)) is not None
+    assert corner.span.closed_unit is None
 
 
 def test_uncertified_spans_are_not_split(suite):
-    # Each span below is closed (it is T or its corner), but carries no
-    # certificate for the unit it is split with, so it is not split.
+    # Each span below is closed (it is T or its corner, or one element
+    # past it), but carries no certificate for the unit it is split with,
+    # so it is not split.  A unit is compared as its table.
     ctx, basis = suite[4]
     gens = ctx.generators()
     rep = verify_u0(ctx, basis)
     corner = complement_algebra(ctx, basis, rep)
-    assert decompose(corner.span, gens, corner.identity).status == SPLIT
-    cases = []
+    eye = identity_unit(len(basis.classes))
+    for span, unit in ((basis, None), (basis, eye), (corner.span, corner.identity)):
+        assert decompose(span, gens, unit).status == SPLIT
+    touched = closure(gens)
+    assert touched.add(0, 1, np.array([[1, 0, 0, 0]])) is not None  # E*_0 T E*_1 is span{J}
+    cases = [
+        ("T with the corner's unit", _PivotBasis(basis), corner.identity),
+        ("the corner with I", _PivotBasis(corner.span), None),
+        ("the corner with the table of I", _PivotBasis(corner.span), eye),
+        ("T after an add", _PivotBasis(touched), None),
+    ]
     for flag in ("central", "idempotent"):
         flagged = dataclasses.replace(rep, **{flag: False})
         other = complement_algebra(ctx, basis, flagged)
         cases.append((flag, _PivotBasis(other.span), other.identity))
-    bare = _PivotBasis(basis.span)
+    bare = _PivotBasis(basis)
     bare.closed_unit = None
     cases.append(("no certificate", bare, None))
     # A certificate for another unit does not cover the split.
-    other_unit = _PivotBasis(basis.span)
+    other_unit = _PivotBasis(basis)
     other_unit.closed_unit = corner.identity
     cases.append(("another unit", other_unit, None))
     for name, pb, identity in cases:
@@ -901,7 +933,7 @@ def test_object_path_split_at_d5(monkeypatch):
     ctx = build_hypercube_context(5, 0)
     basis = ctx.algebra_basis()
     corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
-    cases = [(basis.span, None), (corner.span, corner.identity)]
+    cases = [(basis, None), (corner.span, corner.identity)]
     expected = [decompose(span, ctx.generators(), identity) for span, identity in cases]
     monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
     monkeypatch.setattr(_intops, "INT64_SAFE", 1)
@@ -913,7 +945,7 @@ def test_object_path_split_at_d5(monkeypatch):
         assert got.central_idempotents == want.central_idempotents
         assert got == want
         pb = _PivotBasis(span)
-        assert all(pb.frame(z)[0].dtype == object for z in got.central_idempotents)
+        assert all(pb.frame_rows(c).dtype == object for c, _ in got.central_idempotents)
 
 
 def test_object_path_split_at_d8(monkeypatch):
@@ -926,14 +958,14 @@ def test_object_path_split_at_d8(monkeypatch):
     basis = ctx.algebra_basis()
     corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
     generators = ctx.generators()
-    cases = [(basis.span, None), (corner.span, corner.identity)]
+    cases = [(basis, None), (corner.span, corner.identity)]
     expected = [decompose(span, generators, identity) for span, identity in cases]
     converted = []  # (int64 array converted, inside min_poly)
     in_min_poly = []
-    object_frames = []  # per frame of a coordinate vector: built on Python ints
+    object_frames = []  # per frame half of a coordinate vector: built on Python ints
     real_to_object = _intops.to_object
     real_min_poly = wedderburn.min_poly
-    real_frame = wedderburn._PivotBasis.frame
+    real_frame = wedderburn._PivotBasis._frame
 
     def counting(arr):
         converted.append((arr.dtype != object, bool(in_min_poly)))
@@ -946,10 +978,9 @@ def test_object_path_split_at_d8(monkeypatch):
         finally:
             in_min_poly.pop()
 
-    def recording_frame(pb, z):
-        out = real_frame(pb, z)
-        if not isinstance(z, RationalMatrix):
-            object_frames.append(out[0].dtype == object)
+    def recording_frame(pb, c, rows):
+        out = real_frame(pb, c, rows)
+        object_frames.append(out.dtype == object)
         return out
 
     for name, module in list(sys.modules.items()):
@@ -963,7 +994,7 @@ def test_object_path_split_at_d8(monkeypatch):
     # crosses there, T's probe and the idempotents (under 2^16) do not.
     monkeypatch.setattr(wedderburn, "INT64_SAFE", 1 << 16)
     monkeypatch.setattr(wedderburn, "min_poly", marked_min_poly)
-    monkeypatch.setattr(wedderburn._PivotBasis, "frame", recording_frame)
+    monkeypatch.setattr(wedderburn._PivotBasis, "_frame", recording_frame)
     for (span, identity), want in zip(cases, expected):
         got = decompose(span, generators, identity)
         assert got.status == want.status == SPLIT
@@ -990,33 +1021,26 @@ def test_frame_matches_dense_rows_and_columns_across_the_int64_bound(suite):
             c = [(-1) ** k * t for k in range(pb.dim)]
             bound = sum(abs(v) * mx for v, mx in zip(c, pb.maxes))
             assert (bound < INT64_SAFE) == (t == under), name
-            rows, cols, piv, den = pb.frame((c, 1))
-            assert den == 1
+            rows, cols = pb.frame_rows(c), pb.frame_cols(c)
             assert (rows.dtype == object) == (cols.dtype == object) == (t != under), name
             dense = combine(pb, c)
             assert np.array_equal(rows, dense.num[pb.rows]), (name, t)
             assert np.array_equal(cols, dense.num[:, pb.cols]), (name, t)
-            assert np.array_equal(piv, dense.num[pb.rows, pb.cols]), (name, t)
-            for arr in (rows, cols, piv):
+            # z's pivot entries are c_k pv_k.
+            piv = rows[np.arange(pb.dim), pb.cols]
+            assert [int(v) for v in piv] == [v * p for v, p in zip(c, pb.pivvals)], (name, t)
+            for arr in (rows, cols):
                 if arr.dtype == object:
                     assert not any(isinstance(v, np.integer) for v in arr.flat), (name, t)
 
 
-def test_split_holds_no_n_by_n_element(monkeypatch):
-    # With every numpy constructor, _intops helper and RationalMatrix that
-    # the split reaches refusing an n x n result, decompose of T and of the
-    # U0 corner must run unchanged: the split reads its operands through
-    # their frames and holds its own elements as coordinates.
-    cases = []
-    for d in (6, 8):
-        for x in (0, 5):
-            ctx = build_hypercube_context(d, x)
-            basis = ctx.algebra_basis()
-            corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
-            gens = ctx.generators()
-            cases += [(basis.span, gens, None), (corner.span, gens, corner.identity)]
-    expected = [decompose(*case) for case in cases]
-    side = [0]
+def _refuse_n_by_n(monkeypatch, side):
+    """Make numpy's functions, the _intops helpers and RationalMatrix, as
+    the split and the corner reach them, refuse an n x n result, n = side[0].
+
+    numpy is replaced in wedderburn, closure, idempotent and echelon, and
+    each _intops helper at its binding in those modules.
+    """
 
     def refuse_square(out):
         if isinstance(out, np.ndarray) and out.shape == (side[0], side[0]):
@@ -1039,17 +1063,43 @@ def test_split_holds_no_n_by_n_element(monkeypatch):
         real_init(self, num, den, **kwargs)
         refuse_square(self.num)
 
-    monkeypatch.setattr(wedderburn, "np", CheckedNumpy())
-    for name in ("exact_matmul", "exact_sub", "exact_scale", "exact_mul_elementwise",
-                 "to_object", "demote"):
-        monkeypatch.setattr(wedderburn, name, checked(getattr(wedderburn, name)))
+    helpers = ("exact_matmul", "exact_sub", "exact_scale", "exact_mul_elementwise",
+               "to_object", "demote", "content", "max_abs", "python_ints")
+    # The package's name "closure" is the function; the module is in sys.modules.
+    for module in (wedderburn, sys.modules["terwalg.closure"], idempotent, echelon):
+        monkeypatch.setattr(module, "np", CheckedNumpy())
+        for name in helpers:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, checked(getattr(module, name)))
     monkeypatch.setattr(RationalMatrix, "__init__", checked_init)
+
+
+def _assert_refused(n, side):
+    side[0] = n
+    with pytest.raises(AssertionError):
+        wedderburn.np.zeros((n, n))
+    with pytest.raises(AssertionError):
+        RationalMatrix.identity(n)
+
+
+def test_split_holds_no_n_by_n_element(monkeypatch):
+    # With every numpy constructor, _intops helper and RationalMatrix that
+    # the split reaches refusing an n x n result, decompose of T and of the
+    # U0 corner must run unchanged: the split reads its operands through
+    # their frames and holds its own elements as coordinates.
+    cases = []
+    for d in (6, 8):
+        for x in (0, 5):
+            ctx = build_hypercube_context(d, x)
+            basis = ctx.algebra_basis()
+            corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
+            gens = ctx.generators()
+            cases += [(basis, gens, None), (corner.span, gens, corner.identity)]
+    expected = [decompose(*case) for case in cases]
+    side = [0]
+    _refuse_n_by_n(monkeypatch, side)
     for (span, gens, identity), want in zip(cases, expected):
-        side[0] = span.n
-        with pytest.raises(AssertionError):
-            wedderburn.np.zeros((span.n, span.n))
-        with pytest.raises(AssertionError):
-            RationalMatrix.identity(span.n)
+        _assert_refused(span.n, side)
         got = decompose(span, gens, identity)
         assert got.status == want.status == SPLIT
         assert got.multiset == want.multiset
@@ -1061,3 +1111,84 @@ def test_split_holds_no_n_by_n_element(monkeypatch):
         for c, den in got.central_idempotents:
             assert isinstance(c, tuple) and len(c) == span.dim
             assert all(type(v) is int for v in c) and type(den) is int and den > 0
+
+
+def test_corner_holds_no_n_by_n_array(monkeypatch):
+    # complement_algebra compresses piece by piece and holds I - U0 as its
+    # unit table, so with every n x n result refused it and the corner's
+    # split must give the unrefused corner and split, field by field.
+    # The dense generators are the caller's, made before the refusal.
+    cases = []
+    for d in (6, 8):
+        for x in (0, 5):
+            ctx = build_hypercube_context(d, x)
+            basis = ctx.algebra_basis()
+            cases.append((ctx, basis, verify_u0(ctx, basis), ctx.generators()))
+    expected = []
+    for ctx, basis, rep, gens in cases:
+        corner = complement_algebra(ctx, basis, rep)
+        expected.append((corner, decompose(corner.span, gens, corner.identity)))
+    side = [0]
+    _refuse_n_by_n(monkeypatch, side)
+    for (ctx, basis, rep, gens), (want, want_dec) in zip(cases, expected):
+        _assert_refused(ctx.n, side)
+        got = complement_algebra(ctx, basis, rep)
+        assert got.identity == want.identity and got.span.closed_unit == want.span.closed_unit
+        assert got.span.classes == want.span.classes and got.dim == want.dim
+        for k in range(want.dim):
+            (h, j, x), (h2, j2, x2) = got.span.element(k), want.span.element(k)
+            assert (h, j) == (h2, j2) and np.array_equal(x, x2)
+        dec = decompose(got.span, gens, got.identity)
+        assert dec.status == SPLIT and dec == want_dec
+
+
+# -- unit tables ---------------------------------------------------------------
+
+
+def test_unit_table_is_in_lowest_terms():
+    # Equal units have equal tables only in lowest terms with den > 0, so
+    # the constructor reduces, and scaling (u, den) leaves the table alone.
+    assert unit_table((2, 0, -4), 6) == ((1, 0, -2), 3)
+    assert unit_table((2, 0, -4), -6) == ((-1, 0, 2), 3)
+    assert unit_table((0, 0), 5) == identity_unit(2) == ((0, 0), 1)
+    for u, den in (((3, 1, 1), 3), ((1, 7), 2)):
+        for s in (2, -5, 10**30):
+            assert unit_table([s * v for v in u], s * den) == (u, den)
+    assert all(type(v) is int for v in unit_table(np.array([4, 6]), 2)[0])
+
+
+@pytest.fixture(scope="module")
+def unit_algebras():
+    """(name, span, unit table, dense unit) for T, with I, and for its corner,
+    with I - U0, at d <= 8 and vertices 0, 5, 2^d - 1."""
+    out = []
+    for d in range(0, 9):
+        for x in sorted({0, 5 % (1 << d), (1 << d) - 1}):
+            ctx = build_hypercube_context(d, x)
+            basis = ctx.algebra_basis()
+            eye = RationalMatrix.identity(ctx.n)
+            out.append((f"T_{d} x={x}", basis, identity_unit(d + 1), eye))
+            if d >= 2:
+                corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
+                dense = eye - dense_u0(ctx)
+                out.append((f"corner_{d} x={x}", corner.span, corner.identity, dense))
+    return out
+
+
+@pytest.mark.parametrize("low_bound", [False, True])
+def test_unit_tables_match_dense_units(unit_algebras, monkeypatch, low_bound):
+    # The coordinates read from a unit table at the pivots, and the frame
+    # summed from them, are those of the dense I and I - U0.  With the int64
+    # bound at 1 in wedderburn the frames are summed on Python ints.
+    if low_bound:
+        monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
+    for name, span, unit, dense in unit_algebras:
+        assert span.closed_unit == unit == unit_table(*unit), name
+        assert dense_unit(span, unit) == dense, name
+        pb = _PivotBasis(span)
+        c, den = pb.unit_coordinates(unit)
+        assert _coords([Fraction(int(v), den) for v in c]) == _dense_coordinates(pb, dense), name
+        rows, cols = pb.frame_rows(c), pb.frame_cols(c)
+        assert (rows.dtype == object) == (cols.dtype == object) == low_bound, name
+        for part, want in ((rows, dense.num[pb.rows]), (cols, dense.num[:, pb.cols])):
+            assert np.array_equal(exact_scale(part, dense.den), exact_scale(want, den)), name
