@@ -6,20 +6,31 @@ the int64 range the operation is redone on object-dtype arrays holding Python
 ints.  Either way the computed values are exact.  Nothing here ever touches
 floating point.
 
-exact_matmul has one structured path besides the dense product.  When a
-square operand has at most r nonzeros in every row, and 4·r is at most its
-side or r <= 1, the product is a sum of r gathered rows of the other
-operand: row i of S @ B is the sum of S[i, c]·B[c, :] over the nonzeros
-S[i, c] of row i, which costs O(r·n^2) instead of O(n^3).  A sparse right
-factor goes through the transpose, A @ S = (Sᵀ @ Aᵀ)ᵀ, so there the count
-is taken per column.  Each entry of the result is a sum of at most r
-products, so the int64 bound is r·max|S|·max|B|, not n·max|S|·max|B|.  Past
-that bound, or when an operand is already object, the same gather runs on
-object buffers and the result is demoted to int64 if it fits.  The
-adjacency matrix A (d ones per row), A - θI, the diagonal E_i* and A_i*
-(r <= 1, so a diagonal factor is a row or column scaling) and the echelon
-basis elements of T(x), whose rows sit on a few sphere blocks, are such
-operands.
+exact_matmul has one structured path besides the dense product.  When an
+n x w operand has at most r nonzeros in every row, and 4·r is at most w (the
+inner dimension of the product) or r <= 1, the product is a sum of r
+gathered rows of the other operand: row i of S @ B is the sum of
+S[i, c]·B[c, :] over the nonzeros S[i, c] of row i, which costs O(r) instead
+of O(w) per entry of the result.  The factor need not be square.  A sparse
+right factor goes through the transpose, A @ S = (Sᵀ @ Aᵀ)ᵀ, so there the
+count is taken per column and w is the number of rows of S.  Each entry of
+the result is a sum of at most r products, so the int64 bound is
+r·max|S|·max|B|, not w·max|S|·max|B|.  Past that bound, or when an operand
+is already object, the same gather runs on object buffers and the result is
+demoted to int64 if it fits.  The adjacency matrix A (d ones per row),
+A - θI, the diagonal E_i* and A_i* (r <= 1, so a diagonal factor is a row or
+column scaling), the sphere blocks A[S_h', S_h] of A (at most d ones per
+row, against a width of C(d, h)) and the echelon basis elements of T(x),
+whose rows sit on a few sphere blocks, are such operands.
+
+A left factor that multiplies many operands is prepared once:
+prepare_left(m) keeps m with max|m| and its row structure, and
+prepared_matmul(left, x, max|x|) then picks its path from the same exact
+bounds with no pass over m: the gather when m is sparse and
+r·max|m|·max|x| < INT64_SAFE, the dense int64 product when m is dense and
+w·max|m|·max|x| < INT64_SAFE, and exact_matmul (the object path) otherwise.
+The closure (closure.closure) multiplies every basis piece by such prepared
+sphere blocks of its generators.
 """
 
 from __future__ import annotations
@@ -82,34 +93,39 @@ def content(arr: np.ndarray) -> int:
     return int(np.gcd.reduce(np.abs(arr.ravel())))
 
 
-# A square factor with at most r nonzeros per row is applied by gathering
-# when GATHER_RATIO·r <= its side.  Measured at n = 256 with numpy 2.4 on one
-# core, where the dense int64 product (no BLAS behind integer matmul) takes
-# 24.6 ms: at r = 64 the gather took 3.7 ms for a 0/1 factor and 8.1 ms for
-# one with other entries; at r = 192 it took 8.5 and 20.1 ms.  The ratio 4
-# leaves room for the cost of finding the nonzeros.
+# A factor of inner width w with at most r nonzeros per row is applied by
+# gathering when GATHER_RATIO·r <= w.  Measured with numpy 2.4 on one core
+# (minimum of 7 runs; integer matmul has no BLAS behind it), dense against
+# the gather of a 0/1 factor and of one with entries 1..4, in ms:
+#   256 x 256 @ 256 x 256: dense 15.5; r = 64: 2.6, 5.7; r = 128: 4.2, 10.9
+#   252 x 210 @ 210 x 120: dense 3.4;  r = 52: 0.85, 2.2; r = 105: 1.8, 4.5
+#   56 x 28 @ 28 x 70:     dense 0.06; r = 7: 0.03, 0.06; r = 14: 0.06, 0.11
+#   84 x 36 @ 36 x 36:     dense 0.06; r = 9: 0.03, 0.06; r = 18: 0.07, 0.13
+# The gather pays a fixed cost per slot, so at the narrow sphere-block widths
+# of the closure the signed gather breaks even at r = w/4; at wide factors
+# the ratio 4 leaves room to spare.
 GATHER_RATIO = 4
 
 
 def _row_structure(m: np.ndarray):
-    """The nonzeros of each row of a square m, if few enough to gather.
+    """The nonzeros of each row of an n x w m, if few enough to gather.
 
-    Returns None unless m is square with at most r nonzeros in every row,
-    where GATHER_RATIO·r <= n or r <= 1.  Otherwise returns (cols, vals,
+    Returns None unless m has rows and at most r nonzeros in every row,
+    where GATHER_RATIO·r <= w or r <= 1.  Otherwise returns (cols, vals,
     unit): n x r arrays in which a row with fewer than r nonzeros is padded
     with column 0 and value 0, and unit, which is True when no row is padded
     and every value is 1.
     """
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+    if m.ndim != 2 or m.shape[0] == 0:
         return None
-    n = m.shape[0]
+    n, w = m.shape
     mask = m != 0
     counts = mask.sum(axis=1)
     r = int(counts.max())
-    if r > 1 and GATHER_RATIO * r > n:
+    if r > 1 and GATHER_RATIO * r > w:
         return None
     where = np.flatnonzero(mask)
-    rows, nz_cols = np.divmod(where, n)
+    rows, nz_cols = np.divmod(where, w)
     nz_vals = m[rows, nz_cols]
     if where.size == n * r:
         cols = nz_cols.reshape(n, r)
@@ -152,7 +168,7 @@ def _gather(cols, vals, unit: bool, other: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _gather_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """a @ b by gathering when a square factor is row-sparse, else None.
+    """a @ b by gathering when a factor is row-sparse, else None.
 
     A sparse left factor is read by its rows; a sparse right factor by its
     columns, the rows of bᵀ, since a @ b = (bᵀ @ aᵀ)ᵀ.  When both qualify
@@ -183,7 +199,7 @@ def _gather_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer matrix product with int64/object dispatch.
 
-    A row-sparse square factor takes the gather path (see the module
+    A row-sparse factor takes the gather path (see the module
     docstring); every other product is dense.
     """
     out = _gather_product(a, b)
@@ -195,6 +211,24 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if bound < INT64_SAFE:
             return a @ b
     return np.dot(to_object(a), to_object(b))
+
+
+def prepare_left(m: np.ndarray) -> tuple:
+    """(m, max|m|, row structure or None): m ready to be the left factor of
+    many products (module docstring)."""
+    return m, max_abs(m), _row_structure(m)
+
+
+def prepared_matmul(left: tuple, x: np.ndarray, xmax: int) -> np.ndarray:
+    """Exact m @ x for left = prepare_left(m) and xmax = max|x|."""
+    m, mmax, structure = left
+    if m.dtype != object and x.dtype != object:
+        if structure is not None:
+            if structure[0].shape[1] * mmax * xmax < INT64_SAFE:
+                return _gather(*structure, x, 0)
+        elif m.shape[1] * mmax * xmax < INT64_SAFE:
+            return m @ x
+    return exact_matmul(m, x)
 
 
 def exact_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import click
 from . import __version__
 from .graphs import parse_graph_file
 from .poly_identities import Families
-from .verify import build_graph_report, build_parameter_report, run_verification
+from .verify import MAX_D, build_graph_report, build_parameter_report, run_verification
 
 
 def _emit(text: str, out_path: str | None):
@@ -38,7 +38,7 @@ def main():
 
 
 @main.command()
-@click.option("--max-d", type=click.IntRange(1, 10), default=6, show_default=True)
+@click.option("--max-d", type=click.IntRange(1, MAX_D), default=6, show_default=True)
 @click.option("--vertex", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option(
     "--format",
@@ -57,7 +57,7 @@ def verify(max_d: int, vertex: int, fmt: str, out: str | None):
 
 
 @main.command()
-@click.option("--d", "d", type=click.IntRange(1, 10), required=True)
+@click.option("--d", "d", type=click.IntRange(1, MAX_D), required=True)
 @click.option("--vertex", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option(
     "--format",

@@ -20,6 +20,16 @@ P_h' X is X or 0.  The pieces are therefore closed under left multiplication
 by every P_h and every generator, and span T.  With no diagonal generator
 there is one class and this is the plain closure from the identity.
 
+Each nonzero row block g[S_h', S_h] is prepared once, when the action
+table is built: its largest entry and, when it is row-sparse, its gather
+structure (_intops.prepare_left).  A piece's largest entry is taken once,
+when it is queued.  Every product then picks the gather, the dense int64
+product or the object path from an exact bound with no pass over the block
+(_intops.prepared_matmul).  Each path gives the exact product, so the
+pieces, and with them the rows and the element numbering, do not depend on
+the path taken.  For the cube every A[S_h', S_h] has at most d ones in a row
+of width C(d, h), so all but the narrowest blocks are gathered.
+
 The supports of different blocks are disjoint, and a block's coordinates in
 row-major order are its entries' order in the row-major n x n matrix, so the
 union of the blocks' reduced echelon rows is the reduced echelon basis of T
@@ -57,7 +67,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._intops import exact_matmul
+from ._intops import max_abs, prepare_left, prepared_matmul
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix
 
@@ -169,7 +179,8 @@ def closure(generators: Sequence[RationalMatrix]) -> BlockSpans:
         n, [g.num.diagonal() for g, diag in zip(generators, diagonal) if diag]
     )
     # For each non-diagonal generator and source class h, its nonzero row
-    # blocks g[S_h', S_h] with their target class h'.
+    # blocks g[S_h', S_h] with their target class h', each prepared once as
+    # the left factor of every product with a piece of block (h, j).
     actions = []
     for g, diag in zip(generators, diagonal):
         if diag:
@@ -180,26 +191,30 @@ def closure(generators: Sequence[RationalMatrix]) -> BlockSpans:
             for h2, rows in enumerate(classes):
                 block = g.num[np.ix_(rows, cols)]
                 if np.any(block):
-                    targets.append((h2, block))
+                    targets.append((h2, prepare_left(block)))
             by_source.append(targets)
         actions.append(by_source)
 
     spans = BlockSpans(n, classes)
     # Each element is multiplied as it was inserted, copied before later
-    # insertions reduce its stored row.
-    pieces: list[tuple[int, int, np.ndarray]] = []
+    # insertions reduce its stored row, with its largest entry.
+    pieces: list[tuple[int, int, np.ndarray, int]] = []
+
+    def queue(h: int, j: int, k: int) -> None:
+        x = spans.element(k)[2].copy()
+        pieces.append((h, j, x, max_abs(x)))
+
     for h, cls in enumerate(classes):
-        k = spans.add(h, h, np.eye(len(cls), dtype=np.int64))
-        pieces.append((h, h, spans.element(k)[2].copy()))
+        queue(h, h, spans.add(h, h, np.eye(len(cls), dtype=np.int64)))
 
     pos = 0
     while pos < len(pieces):
-        h, j, x = pieces[pos]
+        h, j, x, xmax = pieces[pos]
         for by_source in actions:
             for h2, block in by_source[h]:
-                k = spans.add(h2, j, exact_matmul(block, x))
+                k = spans.add(h2, j, prepared_matmul(block, x, xmax))
                 if k is not None:
-                    pieces.append((h2, j, spans.element(k)[2].copy()))
+                    queue(h2, j, k)
         pos += 1
 
     spans.closed_unit = identity_unit(len(classes))

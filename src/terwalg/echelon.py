@@ -9,6 +9,22 @@ span, so callers may clear denominators before feeding vectors.
 
 Arithmetic follows the int64/object discipline of _intops: exact bounds are
 checked with Python integers before every fast-path vector operation.
+
+An untracked reduction (add and contains on a span with track=False) takes
+no gcd pass over a candidate on entry.  Each step replaces v by a·v − b·row,
+a nonzero multiple of v minus a combination of stored rows, so the residual
+is a nonzero rational multiple of the same vector whatever multiple of v it
+starts from: the one with zeros at every stored pivot.  When a step's bound
+would reach INT64_SAFE the loop divides out the content first.  Every
+integer multiple of a primitive v is an integer multiple m·v, and the step
+bound a·max|v| + |b|·max|row| of m·v is at least that of v, so an int64
+candidate takes the object path at a step only when a reduction shrunk on
+entry would have taken it there or earlier.  A new row is then made primitive
+with a positive pivot, which fixes it among the multiples of the residual;
+the content divides the pivot entry, so when that is ±1 the gcd pass is
+skipped.  The stored rows, their order and their pivots are therefore the
+same as with a shrink on entry and a full gcd pass.  A tracked reduction
+keeps both passes, since its dependency coefficients carry the scale.
 """
 
 from __future__ import annotations
@@ -114,8 +130,14 @@ class EchelonSpan:
         return demote(v), max_abs(v), expr
 
     def _reduce(self, v, vmax, expr):
-        """Fully reduce v against all stored rows (single pass)."""
-        v, vmax, expr = self._shrink(v, expr)
+        """Fully reduce v against all stored rows (single pass).
+
+        A tracked reduction first divides out the content of v; an untracked
+        one leaves that to the loop, which shrinks v before any int64 bound
+        is crossed (module docstring).
+        """
+        if expr is not None:
+            v, vmax, expr = self._shrink(v, expr)
         for piv, idx in self._order:
             c = int(v[piv])
             if c == 0:
@@ -136,7 +158,16 @@ class EchelonSpan:
             if bound >= INT64_SAFE or v.dtype == object or row.dtype == object:
                 v = a * to_object(v) - b * to_object(row)
             else:
-                v = a * v - b * row
+                # v is this reduction's own buffer (_prepare copies), so it
+                # is updated in place.
+                if a != 1:
+                    v *= a
+                if b == 1:
+                    v -= row
+                elif b == -1:
+                    v += row
+                else:
+                    v -= b * row
             vmax = bound
             if expr is not None:
                 new = {k: a * f for k, f in expr.items()}
@@ -155,12 +186,19 @@ class EchelonSpan:
         self._raw_count += 1
         expr = {seq: Fraction(1)} if self.track else None
         v, vmax, expr = self._reduce(v, vmax, expr)
-        if not np.any(v):
+        nonzero = v != 0
+        piv = int(nonzero.argmax())
+        if not nonzero[piv]:
             return None, (expr if want_expr else None)
 
-        # Normalize the residual to a primitive row with positive pivot.
-        v, vmax, expr = self._shrink(v, expr)
-        piv = int(np.nonzero(v)[0][0])
+        # Normalize the residual to a primitive row with positive pivot.  The
+        # content divides the pivot entry, so a pivot entry of ±1 leaves
+        # nothing to divide out.
+        if abs(int(v[piv])) == 1:
+            vmax = max_abs(v)
+            v = demote(v, vmax)
+        else:
+            v, vmax, expr = self._shrink(v, expr)
         if v[piv] < 0:
             v = -v
             if expr is not None:
@@ -171,7 +209,7 @@ class EchelonSpan:
         self._rows.append(v)
         self._pivots.append(piv)
         self._pivvals.append(pv)
-        self._maxes.append(vmax if v.dtype == object else max_abs(v))
+        self._maxes.append(vmax)
         self._exprs.append(expr if expr is not None else {})
         insort(self._order, (piv, idx))
 

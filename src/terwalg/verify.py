@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import __version__
 from .checks import Check
-from .closure import BlockSpans
+from .closure import BlockSpans, closure
 from .graphs import Graph
 from .hypercube import (
     check_permissible_equivalence,
@@ -48,6 +48,8 @@ from .wedderburn import (
     decompose,
 )
 
+# The largest diameter verify and report accept.
+MAX_D = 11
 PHI_IMAGE_MAX_D = 32
 PHI_FACTORIAL_MAX_D = 32
 SHIFT_LEMMA_MAX_D = 16
@@ -74,8 +76,11 @@ class _Prepared:
 
 def _prepare(d: int, x: int) -> _Prepared:
     ctx = build_hypercube_context(d, x)
-    basis = ctx.algebra_basis()
-    dec = decompose(basis, ctx.generators())
+    # One dense A and A* serve the closure and the split; they are dropped on
+    # return, before complement_algebra, whose corner builds its own.
+    generators = ctx.generators()
+    basis = closure(generators)
+    dec = decompose(basis, generators)
     return _Prepared(ctx, basis, dec)
 
 
@@ -280,8 +285,8 @@ def global_checks() -> tuple[Check, ...]:
 
 def run_verification(max_d: int, vertex: int = 0, threads: int = 1) -> VerificationReport:
     """Full verification for d = 1..max_d plus the range-wide checks."""
-    if not 1 <= max_d <= 10:
-        raise ValueError("max_d must be between 1 and 10")
+    if not 1 <= max_d <= MAX_D:
+        raise ValueError(f"max_d must be between 1 and {MAX_D}")
     # threads stays only because the benchmark harness (perfbench) passes threads=1.
     if threads != 1:
         raise ValueError("threads must be 1")

@@ -8,7 +8,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from terwalg import verify
+from terwalg import cli, verify
 from terwalg.cli import main
 from terwalg.graphs import hypercube
 from terwalg.report import VerificationReport
@@ -51,11 +51,33 @@ def test_verify_rejects_max_d_zero(runner):
     assert result.exit_code == 2
 
 
-def test_verify_rejects_max_d_eleven(runner):
-    result = runner.invoke(main, ["verify", "--max-d", "11"])
+def test_verify_rejects_max_d_twelve(runner):
+    result = runner.invoke(main, ["verify", "--max-d", "12"])
     assert result.exit_code == 2
-    with pytest.raises(ValueError, match="between 1 and 10"):
-        verify.run_verification(11)
+    with pytest.raises(ValueError, match="between 1 and 11"):
+        verify.run_verification(12)
+
+
+def test_verify_and_report_accept_d_eleven(runner, monkeypatch):
+    # The top diameter reaches the library; stand-ins replace the runs
+    # themselves (several seconds and several hundred MB at d=11).
+    asked = []
+
+    def fake_verification(max_d, vertex=0):
+        asked.append(("verify", max_d, vertex))
+        return verify.run_verification(1)
+
+    def fake_report(d, vertex=0):
+        asked.append(("report", d, vertex))
+        return verify.build_parameter_report(1)
+
+    monkeypatch.setattr(cli, "run_verification", fake_verification)
+    monkeypatch.setattr(cli, "build_parameter_report", fake_report)
+    assert runner.invoke(main, ["verify", "--max-d", "11"]).exit_code == 0
+    last = str(2**11 - 1)
+    assert runner.invoke(main, ["report", "--d", "11", "--vertex", last]).exit_code == 0
+    assert runner.invoke(main, ["report", "--d", "11", "--vertex", "2048"]).exit_code == 2
+    assert asked == [("verify", 11, 0), ("report", 11, 2047)]
 
 
 def test_verify_has_no_threads_option(runner):
@@ -148,7 +170,7 @@ def test_report_u0_identity_d1(runner):
 
 def test_report_usage_bounds(runner):
     assert runner.invoke(main, ["report", "--d", "0"]).exit_code == 2
-    assert runner.invoke(main, ["report", "--d", "11"]).exit_code == 2
+    assert runner.invoke(main, ["report", "--d", "12"]).exit_code == 2
     assert runner.invoke(main, ["report"]).exit_code == 2
 
 

@@ -1,14 +1,18 @@
 """Tests for the matrix algebra closure."""
 
+import importlib
+import math
 import sys
+from bisect import insort
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 from dense_views import contains, densify, distance_matrix
 
-from terwalg._intops import content, exact_matmul
-from terwalg.closure import closure, joint_classes
+from terwalg import _intops, echelon
+from terwalg._intops import content, demote, exact_matmul, max_abs, to_object
+from terwalg.closure import BlockSpans, closure, identity_unit, is_diagonal, joint_classes
 from terwalg.echelon import EchelonSpan
 from terwalg.graphs import DistanceData, Graph, hypercube
 from terwalg.linalg import RationalMatrix
@@ -266,3 +270,224 @@ def test_block_closure_on_the_object_path(monkeypatch):
         assert _row_set(m.num for m in mats) == want, name
         assert any(m.num.dtype == object for m in mats), name
         assert all(contains(basis, m) for m in mats), name
+
+
+# -- the prepared closure against the closure it replaced ---------------------
+
+
+class OracleEchelonSpan(EchelonSpan):
+    """EchelonSpan with its former untracked path: a content pass on entry
+    and a full gcd pass on every new row, whatever its pivot entry."""
+
+    def _reduce(self, v, vmax, expr):
+        v, vmax, expr = self._shrink(v, expr)
+        for piv, idx in self._order:
+            c = int(v[piv])
+            if c == 0:
+                continue
+            pv = self._pivvals[idx]
+            g = math.gcd(abs(c), pv)
+            a = pv // g
+            b = c // g
+            bound = a * vmax + abs(b) * self._maxes[idx]
+            if bound >= echelon.INT64_SAFE and v.dtype != object:
+                v, vmax, expr = self._shrink(v, expr)
+                c = int(v[piv])
+                g = math.gcd(abs(c), pv)
+                a = pv // g
+                b = c // g
+                bound = a * vmax + abs(b) * self._maxes[idx]
+            row = self._rows[idx]
+            if bound >= echelon.INT64_SAFE or v.dtype == object or row.dtype == object:
+                v = a * to_object(v) - b * to_object(row)
+            else:
+                v = a * v - b * row
+            vmax = bound
+            if v.dtype != object and vmax >= (1 << 55):
+                vmax = max_abs(v)
+        return v, vmax, expr
+
+    def _add(self, vec, want_expr):
+        assert not self.track
+        v, vmax = self._prepare(vec)
+        v, vmax, _ = self._reduce(v, vmax, None)
+        if not np.any(v):
+            return None, None
+        v, vmax, _ = self._shrink(v, None)
+        piv = int(np.nonzero(v)[0][0])
+        if v[piv] < 0:
+            v = -v
+        pv = int(v[piv])
+        idx = len(self._rows)
+        self._rows.append(v)
+        self._pivots.append(piv)
+        self._pivvals.append(pv)
+        self._maxes.append(vmax if v.dtype == object else max_abs(v))
+        self._exprs.append({})
+        insort(self._order, (piv, idx))
+        for idx2 in range(idx):
+            r2 = self._rows[idx2]
+            c2 = int(r2[piv])
+            if c2 == 0:
+                continue
+            g = math.gcd(abs(c2), pv)
+            a = pv // g
+            b = c2 // g
+            bound = a * self._maxes[idx2] + abs(b) * self._maxes[idx]
+            if bound >= echelon.INT64_SAFE or r2.dtype == object or v.dtype == object:
+                new = a * to_object(r2) - b * to_object(v)
+            else:
+                new = a * r2 - b * v
+            g2 = 1 if a * self._pivvals[idx2] == 1 else content(new)
+            if g2 > 1:
+                new = new // g2
+            new = demote(new)
+            self._rows[idx2] = new
+            self._pivvals[idx2] = int(new[self._pivots[idx2]])
+            self._maxes[idx2] = max_abs(new)
+        return idx, None
+
+
+class OracleBlockSpans(BlockSpans):
+    """BlockSpans whose block spans are OracleEchelonSpan."""
+
+    def add(self, h, j, block):
+        if (h, j) not in self._spans:
+            width = len(self.classes[h]) * len(self.classes[j])
+            self._spans[(h, j)] = OracleEchelonSpan(width)
+        return super().add(h, j, block)
+
+
+def oracle_closure(generators):
+    """The closure as it was before its blocks were prepared: every product
+    g[S_h', S_h] @ X through exact_matmul, every span an OracleEchelonSpan."""
+    n = generators[0].nrows
+    diagonal = [is_diagonal(g.num) for g in generators]
+    classes = joint_classes(
+        n, [g.num.diagonal() for g, diag in zip(generators, diagonal) if diag]
+    )
+    actions = []
+    for g, diag in zip(generators, diagonal):
+        if diag:
+            continue
+        by_source = []
+        for cols in classes:
+            targets = []
+            for h2, rows in enumerate(classes):
+                block = g.num[np.ix_(rows, cols)]
+                if np.any(block):
+                    targets.append((h2, block))
+            by_source.append(targets)
+        actions.append(by_source)
+    spans = OracleBlockSpans(n, classes)
+    pieces = []
+    for h, cls in enumerate(classes):
+        k = spans.add(h, h, np.eye(len(cls), dtype=np.int64))
+        pieces.append((h, h, spans.element(k)[2].copy()))
+    pos = 0
+    while pos < len(pieces):
+        h, j, x = pieces[pos]
+        for by_source in actions:
+            for h2, block in by_source[h]:
+                k = spans.add(h2, j, exact_matmul(block, x))
+                if k is not None:
+                    pieces.append((h2, j, spans.element(k)[2].copy()))
+        pos += 1
+    spans.closed_unit = identity_unit(len(classes))
+    return spans
+
+
+def assert_same_block_spans(got, want, name):
+    """Equal element order, (h, j, idx) and stored rows, block by block."""
+    assert got.classes is not want.classes
+    assert [c.tolist() for c in got.classes] == [c.tolist() for c in want.classes], name
+    assert got._elements == want._elements, name
+    assert got._spans.keys() == want._spans.keys(), name
+    for key, span in want._spans.items():
+        rows = got._spans[key].rows
+        assert len(rows) == len(span.rows), (name, key)
+        for r, s in zip(rows, span.rows):
+            assert r.dtype == s.dtype and np.array_equal(r, s), (name, key)
+    assert got.closed_unit == want.closed_unit, name
+
+
+def johnson(v, k):
+    verts = list(combinations(range(v), k))
+    edges = [
+        (a, b)
+        for a, b in combinations(range(len(verts)), 2)
+        if len(set(verts[a]) & set(verts[b])) == k - 1
+    ]
+    return Graph.from_edges(len(verts), edges)
+
+
+def folded_cube(d):
+    n = 1 << (d - 1)
+    flips = [1 << b for b in range(d - 1)] + [n - 1]
+    edges = {(min(u, u ^ f), max(u, u ^ f)) for u in range(n) for f in flips}
+    return Graph.from_edges(n, sorted(edges))
+
+
+def oracle_cases(max_d):
+    for d in range(1, max_d + 1):
+        for x in sorted({0, 5 % (1 << d), (1 << d) - 1}):
+            yield f"Q_{d} x={x}", build_hypercube_context(d, x).generators()
+    yield "petersen", build_context(kneser_petersen(), 3).generators()
+    yield "H(3,3)", build_context(hamming(3, 3), 5).generators()
+    yield "J(7,3)", build_context(johnson(7, 3), 4).generators()
+    yield "folded 7-cube", build_context(folded_cube(7), 9).generators()
+
+
+def test_prepared_closure_matches_the_per_product_oracle():
+    for name, gens in oracle_cases(8):
+        assert_same_block_spans(closure(gens), oracle_closure(gens), name)
+
+
+def test_prepared_closure_matches_the_oracle_on_the_object_path(monkeypatch):
+    # With the bound at 2^3 the products and eliminations whose bound reaches
+    # it run on Python ints and the rest stay int64, in the closure and in
+    # the oracle alike.
+    closure_module = importlib.import_module("terwalg.closure")
+    cases = list(oracle_cases(5))
+    prepared, fallbacks = [], []
+
+    def counting(real, calls):
+        def wrapped(*args):
+            calls.append(1)
+            return real(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(_intops, "INT64_SAFE", 1 << 3)
+    monkeypatch.setattr(echelon, "INT64_SAFE", 1 << 3)
+    monkeypatch.setattr(_intops, "exact_matmul", counting(_intops.exact_matmul, fallbacks))
+    monkeypatch.setattr(
+        closure_module,
+        "prepared_matmul",
+        counting(closure_module.prepared_matmul, prepared),
+    )
+    for name, gens in cases:
+        assert_same_block_spans(closure(gens), oracle_closure(gens), name)
+    # Both sides of the bound were taken.
+    assert 100 < len(fallbacks) < len(prepared) - 100
+
+
+def test_prepared_closure_bounds_each_product_by_its_piece(monkeypatch):
+    # The generator is 2^59·(P + 2P²), P the cyclic shift, so its piece
+    # P + 2P² has entries up to 2: w·max|block| = 3·2^60 is under
+    # INT64_SAFE, but the bound 3·2^60·2 of a product with that piece is
+    # not, so the product must take the object path.
+    fallbacks = []
+    real = _intops.exact_matmul
+
+    def counting(a, b):
+        fallbacks.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(_intops, "exact_matmul", counting)
+    m = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]], dtype=np.int64) * (1 << 59)
+    d = np.diag(np.array([1, 1, 2], dtype=np.int64))
+    for gens in ([RationalMatrix(m)], [RationalMatrix(m), RationalMatrix(d)]):
+        fallbacks.clear()
+        assert_same_block_spans(closure(gens), oracle_closure(gens), "2^59 circulant")
+        assert fallbacks

@@ -1,10 +1,11 @@
 """Tests for the guarded integer kernels, chiefly exact_matmul's dispatch.
 
-exact_matmul has a gather path for square factors with few nonzeros per row
-(the diagonal is its r <= 1 case) and a dense path.  The fixed cases below
-pin each branch of the gather; the property tests compare both paths with
-the dense product on Python ints, and the last tests rerun whole reports
-with the gather switched off.
+exact_matmul has a gather path for factors, square or not, with few
+nonzeros per row (the diagonal is its r <= 1 case) and a dense path;
+prepared_matmul picks between the same paths for a prepared left factor.
+The fixed cases below pin each branch of the gather; the property tests
+compare every path with the dense product on Python ints, and the last
+tests rerun whole reports with the gather switched off.
 """
 
 import itertools
@@ -354,6 +355,179 @@ def test_gather_matches_dense_product(pair):
     assert_exact(a, b)
 
 
+# -- rectangular factors and prepared left factors ---------------------------
+
+
+def rect_sparse(rng, n, w, r, values="signed", magnitude=9, empty_rows=0):
+    """An n x w matrix with at most r nonzeros in a row and exactly r in
+    row 0 (when n > empty_rows); the last empty_rows rows are zero."""
+    m = np.zeros((n, w), dtype=object)
+    for i in range(n - empty_rows):
+        k = r if i == 0 else rng.randint(0, r)
+        for c in rng.sample(range(w), k):
+            m[i, c] = 1 if values == "unit" else rng.choice([-1, 1]) * rng.randint(1, magnitude)
+    return _maybe_int64(m)
+
+
+def rebuilt(structure, shape):
+    """The matrix a row structure stands for, padded slots included."""
+    cols, vals, _unit = structure
+    m = np.zeros(shape, dtype=object)
+    for i in range(cols.shape[0]):
+        for c, v in zip(cols[i], vals[i]):
+            m[i, c] += int(v)
+    return m
+
+
+def test_rectangular_row_structure():
+    rng = random.Random(14)
+    # Tall and wide, unit and signed, with padded and empty rows.
+    for n, w, r, values, empty in (
+        (40, 8, 2, "unit", 0),
+        (5, 60, 15, "signed", 2),
+        (17, 12, 3, "unit", 5),
+        (9, 1, 1, "signed", 3),
+        (3, 2, 1, "unit", 0),
+    ):
+        m = rect_sparse(rng, n, w, r, values, empty_rows=empty)
+        structure = _intops._row_structure(m)
+        assert structure is not None and structure[0].shape == (n, r)
+        assert np.array_equal(rebuilt(structure, (n, w)), m.astype(object))
+        counts = (m != 0).sum(axis=1)
+        assert structure[2] == bool((counts == r).all() and (m[m != 0] == 1).all())
+    # A zero factor has r = 0: an empty structure, and a zero product.
+    z = np.zeros((4, 7), dtype=np.int64)
+    assert _intops._row_structure(z)[0].shape == (4, 0)
+    assert not assert_exact(z, dense(rng, 7, 3)).any()
+    assert not assert_exact(dense(rng, 3, 4), z).any()
+    assert _intops._row_structure(np.zeros((0, 5), dtype=np.int64)) is None
+
+
+def test_rectangular_gather_threshold_is_the_inner_width():
+    # Two nonzeros per row gather at width 8 = 4·2, not at width 7, for any
+    # number of rows; as a right factor the count is per column.
+    rng = random.Random(15)
+    for n in (3, 8, 50):
+        for w, expect in ((8, True), (7, False)):
+            m = rect_sparse(rng, n, w, 2)
+            b = dense(rng, w, 5)
+            assert (_intops._row_structure(m) is not None) is expect
+            assert gathers(m, b) is expect
+            assert gathers(dense(rng, 4, w), m.T.copy()) is expect
+            assert_exact(m, b)
+            assert_exact(dense(rng, 4, w), m.T.copy())
+    # At most one nonzero per row gathers at every width.
+    for w in (1, 2, 3):
+        m = rect_sparse(rng, 6, w, 1, empty_rows=2)
+        assert gathers(m, dense(rng, w, 4))
+        assert_exact(m, dense(rng, w, 4))
+
+
+def test_rectangular_bound_across_int64(monkeypatch):
+    # Five nonzeros in a row of width 20: the bound is 5·max|S|·max|B|, not
+    # 20·max|S|·max|B|.  Just under INT64_SAFE the product stays int64 with
+    # no object detour; past it the gather runs on Python ints.
+    rng = random.Random(16)
+    s = rect_sparse(rng, 12, 20, 5, values="unit")
+    under = INT64_SAFE // 5 - 1
+    b = np.full((20, 3), under, dtype=np.int64)
+    b[::4] = -under
+    real_to_object = _intops.to_object
+
+    def no_object(arr):
+        raise AssertionError("object path taken")
+
+    monkeypatch.setattr(_intops, "to_object", no_object)
+    assert 20 * under >= INT64_SAFE
+    assert assert_exact(s, b).dtype == np.int64
+    assert assert_exact(b.T.copy(), s.T.copy()).dtype == np.int64
+    monkeypatch.setattr(_intops, "to_object", real_to_object)
+    over = b.copy()
+    over[:, :] = INT64_SAFE // 5 + 1
+    got = assert_exact(s, over)
+    assert got.dtype == object and max(abs(int(v)) for v in got.flat) >= INT64_SAFE
+    assert assert_exact(over.T.copy(), s.T.copy()).dtype == object
+
+
+@st.composite
+def rectangular_operands(draw):
+    """A row-sparse n x w factor that qualifies for the gather, and a
+    partner, as the left factor or (transposed) as the right one."""
+    n = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 48))
+    r = draw(st.integers(0, max(1, w // 4)))
+    rng = random.Random(draw(st.integers(0, 1 << 30)))
+    values = draw(st.sampled_from(["unit", "signed"]))
+    magnitude = draw(st.sampled_from([9, 1 << 31, 1 << 61, 1 << 80]))
+    empty = draw(st.integers(0, n - 1))
+    sparse = rect_sparse(rng, n, w, r, values, magnitude, empty_rows=empty)
+    cols = draw(st.sampled_from([None, 1, 3, 10]))
+    other = np.array(
+        [[rng.randint(-magnitude, magnitude) for _ in range(cols or 1)] for _ in range(w)],
+        dtype=object,
+    )
+    other = _maybe_int64(other if cols else other[:, 0])
+    if draw(st.booleans()):
+        sparse = sparse.astype(object)
+    if draw(st.booleans()):
+        return sparse, other
+    return other.T.copy(), sparse.T.copy()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rectangular_operands())
+def test_rectangular_gather_matches_dense_product(pair):
+    a, b = pair
+    assert gathers(a, b)
+    assert_exact(a, b)
+
+
+def test_prepared_matmul_takes_each_path_by_its_bound(monkeypatch):
+    rng = random.Random(17)
+    calls = {"gather": 0, "fallback": 0}
+    real_gather, real_matmul = _intops._gather, _intops.exact_matmul
+
+    def gather(*args):
+        calls["gather"] += 1
+        return real_gather(*args)
+
+    def fallback(a, b):
+        calls["fallback"] += 1
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(_intops, "_gather", gather)
+    monkeypatch.setattr(_intops, "exact_matmul", fallback)
+
+    def product(m, x):
+        before = dict(calls)
+        got = _intops.prepared_matmul(_intops.prepare_left(m), x, _intops.max_abs(x))
+        want = reference(m, x)
+        assert got.shape == want.shape
+        assert all(int(g) == int(v) for g, v in zip(got.flat, want.flat))
+        return got, {k: calls[k] - before[k] for k in calls}
+
+    sparse = rect_sparse(rng, 10, 24, 3, values="unit")  # r = 3, w = 24
+    full = dense(rng, 10, 24, lo=1, hi=1)  # every entry 1: w = 24
+    cases = (
+        (sparse, INT64_SAFE // 3 - 1, np.int64, {"gather": 1, "fallback": 0}),
+        (sparse, INT64_SAFE // 3 + 1, object, {"gather": 1, "fallback": 1}),
+        (full, INT64_SAFE // 24 - 1, np.int64, {"gather": 0, "fallback": 0}),
+        (full, INT64_SAFE // 24 + 1, object, {"gather": 0, "fallback": 1}),
+    )
+    for m, entry, dtype, path in cases:
+        x = np.full((24, 4), entry, dtype=np.int64)
+        got, taken = product(m, x)
+        assert got.dtype == dtype and taken == path
+    # An object operand falls back whatever its size, and the result is the
+    # object path's.
+    small = dense(rng, 24, 4)
+    for m in (sparse, full):
+        _got, taken = product(m.astype(object), small)
+        assert taken["fallback"] == 1
+        _got, taken = product(m, small.astype(object))
+        assert taken["fallback"] == 1
+
+
 # -- whole reports with the gather switched off --------------------------------
 
 
@@ -384,19 +558,22 @@ def _reports():
 
 
 def test_reports_identical_without_the_gather(monkeypatch):
+    # Every gather, in exact_matmul and in the closure's prepared blocks,
+    # starts from a row structure; with none found every product is dense.
     taken = []
-    real = _intops._gather_product
+    real = _intops._gather
 
-    def counting(a, b):
-        out = real(a, b)
-        taken.append(out is not None)
-        return out
+    def counting(*args):
+        taken.append(1)
+        return real(*args)
 
-    monkeypatch.setattr(_intops, "_gather_product", counting)
+    monkeypatch.setattr(_intops, "_gather", counting)
     with_gather = _reports()
     assert sum(taken) > 100  # the gather really ran
-    monkeypatch.setattr(_intops, "_gather_product", lambda a, b: None)
+    taken.clear()
+    monkeypatch.setattr(_intops, "_row_structure", lambda m: None)
     assert _reports() == with_gather
+    assert not taken
 
 
 def _object_path_reports():
