@@ -1,44 +1,60 @@
 """Unital matrix algebra closure, one class block at a time.
 
-The coordinates 0..n-1 are split into the joint value classes S_1..S_c of
-the diagonal generators: two coordinates share a class when every diagonal
-generator has the same diagonal entry at both.  The class projections P_h
-(the 0/1 diagonal indicators of S_h) are polynomials in the diagonal
-generators, so they lie in the algebra T, sum to I and are orthogonal
-idempotents.  Hence T is the direct sum of its blocks P_h T P_j, and an
-n x n matrix lies in T exactly when each of its blocks does.  Conversely T is
-generated by the P_h and the non-diagonal generators, since every diagonal
-generator is a combination of the P_h.
+A generator is given in one of two forms: an n x n matrix, or a 1 x n row
+that stands for the diagonal matrix diag(row).  A 1 x 1 matrix is both
+forms and the same matrix.  The rows are the diagonal generators; an
+n x n matrix is closed over as it stands, even when it is diagonal.
 
-The closure runs on blocks.  The seeds are the P_h, in class order.  Every
-basis piece X of block (h, j) is left-multiplied by each non-diagonal
-generator g in the order given, and each row block P_h' g X = g[S_h', S_h] X
-is reduced in the echelon span of block (h', j), at width |S_h'| |S_j|;
-independent residuals join the basis and are queued in turn.  A diagonal
-generator acts on a block as a scalar, so it is never multiplied, and
-P_h' X is X or 0.  The pieces are therefore closed under left multiplication
-by every P_h and every generator, and span T.  With no diagonal generator
-there is one class and this is the plain closure from the identity.
+The coordinates 0..n-1 are split into the joint value classes S_1..S_c of
+the rows: two coordinates share a class when every row has the same entry
+at both.  The class projections P_h (the 0/1 diagonal indicators of S_h)
+are polynomials in the diagonal generators, so they lie in the algebra T,
+sum to I and are orthogonal idempotents.  Hence T is the direct sum of its
+blocks P_h T P_j, and an n x n matrix lies in T exactly when each of its
+blocks does.  Conversely T is generated by the P_h and the n x n
+generators, since every diagonal generator is a combination of the P_h.
+
+The closure runs on blocks, and its queue is the span itself.  The seeds
+are the P_h, in class order.  Element k, in block (h, j), is taken in turn,
+k = 0, 1, ... while k < dim, as its row stands at that turn, X_k; it is
+left-multiplied by each n x n generator g in the order given, and each row
+block P_h' g X_k = g[S_h', S_h] X_k is reduced in the echelon span of block
+(h', j), at width |S_h'| |S_j|; an independent residual joins the span as a
+new element, whose turn comes later.  A diagonal generator acts on a block
+as a scalar, so it is never multiplied, and P_h' X_k is X_k or 0.  With no
+row there is one class and this is the plain closure from the identity.
+
+Why the rows as they stand at their turns suffice.  Let r_k be row k as
+inserted.  Until its turn, row k changes only when a later row v of the
+same block span clears its pivot from it: r <- (a r - b v) / g with a != 0,
+and v is inserted after k, so its own turn comes after k's.  So the rows
+multiplied, X_0, X_1, ..., are unitriangular in the inserted rows (X_k is
+a nonzero multiple of r_k plus later rows of its block) and span the same
+space, the span at the end.  Every product g X_k is reduced into that span,
+so the span is closed under left multiplication by every n x n generator
+and, blockwise, by every P_h; it contains I, so it is T.  A stored row is
+never written in place (clearing stores a new array, and stored rows are
+read-only, echelon), so the view read at a turn stays valid with no copy.
 
 Each nonzero row block g[S_h', S_h] is prepared once, when the action
 table is built: its largest entry and, when it is row-sparse, its gather
-structure (_intops.prepare_left).  A piece's largest entry is taken once,
-when it is queued.  Every product then picks the gather, the dense int64
+structure (_intops.prepare_left).  An element's largest entry is taken
+once, at its turn.  Every product then picks the gather, the dense int64
 product or the object path from an exact bound with no pass over the block
 (_intops.prepared_matmul).  Each path gives the exact product, so the
-pieces, and with them the rows and the element numbering, do not depend on
-the path taken.  For the cube every A[S_h', S_h] has at most d ones in a row
-of width C(d, h), so all but the narrowest blocks are gathered.
+rows, and with them the element numbering, do not depend on the path
+taken.  For the cube every A[S_h', S_h] has at most d ones in a row of
+width C(d, h), so all but the narrowest blocks are gathered.
 
 The supports of different blocks are disjoint, and a block's coordinates in
 row-major order are its entries' order in the row-major n x n matrix, so the
 union of the blocks' reduced echelon rows is the reduced echelon basis of T
-at width n^2: the row set depends only on the generators.  In particular
-the first nonzero entry of a piece in block row-major order, mapped through
-its classes, is the element's first nonzero entry in the n x n matrix: its
-pivot.  The pieces are the only form in which the basis is kept.
-Denominators are dropped before reduction because scaling an element does
-not change the span.
+at width n^2: the row set depends only on the algebra and its classes.  In
+particular the first nonzero entry of a piece in block row-major order,
+mapped through its classes, is the element's first nonzero entry in the
+n x n matrix: its pivot.  The pieces are the only form in which the basis
+is kept.  Denominators are dropped before reduction because scaling an
+element does not change the span.
 
 The loop proves that the span is closed under left multiplication by every
 generator and contains I, so it is the unital algebra T itself: closed
@@ -131,15 +147,16 @@ class BlockSpans:
         return len(self._elements) - 1
 
     def element(self, k: int) -> tuple[int, int, np.ndarray]:
-        """(h, j, current reduced block) of element k (do not mutate)."""
+        """(h, j, current reduced block) of element k, a read-only view."""
         h, j, idx = self._elements[k]
         block = self._spans[(h, j)].row(idx)
         return h, j, block.reshape(len(self.classes[h]), len(self.classes[j]))
 
 
-def is_diagonal(a: np.ndarray) -> bool:
-    """Whether a square array has no nonzero off its diagonal."""
-    return np.count_nonzero(a) == np.count_nonzero(a.diagonal())
+def diagonal_row(g: RationalMatrix) -> np.ndarray | None:
+    """The numerators of diag(row) when the generator g is given as a 1 x n
+    row (module docstring); None when g is an n x n matrix with n > 1."""
+    return g.num[0] if g.nrows == 1 else None
 
 
 def joint_classes(n: int, diagonals: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -156,10 +173,11 @@ def joint_classes(n: int, diagonals: Sequence[np.ndarray]) -> tuple[np.ndarray, 
 
 
 def closure(generators: Sequence[RationalMatrix]) -> BlockSpans:
-    """Basis of the unital algebra generated by the given square matrices.
+    """Basis of the unital algebra generated by the given matrices.
 
     Args:
-        generators: square matrices of one common size.
+        generators: n x n matrices and 1 x n rows, each row standing for
+            the diagonal matrix diag(row) (module docstring).
 
     Returns:
         BlockSpans that contain the identity and are closed under
@@ -170,20 +188,18 @@ def closure(generators: Sequence[RationalMatrix]) -> BlockSpans:
     """
     if not generators:
         raise ValueError("at least one generator expected")
-    n = generators[0].nrows
+    n = generators[0].ncols
     for g in generators:
-        if g.shape != (n, n):
-            raise ValueError(f"generator shape {g.shape} differs from ({n}, {n})")
-    diagonal = [is_diagonal(g.num) for g in generators]
-    classes = joint_classes(
-        n, [g.num.diagonal() for g, diag in zip(generators, diagonal) if diag]
-    )
-    # For each non-diagonal generator and source class h, its nonzero row
-    # blocks g[S_h', S_h] with their target class h', each prepared once as
-    # the left factor of every product with a piece of block (h, j).
+        if g.shape not in ((n, n), (1, n)):
+            raise ValueError(f"generator shape {g.shape} is neither ({n}, {n}) nor (1, {n})")
+    rows = [diagonal_row(g) for g in generators]
+    classes = joint_classes(n, [row for row in rows if row is not None])
+    # For each n x n generator and source class h, its nonzero row blocks
+    # g[S_h', S_h] with their target class h', each prepared once as the
+    # left factor of every product with an element of block (h, j).
     actions = []
-    for g, diag in zip(generators, diagonal):
-        if diag:
+    for g, row in zip(generators, rows):
+        if row is not None:
             continue
         by_source = []
         for cols in classes:
@@ -196,26 +212,16 @@ def closure(generators: Sequence[RationalMatrix]) -> BlockSpans:
         actions.append(by_source)
 
     spans = BlockSpans(n, classes)
-    # Each element is multiplied as it was inserted, copied before later
-    # insertions reduce its stored row, with its largest entry.
-    pieces: list[tuple[int, int, np.ndarray, int]] = []
-
-    def queue(h: int, j: int, k: int) -> None:
-        x = spans.element(k)[2].copy()
-        pieces.append((h, j, x, max_abs(x)))
-
     for h, cls in enumerate(classes):
-        queue(h, h, spans.add(h, h, np.eye(len(cls), dtype=np.int64)))
-
-    pos = 0
-    while pos < len(pieces):
-        h, j, x, xmax = pieces[pos]
+        spans.add(h, h, np.eye(len(cls), dtype=np.int64))
+    k = 0
+    while k < spans.dim:
+        h, j, x = spans.element(k)
+        xmax = max_abs(x)
         for by_source in actions:
             for h2, block in by_source[h]:
-                k = spans.add(h2, j, prepared_matmul(block, x, xmax))
-                if k is not None:
-                    queue(h2, j, k)
-        pos += 1
+                spans.add(h2, j, prepared_matmul(block, x, xmax))
+        k += 1
 
     spans.closed_unit = identity_unit(len(classes))
     return spans

@@ -5,7 +5,10 @@ Rows are kept integer and primitive (content 1, positive leading entry) and
 every pivot coordinate is cleared from all other rows, so reducing a candidate
 is a single pass and the stored row set is the canonical reduced basis of the
 span regardless of insertion history.  Scaling a candidate does not change the
-span, so callers may clear denominators before feeding vectors.
+span, so callers may clear denominators before feeding vectors.  A stored row
+is never written in place: clearing a pivot from it stores a new array, and
+every stored row is read-only, so a row read from the span keeps its entries
+after later insertions.
 
 Arithmetic follows the int64/object discipline of _intops: exact bounds are
 checked with Python integers before every fast-path vector operation.
@@ -62,7 +65,7 @@ class EchelonSpan:
         return len(self._rows)
 
     def row(self, idx: int) -> np.ndarray:
-        """Current idx-th basis row (do not mutate)."""
+        """Current idx-th basis row (read-only)."""
         return self._rows[idx]
 
     @property
@@ -206,6 +209,7 @@ class EchelonSpan:
         pv = int(v[piv])
 
         idx = len(self._rows)
+        v.flags.writeable = False
         self._rows.append(v)
         self._pivots.append(piv)
         self._pivvals.append(pv)
@@ -234,6 +238,7 @@ class EchelonSpan:
             if g2 > 1:
                 new = new // g2
             new = demote(new)
+            new.flags.writeable = False
             self._rows[idx2] = new
             self._pivvals[idx2] = int(new[self._pivots[idx2]])
             self._maxes[idx2] = max_abs(new)

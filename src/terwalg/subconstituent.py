@@ -67,9 +67,11 @@ V the (d+1) x (d+1) stack of the E_i rows over one denominator den, the
 products E_i E_j for all (i, j) are two products of (d+1)-sized tables,
 and the Krein expansion reads |X| V[i][a] V[j][a] = den sum_h q^h_ij V[h][a].
 The first failing pair names the witness, as it would on the n x n
-matrices.  Only the consumers that take n x n matrices (closure and the
-split) build them, on demand, through TerwContext.class_matrix; U0 is held
-as a (d+1)^3 table over the same classes (idempotent).
+matrices.  The one n x n matrix the algebra is built from, A, is made on
+demand through TerwContext.class_matrix for closure and the split;
+TerwContext.generators() hands them A and the 1 x n diagonal row of A*,
+which they take as diag(row).  U0 is held as a (d+1)^3 table over the same
+classes (idempotent).
 
 - The diagonal identities sum_i E_i* = I, sum_i theta*_i E_i* = A*,
   E*_i E*_j = delta_ij E*_i and A_i* = diag(|X| row x of E_i) are
@@ -117,11 +119,6 @@ from .polys import RationalPoly, integer_roots
 
 class VerificationError(Exception):
     """An exact identity that must hold failed to hold."""
-
-
-def diagonal_matrix(row: RationalMatrix) -> RationalMatrix:
-    """The n x n diagonal matrix whose diagonal is the 1 x n row."""
-    return RationalMatrix(np.diag(row.num[0]), row.den, _canonical=True)
 
 
 def _distance_row(i: int, size: int) -> RationalMatrix:
@@ -188,15 +185,10 @@ class TerwContext:
         """The diagonal of A* = A_1*, or the zero row when d = 0."""
         return self.A_star[1] if self.d >= 1 else RationalMatrix.zeros(1, self.n)
 
-    @property
-    def dual_adjacency(self) -> RationalMatrix:
-        """A* as a dense n x n matrix, built on each call for the consumers
-        that take dense generators (closure, decompose)."""
-        return diagonal_matrix(self.dual_adjacency_row)
-
     def generators(self) -> list[RationalMatrix]:
-        """The algebra generators: adjacency and dual adjacency."""
-        return [self.A, self.dual_adjacency]
+        """The algebra generators in closure's forms: the n x n adjacency
+        matrix A and the 1 x n diagonal row of A*."""
+        return [self.A, self.dual_adjacency_row]
 
     def algebra_basis(self) -> BlockSpans:
         return closure(self.generators())

@@ -76,8 +76,9 @@ class _Prepared:
 
 def _prepare(d: int, x: int) -> _Prepared:
     ctx = build_hypercube_context(d, x)
-    # One dense A and A* serve the closure and the split; they are dropped on
-    # return, before complement_algebra, whose corner builds its own.
+    # One dense A, with the diagonal row of A*, serves the closure and the
+    # split; it is dropped on return, before complement_algebra, and the
+    # corner's split builds its own.
     generators = ctx.generators()
     basis = closure(generators)
     dec = decompose(basis, generators)

@@ -24,19 +24,24 @@ generator, the unit, the probe, an idempotent) is read only through its
 frame, its m pivot rows z[R, :] and m pivot columns z[:, C]: a pivot entry
 of g b_k or b_k g takes one pivot row or column of g (below), a pivot entry
 of z^2 is z[R_k, :] z[:, C_k], and a block-size trace reads the pivot
-columns.  A dense matrix reaches the split only as a generator, and its
-frame is g[R, :], g[:, C].  A coordinate vector's is summed from the
+columns.  A generator comes in either of closure's two forms: an n x n
+matrix, whose frame is g[R, :], g[:, C], or a 1 x n row standing for
+diag(row), whose frame holds row[R_k] at (k, R_k) of its m x n rows and
+row[C_k] at (C_k, k) of its n x m columns, and is zero elsewhere
+(_PivotBasis.diagonal_frame).  A coordinate vector's is summed from the
 pieces: piece k of block (h, j) adds c_k X_k[r_i, :] to each pivot row R_i
 in S_h, at columns S_j, and c_k X_k[:, c_i] to each pivot column C_i in
 S_j, at rows S_h; each entry is at most sum_k |c_k| max|X_k|, which picks
 int64 or Python ints.  Each half is built only where it is read: the
 probe's rows, an idempotent's columns for its block size, both for the
-guard.  So no n x n matrix is formed here: the generators are the dense
-matrices the caller passes, and the frames are m x n.
+guard.  So no n x n matrix is formed here: the only ones are the n x n
+generators the caller passes, and the frames are m x n.
 
 - The center, filtered by class-diagonal generators.  Call a generator g
-  class-diagonal when it is diagonal and constant, g_h, on every class S_h
-  of the span, as A* is on the spheres.  For b_k in block (h, j),
+  class-diagonal when it is a row, constant, g_h, on every class S_h of the
+  span, as A* is on the spheres; an n x n generator is never taken as one,
+  diagonal or not, and a row that is not constant on the classes is read
+  through its frame like any other generator.  For b_k in block (h, j),
   b_k g = g_j b_k and g b_k = g_h b_k, so [b_k, g] = (g_j - g_h) b_k.  The
   pivot entries of b_k are pv_k at pivot k and zero at every other pivot,
   so g's row block of the commutator matrix is diagonal, with the nonzero
@@ -165,7 +170,7 @@ from ._intops import (
     max_abs,
     to_object,
 )
-from .closure import BlockSpans, Unit, identity_unit, is_diagonal, unit_table
+from .closure import BlockSpans, Unit, diagonal_row, identity_unit, unit_table
 from .idempotent import U0Report, _line_sums, sphere_of_classes
 from .linalg import RationalMatrix, kernel_basis, min_poly
 from .polys import RationalPoly, integer_roots
@@ -337,16 +342,23 @@ class _PivotBasis:
         pivot columns cols."""
         return self._pivot_products(cols, left=False, ks=ks)
 
-    def class_values(self, g: np.ndarray) -> np.ndarray | None:
-        """g's value on each class, if g is diagonal and constant on every
+    def class_values(self, row: np.ndarray) -> np.ndarray | None:
+        """The value of diag(row) on each class, if row is constant on every
         class; None otherwise."""
-        if not is_diagonal(g):
-            return None
-        diag = g.diagonal()
-        vals = np.array([diag[c[0]] for c in self.classes], dtype=g.dtype)
-        if not all(np.all(diag[c] == v) for c, v in zip(self.classes, vals)):
+        vals = row[[c[0] for c in self.classes]]
+        if not all(np.all(row[c] == v) for c, v in zip(self.classes, vals)):
             return None
         return vals
+
+    def diagonal_frame(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The frame of diag(row): its m x n pivot rows, with row[R_k] at
+        (k, R_k), and its n x m pivot columns, with row[C_k] at (C_k, k)."""
+        k = np.arange(self.dim)
+        rows = np.zeros((self.dim, self.n), dtype=row.dtype)
+        rows[k, self.rows] = row[self.rows]
+        cols = np.zeros((self.n, self.dim), dtype=row.dtype)
+        cols[self.cols, k] = row[self.cols]
+        return rows, cols
 
     def pivot_trace(self, cols: np.ndarray, den: int) -> Fraction:
         """sum_k (b_k z)[R_k, C_k] / pv_k: the trace of b -> b z in coordinates,
@@ -407,11 +419,12 @@ def center_basis(
 
     Precondition: t, a closure.BlockSpans, spans a closed algebra that
     contains the generators.  Then every commutator [b_k, g] lies in the
-    algebra and is zero exactly when its pivot entries are.  A
-    class-diagonal generator only drops the columns of the blocks (h, j) on
-    which its class values differ; the others give the pivot entries of
-    [b_k, g] on the kept columns, read from g's pivot rows g[R, :] and
-    pivot columns g[:, C], and the center coordinates are their kernel
+    algebra and is zero exactly when its pivot entries are.  Each
+    generator is an n x n matrix or a 1 x n row standing for diag(row).  A
+    class-diagonal generator (a row constant on every class) only drops the
+    columns of the blocks (h, j) on which its class values differ; the
+    others give the pivot entries of [b_k, g] on the kept columns, read
+    from g's frame, and the center coordinates are their kernel
     vectors padded with zeros, each over its least common denominator
     (module docstring).  On a span that is not
     closed the result may be wrong; split_center does not split such a
@@ -421,17 +434,21 @@ def center_basis(
     if not pb.dim:
         return []
     keep = np.ones(pb.dim, dtype=bool)
-    generic = []
+    frames = []
     for g in generators:
-        vals = pb.class_values(g.num)
+        row = diagonal_row(g)
+        if row is None:
+            frames.append((g.num[pb.rows], g.num[:, pb.cols]))
+            continue
+        vals = pb.class_values(row)
         if vals is None:
-            generic.append(g.num)
+            frames.append(pb.diagonal_frame(row))
         else:
             keep &= vals[pb._h] == vals[pb._j]
     kept = np.flatnonzero(keep)
     if not len(kept):
         return []
-    parts = [exact_sub(pb.right(g[:, pb.cols], kept), pb.left(g[pb.rows], kept)) for g in generic]
+    parts = [exact_sub(pb.right(cols, kept), pb.left(rows, kept)) for rows, cols in frames]
     rows = np.concatenate(parts) if parts else np.zeros((0, len(kept)), dtype=np.int64)
     center = []
     for beta in kernel_basis(RationalMatrix(rows)):
@@ -605,7 +622,9 @@ def decompose(
 ) -> BlockDecomposition:
     """center_basis + split_center + block_sizes in one call.
 
-    Precondition: the span of t holds every generator g, or, on the U0
+    Each generator is an n x n matrix or a 1 x n row standing for
+    diag(row), as closure takes them.  Precondition: the span of t holds
+    every generator g, or, on the U0
     corner, every (I - U0) g (I - U0).  On a span certified closed with
     unit identity, a unit table (None means I), the split is then exact
     and its idempotents commute with the generators (module docstring); any

@@ -9,6 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from terwalg._intops import INT64_SAFE, exact_matmul, exact_scale, exact_sub, max_abs, to_object
+from terwalg.closure import diagonal_row
 from terwalg.echelon import EchelonSpan
 from terwalg.graphs import DistanceData, Graph
 from terwalg.linalg import RationalMatrix
@@ -90,6 +91,12 @@ def dense_diagonal(row: RationalMatrix) -> RationalMatrix:
     """The n x n diagonal matrix of a held diagonal (a 1 x n row), such as
     TerwContext.E_star[i] or A_star[i], canonicalized on its own."""
     return RationalMatrix(np.diag(row.num[0]), row.den)
+
+
+def dense_generators(generators) -> list[RationalMatrix]:
+    """Generators in closure's forms, each as an n x n matrix: a 1 x n row
+    stands for diag(row), and an n x n matrix is kept as it is."""
+    return [g if diagonal_row(g) is None else dense_diagonal(g) for g in generators]
 
 
 def dense_class_matrix(ctx, row: RationalMatrix) -> RationalMatrix:

@@ -162,7 +162,10 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     for i in range(d + 1):
         dspec = dspec + e_star[i] * ctx.theta_star[i]
     checks.append(
-        Check("dual_adjacency_spectral_decomposition", dspec == ctx.dual_adjacency)
+        Check(
+            "dual_adjacency_spectral_decomposition",
+            dspec == dense_diagonal(ctx.dual_adjacency_row),
+        )
     )
 
     # Krein expansion of every Hadamard product, re-verified at matrix level
@@ -288,7 +291,7 @@ def check_polynomial_images_dense(ctx: TerwContext, adjacency=None) -> list[Chec
     for label, name, m, expected, idem, relator_name in (
         ("A", "adjacency", adjacency, distance_matrices(ctx), dense_idempotents(ctx),
          "relator_annihilates_middle_idempotents"),
-        ("A*", "dual_adjacency", ctx.dual_adjacency, a_star, e_star,
+        ("A*", "dual_adjacency", dense_diagonal(ctx.dual_adjacency_row), a_star, e_star,
          "dual_relator_annihilates_middle_dual_idempotents"),
     ):
         values = poly_eval_matrix(fs + relator, m)

@@ -1,6 +1,7 @@
 """Tests for the matrix algebra closure."""
 
 import importlib
+import json
 import math
 import sys
 from bisect import insort
@@ -8,22 +9,24 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from dense_views import contains, densify, distance_matrix
+from dense_views import contains, dense_diagonal, dense_generators, densify, distance_matrix
 
-from terwalg import _intops, echelon
+from terwalg import _intops, echelon, subconstituent
 from terwalg._intops import content, demote, exact_matmul, max_abs, to_object
-from terwalg.closure import BlockSpans, closure, identity_unit, is_diagonal, joint_classes
+from terwalg.closure import BlockSpans, closure, identity_unit, joint_classes
 from terwalg.echelon import EchelonSpan
 from terwalg.graphs import DistanceData, Graph, hypercube
 from terwalg.linalg import RationalMatrix
 from terwalg.subconstituent import build_context, build_hypercube_context
+from terwalg.verify import build_graph_report
 
 
 def cube_generators(d):
+    """A of Q_d, and A* at vertex 0 as its 1 x n diagonal row."""
     g = hypercube(d)
     dd = DistanceData.compute(g)
     a = distance_matrix(g, dd, 1)
-    astar = RationalMatrix(np.diag([d - 2 * int(v) for v in dd.dist[0]]))
+    astar = RationalMatrix([[d - 2 * int(v) for v in dd.dist[0]]])
     return a, astar
 
 
@@ -39,7 +42,7 @@ def test_closure_contains_identity_and_generators():
     basis = closure([a, astar])
     assert contains(basis, RationalMatrix.identity(4))
     assert contains(basis, a)
-    assert contains(basis, astar)
+    assert contains(basis, dense_diagonal(astar))
 
 
 def test_closure_is_multiplicatively_closed():
@@ -88,15 +91,33 @@ def test_closure_provenance():
 
 
 def test_closure_of_identity_like_generator():
-    z = RationalMatrix.zeros(1, 1)
-    assert closure([z]).dim == 1  # the seeded identity alone
+    # A 1 x 1 matrix is a row and an n x n matrix at once.
+    for v in (0, 3):
+        basis = closure([RationalMatrix([[v]])])
+        assert basis.dim == 1 and len(basis.classes) == 1  # the seeded identity alone
 
 
 def test_closure_single_projection():
-    p = RationalMatrix(np.diag([1, 0]))
+    p = RationalMatrix([[1, 0]])
     basis = closure([p])
     assert basis.dim == 2
-    assert contains(basis, p)
+    assert contains(basis, dense_diagonal(p))
+
+
+def test_closure_takes_a_dense_diagonal_as_any_other_generator():
+    # A dense n x n diagonal is closed over as it stands: one class, and
+    # the same algebra as from its 1 x n row, at width n^2.
+    for d in (2, 3):
+        a, astar = cube_generators(d)
+        dense = closure([a, dense_diagonal(astar)])
+        rows = closure([a, astar])
+        assert len(dense.classes) == 1 and len(rows.classes) == d + 1
+        assert dense.dim == rows.dim
+        assert _row_set(m.num for m in densify(dense)) == _row_set(
+            m.num for m in densify(rows)
+        )
+    basis = closure([RationalMatrix(np.diag([1, 0]))])
+    assert basis.dim == 2 and len(basis.classes) == 1
 
 
 def test_closure_input_validation():
@@ -106,6 +127,8 @@ def test_closure_input_validation():
         closure([RationalMatrix.zeros(2, 3)])
     with pytest.raises(ValueError):
         closure([RationalMatrix.identity(2), RationalMatrix.identity(3)])
+    with pytest.raises(ValueError):
+        closure([RationalMatrix.identity(3), RationalMatrix.zeros(1, 2)])
 
 
 def test_matrix_span_dim_of_distance_matrices():
@@ -132,6 +155,25 @@ def test_closure_deterministic():
         assert (h1, j1) == (h2, j2) and np.array_equal(x1, x2)
 
 
+def test_stored_rows_are_read_only_and_outlive_their_replacement():
+    # The closure multiplies element k as its row stands at its turn, with
+    # no copy, so no stored row may be written in place.
+    span = EchelonSpan(3)
+    span.add([1, 1, 0])
+    with pytest.raises(ValueError):
+        span.row(0)[0] = 5
+    basis = closure(list(cube_generators(2)))
+    with pytest.raises(ValueError):
+        basis.element(basis.dim - 1)[2][0, 0] = 5
+    # A later insertion clears its pivot from row 0 by storing a new array;
+    # the row read before keeps its entries.
+    seen = span.row(0)
+    span.add([0, 1, 0])
+    assert seen.tolist() == [1, 1, 0]
+    assert span.row(0).tolist() == [1, 0, 0] and not span.row(0).flags.writeable
+    assert span.row(1).tolist() == [0, 1, 0] and not span.row(1).flags.writeable
+
+
 # -- the block closure against the sequential closure at width n^2 ----------
 
 
@@ -139,8 +181,10 @@ def sequential_closure(generators):
     """Reference: the closure from I at width n^2, one product at a time.
 
     Every basis element is left-multiplied by every generator, diagonal or
-    not, and reduced against the whole span.  Returns the span.
+    not, each as an n x n matrix, and reduced against the whole span.
+    Returns the span.
     """
+    generators = dense_generators(generators)
     n = generators[0].nrows
     span = EchelonSpan(n * n)
     span.add(np.eye(n, dtype=np.int64).ravel())
@@ -185,8 +229,8 @@ def two_diagonal_generators():
     cycle = np.zeros((6, 6), dtype=np.int64)
     for v in range(6):
         cycle[v, (v + 1) % 6] = cycle[(v + 1) % 6, v] = 1
-    d1 = RationalMatrix(np.diag([0, 0, 1, 1, 0, 1]))
-    d2 = RationalMatrix(np.diag([0, 1, 0, 1, 1, 0]))
+    d1 = RationalMatrix([[0, 0, 1, 1, 0, 1]])
+    d2 = RationalMatrix([[0, 1, 0, 1, 1, 0]])
     return [d1, RationalMatrix(cycle), d2]
 
 
@@ -212,7 +256,7 @@ def test_block_closure_matches_sequential_closure():
 
 def test_joint_classes_are_finer_than_each_diagonal():
     d1, _cycle, d2 = two_diagonal_generators()
-    diagonals = [d1.num.diagonal(), d2.num.diagonal()]
+    diagonals = [d1.num[0], d2.num[0]]
     classes = joint_classes(6, diagonals)
     assert [c.tolist() for c in classes] == [[0], [1, 4], [2, 5], [3]]
     assert len(joint_classes(6, diagonals[:1])) == 2
@@ -248,7 +292,7 @@ def test_contains_checks_entries_outside_every_block():
     off = np.zeros((4, 4), dtype=np.int64)
     off[0, 3] = 1
     assert not contains(basis, RationalMatrix(off))
-    assert contains(basis, astar)
+    assert contains(basis, dense_diagonal(astar))
 
 
 def test_block_closure_on_the_object_path(monkeypatch):
@@ -358,9 +402,17 @@ class OracleBlockSpans(BlockSpans):
         return super().add(h, j, block)
 
 
+def is_diagonal(a: np.ndarray) -> bool:
+    """Whether a square array has no nonzero off its diagonal."""
+    return np.count_nonzero(a) == np.count_nonzero(a.diagonal())
+
+
 def oracle_closure(generators):
-    """The closure as it was before its blocks were prepared: every product
-    g[S_h', S_h] @ X through exact_matmul, every span an OracleEchelonSpan."""
+    """The closure as it was before its blocks were prepared and before its
+    span became its queue.  Every generator is an n x n matrix, and those
+    that is_diagonal finds diagonal give the classes; every product
+    g[S_h', S_h] @ X runs through exact_matmul; every element is queued as
+    a copy of its row as inserted; every span is an OracleEchelonSpan."""
     n = generators[0].nrows
     diagonal = [is_diagonal(g.num) for g in generators]
     classes = joint_classes(
@@ -411,6 +463,28 @@ def assert_same_block_spans(got, want, name):
     assert got.closed_unit == want.closed_unit, name
 
 
+def assert_same_algebra(got, want, name):
+    """Equal classes, dimension, certificate and canonical row set of every
+    block span; the element numbering may differ."""
+    assert [c.tolist() for c in got.classes] == [c.tolist() for c in want.classes], name
+    assert got.dim == want.dim and got.closed_unit == want.closed_unit, name
+    assert got._spans.keys() == want._spans.keys(), name
+    for key, span in want._spans.items():
+        assert _row_set(got._spans[key].rows) == _row_set(span.rows), (name, key)
+
+
+def assert_matches_oracle(gens, name, same_order):
+    """The closure against oracle_closure on the dense generators: with
+    same_order, the same element order and rows; otherwise the same
+    algebra, since taking each element as it stands at its turn may
+    renumber (it does on J(7,3))."""
+    got, want = closure(gens), oracle_closure(dense_generators(gens))
+    if same_order:
+        assert_same_block_spans(got, want, name)
+    else:
+        assert_same_algebra(got, want, name)
+
+
 def johnson(v, k):
     verts = list(combinations(range(v), k))
     edges = [
@@ -439,8 +513,30 @@ def oracle_cases(max_d):
 
 
 def test_prepared_closure_matches_the_per_product_oracle():
+    # Every hypercube keeps its numbering; the other graphs keep their algebra.
     for name, gens in oracle_cases(8):
-        assert_same_block_spans(closure(gens), oracle_closure(gens), name)
+        assert_matches_oracle(gens, name, same_order=name.startswith("Q_"))
+
+
+def test_graph_report_is_the_same_on_the_oracle_closure(monkeypatch):
+    # Where the element numbering moves, the graph report does not.
+    graphs = {
+        "petersen": (kneser_petersen(), 3),
+        "H(3,3)": (hamming(3, 3), 5),
+        "J(7,3)": (johnson(7, 3), 4),
+        "folded 7-cube": (folded_cube(7), 9),
+    }
+
+    def report(g, x):
+        data, ok = build_graph_report(g, x)
+        return json.dumps(data, sort_keys=True, indent=2), ok
+
+    expected = {name: report(*args) for name, args in graphs.items()}
+    monkeypatch.setattr(
+        subconstituent, "closure", lambda gens: oracle_closure(dense_generators(gens))
+    )
+    for name, args in graphs.items():
+        assert report(*args) == expected[name], name
 
 
 def test_prepared_closure_matches_the_oracle_on_the_object_path(monkeypatch):
@@ -467,7 +563,7 @@ def test_prepared_closure_matches_the_oracle_on_the_object_path(monkeypatch):
         counting(closure_module.prepared_matmul, prepared),
     )
     for name, gens in cases:
-        assert_same_block_spans(closure(gens), oracle_closure(gens), name)
+        assert_matches_oracle(gens, name, same_order=name.startswith("Q_"))
     # Both sides of the bound were taken.
     assert 100 < len(fallbacks) < len(prepared) - 100
 
@@ -486,8 +582,8 @@ def test_prepared_closure_bounds_each_product_by_its_piece(monkeypatch):
 
     monkeypatch.setattr(_intops, "exact_matmul", counting)
     m = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]], dtype=np.int64) * (1 << 59)
-    d = np.diag(np.array([1, 1, 2], dtype=np.int64))
+    d = np.array([[1, 1, 2]], dtype=np.int64)
     for gens in ([RationalMatrix(m)], [RationalMatrix(m), RationalMatrix(d)]):
         fallbacks.clear()
-        assert_same_block_spans(closure(gens), oracle_closure(gens), "2^59 circulant")
+        assert_matches_oracle(gens, "2^59 circulant", same_order=True)
         assert fallbacks

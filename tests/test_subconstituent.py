@@ -81,7 +81,8 @@ def test_degenerate_diameter_zero(contexts):
     ctx = contexts[0]
     assert ctx.n == 1
     assert ctx.A.is_zero()
-    assert ctx.dual_adjacency.is_zero()
+    assert ctx.dual_adjacency_row.is_zero()
+    assert [g.shape for g in ctx.generators()] == [(1, 1), (1, 1)]
     assert ctx.algebra_basis().dim == 1
 
 
@@ -92,18 +93,22 @@ def test_frozen_small_matrices(contexts):
     assert ctx.E[1].dense_rows() == [[half, -half]]
     assert ctx.class_matrix(ctx.E[0]).dense_rows() == [[half, half], [half, half]]
     assert ctx.class_matrix(ctx.E[1]).dense_rows() == [[half, -half], [-half, half]]
-    assert ctx.dual_adjacency == RationalMatrix(np.diag([1, -1]))
+    assert ctx.dual_adjacency_row == RationalMatrix([[1, -1]])
     assert ctx.A_star[1] == RationalMatrix([[1, -1]])
     assert ctx.E_star[1] == RationalMatrix([[0, 1]])
 
 
 def test_dual_side_is_held_as_diagonals(contexts):
-    # Every E*_i and A*_i is a 1 x n row; A* is built dense on request.
+    # Every E*_i and A*_i is a 1 x n row, and the generators hand A* on as
+    # its row: only A is built dense.
     for ctx in contexts.values():
         for m in ctx.E_star + ctx.A_star:
             assert m.shape == (1, ctx.n)
-        assert ctx.dual_adjacency == dense_diagonal(ctx.dual_adjacency_row)
-        assert ctx.generators()[1] == ctx.dual_adjacency
+        a, a_star = ctx.generators()
+        assert a == ctx.A and a_star == ctx.dual_adjacency_row
+        assert a_star.shape == (1, ctx.n)
+        if ctx.d >= 1:
+            assert a_star == ctx.A_star[1]
 
 
 def test_idempotents_are_held_as_class_rows(contexts):
@@ -380,7 +385,8 @@ def _min_poly_oracle(ctx, adjacency):
     of A* at width n^2."""
     phi = ctx.params.phi
     out = []
-    for g, name in ((adjacency, "adjacency"), (ctx.dual_adjacency, "dual_adjacency")):
+    a_star = dense_diagonal(ctx.dual_adjacency_row)
+    for g, name in ((adjacency, "adjacency"), (a_star, "dual_adjacency")):
         mp = matrix_min_poly(g)
         witness = None if mp == phi else f"{mp} != {phi}"
         out.append(Check(f"minimal_polynomial_of_{name}", mp == phi, witness))

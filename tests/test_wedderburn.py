@@ -11,6 +11,7 @@ import pytest
 from dense_views import (
     combine,
     dense_diagonal,
+    dense_generators,
     dense_pivot_idempotents_valid,
     dense_u0,
     dense_unit,
@@ -102,6 +103,7 @@ def _gram_center_basis(mats, generators):
     is in the kernel of its Gram matrix, because the Gram form is a sum of
     squares.  This works at width n^2 and needs no closure assumption.
     """
+    generators = dense_generators(generators)
     n = mats[0].nrows
     rows = []
     for b in mats:
@@ -250,7 +252,7 @@ def test_idempotents_form_partition_of_unity(suite):
         for j, zj in enumerate(idems):
             if i != j:
                 assert zi @ zj == zero
-        for g in ctx.generators():
+        for g in dense_generators(ctx.generators()):
             assert zi @ g == g @ zi
         acc = acc + zi
     assert acc == RationalMatrix.identity(ctx.n)
@@ -446,7 +448,7 @@ def _dense_corner(ctx, t, u0):
 
 def _compressed_generators(ctx, u0):
     comp = RationalMatrix.identity(ctx.n) - u0
-    return tuple(comp @ g @ comp for g in ctx.generators())
+    return tuple(comp @ g @ comp for g in dense_generators(ctx.generators()))
 
 
 def _pairwise_idempotents_valid(idems, identity):
@@ -553,7 +555,7 @@ def test_pivot_kernel_matches_dense_products(suite):
         pb = _PivotBasis(span)
         mats = densify(span)
         dec = decompose(span, gens, identity)
-        for z in list(gens) + list(dec.central_idempotents):
+        for z in dense_generators(gens) + list(dec.central_idempotents):
             rows, cols, den = _frame(pb, z)
             dense = z if isinstance(z, RationalMatrix) else combine(pb, *z)
             for side, part in (("left", rows), ("right", cols)):
@@ -570,8 +572,7 @@ def test_pivot_kernel_object_path(suite, monkeypatch):
     # demoted result must be the same int64 array.
     ctx, basis = suite[4]
     pb = _PivotBasis(basis)
-    gens = ctx.generators()
-    frames = [_frame(pb, g) for g in gens]
+    frames = [_frame(pb, g) for g in dense_generators(ctx.generators())]
     expected = [(pb.left(rows), pb.right(cols)) for rows, cols, _ in frames]
     monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
     for (rows, cols, _), (left, right) in zip(frames, expected):
@@ -695,7 +696,7 @@ def test_corner_rejects_blocks_that_split_a_sphere(suite):
     ctx, basis = suite[3]
     rep = verify_u0(ctx, basis)
     v = int(ctx.spheres[1][0])
-    unit = RationalMatrix(np.diag([int(y == v) for y in range(ctx.n)]))
+    unit = RationalMatrix([[int(y == v) for y in range(ctx.n)]])
     cut = closure(ctx.generators() + [unit])
     with pytest.raises(ValueError, match="not exactly one sphere"):
         complement_algebra(ctx, cut, rep)
@@ -713,7 +714,7 @@ def _full_center_basis(span, generators):
     if not pb.dim:
         return []
     parts = []
-    for g in generators:
+    for g in dense_generators(generators):
         rows, cols, _ = _frame(pb, g)
         parts.append(exact_sub(pb.right(cols), pb.left(rows)))
     alphas = kernel_basis(RationalMatrix(np.concatenate(parts)))
@@ -734,7 +735,8 @@ def _oracle_decompose(span, generators, identity=None):
     status, mp, roots, idems, ranks = _dense_split_center(
         _dense_all(span, center), dense_unit(span, identity)
     )
-    if status == SPLIT and any(z @ g != g @ z for z in idems for g in generators):
+    dense = dense_generators(generators)
+    if status == SPLIT and any(z @ g != g @ z for z in idems for g in dense):
         status, roots, idems, ranks = INCONCLUSIVE, (), (), ()
     dec = BlockDecomposition(
         center_dim=len(center),
@@ -792,15 +794,41 @@ def test_split_matches_full_kernel_rank_and_dense_guard(differential_algebras):
 
 def test_class_filter_keeps_only_diagonal_sphere_blocks(suite):
     # On T(x), A* separates the spheres, so the filter keeps exactly the
-    # pieces of the blocks E*_h T E*_h; A is not class-diagonal, nor is A*
-    # on a span with one class.
+    # pieces of the blocks E*_h T E*_h; A*'s row is not constant on a span
+    # with one class, and neither is a row that cuts a sphere.
     ctx, basis = suite[4]
     pb = _PivotBasis(basis)
-    vals = pb.class_values(ctx.dual_adjacency.num)
+    row = ctx.dual_adjacency_row.num[0]
+    vals = pb.class_values(row)
     assert np.array_equal(vals[pb._h] == vals[pb._j], pb._h == pb._j)
-    assert pb.class_values(ctx.A.num) is None
+    assert pb.class_values(np.arange(ctx.n)) is None
     one = _PivotBasis(BlockSpans(ctx.n, (np.arange(ctx.n),)))
-    assert one.class_values(ctx.dual_adjacency.num) is None
+    assert one.class_values(row) is None
+
+
+def test_diagonal_frame_is_the_frame_of_the_dense_diagonal(suite):
+    for name, span, _gens, _identity in _algebras(suite):
+        pb = _PivotBasis(span)
+        for row in (np.arange(span.n) - 3, np.arange(span.n) % 2):
+            rows, cols = pb.diagonal_frame(row)
+            want_rows, want_cols, _ = _frame(pb, RationalMatrix(np.diag(row)))
+            assert np.array_equal(rows, want_rows), name
+            assert np.array_equal(cols, want_cols), name
+
+
+def test_row_not_constant_on_the_classes_is_read_through_its_frame():
+    # The closure of A and the dense A* has one class, so A*'s row is read
+    # through its diagonal frame; the split equals the one on dense A*.
+    for d, x in ((3, 0), (4, 5)):
+        ctx = build_hypercube_context(d, x)
+        gens = ctx.generators()
+        span = closure(dense_generators(gens))
+        assert len(span.classes) == 1
+        want = _as_tuples(center_basis(span, dense_generators(gens)))
+        assert _as_tuples(center_basis(span, gens)) == want
+        dec = decompose(span, gens)
+        assert dec.status == SPLIT and dec == decompose(span, dense_generators(gens))
+        assert dec.multiset == decompose(ctx.algebra_basis(), gens).multiset
 
 
 def test_pivot_guard_matches_dense_guard(differential_algebras):
@@ -1140,6 +1168,52 @@ def test_corner_holds_no_n_by_n_array(monkeypatch):
             assert (h, j) == (h2, j2) and np.array_equal(x, x2)
         dec = decompose(got.span, gens, got.identity)
         assert dec.status == SPLIT and dec == want_dec
+
+
+def test_closure_and_both_splits_hold_no_n_by_n_array_but_a(monkeypatch):
+    # ctx.generators() forms A alone at n x n and hands A* on as its row.
+    # With A made before the refusal and every later n x n result refused,
+    # the closure, the split of T, U0 and the corner and its split must
+    # give the unrefused results.
+    cases = []
+    for d in (6, 8):
+        for x in (0, 5):
+            ctx = build_hypercube_context(d, x)
+            squares = []
+            real_init = RationalMatrix.__init__
+
+            def counting_init(self, num, den=1, _n=ctx.n, **kwargs):
+                real_init(self, num, den, **kwargs)
+                if self.num.shape == (_n, _n):
+                    squares.append(self.num)
+
+            with monkeypatch.context() as m:
+                m.setattr(RationalMatrix, "__init__", counting_init)
+                gens = ctx.generators()
+            assert len(squares) == 1 and squares[0] is gens[0].num
+            assert [g.shape for g in gens] == [(ctx.n, ctx.n), (1, ctx.n)]
+            basis = closure(gens)
+            rep = verify_u0(ctx, basis)
+            corner = complement_algebra(ctx, basis, rep)
+            cases.append((ctx, gens, basis, decompose(basis, gens), rep,
+                          corner, decompose(corner.span, gens, corner.identity)))
+    side = [0]
+    _refuse_n_by_n(monkeypatch, side)
+    for ctx, gens, basis, dec, rep, corner, corner_dec in cases:
+        _assert_refused(ctx.n, side)
+        got = closure(gens)
+        assert [c.tolist() for c in got.classes] == [c.tolist() for c in basis.classes]
+        assert got._elements == basis._elements and got.closed_unit == basis.closed_unit
+        for k in range(basis.dim):
+            (h, j, x), (h2, j2, x2) = got.element(k), basis.element(k)
+            assert (h, j) == (h2, j2) and np.array_equal(x, x2)
+        assert decompose(got, gens) == dec and dec.status == SPLIT
+        got_rep = verify_u0(ctx, got)
+        assert got_rep == rep
+        got_corner = complement_algebra(ctx, got, got_rep)
+        assert got_corner.identity == corner.identity and got_corner.dim == corner.dim
+        assert decompose(got_corner.span, gens, got_corner.identity) == corner_dec
+        assert corner_dec.status == SPLIT
 
 
 # -- unit tables ---------------------------------------------------------------
