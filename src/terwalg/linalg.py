@@ -98,18 +98,25 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
-        """Build from nested Fractions or ints, clearing denominators."""
-        data = [[Fraction(v) for v in row] for row in rows]
+        """Build from nested Fractions or ints, clearing denominators.
+
+        The common denominator is one lcm of the entries' denominators, and
+        each numerator is v.numerator · (den // v.denominator), a product of
+        Python ints: numpy integers and their numerators are read through
+        int(), so no product wraps at 64 bits.  Any other entry is read
+        through Fraction(v).
+        """
+        data = [
+            [v if isinstance(v, (int, Fraction, np.integer)) else Fraction(v) for v in row]
+            for row in rows
+        ]
         if not data:
             raise ValueError("at least one row expected")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("ragged rows")
-        den = 1
-        for row in data:
-            for v in row:
-                den = lcm(den, v.denominator)
-        num = [[int(v * den) for v in row] for row in data]
+        den = lcm(*{int(v.denominator) for row in data for v in row})
+        num = [[int(v.numerator) * (den // int(v.denominator)) for v in row] for row in data]
         return cls(np.array(num, dtype=object), den)
 
     # -- views -------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 from collections import deque
 from itertools import combinations, product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -333,6 +334,53 @@ def _per_source_table(g):
     return np.stack([_bfs(g.neighbors, src) for src in range(g.n)])
 
 
+def _frontier_distances(neighbors, sources):
+    """Reference: the frontier BFS from every source at once.
+
+    Row r holds the distances from sources[r], -1 if unreachable.  The
+    frontier is the flat indices r n + v of the pairs first reached at the
+    current level; for each neighbour slot s the candidates are the pairs
+    (r, table[v, s]), kept when still unreached (a padded slot gives (r, v),
+    which is reached).  A pair that two frontier pairs reach in the same
+    slot is deduplicated by writing a distinct negative tag per candidate
+    and keeping the candidates whose tag survived.
+    """
+    n = len(neighbors)
+    table = graphs._neighbour_table(neighbors).T.copy()  # row s: slot s of every v
+    dist = np.full(len(sources) * n, -1, dtype=np.int64)
+    rows = np.arange(len(sources), dtype=np.intp)
+    frontier = rows * n + np.asarray(sources, dtype=np.intp)
+    dist[frontier] = 0
+    level = 0
+    while frontier.size:
+        level += 1
+        v = frontier % n
+        found = [frontier[:0]]  # a vertex of degree 0 has no slot
+        for slot in table:
+            cand = frontier + (slot[v] - v)
+            cand = cand[dist[cand] < 0]
+            tag = -2 - np.arange(cand.size)
+            dist[cand] = tag
+            cand = cand[dist[cand] == tag]
+            dist[cand] = level
+            found.append(cand)
+        frontier = np.concatenate(found)
+    return dist.reshape(len(sources), n)
+
+
+def _assert_level_sets_match_frontier(neighbors):
+    """The distance search against the frontier oracle, from every source
+    and from vertex 0 alone, with every level sparse, with the size rule,
+    and with every level dense."""
+    for sources in (range(len(neighbors)), [0]):
+        want = _frontier_distances(neighbors, sources)
+        for rule in (0, graphs.SPARSE_LEVEL, 1 << 40):
+            with mock.patch.object(graphs, "SPARSE_LEVEL", rule):
+                got = graphs._distances(neighbors, sources)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want.T)
+
+
 def _assert_table_matches_oracle(g):
     dd = DistanceData.compute(g)
     want = _per_source_table(g)
@@ -340,6 +388,60 @@ def _assert_table_matches_oracle(g):
     assert np.array_equal(dd.dist, want)
     assert dd.diameter == int(want.max())
     assert not dd.dist.flags.writeable
+    _assert_level_sets_match_frontier(g.neighbors)
+
+
+def _per_class_distance_regular(g, dd):
+    """Reference: the counted intersection array read class by class.
+
+    For each i, the counts on each class dist = h, h = i-1, i, i+1, are
+    compacted and compared with the class's first count; the first class
+    that is not constant names the witness.
+    """
+    diam = dd.diameter
+    size = diam + 1
+    table = graphs._neighbour_table(g.neighbors)
+    deg = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=g.n)
+    padded = [np.flatnonzero(deg <= s) for s in range(table.shape[1])]
+    counts = np.empty(dd.dist.shape, dtype=np.min_scalar_type(table.shape[1]))
+    rows = np.empty(dd.dist.shape, dtype=bool)
+    masks = {}  # the distance-h masks for h = i-1, i, i+1 only
+    b1 = np.zeros((size, size), dtype=np.int64)
+    for i in range(size):
+        masks.pop(i - 2, None)
+        for h in range(max(i - 1, 0), min(i + 1, diam) + 1):
+            if h not in masks:
+                masks[h] = dd.dist == h
+        graphs._neighbour_counts(table, padded, masks[i], counts, rows)
+        for h in range(max(i - 1, 0), min(i + 1, diam) + 1):
+            vals = counts[masks[h]]
+            bad = np.flatnonzero(vals != vals[0])
+            if bad.size:
+                pairs = np.argwhere(masks[h])
+                k = int(bad[0])
+                return False, (
+                    h, 1, i, tuple(int(t) for t in pairs[0]), int(vals[0]),
+                    tuple(int(t) for t in pairs[k]), int(vals[k]),
+                )
+            b1[h, i] = vals[0]
+    mats = [np.eye(size, dtype=np.int64), b1]
+    for j in range(1, diam):
+        step = b1 @ mats[j] - b1[j, j] * mats[j] - b1[j - 1, j] * mats[j - 1]
+        mats.append(step // b1[j + 1, j])
+    return True, np.stack(mats[:size], axis=1)
+
+
+def _assert_distance_regularity_matches_oracle(g):
+    dd = DistanceData.compute(g)
+    ok, result = is_distance_regular(g, dd)
+    want_ok, want = _per_class_distance_regular(g, dd)
+    assert ok == want_ok
+    if ok:
+        assert result.dtype == want.dtype
+        assert np.array_equal(result, want)
+    else:
+        assert result == want
+    return ok
 
 
 def _benchmark_families():
@@ -402,6 +504,72 @@ def connected_graphs(draw):
 @given(connected_graphs())
 def test_distances_match_per_source_bfs_on_irregular_graphs(g):
     _assert_table_matches_oracle(g)
+
+
+def _non_distance_regular_circulants_and_tori():
+    return [circulant(10, (2, 5)), circulant(12, (1, 5)), torus(6, 6), torus(5, 7)]
+
+
+def test_distances_match_the_oracles_on_circulants_and_tori():
+    for g in _non_distance_regular_circulants_and_tori():
+        _assert_table_matches_oracle(g)
+
+
+def test_distance_regularity_matches_the_per_class_oracle():
+    # One whole-table compare per count names the same verdict, table and
+    # witness as the class-by-class reading, on every graph of this file.
+    prism = Graph.from_edges(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    )
+    house = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
+    accepted = [hypercube(d) for d in range(0, 9)]
+    accepted += [cycle(n) for n in (3, 4, 6, 7, 9, 20)]
+    accepted += [path(1), path(2), kneser(5, 2), johnson(6, 3), hamming(3, 3)]
+    accepted += [Graph.from_edges(f.n, f.edges) for f in _benchmark_families()]
+    rejected = [path(n) for n in (3, 4, 5, 10, 33)] + [prism, house]
+    rejected += _non_distance_regular_circulants_and_tori()
+    for g in accepted:
+        assert _assert_distance_regularity_matches_oracle(g)
+    for g in rejected:
+        assert not _assert_distance_regularity_matches_oracle(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs())
+def test_distance_regularity_matches_the_per_class_oracle_on_irregular_graphs(g):
+    _assert_distance_regularity_matches_oracle(g)
+
+
+def _level_kinds(monkeypatch, g):
+    """The kind of each level step of the all-pairs search on g, in order."""
+    kinds = []
+    step, counts = graphs._frontier_step, graphs._neighbour_counts
+    monkeypatch.setattr(graphs, "_frontier_step", lambda *a: kinds.append("sparse") or step(*a))
+    monkeypatch.setattr(graphs, "_neighbour_counts", lambda *a: kinds.append("dense") or counts(*a))
+    graphs._distances(g.neighbors, range(g.n))
+    return kinds
+
+
+def test_long_paths_take_only_sparse_levels(monkeypatch):
+    # A path's levels hold at most 2 pairs per source, so a whole-table
+    # level would cost O(n^2) for O(n) pairs: none is taken.
+    assert _level_kinds(monkeypatch, path(256)) == ["sparse"] * 256
+
+
+def test_cube_levels_are_dense_where_they_are_large(monkeypatch):
+    # Q_8 holds 256 C(8, l) pairs at level l, so levels 1..7 reach n^2 / 32.
+    assert _level_kinds(monkeypatch, hypercube(8)) == ["sparse"] + ["dense"] * 7 + ["sparse"]
+
+
+def test_level_sets_on_a_disconnected_graph():
+    # Vertices 1, 3 and 5 lie outside 0's component, and 5 is isolated.
+    edges = [(0, 2), (2, 4), (1, 3)]
+    neighbors = ((2,), (3,), (0, 4), (1,), (2,), ())
+    _assert_level_sets_match_frontier(neighbors)
+    assert graphs._distances(neighbors, [0])[:, 0].tolist() == [0, -1, 1, -1, 2, -1]
+    assert graphs._distances(neighbors, range(6))[1].tolist() == [-1, 0, -1, 1, -1, -1]
+    with pytest.raises(ValueError, match="vertex 1 unreachable from 0"):
+        Graph.from_edges(6, edges)
 
 
 def test_disconnected_graph_names_first_unreachable_vertex():

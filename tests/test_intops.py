@@ -47,6 +47,27 @@ def dense(rng, rows, cols, lo=-9, hi=9):
     )
 
 
+def test_max_abs_is_exact_on_extreme_and_object_entries():
+    top = INT64_SAFE - 1
+    for size in (1, 2, 20_000):
+        for big, small in ((top, -5), (5, -top), (top, -top), (-3, -top), (top, 7)):
+            arr = np.zeros(size, dtype=np.int64)
+            arr[0] = small
+            arr[-1] = big
+            want = max(abs(big), abs(small)) if size > 1 else abs(big)
+            assert _intops.max_abs(arr) == want
+            assert type(_intops.max_abs(arr)) is int
+            assert _intops.max_abs(arr.reshape(1, -1)) == want
+            assert _intops.max_abs(arr.astype(object)) == want
+        obj = np.zeros(size, dtype=object)
+        obj[-1] = -(2**80)
+        if size > 1:
+            obj[0] = 2**70
+        assert _intops.max_abs(obj) == 2**80
+    for empty in (np.zeros(0, dtype=np.int64), np.zeros((0, 5), dtype=object)):
+        assert _intops.max_abs(empty) == 0
+
+
 def test_diagonal_left_right_both_and_neither():
     rng = random.Random(1)
     d4 = diag([3, 0, -2, 7])

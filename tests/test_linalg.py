@@ -60,6 +60,68 @@ def test_from_rows_clears_denominators():
         RationalMatrix.from_rows([[1, 2], [3]])
 
 
+def _from_rows_by_fraction_products(rows):
+    """Reference: every entry made a Fraction and multiplied by the common
+    denominator."""
+    data = [[Fraction(v) for v in row] for row in rows]
+    den = 1
+    for row in data:
+        for v in row:
+            den = lcm(den, v.denominator)
+    num = [[int(v * den) for v in row] for row in data]
+    return RationalMatrix(np.array(num, dtype=object), den)
+
+
+_big = st.integers(min_value=-(2**70), max_value=2**70)
+_entries = st.one_of(
+    st.just(0),
+    _big,
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=-(2**31), max_value=2**31 - 1).map(np.int32),
+    st.builds(Fraction, _big, st.integers(min_value=1, max_value=2**70)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda w: st.lists(
+            st.one_of(st.lists(_entries, min_size=w, max_size=w), st.just([0] * w)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+def test_from_rows_matches_fraction_products(rows):
+    # Mixed ints, numpy ints and Fractions, negative entries, denominators
+    # past 2**63 and zero rows.  The reference reads numpy ints as Python
+    # ints: a Fraction of a numpy int keeps a numpy numerator, whose product
+    # with a common denominator wraps at 2**63.
+    got = RationalMatrix.from_rows(rows)
+    want = _from_rows_by_fraction_products(
+        [[int(v) if isinstance(v, np.integer) else v for v in row] for row in rows]
+    )
+    assert got.den == want.den
+    assert got.num.dtype == want.num.dtype
+    assert got.num.tolist() == want.num.tolist()
+
+
+def test_from_rows_numpy_integers_do_not_wrap():
+    m = RationalMatrix.from_rows([[np.int64(5), Fraction(1, 2**61 + 1)]])
+    assert m.den == 2**61 + 1
+    assert m.num.tolist() == [[5 * (2**61 + 1), 1]]
+    assert m[0, 0] == 5
+
+
+def test_from_rows_rejects_empty_and_ragged_input():
+    with pytest.raises(ValueError, match="at least one row"):
+        RationalMatrix.from_rows([])
+    with pytest.raises(ValueError, match="ragged"):
+        RationalMatrix.from_rows([[Fraction(1, 2), np.int64(1)], [3]])
+    with pytest.raises(ValueError, match="ragged"):
+        RationalMatrix.from_rows([[], [1]])
+
+
 def test_diagonal_and_entries():
     m = RationalMatrix(np.diag([2, -1]), 2)
     assert m.dense_rows() == [[1, 0], [0, Fraction(-1, 2)]]
