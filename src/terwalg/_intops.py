@@ -1,10 +1,14 @@
 """Guarded exact integer arithmetic on numpy arrays.
 
-int64 arrays are the fast path.  Every fast-path operation is preceded by an
-exact bound check computed with Python integers; when the result could leave
-the int64 range the operation is redone on object-dtype arrays holding Python
-ints.  Either way the computed values are exact.  Nothing here ever touches
-floating point.
+int64 arrays are the fast path.  A kernel states an exact bound, computed
+with Python integers, on every value it forms, and hands it to guarded, the
+one int64/object dispatch of the package: under INT64_SAFE the kernel runs
+in int64; past it, or when an operand is already object, it runs on object
+arrays holding Python ints and each result is demoted to int64 when it
+fits.  Either way the computed values are exact.  Every exact-integer
+kernel of the package goes through guarded, except the in-place row
+operations of echelon, which keep their own bound checks; only this module
+and echelon read INT64_SAFE.  Nothing here ever touches floating point.
 
 exact_matmul has one structured path besides the dense product.  When an
 n x w operand has at most r nonzeros in every row, and 4·r is at most w (the
@@ -15,22 +19,19 @@ of O(w) per entry of the result.  The factor need not be square.  A sparse
 right factor goes through the transpose, A @ S = (Sᵀ @ Aᵀ)ᵀ, so there the
 count is taken per column and w is the number of rows of S.  Each entry of
 the result is a sum of at most r products, so the int64 bound is
-r·max|S|·max|B|, not w·max|S|·max|B|.  Past that bound, or when an operand
-is already object, the same gather runs on object buffers and the result is
-demoted to int64 if it fits.  The adjacency matrix A (d ones per row),
-A - θI, the diagonal E_i* and A_i* (r <= 1, so a diagonal factor is a row or
-column scaling), the sphere blocks A[S_h', S_h] of A (at most d ones per
-row, against a width of C(d, h)) and the echelon basis elements of T(x),
-whose rows sit on a few sphere blocks, are such operands.
+r·max|S|·max|B|, not w·max|S|·max|B|.  On a d=8 sweep the gather fires on
+the left-regular matrices L_p that split_center hands to min_poly and to
+its Lagrange steps, and on the (d+1)-sized tables of _krein_table and the
+section identities; every other exact_matmul product there is dense.
 
 A left factor that multiplies many operands is prepared once:
 prepare_left(m) keeps m with max|m| and its row structure, and
-prepared_matmul(left, x, max|x|) then picks its path from the same exact
-bounds with no pass over m: the gather when m is sparse and
-r·max|m|·max|x| < INT64_SAFE, the dense int64 product when m is dense and
-w·max|m|·max|x| < INT64_SAFE, and exact_matmul (the object path) otherwise.
-The closure (closure.closure) multiplies every basis piece by such prepared
-sphere blocks of its generators.
+prepared_matmul(left, x, max|x|) then states its bound with no pass over m:
+r·max|m|·max|x| for the gather when m is sparse, w·max|m|·max|x| for the
+dense int64 product when it is not; past it the product goes to
+exact_matmul.  The closure (closure.closure) multiplies every basis piece by
+such prepared sphere blocks A[S_h', S_h] of its generators (at most d ones
+per row, against a width of C(d, h)).
 """
 
 from __future__ import annotations
@@ -91,6 +92,32 @@ def content(arr: np.ndarray) -> int:
                 break
         return g
     return int(np.gcd.reduce(np.abs(arr.ravel())))
+
+
+def guarded(bound: int, fn, *operands: np.ndarray, exact=None):
+    """fn(*operands), exactly: the one int64/object dispatch of the package.
+
+    The caller states bound, a bound on every value that fn forms from
+    int64 operands.  When bound < INT64_SAFE and no operand is object, fn
+    runs on the operands as they are, in int64.  Otherwise exact, when
+    given, runs on the operands as they are; by default fn runs on the
+    operands made object (Python ints) and each result array is demoted,
+    one by one when fn returns a tuple.  Outside the in-place row
+    operations of echelon, this is the one place a kernel's bound meets
+    INT64_SAFE.
+    """
+    if bound < INT64_SAFE:
+        for a in operands:
+            if a.dtype.hasobject:
+                break
+        else:
+            return fn(*operands)
+    if exact is not None:
+        return exact(*operands)
+    out = fn(*(to_object(a) for a in operands))
+    if isinstance(out, tuple):
+        return tuple(demote(o) for o in out)
+    return demote(out)
 
 
 # A factor of inner width w with at most r nonzeros per row is applied by
@@ -186,14 +213,12 @@ def _gather_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         (cols, vals, unit), other, axis = left, b, 0
     else:
         return None
-    r = cols.shape[1]
-    if (
-        a.dtype != object
-        and b.dtype != object
-        and r * max_abs(vals) * max_abs(other) < INT64_SAFE
-    ):
-        return _gather(cols, vals, unit, other, axis)
-    return demote(_gather(cols, to_object(vals), unit, to_object(other), axis))
+    return guarded(
+        cols.shape[1] * max_abs(vals) * max_abs(other),
+        lambda v, o: _gather(cols, v, unit, o, axis),
+        vals,
+        other,
+    )
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,12 +230,7 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = _gather_product(a, b)
     if out is not None:
         return out
-    inner = a.shape[-1]
-    if a.dtype != object and b.dtype != object:
-        bound = inner * max_abs(a) * max_abs(b)
-        if bound < INT64_SAFE:
-            return a @ b
-    return np.dot(to_object(a), to_object(b))
+    return guarded(a.shape[-1] * max_abs(a) * max_abs(b), np.matmul, a, b)
 
 
 def prepare_left(m: np.ndarray) -> tuple:
@@ -220,43 +240,35 @@ def prepare_left(m: np.ndarray) -> tuple:
 
 
 def prepared_matmul(left: tuple, x: np.ndarray, xmax: int) -> np.ndarray:
-    """Exact m @ x for left = prepare_left(m) and xmax = max|x|."""
+    """Exact m @ x for left = prepare_left(m) and xmax = max|x|; past the
+    bound of the prepared path, exact_matmul."""
     m, mmax, structure = left
-    if m.dtype != object and x.dtype != object:
-        if structure is not None:
-            if structure[0].shape[1] * mmax * xmax < INT64_SAFE:
-                return _gather(*structure, x, 0)
-        elif m.shape[1] * mmax * xmax < INT64_SAFE:
-            return m @ x
-    return exact_matmul(m, x)
+    if structure is None:
+        return guarded(m.shape[1] * mmax * xmax, np.matmul, m, x, exact=exact_matmul)
+    return guarded(
+        structure[0].shape[1] * mmax * xmax,
+        lambda _m, x: _gather(*structure, x, 0),
+        m,
+        x,
+        exact=exact_matmul,
+    )
 
 
 def exact_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.dtype != object and b.dtype != object:
-        if max_abs(a) + max_abs(b) < INT64_SAFE:
-            return a + b
-    return demote(to_object(a) + to_object(b))
+    return guarded(max_abs(a) + max_abs(b), np.add, a, b)
 
 
 def exact_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.dtype != object and b.dtype != object:
-        if max_abs(a) + max_abs(b) < INT64_SAFE:
-            return a - b
-    return demote(to_object(a) - to_object(b))
+    return guarded(max_abs(a) + max_abs(b), np.subtract, a, b)
 
 
 def exact_scale(a: np.ndarray, k: int) -> np.ndarray:
     if k == 0:
         return np.zeros(a.shape, dtype=np.int64)
     # k itself must fit: numpy cannot take a wider k even when a is zero.
-    if a.dtype != object and abs(k) < INT64_SAFE and abs(k) * max_abs(a) < INT64_SAFE:
-        return a * k
-    return demote(to_object(a) * k)
+    return guarded(abs(k) * max(max_abs(a), 1), lambda x: x * k, a)
 
 
 def exact_mul_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact Hadamard (entrywise) product; supports broadcasting."""
-    if a.dtype != object and b.dtype != object:
-        if max_abs(a) * max_abs(b) < INT64_SAFE:
-            return a * b
-    return demote(to_object(a) * to_object(b))
+    return guarded(max_abs(a) * max_abs(b), np.multiply, a, b)

@@ -328,9 +328,14 @@ def is_distance_regular(g: Graph, dd: DistanceData):
             return False, (h, 1, i, first[h], int(ref[h]), (y, z), int(counts[y, z]))
         b1[window, i] = ref[window]
     # Every p^h_ij is at most n <= MAX_VERTICES, so int64 holds k n exactly.
+    # B_1 is tridiagonal, so B_1 B_j is three row-scaled shifts of B_j: the
+    # whole table costs O(d^3), not d dense (d+1)^2 products.
+    lower, mid, upper = (b1.diagonal(s)[:, None] for s in (-1, 0, 1))
     mats = [np.eye(size, dtype=np.int64), b1]
     for j in range(1, diam):
-        step = b1 @ mats[j] - b1[j, j] * mats[j] - b1[j - 1, j] * mats[j - 1]
+        step = (mid - b1[j, j]) * mats[j] - b1[j - 1, j] * mats[j - 1]
+        step[1:] += lower * mats[j][:-1]
+        step[:-1] += upper * mats[j][1:]
         mats.append(step // b1[j + 1, j])
     table = np.stack(mats[:size], axis=1)
     table.flags.writeable = False

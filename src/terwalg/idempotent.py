@@ -84,13 +84,12 @@ from math import lcm
 import numpy as np
 
 from ._intops import (
-    INT64_SAFE,
     demote,
     exact_matmul,
     exact_mul_elementwise,
     exact_scale,
+    guarded,
     max_abs,
-    to_object,
 )
 from .closure import BlockSpans
 from .echelon import EchelonSpan
@@ -181,12 +180,9 @@ def _line_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row sums, column sums) of an integer block, exactly.
 
     Every sum has at most max(x.shape) terms, so max(x.shape) max|x| bounds
-    it; past INT64_SAFE the sums run on Python ints and are demoted.
+    it (guarded).
     """
-    if x.dtype != object and max(x.shape) * max_abs(x) < INT64_SAFE:
-        return x.sum(axis=1), x.sum(axis=0)
-    x = to_object(x)
-    return demote(x.sum(axis=1)), demote(x.sum(axis=0))
+    return guarded(max(x.shape) * max_abs(x), lambda x: (x.sum(axis=1), x.sum(axis=0)), x)
 
 
 def is_central(pieces: Iterable[Piece], sigma: Sequence[int], m: Sequence[int]) -> bool:
@@ -270,13 +266,11 @@ def absorbs(ctx: TerwContext, table: np.ndarray) -> bool:
 
     U0 E = E exactly when k_h T[h, a, l] = sum_b T[h, b, l] p^l_hb on the
     support (module docstring).  Each sum has d+1 terms, so (d+1) max|term|
-    bounds it; past INT64_SAFE the terms run on Python ints.  The
-    denominator of E is common to both sides.
+    bounds it (guarded).  The denominator of E is common to both sides.
     """
     terms = exact_mul_elementwise(table, ctx.p_table.transpose(1, 2, 0))  # [h, b, l]
-    if terms.dtype != object and (ctx.d + 1) * max_abs(terms) >= INT64_SAFE:
-        terms = to_object(terms)
-    averaged = demote(terms.sum(axis=1))[:, None, :]  # [h, ., l]
+    bound = (ctx.d + 1) * max_abs(terms)
+    averaged = guarded(bound, lambda t: t.sum(axis=1), terms)[:, None, :]  # [h, ., l]
     scaled = exact_mul_elementwise(table, np.array(ctx.valencies)[:, None, None])
     return _equal_on_support(ctx, scaled, averaged)
 

@@ -103,7 +103,6 @@ from typing import Sequence
 import numpy as np
 
 from ._intops import (
-    demote,
     exact_matmul,
     exact_mul_elementwise,
     exact_scale,
@@ -243,6 +242,15 @@ def _intersection_numbers(g: Graph, dd: DistanceData, x: int) -> np.ndarray:
     if not sizes.all():
         a = int(np.flatnonzero(sizes == 0)[0])
         raise VerificationError(f"sphere S_{a} around vertex {x} is empty")
+    return distance_regular_table(g, dd)
+
+
+def distance_regular_table(g: Graph, dd: DistanceData) -> np.ndarray:
+    """The intersection numbers counted on g (graphs.is_distance_regular).
+
+    Raises:
+        ValueError: if the graph is not distance-regular (witness included).
+    """
     ok, result = is_distance_regular(g, dd)
     if not ok:
         h, i, j, pair_a, count_a, pair_b, count_b = result
@@ -604,12 +612,6 @@ def _triple_counts(ctx: TerwContext) -> np.ndarray:
     return counts.reshape(size, size, size)
 
 
-def _int_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise a b of two small integer tables, on Python ints."""
-    prods = [u * v for u, v in zip(a.ravel().tolist(), b.ravel().tolist())]
-    return demote(np.array(prods, dtype=object).reshape(a.shape))
-
-
 def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.ndarray:
     """zeros[h, i, j] is True exactly when E_h A_i* E_j = 0.
 
@@ -644,14 +646,15 @@ def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.
         raise VerificationError(f"A*_{i} is not constant on sphere S_{k}")
     N = _triple_counts(ctx) if counts is None else counts
     # theta_pairs[i, (k, l)] = theta*_i(k) theta*_i(l); N_kl[(k, l), a] = N[k, a, l].
-    theta_pairs = _int_products(
-        np.repeat(values, size, axis=1), np.tile(values, (1, size))
+    theta_pairs = exact_mul_elementwise(values[:, :, None], values[:, None, :])
+    W = exact_matmul(
+        theta_pairs.reshape(size, size * size),
+        N.transpose(0, 2, 1).reshape(size * size, size),
     )
-    W = exact_matmul(theta_pairs, N.transpose(0, 2, 1).reshape(size * size, size))
     # class_pairs[(h, j), a] = V[h][a] V[j][a]; norms[(h, j), i].
     V = np.array([Eh.num[0] for Eh in ctx.E])
-    class_pairs = _int_products(np.repeat(V, size, axis=0), np.tile(V, (size, 1)))
-    norms = exact_matmul(class_pairs, W.T)
+    class_pairs = exact_mul_elementwise(V[:, None, :], V[None, :, :])
+    norms = exact_matmul(class_pairs.reshape(size * size, size), W.T)
     return (norms == 0).reshape(size, size, size).transpose(0, 2, 1)
 
 

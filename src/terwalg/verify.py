@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import __version__
 from .checks import Check
 from .closure import BlockSpans, closure
-from .graphs import Graph
+from .graphs import DistanceData, Graph
 from .hypercube import (
     check_permissible_equivalence,
     check_shift_lemma_down,
@@ -34,11 +34,13 @@ from .poly_identities import Families
 from .report import DiameterRecord, VerificationReport
 from .subconstituent import (
     TerwContext,
+    VerificationError,
     build_context,
     build_hypercube_context,
     check_krein_self_dual,
     check_polynomial_images,
     check_triple_products,
+    distance_regular_table,
     triple_span_dim,
 )
 from .wedderburn import (
@@ -361,8 +363,20 @@ def build_graph_report(g: Graph, vertex: int = 0) -> tuple[dict, bool]:
     The triple-product check runs against the graph's own parameter
     tables; Krein entries may be proper fractions here.  The section
     identities come from the context, which exists only if they all hold.
+
+    Raises:
+        ValueError: if the graph is not distance-regular (witness included,
+            whatever the vertex) or has an irrational adjacency eigenvalue.
     """
-    ctx = build_context(g, vertex)
+    try:
+        ctx = build_context(g, vertex)
+    except VerificationError:
+        # Construction certifies the spheres around the vertex before it
+        # counts the intersection numbers, so a vertex whose eccentricity is
+        # below the diameter fails there first; such a graph is not
+        # distance-regular, and is named by the witness every vertex gets.
+        distance_regular_table(g, DistanceData.compute(g))
+        raise
     basis = ctx.algebra_basis()
     tp = check_triple_products(ctx)
     data = {

@@ -31,8 +31,8 @@ row[C_k] at (C_k, k) of its n x m columns, and is zero elsewhere
 (_PivotBasis.diagonal_frame).  A coordinate vector's is summed from the
 pieces: piece k of block (h, j) adds c_k X_k[r_i, :] to each pivot row R_i
 in S_h, at columns S_j, and c_k X_k[:, c_i] to each pivot column C_i in
-S_j, at rows S_h; each entry is at most sum_k |c_k| max|X_k|, which picks
-int64 or Python ints.  Each half is built only where it is read: the
+S_j, at rows S_h; each entry is at most sum_k |c_k| max|X_k|, the bound
+handed to _intops.guarded.  Each half is built only where it is read: the
 probe's rows, an idempotent's columns for its block size, both for the
 guard.  So no n x n matrix is formed here: the only ones are the n x n
 generators the caller passes, and the frames are m x n.
@@ -160,13 +160,13 @@ from typing import Sequence
 import numpy as np
 
 from ._intops import (
-    INT64_SAFE,
     content,
     demote,
     exact_matmul,
     exact_mul_elementwise,
     exact_scale,
     exact_sub,
+    guarded,
     max_abs,
     to_object,
 )
@@ -242,8 +242,10 @@ class _PivotBasis:
         self.maxes = [max_abs(x) for _, _, x in self.pieces]
         # tr b_k: a piece off the diagonal blocks has no diagonal entry.
         self.traces = [int(np.trace(x)) if h == j else 0 for h, j, x in self.pieces]
+        # Echelon stores its rows demoted, so a piece is object only when its
+        # max|X| is past the int64 bound, and so is every bound below that
+        # counts the piece: no flag for object pieces is needed.
         self._bmax = max(self.maxes, default=0)
-        self._object = any(x.dtype == object for _, _, x in self.pieces)
         self.closed_unit = span.closed_unit
 
     @property
@@ -280,30 +282,30 @@ class _PivotBasis:
 
     def _frame(self, c, rows: bool) -> np.ndarray:
         """One half of the frame (frame_rows, frame_cols).  Every entry is at
-        most sum_k |c_k| max|X_k|; past INT64_SAFE it is summed on Python
-        ints."""
+        most sum_k |c_k| max|X_k|; past the int64 bound it is summed on
+        Python ints and kept object, not demoted."""
         c = [int(v) for v in c]
-        bound = sum(abs(v) * mx for v, mx in zip(c, self.maxes))
-        obj = self._object or bound >= INT64_SAFE
-        lift = to_object if obj else np.asarray
+        used = [k for k, v in enumerate(c) if v]
         shape = (self.dim, self.n) if rows else (self.n, self.dim)
-        out = np.zeros(shape, dtype=object if obj else np.int64)
-        for v, (h, j, x) in zip(c, self.pieces):
-            if not v:
-                continue
-            if rows:
-                sel = self._in_rows[h]
-                out[np.ix_(sel, self.classes[j])] += v * lift(x[self._r[sel]])
-            else:
-                sel = self._in_cols[j]
-                out[np.ix_(self.classes[h], sel)] += v * lift(x[:, self._c[sel]])
-        return out
 
-    def _fits(self, part: np.ndarray) -> bool:
-        """Whether sums of n products of part's entries with the pieces' stay
-        in int64: int64 data and n * max|part| * max|X| under INT64_SAFE."""
-        bound = self.n * max_abs(part) * self._bmax
-        return not self._object and part.dtype != object and bound < INT64_SAFE
+        def total(*xs):
+            out = np.zeros(shape, dtype=np.result_type(np.int64, *xs))
+            for k, x in zip(used, xs):
+                h, j, _ = self.pieces[k]
+                if rows:
+                    sel = self._in_rows[h]
+                    out[np.ix_(sel, self.classes[j])] += c[k] * x[self._r[sel]]
+                else:
+                    sel = self._in_cols[j]
+                    out[np.ix_(self.classes[h], sel)] += c[k] * x[:, self._c[sel]]
+            return out
+
+        return guarded(
+            sum(abs(c[k]) * self.maxes[k] for k in used),
+            total,
+            *(self.pieces[k][2] for k in used),
+            exact=lambda *xs: total(*(to_object(x) for x in xs)),
+        )
 
     def _pivot_products(self, part: np.ndarray, left: bool, ks=None) -> np.ndarray:
         """m x len(ks) array whose column c holds the pivot entries of g b_k
@@ -312,25 +314,25 @@ class _PivotBasis:
 
         Only the pivots in the columns (rows) of b_k's block are filled, see
         the module docstring.  Each entry sums at most n products, so
-        n * max|part| * max|X| bounds it; past INT64_SAFE the sums run on
-        Python ints and the result is demoted.
+        n * max|part| * max|X| bounds it (guarded).
         """
         ks = range(self.dim) if ks is None else ks
-        fits = self._fits(part)
-        if not fits:
-            part = to_object(part)
-        out = np.zeros((self.dim, len(ks)), dtype=np.int64 if fits else object)
-        for c, k in enumerate(ks):
-            h, j, x = self.pieces[k]
-            x = x if fits else to_object(x)
-            if left:
-                sel = self._in_cols[j]
-                a, b = part[np.ix_(sel, self.classes[h])], x[:, self._c[sel]]
-            else:
-                sel = self._in_rows[h]
-                a, b = x[self._r[sel], :], part[np.ix_(self.classes[j], sel)]
-            out[sel, c] = np.einsum("it,ti->i", a, b)
-        return out if fits else demote(out)
+
+        def products(part, *xs):
+            out = np.zeros((self.dim, len(ks)), dtype=np.result_type(np.int64, part))
+            for c, (k, x) in enumerate(zip(ks, xs)):
+                h, j, _ = self.pieces[k]
+                if left:
+                    sel = self._in_cols[j]
+                    a, b = part[np.ix_(sel, self.classes[h])], x[:, self._c[sel]]
+                else:
+                    sel = self._in_rows[h]
+                    a, b = x[self._r[sel], :], part[np.ix_(self.classes[j], sel)]
+                out[sel, c] = np.einsum("it,ti->i", a, b)
+            return out
+
+        bound = self.n * max_abs(part) * self._bmax
+        return guarded(bound, products, part, *(self.pieces[k][2] for k in ks))
 
     def left(self, rows: np.ndarray, ks=None) -> np.ndarray:
         """Column c holds the pivot entries of g b_k, k = ks[c], for g with
@@ -365,33 +367,27 @@ class _PivotBasis:
         for z with pivot columns cols / den.
 
         Entry k is one dot product of length |S_j| (module docstring), so
-        n * max|cols| * max|X| bounds it; past INT64_SAFE it runs on Python
-        ints.
+        n * max|cols| * max|X| bounds it (guarded).
         """
-        fits = self._fits(cols)
-        g = cols if fits else to_object(cols)
-        total = 0
-        for k, (_h, j, x) in enumerate(self.pieces):
-            row = x[self._r[k]] if fits else to_object(x[self._r[k]])
-            total += int(row @ g[self.classes[j], k]) * (self.pivlcm // self.pivvals[k])
+
+        def entries(g, *xs):
+            pieces = enumerate(zip(xs, self._r, self._j))
+            return np.array([x[r] @ g[self.classes[j], k] for k, (x, r, j) in pieces], g.dtype)
+
+        bound = self.n * max_abs(cols) * self._bmax
+        dots = guarded(bound, entries, cols, *(x for _, _, x in self.pieces))
+        total = sum(int(v) * (self.pivlcm // p) for v, p in zip(dots, self.pivvals))
         return Fraction(total, self.pivlcm * den)
 
     def square_pivot_entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The m pivot entries rows[k, :] cols[:, k] of the square of the
         numerator with pivot rows rows and pivot columns cols.
 
-        Each sums n products, so n * max|rows| * max|cols| bounds it; past
-        INT64_SAFE the sums run on Python ints and the result is demoted.
+        Each sums n products, so n * max|rows| * max|cols| bounds it
+        (guarded).
         """
-        fits = (
-            rows.dtype != object
-            and cols.dtype != object
-            and self.n * max_abs(rows) * max_abs(cols) < INT64_SAFE
-        )
-        if not fits:
-            rows, cols = to_object(rows), to_object(cols)
-        out = np.einsum("kt,tk->k", rows, cols)
-        return out if fits else demote(out)
+        bound = self.n * max_abs(rows) * max_abs(cols)
+        return guarded(bound, lambda r, c: np.einsum("kt,tk->k", r, c), rows, cols)
 
     def left_regular(self, rows: np.ndarray) -> RationalMatrix:
         """Matrix of c -> p c in the coordinates of the basis: D^-1 left(p),
@@ -658,16 +654,14 @@ def _compress(x: np.ndarray, big: int, ma: int, mb: int) -> np.ndarray:
     W X W = big^2 X - big m_b rowsum(X) 1^T - big m_a 1 colsum(X)^T
             + m_a m_b sum(X) J.
     Since m_a |S_a| = m_b |S_b| = big, each term is at most big^2 max|X|,
-    so 4 big^2 max|X| bounds every entry; past INT64_SAFE the terms run on
-    Python ints and the result is demoted.
+    so 4 big^2 max|X| bounds every entry (guarded).
     """
-    fits = x.dtype != object and 4 * big * big * max_abs(x) < INT64_SAFE
-    rows, cols = _line_sums(x)
-    if not fits:
-        x, rows, cols = to_object(x), to_object(rows), to_object(cols)
-    out = big * big * x - (big * mb) * rows[:, None] - (big * ma) * cols
-    out = out + ma * mb * rows.sum()
-    return out if fits else demote(out)
+
+    def compressed(x, rows, cols):
+        out = big * big * x - (big * mb) * rows[:, None] - (big * ma) * cols
+        return out + ma * mb * rows.sum()
+
+    return guarded(4 * big * big * max_abs(x), compressed, x, *_line_sums(x))
 
 
 def complement_algebra(ctx, t: BlockSpans, rep: U0Report) -> CompressedAlgebra:

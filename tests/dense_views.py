@@ -57,7 +57,9 @@ def combine(pb, coeffs: Sequence, den: int = 1) -> RationalMatrix:
     """
     coeffs = [int(c) for c in coeffs]
     bound = sum(abs(c) * mx for c, mx in zip(coeffs, pb.maxes))
-    obj = pb._object or bound >= INT64_SAFE
+    obj = bound >= INT64_SAFE or any(
+        x.dtype == object for c, (_h, _j, x) in zip(coeffs, pb.pieces) if c
+    )
     acc = np.zeros((pb.n, pb.n), dtype=object if obj else np.int64)
     for c, (h, j, x) in zip(coeffs, pb.pieces):
         if c:

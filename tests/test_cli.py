@@ -205,6 +205,20 @@ def test_graph_path_not_distance_regular(runner, tmp_path):
     result = runner.invoke(main, ["graph", "--file", str(path)])
     assert result.exit_code == 1
     assert "not distance-regular" in result.output
+    # The middle vertex of the 5-vertex path has eccentricity 2 < 4, so a
+    # sphere around it is empty; the graph is still named by its witness,
+    # as at an end vertex, with a clean exit.
+    path = tmp_path / "p5.txt"
+    path.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")
+    results = [
+        runner.invoke(main, ["graph", "--file", str(path), "--vertex", str(x)])
+        for x in (0, 2)
+    ]
+    for result in results:
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "not distance-regular" in result.stderr
+        assert "Traceback" not in result.output
+    assert results[0].stderr == results[1].stderr
 
 
 def test_graph_pentagon_irrational(runner, tmp_path):

@@ -518,12 +518,15 @@ def test_distances_match_the_oracles_on_circulants_and_tori():
 def test_distance_regularity_matches_the_per_class_oracle():
     # One whole-table compare per count names the same verdict, table and
     # witness as the class-by-class reading, on every graph of this file.
+    # The oracle forms the p-table by dense products, the code by row-scaled
+    # shifts of the tridiagonal B_1; C_64 and C_200 take that to diameters
+    # 32 and 100.
     prism = Graph.from_edges(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
     )
     house = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
     accepted = [hypercube(d) for d in range(0, 9)]
-    accepted += [cycle(n) for n in (3, 4, 6, 7, 9, 20)]
+    accepted += [cycle(n) for n in (3, 4, 6, 7, 9, 20, 64, 200)]
     accepted += [path(1), path(2), kneser(5, 2), johnson(6, 3), hamming(3, 3)]
     accepted += [Graph.from_edges(f.n, f.edges) for f in _benchmark_families()]
     rejected = [path(n) for n in (3, 4, 5, 10, 33)] + [prism, house]

@@ -17,7 +17,7 @@ from dense_views import (
     sphere_indicator_matrix,
 )
 
-from terwalg import idempotent, linalg, wedderburn
+from terwalg import _intops, echelon, idempotent, linalg, wedderburn
 from terwalg.closure import BlockSpans
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import (
@@ -465,17 +465,15 @@ def test_u0_checks_identical_on_the_object_path(suite, monkeypatch):
     }
     formulas = {d: compute_u0(ctx) for d, (ctx, _basis) in data.items()}
     converted = []
-    real_to_object = idempotent.to_object
+    real_to_object = _intops.to_object
 
     def counting(arr):
         converted.append(arr.dtype != object)
         return real_to_object(arr)
 
-    for name, module in list(sys.modules.items()):
-        if name == "terwalg" or name.startswith("terwalg."):
-            if hasattr(module, "INT64_SAFE"):
-                monkeypatch.setattr(module, "INT64_SAFE", 1)
-    monkeypatch.setattr(idempotent, "to_object", counting)
+    monkeypatch.setattr(_intops, "INT64_SAFE", 1)
+    monkeypatch.setattr(echelon, "INT64_SAFE", 1)
+    monkeypatch.setattr(_intops, "to_object", counting)
     for d, (ctx, basis) in data.items():
         rep = verify_u0(ctx, basis, dims.get(d - 2))
         assert rep == expected[d], d

@@ -12,13 +12,15 @@ import itertools
 import json
 import random
 import sys
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terwalg import _intops
+from terwalg import _intops, echelon
 from terwalg._intops import INT64_SAFE, exact_matmul
 from terwalg.graphs import parse_graph_file
 from terwalg.verify import build_graph_report, run_verification
@@ -66,6 +68,119 @@ def test_max_abs_is_exact_on_extreme_and_object_entries():
         assert _intops.max_abs(obj) == 2**80
     for empty in (np.zeros(0, dtype=np.int64), np.zeros((0, 5), dtype=object)):
         assert _intops.max_abs(empty) == 0
+
+
+# -- the one int64/object dispatch ---------------------------------------------
+
+
+def _recording(fn):
+    """fn, recording the dtypes of the operands of each call."""
+    seen = []
+
+    def wrapped(*operands):
+        seen.append(tuple(a.dtype for a in operands))
+        return fn(*operands)
+
+    return wrapped, seen
+
+
+def test_guarded_takes_int64_under_the_bound_and_python_ints_at_it():
+    a = np.array([[3, -4], [5, 0]], dtype=np.int64)
+    b = np.array([[-1, 2], [7, 1]], dtype=np.int64)
+    for bound, kind in ((0, np.int64), (INT64_SAFE - 1, np.int64), (INT64_SAFE, object)):
+        fn, seen = _recording(np.add)
+        got = _intops.guarded(bound, fn, a, b)
+        assert seen == [(kind, kind)], bound
+        # A small result on Python ints is demoted back to int64.
+        assert got.dtype == np.int64 and np.array_equal(got, a + b), bound
+    fn, seen = _recording(np.add)
+    _intops.guarded(INT64_SAFE + 1, fn, a, b)
+    assert seen == [(object, object)]
+
+
+def test_guarded_object_operand_forces_python_ints():
+    a = np.array([1, 2, 3], dtype=np.int64)
+    for b in (np.array([4, 5, 6], dtype=object), np.array([2**70, 1, 0], dtype=object)):
+        for operands in ((a, b), (b, a)):
+            fn, seen = _recording(np.multiply)
+            got = _intops.guarded(0, fn, *operands)
+            assert seen == [(object, object)]
+            want = [int(u) * int(v) for u, v in zip(a, b)]
+            assert [int(v) for v in got] == want
+            assert got.dtype == (np.int64 if max(map(abs, want)) < INT64_SAFE else object)
+    # Every operand is lifted to Python ints, not only the object one.
+    entry_types = []
+    _intops.guarded(0, lambda x, y: entry_types.extend(map(type, x.flat)) or x, a, b)
+    assert entry_types == [int, int, int]
+
+
+def test_guarded_demotes_tuple_results_one_by_one():
+    a = np.array([[1 << 40, 3], [-(1 << 40), 5]], dtype=np.int64)
+
+    def sums_and_square(x):
+        return x.sum(axis=0), x.sum(axis=1), x * x
+
+    cols, rows, square = _intops.guarded(INT64_SAFE, sums_and_square, a)
+    assert cols.dtype == rows.dtype == np.int64
+    assert square.dtype == object  # (2^40)^2 = 2^80 does not fit
+    assert [int(v) for v in cols] == [0, 8]
+    assert [int(v) for v in rows] == [(1 << 40) + 3, -(1 << 40) + 5]
+    assert [int(v) for v in square.flat] == [int(v) ** 2 for v in a.flat]
+    # Under the bound the tuple is returned as fn made it.
+    small = np.array([[1, 2]], dtype=np.int64)
+    out = _intops.guarded(2, lambda x: (x, x.sum()), small)
+    assert out[0] is small and out[1] == 3
+
+
+def test_guarded_exact_runs_on_the_operands_as_they_stand():
+    a = np.array([1, 2], dtype=np.int64)
+    fast, fast_seen = _recording(np.add)
+    exact, exact_seen = _recording(lambda x, y: (x - y).astype(object))
+    assert _intops.guarded(INT64_SAFE - 1, fast, a, a, exact=exact).dtype == np.int64
+    assert fast_seen == [(np.int64, np.int64)] and exact_seen == []
+    got = _intops.guarded(INT64_SAFE, fast, a, a, exact=exact)
+    assert fast_seen == [(np.int64, np.int64)] and exact_seen == [(np.int64, np.int64)]
+    assert got.dtype == object  # returned as exact made it, not demoted
+    _intops.guarded(0, fast, a, a.astype(object), exact=exact)
+    assert exact_seen[-1] == (np.int64, object)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-(2**64), 2**64), min_size=1, max_size=6),
+    st.integers(-(2**64), 2**64),
+    st.booleans(),
+)
+def test_guarded_results_equal_python_int_references(values, k, as_object):
+    # Each kernel states its bound and goes through guarded; whichever path
+    # it takes, the values are the Python-int ones, and an int64 result
+    # never holds a value at or past the bound.
+    if not as_object and all(abs(v) < INT64_SAFE for v in values):
+        arr = np.array(values, dtype=np.int64)
+    else:
+        arr = np.array(values, dtype=object)
+    other = arr[::-1].copy()
+    for got, want in (
+        (_intops.exact_add(arr, other), [u + v for u, v in zip(values, values[::-1])]),
+        (_intops.exact_sub(arr, other), [u - v for u, v in zip(values, values[::-1])]),
+        (_intops.exact_mul_elementwise(arr, other), [u * v for u, v in zip(values, values[::-1])]),
+        (_intops.exact_scale(arr, k), [u * k for u in values]),
+    ):
+        assert [int(v) for v in got] == want
+        if got.dtype != object:
+            assert got.dtype == np.int64 and max(map(abs, want)) < INT64_SAFE
+
+
+def test_only_intops_and_echelon_name_the_int64_bound():
+    # Every other module states its bound and hands it to _intops.guarded.
+    src = Path(__file__).resolve().parents[1] / "src" / "terwalg"
+    naming = set()
+    for path_ in sorted(src.glob("*.py")):
+        with open(path_, "rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NAME and tok.string == "INT64_SAFE":
+                    naming.add(path_.name)
+    assert naming == {"_intops.py", "echelon.py"}
 
 
 def test_diagonal_left_right_both_and_neither():
@@ -605,8 +720,9 @@ def _object_path_reports():
 
 
 def test_reports_identical_on_the_object_path(monkeypatch):
-    # Lower the int64 bound at every terwalg binding so that products,
-    # Hadamard products and eliminations past 2^12 take the object path.
+    # Lower the int64 bound in _intops and echelon, the only modules that
+    # read it, so that products, Hadamard products and eliminations past
+    # 2^12 take the object path.
     expected = _object_path_reports()
     converted = []
     real_to_object = _intops.to_object
@@ -615,10 +731,10 @@ def test_reports_identical_on_the_object_path(monkeypatch):
         converted.append(arr.dtype != object)
         return real_to_object(arr)
 
+    monkeypatch.setattr(_intops, "INT64_SAFE", 1 << 12)
+    monkeypatch.setattr(echelon, "INT64_SAFE", 1 << 12)
     for name, module in list(sys.modules.items()):
         if name == "terwalg" or name.startswith("terwalg."):
-            if hasattr(module, "INT64_SAFE"):
-                monkeypatch.setattr(module, "INT64_SAFE", 1 << 12)
             if getattr(module, "to_object", None) is real_to_object:
                 monkeypatch.setattr(module, "to_object", counting)
     assert _object_path_reports() == expected

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from terwalg import _intops, subconstituent
+from terwalg import _intops, echelon, subconstituent
 from terwalg.checks import Check
 from terwalg.echelon import EchelonSpan
 from terwalg.cli import main
@@ -301,11 +301,8 @@ def test_polynomial_images_identical_on_the_object_path(monkeypatch):
         converted.append(arr.dtype != object)
         return real_to_object(arr)
 
-    for name, module in list(sys.modules.items()):
-        if (name == "terwalg" or name.startswith("terwalg.")) and hasattr(
-            module, "INT64_SAFE"
-        ):
-            monkeypatch.setattr(module, "INT64_SAFE", 1)
+    monkeypatch.setattr(_intops, "INT64_SAFE", 1)
+    monkeypatch.setattr(echelon, "INT64_SAFE", 1)
     monkeypatch.setattr(_intops, "to_object", counting)
     for ctx, checks in zip(cases, expected):
         assert check_polynomial_images(ctx) == checks, ctx.d
@@ -819,11 +816,8 @@ def test_checks_identical_on_the_object_path(monkeypatch):
         (check_section_identities(ctx), dual_triple_zeros(ctx), check_triple_products(ctx))
         for _, ctx in cases
     ]
-    for name, module in list(sys.modules.items()):
-        if (name == "terwalg" or name.startswith("terwalg.")) and hasattr(
-            module, "INT64_SAFE"
-        ):
-            monkeypatch.setattr(module, "INT64_SAFE", 1)
+    monkeypatch.setattr(_intops, "INT64_SAFE", 1)
+    monkeypatch.setattr(echelon, "INT64_SAFE", 1)
     for (name, ctx), (checks, dual, report) in zip(cases, expected):
         assert check_section_identities(ctx) == checks, name
         assert np.array_equal(dual_triple_zeros(ctx), dual), name

@@ -567,18 +567,73 @@ def test_pivot_kernel_matches_dense_products(suite):
                 ), (name, side)
 
 
+def _bounds_at_the_guard(monkeypatch, *modules):
+    """Raise every bound that the modules hand to _intops.guarded to
+    INT64_SAFE, so that each of their kernels runs on Python ints while
+    demote keeps its own bound."""
+    real = _intops.guarded
+
+    def at_the_guard(bound, fn, *operands, **kwargs):
+        return real(max(bound, _intops.INT64_SAFE), fn, *operands, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "guarded", at_the_guard)
+
+
 def test_pivot_kernel_object_path(suite, monkeypatch):
-    # With the int64 bound at 1 every pivot product runs on Python ints; the
-    # demoted result must be the same int64 array.
+    # With every bound at the guard each pivot product runs on Python ints;
+    # the demoted result must be the same int64 array.
     ctx, basis = suite[4]
     pb = _PivotBasis(basis)
     frames = [_frame(pb, g) for g in dense_generators(ctx.generators())]
     expected = [(pb.left(rows), pb.right(cols)) for rows, cols, _ in frames]
-    monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
+    _bounds_at_the_guard(monkeypatch, wedderburn)
     for (rows, cols, _), (left, right) in zip(frames, expected):
         got_left, got_right = pb.left(rows), pb.right(cols)
         assert got_left.dtype == got_right.dtype == np.int64
         assert np.array_equal(got_left, left) and np.array_equal(got_right, right)
+
+
+def _largest_scale(part, results):
+    """The largest k with k·part int64 under INT64_SAFE and k·results under
+    2^64 in absolute value."""
+    top = max(_intops.max_abs(results), 1)
+    return min((INT64_SAFE - 1) // _intops.max_abs(part), ((1 << 64) - 1) // top)
+
+
+def test_pivot_kernels_stay_exact_on_int64_entries_near_the_bound(suite):
+    # Each kernel is linear in one frame part.  Scaled by _largest_scale,
+    # the part stays int64, so only the bound the kernel states keeps its
+    # sums of n products from wrapping, and results past 2^63 come with both
+    # signs.  The scaled results must be k times the unscaled ones.
+    ctx, basis = suite[4]
+    pb = _PivotBasis(basis)
+    dec = decompose(basis, ctx.generators())
+    frames = [_frame(pb, z) for z in dense_generators(ctx.generators())]
+    frames += [_frame(pb, z) for z in dec.central_idempotents]
+    # All-ones frames, and ones signed by k: every sum adds the ones of a
+    # piece's row.
+    signs = (-1) ** np.arange(pb.dim)
+    for s in (np.ones(pb.dim, np.int64), signs):
+        ones = np.ones((pb.dim, pb.n), np.int64) * s[:, None]
+        frames.append((ones, ones.T.copy(), 1))
+    crossed = 0
+    for rows, cols, den in frames:
+        kernels = [
+            (pb.left, rows),
+            (pb.right, cols),
+            (lambda r: pb.square_pivot_entries(r, cols), rows),
+        ]
+        for kernel, part in kernels:
+            small = kernel(part)
+            k = _largest_scale(part, small)
+            got = kernel(part * k)
+            assert [int(v) for v in got.flat] == [k * int(v) for v in small.flat]
+            crossed += max(abs(int(v)) for v in got.flat) >= 1 << 63
+        # The trace sums the diagonal of right(cols): b_k z at pivot k.
+        k = _largest_scale(cols, np.diagonal(pb.right(cols)))
+        assert pb.pivot_trace(cols * k, den) == k * pb.pivot_trace(cols, den)
+    assert crossed >= 3
 
 
 def test_corner_pivot_values_are_not_all_one(suite):
@@ -631,8 +686,8 @@ def test_corner_split_on_generators_matches_compressed_generators():
 
 
 def test_compression_object_path(suite, monkeypatch):
-    # With the int64 bounds at 1 the line sums and every term of W X W run
-    # on Python ints; the demoted blocks must be the same int64 arrays.
+    # With every bound at the guard the line sums and every term of W X W
+    # run on Python ints; the demoted blocks must be the same int64 arrays.
     ctx, basis = suite[4]
     rep = verify_u0(ctx, basis)
     m, big = rep.m, rep.L
@@ -642,12 +697,35 @@ def test_compression_object_path(suite, monkeypatch):
         h, j, x = basis.element(k)
         args.append((x, big, int(m[sigma[h]]), int(m[sigma[j]])))
     expected = [wedderburn._compress(*a) for a in args]
-    monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
-    monkeypatch.setattr(idempotent, "INT64_SAFE", 1)
+    _bounds_at_the_guard(monkeypatch, wedderburn, idempotent)
     for a, want in zip(args, expected):
         got = wedderburn._compress(*a)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
+
+
+def test_compression_stays_exact_on_int64_entries_near_the_bound(suite):
+    # The line sums and W X W are linear in X.  Scaled by _largest_scale, X
+    # stays int64, so only the bounds they state keep the sums and terms
+    # from wrapping past 2^63.
+    ctx, basis = suite[4]
+    rep = verify_u0(ctx, basis)
+    m, big = rep.m, rep.L
+    sigma = sphere_of_classes(ctx, basis.classes)
+    crossed = 0
+    for k in range(basis.dim):
+        h, j, x = basis.element(k)
+        kernels = [
+            (lambda x: np.concatenate(idempotent._line_sums(x)), x),
+            (lambda x: wedderburn._compress(x, big, int(m[sigma[h]]), int(m[sigma[j]])), x),
+        ]
+        for kernel, part in kernels:
+            small = kernel(part)
+            scale = _largest_scale(part, small)
+            got = kernel(part * scale)
+            assert [int(v) for v in got.flat] == [scale * int(v) for v in small.flat]
+            crossed += max(abs(int(v)) for v in got.flat) >= 1 << 63
+    assert crossed >= basis.dim
 
 
 def test_corner_is_not_split_unless_u0_is_central(monkeypatch):
@@ -963,7 +1041,6 @@ def test_object_path_split_at_d5(monkeypatch):
     corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
     cases = [(basis, None), (corner.span, corner.identity)]
     expected = [decompose(span, ctx.generators(), identity) for span, identity in cases]
-    monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
     monkeypatch.setattr(_intops, "INT64_SAFE", 1)
     for (span, identity), want in zip(cases, expected):
         got = decompose(span, ctx.generators(), identity)
@@ -977,11 +1054,12 @@ def test_object_path_split_at_d5(monkeypatch):
 
 
 def test_object_path_split_at_d8(monkeypatch):
-    # With the int64 bound lowered to 2^20 at every terwalg binding, the
-    # real d=8 splits of T and of the U0 corner cross to Python ints where
-    # their entries grow; status, blocks, ranks, idempotents and the probe
-    # polynomial must not change.  The probe's min_poly and the frames of
-    # coordinate vectors are among the code that crosses.
+    # With the int64 bound lowered to 2^16 in _intops and echelon, the only
+    # modules that read it, the real d=8 splits of T and of the U0 corner
+    # cross to Python ints where their entries grow; status, blocks, ranks,
+    # idempotents and the probe polynomial must not change.  The probe's
+    # min_poly and the frames of coordinate vectors are among the code that
+    # crosses.
     ctx = build_hypercube_context(8, 0)
     basis = ctx.algebra_basis()
     corner = complement_algebra(ctx, basis, verify_u0(ctx, basis))
@@ -1011,16 +1089,11 @@ def test_object_path_split_at_d8(monkeypatch):
         object_frames.append(out.dtype == object)
         return out
 
-    for name, module in list(sys.modules.items()):
-        if name == "terwalg" or name.startswith("terwalg."):
-            if hasattr(module, "INT64_SAFE"):
-                monkeypatch.setattr(module, "INT64_SAFE", 1 << 20)
-            if getattr(module, "to_object", None) is real_to_object:
-                monkeypatch.setattr(module, "to_object", counting)
-    # The frame builder reads the bound at wedderburn's binding, set lower
-    # still: the frame of the corner's probe (a bound near 2^18 at d=8)
-    # crosses there, T's probe and the idempotents (under 2^16) do not.
-    monkeypatch.setattr(wedderburn, "INT64_SAFE", 1 << 16)
+    for module in (_intops, echelon):
+        monkeypatch.setattr(module, "INT64_SAFE", 1 << 16)
+        monkeypatch.setattr(module, "to_object", counting)
+    # At 2^16 the frame of the corner's probe (a bound near 2^18 at d=8)
+    # crosses, T's probe and the idempotents (under 2^16) do not.
     monkeypatch.setattr(wedderburn, "min_poly", marked_min_poly)
     monkeypatch.setattr(wedderburn._PivotBasis, "_frame", recording_frame)
     for (span, identity), want in zip(cases, expected):
@@ -1253,9 +1326,9 @@ def unit_algebras():
 def test_unit_tables_match_dense_units(unit_algebras, monkeypatch, low_bound):
     # The coordinates read from a unit table at the pivots, and the frame
     # summed from them, are those of the dense I and I - U0.  With the int64
-    # bound at 1 in wedderburn the frames are summed on Python ints.
+    # bound at 1 in _intops the frames are summed on Python ints.
     if low_bound:
-        monkeypatch.setattr(wedderburn, "INT64_SAFE", 1)
+        monkeypatch.setattr(_intops, "INT64_SAFE", 1)
     for name, span, unit, dense in unit_algebras:
         assert span.closed_unit == unit == unit_table(*unit), name
         assert dense_unit(span, unit) == dense, name
