@@ -21,8 +21,9 @@ count is taken per column and w is the number of rows of S.  Each entry of
 the result is a sum of at most r products, so the int64 bound is
 r·max|S|·max|B|, not w·max|S|·max|B|.  On a d=8 sweep the gather fires on
 the left-regular matrices L_p that split_center hands to min_poly and to
-its Lagrange steps, and on the (d+1)-sized tables of _krein_table and the
-section identities; every other exact_matmul product there is dense.
+its Lagrange steps.  On the (d+1)-sized parameter tables of _krein_table
+and the section identities it fires only at d <= 1, where a row has at
+most one nonzero; every other exact_matmul product there is dense.
 
 A left factor that multiplies many operands is prepared once:
 prepare_left(m) keeps m with max|m| and its row structure, and

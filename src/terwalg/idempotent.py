@@ -94,7 +94,7 @@ from ._intops import (
 from .closure import BlockSpans
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix, rank
-from .subconstituent import TerwContext, VerificationError
+from .subconstituent import TerwContext, VerificationError, sphere_values
 
 # (h, j, X): the block of the closure's classes h, j that holds X.
 Piece = tuple[int, int, np.ndarray]
@@ -250,11 +250,7 @@ def diagonal_table(ctx: TerwContext, row: RationalMatrix) -> np.ndarray:
     Raises:
         VerificationError: if the diagonal is not constant on some sphere.
     """
-    values = row.num[0][[int(s[0]) for s in ctx.spheres]]
-    label = ctx.dist.dist[ctx.x]
-    bad = np.flatnonzero(row.num[0] != values[label])
-    if bad.size:
-        raise VerificationError(f"diagonal is not constant on sphere S_{label[bad[0]]}")
+    values = sphere_values(ctx, row.num, ["diagonal"])[0]
     size = ctx.d + 1
     table = np.zeros((size,) * 3, dtype=values.dtype)
     table[np.arange(size), 0, np.arange(size)] = values

@@ -11,9 +11,11 @@ Construction verifies every defining identity exactly, once, and keeps the
 named outcomes on the context as section_checks; reports read them there
 and do not re-run them.
 
-Both paths build E_i = |X|^(-1) sum_j Q[j][i] A_j from the dual eigenmatrix
-Q.  The hypercube path reads Q = P from the closed forms (the cube is
-self-dual).  The general path works from the intersection array that
+Both paths hold the eigenmatrices P and Q as (d+1) x (d+1)
+RationalMatrix tables, and read the class row of E_i = |X|^(-1)
+sum_j Q[j][i] A_j off column i of Q, over |X|.  The hypercube path reads
+Q = P from the closed forms (the cube is self-dual).  The general path
+works from the intersection array that
 is_distance_regular counts: the eigenvalues theta_i are the roots of the
 minimal polynomial of the (d+1) x (d+1) intersection matrix B_1, which is
 that of A, found as the annihilator of the cyclic vector e_0 and isolated
@@ -23,9 +25,10 @@ be rational (they are then integers).  Construction
 certifies the result: distinct theta_i, sum_i E_i = I and
 A E_i = theta_i E_i make the E_i the spectral idempotents of A, and
 then A_j = v_j(A) gives A_j E_i = P[i][j] E_i.  The Krein parameters are
-read off Q too, q^h_ij = sum_a (Q^(-1))[h][a] Q[a][i] Q[a][j], and the
-check krein_expansion_of_hadamard_products certifies that table against
-the E_h.
+read off Q too, q^h_ij = sum_a (Q^(-1))[h][a] Q[a][i] Q[a][j], as one
+integer table krein[h, i, j] over one denominator krein_den, like
+p_table; the check krein_expansion_of_hadamard_products certifies that
+table against the E_h.
 
 The Bose-Mesner algebra as class rows.  Let dist be the breadth-first
 distance array of the graph (DistanceData.compute), d its largest entry and
@@ -137,7 +140,10 @@ class TerwContext:
     E_star[i] and A_star[i] is diagonal, and is held as its diagonal: a
     1 x n RationalMatrix in the same canonical form.  So equality, scaling
     and the denominator are those of the n x n matrix.  p_table holds the
-    intersection numbers counted on the graph.
+    intersection numbers counted on the graph, indexed [h, i, j].  P and Q
+    are the eigenmatrices as (d+1) x (d+1) RationalMatrix tables, and E[i]
+    is column i of Q over |X|.  krein is the read-only integer array, indexed
+    [h, i, j] like p_table, with q^h_ij = krein[h, i, j] / krein_den.
     """
 
     graph: Graph
@@ -152,10 +158,11 @@ class TerwContext:
     dual_valencies: tuple[int, ...]
     theta: tuple[Fraction, ...]
     theta_star: tuple[Fraction, ...]
-    P: tuple[tuple[Fraction, ...], ...]
-    Q: tuple[tuple[Fraction, ...], ...]
+    P: RationalMatrix
+    Q: RationalMatrix
     p_table: np.ndarray
-    krein: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    krein: np.ndarray
+    krein_den: int
     spheres: tuple[np.ndarray, ...]
     params: HypercubeParams | None
     section_checks: tuple[Check, ...] = ()
@@ -193,35 +200,21 @@ class TerwContext:
         return closure(self.generators())
 
 
-def _krein_table(Q: Sequence[Sequence[Fraction]]):
-    """q^h_ij = sum_a (Q^(-1))[h][a] Q[a][i] Q[a][j], for every (h, i, j).
+def _krein_table(Q: RationalMatrix) -> tuple[np.ndarray, int]:
+    """(krein, den) with q^h_ij = krein[h, i, j] / den
+    = sum_a (Q^(-1))[h][a] Q[a][i] Q[a][j], for every (h, i, j).
 
     E_i = |X|^(-1) sum_a Q[a][i] A_a and the A_a are disjoint 0/1 matrices,
     so E_i o E_j = |X|^(-2) sum_a Q[a][i] Q[a][j] A_a.  With
     A_a = sum_h P[h][a] E_h and P = |X| Q^(-1) this is
-    |X|^(-1) sum_h q^h_ij E_h.  The table is symmetric in (i, j), so only
-    i <= j is formed and mirrored.
+    |X|^(-1) sum_h q^h_ij E_h.  Column (i, j) of the right factor holds the
+    integer products of columns i and j of Q over Q.den^2, so one product
+    with Q^(-1) gives the whole table over one denominator.
     """
-    size = len(Q)
-    pairs = [(i, j) for i in range(size) for j in range(i, size)]
-    products = RationalMatrix.from_rows(
-        [[Q[a][i] * Q[a][j] for i, j in pairs] for a in range(size)]
-    )
-    coeffs = (inverse(RationalMatrix.from_rows(Q)) @ products).dense_rows()
-    krein = [[[Fraction(0)] * size for _ in range(size)] for _ in range(size)]
-    for h in range(size):
-        for col, (i, j) in enumerate(pairs):
-            krein[h][i][j] = krein[h][j][i] = coeffs[h][col]
-    return tuple(tuple(tuple(row) for row in layer) for layer in krein)
-
-
-def _idempotent_rows(Q: Sequence[Sequence[Fraction]], n: int) -> list[RationalMatrix]:
-    """The class rows of E_i = |X|^(-1) sum_a Q[a][i] A_a: entry a is
-    Q[a][i] / |X|, for every i."""
-    return [
-        RationalMatrix.from_rows([[Fraction(row[i]) / n for row in Q]])
-        for i in range(len(Q))
-    ]
+    size = Q.nrows
+    pairs = exact_mul_elementwise(Q.num[:, :, None], Q.num[:, None, :])
+    coeffs = inverse(Q) @ RationalMatrix(pairs.reshape(size, size * size), Q.den**2)
+    return coeffs.num.reshape(size, size, size), coeffs.den
 
 
 def _intersection_numbers(g: Graph, dd: DistanceData, x: int) -> np.ndarray:
@@ -265,16 +258,15 @@ def _assemble(
     graph: Graph,
     dd: DistanceData,
     x: int,
-    E: list[RationalMatrix],
-    P: list[list[Fraction]],
-    Q: list[list[Fraction]],
+    P: RationalMatrix,
+    Q: RationalMatrix,
     p_table: np.ndarray,
     params: HypercubeParams | None,
 ) -> TerwContext:
     """The context with its section identities checked and stored.
 
-    E holds the class rows of the E_i and p_table the counted intersection
-    numbers.
+    P and Q are the eigenmatrices and p_table the counted intersection
+    numbers; the class row of E_i is column i of Q over |X|.
 
     Raises:
         VerificationError: naming every section identity that fails.
@@ -284,6 +276,7 @@ def _assemble(
     row_x = dd.dist[x]
     spheres = tuple(np.flatnonzero(row_x == i) for i in range(d + 1))
 
+    E = [RationalMatrix(Q.num[:, i][None], Q.den * n) for i in range(d + 1)]
     rows = (row_x == np.arange(d + 1)[:, None]).astype(np.int64)
     E_star = [RationalMatrix(row[None], 1, _canonical=True) for row in rows]
     # A_i* = diag(|X| row x of E_i), and row x of E_i is E_i[dist[x]].
@@ -297,8 +290,9 @@ def _assemble(
             raise VerificationError(f"rank of idempotent E_{i} is not an integer: {t}")
         dual_valencies.append(int(t))
 
-    theta = tuple(P[i][1] if d >= 1 else Fraction(0) for i in range(d + 1))
-    theta_star = tuple(Q[i][1] if d >= 1 else Fraction(0) for i in range(d + 1))
+    theta = tuple(P[i, 1] if d >= 1 else Fraction(0) for i in range(d + 1))
+    theta_star = tuple(Q[i, 1] if d >= 1 else Fraction(0) for i in range(d + 1))
+    krein, krein_den = _krein_table(Q)
 
     ctx = TerwContext(
         graph=graph,
@@ -313,10 +307,11 @@ def _assemble(
         dual_valencies=tuple(dual_valencies),
         theta=theta,
         theta_star=theta_star,
-        P=tuple(tuple(row) for row in P),
-        Q=tuple(tuple(row) for row in Q),
+        P=P,
+        Q=Q,
         p_table=p_table,
-        krein=_krein_table(Q),
+        krein=krein,
+        krein_den=krein_den,
         spheres=spheres,
         params=params,
     )
@@ -340,8 +335,8 @@ def build_hypercube_context(d: int, x: int = 0) -> TerwContext:
     params = HypercubeParams.build(d)
 
     # Self-dual eigenmatrix formula: q_i(j) = p_i(j), so Q = P.
-    P = [list(row) for row in params.P]
-    return _assemble(g, dd, x, _idempotent_rows(P, g.n), P, P, p_table, params)
+    P = RationalMatrix.from_rows(params.P)
+    return _assemble(g, dd, x, P, P, p_table, params)
 
 
 def build_context(g: Graph, x: int = 0) -> TerwContext:
@@ -387,14 +382,14 @@ def build_context(g: Graph, x: int = 0) -> TerwContext:
     a = [int(t) for t in b1.diagonal()]
     b = [int(t) for t in b1.diagonal(1)]
     c = [0] + [int(t) for t in b1.diagonal(-1)]
-    P: list[list[Fraction]] = []
+    rows = []
     for th in theta:
         v = [Fraction(1), Fraction(th)][: d + 1]
         for j in range(1, d):
             v.append(((th - a[j]) * v[j] - b[j - 1] * v[j - 1]) / c[j + 1])
-        P.append(v)
-    Q = (inverse(RationalMatrix.from_rows(P)) * n).dense_rows()
-    return _assemble(g, dd, x, _idempotent_rows(Q, n), P, Q, p_table, None)
+        rows.append(v)
+    P = RationalMatrix.from_rows(rows)
+    return _assemble(g, dd, x, P, inverse(P) * n, p_table, None)
 
 
 # -- named identity checks -------------------------------------------------
@@ -463,20 +458,15 @@ def _krein_witness(ctx: TerwContext, V: np.ndarray, den: int, pairs) -> str | No
     """The first pair (i, j) whose Krein expansion fails, for
     E_h = V[h][dist] / den.
 
-    E_i o E_j = |X|^(-1) sum_h q^h_ij E_h reads
-    |X| V[i][a] V[j][a] = den sum_h q^h_ij V[h][a] for every class a.
+    E_i o E_j = |X|^(-1) sum_h q^h_ij E_h, with q^h_ij = krein[h, i, j] /
+    krein_den, reads |X| krein_den V[i][a] V[j][a] = den sum_h krein[h, i, j]
+    V[h][a] for every class a.
     """
-    size = ctx.d + 1
-    table = RationalMatrix.from_rows(
-        [[ctx.krein[h][i][j] for h in range(size)] for i, j in pairs]
-    )
-    rows, cols = zip(*pairs)
-    left = exact_scale(exact_mul_elementwise(V[list(rows)], V[list(cols)]), ctx.n * table.den)
-    right = exact_scale(exact_matmul(table.num, V), den)
-    for k, (i, j) in enumerate(pairs):
-        if not np.array_equal(left[k], right[k]):
-            return f"E_{i} o E_{j}"
-    return None
+    rows, cols = (list(t) for t in zip(*pairs))
+    left = exact_scale(exact_mul_elementwise(V[rows], V[cols]), ctx.n * ctx.krein_den)
+    right = exact_scale(exact_matmul(ctx.krein[:, rows, cols].T, V), den)
+    bad = np.flatnonzero((left != right).any(axis=1))
+    return f"E_{pairs[bad[0]][0]} o E_{pairs[bad[0]][1]}" if bad.size else None
 
 
 def check_section_identities(ctx: TerwContext) -> list[Check]:
@@ -523,12 +513,10 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
         )
     )
 
-    Pm = RationalMatrix.from_rows([list(r) for r in ctx.P])
-    Qm = RationalMatrix.from_rows([list(r) for r in ctx.Q])
     checks.append(
         Check(
             "eigenmatrices_inverse_pair",
-            Pm @ (Qm * Fraction(1, n)) == RationalMatrix.identity(size),
+            ctx.P @ (ctx.Q * Fraction(1, n)) == RationalMatrix.identity(size),
         )
     )
 
@@ -564,12 +552,7 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     # E_i o E_j = E_j o E_i, so when the table is symmetric in (i, j) a pair
     # (i, j) with i > j fails exactly when (j, i) does, which comes first:
     # only j >= i is checked.
-    symmetric = all(
-        ctx.krein[h][i][j] == ctx.krein[h][j][i]
-        for h in range(size)
-        for i in range(size)
-        for j in range(i)
-    )
+    symmetric = np.array_equal(ctx.krein, ctx.krein.transpose(0, 2, 1))
     pairs = [(i, j) for i in range(size) for j in range(i if symmetric else 0, size)]
     witness = _krein_witness(ctx, V, den, pairs)
     checks.append(Check("krein_expansion_of_hadamard_products", witness is None, witness))
@@ -612,6 +595,24 @@ def _triple_counts(ctx: TerwContext) -> np.ndarray:
     return counts.reshape(size, size, size)
 
 
+def sphere_values(ctx: TerwContext, diags: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """values[i, k], the entry of the diagonal diags[i] on the sphere S_k,
+    read at the first vertex of S_k.
+
+    Raises:
+        VerificationError: "<names[i]> is not constant on sphere S_k" for
+            the first row i, and in it the first vertex, where diags[i]
+            differs from its value on the vertex's sphere.
+    """
+    label = ctx.dist.dist[ctx.x]
+    values = diags[:, [int(s[0]) for s in ctx.spheres]]
+    bad = np.argwhere(diags != values[:, label])
+    if bad.size:
+        i, y = bad[0]
+        raise VerificationError(f"{names[i]} is not constant on sphere S_{label[y]}")
+    return values
+
+
 def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.ndarray:
     """zeros[h, i, j] is True exactly when E_h A_i* E_j = 0.
 
@@ -635,15 +636,8 @@ def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.
         VerificationError: if some A_i* is not constant on a sphere S_k.
     """
     size = ctx.d + 1
-    dist = ctx.dist.dist
-    reps = [int(s[0]) for s in ctx.spheres]
     diags = np.array([a.num[0] for a in ctx.A_star])
-    values = diags[:, reps]  # theta*_i(k), scaled
-    bad = np.argwhere(diags != values[:, dist[ctx.x]])
-    if bad.size:
-        i, y = (int(v) for v in bad[0])
-        k = int(dist[ctx.x, y])
-        raise VerificationError(f"A*_{i} is not constant on sphere S_{k}")
+    values = sphere_values(ctx, diags, [f"A*_{i}" for i in range(size)])  # theta*_i(k)
     N = _triple_counts(ctx) if counts is None else counts
     # theta_pairs[i, (k, l)] = theta*_i(k) theta*_i(l); N_kl[(k, l), a] = N[k, a, l].
     theta_pairs = exact_mul_elementwise(values[:, :, None], values[:, None, :])
@@ -680,26 +674,23 @@ def check_triple_products(ctx: TerwContext) -> TripleProductReport:
     """
     d = ctx.d
     counts = _triple_counts(ctx)
-    primal_zeros = _primal_triple_zeros(ctx, counts)
-    dual_zeros = dual_triple_zeros(ctx, counts)
-    excluded = ~permissible_mask(d) if ctx.is_hypercube else None
-    mismatches = []
-    for h in range(d + 1):
-        for i in range(d + 1):
-            for j in range(d + 1):
-                primal_zero = bool(primal_zeros[h, i, j])
-                dual_zero = bool(dual_zeros[h, i, j])
-                p_zero = int(ctx.p_table[h, i, j]) == 0
-                krein_zero = ctx.krein[h][i][j] == 0
-                flags = [primal_zero, dual_zero, p_zero, krein_zero]
-                if ctx.is_hypercube:
-                    flags.append(bool(excluded[h, i, j]))
-                    ok = all(f == flags[0] for f in flags)
-                else:
-                    ok = primal_zero == p_zero and dual_zero == krein_zero
-                if not ok:
-                    mismatches.append((h, i, j, tuple(flags)))
-    return TripleProductReport(d, (d + 1) ** 3, tuple(mismatches))
+    flags = [
+        _primal_triple_zeros(ctx, counts),
+        dual_triple_zeros(ctx, counts),
+        ctx.p_table == 0,
+        ctx.krein == 0,
+    ]
+    if ctx.is_hypercube:
+        flags.append(~permissible_mask(d))
+        bad = (np.stack(flags) != flags[0]).any(axis=0)
+    else:
+        bad = (flags[0] != flags[2]) | (flags[1] != flags[3])
+    # Python ints and bools, in the lexicographic order of (h, i, j).
+    mismatches = tuple(
+        (int(h), int(i), int(j), tuple(bool(f[h, i, j]) for f in flags))
+        for h, i, j in np.argwhere(bad)
+    )
+    return TripleProductReport(d, (d + 1) ** 3, mismatches)
 
 
 def triple_span_dim(ctx: TerwContext) -> int:
@@ -716,19 +707,18 @@ def triple_span_dim(ctx: TerwContext) -> int:
 
 
 def check_krein_self_dual(ctx: TerwContext) -> Check:
-    """Hypercube self-duality: the Krein table equals the p-table."""
-    d = ctx.d
-    for h in range(d + 1):
-        for i in range(d + 1):
-            for j in range(d + 1):
-                if ctx.krein[h][i][j] != int(ctx.p_table[h, i, j]):
-                    return Check(
-                        "krein_table_equals_intersection_table",
-                        False,
-                        f"(h,i,j)=({h},{i},{j}): "
-                        f"{ctx.krein[h][i][j]} vs {int(ctx.p_table[h, i, j])}",
-                    )
-    return Check("krein_table_equals_intersection_table", True)
+    """Hypercube self-duality: the Krein table equals the p-table.  The
+    witness is the first differing (h, i, j) in lexicographic order."""
+    bad = np.argwhere(ctx.krein != exact_scale(ctx.p_table, ctx.krein_den))
+    if not bad.size:
+        return Check("krein_table_equals_intersection_table", True)
+    h, i, j = (int(v) for v in bad[0])
+    return Check(
+        "krein_table_equals_intersection_table",
+        False,
+        f"(h,i,j)=({h},{i},{j}): "
+        f"{Fraction(int(ctx.krein[h, i, j]), ctx.krein_den)} vs {int(ctx.p_table[h, i, j])}",
+    )
 
 
 def _spectral_min_poly(theta: Sequence[Fraction], ranks: Sequence[int]) -> RationalPoly:

@@ -312,18 +312,25 @@ def run_verification(max_d: int, vertex: int = 0, threads: int = 1) -> Verificat
 # -- one-off report builders for the CLI -----------------------------------
 
 
-def _table3_json(table) -> list:
-    return [[[int(v) for v in row] for row in layer] for layer in table]
-
-
-def _krein_json(krein) -> list:
-    return [
-        [[_fraction_json(v) for v in row] for row in layer] for layer in krein
-    ]
-
-
-def _matrix2_json(rows) -> list:
-    return [[_fraction_json(v) for v in row] for row in rows]
+def _parameter_fields(ctx: TerwContext) -> dict:
+    """The fields both one-off reports take from the context: its size,
+    base vertex and eigenvalues, the valencies, the parameter tables and
+    the triple span dimension.  An integer Fraction renders as an int."""
+    return {
+        "num_vertices": ctx.n,
+        "vertex": ctx.x,
+        "eigenvalues": [_fraction_json(t) for t in ctx.theta],
+        "valencies": list(ctx.valencies),
+        "dual_valencies": list(ctx.dual_valencies),
+        "p_table": ctx.p_table.tolist(),
+        "krein_table": [
+            [[_fraction_json(Fraction(int(v), ctx.krein_den)) for v in row] for row in layer]
+            for layer in ctx.krein
+        ],
+        "P": [[_fraction_json(v) for v in row] for row in ctx.P.dense_rows()],
+        "Q": [[_fraction_json(v) for v in row] for row in ctx.Q.dense_rows()],
+        "triple_span_dim": triple_span_dim(ctx),
+    }
 
 
 def build_parameter_report(d: int, vertex: int = 0) -> dict:
@@ -336,21 +343,12 @@ def build_parameter_report(d: int, vertex: int = 0) -> dict:
     ctx = prep.ctx
     u0rep = verify_u0(ctx, prep.basis)
     return {
+        **_parameter_fields(ctx),
         "d": d,
-        "vertex": ctx.x,
-        "num_vertices": ctx.n,
-        "eigenvalues": [int(t) for t in ctx.theta],
         "dual_eigenvalues": [int(t) for t in ctx.theta_star],
-        "valencies": list(ctx.valencies),
-        "dual_valencies": list(ctx.dual_valencies),
-        "p_table": _table3_json(ctx.p_table),
-        "krein_table": _krein_json(ctx.krein),
-        "P": _matrix2_json(ctx.P),
-        "Q": _matrix2_json(ctx.Q),
         "permissible_set": [list(t) for t in permissible_set(d)],
         "dim_T": prep.basis.dim,
         "expected_dim": expected_dimension(d),
-        "triple_span_dim": triple_span_dim(ctx),
         "u0": u0rep.as_dict(),
         "u0_is_identity": u0rep.is_identity,
         "blocks": prep.dec.blocks_json(),
@@ -380,19 +378,10 @@ def build_graph_report(g: Graph, vertex: int = 0) -> tuple[dict, bool]:
     basis = ctx.algebra_basis()
     tp = check_triple_products(ctx)
     data = {
-        "num_vertices": ctx.n,
+        **_parameter_fields(ctx),
         "diameter": ctx.d,
-        "vertex": ctx.x,
         "distance_regular": True,
-        "eigenvalues": [_fraction_json(t) for t in ctx.theta],
-        "valencies": list(ctx.valencies),
-        "dual_valencies": list(ctx.dual_valencies),
-        "p_table": _table3_json(ctx.p_table),
-        "krein_table": _krein_json(ctx.krein),
-        "P": _matrix2_json(ctx.P),
-        "Q": _matrix2_json(ctx.Q),
         "dim_T": basis.dim,
-        "triple_span_dim": triple_span_dim(ctx),
         "checks": [c.as_dict() for c in ctx.section_checks]
         + [
             {

@@ -3,7 +3,9 @@ matrix computations that the class-table code replaced, kept as oracles.
 
 check_section_identities sums and compares n x n RationalMatrix terms;
 dual_triple_zeros forms one n x n Hadamard product per pair {h, j};
-_primal_triple_zeros runs one bincount per sphere block; and
+_primal_triple_zeros runs one bincount per sphere block;
+triple_product_mismatches and krein_self_dual walk the (d+1)^3 triples one
+by one, reading the Krein table as Fractions (krein_fractions); and
 check_polynomial_images_dense evaluates the F_i and phi_(d-2) on the n x n
 powers of A and of the dense diagonal matrix A*.  The context holds each
 E_i as its class row and each E_i* and A_i* as its diagonal, and reads the
@@ -19,7 +21,7 @@ import numpy as np
 
 from terwalg._intops import exact_matmul, exact_mul_elementwise, exact_scale
 from terwalg.checks import Check
-from terwalg.hypercube import spectrum_poly
+from terwalg.hypercube import permissible_mask, spectrum_poly
 from terwalg.linalg import RationalMatrix
 from terwalg.subconstituent import TerwContext, VerificationError
 
@@ -29,6 +31,14 @@ from dense_views import dense_diagonal, dense_idempotents, distance_matrix, poly
 def distance_matrices(ctx: TerwContext) -> list[RationalMatrix]:
     """The dense A_0, ..., A_d of a context."""
     return [distance_matrix(ctx.graph, ctx.dist, i) for i in range(ctx.d + 1)]
+
+
+def krein_fractions(ctx: TerwContext) -> tuple:
+    """The Krein table as nested Fractions: q^h_ij at [h][i][j]."""
+    return tuple(
+        tuple(tuple(Fraction(int(v), ctx.krein_den) for v in row) for row in layer)
+        for layer in ctx.krein
+    )
 
 
 def dense_distance_regularity(dd):
@@ -125,8 +135,8 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
         Check("rank_one_idempotent_is_all_ones", E[0] == RationalMatrix.ones(n, n) * Fraction(1, n))
     )
 
-    Pm = RationalMatrix.from_rows([list(r) for r in ctx.P])
-    Qm = RationalMatrix.from_rows([list(r) for r in ctx.Q])
+    Pm = RationalMatrix.from_rows(ctx.P.dense_rows())
+    Qm = RationalMatrix.from_rows(ctx.Q.dense_rows())
     checks.append(
         Check(
             "eigenmatrices_inverse_pair",
@@ -177,8 +187,9 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     # exactly when (j, i) does, which comes first: only j >= i is formed.
     den_e = lcm(*(Eh.den for Eh in E))
     stack = np.stack([exact_scale(Eh.num, den_e // Eh.den).ravel() for Eh in E])
+    krein = krein_fractions(ctx)
     symmetric = all(
-        ctx.krein[h][i][j] == ctx.krein[h][j][i]
+        krein[h][i][j] == krein[h][j][i]
         for h in range(d + 1)
         for i in range(d + 1)
         for j in range(i)
@@ -188,7 +199,7 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     for i in range(d + 1):
         cols = range(i if symmetric else 0, d + 1)
         table = RationalMatrix.from_rows(
-            [[ctx.krein[h][i][j] / n for h in range(d + 1)] for j in cols]
+            [[krein[h][i][j] / n for h in range(d + 1)] for j in cols]
         )
         expansion = exact_scale(exact_matmul(table.num, stack), den_e)
         left = exact_scale(stack[i], table.den)
@@ -262,6 +273,54 @@ def _primal_triple_zeros(ctx: TerwContext) -> np.ndarray:
             block = dist[np.ix_(sph_h, sph_j)]
             zeros[h, :, j] = np.bincount(block.ravel(), minlength=d + 1) == 0
     return zeros
+
+
+def triple_product_mismatches(ctx: TerwContext) -> tuple:
+    """The mismatches of check_triple_products, triple by triple.
+
+    The flags come from the dense oracles above and the Krein table is
+    read as Fractions; a mismatch records all flags in the order primal,
+    dual, p, Krein (and, for hypercubes, outside P_d).
+    """
+    d = ctx.d
+    primal_zeros = _primal_triple_zeros(ctx)
+    dual_zeros = dual_triple_zeros(ctx)
+    krein = krein_fractions(ctx)
+    excluded = ~permissible_mask(d) if ctx.is_hypercube else None
+    mismatches = []
+    for h in range(d + 1):
+        for i in range(d + 1):
+            for j in range(d + 1):
+                primal_zero = bool(primal_zeros[h, i, j])
+                dual_zero = bool(dual_zeros[h, i, j])
+                p_zero = int(ctx.p_table[h, i, j]) == 0
+                krein_zero = krein[h][i][j] == 0
+                flags = [primal_zero, dual_zero, p_zero, krein_zero]
+                if ctx.is_hypercube:
+                    flags.append(bool(excluded[h, i, j]))
+                    ok = all(f == flags[0] for f in flags)
+                else:
+                    ok = primal_zero == p_zero and dual_zero == krein_zero
+                if not ok:
+                    mismatches.append((h, i, j, tuple(flags)))
+    return tuple(mismatches)
+
+
+def krein_self_dual(ctx: TerwContext) -> Check:
+    """check_krein_self_dual, triple by triple on the Fraction table."""
+    d = ctx.d
+    krein = krein_fractions(ctx)
+    for h in range(d + 1):
+        for i in range(d + 1):
+            for j in range(d + 1):
+                if krein[h][i][j] != int(ctx.p_table[h, i, j]):
+                    return Check(
+                        "krein_table_equals_intersection_table",
+                        False,
+                        f"(h,i,j)=({h},{i},{j}): "
+                        f"{krein[h][i][j]} vs {int(ctx.p_table[h, i, j])}",
+                    )
+    return Check("krein_table_equals_intersection_table", True)
 
 
 def check_polynomial_images_dense(ctx: TerwContext, adjacency=None) -> list[Check]:

@@ -23,6 +23,7 @@ from terwalg.graphs import (
     parse_graph_file,
 )
 from terwalg.hypercube import HypercubeParams
+from terwalg.idempotent import diagonal_table
 from terwalg.linalg import RationalMatrix, inverse, min_poly
 from terwalg.subconstituent import (
     _assemble,
@@ -36,6 +37,7 @@ from terwalg.subconstituent import (
     triple_span_dim,
     VerificationError,
 )
+from terwalg import verify
 from terwalg.verify import build_graph_report, run_verification
 
 import section_oracles
@@ -119,8 +121,13 @@ def test_idempotents_are_held_as_class_rows(contexts):
             assert e.shape == (1, ctx.d + 1)
             assert ctx.class_matrix(e) == dense_class_matrix(ctx, e)
         assert ctx.A == distance_matrix(ctx.graph, ctx.dist, 1)
+        # The eigenmatrices P and Q are the (d+1)-sized tables; every other
+        # held matrix is a row.
+        assert ctx.P.shape == ctx.Q.shape == (ctx.d + 1, ctx.d + 1)
         held = []
         for field in dataclasses.fields(ctx):
+            if field.name in ("P", "Q"):
+                continue
             value = getattr(ctx, field.name)
             held += value if isinstance(value, tuple) else [value]
         assert all(m.nrows == 1 for m in held if isinstance(m, RationalMatrix))
@@ -174,11 +181,10 @@ def test_section_identities_run_once_per_context(monkeypatch):
 
 def test_construction_rejects_failed_identity(contexts):
     ctx = contexts[3]
-    E = list(ctx.E)
-    E[1], E[2] = E[2], E[1]
-    P = [list(row) for row in ctx.P]
+    # E_i is column i of Q over |X|: swapping columns 1 and 2 swaps E_1, E_2.
+    Q = RationalMatrix(ctx.Q.num[:, [0, 2, 1, 3]], ctx.Q.den)
     with pytest.raises(VerificationError) as info:
-        _assemble(ctx.graph, ctx.dist, ctx.x, E, P, P, ctx.p_table, ctx.params)
+        _assemble(ctx.graph, ctx.dist, ctx.x, ctx.P, Q, ctx.p_table, ctx.params)
     message = str(info.value)
     assert message.startswith("construction identities failed: ")
     assert "adjacency_spectral_decomposition (None)" in message
@@ -198,9 +204,9 @@ def test_krein_self_duality(contexts):
 
 
 def test_krein_frozen_values(contexts):
-    ctx = contexts[2]
-    assert ctx.krein[1][1][1] == 0
-    assert ctx.krein[2][1][1] == 2
+    krein = section_oracles.krein_fractions(contexts[2])
+    assert krein[1][1][1] == 0
+    assert krein[2][1][1] == 2
 
 
 def test_triple_span_dimension(contexts):
@@ -439,7 +445,7 @@ def test_idempotents_and_dual_distance_matrices_are_canonical(monkeypatch):
     for name, ctx in cases:
         dist = ctx.dist.dist
         for i, (Ei, Ai_star) in enumerate(zip(ctx.E, ctx.A_star)):
-            col = [Fraction(row[i]) for row in ctx.Q]
+            col = [row[i] for row in ctx.Q.dense_rows()]
             common = int(np.lcm.reduce([q.denominator for q in col]))
             nums = np.array([int(q * common) for q in col], dtype=object)
             den = ctx.n * common
@@ -557,7 +563,7 @@ def test_general_path_petersen_triple_products():
     assert [int(t) for t in ctx.theta] == [3, 1, -2]
     assert check_triple_products(ctx).passed
     assert int(ctx.p_table[1, 1, 1]) == 0
-    assert ctx.krein[1][1][1] != 0
+    assert section_oracles.krein_fractions(ctx)[1][1][1] != 0
     e1 = dense_class_matrix(ctx, ctx.E[1])
     assert not (e1 @ dense_diagonal(ctx.A_star[1]) @ e1).is_zero()
     e1_star = dense_diagonal(ctx.E_star[1])
@@ -634,8 +640,9 @@ def test_differential_graphs_are_not_formally_self_dual():
     for g in (Graph.from_edges(10, PETERSEN_EDGES), johnson(6, 3)):
         ctx = build_context(g)
         d = ctx.d
+        krein = section_oracles.krein_fractions(ctx)
         krein_zero = np.array(
-            [[[ctx.krein[h][i][j] == 0 for j in range(d + 1)] for i in range(d + 1)]
+            [[[krein[h][i][j] == 0 for j in range(d + 1)] for i in range(d + 1)]
              for h in range(d + 1)]
         )
         assert not np.array_equal(ctx.p_table == 0, krein_zero)
@@ -651,6 +658,23 @@ def test_triple_products_reject_dual_matrix_not_constant_on_sphere(contexts):
     bad = dataclasses.replace(ctx, A_star=bad_star)
     with pytest.raises(VerificationError, match="A\\*_2 is not constant on sphere S_1"):
         check_triple_products(bad)
+
+
+def test_held_diagonals_name_the_first_row_then_its_first_vertex(contexts):
+    # Row 2 breaks on S_2 at vertex 5 and on S_1 at vertex 4, row 3 on S_2:
+    # the witness is row 2 at vertex 4, for dual_triple_zeros and for
+    # diagonal_table alike.
+    ctx = contexts[3]
+    s1, s2 = ctx.spheres[1].tolist(), ctx.spheres[2].tolist()
+    assert (s1, s2) == ([1, 2, 4], [3, 5, 6])
+    diags = np.array([a.num[0] for a in ctx.A_star])
+    for i, y in ((3, 6), (2, 5), (2, 4)):
+        diags[i, y] += 1
+    bad = dataclasses.replace(ctx, A_star=tuple(RationalMatrix(row[None]) for row in diags))
+    with pytest.raises(VerificationError, match="^A\\*_2 is not constant on sphere S_1$"):
+        check_triple_products(bad)
+    with pytest.raises(VerificationError, match="^diagonal is not constant on sphere S_1$"):
+        diagonal_table(ctx, RationalMatrix(diags[2][None]))
 
 
 # -- dense oracles for the section identities and triple-product flags --------
@@ -682,11 +706,12 @@ def _oracle_krein(ctx):
     """krein_expansion_of_hadamard_products, one RationalMatrix sum per (i, j)."""
     n = ctx.n
     E = dense_idempotents(ctx)
+    krein = section_oracles.krein_fractions(ctx)
     for i, Ei in enumerate(E):
         for j, Ej in enumerate(E):
             acc = RationalMatrix.zeros(n, n)
             for h, Eh in enumerate(E):
-                acc = acc + Eh * (ctx.krein[h][i][j] * Fraction(1, n))
+                acc = acc + Eh * (krein[h][i][j] * Fraction(1, n))
             if Ei.hadamard(Ej) != acc:
                 return Check(
                     "krein_expansion_of_hadamard_products", False, f"E_{i} o E_{j}"
@@ -894,14 +919,19 @@ def _projector_context(g, x):
             assert prod == Ei * coeff
             row.append(coeff)
         P.append(row)
-    Q = (inverse(RationalMatrix.from_rows(P)) * n).dense_rows()
+    Pm = RationalMatrix.from_rows(P)
     reps = [int(np.flatnonzero(dd.dist[x] == a)[0]) for a in range(d + 1)]
     rows = []
     for Ei in E:
         v = Ei.num[x, reps]
         assert np.array_equal(Ei.num, v[dd.dist]), "projector is not a class function"
         rows.append(RationalMatrix(v[None], Ei.den))
-    return _assemble(g, dd, x, rows, P, Q, result, None)
+    # _assemble reads the E_i off Q; the projectors' own class rows replace
+    # them, with the section checks run again on those rows.
+    ctx = dataclasses.replace(
+        _assemble(g, dd, x, Pm, inverse(Pm) * n, result, None), E=tuple(rows)
+    )
+    return dataclasses.replace(ctx, section_checks=tuple(check_section_identities(ctx)))
 
 
 def _oracle_graphs():
@@ -938,7 +968,7 @@ def test_build_context_matches_spectral_projector_oracle():
         assert ctx.Q == want.Q, name
         assert ctx.E == want.E, name
         assert ctx.A_star == want.A_star, name
-        assert ctx.krein == want.krein, name
+        assert section_oracles.krein_fractions(ctx) == section_oracles.krein_fractions(want), name
         assert ctx.section_checks == want.section_checks, name
         assert all(c.passed for c in ctx.section_checks), name
 
@@ -995,10 +1025,12 @@ def test_krein_table_matches_hadamard_product_oracle():
     for d in range(1, 7):
         for x in (0, (1 << d) - 1):
             ctx = build_hypercube_context(d, x)
-            assert ctx.krein == _compute_krein(dense_idempotents(ctx), ctx.dist.dist, d), (d, x)
+            want = _compute_krein(dense_idempotents(ctx), ctx.dist.dist, d)
+            assert section_oracles.krein_fractions(ctx) == want, (d, x)
     for name, g, x in _oracle_graphs():
         ctx = build_context(g, x)
-        assert ctx.krein == _compute_krein(dense_idempotents(ctx), ctx.dist.dist, ctx.d), name
+        want = _compute_krein(dense_idempotents(ctx), ctx.dist.dist, ctx.d)
+        assert section_oracles.krein_fractions(ctx) == want, name
 
 
 def test_build_context_errors_match_spectral_projector_oracle():
@@ -1019,12 +1051,11 @@ def test_dual_distance_matrices_match_fraction_diagonals():
 
 
 def _with_krein(ctx, entries):
-    krein = [[list(row) for row in layer] for layer in ctx.krein]
+    """ctx with 1 added to q^h_ij at each (h, i, j) of entries."""
+    krein = ctx.krein.copy()
     for h, i, j in entries:
-        krein[h][i][j] += 1
-    return dataclasses.replace(
-        ctx, krein=tuple(tuple(tuple(row) for row in layer) for layer in krein)
-    )
+        krein[h, i, j] += ctx.krein_den
+    return dataclasses.replace(ctx, krein=krein)
 
 
 def test_tampered_krein_table_matches_oracle():
@@ -1045,6 +1076,65 @@ def test_tampered_krein_table_matches_oracle():
             got = checks["krein_expansion_of_hadamard_products"]
             assert not got.passed
             assert got.witness == witness
+
+
+# -- whole-table triple checks against the loops they replaced ---------------
+
+
+def _parameter_tampers(ctx):
+    """Contexts whose p_table or Krein table is changed, each with a name.
+
+    The first zero and the last nonzero entry of each table, in the order
+    of (h, i, j), are made nonzero or zero; both tables at once; and, on
+    the Krein table, a nonzero entry is raised by 1 without moving a zero.
+    """
+    zero_p = tuple(int(v) for v in np.argwhere(ctx.p_table == 0)[0])
+    some_p = tuple(int(v) for v in np.argwhere(ctx.p_table != 0)[-1])
+    zero_q = tuple(int(v) for v in np.argwhere(ctx.krein == 0)[0])
+    some_q = tuple(int(v) for v in np.argwhere(ctx.krein != 0)[-1])
+
+    def tampered(field, changes, base=ctx):
+        table = getattr(ctx, field).copy()
+        for index, value in changes:
+            table[index] = value
+        return dataclasses.replace(base, **{field: table})
+
+    yield f"p{zero_p} = 1", tampered("p_table", [(zero_p, 1)])
+    yield f"p{some_p} = 0", tampered("p_table", [(some_p, 0)])
+    yield f"q{zero_q} = 1", tampered("krein", [(zero_q, ctx.krein_den)])
+    yield f"q{some_q} = 0", tampered("krein", [(some_q, 0)])
+    yield f"q{some_q} + 1", tampered("krein", [(some_q, ctx.krein[some_q] + ctx.krein_den)])
+    both = tampered("p_table", [(zero_p, 2)])
+    yield "both tables", tampered("krein", [(zero_q, 1), (some_q, 0)], both)
+
+
+def test_triple_checks_on_tampered_tables_match_the_triple_loops():
+    # The whole-table checks name the same mismatches, in the same order,
+    # as the loops over every (h, i, j), with Python int indices and bool
+    # flags, and the same self-duality verdict and witness.
+    for name, ctx in [*_negative_bases(), ("J(6,3)", build_context(johnson(6, 3), 7))]:
+        for change, bad in [("as built", ctx), *_parameter_tampers(ctx)]:
+            label = f"{name}: {change}"
+            got = check_triple_products(bad).mismatches
+            assert got == section_oracles.triple_product_mismatches(bad), label
+            assert bool(got) == (change != "as built" and not change.endswith("+ 1")), label
+            for h, i, j, flags in got:
+                assert [type(v) for v in (h, i, j)] == [int] * 3, label
+                assert {type(f) for f in flags} == {bool}, label
+            assert check_krein_self_dual(bad) == section_oracles.krein_self_dual(bad), label
+
+
+def test_triple_product_witness_names_python_flags():
+    prep = verify._prepare(3, 5)
+    bad = _with_krein(prep.ctx, [(0, 1, 2)])
+    record = verify._diameter_record(dataclasses.replace(prep, ctx=bad), 4, (2,))
+    checks = {c.name: c for c in record.checks}
+    assert checks["triple_products_match_parameter_zeros"] == Check(
+        "triple_products_match_parameter_zeros",
+        False,
+        "(h,i,j)=(0,1,2) flags=(True, True, True, False, True)",
+    )
+    assert checks["krein_table_equals_intersection_table"].witness == "(h,i,j)=(0,1,2): 1 vs 0"
 
 
 # -- class tables against the dense section checks they replaced -------------
