@@ -10,6 +10,20 @@ kernel of the package goes through guarded, except the in-place row
 operations of echelon, which keep their own bound checks; only this module
 and echelon read INT64_SAFE.  Nothing here ever touches floating point.
 
+Narrow arrays are storage only.  echelon holds each stored row in the
+narrowest signed dtype that holds its largest entry (narrow): int8 for the
+0/1 basis rows of T(x), int16, int32, int64 below INT64_SAFE, object past
+it.  numpy keeps the dtype of an array operand against a Python int (NEP
+50), so 3 * row and row *= 3 on an int8 row wrap with no warning.  So one
+rule, wide, turns a narrow array into int64 before any arithmetic whose
+result could stay narrow: guarded applies it to every operand it hands to
+the int64 path, and echelon to each stored row it scales.  Reads that are
+exact on any dtype need no widening: indexing, comparisons, sums (numpy
+sums small integers in int64), flatnonzero, and an operation against an
+int64 operand, which numpy computes in int64.  A kernel that reads a
+narrow array only so keeps it out of guarded's operands, and one that
+scales only slices of it widens each slice it takes.
+
 exact_matmul has one structured path besides the dense product.  When an
 n x w operand has at most r nonzeros in every row, and 4·r is at most w (the
 inner dimension of the product) or r <= 1, the product is a sum of r
@@ -46,12 +60,39 @@ import numpy as np
 INT64_SAFE = 1 << 62
 
 
+# The storage dtypes narrower than int64, narrowest first (narrow).
+_NARROW = tuple((np.dtype(t), int(np.iinfo(t).max)) for t in (np.int8, np.int16, np.int32))
+
+
 def max_abs(arr: np.ndarray) -> int:
     """Largest absolute entry as a Python int (0 for empty arrays)."""
     if arr.size == 0:
         return 0
+    if arr.itemsize < 8:
+        # A narrow dtype cannot hold the absolute value of its minimum.
+        return max(int(np.maximum.reduce(arr, None)), -int(np.minimum.reduce(arr, None)))
     # Safe for int64 input because entries are kept below INT64_SAFE.
     return int(np.abs(arr).max())
+
+
+def narrow(arr: np.ndarray, amax: int) -> np.ndarray:
+    """arr held in the narrowest signed dtype that holds amax = max|arr|:
+    int8, int16 or int32, else int64 below INT64_SAFE; an array past it
+    stays object (module docstring)."""
+    if amax >= INT64_SAFE:
+        return arr
+    for dtype, top in _NARROW:
+        if amax <= top:
+            return arr.astype(dtype)
+    return arr.astype(np.int64, copy=False)
+
+
+def wide(arr: np.ndarray) -> np.ndarray:
+    """arr as int64 when it is held narrow; an int64 or object array as it
+    is.  The one widening rule (module docstring)."""
+    if arr.itemsize < 8 and arr.dtype.kind == "i":
+        return arr.astype(np.int64)
+    return arr
 
 
 def to_object(arr: np.ndarray) -> np.ndarray:
@@ -100,19 +141,22 @@ def guarded(bound: int, fn, *operands: np.ndarray, exact=None):
 
     The caller states bound, a bound on every value that fn forms from
     int64 operands.  When bound < INT64_SAFE and no operand is object, fn
-    runs on the operands as they are, in int64.  Otherwise exact, when
-    given, runs on the operands as they are; by default fn runs on the
-    operands made object (Python ints) and each result array is demoted,
-    one by one when fn returns a tuple.  Outside the in-place row
-    operations of echelon, this is the one place a kernel's bound meets
-    INT64_SAFE.
+    runs in int64, on the operands with every narrow one widened (wide).
+    Otherwise exact, when given, runs on the operands as they are; by
+    default fn runs on the operands made object (Python ints) and each
+    result array is demoted, one by one when fn returns a tuple.  Outside
+    the in-place row operations of echelon, this is the one place a
+    kernel's bound meets INT64_SAFE.  A kernel that only reads a narrow
+    array exactly (module docstring) leaves it out of operands.
     """
     if bound < INT64_SAFE:
+        held_narrow = False
         for a in operands:
             if a.dtype.hasobject:
                 break
+            held_narrow |= a.itemsize < 8
         else:
-            return fn(*operands)
+            return fn(*map(wide, operands)) if held_narrow else fn(*operands)
     if exact is not None:
         return exact(*operands)
     out = fn(*(to_object(a) for a in operands))

@@ -38,13 +38,14 @@ read-only, echelon), so the view read at a turn stays valid with no copy.
 
 Each nonzero row block g[S_h', S_h] is prepared once, when the action
 table is built: its largest entry and, when it is row-sparse, its gather
-structure (_intops.prepare_left).  An element's largest entry is taken
-once, at its turn.  Every product then picks the gather, the dense int64
-product or the object path from an exact bound with no pass over the block
-(_intops.prepared_matmul).  Each path gives the exact product, so the
-rows, and with them the element numbering, do not depend on the path
-taken.  For the cube every A[S_h', S_h] has at most d ones in a row of
-width C(d, h), so all but the narrowest blocks are gathered.
+structure (_intops.prepare_left).  An element's largest entry is read
+from its span at its turn (BlockSpans.row_max).  Every product then picks
+the gather, the dense int64 product or the object path from an exact
+bound with no pass over the block (_intops.prepared_matmul).  Each path
+gives the exact product, so the rows, and with them the element
+numbering, do not depend on the path taken.  For the cube every
+A[S_h', S_h] has at most d ones in a row of width C(d, h), so all but the
+narrowest blocks are gathered.
 
 The supports of different blocks are disjoint, and a block's coordinates in
 row-major order are its entries' order in the row-major n x n matrix, so the
@@ -83,7 +84,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._intops import max_abs, prepare_left, prepared_matmul
+from ._intops import prepare_left, prepared_matmul
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix
 
@@ -147,10 +148,24 @@ class BlockSpans:
         return len(self._elements) - 1
 
     def element(self, k: int) -> tuple[int, int, np.ndarray]:
-        """(h, j, current reduced block) of element k, a read-only view."""
+        """(h, j, current reduced block) of element k, a read-only view of
+        the row its span holds narrow (echelon)."""
         h, j, idx = self._elements[k]
         block = self._spans[(h, j)].row(idx)
         return h, j, block.reshape(len(self.classes[h]), len(self.classes[j]))
+
+    def pivot(self, k: int) -> tuple[int, int, int]:
+        """(r, c, value) of the pivot of element k's current block X: its
+        first nonzero in row-major order, X[r, c] = value."""
+        h, j, idx = self._elements[k]
+        offset, value = self._spans[(h, j)].pivot(idx)
+        r, c = divmod(offset, len(self.classes[j]))
+        return r, c, value
+
+    def row_max(self, k: int) -> int:
+        """max|X| of element k's current block X, as its span tracks it."""
+        h, j, idx = self._elements[k]
+        return self._spans[(h, j)].row_max(idx)
 
 
 def diagonal_row(g: RationalMatrix) -> np.ndarray | None:
@@ -217,7 +232,7 @@ def closure(generators: Sequence[RationalMatrix]) -> BlockSpans:
     k = 0
     while k < spans.dim:
         h, j, x = spans.element(k)
-        xmax = max_abs(x)
+        xmax = spans.row_max(k)
         for by_source in actions:
             for h2, block in by_source[h]:
                 spans.add(h2, j, prepared_matmul(block, x, xmax))

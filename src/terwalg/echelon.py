@@ -13,6 +13,19 @@ after later insertions.
 Arithmetic follows the int64/object discipline of _intops: exact bounds are
 checked with Python integers before every fast-path vector operation.
 
+A stored row is held narrow: in the narrowest signed dtype that holds its
+largest entry (_intops.narrow), which the span tracks exactly for every
+row.  The basis rows of T(x) are 0/1 on the cubes and the distance-regular
+graphs checked, so they are held as int8, an eighth of their int64 size.
+Narrow rows are storage only.  A reduction works in its own int64 (or
+object) buffer v: v -= row and v += row are computed in v's dtype, and a
+row scaled by an integer is widened first (_intops.wide), since numpy
+would keep b * row in the row's dtype and wrap.  Clearing a pivot widens
+the old row the same way and subtracts a multiple of the new row as it
+stood before it was stored narrow.  Every array a caller reads (row, rows)
+is the narrow stored row; its pivot, pivot value and largest entry are
+read from the span (pivot, row_max), not recomputed.
+
 An untracked reduction (add and contains on a span with track=False) takes
 no gcd pass over a candidate on entry.  Each step replaces v by a·v − b·row,
 a nonzero multiple of v minus a combination of stored rows, so the residual
@@ -38,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._intops import INT64_SAFE, content, demote, max_abs, python_ints, to_object
+from ._intops import INT64_SAFE, content, demote, max_abs, narrow, python_ints, to_object, wide
 
 
 class EchelonSpan:
@@ -65,8 +78,16 @@ class EchelonSpan:
         return len(self._rows)
 
     def row(self, idx: int) -> np.ndarray:
-        """Current idx-th basis row (read-only)."""
+        """Current idx-th basis row (read-only, held narrow)."""
         return self._rows[idx]
+
+    def pivot(self, idx: int) -> tuple[int, int]:
+        """(column, value) of the pivot of row idx: its first nonzero."""
+        return self._pivots[idx], self._pivvals[idx]
+
+    def row_max(self, idx: int) -> int:
+        """max|row idx|, exactly."""
+        return self._maxes[idx]
 
     @property
     def rows(self) -> list[np.ndarray]:
@@ -170,7 +191,7 @@ class EchelonSpan:
                 elif b == -1:
                     v += row
                 else:
-                    v -= b * row
+                    v -= b * wide(row)
             vmax = bound
             if expr is not None:
                 new = {k: a * f for k, f in expr.items()}
@@ -209,8 +230,9 @@ class EchelonSpan:
         pv = int(v[piv])
 
         idx = len(self._rows)
-        v.flags.writeable = False
-        self._rows.append(v)
+        stored = narrow(v, vmax)
+        stored.flags.writeable = False
+        self._rows.append(stored)
         self._pivots.append(piv)
         self._pivvals.append(pv)
         self._maxes.append(vmax)
@@ -231,17 +253,17 @@ class EchelonSpan:
             if bound >= INT64_SAFE or r2.dtype == object or v.dtype == object:
                 new = a * to_object(r2) - b * to_object(v)
             else:
-                new = a * r2 - b * v
+                new = (r2 if a == 1 else a * wide(r2)) - b * v
             # v is zero at r2's pivot, so new is a * pv2 there and its content
             # divides a * pv2: when that is 1 the full-width gcd is skipped.
             g2 = 1 if a * self._pivvals[idx2] == 1 else content(new)
             if g2 > 1:
                 new = new // g2
-            new = demote(new)
+            self._maxes[idx2] = max_abs(new)
+            new = narrow(new, self._maxes[idx2])
             new.flags.writeable = False
             self._rows[idx2] = new
             self._pivvals[idx2] = int(new[self._pivots[idx2]])
-            self._maxes[idx2] = max_abs(new)
             if self.track:
                 e2 = {k: a * f for k, f in self._exprs[idx2].items()}
                 for k, f in self._exprs[idx].items():

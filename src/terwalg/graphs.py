@@ -25,6 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._intops import narrow
+
 MAX_VERTICES = 1 << 12  # all-pairs distance table is the memory bound
 
 # A level of the distance search with fewer than n S / SPARSE_LEVEL pairs is
@@ -239,7 +241,16 @@ def _frontier_step(table, flat, pairs, level, width) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistanceData:
-    """All-pairs BFS distances plus the diameter."""
+    """All-pairs BFS distances plus the diameter.
+
+    dist is held narrow, in the narrowest signed dtype that holds the
+    diameter (_intops.narrow): int8, or int16 past diameter 127 (a graph
+    has at most MAX_VERTICES vertices).  The search itself fills an int64
+    table, whose negative tags need the width (_frontier_step), and the
+    table is narrowed once it is done.  dist is read by indexing and
+    comparison, which are exact on any dtype; a consumer that does
+    arithmetic on it widens first (subconstituent.triple_counts).
+    """
 
     dist: np.ndarray
     diameter: int
@@ -249,8 +260,10 @@ class DistanceData:
         # Column r holds the distances from r; the table is symmetric, so
         # row r holds them too.
         table = _distances(g.neighbors, range(g.n))
+        diameter = int(table.max())
+        table = narrow(table, diameter)
         table.flags.writeable = False
-        return cls(table, int(table.max()))
+        return cls(table, diameter)
 
 
 def _neighbour_counts(table, padded, mask, out, rows) -> None:
@@ -278,11 +291,11 @@ def is_distance_regular(g: Graph, dd: DistanceData):
     distance-regular exactly when, on every class dist(y, z) = h, the counts
     for i = h-1, h, h+1 are constants c_h, a_h, b_h (Brouwer, Cohen and
     Neumaier, Distance-Regular Graphs, 1989, section 4.1); every other count
-    there is 0 by the triangle inequality.  So for each i the counts are
-    compared once, as a whole table, with ref[dist], where ref[h] is the
-    count at the first pair of class h for h = i-1, i, i+1 and 0 for every
-    other h: the tables are equal exactly when every class is constant.
-    The first pair (row by row) of class h lies in the first row whose
+    there is 0 by the triangle inequality, so it needs no check.  So for
+    each i and each class h = i-1, i, i+1 the counts on the class are
+    compared at once with the count at its first pair, through the boolean
+    mask dist == h: a whole-table compare on the narrow dist and the
+    small-int counts, with no gather through dist.  The first pair (row by row) of class h lies in the first row whose
     largest entry is at least h, since a row reaching h passes through it.
     Then p^h_ij = (B_i)[h, j], where B_1 is the tridiagonal intersection
     matrix and A A_j = b_(j-1) A_(j-1) + a_j A_j + c_(j+1) A_(j+1) gives
@@ -294,8 +307,8 @@ def is_distance_regular(g: Graph, dd: DistanceData):
         count_b) for the first count p^h_1i found not constant, with i
         ascending and then h = i-1, i, i+1: pair_a is the first pair (row
         by row) at distance h, and pair_b the first whose count differs.
-        The differing pairs all lie in those three classes, so h is the
-        least class of a differing pair.
+        The classes are tried in ascending order, so h is the least class
+        of a differing pair.
     """
     dist = dd.dist
     diam = dd.diameter
@@ -316,17 +329,15 @@ def is_distance_regular(g: Graph, dd: DistanceData):
             first.append((y, int(np.argmax(dist[y] == h))))
         np.equal(dist, i, out=mask)
         _neighbour_counts(table, padded, mask, counts, rows)
-        window = slice(max(i - 1, 0), min(i + 1, diam) + 1)
-        ref = np.zeros(size, dtype=counts.dtype)
-        ref[window] = [counts[p] for p in first[window]]
-        np.not_equal(counts, ref[dist], out=rows)
-        if rows.any():
-            h = int(dist[rows].min())
+        for h in range(max(i - 1, 0), min(i + 1, diam) + 1):
+            ref = counts[first[h]]
             np.equal(dist, h, out=mask)
-            mask &= rows
-            y, z = divmod(int(np.argmax(mask)), g.n)  # row by row
-            return False, (h, 1, i, first[h], int(ref[h]), (y, z), int(counts[y, z]))
-        b1[window, i] = ref[window]
+            np.not_equal(counts, ref, out=rows)
+            rows &= mask
+            if rows.any():
+                y, z = divmod(int(np.argmax(rows)), g.n)  # row by row
+                return False, (h, 1, i, first[h], int(ref), (y, z), int(counts[y, z]))
+            b1[h, i] = ref
     # Every p^h_ij is at most n <= MAX_VERTICES, so int64 holds k n exactly.
     # B_1 is tridiagonal, so B_1 B_j is three row-scaled shifts of B_j: the
     # whole table costs O(d^3), not d dense (d+1)^2 products.

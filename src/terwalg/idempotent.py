@@ -25,7 +25,7 @@ VerificationError naming the first h that fails.  Then E_h* A_a E_j* is the
 0/1 matrix supported on {(u, v) in S_h x S_j : dist(u, v) = a}.  Distinct
 triples have disjoint supports, and the support of (h, a, j) is nonempty
 exactly when N[h, a, j] = k_h p^h_aj is, for the intersection numbers
-p_table counted on the graph (subconstituent._triple_counts).  So
+p_table counted on the graph (subconstituent.triple_counts).  So
 [T] = [T'] exactly when T and T' agree wherever p^h_aj != 0, the support:
 table equality on the support is matrix equality.  Each check below is
 such an equality, read off the tables, p_table and the valencies.
@@ -90,6 +90,7 @@ from ._intops import (
     exact_scale,
     guarded,
     max_abs,
+    to_object,
 )
 from .closure import BlockSpans
 from .echelon import EchelonSpan
@@ -180,9 +181,18 @@ def _line_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row sums, column sums) of an integer block, exactly.
 
     Every sum has at most max(x.shape) terms, so max(x.shape) max|x| bounds
-    it (guarded).
+    it (guarded).  numpy sums a narrow dtype in int64, so x is read as it
+    is held, not widened.
     """
-    return guarded(max(x.shape) * max_abs(x), lambda x: (x.sum(axis=1), x.sum(axis=0)), x)
+
+    def sums(x):
+        return x.sum(axis=1), x.sum(axis=0)
+
+    return guarded(
+        max(x.shape) * max_abs(x),
+        lambda: sums(x),
+        exact=lambda: tuple(demote(s) for s in sums(to_object(x))),
+    )
 
 
 def is_central(pieces: Iterable[Piece], sigma: Sequence[int], m: Sequence[int]) -> bool:

@@ -43,12 +43,13 @@ class RationalMatrix:
 
     def __init__(self, num, den: int = 1, *, _canonical: bool = False):
         if isinstance(num, np.ndarray):
-            if _canonical and (num.dtype == object or num.dtype.kind == "i"):
+            if _canonical and (num.dtype == object or num.dtype == np.int64):
                 arr = num
             elif num.dtype == object:
                 arr = python_ints(np.array(num, dtype=object))
             elif num.dtype.kind == "i":
-                arr = np.array(num, dtype=num.dtype)
+                # A narrow array (a stored echelon row, say) is widened.
+                arr = num.astype(np.int64)
             elif num.dtype.kind == "u":
                 arr = num.astype(object)
             else:
@@ -133,7 +134,15 @@ class RationalMatrix:
     def shape(self) -> tuple[int, int]:
         return self.num.shape
 
+    # A matrix has no one row form (Fractions, or 1 x n matrices), so it is
+    # not iterable: iter, list and for raise TypeError at once, instead of
+    # falling back to __getitem__ with an int.  dense_rows gives the rows.
+    __iter__ = None
+
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
+        """Entry (i, j), as a Fraction."""
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise TypeError(f"RationalMatrix is indexed by (i, j), got {key!r}")
         i, j = key
         return Fraction(int(self.num[i, j]), self.den)
 

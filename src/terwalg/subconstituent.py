@@ -582,15 +582,21 @@ class TripleProductReport:
         return not self.mismatches
 
 
-def _triple_counts(ctx: TerwContext) -> np.ndarray:
+def triple_counts(ctx: TerwContext) -> np.ndarray:
     """N[k, a, l] = #{y in S_k, z in S_l : dist(y, z) = a}, for all k, a, l.
 
     One bincount over the n^2 keys (dist(x, y), dist(y, z), dist(x, z)).
+    The key is formed in intp from the first operation on: dist is held
+    narrow (graphs.DistanceData), where it would wrap with no warning.  It
+    is one n x n array, built in place.  Every consumer takes the table as
+    counts, so a report counts once.
     """
     size = ctx.d + 1
     dist = ctx.dist.dist
-    row = dist[ctx.x]
-    key = (row[:, None] * size + dist) * size + row
+    row = dist[ctx.x].astype(np.intp)
+    key = np.multiply(dist, size, dtype=np.intp)
+    key += (row * (size * size))[:, None]
+    key += row
     counts = np.bincount(key.ravel(), minlength=size**3)
     return counts.reshape(size, size, size)
 
@@ -628,7 +634,7 @@ def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.
     positive multiple of sum_a V[h][a] V[j][a] W[i][a] for the class rows
     V[h] of the E_h (each over its own denominator), where
     W[i][a] = sum_(k,l) theta*_i(k) theta*_i(l) N[k, a, l] and N is
-    _triple_counts (passed in as counts, or counted here).  Both sums are
+    triple_counts (passed in as counts, or counted here).  Both sums are
     guarded products of (d+1)-sized integer tables; the positive
     denominators do not change which values are 0.
 
@@ -638,7 +644,7 @@ def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.
     size = ctx.d + 1
     diags = np.array([a.num[0] for a in ctx.A_star])
     values = sphere_values(ctx, diags, [f"A*_{i}" for i in range(size)])  # theta*_i(k)
-    N = _triple_counts(ctx) if counts is None else counts
+    N = triple_counts(ctx) if counts is None else counts
     # theta_pairs[i, (k, l)] = theta*_i(k) theta*_i(l); N_kl[(k, l), a] = N[k, a, l].
     theta_pairs = exact_mul_elementwise(values[:, :, None], values[:, None, :])
     W = exact_matmul(
@@ -655,11 +661,13 @@ def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.
 def _primal_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.ndarray:
     """zeros[h, i, j] is True exactly when E_h* A_i E_j* = 0, that is, when
     no vertex of S_h is at distance i from a vertex of S_j: N[h, i, j] = 0
-    for the counts of _triple_counts."""
-    return (_triple_counts(ctx) if counts is None else counts) == 0
+    for the counts of triple_counts."""
+    return (triple_counts(ctx) if counts is None else counts) == 0
 
 
-def check_triple_products(ctx: TerwContext) -> TripleProductReport:
+def check_triple_products(
+    ctx: TerwContext, counts: np.ndarray | None = None
+) -> TripleProductReport:
     """Zero-ness of E_h* A_i E_j* and E_h A_i* E_j over all triples.
 
     For every (h, i, j), E_h* A_i E_j* must vanish exactly when p^h_{ij} = 0
@@ -669,11 +677,12 @@ def check_triple_products(ctx: TerwContext) -> TripleProductReport:
     set, must agree.  A mismatch records all flags in the order primal,
     dual, p, Krein (and, for hypercubes, outside P_d by permissible_mask).
     Both flag arrays are read off one count table N[k, a, l]
-    (_triple_counts): the primal flags are its zeros, and dual_triple_zeros
-    contracts it with the class values.
+    (triple_counts, passed in as counts, or counted here): the primal flags
+    are its zeros, and dual_triple_zeros contracts it with the class values.
     """
     d = ctx.d
-    counts = _triple_counts(ctx)
+    if counts is None:
+        counts = triple_counts(ctx)
     flags = [
         _primal_triple_zeros(ctx, counts),
         dual_triple_zeros(ctx, counts),
@@ -693,17 +702,18 @@ def check_triple_products(ctx: TerwContext) -> TripleProductReport:
     return TripleProductReport(d, (d + 1) ** 3, mismatches)
 
 
-def triple_span_dim(ctx: TerwContext) -> int:
+def triple_span_dim(ctx: TerwContext, counts: np.ndarray | None = None) -> int:
     """Dimension of span{E_h* A_i E_j*} over all (d+1)^3 triples.
 
     E_h* A_i E_j* is the 0/1 matrix whose support is the set of
     (y, z) in S_h x S_j with dist(y, z) = i.  That support is nonempty
-    exactly when N[h, i, j] != 0 (_triple_counts).  Distinct triples have
-    disjoint supports: two triples differ in the block S_h x S_j or, within
-    one block, in the distance i.  So the nonzero products are linearly
-    independent, and the dimension is the number of nonzero counts.
+    exactly when N[h, i, j] != 0 (triple_counts, passed in as counts, or
+    counted here).  Distinct triples have disjoint supports: two triples
+    differ in the block S_h x S_j or, within one block, in the distance i.
+    So the nonzero products are linearly independent, and the dimension is
+    the number of nonzero counts.
     """
-    return int(np.count_nonzero(_triple_counts(ctx)))
+    return int(np.count_nonzero(triple_counts(ctx) if counts is None else counts))
 
 
 def check_krein_self_dual(ctx: TerwContext) -> Check:

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .checks import Check
 from .closure import BlockSpans, closure
@@ -41,6 +43,7 @@ from .subconstituent import (
     check_polynomial_images,
     check_triple_products,
     distance_regular_table,
+    triple_counts,
     triple_span_dim,
 )
 from .wedderburn import (
@@ -104,7 +107,8 @@ def _diameter_record(
     d = ctx.d
     checks: list[Check] = list(ctx.section_checks)
 
-    tp = check_triple_products(ctx)
+    counts = triple_counts(ctx)
+    tp = check_triple_products(ctx, counts)
     witness = None
     if tp.mismatches:
         h, i, j, flags = tp.mismatches[0]
@@ -224,7 +228,7 @@ def _diameter_record(
         vertex=ctx.x,
         dim_T=basis.dim,
         expected_dim=exp_dim,
-        triple_span_dim=triple_span_dim(ctx),
+        triple_span_dim=triple_span_dim(ctx, counts),
         u0=u0rep.as_dict(),
         blocks=dec.blocks_json(),
         checks=tuple(checks),
@@ -312,10 +316,11 @@ def run_verification(max_d: int, vertex: int = 0, threads: int = 1) -> Verificat
 # -- one-off report builders for the CLI -----------------------------------
 
 
-def _parameter_fields(ctx: TerwContext) -> dict:
+def _parameter_fields(ctx: TerwContext, counts: np.ndarray | None = None) -> dict:
     """The fields both one-off reports take from the context: its size,
     base vertex and eigenvalues, the valencies, the parameter tables and
-    the triple span dimension.  An integer Fraction renders as an int."""
+    the triple span dimension, from counts (triple_counts) when given.  An
+    integer Fraction renders as an int."""
     return {
         "num_vertices": ctx.n,
         "vertex": ctx.x,
@@ -329,7 +334,7 @@ def _parameter_fields(ctx: TerwContext) -> dict:
         ],
         "P": [[_fraction_json(v) for v in row] for row in ctx.P.dense_rows()],
         "Q": [[_fraction_json(v) for v in row] for row in ctx.Q.dense_rows()],
-        "triple_span_dim": triple_span_dim(ctx),
+        "triple_span_dim": triple_span_dim(ctx, counts),
     }
 
 
@@ -376,9 +381,10 @@ def build_graph_report(g: Graph, vertex: int = 0) -> tuple[dict, bool]:
         distance_regular_table(g, DistanceData.compute(g))
         raise
     basis = ctx.algebra_basis()
-    tp = check_triple_products(ctx)
+    counts = triple_counts(ctx)
+    tp = check_triple_products(ctx, counts)
     data = {
-        **_parameter_fields(ctx),
+        **_parameter_fields(ctx, counts),
         "diameter": ctx.d,
         "distance_regular": True,
         "dim_T": basis.dim,

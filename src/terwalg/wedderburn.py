@@ -130,15 +130,17 @@ g: the exact center.  The probe is one of them, and every Lagrange
 idempotent is a polynomial in the probe whose constant term is a multiple
 of e, which commutes with g too (e = I on T; e g = g e on the corner).  So
 every central idempotent commutes with A and A*, and no n x n product
-checks it.  The idempotent guard (_pivot_idempotents_valid) checks
+checks it.  The idempotent guard (_pivot_idempotent_dims) checks
 e^2 = e, z_r^2 = z_r and sum z_r = e: these elements lie in the span with
 e and z_r, and an element of the span is fixed by its m pivot entries.  So
 each square is compared on the real products at the pivots, the m entries
 z[R_k, :] z[:, C_k] of frame rows times frame columns, O(m n) each, against
 den times z's pivot entries; and the sum is an equality of coordinate
 vectors, e's read from its unit table at the pivots.
-block_sizes' trace read assumes the same closed span, which the split has
-already required.
+The block dimensions are traces read off the same pivots, which assumes
+the same closed span: the guard reads each from the pivot columns it built
+for the square check and keeps it on the decomposition
+(BlockDecomposition.block_dims), and block_sizes takes square roots.
 
 A probe that fails to split after three weight schedules, or a split that
 fails the guard, yields status "inconclusive" with the offending
@@ -188,13 +190,18 @@ class BlockDecomposition:
 
     Each central idempotent is held as its coordinates (c, den) over the
     basis b_1..b_m of the split algebra: z = sum_k c_k b_k / den, with c a
-    tuple of m Python ints, den > 0 and gcd(c, den) = 1.
+    tuple of m Python ints, den > 0 and gcd(c, den) = 1.  block_dims holds,
+    for each z_r, the trace of b -> b z_r, which is dim span{b_k z_r}, the
+    dimension of its block (module docstring): split_center's guard reads
+    it from the pivot columns it builds, and block_sizes fills in its
+    square roots.
     """
 
     center_dim: int
     central_idempotents: tuple[Coords, ...]
     eigenvalues: tuple[int, ...]
     block_sizes: tuple[int, ...]
+    block_dims: tuple[Fraction, ...]
     block_ranks: tuple[int, ...]
     status: str
     probe_min_poly: RationalPoly | None
@@ -222,13 +229,14 @@ class _PivotBasis:
         self.n = span.n
         self.classes = span.classes
         self.pieces = [span.element(k) for k in range(span.dim)]
+        # The pivots and maxima are the span's own, not recomputed.
         rows, cols, local, self.pivvals = [], [], [], []
-        for h, j, x in self.pieces:
-            r, c = divmod(int(np.flatnonzero(x)[0]), x.shape[1])
+        for k, (h, j, _) in enumerate(self.pieces):
+            r, c, value = span.pivot(k)
             rows.append(self.classes[h][r])
             cols.append(self.classes[j][c])
             local.append((h, j, r, c))
-            self.pivvals.append(int(x[r, c]))
+            self.pivvals.append(value)
         self.rows = np.array(rows, dtype=np.intp)
         self.cols = np.array(cols, dtype=np.intp)
         # Pivot k lies in the classes (h_k, j_k) of its piece, at offsets
@@ -239,12 +247,18 @@ class _PivotBasis:
         self._in_rows = [np.flatnonzero(self._h == h) for h in range(len(self.classes))]
         self._in_cols = [np.flatnonzero(self._j == j) for j in range(len(self.classes))]
         self.pivlcm = math.lcm(1, *self.pivvals)
-        self.maxes = [max_abs(x) for _, _, x in self.pieces]
+        self.maxes = [span.row_max(k) for k in range(span.dim)]
         # tr b_k: a piece off the diagonal blocks has no diagonal entry.
         self.traces = [int(np.trace(x)) if h == j else 0 for h, j, x in self.pieces]
-        # Echelon stores its rows demoted, so a piece is object only when its
+        # Echelon stores its rows narrow, so a piece is object only when its
         # max|X| is past the int64 bound, and so is every bound below that
-        # counts the piece: no flag for object pieces is needed.
+        # counts the piece: no flag for object pieces is needed.  So the
+        # kernels here hand guarded no piece: one that scales a piece by a
+        # Python int widens each slice it takes (_frame), and one that only
+        # meets a piece against its frame operand reads the pieces as they
+        # are held, since numpy computes int8 against int64 in int64 and
+        # anything against object on Python ints (_pivot_products,
+        # pivot_trace).
         self._bmax = max(self.maxes, default=0)
         self.closed_unit = span.closed_unit
 
@@ -288,23 +302,24 @@ class _PivotBasis:
         used = [k for k, v in enumerate(c) if v]
         shape = (self.dim, self.n) if rows else (self.n, self.dim)
 
-        def total(*xs):
-            out = np.zeros(shape, dtype=np.result_type(np.int64, *xs))
-            for k, x in zip(used, xs):
-                h, j, _ = self.pieces[k]
+        def total(dtype):
+            out = np.zeros(shape, dtype=dtype)
+            for k in used:
+                h, j, x = self.pieces[k]
                 if rows:
                     sel = self._in_rows[h]
-                    out[np.ix_(sel, self.classes[j])] += c[k] * x[self._r[sel]]
+                    at, part = np.ix_(sel, self.classes[j]), x[self._r[sel]]
                 else:
                     sel = self._in_cols[j]
-                    out[np.ix_(self.classes[h], sel)] += c[k] * x[:, self._c[sel]]
+                    at, part = np.ix_(self.classes[h], sel), x[:, self._c[sel]]
+                # Only the slice added is widened (_intops module docstring).
+                out[at] += c[k] * part.astype(dtype, copy=False)
             return out
 
         return guarded(
             sum(abs(c[k]) * self.maxes[k] for k in used),
-            total,
-            *(self.pieces[k][2] for k in used),
-            exact=lambda *xs: total(*(to_object(x) for x in xs)),
+            lambda: total(np.int64),
+            exact=lambda: total(object),
         )
 
     def _pivot_products(self, part: np.ndarray, left: bool, ks=None) -> np.ndarray:
@@ -314,14 +329,15 @@ class _PivotBasis:
 
         Only the pivots in the columns (rows) of b_k's block are filled, see
         the module docstring.  Each entry sums at most n products, so
-        n * max|part| * max|X| bounds it (guarded).
+        n * max|part| * max|X| bounds it (guarded).  The pieces are read as
+        they are held (see __init__).
         """
         ks = range(self.dim) if ks is None else ks
 
-        def products(part, *xs):
+        def products(part):
             out = np.zeros((self.dim, len(ks)), dtype=np.result_type(np.int64, part))
-            for c, (k, x) in enumerate(zip(ks, xs)):
-                h, j, _ = self.pieces[k]
+            for c, k in enumerate(ks):
+                h, j, x = self.pieces[k]
                 if left:
                     sel = self._in_cols[j]
                     a, b = part[np.ix_(sel, self.classes[h])], x[:, self._c[sel]]
@@ -332,7 +348,7 @@ class _PivotBasis:
             return out
 
         bound = self.n * max_abs(part) * self._bmax
-        return guarded(bound, products, part, *(self.pieces[k][2] for k in ks))
+        return guarded(bound, products, part)
 
     def left(self, rows: np.ndarray, ks=None) -> np.ndarray:
         """Column c holds the pivot entries of g b_k, k = ks[c], for g with
@@ -367,15 +383,16 @@ class _PivotBasis:
         for z with pivot columns cols / den.
 
         Entry k is one dot product of length |S_j| (module docstring), so
-        n * max|cols| * max|X| bounds it (guarded).
+        n * max|cols| * max|X| bounds it (guarded).  The pieces are read as
+        they are held (see __init__).
         """
 
-        def entries(g, *xs):
-            pieces = enumerate(zip(xs, self._r, self._j))
-            return np.array([x[r] @ g[self.classes[j], k] for k, (x, r, j) in pieces], g.dtype)
+        def entries(g):
+            pieces = enumerate(zip(self.pieces, self._r))
+            return np.array([x[r] @ g[self.classes[j], k] for k, ((_, j, x), r) in pieces], g.dtype)
 
         bound = self.n * max_abs(cols) * self._bmax
-        dots = guarded(bound, entries, cols, *(x for _, _, x in self.pieces))
+        dots = guarded(bound, entries, cols)
         total = sum(int(v) * (self.pivlcm // p) for v, p in zip(dots, self.pivvals))
         return Fraction(total, self.pivlcm * den)
 
@@ -525,7 +542,8 @@ def split_center(
         if roots is None:
             continue
         idems = [_lagrange_coordinates(lp, roots, lam, e, e_den) for lam in roots]
-        if not _pivot_idempotents_valid(pb, idems, (e, e_den)):
+        dims = _pivot_idempotent_dims(pb, idems, (e, e_den))
+        if dims is None:
             continue
         # Each z is an exact idempotent, so its rank is its trace.
         ranks = tuple(sum(v * tr for v, tr in zip(c, pb.traces)) // den for c, den in idems)
@@ -534,6 +552,7 @@ def split_center(
             central_idempotents=tuple(idems),
             eigenvalues=tuple(roots),
             block_sizes=(),
+            block_dims=dims,
             block_ranks=ranks,
             status=SPLIT,
             probe_min_poly=mp,
@@ -547,23 +566,27 @@ def _inconclusive(m: int, probe_min_poly: RationalPoly | None) -> BlockDecomposi
         central_idempotents=(),
         eigenvalues=(),
         block_sizes=(),
+        block_dims=(),
         block_ranks=(),
         status=INCONCLUSIVE,
         probe_min_poly=probe_min_poly,
     )
 
 
-def _pivot_idempotents_valid(
+def _pivot_idempotent_dims(
     pb: _PivotBasis, idems: Sequence[Coords], e: tuple[np.ndarray, int]
-) -> bool:
-    """Whether the z_r are orthogonal idempotents summing to e; e and every
-    z_r are given as coordinates (c, den).
+) -> tuple[Fraction, ...] | None:
+    """The block dimension tr(b -> b z_r) of each z_r, if the z_r are
+    orthogonal idempotents summing to e; None otherwise.  e and every z_r
+    are given as coordinates (c, den).
 
     The span is closed and contains e (its certificate) and each z_r, so
     e^2 and z_r^2 lie in it, and each square identity holds exactly when it
     holds at the m pivots: rows[k, :] cols[:, k] of each frame against den
     times its pivot entries c_k pv_k (module docstring).  The sum is
-    compared in coordinates, which fix an element of the span.
+    compared in coordinates, which fix an element of the span.  Each
+    trace is read from the pivot columns its square check built
+    (_PivotBasis.pivot_trace), so no frame is built twice.
 
     Only e^2 = e, z_r^2 = z_r and sum z_r = e are checked; orthogonality
     follows.  Over Q an idempotent's rank is its trace, so
@@ -573,25 +596,29 @@ def _pivot_idempotents_valid(
     w = e w = sum_r z_r w with z_r w in Im(z_r), and also w = z_s w; the sum
     is direct, so z_r w = z_r z_s v = 0 for r != s.
     """
-    for c, den in (e, *idems):
+    dims = []
+    for r, (c, den) in enumerate((e, *idems)):
         piv = demote(np.array([int(v) * p for v, p in zip(c, pb.pivvals)], dtype=object))
-        square = pb.square_pivot_entries(pb.frame_rows(c), pb.frame_cols(c))
+        cols = pb.frame_cols(c)
+        square = pb.square_pivot_entries(pb.frame_rows(c), cols)
         if not np.array_equal(square, exact_scale(piv, den)):
-            return False
+            return None
+        if r:
+            dims.append(pb.pivot_trace(cols, den))
     e_num, e_den = e
     common = math.lcm(e_den, *(den for _, den in idems))
     acc = exact_scale(np.array(e_num, dtype=object), common // e_den)
     for c, den in idems:
         acc = exact_sub(acc, exact_scale(np.array(c, dtype=object), common // den))
-    return not np.any(acc)
+    return None if np.any(acc) else tuple(dims)
 
 
-def block_sizes(t, dec: BlockDecomposition) -> BlockDecomposition:
+def block_sizes(dec: BlockDecomposition) -> BlockDecomposition:
     """Fill in block sizes: n_r = isqrt of dim span{b_k z_r}.
 
     Every b_k z_r lies in the algebra and z_r is idempotent, so the span's
-    dimension is the trace of b -> b z_r, read off m pivot entries of z_r's
-    pivot columns, the only half of its frame built here (same
+    dimension is the trace of b -> b z_r, which split_center's guard read
+    off m pivot entries of z_r's pivot columns into dec.block_dims (same
     precondition as center_basis; see the module docstring).
 
     Raises:
@@ -600,10 +627,8 @@ def block_sizes(t, dec: BlockDecomposition) -> BlockDecomposition:
     """
     if dec.status != SPLIT:
         raise ValueError("cannot take block sizes of an inconclusive split")
-    pb = _pivot_basis(t)
     sizes = []
-    for c, den in dec.central_idempotents:
-        dim = pb.pivot_trace(pb.frame_cols(c), den)
+    for dim in dec.block_dims:
         nr = math.isqrt(max(dim.numerator, 0))
         if dim.denominator != 1 or nr * nr != dim:
             raise ValueError(f"block dimension {dim} is not a perfect square")
@@ -631,7 +656,7 @@ def decompose(
     dec = split_center(pb, center, identity=identity)
     if dec.status != SPLIT:
         return dec
-    return block_sizes(pb, dec)
+    return block_sizes(dec)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,15 @@ from typing import Sequence
 
 import numpy as np
 
-from terwalg._intops import INT64_SAFE, exact_matmul, exact_scale, exact_sub, max_abs, to_object
+from terwalg._intops import (
+    INT64_SAFE,
+    exact_matmul,
+    exact_scale,
+    exact_sub,
+    max_abs,
+    to_object,
+    wide,
+)
 from terwalg.closure import diagonal_row
 from terwalg.echelon import EchelonSpan
 from terwalg.graphs import DistanceData, Graph
@@ -26,7 +34,7 @@ def densify(basis) -> tuple[RationalMatrix, ...]:
     out = []
     for k in range(span.dim):
         h, j, block = span.element(k)
-        dense = np.zeros((span.n, span.n), dtype=block.dtype)
+        dense = np.zeros((span.n, span.n), dtype=wide(block).dtype)
         dense[np.ix_(span.classes[h], span.classes[j])] = block
         out.append(RationalMatrix(dense, 1, _canonical=True))
     return tuple(out)
@@ -64,7 +72,7 @@ def combine(pb, coeffs: Sequence, den: int = 1) -> RationalMatrix:
     for c, (h, j, x) in zip(coeffs, pb.pieces):
         if c:
             block = np.ix_(pb.classes[h], pb.classes[j])
-            acc[block] += c * (to_object(x) if obj else x)
+            acc[block] += c * (to_object(x) if obj else wide(x))
     return RationalMatrix(acc, den)
 
 

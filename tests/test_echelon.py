@@ -2,12 +2,16 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from terwalg import _intops, echelon, idempotent, wedderburn
+from terwalg._intops import demote, exact_matmul, max_abs, prepare_left, prepared_matmul
+from terwalg.closure import BlockSpans, closure
 from terwalg.echelon import EchelonSpan
 from terwalg.linalg import RationalMatrix, rank
 
@@ -204,3 +208,154 @@ def test_numpy_integer_entries_become_python_ints():
         assert idx is not None and expr is None
         assert span.dim == 2
         assert span.contains(np.array([0, 1], dtype=object))
+
+
+# -- narrow storage against int64 storage ------------------------------------
+
+
+def _int64_storage():
+    """Spans made under this patch store every row as int64 (object past
+    the bound): the reference that narrow rows are compared with."""
+    return mock.patch.object(echelon, "narrow", lambda arr, amax: demote(arr, amax))
+
+
+# Entries at the edges of int8 (and one step past), and multipliers that
+# wrap when an int8 or int16 array is scaled in its own dtype.
+edge_entry = st.sampled_from(
+    [-129, -128, -127, -126, -64, -3, -2, -1, 0, 0, 0, 1, 2, 3, 64, 126, 127, 128, 129]
+)
+wrapping_multiplier = st.sampled_from([-257, -129, -128, -3, -2, 2, 3, 127, 128, 129, 255, 1000])
+
+
+@st.composite
+def edge_rows(draw):
+    """Rows with entries near ±127/128, plus combinations of them with
+    multipliers that would wrap in int8."""
+    width = draw(st.integers(2, 7))
+    base = draw(
+        st.lists(st.lists(edge_entry, min_size=width, max_size=width), min_size=1, max_size=6)
+    )
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(wrapping_multiplier, min_size=len(base), max_size=len(base)))
+        rows.append([sum(c * r[i] for c, r in zip(coeffs, base)) for i in range(width)])
+    return width, draw(st.permutations(rows))
+
+
+def _assert_narrow_copy_of(span, ref):
+    """span holds the rows of ref, each in the narrowest dtype for its
+    largest entry, with the same pivots and maxima."""
+    assert span.dim == ref.dim
+    for k in range(span.dim):
+        row, want = span.row(k), ref.row(k)
+        assert want.dtype in (np.int64, object)
+        assert np.array_equal(row, want)
+        assert row.dtype == _intops.narrow(want, max_abs(want)).dtype
+        assert not row.flags.writeable
+        assert span.pivot(k) == ref.pivot(k)
+        assert span.row_max(k) == ref.row_max(k) == max_abs(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_rows(), st.lists(wrapping_multiplier, min_size=7, max_size=7))
+def test_narrow_rows_reduce_and_clear_as_int64_rows(case, scale):
+    # Reduction scales stored rows by c / gcd(c, pv) and pivot clearing
+    # scales old rows by pv / gcd: both wrap if done in an int8 row's dtype.
+    width, rows = case
+    vecs = [np.array(r, dtype=np.int64) for r in rows]
+    with _int64_storage():
+        ref = EchelonSpan(width)
+        want = [ref.add(v) for v in vecs]
+    span = EchelonSpan(width)
+    assert [span.add(v) for v in vecs] == want
+    _assert_narrow_copy_of(span, ref)
+    probe = sum(c * v for c, v in zip(scale, vecs))
+    off = probe + np.eye(1, width, width - 1, dtype=np.int64)[0]
+    for v in (*vecs, probe, off):
+        assert span.contains(v) == ref.contains(v)
+    assert span.contains(probe)
+
+
+def _edge_block(draw, shape):
+    return np.array(
+        draw(st.lists(edge_entry, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])),
+        dtype=np.int64,
+    ).reshape(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_narrow_pieces_gather_frame_and_sum_as_int64_pieces(data):
+    # The same blocks in a span held narrow and one held int64: the gather
+    # (prepared_matmul), the frames, the pivot products and trace, and the
+    # line sums and compression read equal values from both.
+    draw = data.draw
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(sizes)
+    bounds = np.cumsum([0, *sizes])
+    classes = [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    adds = [
+        (h, j, _edge_block(draw, (sizes[h], sizes[j])))
+        for h in range(len(sizes))
+        for j in range(len(sizes))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    span = BlockSpans(n, classes)
+    with _int64_storage():
+        ref = BlockSpans(n, classes)
+        for h, j, block in adds:
+            ref.add(h, j, block)
+    for h, j, block in adds:
+        span.add(h, j, block)
+    assert span.dim == ref.dim
+    for key, echelon_span in span._spans.items():
+        _assert_narrow_copy_of(echelon_span, ref._spans[key])
+    if not span.dim:
+        return
+    for k in range(span.dim):
+        assert span.pivot(k) == ref.pivot(k) and span.row_max(k) == ref.row_max(k)
+        h, j, x = span.element(k)
+        y = ref.element(k)[2]
+        # One nonzero per row takes the gather, unit or multiplied; a full
+        # left factor takes the dense product.
+        rows = draw(st.integers(1, 4))
+        pick = draw(st.lists(st.integers(0, x.shape[0] - 1), min_size=rows, max_size=rows))
+        mults = np.array(draw(st.lists(wrapping_multiplier, min_size=rows, max_size=rows)))
+        for vals in (1, mults):
+            m = np.zeros((rows, x.shape[0]), dtype=np.int64)
+            m[np.arange(rows), pick] = vals
+            for left in (m, m + 1):
+                got = prepared_matmul(prepare_left(left), x, span.row_max(k))
+                assert got.dtype == np.int64 and np.array_equal(got, exact_matmul(left, y))
+        for a, b in zip(idempotent._line_sums(x), idempotent._line_sums(y)):
+            assert np.array_equal(a, b)
+        args = (1000, draw(wrapping_multiplier), draw(wrapping_multiplier))
+        assert np.array_equal(wedderburn._compress(x, *args), wedderburn._compress(y, *args))
+    pb, pw = wedderburn._PivotBasis(span), wedderburn._PivotBasis(ref)
+    assert (pb.pivvals, pb.maxes, pb.traces) == (pw.pivvals, pw.maxes, pw.traces)
+    assert np.array_equal(pb.rows, pw.rows) and np.array_equal(pb.cols, pw.cols)
+    c = draw(st.lists(st.one_of(st.just(0), wrapping_multiplier), min_size=pb.dim, max_size=pb.dim))
+    frame_rows, frame_cols = pb.frame_rows(c), pb.frame_cols(c)
+    assert np.array_equal(frame_rows, pw.frame_rows(c))
+    assert np.array_equal(frame_cols, pw.frame_cols(c))
+    assert np.array_equal(pb.left(frame_rows), pw.left(frame_rows))
+    assert np.array_equal(pb.right(frame_cols), pw.right(frame_cols))
+    assert pb.pivot_trace(frame_cols, 7) == pw.pivot_trace(frame_cols, 7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_narrow_closure_matches_int64_closure(data):
+    # A closure whose products and reductions meet entries near ±127 and
+    # multipliers past them: the same elements, in the same order, with
+    # the same values, as with int64 storage.
+    n = data.draw(st.integers(2, 3))
+    g = _edge_block(data.draw, (n, n))
+    row = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    gens = [RationalMatrix(g), RationalMatrix(row[None])]
+    with _int64_storage():
+        ref = closure(gens)
+    got = closure(gens)
+    assert got._elements == ref._elements
+    for key, echelon_span in got._spans.items():
+        _assert_narrow_copy_of(echelon_span, ref._spans[key])

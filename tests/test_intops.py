@@ -68,6 +68,11 @@ def test_max_abs_is_exact_on_extreme_and_object_entries():
         assert _intops.max_abs(obj) == 2**80
     for empty in (np.zeros(0, dtype=np.int64), np.zeros((0, 5), dtype=object)):
         assert _intops.max_abs(empty) == 0
+    # A narrow dtype cannot hold the absolute value of its minimum.
+    for dtype in (np.int8, np.int16, np.int32):
+        low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
+        assert _intops.max_abs(np.array([3, low, 1], dtype=dtype)) == -int(low)
+        assert _intops.max_abs(np.array([high, -1], dtype=dtype)) == int(high)
 
 
 # -- the one int64/object dispatch ---------------------------------------------

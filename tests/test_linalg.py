@@ -33,6 +33,27 @@ def test_canonical_form():
     assert neg[0, 0] == Fraction(-1, 2)
 
 
+def test_matrix_is_not_iterable_and_takes_only_pair_indices():
+    m = RationalMatrix.from_rows([[Fraction(1, 2), 1], [0, 3]])
+    for read in (list, iter, tuple, lambda m: [row for row in m]):
+        with pytest.raises(TypeError, match="not iterable"):
+            read(m)
+    for key in (0, (0,), slice(None), (0, 1, 0)):
+        with pytest.raises(TypeError, match=r"indexed by \(i, j\)"):
+            m[key]
+    assert m[1, 1] == 3 and m.dense_rows()[0] == [Fraction(1, 2), 1]
+
+
+def test_narrow_numerators_are_held_as_int64():
+    # A narrow array, such as a stored echelon row, is widened on the way
+    # in, so negation and scaling cannot wrap in its dtype.
+    for canonical in (False, True):
+        m = RationalMatrix(np.array([[-128, 127]], dtype=np.int8), 1, _canonical=canonical)
+        assert m.num.dtype == np.int64
+        assert (-m).num.tolist() == [[128, -127]]
+        assert (m * 3).num.tolist() == [[-384, 381]]
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RationalMatrix(np.eye(2, dtype=np.int64), 0)

@@ -1306,7 +1306,7 @@ def test_triple_counts_are_valency_times_intersection_numbers(monkeypatch):
     cubes = (build_hypercube_context(d, (1 << d) - 1) for d in range(0, 8))
     named = [(f"cube d={c.d}", c) for c in cubes]
     for name, ctx in named + list(_benchmark_graph_contexts(monkeypatch)):
-        counts = subconstituent._triple_counts(ctx)
+        counts = subconstituent.triple_counts(ctx)
         want = np.array(ctx.valencies)[:, None, None] * ctx.p_table
         assert np.array_equal(counts, want), name
 

@@ -33,7 +33,7 @@ from terwalg.wedderburn import (
     INCONCLUSIVE,
     SPLIT,
     BlockDecomposition,
-    _pivot_idempotents_valid,
+    _pivot_idempotent_dims,
     _PivotBasis,
     block_sizes,
     center_basis,
@@ -41,6 +41,12 @@ from terwalg.wedderburn import (
     decompose,
     split_center,
 )
+
+
+def _pivot_idempotents_valid(pb, idems, e):
+    """The guard's verdict alone: whether it found the z_r valid."""
+    return _pivot_idempotent_dims(pb, idems, e) is not None
+
 
 EXPECTED_BLOCKS = {
     0: (1,),
@@ -205,7 +211,7 @@ def test_split_single_block(suite):
     dec = split_center(basis, center_basis(basis, ctx.generators()))
     assert dec.status == SPLIT
     assert _dense_all(basis, dec.central_idempotents) == [RationalMatrix.identity(2)]
-    filled = block_sizes(basis, dec)
+    filled = block_sizes(dec)
     assert filled.block_sizes == (2,)
 
 
@@ -324,19 +330,19 @@ def test_eigenvalues_sorted_and_deterministic(suite):
     assert dec1.central_idempotents == dec2.central_idempotents
 
 
-def test_block_sizes_requires_split(suite):
-    _ctx, basis = suite[2]
+def test_block_sizes_requires_split():
     dec = BlockDecomposition(
         center_dim=2,
         central_idempotents=(),
         eigenvalues=(),
         block_sizes=(),
+        block_dims=(),
         block_ranks=(),
         status=INCONCLUSIVE,
         probe_min_poly=None,
     )
     with pytest.raises(ValueError):
-        block_sizes(basis, dec)
+        block_sizes(dec)
     assert dec.blocks_json() == "inconclusive"
 
 
@@ -490,7 +496,7 @@ def _guard_tampers(pb, idems, identity):
 def _idempotents_valid(idems, identity):
     """The dense guard: e^2 = e, z_r^2 = z_r and sum z_r = e on n x n products.
 
-    Orthogonality follows (see wedderburn._pivot_idempotents_valid).
+    Orthogonality follows (see wedderburn._pivot_idempotent_dims).
     """
     if identity @ identity != identity:
         return False
@@ -722,7 +728,7 @@ def test_compression_stays_exact_on_int64_entries_near_the_bound(suite):
         for kernel, part in kernels:
             small = kernel(part)
             scale = _largest_scale(part, small)
-            got = kernel(part * scale)
+            got = kernel(_intops.wide(part) * scale)
             assert [int(v) for v in got.flat] == [scale * int(v) for v in small.flat]
             crossed += max(abs(int(v)) for v in got.flat) >= 1 << 63
     assert crossed >= basis.dim
@@ -821,6 +827,7 @@ def _oracle_decompose(span, generators, identity=None):
         central_idempotents=tuple(_dense_coordinates(pb, z) for z in idems),
         eigenvalues=roots,
         block_sizes=(),
+        block_dims=(),
         block_ranks=ranks,
         status=status,
         probe_min_poly=mp,
@@ -828,10 +835,11 @@ def _oracle_decompose(span, generators, identity=None):
     if status != SPLIT:
         return dec
     sizes = []
-    for dim in _rank_block_dimensions(pb, idems):
+    dims = _rank_block_dimensions(pb, idems)
+    for dim in dims:
         assert math.isqrt(dim) ** 2 == dim
         sizes.append(math.isqrt(dim))
-    return dataclasses.replace(dec, block_sizes=tuple(sizes))
+    return dataclasses.replace(dec, block_sizes=tuple(sizes), block_dims=tuple(dims))
 
 
 @pytest.fixture(scope="module")
@@ -868,6 +876,7 @@ def test_split_matches_full_kernel_rank_and_dense_guard(differential_algebras):
             traces = [pb.pivot_trace(pb.frame_cols(c), den) for c, den in dec.central_idempotents]
             idems = _dense_all(span, dec.central_idempotents)
             assert traces == _rank_block_dimensions(pb, idems), name
+            assert list(dec.block_dims) == traces, name
 
 
 def test_class_filter_keeps_only_diagonal_sphere_blocks(suite):
