@@ -6,14 +6,19 @@ one int64/object dispatch of the package: under INT64_SAFE the kernel runs
 in int64; past it, or when an operand is already object, it runs on object
 arrays holding Python ints and each result is demoted to int64 when it
 fits.  Either way the computed values are exact.  Every exact-integer
-kernel of the package goes through guarded, except the in-place row
-operations of echelon, which keep their own bound checks; only this module
-and echelon read INT64_SAFE.  Nothing here ever touches floating point.
+kernel of the package goes through guarded, with two exceptions: the
+in-place row operations of echelon, which keep their own bound checks, and
+the count key of the closure's triple-label certificate (closure._step_key),
+which sums and packs small step counts in place, each in the dtype that
+narrow_dtype picks from its exact bound; where narrow_dtype finds no int64
+dtype the certificate is given up and the closure runs its product loop.
+Only this module and echelon read INT64_SAFE.  Nothing here ever touches
+floating point.
 
 Narrow arrays are storage only.  echelon holds each stored row in the
-narrowest signed dtype that holds its largest entry (narrow): int8 for the
-0/1 basis rows of T(x), int16, int32, int64 below INT64_SAFE, object past
-it.  numpy keeps the dtype of an array operand against a Python int (NEP
+narrowest signed dtype that holds its largest entry (narrow, narrow_dtype):
+int8 for the 0/1 basis rows of T(x), int16, int32, int64 below INT64_SAFE,
+object past it.  numpy keeps the dtype of an array operand against a Python int (NEP
 50), so 3 * row and row *= 3 on an int8 row wrap with no warning.  So one
 rule, wide, turns a narrow array into int64 before any arithmetic whose
 result could stay narrow: guarded applies it to every operand it hands to
@@ -75,16 +80,26 @@ def max_abs(arr: np.ndarray) -> int:
     return int(np.abs(arr).max())
 
 
-def narrow(arr: np.ndarray, amax: int) -> np.ndarray:
-    """arr held in the narrowest signed dtype that holds amax = max|arr|:
-    int8, int16 or int32, else int64 below INT64_SAFE; an array past it
-    stays object (module docstring)."""
+def narrow_dtype(amax: int) -> np.dtype | None:
+    """The narrowest signed dtype that holds every integer in [-amax, amax]:
+    int8, int16 or int32, else int64 below INT64_SAFE; None past it, where
+    values are held as Python ints (module docstring)."""
     if amax >= INT64_SAFE:
-        return arr
+        return None
     for dtype, top in _NARROW:
         if amax <= top:
-            return arr.astype(dtype)
-    return arr.astype(np.int64, copy=False)
+            return dtype
+    return np.dtype(np.int64)
+
+
+def narrow(arr: np.ndarray, amax: int) -> np.ndarray:
+    """arr held in narrow_dtype(amax), amax = max|arr|, as a new array when
+    that dtype is narrower than int64; an array past INT64_SAFE stays
+    object."""
+    dtype = narrow_dtype(amax)
+    if dtype is None:
+        return arr
+    return arr.astype(dtype, copy=dtype.itemsize < 8)
 
 
 def wide(arr: np.ndarray) -> np.ndarray:

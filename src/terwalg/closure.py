@@ -64,6 +64,53 @@ its closedness certificate, BlockSpans.closed_unit = the unit table of I;
 wedderburn splits only a span that carries one, and checks it on pivot
 entries.
 
+The triple-label basis.  A caller may pass an n x n integer table labels
+with a guarantee: every triple class indicator 1_C, the 0/1 matrix of
+C = {(y, z) in S_h x S_j : labels[y, z] = v}, lies in T.  For T(x) of a
+distance-regular graph, labels = dist gives 1_C = P_h A_v P_j with
+A_v = v_v(A) a polynomial in A, so the guarantee holds once construction
+has certified distance-regularity (subconstituent.TerwContext.
+algebra_basis, verify._prepare).  The indicators of one block have disjoint
+supports, so they are primitive 0/1 rows that are zero at each other's
+pivots: in pivot order they are already the block's reduced echelon rows,
+stored narrow (int8) with no reduction.  closure() takes them as the basis
+when three checks hold, and otherwise runs the product loop unchanged:
+
+- Each class projection is a sum of classes: on a diagonal block (h, h),
+  a label on the diagonal occurs nowhere off it.  Then P_h, and I, lie in
+  the span.
+- Every n x n generator g is 0/1, and each step y -> w of its support
+  (g[y, w] = 1) moves every label by at most 1:
+  |labels[w, z] - labels[y, z]| <= 1 for all z.
+- For each class S_h' and delta in {-1, 0, 1}, the count
+  N_h',delta(y, z) = #{w in S_h' : g[y, w] = 1, labels[w, z] = labels[y, z] + delta}
+  is constant on every triple class.
+
+Then, for a class C in block (h', j) with label v and (y, z) in a class C'
+of block (h, j), (g 1_C)[y, z] = #{w in S_h' : g[y, w] = 1,
+labels[w, z] = v}, which is N_h',v-labels[y,z](y, z) when v is within 1 of
+labels[y, z], and 0 otherwise: a constant on C'.  So g 1_C is a combination
+of class indicators, the span is closed under left multiplication by every
+n x n generator, and under the P_h and so every diagonal generator, since
+P_h' 1_C is 1_C or 0.  It contains I, so it contains T, and the caller's
+guarantee gives the other inclusion: the span is T, and closed_unit is
+set to the table of I exactly as on the loop.
+
+The counts are read per row class S_h, over whole |S_h| x n tables in the
+class order of the coordinates, through the gather of g's support sorted
+by target class (_slot_tables, _step_key).  The path also asks that the
+number r of steps from y into S_h' be the same for every y of S_h; when
+the diagonal of S_h x S_h is one label, as it is for dist, the third check
+implies it, since r(y) is the sum of the three counts at (y, y).  The
+label changes of the r steps sum to N_1 - N_-1 and their absolute values
+to N_1 + N_-1, so that pair of int8 sums names the three counts; one key
+table packs the pairs of all target classes, and is compared with the key
+at each triple class's pivot.  Elements are numbered in a fixed order that
+depends only on the classes and the labels: the diagonal labels of the
+diagonal blocks first, class by class, so the first c elements are the
+class projections when the diagonal is one label, as it is for dist; then
+every other row, block by block in row-major order of (h, j).
+
 A unit is held as a class table (u, den) over the span's classes: the
 matrix e = I - sum_h (u_h / den) J_{S_h}, with J_{S_h} the all-ones block
 on S_h x S_h, u a tuple of Python ints, den > 0 and gcd(u, den) = 1.  The
@@ -84,7 +131,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._intops import prepare_left, prepared_matmul
+from ._intops import narrow_dtype, prepare_left, prepared_matmul
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix
 
@@ -187,19 +234,196 @@ def joint_classes(n: int, diagonals: Sequence[np.ndarray]) -> tuple[np.ndarray, 
     return tuple(np.array(vs, dtype=np.intp) for vs in members.values())
 
 
-def closure(generators: Sequence[RationalMatrix]) -> BlockSpans:
+def _slot_tables(n, owner, starts, generators, diagonals, perm):
+    """For each n x n generator g, its support as slot tables in the class
+    order of the coordinates (perm), or None when some g is not 0/1 or the
+    number of g-steps from y into a class S_h' is not the same for every y
+    of y's class.
+
+    Entry h of a generator's list is (slots, groups): row s of slots lists,
+    for every y of S_h, the s-th w with g[y, w] = 1, the w sorted by class;
+    groups holds (first slot, r) for each class h' that the steps reach, r
+    steps from each y.  Coordinates are positions in perm.
+    """
+    c = len(starts) - 1
+    inv = np.empty(n, dtype=np.intp)
+    inv[perm] = np.arange(n)
+    out = []
+    for g, row in zip(generators, diagonals):
+        if row is not None:
+            continue
+        if g.den != 1:
+            return None
+        ys, ws = np.nonzero(g.num)
+        if not np.all(g.num[ys, ws] == 1):
+            return None
+        ws = inv[ws]
+        key = inv[ys] * c + owner[ws]
+        order = np.argsort(key, kind="stable")
+        ws = ws[order]
+        counts = np.bincount(key, minlength=n * c).reshape(n, c)
+        per_class = counts[starts[:-1]]
+        if not np.array_equal(counts, np.repeat(per_class, np.diff(starts), axis=0)):
+            return None
+        tables = []
+        offset = 0
+        for h, r in enumerate(per_class):
+            size, k = starts[h + 1] - starts[h], int(r.sum())
+            slots = np.ascontiguousarray(ws[offset : offset + size * k].reshape(size, k).T)
+            offset += size * k
+            firsts = np.cumsum(r) - r
+            tables.append((slots, [(int(firsts[t]), int(r[t])) for t in np.flatnonzero(r)]))
+        out.append(tables)
+    return out
+
+
+def _step_key(lab, block_rows, slots, groups):
+    """The count key of one row block S_h, or None when some step moves a
+    label by more than 1 or the key has no int64 dtype.
+
+    For each group (h', r), N_delta(y, z) counts the r steps y -> w into
+    S_h' with lab[w, z] - lab[y, z] = delta.  The steps' label changes sum
+    to N_1 - N_-1 and their absolute values to N_1 + N_-1, with
+    N_-1 + N_0 + N_1 = r, so the pair of sums names the three counts; the
+    key packs the pairs of all groups in mixed radix, one int table.  The
+    sums are formed in place, outside _intops.guarded: a group's two sums
+    lie in [-r, r] and every partial key in [0, top), so each is exact in
+    the dtype narrow_dtype picks from that bound.
+    """
+    top = 1
+    for _, r in groups:
+        top *= (2 * r + 1) * (r + 1)
+    held = narrow_dtype(top)  # every key, and every partial one, is below top
+    if held is None:
+        return None
+    key = None
+    buf = np.empty_like(block_rows)
+    for first, r in groups:
+        acc = narrow_dtype(r)
+        net = np.zeros(block_rows.shape, dtype=acc)
+        moved = np.zeros(block_rows.shape, dtype=acc)
+        for s in range(first, first + r):
+            np.take(lab, slots[s], axis=0, out=buf, mode="clip")
+            np.subtract(buf, block_rows, out=buf)
+            net += buf
+            np.abs(buf, out=buf)
+            if buf.max() > 1:
+                return None
+            moved += buf
+        part = moved.astype(held)
+        part *= 2 * r + 1
+        part += net
+        part += r
+        if key is None:
+            key = part
+        else:
+            key *= (2 * r + 1) * (r + 1)
+            key += part
+    return key
+
+
+def _indicator_rows(block: np.ndarray, values: np.ndarray):
+    """(rows, pivots, labels) of a flattened block: the 0/1 indicator of
+    each label that occurs in it, as an int8 row, in the order of the
+    label's first occurrence, which is the row's pivot."""
+    eq = block == values
+    first = eq.argmax(axis=1).tolist()
+    found = sorted(np.flatnonzero(eq.any(axis=1)).tolist(), key=first.__getitem__)
+    rows = eq[found].view(np.int8)
+    rows.flags.writeable = False
+    return rows, [first[v] for v in found], found
+
+
+def _triple_label_spans(n, classes, generators, diagonals, labels) -> BlockSpans | None:
+    """The triple-label basis, certified to span the algebra, or None.
+
+    The caller guarantees that every indicator of a triple class
+    {(y, z) in S_h x S_j : labels[y, z] = v} lies in the algebra (module
+    docstring).  Block (h, j) holds the indicators of its triple classes as
+    its rows, in pivot order; the elements are the indicators of the
+    diagonal blocks' diagonal labels, class by class, then every other row,
+    block by block in row-major order of (h, j).  None when the
+    certificate fails.
+    """
+    labels = np.asarray(labels)
+    if labels.shape != (n, n) or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be an integer ({n}, {n}) array")
+    c = len(classes)
+    sizes = [len(cls) for cls in classes]
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    perm = np.concatenate(classes)
+    owner = np.repeat(np.arange(c), sizes)
+    tables = _slot_tables(n, owner, starts, generators, diagonals, perm)
+    if tables is None:
+        return None
+    lo, hi = int(labels.min()), int(labels.max())
+    nv = hi - lo + 1
+    if nv > n:
+        return None  # each block is compared with every label value
+    # The labels in class order, shifted to 0..nv-1, held narrow.
+    lab = labels.take(perm, axis=0).take(perm, axis=1)
+    held = narrow_dtype(nv - 1)
+    if lo or lab.dtype != held:
+        lab = (lab.astype(np.int64) - lo).astype(held)
+    values = np.arange(nv, dtype=held)[:, None]
+    tag = (owner * nv).astype(narrow_dtype(c * nv))  # class id base of column z
+
+    spans = BlockSpans(n, classes)
+    diagonal, rest = [], []
+    for h in range(c):
+        block_rows = lab[starts[h] : starts[h + 1]]
+        # rep[j nv + v]: the position in block_rows of the pivot of (h, j, v).
+        rep = [0] * (c * nv)
+        for j in range(c):
+            block = block_rows[:, starts[j] : starts[j + 1]].ravel()
+            rows, pivots, found = _indicator_rows(block, values)
+            spans._spans[(h, j)] = EchelonSpan.of_indicators(rows, pivots)
+            for v, p in zip(found, pivots):
+                r, col = divmod(p, sizes[j])
+                rep[j * nv + v] = r * n + starts[j] + col
+            on_diagonal = [False] * len(found)
+            if h == j:
+                # The class projection is the sum of the indicators of the
+                # labels on the diagonal: none may occur off it.
+                seen = np.bincount(block[:: sizes[h] + 1], minlength=nv).tolist()
+                for idx, v in enumerate(found):
+                    if seen[v]:
+                        if seen[v] != np.count_nonzero(rows[idx]):
+                            return None
+                        on_diagonal[idx] = True
+            for idx, diag in enumerate(on_diagonal):
+                (diagonal if diag else rest).append((h, j, idx))
+        classed = tag + block_rows
+        rep = np.array(rep)
+        for tables_g in tables:
+            slots, groups = tables_g[h]
+            if not groups:
+                continue
+            key = _step_key(lab, block_rows, slots, groups)
+            if key is None or not np.array_equal(key.ravel()[rep].take(classed), key):
+                return None
+    spans._elements = diagonal + rest
+    spans.closed_unit = identity_unit(c)
+    return spans
+
+
+def closure(generators: Sequence[RationalMatrix], labels: np.ndarray | None = None) -> BlockSpans:
     """Basis of the unital algebra generated by the given matrices.
 
     Args:
         generators: n x n matrices and 1 x n rows, each row standing for
             the diagonal matrix diag(row) (module docstring).
+        labels: an optional n x n integer array such that every triple
+            class indicator {(y, z) in S_h x S_j : labels[y, z] = v} lies in
+            the algebra.  The triple-label basis is then tried first, and
+            taken when its certificate holds (module docstring).
 
     Returns:
         BlockSpans that contain the identity and are closed under
         multiplication by every generator, certified by closed_unit = the
         unit table of I.
-        Its first elements are the class projections; every later one is a
-        block of a product, see the module docstring.
+        Its first elements are the class projections; on the product loop
+        every later one is a block of a product, see the module docstring.
     """
     if not generators:
         raise ValueError("at least one generator expected")
@@ -209,6 +433,10 @@ def closure(generators: Sequence[RationalMatrix]) -> BlockSpans:
             raise ValueError(f"generator shape {g.shape} is neither ({n}, {n}) nor (1, {n})")
     rows = [diagonal_row(g) for g in generators]
     classes = joint_classes(n, [row for row in rows if row is not None])
+    if labels is not None:
+        spans = _triple_label_spans(n, classes, generators, rows, labels)
+        if spans is not None:
+            return spans
     # For each n x n generator and source class h, its nonzero row blocks
     # g[S_h', S_h] with their target class h', each prepared once as the
     # left factor of every product with an element of block (h, j).
@@ -219,8 +447,8 @@ def closure(generators: Sequence[RationalMatrix]) -> BlockSpans:
         by_source = []
         for cols in classes:
             targets = []
-            for h2, rows in enumerate(classes):
-                block = g.num[np.ix_(rows, cols)]
+            for h2, members in enumerate(classes):
+                block = g.num[np.ix_(members, cols)]
                 if np.any(block):
                     targets.append((h2, prepare_left(block)))
             by_source.append(targets)

@@ -55,8 +55,14 @@ class Graph:
         return sum(len(nb) for nb in self.neighbors) // 2
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+    def from_edges(cls, n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "Graph":
         """Validated construction: simple, loop-free, connected.
+
+        edges is an m x 2 integer array or an iterable of pairs.  They are
+        validated as whole arrays: the first offending edge, in the given
+        order, is named, and for it a vertex out of range comes before a
+        loop and a loop before a duplicate (an edge equal, as a set, to an
+        earlier one).  The sorted adjacency is one argsort of the arcs.
 
         Raises:
             ValueError: on any malformed edge or a disconnected graph.
@@ -65,17 +71,33 @@ class Graph:
             raise ValueError(f"vertex count must be positive, got {n}")
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count {n} exceeds cap {MAX_VERTICES}")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if v in adj[u]:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            adj[u].add(v)
-            adj[v].add(u)
-        g = cls(n, tuple(tuple(sorted(s)) for s in adj))
+        # A Python int past int64 makes the array object, which the checks
+        # below read as well.
+        edges = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        edges = edges.reshape(-1, 2) if edges.size else np.empty((0, 2), dtype=np.int64)
+        u, v = edges[:, 0], edges[:, 1]
+        out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        loop = u == v
+        # An edge is a duplicate when an earlier one has its key; a stable
+        # sort puts the earliest first among equal keys.
+        key = np.minimum(u, v) * n + np.maximum(u, v)
+        order = np.argsort(key, kind="stable")
+        dup = np.zeros(len(key), dtype=bool)
+        dup[order[1:]] = key[order[1:]] == key[order[:-1]]
+        bad = np.flatnonzero(out | loop | dup)
+        if bad.size:
+            i = bad[0]
+            a, b = int(u[i]), int(v[i])
+            if out[i]:
+                raise ValueError(f"edge ({a}, {b}) out of range for {n} vertices")
+            if loop[i]:
+                raise ValueError(f"loop at vertex {a}")
+            raise ValueError(f"duplicate edge ({a}, {b})")
+        src = np.concatenate((u, v)).astype(np.intp)
+        dst = np.concatenate((v, u)).astype(np.intp)
+        dst = dst[np.argsort(src * n + dst, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+        g = cls(n, tuple(tuple(dst[a:b]) for a, b in zip([0] + ends, ends)))
         reach = _distances(g.neighbors, [0])[:, 0]
         if -1 in reach:
             missing = int(np.argmax(reach == -1))
@@ -88,10 +110,24 @@ def hypercube(d: int) -> Graph:
     if not 0 <= d <= 12:
         raise ValueError(f"hypercube dimension must be in 0..12, got {d}")
     n = 1 << d
-    edges = [
-        (v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)
-    ]
-    return Graph.from_edges(n, edges)
+    u = np.repeat(np.arange(n), d)
+    v = u ^ np.tile(1 << np.arange(d), n)
+    keep = u < v
+    return Graph.from_edges(n, np.stack((u[keep], v[keep]), axis=1))
+
+
+def _edge_line_error(lines: list[str]) -> ValueError:
+    """The error for the first malformed edge line of a file's lines, comments
+    removed: one that is not two tokens, or whose tokens are not integers."""
+    numbered = [(i, t) for i, t in enumerate(map(str.split, lines), start=1) if t]
+    for lineno, tokens in numbered[1:]:
+        if len(tokens) != 2:
+            return ValueError(f"line {lineno}: expected 'u v' edge")
+        try:
+            int(tokens[0]), int(tokens[1])
+        except ValueError:
+            return ValueError(f"line {lineno}: expected integer 'u v' edge")
+    raise AssertionError("no malformed edge line")
 
 
 def parse_graph_file(text: str) -> Graph:
@@ -99,38 +135,38 @@ def parse_graph_file(text: str) -> Graph:
 
     First meaningful line is "n m", then m lines "u v" with 0-based vertex
     ids.  Anything after '#' on a line is a comment; blank lines are skipped.
+    The text is tokenized once and the edge tokens are converted together;
+    only a malformed file is walked line by line, to name its first bad
+    line (_edge_line_error).
 
     Raises:
         ValueError: with a precise message on any malformed input.
     """
-    tokens: list[list[str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        tokens.append([str(lineno)] + body.split())
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    tokens = list(filter(None, map(str.split, lines)))  # the nonblank lines
     if not tokens:
         raise ValueError("empty graph file")
     header = tokens[0]
-    if len(header) != 3:
-        raise ValueError(f"line {header[0]}: expected 'n m' header")
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.split())
+    if len(header) != 2:
+        raise ValueError(f"line {lineno}: expected 'n m' header")
     try:
-        n, m = int(header[1]), int(header[2])
+        n, m = int(header[0]), int(header[1])
     except ValueError:
-        raise ValueError(f"line {header[0]}: expected integer 'n m' header") from None
-    body_lines = tokens[1:]
-    if len(body_lines) != m:
-        raise ValueError(f"expected {m} edge lines, found {len(body_lines)}")
-    edges = []
-    for item in body_lines:
-        if len(item) != 3:
-            raise ValueError(f"line {item[0]}: expected 'u v' edge")
+        raise ValueError(f"line {lineno}: expected integer 'n m' header") from None
+    if len(tokens) - 1 != m:
+        raise ValueError(f"expected {m} edge lines, found {len(tokens) - 1}")
+    values = None
+    if all(len(t) == 2 for t in tokens[1:]):
         try:
-            u, v = int(item[1]), int(item[2])
+            values = list(map(int, chain.from_iterable(tokens[1:])))
         except ValueError:
-            raise ValueError(f"line {item[0]}: expected integer 'u v' edge") from None
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+            pass
+    if values is None:
+        raise _edge_line_error(lines)
+    return Graph.from_edges(n, np.array(values).reshape(m, 2))
 
 
 def _neighbour_table(neighbors: Sequence[Sequence[int]]) -> np.ndarray:

@@ -72,6 +72,10 @@ S_sigma(h) and columns S_sigma(j), where sigma maps the closure's classes
   dim span{B U0} = dim span{B S^T}.  B S^T is rowsum(X) in rows S_sigma(h)
   of column sigma(j); blocks have disjoint supports, so the dimension is
   the sum over blocks of the rank of their row-sum vectors.
+
+Both read only the pieces' line sums, formed once per piece (piece_sums),
+with the int64 bound taken from the largest entry the span tracks
+(BlockSpans.row_max), not from a pass over the piece.
 """
 
 from __future__ import annotations
@@ -177,49 +181,65 @@ def sphere_of_classes(ctx: TerwContext, classes: Sequence[np.ndarray]) -> tuple[
     return tuple(sigma)
 
 
-def _line_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _line_sums(x: np.ndarray, xmax: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(row sums, column sums) of an integer block, exactly.
 
     Every sum has at most max(x.shape) terms, so max(x.shape) max|x| bounds
-    it (guarded).  numpy sums a narrow dtype in int64, so x is read as it
-    is held, not widened.
+    it (guarded); xmax, when given, is max|x| as the span tracks it
+    (BlockSpans.row_max), and spares the pass over x.  numpy sums a narrow
+    dtype in int64, so x is read as it is held, not widened.
     """
 
     def sums(x):
         return x.sum(axis=1), x.sum(axis=0)
 
     return guarded(
-        max(x.shape) * max_abs(x),
+        max(x.shape) * (max_abs(x) if xmax is None else xmax),
         lambda: sums(x),
         exact=lambda: tuple(demote(s) for s in sums(to_object(x))),
     )
 
 
-def is_central(pieces: Iterable[Piece], sigma: Sequence[int], m: Sequence[int]) -> bool:
-    """Does U0 commute with every block piece given?
+# (h, j, row sums, column sums) of a piece X of block (h, j).
+LineSums = tuple[int, int, np.ndarray, np.ndarray]
+
+
+def piece_sums(pieces: Iterable[Piece], maxes: Iterable[int]) -> list[LineSums]:
+    """The row and column sums of every piece, formed once for both
+    is_central and ideal_dimension; maxes holds max|X| of each piece, as
+    its span tracks it (_line_sums)."""
+    return [(h, j, *_line_sums(x, xmax)) for (h, j, x), xmax in zip(pieces, maxes)]
+
+
+def is_central(sums: Iterable[LineSums], sigma: Sequence[int], m: Sequence[int]) -> bool:
+    """Does U0 commute with every block piece, given their line sums?
 
     A piece (h, j, X) is the n x n matrix B that is X on rows S_sigma(h) and
     columns S_sigma(j) and zero elsewhere.  With L U0 = S^T diag(m) S, the
     matrix L U0 B is m_sigma(h) colsum(X) copied down the block's rows and
     L B U0 is m_sigma(j) rowsum(X) copied across its columns; both vanish
     outside the block.  So B commutes with U0 exactly when all these
-    entries are one common value, in O(|S_h| |S_j|) per piece.  A piece
-    with no rows or no columns is the zero matrix, which commutes.
+    entries are one common value, in O(|S_h| + |S_j|) per piece once the
+    sums are formed: each scaled line constant, and the two constants
+    equal, compared as Python ints.  A piece with no rows or no columns is
+    the zero matrix, which commutes.
     """
-    for h, j, x in pieces:
-        if x.size == 0:
+    for h, j, rows, cols in sums:
+        if rows.size == 0 or cols.size == 0:
             continue
-        rows, cols = _line_sums(x)
-        left = exact_scale(cols, m[sigma[h]])  # a row of L U0 B
-        right = exact_scale(rows, m[sigma[j]])  # a column of L B U0
-        value = left[0]
-        if not (np.all(left == value) and np.all(right == value)):
+        mh, mj = m[sigma[h]], m[sigma[j]]
+        if mh and not (cols == cols[0]).all():
+            return False
+        if mj and not (rows == rows[0]).all():
+            return False
+        if mh * int(cols[0]) != mj * int(rows[0]):
             return False
     return True
 
 
-def ideal_dimension(pieces: Iterable[Piece]) -> int:
-    """dim span{B U0} over the pieces B of an algebra basis.
+def ideal_dimension(sums: Iterable[LineSums]) -> int:
+    """dim span{B U0} over the pieces B of an algebra basis, given their
+    line sums.
 
     Since U0 = S^T D S with D the invertible diagonal of reciprocal sphere
     sizes and S of full row rank, right-multiplication by D S is injective,
@@ -230,11 +250,11 @@ def ideal_dimension(pieces: Iterable[Piece]) -> int:
     row-sum vectors.
     """
     spans: dict[tuple[int, int], EchelonSpan] = {}
-    for h, j, x in pieces:
+    for h, j, rows, _cols in sums:
         span = spans.get((h, j))
         if span is None:
-            span = spans[(h, j)] = EchelonSpan(x.shape[0])
-        span.add(_line_sums(x)[0])
+            span = spans[(h, j)] = EchelonSpan(rows.shape[0])
+        span.add(rows)
     return sum(span.dim for span in spans.values())
 
 
@@ -376,7 +396,7 @@ def verify_u0(
     first = (ctx.p_table != 0).argmax(axis=1)  # a supported a for each block (h, j)
     sphere_table = np.take_along_axis(primal, first[:, None, :], axis=1)[:, 0, :]
     sigma = sphere_of_classes(ctx, t.classes)
-    pieces = [t.element(i) for i in range(t.dim)]
+    sums = piece_sums(map(t.element, range(t.dim)), map(t.row_max, range(t.dim)))
     ends = (0, ctx.d)
     absorbed = [absorbs(ctx, class_table(ctx, ctx.E[i])) for i in ends]
     absorbed += [absorbs(ctx, diagonal_table(ctx, ctx.E_star[i])) for i in ends]
@@ -386,9 +406,9 @@ def verify_u0(
         L=big,
         formulas_agree=u0_formulas_agree(ctx, primal, dual),
         idempotent=is_idempotent(ctx.valencies, m, big),
-        central=is_central(pieces, sigma, m),
+        central=is_central(sums, sigma, m),
         rank_U0=rank(RationalMatrix(sphere_table, den)),
-        dim_T_u0=ideal_dimension(pieces),
+        dim_T_u0=ideal_dimension(sums),
         absorbs_E0=absorbed[0],
         absorbs_Ed=absorbed[1],
         absorbs_E0_star=absorbed[2],

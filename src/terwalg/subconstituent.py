@@ -197,7 +197,11 @@ class TerwContext:
         return [self.A, self.dual_adjacency_row]
 
     def algebra_basis(self) -> BlockSpans:
-        return closure(self.generators())
+        """T, closed over A and A*.  Construction certified that the graph
+        is distance-regular, so each A_v = [dist = v] is a polynomial in A
+        and every E*_h A_v E*_j, the indicator of a triple class of dist,
+        lies in T: closure may take its triple-label basis."""
+        return closure(self.generators(), self.dist.dist)
 
 
 def _krein_table(Q: RationalMatrix) -> tuple[np.ndarray, int]:

@@ -85,7 +85,7 @@ def _prepare(d: int, x: int) -> _Prepared:
     # split; it is dropped on return, before complement_algebra, and the
     # corner's split builds its own.
     generators = ctx.generators()
-    basis = closure(generators)
+    basis = closure(generators, ctx.dist.dist)  # labels: TerwContext.algebra_basis
     dec = decompose(basis, generators)
     return _Prepared(ctx, basis, dec)
 

@@ -3,18 +3,20 @@
 import importlib
 import json
 import math
+import random
 from bisect import insort
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from dense_views import contains, dense_diagonal, dense_generators, densify, distance_matrix
 
-from terwalg import _intops, echelon, subconstituent
+from terwalg import _intops, echelon, subconstituent, verify
 from terwalg._intops import content, demote, exact_matmul, max_abs, to_object
 from terwalg.closure import BlockSpans, closure, identity_unit, joint_classes
 from terwalg.echelon import EchelonSpan
-from terwalg.graphs import DistanceData, Graph, hypercube
+from terwalg.graphs import DistanceData, Graph, hypercube, parse_graph_file
 from terwalg.linalg import RationalMatrix
 from terwalg.subconstituent import build_context, build_hypercube_context
 from terwalg.verify import build_graph_report
@@ -533,7 +535,9 @@ def test_graph_report_is_the_same_on_the_oracle_closure(monkeypatch):
 
     expected = {name: report(*args) for name, args in graphs.items()}
     monkeypatch.setattr(
-        subconstituent, "closure", lambda gens: oracle_closure(dense_generators(gens))
+        subconstituent,
+        "closure",
+        lambda gens, labels=None: oracle_closure(dense_generators(gens)),
     )
     for name, args in graphs.items():
         assert report(*args) == expected[name], name
@@ -587,3 +591,185 @@ def test_prepared_closure_bounds_each_product_by_its_piece(monkeypatch):
         fallbacks.clear()
         assert_matches_oracle(gens, "2^59 circulant", same_order=True)
         assert fallbacks
+
+
+# -- the triple-label basis against the product loop -------------------------
+
+
+def _same_per_block_row_sets(got, want, name):
+    """Equal classes, dims, certificates and per-block row sets."""
+    assert [c.tolist() for c in got.classes] == [c.tolist() for c in want.classes], name
+    assert got.dim == want.dim and got.closed_unit == want.closed_unit, name
+    assert got._spans.keys() == want._spans.keys(), name
+    for key, span in want._spans.items():
+        assert _row_set(got._spans[key].rows) == _row_set(span.rows), (name, key)
+
+
+def _relabelled_graph_contexts(monkeypatch):
+    """Contexts of the drg-graphs workload's six relabelled graphs."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    for item in workloads.graph_items(7):
+        g = parse_graph_file(item["text"])
+        yield item["family"].name, build_context(g, item["vertex"])
+
+
+def _products_counted(monkeypatch):
+    calls = []
+    closure_module = importlib.import_module("terwalg.closure")
+    real = closure_module.prepared_matmul
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(closure_module, "prepared_matmul", counting)
+    return calls
+
+
+CUBE_LIKE = {"cube-7", "folded-9-cube"}
+
+
+def test_triple_label_basis_matches_the_product_loop(monkeypatch):
+    # The cubes and the cube-like graphs take the triple-label basis with no
+    # product and give the loop's algebra: per-block row sets, dims and the
+    # certificate.  The unstable graphs fall back to the loop itself, element
+    # for element.
+    calls = _products_counted(monkeypatch)
+    rng = random.Random(40)
+    cases = []
+    for d in range(0, 10):
+        for x in sorted({0, (1 << d) - 1, rng.randrange(1 << d)}):
+            cases.append((f"Q_{d} x={x}", build_hypercube_context(d, x), True))
+    for name, ctx in _relabelled_graph_contexts(monkeypatch):
+        cases.append((name, ctx, name in CUBE_LIKE))
+    for name, ctx, stable in cases:
+        gens = ctx.generators()
+        calls.clear()
+        got = closure(gens, ctx.dist.dist)
+        assert (not calls) == stable, name
+        want = closure(gens)
+        if stable:
+            _same_per_block_row_sets(got, want, name)
+            for k in range(got.dim):
+                _h, _j, x = got.element(k)
+                assert x.dtype == np.int8 and not x.flags.writeable, name
+                offset, value = got._spans[got._elements[k][:2]].pivot(got._elements[k][2])
+                assert value == 1 and np.flatnonzero(x)[0] == offset, name
+            for span in got._spans.values():
+                assert span._order == sorted(span._order), name
+        else:
+            assert_same_block_spans(got, want, name)
+    assert {name for name, _ctx, stable in cases if not stable} == {
+        "johnson-9-4", "hamming-3-5", "hamming-4-3", "petersen"
+    }
+
+
+def test_triple_label_basis_starts_with_the_class_projections():
+    for d in (1, 3, 6):
+        ctx = build_hypercube_context(d, 5 % (1 << d))
+        basis = closure(ctx.generators(), ctx.dist.dist)
+        assert _starts_with_class_projections(basis)
+        for h, cls in enumerate(basis.classes):
+            assert np.array_equal(basis.element(h)[2], np.eye(len(cls)))
+
+
+def test_the_cube_never_takes_a_product(monkeypatch):
+    calls = _products_counted(monkeypatch)
+    for d in range(1, 9):
+        ctx = build_hypercube_context(d, (1 << d) - 1)
+        assert ctx.algebra_basis().dim == sum((d + 1 - 2 * r) ** 2 for r in range(d // 2 + 1))
+        assert verify._prepare(d, 1).basis.closed_unit == identity_unit(d + 1)
+    assert not calls
+
+
+def _swapped_in_a_block(ctx, h, j):
+    """dist with two entries of block (h, j) swapped: the first pair at
+    distance a and the first at distance a + 2, a the least distance there."""
+    labels = np.array(ctx.dist.dist)
+    block = np.ix_(ctx.spheres[h], ctx.spheres[j])
+    values = labels[block]
+    a = int(values.min())
+    p = np.argwhere(values == a)[0]
+    q = np.argwhere(values == a + 2)[0]
+    rows, cols = ctx.spheres[h], ctx.spheres[j]
+    (y1, z1), (y2, z2) = (rows[p[0]], cols[p[1]]), (rows[q[0]], cols[q[1]])
+    labels[y1, z1], labels[y2, z2] = labels[y2, z2], labels[y1, z1]
+    return labels
+
+
+def test_a_failed_certificate_falls_back_to_the_loop(monkeypatch):
+    # Each rejected input gives the loop's spans element for element, after
+    # the loop really ran.
+    calls = _products_counted(monkeypatch)
+    ctx = build_hypercube_context(5, 9)
+    gens = ctx.generators()
+    a, astar = gens
+    doubled = RationalMatrix(a.num * 2)
+    swaps = [_swapped_in_a_block(ctx, h, j) for h, j in ((2, 2), (1, 3), (3, 2), (2, 4))]
+    cases = [(f"swap {k}", gens, labels) for k, labels in enumerate(swaps)]
+    # 2 dist names the same triple classes, but moves by 2 along an edge.
+    cases.append(("jump by 2", gens, 2 * ctx.dist.dist.astype(np.int64)))
+    jumps = np.array(ctx.dist.dist)
+    jumps[0, ctx.spheres[5][0]] += 2
+    cases.append(("one jump by 2", gens, jumps))
+    cases.append(("entry 2", [doubled, astar], ctx.dist.dist))
+    # The parity of dist is stable under A, but its diagonal class holds
+    # the pairs at distance 2 too, so it spans no class projection.
+    cases.append(("parity", gens, ctx.dist.dist % 2))
+    # Seen from 0, vertex 3 of S_2 has two steps into S_1 and vertex 4 one.
+    uneven = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4)])
+    dd = DistanceData.compute(uneven)
+    steps = [distance_matrix(uneven, dd, 1), RationalMatrix(dd.dist[:1])]
+    cases.append(("uneven steps", steps, dd.dist))
+    for name, generators, labels in cases:
+        calls.clear()
+        got = closure(generators, labels)
+        assert calls, name
+        assert_same_block_spans(got, closure(generators), name)
+
+
+def test_labels_must_be_an_integer_square_table():
+    ctx = build_hypercube_context(2)
+    for bad in (ctx.dist.dist[:3], ctx.dist.dist.astype(float)):
+        with pytest.raises(ValueError, match="labels"):
+            closure(ctx.generators(), bad)
+
+
+def test_the_step_key_names_every_split_of_the_steps():
+    # Row i of the table steps r times from a pair labelled 1 to pairs
+    # labelled 0, 1 and 2, in the i-th split (N_-1, N_0, N_1) of r: the keys
+    # of one group must be distinct, and so must those of two groups.  A
+    # fourth row, labelled 3, is two away.
+    closure_module = importlib.import_module("terwalg.closure")
+    for r in range(1, 6):
+        splits = [(a, b, r - a - b) for a in range(r + 1) for b in range(r + 1 - a)]
+        m = len(splits)
+        lab = np.array([[1]] * m + [[0], [1], [2], [3]], dtype=np.int8)
+        slots = np.array([[m] * a + [m + 1] * b + [m + 2] * c for a, b, c in splits]).T
+        key = closure_module._step_key(lab, lab[:m], slots, [(0, r)])
+        assert len(set(key[:, 0].tolist())) == m, r
+        both = np.concatenate((slots, slots[:, ::-1]))
+        pairs = closure_module._step_key(lab, lab[:m], both, [(0, r), (r, r)])
+        assert len(set(pairs[:, 0].tolist())) == m, r
+    # A step that moves a label by 2 is refused.
+    assert closure_module._step_key(lab, lab[:1], np.array([[m + 3]]), [(0, 1)]) is None
+    assert closure_module._step_key(lab, lab[:1], np.array([[m + 2]]), [(0, 1)]) is not None
+
+
+def test_uneven_steps_into_a_class_refuse_the_slot_tables():
+    # Seen from 0, vertex 3 of S_2 has two steps into S_1 and vertex 4 one.
+    closure_module = importlib.import_module("terwalg.closure")
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4)])
+    dd = DistanceData.compute(g)
+    a = distance_matrix(g, dd, 1)
+    classes = joint_classes(5, [dd.dist[0]])
+    perm = np.concatenate(classes)
+    starts = np.array([0, 1, 3, 5])
+    owner = np.repeat(np.arange(3), [1, 2, 2])
+    assert closure_module._slot_tables(5, owner, starts, [a], [None], perm) is None
+    even = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])
+    a = distance_matrix(even, DistanceData.compute(even), 1)
+    (tables,) = closure_module._slot_tables(5, owner, starts, [a], [None], perm)
+    assert [groups for _slots, groups in tables] == [[(0, 2)], [(0, 1), (1, 1)], [(0, 1), (1, 1)]]

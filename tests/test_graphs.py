@@ -1,6 +1,7 @@
 """Tests for graph construction, distances, and distance-regularity."""
 
 import importlib.util
+import random
 import sys
 from collections import deque
 from itertools import combinations, product
@@ -110,6 +111,133 @@ def test_parse_matches_builtin_hypercube():
                 lines.append(f"{u} {v}")
     parsed = parse_graph_file("\n".join(lines))
     assert parsed.neighbors == g.neighbors
+
+
+def _line_by_line_parse(text):
+    """parse_graph_file and Graph.from_edges as they ran before they worked
+    on whole arrays: tokens line by line, edges one at a time into Python
+    sets.  Returns (n, sorted adjacency) or raises ValueError."""
+    tokens = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            tokens.append([str(lineno)] + body.split())
+    if not tokens:
+        raise ValueError("empty graph file")
+    header = tokens[0]
+    if len(header) != 3:
+        raise ValueError(f"line {header[0]}: expected 'n m' header")
+    try:
+        n, m = int(header[1]), int(header[2])
+    except ValueError:
+        raise ValueError(f"line {header[0]}: expected integer 'n m' header") from None
+    if len(tokens) - 1 != m:
+        raise ValueError(f"expected {m} edge lines, found {len(tokens) - 1}")
+    edges = []
+    for item in tokens[1:]:
+        if len(item) != 3:
+            raise ValueError(f"line {item[0]}: expected 'u v' edge")
+        try:
+            edges.append((int(item[1]), int(item[2])))
+        except ValueError:
+            raise ValueError(f"line {item[0]}: expected integer 'u v' edge") from None
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    if n > graphs.MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds cap {graphs.MAX_VERTICES}")
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if v in adj[u]:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        adj[u].add(v)
+        adj[v].add(u)
+    neighbors = tuple(tuple(sorted(a)) for a in adj)
+    reach = graphs._distances(neighbors, [0])[:, 0]
+    if -1 in reach:
+        missing = int(np.argmax(reach == -1))
+        raise ValueError(f"graph is not connected: vertex {missing} unreachable from 0")
+    return n, neighbors
+
+
+def _outcome(parse, text):
+    try:
+        got = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return (got.n, got.neighbors) if isinstance(got, Graph) else got
+
+
+def _corrupted_edge_files(rng):
+    """Edge-list texts of a 12-cycle with chords, each with a few faults."""
+    base = [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9)]
+    bad_tokens = ["x", "1.5", "-1", "12", "99", "+3", "1_0", str(2**70), str(-(2**70)), "٣"]
+    for _ in range(300):
+        edges = [list(e) if rng.random() < 0.5 else [e[1], e[0]] for e in base]
+        rng.shuffle(edges)
+        lines = [[str(a), str(b)] for a, b in edges]
+        for _ in range(rng.randrange(3)):
+            i = rng.randrange(len(lines))
+            fault = rng.randrange(6)
+            if fault == 0:
+                lines[i][rng.randrange(2)] = rng.choice(bad_tokens)
+            elif fault == 1:
+                lines[i] = [lines[i][0]] * 2  # a loop
+            elif fault == 2:
+                lines.insert(rng.randrange(len(lines) + 1), list(reversed(lines[i])))
+            elif fault == 3:
+                lines[i] = lines[i] + ["7"] if rng.random() < 0.5 else lines[i][:1]
+                if rng.random() < 0.5:
+                    # The opposite fault on another line keeps the token
+                    # count even.
+                    k = rng.randrange(len(lines))
+                    lines[k] = lines[k][:1] if len(lines[i]) == 3 else lines[k] + ["7"]
+            elif fault == 4:
+                lines.insert(rng.randrange(len(lines) + 1), list(lines[i]))
+            else:
+                lines[i] = [lines[i][0], lines[i][1] + " # note"]
+        m = len(lines) + rng.choice([0, 0, 0, 1, -1])
+        header = rng.choice([f"12 {m}", f"12 {m}", f"{m}", "twelve 3", f"0 {m}", f"5000 {m}"])
+        body = [" ".join(t) for t in lines]
+        for _ in range(rng.randrange(3)):
+            body.insert(rng.randrange(len(body) + 1), rng.choice(["", "  ", "# comment"]))
+        yield "\n".join(["# header next", header] + body) + "\n"
+
+
+def test_whole_array_parse_matches_the_line_by_line_parse():
+    # Every accepted file gives the same adjacency, and every rejected one
+    # the same message, naming the same first bad line or edge.
+    texts = list(_corrupted_edge_files(random.Random(7)))
+    texts += ["", "# only a comment\n", "3 0\n", "1 0\n", "2 1\n0 1\n", "2 1\n0 1 # c\n",
+              "3 2\n0 1 2\n1\n", "3 2\n0\n1 2 1\n"]
+    outcomes = set()
+    for text in texts:
+        want = _outcome(_line_by_line_parse, text)
+        assert _outcome(parse_graph_file, text) == want, text
+        outcomes.add(want if isinstance(want, str) else "accepted")
+    for kind in ("out of range", "loop at", "duplicate edge", "expected 'u v'",
+                 "expected integer 'u v'", "edge lines", "header", "not connected",
+                 "accepted"):
+        assert any(kind in o for o in outcomes), kind
+
+
+def test_from_edges_takes_arrays_and_pairs_alike():
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+    a = Graph.from_edges(4, edges)
+    b = Graph.from_edges(4, np.array(edges))
+    c = Graph.from_edges(4, iter(edges))
+    assert a.neighbors == b.neighbors == c.neighbors == ((1, 2, 3), (0, 2), (0, 1, 3), (0, 2))
+    assert all(type(v) is int for nb in a.neighbors for v in nb)
+    with pytest.raises(ValueError, match=r"edge \(0, 1180591620717411303424\) out of range"):
+        Graph.from_edges(4, [(0, 1), (0, 2**70)])
+    with pytest.raises(ValueError, match=r"duplicate edge \(2, 1\)"):
+        Graph.from_edges(4, np.array([(1, 2), (0, 1), (2, 1), (3, 3)]))
+    # A loop out of range is named as out of range, as the per-edge checks did.
+    assert _outcome(parse_graph_file, "3 2\n0 1\n5 5\n") == "edge (5, 5) out of range for 3 vertices"
+    assert _outcome(_line_by_line_parse, "3 2\n0 1\n5 5\n") == "edge (5, 5) out of range for 3 vertices"
 
 
 def test_distance_matrix_entries():

@@ -28,6 +28,7 @@ from terwalg.idempotent import (
     ideal_dimension,
     is_central,
     is_idempotent,
+    piece_sums,
     sphere_of_classes,
     u0_formulas_agree,
     verify_u0,
@@ -238,6 +239,11 @@ def test_report_dict_shape(suite):
     assert d["absorbs"] == [True, True, True, True]
 
 
+def _sums(pieces):
+    """piece_sums with each piece's max|X| read off the piece."""
+    return piece_sums(pieces, [_intops.max_abs(x) for _h, _j, x in pieces])
+
+
 def _literally_central(u0, matrices):
     return all(u0 @ b == b @ u0 for b in matrices)
 
@@ -316,7 +322,7 @@ def test_centrality_holds_for_diagonal_and_dense_elements(suite):
     extra += [dense_diagonal(a) for a in ctx.A_star]
     assert _literally_central(u0, extra)
     pieces = [p for mtx in extra for p in _blocks(basis, mtx)]
-    assert is_central(pieces, sigma, m)
+    assert is_central(_sums(pieces), sigma, m)
     widened = _with_pieces(basis, before=pieces)
     assert widened.dim == basis.dim
     assert verify_u0(ctx, widened).central is True
@@ -371,7 +377,7 @@ def test_block_centrality_matches_dense_products(oracle_suite):
         verdicts = []
         for piece in _probe_pieces(basis, rng):
             want = _literally_central(u0, [_dense(basis, piece)])
-            assert is_central([piece], sigma, m) == want, (ctx.d, ctx.x, piece)
+            assert is_central(_sums([piece]), sigma, m) == want, (ctx.d, ctx.x, piece)
             verdicts.append(want)
         if ctx.d >= 2:  # below, every block is 1 x 1 and every m_h is 1
             assert True in verdicts and False in verdicts
@@ -385,7 +391,7 @@ def test_block_ideal_dimension_matches_dense_span(oracle_suite):
         for b in densify(basis):
             span.add((b.num @ s.T).ravel())
         pieces = [basis.element(k) for k in range(basis.dim)]
-        assert ideal_dimension(pieces) == span.dim == (ctx.d + 1) ** 2
+        assert ideal_dimension(_sums(pieces)) == span.dim == (ctx.d + 1) ** 2
         rep = verify_u0(ctx, basis)
         assert rep.passed, (ctx.d, ctx.x)
         assert rep.idempotent == (u0 @ u0 == u0)
@@ -453,9 +459,9 @@ def test_empty_piece_is_central(suite):
     m = verify_u0(ctx, basis).m
     sigma = sphere_of_classes(ctx, basis.classes)
     for shape in ((3, 0), (0, 3), (0, 0)):
-        assert is_central([(1, 2, np.zeros(shape, dtype=np.int64))], sigma, m)
+        assert is_central(_sums([(1, 2, np.zeros(shape, dtype=np.int64))]), sigma, m)
     first = basis.element(0)
-    assert is_central([(1, 2, np.zeros((3, 0), dtype=np.int64)), first], sigma, m)
+    assert is_central(_sums([(1, 2, np.zeros((3, 0), dtype=np.int64)), first]), sigma, m)
 
 
 def test_u0_checks_identical_on_the_object_path(suite, monkeypatch):

@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 from terwalg import _intops, echelon
 from terwalg._intops import INT64_SAFE, exact_matmul
+from terwalg.closure import closure
 from terwalg.graphs import parse_graph_file
+from terwalg.subconstituent import build_hypercube_context
 from terwalg.verify import build_graph_report, run_verification
 
 
@@ -73,6 +75,19 @@ def test_max_abs_is_exact_on_extreme_and_object_entries():
         low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
         assert _intops.max_abs(np.array([3, low, 1], dtype=dtype)) == -int(low)
         assert _intops.max_abs(np.array([high, -1], dtype=dtype)) == int(high)
+
+
+def test_narrow_dtype_holds_both_signs_of_its_bound():
+    for dtype in (np.int8, np.int16, np.int32):
+        high = int(np.iinfo(dtype).max)
+        assert _intops.narrow_dtype(high) == dtype
+        assert _intops.narrow_dtype(high + 1).itemsize == 2 * np.dtype(dtype).itemsize
+    assert _intops.narrow_dtype(0) == np.int8
+    assert _intops.narrow_dtype(INT64_SAFE - 1) == np.int64
+    assert _intops.narrow_dtype(INT64_SAFE) is None
+    row = np.array([1, -128, 0], dtype=np.int64)
+    assert _intops.narrow(row, 128).dtype == np.int16
+    assert _intops.narrow(row, 128) is not row
 
 
 # -- the one int64/object dispatch ---------------------------------------------
@@ -177,15 +192,21 @@ def test_guarded_results_equal_python_int_references(values, k, as_object):
 
 
 def test_only_intops_and_echelon_name_the_int64_bound():
-    # Every other module states its bound and hands it to _intops.guarded.
+    # Every other module states its bound and hands it to _intops.guarded,
+    # or picks a dtype for it with _intops.narrow_dtype; none spells the
+    # bound out as a literal.
     src = Path(__file__).resolve().parents[1] / "src" / "terwalg"
-    naming = set()
+    naming, literal = set(), set()
     for path_ in sorted(src.glob("*.py")):
         with open(path_, "rb") as fh:
-            for tok in tokenize.tokenize(fh.readline):
-                if tok.type == tokenize.NAME and tok.string == "INT64_SAFE":
-                    naming.add(path_.name)
+            toks = [t.string for t in tokenize.tokenize(fh.readline)]
+        if "INT64_SAFE" in toks:
+            naming.add(path_.name)
+        for a, op, b in zip(toks, toks[1:], toks[2:]):
+            if (a, op) in (("1", "<<"), ("2", "**")) and b in ("62", "63"):
+                literal.add(path_.name)
     assert naming == {"_intops.py", "echelon.py"}
+    assert literal == {"_intops.py"}
 
 
 def test_diagonal_left_right_both_and_neither():
@@ -695,6 +716,11 @@ def _reports():
     for g in graphs:
         data, all_ok = build_graph_report(g, 3)
         texts.append(json.dumps(data, sort_keys=True, indent=2) + f"\n{all_ok}\n")
+    # The cubes above take the triple-label basis, with no product; the
+    # product loop on Q_6, whose wider sphere blocks gather, keeps the
+    # closure's prepared blocks in the test.
+    loop = closure(build_hypercube_context(6, 3).generators())
+    texts.append(repr([(h, j, x.tolist()) for h, j, x in map(loop.element, range(loop.dim))]))
     return texts
 
 
