@@ -104,12 +104,28 @@ the diagonal of S_h x S_h is one label, as it is for dist, the third check
 implies it, since r(y) is the sum of the three counts at (y, y).  The
 label changes of the r steps sum to N_1 - N_-1 and their absolute values
 to N_1 + N_-1, so that pair of int8 sums names the three counts; one key
-table packs the pairs of all target classes, and is compared with the key
-at each triple class's pivot.  Elements are numbered in a fixed order that
-depends only on the classes and the labels: the diagonal labels of the
-diagonal blocks first, class by class, so the first c elements are the
+table packs the pairs of all target classes, and the key of every pair is
+compared with the key at one fixed pair of its class: one in the first row
+of S_h.  A class that misses that row is compared with the row's first
+pair instead, which can only fail the certificate, never pass it wrongly;
+for dist every class meets every row of S_h, since its row counts are
+intersection numbers.  All of this runs before any indicator row is built,
+so a graph that fails builds none.  Elements are numbered in a fixed order
+that depends only on the classes and the labels: the diagonal labels of
+the diagonal blocks first, class by class, so the first c elements are the
 class projections when the diagonal is one label, as it is for dist; then
 every other row, block by block in row-major order of (h, j).
+
+The cell table.  A certified span also carries its cells
+(BlockSpans.cells, a CellForm over a CellTable): cell k is the triple
+class of element k, and the table maps each pair (y, z) to its cell.  No
+n x n array of it is built: it keeps the caller's labels by reference and
+a (c, c nv) lookup of cell numbers by row class, column class and label,
+and forms only the part a reader asks for, in the narrow dtype of the
+lookup: the m pivot rows and columns that wedderburn's split reads
+(CellForm.positions), one block, the diagonal, or the line counts of
+every cell, one row class at a time.  So a closure whose span is never
+split, as in the U0 checks alone or the graph reports, pays for no table.
 
 A unit is held as a class table (u, den) over the span's classes: the
 matrix e = I - sum_h (u_h / den) J_{S_h}, with J_{S_h} the all-ones block
@@ -127,11 +143,12 @@ a constant on each diagonal block S_h x S_h and zero off them.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._intops import narrow_dtype, prepare_left, prepared_matmul
+from ._intops import narrow, narrow_dtype, prepare_left, prepared_matmul
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix
 
@@ -152,6 +169,154 @@ def identity_unit(classes: int) -> Unit:
     return unit_table((0,) * classes, 1)
 
 
+class CellTable:
+    """The cell table of a certified triple-label span: the map from each
+    pair (y, z) to the element of the span whose triple class holds it.
+
+    Cell k is the class {(y, z) in S_h x S_j : labels[y, z] = v} of element k
+    of the span closure() certified (module docstring).  No n x n array of
+    the table is held: each reader forms the part it asks for from the
+    caller's labels, which the table references and never copies, through
+    a (c, c nv) lookup of cell numbers by row class and (column class,
+    label), c classes and nv label values.  Every part is held in the
+    narrow dtype of the lookup, with no n^2 temporary.
+    """
+
+    def __init__(self, classes, labels: np.ndarray, lo: int, nv: int, owner, lookup, blocks):
+        self.classes = classes
+        self._labels = labels
+        self._lo = lo
+        self._held = narrow_dtype(nv - 1)
+        self._owner = owner  # owner[y]: the class of coordinate y
+        self._tag = (owner * nv).astype(narrow_dtype(len(classes) * nv))
+        self._lookup = lookup  # lookup[h, j nv + v]: the cell, or -1
+        self.blocks = blocks  # blocks[k] = (h, j), the block of cell k
+
+    @property
+    def size(self) -> int:
+        return len(self.blocks)
+
+    def _values(self, part: np.ndarray) -> np.ndarray:
+        """Labels read from the table, shifted to 0..nv-1, held narrow."""
+        if self._lo or part.dtype != self._held:
+            part = (part.astype(np.int64) - self._lo).astype(self._held)
+        return part
+
+    def rows(self, ys: np.ndarray) -> np.ndarray:
+        """The rows cells[ys, :], a len(ys) x n array."""
+        key = self._tag + self._values(self._labels[ys])
+        return self._lookup[self._owner[ys, None], key]
+
+    def cols(self, zs: np.ndarray) -> np.ndarray:
+        """The columns cells[:, zs], an n x len(zs) array."""
+        key = self._tag[zs] + self._values(self._labels[:, zs])
+        return self._lookup[self._owner[:, None], key]
+
+    def block(self, h: int, j: int) -> np.ndarray:
+        """The |S_h| x |S_j| block of the table on S_h x S_j."""
+        part = self._values(self._labels[np.ix_(self.classes[h], self.classes[j])])
+        return self._lookup[h][self._tag[self.classes[j][0]] + part]
+
+    def diagonal(self) -> np.ndarray:
+        """cells[y, y] for every coordinate y."""
+        return self._lookup[self._owner, self._tag + self._values(self._labels.diagonal())]
+
+    def line_counts(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(row count, column count) of every cell, when each is constant:
+        every y of S_h has the same number of pairs (y, z) in a cell of block
+        (h, j), and every z of S_j the same number of pairs (y, z); None
+        otherwise.  One pass, row class by row class: the cells of S_h x n
+        are counted per row and per column, exactly (bincount counts
+        without weights), and each count compared with the first row or
+        column of its class."""
+        n, size = len(self._owner), self.size
+        starts = [int(cls[0]) for cls in self.classes]
+        firsts = np.array(starts)[self.blocks[:, 1]]  # a column of each cell
+        row_count = np.zeros(size, dtype=np.int64)
+        col_count = np.zeros(size, dtype=np.int64)
+        for ys in self.classes:
+            ids = self.rows(ys)
+            local = np.arange(len(ys))[:, None] * size
+            per_row = np.bincount((local + ids).ravel(), minlength=len(ys) * size)
+            per_row = per_row.reshape(len(ys), size)
+            if not (per_row == per_row[0]).all():
+                return None
+            per_col = np.bincount((ids + np.arange(n) * size).ravel(), minlength=n * size)
+            per_col = per_col.reshape(n, size)
+            for zs in self.classes:
+                if not (per_col[zs] == per_col[zs[0]]).all():
+                    return None
+            row_count += per_row[0]
+            col_count += per_col[firsts, np.arange(size)]
+        return row_count, col_count
+
+
+@dataclass(frozen=True)
+class CellForm:
+    """The elements of a span as integer combinations of the cells of a
+    CellTable: element k is sum_s coef[k, s] 1_{cell index[k, s]}, the
+    dim x #cells matrix M with at most w = index.shape[1] entries per row.
+    The triple-label basis T has M = I (w = 1); the U0 corner has two
+    entries per row (wedderburn.complement_algebra)."""
+
+    table: CellTable
+    index: np.ndarray  # dim x w cell numbers
+    coef: np.ndarray  # dim x w int64 coefficients
+
+    def weights(self, c: np.ndarray) -> np.ndarray:
+        """c M: the weight of each cell in sum_k c_k (element k), summed
+        exactly on c's dtype (int64 or object); the caller bounds it."""
+        out = np.zeros(self.table.size, dtype=c.dtype)
+        np.add.at(out, self.index, c[:, None] * self.coef)
+        return out
+
+    def positions(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(left, right) for m pivots (rows[i], cols[i]): the m x n positions
+        i #cells + cells[t, cols[i]] and i #cells + cells[rows[i], t] at
+        (i, t), flat, in an m x #cells table (sums).  numpy's ufunc.at and
+        take are fastest on one flat index array, and one held as int32
+        keeps their temporaries small."""
+        top = len(rows) * self.table.size
+        base = np.arange(len(rows))[:, None] * self.table.size
+        held = np.int32 if top <= np.iinfo(np.int32).max else np.intp
+        left = np.ravel(base + self.table.cols(cols).T).astype(held)
+        return left, np.ravel(base + self.table.rows(rows)).astype(held)
+
+    def sums(self, part: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The m x #cells sums S[i, C] of the entries part[i, t] of an m x n
+        part at position at[i, t] = i #cells + C (positions): one exact
+        scatter-add on part's own dtype (int64 or object); the caller
+        bounds it."""
+        out = np.zeros(len(part) * self.table.size, dtype=part.dtype)
+        np.add.at(out, at, part.ravel())
+        return out.reshape(len(part), -1)
+
+    def combine(self, sums: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """S M^T at the columns ks: column c is
+        sum_s coef[k, s] S[:, index[k, s]], k = ks[c]; the caller bounds it."""
+        index, coef = self.index[ks], self.coef[ks]
+        out = sums[:, index[:, 0]] * coef[:, 0]
+        for s in range(1, index.shape[1]):
+            out += sums[:, index[:, s]] * coef[:, s]
+        return out
+
+    def own(self, sums: np.ndarray) -> np.ndarray:
+        """The diagonal of S M^T: entry k is sum_s coef[k, s] S[k, index[k, s]];
+        the caller bounds it."""
+        at = np.arange(len(sums))
+        return sum(sums[at, self.index[:, s]] * self.coef[:, s] for s in range(self.index.shape[1]))
+
+    @property
+    def is_cells(self) -> bool:
+        """Is every element one cell, element k cell k (M = I)?"""
+        dim = len(self.index)
+        return (
+            self.index.shape == (dim, 1)
+            and np.array_equal(self.index[:, 0], np.arange(dim))
+            and bool((self.coef == 1).all())
+        )
+
+
 class BlockSpans:
     """Reduced echelon spans of the blocks P_h X P_j of n x n matrices.
 
@@ -164,6 +329,13 @@ class BlockSpans:
     to contain e (module docstring).  Only closure() and
     wedderburn.complement_algebra set it, each after proving it; inserting
     a new element clears it.
+
+    cells is the span's cell form (CellForm), or None.  closure() sets it on
+    a certified triple-label basis, whose elements it also stores as rows;
+    a span made by of_cells holds its elements in that form alone and
+    forms a block only when element asks for it, or when a new element is
+    inserted, which stores them as rows first.  Inserting a new element
+    clears it.
     """
 
     def __init__(self, n: int, classes: Sequence[np.ndarray]):
@@ -172,6 +344,19 @@ class BlockSpans:
         self._spans: dict[tuple[int, int], EchelonSpan] = {}
         self._elements: list[tuple[int, int, int]] = []  # (h, j, row index)
         self.closed_unit: Unit | None = None
+        self.cells: CellForm | None = None
+        self._cell_pivots: list[tuple[int, int, int, int]] | None = None
+
+    @classmethod
+    def of_cells(cls, n, classes, cells: CellForm, blocks, pivots) -> "BlockSpans":
+        """The span whose element k is row k of cells.coef over its cells,
+        in block blocks[k] = (h, j), with pivots[k] = (r, c, value, max):
+        its pivot X[r, c] = value and max|X|, which the caller states."""
+        span = cls(n, classes)
+        span.cells = cells
+        span._elements = [(h, j, k) for k, (h, j) in enumerate(blocks)]
+        span._cell_pivots = list(pivots)
+        return span
 
     @property
     def dim(self) -> int:
@@ -183,6 +368,8 @@ class BlockSpans:
         Returns:
             The new element's number, or None when it was already spanned.
         """
+        if self._cell_pivots is not None:
+            self._store_rows()
         span = self._spans.get((h, j))
         if span is None:
             width = len(self.classes[h]) * len(self.classes[j])
@@ -191,20 +378,47 @@ class BlockSpans:
         if idx is None:
             return None
         self.closed_unit = None
+        self.cells = None
         self._elements.append((h, j, idx))
         return len(self._elements) - 1
 
+    def _store_rows(self) -> None:
+        """Hold the elements of a span in cell form alone as echelon rows,
+        in their order; they are reduced already, so no row changes."""
+        elements = []
+        for k in range(self.dim):
+            h, j, x = self.element(k)
+            span = self._spans.setdefault((h, j), EchelonSpan(x.size))
+            elements.append((h, j, span.add(x.ravel())))
+        self._elements, self._cell_pivots = elements, None
+
+    def block(self, k: int) -> tuple[int, int]:
+        """(h, j): the block of element k."""
+        h, j, _ = self._elements[k]
+        return h, j
+
     def element(self, k: int) -> tuple[int, int, np.ndarray]:
         """(h, j, current reduced block) of element k, a read-only view of
-        the row its span holds narrow (echelon)."""
+        the row its span holds narrow (echelon), or, in cell form alone,
+        the block summed from its cells and held narrow."""
         h, j, idx = self._elements[k]
-        block = self._spans[(h, j)].row(idx)
-        return h, j, block.reshape(len(self.classes[h]), len(self.classes[j]))
+        if self._cell_pivots is None:
+            block = self._spans[(h, j)].row(idx)
+            return h, j, block.reshape(len(self.classes[h]), len(self.classes[j]))
+        ids = self.cells.table.block(h, j)
+        out = np.zeros(ids.shape, dtype=np.int64)
+        for cell, coef in zip(self.cells.index[idx].tolist(), self.cells.coef[idx].tolist()):
+            out[ids == cell] = coef
+        out = narrow(out, self._cell_pivots[idx][3])
+        out.flags.writeable = False
+        return h, j, out
 
     def pivot(self, k: int) -> tuple[int, int, int]:
         """(r, c, value) of the pivot of element k's current block X: its
         first nonzero in row-major order, X[r, c] = value."""
         h, j, idx = self._elements[k]
+        if self._cell_pivots is not None:
+            return self._cell_pivots[idx][:3]
         offset, value = self._spans[(h, j)].pivot(idx)
         r, c = divmod(offset, len(self.classes[j]))
         return r, c, value
@@ -212,7 +426,43 @@ class BlockSpans:
     def row_max(self, k: int) -> int:
         """max|X| of element k's current block X, as its span tracks it."""
         h, j, idx = self._elements[k]
+        if self._cell_pivots is not None:
+            return self._cell_pivots[idx][3]
         return self._spans[(h, j)].row_max(idx)
+
+
+def zero_sum_span(t: BlockSpans, sizes: Sequence[int]) -> BlockSpans:
+    """The span, in cell form alone, of the combinations sum_C b_C 1_C of
+    the cells of each block with sum_C b_C |C| = 0, for a span t whose
+    elements are its cells (CellForm.is_cells) and sizes[k] = |cell k|.
+
+    On a block with cells C in t's order and C0 the one whose first pair
+    comes last, the rows are (|C0| 1_C - |C| 1_C0) / gcd(|C0|, |C|) for
+    every other C, in t's order: pivot the first pair of C, with value
+    |C0| / gcd, which lies in no other row, and content 1.  So they are the
+    block's reduced echelon basis already, and no reduction runs.
+    """
+    offset = [t.pivot(k)[:2] for k in range(t.dim)]
+    last: dict[tuple[int, int], int] = {}
+    for k in range(t.dim):
+        if offset[k] > offset[last.setdefault(t.block(k), k)]:
+            last[t.block(k)] = k
+    blocks, index, coef, pivots = [], [], [], []
+    for k in range(t.dim):
+        k0 = last[t.block(k)]
+        if k != k0:
+            g = math.gcd(sizes[k0], sizes[k])
+            a, b = sizes[k0] // g, sizes[k] // g
+            blocks.append(t.block(k))
+            index.append((k, k0))
+            coef.append((a, -b))
+            pivots.append((*offset[k], a, max(a, b)))
+    cells = CellForm(
+        t.cells.table,
+        np.array(index, dtype=np.intp).reshape(-1, 2),
+        np.array(coef, dtype=np.int64).reshape(-1, 2),
+    )
+    return BlockSpans.of_cells(t.n, t.classes, cells, blocks, pivots)
 
 
 def diagonal_row(g: RationalMatrix) -> np.ndarray | None:
@@ -342,8 +592,9 @@ def _triple_label_spans(n, classes, generators, diagonals, labels) -> BlockSpans
     docstring).  Block (h, j) holds the indicators of its triple classes as
     its rows, in pivot order; the elements are the indicators of the
     diagonal blocks' diagonal labels, class by class, then every other row,
-    block by block in row-major order of (h, j).  None when the
-    certificate fails.
+    block by block in row-major order of (h, j).  The span carries its
+    cells, cell k the class of element k (BlockSpans.cells).  None when the
+    certificate fails, which is checked before any row is built.
     """
     labels = np.asarray(labels)
     if labels.shape != (n, n) or labels.dtype.kind not in "iu":
@@ -368,33 +619,25 @@ def _triple_label_spans(n, classes, generators, diagonals, labels) -> BlockSpans
     values = np.arange(nv, dtype=held)[:, None]
     tag = (owner * nv).astype(narrow_dtype(c * nv))  # class id base of column z
 
-    spans = BlockSpans(n, classes)
-    diagonal, rest = [], []
+    # The certificate first, read from the labels alone: no indicator row
+    # is built for a graph that fails it.
+    on_diagonal = []
     for h in range(c):
         block_rows = lab[starts[h] : starts[h + 1]]
-        # rep[j nv + v]: the position in block_rows of the pivot of (h, j, v).
-        rep = [0] * (c * nv)
-        for j in range(c):
-            block = block_rows[:, starts[j] : starts[j + 1]].ravel()
-            rows, pivots, found = _indicator_rows(block, values)
-            spans._spans[(h, j)] = EchelonSpan.of_indicators(rows, pivots)
-            for v, p in zip(found, pivots):
-                r, col = divmod(p, sizes[j])
-                rep[j * nv + v] = r * n + starts[j] + col
-            on_diagonal = [False] * len(found)
-            if h == j:
-                # The class projection is the sum of the indicators of the
-                # labels on the diagonal: none may occur off it.
-                seen = np.bincount(block[:: sizes[h] + 1], minlength=nv).tolist()
-                for idx, v in enumerate(found):
-                    if seen[v]:
-                        if seen[v] != np.count_nonzero(rows[idx]):
-                            return None
-                        on_diagonal[idx] = True
-            for idx, diag in enumerate(on_diagonal):
-                (diagonal if diag else rest).append((h, j, idx))
+        # The class projection is the sum of the indicators of the labels on
+        # the diagonal: none may occur off it.
+        square = block_rows[:, starts[h] : starts[h + 1]]
+        seen = np.bincount(square.diagonal(), minlength=nv)
+        on = seen > 0
+        if not np.array_equal(seen[on], np.bincount(square.ravel(), minlength=nv)[on]):
+            return None
+        on_diagonal.append(on.tolist())
         classed = tag + block_rows
-        rep = np.array(rep)
+        # rep[j nv + v]: one position per class (h, j, v) at which the key of
+        # every pair of the class is read: a pair of the class in the first
+        # row of S_h, or position 0 for a class that misses that row.
+        rep = np.zeros(c * nv, dtype=np.intp)
+        rep[classed[0]] = np.arange(n)
         for tables_g in tables:
             slots, groups = tables_g[h]
             if not groups:
@@ -402,7 +645,30 @@ def _triple_label_spans(n, classes, generators, diagonals, labels) -> BlockSpans
             key = _step_key(lab, block_rows, slots, groups)
             if key is None or not np.array_equal(key.ravel()[rep].take(classed), key):
                 return None
+
+    spans = BlockSpans(n, classes)
+    diagonal, rest = [], []
+    found_in = {}
+    for h in range(c):
+        block_rows = lab[starts[h] : starts[h + 1]]
+        for j in range(c):
+            block = block_rows[:, starts[j] : starts[j + 1]].ravel()
+            rows, pivots, found = _indicator_rows(block, values)
+            spans._spans[(h, j)] = EchelonSpan.of_indicators(rows, pivots)
+            found_in[(h, j)] = found
+            for idx, v in enumerate(found):
+                (diagonal if h == j and on_diagonal[h][v] else rest).append((h, j, idx))
     spans._elements = diagonal + rest
+    # The cell table: cell k is the class of element k.
+    dim = spans.dim
+    lookup = np.full((c, c * nv), -1, dtype=narrow_dtype(dim))
+    blocks = np.array([(h, j) for h, j, _ in spans._elements], dtype=np.intp).reshape(dim, 2)
+    for k, (h, j, idx) in enumerate(spans._elements):
+        lookup[h, j * nv + found_in[(h, j)][idx]] = k
+    owner_at = np.empty(n, dtype=np.intp)
+    owner_at[perm] = owner
+    table = CellTable(classes, labels, lo, nv, owner_at, lookup, blocks)
+    spans.cells = CellForm(table, np.arange(dim)[:, None], np.ones((dim, 1), dtype=np.int64))
     spans.closed_unit = identity_unit(c)
     return spans
 

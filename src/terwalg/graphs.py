@@ -95,14 +95,31 @@ class Graph:
             raise ValueError(f"duplicate edge ({a}, {b})")
         src = np.concatenate((u, v)).astype(np.intp)
         dst = np.concatenate((v, u)).astype(np.intp)
-        dst = dst[np.argsort(src * n + dst, kind="stable")].tolist()
-        ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
-        g = cls(n, tuple(tuple(dst[a:b]) for a, b in zip([0] + ends, ends)))
-        reach = _distances(g.neighbors, [0])[:, 0]
-        if -1 in reach:
-            missing = int(np.argmax(reach == -1))
+        dst = dst[np.argsort(src * n + dst, kind="stable")]
+        deg = np.bincount(src, minlength=n)
+        ends = np.cumsum(deg)
+        # Connectivity: a breadth-first frontier from vertex 0 over the
+        # sorted arcs, each level gathered at once.  A vertex reached twice
+        # in a level joins the next frontier once: of its copies, the one
+        # whose write to claim stood.
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        claim = np.empty(n, dtype=np.intp)
+        front = np.zeros(1, dtype=np.intp)
+        while front.size:
+            counts = deg[front]
+            first = np.repeat(ends[front] - counts - (np.cumsum(counts) - counts), counts)
+            reached = dst[first + np.arange(first.size)]
+            fresh = reached[~seen[reached]]
+            order = np.arange(fresh.size)
+            claim[fresh] = order
+            front = fresh[claim[fresh] == order]
+            seen[front] = True
+        if not seen.all():
+            missing = int(np.argmin(seen))
             raise ValueError(f"graph is not connected: vertex {missing} unreachable from 0")
-        return g
+        dst, ends = dst.tolist(), ends.tolist()
+        return cls(n, tuple(tuple(dst[a:b]) for a, b in zip([0] + ends, ends)))
 
 
 def hypercube(d: int) -> Graph:

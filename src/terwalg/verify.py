@@ -54,7 +54,7 @@ from .wedderburn import (
 )
 
 # The largest diameter verify and report accept.
-MAX_D = 11
+MAX_D = 12
 PHI_IMAGE_MAX_D = 32
 PHI_FACTORIAL_MAX_D = 32
 SHIFT_LEMMA_MAX_D = 16

@@ -37,6 +37,22 @@ probe's rows, an idempotent's columns for its block size, both for the
 guard.  So no n x n matrix is formed here: the only ones are the n x n
 generators the caller passes, and the frames are m x n.
 
+The cell path.  A span closure() certified on its triple-label basis
+carries a cell table (closure.CellTable): cells[y, z] is the triple class
+C that holds (y, z), and b_k = sum_C M[k, C] 1_C for a small integer
+matrix M (closure.CellForm), the identity on T and two entries per row on
+the U0 corner.  The split reads such a span through the table, at its m
+pivot rows and columns, and never through its pieces.  The frame of
+z = sum_k c_k b_k is one gather of its cell weights w = c M:
+z[R_i, t] = w[cells[R_i, t]] and z[t, C_i] = w[cells[t, C_i]].  A pivot
+entry of g b_k is sum_C M[k, C] sum_{t : cells[t, C_i] = C} g[R_i, t], so
+the pivot products of g are one exact scatter-add S[i, C] of g's pivot
+rows by cell (numpy's add.at, on int64 or Python ints), then S M^T; b_k g
+scatters g's pivot columns by cells[R_i, t] alike, and the trace entry
+(b_k z)[R_k, C_k] is entry (k, k) of that product.  tr b_k is
+sum_C M[k, C] #{y : cells[y, y] = C}.  Every value is the piece path's, and
+each kernel states the piece path's bound.
+
 - The center, filtered by class-diagonal generators.  Call a generator g
   class-diagonal when it is a row, constant, g_h, on every class S_h of the
   span, as A* is on the spheres; an n x n generator is never taken as one,
@@ -97,6 +113,19 @@ generators the caller passes, and the frames are m x n.
   in O(|S_a| |S_b|) (_compress), then reduced in that block's span.  The
   corner's identity I - U0 is its unit table (m_sigma(h) for each class h,
   L), so the corner forms no n x n array either.
+  On T's cells no piece is compressed or reduced (_label_corner).  When
+  each cell C of block (h, j) has constant row and column counts, as
+  closure.CellTable.line_counts checks in one pass, the line sums of 1_C
+  are |C| / |S_h| and |C| / |S_j|, and m_a |S_a| = L, so
+  W 1_C W = L^2 (1_C - |C| / (|S_h| |S_j|) J).  The block's corner is then
+  {sum_C b_C 1_C : sum_C b_C |C| = 0}, of dimension #cells - 1, spanned by
+  the rows (|C0| 1_C - |C| 1_C0) / gcd(|C0|, |C|), C0 the cell whose first
+  pair comes last (closure.zero_sum_span).  Each row's pivot is the first
+  pair of C, with value |C0| / gcd, it lies in no other row, and the row's
+  content is 1: the rows are the block's reduced echelon basis already.  On
+  T's numbering, where a block's cells come in pivot order, the reduction
+  path drops exactly each block's C0 and numbers the rest alike, so the
+  two corners agree element by element.
   The corner is split on T's own generators A and A*.  If U0 is an
   idempotent that commutes with g, then so is e = I - U0, and every c of
   the corner has c = e c e, so (e g e) c = e g c = g e c = g c and
@@ -154,6 +183,7 @@ need not be 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -172,7 +202,7 @@ from ._intops import (
     max_abs,
     to_object,
 )
-from .closure import BlockSpans, Unit, diagonal_row, identity_unit, unit_table
+from .closure import BlockSpans, Unit, diagonal_row, identity_unit, unit_table, zero_sum_span
 from .idempotent import U0Report, _line_sums, sphere_of_classes
 from .linalg import RationalMatrix, kernel_basis, min_poly
 from .polys import RationalPoly, integer_roots
@@ -228,10 +258,12 @@ class _PivotBasis:
     def __init__(self, span: BlockSpans):
         self.n = span.n
         self.classes = span.classes
-        self.pieces = [span.element(k) for k in range(span.dim)]
+        self.cells = span.cells
+        self._span = span
         # The pivots and maxima are the span's own, not recomputed.
         rows, cols, local, self.pivvals = [], [], [], []
-        for k, (h, j, _) in enumerate(self.pieces):
+        for k in range(span.dim):
+            h, j = span.block(k)
             r, c, value = span.pivot(k)
             rows.append(self.classes[h][r])
             cols.append(self.classes[j][c])
@@ -248,8 +280,6 @@ class _PivotBasis:
         self._in_cols = [np.flatnonzero(self._j == j) for j in range(len(self.classes))]
         self.pivlcm = math.lcm(1, *self.pivvals)
         self.maxes = [span.row_max(k) for k in range(span.dim)]
-        # tr b_k: a piece off the diagonal blocks has no diagonal entry.
-        self.traces = [int(np.trace(x)) if h == j else 0 for h, j, x in self.pieces]
         # Echelon stores its rows narrow, so a piece is object only when its
         # max|X| is past the int64 bound, and so is every bound below that
         # counts the piece: no flag for object pieces is needed.  So the
@@ -261,10 +291,31 @@ class _PivotBasis:
         # pivot_trace).
         self._bmax = max(self.maxes, default=0)
         self.closed_unit = span.closed_unit
+        if self.cells is None:
+            # tr b_k: a piece off the diagonal blocks has no diagonal entry.
+            self.traces = [int(np.trace(x)) if h == j else 0 for h, j, x in self.pieces]
+        else:
+            self._cell_setup()
+
+    @functools.cached_property
+    def pieces(self) -> list[tuple[int, int, np.ndarray]]:
+        """(h, j, X_k) of every element, read from the span on first use:
+        the piece path reads them, the cell path does not."""
+        return [self._span.element(k) for k in range(self.dim)]
+
+    def _cell_setup(self) -> None:
+        """The cell path's positions at the pivots (closure.CellForm.
+        positions) and tr b_k = sum_s coef[k, s] #{y : cells[y, y] = index[k, s]}."""
+        form = self.cells
+        self._left_at, self._right_at = form.positions(self.rows, self.cols)
+        counts = np.bincount(form.table.diagonal(), minlength=form.table.size)[form.index]
+        bound = self.n * self._bmax * form.index.shape[1]
+        traces = guarded(bound, lambda a, b: (a * b).sum(axis=1), form.coef, counts)
+        self.traces = [int(v) for v in traces]
 
     @property
     def dim(self) -> int:
-        return len(self.pieces)
+        return len(self.pivvals)
 
     def unit_coordinates(self, unit: Unit) -> tuple[np.ndarray, int]:
         """Coordinates (c, den) of a unit table (closure.Unit), read at the
@@ -297,7 +348,8 @@ class _PivotBasis:
     def _frame(self, c, rows: bool) -> np.ndarray:
         """One half of the frame (frame_rows, frame_cols).  Every entry is at
         most sum_k |c_k| max|X_k|; past the int64 bound it is summed on
-        Python ints and kept object, not demoted."""
+        Python ints and kept object, not demoted.  On the cell path it is
+        one gather of the cell weights c M (module docstring)."""
         c = [int(v) for v in c]
         used = [k for k, v in enumerate(c) if v]
         shape = (self.dim, self.n) if rows else (self.n, self.dim)
@@ -316,6 +368,14 @@ class _PivotBasis:
                 out[at] += c[k] * part.astype(dtype, copy=False)
             return out
 
+        def gather(dtype):
+            # z[R_i, t] = (c M)[cells[R_i, t]], read in m copies of c M.
+            cm = np.tile(self.cells.weights(np.array(c, dtype=dtype)), self.dim)
+            out = cm.take(self._right_at if rows else self._left_at).reshape(self.dim, self.n)
+            return out if rows else out.T
+
+        if self.cells is not None:
+            total = gather
         return guarded(
             sum(abs(c[k]) * self.maxes[k] for k in used),
             lambda: total(np.int64),
@@ -332,6 +392,14 @@ class _PivotBasis:
         n * max|part| * max|X| bounds it (guarded).  The pieces are read as
         they are held (see __init__).
         """
+        bound = self.n * max_abs(part) * self._bmax
+        if self.cells is not None:
+            # S M^T at the columns ks, for the sums S of part by cell; g's
+            # pivot rows are m x n and its pivot columns n x m, and both are
+            # read at (i, t), the layout of the positions.
+            part, at = (part, self._left_at) if left else (part.T, self._right_at)
+            ks = np.arange(self.dim) if ks is None else ks
+            return guarded(bound, lambda p: self.cells.combine(self.cells.sums(p, at), ks), part)
         ks = range(self.dim) if ks is None else ks
 
         def products(part):
@@ -347,7 +415,6 @@ class _PivotBasis:
                 out[sel, c] = np.einsum("it,ti->i", a, b)
             return out
 
-        bound = self.n * max_abs(part) * self._bmax
         return guarded(bound, products, part)
 
     def left(self, rows: np.ndarray, ks=None) -> np.ndarray:
@@ -391,8 +458,13 @@ class _PivotBasis:
             pieces = enumerate(zip(self.pieces, self._r))
             return np.array([x[r] @ g[self.classes[j], k] for k, ((_, j, x), r) in pieces], g.dtype)
 
+        def cell_entries(g):
+            # Entry k of S M^T for the sums S of g by the cells of the pivot
+            # rows: (b_k z)[R_k, C_k], as right(cols) has it.
+            return self.cells.own(self.cells.sums(g.T, self._right_at))
+
         bound = self.n * max_abs(cols) * self._bmax
-        dots = guarded(bound, entries, cols)
+        dots = guarded(bound, entries if self.cells is None else cell_entries, cols)
         total = sum(int(v) * (self.pivlcm // p) for v, p in zip(dots, self.pivvals))
         return Fraction(total, self.pivlcm * den)
 
@@ -689,6 +761,19 @@ def _compress(x: np.ndarray, big: int, ma: int, mb: int) -> np.ndarray:
     return guarded(4 * big * big * max_abs(x), compressed, x, *_line_sums(x))
 
 
+def _label_corner(t: BlockSpans) -> BlockSpans | None:
+    """The corner's span read off T's cells (module docstring), or None when
+    t is not a certified triple-label basis, its elements its cells, or
+    some cell's row or column count is not constant."""
+    if t.cells is None or not t.cells.is_cells:
+        return None
+    counts = t.cells.table.line_counts()
+    if counts is None:
+        return None
+    sizes = [int(r) * len(t.classes[h]) for r, (h, _j) in zip(counts[0], t.cells.table.blocks)]
+    return zero_sum_span(t, sizes)
+
+
 def complement_algebra(ctx, t: BlockSpans, rep: U0Report) -> CompressedAlgebra:
     """Basis and identity of (I - U0) T (I - U0).
 
@@ -696,11 +781,13 @@ def complement_algebra(ctx, t: BlockSpans, rep: U0Report) -> CompressedAlgebra:
     echelonizing {W B W} with W = L (I - U0), where L U0 = S^T diag(m) S is
     the factorization that verify_u0 verified and rep holds as (m, L) (the
     scalar L does not move the span).  Each class of t's blocks is one
-    sphere, so W B W stays in the block of B and is formed there from the
-    line sums of its piece (_compress) and reduced in that block's span.
-    The identity I - U0 is I - J / k_h on S_h x S_h, with k_h = L / m_h,
-    and zero off those blocks: it is held as its unit table
-    (m_sigma(h) for each class h, L), and no n x n array is formed.
+    sphere, so W B W stays in the block of B.  On a certified triple-label
+    basis whose cells have constant line counts the reduced basis is read
+    off the cells (_label_corner, module docstring); on any other span each
+    W B W is formed from the line sums of its piece (_compress) and reduced
+    in that block's span.  The identity I - U0 is I - J / k_h on S_h x S_h,
+    with k_h = L / m_h, and zero off those blocks: it is held as its unit
+    table (m_sigma(h) for each class h, L), and no n x n array is formed.
 
     rep is the U0Report that verify_u0 made for t.  The corner is certified
     closed with unit I - U0 (module docstring) only when that report found
@@ -711,10 +798,12 @@ def complement_algebra(ctx, t: BlockSpans, rep: U0Report) -> CompressedAlgebra:
     """
     m, big = rep.m, rep.L
     sigma = sphere_of_classes(ctx, t.classes)
-    span = BlockSpans(ctx.n, t.classes)
-    for k in range(t.dim):
-        h, j, x = t.element(k)
-        span.add(h, j, _compress(x, big, m[sigma[h]], m[sigma[j]]))
+    span = _label_corner(t)
+    if span is None:
+        span = BlockSpans(ctx.n, t.classes)
+        for k in range(t.dim):
+            h, j, x = t.element(k)
+            span.add(h, j, _compress(x, big, m[sigma[h]], m[sigma[j]]))
     identity = unit_table((m[a] for a in sigma), big)
     if rep.central and rep.idempotent and t.closed_unit == identity_unit(len(t.classes)):
         span.closed_unit = identity

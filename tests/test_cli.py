@@ -51,11 +51,12 @@ def test_verify_rejects_max_d_zero(runner):
     assert result.exit_code == 2
 
 
-def test_verify_rejects_max_d_twelve(runner):
-    result = runner.invoke(main, ["verify", "--max-d", "12"])
+def test_verify_rejects_max_d_thirteen(runner):
+    result = runner.invoke(main, ["verify", "--max-d", "13"])
     assert result.exit_code == 2
-    with pytest.raises(ValueError, match="between 1 and 11"):
-        verify.run_verification(12)
+    assert runner.invoke(main, ["report", "--d", "13"]).exit_code == 2
+    with pytest.raises(ValueError, match="between 1 and 12"):
+        verify.run_verification(13)
 
 
 def test_verify_and_report_accept_d_eleven(runner, monkeypatch):
@@ -78,6 +79,29 @@ def test_verify_and_report_accept_d_eleven(runner, monkeypatch):
     assert runner.invoke(main, ["report", "--d", "11", "--vertex", last]).exit_code == 0
     assert runner.invoke(main, ["report", "--d", "11", "--vertex", "2048"]).exit_code == 2
     assert asked == [("verify", 11, 0), ("report", 11, 2047)]
+
+
+def test_verify_and_report_accept_d_twelve(runner, monkeypatch):
+    # The top diameter, MAX_D = 12, reaches the library; stand-ins replace
+    # the runs themselves.
+    asked = []
+
+    def fake_verification(max_d, vertex=0):
+        asked.append(("verify", max_d, vertex))
+        return verify.run_verification(1)
+
+    def fake_report(d, vertex=0):
+        asked.append(("report", d, vertex))
+        return verify.build_parameter_report(1)
+
+    monkeypatch.setattr(cli, "run_verification", fake_verification)
+    monkeypatch.setattr(cli, "build_parameter_report", fake_report)
+    assert verify.MAX_D == 12
+    assert runner.invoke(main, ["verify", "--max-d", "12"]).exit_code == 0
+    last = str(2**12 - 1)
+    assert runner.invoke(main, ["report", "--d", "12", "--vertex", last]).exit_code == 0
+    assert runner.invoke(main, ["report", "--d", "12", "--vertex", "4096"]).exit_code == 2
+    assert asked == [("verify", 12, 0), ("report", 12, 4095)]
 
 
 def test_verify_has_no_threads_option(runner):
@@ -170,7 +194,7 @@ def test_report_u0_identity_d1(runner):
 
 def test_report_usage_bounds(runner):
     assert runner.invoke(main, ["report", "--d", "0"]).exit_code == 2
-    assert runner.invoke(main, ["report", "--d", "12"]).exit_code == 2
+    assert runner.invoke(main, ["report", "--d", "13"]).exit_code == 2
     assert runner.invoke(main, ["report"]).exit_code == 2
 
 

@@ -1158,7 +1158,11 @@ def _refuse_n_by_n(monkeypatch, side):
         return out
 
     def checked(fn):
-        return lambda *args, **kwargs: refuse_square(fn(*args, **kwargs))
+        wrapped = lambda *args, **kwargs: refuse_square(fn(*args, **kwargs))  # noqa: E731
+        if isinstance(fn, np.ufunc):
+            # ufunc.at adds in place into an array made, and checked, before.
+            wrapped.at = fn.at
+        return wrapped
 
     class CheckedNumpy:
         def __getattr__(self, name):
