@@ -28,30 +28,6 @@ sums small integers in int64), flatnonzero, and an operation against an
 int64 operand, which numpy computes in int64.  A kernel that reads a
 narrow array only so keeps it out of guarded's operands, and one that
 scales only slices of it widens each slice it takes.
-
-exact_matmul has one structured path besides the dense product.  When an
-n x w operand has at most r nonzeros in every row, and 4·r is at most w (the
-inner dimension of the product) or r <= 1, the product is a sum of r
-gathered rows of the other operand: row i of S @ B is the sum of
-S[i, c]·B[c, :] over the nonzeros S[i, c] of row i, which costs O(r) instead
-of O(w) per entry of the result.  The factor need not be square.  A sparse
-right factor goes through the transpose, A @ S = (Sᵀ @ Aᵀ)ᵀ, so there the
-count is taken per column and w is the number of rows of S.  Each entry of
-the result is a sum of at most r products, so the int64 bound is
-r·max|S|·max|B|, not w·max|S|·max|B|.  On a d=8 sweep the gather fires on
-the left-regular matrices L_p that split_center hands to min_poly and to
-its Lagrange steps.  On the (d+1)-sized parameter tables of _krein_table
-and the section identities it fires only at d <= 1, where a row has at
-most one nonzero; every other exact_matmul product there is dense.
-
-A left factor that multiplies many operands is prepared once:
-prepare_left(m) keeps m with max|m| and its row structure, and
-prepared_matmul(left, x, max|x|) then states its bound with no pass over m:
-r·max|m|·max|x| for the gather when m is sparse, w·max|m|·max|x| for the
-dense int64 product when it is not; past it the product goes to
-exact_matmul.  The closure (closure.closure) multiplies every basis piece by
-such prepared sphere blocks A[S_h', S_h] of its generators (at most d ones
-per row, against a width of C(d, h)).
 """
 
 from __future__ import annotations
@@ -180,138 +156,10 @@ def guarded(bound: int, fn, *operands: np.ndarray, exact=None):
     return demote(out)
 
 
-# A factor of inner width w with at most r nonzeros per row is applied by
-# gathering when GATHER_RATIO·r <= w.  Measured with numpy 2.4 on one core
-# (minimum of 7 runs; integer matmul has no BLAS behind it), dense against
-# the gather of a 0/1 factor and of one with entries 1..4, in ms:
-#   256 x 256 @ 256 x 256: dense 15.5; r = 64: 2.6, 5.7; r = 128: 4.2, 10.9
-#   252 x 210 @ 210 x 120: dense 3.4;  r = 52: 0.85, 2.2; r = 105: 1.8, 4.5
-#   56 x 28 @ 28 x 70:     dense 0.06; r = 7: 0.03, 0.06; r = 14: 0.06, 0.11
-#   84 x 36 @ 36 x 36:     dense 0.06; r = 9: 0.03, 0.06; r = 18: 0.07, 0.13
-# The gather pays a fixed cost per slot, so at the narrow sphere-block widths
-# of the closure the signed gather breaks even at r = w/4; at wide factors
-# the ratio 4 leaves room to spare.
-GATHER_RATIO = 4
-
-
-def _row_structure(m: np.ndarray):
-    """The nonzeros of each row of an n x w m, if few enough to gather.
-
-    Returns None unless m has rows and at most r nonzeros in every row,
-    where GATHER_RATIO·r <= w or r <= 1.  Otherwise returns (cols, vals,
-    unit): n x r arrays in which a row with fewer than r nonzeros is padded
-    with column 0 and value 0, and unit, which is True when no row is padded
-    and every value is 1.
-    """
-    if m.ndim != 2 or m.shape[0] == 0:
-        return None
-    n, w = m.shape
-    mask = m != 0
-    counts = mask.sum(axis=1)
-    r = int(counts.max())
-    if r > 1 and GATHER_RATIO * r > w:
-        return None
-    where = np.flatnonzero(mask)
-    rows, nz_cols = np.divmod(where, w)
-    nz_vals = m[rows, nz_cols]
-    if where.size == n * r:
-        cols = nz_cols.reshape(n, r)
-        vals = nz_vals.reshape(n, r)
-        return cols, vals, bool((vals == 1).all())
-    slot = np.arange(where.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    cols = np.zeros((n, r), dtype=np.intp)
-    vals = np.zeros((n, r), dtype=m.dtype)
-    cols[rows, slot] = nz_cols
-    vals[rows, slot] = nz_vals
-    return cols, vals, False
-
-
-def _gather(cols, vals, unit: bool, other: np.ndarray, axis: int) -> np.ndarray:
-    """Sum over s of vals[:, s] times the slices of other picked by cols[:, s].
-
-    axis 0 gathers rows of other (a sparse left factor); axis -1 gathers its
-    columns, which is the row gather of otherᵀ written back transposed (a
-    sparse right factor).  Padded slots gather slice 0 and are zeroed by
-    their value 0, so only a unit structure may skip the multiply.
-    """
-    shape = list(other.shape)
-    shape[axis] = cols.shape[0]
-    if cols.shape[1] == 0:
-        return np.zeros(shape, dtype=other.dtype)
-    weight = (-1,) + (1,) * (other.ndim - 1) if axis == 0 else (-1,)
-    out = tmp = None
-    for s in range(cols.shape[1]):
-        # Every index is in range; mode="clip" only spares np.take the
-        # buffered copy it makes for out= under the default mode="raise".
-        part = np.take(other, cols[:, s], axis=axis, out=tmp, mode="clip")
-        if not unit:
-            part *= vals[:, s].reshape(weight)
-        if out is None:
-            out = part
-        else:
-            out += part
-            tmp = part
-    return out
-
-
-def _gather_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """a @ b by gathering when a factor is row-sparse, else None.
-
-    A sparse left factor is read by its rows; a sparse right factor by its
-    columns, the rows of bᵀ, since a @ b = (bᵀ @ aᵀ)ᵀ.  When both qualify
-    the sparser one is taken; a left factor with r <= 1 cannot be beaten.
-    """
-    if not (1 <= a.ndim <= 2 and 1 <= b.ndim <= 2 and a.shape[-1] == b.shape[0]):
-        return None
-    left = _row_structure(a)
-    right = None
-    if left is None or left[0].shape[1] > 1:
-        right = _row_structure(b.T)
-    if right is not None and (left is None or right[0].shape[1] < left[0].shape[1]):
-        (cols, vals, unit), other, axis = right, a, -1
-    elif left is not None:
-        (cols, vals, unit), other, axis = left, b, 0
-    else:
-        return None
-    return guarded(
-        cols.shape[1] * max_abs(vals) * max_abs(other),
-        lambda v, o: _gather(cols, v, unit, o, axis),
-        vals,
-        other,
-    )
-
-
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer matrix product with int64/object dispatch.
-
-    A row-sparse factor takes the gather path (see the module
-    docstring); every other product is dense.
-    """
-    out = _gather_product(a, b)
-    if out is not None:
-        return out
+    """Exact integer matrix product with int64/object dispatch: the dense
+    product, bounded by w·max|a|·max|b| for the inner width w."""
     return guarded(a.shape[-1] * max_abs(a) * max_abs(b), np.matmul, a, b)
-
-
-def prepare_left(m: np.ndarray) -> tuple:
-    """(m, max|m|, row structure or None): m ready to be the left factor of
-    many products (module docstring)."""
-    return m, max_abs(m), _row_structure(m)
-
-
-def prepared_matmul(left: tuple, x: np.ndarray, xmax: int) -> np.ndarray:
-    """Exact m @ x for left = prepare_left(m) and xmax = max|x|; past the
-    bound of the prepared path, exact_matmul."""
-    m, mmax, structure = left
-    if structure is None:
-        return guarded(m.shape[1] * mmax * xmax, np.matmul, m, x, exact=exact_matmul)
-    return guarded(
-        structure[0].shape[1] * mmax * xmax,
-        lambda _m, x: _gather(*structure, x, 0),
-        m,
-        x,
-        exact=exact_matmul,
-    )
 
 
 def exact_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -36,17 +36,6 @@ and, blockwise, by every P_h; it contains I, so it is T.  A stored row is
 never written in place (clearing stores a new array, and stored rows are
 read-only, echelon), so the view read at a turn stays valid with no copy.
 
-Each nonzero row block g[S_h', S_h] is prepared once, when the action
-table is built: its largest entry and, when it is row-sparse, its gather
-structure (_intops.prepare_left).  An element's largest entry is read
-from its span at its turn (BlockSpans.row_max).  Every product then picks
-the gather, the dense int64 product or the object path from an exact
-bound with no pass over the block (_intops.prepared_matmul).  Each path
-gives the exact product, so the rows, and with them the element
-numbering, do not depend on the path taken.  For the cube every
-A[S_h', S_h] has at most d ones in a row of width C(d, h), so all but the
-narrowest blocks are gathered.
-
 The supports of different blocks are disjoint, and a block's coordinates in
 row-major order are its entries' order in the row-major n x n matrix, so the
 union of the blocks' reduced echelon rows is the reduced echelon basis of T
@@ -148,7 +137,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._intops import narrow, narrow_dtype, prepare_left, prepared_matmul
+from ._intops import exact_matmul, narrow, narrow_dtype
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix
 
@@ -704,8 +693,8 @@ def closure(generators: Sequence[RationalMatrix], labels: np.ndarray | None = No
         if spans is not None:
             return spans
     # For each n x n generator and source class h, its nonzero row blocks
-    # g[S_h', S_h] with their target class h', each prepared once as the
-    # left factor of every product with an element of block (h, j).
+    # g[S_h', S_h] with their target class h', the left factor of every
+    # product with an element of block (h, j).
     actions = []
     for g, row in zip(generators, rows):
         if row is not None:
@@ -716,7 +705,7 @@ def closure(generators: Sequence[RationalMatrix], labels: np.ndarray | None = No
             for h2, members in enumerate(classes):
                 block = g.num[np.ix_(members, cols)]
                 if np.any(block):
-                    targets.append((h2, prepare_left(block)))
+                    targets.append((h2, block))
             by_source.append(targets)
         actions.append(by_source)
 
@@ -726,10 +715,9 @@ def closure(generators: Sequence[RationalMatrix], labels: np.ndarray | None = No
     k = 0
     while k < spans.dim:
         h, j, x = spans.element(k)
-        xmax = spans.row_max(k)
         for by_source in actions:
             for h2, block in by_source[h]:
-                spans.add(h2, j, prepared_matmul(block, x, xmax))
+                spans.add(h2, j, exact_matmul(block, x))
         k += 1
 
     spans.closed_unit = identity_unit(len(classes))

@@ -29,6 +29,13 @@ from ._intops import narrow
 
 MAX_VERTICES = 1 << 12  # all-pairs distance table is the memory bound
 
+# is_distance_regular refuses a diameter d whose (d+1)^3 p-table has more
+# entries than this, before it allocates anything.  The table is int64 and
+# is built beside the list of d+1 matrices it stacks, so 2^25 entries cost
+# up to about 0.5 GB; the 512-cycle (d = 256, 257^3 entries) is admitted and
+# the 1024-cycle (513^3) is not.
+MAX_P_TABLE = 1 << 25
+
 # A level of the distance search with fewer than n S / SPARSE_LEVEL pairs is
 # taken pair by pair, a larger one on whole tables (see _distances).  All
 # pairs of Q_10, in-process with numpy 2.4 (best of 2): every level pair by
@@ -354,6 +361,10 @@ def is_distance_regular(g: Graph, dd: DistanceData):
     matrix and A A_j = b_(j-1) A_(j-1) + a_j A_j + c_(j+1) A_(j+1) gives
     B_(j+1) = (B_1 B_j - a_j B_j - b_(j-1) B_(j-1)) / c_(j+1).
 
+    Raises:
+        ValueError: if the p-table of dd.diameter would hold more than
+            MAX_P_TABLE entries; this is checked before any count.
+
     Returns:
         (True, table) with table[h][i][j] the intersection numbers, or
         (False, witness) where witness = (h, 1, i, pair_a, count_a, pair_b,
@@ -366,6 +377,11 @@ def is_distance_regular(g: Graph, dd: DistanceData):
     dist = dd.dist
     diam = dd.diameter
     size = diam + 1
+    if size**3 > MAX_P_TABLE:
+        raise ValueError(
+            f"diameter {diam} needs a p-table of {size}^3 = {size**3} entries, "
+            f"past the cap of {MAX_P_TABLE}"
+        )
     table = _neighbour_table(g.neighbors)
     deg = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=g.n)
     # A slot past a vertex's degree holds the vertex itself: masked out.

@@ -228,7 +228,8 @@ def _intersection_numbers(g: Graph, dd: DistanceData, x: int) -> np.ndarray:
     Raises:
         VerificationError: if dist is not symmetric, {dist = 0} is not the
             diagonal, or a sphere around x is empty.
-        ValueError: if the graph is not distance-regular (witness included).
+        ValueError: if the graph is not distance-regular (witness included),
+            or its diameter is past the p-table cap (graphs.MAX_P_TABLE).
     """
     dist = dd.dist
     if not np.array_equal(dist, dist.T):
@@ -246,7 +247,8 @@ def distance_regular_table(g: Graph, dd: DistanceData) -> np.ndarray:
     """The intersection numbers counted on g (graphs.is_distance_regular).
 
     Raises:
-        ValueError: if the graph is not distance-regular (witness included).
+        ValueError: if the graph is not distance-regular (witness included),
+            or its diameter is past the p-table cap (graphs.MAX_P_TABLE).
     """
     ok, result = is_distance_regular(g, dd)
     if not ok:
@@ -347,8 +349,9 @@ def build_context(g: Graph, x: int = 0) -> TerwContext:
     """Context for a general distance-regular graph with rational spectrum.
 
     Raises:
-        ValueError: if the graph is not distance-regular (witness included)
-            or has an irrational adjacency eigenvalue.
+        ValueError: if the graph is not distance-regular (witness included),
+            its diameter is past the p-table cap (graphs.MAX_P_TABLE), or it
+            has an irrational adjacency eigenvalue.
     """
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range for {g.n} vertices")

@@ -369,7 +369,9 @@ def build_graph_report(g: Graph, vertex: int = 0) -> tuple[dict, bool]:
 
     Raises:
         ValueError: if the graph is not distance-regular (witness included,
-            whatever the vertex) or has an irrational adjacency eigenvalue.
+            whatever the vertex), its diameter is past the p-table cap
+            (graphs.MAX_P_TABLE), or it has an irrational adjacency
+            eigenvalue.
     """
     try:
         ctx = build_context(g, vertex)

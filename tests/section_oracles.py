@@ -100,8 +100,7 @@ def check_section_identities(ctx: TerwContext) -> list[Check]:
     # Spectral certificate for E_i E_j = delta_ij E_i.  If the theta_i are
     # distinct, sum_j E_j = I and A E_i = theta_i E_i = E_i A for every i,
     # then E_i A E_j equals both theta_i E_i E_j and theta_j E_i E_j, so
-    # E_i E_j = 0 for i != j, and E_i = E_i sum_j E_j = E_i^2.  A has d
-    # nonzeros per row, so its products are gathered, not dense.  Only when
+    # E_i E_j = 0 for i != j, and E_i = E_i sum_j E_j = E_i^2.  Only when
     # the certificate fails do the (d+1)^2 dense products decide the verdict
     # and name the first failing pair.
     ortho = (

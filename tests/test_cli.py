@@ -2,8 +2,13 @@
 
 import gc
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -278,6 +283,35 @@ def test_graph_vertex_cap(runner, tmp_path):
     result = runner.invoke(main, ["graph", "--file", str(path)])
     assert result.exit_code == 1
     assert "graph is not connected" in result.output
+
+
+def test_graph_refuses_a_long_diameter_before_its_p_table(tmp_path):
+    # The 1024-cycle is under the vertex cap, but its p-table would hold
+    # 513^3 int64 entries (1.08 GB).  Under a 768 MiB address-space limit
+    # the command must still exit 1 with a message naming the diameter and
+    # the table size, and no traceback: the refusal comes from the diameter,
+    # before the table or any count is allocated.
+    n = 1024
+    path = tmp_path / "c1024.txt"
+    path.write_text(f"{n} {n}\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "terwalg.cli", "graph", "--file", str(path)],
+        env=env,
+        preexec_fn=limit,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 1
+    assert "diameter 512 needs a p-table of 513^3 = 135005697 entries" in result.stderr
+    assert "Traceback" not in result.stderr and not result.stdout
 
 
 def test_graph_vertex_out_of_range(runner, tmp_path):

@@ -543,33 +543,41 @@ def test_graph_report_is_the_same_on_the_oracle_closure(monkeypatch):
         assert report(*args) == expected[name], name
 
 
+def _product_sides(monkeypatch):
+    """One entry per product of the closure's loop (closure binds its own
+    exact_matmul): True when the product ran on Python ints, that is when
+    _intops.guarded made its operands object."""
+    closure_module = importlib.import_module("terwalg.closure")
+    real_matmul, real_to_object = closure_module.exact_matmul, _intops.to_object
+    sides, converted = [], []
+
+    def to_object_counted(arr):
+        converted.append(1)
+        return real_to_object(arr)
+
+    def matmul_counted(a, b):
+        before = len(converted)
+        out = real_matmul(a, b)
+        sides.append(len(converted) > before)
+        return out
+
+    monkeypatch.setattr(_intops, "to_object", to_object_counted)
+    monkeypatch.setattr(closure_module, "exact_matmul", matmul_counted)
+    return sides
+
+
 def test_prepared_closure_matches_the_oracle_on_the_object_path(monkeypatch):
     # With the bound at 2^3 the products and eliminations whose bound reaches
     # it run on Python ints and the rest stay int64, in the closure and in
     # the oracle alike.
-    closure_module = importlib.import_module("terwalg.closure")
     cases = list(oracle_cases(5))
-    prepared, fallbacks = [], []
-
-    def counting(real, calls):
-        def wrapped(*args):
-            calls.append(1)
-            return real(*args)
-
-        return wrapped
-
     monkeypatch.setattr(_intops, "INT64_SAFE", 1 << 3)
     monkeypatch.setattr(echelon, "INT64_SAFE", 1 << 3)
-    monkeypatch.setattr(_intops, "exact_matmul", counting(_intops.exact_matmul, fallbacks))
-    monkeypatch.setattr(
-        closure_module,
-        "prepared_matmul",
-        counting(closure_module.prepared_matmul, prepared),
-    )
+    sides = _product_sides(monkeypatch)
     for name, gens in cases:
         assert_matches_oracle(gens, name, same_order=name.startswith("Q_"))
     # Both sides of the bound were taken.
-    assert 100 < len(fallbacks) < len(prepared) - 100
+    assert sides.count(True) > 100 and sides.count(False) > 100
 
 
 def test_prepared_closure_bounds_each_product_by_its_piece(monkeypatch):
@@ -577,20 +585,13 @@ def test_prepared_closure_bounds_each_product_by_its_piece(monkeypatch):
     # P + 2P² has entries up to 2: w·max|block| = 3·2^60 is under
     # INT64_SAFE, but the bound 3·2^60·2 of a product with that piece is
     # not, so the product must take the object path.
-    fallbacks = []
-    real = _intops.exact_matmul
-
-    def counting(a, b):
-        fallbacks.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(_intops, "exact_matmul", counting)
+    sides = _product_sides(monkeypatch)
     m = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]], dtype=np.int64) * (1 << 59)
     d = np.array([[1, 1, 2]], dtype=np.int64)
     for gens in ([RationalMatrix(m)], [RationalMatrix(m), RationalMatrix(d)]):
-        fallbacks.clear()
+        sides.clear()
         assert_matches_oracle(gens, "2^59 circulant", same_order=True)
-        assert fallbacks
+        assert True in sides
 
 
 # -- the triple-label basis against the product loop -------------------------
@@ -618,13 +619,13 @@ def _relabelled_graph_contexts(monkeypatch):
 def _products_counted(monkeypatch):
     calls = []
     closure_module = importlib.import_module("terwalg.closure")
-    real = closure_module.prepared_matmul
+    real = closure_module.exact_matmul
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(closure_module, "prepared_matmul", counting)
+    monkeypatch.setattr(closure_module, "exact_matmul", counting)
     return calls
 
 

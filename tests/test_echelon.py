@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terwalg import _intops, echelon, idempotent, wedderburn
-from terwalg._intops import demote, exact_matmul, max_abs, prepare_left, prepared_matmul
+from terwalg._intops import demote, exact_matmul, max_abs
 from terwalg.closure import BlockSpans, closure
 from terwalg.echelon import EchelonSpan
 from terwalg.linalg import RationalMatrix, rank
@@ -286,8 +286,8 @@ def _edge_block(draw, shape):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_narrow_pieces_gather_frame_and_sum_as_int64_pieces(data):
-    # The same blocks in a span held narrow and one held int64: the gather
-    # (prepared_matmul), the frames, the pivot products and trace, and the
+    # The same blocks in a span held narrow and one held int64: the product
+    # (exact_matmul), the frames, the pivot products and trace, and the
     # line sums and compression read equal values from both.
     draw = data.draw
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
@@ -316,8 +316,9 @@ def test_narrow_pieces_gather_frame_and_sum_as_int64_pieces(data):
         assert span.pivot(k) == ref.pivot(k) and span.row_max(k) == ref.row_max(k)
         h, j, x = span.element(k)
         y = ref.element(k)[2]
-        # One nonzero per row takes the gather, unit or multiplied; a full
-        # left factor takes the dense product.
+        # A left factor with one nonzero per row, unit or near the int8
+        # edge, and the same plus one everywhere: the narrow piece gives the
+        # int64 piece's product.
         rows = draw(st.integers(1, 4))
         pick = draw(st.lists(st.integers(0, x.shape[0] - 1), min_size=rows, max_size=rows))
         mults = np.array(draw(st.lists(wrapping_multiplier, min_size=rows, max_size=rows)))
@@ -325,7 +326,7 @@ def test_narrow_pieces_gather_frame_and_sum_as_int64_pieces(data):
             m = np.zeros((rows, x.shape[0]), dtype=np.int64)
             m[np.arange(rows), pick] = vals
             for left in (m, m + 1):
-                got = prepared_matmul(prepare_left(left), x, span.row_max(k))
+                got = exact_matmul(left, x)
                 assert got.dtype == np.int64 and np.array_equal(got, exact_matmul(left, y))
         for a, b in zip(idempotent._line_sums(x), idempotent._line_sums(y)):
             assert np.array_equal(a, b)

@@ -1,11 +1,11 @@
 """Tests for the guarded integer kernels, chiefly exact_matmul's dispatch.
 
-exact_matmul has a gather path for factors, square or not, with few
-nonzeros per row (the diagonal is its r <= 1 case) and a dense path;
-prepared_matmul picks between the same paths for a prepared left factor.
-The fixed cases below pin each branch of the gather; the property tests
-compare every path with the dense product on Python ints, and the last
-tests rerun whole reports with the gather switched off.
+Every product is the dense one, in int64 under its bound w·max|a|·max|b|
+(w the inner width) and on Python ints past it.  The fixed cases pin the
+int64/object dispatch on diagonal, sparse, rectangular and vector
+operands; the property tests compare exact_matmul with the dense product
+on Python ints, and the last test reruns whole reports with the int64
+bound lowered, so that the object path runs everywhere it can.
 """
 
 import itertools
@@ -22,9 +22,7 @@ from hypothesis import strategies as st
 
 from terwalg import _intops, echelon
 from terwalg._intops import INT64_SAFE, exact_matmul
-from terwalg.closure import closure
 from terwalg.graphs import parse_graph_file
-from terwalg.subconstituent import build_hypercube_context
 from terwalg.verify import build_graph_report, run_verification
 
 
@@ -328,7 +326,7 @@ def test_dispatch_matches_dense_product(pair):
     assert_exact(a, b)
 
 
-# -- the gather path ----------------------------------------------------------
+# -- sparse and rectangular factors ------------------------------------------
 
 
 def cube_adjacency(d):
@@ -340,48 +338,10 @@ def cube_adjacency(d):
     return a
 
 
-def gathers(a, b):
-    """Whether exact_matmul(a, b) takes the gather path."""
-    return _intops._gather_product(a, b) is not None
-
-
-def test_regular_unit_rows_gather_without_multiply():
-    rng = random.Random(7)
-    a = cube_adjacency(5)
-    cols, vals, unit = _intops._row_structure(a)
-    assert cols.shape == (32, 5) and unit
-    b = dense(rng, 32, 32)
-    assert gathers(a, b) and gathers(b, a)
-    assert_exact(a, b)
-    assert_exact(b, a)
-    assert_exact(a, a)
-
-
-def test_uneven_rows_are_padded_and_still_multiplied():
-    # 0/1 rows of different lengths: padded slots gather row 0, so the
-    # multiply must stay even though every stored value is 1.
-    rng = random.Random(8)
-    a = cube_adjacency(5)
-    a[0] = 0
-    a[3, :] = 0
-    a[3, 7] = 1
-    a[9, 30] = 0
-    cols, vals, unit = _intops._row_structure(a)
-    assert cols.shape == (32, 5) and not unit
-    b = dense(rng, 32, 6, lo=1, hi=9)  # row 0 has no zero to hide a bad pad
-    assert gathers(a, b)
-    got = assert_exact(a, b)
-    assert not got[0].any()
-    assert_exact(dense(rng, 6, 32, lo=1, hi=9), a)
-    assert_exact(a.T.copy(), b)
-
-
 def test_signed_adjacency_minus_theta_identity():
     rng = random.Random(9)
     a = cube_adjacency(5) - 3 * np.eye(32, dtype=np.int64)
-    assert not _intops._row_structure(a)[2]
     b = dense(rng, 32, 32)
-    assert gathers(a, b) and gathers(b, a)
     assert_exact(a, b)
     assert_exact(b, a)
 
@@ -400,7 +360,6 @@ def test_sparse_right_factor():
     assert not np.array_equal(s, s.T)
     for rows in (1, 5, 32, 40):
         a = dense(rng, rows, 32)
-        assert gathers(a, s)
         assert_exact(a, s)
     # A diagonal on the right scales columns, not rows.
     got = assert_exact(dense(rng, 3, 4), diag([1, 2, 3, 4]))
@@ -411,7 +370,6 @@ def test_vectors_on_either_side():
     rng = random.Random(11)
     for s in (cube_adjacency(5), skew_sparse(32, rng)):
         v = np.array([rng.randint(-9, 9) for _ in range(32)], dtype=np.int64)
-        assert gathers(s, v) and gathers(v, s)
         assert assert_exact(s, v).shape == (32,)
         assert assert_exact(v, s).shape == (32,)
 
@@ -423,47 +381,10 @@ def test_object_operands_gather_and_demote():
     b = dense(rng, 32, 32)
     small = assert_exact(a.astype(object), b)
     assert small.dtype == np.int64  # fits, so the object result is demoted
-    assert gathers(a.astype(object), b)
     huge = b.astype(object) * (1 << 70)
     assert assert_exact(a, huge).dtype == object
     assert assert_exact(huge, s.astype(object)).dtype == object
     assert assert_exact(s.astype(object) * (1 << 64), b[:, 0]).dtype == object
-
-
-def test_gather_threshold_boundary():
-    # Eight nonzeros per row: 4·8 = 32 gathers at side 32; side 31 is dense.
-    rng = random.Random(13)
-    for n, expect in ((32, True), (31, False)):
-        m = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            m[i, rng.sample(range(n), 8)] = [rng.randint(1, 9) for _ in range(8)]
-        b = dense(rng, n, n)
-        assert gathers(m, b) is expect
-        assert gathers(b, m.T.copy()) is expect
-        assert_exact(m, b)
-        assert_exact(b, m.T.copy())
-    # At most one nonzero per row always gathers, whatever the side.
-    perm = np.eye(3, dtype=np.int64)[[2, 0, 1]] * 5
-    assert gathers(perm, dense(rng, 3, 3))
-    assert_exact(perm, dense(rng, 3, 3))
-
-
-def test_bound_uses_row_count_not_side(monkeypatch):
-    # 32·2**58 = 2**63 would fail a side-based bound; 5·2**58 < 2**62 holds,
-    # so the product never leaves int64 (an object detour would be demoted
-    # back, so it is caught here instead of by the result's dtype).
-    def no_object(arr):
-        raise AssertionError("object path taken")
-
-    monkeypatch.setattr(_intops, "to_object", no_object)
-    a = cube_adjacency(5)
-    b = np.full((32, 4), 1 << 58, dtype=np.int64)
-    b[::3] = -(1 << 58) + 17
-    assert 32 * (1 << 58) >= INT64_SAFE > 5 * (1 << 58)
-    got = assert_exact(a, b)
-    assert got.dtype == np.int64
-    got = assert_exact(b.T.copy(), a)
-    assert got.dtype == np.int64
 
 
 def test_bound_crossing_row_count_goes_to_object():
@@ -517,9 +438,6 @@ def test_gather_matches_dense_product(pair):
     assert_exact(a, b)
 
 
-# -- rectangular factors and prepared left factors ---------------------------
-
-
 def rect_sparse(rng, n, w, r, values="signed", magnitude=9, empty_rows=0):
     """An n x w matrix with at most r nonzeros in a row and exactly r in
     row 0 (when n > empty_rows); the last empty_rows rows are zero."""
@@ -531,90 +449,39 @@ def rect_sparse(rng, n, w, r, values="signed", magnitude=9, empty_rows=0):
     return _maybe_int64(m)
 
 
-def rebuilt(structure, shape):
-    """The matrix a row structure stands for, padded slots included."""
-    cols, vals, _unit = structure
-    m = np.zeros(shape, dtype=object)
-    for i in range(cols.shape[0]):
-        for c, v in zip(cols[i], vals[i]):
-            m[i, c] += int(v)
-    return m
-
-
-def test_rectangular_row_structure():
-    rng = random.Random(14)
-    # Tall and wide, unit and signed, with padded and empty rows.
-    for n, w, r, values, empty in (
-        (40, 8, 2, "unit", 0),
-        (5, 60, 15, "signed", 2),
-        (17, 12, 3, "unit", 5),
-        (9, 1, 1, "signed", 3),
-        (3, 2, 1, "unit", 0),
-    ):
-        m = rect_sparse(rng, n, w, r, values, empty_rows=empty)
-        structure = _intops._row_structure(m)
-        assert structure is not None and structure[0].shape == (n, r)
-        assert np.array_equal(rebuilt(structure, (n, w)), m.astype(object))
-        counts = (m != 0).sum(axis=1)
-        assert structure[2] == bool((counts == r).all() and (m[m != 0] == 1).all())
-    # A zero factor has r = 0: an empty structure, and a zero product.
-    z = np.zeros((4, 7), dtype=np.int64)
-    assert _intops._row_structure(z)[0].shape == (4, 0)
-    assert not assert_exact(z, dense(rng, 7, 3)).any()
-    assert not assert_exact(dense(rng, 3, 4), z).any()
-    assert _intops._row_structure(np.zeros((0, 5), dtype=np.int64)) is None
-
-
-def test_rectangular_gather_threshold_is_the_inner_width():
-    # Two nonzeros per row gather at width 8 = 4·2, not at width 7, for any
-    # number of rows; as a right factor the count is per column.
-    rng = random.Random(15)
-    for n in (3, 8, 50):
-        for w, expect in ((8, True), (7, False)):
-            m = rect_sparse(rng, n, w, 2)
-            b = dense(rng, w, 5)
-            assert (_intops._row_structure(m) is not None) is expect
-            assert gathers(m, b) is expect
-            assert gathers(dense(rng, 4, w), m.T.copy()) is expect
-            assert_exact(m, b)
-            assert_exact(dense(rng, 4, w), m.T.copy())
-    # At most one nonzero per row gathers at every width.
-    for w in (1, 2, 3):
-        m = rect_sparse(rng, 6, w, 1, empty_rows=2)
-        assert gathers(m, dense(rng, w, 4))
-        assert_exact(m, dense(rng, w, 4))
-
-
-def test_rectangular_bound_across_int64(monkeypatch):
-    # Five nonzeros in a row of width 20: the bound is 5·max|S|·max|B|, not
-    # 20·max|S|·max|B|.  Just under INT64_SAFE the product stays int64 with
-    # no object detour; past it the gather runs on Python ints.
-    rng = random.Random(16)
-    s = rect_sparse(rng, 12, 20, 5, values="unit")
-    under = INT64_SAFE // 5 - 1
-    b = np.full((20, 3), under, dtype=np.int64)
-    b[::4] = -under
+def test_dense_bound_is_the_inner_width(monkeypatch):
+    # exact_matmul bounds a product by w·max|a|·max|b|, w the inner width,
+    # whatever the number of nonzeros in a row.  Just under that bound the
+    # product stays int64 with no detour through Python ints; just past it
+    # the product runs on Python ints, and a result that fits is demoted.
+    converted = []
     real_to_object = _intops.to_object
 
-    def no_object(arr):
-        raise AssertionError("object path taken")
+    def counting(arr):
+        converted.append(1)
+        return real_to_object(arr)
 
-    monkeypatch.setattr(_intops, "to_object", no_object)
-    assert 20 * under >= INT64_SAFE
-    assert assert_exact(s, b).dtype == np.int64
-    assert assert_exact(b.T.copy(), s.T.copy()).dtype == np.int64
-    monkeypatch.setattr(_intops, "to_object", real_to_object)
-    over = b.copy()
-    over[:, :] = INT64_SAFE // 5 + 1
-    got = assert_exact(s, over)
-    assert got.dtype == object and max(abs(int(v)) for v in got.flat) >= INT64_SAFE
-    assert assert_exact(over.T.copy(), s.T.copy()).dtype == object
+    monkeypatch.setattr(_intops, "to_object", counting)
+    rng = random.Random(16)
+    full = np.ones((12, 20), dtype=np.int64)
+    full[::3] = -1
+    sparse = rect_sparse(rng, 12, 20, 5, values="unit")
+    for m, entry, dtype, on_python_ints in (
+        (full, INT64_SAFE // 20 - 1, np.int64, False),
+        (full, INT64_SAFE // 20 + 1, object, True),
+        (sparse, INT64_SAFE // 20 + 1, np.int64, True),
+    ):
+        b = np.full((20, 3), entry, dtype=np.int64)
+        for left, right in ((m, b), (b.T.copy(), m.T.copy())):
+            converted.clear()
+            assert assert_exact(left, right).dtype == dtype
+            assert bool(converted) is on_python_ints
 
 
 @st.composite
 def rectangular_operands(draw):
-    """A row-sparse n x w factor that qualifies for the gather, and a
-    partner, as the left factor or (transposed) as the right one."""
+    """An n x w factor with at most w/4 nonzeros in a row, and a partner,
+    as the left factor or (transposed) as the right one."""
     n = draw(st.integers(1, 24))
     w = draw(st.integers(1, 48))
     r = draw(st.integers(0, max(1, w // 4)))
@@ -640,57 +507,7 @@ def rectangular_operands(draw):
 @given(rectangular_operands())
 def test_rectangular_gather_matches_dense_product(pair):
     a, b = pair
-    assert gathers(a, b)
     assert_exact(a, b)
-
-
-def test_prepared_matmul_takes_each_path_by_its_bound(monkeypatch):
-    rng = random.Random(17)
-    calls = {"gather": 0, "fallback": 0}
-    real_gather, real_matmul = _intops._gather, _intops.exact_matmul
-
-    def gather(*args):
-        calls["gather"] += 1
-        return real_gather(*args)
-
-    def fallback(a, b):
-        calls["fallback"] += 1
-        return real_matmul(a, b)
-
-    monkeypatch.setattr(_intops, "_gather", gather)
-    monkeypatch.setattr(_intops, "exact_matmul", fallback)
-
-    def product(m, x):
-        before = dict(calls)
-        got = _intops.prepared_matmul(_intops.prepare_left(m), x, _intops.max_abs(x))
-        want = reference(m, x)
-        assert got.shape == want.shape
-        assert all(int(g) == int(v) for g, v in zip(got.flat, want.flat))
-        return got, {k: calls[k] - before[k] for k in calls}
-
-    sparse = rect_sparse(rng, 10, 24, 3, values="unit")  # r = 3, w = 24
-    full = dense(rng, 10, 24, lo=1, hi=1)  # every entry 1: w = 24
-    cases = (
-        (sparse, INT64_SAFE // 3 - 1, np.int64, {"gather": 1, "fallback": 0}),
-        (sparse, INT64_SAFE // 3 + 1, object, {"gather": 1, "fallback": 1}),
-        (full, INT64_SAFE // 24 - 1, np.int64, {"gather": 0, "fallback": 0}),
-        (full, INT64_SAFE // 24 + 1, object, {"gather": 0, "fallback": 1}),
-    )
-    for m, entry, dtype, path in cases:
-        x = np.full((24, 4), entry, dtype=np.int64)
-        got, taken = product(m, x)
-        assert got.dtype == dtype and taken == path
-    # An object operand falls back whatever its size, and the result is the
-    # object path's.
-    small = dense(rng, 24, 4)
-    for m in (sparse, full):
-        _got, taken = product(m.astype(object), small)
-        assert taken["fallback"] == 1
-        _got, taken = product(m, small.astype(object))
-        assert taken["fallback"] == 1
-
-
-# -- whole reports with the gather switched off --------------------------------
 
 
 def _kneser_5_2_edges():
@@ -704,43 +521,6 @@ def _kneser_5_2_edges():
 
 def _edge_list_text(n, edges):
     return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
-
-
-def _reports():
-    q4 = [(u, u ^ (1 << k)) for u in range(16) for k in range(4) if u < u ^ (1 << k)]
-    graphs = [
-        parse_graph_file(_edge_list_text(10, _kneser_5_2_edges())),
-        parse_graph_file(_edge_list_text(16, q4)),
-    ]
-    texts = [run_verification(5, vertex=3).to_json()]
-    for g in graphs:
-        data, all_ok = build_graph_report(g, 3)
-        texts.append(json.dumps(data, sort_keys=True, indent=2) + f"\n{all_ok}\n")
-    # The cubes above take the triple-label basis, with no product; the
-    # product loop on Q_6, whose wider sphere blocks gather, keeps the
-    # closure's prepared blocks in the test.
-    loop = closure(build_hypercube_context(6, 3).generators())
-    texts.append(repr([(h, j, x.tolist()) for h, j, x in map(loop.element, range(loop.dim))]))
-    return texts
-
-
-def test_reports_identical_without_the_gather(monkeypatch):
-    # Every gather, in exact_matmul and in the closure's prepared blocks,
-    # starts from a row structure; with none found every product is dense.
-    taken = []
-    real = _intops._gather
-
-    def counting(*args):
-        taken.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(_intops, "_gather", counting)
-    with_gather = _reports()
-    assert sum(taken) > 100  # the gather really ran
-    taken.clear()
-    monkeypatch.setattr(_intops, "_row_structure", lambda m: None)
-    assert _reports() == with_gather
-    assert not taken
 
 
 def _object_path_reports():

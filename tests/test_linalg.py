@@ -549,7 +549,7 @@ def test_poly_eval_matrix_matches_fraction_horner():
             for _ in range(rng.randint(0, 5))
         ]
         cases.append((RationalPoly(coeffs), RationalMatrix(num, den)))
-    # Hypercube adjacency, where every product is gathered in int64.
+    # Hypercube adjacency, whose products stay in int64.
     g = hypercube(4)
     a = distance_matrix(g, DistanceData.compute(g), 1)
     cases += [(RationalPoly.from_roots([4, 2, 0, -2]), a), (RationalPoly((-1, 3)), a)]
