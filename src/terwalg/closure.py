@@ -62,8 +62,9 @@ has certified distance-regularity (subconstituent.TerwContext.
 algebra_basis, verify._prepare).  The indicators of one block have disjoint
 supports, so they are primitive 0/1 rows that are zero at each other's
 pivots: in pivot order they are already the block's reduced echelon rows,
-stored narrow (int8) with no reduction.  closure() takes them as the basis
-when three checks hold, and otherwise runs the product loop unchanged:
+with no reduction, and each row's pivot is the first pair of its class,
+with value 1.  closure() takes them as the basis when three checks hold,
+and otherwise runs the product loop unchanged:
 
 - Each class projection is a sum of classes: on a diagonal block (h, h),
   a label on the diagonal occurs nowhere off it.  Then P_h, and I, lie in
@@ -98,23 +99,27 @@ compared with the key at one fixed pair of its class: one in the first row
 of S_h.  A class that misses that row is compared with the row's first
 pair instead, which can only fail the certificate, never pass it wrongly;
 for dist every class meets every row of S_h, since its row counts are
-intersection numbers.  All of this runs before any indicator row is built,
-so a graph that fails builds none.  Elements are numbered in a fixed order
+intersection numbers.  All of this runs before any element is found, so a
+graph that fails pays for no more.  Elements are numbered in a fixed order
 that depends only on the classes and the labels: the diagonal labels of
 the diagonal blocks first, class by class, so the first c elements are the
 class projections when the diagonal is one label, as it is for dist; then
-every other row, block by block in row-major order of (h, j).
+every other class, block by block in row-major order of (h, j), each block
+in pivot order.  A class's first pair is its first column in the first
+row of S_h x n that meets it, in class order, where a block's columns are
+consecutive.
 
-The cell table.  A certified span also carries its cells
+The cell table.  A certified span is held in cell form alone, with no row
 (BlockSpans.cells, a CellForm over a CellTable): cell k is the triple
 class of element k, and the table maps each pair (y, z) to its cell.  No
 n x n array of it is built: it keeps the caller's labels by reference and
 a (c, c nv) lookup of cell numbers by row class, column class and label,
 and forms only the part a reader asks for, in the narrow dtype of the
 lookup: the m pivot rows and columns that wedderburn's split reads
-(CellForm.positions), one block, the diagonal, or the line counts of
-every cell, one row class at a time.  So a closure whose span is never
-split, as in the U0 checks alone or the graph reports, pays for no table.
+(CellForm.positions), one block, the diagonal, or the line sums of every
+cell, one row class at a time, counted once per table for the U0 checks
+and the U0 corner.  So a closure whose span is never split, as in the U0
+checks alone or the graph reports, pays for no table.
 
 A unit is held as a class table (u, den) over the span's classes: the
 matrix e = I - sum_h (u_h / den) J_{S_h}, with J_{S_h} the all-ones block
@@ -131,18 +136,38 @@ a constant on each diagonal block S_h x S_h and zero off them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._intops import exact_matmul, narrow, narrow_dtype
+from ._intops import demote, exact_matmul, guarded, max_abs, narrow, narrow_dtype, to_object
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix
 
 # (u, den): the unit I - sum_h (u_h / den) J_{S_h} (module docstring).
 Unit = tuple[tuple[int, ...], int]
+
+# (h, j, row sums, column sums) of an element X of block (h, j).
+LineSums = tuple[int, int, np.ndarray, np.ndarray]
+
+
+def _line_sums(x: np.ndarray, xmax: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(row sums, column sums) of an integer block, exactly: max(x.shape) max|x|
+    bounds each (guarded), xmax, when given, being max|x| as the span tracks
+    it (BlockSpans.row_max).  numpy sums a narrow dtype in int64, so x is
+    read as it is held, not widened."""
+
+    def sums(x):
+        return x.sum(axis=1), x.sum(axis=0)
+
+    return guarded(
+        max(x.shape) * (max_abs(x) if xmax is None else xmax),
+        lambda: sums(x),
+        exact=lambda: tuple(demote(s) for s in sums(to_object(x))),
+    )
 
 
 def unit_table(u, den: int) -> Unit:
@@ -175,11 +200,15 @@ class CellTable:
         self.classes = classes
         self._labels = labels
         self._lo = lo
+        self._nv = nv
         self._held = narrow_dtype(nv - 1)
         self._owner = owner  # owner[y]: the class of coordinate y
         self._tag = (owner * nv).astype(narrow_dtype(len(classes) * nv))
         self._lookup = lookup  # lookup[h, j nv + v]: the cell, or -1
         self.blocks = blocks  # blocks[k] = (h, j), the block of cell k
+        hs, keys = np.nonzero(lookup >= 0)
+        self._key = np.empty(len(blocks), dtype=np.intp)  # _key[k] = j nv + v
+        self._key[lookup[hs, keys]] = keys
 
     @property
     def size(self) -> int:
@@ -210,53 +239,88 @@ class CellTable:
         """cells[y, y] for every coordinate y."""
         return self._lookup[self._owner, self._tag + self._values(self._labels.diagonal())]
 
-    def line_counts(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(row count, column count) of every cell, when each is constant:
-        every y of S_h has the same number of pairs (y, z) in a cell of block
-        (h, j), and every z of S_j the same number of pairs (y, z); None
-        otherwise.  One pass, row class by row class: the cells of S_h x n
-        are counted per row and per column, exactly (bincount counts
-        without weights), and each count compared with the first row or
-        column of its class."""
-        n, size = len(self._owner), self.size
-        starts = [int(cls[0]) for cls in self.classes]
-        firsts = np.array(starts)[self.blocks[:, 1]]  # a column of each cell
-        row_count = np.zeros(size, dtype=np.int64)
-        col_count = np.zeros(size, dtype=np.int64)
+    @functools.cached_property
+    def line_sums(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(rows, cols), one count table per class, formed once:
+        rows[h][j nv + v, y] counts the pairs (S_h[y], z) with z in S_j and
+        label v, and cols[j][h nv + v, z] the pairs (y, S_j[z]) with y in S_h
+        and label v.  Each row class is read once, its counts per row and
+        per column one exact bincount each (no weights), held narrow."""
+        nv, n, c = self._nv, len(self._owner), len(self.classes)
+        perm = np.concatenate(self.classes)
+        buf = np.empty(max(map(len, self.classes)) * n, dtype=np.intp)
+        rows, by_label = [], []
         for ys in self.classes:
-            ids = self.rows(ys)
-            local = np.arange(len(ys))[:, None] * size
-            per_row = np.bincount((local + ids).ravel(), minlength=len(ys) * size)
-            per_row = per_row.reshape(len(ys), size)
-            if not (per_row == per_row[0]).all():
-                return None
-            per_col = np.bincount((ids + np.arange(n) * size).ravel(), minlength=n * size)
-            per_col = per_col.reshape(n, size)
-            for zs in self.classes:
-                if not (per_col[zs] == per_col[zs[0]]).all():
-                    return None
-            row_count += per_row[0]
-            col_count += per_col[firsts, np.arange(size)]
-        return row_count, col_count
+            part = self._values(self._labels[np.ix_(ys, perm)])
+            at = buf[: part.size].reshape(part.shape)
+            np.add(self._tag[perm], part, out=at)
+            at *= len(ys)
+            at += np.arange(len(ys))[:, None]
+            counts = np.bincount(at.ravel(), minlength=c * nv * len(ys))
+            rows.append(narrow(counts, n).reshape(c * nv, len(ys)))
+            at[...] = part
+            at *= n
+            at += np.arange(n)
+            counts = np.bincount(at.ravel(), minlength=nv * n)
+            by_label.append(narrow(counts, len(ys)).reshape(nv, n))  # columns in class order
+        starts = np.cumsum([0, *map(len, self.classes)])
+        cols = [np.concatenate([t[:, a:b] for t in by_label]) for a, b in zip(starts, starts[1:])]
+        return rows, cols
+
+    def line_counts(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(row count, column count) of every cell when each is constant over
+        the rows S_h and the columns S_j of its block (h, j), else None: each
+        table of line_sums is compared with its first column."""
+        rows, cols = self.line_sums
+        if not all((t == t[:, :1]).all() for t in rows + cols):
+            return None
+        cells = zip(self.blocks.tolist(), self._key.tolist())
+        row_count, col_count = zip(
+            *((rows[h][key, 0], cols[j][h * self._nv + key % self._nv, 0]) for (h, j), key in cells)
+        )
+        return np.array(row_count, dtype=np.int64), np.array(col_count, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class CellForm:
     """The elements of a span as integer combinations of the cells of a
     CellTable: element k is sum_s coef[k, s] 1_{cell index[k, s]}, the
-    dim x #cells matrix M with at most w = index.shape[1] entries per row.
-    The triple-label basis T has M = I (w = 1); the U0 corner has two
-    entries per row (wedderburn.complement_algebra)."""
+    dim x #cells matrix M with at most w = index.shape[1] entries per row,
+    and pivots[k] = (r, c, value, max): its pivot X[r, c] = value and max|X|
+    in its block X, which the maker states.  The triple-label basis T has
+    M = I (w = 1); the U0 corner has two entries per row
+    (wedderburn.complement_algebra)."""
 
     table: CellTable
     index: np.ndarray  # dim x w cell numbers
     coef: np.ndarray  # dim x w int64 coefficients
+    pivots: list[tuple[int, int, int, int]]
 
     def weights(self, c: np.ndarray) -> np.ndarray:
         """c M: the weight of each cell in sum_k c_k (element k), summed
         exactly on c's dtype (int64 or object); the caller bounds it."""
         out = np.zeros(self.table.size, dtype=c.dtype)
         np.add.at(out, self.index, c[:, None] * self.coef)
+        return out
+
+    def line_sums(self) -> list[list[np.ndarray]]:
+        """[row sums, column sums] of every element: the rows of the count
+        tables of its row and its column class (CellTable.line_sums) at its
+        cells, summed with its coefficients.  Each sum has w terms of at most
+        max|coef| n, which bounds it (guarded)."""
+        table = self.table
+        nv = table._nv
+        bound = self.index.shape[1] * max_abs(self.coef) * len(table._owner)
+        labels = table._key[self.index] % nv
+        hs, js = table.blocks[self.index[:, 0]].T
+        out = [[None, None] for _ in range(len(self.index))]
+        for side, (these, others) in enumerate(((hs, js), (js, hs))):
+            for a, counts in enumerate(table.line_sums[side]):
+                ks = np.flatnonzero(these == a)
+                parts = counts[others[ks, None] * nv + labels[ks]]  # element, term, line
+                sums = guarded(bound, lambda m, x: (m[..., None] * x).sum(1), self.coef[ks], parts)
+                for k, line in zip(ks.tolist(), sums):
+                    out[k][side] = line
         return out
 
     def positions(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,32 +383,28 @@ class BlockSpans:
     wedderburn.complement_algebra set it, each after proving it; inserting
     a new element clears it.
 
-    cells is the span's cell form (CellForm), or None.  closure() sets it on
-    a certified triple-label basis, whose elements it also stores as rows;
-    a span made by of_cells holds its elements in that form alone and
-    forms a block only when element asks for it, or when a new element is
-    inserted, which stores them as rows first.  Inserting a new element
-    clears it.
+    A span is held in one of two forms: as echelon rows, block by block, or
+    in cell form alone, when cells (a CellForm) is not None.  A span made
+    by of_cells holds no row: it forms an element's block only when element
+    asks for it, and takes no new element.
     """
 
     def __init__(self, n: int, classes: Sequence[np.ndarray]):
         self.n = n
         self.classes = tuple(classes)
         self._spans: dict[tuple[int, int], EchelonSpan] = {}
-        self._elements: list[tuple[int, int, int]] = []  # (h, j, row index)
+        self._elements: list[tuple[int, int, int]] = []  # (h, j, row index or cell-form k)
         self.closed_unit: Unit | None = None
         self.cells: CellForm | None = None
-        self._cell_pivots: list[tuple[int, int, int, int]] | None = None
 
     @classmethod
-    def of_cells(cls, n, classes, cells: CellForm, blocks, pivots) -> "BlockSpans":
-        """The span whose element k is row k of cells.coef over its cells,
-        in block blocks[k] = (h, j), with pivots[k] = (r, c, value, max):
-        its pivot X[r, c] = value and max|X|, which the caller states."""
+    def of_cells(cls, n, classes, cells: CellForm) -> "BlockSpans":
+        """The span whose element k is row k of cells, in the block of its
+        cells."""
         span = cls(n, classes)
         span.cells = cells
+        blocks = cells.table.blocks[cells.index[:, 0]].tolist()
         span._elements = [(h, j, k) for k, (h, j) in enumerate(blocks)]
-        span._cell_pivots = list(pivots)
         return span
 
     @property
@@ -356,9 +416,12 @@ class BlockSpans:
 
         Returns:
             The new element's number, or None when it was already spanned.
+
+        Raises:
+            ValueError: if the span is held in cell form.
         """
-        if self._cell_pivots is not None:
-            self._store_rows()
+        if self.cells is not None:
+            raise ValueError("a span held in cell form takes no new element")
         span = self._spans.get((h, j))
         if span is None:
             width = len(self.classes[h]) * len(self.classes[j])
@@ -367,19 +430,8 @@ class BlockSpans:
         if idx is None:
             return None
         self.closed_unit = None
-        self.cells = None
         self._elements.append((h, j, idx))
         return len(self._elements) - 1
-
-    def _store_rows(self) -> None:
-        """Hold the elements of a span in cell form alone as echelon rows,
-        in their order; they are reduced already, so no row changes."""
-        elements = []
-        for k in range(self.dim):
-            h, j, x = self.element(k)
-            span = self._spans.setdefault((h, j), EchelonSpan(x.size))
-            elements.append((h, j, span.add(x.ravel())))
-        self._elements, self._cell_pivots = elements, None
 
     def block(self, k: int) -> tuple[int, int]:
         """(h, j): the block of element k."""
@@ -388,17 +440,17 @@ class BlockSpans:
 
     def element(self, k: int) -> tuple[int, int, np.ndarray]:
         """(h, j, current reduced block) of element k, a read-only view of
-        the row its span holds narrow (echelon), or, in cell form alone,
-        the block summed from its cells and held narrow."""
+        the row its span holds narrow (echelon), or, in cell form, the
+        block summed from its cells and held narrow."""
         h, j, idx = self._elements[k]
-        if self._cell_pivots is None:
+        if self.cells is None:
             block = self._spans[(h, j)].row(idx)
             return h, j, block.reshape(len(self.classes[h]), len(self.classes[j]))
         ids = self.cells.table.block(h, j)
         out = np.zeros(ids.shape, dtype=np.int64)
         for cell, coef in zip(self.cells.index[idx].tolist(), self.cells.coef[idx].tolist()):
             out[ids == cell] = coef
-        out = narrow(out, self._cell_pivots[idx][3])
+        out = narrow(out, self.cells.pivots[idx][3])
         out.flags.writeable = False
         return h, j, out
 
@@ -406,8 +458,8 @@ class BlockSpans:
         """(r, c, value) of the pivot of element k's current block X: its
         first nonzero in row-major order, X[r, c] = value."""
         h, j, idx = self._elements[k]
-        if self._cell_pivots is not None:
-            return self._cell_pivots[idx][:3]
+        if self.cells is not None:
+            return self.cells.pivots[idx][:3]
         offset, value = self._spans[(h, j)].pivot(idx)
         r, c = divmod(offset, len(self.classes[j]))
         return r, c, value
@@ -415,9 +467,18 @@ class BlockSpans:
     def row_max(self, k: int) -> int:
         """max|X| of element k's current block X, as its span tracks it."""
         h, j, idx = self._elements[k]
-        if self._cell_pivots is not None:
-            return self._cell_pivots[idx][3]
+        if self.cells is not None:
+            return self.cells.pivots[idx][3]
         return self._spans[(h, j)].row_max(idx)
+
+    def line_sums(self) -> list[LineSums]:
+        """(h, j, row sums, column sums) of every element's block X, exactly:
+        from the cells (CellForm.line_sums), or summed from the rows with
+        the bound taken from the max|X| the span tracks (row_max)."""
+        if self.cells is not None:
+            return [(*self.block(k), *sums) for k, sums in enumerate(self.cells.line_sums())]
+        pieces = map(self.element, range(self.dim))
+        return [(h, j, *_line_sums(x, self.row_max(k))) for k, (h, j, x) in enumerate(pieces)]
 
 
 def zero_sum_span(t: BlockSpans, sizes: Sequence[int]) -> BlockSpans:
@@ -436,13 +497,12 @@ def zero_sum_span(t: BlockSpans, sizes: Sequence[int]) -> BlockSpans:
     for k in range(t.dim):
         if offset[k] > offset[last.setdefault(t.block(k), k)]:
             last[t.block(k)] = k
-    blocks, index, coef, pivots = [], [], [], []
+    index, coef, pivots = [], [], []
     for k in range(t.dim):
         k0 = last[t.block(k)]
         if k != k0:
             g = math.gcd(sizes[k0], sizes[k])
             a, b = sizes[k0] // g, sizes[k] // g
-            blocks.append(t.block(k))
             index.append((k, k0))
             coef.append((a, -b))
             pivots.append((*offset[k], a, max(a, b)))
@@ -450,8 +510,9 @@ def zero_sum_span(t: BlockSpans, sizes: Sequence[int]) -> BlockSpans:
         t.cells.table,
         np.array(index, dtype=np.intp).reshape(-1, 2),
         np.array(coef, dtype=np.int64).reshape(-1, 2),
+        pivots,
     )
-    return BlockSpans.of_cells(t.n, t.classes, cells, blocks, pivots)
+    return BlockSpans.of_cells(t.n, t.classes, cells)
 
 
 def diagonal_row(g: RationalMatrix) -> np.ndarray | None:
@@ -561,29 +622,18 @@ def _step_key(lab, block_rows, slots, groups):
     return key
 
 
-def _indicator_rows(block: np.ndarray, values: np.ndarray):
-    """(rows, pivots, labels) of a flattened block: the 0/1 indicator of
-    each label that occurs in it, as an int8 row, in the order of the
-    label's first occurrence, which is the row's pivot."""
-    eq = block == values
-    first = eq.argmax(axis=1).tolist()
-    found = sorted(np.flatnonzero(eq.any(axis=1)).tolist(), key=first.__getitem__)
-    rows = eq[found].view(np.int8)
-    rows.flags.writeable = False
-    return rows, [first[v] for v in found], found
-
-
 def _triple_label_spans(n, classes, generators, diagonals, labels) -> BlockSpans | None:
     """The triple-label basis, certified to span the algebra, or None.
 
     The caller guarantees that every indicator of a triple class
     {(y, z) in S_h x S_j : labels[y, z] = v} lies in the algebra (module
-    docstring).  Block (h, j) holds the indicators of its triple classes as
-    its rows, in pivot order; the elements are the indicators of the
-    diagonal blocks' diagonal labels, class by class, then every other row,
-    block by block in row-major order of (h, j).  The span carries its
-    cells, cell k the class of element k (BlockSpans.cells).  None when the
-    certificate fails, which is checked before any row is built.
+    docstring).  Element k is the indicator of cell k, held in cell form
+    alone (BlockSpans.cells), with its pivot at the first pair of its class
+    in block row-major order, value 1; the elements are the indicators of
+    the diagonal blocks' diagonal labels, class by class, then every other
+    class, block by block in row-major order of (h, j), each block in pivot
+    order.  None when the certificate fails, which is checked before any
+    element is found.
     """
     labels = np.asarray(labels)
     if labels.shape != (n, n) or labels.dtype.kind not in "iu":
@@ -605,11 +655,10 @@ def _triple_label_spans(n, classes, generators, diagonals, labels) -> BlockSpans
     held = narrow_dtype(nv - 1)
     if lo or lab.dtype != held:
         lab = (lab.astype(np.int64) - lo).astype(held)
-    values = np.arange(nv, dtype=held)[:, None]
     tag = (owner * nv).astype(narrow_dtype(c * nv))  # class id base of column z
 
-    # The certificate first, read from the labels alone: no indicator row
-    # is built for a graph that fails it.
+    # The certificate first, read from the labels alone: no element is
+    # found for a graph that fails it.
     on_diagonal = []
     for h in range(c):
         block_rows = lab[starts[h] : starts[h + 1]]
@@ -635,29 +684,31 @@ def _triple_label_spans(n, classes, generators, diagonals, labels) -> BlockSpans
             if key is None or not np.array_equal(key.ravel()[rep].take(classed), key):
                 return None
 
-    spans = BlockSpans(n, classes)
+    # The elements, by block, then pivot: the first row of S_h x n that meets
+    # each class key j nv + v, and its first column there (module docstring).
     diagonal, rest = [], []
-    found_in = {}
     for h in range(c):
-        block_rows = lab[starts[h] : starts[h + 1]]
-        for j in range(c):
-            block = block_rows[:, starts[j] : starts[j + 1]].ravel()
-            rows, pivots, found = _indicator_rows(block, values)
-            spans._spans[(h, j)] = EchelonSpan.of_indicators(rows, pivots)
-            found_in[(h, j)] = found
-            for idx, v in enumerate(found):
-                (diagonal if h == j and on_diagonal[h][v] else rest).append((h, j, idx))
-    spans._elements = diagonal + rest
+        classed = tag + lab[starts[h] : starts[h + 1]]
+        seen = np.zeros((c * nv, len(classed)), dtype=bool)
+        seen[classed, np.arange(len(classed))[:, None]] = True
+        keys = np.flatnonzero(seen.any(axis=1))
+        rs = seen[keys].argmax(axis=1)
+        zs = (classed[rs] == keys[:, None]).argmax(axis=1)
+        found = zip(keys.tolist(), rs.tolist(), zs.tolist())
+        for key, r, z in sorted(found, key=lambda e: (e[0] // nv, e[1], e[2])):
+            j, v = divmod(key, nv)
+            element = (h, j, key, (r, z - int(starts[j]), 1, 1))
+            (diagonal if h == j and on_diagonal[h][v] else rest).append(element)
+    hs, js, keys, pivots = zip(*(diagonal + rest))
+    dim = len(keys)
     # The cell table: cell k is the class of element k.
-    dim = spans.dim
     lookup = np.full((c, c * nv), -1, dtype=narrow_dtype(dim))
-    blocks = np.array([(h, j) for h, j, _ in spans._elements], dtype=np.intp).reshape(dim, 2)
-    for k, (h, j, idx) in enumerate(spans._elements):
-        lookup[h, j * nv + found_in[(h, j)][idx]] = k
+    lookup[hs, keys] = np.arange(dim)
     owner_at = np.empty(n, dtype=np.intp)
     owner_at[perm] = owner
-    table = CellTable(classes, labels, lo, nv, owner_at, lookup, blocks)
-    spans.cells = CellForm(table, np.arange(dim)[:, None], np.ones((dim, 1), dtype=np.int64))
+    table = CellTable(classes, labels, lo, nv, owner_at, lookup, np.column_stack((hs, js)))
+    cells = CellForm(table, np.arange(dim)[:, None], np.ones((dim, 1), np.int64), list(pivots))
+    spans = BlockSpans.of_cells(n, classes, cells)
     spans.closed_unit = identity_unit(c)
     return spans
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 from bisect import insort
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -73,26 +72,6 @@ class EchelonSpan:
         self._exprs: list[dict[int, Fraction]] = []
         self._order: list[tuple[int, int]] = []  # (pivot, row index), sorted
         self._raw_count = 0
-
-    @classmethod
-    def of_indicators(cls, rows: np.ndarray, pivots: Sequence[int]) -> "EchelonSpan":
-        """The span whose basis is the given 0/1 rows, stored as they are.
-
-        rows is a read-only 2-D int8 array of nonzero 0/1 rows with disjoint
-        supports, and pivots[i] is the first nonzero of row i, ascending.
-        Each such row is primitive with pivot value 1, and every other row
-        is zero at its pivot, so the rows are already the reduced basis that
-        add would build from them in any order: no reduction runs.
-        """
-        span = cls(rows.shape[1])
-        span._rows = list(rows)
-        span._pivots = [int(p) for p in pivots]
-        span._pivvals = [1] * len(span._rows)
-        span._maxes = [1] * len(span._rows)
-        span._exprs = [{} for _ in span._rows]
-        span._order = list(zip(span._pivots, range(len(span._rows))))
-        span._raw_count = len(span._rows)
-        return span
 
     @property
     def dim(self) -> int:

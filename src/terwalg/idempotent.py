@@ -73,9 +73,9 @@ S_sigma(h) and columns S_sigma(j), where sigma maps the closure's classes
   of column sigma(j); blocks have disjoint supports, so the dimension is
   the sum over blocks of the rank of their row-sum vectors.
 
-Both read only the pieces' line sums, formed once per piece (piece_sums),
-with the int64 bound taken from the largest entry the span tracks
-(BlockSpans.row_max), not from a pass over the piece.
+Both read only the pieces' line sums, formed once per piece through the
+span (BlockSpans.line_sums): off the cell table of the triple-label basis,
+or summed from rows with the int64 bound the span tracks (row_max).
 """
 
 from __future__ import annotations
@@ -94,15 +94,11 @@ from ._intops import (
     exact_scale,
     guarded,
     max_abs,
-    to_object,
 )
-from .closure import BlockSpans
+from .closure import BlockSpans, LineSums
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix, rank
 from .subconstituent import TerwContext, VerificationError, sphere_values
-
-# (h, j, X): the block of the closure's classes h, j that holds X.
-Piece = tuple[int, int, np.ndarray]
 
 
 def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[np.ndarray, int]:
@@ -179,36 +175,6 @@ def sphere_of_classes(ctx: TerwContext, classes: Sequence[np.ndarray]) -> tuple[
             raise ValueError("a block class of the basis is not exactly one sphere")
         sigma.append(i)
     return tuple(sigma)
-
-
-def _line_sums(x: np.ndarray, xmax: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(row sums, column sums) of an integer block, exactly.
-
-    Every sum has at most max(x.shape) terms, so max(x.shape) max|x| bounds
-    it (guarded); xmax, when given, is max|x| as the span tracks it
-    (BlockSpans.row_max), and spares the pass over x.  numpy sums a narrow
-    dtype in int64, so x is read as it is held, not widened.
-    """
-
-    def sums(x):
-        return x.sum(axis=1), x.sum(axis=0)
-
-    return guarded(
-        max(x.shape) * (max_abs(x) if xmax is None else xmax),
-        lambda: sums(x),
-        exact=lambda: tuple(demote(s) for s in sums(to_object(x))),
-    )
-
-
-# (h, j, row sums, column sums) of a piece X of block (h, j).
-LineSums = tuple[int, int, np.ndarray, np.ndarray]
-
-
-def piece_sums(pieces: Iterable[Piece], maxes: Iterable[int]) -> list[LineSums]:
-    """The row and column sums of every piece, formed once for both
-    is_central and ideal_dimension; maxes holds max|X| of each piece, as
-    its span tracks it (_line_sums)."""
-    return [(h, j, *_line_sums(x, xmax)) for (h, j, x), xmax in zip(pieces, maxes)]
 
 
 def is_central(sums: Iterable[LineSums], sigma: Sequence[int], m: Sequence[int]) -> bool:
@@ -396,7 +362,7 @@ def verify_u0(
     first = (ctx.p_table != 0).argmax(axis=1)  # a supported a for each block (h, j)
     sphere_table = np.take_along_axis(primal, first[:, None, :], axis=1)[:, 0, :]
     sigma = sphere_of_classes(ctx, t.classes)
-    sums = piece_sums(map(t.element, range(t.dim)), map(t.row_max, range(t.dim)))
+    sums = t.line_sums()
     ends = (0, ctx.d)
     absorbed = [absorbs(ctx, class_table(ctx, ctx.E[i])) for i in ends]
     absorbed += [absorbs(ctx, diagonal_table(ctx, ctx.E_star[i])) for i in ends]

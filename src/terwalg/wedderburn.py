@@ -37,13 +37,14 @@ probe's rows, an idempotent's columns for its block size, both for the
 guard.  So no n x n matrix is formed here: the only ones are the n x n
 generators the caller passes, and the frames are m x n.
 
-The cell path.  A span closure() certified on its triple-label basis
-carries a cell table (closure.CellTable): cells[y, z] is the triple class
-C that holds (y, z), and b_k = sum_C M[k, C] 1_C for a small integer
-matrix M (closure.CellForm), the identity on T and two entries per row on
-the U0 corner.  The split reads such a span through the table, at its m
-pivot rows and columns, and never through its pieces.  The frame of
-z = sum_k c_k b_k is one gather of its cell weights w = c M:
+The cell path.  A span closure() certified on its triple-label basis is
+held in cell form alone, over a cell table (closure.CellTable):
+cells[y, z] is the triple class C that holds (y, z), and
+b_k = sum_C M[k, C] 1_C for a small integer matrix M (closure.CellForm),
+the identity on T and two entries per row on the U0 corner.  The split
+reads such a span through the table, at its m pivot rows and columns, and
+never through its pieces.  The frame of z = sum_k c_k b_k is one gather
+of its cell weights w = c M:
 z[R_i, t] = w[cells[R_i, t]] and z[t, C_i] = w[cells[t, C_i]].  A pivot
 entry of g b_k is sum_C M[k, C] sum_{t : cells[t, C_i] = C} g[R_i, t], so
 the pivot products of g are one exact scatter-add S[i, C] of g's pivot
@@ -115,7 +116,8 @@ each kernel states the piece path's bound.
   L), so the corner forms no n x n array either.
   On T's cells no piece is compressed or reduced (_label_corner).  When
   each cell C of block (h, j) has constant row and column counts, as
-  closure.CellTable.line_counts checks in one pass, the line sums of 1_C
+  closure.CellTable.line_counts checks on the cells' line sums (counted
+  once per table, and already read by verify_u0), the line sums of 1_C
   are |C| / |S_h| and |C| / |S_j|, and m_a |S_a| = L, so
   W 1_C W = L^2 (1_C - |C| / (|S_h| |S_j|) J).  The block's corner is then
   {sum_C b_C 1_C : sum_C b_C |C| = 0}, of dimension #cells - 1, spanned by
@@ -203,7 +205,7 @@ from ._intops import (
     to_object,
 )
 from .closure import BlockSpans, Unit, diagonal_row, identity_unit, unit_table, zero_sum_span
-from .idempotent import U0Report, _line_sums, sphere_of_classes
+from .idempotent import U0Report, sphere_of_classes
 from .linalg import RationalMatrix, kernel_basis, min_poly
 from .polys import RationalPoly, integer_roots
 
@@ -750,15 +752,16 @@ def _compress(x: np.ndarray, big: int, ma: int, mb: int) -> np.ndarray:
     On S_a, big U0 is m_a J with m_a = big / |S_a|, so
     W X W = big^2 X - big m_b rowsum(X) 1^T - big m_a 1 colsum(X)^T
             + m_a m_b sum(X) J.
-    Since m_a |S_a| = m_b |S_b| = big, each term is at most big^2 max|X|,
-    so 4 big^2 max|X| bounds every entry (guarded).
+    Since m_a |S_a| = m_b |S_b| = big, each term and each line sum is at
+    most big^2 max|X|, so 4 big^2 max|X| bounds every value (guarded).
     """
 
-    def compressed(x, rows, cols):
+    def compressed(x):
+        rows, cols = x.sum(axis=1), x.sum(axis=0)
         out = big * big * x - (big * mb) * rows[:, None] - (big * ma) * cols
         return out + ma * mb * rows.sum()
 
-    return guarded(4 * big * big * max_abs(x), compressed, x, *_line_sums(x))
+    return guarded(4 * big * big * max_abs(x), compressed, x)
 
 
 def _label_corner(t: BlockSpans) -> BlockSpans | None:

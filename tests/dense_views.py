@@ -42,12 +42,18 @@ def densify(basis) -> tuple[RationalMatrix, ...]:
 
 def contains(span, m) -> bool:
     """Exact membership of an n x n matrix (a RationalMatrix or an integer
-    array) in a closure.BlockSpans, block by block."""
+    array) in a closure.BlockSpans, block by block: each block of m is
+    reduced against the span's elements in that block, read through
+    element(), in whichever form the span holds them."""
     num = m.num if isinstance(m, RationalMatrix) else m
+    blocks: dict[tuple[int, int], EchelonSpan] = {}
+    for k in range(span.dim):
+        h, j, x = span.element(k)
+        blocks.setdefault((h, j), EchelonSpan(x.size)).add(x.ravel())
     for h, rows in enumerate(span.classes):
         for j, cols in enumerate(span.classes):
             block = num[np.ix_(rows, cols)]
-            echelon = span._spans.get((h, j))
+            echelon = blocks.get((h, j))
             if echelon is None:
                 if np.any(block):
                     return False

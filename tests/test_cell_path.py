@@ -10,6 +10,7 @@ path's, field by field.
 """
 
 import copy
+import dataclasses
 import importlib
 import random
 
@@ -29,14 +30,14 @@ def _vertices(d):
 
 
 def _piece_span(span):
-    """The same span with its cell table dropped, so that the split takes
-    the piece path; a corner held in cell form alone is first stored as
-    echelon rows."""
-    piece = copy.copy(span)
-    if piece._cell_pivots is not None:
-        piece._spans = {}
-        piece._store_rows()
-    piece.cells = None
+    """The same span held as echelon rows, with no cell table, so that the
+    split takes the piece path.  Its elements are reduced already, so each
+    is stored as it stands, in its order, and keeps its number."""
+    piece = closure_module.BlockSpans(span.n, span.classes)
+    for k in range(span.dim):
+        assert piece.add(*span.element(k)) == k
+        assert piece.element(k)[2].tobytes() == span.element(k)[2].tobytes()
+    piece.closed_unit = span.closed_unit
     return piece
 
 
@@ -97,6 +98,33 @@ def test_cell_table_reads_the_elements_of_t():
                 _h, _j, piece = basis.element(k)
                 assert set(piece.sum(axis=1).tolist()) == {row_count[k]}, (d, x, k)
                 assert set(piece.sum(axis=0).tolist()) == {col_count[k]}, (d, x, k)
+
+
+def test_cell_line_sums_are_the_line_sums_of_the_elements(spans):
+    # The line sums read off the cell table, combined by M, are the row and
+    # column sums of every materialized element, for T and for its corner.
+    for name, span, _gens, _unit in spans:
+        assert span.cells is not None, name
+        sums = span.line_sums()
+        assert len(sums) == span.dim, name
+        for k, (h, j, rows, cols) in enumerate(sums):
+            h2, j2, x = span.element(k)
+            assert (h, j) == (h2, j2), (name, k)
+            assert rows.dtype == cols.dtype == np.int64, (name, k)
+            assert np.array_equal(rows, x.sum(axis=1)), (name, k)
+            assert np.array_equal(cols, x.sum(axis=0)), (name, k)
+
+
+def test_verify_u0_reads_the_same_report_off_the_cells():
+    # verify_u0 on T in cell form and on T held as echelon rows: every
+    # field of the report is the same.
+    for d in range(0, 9):
+        for x in _vertices(d):
+            ctx = build_hypercube_context(d, x)
+            basis = ctx.algebra_basis()
+            got, want = verify_u0(ctx, basis), verify_u0(ctx, _piece_span(basis))
+            for field in dataclasses.fields(want):
+                assert getattr(got, field.name) == getattr(want, field.name), (d, x, field.name)
 
 
 def test_cell_path_matches_the_piece_path(spans):
@@ -205,26 +233,27 @@ def test_cell_kernels_take_the_object_path(monkeypatch):
 def test_cells_with_uneven_line_counts_take_the_reduction_path():
     # The cells of T with two labels swapped in one block: the classes are
     # still there, but their row counts are no longer constant, so the
-    # corner cannot be read off them and is reduced from T's own rows.
+    # corner cannot be read off them and is reduced from the span's
+    # elements, as from the same elements held as echelon rows.
     ctx = build_hypercube_context(5, 9)
     basis = ctx.algebra_basis()
     rep = verify_u0(ctx, basis)
-    want = _reduced_corner(ctx, basis, rep)
     labels = np.array(ctx.dist.dist)
     rows, cols = ctx.spheres[2], ctx.spheres[2]
     block = labels[np.ix_(rows, cols)]
     (r1, c1), (r2, c2) = np.argwhere(block == 0)[0], np.argwhere(block == 2)[0]
     y1, z1, y2, z2 = rows[r1], cols[c1], rows[r2], cols[c2]
     labels[y1, z1], labels[y2, z2] = labels[y2, z2], labels[y1, z1]
+    t = basis.cells.table
+    table = closure_module.CellTable(t.classes, labels, t._lo, t._nv, t._owner, t._lookup, t.blocks)
     tampered = copy.copy(basis)
-    table = copy.copy(basis.cells.table)
-    table._labels = labels
-    tampered.cells = closure_module.CellForm(table, basis.cells.index, basis.cells.coef)
+    tampered.cells = closure_module.CellForm(table, basis.cells.index, basis.cells.coef, basis.cells.pivots)
     assert basis.cells.table.line_counts() is not None
     assert table.line_counts() is None
     assert wedderburn._label_corner(tampered) is None
     got = complement_algebra(ctx, tampered, rep)
-    assert got.span.cells is None
+    want = _reduced_corner(ctx, tampered, rep)
+    assert got.span.cells is None and got.dim == want.dim
     for k in range(want.dim):
         (h, j, x), (h2, j2, x2) = got.span.element(k), want.span.element(k)
         assert (h, j) == (h2, j2) and np.array_equal(x, x2)

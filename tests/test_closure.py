@@ -597,13 +597,20 @@ def test_prepared_closure_bounds_each_product_by_its_piece(monkeypatch):
 # -- the triple-label basis against the product loop -------------------------
 
 
+def _block_row_sets(span):
+    """Per block, the set of its elements' rows, read through element()."""
+    rows = {}
+    for k in range(span.dim):
+        h, j, x = span.element(k)
+        rows.setdefault((h, j), []).append(x)
+    return {key: _row_set(xs) for key, xs in rows.items()}
+
+
 def _same_per_block_row_sets(got, want, name):
     """Equal classes, dims, certificates and per-block row sets."""
     assert [c.tolist() for c in got.classes] == [c.tolist() for c in want.classes], name
     assert got.dim == want.dim and got.closed_unit == want.closed_unit, name
-    assert got._spans.keys() == want._spans.keys(), name
-    for key, span in want._spans.items():
-        assert _row_set(got._spans[key].rows) == _row_set(span.rows), (name, key)
+    assert _block_row_sets(got) == _block_row_sets(want), name
 
 
 def _relabelled_graph_contexts(monkeypatch):
@@ -653,18 +660,47 @@ def test_triple_label_basis_matches_the_product_loop(monkeypatch):
         want = closure(gens)
         if stable:
             _same_per_block_row_sets(got, want, name)
+            pivots = {}
             for k in range(got.dim):
-                _h, _j, x = got.element(k)
+                h, j, x = got.element(k)
                 assert x.dtype == np.int8 and not x.flags.writeable, name
-                offset, value = got._spans[got._elements[k][:2]].pivot(got._elements[k][2])
-                assert value == 1 and np.flatnonzero(x)[0] == offset, name
-            for span in got._spans.values():
-                assert span._order == sorted(span._order), name
+                r, c, value = got.pivot(k)
+                assert value == 1 and got.row_max(k) == 1, name
+                assert np.flatnonzero(x)[0] == r * x.shape[1] + c, name
+                pivots.setdefault((h, j), []).append((r, c))
+            # Each block's elements come in pivot order.
+            for block in pivots.values():
+                assert block == sorted(block), name
         else:
             assert_same_block_spans(got, want, name)
     assert {name for name, _ctx, stable in cases if not stable} == {
         "johnson-9-4", "hamming-3-5", "hamming-4-3", "petersen"
     }
+
+
+def test_the_certified_closure_builds_no_echelon_span(monkeypatch):
+    # On the cubes and the cube-like graphs the certified basis is held in
+    # cell form alone: closure() stores no row, so it makes no EchelonSpan.
+    made = []
+    real_init = EchelonSpan.__init__
+
+    def counting_init(span, *args, **kwargs):
+        made.append(1)
+        real_init(span, *args, **kwargs)
+
+    cases = [(f"Q_{d}", build_hypercube_context(d, (5 * d) % (1 << d))) for d in range(0, 10)]
+    cases += [(name, ctx) for name, ctx in _relabelled_graph_contexts(monkeypatch) if name in CUBE_LIKE]
+    assert len(cases) == 12
+    monkeypatch.setattr(EchelonSpan, "__init__", counting_init)
+    for name, ctx in cases:
+        basis = closure(ctx.generators(), ctx.dist.dist)
+        assert basis.cells is not None and basis.closed_unit is not None, name
+        assert not made, name
+        with pytest.raises(ValueError):
+            basis.add(0, 0, basis.element(0)[2])
+    # The counter sees the loop's spans.
+    closure(cases[3][1].generators())
+    assert made
 
 
 def test_triple_label_basis_starts_with_the_class_projections():

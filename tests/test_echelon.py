@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terwalg import _intops, echelon, idempotent, wedderburn
+from terwalg import _intops, echelon, wedderburn
 from terwalg._intops import demote, exact_matmul, max_abs
-from terwalg.closure import BlockSpans, closure
+from terwalg.closure import BlockSpans, _line_sums, closure
 from terwalg.echelon import EchelonSpan
 from terwalg.linalg import RationalMatrix, rank
 
@@ -328,7 +328,7 @@ def test_narrow_pieces_gather_frame_and_sum_as_int64_pieces(data):
             for left in (m, m + 1):
                 got = exact_matmul(left, x)
                 assert got.dtype == np.int64 and np.array_equal(got, exact_matmul(left, y))
-        for a, b in zip(idempotent._line_sums(x), idempotent._line_sums(y)):
+        for a, b in zip(_line_sums(x), _line_sums(y)):
             assert np.array_equal(a, b)
         args = (1000, draw(wrapping_multiplier), draw(wrapping_multiplier))
         assert np.array_equal(wedderburn._compress(x, *args), wedderburn._compress(y, *args))

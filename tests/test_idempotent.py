@@ -18,7 +18,7 @@ from dense_views import (
 )
 
 from terwalg import _intops, echelon, idempotent, linalg, wedderburn
-from terwalg.closure import BlockSpans
+from terwalg.closure import BlockSpans, _line_sums
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import (
     absorbs,
@@ -28,7 +28,6 @@ from terwalg.idempotent import (
     ideal_dimension,
     is_central,
     is_idempotent,
-    piece_sums,
     sphere_of_classes,
     u0_formulas_agree,
     verify_u0,
@@ -240,8 +239,8 @@ def test_report_dict_shape(suite):
 
 
 def _sums(pieces):
-    """piece_sums with each piece's max|X| read off the piece."""
-    return piece_sums(pieces, [_intops.max_abs(x) for _h, _j, x in pieces])
+    """The line sums of every piece, with its max|X| read off the piece."""
+    return [(h, j, *_line_sums(x)) for h, j, x in pieces]
 
 
 def _literally_central(u0, matrices):

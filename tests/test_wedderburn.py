@@ -23,7 +23,7 @@ from test_subconstituent import _oracle_graphs
 from terwalg import _intops, echelon, idempotent, verify, wedderburn
 from terwalg._intops import INT64_SAFE, exact_matmul, exact_scale, exact_sub
 from terwalg.checks import Check
-from terwalg.closure import BlockSpans, closure, identity_unit, unit_table
+from terwalg.closure import BlockSpans, _line_sums, closure, identity_unit, unit_table
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import sphere_of_classes, verify_u0
 from terwalg.linalg import RationalMatrix, kernel_basis, rank
@@ -703,7 +703,7 @@ def test_compression_object_path(suite, monkeypatch):
         h, j, x = basis.element(k)
         args.append((x, big, int(m[sigma[h]]), int(m[sigma[j]])))
     expected = [wedderburn._compress(*a) for a in args]
-    _bounds_at_the_guard(monkeypatch, wedderburn, idempotent)
+    _bounds_at_the_guard(monkeypatch, wedderburn)
     for a, want in zip(args, expected):
         got = wedderburn._compress(*a)
         assert got.dtype == want.dtype == np.int64
@@ -722,7 +722,7 @@ def test_compression_stays_exact_on_int64_entries_near_the_bound(suite):
     for k in range(basis.dim):
         h, j, x = basis.element(k)
         kernels = [
-            (lambda x: np.concatenate(idempotent._line_sums(x)), x),
+            (lambda x: np.concatenate(_line_sums(x)), x),
             (lambda x: wedderburn._compress(x, big, int(m[sigma[h]]), int(m[sigma[j]])), x),
         ]
         for kernel, part in kernels:
@@ -998,10 +998,17 @@ def test_corner_certificate_needs_a_central_idempotent_u0(suite):
     for other in uncertified:
         assert other.span.closed_unit is None
         assert densify(other) == densify(corner)
-    # A new element voids the corner's certificate too: E*_0 of the corner
-    # is zero, since I - U0 vanishes on the one vertex of S_0.
-    assert corner.span.add(0, 0, np.ones((1, 1), dtype=np.int64)) is not None
-    assert corner.span.closed_unit is None
+    # The corner read off T's cells is held in cell form, which takes no
+    # new element.  On the corner reduced from T's rows a new element voids
+    # the certificate too: E*_0 of the corner is zero, since I - U0
+    # vanishes on the one vertex of S_0.
+    with pytest.raises(ValueError):
+        corner.span.add(0, 0, np.ones((1, 1), dtype=np.int64))
+    assert corner.span.closed_unit == corner.identity
+    reduced = complement_algebra(ctx, closure(ctx.generators()), rep)
+    assert reduced.span.cells is None and reduced.span.closed_unit == corner.identity
+    assert reduced.span.add(0, 0, np.ones((1, 1), dtype=np.int64)) is not None
+    assert reduced.span.closed_unit is None
 
 
 def test_uncertified_spans_are_not_split(suite):
