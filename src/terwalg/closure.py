@@ -116,10 +116,12 @@ n x n array of it is built: it keeps the caller's labels by reference and
 a (c, c nv) lookup of cell numbers by row class, column class and label,
 and forms only the part a reader asks for, in the narrow dtype of the
 lookup: the m pivot rows and columns that wedderburn's split reads
-(CellForm.positions), one block, the diagonal, or the line sums of every
-cell, one row class at a time, counted once per table for the U0 checks
-and the U0 corner.  So a closure whose span is never split, as in the U0
-checks alone or the graph reports, pays for no table.
+(CellForm.positions), one block, or the diagonal.  It names the block
+and the label of each cell (CellTable.blocks, CellTable.values); for
+labels = dist that fixes the cell's line counts, which are intersection
+numbers (idempotent.cell_line_counts), so no reader counts them.  A
+closure whose span is never split, as in the U0 checks alone or the graph
+reports, forms no part of the table.
 
 A unit is held as a class table (u, den) over the span's classes: the
 matrix e = I - sum_h (u_h / den) J_{S_h}, with J_{S_h} the all-ones block
@@ -136,7 +138,6 @@ a constant on each diagonal block S_h x S_h and zero off them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -198,7 +199,7 @@ class CellTable:
 
     def __init__(self, classes, labels: np.ndarray, lo: int, nv: int, owner, lookup, blocks):
         self.classes = classes
-        self._labels = labels
+        self.labels = labels  # the caller's array, by reference
         self._lo = lo
         self._nv = nv
         self._held = narrow_dtype(nv - 1)
@@ -207,8 +208,8 @@ class CellTable:
         self._lookup = lookup  # lookup[h, j nv + v]: the cell, or -1
         self.blocks = blocks  # blocks[k] = (h, j), the block of cell k
         hs, keys = np.nonzero(lookup >= 0)
-        self._key = np.empty(len(blocks), dtype=np.intp)  # _key[k] = j nv + v
-        self._key[lookup[hs, keys]] = keys
+        self.values = np.empty(len(blocks), dtype=np.int64)  # values[k] = v, the label of cell k
+        self.values[lookup[hs, keys]] = keys % nv + lo
 
     @property
     def size(self) -> int:
@@ -222,63 +223,22 @@ class CellTable:
 
     def rows(self, ys: np.ndarray) -> np.ndarray:
         """The rows cells[ys, :], a len(ys) x n array."""
-        key = self._tag + self._values(self._labels[ys])
+        key = self._tag + self._values(self.labels[ys])
         return self._lookup[self._owner[ys, None], key]
 
     def cols(self, zs: np.ndarray) -> np.ndarray:
         """The columns cells[:, zs], an n x len(zs) array."""
-        key = self._tag[zs] + self._values(self._labels[:, zs])
+        key = self._tag[zs] + self._values(self.labels[:, zs])
         return self._lookup[self._owner[:, None], key]
 
     def block(self, h: int, j: int) -> np.ndarray:
         """The |S_h| x |S_j| block of the table on S_h x S_j."""
-        part = self._values(self._labels[np.ix_(self.classes[h], self.classes[j])])
+        part = self._values(self.labels[np.ix_(self.classes[h], self.classes[j])])
         return self._lookup[h][self._tag[self.classes[j][0]] + part]
 
     def diagonal(self) -> np.ndarray:
         """cells[y, y] for every coordinate y."""
-        return self._lookup[self._owner, self._tag + self._values(self._labels.diagonal())]
-
-    @functools.cached_property
-    def line_sums(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """(rows, cols), one count table per class, formed once:
-        rows[h][j nv + v, y] counts the pairs (S_h[y], z) with z in S_j and
-        label v, and cols[j][h nv + v, z] the pairs (y, S_j[z]) with y in S_h
-        and label v.  Each row class is read once, its counts per row and
-        per column one exact bincount each (no weights), held narrow."""
-        nv, n, c = self._nv, len(self._owner), len(self.classes)
-        perm = np.concatenate(self.classes)
-        buf = np.empty(max(map(len, self.classes)) * n, dtype=np.intp)
-        rows, by_label = [], []
-        for ys in self.classes:
-            part = self._values(self._labels[np.ix_(ys, perm)])
-            at = buf[: part.size].reshape(part.shape)
-            np.add(self._tag[perm], part, out=at)
-            at *= len(ys)
-            at += np.arange(len(ys))[:, None]
-            counts = np.bincount(at.ravel(), minlength=c * nv * len(ys))
-            rows.append(narrow(counts, n).reshape(c * nv, len(ys)))
-            at[...] = part
-            at *= n
-            at += np.arange(n)
-            counts = np.bincount(at.ravel(), minlength=nv * n)
-            by_label.append(narrow(counts, len(ys)).reshape(nv, n))  # columns in class order
-        starts = np.cumsum([0, *map(len, self.classes)])
-        cols = [np.concatenate([t[:, a:b] for t in by_label]) for a, b in zip(starts, starts[1:])]
-        return rows, cols
-
-    def line_counts(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(row count, column count) of every cell when each is constant over
-        the rows S_h and the columns S_j of its block (h, j), else None: each
-        table of line_sums is compared with its first column."""
-        rows, cols = self.line_sums
-        if not all((t == t[:, :1]).all() for t in rows + cols):
-            return None
-        cells = zip(self.blocks.tolist(), self._key.tolist())
-        row_count, col_count = zip(
-            *((rows[h][key, 0], cols[j][h * self._nv + key % self._nv, 0]) for (h, j), key in cells)
-        )
-        return np.array(row_count, dtype=np.int64), np.array(col_count, dtype=np.int64)
+        return self._lookup[self._owner, self._tag + self._values(self.labels.diagonal())]
 
 
 @dataclass(frozen=True)
@@ -301,26 +261,6 @@ class CellForm:
         exactly on c's dtype (int64 or object); the caller bounds it."""
         out = np.zeros(self.table.size, dtype=c.dtype)
         np.add.at(out, self.index, c[:, None] * self.coef)
-        return out
-
-    def line_sums(self) -> list[list[np.ndarray]]:
-        """[row sums, column sums] of every element: the rows of the count
-        tables of its row and its column class (CellTable.line_sums) at its
-        cells, summed with its coefficients.  Each sum has w terms of at most
-        max|coef| n, which bounds it (guarded)."""
-        table = self.table
-        nv = table._nv
-        bound = self.index.shape[1] * max_abs(self.coef) * len(table._owner)
-        labels = table._key[self.index] % nv
-        hs, js = table.blocks[self.index[:, 0]].T
-        out = [[None, None] for _ in range(len(self.index))]
-        for side, (these, others) in enumerate(((hs, js), (js, hs))):
-            for a, counts in enumerate(table.line_sums[side]):
-                ks = np.flatnonzero(these == a)
-                parts = counts[others[ks, None] * nv + labels[ks]]  # element, term, line
-                sums = guarded(bound, lambda m, x: (m[..., None] * x).sum(1), self.coef[ks], parts)
-                for k, line in zip(ks.tolist(), sums):
-                    out[k][side] = line
         return out
 
     def positions(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -473,10 +413,8 @@ class BlockSpans:
 
     def line_sums(self) -> list[LineSums]:
         """(h, j, row sums, column sums) of every element's block X, exactly:
-        from the cells (CellForm.line_sums), or summed from the rows with
-        the bound taken from the max|X| the span tracks (row_max)."""
-        if self.cells is not None:
-            return [(*self.block(k), *sums) for k, sums in enumerate(self.cells.line_sums())]
+        summed from its block (element), with the bound taken from the
+        max|X| the span tracks (row_max)."""
         pieces = map(self.element, range(self.dim))
         return [(h, j, *_line_sums(x, self.row_max(k))) for k, (h, j, x) in enumerate(pieces)]
 

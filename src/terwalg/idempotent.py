@@ -73,9 +73,24 @@ S_sigma(h) and columns S_sigma(j), where sigma maps the closure's classes
   of column sigma(j); blocks have disjoint supports, so the dimension is
   the sum over blocks of the rank of their row-sum vectors.
 
-Both read only the pieces' line sums, formed once per piece through the
-span (BlockSpans.line_sums): off the cell table of the triple-label basis,
-or summed from rows with the int64 bound the span tracks (row_max).
+Both read only the pieces' line sums.  On the triple-label basis of dist
+(closure's cell form, whose table reads ctx.dist.dist itself and whose
+classes are the spheres) no pair is counted: element k is 1_C for its cell
+C = {(y, z) in S_a x S_b : dist(y, z) = v}, a = sigma(h), b = sigma(j).
+For y in S_a the row sum of 1_C counts the z in S_b at distance v from y,
+and dist(x, y) = a, so it is p^a_vb; every column sum is p^b_av likewise.
+Construction certified distance-regularity on that same dist, and dist is
+read-only, so these counts hold for every y and z and equal p_table's
+entries (cell_line_counts).  Then:
+
+- Centrality: 1_C commutes with U0 exactly when m_a p^b_av = m_b p^a_vb.
+- Ideal dimension: each row-sum vector is p^a_vb 1, with p^a_vb >= 1 since
+  C is nonempty, so each block that holds a cell has rank 1, and the
+  dimension is the number of such blocks.
+
+Both run in O(#cells).  Any other span forms each piece's line sums once,
+summed from its block with the int64 bound the span tracks
+(BlockSpans.line_sums), and reduces each block's row-sum vectors.
 """
 
 from __future__ import annotations
@@ -175,6 +190,35 @@ def sphere_of_classes(ctx: TerwContext, classes: Sequence[np.ndarray]) -> tuple[
             raise ValueError("a block class of the basis is not exactly one sphere")
         sigma.append(i)
     return tuple(sigma)
+
+
+def cell_line_counts(ctx: TerwContext, t: BlockSpans) -> tuple[np.ndarray, np.ndarray] | None:
+    """(row count, column count) of every element of t, read off p_table,
+    or None unless t is a triple-label basis of dist: element k is the
+    indicator of cell k (CellForm.is_cells), the cell table reads
+    ctx.dist.dist itself, and t's classes are the spheres.
+
+    Cell k of block (h, j), with label v, a = sigma(h) and b = sigma(j), has
+    the counts (p_table[a, v, b], p_table[b, a, v]) (module docstring).
+    """
+    if t.cells is None or not t.cells.is_cells or t.cells.table.labels is not ctx.dist.dist:
+        return None
+    try:
+        sigma = np.array(sphere_of_classes(ctx, t.classes), dtype=np.intp)
+    except ValueError:
+        return None
+    a, b = sigma[t.cells.table.blocks].T
+    v = t.cells.table.values
+    return ctx.p_table[a, v, b], ctx.p_table[b, a, v]
+
+
+def _cell_checks(blocks, rows, cols, sigma: Sequence[int], m: Sequence[int]) -> tuple[bool, int]:
+    """(central, ideal dimension) for cells in the given blocks with the
+    given line counts (cell_line_counts, module docstring)."""
+    blocks = blocks.tolist()
+    counts = list(zip(blocks, rows.tolist(), cols.tolist()))
+    central = all(m[sigma[h]] * c == m[sigma[j]] * r for (h, j), r, c in counts)
+    return central, len({(h, j) for (h, j), r, _c in counts if r})
 
 
 def is_central(sums: Iterable[LineSums], sigma: Sequence[int], m: Sequence[int]) -> bool:
@@ -337,8 +381,8 @@ def verify_u0(
     """Run every U0 check against a computed algebra basis.
 
     The checks read the triple tables of compute_u0, p_table, the valencies
-    and the basis's block pieces; none forms an n x n matrix (module
-    docstring).
+    and the basis's block pieces, or on the triple-label basis of dist its
+    cells' counts; none forms an n x n matrix (module docstring).
 
     Args:
         dim_smaller: known dimension of the algebra two diameters down; when
@@ -362,7 +406,12 @@ def verify_u0(
     first = (ctx.p_table != 0).argmax(axis=1)  # a supported a for each block (h, j)
     sphere_table = np.take_along_axis(primal, first[:, None, :], axis=1)[:, 0, :]
     sigma = sphere_of_classes(ctx, t.classes)
-    sums = t.line_sums()
+    counts = cell_line_counts(ctx, t)
+    if counts is None:
+        sums = t.line_sums()
+        central, dim_ideal = is_central(sums, sigma, m), ideal_dimension(sums)
+    else:
+        central, dim_ideal = _cell_checks(t.cells.table.blocks, *counts, sigma, m)
     ends = (0, ctx.d)
     absorbed = [absorbs(ctx, class_table(ctx, ctx.E[i])) for i in ends]
     absorbed += [absorbs(ctx, diagonal_table(ctx, ctx.E_star[i])) for i in ends]
@@ -372,9 +421,9 @@ def verify_u0(
         L=big,
         formulas_agree=u0_formulas_agree(ctx, primal, dual),
         idempotent=is_idempotent(ctx.valencies, m, big),
-        central=is_central(sums, sigma, m),
+        central=central,
         rank_U0=rank(RationalMatrix(sphere_table, den)),
-        dim_T_u0=ideal_dimension(sums),
+        dim_T_u0=dim_ideal,
         absorbs_E0=absorbed[0],
         absorbs_Ed=absorbed[1],
         absorbs_E0_star=absorbed[2],

@@ -227,6 +227,12 @@ class RationalMatrix:
 # -- free functions --------------------------------------------------------
 
 
+def _nonzero_rows(num: np.ndarray) -> np.ndarray:
+    """The rows of num that are not zero: a zero row spans nothing, so rank
+    and rref give the engine only these."""
+    return num[(num != 0).any(axis=1)]
+
+
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form, read off the integer echelon engine.
 
@@ -239,7 +245,7 @@ def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
         (rref matrix, pivot column indices).
     """
     span = EchelonSpan(m.ncols)
-    for row in m.num:
+    for row in _nonzero_rows(m.num):
         span.add(row)
     led = sorted((int(np.flatnonzero(row)[0]), row) for row in span.rows)
     den = lcm(*(int(row[p]) for p, row in led))
@@ -252,8 +258,8 @@ def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
 def rank(m: RationalMatrix) -> int:
     """Exact rank (denominator is irrelevant)."""
     span = EchelonSpan(m.ncols)
-    for i in range(m.nrows):
-        span.add(m.num[i])
+    for row in _nonzero_rows(m.num):
+        span.add(row)
     return span.dim
 
 

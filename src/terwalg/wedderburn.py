@@ -115,10 +115,11 @@ each kernel states the piece path's bound.
   corner's identity I - U0 is its unit table (m_sigma(h) for each class h,
   L), so the corner forms no n x n array either.
   On T's cells no piece is compressed or reduced (_label_corner).  When
-  each cell C of block (h, j) has constant row and column counts, as
-  closure.CellTable.line_counts checks on the cells' line sums (counted
-  once per table, and already read by verify_u0), the line sums of 1_C
-  are |C| / |S_h| and |C| / |S_j|, and m_a |S_a| = L, so
+  T is the triple-label basis of dist, each cell C of block (h, j) has
+  constant row and column counts, the intersection numbers p^a_vb and
+  p^b_av that idempotent.cell_line_counts takes from the p-table, so
+  |C| = k_a p^a_vb, the line sums of 1_C are |C| / |S_h| and
+  |C| / |S_j|, and m_a |S_a| = L, so
   W 1_C W = L^2 (1_C - |C| / (|S_h| |S_j|) J).  The block's corner is then
   {sum_C b_C 1_C : sum_C b_C |C| = 0}, of dimension #cells - 1, spanned by
   the rows (|C0| 1_C - |C| 1_C0) / gcd(|C0|, |C|), C0 the cell whose first
@@ -205,7 +206,7 @@ from ._intops import (
     to_object,
 )
 from .closure import BlockSpans, Unit, diagonal_row, identity_unit, unit_table, zero_sum_span
-from .idempotent import U0Report, sphere_of_classes
+from .idempotent import U0Report, cell_line_counts, sphere_of_classes
 from .linalg import RationalMatrix, kernel_basis, min_poly
 from .polys import RationalPoly, integer_roots
 
@@ -764,17 +765,16 @@ def _compress(x: np.ndarray, big: int, ma: int, mb: int) -> np.ndarray:
     return guarded(4 * big * big * max_abs(x), compressed, x)
 
 
-def _label_corner(t: BlockSpans) -> BlockSpans | None:
-    """The corner's span read off T's cells (module docstring), or None when
-    t is not a certified triple-label basis, its elements its cells, or
-    some cell's row or column count is not constant."""
-    if t.cells is None or not t.cells.is_cells:
-        return None
-    counts = t.cells.table.line_counts()
+def _label_corner(ctx, t: BlockSpans) -> BlockSpans | None:
+    """The corner's span read off T's cells (module docstring), or None
+    unless t is the triple-label basis of dist (cell_line_counts).  Cell C
+    of block (h, j) has |C| = k_a p^a_vb: |S_h| = k_a rows, p^a_vb pairs
+    each."""
+    counts = cell_line_counts(ctx, t)
     if counts is None:
         return None
-    sizes = [int(r) * len(t.classes[h]) for r, (h, _j) in zip(counts[0], t.cells.table.blocks)]
-    return zero_sum_span(t, sizes)
+    rows = counts[0].tolist()
+    return zero_sum_span(t, [r * len(t.classes[h]) for r, (h, _j) in zip(rows, t.cells.table.blocks)])
 
 
 def complement_algebra(ctx, t: BlockSpans, rep: U0Report) -> CompressedAlgebra:
@@ -784,11 +784,10 @@ def complement_algebra(ctx, t: BlockSpans, rep: U0Report) -> CompressedAlgebra:
     echelonizing {W B W} with W = L (I - U0), where L U0 = S^T diag(m) S is
     the factorization that verify_u0 verified and rep holds as (m, L) (the
     scalar L does not move the span).  Each class of t's blocks is one
-    sphere, so W B W stays in the block of B.  On a certified triple-label
-    basis whose cells have constant line counts the reduced basis is read
-    off the cells (_label_corner, module docstring); on any other span each
-    W B W is formed from the line sums of its piece (_compress) and reduced
-    in that block's span.  The identity I - U0 is I - J / k_h on S_h x S_h,
+    sphere, so W B W stays in the block of B.  On the triple-label basis of
+    dist the reduced basis is read off the cells (_label_corner, module
+    docstring); on any other span each W B W is formed from the line sums
+    of its piece (_compress) and reduced in that block's span.  The identity I - U0 is I - J / k_h on S_h x S_h,
     with k_h = L / m_h, and zero off those blocks: it is held as its unit
     table (m_sigma(h) for each class h, L), and no n x n array is formed.
 
@@ -801,7 +800,7 @@ def complement_algebra(ctx, t: BlockSpans, rep: U0Report) -> CompressedAlgebra:
     """
     m, big = rep.m, rep.L
     sigma = sphere_of_classes(ctx, t.classes)
-    span = _label_corner(t)
+    span = _label_corner(ctx, t)
     if span is None:
         span = BlockSpans(ctx.n, t.classes)
         for k in range(t.dim):

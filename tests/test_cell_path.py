@@ -12,13 +12,14 @@ path's, field by field.
 import copy
 import dataclasses
 import importlib
+import math
 import random
 
 import numpy as np
 import pytest
 
 from terwalg import _intops, echelon, verify, wedderburn
-from terwalg.idempotent import verify_u0
+from terwalg.idempotent import cell_line_counts, verify_u0
 from terwalg.subconstituent import build_hypercube_context
 from terwalg.wedderburn import _PivotBasis, center_basis, complement_algebra, decompose
 
@@ -79,10 +80,12 @@ def _dense_cells(span):
 
 def test_cell_table_reads_the_elements_of_t():
     # Every reader of the table gives the part of the dense cell map it
-    # names, and the line counts are the constant line sums of the pieces.
+    # names, and the line counts read off the p-table are the constant line
+    # sums of the pieces.
     for d in range(0, 7):
         for x in _vertices(d):
-            basis = build_hypercube_context(d, x).algebra_basis()
+            ctx = build_hypercube_context(d, x)
+            basis = ctx.algebra_basis()
             assert basis.cells is not None and basis.cells.is_cells
             table = basis.cells.table
             dense = _dense_cells(basis)
@@ -93,7 +96,7 @@ def test_cell_table_reads_the_elements_of_t():
             for h, rows in enumerate(basis.classes):
                 for j, cols in enumerate(basis.classes):
                     assert np.array_equal(table.block(h, j), dense[np.ix_(rows, cols)])
-            row_count, col_count = table.line_counts()
+            row_count, col_count = cell_line_counts(ctx, basis)
             for k in range(basis.dim):
                 _h, _j, piece = basis.element(k)
                 assert set(piece.sum(axis=1).tolist()) == {row_count[k]}, (d, x, k)
@@ -101,8 +104,10 @@ def test_cell_table_reads_the_elements_of_t():
 
 
 def test_cell_line_sums_are_the_line_sums_of_the_elements(spans):
-    # The line sums read off the cell table, combined by M, are the row and
-    # column sums of every materialized element, for T and for its corner.
+    # The line sums of a span in cell form are the row and column sums of
+    # every materialized element, for T and for its corner; and each corner
+    # row a 1_C - b 1_C0 is zero-sum on the cells as counted one by one:
+    # a |C| = b |C0|, with gcd(a, b) = 1.
     for name, span, _gens, _unit in spans:
         assert span.cells is not None, name
         sums = span.line_sums()
@@ -113,6 +118,13 @@ def test_cell_line_sums_are_the_line_sums_of_the_elements(spans):
             assert rows.dtype == cols.dtype == np.int64, (name, k)
             assert np.array_equal(rows, x.sum(axis=1)), (name, k)
             assert np.array_equal(cols, x.sum(axis=0)), (name, k)
+        if span.cells.is_cells:
+            continue
+        table = span.cells.table
+        for k, ((c, c0), (a, minus_b)) in enumerate(zip(span.cells.index.tolist(), span.cells.coef.tolist())):
+            h, j = span.block(k)
+            size, size0 = (int(np.count_nonzero(table.block(h, j) == cell)) for cell in (c, c0))
+            assert a * size + minus_b * size0 == 0 and math.gcd(a, minus_b) == 1, (name, k)
 
 
 def test_verify_u0_reads_the_same_report_off_the_cells():
@@ -232,9 +244,10 @@ def test_cell_kernels_take_the_object_path(monkeypatch):
 
 def test_cells_with_uneven_line_counts_take_the_reduction_path():
     # The cells of T with two labels swapped in one block: the classes are
-    # still there, but their row counts are no longer constant, so the
-    # corner cannot be read off them and is reduced from the span's
-    # elements, as from the same elements held as echelon rows.
+    # still there, but their row counts are no longer constant.  The table
+    # reads a tampered copy of dist, not dist itself, so no count is taken
+    # from the p-table, and the corner is reduced from the span's elements,
+    # as from the same elements held as echelon rows.
     ctx = build_hypercube_context(5, 9)
     basis = ctx.algebra_basis()
     rep = verify_u0(ctx, basis)
@@ -248,15 +261,78 @@ def test_cells_with_uneven_line_counts_take_the_reduction_path():
     table = closure_module.CellTable(t.classes, labels, t._lo, t._nv, t._owner, t._lookup, t.blocks)
     tampered = copy.copy(basis)
     tampered.cells = closure_module.CellForm(table, basis.cells.index, basis.cells.coef, basis.cells.pivots)
-    assert basis.cells.table.line_counts() is not None
-    assert table.line_counts() is None
-    assert wedderburn._label_corner(tampered) is None
+    assert cell_line_counts(ctx, basis) is not None
+    assert cell_line_counts(ctx, tampered) is None
+    assert wedderburn._label_corner(ctx, tampered) is None
     got = complement_algebra(ctx, tampered, rep)
     want = _reduced_corner(ctx, tampered, rep)
     assert got.span.cells is None and got.dim == want.dim
     for k in range(want.dim):
         (h, j, x), (h2, j2, x2) = got.span.element(k), want.span.element(k)
         assert (h, j) == (h2, j2) and np.array_equal(x, x2)
+
+
+def test_a_wrong_p_table_fails_centrality_on_the_count_path():
+    # One entry p^a_vb, a != b, of p_table raised by 1: the table still
+    # reads dist and the classes are the spheres, so the counts are read
+    # off the wrong table, and the cells it counts no longer commute with U0.
+    for d in (2, 5, 8):
+        ctx = build_hypercube_context(d, 5 % (1 << d))
+        basis = ctx.algebra_basis()
+        assert verify_u0(ctx, basis).central
+        a, v, b = next(tuple(e) for e in np.argwhere(ctx.p_table != 0).tolist() if e[0] != e[2])
+        table = ctx.p_table.copy()
+        table[a, v, b] += 1
+        wrong = dataclasses.replace(ctx, p_table=table)
+        assert wrong.dist.dist is ctx.dist.dist and cell_line_counts(wrong, basis) is not None
+        rep = verify_u0(wrong, basis)
+        assert rep.central is False and not rep.passed, d
+
+
+def test_a_cell_basis_over_a_copy_of_dist_takes_the_row_path(monkeypatch):
+    # The same cells over an equal copy of dist: the counts are not read
+    # off the p-table, the line sums are formed from the elements, and the
+    # report is the same.
+    summed = []
+    real_line_sums = closure_module.BlockSpans.line_sums
+
+    def recording_line_sums(span):
+        summed.append(span)
+        return real_line_sums(span)
+
+    monkeypatch.setattr(closure_module.BlockSpans, "line_sums", recording_line_sums)
+    for d in range(0, 8):
+        for x in _vertices(d):
+            ctx = build_hypercube_context(d, x)
+            basis = ctx.algebra_basis()
+            copied = closure_module.closure(ctx.generators(), ctx.dist.dist.copy())
+            assert copied.cells is not None and copied.cells.is_cells, (d, x)
+            assert cell_line_counts(ctx, copied) is None, (d, x)
+            summed.clear()
+            want = verify_u0(ctx, basis)
+            assert summed == [], (d, x)
+            got = verify_u0(ctx, copied)
+            assert summed == [copied], (d, x)
+            assert got == want and got.passed, (d, x)
+
+
+def test_verify_u0_on_the_cells_reduces_only_the_sphere_table(monkeypatch):
+    # On the certified basis the U0 checks reduce nothing but the d+1 rows
+    # of the sphere table, for its rank.
+    calls = []
+    real_add = echelon.EchelonSpan.add
+
+    def counting_add(span, vec):
+        calls.append(len(vec))
+        return real_add(span, vec)
+
+    monkeypatch.setattr(echelon.EchelonSpan, "add", counting_add)
+    for d in range(0, 9):
+        ctx = build_hypercube_context(d, 5 % (1 << d))
+        basis = ctx.algebra_basis()
+        calls.clear()
+        assert verify_u0(ctx, basis).passed, d
+        assert calls == [d + 1] * (d + 1), d
 
 
 def test_every_verify_diameter_splits_on_the_cell_path(monkeypatch):

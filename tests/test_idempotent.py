@@ -464,10 +464,13 @@ def test_empty_piece_is_central(suite):
 
 
 def test_u0_checks_identical_on_the_object_path(suite, monkeypatch):
+    # Each basis in cell form, whose line counts are read off p_table, and
+    # held as echelon rows, whose line sums are summed from its pieces.
     data, dims = suite
     expected = {
         d: verify_u0(ctx, basis, dims.get(d - 2)) for d, (ctx, basis) in data.items()
     }
+    row_spans = {d: _with_pieces(basis) for d, (_ctx, basis) in data.items()}
     formulas = {d: compute_u0(ctx) for d, (ctx, _basis) in data.items()}
     converted = []
     real_to_object = _intops.to_object
@@ -480,9 +483,10 @@ def test_u0_checks_identical_on_the_object_path(suite, monkeypatch):
     monkeypatch.setattr(echelon, "INT64_SAFE", 1)
     monkeypatch.setattr(_intops, "to_object", counting)
     for d, (ctx, basis) in data.items():
-        rep = verify_u0(ctx, basis, dims.get(d - 2))
-        assert rep == expected[d], d
-        assert rep.passed
+        for span in (basis, row_spans[d]):
+            rep = verify_u0(ctx, span, dims.get(d - 2))
+            assert rep == expected[d], d
+            assert rep.passed
         primal, dual, den = compute_u0(ctx)
         assert den == formulas[d][2], d
         assert np.array_equal(primal, formulas[d][0]), d
