@@ -144,31 +144,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ._intops import demote, exact_matmul, guarded, max_abs, narrow, narrow_dtype, to_object
+from ._intops import exact_matmul, narrow, narrow_dtype
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix
 
 # (u, den): the unit I - sum_h (u_h / den) J_{S_h} (module docstring).
 Unit = tuple[tuple[int, ...], int]
-
-# (h, j, row sums, column sums) of an element X of block (h, j).
-LineSums = tuple[int, int, np.ndarray, np.ndarray]
-
-
-def _line_sums(x: np.ndarray, xmax: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(row sums, column sums) of an integer block, exactly: max(x.shape) max|x|
-    bounds each (guarded), xmax, when given, being max|x| as the span tracks
-    it (BlockSpans.row_max).  numpy sums a narrow dtype in int64, so x is
-    read as it is held, not widened."""
-
-    def sums(x):
-        return x.sum(axis=1), x.sum(axis=0)
-
-    return guarded(
-        max(x.shape) * (max_abs(x) if xmax is None else xmax),
-        lambda: sums(x),
-        exact=lambda: tuple(demote(s) for s in sums(to_object(x))),
-    )
 
 
 def unit_table(u, den: int) -> Unit:
@@ -410,13 +391,6 @@ class BlockSpans:
         if self.cells is not None:
             return self.cells.pivots[idx][3]
         return self._spans[(h, j)].row_max(idx)
-
-    def line_sums(self) -> list[LineSums]:
-        """(h, j, row sums, column sums) of every element's block X, exactly:
-        summed from its block (element), with the bound taken from the
-        max|X| the span tracks (row_max)."""
-        pieces = map(self.element, range(self.dim))
-        return [(h, j, *_line_sums(x, self.row_max(k))) for k, (h, j, x) in enumerate(pieces)]
 
 
 def zero_sum_span(t: BlockSpans, sizes: Sequence[int]) -> BlockSpans:

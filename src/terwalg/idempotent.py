@@ -60,22 +60,11 @@ such an equality, read off the tables, p_table and the valencies.
   class row e is the table e[a], and a diagonal that is c_h on each sphere
   S_h is sum_h c_h E_h* A_0 E_h*, the table delta_hl delta_a0 c_h.
 
-The remaining checks read U0 as S^T M S / L together with the closure's
-block pieces: each basis element of T is a piece X in one block, rows
-S_sigma(h) and columns S_sigma(j), where sigma maps the closure's classes
-(the spheres) to sphere indices.
-
-- Centrality: L U0 B is m_sigma(h) colsum(X) copied down the block's rows
-  and L B U0 is m_sigma(j) rowsum(X) copied across its columns, so B
-  commutes with U0 exactly when all these entries are one common value.
-- Ideal dimension: right-multiplication by M S is injective, so
-  dim span{B U0} = dim span{B S^T}.  B S^T is rowsum(X) in rows S_sigma(h)
-  of column sigma(j); blocks have disjoint supports, so the dimension is
-  the sum over blocks of the rank of their row-sum vectors.
-
-Both read only the pieces' line sums.  On the triple-label basis of dist
-(closure's cell form, whose table reads ctx.dist.dist itself and whose
-classes are the spheres) no pair is counted: element k is 1_C for its cell
+The remaining checks read U0 as S^T M S / L together with T's certified
+triple-label basis: closure's cell form, whose table reads ctx.dist.dist
+itself and whose classes are the spheres, sigma mapping the classes to
+sphere indices.  Any other span is refused (cell_line_counts names the
+first condition that fails).  Element k is B = 1_C for its cell
 C = {(y, z) in S_a x S_b : dist(y, z) = v}, a = sigma(h), b = sigma(j).
 For y in S_a the row sum of 1_C counts the z in S_b at distance v from y,
 and dist(x, y) = a, so it is p^a_vb; every column sum is p^b_av likewise.
@@ -83,19 +72,21 @@ Construction certified distance-regularity on that same dist, and dist is
 read-only, so these counts hold for every y and z and equal p_table's
 entries (cell_line_counts).  Then:
 
-- Centrality: 1_C commutes with U0 exactly when m_a p^b_av = m_b p^a_vb.
-- Ideal dimension: each row-sum vector is p^a_vb 1, with p^a_vb >= 1 since
-  C is nonempty, so each block that holds a cell has rank 1, and the
+- Centrality: L U0 B is m_a colsum(B) copied down the block's rows and
+  L B U0 is m_b rowsum(B) copied across its columns, both zero outside the
+  block, so B commutes with U0 exactly when m_a p^b_av = m_b p^a_vb.
+- Ideal dimension: right-multiplication by M S is injective, so
+  dim span{B U0} = dim span{B S^T}.  B S^T is rowsum(B) = p^a_vb 1 in rows
+  S_a of column b, with p^a_vb >= 1 since C is nonempty; blocks have
+  disjoint supports, so each block that holds a cell has rank 1, and the
   dimension is the number of such blocks.
 
-Both run in O(#cells).  Any other span forms each piece's line sums once,
-summed from its block with the int64 bound the span tracks
-(BlockSpans.line_sums), and reduces each block's row-sum vectors.
+Both run in O(#cells).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -110,8 +101,7 @@ from ._intops import (
     guarded,
     max_abs,
 )
-from .closure import BlockSpans, LineSums
-from .echelon import EchelonSpan
+from .closure import BlockSpans
 from .linalg import RationalMatrix, rank
 from .subconstituent import TerwContext, VerificationError, sphere_values
 
@@ -192,24 +182,31 @@ def sphere_of_classes(ctx: TerwContext, classes: Sequence[np.ndarray]) -> tuple[
     return tuple(sigma)
 
 
-def cell_line_counts(ctx: TerwContext, t: BlockSpans) -> tuple[np.ndarray, np.ndarray] | None:
-    """(row count, column count) of every element of t, read off p_table,
-    or None unless t is a triple-label basis of dist: element k is the
-    indicator of cell k (CellForm.is_cells), the cell table reads
-    ctx.dist.dist itself, and t's classes are the spheres.
-
-    Cell k of block (h, j), with label v, a = sigma(h) and b = sigma(j), has
+def cell_line_counts(
+    ctx: TerwContext, t: BlockSpans
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(sigma, row counts, column counts) of T's certified triple-label
+    basis t: sigma maps t's classes to spheres (sphere_of_classes), and
+    cell k of block (h, j), with label v, a = sigma(h) and b = sigma(j), has
     the counts (p_table[a, v, b], p_table[b, a, v]) (module docstring).
+
+    Raises:
+        ValueError: naming the first condition that fails: t is held in
+            cell form (closure(ctx.generators(), ctx.dist.dist)), element k
+            is the indicator of cell k (CellForm.is_cells), the cell table
+            reads ctx.dist.dist itself, and each class is exactly one
+            sphere.
     """
-    if t.cells is None or not t.cells.is_cells or t.cells.table.labels is not ctx.dist.dist:
-        return None
-    try:
-        sigma = np.array(sphere_of_classes(ctx, t.classes), dtype=np.intp)
-    except ValueError:
-        return None
-    a, b = sigma[t.cells.table.blocks].T
+    if t.cells is None:
+        raise ValueError("the basis is not in cell form: pass closure(generators, ctx.dist.dist)")
+    if not t.cells.is_cells:
+        raise ValueError("an element of the basis is not a single cell")
+    if t.cells.table.labels is not ctx.dist.dist:
+        raise ValueError("the cell table of the basis reads an array other than ctx.dist.dist")
+    sigma = sphere_of_classes(ctx, t.classes)
+    a, b = np.array(sigma, dtype=np.intp)[t.cells.table.blocks].T
     v = t.cells.table.values
-    return ctx.p_table[a, v, b], ctx.p_table[b, a, v]
+    return sigma, ctx.p_table[a, v, b], ctx.p_table[b, a, v]
 
 
 def _cell_checks(blocks, rows, cols, sigma: Sequence[int], m: Sequence[int]) -> tuple[bool, int]:
@@ -219,53 +216,6 @@ def _cell_checks(blocks, rows, cols, sigma: Sequence[int], m: Sequence[int]) -> 
     counts = list(zip(blocks, rows.tolist(), cols.tolist()))
     central = all(m[sigma[h]] * c == m[sigma[j]] * r for (h, j), r, c in counts)
     return central, len({(h, j) for (h, j), r, _c in counts if r})
-
-
-def is_central(sums: Iterable[LineSums], sigma: Sequence[int], m: Sequence[int]) -> bool:
-    """Does U0 commute with every block piece, given their line sums?
-
-    A piece (h, j, X) is the n x n matrix B that is X on rows S_sigma(h) and
-    columns S_sigma(j) and zero elsewhere.  With L U0 = S^T diag(m) S, the
-    matrix L U0 B is m_sigma(h) colsum(X) copied down the block's rows and
-    L B U0 is m_sigma(j) rowsum(X) copied across its columns; both vanish
-    outside the block.  So B commutes with U0 exactly when all these
-    entries are one common value, in O(|S_h| + |S_j|) per piece once the
-    sums are formed: each scaled line constant, and the two constants
-    equal, compared as Python ints.  A piece with no rows or no columns is
-    the zero matrix, which commutes.
-    """
-    for h, j, rows, cols in sums:
-        if rows.size == 0 or cols.size == 0:
-            continue
-        mh, mj = m[sigma[h]], m[sigma[j]]
-        if mh and not (cols == cols[0]).all():
-            return False
-        if mj and not (rows == rows[0]).all():
-            return False
-        if mh * int(cols[0]) != mj * int(rows[0]):
-            return False
-    return True
-
-
-def ideal_dimension(sums: Iterable[LineSums]) -> int:
-    """dim span{B U0} over the pieces B of an algebra basis, given their
-    line sums.
-
-    Since U0 = S^T D S with D the invertible diagonal of reciprocal sphere
-    sizes and S of full row rank, right-multiplication by D S is injective,
-    so the span of {B S^T} has the same dimension.  For a piece in block
-    (h, j), B S^T is rowsum(X) in rows S_sigma(h) of column sigma(j).  When
-    the classes are distinct spheres these supports are disjoint across
-    blocks, so the dimension is the sum over blocks of the rank of their
-    row-sum vectors.
-    """
-    spans: dict[tuple[int, int], EchelonSpan] = {}
-    for h, j, rows, _cols in sums:
-        span = spans.get((h, j))
-        if span is None:
-            span = spans[(h, j)] = EchelonSpan(rows.shape[0])
-        span.add(rows)
-    return sum(span.dim for span in spans.values())
 
 
 def is_idempotent(k: Sequence[int], m: Sequence[int], big: int) -> bool:
@@ -378,11 +328,11 @@ class U0Report:
 def verify_u0(
     ctx: TerwContext, t: BlockSpans, dim_smaller: int | None = None
 ) -> U0Report:
-    """Run every U0 check against a computed algebra basis.
+    """Run every U0 check against T's certified triple-label basis t.
 
     The checks read the triple tables of compute_u0, p_table, the valencies
-    and the basis's block pieces, or on the triple-label basis of dist its
-    cells' counts; none forms an n x n matrix (module docstring).
+    and the counts of t's cells; none forms an n x n matrix (module
+    docstring).
 
     Args:
         dim_smaller: known dimension of the algebra two diameters down; when
@@ -390,7 +340,9 @@ def verify_u0(
             checked, otherwise it is recorded as vacuously true.
 
     Raises:
-        ValueError: if a block class of t is not exactly one sphere.
+        ValueError: if the context is not a hypercube context, or t is not
+            the triple-label basis of ctx.dist.dist in cell form with the
+            spheres as its classes (cell_line_counts names the condition).
         VerificationError: if some E_i* is not the indicator of S_i, or U0
             does not match its rank factorization.
     """
@@ -405,13 +357,8 @@ def verify_u0(
     m = tuple(big // kh for kh in ctx.valencies)
     first = (ctx.p_table != 0).argmax(axis=1)  # a supported a for each block (h, j)
     sphere_table = np.take_along_axis(primal, first[:, None, :], axis=1)[:, 0, :]
-    sigma = sphere_of_classes(ctx, t.classes)
-    counts = cell_line_counts(ctx, t)
-    if counts is None:
-        sums = t.line_sums()
-        central, dim_ideal = is_central(sums, sigma, m), ideal_dimension(sums)
-    else:
-        central, dim_ideal = _cell_checks(t.cells.table.blocks, *counts, sigma, m)
+    sigma, rows, cols = cell_line_counts(ctx, t)
+    central, dim_ideal = _cell_checks(t.cells.table.blocks, rows, cols, sigma, m)
     ends = (0, ctx.d)
     absorbed = [absorbs(ctx, class_table(ctx, ctx.E[i])) for i in ends]
     absorbed += [absorbs(ctx, diagonal_table(ctx, ctx.E_star[i])) for i in ends]

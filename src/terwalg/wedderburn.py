@@ -108,27 +108,23 @@ each kernel states the piece path's bound.
 - The corner.  The complement algebra (I - U0) T (I - U0) is spanned by
   W B W with W = L (I - U0), where L U0 = S^T M S, M = diag(m), is the
   factorization that idempotent.verify_u0 verifies on U0's triple table and
-  keeps on its report as (m, L).  On a sphere S_a, L U0 is m_a J, and each
-  class of T's blocks is one sphere, so W B W stays in the block
-  E*_a T E*_b of B and is formed from the row and column sums of its piece
-  in O(|S_a| |S_b|) (_compress), then reduced in that block's span.  The
-  corner's identity I - U0 is its unit table (m_sigma(h) for each class h,
-  L), so the corner forms no n x n array either.
-  On T's cells no piece is compressed or reduced (_label_corner).  When
-  T is the triple-label basis of dist, each cell C of block (h, j) has
+  keeps on its report as (m, L).  The corner is read off T's certified
+  triple-label basis of dist, and complement_algebra refuses any other span
+  (idempotent.cell_line_counts names the condition it fails).  On a sphere
+  S_a, L U0 is m_a J, and each class of T's blocks is one sphere, so W B W
+  stays in the block E*_a T E*_b of B.  Each cell C of block (h, j) has
   constant row and column counts, the intersection numbers p^a_vb and
   p^b_av that idempotent.cell_line_counts takes from the p-table, so
-  |C| = k_a p^a_vb, the line sums of 1_C are |C| / |S_h| and
-  |C| / |S_j|, and m_a |S_a| = L, so
-  W 1_C W = L^2 (1_C - |C| / (|S_h| |S_j|) J).  The block's corner is then
-  {sum_C b_C 1_C : sum_C b_C |C| = 0}, of dimension #cells - 1, spanned by
-  the rows (|C0| 1_C - |C| 1_C0) / gcd(|C0|, |C|), C0 the cell whose first
-  pair comes last (closure.zero_sum_span).  Each row's pivot is the first
-  pair of C, with value |C0| / gcd, it lies in no other row, and the row's
-  content is 1: the rows are the block's reduced echelon basis already.  On
-  T's numbering, where a block's cells come in pivot order, the reduction
-  path drops exactly each block's C0 and numbers the rest alike, so the
-  two corners agree element by element.
+  |C| = k_a p^a_vb, the line sums of 1_C are |C| / |S_h| and |C| / |S_j|,
+  and m_a |S_a| = L, so W 1_C W = L^2 (1_C - |C| / (|S_h| |S_j|) J).  The
+  block's corner is then {sum_C b_C 1_C : sum_C b_C |C| = 0}, of dimension
+  #cells - 1, spanned by the rows (|C0| 1_C - |C| 1_C0) / gcd(|C0|, |C|),
+  C0 the cell whose first pair comes last (closure.zero_sum_span).  Each
+  row's pivot is the first pair of C, with value |C0| / gcd, it lies in no
+  other row, and the row's content is 1: the rows are the block's reduced
+  echelon basis already, and none is formed or reduced.  The corner's
+  identity I - U0 is its unit table (m_sigma(h) for each class h, L), so
+  the corner forms no n x n array either.
   The corner is split on T's own generators A and A*.  If U0 is an
   idempotent that commutes with g, then so is e = I - U0, and every c of
   the corner has c = e c e, so (e g e) c = e g c = g e c = g c and
@@ -206,7 +202,7 @@ from ._intops import (
     to_object,
 )
 from .closure import BlockSpans, Unit, diagonal_row, identity_unit, unit_table, zero_sum_span
-from .idempotent import U0Report, cell_line_counts, sphere_of_classes
+from .idempotent import U0Report, cell_line_counts
 from .linalg import RationalMatrix, kernel_basis, min_poly
 from .polys import RationalPoly, integer_roots
 
@@ -251,7 +247,12 @@ class BlockDecomposition:
 
 
 class _PivotBasis:
-    """A reduced echelon basis held as its block pieces, with pivots and bounds.
+    """A reduced echelon basis with its pivots and bounds, read in the form
+    its span holds: through its cells (module docstring, "The cell path")
+    when the span is in cell form, as T on its certified triple-label basis
+    and the U0 corner are; otherwise through its block pieces, as a span
+    from closure's product loop is (the graph path on a graph that fails
+    the label certificate, or any span passed to decompose).
 
     b_k is the piece X_k of block (h_k, j_k).  Its pivot is the first nonzero
     of X_k in block row-major order, at (R, C) = (S_h[r], S_j[c]): the first
@@ -747,65 +748,33 @@ class CompressedAlgebra:
         return self.span.dim
 
 
-def _compress(x: np.ndarray, big: int, ma: int, mb: int) -> np.ndarray:
-    """The block of W X W, W = big (I - U0), for a piece X on S_a x S_b.
-
-    On S_a, big U0 is m_a J with m_a = big / |S_a|, so
-    W X W = big^2 X - big m_b rowsum(X) 1^T - big m_a 1 colsum(X)^T
-            + m_a m_b sum(X) J.
-    Since m_a |S_a| = m_b |S_b| = big, each term and each line sum is at
-    most big^2 max|X|, so 4 big^2 max|X| bounds every value (guarded).
-    """
-
-    def compressed(x):
-        rows, cols = x.sum(axis=1), x.sum(axis=0)
-        out = big * big * x - (big * mb) * rows[:, None] - (big * ma) * cols
-        return out + ma * mb * rows.sum()
-
-    return guarded(4 * big * big * max_abs(x), compressed, x)
-
-
-def _label_corner(ctx, t: BlockSpans) -> BlockSpans | None:
-    """The corner's span read off T's cells (module docstring), or None
-    unless t is the triple-label basis of dist (cell_line_counts).  Cell C
-    of block (h, j) has |C| = k_a p^a_vb: |S_h| = k_a rows, p^a_vb pairs
-    each."""
-    counts = cell_line_counts(ctx, t)
-    if counts is None:
-        return None
-    rows = counts[0].tolist()
-    return zero_sum_span(t, [r * len(t.classes[h]) for r, (h, _j) in zip(rows, t.cells.table.blocks)])
-
-
 def complement_algebra(ctx, t: BlockSpans, rep: U0Report) -> CompressedAlgebra:
     """Basis and identity of (I - U0) T (I - U0).
 
-    Compression of a spanning set spans the corner, so the basis comes from
-    echelonizing {W B W} with W = L (I - U0), where L U0 = S^T diag(m) S is
+    Compression of a spanning set spans the corner, so the corner is
+    spanned by {W B W} with W = L (I - U0), where L U0 = S^T diag(m) S is
     the factorization that verify_u0 verified and rep holds as (m, L) (the
-    scalar L does not move the span).  Each class of t's blocks is one
-    sphere, so W B W stays in the block of B.  On the triple-label basis of
-    dist the reduced basis is read off the cells (_label_corner, module
-    docstring); on any other span each W B W is formed from the line sums
-    of its piece (_compress) and reduced in that block's span.  The identity I - U0 is I - J / k_h on S_h x S_h,
-    with k_h = L / m_h, and zero off those blocks: it is held as its unit
-    table (m_sigma(h) for each class h, L), and no n x n array is formed.
+    scalar L does not move the span).  On T's cells the reduced basis is
+    read off the cell sizes |C| = k_a p^a_vb, with no row formed or reduced
+    (closure.zero_sum_span, module docstring).  The identity I - U0 is
+    I - J / k_h on S_h x S_h, with k_h = L / m_h, and zero off those blocks:
+    it is held as its unit table (m_sigma(h) for each class h, L), and no
+    n x n array is formed.
 
     rep is the U0Report that verify_u0 made for t.  The corner is certified
     closed with unit I - U0 (module docstring) only when that report found
     U0 central and idempotent and t is certified with unit I.
 
     Raises:
-        ValueError: if a class of t's blocks is not exactly one sphere.
+        ValueError: if t is not the triple-label basis of ctx.dist.dist in
+            cell form with the spheres as its classes (cell_line_counts
+            names the condition).
     """
     m, big = rep.m, rep.L
-    sigma = sphere_of_classes(ctx, t.classes)
-    span = _label_corner(ctx, t)
-    if span is None:
-        span = BlockSpans(ctx.n, t.classes)
-        for k in range(t.dim):
-            h, j, x = t.element(k)
-            span.add(h, j, _compress(x, big, m[sigma[h]], m[sigma[j]]))
+    sigma, rows, _cols = cell_line_counts(ctx, t)
+    # Cell C of block (h, j) has |C| = k_a p^a_vb: |S_h| = k_a rows, p^a_vb pairs each.
+    hs = t.cells.table.blocks[:, 0].tolist()
+    span = zero_sum_span(t, [r * len(t.classes[h]) for r, h in zip(rows.tolist(), hs)])
     identity = unit_table((m[a] for a in sigma), big)
     if rep.central and rep.idempotent and t.closed_unit == identity_unit(len(t.classes)):
         span.closed_unit = identity

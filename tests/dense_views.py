@@ -151,6 +151,18 @@ def dense_u0(ctx) -> RationalMatrix:
     return out
 
 
+def dense_corner(ctx, t) -> tuple[RationalMatrix, ...]:
+    """The reduced echelon basis, at width n^2, of the compressions
+    (I - U0) B (I - U0) of the dense elements B of t, with U0 = dense_u0(ctx):
+    the U0 corner formed and reduced without t's cells."""
+    n = ctx.n
+    comp = RationalMatrix.identity(n) - dense_u0(ctx)
+    span = EchelonSpan(n * n)
+    for b in densify(t):
+        span.add(exact_matmul(exact_matmul(comp.num, b.num), comp.num).ravel())
+    return tuple(RationalMatrix(row.reshape(n, n), 1) for row in span.rows)
+
+
 def dense_unit(span, unit=None) -> RationalMatrix:
     """The n x n matrix e = I - sum_h (u_h / den) J_{S_h} of a unit table
     unit = (u, den) (closure.Unit) over span's classes; None is I."""

@@ -3,10 +3,11 @@
 A span that closure() certified on its triple-label basis carries a cell
 table: each pair (y, z) maps to the element whose triple class holds it.
 wedderburn reads such a span through the table (frames by one gather,
-pivot products and traces by one scatter-add by cell), and
-complement_algebra reads the U0 corner off the cells with no compression
-and no reduction.  Every result must be the piece path's and the reduction
-path's, field by field.
+pivot products and traces by one scatter-add by cell), and every result
+must be the piece path's, field by field.  verify_u0 and
+complement_algebra read T only on that basis, over ctx.dist.dist itself:
+the U0 checks and the corner come from the cells' counts, the corner must
+be the dense compression's reduced basis, and any other span is refused.
 """
 
 import copy
@@ -17,6 +18,8 @@ import random
 
 import numpy as np
 import pytest
+
+from dense_views import dense_corner, densify
 
 from terwalg import _intops, echelon, verify, wedderburn
 from terwalg.idempotent import cell_line_counts, verify_u0
@@ -40,11 +43,6 @@ def _piece_span(span):
         assert piece.element(k)[2].tobytes() == span.element(k)[2].tobytes()
     piece.closed_unit = span.closed_unit
     return piece
-
-
-def _reduced_corner(ctx, basis, rep):
-    """complement_algebra on the reduction path: T without its cells."""
-    return complement_algebra(ctx, _piece_span(basis), rep)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +94,7 @@ def test_cell_table_reads_the_elements_of_t():
             for h, rows in enumerate(basis.classes):
                 for j, cols in enumerate(basis.classes):
                     assert np.array_equal(table.block(h, j), dense[np.ix_(rows, cols)])
-            row_count, col_count = cell_line_counts(ctx, basis)
+            _sigma, row_count, col_count = cell_line_counts(ctx, basis)
             for k in range(basis.dim):
                 _h, _j, piece = basis.element(k)
                 assert set(piece.sum(axis=1).tolist()) == {row_count[k]}, (d, x, k)
@@ -104,20 +102,11 @@ def test_cell_table_reads_the_elements_of_t():
 
 
 def test_cell_line_sums_are_the_line_sums_of_the_elements(spans):
-    # The line sums of a span in cell form are the row and column sums of
-    # every materialized element, for T and for its corner; and each corner
-    # row a 1_C - b 1_C0 is zero-sum on the cells as counted one by one:
-    # a |C| = b |C0|, with gcd(a, b) = 1.
+    # Each corner row a 1_C - b 1_C0 sums to zero over its block, with the
+    # cells counted one by one from CellTable.block: a |C| = b |C0|, with
+    # gcd(a, b) = 1.
     for name, span, _gens, _unit in spans:
         assert span.cells is not None, name
-        sums = span.line_sums()
-        assert len(sums) == span.dim, name
-        for k, (h, j, rows, cols) in enumerate(sums):
-            h2, j2, x = span.element(k)
-            assert (h, j) == (h2, j2), (name, k)
-            assert rows.dtype == cols.dtype == np.int64, (name, k)
-            assert np.array_equal(rows, x.sum(axis=1)), (name, k)
-            assert np.array_equal(cols, x.sum(axis=0)), (name, k)
         if span.cells.is_cells:
             continue
         table = span.cells.table
@@ -125,18 +114,7 @@ def test_cell_line_sums_are_the_line_sums_of_the_elements(spans):
             h, j = span.block(k)
             size, size0 = (int(np.count_nonzero(table.block(h, j) == cell)) for cell in (c, c0))
             assert a * size + minus_b * size0 == 0 and math.gcd(a, minus_b) == 1, (name, k)
-
-
-def test_verify_u0_reads_the_same_report_off_the_cells():
-    # verify_u0 on T in cell form and on T held as echelon rows: every
-    # field of the report is the same.
-    for d in range(0, 9):
-        for x in _vertices(d):
-            ctx = build_hypercube_context(d, x)
-            basis = ctx.algebra_basis()
-            got, want = verify_u0(ctx, basis), verify_u0(ctx, _piece_span(basis))
-            for field in dataclasses.fields(want):
-                assert getattr(got, field.name) == getattr(want, field.name), (d, x, field.name)
+            assert int(span.element(k)[2].sum()) == 0, (name, k)
 
 
 def test_cell_path_matches_the_piece_path(spans):
@@ -174,38 +152,28 @@ def test_cell_path_matches_the_piece_path(spans):
         assert got == want, name
 
 
-def _row_sets(span):
-    """Per block, the set of its elements' rows."""
-    out = {}
-    for k in range(span.dim):
-        h, j, x = span.element(k)
-        out.setdefault((h, j), set()).add(tuple(x.ravel().tolist()))
-    return out
-
-
 def test_corner_rows_are_the_reduced_rows():
-    # The label rows span the reduction path's blocks, row for row, and in
-    # the cube's numbering they are its elements one by one: the same
-    # dense blocks, pivots and maxima, and the same certificate.
-    for d in range(2, 10):
+    # The label rows are the reduced echelon basis of the dense W B W at
+    # width n^2 (dense_corner), element by element, and each element's
+    # pivot and maximum are those of its block, held read-only; the corner
+    # carries the certificate for its unit.
+    for d in range(2, 8):
         for x in _vertices(d):
             ctx = build_hypercube_context(d, x)
             basis = ctx.algebra_basis()
-            rep = verify_u0(ctx, basis)
-            got = complement_algebra(ctx, basis, rep)
-            want = _reduced_corner(ctx, basis, rep)
+            got = complement_algebra(ctx, basis, verify_u0(ctx, basis))
+            want = dense_corner(ctx, basis)
             name = f"d={d} x={x}"
-            assert got.span.cells is not None and want.span.cells is None, name
-            assert got.dim == want.dim == basis.dim - (d + 1) ** 2, name
-            assert _row_sets(got.span) == _row_sets(want.span), name
-            assert got.identity == want.identity, name
-            assert got.span.closed_unit == want.span.closed_unit == got.identity, name
-            for k in range(want.dim):
-                (h, j, block), (h2, j2, block2) = got.span.element(k), want.span.element(k)
-                assert (h, j) == (h2, j2) and np.array_equal(block, block2), (name, k)
-                assert block.dtype == block2.dtype and not block.flags.writeable, (name, k)
-                assert got.span.pivot(k) == want.span.pivot(k), (name, k)
-                assert got.span.row_max(k) == want.span.row_max(k), (name, k)
+            assert got.span.cells is not None, name
+            assert got.dim == len(want) == basis.dim - (d + 1) ** 2, name
+            assert got.span.closed_unit == got.identity, name
+            assert densify(got) == want, name
+            for k in range(got.dim):
+                _h, _j, block = got.span.element(k)
+                r, c = np.argwhere(block)[0]
+                assert got.span.pivot(k) == (r, c, int(block[r, c])), (name, k)
+                assert got.span.row_max(k) == int(np.abs(block).max()), (name, k)
+                assert not block.flags.writeable, (name, k)
 
 
 def test_cell_kernels_take_the_object_path(monkeypatch):
@@ -242,15 +210,10 @@ def test_cell_kernels_take_the_object_path(monkeypatch):
     assert any(frames) and not all(frames)
 
 
-def test_cells_with_uneven_line_counts_take_the_reduction_path():
-    # The cells of T with two labels swapped in one block: the classes are
-    # still there, but their row counts are no longer constant.  The table
-    # reads a tampered copy of dist, not dist itself, so no count is taken
-    # from the p-table, and the corner is reduced from the span's elements,
-    # as from the same elements held as echelon rows.
-    ctx = build_hypercube_context(5, 9)
-    basis = ctx.algebra_basis()
-    rep = verify_u0(ctx, basis)
+def _tampered_cells(ctx, basis):
+    """T's cells over a copy of dist with two labels swapped in the block of
+    the sphere S_2 (d >= 4): the classes are still there, but their row
+    counts are no longer constant."""
     labels = np.array(ctx.dist.dist)
     rows, cols = ctx.spheres[2], ctx.spheres[2]
     block = labels[np.ix_(rows, cols)]
@@ -261,15 +224,43 @@ def test_cells_with_uneven_line_counts_take_the_reduction_path():
     table = closure_module.CellTable(t.classes, labels, t._lo, t._nv, t._owner, t._lookup, t.blocks)
     tampered = copy.copy(basis)
     tampered.cells = closure_module.CellForm(table, basis.cells.index, basis.cells.coef, basis.cells.pivots)
-    assert cell_line_counts(ctx, basis) is not None
-    assert cell_line_counts(ctx, tampered) is None
-    assert wedderburn._label_corner(ctx, tampered) is None
-    got = complement_algebra(ctx, tampered, rep)
-    want = _reduced_corner(ctx, tampered, rep)
-    assert got.span.cells is None and got.dim == want.dim
-    for k in range(want.dim):
-        (h, j, x), (h2, j2, x2) = got.span.element(k), want.span.element(k)
-        assert (h, j) == (h2, j2) and np.array_equal(x, x2)
+    return tampered
+
+
+def test_u0_and_its_corner_refuse_any_basis_but_the_cells_of_dist():
+    # verify_u0 and complement_algebra read T only as its certified
+    # triple-label basis over ctx.dist.dist itself.  Every other basis is
+    # refused with a ValueError that names the first condition it fails,
+    # even where its report would come out the same (an equal copy of dist).
+    for d, x in ((4, 9), (6, 9)):
+        ctx = build_hypercube_context(d, x)
+        basis = ctx.algebra_basis()
+        rep = verify_u0(ctx, basis)
+        corner = complement_algebra(ctx, basis, rep)
+        looped = closure_module.closure(ctx.generators())
+        copied = closure_module.closure(ctx.generators(), ctx.dist.dist.copy())
+        tampered = _tampered_cells(ctx, basis)
+        assert looped.cells is None and looped.dim == basis.dim
+        for span in (copied, tampered):
+            assert span.cells.is_cells
+            assert [c.tolist() for c in span.classes] == [c.tolist() for c in basis.classes]
+        assert corner.span.cells is not None and not corner.span.cells.is_cells
+        other = "reads an array other than ctx.dist.dist"
+        cases = [
+            # (a) the product loop's basis of the same algebra
+            (looped, "not in cell form"),
+            # (b) the same cells over an equal copy of dist
+            (copied, other),
+            # (c) the same cells over tampered labels
+            (tampered, other),
+            # the corner's rows, two cells each
+            (corner.span, "not a single cell"),
+        ]
+        for span, message in cases:
+            with pytest.raises(ValueError, match=message):
+                verify_u0(ctx, span)
+            with pytest.raises(ValueError, match=message):
+                complement_algebra(ctx, span, rep)
 
 
 def test_a_wrong_p_table_fails_centrality_on_the_count_path():
@@ -284,36 +275,10 @@ def test_a_wrong_p_table_fails_centrality_on_the_count_path():
         table = ctx.p_table.copy()
         table[a, v, b] += 1
         wrong = dataclasses.replace(ctx, p_table=table)
-        assert wrong.dist.dist is ctx.dist.dist and cell_line_counts(wrong, basis) is not None
+        assert wrong.dist.dist is ctx.dist.dist
+        assert table[a, v, b] in cell_line_counts(wrong, basis)[1]
         rep = verify_u0(wrong, basis)
         assert rep.central is False and not rep.passed, d
-
-
-def test_a_cell_basis_over_a_copy_of_dist_takes_the_row_path(monkeypatch):
-    # The same cells over an equal copy of dist: the counts are not read
-    # off the p-table, the line sums are formed from the elements, and the
-    # report is the same.
-    summed = []
-    real_line_sums = closure_module.BlockSpans.line_sums
-
-    def recording_line_sums(span):
-        summed.append(span)
-        return real_line_sums(span)
-
-    monkeypatch.setattr(closure_module.BlockSpans, "line_sums", recording_line_sums)
-    for d in range(0, 8):
-        for x in _vertices(d):
-            ctx = build_hypercube_context(d, x)
-            basis = ctx.algebra_basis()
-            copied = closure_module.closure(ctx.generators(), ctx.dist.dist.copy())
-            assert copied.cells is not None and copied.cells.is_cells, (d, x)
-            assert cell_line_counts(ctx, copied) is None, (d, x)
-            summed.clear()
-            want = verify_u0(ctx, basis)
-            assert summed == [], (d, x)
-            got = verify_u0(ctx, copied)
-            assert summed == [copied], (d, x)
-            assert got == want and got.passed, (d, x)
 
 
 def test_verify_u0_on_the_cells_reduces_only_the_sphere_table(monkeypatch):

@@ -1,7 +1,6 @@
 """Tests for the primary central idempotent."""
 
 import dataclasses
-import random
 import sys
 from fractions import Fraction
 from math import lcm
@@ -9,6 +8,7 @@ from math import lcm
 import numpy as np
 import pytest
 from dense_views import (
+    contains,
     dense_diagonal,
     dense_idempotents,
     dense_triple_table,
@@ -18,15 +18,13 @@ from dense_views import (
 )
 
 from terwalg import _intops, echelon, idempotent, linalg, wedderburn
-from terwalg.closure import BlockSpans, _line_sums
+from terwalg.closure import closure
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import (
     absorbs,
     class_table,
     compute_u0,
     diagonal_table,
-    ideal_dimension,
-    is_central,
     is_idempotent,
     sphere_of_classes,
     u0_formulas_agree,
@@ -238,93 +236,50 @@ def test_report_dict_shape(suite):
     assert d["absorbs"] == [True, True, True, True]
 
 
-def _sums(pieces):
-    """The line sums of every piece, with its max|X| read off the piece."""
-    return [(h, j, *_line_sums(x)) for h, j, x in pieces]
-
-
 def _literally_central(u0, matrices):
     return all(u0 @ b == b @ u0 for b in matrices)
 
 
-def _blocks(basis, mtx):
-    """The nonzero class blocks of an n x n matrix, as (h, j, X) pieces."""
-    classes = basis.classes
-    out = []
-    for h, rows in enumerate(classes):
-        for j, cols in enumerate(classes):
-            block = mtx.num[np.ix_(rows, cols)]
-            if np.any(block):
-                out.append((h, j, block))
-    return out
-
-
-def _with_pieces(basis, before=(), after=()):
-    """A basis whose block spans take the given pieces, then basis, then more.
-
-    The pieces enter the span as elements unless they are already spanned,
-    so verify_u0 checks them along with the basis.
-    """
-    span = BlockSpans(basis.n, basis.classes)
-    pieces = list(before)
-    pieces += [basis.element(k) for k in range(basis.dim)]
-    pieces += list(after)
-    for h, j, x in pieces:
-        span.add(h, j, x)
-    return span
-
-
-def _dense(basis, piece):
-    h, j, x = piece
-    classes = basis.classes
-    out = np.zeros((basis.n, basis.n), dtype=np.int64)
-    out[np.ix_(classes[h], classes[j])] = x
-    return RationalMatrix(out)
+def _wrong_p_table(ctx, a, v, b):
+    """ctx with p^a_vb raised by 1: the cell table still reads dist and the
+    classes are still the spheres, so the counts are read off the wrong
+    table."""
+    table = ctx.p_table.copy()
+    table[a, v, b] += 1
+    return dataclasses.replace(ctx, p_table=table)
 
 
 def test_centrality_checks_every_basis_element(suite):
-    # A random element added after the genuine basis commutes with neither
-    # generator's products, so a check reduced to A and A* (or to a prefix
-    # of the basis) would still report central=True.  Its nonzero sphere
-    # blocks join the verified span.
+    # Each cell of a block (a, b) with a != b, in turn, is given a wrong
+    # row count p^a_vb + 1, whatever its place in the basis, so a check
+    # reduced to A and A* (or to a prefix of the basis) would still report
+    # central=True.  The true counts give True, as the dense products do.
     data, _ = suite
     for d in (2, 3, 4):
         ctx, basis = data[d]
-        u0 = dense_u0(ctx)
-        rng = random.Random(d)
-        rogue = RationalMatrix(
-            np.array(
-                [[rng.randint(-5, 5) for _ in range(ctx.n)] for _ in range(ctx.n)],
-                dtype=np.int64,
-            ),
-            rng.randint(1, 7),
-        )
-        widened = _with_pieces(basis, after=_blocks(basis, rogue))
-        assert widened.dim > basis.dim
         assert verify_u0(ctx, basis).central is True
-        assert _literally_central(u0, densify(basis))
-        rep = verify_u0(ctx, widened)
-        assert rep.central is False
-        assert not _literally_central(u0, densify(widened))
-        assert not rep.passed
+        assert _literally_central(dense_u0(ctx), densify(basis))
+        sigma = sphere_of_classes(ctx, basis.classes)
+        table = basis.cells.table
+        for (h, j), v in zip(table.blocks.tolist(), table.values.tolist()):
+            a, b = sigma[h], sigma[j]
+            if a != b:
+                rep = verify_u0(_wrong_p_table(ctx, a, v, b), basis)
+                assert rep.central is False and not rep.passed, (d, a, v, b)
 
 
 def test_centrality_holds_for_diagonal_and_dense_elements(suite):
-    # Elements of T that are diagonal (E_i*) or dense (E_i) commute with U0;
-    # their sphere blocks enter the span before the basis, as elements.
+    # Elements of T that are diagonal (E_i*, A_i*) or dense (E_i) lie in the
+    # span of the cells and commute with U0, as verify_u0 reports for the
+    # whole span.
     data, _ = suite
     ctx, basis = data[4]
     u0 = dense_u0(ctx)
-    m = verify_u0(ctx, basis).m
-    sigma = sphere_of_classes(ctx, basis.classes)
     extra = [dense_diagonal(e) for e in ctx.E_star] + dense_idempotents(ctx)
     extra += [dense_diagonal(a) for a in ctx.A_star]
     assert _literally_central(u0, extra)
-    pieces = [p for mtx in extra for p in _blocks(basis, mtx)]
-    assert is_central(_sums(pieces), sigma, m)
-    widened = _with_pieces(basis, before=pieces)
-    assert widened.dim == basis.dim
-    assert verify_u0(ctx, widened).central is True
+    assert all(contains(basis, mtx) for mtx in extra)
+    assert verify_u0(ctx, basis).central is True
 
 
 def _oracle_cases():
@@ -343,55 +298,32 @@ def oracle_suite():
     return out
 
 
-def _probe_pieces(basis, rng):
-    """Each basis piece, a random change of it, and a first-row block.
-
-    The first-row block (ones in its first row, zero elsewhere) has constant
-    column sums but, below a single row, row sums that differ.
-    """
-    seen = set()
-    for k in range(basis.dim):
-        h, j, x = basis.element(k)
-        yield h, j, x
-        rows, cols = x.shape
-        bump = np.array(
-            [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)],
-            dtype=np.int64,
-        )
-        yield h, j, x + bump
-        if (h, j) not in seen:
-            seen.add((h, j))
-            row = np.zeros(x.shape, dtype=np.int64)
-            row[0] = 1
-            yield h, j, row
-            yield h, j, np.ones(x.shape, dtype=np.int64)
-
-
 def test_block_centrality_matches_dense_products(oracle_suite):
-    rng = random.Random(10)
+    # central is the dense verdict: U0 commutes with every element of T,
+    # each formed at n x n.  A wrong count on one cell of a block (a, b),
+    # a != b, turns it to False.
     for ctx, basis in oracle_suite:
         u0 = dense_u0(ctx)
-        m = verify_u0(ctx, basis).m
-        sigma = sphere_of_classes(ctx, basis.classes)
-        verdicts = []
-        for piece in _probe_pieces(basis, rng):
-            want = _literally_central(u0, [_dense(basis, piece)])
-            assert is_central(_sums([piece]), sigma, m) == want, (ctx.d, ctx.x, piece)
-            verdicts.append(want)
-        if ctx.d >= 2:  # below, every block is 1 x 1 and every m_h is 1
-            assert True in verdicts and False in verdicts
+        want = [_literally_central(u0, [b]) for b in densify(basis)]
+        assert verify_u0(ctx, basis).central is all(want) is True, (ctx.d, ctx.x)
+        off = [(a, v, b) for a, v, b in np.argwhere(ctx.p_table != 0).tolist() if a != b]
+        if off:  # below d = 1 every block is diagonal
+            rep = verify_u0(_wrong_p_table(ctx, *off[-1]), basis)
+            assert rep.central is False, (ctx.d, ctx.x)
 
 
 def test_block_ideal_dimension_matches_dense_span(oracle_suite):
+    # Every field of the report against its dense oracle: dim_T_u0 is the
+    # rank of {B S^T} over the dense elements B of T, and the rest are read
+    # off the dense U0.
     for ctx, basis in oracle_suite:
         u0 = dense_u0(ctx)
         s = sphere_indicator_matrix(ctx)
         span = EchelonSpan(ctx.n * (ctx.d + 1))
         for b in densify(basis):
             span.add((b.num @ s.T).ravel())
-        pieces = [basis.element(k) for k in range(basis.dim)]
-        assert ideal_dimension(_sums(pieces)) == span.dim == (ctx.d + 1) ** 2
         rep = verify_u0(ctx, basis)
+        assert rep.dim_T_u0 == span.dim == (ctx.d + 1) ** 2, (ctx.d, ctx.x)
         assert rep.passed, (ctx.d, ctx.x)
         assert rep.idempotent == (u0 @ u0 == u0)
         assert rep.rank_U0 == linalg.rank(u0)
@@ -431,15 +363,14 @@ def test_diagonal_table_needs_a_sphere_constant_diagonal(suite):
 
 
 def test_u0_rejects_classes_that_are_not_spheres(suite):
+    # T(x') in cell form over ctx's own dist, for a vertex x' that is
+    # neither x nor its antipode: its classes are the spheres around x',
+    # which cut or join the spheres around x.
     data, _ = suite
-    ctx, basis = data[3]
-    spheres = [np.asarray(sph) for sph in ctx.spheres]
-    split = spheres[:1] + [spheres[1][:1], spheres[1][1:]] + spheres[2:]
-    merged = [np.sort(np.concatenate(spheres[:2]))] + spheres[2:]
-    for classes in (split, merged):
-        span = BlockSpans(ctx.n, classes)
-        for h, rows in enumerate(classes):
-            span.add(h, h, np.eye(len(rows), dtype=np.int64))
+    ctx, _basis = data[3]
+    for other in (1, 5):
+        span = closure(build_hypercube_context(3, other).generators(), ctx.dist.dist)
+        assert span.cells is not None and span.cells.table.labels is ctx.dist.dist
         with pytest.raises(ValueError, match="not exactly one sphere"):
             verify_u0(ctx, span)
 
@@ -452,25 +383,13 @@ def test_empty_class_is_not_a_sphere(suite):
         sphere_of_classes(ctx, classes)
 
 
-def test_empty_piece_is_central(suite):
-    data, _ = suite
-    ctx, basis = data[3]
-    m = verify_u0(ctx, basis).m
-    sigma = sphere_of_classes(ctx, basis.classes)
-    for shape in ((3, 0), (0, 3), (0, 0)):
-        assert is_central(_sums([(1, 2, np.zeros(shape, dtype=np.int64))]), sigma, m)
-    first = basis.element(0)
-    assert is_central(_sums([(1, 2, np.zeros((3, 0), dtype=np.int64)), first]), sigma, m)
-
-
 def test_u0_checks_identical_on_the_object_path(suite, monkeypatch):
-    # Each basis in cell form, whose line counts are read off p_table, and
-    # held as echelon rows, whose line sums are summed from its pieces.
+    # With the int64 bound at 1 the triple tables run on Python ints; the
+    # report and the tables must not change.
     data, dims = suite
     expected = {
         d: verify_u0(ctx, basis, dims.get(d - 2)) for d, (ctx, basis) in data.items()
     }
-    row_spans = {d: _with_pieces(basis) for d, (_ctx, basis) in data.items()}
     formulas = {d: compute_u0(ctx) for d, (ctx, _basis) in data.items()}
     converted = []
     real_to_object = _intops.to_object
@@ -483,15 +402,14 @@ def test_u0_checks_identical_on_the_object_path(suite, monkeypatch):
     monkeypatch.setattr(echelon, "INT64_SAFE", 1)
     monkeypatch.setattr(_intops, "to_object", counting)
     for d, (ctx, basis) in data.items():
-        for span in (basis, row_spans[d]):
-            rep = verify_u0(ctx, span, dims.get(d - 2))
-            assert rep == expected[d], d
-            assert rep.passed
+        rep = verify_u0(ctx, basis, dims.get(d - 2))
+        assert rep == expected[d], d
+        assert rep.passed
         primal, dual, den = compute_u0(ctx)
         assert den == formulas[d][2], d
         assert np.array_equal(primal, formulas[d][0]), d
         assert np.array_equal(dual, formulas[d][1]), d
-    assert any(converted)  # the line sums really ran on Python ints
+    assert any(converted)  # the tables really ran on Python ints
 
 
 def test_u0_requires_hypercube():

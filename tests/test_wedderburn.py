@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from dense_views import (
     combine,
+    dense_corner,
     dense_diagonal,
     dense_generators,
     dense_pivot_idempotents_valid,
@@ -23,9 +24,9 @@ from test_subconstituent import _oracle_graphs
 from terwalg import _intops, echelon, idempotent, verify, wedderburn
 from terwalg._intops import INT64_SAFE, exact_matmul, exact_scale, exact_sub
 from terwalg.checks import Check
-from terwalg.closure import BlockSpans, _line_sums, closure, identity_unit, unit_table
+from terwalg.closure import BlockSpans, closure, identity_unit, unit_table
 from terwalg.echelon import EchelonSpan
-from terwalg.idempotent import sphere_of_classes, verify_u0
+from terwalg.idempotent import verify_u0
 from terwalg.linalg import RationalMatrix, kernel_basis, rank
 from terwalg.polys import integer_roots
 from terwalg.subconstituent import build_context, build_hypercube_context
@@ -443,15 +444,6 @@ def _dense_split_center(center, identity=None):
     return INCONCLUSIVE, last_poly, (), (), ()
 
 
-def _dense_corner(ctx, t, u0):
-    n = ctx.n
-    comp = RationalMatrix.identity(n) - u0
-    span = EchelonSpan(n * n)
-    for b in densify(t):
-        span.add(exact_matmul(exact_matmul(comp.num, b.num), comp.num).ravel())
-    return tuple(RationalMatrix(row.reshape(n, n), 1) for row in span.rows)
-
-
 def _compressed_generators(ctx, u0):
     comp = RationalMatrix.identity(ctx.n) - u0
     return tuple(comp @ g @ comp for g in dense_generators(ctx.generators()))
@@ -664,16 +656,16 @@ def test_split_matches_dense_oracle(suite):
         assert dec.block_ranks == ranks, name
 
 
-def test_corner_matches_dense_compression(suite):
-    # Each W B W is reduced in its sphere block; the basis must be the
-    # width-n^2 one, in the same insertion order.
-    for d in range(2, 6):
-        for x in (0, (1 << d) - 1):
-            ctx = build_hypercube_context(d, x) if x else suite[d][0]
-            basis = ctx.algebra_basis() if x else suite[d][1]
+def test_corner_matches_dense_compression():
+    # The corner read off T's cells must be the reduced echelon basis of the
+    # dense W B W at width n^2, in the same insertion order.
+    for d in range(2, 7):
+        for x in sorted({0, 5 % (1 << d), (1 << d) - 1}):
+            ctx = build_hypercube_context(d, x)
+            basis = ctx.algebra_basis()
             rep = verify_u0(ctx, basis)
             corner = complement_algebra(ctx, basis, rep)
-            assert densify(corner) == _dense_corner(ctx, basis, dense_u0(ctx)), f"d={d} x={x}"
+            assert densify(corner) == dense_corner(ctx, basis), f"d={d} x={x}"
 
 
 def test_corner_split_on_generators_matches_compressed_generators():
@@ -689,49 +681,6 @@ def test_corner_split_on_generators_matches_compressed_generators():
             gens = _compressed_generators(ctx, dense_u0(ctx))
             want = decompose(corner.span, gens, corner.identity)
             assert got.status == SPLIT and got == want, f"d={d} x={x}"
-
-
-def test_compression_object_path(suite, monkeypatch):
-    # With every bound at the guard the line sums and every term of W X W
-    # run on Python ints; the demoted blocks must be the same int64 arrays.
-    ctx, basis = suite[4]
-    rep = verify_u0(ctx, basis)
-    m, big = rep.m, rep.L
-    sigma = sphere_of_classes(ctx, basis.classes)
-    args = []
-    for k in range(basis.dim):
-        h, j, x = basis.element(k)
-        args.append((x, big, int(m[sigma[h]]), int(m[sigma[j]])))
-    expected = [wedderburn._compress(*a) for a in args]
-    _bounds_at_the_guard(monkeypatch, wedderburn)
-    for a, want in zip(args, expected):
-        got = wedderburn._compress(*a)
-        assert got.dtype == want.dtype == np.int64
-        assert np.array_equal(got, want)
-
-
-def test_compression_stays_exact_on_int64_entries_near_the_bound(suite):
-    # The line sums and W X W are linear in X.  Scaled by _largest_scale, X
-    # stays int64, so only the bounds they state keep the sums and terms
-    # from wrapping past 2^63.
-    ctx, basis = suite[4]
-    rep = verify_u0(ctx, basis)
-    m, big = rep.m, rep.L
-    sigma = sphere_of_classes(ctx, basis.classes)
-    crossed = 0
-    for k in range(basis.dim):
-        h, j, x = basis.element(k)
-        kernels = [
-            (lambda x: np.concatenate(_line_sums(x)), x),
-            (lambda x: wedderburn._compress(x, big, int(m[sigma[h]]), int(m[sigma[j]])), x),
-        ]
-        for kernel, part in kernels:
-            small = kernel(part)
-            scale = _largest_scale(part, small)
-            got = kernel(_intops.wide(part) * scale)
-            assert [int(v) for v in got.flat] == [scale * int(v) for v in small.flat]
-            crossed += max(abs(int(v)) for v in got.flat) >= 1 << 63
-    assert crossed >= basis.dim
 
 
 def test_corner_is_not_split_unless_u0_is_central(monkeypatch):
@@ -775,13 +724,14 @@ def test_corner_is_not_split_unless_u0_is_central(monkeypatch):
 
 def test_corner_rejects_blocks_that_split_a_sphere(suite):
     # W = L (I - U0) mixes the vertices of a sphere, so a basis whose block
-    # classes cut a sphere cannot be compressed block by block.  (verify_u0
-    # rejects that basis too, so the report comes from T's own basis.)
+    # classes cut a sphere cannot be compressed block by block.  T(1) in
+    # cell form over ctx's own dist has the spheres around vertex 1 as its
+    # classes.  (verify_u0 rejects that basis too, so the report comes from
+    # T's own basis.)
     ctx, basis = suite[3]
     rep = verify_u0(ctx, basis)
-    v = int(ctx.spheres[1][0])
-    unit = RationalMatrix([[int(y == v) for y in range(ctx.n)]])
-    cut = closure(ctx.generators() + [unit])
+    cut = closure(build_hypercube_context(3, 1).generators(), ctx.dist.dist)
+    assert cut.cells is not None and cut.cells.table.labels is ctx.dist.dist
     with pytest.raises(ValueError, match="not exactly one sphere"):
         complement_algebra(ctx, cut, rep)
 
@@ -999,16 +949,15 @@ def test_corner_certificate_needs_a_central_idempotent_u0(suite):
         assert other.span.closed_unit is None
         assert densify(other) == densify(corner)
     # The corner read off T's cells is held in cell form, which takes no
-    # new element.  On the corner reduced from T's rows a new element voids
-    # the certificate too: E*_0 of the corner is zero, since I - U0
-    # vanishes on the one vertex of S_0.
-    with pytest.raises(ValueError):
-        corner.span.add(0, 0, np.ones((1, 1), dtype=np.int64))
-    assert corner.span.closed_unit == corner.identity
-    reduced = complement_algebra(ctx, closure(ctx.generators()), rep)
-    assert reduced.span.cells is None and reduced.span.closed_unit == corner.identity
-    assert reduced.span.add(0, 0, np.ones((1, 1), dtype=np.int64)) is not None
-    assert reduced.span.closed_unit is None
+    # new element (E*_0 of the corner is zero, since I - U0 vanishes on the
+    # one vertex of S_0), so nothing can void its certificate; the same
+    # holds for the corner of a fresh closure over dist.
+    fresh = complement_algebra(ctx, closure(ctx.generators(), ctx.dist.dist), rep)
+    for span in (corner.span, fresh.span):
+        with pytest.raises(ValueError):
+            span.add(0, 0, np.ones((1, 1), dtype=np.int64))
+        assert span.cells is not None and span.closed_unit == corner.identity
+    assert densify(fresh) == densify(corner)
 
 
 def test_uncertified_spans_are_not_split(suite):
@@ -1235,8 +1184,8 @@ def test_split_holds_no_n_by_n_element(monkeypatch):
 
 
 def test_corner_holds_no_n_by_n_array(monkeypatch):
-    # complement_algebra compresses piece by piece and holds I - U0 as its
-    # unit table, so with every n x n result refused it and the corner's
+    # complement_algebra reads the corner off T's cells and holds I - U0 as
+    # its unit table, so with every n x n result refused it and the corner's
     # split must give the unrefused corner and split, field by field.
     # The dense generators are the caller's, made before the refusal.
     cases = []
@@ -1266,8 +1215,9 @@ def test_corner_holds_no_n_by_n_array(monkeypatch):
 def test_closure_and_both_splits_hold_no_n_by_n_array_but_a(monkeypatch):
     # ctx.generators() forms A alone at n x n and hands A* on as its row.
     # With A made before the refusal and every later n x n result refused,
-    # the closure, the split of T, U0 and the corner and its split must
-    # give the unrefused results.
+    # the product loop's closure and its split, and U0, the corner and its
+    # split on T's certified cells (made, with the caller's dist, before the
+    # refusal), must give the unrefused results.
     cases = []
     for d in (6, 8):
         for x in (0, 5):
@@ -1286,13 +1236,14 @@ def test_closure_and_both_splits_hold_no_n_by_n_array_but_a(monkeypatch):
             assert len(squares) == 1 and squares[0] is gens[0].num
             assert [g.shape for g in gens] == [(ctx.n, ctx.n), (1, ctx.n)]
             basis = closure(gens)
-            rep = verify_u0(ctx, basis)
-            corner = complement_algebra(ctx, basis, rep)
-            cases.append((ctx, gens, basis, decompose(basis, gens), rep,
+            cells = closure(gens, ctx.dist.dist)
+            rep = verify_u0(ctx, cells)
+            corner = complement_algebra(ctx, cells, rep)
+            cases.append((ctx, gens, basis, decompose(basis, gens), cells, rep,
                           corner, decompose(corner.span, gens, corner.identity)))
     side = [0]
     _refuse_n_by_n(monkeypatch, side)
-    for ctx, gens, basis, dec, rep, corner, corner_dec in cases:
+    for ctx, gens, basis, dec, cells, rep, corner, corner_dec in cases:
         _assert_refused(ctx.n, side)
         got = closure(gens)
         assert [c.tolist() for c in got.classes] == [c.tolist() for c in basis.classes]
@@ -1301,9 +1252,9 @@ def test_closure_and_both_splits_hold_no_n_by_n_array_but_a(monkeypatch):
             (h, j, x), (h2, j2, x2) = got.element(k), basis.element(k)
             assert (h, j) == (h2, j2) and np.array_equal(x, x2)
         assert decompose(got, gens) == dec and dec.status == SPLIT
-        got_rep = verify_u0(ctx, got)
+        got_rep = verify_u0(ctx, cells)
         assert got_rep == rep
-        got_corner = complement_algebra(ctx, got, got_rep)
+        got_corner = complement_algebra(ctx, cells, got_rep)
         assert got_corner.identity == corner.identity and got_corner.dim == corner.dim
         assert decompose(got_corner.span, gens, got_corner.identity) == corner_dec
         assert corner_dec.status == SPLIT
