@@ -19,10 +19,18 @@ import random
 import numpy as np
 import pytest
 
-from dense_views import dense_corner, densify
+from dense_views import (
+    dense_corner,
+    dense_diagonal,
+    dense_idempotents,
+    dense_triple_table,
+    dense_u0,
+    densify,
+    sphere_indicator_matrix,
+)
 
-from terwalg import _intops, echelon, verify, wedderburn
-from terwalg.idempotent import cell_line_counts, verify_u0
+from terwalg import _intops, echelon, linalg, verify, wedderburn
+from terwalg.idempotent import U0Report, cell_line_counts, compute_u0, verify_u0
 from terwalg.subconstituent import build_hypercube_context
 from terwalg.wedderburn import _PivotBasis, center_basis, complement_algebra, decompose
 
@@ -115,6 +123,56 @@ def test_cell_line_sums_are_the_line_sums_of_the_elements(spans):
             size, size0 = (int(np.count_nonzero(table.block(h, j) == cell)) for cell in (c, c0))
             assert a * size + minus_b * size0 == 0 and math.gcd(a, minus_b) == 1, (name, k)
             assert int(span.element(k)[2].sum()) == 0, (name, k)
+
+
+def _dense_report(ctx, t, dim_smaller):
+    """The U0Report read off dense n x n matrices, with no cell of t read:
+    U0 summed from the sphere indicators, T's elements densified, and both
+    formulas of compute_u0 expanded entry by entry."""
+    u0 = dense_u0(ctx)
+    s = sphere_indicator_matrix(ctx)
+    sizes = s.sum(axis=1).tolist()
+    big = math.lcm(*sizes)
+    primal, dual, den = compute_u0(ctx)
+    elements = densify(t)
+    ideal = echelon.EchelonSpan(ctx.n * (ctx.d + 1))
+    for b in elements:
+        ideal.add(_intops.exact_matmul(b.num, s.T).ravel())
+    ends = (0, ctx.d)
+    absorbed = [u0 @ e == e for e in (dense_idempotents(ctx)[i] for i in ends)]
+    absorbed += [u0 @ e == e for e in (dense_diagonal(ctx.E_star[i]) for i in ends)]
+    return U0Report(
+        d=ctx.d,
+        m=tuple(big // k for k in sizes),
+        L=big,
+        formulas_agree=dense_triple_table(ctx, primal, den) == dense_triple_table(ctx, dual, den),
+        idempotent=u0 @ u0 == u0,
+        central=all(u0 @ b == b @ u0 for b in elements),
+        rank_U0=linalg.rank(u0),
+        dim_T_u0=ideal.dim,
+        absorbs_E0=absorbed[0],
+        absorbs_Ed=absorbed[1],
+        absorbs_E0_star=absorbed[2],
+        absorbs_Ed_star=absorbed[3],
+        peel_identity=dim_smaller is None or t.dim - (ctx.d + 1) ** 2 == dim_smaller,
+    )
+
+
+def test_verify_u0_reads_the_same_report_off_the_cells():
+    # verify_u0 on T's cells and the report read off the dense matrices:
+    # every field is the same, with the peel identity checked against the
+    # true dim T two diameters down and against a wrong one.
+    for d in range(0, 8):
+        for x in _vertices(d):
+            ctx = build_hypercube_context(d, x)
+            basis = ctx.algebra_basis()
+            smaller = build_hypercube_context(d - 2, 0).algebra_basis().dim if d >= 2 else None
+            got, want = verify_u0(ctx, basis, smaller), _dense_report(ctx, basis, smaller)
+            for field in dataclasses.fields(want):
+                assert getattr(got, field.name) == getattr(want, field.name), (d, x, field.name)
+            assert got.passed, (d, x)
+            wrong = dataclasses.replace(want, peel_identity=False)
+            assert verify_u0(ctx, basis, basis.dim) == wrong, (d, x)
 
 
 def test_cell_path_matches_the_piece_path(spans):
@@ -212,7 +270,7 @@ def test_cell_kernels_take_the_object_path(monkeypatch):
 
 def _tampered_cells(ctx, basis):
     """T's cells over a copy of dist with two labels swapped in the block of
-    the sphere S_2 (d >= 4): the classes are still there, but their row
+    the sphere S_2 (d >= 4): the classes are still there, but their line
     counts are no longer constant."""
     labels = np.array(ctx.dist.dist)
     rows, cols = ctx.spheres[2], ctx.spheres[2]
@@ -225,6 +283,33 @@ def _tampered_cells(ctx, basis):
     tampered = copy.copy(basis)
     tampered.cells = closure_module.CellForm(table, basis.cells.index, basis.cells.coef, basis.cells.pivots)
     return tampered
+
+
+def _even_lines(x):
+    """Does every row of x have one sum, and every column one sum?"""
+    return len(set(x.sum(axis=1).tolist())) == len(set(x.sum(axis=0).tolist())) == 1
+
+
+def test_cells_with_uneven_line_counts_take_the_reduction_path():
+    # The cells of T with two labels swapped in one block: the classes are
+    # still there, but their line counts are no longer constant, so no count
+    # can be read off the p-table.  The reduction path that once took such
+    # cells is gone: verify_u0 and complement_algebra refuse them, as
+    # reading an array other than dist, and read the untampered cells.
+    ctx = build_hypercube_context(5, 9)
+    basis = ctx.algebra_basis()
+    rep = verify_u0(ctx, basis)
+    tampered = _tampered_cells(ctx, basis)
+    sigma = cell_line_counts(ctx, basis)[0]
+    uneven = [k for k in range(tampered.dim) if not _even_lines(tampered.element(k)[2])]
+    assert uneven and all([sigma[h] for h in tampered.block(k)] == [2, 2] for k in uneven)
+    assert all(_even_lines(basis.element(k)[2]) for k in range(basis.dim))
+    other = "reads an array other than ctx.dist.dist"
+    with pytest.raises(ValueError, match=other):
+        verify_u0(ctx, tampered)
+    with pytest.raises(ValueError, match=other):
+        complement_algebra(ctx, tampered, rep)
+    assert rep.passed and complement_algebra(ctx, basis, rep).dim == basis.dim - 36
 
 
 def test_u0_and_its_corner_refuse_any_basis_but_the_cells_of_dist():
@@ -279,6 +364,32 @@ def test_a_wrong_p_table_fails_centrality_on_the_count_path():
         assert table[a, v, b] in cell_line_counts(wrong, basis)[1]
         rep = verify_u0(wrong, basis)
         assert rep.central is False and not rep.passed, d
+
+
+def test_a_cell_basis_over_a_copy_of_dist_takes_the_row_path():
+    # The same cells over an equal copy of dist: element for element the
+    # certified basis, with the same cell labels.  The row path that once
+    # summed its elements is gone, so the counts are never read off an
+    # array that may differ from dist: both functions refuse the copy.
+    other = "reads an array other than ctx.dist.dist"
+    for d in range(0, 8):
+        for x in _vertices(d):
+            ctx = build_hypercube_context(d, x)
+            basis = ctx.algebra_basis()
+            copied = closure_module.closure(ctx.generators(), ctx.dist.dist.copy())
+            assert copied.cells is not None and copied.cells.is_cells, (d, x)
+            assert copied.cells.table.labels is not ctx.dist.dist, (d, x)
+            assert copied.dim == basis.dim, (d, x)
+            for k in range(basis.dim):
+                (h, j, a), (h2, j2, b) = copied.element(k), basis.element(k)
+                assert (h, j) == (h2, j2) and np.array_equal(a, b), (d, x, k)
+            assert np.array_equal(copied.cells.table.values, basis.cells.table.values), (d, x)
+            rep = verify_u0(ctx, basis)
+            assert rep.passed, (d, x)
+            with pytest.raises(ValueError, match=other):
+                verify_u0(ctx, copied)
+            with pytest.raises(ValueError, match=other):
+                complement_algebra(ctx, copied, rep)
 
 
 def test_verify_u0_on_the_cells_reduces_only_the_sphere_table(monkeypatch):
