@@ -1,15 +1,19 @@
 """Block structure of the algebra: center, central idempotents, block sizes.
 
-Everything here works in the pivot coordinates of the algebra's reduced
-echelon basis b_1..b_m, held as the block pieces of closure.BlockSpans: b_k
-is an integer piece X_k on rows S_h x columns S_j and zero elsewhere, and no
-b_k is formed at n x n.  The pivot of b_j is its first nonzero entry, at
-matrix position (R_j, C_j) with value pv_j, and every other basis element is
-zero there, so an element c of the span has coordinates c[R_j, C_j] / pv_j
-and is zero exactly when its m pivot entries are.  Precondition: the span is
-closed under multiplication and contains the generators and the unit e.  Then
-every product the split needs lies in the span and is read through its
-pivot entries alone.
+Everything here works in the pivot coordinates of a reduced echelon basis
+b_1..b_m held in cell form (closure.CellForm): the triple-label basis that
+closure() certified, or the U0 corner that complement_algebra reads off it.
+Any other span is refused (_PivotBasis).  Over a cell table
+(closure.CellTable), cells[y, z] is the triple class C that holds (y, z),
+and b_k = sum_C M[k, C] 1_C for a small integer matrix M, the identity on T
+and two entries per row on the corner; b_k lies in one block (h_k, j_k),
+rows S_h x columns S_j, and no b_k is formed at n x n.  The pivot of b_j is
+its first nonzero entry, at matrix position (R_j, C_j) with value pv_j, and
+every other basis element is zero there, so an element c of the span has
+coordinates c[R_j, C_j] / pv_j and is zero exactly when its m pivot entries
+are.  Precondition: the span is closed under multiplication and contains
+the generators and the unit e.  Then every product the split needs lies in
+the span and is read through its pivot entries alone.
 
 Every element the split makes (the center basis, the probe, the central
 idempotents) is held as integer coordinates (c, den), the element
@@ -21,38 +25,25 @@ and read into coordinates at the pivots alone
 block S_h x S_h and zero off them, so
 e[R_k, C_k] = [R_k = C_k] - [h_k = j_k] u_{h_k} / den.  Every operand (a
 generator, the unit, the probe, an idempotent) is read only through its
-frame, its m pivot rows z[R, :] and m pivot columns z[:, C]: a pivot entry
-of g b_k or b_k g takes one pivot row or column of g (below), a pivot entry
-of z^2 is z[R_k, :] z[:, C_k], and a block-size trace reads the pivot
-columns.  A generator comes in either of closure's two forms: an n x n
-matrix, whose frame is g[R, :], g[:, C], or a 1 x n row standing for
-diag(row), whose frame holds row[R_k] at (k, R_k) of its m x n rows and
-row[C_k] at (C_k, k) of its n x m columns, and is zero elsewhere
-(_PivotBasis.diagonal_frame).  A coordinate vector's is summed from the
-pieces: piece k of block (h, j) adds c_k X_k[r_i, :] to each pivot row R_i
-in S_h, at columns S_j, and c_k X_k[:, c_i] to each pivot column C_i in
-S_j, at rows S_h; each entry is at most sum_k |c_k| max|X_k|, the bound
-handed to _intops.guarded.  Each half is built only where it is read: the
-probe's rows, an idempotent's columns for its block size, both for the
-guard.  So no n x n matrix is formed here: the only ones are the n x n
-generators the caller passes, and the frames are m x n.
-
-The cell path.  A span closure() certified on its triple-label basis is
-held in cell form alone, over a cell table (closure.CellTable):
-cells[y, z] is the triple class C that holds (y, z), and
-b_k = sum_C M[k, C] 1_C for a small integer matrix M (closure.CellForm),
-the identity on T and two entries per row on the U0 corner.  The split
-reads such a span through the table, at its m pivot rows and columns, and
-never through its pieces.  The frame of z = sum_k c_k b_k is one gather
-of its cell weights w = c M:
-z[R_i, t] = w[cells[R_i, t]] and z[t, C_i] = w[cells[t, C_i]].  A pivot
-entry of g b_k is sum_C M[k, C] sum_{t : cells[t, C_i] = C} g[R_i, t], so
-the pivot products of g are one exact scatter-add S[i, C] of g's pivot
-rows by cell (numpy's add.at, on int64 or Python ints), then S M^T; b_k g
-scatters g's pivot columns by cells[R_i, t] alike, and the trace entry
-(b_k z)[R_k, C_k] is entry (k, k) of that product.  tr b_k is
-sum_C M[k, C] #{y : cells[y, y] = C}.  Every value is the piece path's, and
-each kernel states the piece path's bound.
+frame, its m pivot rows z[R, :] and m pivot columns z[:, C].  A generator
+comes in either of closure's two forms: an n x n matrix, whose frame is
+g[R, :], g[:, C], or a 1 x n row standing for diag(row), whose frame holds
+row[R_k] at (k, R_k) of its m x n rows and row[C_k] at (C_k, k) of its
+n x m columns, and is zero elsewhere (_PivotBasis.diagonal_frame).  The
+frame of z = sum_k c_k b_k is one gather of its cell weights w = c M:
+z[R_i, t] = w[cells[R_i, t]] and z[t, C_i] = w[cells[t, C_i]]; each entry
+is at most sum_k |c_k| max|b_k|, the bound handed to _intops.guarded.  Each
+half is built only where it is read: the probe's rows, an idempotent's
+columns for its block size, both for the guard.  A pivot entry of g b_k is
+sum_C M[k, C] sum_{t : cells[t, C_i] = C} g[R_i, t], so the pivot products
+of g are one exact scatter-add S[i, C] of g's pivot rows by cell (numpy's
+add.at, on int64 or Python ints), then S M^T; b_k g scatters g's pivot
+columns by cells[R_i, t] alike, and the trace entry (b_k z)[R_k, C_k] is
+entry (k, k) of that product.  Each entry sums at most n products, so
+n max|frame| max|b_k| bounds it.  tr b_k is
+sum_C M[k, C] #{y : cells[y, y] = C}.  So no n x n matrix is formed here:
+the only ones are the n x n generators the caller passes, and the frames
+are m x n.
 
 - The center, filtered by class-diagonal generators.  Call a generator g
   class-diagonal when it is a row, constant, g_h, on every class S_h of the
@@ -75,11 +66,8 @@ each kernel states the piece path's bound.
   the kept-column pivots, and the free columns are the same in both
   problems.  The filter needs no closure assumption.  A generator that is
   not class-diagonal contributes the pivot entries of [b_k, g] for the kept
-  columns: g b_k vanishes outside columns S_j, so its pivot entries are zero
-  except at the pivots with C_i in S_j, where they are
-  sum_{t in S_h} g[R_i, t] X_k[t, C_i], read from g's pivot row R_i; b_k g
-  vanishes outside rows S_h and has sum_{t in S_j} X_k[R_i, t] g[t, C_i],
-  read from g's pivot column C_i, at the pivots with R_i in S_h.
+  columns: those of g b_k, read from g's pivot rows, less those of b_k g,
+  read from its pivot columns (above).
   On the spheres of T(x), A* keeps only the columns of the diagonal blocks
   E*_h T E*_h, so the kernel runs on an m x m' matrix of A's rows, m' =
   sum_h dim E*_h T E*_h, not on a 2m x m one.
@@ -88,9 +76,9 @@ each kernel states the piece path's bound.
   dim span{b_k z} = rank R_z = tr R_z.  Column k of R_z in coordinates is
   the coordinate vector of b_k z, so
   tr R_z = sum_k (b_k z)[R_k, C_k] / pv_k, and
-  (b_k z)[R_k, C_k] = sum_{t in S_j} X_k[r_k, t] z[S_j[t], C_k] is one dot
-  product of length |S_j| with z's pivot column C_k.  The block size n_r is
-  the integer square root of tr R_{z_r}.
+  (b_k z)[R_k, C_k] is read from z's pivot column C_k, entry (k, k) of its
+  pivot products (above).  The block size n_r is the integer square root of
+  tr R_{z_r}.
 - The left-regular probe.  A deterministic probe p of the center, an
   integer combination of the center basis held as coordinates, acts on
   coordinates by L_p = D^-1 (pivot entries of p b_l), D = diag(pv), read
@@ -103,8 +91,8 @@ each kernel states the piece path's bound.
   no search bound), the Lagrange idempotents
   prod (L_p - mu) / (lambda - mu) coords(e) are formed as coordinate
   vectors and kept as (c, den).  Each block rank is the trace of its
-  idempotent, sum_k c_k tr(b_k) / den, where tr(b_k) = tr(X_k) for a piece
-  of a diagonal block (h, h) and 0 off them (S_h and S_j are disjoint).
+  idempotent, sum_k c_k tr(b_k) / den, with tr(b_k) counted off the
+  table's diagonal (above).
 - The corner.  The complement algebra (I - U0) T (I - U0) is spanned by
   W B W with W = L (I - U0), where L U0 = S^T M S, M = diag(m), is the
   factorization that idempotent.verify_u0 verifies on U0's triple table and
@@ -182,7 +170,6 @@ need not be 1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -201,7 +188,15 @@ from ._intops import (
     max_abs,
     to_object,
 )
-from .closure import BlockSpans, Unit, diagonal_row, identity_unit, unit_table, zero_sum_span
+from .closure import (
+    BlockSpans,
+    CellForm,
+    Unit,
+    diagonal_row,
+    identity_unit,
+    unit_table,
+    zero_sum_span,
+)
 from .idempotent import U0Report, cell_line_counts
 from .linalg import RationalMatrix, kernel_basis, min_poly
 from .polys import RationalPoly, integer_roots
@@ -247,69 +242,47 @@ class BlockDecomposition:
 
 
 class _PivotBasis:
-    """A reduced echelon basis with its pivots and bounds, read in the form
-    its span holds: through its cells (module docstring, "The cell path")
-    when the span is in cell form, as T on its certified triple-label basis
-    and the U0 corner are; otherwise through its block pieces, as a span
-    from closure's product loop is (the graph path on a graph that fails
-    the label certificate, or any span passed to decompose).
+    """A reduced echelon basis in cell form, with its pivots and bounds: the
+    span closure() certified on its triple-label basis, or the U0 corner
+    complement_algebra reads off it.  The split reads it through its cells
+    (module docstring) and never forms an element's block.
 
-    b_k is the piece X_k of block (h_k, j_k).  Its pivot is the first nonzero
-    of X_k in block row-major order, at (R, C) = (S_h[r], S_j[c]): the first
-    nonzero of b_k, since the classes are ascending (see closure).
+    b_k is sum_s coef[k, s] 1_{cell index[k, s]} (closure.CellForm), in
+    block (h_k, j_k).  Its pivot is the first nonzero of b_k, at
+    (R, C) = (S_h[r], S_j[c]) for the offsets (r, c) its maker states.
+
+    Raises:
+        ValueError: if the span is not in cell form.
     """
 
     def __init__(self, span: BlockSpans):
+        if not isinstance(span.cells, CellForm):
+            raise ValueError(
+                "the split reads closure()'s certified triple-label basis or "
+                "complement_algebra's corner, in cell form; this span is not in cell form"
+            )
         self.n = span.n
         self.classes = span.classes
         self.cells = span.cells
-        self._span = span
+        self.closed_unit = span.closed_unit
         # The pivots and maxima are the span's own, not recomputed.
-        rows, cols, local, self.pivvals = [], [], [], []
+        rows, cols, blocks, self.pivvals = [], [], [], []
         for k in range(span.dim):
             h, j = span.block(k)
             r, c, value = span.pivot(k)
             rows.append(self.classes[h][r])
             cols.append(self.classes[j][c])
-            local.append((h, j, r, c))
+            blocks.append((h, j))
             self.pivvals.append(value)
         self.rows = np.array(rows, dtype=np.intp)
         self.cols = np.array(cols, dtype=np.intp)
-        # Pivot k lies in the classes (h_k, j_k) of its piece, at offsets
-        # (r_k, c_k) inside them; _in_rows[h] lists the pivots in rows S_h.
-        self._h, self._j, self._r, self._c = (
-            np.array(local, dtype=np.intp).reshape(-1, 4).T
-        )
-        self._in_rows = [np.flatnonzero(self._h == h) for h in range(len(self.classes))]
-        self._in_cols = [np.flatnonzero(self._j == j) for j in range(len(self.classes))]
+        self._h, self._j = np.array(blocks, dtype=np.intp).reshape(-1, 2).T
         self.pivlcm = math.lcm(1, *self.pivvals)
         self.maxes = [span.row_max(k) for k in range(span.dim)]
-        # Echelon stores its rows narrow, so a piece is object only when its
-        # max|X| is past the int64 bound, and so is every bound below that
-        # counts the piece: no flag for object pieces is needed.  So the
-        # kernels here hand guarded no piece: one that scales a piece by a
-        # Python int widens each slice it takes (_frame), and one that only
-        # meets a piece against its frame operand reads the pieces as they
-        # are held, since numpy computes int8 against int64 in int64 and
-        # anything against object on Python ints (_pivot_products,
-        # pivot_trace).
         self._bmax = max(self.maxes, default=0)
-        self.closed_unit = span.closed_unit
-        if self.cells is None:
-            # tr b_k: a piece off the diagonal blocks has no diagonal entry.
-            self.traces = [int(np.trace(x)) if h == j else 0 for h, j, x in self.pieces]
-        else:
-            self._cell_setup()
-
-    @functools.cached_property
-    def pieces(self) -> list[tuple[int, int, np.ndarray]]:
-        """(h, j, X_k) of every element, read from the span on first use:
-        the piece path reads them, the cell path does not."""
-        return [self._span.element(k) for k in range(self.dim)]
-
-    def _cell_setup(self) -> None:
-        """The cell path's positions at the pivots (closure.CellForm.
-        positions) and tr b_k = sum_s coef[k, s] #{y : cells[y, y] = index[k, s]}."""
+        # The positions of the pivot rows and columns in the cell sums
+        # (closure.CellForm.positions), and
+        # tr b_k = sum_s coef[k, s] #{y : cells[y, y] = index[k, s]}.
         form = self.cells
         self._left_at, self._right_at = form.positions(self.rows, self.cols)
         counts = np.bincount(form.table.diagonal(), minlength=form.table.size)[form.index]
@@ -334,43 +307,21 @@ class _PivotBasis:
         return demote(np.array(num, dtype=object)), den * self.pivlcm
 
     def frame_rows(self, c) -> np.ndarray:
-        """The m pivot rows z[R, :] of z = sum_k c_k b_k, for integer c.
-
-        Piece k, in block (h, j), adds c_k X_k[r_i, :] to each pivot row R_i
-        in S_h, at columns S_j.
-        """
+        """The m pivot rows z[R, :] of z = sum_k c_k b_k, for integer c:
+        z[R_i, t] = (c M)[cells[R_i, t]]."""
         return self._frame(c, rows=True)
 
     def frame_cols(self, c) -> np.ndarray:
-        """The m pivot columns z[:, C] of z = sum_k c_k b_k, for integer c.
-
-        Piece k, in block (h, j), adds c_k X_k[:, c_i] to each pivot column
-        C_i in S_j, at rows S_h.
-        """
+        """The m pivot columns z[:, C] of z = sum_k c_k b_k, for integer c:
+        z[t, C_i] = (c M)[cells[t, C_i]]."""
         return self._frame(c, rows=False)
 
     def _frame(self, c, rows: bool) -> np.ndarray:
-        """One half of the frame (frame_rows, frame_cols).  Every entry is at
-        most sum_k |c_k| max|X_k|; past the int64 bound it is summed on
-        Python ints and kept object, not demoted.  On the cell path it is
-        one gather of the cell weights c M (module docstring)."""
+        """One half of the frame (frame_rows, frame_cols): one gather of the
+        cell weights c M (module docstring).  Every entry is at most
+        sum_k |c_k| max|b_k|; past the int64 bound it is summed on Python
+        ints and kept object, not demoted."""
         c = [int(v) for v in c]
-        used = [k for k, v in enumerate(c) if v]
-        shape = (self.dim, self.n) if rows else (self.n, self.dim)
-
-        def total(dtype):
-            out = np.zeros(shape, dtype=dtype)
-            for k in used:
-                h, j, x = self.pieces[k]
-                if rows:
-                    sel = self._in_rows[h]
-                    at, part = np.ix_(sel, self.classes[j]), x[self._r[sel]]
-                else:
-                    sel = self._in_cols[j]
-                    at, part = np.ix_(self.classes[h], sel), x[:, self._c[sel]]
-                # Only the slice added is widened (_intops module docstring).
-                out[at] += c[k] * part.astype(dtype, copy=False)
-            return out
 
         def gather(dtype):
             # z[R_i, t] = (c M)[cells[R_i, t]], read in m copies of c M.
@@ -378,12 +329,10 @@ class _PivotBasis:
             out = cm.take(self._right_at if rows else self._left_at).reshape(self.dim, self.n)
             return out if rows else out.T
 
-        if self.cells is not None:
-            total = gather
         return guarded(
-            sum(abs(c[k]) * self.maxes[k] for k in used),
-            lambda: total(np.int64),
-            exact=lambda: total(object),
+            sum(abs(v) * mx for v, mx in zip(c, self.maxes)),
+            lambda: gather(np.int64),
+            exact=lambda: gather(object),
         )
 
     def _pivot_products(self, part: np.ndarray, left: bool, ks=None) -> np.ndarray:
@@ -391,35 +340,16 @@ class _PivotBasis:
         or b_k g, for k = ks[c] (every k when ks is None), read from g's
         frame: part is its pivot rows (left) or its pivot columns (right).
 
-        Only the pivots in the columns (rows) of b_k's block are filled, see
-        the module docstring.  Each entry sums at most n products, so
-        n * max|part| * max|X| bounds it (guarded).  The pieces are read as
-        they are held (see __init__).
+        Column c is column k of S M^T, for the sums S of part by cell
+        (module docstring).  Each entry sums at most n products, so
+        n * max|part| * max|b_k| bounds it (guarded).
         """
         bound = self.n * max_abs(part) * self._bmax
-        if self.cells is not None:
-            # S M^T at the columns ks, for the sums S of part by cell; g's
-            # pivot rows are m x n and its pivot columns n x m, and both are
-            # read at (i, t), the layout of the positions.
-            part, at = (part, self._left_at) if left else (part.T, self._right_at)
-            ks = np.arange(self.dim) if ks is None else ks
-            return guarded(bound, lambda p: self.cells.combine(self.cells.sums(p, at), ks), part)
-        ks = range(self.dim) if ks is None else ks
-
-        def products(part):
-            out = np.zeros((self.dim, len(ks)), dtype=np.result_type(np.int64, part))
-            for c, k in enumerate(ks):
-                h, j, x = self.pieces[k]
-                if left:
-                    sel = self._in_cols[j]
-                    a, b = part[np.ix_(sel, self.classes[h])], x[:, self._c[sel]]
-                else:
-                    sel = self._in_rows[h]
-                    a, b = x[self._r[sel], :], part[np.ix_(self.classes[j], sel)]
-                out[sel, c] = np.einsum("it,ti->i", a, b)
-            return out
-
-        return guarded(bound, products, part)
+        # g's pivot rows are m x n and its pivot columns n x m, and both are
+        # read at (i, t), the layout of the positions.
+        part, at = (part, self._left_at) if left else (part.T, self._right_at)
+        ks = np.arange(self.dim) if ks is None else ks
+        return guarded(bound, lambda p: self.cells.combine(self.cells.sums(p, at), ks), part)
 
     def left(self, rows: np.ndarray, ks=None) -> np.ndarray:
         """Column c holds the pivot entries of g b_k, k = ks[c], for g with
@@ -453,22 +383,12 @@ class _PivotBasis:
         """sum_k (b_k z)[R_k, C_k] / pv_k: the trace of b -> b z in coordinates,
         for z with pivot columns cols / den.
 
-        Entry k is one dot product of length |S_j| (module docstring), so
-        n * max|cols| * max|X| bounds it (guarded).  The pieces are read as
-        they are held (see __init__).
+        Entry k is entry (k, k) of S M^T for the sums S of cols by the cells
+        of the pivot rows, as right(cols) has it (module docstring), so
+        n * max|cols| * max|b_k| bounds it (guarded).
         """
-
-        def entries(g):
-            pieces = enumerate(zip(self.pieces, self._r))
-            return np.array([x[r] @ g[self.classes[j], k] for k, ((_, j, x), r) in pieces], g.dtype)
-
-        def cell_entries(g):
-            # Entry k of S M^T for the sums S of g by the cells of the pivot
-            # rows: (b_k z)[R_k, C_k], as right(cols) has it.
-            return self.cells.own(self.cells.sums(g.T, self._right_at))
-
         bound = self.n * max_abs(cols) * self._bmax
-        dots = guarded(bound, entries if self.cells is None else cell_entries, cols)
+        dots = guarded(bound, lambda g: self.cells.own(self.cells.sums(g.T, self._right_at)), cols)
         total = sum(int(v) * (self.pivlcm // p) for v, p in zip(dots, self.pivvals))
         return Fraction(total, self.pivlcm * den)
 
@@ -506,18 +426,22 @@ def center_basis(
     """Echelonized basis of {c in span(t) : c g = g c for all generators}, as
     coordinates (c, den) over the basis of t.
 
-    Precondition: t, a closure.BlockSpans, spans a closed algebra that
-    contains the generators.  Then every commutator [b_k, g] lies in the
-    algebra and is zero exactly when its pivot entries are.  Each
+    Precondition: t, a closure.BlockSpans in cell form (closure()'s
+    certified triple-label basis or complement_algebra's corner), spans a
+    closed algebra that contains the generators.  Then every commutator
+    [b_k, g] lies in the algebra and is zero exactly when its pivot entries
+    are.  Each
     generator is an n x n matrix or a 1 x n row standing for diag(row).  A
     class-diagonal generator (a row constant on every class) only drops the
     columns of the blocks (h, j) on which its class values differ; the
     others give the pivot entries of [b_k, g] on the kept columns, read
     from g's frame, and the center coordinates are their kernel
     vectors padded with zeros, each over its least common denominator
-    (module docstring).  On a span that is not
-    closed the result may be wrong; split_center does not split such a
-    span.
+    (module docstring).  On a span that is not closed the result may be
+    wrong; split_center does not split such a span.
+
+    Raises:
+        ValueError: if t is not in cell form (_PivotBasis).
     """
     pb = _pivot_basis(t)
     if not pb.dim:
@@ -583,13 +507,17 @@ def split_center(
     (_PivotBasis.unit_coordinates).
 
     Args:
-        t: closure.BlockSpans of the algebra (same precondition as
-            center_basis).
+        t: closure.BlockSpans of the algebra, in cell form (same
+            precondition as center_basis).
         center: basis of the center as coordinates (c, den), as produced by
             center_basis.
         identity: unit table (closure.Unit) of the algebra's identity
             element, compared with the span's certificate; None means I.
             The complement algebra passes I - U0 here.
+
+    Raises:
+        ValueError: if center is empty, or t is not in cell form
+            (_PivotBasis).
     """
     center = list(center)
     m = len(center)
@@ -720,12 +648,15 @@ def decompose(
     """center_basis + split_center + block_sizes in one call.
 
     Each generator is an n x n matrix or a 1 x n row standing for
-    diag(row), as closure takes them.  Precondition: the span of t holds
-    every generator g, or, on the U0
-    corner, every (I - U0) g (I - U0).  On a span certified closed with
-    unit identity, a unit table (None means I), the split is then exact
-    and its idempotents commute with the generators (module docstring); any
-    other span is not split.
+    diag(row), as closure takes them.  Precondition: t is in cell form,
+    and its span holds every generator g, or, on the U0 corner, every
+    (I - U0) g (I - U0).  On a span certified closed with unit identity, a
+    unit table (None means I), the split is then exact and its idempotents
+    commute with the generators (module docstring); a span with no such
+    certificate is not split.
+
+    Raises:
+        ValueError: if t is not in cell form (_PivotBasis).
     """
     pb = _pivot_basis(t)
     center = center_basis(pb, generators)

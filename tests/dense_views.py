@@ -1,4 +1,4 @@
-"""Dense n x n views of block pieces, class rows, held diagonals and
+"""Dense n x n views of span elements, class rows, held diagonals and
 coordinate vectors, and the dense helpers the reference checks in the tests
 are built from."""
 
@@ -62,23 +62,22 @@ def contains(span, m) -> bool:
     return True
 
 
-def combine(pb, coeffs: Sequence, den: int = 1) -> RationalMatrix:
-    """The element (sum_k coeffs[k] b_k) / den of a wedderburn._PivotBasis,
+def combine(span, coeffs: Sequence, den: int = 1) -> RationalMatrix:
+    """The element (sum_k coeffs[k] b_k) / den of a closure.BlockSpans,
     canonicalized once.
 
-    The pieces are added into one n x n accumulator, in int64 when
-    sum_k |coeffs[k]| max|X_k| allows it and on Python ints otherwise.
+    The blocks span.element(k) are added into one n x n accumulator, in
+    int64 when sum_k |coeffs[k]| max|b_k| allows it and on Python ints
+    otherwise.
     """
     coeffs = [int(c) for c in coeffs]
-    bound = sum(abs(c) * mx for c, mx in zip(coeffs, pb.maxes))
-    obj = bound >= INT64_SAFE or any(
-        x.dtype == object for c, (_h, _j, x) in zip(coeffs, pb.pieces) if c
-    )
-    acc = np.zeros((pb.n, pb.n), dtype=object if obj else np.int64)
-    for c, (h, j, x) in zip(coeffs, pb.pieces):
-        if c:
-            block = np.ix_(pb.classes[h], pb.classes[j])
-            acc[block] += c * (to_object(x) if obj else wide(x))
+    used = [(c, span.element(k)) for k, c in enumerate(coeffs) if c]
+    bound = sum(abs(c) * span.row_max(k) for k, c in enumerate(coeffs))
+    obj = bound >= INT64_SAFE or any(x.dtype == object for _c, (_h, _j, x) in used)
+    acc = np.zeros((span.n, span.n), dtype=object if obj else np.int64)
+    for c, (h, j, x) in used:
+        block = np.ix_(span.classes[h], span.classes[j])
+        acc[block] += c * (to_object(x) if obj else wide(x))
     return RationalMatrix(acc, den)
 
 

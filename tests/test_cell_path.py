@@ -4,7 +4,8 @@ A span that closure() certified on its triple-label basis carries a cell
 table: each pair (y, z) maps to the element whose triple class holds it.
 wedderburn reads such a span through the table (frames by one gather,
 pivot products and traces by one scatter-add by cell), and every result
-must be the piece path's, field by field.  verify_u0 and
+must be the one read off the dense elements; a span not in cell form is
+refused.  verify_u0 and
 complement_algebra read T only on that basis, over ctx.dist.dist itself:
 the U0 checks and the corner come from the cells' counts, the corner must
 be the dense compression's reduced basis, and any other span is refused.
@@ -15,18 +16,28 @@ import dataclasses
 import importlib
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dense_views import (
+    combine,
     dense_corner,
     dense_diagonal,
     dense_idempotents,
+    dense_pivot_idempotents_valid,
     dense_triple_table,
     dense_u0,
+    dense_unit,
     densify,
     sphere_indicator_matrix,
+)
+from test_wedderburn import (
+    NOT_CELLS,
+    _dense_pivot_entries,
+    _dense_split_center,
+    _gram_center_basis,
 )
 
 from terwalg import _intops, echelon, linalg, verify, wedderburn
@@ -42,8 +53,8 @@ def _vertices(d):
 
 
 def _piece_span(span):
-    """The same span held as echelon rows, with no cell table, so that the
-    split takes the piece path.  Its elements are reduced already, so each
+    """The same span held as echelon rows, with no cell table: the form the
+    split refuses.  Its elements are reduced already, so each
     is stored as it stands, in its order, and keeps its number."""
     piece = closure_module.BlockSpans(span.n, span.classes)
     for k in range(span.dim):
@@ -176,38 +187,54 @@ def test_verify_u0_reads_the_same_report_off_the_cells():
 
 
 def test_cell_path_matches_the_piece_path(spans):
-    # The same span, read through its cells and through its pieces: every
-    # kernel and every field of the split agree, dtype included.
+    # The piece path is gone: the same span held as echelon rows, with no
+    # cell table, is refused at every entry of the split.  The cell path's
+    # kernels, center and split are those read off the dense elements
+    # (n <= 32), dtype included.
     rng = random.Random(41)
     for name, span, gens, unit in spans:
         piece_span = _piece_span(span)
-        cell, piece = _PivotBasis(span), _PivotBasis(piece_span)
-        assert cell.cells is not None and piece.cells is None, name
-        assert np.array_equal(cell.rows, piece.rows) and np.array_equal(cell.cols, piece.cols)
-        assert (cell.pivvals, cell.maxes, cell.traces) == (piece.pivvals, piece.maxes, piece.traces)
+        with pytest.raises(ValueError, match=NOT_CELLS):
+            _PivotBasis(piece_span)
+        with pytest.raises(ValueError, match=NOT_CELLS):
+            center_basis(piece_span, gens)
+        with pytest.raises(ValueError, match=NOT_CELLS):
+            decompose(piece_span, gens, unit)
+        if span.n > 32:
+            continue
+        cell, mats = _PivotBasis(span), densify(span)
+        assert cell.maxes == [int(np.abs(b.num).max()) for b in mats], name
+        assert cell.traces == [int(b.trace()) for b in mats], name
         a = gens[0].num
-        parts = [(a[cell.rows], a[:, cell.cols])]
+        parts = [(a, a[cell.rows], a[:, cell.cols])]
         for _ in range(2):
             c = [rng.randrange(-40, 41) for _ in range(cell.dim)]
+            z = combine(span, c).num
             rows, cols = cell.frame_rows(c), cell.frame_cols(c)
-            want_rows, want_cols = piece.frame_rows(c), piece.frame_cols(c)
-            assert rows.dtype == want_rows.dtype and np.array_equal(rows, want_rows), name
-            assert cols.dtype == want_cols.dtype and np.array_equal(cols, want_cols), name
-            parts.append((rows, cols))
-            assert cell.pivot_trace(cols, 7) == piece.pivot_trace(cols, 7), name
+            assert rows.dtype == cols.dtype == np.int64, name
+            assert np.array_equal(rows, z[cell.rows]) and np.array_equal(cols, z[:, cell.cols]), name
+            parts.append((z, rows, cols))
+            # tr(b -> b z) = sum_k (b_k z)[R_k, C_k] / pv_k, here over 7.
+            entries = [_intops.exact_matmul(b.num, z)[r, c] for b, r, c in zip(mats, cell.rows, cell.cols)]
+            want = sum(Fraction(int(v), 7 * p) for v, p in zip(entries, cell.pivvals))
+            assert cell.pivot_trace(cols, 7) == want, name
         ks = np.array(sorted(rng.sample(range(cell.dim), (cell.dim + 1) // 2)), dtype=np.intp)
-        for rows, cols in parts:
-            for sel in (None, ks):
-                for side, part in (("left", rows), ("right", cols)):
+        for g, rows, cols in parts:
+            for side, part in (("left", rows), ("right", cols)):
+                want = _dense_pivot_entries(mats, g, side)
+                for sel in (None, ks):
                     got = getattr(cell, side)(part, sel)
-                    want = getattr(piece, side)(part, sel)
-                    assert got.dtype == want.dtype and np.array_equal(got, want), (name, side)
-        got_center = [(tuple(c.tolist()), den) for c, den in center_basis(cell, gens)]
-        want_center = [(tuple(c.tolist()), den) for c, den in center_basis(piece, gens)]
-        assert got_center == want_center, name
-        got, want = decompose(span, gens, unit), decompose(piece_span, gens, unit)
-        assert got.status == want.status == wedderburn.SPLIT, name
-        assert got == want, name
+                    expected = want if sel is None else want[:, sel]
+                    assert got.dtype == np.int64 and np.array_equal(got, expected), (name, side)
+        center = [combine(span, *z) for z in center_basis(cell, gens)]
+        assert center == _gram_center_basis(mats, gens), name
+        e = dense_unit(span, unit)
+        status, mp, roots, idems, ranks = _dense_split_center(center, e)
+        dec = decompose(span, gens, unit)
+        assert dec.status == status == wedderburn.SPLIT, name
+        assert (dec.probe_min_poly, dec.eigenvalues, dec.block_ranks) == (mp, roots, ranks), name
+        assert tuple(combine(span, *z) for z in dec.central_idempotents) == idems, name
+        assert dense_pivot_idempotents_valid(cell, list(idems), e), name
 
 
 def test_corner_rows_are_the_reduced_rows():
@@ -413,7 +440,7 @@ def test_verify_u0_on_the_cells_reduces_only_the_sphere_table(monkeypatch):
 
 def test_every_verify_diameter_splits_on_the_cell_path(monkeypatch):
     # T and its corner, at every diameter of a sweep, are read through
-    # their cells; no split there takes the piece path.
+    # their cells; no split there meets a span it refuses.
     paths = []
     real_init = _PivotBasis.__init__
 
@@ -429,6 +456,21 @@ def test_every_verify_diameter_splits_on_the_cell_path(monkeypatch):
     assert sorted(n for n, _cells in paths) == sorted(
         [1 << d for d in range(0, 9)] + [1 << d for d in range(2, 9)]
     )
+
+
+def test_no_command_split_forms_an_element_block(monkeypatch):
+    # The split reads T and its corner through their cells alone: with
+    # BlockSpans.element refusing every call, a sweep and a parameter
+    # report, each of which splits, give the same reports.
+    want = verify.run_verification(6, vertex=5), verify.build_parameter_report(6, 5)
+
+    def refused(span, k):
+        raise AssertionError(f"element {k} of a span was formed")
+
+    monkeypatch.setattr(closure_module.BlockSpans, "element", refused)
+    got = verify.run_verification(6, vertex=5), verify.build_parameter_report(6, 5)
+    assert got[0].to_json() == want[0].to_json() and got[0].overall == "pass"
+    assert got[1] == want[1] and got[1]["blocks"] == [7, 5, 3, 1]
 
 
 def test_the_cell_path_forms_no_n_wide_index(monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from test_subconstituent import _oracle_graphs
 from terwalg import _intops, echelon, idempotent, verify, wedderburn
 from terwalg._intops import INT64_SAFE, exact_matmul, exact_scale, exact_sub
 from terwalg.checks import Check
-from terwalg.closure import BlockSpans, closure, identity_unit, unit_table
+from terwalg.closure import BlockSpans, CellForm, CellTable, closure, identity_unit, unit_table
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import verify_u0
 from terwalg.linalg import RationalMatrix, kernel_basis, rank
@@ -41,6 +42,13 @@ from terwalg.wedderburn import (
     complement_algebra,
     decompose,
     split_center,
+)
+
+
+# The refusal of a span not in cell form (_PivotBasis).
+NOT_CELLS = re.escape(
+    "the split reads closure()'s certified triple-label basis or "
+    "complement_algebra's corner, in cell form"
 )
 
 
@@ -70,8 +78,7 @@ def suite():
 
 def _dense_all(span, zs):
     """The dense n x n matrices of coordinates (c, den) over span's basis."""
-    pb = _PivotBasis(span)
-    return [combine(pb, *z) for z in zs]
+    return [combine(span, *z) for z in zs]
 
 
 def _fractions(z):
@@ -97,7 +104,7 @@ def _dense_coordinates(pb, z):
 
 def _frame(pb, z):
     """(pivot rows, pivot columns, den) of a dense matrix, read off it, or
-    of coordinates (c, den), summed from the pieces."""
+    of coordinates (c, den), gathered from the cells."""
     if isinstance(z, RationalMatrix):
         return z.num[pb.rows], z.num[:, pb.cols], z.den
     return pb.frame_rows(z[0]), pb.frame_cols(z[0]), z[1]
@@ -175,19 +182,36 @@ def test_block_data_matches_dense_spans(suite):
 
 
 def test_unclosed_span_is_not_split(suite):
-    # span{I, E*_0 + E*_3} is not closed under A.  The pivot test wrongly
-    # finds it central, and its probe would split cleanly; the span carries
-    # no closedness certificate, so neither call splits it.
-    ctx, _basis = suite[3]
-    n = ctx.n
-    span = BlockSpans(n, (np.arange(n),))
-    span.add(0, 0, RationalMatrix.identity(n).num)
-    span.add(0, 0, dense_diagonal(ctx.E_star[0] + ctx.E_star[3]).num)
-    center = center_basis(span, ctx.generators())
-    assert len(center) == 2
-    for dec in (split_center(span, center), decompose(span, ctx.generators())):
+    # span{E*_0, .., E*_3}, the first four cells of T on the 3-cube, is not
+    # closed under A; its center is span{I} (the Gram reference, which needs
+    # no closure).  The pivot test wrongly finds all of it central, and its
+    # probe splits cleanly once a certificate is forged; the span carries
+    # none, so neither call splits it.  The product loop's form of the same
+    # span is refused.
+    ctx, basis = suite[3]
+    gens = ctx.generators()
+    form = basis.cells
+    c = len(basis.classes)
+    span = BlockSpans.of_cells(
+        ctx.n, basis.classes, CellForm(form.table, form.index[:c], form.coef[:c], form.pivots[:c])
+    )
+    assert span.closed_unit is None
+    assert list(densify(span)) == [dense_diagonal(e) for e in ctx.E_star]
+    assert len(_gram_center_basis(densify(span), gens)) == 1
+    center = center_basis(span, gens)
+    assert len(center) == c
+    for dec in (split_center(span, center), decompose(span, gens)):
         assert dec.status == INCONCLUSIVE
         assert dec.central_idempotents == dec.eigenvalues == dec.block_ranks == ()
+    forged = BlockSpans.of_cells(ctx.n, span.classes, span.cells)
+    forged.closed_unit = identity_unit(c)
+    assert split_center(forged, center).status == SPLIT
+    rows = BlockSpans(ctx.n, (np.arange(ctx.n),))
+    rows.add(0, 0, RationalMatrix.identity(ctx.n).num)
+    rows.add(0, 0, dense_diagonal(ctx.E_star[0] + ctx.E_star[3]).num)
+    for split in (center_basis, decompose):
+        with pytest.raises(ValueError, match=NOT_CELLS):
+            split(rows, gens)
 
 
 def test_center_dimensions(suite):
@@ -216,11 +240,10 @@ def test_split_single_block(suite):
     assert filled.block_sizes == (2,)
 
 
-def test_split_with_probe_eigenvalues_past_10_to_the_6():
+def test_split_with_probe_eigenvalues_past_10_to_the_6(suite):
     # The diagonal algebra spanned by e_kk, generated by one diagonal matrix
-    # with distinct entries, with center c_k = (10^7 + k) e_kk.  The first
-    # probe (weights 7^k) has the eigenvalues 7^k (10^7 + k), from
-    # 10,000,000 to 168,070,084,035, all above 10^6.
+    # with distinct entries, with center c_k = (10^7 + k) e_kk, is the
+    # product loop's span, which the split refuses.
     m = 6
     span = closure([RationalMatrix(np.diag(np.arange(m)))])
     basis = list(densify(span))
@@ -228,13 +251,27 @@ def test_split_with_probe_eigenvalues_past_10_to_the_6():
     units = np.eye(m, dtype=np.int64)
     center = [(units[k] * (10**7 + k), 1) for k in range(m)]
     assert _dense_all(span, center) == [b * (10**7 + k) for k, b in enumerate(basis)]
-    dec = split_center(span, center)
-    assert dec.status == SPLIT
-    assert dec.eigenvalues == tuple(7**k * (10**7 + k) for k in range(m))
-    assert dec.eigenvalues[0] == 10_000_000
-    assert dec.eigenvalues[-1] == 168_070_084_035
-    assert _dense_all(span, dec.central_idempotents) == basis
-    assert dec.block_ranks == (1,) * m
+    with pytest.raises(ValueError, match=NOT_CELLS):
+        split_center(span, center)
+    # The same center on T's cells: c_k = (10^7 + k) z_k for the central
+    # idempotents z_k of T on the 4-cube, m = 3.  The first probe (weights
+    # 4^k) is s sum_k 4^k c_k for one integer s, so its eigenvalues are
+    # s 4^k (10^7 + k), all above 10^6, and its idempotents are the z_k.
+    ctx, t = suite[4]
+    want = decompose(t, ctx.generators())
+    idems = want.central_idempotents
+    m = len(idems)
+    center = [(np.array(c, dtype=object) * (10**7 + k), den) for k, (c, den) in enumerate(idems)]
+    dec = split_center(t, center)
+    assert dec.status == SPLIT and m == 3
+    scale, rest = divmod(dec.eigenvalues[0], 10**7)
+    assert rest == 0 and scale >= 1
+    assert dec.eigenvalues == tuple(scale * 4**k * (10**7 + k) for k in range(m))
+    assert dec.central_idempotents == idems
+    assert dec.block_ranks == want.block_ranks
+    dense = _dense_split_center(_dense_all(t, center))
+    assert dense[0] == SPLIT and dense[2] == dec.eigenvalues
+    assert tuple(_dense_all(t, dec.central_idempotents)) == dense[3]
 
 
 def test_decompose_expected_blocks(suite):
@@ -265,19 +302,20 @@ def test_idempotents_form_partition_of_unity(suite):
     assert acc == RationalMatrix.identity(ctx.n)
 
 
-def test_idempotent_guard_rejects_bad_partitions():
+def test_idempotent_guard_rejects_bad_partitions(suite):
     # Each case fails exactly one of e^2 = e, z_r^2 = z_r, sum z_r = e; the
     # last one is orthogonal nowhere but sums to e = 2I, which is no
-    # idempotent.  Every matrix is diagonal, so it lies in the certified
-    # span of the diagonal units, where the pivot guard must agree.
-    # The pivot guard reads the z_r as coordinates; the coordinate tampers
-    # of _guard_tampers must be rejected as the dense guards reject them.
-    eye = RationalMatrix.identity(3)
-    span = closure([RationalMatrix(np.diag([0, 1, 2]))])
+    # idempotent.  Every matrix is a combination of the sphere projections
+    # E*_h, so it lies in T's certified span, where the pivot guard must
+    # agree.  The pivot guard reads the z_r as coordinates; the coordinate
+    # tampers of _guard_tampers must be rejected as the dense guards reject
+    # them.
+    ctx, span = suite[2]
+    eye = RationalMatrix.identity(ctx.n)
     pb = _PivotBasis(span)
-    p0 = RationalMatrix(np.diag([1, 0, 0]))
-    p1 = RationalMatrix(np.diag([0, 1, 1]))
-    half = RationalMatrix(np.diag([1, 0, 0]), 2)
+    p0 = dense_diagonal(ctx.E_star[0])
+    p1 = eye - p0
+    half = p0 * Fraction(1, 2)
     cases = [
         ([half, p1 + half], eye),  # z_1 = z_1^2 fails
         ([p0, p0], eye),  # the sum is not e
@@ -299,7 +337,7 @@ def test_idempotent_guard_rejects_bad_partitions():
         assert not _pivot_idempotents_valid(pb, coords(idems), _dense_coordinates(pb, identity))
         assert not dense_pivot_idempotents_valid(pb, idems, identity)
     for name, case, identity in _guard_tampers(pb, coords([p0, p1]), unit):
-        dense, e = _dense_all(span, case), combine(pb, *identity)
+        dense, e = _dense_all(span, case), combine(span, *identity)
         want = dense_pivot_idempotents_valid(pb, dense, e)
         assert not want and not _idempotents_valid(dense, e), name
         assert _pivot_idempotents_valid(pb, case, identity) == want, name
@@ -541,11 +579,11 @@ def test_combine_matches_dense_sum(suite, monkeypatch):
         want = RationalMatrix.zeros(span.n, span.n)
         for c, b in zip(coeffs, densify(span)):
             want = want + b * Fraction(c, 3)
-        cases.append((name, _PivotBasis(span), coeffs, want))
+        cases.append((name, span, coeffs, want))
     for safe in (dense_views.INT64_SAFE, 1):
         monkeypatch.setattr(dense_views, "INT64_SAFE", safe)
-        for name, pb, coeffs, want in cases:
-            assert combine(pb, coeffs, 3) == want, (name, safe)
+        for name, span, coeffs, want in cases:
+            assert combine(span, coeffs, 3) == want, (name, safe)
 
 
 def test_pivot_kernel_matches_dense_products(suite):
@@ -555,7 +593,7 @@ def test_pivot_kernel_matches_dense_products(suite):
         dec = decompose(span, gens, identity)
         for z in dense_generators(gens) + list(dec.central_idempotents):
             rows, cols, den = _frame(pb, z)
-            dense = z if isinstance(z, RationalMatrix) else combine(pb, *z)
+            dense = z if isinstance(z, RationalMatrix) else combine(span, *z)
             for side, part in (("left", rows), ("right", cols)):
                 got = getattr(pb, side)(part)
                 want = _dense_pivot_entries(mats, dense.num, side)
@@ -795,7 +833,9 @@ def _oracle_decompose(span, generators, identity=None):
 @pytest.fixture(scope="module")
 def differential_algebras():
     """(name, span, generators, identity) for T and its corner at d <= 7 and
-    vertices 0, 5, 2^d - 1, and for T of the oracle graphs."""
+    vertices 0, 5, 2^d - 1, and for T of the oracle graphs: in cell form,
+    except on the graphs that fail the label certificate (Petersen and
+    H(3,3)), whose T is the product loop's span."""
     out = []
     for d in range(0, 8):
         for x in sorted({0, 5 % (1 << d), (1 << d) - 1}):
@@ -814,9 +854,46 @@ def differential_algebras():
     return out
 
 
+def _assert_split_refused(span, gens, identity, name):
+    """The split refuses a span not in cell form, at every entry point."""
+    assert span.cells is None, name
+    with pytest.raises(ValueError, match=NOT_CELLS):
+        _PivotBasis(span)
+    with pytest.raises(ValueError, match=NOT_CELLS):
+        center_basis(span, gens)
+    with pytest.raises(ValueError, match=NOT_CELLS):
+        decompose(span, gens, identity)
+
+
+def test_the_split_refuses_a_span_not_in_cell_form():
+    # The product loop's basis of T on the 3-cube (closure with no labels)
+    # and T of the Petersen graph, which fails the label certificate, are
+    # both certified closed, but neither is in cell form: center_basis,
+    # split_center and decompose each refuse them with the named error.
+    cube = build_hypercube_context(3)
+    [(g, x)] = [(g, x) for name, g, x in _oracle_graphs() if name == "petersen"]
+    petersen = build_context(g, x)
+    for ctx, span in ((cube, closure(cube.generators())), (petersen, petersen.algebra_basis())):
+        gens = ctx.generators()
+        assert span.cells is None and span.closed_unit == identity_unit(len(span.classes))
+        center = [(np.eye(span.dim, dtype=np.int64)[0], 1)]
+        with pytest.raises(ValueError, match=NOT_CELLS):
+            center_basis(span, gens)
+        with pytest.raises(ValueError, match=NOT_CELLS):
+            split_center(span, center)
+        with pytest.raises(ValueError, match=NOT_CELLS):
+            decompose(span, gens)
+
+
 def test_split_matches_full_kernel_rank_and_dense_guard(differential_algebras):
-    # Center bases, idempotents, ranks and block sizes, field by field.
+    # Center bases, idempotents, ranks and block sizes, field by field, on
+    # every span in cell form; the product loop's spans are refused.
+    looped = 0
     for name, span, gens, identity in differential_algebras:
+        if span.cells is None:
+            _assert_split_refused(span, gens, identity, name)
+            looped += 1
+            continue
         got_center = center_basis(span, gens)
         assert _as_tuples(got_center) == _full_center_basis(span, gens), name
         dec = decompose(span, gens, identity)
@@ -827,20 +904,24 @@ def test_split_matches_full_kernel_rank_and_dense_guard(differential_algebras):
             idems = _dense_all(span, dec.central_idempotents)
             assert traces == _rank_block_dimensions(pb, idems), name
             assert list(dec.block_dims) == traces, name
+    assert looped == 2
 
 
 def test_class_filter_keeps_only_diagonal_sphere_blocks(suite):
     # On T(x), A* separates the spheres, so the filter keeps exactly the
-    # pieces of the blocks E*_h T E*_h; A*'s row is not constant on a span
-    # with one class, and neither is a row that cuts a sphere.
+    # elements of the blocks E*_h T E*_h; A*'s row is not constant on a span
+    # with one class (the Bose-Mesner algebra, in cell form over dist), and
+    # neither is a row that cuts a sphere.
     ctx, basis = suite[4]
     pb = _PivotBasis(basis)
     row = ctx.dual_adjacency_row.num[0]
     vals = pb.class_values(row)
     assert np.array_equal(vals[pb._h] == vals[pb._j], pb._h == pb._j)
     assert pb.class_values(np.arange(ctx.n)) is None
-    one = _PivotBasis(BlockSpans(ctx.n, (np.arange(ctx.n),)))
-    assert one.class_values(row) is None
+    bose_mesner = closure(ctx.generators()[:1], ctx.dist.dist)
+    assert bose_mesner.cells is not None and bose_mesner.dim == ctx.d + 1
+    one = _PivotBasis(bose_mesner)
+    assert len(one.classes) == 1 and one.class_values(row) is None
 
 
 def test_diagonal_frame_is_the_frame_of_the_dense_diagonal(suite):
@@ -853,23 +934,60 @@ def test_diagonal_frame_is_the_frame_of_the_dense_diagonal(suite):
             assert np.array_equal(cols, want_cols), name
 
 
+def _one_class_t(ctx):
+    """T in cell form over one class: the label of (y, z) is its triple
+    (dist(x, y), dist(y, z), dist(x, z)), so the cells are the triple
+    classes of T, in the order of their first pairs, but the class does
+    not separate the spheres.  The span is T, closed with unit I, so it
+    carries the table of I."""
+    dist = ctx.dist.dist.astype(np.int64)
+    base = ctx.d + 1
+    around = dist[ctx.x]
+    labels = (around[:, None] * base + dist) * base + around[None, :]
+    keys, first = np.unique(labels.ravel(), return_index=True)
+    order = np.argsort(first)
+    keys, first = keys[order], first[order]
+    dim, classes = len(keys), (np.arange(ctx.n),)
+    lookup = np.full((1, base**3), -1, dtype=np.int64)
+    lookup[0, keys] = np.arange(dim)
+    owner, blocks = np.zeros(ctx.n, dtype=np.intp), np.zeros((dim, 2), dtype=np.intp)
+    table = CellTable(classes, labels, 0, base**3, owner, lookup, blocks)
+    pivots = [(*divmod(int(f), ctx.n), 1, 1) for f in first]
+    form = CellForm(table, np.arange(dim)[:, None], np.ones((dim, 1), np.int64), pivots)
+    span = BlockSpans.of_cells(ctx.n, classes, form)
+    span.closed_unit = identity_unit(1)
+    return span
+
+
 def test_row_not_constant_on_the_classes_is_read_through_its_frame():
-    # The closure of A and the dense A* has one class, so A*'s row is read
-    # through its diagonal frame; the split equals the one on dense A*.
+    # T held in cell form over one class (_one_class_t): A*'s row is not
+    # constant on the class, so it is read through its diagonal frame; the
+    # split equals the one on dense A*.  The product loop's closure of A
+    # and the dense A*, which also has one class, is refused.
     for d, x in ((3, 0), (4, 5)):
         ctx = build_hypercube_context(d, x)
         gens = ctx.generators()
-        span = closure(dense_generators(gens))
-        assert len(span.classes) == 1
+        basis = ctx.algebra_basis()
+        span = _one_class_t(ctx)
+        assert len(span.classes) == 1 and span.dim == basis.dim
+        assert all(dense_views.contains(basis, b) for b in densify(span))
+        assert _PivotBasis(span).class_values(ctx.dual_adjacency_row.num[0]) is None
         want = _as_tuples(center_basis(span, dense_generators(gens)))
         assert _as_tuples(center_basis(span, gens)) == want
         dec = decompose(span, gens)
         assert dec.status == SPLIT and dec == decompose(span, dense_generators(gens))
-        assert dec.multiset == decompose(ctx.algebra_basis(), gens).multiset
+        assert dec.multiset == decompose(basis, gens).multiset
+        looped = closure(dense_generators(gens))
+        assert len(looped.classes) == 1
+        _assert_split_refused(looped, gens, None, (d, x))
 
 
 def test_pivot_guard_matches_dense_guard(differential_algebras):
+    # On every span in cell form; the product loop's spans are refused.
     for name, span, gens, identity in differential_algebras:
+        if span.cells is None:
+            _assert_split_refused(span, gens, identity, name)
+            continue
         pb = _PivotBasis(span)
         unit = identity_unit(len(span.classes)) if identity is None else identity
         assert pb.closed_unit == unit, name
@@ -912,7 +1030,7 @@ def test_pivot_guard_rejects_tampered_idempotents(differential_algebras):
         cases.append(("doubled", doubled, _coords([2 * f for f in _fractions(e)])))
         cases += _guard_tampers(pb, idems, e)
         for case_name, case, ident in cases:
-            dense, dense_e = _dense_all(span, case), combine(pb, *ident)
+            dense, dense_e = _dense_all(span, case), combine(span, *ident)
             want = dense_pivot_idempotents_valid(pb, dense, dense_e)
             assert not want and not _idempotents_valid(dense, dense_e), (name, case_name)
             assert _pivot_idempotents_valid(pb, case, ident) == want, (name, case_name)
@@ -961,9 +1079,10 @@ def test_corner_certificate_needs_a_central_idempotent_u0(suite):
 
 
 def test_uncertified_spans_are_not_split(suite):
-    # Each span below is closed (it is T or its corner, or one element
-    # past it), but carries no certificate for the unit it is split with,
-    # so it is not split.  A unit is compared as its table.
+    # Each span below is closed (it is T or its corner), but carries no
+    # certificate for the unit it is split with, so it is not split.  A
+    # unit is compared as its table.  T one element past it is the product
+    # loop's span, whose add voids its certificate; the split refuses it.
     ctx, basis = suite[4]
     gens = ctx.generators()
     rep = verify_u0(ctx, basis)
@@ -973,11 +1092,12 @@ def test_uncertified_spans_are_not_split(suite):
         assert decompose(span, gens, unit).status == SPLIT
     touched = closure(gens)
     assert touched.add(0, 1, np.array([[1, 0, 0, 0]])) is not None  # E*_0 T E*_1 is span{J}
+    assert touched.closed_unit is None
+    _assert_split_refused(touched, gens, None, "T after an add")
     cases = [
         ("T with the corner's unit", _PivotBasis(basis), corner.identity),
         ("the corner with I", _PivotBasis(corner.span), None),
         ("the corner with the table of I", _PivotBasis(corner.span), eye),
-        ("T after an add", _PivotBasis(touched), None),
     ]
     for flag in ("central", "idempotent"):
         flagged = dataclasses.replace(rep, **{flag: False})
@@ -1089,7 +1209,7 @@ def test_frame_matches_dense_rows_and_columns_across_the_int64_bound(suite):
             assert (bound < INT64_SAFE) == (t == under), name
             rows, cols = pb.frame_rows(c), pb.frame_cols(c)
             assert (rows.dtype == object) == (cols.dtype == object) == (t != under), name
-            dense = combine(pb, c)
+            dense = combine(span, c)
             assert np.array_equal(rows, dense.num[pb.rows]), (name, t)
             assert np.array_equal(cols, dense.num[:, pb.cols]), (name, t)
             # z's pivot entries are c_k pv_k.
@@ -1215,9 +1335,10 @@ def test_corner_holds_no_n_by_n_array(monkeypatch):
 def test_closure_and_both_splits_hold_no_n_by_n_array_but_a(monkeypatch):
     # ctx.generators() forms A alone at n x n and hands A* on as its row.
     # With A made before the refusal and every later n x n result refused,
-    # the product loop's closure and its split, and U0, the corner and its
+    # the product loop's closure, and the split of T, U0, the corner and its
     # split on T's certified cells (made, with the caller's dist, before the
-    # refusal), must give the unrefused results.
+    # refusal), must give the unrefused results.  The split refuses the
+    # product loop's span before it reads it.
     cases = []
     for d in (6, 8):
         for x in (0, 5):
@@ -1239,7 +1360,7 @@ def test_closure_and_both_splits_hold_no_n_by_n_array_but_a(monkeypatch):
             cells = closure(gens, ctx.dist.dist)
             rep = verify_u0(ctx, cells)
             corner = complement_algebra(ctx, cells, rep)
-            cases.append((ctx, gens, basis, decompose(basis, gens), cells, rep,
+            cases.append((ctx, gens, basis, decompose(cells, gens), cells, rep,
                           corner, decompose(corner.span, gens, corner.identity)))
     side = [0]
     _refuse_n_by_n(monkeypatch, side)
@@ -1251,7 +1372,9 @@ def test_closure_and_both_splits_hold_no_n_by_n_array_but_a(monkeypatch):
         for k in range(basis.dim):
             (h, j, x), (h2, j2, x2) = got.element(k), basis.element(k)
             assert (h, j) == (h2, j2) and np.array_equal(x, x2)
-        assert decompose(got, gens) == dec and dec.status == SPLIT
+        with pytest.raises(ValueError, match=NOT_CELLS):
+            decompose(got, gens)
+        assert decompose(cells, gens) == dec and dec.status == SPLIT
         got_rep = verify_u0(ctx, cells)
         assert got_rep == rep
         got_corner = complement_algebra(ctx, cells, got_rep)
