@@ -9,7 +9,7 @@ identities exactly, with no floating point anywhere.
 __version__ = "0.1.0"
 
 from .checks import Check
-from .closure import BlockSpans, closure
+from .closure import BlockSpans, CellForm, closure
 
 # Loading the submodule .hypercube binds the package attribute "hypercube"
 # to it, so the graph constructor of that name is imported after it.
@@ -48,6 +48,7 @@ from .wedderburn import (
 __all__ = [
     "BlockDecomposition",
     "BlockSpans",
+    "CellForm",
     "Check",
     "DiameterRecord",
     "DistanceData",

@@ -1,5 +1,11 @@
 """Unital matrix algebra closure, one class block at a time.
 
+closure() returns one of two span types: the product loop's BlockSpans of
+echelon rows, or the certified triple-label basis, a CellForm over the
+cells of the caller's labels that carries its closedness certificate.  The
+split (wedderburn) and the U0 checks (idempotent) take a CellForm only;
+every other reader reads either type through dim alone.
+
 A generator is given in one of two forms: an n x n matrix, or a 1 x n row
 that stands for the diagonal matrix diag(row).  A 1 x 1 matrix is both
 forms and the same matrix.  The rows are the diagonal generators; an
@@ -48,11 +54,8 @@ element does not change the span.
 
 The loop proves that the span is closed under left multiplication by every
 generator and contains I, so it is the unital algebra T itself: closed
-under multiplication, with unit I.  closure() records that on the span as
-its closedness certificate, BlockSpans.closed_unit = the unit table of I.
-wedderburn splits only a span in cell form that carries one (the
-triple-label basis below, or the U0 corner read off it), and checks it on
-pivot entries; it refuses the product loop's span.
+under multiplication, with unit I.  Its BlockSpans carries no certificate
+of that, and the split refuses it.
 
 The triple-label basis.  A caller may pass an n x n integer table labels
 with a guarantee: every triple class indicator 1_C, the 0/1 matrix of
@@ -84,8 +87,8 @@ labels[y, z], and 0 otherwise: a constant on C'.  So g 1_C is a combination
 of class indicators, the span is closed under left multiplication by every
 n x n generator, and under the P_h and so every diagonal generator, since
 P_h' 1_C is 1_C or 0.  It contains I, so it contains T, and the caller's
-guarantee gives the other inclusion: the span is T, and closed_unit is
-set to the table of I exactly as on the loop.
+guarantee gives the other inclusion: the span is T, with unit I, and its
+certificate closed_unit is the table of I.
 
 The counts are read per row class S_h, over whole |S_h| x n tables in the
 class order of the coordinates, through the gather of g's support sorted
@@ -110,19 +113,18 @@ in pivot order.  A class's first pair is its first column in the first
 row of S_h x n that meets it, in class order, where a block's columns are
 consecutive.
 
-The cell table.  A certified span is held in cell form alone, with no row
-(BlockSpans.cells, a CellForm over a CellTable): cell k is the triple
-class of element k, and the table maps each pair (y, z) to its cell.  No
-n x n array of it is built: it keeps the caller's labels by reference and
-a (c, c nv) lookup of cell numbers by row class, column class and label,
-and forms only the part a reader asks for, in the narrow dtype of the
-lookup: the m pivot rows and columns that wedderburn's split reads
-(CellForm.positions), one block, or the diagonal.  It names the block
-and the label of each cell (CellTable.blocks, CellTable.values); for
-labels = dist that fixes the cell's line counts, which are intersection
-numbers (idempotent.cell_line_counts), so no reader counts them.  A
-closure whose span is never split, as in the U0 checks alone or the graph
-reports, forms no part of the table.
+The cell form.  A certified span is a CellForm over a CellTable, with no
+row: cell k is the triple class of element k, and the table maps each
+pair (y, z) to its cell.  No n x n array of it is built: it keeps the
+caller's labels by reference and a (c, c nv) lookup of cell numbers by row
+class, column class and label, and forms only the part a reader asks for,
+in the narrow dtype of the lookup: the m pivot rows and columns that
+wedderburn's split reads (CellForm.positions), or the diagonal.  It names
+the block and the label of each cell (CellTable.blocks, CellTable.values);
+for labels = dist that fixes the cell's line counts, which are
+intersection numbers (idempotent.cell_line_counts), so no reader counts
+them.  A closure whose span is never split, as in the U0 checks alone or
+the graph reports, forms no part of the table.
 
 A unit is held as a class table (u, den) over the span's classes: the
 matrix e = I - sum_h (u_h / den) J_{S_h}, with J_{S_h} the all-ones block
@@ -145,7 +147,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._intops import exact_matmul, narrow, narrow_dtype
+from ._intops import exact_matmul, narrow_dtype
 from .echelon import EchelonSpan
 from .linalg import RationalMatrix
 
@@ -213,11 +215,6 @@ class CellTable:
         key = self._tag[zs] + self._values(self.labels[:, zs])
         return self._lookup[self._owner[:, None], key]
 
-    def block(self, h: int, j: int) -> np.ndarray:
-        """The |S_h| x |S_j| block of the table on S_h x S_j."""
-        part = self._values(self.labels[np.ix_(self.classes[h], self.classes[j])])
-        return self._lookup[h][self._tag[self.classes[j][0]] + part]
-
     def diagonal(self) -> np.ndarray:
         """cells[y, y] for every coordinate y."""
         return self._lookup[self._owner, self._tag + self._values(self.labels.diagonal())]
@@ -225,18 +222,52 @@ class CellTable:
 
 @dataclass(frozen=True)
 class CellForm:
-    """The elements of a span as integer combinations of the cells of a
-    CellTable: element k is sum_s coef[k, s] 1_{cell index[k, s]}, the
+    """A certified span in cell form: T's triple-label basis, or the U0
+    corner read off it.  Its elements are integer combinations of the cells
+    of a CellTable: element k is sum_s coef[k, s] 1_{cell index[k, s]}, the
     dim x #cells matrix M with at most w = index.shape[1] entries per row,
     and pivots[k] = (r, c, value, max): its pivot X[r, c] = value and max|X|
     in its block X, which the maker states.  The triple-label basis T has
     M = I (w = 1); the U0 corner has two entries per row
-    (wedderburn.complement_algebra)."""
+    (wedderburn.complement_algebra).  All the cells of one element lie in
+    one block (h, j), its block.
+
+    closed_unit is the closedness certificate: None, or the unit table of
+    an e such that the span is known to be closed under multiplication and
+    to contain e (module docstring).  Only closure() and
+    wedderburn.complement_algebra set it, each after proving it.
+    """
 
     table: CellTable
     index: np.ndarray  # dim x w cell numbers
     coef: np.ndarray  # dim x w int64 coefficients
     pivots: list[tuple[int, int, int, int]]
+    closed_unit: Unit | None = None
+
+    @property
+    def n(self) -> int:
+        return len(self.table.labels)
+
+    @property
+    def classes(self) -> tuple[np.ndarray, ...]:
+        return self.table.classes
+
+    @property
+    def dim(self) -> int:
+        return len(self.index)
+
+    def block(self, k: int) -> tuple[int, int]:
+        """(h, j): the block of element k."""
+        return tuple(self.table.blocks[self.index[k, 0]].tolist())
+
+    def pivot(self, k: int) -> tuple[int, int, int]:
+        """(r, c, value) of the pivot of element k's block X: its first
+        nonzero in row-major order, X[r, c] = value."""
+        return self.pivots[k][:3]
+
+    def row_max(self, k: int) -> int:
+        """max|X| of element k's block X."""
+        return self.pivots[k][3]
 
     def weights(self, c: np.ndarray) -> np.ndarray:
         """c M: the weight of each cell in sum_k c_k (element k), summed
@@ -284,50 +315,28 @@ class CellForm:
     @property
     def is_cells(self) -> bool:
         """Is every element one cell, element k cell k (M = I)?"""
-        dim = len(self.index)
         return (
-            self.index.shape == (dim, 1)
-            and np.array_equal(self.index[:, 0], np.arange(dim))
+            self.index.shape == (self.dim, 1)
+            and np.array_equal(self.index[:, 0], np.arange(self.dim))
             and bool((self.coef == 1).all())
         )
 
 
 class BlockSpans:
-    """Reduced echelon spans of the blocks P_h X P_j of n x n matrices.
+    """The product loop's span: reduced echelon spans of the blocks
+    P_h X P_j of n x n matrices, held as echelon rows.
 
     Block (h, j) holds the entries in rows classes[h] and columns classes[j],
     flattened row-major; each class is an ascending array of coordinates.
     Elements are numbered in the order they were inserted, across blocks.
-
-    closed_unit is the closedness certificate: None, or the unit table of
-    an e such that the span is known to be closed under multiplication and
-    to contain e (module docstring).  Only closure() and
-    wedderburn.complement_algebra set it, each after proving it; inserting
-    a new element clears it.
-
-    A span is held in one of two forms: as echelon rows, block by block, or
-    in cell form alone, when cells (a CellForm) is not None.  A span made
-    by of_cells holds no row: it forms an element's block only when element
-    asks for it, and takes no new element.
+    The span carries no closedness certificate, and the split refuses it.
     """
 
     def __init__(self, n: int, classes: Sequence[np.ndarray]):
         self.n = n
         self.classes = tuple(classes)
         self._spans: dict[tuple[int, int], EchelonSpan] = {}
-        self._elements: list[tuple[int, int, int]] = []  # (h, j, row index or cell-form k)
-        self.closed_unit: Unit | None = None
-        self.cells: CellForm | None = None
-
-    @classmethod
-    def of_cells(cls, n, classes, cells: CellForm) -> "BlockSpans":
-        """The span whose element k is row k of cells, in the block of its
-        cells."""
-        span = cls(n, classes)
-        span.cells = cells
-        blocks = cells.table.blocks[cells.index[:, 0]].tolist()
-        span._elements = [(h, j, k) for k, (h, j) in enumerate(blocks)]
-        return span
+        self._elements: list[tuple[int, int, int]] = []  # (h, j, row index)
 
     @property
     def dim(self) -> int:
@@ -338,12 +347,7 @@ class BlockSpans:
 
         Returns:
             The new element's number, or None when it was already spanned.
-
-        Raises:
-            ValueError: if the span is held in cell form.
         """
-        if self.cells is not None:
-            raise ValueError("a span held in cell form takes no new element")
         span = self._spans.get((h, j))
         if span is None:
             width = len(self.classes[h]) * len(self.classes[j])
@@ -351,53 +355,22 @@ class BlockSpans:
         idx = span.add(block.ravel())
         if idx is None:
             return None
-        self.closed_unit = None
         self._elements.append((h, j, idx))
         return len(self._elements) - 1
 
-    def block(self, k: int) -> tuple[int, int]:
-        """(h, j): the block of element k."""
-        h, j, _ = self._elements[k]
-        return h, j
-
     def element(self, k: int) -> tuple[int, int, np.ndarray]:
         """(h, j, current reduced block) of element k, a read-only view of
-        the row its span holds narrow (echelon), or, in cell form, the
-        block summed from its cells and held narrow."""
+        the row its span holds narrow (echelon)."""
         h, j, idx = self._elements[k]
-        if self.cells is None:
-            block = self._spans[(h, j)].row(idx)
-            return h, j, block.reshape(len(self.classes[h]), len(self.classes[j]))
-        ids = self.cells.table.block(h, j)
-        out = np.zeros(ids.shape, dtype=np.int64)
-        for cell, coef in zip(self.cells.index[idx].tolist(), self.cells.coef[idx].tolist()):
-            out[ids == cell] = coef
-        out = narrow(out, self.cells.pivots[idx][3])
-        out.flags.writeable = False
-        return h, j, out
-
-    def pivot(self, k: int) -> tuple[int, int, int]:
-        """(r, c, value) of the pivot of element k's current block X: its
-        first nonzero in row-major order, X[r, c] = value."""
-        h, j, idx = self._elements[k]
-        if self.cells is not None:
-            return self.cells.pivots[idx][:3]
-        offset, value = self._spans[(h, j)].pivot(idx)
-        r, c = divmod(offset, len(self.classes[j]))
-        return r, c, value
-
-    def row_max(self, k: int) -> int:
-        """max|X| of element k's current block X, as its span tracks it."""
-        h, j, idx = self._elements[k]
-        if self.cells is not None:
-            return self.cells.pivots[idx][3]
-        return self._spans[(h, j)].row_max(idx)
+        block = self._spans[(h, j)].row(idx)
+        return h, j, block.reshape(len(self.classes[h]), len(self.classes[j]))
 
 
-def zero_sum_span(t: BlockSpans, sizes: Sequence[int]) -> BlockSpans:
-    """The span, in cell form alone, of the combinations sum_C b_C 1_C of
-    the cells of each block with sum_C b_C |C| = 0, for a span t whose
-    elements are its cells (CellForm.is_cells) and sizes[k] = |cell k|.
+def zero_sum_span(t: CellForm, sizes: Sequence[int]) -> CellForm:
+    """The span of the combinations sum_C b_C 1_C of the cells of each
+    block with sum_C b_C |C| = 0, for a span t whose elements are its cells
+    (CellForm.is_cells) and sizes[k] = |cell k|.  It carries no
+    certificate.
 
     On a block with cells C in t's order and C0 the one whose first pair
     comes last, the rows are (|C0| 1_C - |C| 1_C0) / gcd(|C0|, |C|) for
@@ -406,26 +379,26 @@ def zero_sum_span(t: BlockSpans, sizes: Sequence[int]) -> BlockSpans:
     block's reduced echelon basis already, and no reduction runs.
     """
     offset = [t.pivot(k)[:2] for k in range(t.dim)]
+    blocks = [t.block(k) for k in range(t.dim)]
     last: dict[tuple[int, int], int] = {}
-    for k in range(t.dim):
-        if offset[k] > offset[last.setdefault(t.block(k), k)]:
-            last[t.block(k)] = k
+    for k, block in enumerate(blocks):
+        if offset[k] > offset[last.setdefault(block, k)]:
+            last[block] = k
     index, coef, pivots = [], [], []
-    for k in range(t.dim):
-        k0 = last[t.block(k)]
+    for k, block in enumerate(blocks):
+        k0 = last[block]
         if k != k0:
             g = math.gcd(sizes[k0], sizes[k])
             a, b = sizes[k0] // g, sizes[k] // g
             index.append((k, k0))
             coef.append((a, -b))
             pivots.append((*offset[k], a, max(a, b)))
-    cells = CellForm(
-        t.cells.table,
+    return CellForm(
+        t.table,
         np.array(index, dtype=np.intp).reshape(-1, 2),
         np.array(coef, dtype=np.int64).reshape(-1, 2),
         pivots,
     )
-    return BlockSpans.of_cells(t.n, t.classes, cells)
 
 
 def diagonal_row(g: RationalMatrix) -> np.ndarray | None:
@@ -535,18 +508,18 @@ def _step_key(lab, block_rows, slots, groups):
     return key
 
 
-def _triple_label_spans(n, classes, generators, diagonals, labels) -> BlockSpans | None:
+def _triple_label_spans(n, classes, generators, diagonals, labels) -> CellForm | None:
     """The triple-label basis, certified to span the algebra, or None.
 
     The caller guarantees that every indicator of a triple class
     {(y, z) in S_h x S_j : labels[y, z] = v} lies in the algebra (module
     docstring).  Element k is the indicator of cell k, held in cell form
-    alone (BlockSpans.cells), with its pivot at the first pair of its class
-    in block row-major order, value 1; the elements are the indicators of
-    the diagonal blocks' diagonal labels, class by class, then every other
-    class, block by block in row-major order of (h, j), each block in pivot
-    order.  None when the certificate fails, which is checked before any
-    element is found.
+    (CellForm, certified with the unit table of I), with its pivot at the
+    first pair of its class in block row-major order, value 1; the elements
+    are the indicators of the diagonal blocks' diagonal labels, class by
+    class, then every other class, block by block in row-major order of
+    (h, j), each block in pivot order.  None when the certificate fails,
+    which is checked before any element is found.
     """
     labels = np.asarray(labels)
     if labels.shape != (n, n) or labels.dtype.kind not in "iu":
@@ -625,13 +598,13 @@ def _triple_label_spans(n, classes, generators, diagonals, labels) -> BlockSpans
     owner_at = np.empty(n, dtype=np.intp)
     owner_at[perm] = owner
     table = CellTable(classes, labels, lo, nv, owner_at, lookup, np.column_stack((hs, js)))
-    cells = CellForm(table, np.arange(dim)[:, None], np.ones((dim, 1), np.int64), list(pivots))
-    spans = BlockSpans.of_cells(n, classes, cells)
-    spans.closed_unit = identity_unit(c)
-    return spans
+    index, coef = np.arange(dim)[:, None], np.ones((dim, 1), np.int64)
+    return CellForm(table, index, coef, list(pivots), closed_unit=identity_unit(c))
 
 
-def closure(generators: Sequence[RationalMatrix], labels: np.ndarray | None = None) -> BlockSpans:
+def closure(
+    generators: Sequence[RationalMatrix], labels: np.ndarray | None = None
+) -> BlockSpans | CellForm:
     """Basis of the unital algebra generated by the given matrices.
 
     Args:
@@ -643,9 +616,10 @@ def closure(generators: Sequence[RationalMatrix], labels: np.ndarray | None = No
             taken when its certificate holds (module docstring).
 
     Returns:
-        BlockSpans that contain the identity and are closed under
-        multiplication by every generator, certified by closed_unit = the
-        unit table of I.
+        A span that contains the identity and is closed under multiplication
+        by every generator: the triple-label basis as a CellForm, certified
+        by closed_unit = the unit table of I, when its certificate holds, and
+        otherwise the product loop's BlockSpans, which carry no certificate.
         Its first elements are the class projections; on the product loop
         every later one is a block of a product, see the module docstring.
     """
@@ -689,5 +663,4 @@ def closure(generators: Sequence[RationalMatrix], labels: np.ndarray | None = No
                 spans.add(h2, j, exact_matmul(block, x))
         k += 1
 
-    spans.closed_unit = identity_unit(len(classes))
     return spans

@@ -61,7 +61,7 @@ such an equality, read off the tables, p_table and the valencies.
   S_h is sum_h c_h E_h* A_0 E_h*, the table delta_hl delta_a0 c_h.
 
 The remaining checks read U0 as S^T M S / L together with T's certified
-triple-label basis: closure's cell form, whose table reads ctx.dist.dist
+triple-label basis: a closure.CellForm, whose table reads ctx.dist.dist
 itself and whose classes are the spheres, sigma mapping the classes to
 sphere indices.  Any other span is refused (cell_line_counts names the
 first condition that fails).  Element k is B = 1_C for its cell
@@ -101,7 +101,7 @@ from ._intops import (
     guarded,
     max_abs,
 )
-from .closure import BlockSpans
+from .closure import CellForm
 from .linalg import RationalMatrix, rank
 from .subconstituent import TerwContext, VerificationError, sphere_values
 
@@ -183,7 +183,7 @@ def sphere_of_classes(ctx: TerwContext, classes: Sequence[np.ndarray]) -> tuple[
 
 
 def cell_line_counts(
-    ctx: TerwContext, t: BlockSpans
+    ctx: TerwContext, t: CellForm
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """(sigma, row counts, column counts) of T's certified triple-label
     basis t: sigma maps t's classes to spheres (sphere_of_classes), and
@@ -191,21 +191,21 @@ def cell_line_counts(
     the counts (p_table[a, v, b], p_table[b, a, v]) (module docstring).
 
     Raises:
-        ValueError: naming the first condition that fails: t is held in
-            cell form (closure(ctx.generators(), ctx.dist.dist)), element k
+        ValueError: naming the first condition that fails: t is a
+            CellForm (closure(ctx.generators(), ctx.dist.dist)), element k
             is the indicator of cell k (CellForm.is_cells), the cell table
             reads ctx.dist.dist itself, and each class is exactly one
             sphere.
     """
-    if t.cells is None:
+    if not isinstance(t, CellForm):
         raise ValueError("the basis is not in cell form: pass closure(generators, ctx.dist.dist)")
-    if not t.cells.is_cells:
+    if not t.is_cells:
         raise ValueError("an element of the basis is not a single cell")
-    if t.cells.table.labels is not ctx.dist.dist:
+    if t.table.labels is not ctx.dist.dist:
         raise ValueError("the cell table of the basis reads an array other than ctx.dist.dist")
     sigma = sphere_of_classes(ctx, t.classes)
-    a, b = np.array(sigma, dtype=np.intp)[t.cells.table.blocks].T
-    v = t.cells.table.values
+    a, b = np.array(sigma, dtype=np.intp)[t.table.blocks].T
+    v = t.table.values
     return sigma, ctx.p_table[a, v, b], ctx.p_table[b, a, v]
 
 
@@ -326,7 +326,7 @@ class U0Report:
 
 
 def verify_u0(
-    ctx: TerwContext, t: BlockSpans, dim_smaller: int | None = None
+    ctx: TerwContext, t: CellForm, dim_smaller: int | None = None
 ) -> U0Report:
     """Run every U0 check against T's certified triple-label basis t.
 
@@ -358,7 +358,7 @@ def verify_u0(
     first = (ctx.p_table != 0).argmax(axis=1)  # a supported a for each block (h, j)
     sphere_table = np.take_along_axis(primal, first[:, None, :], axis=1)[:, 0, :]
     sigma, rows, cols = cell_line_counts(ctx, t)
-    central, dim_ideal = _cell_checks(t.cells.table.blocks, rows, cols, sigma, m)
+    central, dim_ideal = _cell_checks(t.table.blocks, rows, cols, sigma, m)
     ends = (0, ctx.d)
     absorbed = [absorbs(ctx, class_table(ctx, ctx.E[i])) for i in ends]
     absorbed += [absorbs(ctx, diagonal_table(ctx, ctx.E_star[i])) for i in ends]

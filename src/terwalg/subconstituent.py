@@ -112,7 +112,7 @@ from ._intops import (
     exact_sub,
 )
 from .checks import Check
-from .closure import BlockSpans, closure
+from .closure import BlockSpans, CellForm, closure
 from .graphs import DistanceData, Graph, hypercube, is_distance_regular
 from .hypercube import HypercubeParams, permissible_mask, spectrum_poly
 from .linalg import RationalMatrix, inverse, min_poly
@@ -196,11 +196,11 @@ class TerwContext:
         matrix A and the 1 x n diagonal row of A*."""
         return [self.A, self.dual_adjacency_row]
 
-    def algebra_basis(self) -> BlockSpans:
+    def algebra_basis(self) -> BlockSpans | CellForm:
         """T, closed over A and A*.  Construction certified that the graph
         is distance-regular, so each A_v = [dist = v] is a polynomial in A
         and every E*_h A_v E*_j, the indicator of a triple class of dist,
-        lies in T: closure may take its triple-label basis."""
+        lies in T: closure may take its triple-label basis, a CellForm."""
         return closure(self.generators(), self.dist.dist)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .checks import Check
-from .closure import BlockSpans, closure
+from .closure import CellForm, closure
 from .graphs import DistanceData, Graph
 from .hypercube import (
     check_permissible_equivalence,
@@ -75,7 +75,7 @@ class _Prepared:
     """The context, closure basis and block split of one diameter."""
 
     ctx: TerwContext
-    basis: BlockSpans
+    basis: CellForm
     dec: BlockDecomposition
 
 

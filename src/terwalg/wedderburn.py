@@ -27,9 +27,8 @@ e[R_k, C_k] = [R_k = C_k] - [h_k = j_k] u_{h_k} / den.  Every operand (a
 generator, the unit, the probe, an idempotent) is read only through its
 frame, its m pivot rows z[R, :] and m pivot columns z[:, C].  A generator
 comes in either of closure's two forms: an n x n matrix, whose frame is
-g[R, :], g[:, C], or a 1 x n row standing for diag(row), whose frame holds
-row[R_k] at (k, R_k) of its m x n rows and row[C_k] at (C_k, k) of its
-n x m columns, and is zero elsewhere (_PivotBasis.diagonal_frame).  The
+g[R, :], g[:, C], or a 1 x n row standing for diag(row), constant on
+every class of the span and read through its class values (below).  The
 frame of z = sum_k c_k b_k is one gather of its cell weights w = c M:
 z[R_i, t] = w[cells[R_i, t]] and z[t, C_i] = w[cells[t, C_i]]; each entry
 is at most sum_k |c_k| max|b_k|, the bound handed to _intops.guarded.  Each
@@ -48,8 +47,8 @@ are m x n.
 - The center, filtered by class-diagonal generators.  Call a generator g
   class-diagonal when it is a row, constant, g_h, on every class S_h of the
   span, as A* is on the spheres; an n x n generator is never taken as one,
-  diagonal or not, and a row that is not constant on the classes is read
-  through its frame like any other generator.  For b_k in block (h, j),
+  diagonal or not, and any other row is refused (_PivotBasis.class_values):
+  no command passes one.  For b_k in block (h, j),
   b_k g = g_j b_k and g b_k = g_h b_k, so [b_k, g] = (g_j - g_h) b_k.  The
   pivot entries of b_k are pv_k at pivot k and zero at every other pivot,
   so g's row block of the commutator matrix is diagonal, with the nonzero
@@ -124,7 +123,7 @@ are m x n.
   splits the corner only when it does.
 
 The closedness certificate.  Only a span certified closed with unit e
-(BlockSpans.closed_unit equal, as a unit table, to the identity the split
+(CellForm.closed_unit equal, as a unit table, to the identity the split
 is asked for) is split; any other span yields status "inconclusive" and no
 idempotents.  closure() sets the certificate to the table of I: its loop
 proves the span closed under every generator, starting from I.
@@ -189,7 +188,6 @@ from ._intops import (
     to_object,
 )
 from .closure import (
-    BlockSpans,
     CellForm,
     Unit,
     diagonal_row,
@@ -252,42 +250,35 @@ class _PivotBasis:
     (R, C) = (S_h[r], S_j[c]) for the offsets (r, c) its maker states.
 
     Raises:
-        ValueError: if the span is not in cell form.
+        ValueError: if the span is not a CellForm.
     """
 
-    def __init__(self, span: BlockSpans):
-        if not isinstance(span.cells, CellForm):
+    def __init__(self, span: CellForm):
+        if not isinstance(span, CellForm):
             raise ValueError(
                 "the split reads closure()'s certified triple-label basis or "
                 "complement_algebra's corner, in cell form; this span is not in cell form"
             )
         self.n = span.n
         self.classes = span.classes
-        self.cells = span.cells
+        self.cells = span
         self.closed_unit = span.closed_unit
         # The pivots and maxima are the span's own, not recomputed.
-        rows, cols, blocks, self.pivvals = [], [], [], []
-        for k in range(span.dim):
-            h, j = span.block(k)
-            r, c, value = span.pivot(k)
-            rows.append(self.classes[h][r])
-            cols.append(self.classes[j][c])
-            blocks.append((h, j))
-            self.pivvals.append(value)
-        self.rows = np.array(rows, dtype=np.intp)
-        self.cols = np.array(cols, dtype=np.intp)
-        self._h, self._j = np.array(blocks, dtype=np.intp).reshape(-1, 2).T
+        self._h, self._j = span.table.blocks[span.index[:, 0]].astype(np.intp).T
+        hs, js, pivots = self._h.tolist(), self._j.tolist(), span.pivots
+        self.rows = np.array([self.classes[h][p[0]] for h, p in zip(hs, pivots)], dtype=np.intp)
+        self.cols = np.array([self.classes[j][p[1]] for j, p in zip(js, pivots)], dtype=np.intp)
+        self.pivvals = [p[2] for p in span.pivots]
+        self.maxes = [p[3] for p in span.pivots]
         self.pivlcm = math.lcm(1, *self.pivvals)
-        self.maxes = [span.row_max(k) for k in range(span.dim)]
         self._bmax = max(self.maxes, default=0)
         # The positions of the pivot rows and columns in the cell sums
         # (closure.CellForm.positions), and
         # tr b_k = sum_s coef[k, s] #{y : cells[y, y] = index[k, s]}.
-        form = self.cells
-        self._left_at, self._right_at = form.positions(self.rows, self.cols)
-        counts = np.bincount(form.table.diagonal(), minlength=form.table.size)[form.index]
-        bound = self.n * self._bmax * form.index.shape[1]
-        traces = guarded(bound, lambda a, b: (a * b).sum(axis=1), form.coef, counts)
+        self._left_at, self._right_at = span.positions(self.rows, self.cols)
+        counts = np.bincount(span.table.diagonal(), minlength=span.table.size)[span.index]
+        bound = self.n * self._bmax * span.index.shape[1]
+        traces = guarded(bound, lambda a, b: (a * b).sum(axis=1), span.coef, counts)
         self.traces = [int(v) for v in traces]
 
     @property
@@ -361,23 +352,16 @@ class _PivotBasis:
         pivot columns cols."""
         return self._pivot_products(cols, left=False, ks=ks)
 
-    def class_values(self, row: np.ndarray) -> np.ndarray | None:
-        """The value of diag(row) on each class, if row is constant on every
-        class; None otherwise."""
+    def class_values(self, row: np.ndarray) -> np.ndarray:
+        """The value of diag(row) on each class.
+
+        Raises:
+            ValueError: if row is not constant on every class.
+        """
         vals = row[[c[0] for c in self.classes]]
         if not all(np.all(row[c] == v) for c, v in zip(self.classes, vals)):
-            return None
+            raise ValueError("a diagonal generator is not constant on every class of the span")
         return vals
-
-    def diagonal_frame(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The frame of diag(row): its m x n pivot rows, with row[R_k] at
-        (k, R_k), and its n x m pivot columns, with row[C_k] at (C_k, k)."""
-        k = np.arange(self.dim)
-        rows = np.zeros((self.dim, self.n), dtype=row.dtype)
-        rows[k, self.rows] = row[self.rows]
-        cols = np.zeros((self.n, self.dim), dtype=row.dtype)
-        cols[self.cols, k] = row[self.cols]
-        return rows, cols
 
     def pivot_trace(self, cols: np.ndarray, den: int) -> Fraction:
         """sum_k (b_k z)[R_k, C_k] / pv_k: the trace of b -> b z in coordinates,
@@ -426,22 +410,23 @@ def center_basis(
     """Echelonized basis of {c in span(t) : c g = g c for all generators}, as
     coordinates (c, den) over the basis of t.
 
-    Precondition: t, a closure.BlockSpans in cell form (closure()'s
-    certified triple-label basis or complement_algebra's corner), spans a
-    closed algebra that contains the generators.  Then every commutator
-    [b_k, g] lies in the algebra and is zero exactly when its pivot entries
-    are.  Each
-    generator is an n x n matrix or a 1 x n row standing for diag(row).  A
-    class-diagonal generator (a row constant on every class) only drops the
-    columns of the blocks (h, j) on which its class values differ; the
-    others give the pivot entries of [b_k, g] on the kept columns, read
-    from g's frame, and the center coordinates are their kernel
+    Precondition: t, a closure.CellForm (closure()'s certified
+    triple-label basis or complement_algebra's corner), spans a closed
+    algebra that contains the generators.  Then every commutator [b_k, g]
+    lies in the algebra and is zero exactly when its pivot entries are.
+    Each generator is an n x n matrix or a 1 x n row standing for
+    diag(row), constant on every class.  A row only drops the columns of
+    the blocks (h, j) on which its class values differ; the n x n
+    generators give the pivot entries of [b_k, g] on the kept columns,
+    read from g's frame, and the center coordinates are their kernel
     vectors padded with zeros, each over its least common denominator
     (module docstring).  On a span that is not closed the result may be
     wrong; split_center does not split such a span.
 
     Raises:
-        ValueError: if t is not in cell form (_PivotBasis).
+        ValueError: if t is not a CellForm (_PivotBasis), or a row
+            generator is not constant on every class of t
+            (_PivotBasis.class_values).
     """
     pb = _pivot_basis(t)
     if not pb.dim:
@@ -452,11 +437,8 @@ def center_basis(
         row = diagonal_row(g)
         if row is None:
             frames.append((g.num[pb.rows], g.num[:, pb.cols]))
-            continue
-        vals = pb.class_values(row)
-        if vals is None:
-            frames.append(pb.diagonal_frame(row))
         else:
+            vals = pb.class_values(row)
             keep &= vals[pb._h] == vals[pb._j]
     kept = np.flatnonzero(keep)
     if not len(kept):
@@ -507,8 +489,8 @@ def split_center(
     (_PivotBasis.unit_coordinates).
 
     Args:
-        t: closure.BlockSpans of the algebra, in cell form (same
-            precondition as center_basis).
+        t: closure.CellForm of the algebra (same precondition as
+            center_basis).
         center: basis of the center as coordinates (c, den), as produced by
             center_basis.
         identity: unit table (closure.Unit) of the algebra's identity
@@ -516,7 +498,7 @@ def split_center(
             The complement algebra passes I - U0 here.
 
     Raises:
-        ValueError: if center is empty, or t is not in cell form
+        ValueError: if center is empty, or t is not a CellForm
             (_PivotBasis).
     """
     center = list(center)
@@ -648,7 +630,7 @@ def decompose(
     """center_basis + split_center + block_sizes in one call.
 
     Each generator is an n x n matrix or a 1 x n row standing for
-    diag(row), as closure takes them.  Precondition: t is in cell form,
+    diag(row), as closure takes them.  Precondition: t is a CellForm,
     and its span holds every generator g, or, on the U0 corner, every
     (I - U0) g (I - U0).  On a span certified closed with unit identity, a
     unit table (None means I), the split is then exact and its idempotents
@@ -656,7 +638,8 @@ def decompose(
     certificate is not split.
 
     Raises:
-        ValueError: if t is not in cell form (_PivotBasis).
+        ValueError: if t is not a CellForm (_PivotBasis), or a row generator
+            is not constant on every class of t (_PivotBasis.class_values).
     """
     pb = _pivot_basis(t)
     center = center_basis(pb, generators)
@@ -671,7 +654,7 @@ class CompressedAlgebra:
     """The complement corner (I - U0) T (I - U0) with its own identity,
     held as its unit table (closure.Unit) over the span's classes."""
 
-    span: BlockSpans
+    span: CellForm
     identity: Unit
 
     @property
@@ -679,7 +662,7 @@ class CompressedAlgebra:
         return self.span.dim
 
 
-def complement_algebra(ctx, t: BlockSpans, rep: U0Report) -> CompressedAlgebra:
+def complement_algebra(ctx, t: CellForm, rep: U0Report) -> CompressedAlgebra:
     """Basis and identity of (I - U0) T (I - U0).
 
     Compression of a spanning set spans the corner, so the corner is
@@ -697,16 +680,16 @@ def complement_algebra(ctx, t: BlockSpans, rep: U0Report) -> CompressedAlgebra:
     U0 central and idempotent and t is certified with unit I.
 
     Raises:
-        ValueError: if t is not the triple-label basis of ctx.dist.dist in
-            cell form with the spheres as its classes (cell_line_counts
-            names the condition).
+        ValueError: if t is not the triple-label basis of ctx.dist.dist, a
+            CellForm with the spheres as its classes (cell_line_counts names
+            the condition).
     """
     m, big = rep.m, rep.L
     sigma, rows, _cols = cell_line_counts(ctx, t)
     # Cell C of block (h, j) has |C| = k_a p^a_vb: |S_h| = k_a rows, p^a_vb pairs each.
-    hs = t.cells.table.blocks[:, 0].tolist()
+    hs = t.table.blocks[:, 0].tolist()
     span = zero_sum_span(t, [r * len(t.classes[h]) for r, h in zip(rows.tolist(), hs)])
     identity = unit_table((m[a] for a in sigma), big)
     if rep.central and rep.idempotent and t.closed_unit == identity_unit(len(t.classes)):
-        span.closed_unit = identity
+        span = replace(span, closed_unit=identity)
     return CompressedAlgebra(span, identity)

@@ -17,23 +17,42 @@ from terwalg._intops import (
     to_object,
     wide,
 )
-from terwalg.closure import diagonal_row
+from terwalg.closure import CellForm, diagonal_row
 from terwalg.echelon import EchelonSpan
 from terwalg.graphs import DistanceData, Graph
 from terwalg.linalg import RationalMatrix
 from terwalg.polys import RationalPoly
 
 
+def element_block(span, k: int) -> tuple[int, int, np.ndarray]:
+    """(h, j, block) of element k of a span: the product loop's row, read
+    through closure.BlockSpans.element; or, for a closure.CellForm, its
+    block summed from its cells, cell c being
+    {(y, z) in S_h x S_j : labels[y, z] = values[c]} for
+    (h, j) = blocks[c], read off the labels themselves and not through the
+    cell table's lookup."""
+    if not isinstance(span, CellForm):
+        return span.element(k)
+    table = span.table
+    h, j = table.blocks[span.index[k, 0]].tolist()
+    labels = table.labels[np.ix_(span.classes[h], span.classes[j])]
+    block = np.zeros(labels.shape, dtype=np.int64)
+    for cell, coef in zip(span.index[k].tolist(), span.coef[k].tolist()):
+        assert table.blocks[cell].tolist() == [h, j]
+        block[labels == table.values[cell]] += coef
+    return h, j, block
+
+
 def densify(basis) -> tuple[RationalMatrix, ...]:
     """Every element as a dense integer n x n matrix, in insertion order.
 
-    basis is a closure.BlockSpans, or an object holding one as `span` (a
-    wedderburn.CompressedAlgebra).
+    basis is a closure.BlockSpans or closure.CellForm (element_block), or
+    an object holding one as `span` (a wedderburn.CompressedAlgebra).
     """
     span = getattr(basis, "span", basis)
     out = []
     for k in range(span.dim):
-        h, j, block = span.element(k)
+        h, j, block = element_block(span, k)
         dense = np.zeros((span.n, span.n), dtype=wide(block).dtype)
         dense[np.ix_(span.classes[h], span.classes[j])] = block
         out.append(RationalMatrix(dense, 1, _canonical=True))
@@ -42,13 +61,13 @@ def densify(basis) -> tuple[RationalMatrix, ...]:
 
 def contains(span, m) -> bool:
     """Exact membership of an n x n matrix (a RationalMatrix or an integer
-    array) in a closure.BlockSpans, block by block: each block of m is
-    reduced against the span's elements in that block, read through
-    element(), in whichever form the span holds them."""
+    array) in a closure.BlockSpans or closure.CellForm, block by block:
+    each block of m is reduced against the span's elements in that block,
+    read through element_block."""
     num = m.num if isinstance(m, RationalMatrix) else m
     blocks: dict[tuple[int, int], EchelonSpan] = {}
     for k in range(span.dim):
-        h, j, x = span.element(k)
+        h, j, x = element_block(span, k)
         blocks.setdefault((h, j), EchelonSpan(x.size)).add(x.ravel())
     for h, rows in enumerate(span.classes):
         for j, cols in enumerate(span.classes):
@@ -63,16 +82,16 @@ def contains(span, m) -> bool:
 
 
 def combine(span, coeffs: Sequence, den: int = 1) -> RationalMatrix:
-    """The element (sum_k coeffs[k] b_k) / den of a closure.BlockSpans,
-    canonicalized once.
+    """The element (sum_k coeffs[k] b_k) / den of a closure.BlockSpans or
+    closure.CellForm, canonicalized once.
 
-    The blocks span.element(k) are added into one n x n accumulator, in
-    int64 when sum_k |coeffs[k]| max|b_k| allows it and on Python ints
-    otherwise.
+    The blocks element_block(span, k) are added into one n x n
+    accumulator, in int64 when sum_k |coeffs[k]| max|b_k| allows it and on
+    Python ints otherwise.
     """
     coeffs = [int(c) for c in coeffs]
-    used = [(c, span.element(k)) for k, c in enumerate(coeffs) if c]
-    bound = sum(abs(c) * span.row_max(k) for k, c in enumerate(coeffs))
+    used = [(c, element_block(span, k)) for k, c in enumerate(coeffs) if c]
+    bound = sum(abs(c) * max_abs(x) for c, (_h, _j, x) in used)
     obj = bound >= INT64_SAFE or any(x.dtype == object for _c, (_h, _j, x) in used)
     acc = np.zeros((span.n, span.n), dtype=object if obj else np.int64)
     for c, (h, j, x) in used:

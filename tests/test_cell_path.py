@@ -11,7 +11,6 @@ the U0 checks and the corner come from the cells' counts, the corner must
 be the dense compression's reduced basis, and any other span is refused.
 """
 
-import copy
 import dataclasses
 import importlib
 import math
@@ -31,8 +30,10 @@ from dense_views import (
     dense_u0,
     dense_unit,
     densify,
+    element_block,
     sphere_indicator_matrix,
 )
+from test_subconstituent import PETERSEN_EDGES
 from test_wedderburn import (
     NOT_CELLS,
     _dense_pivot_entries,
@@ -41,6 +42,7 @@ from test_wedderburn import (
 )
 
 from terwalg import _intops, echelon, linalg, verify, wedderburn
+from terwalg.graphs import Graph
 from terwalg.idempotent import U0Report, cell_line_counts, compute_u0, verify_u0
 from terwalg.subconstituent import build_hypercube_context
 from terwalg.wedderburn import _PivotBasis, center_basis, complement_algebra, decompose
@@ -53,14 +55,14 @@ def _vertices(d):
 
 
 def _piece_span(span):
-    """The same span held as echelon rows, with no cell table: the form the
-    split refuses.  Its elements are reduced already, so each
+    """The same span held as echelon rows, a BlockSpans with no cell table:
+    the form the split refuses.  Its elements are reduced already, so each
     is stored as it stands, in its order, and keeps its number."""
     piece = closure_module.BlockSpans(span.n, span.classes)
     for k in range(span.dim):
-        assert piece.add(*span.element(k)) == k
-        assert piece.element(k)[2].tobytes() == span.element(k)[2].tobytes()
-    piece.closed_unit = span.closed_unit
+        h, j, block = element_block(span, k)
+        assert piece.add(h, j, block) == k
+        assert np.array_equal(piece.element(k)[2], block)
     return piece
 
 
@@ -86,7 +88,7 @@ def _dense_cells(span):
     elements: entry (y, z) is the element whose piece is 1 there."""
     cells = np.full((span.n, span.n), -1, dtype=np.int64)
     for k in range(span.dim):
-        h, j, x = span.element(k)
+        h, j, x = element_block(span, k)
         rows, cols = span.classes[h], span.classes[j]
         r, c = np.nonzero(x)
         assert np.all(x[r, c] == 1) and np.all(cells[rows[r], cols[c]] == -1)
@@ -97,14 +99,15 @@ def _dense_cells(span):
 
 def test_cell_table_reads_the_elements_of_t():
     # Every reader of the table gives the part of the dense cell map it
-    # names, and the line counts read off the p-table are the constant line
+    # names, every cell of block (h, j) is named with that block and its
+    # label, and the line counts read off the p-table are the constant line
     # sums of the pieces.
     for d in range(0, 7):
         for x in _vertices(d):
             ctx = build_hypercube_context(d, x)
             basis = ctx.algebra_basis()
-            assert basis.cells is not None and basis.cells.is_cells
-            table = basis.cells.table
+            assert isinstance(basis, closure_module.CellForm) and basis.is_cells
+            table = basis.table
             dense = _dense_cells(basis)
             ys = np.array([0, basis.n - 1, basis.n // 2], dtype=np.intp)
             assert np.array_equal(table.rows(ys), dense[ys])
@@ -112,28 +115,33 @@ def test_cell_table_reads_the_elements_of_t():
             assert np.array_equal(table.diagonal(), np.diagonal(dense))
             for h, rows in enumerate(basis.classes):
                 for j, cols in enumerate(basis.classes):
-                    assert np.array_equal(table.block(h, j), dense[np.ix_(rows, cols)])
+                    block = dense[np.ix_(rows, cols)]
+                    assert np.all(table.blocks[block] == (h, j)), (d, x, h, j)
+                    labels = ctx.dist.dist[np.ix_(rows, cols)]
+                    assert np.array_equal(table.values[block], labels), (d, x, h, j)
             _sigma, row_count, col_count = cell_line_counts(ctx, basis)
             for k in range(basis.dim):
-                _h, _j, piece = basis.element(k)
+                assert basis.block(k) == tuple(table.blocks[k].tolist()), (d, x, k)
+                _h, _j, piece = element_block(basis, k)
                 assert set(piece.sum(axis=1).tolist()) == {row_count[k]}, (d, x, k)
                 assert set(piece.sum(axis=0).tolist()) == {col_count[k]}, (d, x, k)
 
 
 def test_cell_line_sums_are_the_line_sums_of_the_elements(spans):
     # Each corner row a 1_C - b 1_C0 sums to zero over its block, with the
-    # cells counted one by one from CellTable.block: a |C| = b |C0|, with
-    # gcd(a, b) = 1.
+    # cells counted one by one off the labels of the block:
+    # a |C| = b |C0|, with gcd(a, b) = 1.
     for name, span, _gens, _unit in spans:
-        assert span.cells is not None, name
-        if span.cells.is_cells:
+        assert isinstance(span, closure_module.CellForm), name
+        if span.is_cells:
             continue
-        table = span.cells.table
-        for k, ((c, c0), (a, minus_b)) in enumerate(zip(span.cells.index.tolist(), span.cells.coef.tolist())):
+        table = span.table
+        for k, ((c, c0), (a, minus_b)) in enumerate(zip(span.index.tolist(), span.coef.tolist())):
             h, j = span.block(k)
-            size, size0 = (int(np.count_nonzero(table.block(h, j) == cell)) for cell in (c, c0))
+            labels = table.labels[np.ix_(span.classes[h], span.classes[j])]
+            size, size0 = (int(np.count_nonzero(labels == table.values[cell])) for cell in (c, c0))
             assert a * size + minus_b * size0 == 0 and math.gcd(a, minus_b) == 1, (name, k)
-            assert int(span.element(k)[2].sum()) == 0, (name, k)
+            assert int(element_block(span, k)[2].sum()) == 0, (name, k)
 
 
 def _dense_report(ctx, t, dim_smaller):
@@ -240,8 +248,8 @@ def test_cell_path_matches_the_piece_path(spans):
 def test_corner_rows_are_the_reduced_rows():
     # The label rows are the reduced echelon basis of the dense W B W at
     # width n^2 (dense_corner), element by element, and each element's
-    # pivot and maximum are those of its block, held read-only; the corner
-    # carries the certificate for its unit.
+    # pivot and maximum are those of its block, read off the labels; the
+    # corner carries the certificate for its unit.
     for d in range(2, 8):
         for x in _vertices(d):
             ctx = build_hypercube_context(d, x)
@@ -249,16 +257,15 @@ def test_corner_rows_are_the_reduced_rows():
             got = complement_algebra(ctx, basis, verify_u0(ctx, basis))
             want = dense_corner(ctx, basis)
             name = f"d={d} x={x}"
-            assert got.span.cells is not None, name
+            assert isinstance(got.span, closure_module.CellForm), name
             assert got.dim == len(want) == basis.dim - (d + 1) ** 2, name
             assert got.span.closed_unit == got.identity, name
             assert densify(got) == want, name
             for k in range(got.dim):
-                _h, _j, block = got.span.element(k)
+                _h, _j, block = element_block(got.span, k)
                 r, c = np.argwhere(block)[0]
                 assert got.span.pivot(k) == (r, c, int(block[r, c])), (name, k)
                 assert got.span.row_max(k) == int(np.abs(block).max()), (name, k)
-                assert not block.flags.writeable, (name, k)
 
 
 def test_cell_kernels_take_the_object_path(monkeypatch):
@@ -305,11 +312,9 @@ def _tampered_cells(ctx, basis):
     (r1, c1), (r2, c2) = np.argwhere(block == 0)[0], np.argwhere(block == 2)[0]
     y1, z1, y2, z2 = rows[r1], cols[c1], rows[r2], cols[c2]
     labels[y1, z1], labels[y2, z2] = labels[y2, z2], labels[y1, z1]
-    t = basis.cells.table
+    t = basis.table
     table = closure_module.CellTable(t.classes, labels, t._lo, t._nv, t._owner, t._lookup, t.blocks)
-    tampered = copy.copy(basis)
-    tampered.cells = closure_module.CellForm(table, basis.cells.index, basis.cells.coef, basis.cells.pivots)
-    return tampered
+    return dataclasses.replace(basis, table=table)
 
 
 def _even_lines(x):
@@ -328,9 +333,9 @@ def test_cells_with_uneven_line_counts_take_the_reduction_path():
     rep = verify_u0(ctx, basis)
     tampered = _tampered_cells(ctx, basis)
     sigma = cell_line_counts(ctx, basis)[0]
-    uneven = [k for k in range(tampered.dim) if not _even_lines(tampered.element(k)[2])]
+    uneven = [k for k in range(tampered.dim) if not _even_lines(element_block(tampered, k)[2])]
     assert uneven and all([sigma[h] for h in tampered.block(k)] == [2, 2] for k in uneven)
-    assert all(_even_lines(basis.element(k)[2]) for k in range(basis.dim))
+    assert all(_even_lines(element_block(basis, k)[2]) for k in range(basis.dim))
     other = "reads an array other than ctx.dist.dist"
     with pytest.raises(ValueError, match=other):
         verify_u0(ctx, tampered)
@@ -352,11 +357,11 @@ def test_u0_and_its_corner_refuse_any_basis_but_the_cells_of_dist():
         looped = closure_module.closure(ctx.generators())
         copied = closure_module.closure(ctx.generators(), ctx.dist.dist.copy())
         tampered = _tampered_cells(ctx, basis)
-        assert looped.cells is None and looped.dim == basis.dim
+        assert isinstance(looped, closure_module.BlockSpans) and looped.dim == basis.dim
         for span in (copied, tampered):
-            assert span.cells.is_cells
+            assert span.is_cells
             assert [c.tolist() for c in span.classes] == [c.tolist() for c in basis.classes]
-        assert corner.span.cells is not None and not corner.span.cells.is_cells
+        assert not corner.span.is_cells
         other = "reads an array other than ctx.dist.dist"
         cases = [
             # (a) the product loop's basis of the same algebra
@@ -404,13 +409,13 @@ def test_a_cell_basis_over_a_copy_of_dist_takes_the_row_path():
             ctx = build_hypercube_context(d, x)
             basis = ctx.algebra_basis()
             copied = closure_module.closure(ctx.generators(), ctx.dist.dist.copy())
-            assert copied.cells is not None and copied.cells.is_cells, (d, x)
-            assert copied.cells.table.labels is not ctx.dist.dist, (d, x)
+            assert isinstance(copied, closure_module.CellForm) and copied.is_cells, (d, x)
+            assert copied.table.labels is not ctx.dist.dist, (d, x)
             assert copied.dim == basis.dim, (d, x)
             for k in range(basis.dim):
-                (h, j, a), (h2, j2, b) = copied.element(k), basis.element(k)
+                (h, j, a), (h2, j2, b) = element_block(copied, k), element_block(basis, k)
                 assert (h, j) == (h2, j2) and np.array_equal(a, b), (d, x, k)
-            assert np.array_equal(copied.cells.table.values, basis.cells.table.values), (d, x)
+            assert np.array_equal(copied.table.values, basis.table.values), (d, x)
             rep = verify_u0(ctx, basis)
             assert rep.passed, (d, x)
             with pytest.raises(ValueError, match=other):
@@ -458,19 +463,24 @@ def test_every_verify_diameter_splits_on_the_cell_path(monkeypatch):
     )
 
 
-def test_no_command_split_forms_an_element_block(monkeypatch):
-    # The split reads T and its corner through their cells alone: with
-    # BlockSpans.element refusing every call, a sweep and a parameter
-    # report, each of which splits, give the same reports.
+def test_the_cube_path_builds_no_row_span(monkeypatch):
+    # The cube's T is certified on its labels, so no command on the cube
+    # builds the product loop's span, and no split forms an element's
+    # block: with BlockSpans refusing to be made, a sweep and a parameter
+    # report, each of which splits, give the same reports.  The graph
+    # report of the Petersen graph, whose labels fail the certificate, runs
+    # the product loop and meets the refusal.
     want = verify.run_verification(6, vertex=5), verify.build_parameter_report(6, 5)
 
-    def refused(span, k):
-        raise AssertionError(f"element {k} of a span was formed")
+    def refused(span, *args):
+        raise AssertionError("a row span was built")
 
-    monkeypatch.setattr(closure_module.BlockSpans, "element", refused)
+    monkeypatch.setattr(closure_module.BlockSpans, "__init__", refused)
     got = verify.run_verification(6, vertex=5), verify.build_parameter_report(6, 5)
     assert got[0].to_json() == want[0].to_json() and got[0].overall == "pass"
     assert got[1] == want[1] and got[1]["blocks"] == [7, 5, 3, 1]
+    with pytest.raises(AssertionError, match="a row span was built"):
+        verify.build_graph_report(Graph.from_edges(10, PETERSEN_EDGES), 3)
 
 
 def test_the_cell_path_forms_no_n_wide_index(monkeypatch):

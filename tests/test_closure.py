@@ -10,11 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_views import contains, dense_diagonal, dense_generators, densify, distance_matrix
+from dense_views import (
+    contains,
+    dense_diagonal,
+    dense_generators,
+    densify,
+    distance_matrix,
+    element_block,
+)
 
 from terwalg import _intops, echelon, subconstituent, verify
 from terwalg._intops import content, demote, exact_matmul, max_abs, to_object
-from terwalg.closure import BlockSpans, closure, identity_unit, joint_classes
+from terwalg.closure import BlockSpans, CellForm, closure, identity_unit, joint_classes
 from terwalg.echelon import EchelonSpan
 from terwalg.graphs import DistanceData, Graph, hypercube, parse_graph_file
 from terwalg.linalg import RationalMatrix
@@ -69,13 +76,13 @@ def _starts_with_class_projections(span) -> bool:
     """The first c elements sit in the diagonal blocks (h, h), in class
     order, and the span holds every class projection P_h.
 
-    span.element gives an element's current reduced block, which later
+    element_block gives an element's current reduced block, which later
     insertions may have reduced away from P_h itself.
     """
     for h, cls in enumerate(span.classes):
         projection = np.zeros((span.n, span.n), dtype=np.int64)
         projection[cls, cls] = 1
-        if span.element(h)[:2] != (h, h) or not contains(span, projection):
+        if element_block(span, h)[:2] != (h, h) or not contains(span, projection):
             return False
     return True
 
@@ -444,7 +451,6 @@ def oracle_closure(generators):
                 if k is not None:
                     pieces.append((h2, j, spans.element(k)[2].copy()))
         pos += 1
-    spans.closed_unit = identity_unit(len(classes))
     return spans
 
 
@@ -462,14 +468,13 @@ def assert_same_block_spans(got, want, name):
             # them narrow (echelon), with the same values.
             assert r.dtype == _intops.narrow(s, max_abs(s)).dtype, (name, key)
             assert np.array_equal(r, s), (name, key)
-    assert got.closed_unit == want.closed_unit, name
 
 
 def assert_same_algebra(got, want, name):
-    """Equal classes, dimension, certificate and canonical row set of every
-    block span; the element numbering may differ."""
+    """Equal classes, dimension and canonical row set of every block span;
+    the element numbering may differ."""
     assert [c.tolist() for c in got.classes] == [c.tolist() for c in want.classes], name
-    assert got.dim == want.dim and got.closed_unit == want.closed_unit, name
+    assert got.dim == want.dim, name
     assert got._spans.keys() == want._spans.keys(), name
     for key, span in want._spans.items():
         assert _row_set(got._spans[key].rows) == _row_set(span.rows), (name, key)
@@ -598,18 +603,19 @@ def test_prepared_closure_bounds_each_product_by_its_piece(monkeypatch):
 
 
 def _block_row_sets(span):
-    """Per block, the set of its elements' rows, read through element()."""
+    """Per block, the set of its elements' rows, read through element_block."""
     rows = {}
     for k in range(span.dim):
-        h, j, x = span.element(k)
+        h, j, x = element_block(span, k)
         rows.setdefault((h, j), []).append(x)
     return {key: _row_set(xs) for key, xs in rows.items()}
 
 
 def _same_per_block_row_sets(got, want, name):
-    """Equal classes, dims, certificates and per-block row sets."""
+    """Equal classes, dims and per-block row sets, and got certified with
+    the unit table of I."""
     assert [c.tolist() for c in got.classes] == [c.tolist() for c in want.classes], name
-    assert got.dim == want.dim and got.closed_unit == want.closed_unit, name
+    assert got.dim == want.dim and got.closed_unit == identity_unit(len(got.classes)), name
     assert _block_row_sets(got) == _block_row_sets(want), name
 
 
@@ -641,9 +647,9 @@ CUBE_LIKE = {"cube-7", "folded-9-cube"}
 
 def test_triple_label_basis_matches_the_product_loop(monkeypatch):
     # The cubes and the cube-like graphs take the triple-label basis with no
-    # product and give the loop's algebra: per-block row sets, dims and the
-    # certificate.  The unstable graphs fall back to the loop itself, element
-    # for element.
+    # product and give the loop's algebra (per-block row sets and dims),
+    # certified with unit I.  The unstable graphs fall back to the loop
+    # itself, element for element.
     calls = _products_counted(monkeypatch)
     rng = random.Random(40)
     cases = []
@@ -662,8 +668,8 @@ def test_triple_label_basis_matches_the_product_loop(monkeypatch):
             _same_per_block_row_sets(got, want, name)
             pivots = {}
             for k in range(got.dim):
-                h, j, x = got.element(k)
-                assert x.dtype == np.int8 and not x.flags.writeable, name
+                h, j, x = element_block(got, k)
+                assert got.block(k) == (h, j), name
                 r, c, value = got.pivot(k)
                 assert value == 1 and got.row_max(k) == 1, name
                 assert np.flatnonzero(x)[0] == r * x.shape[1] + c, name
@@ -679,8 +685,9 @@ def test_triple_label_basis_matches_the_product_loop(monkeypatch):
 
 
 def test_the_certified_closure_builds_no_echelon_span(monkeypatch):
-    # On the cubes and the cube-like graphs the certified basis is held in
-    # cell form alone: closure() stores no row, so it makes no EchelonSpan.
+    # On the cubes and the cube-like graphs the certified basis is a
+    # CellForm, with no row: closure() makes no EchelonSpan, and the span
+    # takes no new element.
     made = []
     real_init = EchelonSpan.__init__
 
@@ -694,10 +701,9 @@ def test_the_certified_closure_builds_no_echelon_span(monkeypatch):
     monkeypatch.setattr(EchelonSpan, "__init__", counting_init)
     for name, ctx in cases:
         basis = closure(ctx.generators(), ctx.dist.dist)
-        assert basis.cells is not None and basis.closed_unit is not None, name
+        assert isinstance(basis, CellForm) and basis.closed_unit is not None, name
         assert not made, name
-        with pytest.raises(ValueError):
-            basis.add(0, 0, basis.element(0)[2])
+        assert not hasattr(basis, "add"), name
     # The counter sees the loop's spans.
     closure(cases[3][1].generators())
     assert made
@@ -709,7 +715,7 @@ def test_triple_label_basis_starts_with_the_class_projections():
         basis = closure(ctx.generators(), ctx.dist.dist)
         assert _starts_with_class_projections(basis)
         for h, cls in enumerate(basis.classes):
-            assert np.array_equal(basis.element(h)[2], np.eye(len(cls)))
+            assert np.array_equal(element_block(basis, h)[2], np.eye(len(cls)))
 
 
 def test_the_cube_never_takes_a_product(monkeypatch):

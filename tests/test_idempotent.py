@@ -18,7 +18,7 @@ from dense_views import (
 )
 
 from terwalg import _intops, echelon, idempotent, linalg, wedderburn
-from terwalg.closure import closure
+from terwalg.closure import CellForm, closure
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import (
     absorbs,
@@ -260,7 +260,7 @@ def test_centrality_checks_every_basis_element(suite):
         assert verify_u0(ctx, basis).central is True
         assert _literally_central(dense_u0(ctx), densify(basis))
         sigma = sphere_of_classes(ctx, basis.classes)
-        table = basis.cells.table
+        table = basis.table
         for (h, j), v in zip(table.blocks.tolist(), table.values.tolist()):
             a, b = sigma[h], sigma[j]
             if a != b:
@@ -370,7 +370,7 @@ def test_u0_rejects_classes_that_are_not_spheres(suite):
     ctx, _basis = data[3]
     for other in (1, 5):
         span = closure(build_hypercube_context(3, other).generators(), ctx.dist.dist)
-        assert span.cells is not None and span.cells.table.labels is ctx.dist.dist
+        assert isinstance(span, CellForm) and span.table.labels is ctx.dist.dist
         with pytest.raises(ValueError, match="not exactly one sphere"):
             verify_u0(ctx, span)
 

@@ -50,6 +50,9 @@ NOT_CELLS = re.escape(
     "the split reads closure()'s certified triple-label basis or "
     "complement_algebra's corner, in cell form"
 )
+# The refusal of a row generator that is not constant on the span's classes
+# (_PivotBasis.class_values).
+NOT_CONSTANT = re.escape("a diagonal generator is not constant on every class of the span")
 
 
 def _pivot_idempotents_valid(pb, idems, e):
@@ -190,11 +193,8 @@ def test_unclosed_span_is_not_split(suite):
     # span is refused.
     ctx, basis = suite[3]
     gens = ctx.generators()
-    form = basis.cells
     c = len(basis.classes)
-    span = BlockSpans.of_cells(
-        ctx.n, basis.classes, CellForm(form.table, form.index[:c], form.coef[:c], form.pivots[:c])
-    )
+    span = CellForm(basis.table, basis.index[:c], basis.coef[:c], basis.pivots[:c])
     assert span.closed_unit is None
     assert list(densify(span)) == [dense_diagonal(e) for e in ctx.E_star]
     assert len(_gram_center_basis(densify(span), gens)) == 1
@@ -203,8 +203,7 @@ def test_unclosed_span_is_not_split(suite):
     for dec in (split_center(span, center), decompose(span, gens)):
         assert dec.status == INCONCLUSIVE
         assert dec.central_idempotents == dec.eigenvalues == dec.block_ranks == ()
-    forged = BlockSpans.of_cells(ctx.n, span.classes, span.cells)
-    forged.closed_unit = identity_unit(c)
+    forged = dataclasses.replace(span, closed_unit=identity_unit(c))
     assert split_center(forged, center).status == SPLIT
     rows = BlockSpans(ctx.n, (np.arange(ctx.n),))
     rows.add(0, 0, RationalMatrix.identity(ctx.n).num)
@@ -769,7 +768,7 @@ def test_corner_rejects_blocks_that_split_a_sphere(suite):
     ctx, basis = suite[3]
     rep = verify_u0(ctx, basis)
     cut = closure(build_hypercube_context(3, 1).generators(), ctx.dist.dist)
-    assert cut.cells is not None and cut.cells.table.labels is ctx.dist.dist
+    assert isinstance(cut, CellForm) and cut.table.labels is ctx.dist.dist
     with pytest.raises(ValueError, match="not exactly one sphere"):
         complement_algebra(ctx, cut, rep)
 
@@ -856,7 +855,7 @@ def differential_algebras():
 
 def _assert_split_refused(span, gens, identity, name):
     """The split refuses a span not in cell form, at every entry point."""
-    assert span.cells is None, name
+    assert isinstance(span, BlockSpans), name
     with pytest.raises(ValueError, match=NOT_CELLS):
         _PivotBasis(span)
     with pytest.raises(ValueError, match=NOT_CELLS):
@@ -868,14 +867,15 @@ def _assert_split_refused(span, gens, identity, name):
 def test_the_split_refuses_a_span_not_in_cell_form():
     # The product loop's basis of T on the 3-cube (closure with no labels)
     # and T of the Petersen graph, which fails the label certificate, are
-    # both certified closed, but neither is in cell form: center_basis,
-    # split_center and decompose each refuse them with the named error.
+    # both the product loop's spans: neither is in cell form nor carries a
+    # certificate, and center_basis, split_center and decompose each refuse
+    # them with the named error.
     cube = build_hypercube_context(3)
     [(g, x)] = [(g, x) for name, g, x in _oracle_graphs() if name == "petersen"]
     petersen = build_context(g, x)
     for ctx, span in ((cube, closure(cube.generators())), (petersen, petersen.algebra_basis())):
         gens = ctx.generators()
-        assert span.cells is None and span.closed_unit == identity_unit(len(span.classes))
+        assert isinstance(span, BlockSpans) and not hasattr(span, "closed_unit")
         center = [(np.eye(span.dim, dtype=np.int64)[0], 1)]
         with pytest.raises(ValueError, match=NOT_CELLS):
             center_basis(span, gens)
@@ -890,7 +890,7 @@ def test_split_matches_full_kernel_rank_and_dense_guard(differential_algebras):
     # every span in cell form; the product loop's spans are refused.
     looped = 0
     for name, span, gens, identity in differential_algebras:
-        if span.cells is None:
+        if isinstance(span, BlockSpans):
             _assert_split_refused(span, gens, identity, name)
             looped += 1
             continue
@@ -911,27 +911,49 @@ def test_class_filter_keeps_only_diagonal_sphere_blocks(suite):
     # On T(x), A* separates the spheres, so the filter keeps exactly the
     # elements of the blocks E*_h T E*_h; A*'s row is not constant on a span
     # with one class (the Bose-Mesner algebra, in cell form over dist), and
-    # neither is a row that cuts a sphere.
+    # neither is a row that cuts a sphere: both are refused.
     ctx, basis = suite[4]
     pb = _PivotBasis(basis)
     row = ctx.dual_adjacency_row.num[0]
     vals = pb.class_values(row)
     assert np.array_equal(vals[pb._h] == vals[pb._j], pb._h == pb._j)
-    assert pb.class_values(np.arange(ctx.n)) is None
+    with pytest.raises(ValueError, match=NOT_CONSTANT):
+        pb.class_values(np.arange(ctx.n))
     bose_mesner = closure(ctx.generators()[:1], ctx.dist.dist)
-    assert bose_mesner.cells is not None and bose_mesner.dim == ctx.d + 1
+    assert isinstance(bose_mesner, CellForm) and bose_mesner.dim == ctx.d + 1
     one = _PivotBasis(bose_mesner)
-    assert len(one.classes) == 1 and one.class_values(row) is None
+    assert len(one.classes) == 1
+    with pytest.raises(ValueError, match=NOT_CONSTANT):
+        one.class_values(row)
 
 
 def test_diagonal_frame_is_the_frame_of_the_dense_diagonal(suite):
-    for name, span, _gens, _identity in _algebras(suite):
+    # A row that is not constant on the span's classes has no frame in the
+    # split: class_values, center_basis and decompose refuse it with the
+    # named error.  The same diagonal held as a dense n x n matrix is read
+    # through its frame like any other generator, and with A its center is
+    # the full-kernel oracle's.
+    refused = 0
+    for name, span, gens, identity in _algebras(suite):
         pb = _PivotBasis(span)
         for row in (np.arange(span.n) - 3, np.arange(span.n) % 2):
-            rows, cols = pb.diagonal_frame(row)
-            want_rows, want_cols, _ = _frame(pb, RationalMatrix(np.diag(row)))
-            assert np.array_equal(rows, want_rows), name
-            assert np.array_equal(cols, want_cols), name
+            diagonal = RationalMatrix(row[None])
+            dense = [gens[0], RationalMatrix(np.diag(row))]
+            rows, cols, _ = _frame(pb, dense[1])
+            assert np.array_equal(rows, np.diag(row)[pb.rows]), name
+            assert np.array_equal(cols, np.diag(row)[:, pb.cols]), name
+            assert _as_tuples(center_basis(span, dense)) == _full_center_basis(span, dense), name
+            if all(len(set(row[c].tolist())) == 1 for c in span.classes):
+                assert pb.class_values(row).tolist() == [row[c[0]] for c in span.classes]
+                continue
+            refused += 1
+            with pytest.raises(ValueError, match=NOT_CONSTANT):
+                pb.class_values(row)
+            with pytest.raises(ValueError, match=NOT_CONSTANT):
+                center_basis(span, [gens[0], diagonal])
+            with pytest.raises(ValueError, match=NOT_CONSTANT):
+                decompose(span, [gens[0], diagonal], identity)
+    assert refused == 2 * 4 + 2 * 4  # T_2..T_5 and corner_2..corner_5, both rows
 
 
 def _one_class_t(ctx):
@@ -953,29 +975,35 @@ def _one_class_t(ctx):
     owner, blocks = np.zeros(ctx.n, dtype=np.intp), np.zeros((dim, 2), dtype=np.intp)
     table = CellTable(classes, labels, 0, base**3, owner, lookup, blocks)
     pivots = [(*divmod(int(f), ctx.n), 1, 1) for f in first]
-    form = CellForm(table, np.arange(dim)[:, None], np.ones((dim, 1), np.int64), pivots)
-    span = BlockSpans.of_cells(ctx.n, classes, form)
-    span.closed_unit = identity_unit(1)
-    return span
+    index, coef = np.arange(dim)[:, None], np.ones((dim, 1), np.int64)
+    return CellForm(table, index, coef, pivots, closed_unit=identity_unit(1))
 
 
 def test_row_not_constant_on_the_classes_is_read_through_its_frame():
     # T held in cell form over one class (_one_class_t): A*'s row is not
-    # constant on the class, so it is read through its diagonal frame; the
-    # split equals the one on dense A*.  The product loop's closure of A
+    # constant on the class, so the split refuses it with the named error.
+    # The dense A* is read through its frame like any n x n generator: the
+    # center is the full-kernel and Gram oracles', the split is the dense
+    # oracle's, and the blocks are T's.  The product loop's closure of A
     # and the dense A*, which also has one class, is refused.
     for d, x in ((3, 0), (4, 5)):
         ctx = build_hypercube_context(d, x)
         gens = ctx.generators()
+        dense = dense_generators(gens)
         basis = ctx.algebra_basis()
         span = _one_class_t(ctx)
         assert len(span.classes) == 1 and span.dim == basis.dim
         assert all(dense_views.contains(basis, b) for b in densify(span))
-        assert _PivotBasis(span).class_values(ctx.dual_adjacency_row.num[0]) is None
-        want = _as_tuples(center_basis(span, dense_generators(gens)))
-        assert _as_tuples(center_basis(span, gens)) == want
-        dec = decompose(span, gens)
-        assert dec.status == SPLIT and dec == decompose(span, dense_generators(gens))
+        with pytest.raises(ValueError, match=NOT_CONSTANT):
+            _PivotBasis(span).class_values(ctx.dual_adjacency_row.num[0])
+        for split in (center_basis, decompose):
+            with pytest.raises(ValueError, match=NOT_CONSTANT):
+                split(span, gens)
+        center = center_basis(span, dense)
+        assert _as_tuples(center) == _full_center_basis(span, dense)
+        assert _dense_all(span, center) == _gram_center_basis(densify(span), dense)
+        dec = decompose(span, dense)
+        assert dec.status == SPLIT and dec == _oracle_decompose(span, dense)
         assert dec.multiset == decompose(basis, gens).multiset
         looped = closure(dense_generators(gens))
         assert len(looped.classes) == 1
@@ -985,7 +1013,7 @@ def test_row_not_constant_on_the_classes_is_read_through_its_frame():
 def test_pivot_guard_matches_dense_guard(differential_algebras):
     # On every span in cell form; the product loop's spans are refused.
     for name, span, gens, identity in differential_algebras:
-        if span.cells is None:
+        if isinstance(span, BlockSpans):
             _assert_split_refused(span, gens, identity, name)
             continue
         pb = _PivotBasis(span)
@@ -1037,20 +1065,24 @@ def test_pivot_guard_rejects_tampered_idempotents(differential_algebras):
 
 
 def test_closure_certificate_is_set_by_closure_only(suite):
+    # closure() certifies T's cells with the table of I; the same cells
+    # made by hand carry no certificate.  The product loop's span has none
+    # to carry: it takes new elements, and the split refuses it.
     ctx, basis = suite[3]
     assert basis.closed_unit == ((0,) * (ctx.d + 1), 1)
+    assert CellForm(basis.table, basis.index, basis.coef, basis.pivots).closed_unit is None
+    assert not hasattr(basis, "add")
     span = BlockSpans(ctx.n, basis.classes)
     span.add(0, 0, np.eye(1, dtype=np.int64))
-    assert span.closed_unit is None
-    # A new element voids the certificate; a spanned one does not.
-    copy = closure(ctx.generators())
-    h, j, x = copy.element(3)
-    assert copy.add(h, j, x * 2) is None
-    assert copy.closed_unit is not None
+    assert not hasattr(span, "closed_unit")
+    loop = closure(ctx.generators())
+    assert isinstance(loop, BlockSpans) and not hasattr(loop, "closed_unit")
+    h, j, x = loop.element(3)
+    assert loop.add(h, j, x * 2) is None
     unit_entry = np.zeros((3, 3), dtype=np.int64)
     unit_entry[0, 1] = 1  # E*_1 T E*_1 is span{I, J} on the 3-cube
-    assert copy.add(1, 1, unit_entry) is not None
-    assert copy.closed_unit is None
+    assert loop.add(1, 1, unit_entry) is not None
+    _assert_split_refused(loop, ctx.generators(), None, "T after an add")
 
 
 def test_corner_certificate_needs_a_central_idempotent_u0(suite):
@@ -1066,15 +1098,13 @@ def test_corner_certificate_needs_a_central_idempotent_u0(suite):
     for other in uncertified:
         assert other.span.closed_unit is None
         assert densify(other) == densify(corner)
-    # The corner read off T's cells is held in cell form, which takes no
-    # new element (E*_0 of the corner is zero, since I - U0 vanishes on the
-    # one vertex of S_0), so nothing can void its certificate; the same
-    # holds for the corner of a fresh closure over dist.
+    # The corner read off T's cells is a CellForm, which takes no new
+    # element, so nothing can void its certificate; the same holds for the
+    # corner of a fresh closure over dist.
     fresh = complement_algebra(ctx, closure(ctx.generators(), ctx.dist.dist), rep)
     for span in (corner.span, fresh.span):
-        with pytest.raises(ValueError):
-            span.add(0, 0, np.ones((1, 1), dtype=np.int64))
-        assert span.cells is not None and span.closed_unit == corner.identity
+        assert isinstance(span, CellForm) and not hasattr(span, "add")
+        assert span.closed_unit == corner.identity
     assert densify(fresh) == densify(corner)
 
 
@@ -1082,7 +1112,7 @@ def test_uncertified_spans_are_not_split(suite):
     # Each span below is closed (it is T or its corner), but carries no
     # certificate for the unit it is split with, so it is not split.  A
     # unit is compared as its table.  T one element past it is the product
-    # loop's span, whose add voids its certificate; the split refuses it.
+    # loop's span, which carries no certificate; the split refuses it.
     ctx, basis = suite[4]
     gens = ctx.generators()
     rep = verify_u0(ctx, basis)
@@ -1092,7 +1122,6 @@ def test_uncertified_spans_are_not_split(suite):
         assert decompose(span, gens, unit).status == SPLIT
     touched = closure(gens)
     assert touched.add(0, 1, np.array([[1, 0, 0, 0]])) is not None  # E*_0 T E*_1 is span{J}
-    assert touched.closed_unit is None
     _assert_split_refused(touched, gens, None, "T after an add")
     cases = [
         ("T with the corner's unit", _PivotBasis(basis), corner.identity),
@@ -1325,9 +1354,9 @@ def test_corner_holds_no_n_by_n_array(monkeypatch):
         got = complement_algebra(ctx, basis, rep)
         assert got.identity == want.identity and got.span.closed_unit == want.span.closed_unit
         assert got.span.classes == want.span.classes and got.dim == want.dim
-        for k in range(want.dim):
-            (h, j, x), (h2, j2, x2) = got.span.element(k), want.span.element(k)
-            assert (h, j) == (h2, j2) and np.array_equal(x, x2)
+        assert got.span.table is want.span.table and got.span.pivots == want.span.pivots
+        assert np.array_equal(got.span.index, want.span.index)
+        assert np.array_equal(got.span.coef, want.span.coef)
         dec = decompose(got.span, gens, got.identity)
         assert dec.status == SPLIT and dec == want_dec
 
@@ -1368,7 +1397,7 @@ def test_closure_and_both_splits_hold_no_n_by_n_array_but_a(monkeypatch):
         _assert_refused(ctx.n, side)
         got = closure(gens)
         assert [c.tolist() for c in got.classes] == [c.tolist() for c in basis.classes]
-        assert got._elements == basis._elements and got.closed_unit == basis.closed_unit
+        assert got._elements == basis._elements
         for k in range(basis.dim):
             (h, j, x), (h2, j2, x2) = got.element(k), basis.element(k)
             assert (h, j) == (h2, j2) and np.array_equal(x, x2)
