@@ -2,12 +2,31 @@
 
 Vertices are 0..n-1.  Hypercube vertices are bitmasks: bit b set means
 coordinate b is -1, and two vertices are adjacent iff their xor is a power of
-two.  Distances are always realized by breadth-first search, so the closed
-formulas elsewhere can be checked against an independent oracle.  The search
-runs from all sources at once, level by level: the pairs at distance l + 1
-are the unreached pairs with a neighbour at distance l.  A large level is
-taken on whole tables, with the same neighbour gather that counts the
-intersection array, and a small one pair by pair (see _distances).
+two.  Distances are realized by breadth-first search over the graph's own
+edges, so the closed formulas elsewhere can be checked against an
+independent oracle: a search from every vertex, or from vertex 0 alone when
+the translation certificate below holds.
+
+The translation certificate (_translations).  Let n = 2^d and S = N(0), and
+suppose N(y) = {y xor s : s in S} for every vertex y.  Then the translation
+t_g: y -> y xor g maps N(y) onto y xor g xor S = N(y xor g), so every t_g is
+an automorphism, and dist(y, z) = dist(t_y(y), t_y(z)) = dist(0, y xor z)
+= w[y xor z] with w = dist(0, .).  The two consequences used here follow:
+
+- the distance array is one search from vertex 0, w, written as
+  dist[y, z] = w[y xor z] (DistanceData.compute);
+- the count |{u ~ y : dist(u, z) = i}| = |{s in S : w[y xor z xor s] = i}|
+  depends on y xor z only, so the intersection array is counted on row 0
+  alone (is_distance_regular).
+
+The certificate is checked on the neighbour lists, in O(n k), and not
+assumed from the labels: the bitmask cube (S the unit vectors) and the
+bitmask folded cube pass it, and a relabelled cube fails it.  A graph that
+fails it takes the all-pairs search, which runs from all sources at once,
+level by level: the pairs at distance l + 1 are the unreached pairs with a
+neighbour at distance l.  A large level is taken on whole tables, with the
+same neighbour gather that counts the intersection array, and a small one
+pair by pair (see _distances).
 
 The intersection numbers counted here, from the intersection array the
 graph itself shows, are the ground truth that the closed-form hypercube
@@ -35,6 +54,11 @@ MAX_VERTICES = 1 << 12  # all-pairs distance table is the memory bound
 # up to about 0.5 GB; the 512-cycle (d = 256, 257^3 entries) is admitted and
 # the 1024-cycle (513^3) is not.
 MAX_P_TABLE = 1 << 25
+
+# The translation path copies, and checks, the distance array this many
+# entries at a time (_translation_blocks): a comparison's boolean temporary
+# is one block, 64 KB.
+TRANSLATION_BLOCK = 1 << 16
 
 # A level of the distance search with fewer than n S / SPARSE_LEVEL pairs is
 # taken pair by pair, a larger one on whole tables (see _distances).  All
@@ -299,9 +323,57 @@ def _frontier_step(table, flat, pairs, level, width) -> np.ndarray:
     return np.concatenate(found)
 
 
+def _translations(g: Graph) -> np.ndarray | None:
+    """S = N(0) when every translation y -> y xor g is an automorphism of g,
+    else None (the certificate of the module docstring).
+
+    It holds when n is a power of two, so that y xor g is a vertex, and
+    every vertex's sorted neighbour row is sort(y xor S).  A vertex of
+    degree less than k = |S| would have its row padded with itself
+    (_neighbour_table), and y is never in y xor S, as 0 is not in S; one of
+    degree more than k widens the table past the shape of sort(y xor S).
+    So one whole-table comparison decides it, in O(n k).
+    """
+    n = g.n
+    if n & (n - 1):
+        return None
+    s = np.array(g.neighbors[0], dtype=np.intp)
+    want = np.sort(np.arange(n)[:, None] ^ s, axis=1)
+    table = _neighbour_table(g.neighbors)
+    return s if np.array_equal(table, want) else None
+
+
+def _translation_blocks(dist: np.ndarray):
+    """Pairs (upper, lower) of equal-shaped views that tile the rows of the
+    n x n array dist past row 0, n = 2^d.
+
+    For m = 1, 2, ..., n/2, upper runs over rows y + m and lower over rows
+    y, for y < m, with lower's column z read at z xor m (the middle axis of
+    (rows, n / 2m, 2, m) reversed), each TRANSLATION_BLOCK entries at most.
+    Row y + m equals row y at z xor m for every such y exactly when
+    dist[y, z] = dist[0, y xor z] on all of dist, by induction on m: given
+    rows below m, dist[y + m, z] = dist[y, z xor m] = dist[0, y xor m xor z].
+    """
+    n = len(dist)
+    step = max(1, TRANSLATION_BLOCK // n)
+    m = 1
+    while m < n:
+        shape = (-1, n // (2 * m), 2, m)
+        for lo in range(0, m, step):
+            hi = min(m, lo + step)
+            upper = dist[m + lo : m + hi].reshape(shape)
+            yield upper, dist[lo:hi].reshape(shape)[:, :, ::-1]
+        m *= 2
+
+
 @dataclass(frozen=True)
 class DistanceData:
-    """All-pairs BFS distances plus the diameter.
+    """All-pairs distances plus the diameter.
+
+    When g passes the translation certificate (_translations), one search
+    from vertex 0 gives w, and dist[y, z] = w[y xor z] is written block by
+    block of rows (_translation_blocks), with no table wider than dist.
+    Otherwise every source is searched at once (_distances).
 
     dist is held narrow, in the narrowest signed dtype that holds the
     diameter (_intops.narrow): int8, or int16 past diameter 127 (a graph
@@ -317,11 +389,20 @@ class DistanceData:
 
     @classmethod
     def compute(cls, g: Graph) -> "DistanceData":
-        # Column r holds the distances from r; the table is symmetric, so
-        # row r holds them too.
-        table = _distances(g.neighbors, range(g.n))
-        diameter = int(table.max())
-        table = narrow(table, diameter)
+        if _translations(g) is None:
+            # Column r holds the distances from r; the table is symmetric,
+            # so row r holds them too.
+            table = _distances(g.neighbors, range(g.n))
+            diameter = int(table.max())
+            table = narrow(table, diameter)
+        else:
+            w = _distances(g.neighbors, [0])[:, 0]
+            diameter = int(w.max())
+            w = narrow(w, diameter)
+            table = np.empty((g.n, g.n), dtype=w.dtype)
+            table[0] = w
+            for upper, lower in _translation_blocks(table):
+                upper[...] = lower
         table.flags.writeable = False
         return cls(table, diameter)
 
@@ -344,22 +425,29 @@ def _neighbour_counts(table, padded, mask, out, rows) -> None:
 def is_distance_regular(g: Graph, dd: DistanceData):
     """Distance-regularity from the counted intersection array.
 
-    counts[y, z] = |{w ~ y : dist(w, z) = i}| is the sum, over the neighbour
-    slots s of y, of row table[y, s] of the boolean mask dist == i, so the
-    counts for one i are k gathered mask rows added into a small-int array
-    (a count is at most the largest degree k).  The graph is
-    distance-regular exactly when, on every class dist(y, z) = h, the counts
-    for i = h-1, h, h+1 are constants c_h, a_h, b_h (Brouwer, Cohen and
-    Neumaier, Distance-Regular Graphs, 1989, section 4.1); every other count
-    there is 0 by the triangle inequality, so it needs no check.  So for
-    each i and each class h = i-1, i, i+1 the counts on the class are
-    compared at once with the count at its first pair, through the boolean
-    mask dist == h: a whole-table compare on the narrow dist and the
-    small-int counts, with no gather through dist.  The first pair (row by row) of class h lies in the first row whose
-    largest entry is at least h, since a row reaching h passes through it.
+    The graph is distance-regular exactly when, on every class
+    dist(y, z) = h, the counts |{u ~ y : dist(u, z) = i}| for i = h-1, h,
+    h+1 are constants c_h, a_h, b_h (Brouwer, Cohen and Neumaier,
+    Distance-Regular Graphs, 1989, section 4.1); every other count there
+    is 0 by the triangle inequality, so it needs no check.  The counts are
+    taken on one of two sets of rows y (_count_b1):
+
+    - Row 0 alone, when g passes the translation certificate
+      (_translations) and dd.dist is checked, not assumed, to be a function
+      of y xor z: each block of rows must equal row 0 read at y xor z
+      (_translation_blocks).  Then the count at (y, z) is
+      c(y xor z, i) = |{s in S : dist[0, y xor z xor s] = i}| (module
+      docstring), so a count is constant on a class exactly when it is on
+      the class's part of row 0, and the first pair row by row with a
+      given count lies in row 0, which holds every value of y xor z.  The
+      verdict and the witness are those of all the rows.
+    - All n rows otherwise.  counts[y, z] is the sum, over the neighbour
+      slots s of y, of row table[y, s] of the boolean mask dist == i, so
+      the counts for one i are k gathered mask rows added into a small-int
+      array (a count is at most the largest degree k).
+
     Then p^h_ij = (B_i)[h, j], where B_1 is the tridiagonal intersection
-    matrix and A A_j = b_(j-1) A_(j-1) + a_j A_j + c_(j+1) A_(j+1) gives
-    B_(j+1) = (B_1 B_j - a_j B_j - b_(j-1) B_(j-1)) / c_(j+1).
+    matrix (_p_table).
 
     Raises:
         ValueError: if the p-table of dd.diameter would hold more than
@@ -382,41 +470,92 @@ def is_distance_regular(g: Graph, dd: DistanceData):
             f"diameter {diam} needs a p-table of {size}^3 = {size**3} entries, "
             f"past the cap of {MAX_P_TABLE}"
         )
-    table = _neighbour_table(g.neighbors)
-    deg = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=g.n)
-    # A slot past a vertex's degree holds the vertex itself: masked out.
-    padded = [np.flatnonzero(deg <= s) for s in range(table.shape[1])]
-    counts = np.empty(dist.shape, dtype=np.min_scalar_type(table.shape[1]))
-    mask = np.empty(dist.shape, dtype=bool)
-    rows = np.empty(dist.shape, dtype=bool)
-    ecc = dist.max(axis=1)
+    s = _translations(g)
+    if s is not None and all(
+        np.array_equal(upper, lower) for upper, lower in _translation_blocks(dist)
+    ):
+        # near[z, j] = dist[0, z xor s_j] = dist(s_j, z), the distance to z
+        # from vertex 0's neighbour s_j: a count at (0, z) is one compare
+        # and one row sum.
+        near = dist[0][np.arange(g.n)[:, None] ^ s]
+        rows = dist[:1]
+
+        def count(i, mask, buffer):
+            return np.count_nonzero(near == i, axis=1)[None]
+
+    else:
+        table = _neighbour_table(g.neighbors)
+        deg = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=g.n)
+        # A slot past a vertex's degree holds the vertex itself: masked out.
+        padded = [np.flatnonzero(deg <= slot) for slot in range(table.shape[1])]
+        counts = np.empty(dist.shape, dtype=np.min_scalar_type(table.shape[1]))
+        rows = dist
+
+        def count(i, mask, buffer):
+            np.equal(dist, i, out=mask)
+            _neighbour_counts(table, padded, mask, counts, buffer)
+            return counts
+
+    found = _count_b1(rows, diam, count)
+    if isinstance(found, tuple):
+        return False, found
+    return True, _p_table(found)
+
+
+def _count_b1(rows: np.ndarray, diam: int, count):
+    """b1[h, i] = p^h_1i counted on the rows y of the distance array that
+    rows holds (all of them, or row 0 alone), or the witness of
+    is_distance_regular.
+
+    count(i, mask, buffer) returns counts[y, z] = |{u ~ y : dist(u, z) = i}|
+    over those rows; mask and buffer are boolean arrays of rows' shape that
+    it may overwrite.  For each i and each class h = i-1, i, i+1 the counts
+    on the class are compared at once with the count at its first pair,
+    through the boolean mask rows == h: a whole-table compare on the narrow
+    dist and the small-int counts, with no gather through dist.  The first
+    pair (row by row) of class h lies in the first row whose largest entry
+    is at least h, since a row reaching h passes through it.
+    """
+    size = diam + 1
+    mask = np.empty(rows.shape, dtype=bool)
+    buffer = np.empty(rows.shape, dtype=bool)
+    ecc = rows.max(axis=1)
     first = []  # first[h]: the first pair at distance h, found when needed
     b1 = np.zeros((size, size), dtype=np.int64)  # b1[h, i] = p^h_1i
     for i in range(size):
         for h in range(len(first), min(i + 1, diam) + 1):
             y = int(np.argmax(ecc >= h))
-            first.append((y, int(np.argmax(dist[y] == h))))
-        np.equal(dist, i, out=mask)
-        _neighbour_counts(table, padded, mask, counts, rows)
+            first.append((y, int(np.argmax(rows[y] == h))))
+        counts = count(i, mask, buffer)
         for h in range(max(i - 1, 0), min(i + 1, diam) + 1):
             ref = counts[first[h]]
-            np.equal(dist, h, out=mask)
-            np.not_equal(counts, ref, out=rows)
-            rows &= mask
-            if rows.any():
-                y, z = divmod(int(np.argmax(rows)), g.n)  # row by row
-                return False, (h, 1, i, first[h], int(ref), (y, z), int(counts[y, z]))
+            np.equal(rows, h, out=mask)
+            np.not_equal(counts, ref, out=buffer)
+            buffer &= mask
+            if buffer.any():
+                y, z = divmod(int(np.argmax(buffer)), rows.shape[1])  # row by row
+                return (h, 1, i, first[h], int(ref), (y, z), int(counts[y, z]))
             b1[h, i] = ref
-    # Every p^h_ij is at most n <= MAX_VERTICES, so int64 holds k n exactly.
-    # B_1 is tridiagonal, so B_1 B_j is three row-scaled shifts of B_j: the
-    # whole table costs O(d^3), not d dense (d+1)^2 products.
+    return b1
+
+
+def _p_table(b1: np.ndarray) -> np.ndarray:
+    """The read-only table p^h_ij = (B_i)[h, j] from B_1 = b1.
+
+    A A_j = b_(j-1) A_(j-1) + a_j A_j + c_(j+1) A_(j+1) gives
+    B_(j+1) = (B_1 B_j - a_j B_j - b_(j-1) B_(j-1)) / c_(j+1).  Every p^h_ij
+    is at most n <= MAX_VERTICES, so int64 holds k n exactly.  B_1 is
+    tridiagonal, so B_1 B_j is three row-scaled shifts of B_j: the whole
+    table costs O(d^3), not d dense (d+1)^2 products.
+    """
+    size = len(b1)
     lower, mid, upper = (b1.diagonal(s)[:, None] for s in (-1, 0, 1))
     mats = [np.eye(size, dtype=np.int64), b1]
-    for j in range(1, diam):
+    for j in range(1, size - 1):
         step = (mid - b1[j, j]) * mats[j] - b1[j - 1, j] * mats[j - 1]
         step[1:] += lower * mats[j][:-1]
         step[:-1] += upper * mats[j][1:]
         mats.append(step // b1[j + 1, j])
     table = np.stack(mats[:size], axis=1)
     table.flags.writeable = False
-    return True, table
+    return table

@@ -44,9 +44,13 @@ matrices an identity between their rows:
 - The counted table.  is_distance_regular counts the intersection array
   on the graph and derives every p^h_ij from it, so that
   A_i A_j = sum_h p^h_ij A_h (Brouwer, Cohen and Neumaier, Distance-Regular
-  Graphs, 1989, section 4.1).  The context holds that counted table as
-  p_table.  On the hypercube path the closed-form table is compared with
-  it, as the last section check, intersection_numbers_match_brute_force.
+  Graphs, 1989, section 4.1).  It counts on all pairs, or on row 0 alone
+  when the graph passes the translation certificate (the bitmask cube
+  does) and dist is checked to be a function of y xor z, which makes every
+  row's counts those of row 0 (graphs module docstring).  The context
+  holds that counted table as p_table.  On the hypercube path the
+  closed-form table is compared with it, as the last section check,
+  intersection_numbers_match_brute_force.
 
 Then, for M = u[dist] and N = v[dist]:
 

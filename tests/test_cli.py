@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -226,6 +227,38 @@ def test_graph_six_cycle(runner, tmp_path):
     assert data["distance_regular"] is True
     assert data["dim_T"] == 20
     assert data["eigenvalues"] == [2, 1, -1, -2]
+
+
+def test_graph_report_is_the_same_on_bitmask_and_relabelled_cubes(runner, tmp_path, monkeypatch):
+    # The bitmask Q_7 takes the translation path and the relabelled copy the
+    # all-pairs search; the reports differ only in the vertex they name.
+    from terwalg import graphs
+
+    taken = []
+    certificate = graphs._translations
+
+    def spy(g):
+        s = certificate(g)
+        taken.append(s is not None)
+        return s
+
+    monkeypatch.setattr(graphs, "_translations", spy)
+    g = hypercube(7)
+    perm = list(range(g.n))
+    random.Random(7).shuffle(perm)
+    edges = [(perm[u], perm[v]) for u in range(g.n) for v in g.neighbors[u] if u < v]
+    (tmp_path / "relabelled.txt").write_text(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    write_graph_file(tmp_path / "bitmask.txt", g)
+    outputs = {}
+    for name, vertex in (("bitmask", 0), ("relabelled", perm[5])):
+        taken.clear()
+        argv = ["graph", "--file", str(tmp_path / f"{name}.txt"), "--vertex", str(vertex)]
+        result = runner.invoke(main, argv + ["--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["vertex"] == vertex
+        outputs[name] = re.sub(r'"vertex": \d+', '"vertex": N', result.output)
+        assert set(taken) == {name == "bitmask"}
+    assert outputs["bitmask"] == outputs["relabelled"]
 
 
 def test_graph_path_not_distance_regular(runner, tmp_path):

@@ -430,11 +430,111 @@ def test_non_distance_regular_graph_takes_at_most_d_plus_one_products(monkeypatc
         assert len(calls) <= dd.diameter + 1
         assert len(calls) == witness[2] + 1, witness
         _assert_witness_holds(dd, witness)
-    for g in (hypercube(6), kneser(5, 2), johnson(6, 3)):
+    for g in (relabelled(hypercube(6)), kneser(5, 2), johnson(6, 3)):
         dd = DistanceData.compute(g)
         calls.clear()
         assert is_distance_regular(g, dd)[0]
         assert len(calls) == dd.diameter + 1
+    # The bitmask cube passes the translation certificate: its counts are
+    # taken on row 0 alone, with no gathered table of mask rows.
+    g = hypercube(6)
+    dd = DistanceData.compute(g)
+    calls.clear()
+    assert is_distance_regular(g, dd)[0]
+    assert calls == []
+
+
+def relabelled(g, seed=0):
+    """g with its vertices renamed by a seeded random permutation."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    edges = [(perm[u], perm[v]) for u in range(g.n) for v in g.neighbors[u] if u < v]
+    return Graph.from_edges(g.n, edges)
+
+
+def cayley(d, gens):
+    """The Cayley graph of Z_2^d on the bitmask generators gens."""
+    edges = {(min(y, y ^ s), max(y, y ^ s)) for y in range(1 << d) for s in gens}
+    return Graph.from_edges(1 << d, sorted(edges))
+
+
+def _by_search(monkeypatch, g, dd=None):
+    """DistanceData and is_distance_regular with the certificate refused,
+    so both take the all-pairs search and counts."""
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "_translations", lambda g: None)
+        dd = DistanceData.compute(g) if dd is None else dd
+        return dd, is_distance_regular(g, dd)
+
+
+def _assert_same_as_search(monkeypatch, g):
+    dd = DistanceData.compute(g)
+    verdict = is_distance_regular(g, dd)
+    want_dd, want = _by_search(monkeypatch, g)
+    assert dd.dist.dtype == want_dd.dist.dtype
+    assert np.array_equal(dd.dist, want_dd.dist)
+    assert dd.diameter == want_dd.diameter
+    assert verdict[0] == want[0]
+    if verdict[0]:
+        assert np.array_equal(verdict[1], want[1])
+    else:
+        assert verdict[1] == want[1]
+    return dd, verdict
+
+
+def test_translation_path_matches_the_search_on_cubes(monkeypatch):
+    for d in range(12):
+        g = hypercube(d)
+        assert np.array_equal(graphs._translations(g), 1 << np.arange(d)), d
+        dd, (ok, table) = _assert_same_as_search(monkeypatch, g)
+        assert ok and np.array_equal(table, intersection_table(d)), d
+        assert not dd.dist.flags.writeable
+
+
+def test_graphs_off_the_translation_structure_fail_the_certificate(monkeypatch):
+    # A 2-switch of two cube edges keeps every degree but moves one
+    # neighbour slot of each of four vertices.
+    edges = {(u, v) for u in range(16) for v in hypercube(4).neighbors[u] if u < v}
+    switched = Graph.from_edges(16, sorted(edges - {(0, 1), (14, 15)} | {(0, 15), (1, 14)}))
+    for g in (switched, cycle(6), path(4)):
+        assert graphs._translations(g) is None
+        _assert_same_as_search(monkeypatch, g)
+    g = relabelled(hypercube(5))
+    assert graphs._translations(g) is None
+    _, (ok, table) = _assert_same_as_search(monkeypatch, g)
+    assert ok and np.array_equal(table, intersection_table(5))
+
+
+def test_the_bitmask_folded_cube_passes_the_certificate(monkeypatch):
+    # Q_5 with each vertex also joined to its complement: the folded 6-cube,
+    # intersection array {6, 5, 4; 1, 2, 6} (a vertex at distance 3 has all
+    # six neighbours at distance 2).
+    g = cayley(5, (1, 2, 4, 8, 16, 31))
+    assert graphs._translations(g).tolist() == [1, 2, 4, 8, 16, 31]
+    dd, (ok, table) = _assert_same_as_search(monkeypatch, g)
+    assert ok and dd.diameter == 3
+    assert [table[h, 1, h + 1] for h in range(3)] == [6, 5, 4]
+    assert [table[h, 1, h - 1] for h in range(1, 4)] == [1, 2, 6]
+
+
+def test_translation_path_gives_the_search_witness(monkeypatch):
+    # A Cayley graph that is not distance-regular: 0 and 1 are adjacent with
+    # two common neighbours, 2 and 3, and 0 and 4 with none.
+    g = cayley(4, (1, 2, 4, 8, 3))
+    assert graphs._translations(g) is not None
+    dd, (ok, witness) = _assert_same_as_search(monkeypatch, g)
+    assert not ok and witness == (1, 1, 1, (0, 1), 2, (0, 4), 0)
+    _assert_witness_holds(dd, witness)
+    # A distance array that is not a function of y xor z is checked, not
+    # trusted: row 0 is untouched, so its counts alone would pass, but the
+    # counts run on all pairs and find the search's witness.
+    g = hypercube(4)
+    dist = DistanceData.compute(g).dist.copy()
+    dist[3, 12] = dist[12, 3] = 2
+    dd = DistanceData(dist, 4)
+    ok, witness = is_distance_regular(g, dd)
+    assert not ok and (ok, witness) == _by_search(monkeypatch, g, dd)[1]
+    _assert_witness_holds(dd, witness)
 
 
 def test_circulant_witness_pin():
