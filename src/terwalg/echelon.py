@@ -15,32 +15,31 @@ checked with Python integers before every fast-path vector operation.
 
 A stored row is held narrow: in the narrowest signed dtype that holds its
 largest entry (_intops.narrow), which the span tracks exactly for every
-row.  The basis rows of T(x) are 0/1 on the cubes and the distance-regular
-graphs checked, so they are held as int8, an eighth of their int64 size.
-Narrow rows are storage only.  A reduction works in its own int64 (or
-object) buffer v: v -= row and v += row are computed in v's dtype, and a
-row scaled by an integer is widened first (_intops.wide), since numpy
-would keep b * row in the row's dtype and wrap.  Clearing a pivot widens
-the old row the same way and subtracts a multiple of the new row as it
-stood before it was stored narrow.  Every array a caller reads (row, rows)
-is the narrow stored row; its pivot, pivot value and largest entry are
-read from the span (pivot, row_max), not recomputed.
+row.  The engine holds the blocks of closure's product loop (BlockSpans)
+and the small systems of rref, rank and min_poly (linalg).  Narrow rows
+are storage only.  A reduction works in its own int64 (or object) buffer
+v: v -= row and v += row are computed in v's dtype, and a row scaled by
+an integer is widened first (_intops.wide), since numpy would keep
+b * row in the row's dtype and wrap.  Clearing a pivot widens the old row
+the same way and subtracts a multiple of the new row as it stood before
+it was stored narrow.  Every array a caller reads (row, rows) is the
+narrow stored row; its pivot, pivot value and largest entry are read from
+the span (pivot, row_max), not recomputed.
 
-An untracked reduction (add and contains on a span with track=False) takes
-no gcd pass over a candidate on entry.  Each step replaces v by a·v − b·row,
-a nonzero multiple of v minus a combination of stored rows, so the residual
-is a nonzero rational multiple of the same vector whatever multiple of v it
-starts from: the one with zeros at every stored pivot.  When a step's bound
-would reach INT64_SAFE the loop divides out the content first.  Every
-integer multiple of a primitive v is an integer multiple m·v, and the step
-bound a·max|v| + |b|·max|row| of m·v is at least that of v, so an int64
-candidate takes the object path at a step only when a reduction shrunk on
-entry would have taken it there or earlier.  A new row is then made primitive
-with a positive pivot, which fixes it among the multiples of the residual;
-the content divides the pivot entry, so when that is ±1 the gcd pass is
-skipped.  The stored rows, their order and their pivots are therefore the
-same as with a shrink on entry and a full gcd pass.  A tracked reduction
-keeps both passes, since its dependency coefficients carry the scale.
+A reduction takes no gcd pass over a candidate on entry.  Each step
+replaces v by a·v − b·row, a nonzero multiple of v minus a combination of
+stored rows, so the residual is a nonzero rational multiple of the same
+vector whatever multiple of v it starts from: the one with zeros at every
+stored pivot.  When a step's bound would reach INT64_SAFE the loop
+divides out the content first.  Every integer multiple of a primitive v
+is an integer multiple m·v, and the step bound a·max|v| + |b|·max|row| of
+m·v is at least that of v, so an int64 candidate takes the object path at
+a step only when a reduction shrunk on entry would have taken it there or
+earlier.  A new row is then made primitive with a positive pivot, which
+fixes it among the multiples of the residual; the content divides the
+pivot entry, so when that is ±1 the gcd pass is skipped.  The stored
+rows, their order and their pivots are therefore the same as with a
+shrink on entry and a full gcd pass.
 """
 
 from __future__ import annotations
@@ -54,12 +53,24 @@ import numpy as np
 from ._intops import INT64_SAFE, content, demote, max_abs, narrow, python_ints, to_object, wide
 
 
+def _step(c: int, pv: int, vmax: int, rmax: int) -> tuple[int, int, int]:
+    """(a, b, bound) for the step a v - b row that clears an entry c of v
+    against a row with pivot value pv: g = gcd(c, pv), a = pv / g and
+    b = c / g.  bound = a vmax + |b| rmax bounds the result, for
+    vmax >= max|v| and rmax = max|row|."""
+    g = math.gcd(abs(c), pv)
+    a, b = pv // g, c // g
+    return a, b, a * vmax + abs(b) * rmax
+
+
 class EchelonSpan:
     """Growing reduced basis of a rational span of integer vectors.
 
-    With track=True every vector passed to add() gets a sequence number and,
-    when a vector turns out to be dependent, add() also returns the exact
-    linear dependency on the previously added vectors.
+    Every vector passed to add() or add_tracked() gets an add-sequence
+    number.  With track=True the span also keeps, for each stored row, the
+    vector whose insertion stored it and that vector's sequence number;
+    add_tracked() reads the exact linear dependency of a dependent vector
+    off them.
     """
 
     def __init__(self, width: int, track: bool = False):
@@ -69,8 +80,9 @@ class EchelonSpan:
         self._pivots: list[int] = []
         self._pivvals: list[int] = []
         self._maxes: list[int] = []
-        self._exprs: list[dict[int, Fraction]] = []
         self._order: list[tuple[int, int]] = []  # (pivot, row index), sorted
+        self._inputs: list[np.ndarray] = []  # track=True: input of row idx
+        self._seqs: list[int] = []  # track=True: its add-sequence number
         self._raw_count = 0
 
     @property
@@ -101,11 +113,18 @@ class EchelonSpan:
         Returns:
             The new row index, or None when vec was already in the span.
         """
-        idx, _ = self._add(vec, want_expr=False)
-        return idx
+        return self._add(vec)[0]
 
     def add_tracked(self, vec) -> tuple[int | None, dict[int, Fraction] | None]:
         """Like add(), but with dependency tracking (requires track=True).
+
+        A dependent vec lies in the span of the stored rows' inputs u_j,
+        which are independent, and an element of that span is fixed by its
+        entries at the k pivot columns (every row is zero at the pivots of
+        the others).  So the k x (k+1) system [u_1 .. u_k | vec], taken at
+        those columns, has rank k, and its reduced rows, found by an
+        EchelonSpan(k + 1), are pv_j e_j + r_j e_(k+1): vec equals
+        sum_j (-r_j / pv_j) u_j.
 
         Returns:
             (row index, None) when independent, or (None, expr) when
@@ -115,11 +134,26 @@ class EchelonSpan:
         """
         if not self.track:
             raise ValueError("EchelonSpan was created with track=False")
-        return self._add(vec, want_expr=True)
+        seq = self._raw_count
+        idx, u = self._add(vec)
+        if idx is not None:
+            return idx, None
+        k = self.dim
+        system = np.stack([w[self._pivots] for w in self._inputs] + [u[self._pivots]], axis=1)
+        solver = EchelonSpan(k + 1)
+        for eq in system:
+            solver._add(eq)
+        expr = {seq: Fraction(1)}
+        for j in range(k):
+            col, pv = solver.pivot(j)
+            r = int(solver.row(j)[k])
+            if r:
+                expr[self._seqs[col]] = Fraction(-r, pv)
+        return None, expr
 
     def contains(self, vec) -> bool:
         v, vmax = self._prepare(vec)
-        v, _, _ = self._reduce(v, vmax, None)
+        v, _ = self._reduce(v, vmax)
         return not np.any(v)
 
     # -- internals ---------------------------------------------------------
@@ -144,40 +178,28 @@ class EchelonSpan:
             raise ValueError(f"vector length {v.shape[0]} != width {self.width}")
         return v, max_abs(v)
 
-    def _shrink(self, v, expr):
-        """Divide out the content of v (and rescale expr to match)."""
+    def _shrink(self, v):
+        """Divide out the content of v."""
         g = content(v)
         if g > 1:
             v = v // g
-            if expr is not None:
-                expr = {k: f / g for k, f in expr.items()}
-        return demote(v), max_abs(v), expr
+        return demote(v), max_abs(v)
 
-    def _reduce(self, v, vmax, expr):
+    def _reduce(self, v, vmax):
         """Fully reduce v against all stored rows (single pass).
 
-        A tracked reduction first divides out the content of v; an untracked
-        one leaves that to the loop, which shrinks v before any int64 bound
-        is crossed (module docstring).
+        The loop shrinks v before any int64 bound is crossed (module
+        docstring).
         """
-        if expr is not None:
-            v, vmax, expr = self._shrink(v, expr)
         for piv, idx in self._order:
             c = int(v[piv])
             if c == 0:
                 continue
-            pv = self._pivvals[idx]
-            g = math.gcd(abs(c), pv)
-            a = pv // g
-            b = c // g
-            bound = a * vmax + abs(b) * self._maxes[idx]
+            pv, rmax = self._pivvals[idx], self._maxes[idx]
+            a, b, bound = _step(c, pv, vmax, rmax)
             if bound >= INT64_SAFE and v.dtype != object:
-                v, vmax, expr = self._shrink(v, expr)
-                c = int(v[piv])
-                g = math.gcd(abs(c), pv)
-                a = pv // g
-                b = c // g
-                bound = a * vmax + abs(b) * self._maxes[idx]
+                v, vmax = self._shrink(v)
+                a, b, bound = _step(int(v[piv]), pv, vmax, rmax)
             row = self._rows[idx]
             if bound >= INT64_SAFE or v.dtype == object or row.dtype == object:
                 v = a * to_object(v) - b * to_object(row)
@@ -193,27 +215,24 @@ class EchelonSpan:
                 else:
                     v -= b * wide(row)
             vmax = bound
-            if expr is not None:
-                new = {k: a * f for k, f in expr.items()}
-                for k, f in self._exprs[idx].items():
-                    new[k] = new.get(k, Fraction(0)) - b * f
-                expr = {k: f for k, f in new.items() if f != 0}
             # Conservative bounds inflate quickly; refresh with the true
             # maximum before it forces a needless object-dtype switch.
             if v.dtype != object and vmax >= (1 << 55):
                 vmax = max_abs(v)
-        return v, vmax, expr
+        return v, vmax
 
-    def _add(self, vec, want_expr: bool):
+    def _add(self, vec) -> tuple[int | None, np.ndarray | None]:
+        """(new row index or None, vec as prepared when the span is
+        tracked, else None)."""
         v, vmax = self._prepare(vec)
         seq = self._raw_count
         self._raw_count += 1
-        expr = {seq: Fraction(1)} if self.track else None
-        v, vmax, expr = self._reduce(v, vmax, expr)
+        u = v.copy() if self.track else None
+        v, vmax = self._reduce(v, vmax)
         nonzero = v != 0
         piv = int(nonzero.argmax())
         if not nonzero[piv]:
-            return None, (expr if want_expr else None)
+            return None, u
 
         # Normalize the residual to a primitive row with positive pivot.  The
         # content divides the pivot entry, so a pivot entry of ±1 leaves
@@ -222,11 +241,9 @@ class EchelonSpan:
             vmax = max_abs(v)
             v = demote(v, vmax)
         else:
-            v, vmax, expr = self._shrink(v, expr)
+            v, vmax = self._shrink(v)
         if v[piv] < 0:
             v = -v
-            if expr is not None:
-                expr = {k: -f for k, f in expr.items()}
         pv = int(v[piv])
 
         idx = len(self._rows)
@@ -236,7 +253,9 @@ class EchelonSpan:
         self._pivots.append(piv)
         self._pivvals.append(pv)
         self._maxes.append(vmax)
-        self._exprs.append(expr if expr is not None else {})
+        if self.track:
+            self._inputs.append(u)
+            self._seqs.append(seq)
         insort(self._order, (piv, idx))
 
         # Clear the new pivot coordinate from all earlier rows so single-pass
@@ -246,10 +265,7 @@ class EchelonSpan:
             c2 = int(r2[piv])
             if c2 == 0:
                 continue
-            g = math.gcd(abs(c2), pv)
-            a = pv // g
-            b = c2 // g
-            bound = a * self._maxes[idx2] + abs(b) * self._maxes[idx]
+            a, b, bound = _step(c2, pv, self._maxes[idx2], vmax)
             if bound >= INT64_SAFE or r2.dtype == object or v.dtype == object:
                 new = a * to_object(r2) - b * to_object(v)
             else:
@@ -264,11 +280,4 @@ class EchelonSpan:
             new.flags.writeable = False
             self._rows[idx2] = new
             self._pivvals[idx2] = int(new[self._pivots[idx2]])
-            if self.track:
-                e2 = {k: a * f for k, f in self._exprs[idx2].items()}
-                for k, f in self._exprs[idx].items():
-                    e2[k] = e2.get(k, Fraction(0)) - b * f
-                if g2 > 1:
-                    e2 = {k: f / g2 for k, f in e2.items()}
-                self._exprs[idx2] = {k: f for k, f in e2.items() if f != 0}
-        return idx, None
+        return idx, u

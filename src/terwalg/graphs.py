@@ -155,8 +155,9 @@ class Graph:
 
 def hypercube(d: int) -> Graph:
     """The d-dimensional hypercube on bitmask vertices 0..2^d - 1."""
-    if not 0 <= d <= 12:
-        raise ValueError(f"hypercube dimension must be in 0..12, got {d}")
+    top = MAX_VERTICES.bit_length() - 1  # the largest d with 2^d <= MAX_VERTICES
+    if not 0 <= d <= top:
+        raise ValueError(f"hypercube dimension must be in 0..{top}, got {d}")
     n = 1 << d
     u = np.repeat(np.arange(n), d)
     v = u ^ np.tile(1 << np.arange(d), n)
@@ -381,7 +382,7 @@ class DistanceData:
     table, whose negative tags need the width (_frontier_step), and the
     table is narrowed once it is done.  dist is read by indexing and
     comparison, which are exact on any dtype; a consumer that does
-    arithmetic on it widens first (subconstituent.triple_counts).
+    arithmetic on it widens first (subconstituent.count_triples).
     """
 
     dist: np.ndarray

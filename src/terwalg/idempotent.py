@@ -24,11 +24,12 @@ sphere S_h.  compute_u0 checks it on the held diagonals and raises a
 VerificationError naming the first h that fails.  Then E_h* A_a E_j* is the
 0/1 matrix supported on {(u, v) in S_h x S_j : dist(u, v) = a}.  Distinct
 triples have disjoint supports, and the support of (h, a, j) is nonempty
-exactly when N[h, a, j] = k_h p^h_aj is, for the intersection numbers
-p_table counted on the graph (subconstituent.triple_counts).  So
-[T] = [T'] exactly when T and T' agree wherever p^h_aj != 0, the support:
-table equality on the support is matrix equality.  Each check below is
-such an equality, read off the tables, p_table and the valencies.
+exactly when N[h, a, j] = k_h p^h_aj is, for the triple counts N
+(TerwContext.triple_counts) and the intersection numbers p_table counted
+on the graph.  So [T] = [T'] exactly when T and T' agree wherever
+p^h_aj != 0, the support: table equality on the support is matrix
+equality.  Each check below is such an equality, read off the tables,
+p_table and the valencies.
 
 - The two formulas.  E_i* E_0 E_i* = sum_a E_0[a] E_i* A_a E_i*, so the
   primal sum is the table delta_hj (|X| / k_h) E_0[a].  E_0* is e_x e_x^T,
@@ -101,6 +102,7 @@ from ._intops import (
     guarded,
     max_abs,
 )
+from .checks import Check
 from .closure import CellForm
 from .linalg import RationalMatrix, rank
 from .subconstituent import TerwContext, VerificationError, sphere_values
@@ -265,7 +267,10 @@ def absorbs(ctx: TerwContext, table: np.ndarray) -> bool:
 class U0Report:
     """Outcome of every U0 property check for one context.
 
-    m and L are the verified factorization L U0 = S^T diag(m) S.
+    m and L are the verified factorization L U0 = S^T diag(m) S.  checks()
+    states the seven U0 checks of a diameter record; passed is those and
+    the peel identity, which compares T with the cube two diameters down,
+    so the record states it on its own (dimension_peel_to_smaller_cube).
     """
 
     d: int
@@ -296,18 +301,32 @@ class U0Report:
             and self.absorbs_Ed_star
         )
 
+    def checks(self) -> list[Check]:
+        """The seven U0 checks, with their witnesses, in report order."""
+        size = self.d + 1
+        rank_ok = self.rank_U0 == size
+        ideal_ok = self.dim_T_u0 == size**2
+        return [
+            Check("u0_formulas_agree", self.formulas_agree),
+            Check("u0_idempotent", self.idempotent),
+            Check("u0_central_in_algebra", self.central),
+            Check(
+                "u0_rank_is_diameter_plus_one",
+                rank_ok,
+                None if rank_ok else f"rank {self.rank_U0}",
+            ),
+            Check(
+                "u0_ideal_dimension_is_square_of_rank",
+                ideal_ok,
+                None if ideal_ok else f"dim {self.dim_T_u0}",
+            ),
+            Check("u0_absorbs_extremal_idempotents", self.absorbs_all),
+            Check("u0_identity_iff_diameter_at_most_one", self.is_identity == (self.d <= 1)),
+        ]
+
     @property
     def passed(self) -> bool:
-        return (
-            self.formulas_agree
-            and self.idempotent
-            and self.central
-            and self.rank_U0 == self.d + 1
-            and self.dim_T_u0 == (self.d + 1) ** 2
-            and self.absorbs_all
-            and self.peel_identity
-            and self.is_identity == (self.d <= 1)
-        )
+        return self.peel_identity and all(c.passed for c in self.checks())
 
     def as_dict(self) -> dict:
         return {

@@ -84,8 +84,9 @@ classes (idempotent).
   E*_i E*_j = delta_ij E*_i and A_i* = diag(|X| row x of E_i) are
   identities between the held diagonals: n-vectors, with no n x n matrix.
 - One bincount over the key (dist(x, y), dist(y, z), dist(x, z)) counts
-  N[k, a, l] = #{y in S_k, z in S_l : dist(y, z) = a}.  E_h* A_a E_l*
-  vanishes exactly when N[h, a, l] = 0.
+  N[k, a, l] = #{y in S_k, z in S_l : dist(y, z) = a}, once per context,
+  which holds it as triple_counts.  E_h* A_a E_l* vanishes exactly when
+  N[h, a, l] = 0.
 - For symmetric idempotents E_h, E_j and diagonal A_i* = diag(a_i),
   ||E_h A_i* E_j||_F^2 = a_i^T (E_h o E_j) a_i, so E_h A_i* E_j = 0 exactly
   when that sum of squares is 0.  With a_i constant, theta*_i(k), on each
@@ -144,10 +145,13 @@ class TerwContext:
     E_star[i] and A_star[i] is diagonal, and is held as its diagonal: a
     1 x n RationalMatrix in the same canonical form.  So equality, scaling
     and the denominator are those of the n x n matrix.  p_table holds the
-    intersection numbers counted on the graph, indexed [h, i, j].  P and Q
-    are the eigenmatrices as (d+1) x (d+1) RationalMatrix tables, and E[i]
-    is column i of Q over |X|.  krein is the read-only integer array, indexed
-    [h, i, j] like p_table, with q^h_ij = krein[h, i, j] / krein_den.
+    intersection numbers counted on the graph, indexed [h, i, j], and
+    triple_counts the read-only table of the triple classes,
+    N[k, a, l] = #{y in S_k, z in S_l : dist(y, z) = a} (count_triples),
+    which depends only on dist and x.  P and Q are the eigenmatrices as
+    (d+1) x (d+1) RationalMatrix tables, and E[i] is column i of Q over
+    |X|.  krein is the read-only integer array, indexed [h, i, j] like
+    p_table, with q^h_ij = krein[h, i, j] / krein_den.
     """
 
     graph: Graph
@@ -165,6 +169,7 @@ class TerwContext:
     P: RationalMatrix
     Q: RationalMatrix
     p_table: np.ndarray
+    triple_counts: np.ndarray
     krein: np.ndarray
     krein_den: int
     spheres: tuple[np.ndarray, ...]
@@ -320,6 +325,7 @@ def _assemble(
         P=P,
         Q=Q,
         p_table=p_table,
+        triple_counts=count_triples(dd.dist, x, d + 1),
         krein=krein,
         krein_den=krein_den,
         spheres=spheres,
@@ -593,23 +599,23 @@ class TripleProductReport:
         return not self.mismatches
 
 
-def triple_counts(ctx: TerwContext) -> np.ndarray:
-    """N[k, a, l] = #{y in S_k, z in S_l : dist(y, z) = a}, for all k, a, l.
+def count_triples(dist: np.ndarray, x: int, size: int) -> np.ndarray:
+    """N[k, a, l] = #{y in S_k, z in S_l : dist(y, z) = a}, for all k, a, l
+    below size, with S_k the sphere of radius k around x; read-only.
 
     One bincount over the n^2 keys (dist(x, y), dist(y, z), dist(x, z)).
     The key is formed in intp from the first operation on: dist is held
     narrow (graphs.DistanceData), where it would wrap with no warning.  It
-    is one n x n array, built in place.  Every consumer takes the table as
-    counts, so a report counts once.
+    is one n x n array, built in place.  _assemble counts once per context,
+    which holds the table as triple_counts.
     """
-    size = ctx.d + 1
-    dist = ctx.dist.dist
-    row = dist[ctx.x].astype(np.intp)
+    row = dist[x].astype(np.intp)
     key = np.multiply(dist, size, dtype=np.intp)
     key += (row * (size * size))[:, None]
     key += row
-    counts = np.bincount(key.ravel(), minlength=size**3)
-    return counts.reshape(size, size, size)
+    counts = np.bincount(key.ravel(), minlength=size**3).reshape(size, size, size)
+    counts.flags.writeable = False
+    return counts
 
 
 def sphere_values(ctx: TerwContext, diags: np.ndarray, names: Sequence[str]) -> np.ndarray:
@@ -630,7 +636,7 @@ def sphere_values(ctx: TerwContext, diags: np.ndarray, names: Sequence[str]) -> 
     return values
 
 
-def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.ndarray:
+def dual_triple_zeros(ctx: TerwContext) -> np.ndarray:
     """zeros[h, i, j] is True exactly when E_h A_i* E_j = 0.
 
     Precondition: every E_h is a symmetric idempotent.  A context exists
@@ -645,9 +651,9 @@ def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.
     positive multiple of sum_a V[h][a] V[j][a] W[i][a] for the class rows
     V[h] of the E_h (each over its own denominator), where
     W[i][a] = sum_(k,l) theta*_i(k) theta*_i(l) N[k, a, l] and N is
-    triple_counts (passed in as counts, or counted here).  Both sums are
-    guarded products of (d+1)-sized integer tables; the positive
-    denominators do not change which values are 0.
+    ctx.triple_counts.  Both sums are guarded products of (d+1)-sized
+    integer tables; the positive denominators do not change which values
+    are 0.
 
     Raises:
         VerificationError: if some A_i* is not constant on a sphere S_k.
@@ -655,7 +661,7 @@ def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.
     size = ctx.d + 1
     diags = np.array([a.num[0] for a in ctx.A_star])
     values = sphere_values(ctx, diags, [f"A*_{i}" for i in range(size)])  # theta*_i(k)
-    N = triple_counts(ctx) if counts is None else counts
+    N = ctx.triple_counts
     # theta_pairs[i, (k, l)] = theta*_i(k) theta*_i(l); N_kl[(k, l), a] = N[k, a, l].
     theta_pairs = exact_mul_elementwise(values[:, :, None], values[:, None, :])
     W = exact_matmul(
@@ -669,16 +675,7 @@ def dual_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.
     return (norms == 0).reshape(size, size, size).transpose(0, 2, 1)
 
 
-def _primal_triple_zeros(ctx: TerwContext, counts: np.ndarray | None = None) -> np.ndarray:
-    """zeros[h, i, j] is True exactly when E_h* A_i E_j* = 0, that is, when
-    no vertex of S_h is at distance i from a vertex of S_j: N[h, i, j] = 0
-    for the counts of triple_counts."""
-    return (triple_counts(ctx) if counts is None else counts) == 0
-
-
-def check_triple_products(
-    ctx: TerwContext, counts: np.ndarray | None = None
-) -> TripleProductReport:
+def check_triple_products(ctx: TerwContext) -> TripleProductReport:
     """Zero-ness of E_h* A_i E_j* and E_h A_i* E_j over all triples.
 
     For every (h, i, j), E_h* A_i E_j* must vanish exactly when p^h_{ij} = 0
@@ -687,16 +684,15 @@ def check_triple_products(
     hypercubes all flags, including (h, i, j) lying outside the permissible
     set, must agree.  A mismatch records all flags in the order primal,
     dual, p, Krein (and, for hypercubes, outside P_d by permissible_mask).
-    Both flag arrays are read off one count table N[k, a, l]
-    (triple_counts, passed in as counts, or counted here): the primal flags
-    are its zeros, and dual_triple_zeros contracts it with the class values.
+    Both flag arrays are read off the context's count table N[k, a, l]
+    (ctx.triple_counts).  E_h* A_i E_j* vanishes exactly when no vertex of
+    S_h is at distance i from a vertex of S_j, so the primal flags are the
+    zeros of N; dual_triple_zeros contracts N with the class values.
     """
     d = ctx.d
-    if counts is None:
-        counts = triple_counts(ctx)
     flags = [
-        _primal_triple_zeros(ctx, counts),
-        dual_triple_zeros(ctx, counts),
+        ctx.triple_counts == 0,
+        dual_triple_zeros(ctx),
         ctx.p_table == 0,
         ctx.krein == 0,
     ]
@@ -713,18 +709,18 @@ def check_triple_products(
     return TripleProductReport(d, (d + 1) ** 3, mismatches)
 
 
-def triple_span_dim(ctx: TerwContext, counts: np.ndarray | None = None) -> int:
+def triple_span_dim(ctx: TerwContext) -> int:
     """Dimension of span{E_h* A_i E_j*} over all (d+1)^3 triples.
 
     E_h* A_i E_j* is the 0/1 matrix whose support is the set of
     (y, z) in S_h x S_j with dist(y, z) = i.  That support is nonempty
-    exactly when N[h, i, j] != 0 (triple_counts, passed in as counts, or
-    counted here).  Distinct triples have disjoint supports: two triples
-    differ in the block S_h x S_j or, within one block, in the distance i.
-    So the nonzero products are linearly independent, and the dimension is
-    the number of nonzero counts.
+    exactly when N[h, i, j] != 0 (ctx.triple_counts).  Distinct triples
+    have disjoint supports: two triples differ in the block S_h x S_j or,
+    within one block, in the distance i.  So the nonzero products are
+    linearly independent, and the dimension is the number of nonzero
+    counts.
     """
-    return int(np.count_nonzero(triple_counts(ctx) if counts is None else counts))
+    return int(np.count_nonzero(ctx.triple_counts))
 
 
 def check_krein_self_dual(ctx: TerwContext) -> Check:

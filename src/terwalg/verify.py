@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .checks import Check
 from .closure import CellForm, closure
@@ -43,7 +41,6 @@ from .subconstituent import (
     check_polynomial_images,
     check_triple_products,
     distance_regular_table,
-    triple_counts,
     triple_span_dim,
 )
 from .wedderburn import (
@@ -107,8 +104,7 @@ def _diameter_record(
     d = ctx.d
     checks: list[Check] = list(ctx.section_checks)
 
-    counts = triple_counts(ctx)
-    tp = check_triple_products(ctx, counts)
+    tp = check_triple_products(ctx)
     witness = None
     if tp.mismatches:
         h, i, j, flags = tp.mismatches[0]
@@ -128,27 +124,7 @@ def _diameter_record(
     )
 
     u0rep = verify_u0(ctx, basis, dim_smaller=dim_smaller)
-    checks.append(Check("u0_formulas_agree", u0rep.formulas_agree))
-    checks.append(Check("u0_idempotent", u0rep.idempotent))
-    checks.append(Check("u0_central_in_algebra", u0rep.central))
-    checks.append(
-        Check(
-            "u0_rank_is_diameter_plus_one",
-            u0rep.rank_U0 == d + 1,
-            None if u0rep.rank_U0 == d + 1 else f"rank {u0rep.rank_U0}",
-        )
-    )
-    checks.append(
-        Check(
-            "u0_ideal_dimension_is_square_of_rank",
-            u0rep.dim_T_u0 == (d + 1) ** 2,
-            None if u0rep.dim_T_u0 == (d + 1) ** 2 else f"dim {u0rep.dim_T_u0}",
-        )
-    )
-    checks.append(Check("u0_absorbs_extremal_idempotents", u0rep.absorbs_all))
-    checks.append(
-        Check("u0_identity_iff_diameter_at_most_one", u0rep.is_identity == (d <= 1))
-    )
+    checks.extend(u0rep.checks())
     if d >= 2:
         checks.append(
             Check(
@@ -228,7 +204,7 @@ def _diameter_record(
         vertex=ctx.x,
         dim_T=basis.dim,
         expected_dim=exp_dim,
-        triple_span_dim=triple_span_dim(ctx, counts),
+        triple_span_dim=triple_span_dim(ctx),
         u0=u0rep.as_dict(),
         blocks=dec.blocks_json(),
         checks=tuple(checks),
@@ -316,11 +292,10 @@ def run_verification(max_d: int, vertex: int = 0, threads: int = 1) -> Verificat
 # -- one-off report builders for the CLI -----------------------------------
 
 
-def _parameter_fields(ctx: TerwContext, counts: np.ndarray | None = None) -> dict:
+def _parameter_fields(ctx: TerwContext) -> dict:
     """The fields both one-off reports take from the context: its size,
     base vertex and eigenvalues, the valencies, the parameter tables and
-    the triple span dimension, from counts (triple_counts) when given.  An
-    integer Fraction renders as an int."""
+    the triple span dimension.  An integer Fraction renders as an int."""
     return {
         "num_vertices": ctx.n,
         "vertex": ctx.x,
@@ -334,7 +309,7 @@ def _parameter_fields(ctx: TerwContext, counts: np.ndarray | None = None) -> dic
         ],
         "P": [[_fraction_json(v) for v in row] for row in ctx.P.dense_rows()],
         "Q": [[_fraction_json(v) for v in row] for row in ctx.Q.dense_rows()],
-        "triple_span_dim": triple_span_dim(ctx, counts),
+        "triple_span_dim": triple_span_dim(ctx),
     }
 
 
@@ -383,10 +358,9 @@ def build_graph_report(g: Graph, vertex: int = 0) -> tuple[dict, bool]:
         distance_regular_table(g, DistanceData.compute(g))
         raise
     basis = ctx.algebra_basis()
-    counts = triple_counts(ctx)
-    tp = check_triple_products(ctx, counts)
+    tp = check_triple_products(ctx)
     data = {
-        **_parameter_fields(ctx, counts),
+        **_parameter_fields(ctx),
         "diameter": ctx.d,
         "distance_regular": True,
         "dim_T": basis.dim,

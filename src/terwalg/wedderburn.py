@@ -216,17 +216,18 @@ class BlockDecomposition:
     for each z_r, the trace of b -> b z_r, which is dim span{b_k z_r}, the
     dimension of its block (module docstring): split_center's guard reads
     it from the pivot columns it builds, and block_sizes fills in its
-    square roots.
+    square roots.  The defaults are an inconclusive split: no idempotents,
+    and the probe's minimal polynomial only if one was found.
     """
 
     center_dim: int
-    central_idempotents: tuple[Coords, ...]
-    eigenvalues: tuple[int, ...]
-    block_sizes: tuple[int, ...]
-    block_dims: tuple[Fraction, ...]
-    block_ranks: tuple[int, ...]
-    status: str
-    probe_min_poly: RationalPoly | None
+    central_idempotents: tuple[Coords, ...] = ()
+    eigenvalues: tuple[int, ...] = ()
+    block_sizes: tuple[int, ...] = ()
+    block_dims: tuple[Fraction, ...] = ()
+    block_ranks: tuple[int, ...] = ()
+    status: str = INCONCLUSIVE
+    probe_min_poly: RationalPoly | None = None
 
     @property
     def multiset(self) -> tuple[int, ...]:
@@ -509,7 +510,7 @@ def split_center(
     if identity is None:
         identity = identity_unit(len(pb.classes))
     if pb.closed_unit != identity:
-        return _inconclusive(m, None)
+        return BlockDecomposition(m)
     e, e_den = pb.unit_coordinates(identity)
     lcd = math.lcm(*(den for _, den in center))
 
@@ -537,26 +538,12 @@ def split_center(
             center_dim=m,
             central_idempotents=tuple(idems),
             eigenvalues=tuple(roots),
-            block_sizes=(),
             block_dims=dims,
             block_ranks=ranks,
             status=SPLIT,
             probe_min_poly=mp,
         )
-    return _inconclusive(m, last_poly)
-
-
-def _inconclusive(m: int, probe_min_poly: RationalPoly | None) -> BlockDecomposition:
-    return BlockDecomposition(
-        center_dim=m,
-        central_idempotents=(),
-        eigenvalues=(),
-        block_sizes=(),
-        block_dims=(),
-        block_ranks=(),
-        status=INCONCLUSIVE,
-        probe_min_poly=probe_min_poly,
-    )
+    return BlockDecomposition(m, probe_min_poly=last_poly)
 
 
 def _pivot_idempotent_dims(

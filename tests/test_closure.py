@@ -329,8 +329,8 @@ class OracleEchelonSpan(EchelonSpan):
     """EchelonSpan with its former untracked path: a content pass on entry
     and a full gcd pass on every new row, whatever its pivot entry."""
 
-    def _reduce(self, v, vmax, expr):
-        v, vmax, expr = self._shrink(v, expr)
+    def _reduce(self, v, vmax):
+        v, vmax = self._shrink(v)
         for piv, idx in self._order:
             c = int(v[piv])
             if c == 0:
@@ -341,7 +341,7 @@ class OracleEchelonSpan(EchelonSpan):
             b = c // g
             bound = a * vmax + abs(b) * self._maxes[idx]
             if bound >= echelon.INT64_SAFE and v.dtype != object:
-                v, vmax, expr = self._shrink(v, expr)
+                v, vmax = self._shrink(v)
                 c = int(v[piv])
                 g = math.gcd(abs(c), pv)
                 a = pv // g
@@ -355,15 +355,15 @@ class OracleEchelonSpan(EchelonSpan):
             vmax = bound
             if v.dtype != object and vmax >= (1 << 55):
                 vmax = max_abs(v)
-        return v, vmax, expr
+        return v, vmax
 
-    def _add(self, vec, want_expr):
+    def _add(self, vec):
         assert not self.track
         v, vmax = self._prepare(vec)
-        v, vmax, _ = self._reduce(v, vmax, None)
+        v, vmax = self._reduce(v, vmax)
         if not np.any(v):
             return None, None
-        v, vmax, _ = self._shrink(v, None)
+        v, vmax = self._shrink(v)
         piv = int(np.nonzero(v)[0][0])
         if v[piv] < 0:
             v = -v
@@ -373,7 +373,6 @@ class OracleEchelonSpan(EchelonSpan):
         self._pivots.append(piv)
         self._pivvals.append(pv)
         self._maxes.append(vmax if v.dtype == object else max_abs(v))
-        self._exprs.append({})
         insort(self._order, (piv, idx))
         for idx2 in range(idx):
             r2 = self._rows[idx2]

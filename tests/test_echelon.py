@@ -352,3 +352,64 @@ def test_narrow_closure_matches_int64_closure(data):
     assert got._elements == ref._elements
     for key, echelon_span in got._spans.items():
         _assert_narrow_copy_of(echelon_span, ref._spans[key])
+
+
+# -- the tracked span against the untracked one --------------------------------
+
+tracked_entry = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([_intops.INT64_SAFE - 1, _intops.INT64_SAFE, 2**63, -(2**64) - 1]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@st.composite
+def tracked_feeds(draw):
+    """(width, [(vector, through add_tracked?)]): new vectors, zero vectors
+    and integer combinations of the vectors fed before them, some with
+    entries past INT64_SAFE."""
+    width = draw(st.integers(1, 5))
+    vecs = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(["new", "new", "zero", "combination"]))
+        if kind == "new":
+            vec = draw(st.lists(tracked_entry, min_size=width, max_size=width))
+        elif kind == "zero" or not vecs:
+            vec = [0] * width
+        else:
+            coeffs = draw(st.lists(st.integers(-9, 9), min_size=len(vecs), max_size=len(vecs)))
+            vec = [sum(c * v[i] for c, (v, _) in zip(coeffs, vecs)) for i in range(width)]
+        vecs.append((vec, draw(st.booleans())))
+    return width, vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(tracked_feeds())
+def test_tracked_span_reduces_on_the_untracked_path(case):
+    # A tracked span stores the rows an untracked span stores, and every
+    # dependency add_tracked returns vanishes over the vectors fed.
+    width, feed = case
+    tracked, plain = EchelonSpan(width, track=True), EchelonSpan(width)
+    fed = []
+    for vec, through_tracked in feed:
+        arr = np.array(vec, dtype=object)
+        want = plain.add(arr)
+        fed.append(vec)
+        if not through_tracked:
+            assert tracked.add(arr) == want
+            continue
+        idx, expr = tracked.add_tracked(arr)
+        assert idx == want
+        if idx is not None:
+            assert expr is None
+            continue
+        assert expr[len(fed) - 1] != 0
+        assert all(isinstance(f, Fraction) and f != 0 for f in expr.values())
+        for i in range(width):
+            assert sum(f * fed[j][i] for j, f in expr.items()) == 0
+    assert tracked.dim == plain.dim
+    for k in range(plain.dim):
+        assert tracked.row(k).dtype == plain.row(k).dtype
+        assert np.array_equal(tracked.row(k), plain.row(k))
+        assert tracked.pivot(k) == plain.pivot(k)
+        assert tracked.row_max(k) == plain.row_max(k)

@@ -6,7 +6,7 @@ byte-identical keeps every digest, so a failure here names a report whose
 bytes moved.  The verify reports embed terwalg.__version__: a version bump
 changes their bytes, and the digests must then be pinned again from the
 bumped release, after checking that nothing but the version moved.  The
-d=10 digests that CI compares are in tests/golden.sha256.
+d=10 and d=12 digests that CI compares are in tests/golden.sha256.
 
 Every entry of the cube reports' P, Q and Krein tables is an integer.  The
 Petersen graph report pins proper fractions: 4 in Q and 8 in the Krein

@@ -17,7 +17,7 @@ from dense_views import (
     sphere_indicator_matrix,
 )
 
-from terwalg import _intops, echelon, idempotent, linalg, wedderburn
+from terwalg import _intops, echelon, idempotent, linalg, verify, wedderburn
 from terwalg.closure import CellForm, closure
 from terwalg.echelon import EchelonSpan
 from terwalg.idempotent import (
@@ -462,3 +462,31 @@ def test_u0_path_forms_no_n_wide_matrix(suite, monkeypatch):
         assert ranked == [(ctx.d + 1, ctx.d + 1)]
         again = wedderburn.complement_algebra(ctx, basis, got)
         assert densify(again) == densify(corner) and again.identity == corner.identity
+
+
+def test_u0_report_states_the_u0_lines_of_a_record():
+    # U0Report.checks() is the only statement of the U0 predicates: a
+    # diameter record carries its checks in order, and passed reads them.
+    for d in range(1, 6):
+        smaller = (None, None)
+        if d >= 2:
+            smaller = (verify.expected_dimension(d - 2), verify.expected_blocks(d - 2))
+        prep = verify._prepare(d, (1 << d) - 1)
+        record = verify._diameter_record(prep, *smaller)
+        rep = verify_u0(prep.ctx, prep.basis, dim_smaller=smaller[0])
+        u0_lines = [c for c in record.checks if c.name.startswith("u0_")]
+        assert [c.name for c in rep.checks()] == [c.name for c in u0_lines], d
+        assert rep.checks() == u0_lines and all(c.passed for c in u0_lines), d
+        assert rep.passed, d
+        flips = {
+            name: not getattr(rep, name)
+            for name in (
+                "formulas_agree", "idempotent", "central", "absorbs_E0",
+                "absorbs_Ed", "absorbs_E0_star", "absorbs_Ed_star", "peel_identity",
+            )
+        }
+        flips.update(d=d + 1, rank_U0=rep.rank_U0 + 1, dim_T_u0=rep.dim_T_u0 - 1)
+        # is_identity reads m and L: make U0 = I, or not.
+        flips["m"] = tuple(m + 1 for m in rep.m) if rep.is_identity else (rep.L,) * len(rep.m)
+        for name, value in flips.items():
+            assert not dataclasses.replace(rep, **{name: value}).passed, (d, name)

@@ -757,7 +757,7 @@ def test_section_identities_match_dense_oracles():
 def test_triple_product_flags_match_oracles():
     for name, ctx in _differential_contexts():
         assert np.array_equal(
-            subconstituent._primal_triple_zeros(ctx), _oracle_primal_zeros(ctx)
+            ctx.triple_counts == 0, _oracle_primal_zeros(ctx)
         ), name
         assert np.array_equal(dual_triple_zeros(ctx), _literal_dual_zeros(ctx)), name
 
@@ -1165,7 +1165,7 @@ def _assert_matches_dense_code(ctx, name):
     checks = check_section_identities(ctx)
     assert checks == section_oracles.check_section_identities(ctx), name
     assert np.array_equal(
-        subconstituent._primal_triple_zeros(ctx), section_oracles._primal_triple_zeros(ctx)
+        ctx.triple_counts == 0, section_oracles._primal_triple_zeros(ctx)
     ), name
     assert np.array_equal(
         dual_triple_zeros(ctx), section_oracles.dual_triple_zeros(ctx)
@@ -1306,7 +1306,7 @@ def test_triple_counts_are_valency_times_intersection_numbers(monkeypatch):
     cubes = (build_hypercube_context(d, (1 << d) - 1) for d in range(0, 8))
     named = [(f"cube d={c.d}", c) for c in cubes]
     for name, ctx in named + list(_benchmark_graph_contexts(monkeypatch)):
-        counts = subconstituent.triple_counts(ctx)
+        counts = ctx.triple_counts
         want = np.array(ctx.valencies)[:, None, None] * ctx.p_table
         assert np.array_equal(counts, want), name
 
@@ -1323,3 +1323,20 @@ def test_triple_products_form_no_dense_hadamard_product(monkeypatch):
     monkeypatch.setattr(subconstituent, "exact_mul_elementwise", refuse_2d)
     for name, ctx in cases:
         assert check_triple_products(ctx).passed, name
+
+
+def test_each_context_counts_its_triples_once(monkeypatch):
+    # The reports read N off the context, which counts it at construction.
+    sizes = []
+    real = subconstituent.count_triples
+
+    def counting(dist, x, size):
+        sizes.append(size)
+        return real(dist, x, size)
+
+    monkeypatch.setattr(subconstituent, "count_triples", counting)
+    run_verification(5)
+    assert sizes == [1, 2, 3, 4, 5, 6]
+    sizes.clear()
+    build_graph_report(Graph.from_edges(10, PETERSEN_EDGES))
+    assert sizes == [3]
